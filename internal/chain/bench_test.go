@@ -56,7 +56,7 @@ func BenchmarkOverlayApplyBlock(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
 				replica := st.Clone()
-				_ = replayTxs(ex, replica, txs, bctx)
+				_ = replayTxs(ex, replica, txs, txHashes(txs), bctx)
 				_ = replica.TakeDiff()
 			}
 		})
@@ -64,7 +64,7 @@ func BenchmarkOverlayApplyBlock(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
 				overlay := NewOverlay(st)
-				_ = replayTxs(ex, overlay, txs, bctx)
+				_ = replayTxs(ex, overlay, txs, txHashes(txs), bctx)
 				_ = overlay.TakeDeltas()
 			}
 		})

@@ -84,13 +84,23 @@ func merkleRoot(leaves []cryptoutil.Hash) cryptoutil.Hash {
 	return level[0]
 }
 
-// txRoot commits to a transaction list.
-func txRoot(txs []*Tx) cryptoutil.Hash {
-	leaves := make([]cryptoutil.Hash, len(txs))
+// txHashes computes every transaction's hash, parallel to txs. Tx.Hash
+// is an uncached Fprintf plus SHA-256, so block production and
+// validation call this once per block and thread the slice through
+// txRoot, execution, and mempool removal instead of rehashing at each
+// step. (The hash is deliberately not memoized on Tx: its fields are
+// exported and mutable.)
+func txHashes(txs []*Tx) []cryptoutil.Hash {
+	hashes := make([]cryptoutil.Hash, len(txs))
 	for i, tx := range txs {
-		leaves[i] = tx.Hash()
+		hashes[i] = tx.Hash()
 	}
-	return merkleRoot(leaves)
+	return hashes
+}
+
+// txRoot commits to a transaction list, given its hashes in block order.
+func txRoot(hashes []cryptoutil.Hash) cryptoutil.Hash {
+	return merkleRoot(hashes)
 }
 
 // receiptRoot commits to a receipt list.

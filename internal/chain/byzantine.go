@@ -189,7 +189,7 @@ func ForgeInvalidBlock(target *Node, key *cryptoutil.KeyPair, kind InvalidBlockK
 		ParentHash:  parent.Hash(),
 		Time:        parent.Header.Time.Add(time.Nanosecond),
 		Proposer:    key.Address(),
-		TxRoot:      txRoot(txs),
+		TxRoot:      txRoot(txHashes(txs)),
 		ReceiptRoot: receiptRoot(nil),
 		// An empty block leaves the state untouched, so the parent's root
 		// is the correct commitment (the over-gas block is rejected before

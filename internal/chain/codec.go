@@ -133,17 +133,16 @@ func decodeWALRecord(payload []byte) (*walRecord, error) {
 	}
 }
 
-// encodeChainSnapshot encodes a state snapshot deterministically (keys
-// sorted by Delta order of the export map).
-func encodeChainSnapshot(height uint64, state map[string][]byte) []byte {
-	size := 16
+// appendChainSnapshot appends the deterministic encoding of a state
+// snapshot (keys sorted) to dst and returns the extended slice. The
+// snapshot writer passes its previous buffer truncated to zero, so a
+// full-state payload is allocated once per node and not per snapshot.
+func appendChainSnapshot(dst []byte, height uint64, state map[string][]byte) []byte {
 	keys := make([]string, 0, len(state))
-	for k, v := range state {
+	for k := range state {
 		keys = append(keys, k)
-		size += 16 + len(k) + len(v)
 	}
 	sort.Strings(keys)
-	dst := make([]byte, 0, size)
 	dst = append(dst, tagChainSnapshot)
 	dst = store.AppendUvarint(dst, height)
 	dst = store.AppendUvarint(dst, uint64(len(keys)))

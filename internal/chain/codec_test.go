@@ -191,9 +191,16 @@ func TestCodecSnapshotRoundTrip(t *testing.T) {
 		"bin\x00ary/k":  []byte("x"),
 		"big/" + "kkkk": bytes.Repeat([]byte("p"), 10_000),
 	}
-	payload := encodeChainSnapshot(99, state)
-	if !bytes.Equal(payload, encodeChainSnapshot(99, state)) {
+	payload := appendChainSnapshot(nil, 99, state)
+	if !bytes.Equal(payload, appendChainSnapshot(nil, 99, state)) {
 		t.Fatal("snapshot encoding is not deterministic")
+	}
+	// The snapshot writer reuses one buffer: a smaller state encoded into
+	// a truncated, previously larger buffer must come out as if fresh.
+	small := map[string][]byte{"a/first": {7}}
+	reused := appendChainSnapshot(append([]byte(nil), payload...)[:0], 100, small)
+	if !bytes.Equal(reused, appendChainSnapshot(nil, 100, small)) {
+		t.Fatal("encoding into a reused buffer differs from a fresh encoding")
 	}
 	snap, err := decodeChainSnapshot(payload)
 	if err != nil {

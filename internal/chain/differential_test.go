@@ -75,12 +75,12 @@ func TestDifferentialOverlayVsCloneReplay(t *testing.T) {
 
 				// New path: copy-on-write overlay.
 				overlay := NewOverlay(st)
-				ovReceipts := replayTxs(ex, overlay, txs, bctx)
+				ovReceipts := replayTxs(ex, overlay, txs, txHashes(txs), bctx)
 				ovRoot := overlay.Root()
 
 				// Old path: deep clone, direct execution, journal diff.
 				clone := st.Clone()
-				clReceipts := replayTxs(ex, clone, txs, bctx)
+				clReceipts := replayTxs(ex, clone, txs, txHashes(txs), bctx)
 				clDiff := clone.TakeDiff()
 
 				if len(ovReceipts) != len(clReceipts) {
@@ -199,13 +199,17 @@ func TestConcurrentReadersDuringCommit(t *testing.T) {
 				case 0:
 					n.State().Get(fmt.Sprintf("%s/k%d", testContractAddr(), i%32))
 				case 1:
-					if _, err := n.Query(testContractAddr(), "get", []byte(`{"key":"k0"}`)); err != nil && n.Height() > 0 {
-						// k0 is written by block 1; after that the query must succeed.
+					// k0 is written by block 1; a query that starts after that
+					// must succeed. The height is read first: read after a
+					// failed query it may already be past a block 1 the
+					// query itself ran before.
+					before := n.Height()
+					if _, err := n.Query(testContractAddr(), "get", []byte(`{"key":"k0"}`)); err != nil && before > 0 {
 						select {
 						case <-stop:
 							return
 						default:
-							t.Errorf("query failed at height %d: %v", n.Height(), err)
+							t.Errorf("query failed at height %d: %v", before, err)
 							return
 						}
 					}

@@ -16,8 +16,18 @@
 // # Concurrency contract
 //
 // A Node is safe for concurrent use. Internally it holds three locks with
-// a fixed acquisition order (sealMu → mpMu → mu):
+// a fixed acquisition order (sealMu → mpMu → mu), and a Network adds one
+// outside them, so the full order is
+// Network.sealMu → Node.sealMu → mpMu → mu:
 //
+//   - Network.sealMu serializes Network.SealNext: one consensus round —
+//     read the height, pick the proposer, seal, replicate — runs at a
+//     time, so concurrent callers (every SealOnSubmit backend is one)
+//     queue instead of racing for the same height. Within a round the
+//     reachable followers run ApplyBlock concurrently, each under its own
+//     Node.sealMu, sharing only the read-only block. Network.mu is a
+//     separate leaf lock for membership, liveness, and partition state;
+//     nothing is called while it is held.
 //   - sealMu serializes block production and application (Seal,
 //     SealOutOfTurn, ApplyBlock, SyncFrom). At most one block is built or
 //     validated at a time; chain state only ever advances under sealMu.
@@ -52,7 +62,14 @@
 // validation — never runs under any node lock. Batch paths (SubmitBatch,
 // Network.SubmitEverywhereBatch, ApplyBlock) verify concurrently via a
 // bounded worker pool (VerifyTxSignatures); Config.VerifyWorkers bounds
-// the pool, with 1 forcing the sequential ablation baseline.
+// the pool, with 1 forcing the sequential ablation baseline. Each
+// validator verifies a transaction once: ApplyBlock skips the check for
+// transactions whose hash is in the node's own mempool (it verified them
+// at admission) and runs it for everything else — see ApplyBlock for the
+// soundness argument. Likewise a transaction is hashed once per node per
+// block (mempool.Take hands the proposer its admission-time hashes,
+// ApplyBlock computes them once) and the slice is threaded through the
+// tx root, execution, and mempool removal.
 //
 // # Durability
 //

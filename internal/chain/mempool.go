@@ -311,16 +311,18 @@ func (mp *mempool) dropTail(sq *senderQueue) {
 // Take dequeues up to max transactions for a block: highest gas price
 // first, ties broken by ascending hash, per-sender nonce order always
 // preserved (a sender's second transaction is only eligible once its
-// first was picked). committed maps senders to their next expected
+// first was picked). The admission-time hashes are handed out alongside
+// (parallel to the transactions), so sealing never rehashes what the
+// pool already indexed. committed maps senders to their next expected
 // nonce; queued transactions below it (committed by a block that carried
 // a replacement, so hash-removal missed them) are swept here.
 //
 // Selection iterates the tail heap's backing slice and drains a strict
 // total-order candidate heap, so the result is deterministic and
 // map-iteration-free.
-func (mp *mempool) Take(max int, committed map[cryptoutil.Address]uint64) []*Tx {
+func (mp *mempool) Take(max int, committed map[cryptoutil.Address]uint64) ([]*Tx, []cryptoutil.Hash) {
 	if mp.size == 0 || max <= 0 {
-		return nil
+		return nil, nil
 	}
 
 	// Sweep stale heads first. Iterate a snapshot of the queue set:
@@ -343,10 +345,13 @@ func (mp *mempool) Take(max int, committed map[cryptoutil.Address]uint64) []*Tx 
 	heap.Init(&cands)
 
 	out := make([]*Tx, 0, min(max, mp.size))
+	hashes := make([]cryptoutil.Hash, 0, cap(out))
 	taken := make(map[*senderQueue]int, len(cands))
 	for len(out) < max && cands.Len() > 0 {
 		c := cands[0]
-		out = append(out, c.sq.txs[c.idx].tx)
+		p := c.sq.txs[c.idx]
+		out = append(out, p.tx)
+		hashes = append(hashes, p.hash)
 		taken[c.sq]++
 		if c.idx+1 < len(c.sq.txs) {
 			cands[0].idx++
@@ -365,5 +370,5 @@ func (mp *mempool) Take(max int, committed map[cryptoutil.Address]uint64) []*Tx 
 			mp.popHead(sq)
 		}
 	}
-	return out
+	return out, hashes
 }

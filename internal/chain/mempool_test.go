@@ -50,12 +50,15 @@ func TestMempoolIndexedOperations(t *testing.T) {
 	if mp.PendingFrom(key.Address()) != 2 {
 		t.Fatalf("PendingFrom after remove = %d, want 2", mp.PendingFrom(key.Address()))
 	}
-	got := mp.Take(10, nil)
+	got, hashes := mp.Take(10, nil)
 	want := []uint64{0, 1}
-	if len(got) != len(want) {
-		t.Fatalf("Take returned %d txs, want %d", len(got), len(want))
+	if len(got) != len(want) || len(hashes) != len(want) {
+		t.Fatalf("Take returned %d txs and %d hashes, want %d", len(got), len(hashes), len(want))
 	}
 	for i, tx := range got {
+		if hashes[i] != tx.Hash() {
+			t.Fatalf("Take hash %d does not match its transaction", i)
+		}
 		if tx.Nonce != want[i] {
 			t.Fatalf("Take[%d].Nonce = %d, want %d (nonce order broken)", i, tx.Nonce, want[i])
 		}
@@ -75,7 +78,7 @@ func TestMempoolTakeRespectsLimit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	first := mp.Take(3, nil)
+	first, _ := mp.Take(3, nil)
 	if len(first) != 3 || first[0].Nonce != 0 || first[2].Nonce != 2 {
 		t.Fatalf("Take(3) = %d txs starting at nonce %d", len(first), first[0].Nonce)
 	}
@@ -105,7 +108,7 @@ func TestMempoolPriceOrderedTake(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := mp.Take(10, nil)
+	got, _ := mp.Take(10, nil)
 	if len(got) != 4 {
 		t.Fatalf("Take returned %d txs, want 4", len(got))
 	}
@@ -155,7 +158,8 @@ func TestMempoolTakeDeterministicAcrossInsertionOrders(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return mp.Take(len(txs), nil)
+		got, _ := mp.Take(len(txs), nil)
+		return got
 	}
 
 	// Order A: sender-major. Order B: nonce-major (round-robin).
@@ -220,7 +224,7 @@ func TestMempoolEvictionUnwindsIndexes(t *testing.T) {
 
 	// Drain one slot and readmit the evicted transaction: its nonce is
 	// cheap's expected tail again, so admission must accept it cleanly.
-	if got := mp.Take(1, nil); len(got) != 1 || got[0].Hash() != bid.Hash() {
+	if got, _ := mp.Take(1, nil); len(got) != 1 || got[0].Hash() != bid.Hash() {
 		t.Fatalf("Take(1) = %v, want rich's bid first", got)
 	}
 	if _, err := mp.Add(cheapTxs[3].Hash(), cheapTxs[3]); err != nil {

@@ -36,6 +36,12 @@ type Metrics struct {
 	BlocksCommitted *obs.Counter
 	BlockTxs        *obs.Histogram // transactions per committed block
 
+	// Block-validation signature checks (ApplyBlock): per transaction of
+	// a validated block, whether its admission-time verification was
+	// reused or it was verified now.
+	SigsReused   *obs.Counter
+	SigsVerified *obs.Counter
+
 	// Parallel-execution scheduler stats (see parallel.go).
 	ExecWorkers    *obs.Gauge   // workers used by the last parallel block
 	ParallelBlocks *obs.Counter // blocks through the optimistic scheduler
@@ -79,6 +85,9 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 
 		BlocksCommitted: reg.Counter("chain_blocks_committed_total", "blocks durably committed"),
 		BlockTxs:        reg.Histogram("chain_block_txs", "transactions per committed block"),
+
+		SigsReused:   reg.Counter("chain_block_sigs_total", "signatures of validated blocks' transactions by check", obs.L("result", "reused")),
+		SigsVerified: reg.Counter("chain_block_sigs_total", "signatures of validated blocks' transactions by check", obs.L("result", "verified")),
 
 		ExecWorkers:    reg.Gauge("chain_exec_workers", "workers used by the last parallel block execution"),
 		ParallelBlocks: reg.Counter("chain_exec_blocks_total", "blocks executed by path", obs.L("path", "parallel")),

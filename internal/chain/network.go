@@ -39,6 +39,29 @@ var (
 // signature checks, execution, and the WAL append — runs without the
 // ledger write lock. Readers are only blocked for the O(touched-keys)
 // delta fold of the final commit.
+//
+// Signatures are checked once per validator, not once per sighting: a
+// transaction whose hash is in this node's own mempool was verified when
+// this node admitted it and is not verified again. That is sound because
+//
+//   - Tx.Hash is HashOf(SigningBytes, Signature) over length-prefixed
+//     parts, so a hash hit means the same signing bytes and the same
+//     signature bytes;
+//   - everything VerifySignature inspects (method, gas limit, sender
+//     address and key) is inside SigningBytes, whose encoding is
+//     injective: every field but Method renders as digits or hex, so the
+//     '|' separators split unambiguously from both ends;
+//   - every path into a node's mempool (SubmitTx, SubmitBatch, and the
+//     network's verify-once submitVerified[Batch]) checks the signature
+//     before enqueueing.
+//
+// The hash is recomputed here from the block's own bytes, never taken
+// from the proposer, so a transaction mutated after admission, one that
+// was evicted or replaced, one a byzantine proposer wrote straight into
+// the block, and every transaction seen by a freshly restarted node
+// (empty mempool) misses the lookup and gets the full check. The header
+// signature, tx root, gas cap, re-execution, and both root comparisons
+// apply to every transaction regardless.
 func (n *Node) ApplyBlock(block *Block, proposerKey []byte) error {
 	n.sealMu.Lock()
 	defer n.sealMu.Unlock()
@@ -73,10 +96,21 @@ func (n *Node) ApplyBlock(block *Block, proposerKey []byte) error {
 	if err := cryptoutil.VerifyWithAddress(h.Proposer, proposerKey, h.SigningBytes(), h.Signature); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadHeaderSig, err)
 	}
-	if err := VerifyTxSignatures(block.Txs, n.verifyWorkers); err != nil {
+	hashes := txHashes(block.Txs)
+	n.mpMu.Lock()
+	var unadmitted []*Tx
+	for i, tx := range block.Txs {
+		if !n.mempool.Contains(hashes[i]) {
+			unadmitted = append(unadmitted, tx)
+		}
+	}
+	n.mpMu.Unlock()
+	if err := VerifyTxSignatures(unadmitted, n.verifyWorkers); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadTxInBlock, err)
 	}
-	if got := txRoot(block.Txs); got != h.TxRoot {
+	n.metrics.SigsReused.Add(uint64(len(block.Txs) - len(unadmitted)))
+	n.metrics.SigsVerified.Add(uint64(len(unadmitted)))
+	if got := txRoot(hashes); got != h.TxRoot {
 		return ErrBadTxRoot
 	}
 	// The per-tx gas cap is enforced here as well as at admission: a
@@ -84,10 +118,10 @@ func (n *Node) ApplyBlock(block *Block, proposerKey []byte) error {
 	// block, bypassing Submit. Checked separately from VerifyTxSignatures
 	// so the rejection carries its own sentinel (ErrBadTxInBlock wraps the
 	// cause as text, which would hide errors.Is(ErrGasTooLarge)).
-	for _, tx := range block.Txs {
+	for i, tx := range block.Txs {
 		if tx.GasLimit > MaxTxGasLimit {
 			return fmt.Errorf("%w: tx %s declares %d, cap %d",
-				ErrGasTooLarge, tx.Hash().Short(), tx.GasLimit, MaxTxGasLimit)
+				ErrGasTooLarge, hashes[i].Short(), tx.GasLimit, MaxTxGasLimit)
 		}
 	}
 
@@ -99,7 +133,7 @@ func (n *Node) ApplyBlock(block *Block, proposerKey []byte) error {
 	n.mu.RUnlock()
 	overlay := NewOverlay(st)
 	bctx := BlockContext{Number: h.Number, Time: h.Time}
-	receipts := n.executeBlock(overlay, block.Txs, bctx)
+	receipts := n.executeBlock(overlay, block.Txs, hashes, bctx)
 	if got := receiptRoot(receipts); got != h.ReceiptRoot {
 		return ErrBadReceiptRoot
 	}
@@ -111,9 +145,9 @@ func (n *Node) ApplyBlock(block *Block, proposerKey []byte) error {
 	// out of the mempool), so submissions racing with the commit observe
 	// a consistent nonce sequence.
 	n.mpMu.Lock()
-	for _, tx := range block.Txs {
+	for i, tx := range block.Txs {
 		n.nonces[tx.From] = tx.Nonce + 1
-		n.mempool.Remove(tx.Hash())
+		n.mempool.Remove(hashes[i])
 	}
 	n.mpMu.Unlock()
 
@@ -132,25 +166,26 @@ func (n *Node) ApplyBlock(block *Block, proposerKey []byte) error {
 
 // replayTxs executes one block's transactions against st (a seal-time or
 // validation overlay), producing receipts with block-local event
-// indexes. It is the single execution path for sealing and validation;
-// it never touches the node's cost ledger — callers record gas only
-// after the block durably commits.
-func replayTxs(ex Executor, st StateRW, txs []*Tx, bctx BlockContext) []*Receipt {
+// indexes. hashes are the transactions' hashes, parallel to txs. It is
+// the single execution path for sealing and validation; it never
+// touches the node's cost ledger — callers record gas only after the
+// block durably commits.
+func replayTxs(ex Executor, st StateRW, txs []*Tx, hashes []cryptoutil.Hash, bctx BlockContext) []*Receipt {
 	receipts := make([]*Receipt, 0, len(txs))
 	eventIndex := 0
-	for _, tx := range txs {
+	for i, tx := range txs {
 		checkpoint := st.Checkpoint()
 		receipt := ex.ExecuteTx(st, tx, bctx)
 		if receipt.Status != StatusOK {
 			st.RevertTo(checkpoint)
 			receipt.Events = nil
 		}
-		receipt.TxHash = tx.Hash()
+		receipt.TxHash = hashes[i]
 		receipt.BlockNumber = bctx.Number
-		for i := range receipt.Events {
-			receipt.Events[i].BlockNumber = bctx.Number
-			receipt.Events[i].TxHash = receipt.TxHash
-			receipt.Events[i].Index = eventIndex
+		for j := range receipt.Events {
+			receipt.Events[j].BlockNumber = bctx.Number
+			receipt.Events[j].TxHash = receipt.TxHash
+			receipt.Events[j].Index = eventIndex
 			eventIndex++
 		}
 		receipts = append(receipts, receipt)
@@ -167,6 +202,13 @@ func replayTxs(ex Executor, st StateRW, txs []*Tx, bctx BlockContext) []*Receipt
 // argument: any node can serve reads, and the cluster survives the loss of
 // individual nodes.
 type Network struct {
+	// sealMu serializes SealNext: a round reads the height, picks the
+	// proposer, seals, and replicates as one unit, so concurrent callers
+	// queue instead of racing for the same height. It is the outermost
+	// lock (Network.sealMu → Node.sealMu → mpMu → mu); mu below is a leaf
+	// taken only for short membership reads and writes.
+	sealMu sync.Mutex
+
 	mu            sync.Mutex
 	nodes         []*Node
 	keys          map[cryptoutil.Address][]byte // authority address -> public key bytes
@@ -420,7 +462,16 @@ func (net *Network) bufferDelivery(to cryptoutil.Address, block *Block, proposer
 // down, the next live authority in rotation order takes over out of turn
 // (clique-style), so the cluster stays live as long as one authority
 // remains — the paper's availability property.
+//
+// The reachable followers validate the sealed block concurrently (each
+// under its own sealMu, sharing nothing but the read-only block), and
+// every one of them sees it even when another rejects. The outcome stays
+// scheduling-independent: partition buffering happens before the fan-out
+// in node order, and the error returned is the lowest-indexed rejecting
+// follower's. Concurrent SealNext calls are serialized.
 func (net *Network) SealNext() (*Block, error) {
+	net.sealMu.Lock()
+	defer net.sealMu.Unlock()
 	v := net.liveView()
 
 	if len(v.nodes) == 0 {
@@ -483,6 +534,7 @@ func (net *Network) SealNext() (*Block, error) {
 	}
 
 	proposerKey := net.keys[proposerAddr]
+	var followers []*Node
 	for _, n := range v.nodes {
 		addr := n.Address()
 		if addr == proposerAddr || v.down[addr] {
@@ -494,8 +546,26 @@ func (net *Network) SealNext() (*Block, error) {
 			net.bufferDelivery(addr, block, proposerKey)
 			continue
 		}
-		if err := n.ApplyBlock(block, proposerKey); err != nil {
-			return nil, fmt.Errorf("chain: node %s rejected block %d: %w", addr.Short(), block.Header.Number, err)
+		followers = append(followers, n)
+	}
+	errs := make([]error, len(followers))
+	var wg sync.WaitGroup
+	for i, n := range followers {
+		if i == len(followers)-1 {
+			errs[i] = n.ApplyBlock(block, proposerKey) // the last one runs inline
+			break
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = n.ApplyBlock(block, proposerKey)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("chain: node %s rejected block %d: %w",
+				followers[i].Address().Short(), block.Header.Number, err)
 		}
 	}
 	return block, nil

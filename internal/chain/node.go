@@ -482,7 +482,7 @@ func (n *Node) seal(force bool) (*Block, error) {
 	// committed+pending nonce sequence. Execution then proceeds without
 	// blocking admission of the next block's transactions.
 	n.mpMu.Lock()
-	txs := n.mempool.Take(n.maxTxs, n.nonces)
+	txs, hashes := n.mempool.Take(n.maxTxs, n.nonces)
 	for _, tx := range txs {
 		n.nonces[tx.From] = tx.Nonce + 1
 	}
@@ -505,13 +505,13 @@ func (n *Node) seal(force bool) (*Block, error) {
 	st := n.state
 	n.mu.RUnlock()
 	overlay := NewOverlay(st)
-	receipts := n.executeBlock(overlay, txs, bctx)
+	receipts := n.executeBlock(overlay, txs, hashes, bctx)
 	header := Header{
 		Number:      number,
 		ParentHash:  parent.Hash(),
 		Time:        bctx.Time,
 		Proposer:    n.key.Address(),
-		TxRoot:      txRoot(txs),
+		TxRoot:      txRoot(hashes),
 		ReceiptRoot: receiptRoot(receipts),
 		StateRoot:   overlay.Root(),
 	}
@@ -539,12 +539,13 @@ func (n *Node) seal(force bool) (*Block, error) {
 // be worth splitting). Both sealing and validation funnel through here,
 // so proposers and validators always agree on the execution semantics —
 // which are identical anyway (see parallel.go's determinism argument).
-func (n *Node) executeBlock(overlay *Overlay, txs []*Tx, bctx BlockContext) []*Receipt {
+// hashes are the block's transaction hashes, parallel to txs.
+func (n *Node) executeBlock(overlay *Overlay, txs []*Tx, hashes []cryptoutil.Hash, bctx BlockContext) []*Receipt {
 	if n.execWorkers == 1 {
 		n.metrics.SerialBlocks.Inc()
-		return replayTxs(n.executor, overlay, txs, bctx)
+		return replayTxs(n.executor, overlay, txs, hashes, bctx)
 	}
-	return replayTxsParallelObs(n.executor, overlay, txs, bctx, n.execWorkers, n.metrics)
+	return replayTxsParallelObs(n.executor, overlay, txs, hashes, bctx, n.execWorkers, n.metrics)
 }
 
 // commitBlock persists and applies a fully formed block whose execution

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/cryptoutil"
 	"repro/internal/obs"
 )
 
@@ -58,22 +59,23 @@ func execWorkerCount(workers int) int {
 // path. The parent overlay must be quiescent (sealMu excludes all other
 // state writers, exactly as on the serial path).
 func replayTxsParallel(ex Executor, parent *Overlay, txs []*Tx, bctx BlockContext, workers int) []*Receipt {
-	return replayTxsParallelObs(ex, parent, txs, bctx, workers, noopMetrics)
+	return replayTxsParallelObs(ex, parent, txs, txHashes(txs), bctx, workers, noopMetrics)
 }
 
-// replayTxsParallelObs is replayTxsParallel with scheduler stats
+// replayTxsParallelObs is replayTxsParallel given the block's
+// precomputed transaction hashes (parallel to txs), with scheduler stats
 // recorded into m (never nil): workers used, blocks by path, conflict
 // count, and serial-tail length. Metrics are observers only — they
 // never influence the schedule, so instrumented and bare runs produce
 // bit-identical blocks.
-func replayTxsParallelObs(ex Executor, parent *Overlay, txs []*Tx, bctx BlockContext, workers int, m *Metrics) []*Receipt {
+func replayTxsParallelObs(ex Executor, parent *Overlay, txs []*Tx, hashes []cryptoutil.Hash, bctx BlockContext, workers int, m *Metrics) []*Receipt {
 	workers = execWorkerCount(workers)
 	if workers > len(txs) {
 		workers = len(txs)
 	}
 	if workers <= 1 || len(txs) < minParallelTxs {
 		m.SerialBlocks.Inc()
-		return replayTxs(ex, parent, txs, bctx)
+		return replayTxs(ex, parent, txs, hashes, bctx)
 	}
 	m.ParallelBlocks.Inc()
 	m.ExecWorkers.Set(int64(workers))
@@ -131,11 +133,11 @@ func replayTxsParallelObs(ex Executor, parent *Overlay, txs []*Tx, bctx BlockCon
 		m.SerialTailTxs.Add(uint64(len(txs) - conflictAt))
 	}
 	if tr := m.Tracer; tr != nil {
-		for i, tx := range txs {
+		for i, h := range hashes {
 			if i < conflictAt {
-				tr.Mark(tx.Hash().String(), obs.StageMerge)
+				tr.Mark(h.String(), obs.StageMerge)
 			} else {
-				tr.Mark(tx.Hash().String(), obs.StageSerialTail)
+				tr.Mark(h.String(), obs.StageSerialTail)
 			}
 		}
 	}
@@ -157,7 +159,7 @@ func replayTxsParallelObs(ex Executor, parent *Overlay, txs []*Tx, bctx BlockCon
 	// indexes run across the whole block in transaction order.
 	eventIndex := 0
 	for i, r := range receipts {
-		r.TxHash = txs[i].Hash()
+		r.TxHash = hashes[i]
 		r.BlockNumber = bctx.Number
 		for j := range r.Events {
 			r.Events[j].BlockNumber = bctx.Number
@@ -178,7 +180,7 @@ func ReplayBlock(ex Executor, st *State, txs []*Tx, bctx BlockContext, workers i
 	overlay := NewOverlay(st)
 	var receipts []*Receipt
 	if workers == 1 {
-		receipts = replayTxs(ex, overlay, txs, bctx)
+		receipts = replayTxs(ex, overlay, txs, txHashes(txs), bctx)
 	} else {
 		receipts = replayTxsParallel(ex, overlay, txs, bctx, workers)
 	}

@@ -104,7 +104,7 @@ func TestDifferentialParallelVsSerialRandom(t *testing.T) {
 					bctx := BlockContext{Number: uint64(block + 1), Time: chainEpoch.Add(time.Duration(block) * time.Second)}
 
 					serialOv := NewOverlay(st)
-					serial := replayTxs(ex, serialOv, txs, bctx)
+					serial := replayTxs(ex, serialOv, txs, txHashes(txs), bctx)
 					parOv := NewOverlay(st)
 					par := replayTxsParallel(ex, parOv, txs, bctx, workers)
 
@@ -139,7 +139,7 @@ func TestDifferentialParallelAllConflicts(t *testing.T) {
 			bctx := BlockContext{Number: 1, Time: chainEpoch}
 
 			serialOv := NewOverlay(st)
-			serial := replayTxs(ex, serialOv, txs, bctx)
+			serial := replayTxs(ex, serialOv, txs, txHashes(txs), bctx)
 			parOv := NewOverlay(st)
 			par := replayTxsParallel(ex, parOv, txs, bctx, workers)
 			requireSameExecution(t, "hot-counter block", serial, par, serialOv, parOv)
@@ -236,7 +236,7 @@ func TestDifferentialParallelDeleteAndPrefixConflicts(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			bctx := BlockContext{Number: 1, Time: chainEpoch}
 			serialOv := NewOverlay(st)
-			serial := replayTxs(ex, serialOv, txs, bctx)
+			serial := replayTxs(ex, serialOv, txs, txHashes(txs), bctx)
 			parOv := NewOverlay(st)
 			par := replayTxsParallel(ex, parOv, txs, bctx, workers)
 			requireSameExecution(t, "delete/prefix block", serial, par, serialOv, parOv)

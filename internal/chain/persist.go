@@ -339,6 +339,7 @@ type snapshotJob struct {
 type snapshotWriter struct {
 	dataDir string
 	m       *Metrics // never nil
+	buf     []byte   // encode buffer reused across snapshots; run goroutine only
 	mu      sync.Mutex
 	pending *snapshotJob  // guarded by mu
 	closed  bool          // guarded by mu
@@ -379,8 +380,8 @@ func (w *snapshotWriter) run() {
 func (w *snapshotWriter) write(job *snapshotJob) {
 	tm := w.m.SnapshotWrite.Start()
 	defer tm.Stop()
-	payload := encodeChainSnapshot(job.height, job.state)
-	if err := store.WriteSnapshot(w.dataDir, job.height, payload); err != nil {
+	w.buf = appendChainSnapshot(w.buf[:0], job.height, job.state)
+	if err := store.WriteSnapshot(w.dataDir, job.height, w.buf); err != nil {
 		// A failed snapshot must not surface as a commit failure: the
 		// block is already durable in the WAL, and recovery without
 		// this snapshot merely replays a longer diff tail.

@@ -2,9 +2,12 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/policy"
 )
 
@@ -158,5 +161,82 @@ func TestFailValidatorRefusesLastLiveNode(t *testing.T) {
 	}
 	if d.ValidatorDown(0) {
 		t.Fatal("refused failure still marked the validator down")
+	}
+}
+
+// TestConcurrentSealOnSubmit: every Owner has its own submission backend
+// (its own mutex), so two goroutines under SealOnSubmit call
+// Network.SealNext at once. Unserialized, both read the same height and
+// pick the same in-turn proposer, and the loser's Seal finds the height
+// taken: "not this node's turn to propose". SealNext is serialized by a
+// network-level mutex; run with -race.
+func TestConcurrentSealOnSubmit(t *testing.T) {
+	d, err := NewDeployment(Config{Validators: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	ctx := context.Background()
+
+	const iterations = 200
+	var wg sync.WaitGroup
+	for g := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range iterations {
+				owner, err := d.NewOwner(fmt.Sprintf("g%do%d", g, i))
+				if err != nil {
+					t.Errorf("goroutine %d, iteration %d: NewOwner: %v", g, i, err)
+					return
+				}
+				if err := owner.InitializePod(ctx, nil); err != nil {
+					t.Errorf("goroutine %d, iteration %d: InitializePod: %v", g, i, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	head := d.Nodes[0].Head().Hash()
+	for _, n := range d.Nodes[1:] {
+		if n.Head().Hash() != head {
+			t.Fatalf("validator %s diverged", n.Address().Short())
+		}
+	}
+}
+
+// TestMountedPodReportsAuthCache: owner pods are built by the pod
+// manager and mounted with Host.Mount, which used to skip the metrics
+// wiring Host.CreatePod does — solid_auth_cache_total read 0 in every
+// deployment. A granted GET through such a pod must move the counter.
+func TestMountedPodReportsAuthCache(t *testing.T) {
+	reg := obs.NewRegistry()
+	d, err := NewDeployment(Config{Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	ctx := context.Background()
+
+	owner, iri := ownerWithResource(d, "owner", 512, nil)
+	consumer, err := d.NewConsumer("ccc", policy.PurposeAny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := owner.Grant(ctx, consumer, "/data/r.bin", policy.PurposeAny); err != nil {
+		t.Fatal(err)
+	}
+	outcomes := func() uint64 {
+		const name, help = "solid_auth_cache_total", "ACL decision cache outcomes"
+		return reg.Counter(name, help, obs.L("outcome", "hit")).Value() +
+			reg.Counter(name, help, obs.L("outcome", "miss")).Value()
+	}
+	before := outcomes()
+	if err := consumer.Access(ctx, iri); err != nil {
+		t.Fatal(err)
+	}
+	if after := outcomes(); after <= before {
+		t.Fatalf("solid_auth_cache_total stayed at %d across a granted GET", after)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"time"
 )
 
@@ -108,9 +109,11 @@ func (c *Certificate) Verify(issuerPubBytes []byte, issuerAddr Address, now time
 // Authority is a minimal certificate authority: it issues certificates
 // signed with its key pair.
 type Authority struct {
-	key    *KeyPair
-	name   string
-	serial uint64
+	key  *KeyPair
+	name string
+	// serial numbers the issued certificates; atomic because issuance is
+	// concurrent (market.Service.PayFee issues outside its own lock).
+	serial atomic.Uint64
 }
 
 // NewAuthority creates an authority with a fresh key pair.
@@ -143,13 +146,13 @@ func (a *Authority) IssueForKey(subject Address, subjectKey []byte, claims map[s
 	if notAfter.Before(notBefore) {
 		return nil, fmt.Errorf("cryptoutil: invalid validity window [%s, %s]", notBefore, notAfter)
 	}
-	a.serial++
+	serial := a.serial.Add(1)
 	claimsCopy := make(map[string]string, len(claims))
 	for k, v := range claims {
 		claimsCopy[k] = v
 	}
 	cert := &Certificate{
-		Serial:     a.serial,
+		Serial:     serial,
 		Subject:    subject,
 		SubjectKey: subjectKey,
 		Claims:     claimsCopy,

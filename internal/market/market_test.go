@@ -2,6 +2,8 @@ package market
 
 import (
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -82,6 +84,56 @@ func TestPayFeeIssuesValidCertificate(t *testing.T) {
 	}
 	if svc.Payments() != 1 {
 		t.Fatalf("Payments = %d", svc.Payments())
+	}
+}
+
+// TestConcurrentPayFeeUniqueSerials: PayFee issues the certificate after
+// releasing the service mutex, so consumers paying at once reach the
+// authority's serial counter concurrently. Every certificate must still
+// carry its own serial (run with -race: the unguarded counter was a data
+// race whose visible effect was duplicate serials).
+func TestConcurrentPayFeeUniqueSerials(t *testing.T) {
+	svc, _ := newMarket(t)
+	const payers, perPayer = 4, 50
+	webIDs := make([]string, payers)
+	for i := range webIDs {
+		key := cryptoutil.MustGenerateKey()
+		webIDs[i] = fmt.Sprintf("https://c%d.pod/profile#me", i)
+		if err := svc.Register(webIDs[i], "c", key.Address(), key.PublicBytes()); err != nil {
+			t.Fatal(err)
+		}
+		if err := svc.Subscribe(webIDs[i], PlanBasic); err != nil {
+			t.Fatal(err)
+		}
+	}
+	serials := make([][]uint64, payers)
+	var wg sync.WaitGroup
+	for i, webID := range webIDs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range perPayer {
+				cert, err := svc.PayFee(webID, "https://bob.pod/medical/ds1.ttl")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				serials[i] = append(serials[i], cert.Serial)
+			}
+		}()
+	}
+	wg.Wait()
+	seen := make(map[uint64]bool, payers*perPayer)
+	for _, own := range serials {
+		for _, s := range own {
+			if seen[s] {
+				t.Fatalf("certificate serial %d issued twice", s)
+			}
+			seen[s] = true
+		}
+	}
+	if len(seen) != payers*perPayer {
+		t.Fatalf("%d distinct serials, want %d", len(seen), payers*perPayer)
 	}
 }
 

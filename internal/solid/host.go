@@ -130,7 +130,6 @@ func (h *Host) CreatePod(name string, owner WebID, hostBaseURL string, hook Acce
 	} else {
 		pod = NewPod(owner, baseURL)
 	}
-	pod.setMetrics(h.metrics)
 	srv := NewServer(pod, h.dir, h.clock, hook)
 	srv.SetMetrics(h.metrics)
 	if err := h.Mount(name, pod, srv); err != nil {
@@ -161,7 +160,8 @@ func (h *Host) Close() error {
 
 // Mount routes /pods/{name}/ to an externally built handler (typically a
 // *Server wrapped by a pod manager). pod may be nil when the handler does
-// not expose one.
+// not expose one; a non-nil pod is wired to the host's instruments, so
+// mount it before it serves.
 func (h *Host) Mount(name string, pod *Pod, handler http.Handler) error {
 	if !validPodName(name) {
 		return fmt.Errorf("%w: %q", ErrBadPodName, name)
@@ -171,6 +171,9 @@ func (h *Host) Mount(name string, pod *Pod, handler http.Handler) error {
 	defer s.mu.Unlock()
 	if _, taken := s.pods[name]; taken {
 		return fmt.Errorf("%w: %s", ErrPodExists, name)
+	}
+	if pod != nil {
+		pod.setMetrics(h.metrics)
 	}
 	s.pods[name] = &mountedPod{pod: pod, handler: handler}
 	return nil

@@ -109,9 +109,8 @@ func NewPod(owner WebID, baseURL string) *Pod {
 	return p
 }
 
-// setMetrics wires the pod's observability instruments (hosts call it
-// from CreatePod, before the pod serves). A nil m restores the no-op
-// default.
+// setMetrics wires the pod's observability instruments (Host.Mount
+// calls it, before the pod serves). A nil m restores the no-op default.
 func (p *Pod) setMetrics(m *Metrics) { p.metrics = m.orNoop() }
 
 // SetAuthCacheEnabled toggles the ACL decision cache (on by default).

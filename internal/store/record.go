@@ -27,12 +27,18 @@ var (
 	ErrCorruptRecord = errors.New("store: corrupt record")
 )
 
-// AppendRecord appends the framed encoding of payload to dst and returns
-// the extended slice.
-func AppendRecord(dst, payload []byte) []byte {
+// recordHeader returns the frame header that precedes payload on disk.
+func recordHeader(payload []byte) [recordHeaderSize]byte {
 	var hdr [recordHeaderSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
+	return hdr
+}
+
+// AppendRecord appends the framed encoding of payload to dst and returns
+// the extended slice.
+func AppendRecord(dst, payload []byte) []byte {
+	hdr := recordHeader(payload)
 	dst = append(dst, hdr[:]...)
 	return append(dst, payload...)
 }

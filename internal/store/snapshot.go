@@ -34,9 +34,13 @@ func WriteSnapshot(dir string, seq uint64, payload []byte) error {
 		return fmt.Errorf("store: snapshot temp: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	framed := AppendRecord(make([]byte, 0, recordHeaderSize+len(payload)), payload)
-	if _, err := tmp.Write(framed); err != nil {
-		return errors.Join(fmt.Errorf("store: snapshot write: %w", err), tmp.Close())
+	// Header and payload go out as two writes — the same bytes on disk as
+	// one framed record, without copying a full-state payload to frame it.
+	hdr := recordHeader(payload)
+	for _, part := range [][]byte{hdr[:], payload} {
+		if _, err := tmp.Write(part); err != nil {
+			return errors.Join(fmt.Errorf("store: snapshot write: %w", err), tmp.Close())
+		}
 	}
 	if err := tmp.Sync(); err != nil {
 		return errors.Join(fmt.Errorf("store: snapshot sync: %w", err), tmp.Close())

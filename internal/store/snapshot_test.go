@@ -26,6 +26,15 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil || string(payload) != "state at 7" {
 		t.Fatalf("LoadSnapshot(7) = %q, %v", payload, err)
 	}
+	// Header and payload are written separately; the file must still be
+	// exactly one framed record.
+	raw, err := os.ReadFile(snapshotPath(dir, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := AppendRecord(nil, []byte("state at 7")); !bytes.Equal(raw, want) {
+		t.Fatalf("snapshot file = %x, want one framed record %x", raw, want)
+	}
 }
 
 // TestLatestSnapshotBounds: maxSeq excludes snapshots newer than the log
