@@ -98,9 +98,9 @@ type Config struct {
 	WALSync store.SyncPolicy
 	// Obs, when non-nil, wires the deployment's hot paths — validator 0's
 	// chain (mempool, sealing, parallel execution, receipts, and its WAL
-	// when DataDir is set) and the multi-pod host — into the registry for
-	// /metrics scraping. Nil (the default) keeps every instrument on the
-	// no-op path.
+	// when DataDir is set), the multi-pod host, the pull-in oracle and the
+	// pod managers' monitoring collection — into the registry for /metrics
+	// scraping. Nil (the default) keeps every instrument on the no-op path.
 	Obs *obs.Registry
 }
 
@@ -139,6 +139,7 @@ type Deployment struct {
 	consumers map[solid.WebID]*Consumer
 	crashed   map[int]bool
 	sealing   SealingMode
+	obs       *obs.Registry // nil when the deployment is not observed
 	grace     time.Duration
 	attest    bool
 	retry     RetryPolicy
@@ -235,7 +236,8 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 		Market:       mkt,
 		Manufacturer: manufacturer,
 		Directory:    solid.NewMapDirectory(),
-		Metrics:      &oracle.Metrics{},
+		Metrics:      oracle.NewMetrics(cfg.Obs),
+		obs:          cfg.Obs,
 		addrs:        auths,
 		nodeCfgs:     nodeCfgs,
 		owners:       make(map[solid.WebID]*Owner),
@@ -310,12 +312,12 @@ func (b *networkBackend) SubmitTx(tx *chain.Tx) (cryptoutil.Hash, error) {
 	return hash, nil
 }
 
-// SubmitTxBatch broadcasts a pre-signed batch to every live node (one
+// SubmitBatch broadcasts a pre-signed batch to every live node (one
 // signature-verification pass, one mempool lock acquisition per node)
 // and, in SealOnSubmit mode, seals consensus rounds until every live
 // node's mempool is drained (the batch may span several blocks when it
 // exceeds MaxTxsPerBlock).
-func (b *networkBackend) SubmitTxBatch(txs []*chain.Tx) ([]cryptoutil.Hash, error) {
+func (b *networkBackend) SubmitBatch(txs []*chain.Tx) ([]cryptoutil.Hash, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	var hashes []cryptoutil.Hash
@@ -396,7 +398,7 @@ func (d *Deployment) SealBlock() (*chain.Block, error) {
 // a shared backend, so each batch's submit+seal sequence is atomic with
 // respect to other batches.
 func (d *Deployment) SubmitBatch(txs []*chain.Tx) ([]cryptoutil.Hash, error) {
-	return d.batchBE.SubmitTxBatch(txs)
+	return d.batchBE.SubmitBatch(txs)
 }
 
 // PushInOracle returns a fresh push-in oracle view over the deployment's
@@ -461,6 +463,7 @@ func (d *Deployment) NewOwner(name string) (*Owner, error) {
 	if err != nil {
 		return nil, err
 	}
+	mgr.Instrument(d.obs)
 	if err := d.Host.Mount(name, mgr.Pod(), mgr.Handler()); err != nil {
 		return nil, err
 	}

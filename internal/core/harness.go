@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"sort"
 	"time"
 
@@ -254,28 +255,45 @@ func (h *Harness) E5PolicyModification() *Table {
 }
 
 // E6PolicyMonitoring measures Fig. 2(6): monitoring round latency and
-// evidence volume versus device count.
+// evidence volume against the number of copy holders, and — at 16 holders —
+// against the number of rounds the resource has been through before: a
+// round costs its targets, not the history, so the prior_rounds=50 row must
+// not read slower than the =0 row (it reads faster: the first round of a
+// deployment also pays its cold start).
 func (h *Harness) E6PolicyMonitoring() *Table {
 	t := &Table{
-		Title:  "E6 policy monitoring (Fig. 2-6): round latency vs holders",
-		Header: []string{"devices", "round_ms", "evidence", "violations"},
+		Title:  "E6 policy monitoring (Fig. 2-6): round latency vs holders and vs earlier rounds",
+		Header: []string{"devices", "prior_rounds", "round_ms", "evidence", "violations"},
 	}
+	type monitorCase struct{ devices, prior int }
+	var cases []monitorCase
 	for _, n := range h.sweep([]int{1, 4, 16, 64}) {
+		cases = append(cases, monitorCase{n, 0})
+	}
+	if !slices.Contains(cases, monitorCase{16, 0}) {
+		cases = append(cases, monitorCase{16, 0}) // quick sweeps stop short of it
+	}
+	cases = append(cases, monitorCase{16, 50})
+	for _, c := range cases {
 		d := must(NewDeployment(Config{}))
 		ctx := context.Background()
 		owner, iri := ownerWithResource(d, "owner", 1024, nil)
-		for i := range n {
-			c := must(d.NewConsumer(fmt.Sprintf("c%d", i), policy.PurposeAny))
-			must0(owner.Grant(ctx, c, "/data/r.bin", policy.PurposeAny))
-			must0(c.Access(ctx, iri))
-			_, err := c.Use(iri, policy.ActionUse)
+		for i := range c.devices {
+			holder := must(d.NewConsumer(fmt.Sprintf("c%d", i), policy.PurposeAny))
+			must0(owner.Grant(ctx, holder, "/data/r.bin", policy.PurposeAny))
+			must0(holder.Access(ctx, iri))
+			_, err := holder.Use(iri, policy.ActionUse)
+			must0(err)
+		}
+		for range c.prior {
+			_, _, err := owner.Monitor(ctx, "/data/r.bin")
 			must0(err)
 		}
 		start := time.Now()
 		evidence, violations, err := owner.Monitor(ctx, "/data/r.bin")
 		must0(err)
 		elapsed := time.Since(start)
-		t.Add(n, float64(elapsed.Microseconds())/1000, len(evidence), len(violations))
+		t.Add(c.devices, c.prior, float64(elapsed.Microseconds())/1000, len(evidence), len(violations))
 		d.Close()
 	}
 	return t

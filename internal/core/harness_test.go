@@ -80,13 +80,20 @@ func TestHarnessE5(t *testing.T) {
 
 func TestHarnessE6(t *testing.T) {
 	tbl := quickHarness().E6PolicyMonitoring()
+	history := 0
 	for _, row := range tbl.Rows {
-		if row[0] != row[2] {
-			t.Fatalf("evidence count %s != devices %s", row[2], row[0])
+		if row[0] != row[3] {
+			t.Fatalf("evidence count %s != devices %s", row[3], row[0])
 		}
-		if row[3] != "0" {
+		if row[4] != "0" {
 			t.Fatalf("compliant run produced violations: %v", row)
 		}
+		if row[0] == "16" {
+			history++
+		}
+	}
+	if history != 2 {
+		t.Fatalf("want the 16-device round with and without earlier rounds, got %d rows: %v", history, tbl.Rows)
 	}
 }
 

@@ -3,6 +3,7 @@ package distexchange
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -15,6 +16,9 @@ import (
 // relay to one.
 type Backend interface {
 	SubmitTx(tx *chain.Tx) (cryptoutil.Hash, error)
+	// SubmitBatch admits the transactions as one unit — all or none — and
+	// returns their hashes in input order.
+	SubmitBatch(txs []*chain.Tx) ([]cryptoutil.Hash, error)
 	WaitForReceipt(ctx context.Context, txHash cryptoutil.Hash) (*chain.Receipt, error)
 	Query(contract cryptoutil.Address, method string, args []byte) ([]byte, error)
 	NonceFor(addr cryptoutil.Address) uint64
@@ -76,6 +80,13 @@ func (c *Client) call(ctx context.Context, method string, args any) (*chain.Rece
 	if err != nil {
 		return nil, fmt.Errorf("distexchange: submit %s: %w", method, err)
 	}
+	return c.await(ctx, method, hash)
+}
+
+const methodSubmitEvidence = "submitEvidence"
+
+// await waits for a submitted transaction's receipt.
+func (c *Client) await(ctx context.Context, method string, hash cryptoutil.Hash) (*chain.Receipt, error) {
 	receipt, err := c.backend.WaitForReceipt(ctx, hash)
 	if err != nil {
 		return nil, fmt.Errorf("distexchange: wait %s: %w", method, err)
@@ -84,6 +95,27 @@ func (c *Client) call(ctx context.Context, method string, args any) (*chain.Rece
 		return receipt, &RevertError{Method: method, Reason: receipt.Err}
 	}
 	return receipt, nil
+}
+
+// submitEvidenceTxs signs one submitEvidence transaction per evidence under
+// consecutive nonces and admits them through the backend as one batch.
+func (c *Client) submitEvidenceTxs(signed []SignedEvidence) ([]cryptoutil.Hash, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	nonce := c.backend.NonceFor(c.key.Address())
+	txs := make([]*chain.Tx, len(signed))
+	for i, s := range signed {
+		tx, err := chain.NewTx(c.key, nonce+uint64(i), c.contract, methodSubmitEvidence, SubmitEvidenceArgs{Signed: s}, c.gas)
+		if err != nil {
+			return nil, err
+		}
+		txs[i] = tx
+	}
+	hashes, err := c.backend.SubmitBatch(txs)
+	if err != nil {
+		return nil, fmt.Errorf("distexchange: submit %d× %s: %w", len(txs), methodSubmitEvidence, err)
+	}
+	return hashes, nil
 }
 
 // query runs a read-only method and decodes the JSON reply into out.
@@ -153,17 +185,60 @@ func (c *Client) RequestMonitoring(ctx context.Context, resourceIRI string) (Mon
 	return round, nil
 }
 
-// SubmitEvidence delivers signed compliance evidence.
+// SubmitEvidence delivers signed compliance evidence: a batch of one.
 func (c *Client) SubmitEvidence(ctx context.Context, signed SignedEvidence) (EvidenceRecord, error) {
-	receipt, err := c.call(ctx, "submitEvidence", SubmitEvidenceArgs{Signed: signed})
-	if err != nil {
-		return EvidenceRecord{}, err
+	out := c.SubmitEvidenceBatch(ctx, []SignedEvidence{signed})[0]
+	if out.Err != nil {
+		return EvidenceRecord{}, out.Err
 	}
 	var rec EvidenceRecord
-	if err := json.Unmarshal(receipt.Return, &rec); err != nil {
+	if err := json.Unmarshal(out.Receipt.Return, &rec); err != nil {
 		return EvidenceRecord{}, fmt.Errorf("distexchange: decode evidence record: %w", err)
 	}
 	return rec, nil
+}
+
+// EvidenceOutcome is the fate of one evidence of a SubmitEvidenceBatch.
+type EvidenceOutcome struct {
+	// Receipt is the transaction's receipt, nil when it was never included;
+	// on success its Return is the encoded EvidenceRecord.
+	Receipt *chain.Receipt
+	// Err is a *RevertError when the contract refused this evidence, and
+	// the admission or wait error otherwise.
+	Err error
+}
+
+// SubmitEvidenceBatch delivers several signed evidence — typically one
+// monitoring round's — as one batch admission: one transaction each, under
+// consecutive nonces, so they can share a block. Every receipt is awaited.
+// Outcomes parallel the input; evidence the contract reverts does not
+// affect the others.
+//
+// The batch is admitted whole or not at all. When the backend refuses it
+// for backpressure (a sender quota or pool smaller than the batch), it is
+// cut in halves that are submitted one after the other, each once the one
+// before has committed and freed its share.
+func (c *Client) SubmitEvidenceBatch(ctx context.Context, signed []SignedEvidence) []EvidenceOutcome {
+	out := make([]EvidenceOutcome, len(signed))
+	for start, size := 0, len(signed); start < len(signed); {
+		end := min(start+size, len(signed))
+		hashes, err := c.submitEvidenceTxs(signed[start:end])
+		if err != nil {
+			if end-start > 1 && (errors.Is(err, chain.ErrQuotaExceeded) || errors.Is(err, chain.ErrPoolFull)) {
+				size = (end - start) / 2
+				continue
+			}
+			for i := start; i < len(signed); i++ {
+				out[i].Err = err
+			}
+			return out
+		}
+		for i, hash := range hashes {
+			out[start+i].Receipt, out[start+i].Err = c.await(ctx, methodSubmitEvidence, hash)
+		}
+		start = end
+	}
+	return out
 }
 
 // ReportUnresponsive closes a round, flagging silent holders.
@@ -207,17 +282,34 @@ func (c *Client) GetDevice(device cryptoutil.Address) (DeviceRecord, error) {
 	return rec, err
 }
 
-// GetViolations lists violations recorded for a resource.
+// GetViolations lists every violation recorded for a resource.
 func (c *Client) GetViolations(resourceIRI string) ([]Violation, error) {
 	var out []Violation
 	err := c.query("getViolations", GetViolationsArgs{ResourceIRI: resourceIRI}, &out)
 	return out, err
 }
 
-// GetEvidence lists verified evidence records for a resource.
+// GetRoundViolations lists the violations one monitoring round surfaced.
+// Its cost follows the round's size, not the resource's history.
+func (c *Client) GetRoundViolations(resourceIRI string, round uint64) ([]Violation, error) {
+	var out []Violation
+	err := c.query("getViolations", GetViolationsArgs{ResourceIRI: resourceIRI, Round: &round}, &out)
+	return out, err
+}
+
+// GetEvidence lists every verified evidence record for a resource.
 func (c *Client) GetEvidence(resourceIRI string) ([]EvidenceRecord, error) {
 	var out []EvidenceRecord
 	err := c.query("getEvidence", GetEvidenceArgs{ResourceIRI: resourceIRI}, &out)
+	return out, err
+}
+
+// GetRoundEvidence lists the evidence answering one monitoring round
+// (round 0: unsolicited evidence). Its cost follows the round's size, not
+// the resource's history.
+func (c *Client) GetRoundEvidence(resourceIRI string, round uint64) ([]EvidenceRecord, error) {
+	var out []EvidenceRecord
+	err := c.query("getEvidence", GetEvidenceArgs{ResourceIRI: resourceIRI, Round: &round}, &out)
 	return out, err
 }
 

@@ -3,7 +3,9 @@ package distexchange
 import (
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"sort"
 
 	"repro/internal/contract"
 	"repro/internal/cryptoutil"
@@ -42,18 +44,53 @@ func grantKey(iri string, d cryptoutil.Address) string {
 	return "grant/" + iri + "|" + d.String()
 }
 func grantPrefix(iri string) string { return "grant/" + iri + "|" }
+func roundSeqKey(iri string) string { return "roundseq/" + iri }
+func evSeqKey(iri string) string    { return "evseq/" + iri }
+func violSeqKey(iri string) string  { return "violseq/" + iri }
+
+// Monitoring keys; the package comment describes the layout. Numbers are
+// zero-padded so sorted key order is numeric order.
 func roundKey(iri string, n uint64) string {
 	return fmt.Sprintf("round/%s|%012d", iri, n)
 }
-func roundSeqKey(iri string) string { return "roundseq/" + iri }
-func evKey(iri string, n uint64) string {
-	return fmt.Sprintf("ev/%s|%012d", iri, n)
+func progressKey(iri string, n uint64) string {
+	return fmt.Sprintf("roundprog/%s|%012d", iri, n)
 }
-func evSeqKey(iri string) string { return "evseq/" + iri }
-func violKey(iri string, n uint64) string {
-	return fmt.Sprintf("viol/%s|%012d", iri, n)
+func pendingKey(iri string, n uint64, d cryptoutil.Address) string {
+	return fmt.Sprintf("roundpend/%s|%012d|%s", iri, n, d)
 }
-func violSeqKey(iri string) string { return "violseq/" + iri }
+func evKey(iri string, round, seq uint64) string {
+	return fmt.Sprintf("ev/%s|%012d|%012d", iri, round, seq)
+}
+func violKey(iri string, round, seq uint64) string {
+	return fmt.Sprintf("viol/%s|%012d|%012d", iri, round, seq)
+}
+
+// ledgerPrefix is the listing prefix of a resource's evidence ("ev") or
+// violation ("viol") records: one round's when round is non-nil, the whole
+// history otherwise.
+func ledgerPrefix(kind, iri string, round *uint64) string {
+	if round == nil {
+		return kind + "/" + iri + "|"
+	}
+	return fmt.Sprintf("%s/%s|%012d|", kind, iri, *round)
+}
+
+// seqWidth is the width of the zero-padded sequence number ending every
+// evidence and violation key.
+const seqWidth = 12
+
+// roundProgress is the mutable part of a monitoring round: the only record
+// submitEvidence rewrites, so its cost does not grow with the target list.
+type roundProgress struct {
+	Targets   int  `json:"targets"`
+	Responded int  `json:"responded"`
+	Closed    bool `json:"closed,omitempty"`
+}
+
+// pendingMarker is the value under pendingKey: requestMonitoring writes one
+// marker per target, the target's first evidence for the round deletes it.
+var pendingMarker = []byte{1}
 
 // Call implements contract.Contract.
 func (c *Contract) Call(env *contract.Env, method string, args []byte) ([]byte, error) {
@@ -521,18 +558,31 @@ func (c *Contract) requestMonitoring(env *contract.Env, raw []byte) ([]byte, err
 		ResourceIRI: args.ResourceIRI,
 		RequestedAt: env.Block.Time,
 		Targets:     targets,
+		Closed:      len(targets) == 0,
 	}
-	if len(targets) == 0 {
-		round.Closed = true
+	record, err := json.Marshal(round)
+	if err != nil {
+		return nil, contract.Revertf("requestMonitoring: encode round: %v", err)
 	}
-	if err := setJSON(env, roundKey(args.ResourceIRI, n), round); err != nil {
+	// The round record is written here and never again; what changes as
+	// evidence arrives lives in the progress record and the pending markers.
+	if err := env.Set(roundKey(args.ResourceIRI, n), record); err != nil {
 		return nil, err
 	}
-	payload, _ := json.Marshal(round)
-	if err := env.Emit(TopicMonitoringRequested, args.ResourceIRI, payload); err != nil {
+	if err := setJSON(env, progressKey(args.ResourceIRI, n), roundProgress{
+		Targets: len(targets), Closed: round.Closed,
+	}); err != nil {
 		return nil, err
 	}
-	return json.Marshal(round)
+	for _, target := range targets {
+		if err := env.Set(pendingKey(args.ResourceIRI, n, target), pendingMarker); err != nil {
+			return nil, err
+		}
+	}
+	if err := env.Emit(TopicMonitoringRequested, args.ResourceIRI, record); err != nil {
+		return nil, err
+	}
+	return record, nil
 }
 
 func (c *Contract) submitEvidence(env *contract.Env, raw []byte) ([]byte, error) {
@@ -578,19 +628,22 @@ func (c *Contract) submitEvidence(env *contract.Env, raw []byte) ([]byte, error)
 	if err != nil {
 		return nil, err
 	}
-	record := EvidenceRecord{
+	// One encoding serves storage, the event payload and the return value.
+	record, err := json.Marshal(EvidenceRecord{
 		Seq:      seq,
 		Evidence: ev,
 		Verified: true,
 		Stored:   env.Block.Time,
 		Round:    ev.Round,
 		Findings: findings,
+	})
+	if err != nil {
+		return nil, contract.Revertf("submitEvidence: encode record: %v", err)
 	}
-	if err := setJSON(env, evKey(ev.ResourceIRI, seq), record); err != nil {
+	if err := env.Set(evKey(ev.ResourceIRI, ev.Round, seq), record); err != nil {
 		return nil, err
 	}
-	evPayload, _ := json.Marshal(record)
-	if err := env.Emit(TopicEvidenceRecorded, ev.ResourceIRI, evPayload); err != nil {
+	if err := env.Emit(TopicEvidenceRecorded, ev.ResourceIRI, record); err != nil {
 		return nil, err
 	}
 
@@ -601,31 +654,35 @@ func (c *Contract) submitEvidence(env *contract.Env, raw []byte) ([]byte, error)
 		}
 	}
 
-	// Update the monitoring round, if this evidence answers one.
 	if ev.Round > 0 {
-		var round MonitoringRound
-		if ok, err := getJSON(env, roundKey(ev.ResourceIRI, ev.Round), &round); err != nil {
+		if err := c.noteResponse(env, ev.ResourceIRI, ev.Round, ev.Device); err != nil {
 			return nil, err
-		} else if ok && !round.Closed {
-			already := false
-			for _, r := range round.Responded {
-				if r == ev.Device {
-					already = true
-					break
-				}
-			}
-			if !already {
-				round.Responded = append(round.Responded, ev.Device)
-			}
-			if len(round.Responded) >= len(round.Targets) {
-				round.Closed = true
-			}
-			if err := setJSON(env, roundKey(ev.ResourceIRI, ev.Round), round); err != nil {
-				return nil, err
-			}
 		}
 	}
-	return json.Marshal(record)
+	return record, nil
+}
+
+// noteResponse advances a monitoring round by one responding device. Only
+// a target's first evidence for a still-open round counts: evidence from a
+// device the round did not target, a repeat (neither has a pending marker)
+// and evidence arriving after closure are all recorded by the caller but
+// leave the round as it is.
+func (c *Contract) noteResponse(env *contract.Env, iri string, round uint64, device cryptoutil.Address) error {
+	if _, pending, err := env.Get(pendingKey(iri, round, device)); err != nil || !pending {
+		return err
+	}
+	var prog roundProgress
+	if ok, err := getJSON(env, progressKey(iri, round), &prog); err != nil {
+		return err
+	} else if !ok || prog.Closed {
+		return nil
+	}
+	if err := env.Delete(pendingKey(iri, round, device)); err != nil {
+		return err
+	}
+	prog.Responded++
+	prog.Closed = prog.Responded >= prog.Targets
+	return setJSON(env, progressKey(iri, round), prog)
 }
 
 // checkCompliance evaluates evidence against the current policy and grant.
@@ -681,7 +738,7 @@ func (c *Contract) recordViolation(env *contract.Env, iri string, device cryptou
 		DetectedAt:  env.Block.Time,
 		Round:       round,
 	}
-	if err := setJSON(env, violKey(iri, seq), v); err != nil {
+	if err := setJSON(env, violKey(iri, round, seq), v); err != nil {
 		return err
 	}
 	payload, _ := json.Marshal(v)
@@ -704,33 +761,70 @@ func (c *Contract) reportUnresponsive(env *contract.Env, raw []byte) ([]byte, er
 	if rec.Owner != env.Sender {
 		return nil, contract.Revertf("reportUnresponsive: sender %s does not own %q", env.Sender, args.ResourceIRI)
 	}
-	var round MonitoringRound
-	if ok, err := getJSON(env, roundKey(args.ResourceIRI, args.Round), &round); err != nil {
-		return nil, err
-	} else if !ok {
+	round, silent, err := loadRound(env.Get, args.ResourceIRI, args.Round)
+	if errors.Is(err, ErrNotFound) {
 		return nil, contract.Revertf("reportUnresponsive: round %d not found", args.Round)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if round.Closed {
 		return nil, contract.Revertf("reportUnresponsive: round %d already closed", args.Round)
 	}
-	responded := make(map[cryptoutil.Address]bool, len(round.Responded))
-	for _, r := range round.Responded {
-		responded[r] = true
-	}
-	for _, target := range round.Targets {
-		if responded[target] {
-			continue
-		}
+	for _, target := range silent {
 		if err := c.recordViolation(env, args.ResourceIRI, target, ViolationUnresponsive,
 			fmt.Sprintf("no evidence for round %d", args.Round), args.Round); err != nil {
 			return nil, err
 		}
 	}
 	round.Closed = true
-	if err := setJSON(env, roundKey(args.ResourceIRI, args.Round), round); err != nil {
+	if err := setJSON(env, progressKey(args.ResourceIRI, args.Round), roundProgress{
+		Targets: len(round.Targets), Responded: len(round.Responded), Closed: true,
+	}); err != nil {
 		return nil, err
 	}
 	return json.Marshal(round)
+}
+
+// loadRound assembles a MonitoringRound from its three kinds of keys: the
+// write-once round record (targets), the progress record (closed) and the
+// pending markers (a target without one has responded; Responded is in
+// target order). It also returns the targets that have not responded. get is Env.Get in a transaction and
+// ReadEnv.Get behind a query. A missing round wraps ErrNotFound.
+func loadRound(get func(key string) ([]byte, bool, error), iri string, n uint64) (round MonitoringRound, silent []cryptoutil.Address, err error) {
+	load := func(key string, out any) error {
+		raw, ok, err := get(key)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			return fmt.Errorf("%w: %s", ErrNotFound, key)
+		}
+		if err := json.Unmarshal(raw, out); err != nil {
+			return fmt.Errorf("distexchange: corrupt record at %s: %w", key, err)
+		}
+		return nil
+	}
+	if err := load(roundKey(iri, n), &round); err != nil {
+		return round, nil, err
+	}
+	var prog roundProgress
+	if err := load(progressKey(iri, n), &prog); err != nil {
+		return round, nil, err
+	}
+	round.Closed = prog.Closed
+	for _, target := range round.Targets {
+		_, pending, err := get(pendingKey(iri, n, target))
+		if err != nil {
+			return round, nil, err
+		}
+		if pending {
+			silent = append(silent, target)
+		} else {
+			round.Responded = append(round.Responded, target)
+		}
+	}
+	return round, silent, nil
 }
 
 // --- read-only queries ---
@@ -763,25 +857,32 @@ func (c *Contract) Read(env *contract.ReadEnv, method string, args []byte) ([]by
 		if err := json.Unmarshal(args, &a); err != nil {
 			return nil, fmt.Errorf("distexchange: bad args: %w", err)
 		}
-		return readList[Grant](env, grantPrefix(a.ResourceIRI))
+		return spliceRecords(env, env.Keys(grantPrefix(a.ResourceIRI)))
 	case "getViolations":
 		var a GetViolationsArgs
 		if err := json.Unmarshal(args, &a); err != nil {
 			return nil, fmt.Errorf("distexchange: bad args: %w", err)
 		}
-		return readList[Violation](env, "viol/"+a.ResourceIRI+"|")
+		return readLedger(env, "viol", a.ResourceIRI, a.Round)
 	case "getEvidence":
 		var a GetEvidenceArgs
 		if err := json.Unmarshal(args, &a); err != nil {
 			return nil, fmt.Errorf("distexchange: bad args: %w", err)
 		}
-		return readList[EvidenceRecord](env, "ev/"+a.ResourceIRI+"|")
+		return readLedger(env, "ev", a.ResourceIRI, a.Round)
 	case "getMonitoringRound":
 		var a GetMonitoringRoundArgs
 		if err := json.Unmarshal(args, &a); err != nil {
 			return nil, fmt.Errorf("distexchange: bad args: %w", err)
 		}
-		return readRecord[MonitoringRound](env, roundKey(a.ResourceIRI, a.Round))
+		round, _, err := loadRound(func(key string) ([]byte, bool, error) {
+			raw, ok := env.Get(key)
+			return raw, ok, nil
+		}, a.ResourceIRI, a.Round)
+		if err != nil {
+			return nil, err
+		}
+		return json.Marshal(round)
 	default:
 		return nil, fmt.Errorf("distexchange: unknown query %q", method)
 	}
@@ -798,21 +899,39 @@ func readRecord[T any](env *contract.ReadEnv, key string) ([]byte, error) {
 	return raw, nil
 }
 
-func readList[T any](env *contract.ReadEnv, prefix string) ([]byte, error) {
-	keys := env.Keys(prefix)
-	out := make([]T, 0, len(keys))
+// readLedger lists a resource's evidence ("ev") or violation ("viol")
+// records in Seq order: one round's when round is non-nil, the whole
+// history otherwise.
+func readLedger(env *contract.ReadEnv, kind, iri string, round *uint64) ([]byte, error) {
+	keys := env.Keys(ledgerPrefix(kind, iri, round))
+	if round == nil {
+		// Keys sort by round first; Seq is the fixed-width key suffix.
+		sort.Slice(keys, func(i, j int) bool {
+			return keys[i][len(keys[i])-seqWidth:] < keys[j][len(keys[j])-seqWidth:]
+		})
+	}
+	return spliceRecords(env, keys)
+}
+
+// spliceRecords returns the records stored under keys as a JSON array. The
+// stored encodings are spliced into the reply as they are, so a listing
+// costs its own records and nothing else.
+func spliceRecords(env *contract.ReadEnv, keys []string) ([]byte, error) {
+	out := []byte{'['}
 	for _, k := range keys {
 		raw, ok := env.Get(k)
 		if !ok {
 			continue
 		}
-		var v T
-		if err := json.Unmarshal(raw, &v); err != nil {
-			return nil, fmt.Errorf("distexchange: corrupt record at %s: %w", k, err)
+		if !json.Valid(raw) {
+			return nil, fmt.Errorf("distexchange: corrupt record at %s", k)
 		}
-		out = append(out, v)
+		if len(out) > 1 {
+			out = append(out, ',')
+		}
+		out = append(out, raw...)
 	}
-	return json.Marshal(out)
+	return append(out, ']'), nil
 }
 
 func (c *Contract) listResources(env *contract.ReadEnv, args []byte) ([]byte, error) {

@@ -47,6 +47,15 @@ func (b sealingBackend) SubmitTx(tx *chain.Tx) (cryptoutil.Hash, error) {
 	return h, nil
 }
 
+func (b sealingBackend) SubmitBatch(txs []*chain.Tx) ([]cryptoutil.Hash, error) {
+	hashes, err := b.node.SubmitBatch(txs)
+	if err != nil {
+		return hashes, err
+	}
+	_, err = b.node.Seal()
+	return hashes, err
+}
+
 func (b sealingBackend) WaitForReceipt(ctx context.Context, h cryptoutil.Hash) (*chain.Receipt, error) {
 	return b.node.WaitForReceipt(ctx, h)
 }

@@ -7,6 +7,31 @@
 // The contract (see Contract) runs on the contract.Runtime; Client offers
 // a typed Go API over a chain backend for off-chain components (pod
 // managers and TEEs reach it through the oracles in package oracle).
+//
+// # Monitoring ledger layout
+//
+// A monitoring round (Fig. 2(6)) costs its targets, never the resource's
+// history. Its state is split by how often it changes (numbers are
+// zero-padded to 12 digits, so key order is numeric order):
+//
+//	round/<iri>|<round>              MonitoringRound with Targets; written once
+//	                                 by requestMonitoring, never rewritten
+//	roundprog/<iri>|<round>          {targets, responded, closed}; the only
+//	                                 record submitEvidence rewrites
+//	roundpend/<iri>|<round>|<device> one marker per target that has not
+//	                                 answered yet; deleted by the target's
+//	                                 first evidence for the round
+//	ev/<iri>|<round>|<seq>           EvidenceRecord (round 0: unsolicited)
+//	viol/<iri>|<round>|<seq>         Violation (round 0: unsolicited evidence)
+//
+// The pending marker makes target membership an O(1) lookup: evidence from
+// a device without one — not a target of the round, or a target that has
+// answered already — is verified and recorded, but neither advances nor
+// closes the round, and nothing reopens a closed round. getMonitoringRound
+// and reportUnresponsive assemble the MonitoringRound shape from the three
+// round keys. Seq stays one counter per resource, so getEvidence and
+// getViolations list a whole history in Seq order, or — given a round —
+// only that round's key prefix.
 package distexchange
 
 import (
@@ -204,7 +229,9 @@ type MonitoringRound struct {
 	RequestedAt time.Time `json:"requestedAt"`
 	// Targets are the devices expected to report.
 	Targets []cryptoutil.Address `json:"targets"`
-	// Responded are the devices that already reported.
+	// Responded are the targets that already reported, in target order
+	// (not arrival order). Evidence from a device that is not a target is
+	// recorded but never listed here.
 	Responded []cryptoutil.Address `json:"responded,omitempty"`
 	// Closed marks completed rounds.
 	Closed bool `json:"closed,omitempty"`
@@ -310,13 +337,19 @@ type (
 	GetDeviceArgs struct {
 		Device cryptoutil.Address `json:"device"`
 	}
-	// GetViolationsArgs lists violations for a resource.
+	// GetViolationsArgs lists violations for a resource, in Seq order.
 	GetViolationsArgs struct {
 		ResourceIRI string `json:"resource"`
+		// Round, when set, restricts the listing to violations surfaced by
+		// that monitoring round (0: by unsolicited evidence).
+		Round *uint64 `json:"round,omitempty"`
 	}
-	// GetEvidenceArgs lists recorded evidence for a resource.
+	// GetEvidenceArgs lists recorded evidence for a resource, in Seq order.
 	GetEvidenceArgs struct {
 		ResourceIRI string `json:"resource"`
+		// Round, when set, restricts the listing to evidence answering that
+		// monitoring round (0: unsolicited evidence).
+		Round *uint64 `json:"round,omitempty"`
 	}
 	// GetMonitoringRoundArgs fetches one monitoring round.
 	GetMonitoringRoundArgs struct {

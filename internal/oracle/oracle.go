@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/chain"
 	"repro/internal/cryptoutil"
+	"repro/internal/obs"
 )
 
 // TxBackend is the transaction/query access the push-in and pull-out
@@ -31,6 +32,7 @@ import (
 // one (e.g. an auto-sealing test backend).
 type TxBackend interface {
 	SubmitTx(tx *chain.Tx) (cryptoutil.Hash, error)
+	SubmitBatch(txs []*chain.Tx) ([]cryptoutil.Hash, error)
 	WaitForReceipt(ctx context.Context, txHash cryptoutil.Hash) (*chain.Receipt, error)
 	Query(contract cryptoutil.Address, method string, args []byte) ([]byte, error)
 	NonceFor(addr cryptoutil.Address) uint64
@@ -45,12 +47,36 @@ type Node interface {
 
 var _ Node = (*chain.Node)(nil)
 
-// Metrics counts oracle traffic, used by the experiment harness.
+// Metrics counts oracle traffic, used by the experiment harness, and holds
+// the pull-in oracle's obs instruments. The zero value counts traffic and
+// leaves the instruments on the no-op path.
 type Metrics struct {
 	// In counts off-chain → on-chain messages (push-in + pull-in answers).
 	In atomic.Uint64
 	// Out counts on-chain → off-chain messages (push-out + pull-out reads).
 	Out atomic.Uint64
+
+	// PullInRound times one monitoring round in the pull-in oracle, from
+	// the MonitoringRequested event to the last evidence receipt.
+	PullInRound *obs.Histogram
+	// Evidence* count the pull-in oracle's per-target outcomes.
+	EvidenceSubmitted   *obs.Counter // relayed and accepted by the DE App
+	EvidenceSourceError *obs.Counter // the source returned an error
+	EvidenceReverted    *obs.Counter // relayed, but refused or never included
+}
+
+// NewMetrics registers the oracle series on reg. A nil reg yields no-op
+// instruments; the traffic counters work either way.
+func NewMetrics(reg *obs.Registry) *Metrics {
+	evidence := func(result string) *obs.Counter {
+		return reg.Counter("oracle_pullin_evidence_total", "pull-in evidence per target by outcome", obs.L("result", result))
+	}
+	return &Metrics{
+		PullInRound:         reg.Histogram("oracle_pullin_round_ns", "pull-in monitoring round: request event to last evidence receipt"),
+		EvidenceSubmitted:   evidence("submitted"),
+		EvidenceSourceError: evidence("source_error"),
+		EvidenceReverted:    evidence("reverted"),
+	}
 }
 
 // PushIn is the off-chain component of the push-in oracle: off-chain
@@ -74,6 +100,14 @@ func (o *PushIn) SubmitTx(tx *chain.Tx) (cryptoutil.Hash, error) {
 		o.metrics.In.Add(1)
 	}
 	return o.node.SubmitTx(tx)
+}
+
+// SubmitBatch relays a batch of signed transactions on-chain as one unit.
+func (o *PushIn) SubmitBatch(txs []*chain.Tx) ([]cryptoutil.Hash, error) {
+	if o.metrics != nil {
+		o.metrics.In.Add(uint64(len(txs)))
+	}
+	return o.node.SubmitBatch(txs)
 }
 
 // WaitForReceipt waits for inclusion.

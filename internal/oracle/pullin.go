@@ -46,9 +46,12 @@ type PullIn struct {
 // NewPullIn builds a pull-in oracle that answers monitoring requests for
 // the DE App behind client, watching events via node. metrics may be nil.
 func NewPullIn(node Node, client *distexchange.Client, metrics *Metrics) *PullIn {
+	if metrics == nil {
+		metrics = &Metrics{}
+	}
 	return &PullIn{
 		client:  client,
-		pushOut: NewPushOut(node, nil),
+		pushOut: NewPushOut(node, metrics),
 		metrics: metrics,
 		sources: make(map[cryptoutil.Address]EvidenceSource),
 	}
@@ -85,47 +88,67 @@ func (o *PullIn) Start(deAddr cryptoutil.Address) {
 	o.mu.Unlock()
 }
 
-// handleRound collects evidence from each target and submits it.
+// handleRound answers one monitoring request: it gathers every target's
+// signed evidence first, then relays the round as one batch, so the
+// submissions can share a block. A target without a source, or whose source
+// fails, is left out of the batch: it stays silent on-chain and is flagged
+// unresponsive when the owner closes the round.
 func (o *PullIn) handleRound(round distexchange.MonitoringRound) {
 	o.inFlight.Add(1)
 	defer o.inFlight.Done()
+	defer o.metrics.PullInRound.Start().Stop()
 
-	collect := func(target cryptoutil.Address) {
+	// gathered[i] answers round.Targets[i]; each gather writes its own slot.
+	gathered := make([]*distexchange.SignedEvidence, len(round.Targets))
+	gather := func(i int) {
+		target := round.Targets[i]
 		o.mu.Lock()
 		src, ok := o.sources[target]
 		o.mu.Unlock()
 		if !ok {
-			// Unknown/offline device: it will be flagged unresponsive when
-			// the owner closes the round.
-			return
+			return // unknown or offline device
 		}
 		signed, err := src.Evidence(round.ResourceIRI, round.Round)
 		if err != nil {
+			o.metrics.EvidenceSourceError.Inc()
 			log.Printf("oracle: pull-in: source %s: %v", target.Short(), err)
 			return
 		}
-		if o.metrics != nil {
-			o.metrics.In.Add(1)
-		}
-		if _, err := o.client.SubmitEvidence(context.Background(), signed); err != nil {
-			log.Printf("oracle: pull-in: submit for %s: %v", target.Short(), err)
-		}
+		gathered[i] = &signed
 	}
-
 	if o.Fanout {
 		var wg sync.WaitGroup
-		for _, target := range round.Targets {
+		for i := range round.Targets {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				collect(target)
+				gather(i)
 			}()
 		}
 		wg.Wait()
+	} else {
+		for i := range round.Targets {
+			gather(i)
+		}
+	}
+
+	var batch []distexchange.SignedEvidence
+	for _, signed := range gathered {
+		if signed != nil {
+			batch = append(batch, *signed)
+		}
+	}
+	if len(batch) == 0 {
 		return
 	}
-	for _, target := range round.Targets {
-		collect(target)
+	o.metrics.In.Add(uint64(len(batch)))
+	for i, outcome := range o.client.SubmitEvidenceBatch(context.Background(), batch) {
+		if outcome.Err != nil {
+			o.metrics.EvidenceReverted.Inc()
+			log.Printf("oracle: pull-in: submit for %s: %v", batch[i].Evidence.Device.Short(), outcome.Err)
+			continue
+		}
+		o.metrics.EvidenceSubmitted.Inc()
 	}
 }
 

@@ -3,6 +3,7 @@ package oracle
 import (
 	"context"
 	"encoding/hex"
+	"slices"
 	"testing"
 	"time"
 
@@ -10,20 +11,21 @@ import (
 	"repro/internal/contract"
 	"repro/internal/cryptoutil"
 	"repro/internal/distexchange"
+	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/simclock"
 )
 
-// pullInEnv wires a chain with the DE App, one registered device, and a
-// pull-in oracle with a scripted evidence source.
+// pullInEnv wires a chain with the DE App, registered devices holding a
+// copy of one resource, and a pull-in oracle for scripted evidence sources.
 type pullInEnv struct {
-	node   *chain.Node
-	deAddr cryptoutil.Address
-	owner  *distexchange.Client
-	device *distexchange.Client
-	devKey *cryptoutil.KeyPair
-	pullIn *PullIn
-	clk    *simclock.Sim
+	node    *chain.Node
+	deAddr  cryptoutil.Address
+	owner   *distexchange.Client
+	devKeys []*cryptoutil.KeyPair
+	pullIn  *PullIn
+	metrics *Metrics
+	clk     *simclock.Sim
 }
 
 // scriptedSource returns pre-signed evidence for a device.
@@ -49,7 +51,20 @@ func (n autoSealNode) SubmitTx(tx *chain.Tx) (cryptoutil.Hash, error) {
 	return h, err
 }
 
-func newPullInEnv(t *testing.T) *pullInEnv {
+func (n autoSealNode) SubmitBatch(txs []*chain.Tx) ([]cryptoutil.Hash, error) {
+	hashes, err := n.Node.SubmitBatch(txs)
+	if err != nil {
+		return hashes, err
+	}
+	_, err = n.Node.Seal()
+	return hashes, err
+}
+
+func newPullInEnv(t *testing.T) *pullInEnv { return newPullInEnvWith(t, 1, 0, nil) }
+
+// newPullInEnvWith builds an environment with the given number of devices,
+// per-sender mempool quota (0: the chain default) and metrics registry.
+func newPullInEnvWith(t *testing.T, devices, senderQuota int, reg *obs.Registry) *pullInEnv {
 	t.Helper()
 	ca, err := cryptoutil.NewAuthority("tee-ca")
 	if err != nil {
@@ -63,23 +78,22 @@ func newPullInEnv(t *testing.T) *pullInEnv {
 	authority := cryptoutil.MustGenerateKey()
 	clk := simclock.NewSim(t0)
 	node, err := chain.NewNode(chain.Config{
-		Key:         authority,
-		Authorities: []cryptoutil.Address{authority.Address()},
-		Executor:    rt,
-		Clock:       clk,
-		GenesisTime: t0,
+		Key:                 authority,
+		Authorities:         []cryptoutil.Address{authority.Address()},
+		Executor:            rt,
+		Clock:               clk,
+		GenesisTime:         t0,
+		MaxPendingPerSender: senderQuota,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	backend := autoSealNode{node}
-	ownerKey := cryptoutil.MustGenerateKey()
-	devKey := cryptoutil.MustGenerateKey()
-	owner := distexchange.NewClient(backend, ownerKey, deAddr)
-	device := distexchange.NewClient(backend, devKey, deAddr)
+	owner := distexchange.NewClient(backend, cryptoutil.MustGenerateKey(), deAddr)
 	ctx := context.Background()
 
-	// Register pod + resource + device + grant + retrieval.
+	// Register pod + resource, then per device: registration, grant,
+	// retrieval.
 	if _, err := owner.RegisterPod(ctx, distexchange.RegisterPodArgs{
 		OwnerWebID: "https://o/profile#me", Location: "https://o/",
 	}); err != nil {
@@ -94,42 +108,54 @@ func newPullInEnv(t *testing.T) *pullInEnv {
 	}
 	var m cryptoutil.Hash
 	copy(m[:], []byte("measurement-abcdefgh-ijklmnop-qr"))
-	cert, err := ca.Issue(devKey, map[string]string{"measurement": hex.EncodeToString(m[:])}, t0, t0.Add(time.Hour*24*365))
-	if err != nil {
-		t.Fatal(err)
-	}
-	certRaw, _ := cert.Encode()
-	if _, err := device.RegisterDevice(ctx, certRaw); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := owner.RecordGrant(ctx, distexchange.RecordGrantArgs{
-		ResourceIRI: "https://o/r1", Consumer: devKey.Address(),
-		Device: devKey.Address(), Purpose: policy.PurposeAny,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := device.ConfirmRetrieval(ctx, "https://o/r1"); err != nil {
-		t.Fatal(err)
+	devKeys := make([]*cryptoutil.KeyPair, devices)
+	for i := range devKeys {
+		devKey := cryptoutil.MustGenerateKey()
+		devKeys[i] = devKey
+		device := distexchange.NewClient(backend, devKey, deAddr)
+		cert, err := ca.Issue(devKey, map[string]string{"measurement": hex.EncodeToString(m[:])}, t0, t0.Add(time.Hour*24*365))
+		if err != nil {
+			t.Fatal(err)
+		}
+		certRaw, _ := cert.Encode()
+		if _, err := device.RegisterDevice(ctx, certRaw); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := owner.RecordGrant(ctx, distexchange.RecordGrantArgs{
+			ResourceIRI: "https://o/r1", Consumer: devKey.Address(),
+			Device: devKey.Address(), Purpose: policy.PurposeAny,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := device.ConfirmRetrieval(ctx, "https://o/r1"); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	relay := distexchange.NewClient(backend, cryptoutil.MustGenerateKey(), deAddr)
-	pullIn := NewPullIn(node, relay, nil)
+	metrics := NewMetrics(reg)
 	return &pullInEnv{
-		node: node, deAddr: deAddr, owner: owner, device: device,
-		devKey: devKey, pullIn: pullIn, clk: clk,
+		node: node, deAddr: deAddr, owner: owner, devKeys: devKeys,
+		pullIn: NewPullIn(node, relay, metrics), metrics: metrics, clk: clk,
 	}
 }
 
+// signedEvidence builds compliant evidence signed by the first device.
 func (e *pullInEnv) signedEvidence(t *testing.T, iri string, round uint64) distexchange.SignedEvidence {
 	t.Helper()
+	return e.signedBy(t, e.devKeys[0], iri, round)
+}
+
+func (e *pullInEnv) signedBy(t *testing.T, key *cryptoutil.KeyPair, iri string, round uint64) distexchange.SignedEvidence {
+	t.Helper()
 	ev := distexchange.Evidence{
-		ResourceIRI: iri, Device: e.devKey.Address(), Round: round,
+		ResourceIRI: iri, Device: key.Address(), Round: round,
 		PolicyVersion: 1, StillStored: true,
 		RetrievedAt: e.clk.Now(), GeneratedAt: e.clk.Now(),
 	}
-	sig, err := e.devKey.Sign(ev.SigningBytes())
+	sig, err := key.Sign(ev.SigningBytes())
 	if err != nil {
-		t.Fatal(err)
+		t.Error(err)
 	}
 	return distexchange.SignedEvidence{Evidence: ev, Signature: sig}
 }
@@ -137,7 +163,7 @@ func (e *pullInEnv) signedEvidence(t *testing.T, iri string, round uint64) diste
 func TestPullInAnswersMonitoringRound(t *testing.T) {
 	e := newPullInEnv(t)
 	e.pullIn.RegisterSource(scriptedSource{
-		addr: e.devKey.Address(),
+		addr: e.devKeys[0].Address(),
 		fn: func(iri string, round uint64) (distexchange.SignedEvidence, error) {
 			return e.signedEvidence(t, iri, round), nil
 		},
@@ -176,7 +202,7 @@ func TestPullInAnswersMonitoringRound(t *testing.T) {
 func TestPullInSkipsFailingSource(t *testing.T) {
 	e := newPullInEnv(t)
 	e.pullIn.RegisterSource(scriptedSource{
-		addr: e.devKey.Address(),
+		addr: e.devKeys[0].Address(),
 		fn: func(string, uint64) (distexchange.SignedEvidence, error) {
 			return distexchange.SignedEvidence{}, context.DeadlineExceeded
 		},
@@ -212,7 +238,7 @@ func TestPullInSkipsFailingSource(t *testing.T) {
 func TestPullInUnregisterSource(t *testing.T) {
 	e := newPullInEnv(t)
 	src := scriptedSource{
-		addr: e.devKey.Address(),
+		addr: e.devKeys[0].Address(),
 		fn: func(iri string, round uint64) (distexchange.SignedEvidence, error) {
 			return e.signedEvidence(t, iri, round), nil
 		},
@@ -233,5 +259,166 @@ func TestPullInUnregisterSource(t *testing.T) {
 	}
 	if state.Closed {
 		t.Fatal("unregistered source still answered")
+	}
+}
+
+// TestPullInCountsRequestDeliveries: the pull-in oracle's inner push-out
+// used to be built without metrics, so the MonitoringRequested events it
+// received never showed in Metrics.Out.
+func TestPullInCountsRequestDeliveries(t *testing.T) {
+	e := newPullInEnv(t)
+	e.pullIn.Start(e.deAddr)
+	defer e.pullIn.Close()
+	for want := uint64(1); want <= 2; want++ {
+		if _, err := e.owner.RequestMonitoring(context.Background(), "https://o/r1"); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(3 * time.Second)
+		for e.metrics.Out.Load() < want {
+			if time.Now().After(deadline) {
+				t.Fatalf("Metrics.Out = %d after %d monitoring requests", e.metrics.Out.Load(), want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
+// TestPullInBatchRelay drives 16-target rounds through the batch relay. In
+// every row the ledger must hold one record per relayed device, in target
+// order under consecutive sequence numbers — so a sequential and a fanned-
+// out gather leave the same ledger — and closing the round must flag
+// exactly the devices whose evidence never made it.
+func TestPullInBatchRelay(t *testing.T) {
+	const devices = 16
+	rows := []struct {
+		name    string
+		fanout  bool
+		quota   int
+		failing []int // target positions whose source returns an error
+		forging []int // target positions whose evidence carries a bad signature
+	}{
+		{name: "sequential gather"},
+		{name: "fanned-out gather", fanout: true},
+		{name: "sender quota below the round size", fanout: true, quota: 4},
+		{name: "a failing source and a reverted evidence sink only themselves", fanout: true, failing: []int{2}, forging: []int{9}},
+		{name: "the same, gathered sequentially", failing: []int{2}, forging: []int{9}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			e := newPullInEnvWith(t, devices, row.quota, reg)
+			e.pullIn.Fanout = row.fanout
+			byAddr := make(map[cryptoutil.Address]*cryptoutil.KeyPair, devices)
+			for _, k := range e.devKeys {
+				byAddr[k.Address()] = k
+			}
+			ctx := context.Background()
+			const iri = "https://o/r1"
+
+			// Sources are scripted by target position, which is only known
+			// once a round lists the targets: learn it from a first round
+			// nobody answers.
+			probe, err := e.owner.RequestMonitoring(ctx, iri)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(probe.Targets) != devices {
+				t.Fatalf("%d targets, want %d", len(probe.Targets), devices)
+			}
+			silent := map[cryptoutil.Address]bool{}
+			for pos, target := range probe.Targets {
+				key := byAddr[target]
+				src := scriptedSource{addr: target, fn: func(iri string, round uint64) (distexchange.SignedEvidence, error) {
+					return e.signedBy(t, key, iri, round), nil
+				}}
+				switch {
+				case slices.Contains(row.failing, pos):
+					silent[target] = true
+					src.fn = func(string, uint64) (distexchange.SignedEvidence, error) {
+						return distexchange.SignedEvidence{}, context.DeadlineExceeded
+					}
+				case slices.Contains(row.forging, pos):
+					silent[target] = true
+					src.fn = func(iri string, round uint64) (distexchange.SignedEvidence, error) {
+						signed := e.signedBy(t, key, iri, round)
+						signed.Signature[len(signed.Signature)-1] ^= 1
+						return signed, nil
+					}
+				}
+				e.pullIn.RegisterSource(src)
+			}
+
+			e.pullIn.Start(e.deAddr)
+			defer e.pullIn.Close()
+			round, err := e.owner.RequestMonitoring(ctx, iri)
+			if err != nil {
+				t.Fatal(err)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for reg.Histogram("oracle_pullin_round_ns", "").Count() == 0 {
+				if time.Now().After(deadline) {
+					t.Fatal("the oracle never finished the round")
+				}
+				time.Sleep(time.Millisecond)
+			}
+
+			state, err := e.owner.GetMonitoringRound(iri, round.Round)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if state.Closed != (len(silent) == 0) {
+				t.Errorf("closed=%v with %d devices silent", state.Closed, len(silent))
+			}
+			evidence, err := e.owner.GetRoundEvidence(iri, round.Round)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var relayed []cryptoutil.Address
+			for _, target := range round.Targets {
+				if !silent[target] {
+					relayed = append(relayed, target)
+				}
+			}
+			if len(evidence) != len(relayed) {
+				t.Fatalf("%d evidence records, want %d", len(evidence), len(relayed))
+			}
+			for i, rec := range evidence {
+				if rec.Evidence.Device != relayed[i] || rec.Seq != uint64(i+1) {
+					t.Errorf("record %d: device %s seq %d, want %s seq %d",
+						i, rec.Evidence.Device.Short(), rec.Seq, relayed[i].Short(), i+1)
+				}
+			}
+			if !slices.Equal(state.Responded, relayed) {
+				t.Errorf("responded %v, want %v", state.Responded, relayed)
+			}
+
+			count := func(result string) uint64 {
+				return reg.Counter("oracle_pullin_evidence_total", "", obs.L("result", result)).Value()
+			}
+			if s, f, r := count("submitted"), count("source_error"), count("reverted"); s != uint64(len(relayed)) ||
+				f != uint64(len(row.failing)) || r != uint64(len(row.forging)) {
+				t.Errorf("oracle_pullin_evidence_total: submitted=%d source_error=%d reverted=%d, want %d/%d/%d",
+					s, f, r, len(relayed), len(row.failing), len(row.forging))
+			}
+
+			if len(silent) == 0 {
+				return
+			}
+			if _, err := e.owner.ReportUnresponsive(ctx, iri, round.Round); err != nil {
+				t.Fatal(err)
+			}
+			violations, err := e.owner.GetRoundViolations(iri, round.Round)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(violations) != len(silent) {
+				t.Errorf("%d violations, want %d", len(violations), len(silent))
+			}
+			for _, v := range violations {
+				if !silent[v.Device] || v.Kind != distexchange.ViolationUnresponsive {
+					t.Errorf("unexpected violation %+v", v)
+				}
+			}
+		})
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"repro/internal/cryptoutil"
 	"repro/internal/distexchange"
 	"repro/internal/market"
+	"repro/internal/obs"
 	"repro/internal/oracle"
 	"repro/internal/policy"
 	"repro/internal/rdf"
@@ -90,6 +91,9 @@ type Manager struct {
 	clock   simclock.Clock
 	tee     *TEERequirement
 
+	// collectLatency times CollectMonitoring; nil (a no-op) until Instrument.
+	collectLatency *obs.Histogram
+
 	mu         sync.Mutex
 	published  map[string]*policy.Policy // resource IRI -> current policy
 	withdrawn  map[string]bool           // resources pulled from the market but still monitored
@@ -129,6 +133,13 @@ func New(cfg Config) (*Manager, error) {
 	}
 	m.server = solid.NewServer(m.pod, cfg.Directory, clk, m.accessHook)
 	return m, nil
+}
+
+// Instrument registers the manager's series on reg. Call it before the
+// manager serves requests.
+func (m *Manager) Instrument(reg *obs.Registry) {
+	m.collectLatency = reg.Histogram("podmanager_collect_monitoring_ns",
+		"CollectMonitoring latency: round state, closing report if open, round-scoped evidence and violations")
 }
 
 // Pod returns the managed pod.
@@ -403,8 +414,10 @@ func (m *Manager) StartMonitoring(ctx context.Context, path string) (distexchang
 
 // CollectMonitoring returns the evidence and violations recorded for a
 // round. If the round is still open, it closes it by reporting the silent
-// targets as unresponsive.
+// targets as unresponsive. It reads the round's own slice of the ledger, so
+// its cost follows the number of targets, not the resource's history.
 func (m *Manager) CollectMonitoring(ctx context.Context, path string, round uint64) ([]distexchange.EvidenceRecord, []distexchange.Violation, error) {
+	defer m.collectLatency.Start().Stop()
 	iri := m.ResourceIRI(path)
 	state, err := m.de.GetMonitoringRound(iri, round)
 	if err != nil {
@@ -415,25 +428,13 @@ func (m *Manager) CollectMonitoring(ctx context.Context, path string, round uint
 			return nil, nil, err
 		}
 	}
-	allEvidence, err := m.de.GetEvidence(iri)
+	evidence, err := m.de.GetRoundEvidence(iri, round)
 	if err != nil {
 		return nil, nil, err
 	}
-	var evidence []distexchange.EvidenceRecord
-	for _, rec := range allEvidence {
-		if rec.Round == round {
-			evidence = append(evidence, rec)
-		}
-	}
-	allViolations, err := m.de.GetViolations(iri)
+	violations, err := m.de.GetRoundViolations(iri, round)
 	if err != nil {
 		return nil, nil, err
-	}
-	var violations []distexchange.Violation
-	for _, v := range allViolations {
-		if v.Round == round {
-			violations = append(violations, v)
-		}
 	}
 	return evidence, violations, nil
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/hex"
 	"errors"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -35,6 +37,18 @@ type env struct {
 	devKey  *cryptoutil.KeyPair // consumer device blockchain identity
 	devCert []byte
 	bobKey  *cryptoutil.KeyPair // consumer WebID key
+	queries *queryLog           // every DE App query the manager issued
+}
+
+// queryLog records read-only DE App queries.
+type queryLog struct {
+	mu    sync.Mutex
+	calls []queryCall
+}
+
+type queryCall struct {
+	method string
+	args   string
 }
 
 const (
@@ -42,8 +56,12 @@ const (
 	bobWebID   = solid.WebID("https://bob.example/profile#me")
 )
 
-// autoSeal wraps the node to seal after every submission.
-type autoSeal struct{ node *chain.Node }
+// autoSeal wraps the node to seal after every submission; queries are
+// noted in log when it is set.
+type autoSeal struct {
+	node *chain.Node
+	log  *queryLog
+}
 
 func (b autoSeal) SubmitTx(tx *chain.Tx) (cryptoutil.Hash, error) {
 	h, err := b.node.SubmitTx(tx)
@@ -53,10 +71,23 @@ func (b autoSeal) SubmitTx(tx *chain.Tx) (cryptoutil.Hash, error) {
 	_, err = b.node.Seal()
 	return h, err
 }
+func (b autoSeal) SubmitBatch(txs []*chain.Tx) ([]cryptoutil.Hash, error) {
+	hashes, err := b.node.SubmitBatch(txs)
+	if err != nil {
+		return hashes, err
+	}
+	_, err = b.node.Seal()
+	return hashes, err
+}
 func (b autoSeal) WaitForReceipt(ctx context.Context, h cryptoutil.Hash) (*chain.Receipt, error) {
 	return b.node.WaitForReceipt(ctx, h)
 }
 func (b autoSeal) Query(c cryptoutil.Address, method string, args []byte) ([]byte, error) {
+	if b.log != nil {
+		b.log.mu.Lock()
+		b.log.calls = append(b.log.calls, queryCall{method: method, args: string(args)})
+		b.log.mu.Unlock()
+	}
 	return b.node.Query(c, method, args)
 }
 func (b autoSeal) NonceFor(a cryptoutil.Address) uint64 { return b.node.NonceFor(a) }
@@ -97,7 +128,8 @@ func newEnv(t *testing.T) *env {
 	dir.Register(aliceWebID, aliceKey.PublicBytes())
 	dir.Register(bobWebID, bobKey.PublicBytes())
 
-	pushIn := oracle.NewPushIn(autoSeal{node: node}, nil)
+	queries := &queryLog{}
+	pushIn := oracle.NewPushIn(autoSeal{node: node, log: queries}, nil)
 	mgr, err := New(Config{
 		OwnerWebID: aliceWebID,
 		BaseURL:    "https://alice.pod",
@@ -130,6 +162,7 @@ func newEnv(t *testing.T) *env {
 	return &env{
 		t: t, clk: clk, node: node, deAddr: deAddr, mkt: mkt, dir: dir,
 		mgr: mgr, srv: srv, devKey: devKey, devCert: certRaw, bobKey: bobKey,
+		queries: queries,
 	}
 }
 
@@ -380,6 +413,21 @@ func TestMonitoringViaManager(t *testing.T) {
 	}
 	if len(violations) != 1 || violations[0].Kind != distexchange.ViolationUnresponsive {
 		t.Fatalf("violations = %+v", violations)
+	}
+	// Collection reads the round's slice of the ledger, never the whole
+	// history of the resource.
+	listings := 0
+	for _, q := range e.queries.calls {
+		if q.method != "getEvidence" && q.method != "getViolations" {
+			continue
+		}
+		listings++
+		if !strings.Contains(q.args, `"round":1`) {
+			t.Errorf("unscoped %s query: %s", q.method, q.args)
+		}
+	}
+	if listings != 2 {
+		t.Errorf("%d ledger listings, want one of evidence and one of violations", listings)
 	}
 	// Monitoring an unpublished resource fails fast.
 	if _, err := e.mgr.StartMonitoring(ctx, "/other"); !errors.Is(err, ErrNotPublished) {
