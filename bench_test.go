@@ -19,6 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cryptoutil"
 	"repro/internal/distexchange"
+	"repro/internal/obs"
 	"repro/internal/podmanager"
 	"repro/internal/policy"
 	"repro/internal/scenario"
@@ -804,43 +805,48 @@ func BenchmarkWALAppend(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotRecovery measures chain.OpenNode recovery time
-// against the snapshot interval over a fixed 96-block ledger: a tighter
-// interval means a fresher snapshot and a shorter diff-replay tail, at
-// the cost of more snapshot writes during ingestion.
+// BenchmarkSnapshotRecovery measures chain.OpenNode recovery time at two
+// ledger lengths under the recovery-cost snapshot rule
+// (store.SnapshotDue): one whose whole diff stays below the 1 MiB floor,
+// so recovery replays it all, and one that crosses it, so recovery loads
+// a snapshot and replays the tail. The snapshots written while ingesting
+// and the diff bytes replayed per reopen are reported beside the time.
 func BenchmarkSnapshotRecovery(b *testing.B) {
-	const blocks = 96
-	for _, interval := range []int{8, 32, 96} {
-		b.Run(fmt.Sprintf("snapshot-every-%d", interval), func(b *testing.B) {
+	const perBlock = 64
+	for _, blocks := range []int{16, 96} {
+		b.Run(fmt.Sprintf("txs=%d", blocks*perBlock), func(b *testing.B) {
 			dir := b.TempDir()
 			key := cryptoutil.MustGenerateKey()
 			clk := simclock.NewSim(time.Date(2023, 10, 9, 0, 0, 0, 0, time.UTC))
 			runtime := contract.NewRuntime()
 			deAddr := runtime.Deploy(distexchange.ContractName, distexchange.New(distexchange.Config{}))
 			cfg := chain.Config{
-				Key:              key,
-				Authorities:      []cryptoutil.Address{key.Address()},
-				Executor:         runtime,
-				Clock:            clk,
-				GenesisTime:      clk.Now(),
-				DataDir:          dir,
-				SnapshotInterval: interval,
-				Persist:          store.Options{Sync: store.SyncNever},
+				Key:         key,
+				Authorities: []cryptoutil.Address{key.Address()},
+				Executor:    runtime,
+				Clock:       clk,
+				GenesisTime: clk.Now(),
+				DataDir:     dir,
+				Persist:     store.Options{Sync: store.SyncNever},
+				Metrics:     chain.NewMetrics(obs.NewRegistry()),
 			}
 			node, err := chain.OpenNode(cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
 			for i := range blocks {
-				args := distexchange.RegisterPodArgs{
-					OwnerWebID: fmt.Sprintf("https://owner%d.example/profile#me", i),
-					Location:   fmt.Sprintf("https://owner%d.example/", i),
+				txs := make([]*chain.Tx, perBlock)
+				for j := range txs {
+					id := i*perBlock + j
+					args := distexchange.RegisterPodArgs{
+						OwnerWebID: fmt.Sprintf("https://owner%d.example/profile#me", id),
+						Location:   fmt.Sprintf("https://owner%d.example/", id),
+					}
+					if txs[j], err = chain.NewTx(key, uint64(id), deAddr, "registerPod", args, distexchange.DefaultGasLimit); err != nil {
+						b.Fatal(err)
+					}
 				}
-				tx, err := chain.NewTx(key, uint64(i), deAddr, "registerPod", args, distexchange.DefaultGasLimit)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := node.SubmitTx(tx); err != nil {
+				if _, err := node.SubmitBatch(txs); err != nil {
 					b.Fatal(err)
 				}
 				clk.Advance(time.Second)
@@ -848,23 +854,26 @@ func BenchmarkSnapshotRecovery(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			wantRoot := node.State().Root()
+			wantRoot, stateBytes := node.State().Root(), node.State().Bytes()
 			if err := node.Close(); err != nil {
 				b.Fatal(err)
 			}
+			snapshots := cfg.Metrics.SnapshotWrite.Count()
 			b.ResetTimer()
 			for b.Loop() {
 				reopened, err := chain.OpenNode(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if reopened.Height() != blocks || reopened.State().Root() != wantRoot {
+				if reopened.Height() != uint64(blocks) || reopened.State().Root() != wantRoot {
 					b.Fatalf("bad recovery: height %d root mismatch", reopened.Height())
 				}
 				if err := reopened.Close(); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(snapshots), "snapshots")
+			b.ReportMetric(float64(stateBytes)/(1<<20), "state-MiB")
 		})
 	}
 }
@@ -876,7 +885,7 @@ func BenchmarkAblationDurability(b *testing.B) {
 	h := &core.Harness{Quick: true}
 	b.ResetTimer()
 	for b.Loop() {
-		if table := h.AblationDurability(); len(table.Rows) != 4 {
+		if table := h.AblationDurability(); len(table.Rows) != 8 {
 			b.Fatalf("durability table has %d rows", len(table.Rows))
 		}
 	}

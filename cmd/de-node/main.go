@@ -5,7 +5,7 @@
 // Usage:
 //
 //	de-node [-validators 3] [-interval 1s] [-http :8545]
-//	        [-data-dir DIR] [-fsync interval] [-snapshot-every 32]
+//	        [-data-dir DIR] [-fsync interval]
 //	        [-mempool-cap 8192] [-sender-quota 1024] [-price-bump 10]
 //	        [-debug-addr :6060]
 //
@@ -17,12 +17,13 @@
 // stays on the no-op path and nothing listens.
 //
 // With -data-dir each validator journals sealed blocks to a write-ahead
-// log and periodic state snapshots under DIR/node-<i>/, and persists its
-// authority key there, so a restarted process resumes the same chain at
-// the height it left off. An empty -data-dir (the default) keeps the
-// historical all-in-memory behaviour. SIGINT/SIGTERM trigger a graceful
-// shutdown: sealing stops, the HTTP server drains, and every store is
-// flushed and closed.
+// log under DIR/node-<i>/, snapshots its state there whenever the diff
+// tail a recovery would replay has outgrown it (store.SnapshotDue; there
+// is no cadence to tune), and persists its authority key there, so a
+// restarted process resumes the same chain at the height it left off. An
+// empty -data-dir (the default) keeps the historical all-in-memory
+// behaviour. SIGINT/SIGTERM trigger a graceful shutdown: sealing stops,
+// the HTTP server drains, and every store is flushed and closed.
 //
 // Endpoints:
 //
@@ -45,7 +46,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -83,7 +83,6 @@ func run(args []string) error {
 	httpAddr := fs.String("http", ":8545", "HTTP API listen address")
 	dataDir := fs.String("data-dir", "", "durable storage root (empty = in-memory; WAL + snapshots + keys under <dir>/node-<i>/)")
 	fsync := fs.String("fsync", "interval", "WAL fsync policy: always, interval, never")
-	snapshotEvery := fs.Int("snapshot-every", 0, "state snapshot cadence in blocks (0 = package default)")
 	execWorkers := fs.Int("exec-workers", 0, "parallel transaction execution workers per node (0 = GOMAXPROCS, 1 = serial; blocks are bit-identical at any setting)")
 	mempoolCap := fs.Int("mempool-cap", 0, "mempool capacity in transactions (0 = package default; full pool evicts the cheapest tail or answers 429)")
 	senderQuota := fs.Int("sender-quota", 0, "max pending transactions per sender (0 = package default)")
@@ -110,16 +109,15 @@ func run(args []string) error {
 	}
 
 	nodes, network, deAddr, err := buildCluster(clusterConfig{
-		Validators:    *validators,
-		DataDir:       *dataDir,
-		Sync:          syncPolicy,
-		SnapshotEvery: *snapshotEvery,
-		ExecWorkers:   *execWorkers,
-		MempoolCap:    *mempoolCap,
-		SenderQuota:   *senderQuota,
-		PriceBump:     *priceBump,
-		Registry:      reg,
-		Metrics:       metrics,
+		Validators:  *validators,
+		DataDir:     *dataDir,
+		Sync:        syncPolicy,
+		ExecWorkers: *execWorkers,
+		MempoolCap:  *mempoolCap,
+		SenderQuota: *senderQuota,
+		PriceBump:   *priceBump,
+		Registry:    reg,
+		Metrics:     metrics,
 	})
 	if err != nil {
 		return err
@@ -228,16 +226,15 @@ func run(args []string) error {
 // clusterConfig collects the knobs run() threads into buildCluster —
 // one struct instead of a nine-positional-argument signature.
 type clusterConfig struct {
-	Validators    int
-	DataDir       string
-	Sync          store.SyncPolicy
-	SnapshotEvery int
-	ExecWorkers   int
-	MempoolCap    int
-	SenderQuota   int
-	PriceBump     int
-	Registry      *obs.Registry
-	Metrics       *chain.Metrics
+	Validators  int
+	DataDir     string
+	Sync        store.SyncPolicy
+	ExecWorkers int
+	MempoolCap  int
+	SenderQuota int
+	PriceBump   int
+	Registry    *obs.Registry
+	Metrics     *chain.Metrics
 }
 
 // buildCluster constructs the validator cluster: the contract runtime
@@ -286,7 +283,6 @@ func buildCluster(cc clusterConfig) ([]*chain.Node, *chain.Network, cryptoutil.A
 		}
 		if dataDir != "" {
 			cfg.DataDir = nodeDir(dataDir, i)
-			cfg.SnapshotInterval = cc.SnapshotEvery
 			cfg.Persist = store.Options{Sync: cc.Sync}
 			if cc.Registry != nil && i == 0 {
 				cfg.Persist.Metrics = store.NewMetrics(cc.Registry)
@@ -335,13 +331,6 @@ func retryAfterSeconds(interval time.Duration) string {
 	return strconv.Itoa(secs)
 }
 
-// backpressured reports whether err is transient admission pressure
-// (full pool, exhausted sender quota) that maps to 429 + Retry-After
-// rather than a 400-class deterministic rejection.
-func backpressured(err error) bool {
-	return errors.Is(err, chain.ErrPoolFull) || errors.Is(err, chain.ErrQuotaExceeded)
-}
-
 // streamChunkSize bounds how many decoded transactions /txs/stream
 // verifies and broadcasts per round trip to the network layer.
 const streamChunkSize = 256
@@ -385,7 +374,7 @@ func newAPIMux(nodes []*chain.Node, network *chain.Network, deAddr cryptoutil.Ad
 		hashes, err := network.SubmitEverywhereBatch(txs)
 		if err != nil {
 			status := http.StatusBadRequest
-			if backpressured(err) {
+			if chain.IsBackpressure(err) {
 				// Transient pressure, not a malformed batch: tell the
 				// client when the pool is likely to have drained.
 				w.Header().Set("Retry-After", retryAfter)
@@ -414,7 +403,7 @@ func newAPIMux(nodes []*chain.Node, network *chain.Network, deAddr cryptoutil.Ad
 				line := core.TxVerdictWire{Hash: v.Hash.String(), Ok: v.Admitted()}
 				if v.Err != nil {
 					line.Error = v.Err.Error()
-					line.Retryable = backpressured(v.Err)
+					line.Retryable = chain.IsBackpressure(v.Err)
 				}
 				_ = enc.Encode(line)
 			}

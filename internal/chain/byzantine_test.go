@@ -97,7 +97,7 @@ func TestEquivocationEntryPoints(t *testing.T) {
 		dir := t.TempDir()
 		key := cryptoutil.MustGenerateKey()
 		clk := simclock.NewSim(chainEpoch)
-		n, err := OpenNode(durableConfig(dir, key, clk, 0))
+		n, err := OpenNode(durableConfig(dir, key, clk))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func TestEquivocationEntryPoints(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		n2, err := OpenNode(durableConfig(dir, key, clk, 0))
+		n2, err := OpenNode(durableConfig(dir, key, clk))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,6 @@
 package chain
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 
@@ -15,13 +14,8 @@ import (
 // base64 inflation), and fixed-width hashes/addresses with no per-field
 // framing. Encoding is deterministic (snapshot keys are sorted; all
 // other fields have a fixed order), so identical logical records always
-// produce identical bytes.
-//
-// Record payloads written before this codec existed are JSON documents;
-// they always start with '{', which is never a binary tag, so decoders
-// route through store.IsLegacyJSON and JSON-era data dirs keep
-// recovering. New records are always written in the binary format —
-// a log may therefore hold a JSON prefix and a binary tail.
+// produce identical bytes. It is the only record format: a payload that
+// opens with any other byte than these tags fails decoding.
 const (
 	// tagChainMeta opens a chain-identity (meta) WAL record.
 	tagChainMeta byte = 0x01
@@ -88,19 +82,8 @@ func blockRecordSizeHint(b *walBlock) int {
 	return n
 }
 
-// decodeWALRecord decodes a WAL record payload in either format: tagged
-// binary, or the legacy JSON envelope ('{' first byte).
+// decodeWALRecord decodes a WAL record payload.
 func decodeWALRecord(payload []byte) (*walRecord, error) {
-	if store.IsLegacyJSON(payload) {
-		var rec walRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return nil, fmt.Errorf("chain: legacy record: %w", err)
-		}
-		if rec.Meta == nil && rec.Block == nil {
-			return nil, fmt.Errorf("chain: legacy record is neither meta nor block")
-		}
-		return &rec, nil
-	}
 	if len(payload) == 0 {
 		return nil, fmt.Errorf("chain: empty record")
 	}
@@ -153,18 +136,8 @@ func appendChainSnapshot(dst []byte, height uint64, state map[string][]byte) []b
 	return dst
 }
 
-// decodeChainSnapshot decodes a snapshot payload in either format.
+// decodeChainSnapshot decodes a snapshot payload.
 func decodeChainSnapshot(payload []byte) (*chainSnapshot, error) {
-	if store.IsLegacyJSON(payload) {
-		var snap chainSnapshot
-		if err := json.Unmarshal(payload, &snap); err != nil {
-			return nil, fmt.Errorf("chain: legacy snapshot: %w", err)
-		}
-		if snap.State == nil {
-			snap.State = map[string][]byte{}
-		}
-		return &snap, nil
-	}
 	if len(payload) == 0 || payload[0] != tagChainSnapshot {
 		return nil, fmt.Errorf("chain: not a snapshot payload")
 	}

@@ -219,44 +219,6 @@ func TestCodecSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCodecLegacyJSONDecode: JSON-era record payloads (the PR 4 on-disk
-// format, produced here with the same json.Marshal the old writer used)
-// still decode through the same entry points as binary records.
-func TestCodecLegacyJSONDecode(t *testing.T) {
-	block := randomWALBlock(rand.New(rand.NewSource(1)))
-	legacy, err := json.Marshal(walRecord{Block: block})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := decodeWALRecord(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Block == nil {
-		t.Fatal("legacy block decoded as non-block")
-	}
-	requireWALBlockEqual(t, rec.Block, block)
-
-	legacyMeta, err := json.Marshal(walRecord{Meta: &walMeta{
-		GenesisTime: chainEpoch, Authorities: []cryptoutil.Address{testContractAddr()},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec, err = decodeWALRecord(legacyMeta); err != nil || rec.Meta == nil {
-		t.Fatalf("legacy meta: %v", err)
-	}
-
-	legacySnap, err := json.Marshal(chainSnapshot{Height: 7, State: map[string][]byte{"k": []byte("v")}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := decodeChainSnapshot(legacySnap)
-	if err != nil || snap.Height != 7 || string(snap.State["k"]) != "v" {
-		t.Fatalf("legacy snapshot: %+v, %v", snap, err)
-	}
-}
-
 // TestCodecRejectsGarbage: unknown tags, truncation, and trailing bytes
 // are decode errors (the recovery loop treats them as the torn tail).
 func TestCodecRejectsGarbage(t *testing.T) {
@@ -266,8 +228,13 @@ func TestCodecRejectsGarbage(t *testing.T) {
 	if _, err := decodeWALRecord([]byte{0x7E, 1, 2}); err == nil {
 		t.Fatal("unknown tag accepted")
 	}
-	if _, err := decodeWALRecord([]byte(`{"neither":true}`)); err == nil {
-		t.Fatal("legacy record with neither field accepted")
+	// '{' is not a tag: a PR 4-era JSON record fails like any other
+	// unknown first byte.
+	if _, err := decodeWALRecord([]byte(`{"meta":{"genesisTime":"2023-10-09T00:00:00Z","authorities":[]}}`)); err == nil {
+		t.Fatal("JSON WAL record accepted")
+	}
+	if _, err := decodeChainSnapshot([]byte(`{"height":7,"state":{}}`)); err == nil {
+		t.Fatal("JSON snapshot accepted")
 	}
 	good, err := encodeWALBlock(randomWALBlock(rand.New(rand.NewSource(2))))
 	if err != nil {

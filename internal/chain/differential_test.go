@@ -2,7 +2,6 @@ package chain
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -13,16 +12,6 @@ import (
 	"repro/internal/simclock"
 	"repro/internal/store"
 )
-
-// mustMarshalJSON marshals v with the legacy envelopes' JSON tags.
-func mustMarshalJSON(t *testing.T, v any) []byte {
-	t.Helper()
-	buf, err := json.Marshal(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return buf
-}
 
 // randomBlockTxs builds one block's worth of random transactions from a
 // set of senders: mostly "set" (random key/value over a bounded key
@@ -131,11 +120,8 @@ func TestDifferentialCrashRestartEquivalence(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			key := cryptoutil.MustGenerateKey()
 			clk := simclock.NewSim(chainEpoch)
-			cfg := durableConfig(dir, key, clk, 4) // snapshot interval 4: exercise snapshot+tail
-			n, err := OpenNode(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			cfg := durableConfig(dir, key, clk)
+			n := openWithFloor(t, cfg, 1) // the rule alone: exercise snapshot+tail
 			senders := []*cryptoutil.KeyPair{key, cryptoutil.MustGenerateKey()}
 			nonces := make([]uint64, len(senders))
 			for range 12 {
@@ -176,8 +162,7 @@ func TestConcurrentReadersDuringCommit(t *testing.T) {
 	dir := t.TempDir()
 	key := cryptoutil.MustGenerateKey()
 	clk := simclock.NewSim(chainEpoch)
-	cfg := durableConfig(dir, key, clk, 2) // snapshot every 2 blocks: constant export traffic
-	n, err := OpenNode(cfg)
+	n, err := OpenNode(durableConfig(dir, key, clk))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,6 +214,11 @@ func TestConcurrentReadersDuringCommit(t *testing.T) {
 			t.Fatal(err)
 		}
 		clk.Advance(time.Second)
+		if i%2 == 1 {
+			// Pretend a floor's worth of diff is pending, so every second
+			// commit exports: constant snapshot traffic under the readers.
+			n.tailBytes = store.SnapshotFloor
+		}
 		if _, err := n.Seal(); err != nil {
 			t.Fatal(err)
 		}
@@ -298,97 +288,5 @@ func TestSlowReceiptWaiterCannotStallSealing(t *testing.T) {
 	}
 	if n.PendingTxs() != 0 {
 		t.Fatal("mempool not drained")
-	}
-}
-
-// TestLegacyJSONStoreRecovers: a data dir written entirely in the PR 4
-// JSON record format (reproduced here by transcoding a binary-era log
-// record by record with the original json.Marshal envelope, snapshot
-// included) must recover identically, keep sealing — appending binary
-// records to the JSON-prefix log — and survive a further reopen of the
-// resulting mixed-format store.
-func TestLegacyJSONStoreRecovers(t *testing.T) {
-	// 1. Produce a reference chain with the current (binary) format.
-	binDir := t.TempDir()
-	key := cryptoutil.MustGenerateKey()
-	clk := simclock.NewSim(chainEpoch)
-	n, err := OpenNode(durableConfig(binDir, key, clk, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range 7 {
-		sealSet(t, n, key, clk, uint64(i), fmt.Sprintf("k%d", i%3), fmt.Sprintf("v%d", i))
-	}
-	if err := n.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// 2. Transcode the store to the legacy JSON formats.
-	legacyDir := t.TempDir()
-	transcodeStoreToJSON(t, binDir, legacyDir)
-
-	// 3. The JSON-era dir must recover to the same chain.
-	n2, err := OpenNode(durableConfig(legacyDir, key, clk, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireEquivalent(t, n2, n, key.Address())
-
-	// 4. New commits append binary records after the JSON prefix.
-	sealSet(t, n2, key, clk, 7, "post", "legacy")
-	if err := n2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	n3, err := OpenNode(durableConfig(legacyDir, key, clk, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n3.Close()
-	requireEquivalent(t, n3, n2, key.Address())
-	if n3.Height() != 8 {
-		t.Fatalf("mixed-format height = %d, want 8", n3.Height())
-	}
-}
-
-// transcodeStoreToJSON rewrites a chain data dir's WAL and newest
-// snapshot from the binary format into the PR 4 JSON format, using the
-// same envelopes (walRecord / chainSnapshot with their original JSON
-// tags) the old writer marshalled.
-func transcodeStoreToJSON(t *testing.T, srcDir, dstDir string) {
-	t.Helper()
-	wal, records, err := store.OpenWAL(WALPath(srcDir), store.Options{Sync: store.SyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wal.Close(); err != nil {
-		t.Fatal(err)
-	}
-	out, _, err := store.OpenWAL(WALPath(dstDir), store.Options{Sync: store.SyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range records {
-		decoded, err := decodeWALRecord(rec.Payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		legacy := mustMarshalJSON(t, decoded)
-		if err := out.Append(legacy); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := out.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if seq, payload, ok := store.LatestSnapshot(srcDir, ^uint64(0)); ok {
-		snap, err := decodeChainSnapshot(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := store.WriteSnapshot(dstDir, seq, mustMarshalJSON(t, snap)); err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		t.Fatal("no snapshot to transcode (want snapshot+tail coverage)")
 	}
 }

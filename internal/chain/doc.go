@@ -77,13 +77,21 @@
 // committed block — sealed, validated, or synced — is appended to a
 // CRC-checked write-ahead log (header + transactions + receipts + the
 // block's net state diff, in the deterministic length-prefixed binary
-// format of codec.go; JSON-era logs still decode) before the in-memory
-// ledger advances, and a full state snapshot is written every
-// Config.SnapshotInterval blocks.
+// format of codec.go, the only record format) before the in-memory
+// ledger advances. The log is never truncated and holds every block's
+// net diff, so it is the delta chain; a full state snapshot only saves a
+// recovery the work of applying the diffs below it. One is written when
+// the diff tail a recovery would replay — Σ len(K)+len(V) over the
+// deltas committed since the last snapshot, not WAL bytes — has reached
+// max(store.SnapshotFloor, State.Bytes), the size of the snapshot that
+// replaces it (store.SnapshotDue): at most one byte written per diff
+// byte committed whatever the ledger's age, at the same heights on every
+// validator, and no cadence to configure.
 // Reopening the same directory reconstructs the node: the newest usable
 // snapshot bounds replay, the diff tail is applied with every block's
 // state root checked against its header, and nonces plus the gas cost
-// ledger are rebuilt from the recovered blocks. Torn log tails (a crash
+// ledger are rebuilt from the recovered blocks (the tail counter restarts
+// at what was replayed). Torn log tails (a crash
 // mid-append) are truncated back to the last complete record; corrupt
 // snapshots fall back to a full diff replay. The mempool is not
 // persisted. Close flushes and releases the store; Crash abandons it

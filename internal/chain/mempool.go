@@ -22,6 +22,14 @@ var (
 	ErrReplaceUnderpriced = errors.New("chain: replacement gas price below bump threshold")
 )
 
+// IsBackpressure reports whether err is transient admission pressure (a
+// full pool drains as blocks seal, a quota frees as the sender's pending
+// transactions commit) and so worth retrying; every other admission
+// error is deterministic.
+func IsBackpressure(err error) bool {
+	return errors.Is(err, ErrPoolFull) || errors.Is(err, ErrQuotaExceeded)
+}
+
 // poolTx pairs a queued transaction with its hash so ordering
 // comparisons and index maintenance never recompute digests.
 type poolTx struct {

@@ -51,6 +51,7 @@ type Metrics struct {
 
 	// Durability.
 	SnapshotWrite  *obs.Histogram // background snapshot encode+write
+	SnapshotBytes  *obs.Counter   // snapshot payload bytes written (÷ WAL bytes = write amplification)
 	RecoveryReplay *obs.Histogram // OpenNode WAL replay time
 
 	// Tracer records tx lifecycles (submit → admit → exec → commit →
@@ -96,6 +97,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		SerialTailTxs:  reg.Counter("chain_exec_serial_tail_txs_total", "transactions re-executed on the serial tail"),
 
 		SnapshotWrite:  reg.Histogram("chain_snapshot_write_ns", "background snapshot encode and write duration"),
+		SnapshotBytes:  reg.Counter("chain_snapshot_bytes_total", "snapshot payload bytes written"),
 		RecoveryReplay: reg.Histogram("chain_recovery_replay_ns", "OpenNode WAL replay and state rebuild time"),
 	}
 	if reg != nil {

@@ -85,9 +85,6 @@ type Config struct {
 	// in-memory (the historical behaviour). Only OpenNode honours it;
 	// NewNode always builds an in-memory node.
 	DataDir string
-	// SnapshotInterval is the block cadence of durable state snapshots
-	// (default 32). Ignored without DataDir.
-	SnapshotInterval int
 	// Persist configures the write-ahead log (fsync policy). Ignored
 	// without DataDir.
 	Persist store.Options
@@ -136,12 +133,15 @@ type Node struct {
 
 	// wal is the durable block log (nil for in-memory nodes). It is
 	// written by commitBlock OUTSIDE mu (sealMu already serializes
-	// commits, so records stay in block order); dataDir/snapEvery drive
-	// the snapshot cadence and snap is the background snapshot writer.
+	// commits, so records stay in block order); snap is the background
+	// snapshot writer. tailBytes is the diff payload committed since the
+	// last snapshot (what a recovery would replay) and snapFloor the
+	// store.SnapshotDue floor (tests lower it); both belong to
+	// commitBlock, whose callers hold sealMu.
 	wal       *store.WAL
-	dataDir   string
-	snapEvery int
 	snap      *snapshotWriter
+	tailBytes int64
+	snapFloor int64
 
 	sealMu      sync.Mutex
 	stopSealing func() // guarded by sealMu
@@ -558,8 +558,9 @@ func (n *Node) executeBlock(overlay *Overlay, txs []*Tx, hashes []cryptoutil.Has
 // untouched — the deltas are simply dropped — so the PR 4 invariant
 // (memory never ahead of disk-acknowledged state) holds with no rollback
 // path at all. Only the O(touched-keys) delta fold, the ledger append,
-// and waiter wakeups run under the write lock; snapshot serialization is
-// handed to a background writer via a copy-on-write export.
+// and waiter wakeups run under the write lock; when a snapshot is due, a
+// copy-on-write export is taken after mu is released (sealMu alone keeps
+// writers out) and handed to the background writer.
 func (n *Node) commitBlock(block *Block, deltas []Delta) error {
 	if n.wal != nil {
 		payload, err := encodeWALBlock(&walBlock{
@@ -576,11 +577,11 @@ func (n *Node) commitBlock(block *Block, deltas []Delta) error {
 		}
 	}
 	var events []Event
-	var snapState map[string][]byte
 	tr := n.metrics.Tracer
 	n.mu.Lock()
+	st := n.state
 	foldTm := n.metrics.FoldLatency.Start()
-	n.state.applyDeltas(deltas)
+	st.applyDeltas(deltas)
 	foldTm.Stop()
 	n.blocks = append(n.blocks, block)
 	for _, r := range block.Receipts {
@@ -609,18 +610,19 @@ func (n *Node) commitBlock(block *Block, deltas []Delta) error {
 			tr.Finish(r.TxHash.String(), obs.StageCommit)
 		}
 	}
-	if n.snap != nil && n.snapEvery > 0 && block.Header.Number%uint64(n.snapEvery) == 0 {
-		// O(keys) map copy sharing the immutable value slices; the
-		// background writer serializes it without holding any node lock.
-		snapState = n.state.ExportShared()
-	}
 	n.mu.Unlock()
 	if len(events) > 0 {
 		// Published outside mu; sealMu keeps cross-block event order.
 		n.feed.publish(events)
 	}
-	if snapState != nil {
-		n.snap.enqueue(block.Header.Number, snapState)
+	if n.snap != nil {
+		n.tailBytes += diffBytes(deltas)
+		if store.SnapshotDue(n.tailBytes, st.Bytes(), n.snapFloor) {
+			// O(keys) map copy sharing the immutable value slices; the
+			// background writer serializes it without holding any node lock.
+			n.snap.enqueue(block.Header.Number, st.ExportShared())
+			n.tailBytes = 0
+		}
 	}
 	n.metrics.BlocksCommitted.Inc()
 	n.metrics.BlockTxs.Observe(int64(len(block.Txs)))

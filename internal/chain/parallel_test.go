@@ -398,11 +398,8 @@ func TestReceiptIndexRebuiltOnRecovery(t *testing.T) {
 	dir := t.TempDir()
 	key := cryptoutil.MustGenerateKey()
 	clk := simclock.NewSim(chainEpoch)
-	cfg := durableConfig(dir, key, clk, 3)
-	n, err := OpenNode(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := durableConfig(dir, key, clk)
+	n := openWithFloor(t, cfg, 1)
 	var hashes []cryptoutil.Hash
 	for i := range 9 {
 		tx := mustTx(t, key, uint64(i), testContractAddr(), fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i))

@@ -16,10 +16,6 @@ import (
 // walFileName is the block log's filename inside a node's data dir.
 const walFileName = "wal.log"
 
-// defaultSnapshotInterval is the block cadence of durable state
-// snapshots when Config.SnapshotInterval is zero.
-const defaultSnapshotInterval = 32
-
 // snapshotsKept bounds the snapshot files retained per node; older ones
 // are pruned after each write (recovery only ever needs one intact
 // snapshot, and keeping a couple of spares survives a corrupt newest).
@@ -42,12 +38,10 @@ var (
 
 // walRecord is the decoded form of one WAL record: exactly one of the
 // fields is set. The first record of a log is always the meta record.
-// On disk, records are written in the tagged binary format of codec.go;
-// the JSON struct tags remain because PR 4-era logs stored records as
-// JSON documents and the legacy decode path still reads them.
+// On disk, records are written in the tagged binary format of codec.go.
 type walRecord struct {
-	Meta  *walMeta  `json:"meta,omitempty"`
-	Block *walBlock `json:"block,omitempty"`
+	Meta  *walMeta
+	Block *walBlock
 }
 
 // walMeta pins the chain identity the log belongs to. GenesisTime is
@@ -55,26 +49,26 @@ type walRecord struct {
 // process restarted with a wall-clock genesis still reproduces the
 // original genesis block.
 type walMeta struct {
-	GenesisTime time.Time            `json:"genesisTime"`
-	Authorities []cryptoutil.Address `json:"authorities"`
+	GenesisTime time.Time
+	Authorities []cryptoutil.Address
 }
 
 // walBlock is a sealed block plus the net state diff its execution
 // produced. Recovery applies the diff instead of re-executing
 // transactions, so it needs no executor determinism and is O(mutations).
 type walBlock struct {
-	Header   Header     `json:"header"`
-	Txs      []*Tx      `json:"txs"`
-	Receipts []*Receipt `json:"receipts"`
-	Diff     []Delta    `json:"diff"`
+	Header   Header
+	Txs      []*Tx
+	Receipts []*Receipt
+	Diff     []Delta
 }
 
 // chainSnapshot is the durable state snapshot payload: the full
 // key-value content as of Height. Blocks at or below Height replay
 // ledger-only on recovery; blocks above it replay their diffs.
 type chainSnapshot struct {
-	Height uint64            `json:"height"`
-	State  map[string][]byte `json:"state"`
+	Height uint64
+	State  map[string][]byte
 }
 
 // OpenNode opens (or bootstraps) a durable node from cfg.DataDir: it
@@ -107,15 +101,26 @@ func OpenNode(cfg Config) (*Node, error) {
 }
 
 // attachStore arms the node's durable-commit path and starts the
-// background snapshot writer.
-func (n *Node) attachStore(cfg Config, wal *store.WAL) {
+// background snapshot writer. The tail counter starts at the diffs
+// recovery replayed, so a crash-looping node still reaches its snapshot.
+func (n *Node) attachStore(cfg Config, wal *store.WAL, tailDiffs [][]Delta) {
 	n.wal = wal
-	n.dataDir = cfg.DataDir
-	n.snapEvery = cfg.SnapshotInterval
-	if n.snapEvery <= 0 {
-		n.snapEvery = defaultSnapshotInterval
+	n.snapFloor = store.SnapshotFloor
+	for _, diff := range tailDiffs {
+		n.tailBytes += diffBytes(diff)
 	}
 	n.snap = startSnapshotWriter(cfg.DataDir, n.metrics)
+}
+
+// diffBytes is the payload of one block's net diff, Σ len(K)+len(V): what
+// store.SnapshotDue weighs against State.Bytes. Counting the diff, not
+// the WAL record, keeps a block of many transactions over a few hot keys
+// from passing for a long replay.
+func diffBytes(diff []Delta) (n int64) {
+	for i := range diff {
+		n += int64(len(diff[i].K) + len(diff[i].V))
+	}
+	return n
 }
 
 // recoverNode rebuilds a node from a decoded log.
@@ -137,7 +142,7 @@ func recoverNode(cfg Config, wal *store.WAL, records []store.Record) (*Node, err
 		if err := wal.Append(buf); err != nil {
 			return nil, err
 		}
-		n.attachStore(cfg, wal)
+		n.attachStore(cfg, wal, nil)
 		return n, nil
 	}
 
@@ -200,7 +205,7 @@ func recoverNode(cfg Config, wal *store.WAL, records []store.Record) (*Node, err
 		}
 	}
 
-	st, err := rebuildState(cfg.DataDir, blocks, diffs)
+	st, base, err := rebuildState(cfg.DataDir, blocks, diffs)
 	if err != nil {
 		return nil, err
 	}
@@ -222,7 +227,7 @@ func recoverNode(cfg Config, wal *store.WAL, records []store.Record) (*Node, err
 	}
 	n.blocks = append(n.blocks, blocks...)
 	n.state = st
-	n.attachStore(cfg, wal)
+	n.attachStore(cfg, wal, diffs[base:]) // blocks[i] is height i+1
 	return n, nil
 }
 
@@ -255,24 +260,25 @@ func equivocalRecord(recovered []*Block, b *Block) (EquivocationEvidence, bool) 
 // snapshot qualifies or the snapshot contradicts the committed roots.
 // Every applied block's resulting root is checked against its header, so
 // a recovery that completes is bit-for-bit the state the chain committed.
-func rebuildState(dataDir string, blocks []*Block, diffs [][]Delta) (*State, error) {
+// base is the height of the snapshot used (0 for a full replay).
+func rebuildState(dataDir string, blocks []*Block, diffs [][]Delta) (st *State, base uint64, err error) {
 	var headHeight uint64
 	if len(blocks) > 0 {
 		headHeight = blocks[len(blocks)-1].Header.Number
 	}
 	if seq, payload, ok := store.LatestSnapshot(dataDir, headHeight); ok {
 		if st, err := stateFromSnapshot(seq, payload, blocks, diffs); err == nil {
-			return st, nil
+			return st, seq, nil
 		}
 		// Snapshot unusable (corrupt content or root mismatch): recovery
 		// falls back to the full replay below — snapshots are strictly an
 		// optimization.
 	}
-	st := NewState()
+	st = NewState()
 	if err := applyDiffsFrom(st, blocks, diffs, 0); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return st, nil
+	return st, 0, nil
 }
 
 // stateFromSnapshot builds state from a snapshot payload and the diff
@@ -388,6 +394,7 @@ func (w *snapshotWriter) write(job *snapshotJob) {
 		log.Printf("chain: snapshot at height %d skipped: %v", job.height, err)
 		return
 	}
+	w.m.SnapshotBytes.Add(uint64(len(w.buf)))
 	if _, err := store.PruneSnapshots(w.dataDir, snapshotsKept); err != nil {
 		log.Printf("chain: prune snapshots: %v", err)
 	}

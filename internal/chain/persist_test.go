@@ -14,17 +14,31 @@ import (
 
 // durableConfig builds a durable single-authority node config rooted at
 // dir.
-func durableConfig(dir string, key *cryptoutil.KeyPair, clk *simclock.Sim, snapEvery int) Config {
+func durableConfig(dir string, key *cryptoutil.KeyPair, clk *simclock.Sim) Config {
 	return Config{
-		Key:              key,
-		Authorities:      []cryptoutil.Address{key.Address()},
-		Executor:         testExecutor{},
-		Clock:            clk,
-		GenesisTime:      chainEpoch,
-		DataDir:          dir,
-		SnapshotInterval: snapEvery,
-		Persist:          store.Options{Sync: store.SyncNever},
+		Key:         key,
+		Authorities: []cryptoutil.Address{key.Address()},
+		Executor:    testExecutor{},
+		Clock:       clk,
+		GenesisTime: chainEpoch,
+		DataDir:     dir,
+		Persist:     store.Options{Sync: store.SyncNever},
 	}
+}
+
+// openWithFloor opens a durable node and lowers its snapshot floor: the
+// in-package seam for tests that need snapshots on a ledger far smaller
+// than store.SnapshotFloor. With floor 1 the rule alone decides — fresh
+// keys snapshot at geometrically spaced heights, rewrites of one key at
+// every block.
+func openWithFloor(t testing.TB, cfg Config, floor int64) *Node {
+	t.Helper()
+	n, err := OpenNode(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.snapFloor = floor
+	return n
 }
 
 // sealSet seals one block containing a single "set" transaction.
@@ -94,7 +108,7 @@ func TestOpenNodeBootstrapEmptyDir(t *testing.T) {
 	dir := t.TempDir()
 	key := cryptoutil.MustGenerateKey()
 	clk := simclock.NewSim(chainEpoch)
-	n, err := OpenNode(durableConfig(dir, key, clk, 0))
+	n, err := OpenNode(durableConfig(dir, key, clk))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +119,7 @@ func TestOpenNodeBootstrapEmptyDir(t *testing.T) {
 	if err := n.Close(); err != nil {
 		t.Fatal(err)
 	}
-	n2, err := OpenNode(durableConfig(dir, key, clk, 0))
+	n2, err := OpenNode(durableConfig(dir, key, clk))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +153,7 @@ func TestRecoveryCleanClose(t *testing.T) {
 	dir := t.TempDir()
 	key := cryptoutil.MustGenerateKey()
 	clk := simclock.NewSim(chainEpoch)
-	n, err := OpenNode(durableConfig(dir, key, clk, 0))
+	n, err := OpenNode(durableConfig(dir, key, clk))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +176,7 @@ func TestRecoveryCleanClose(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	n2, err := OpenNode(durableConfig(dir, key, clk, 0))
+	n2, err := OpenNode(durableConfig(dir, key, clk))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +195,7 @@ func TestRecoveryCrashAfterSync(t *testing.T) {
 	dir := t.TempDir()
 	key := cryptoutil.MustGenerateKey()
 	clk := simclock.NewSim(chainEpoch)
-	cfg := durableConfig(dir, key, clk, 0)
+	cfg := durableConfig(dir, key, clk)
 	cfg.Persist = store.Options{Sync: store.SyncAlways}
 	n, err := OpenNode(cfg)
 	if err != nil {
@@ -255,7 +269,7 @@ func TestRecoveryTornTail(t *testing.T) {
 			dir := t.TempDir()
 			key := cryptoutil.MustGenerateKey()
 			clk := simclock.NewSim(chainEpoch)
-			n, err := OpenNode(durableConfig(dir, key, clk, 0))
+			n, err := OpenNode(durableConfig(dir, key, clk))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -267,7 +281,7 @@ func TestRecoveryTornTail(t *testing.T) {
 			}
 			tc.mutate(t, WALPath(dir))
 
-			n2, err := OpenNode(durableConfig(dir, key, clk, 0))
+			n2, err := OpenNode(durableConfig(dir, key, clk))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -296,18 +310,16 @@ func TestRecoveryTornTail(t *testing.T) {
 	}
 }
 
-// TestRecoverySnapshotPlusTail: the snapshot+tail-replay leg — with a
-// snapshot interval of 3 over 8 blocks, recovery must start from the
-// newest snapshot (6) and replay only the tail, producing identical
+// TestRecoverySnapshotPlusTail: the snapshot+tail-replay leg — three
+// keys rewritten over 8 blocks snapshot whenever three blocks' worth of
+// diff has accumulated (heights 1, 4, 7), so recovery must start from the
+// newest snapshot (7) and replay only block 8, producing identical
 // state. Snapshots must exist and be pruned to the retention bound.
 func TestRecoverySnapshotPlusTail(t *testing.T) {
 	dir := t.TempDir()
 	key := cryptoutil.MustGenerateKey()
 	clk := simclock.NewSim(chainEpoch)
-	n, err := OpenNode(durableConfig(dir, key, clk, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := openWithFloor(t, durableConfig(dir, key, clk), 1)
 	for i := range 8 {
 		sealSet(t, n, key, clk, uint64(i), fmt.Sprintf("k%d", i%3), fmt.Sprintf("v%d", i))
 	}
@@ -318,19 +330,22 @@ func TestRecoverySnapshotPlusTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seqs) == 0 || seqs[0] != 6 {
-		t.Fatalf("snapshots = %v, want newest 6", seqs)
+	if len(seqs) == 0 || seqs[0] != 7 {
+		t.Fatalf("snapshots = %v, want newest 7", seqs)
 	}
 	if len(seqs) > snapshotsKept {
 		t.Fatalf("%d snapshots retained, want <= %d", len(seqs), snapshotsKept)
 	}
 
-	n2, err := OpenNode(durableConfig(dir, key, clk, 3))
+	n2, err := OpenNode(durableConfig(dir, key, clk))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer n2.Close()
 	requireEquivalent(t, n2, n, key.Address())
+	if want := diffBytes([]Delta{{K: testContractAddr().String() + "/k1", V: []byte("v7")}}); n2.tailBytes != want {
+		t.Fatalf("recovery replayed %d diff bytes, want block 8's %d", n2.tailBytes, want)
+	}
 }
 
 // TestRecoverySnapshotAheadOfTornWAL: a snapshot taken at the height of
@@ -340,15 +355,16 @@ func TestRecoverySnapshotAheadOfTornWAL(t *testing.T) {
 	dir := t.TempDir()
 	key := cryptoutil.MustGenerateKey()
 	clk := simclock.NewSim(chainEpoch)
-	n, err := OpenNode(durableConfig(dir, key, clk, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// One key rewritten at every block snapshots at every block.
+	n := openWithFloor(t, durableConfig(dir, key, clk), 1)
 	for i := range 4 {
-		sealSet(t, n, key, clk, uint64(i), fmt.Sprintf("k%d", i), "v")
+		sealSet(t, n, key, clk, uint64(i), "k", fmt.Sprintf("v%d", i))
 	}
 	if err := n.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if seqs, err := store.ListSnapshots(dir); err != nil || len(seqs) == 0 || seqs[0] != 4 {
+		t.Fatalf("snapshots = %v, %v; want newest 4", seqs, err)
 	}
 	// Chop the block-4 record: the snapshot at 4 now refers to a height
 	// beyond the recoverable head.
@@ -359,7 +375,7 @@ func TestRecoverySnapshotAheadOfTornWAL(t *testing.T) {
 	if err := os.Truncate(WALPath(dir), info.Size()-5); err != nil {
 		t.Fatal(err)
 	}
-	n2, err := OpenNode(durableConfig(dir, key, clk, 4))
+	n2, err := OpenNode(durableConfig(dir, key, clk))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,12 +394,9 @@ func TestRecoveryCorruptSnapshotFallsBack(t *testing.T) {
 	dir := t.TempDir()
 	key := cryptoutil.MustGenerateKey()
 	clk := simclock.NewSim(chainEpoch)
-	n, err := OpenNode(durableConfig(dir, key, clk, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := openWithFloor(t, durableConfig(dir, key, clk), 1)
 	for i := range 4 {
-		sealSet(t, n, key, clk, uint64(i), fmt.Sprintf("k%d", i), "v")
+		sealSet(t, n, key, clk, uint64(i), fmt.Sprintf("k%d", i%2), fmt.Sprintf("v%d", i))
 	}
 	if err := n.Close(); err != nil {
 		t.Fatal(err)
@@ -403,7 +416,7 @@ func TestRecoveryCorruptSnapshotFallsBack(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	n2, err := OpenNode(durableConfig(dir, key, clk, 2))
+	n2, err := OpenNode(durableConfig(dir, key, clk))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +430,7 @@ func TestOpenNodeRejectsForeignStore(t *testing.T) {
 	dir := t.TempDir()
 	keyA := cryptoutil.MustGenerateKey()
 	clk := simclock.NewSim(chainEpoch)
-	n, err := OpenNode(durableConfig(dir, keyA, clk, 0))
+	n, err := OpenNode(durableConfig(dir, keyA, clk))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +439,7 @@ func TestOpenNodeRejectsForeignStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	keyB := cryptoutil.MustGenerateKey()
-	if _, err := OpenNode(durableConfig(dir, keyB, clk, 0)); !errors.Is(err, ErrStoreMismatch) {
+	if _, err := OpenNode(durableConfig(dir, keyB, clk)); !errors.Is(err, ErrStoreMismatch) {
 		t.Fatalf("foreign store opened: %v", err)
 	}
 }
@@ -438,7 +451,7 @@ func TestOpenNodeRestartWithDifferentGenesisTime(t *testing.T) {
 	dir := t.TempDir()
 	key := cryptoutil.MustGenerateKey()
 	clk := simclock.NewSim(chainEpoch)
-	n, err := OpenNode(durableConfig(dir, key, clk, 0))
+	n, err := OpenNode(durableConfig(dir, key, clk))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +459,7 @@ func TestOpenNodeRestartWithDifferentGenesisTime(t *testing.T) {
 	if err := n.Close(); err != nil {
 		t.Fatal(err)
 	}
-	cfg := durableConfig(dir, key, clk, 0)
+	cfg := durableConfig(dir, key, clk)
 	cfg.GenesisTime = chainEpoch.Add(42 * time.Hour) // a lying config
 	n2, err := OpenNode(cfg)
 	if err != nil {
@@ -554,7 +567,7 @@ func TestCommitRollsBackOnWALFailure(t *testing.T) {
 	dir := t.TempDir()
 	key := cryptoutil.MustGenerateKey()
 	clk := simclock.NewSim(chainEpoch)
-	n, err := OpenNode(durableConfig(dir, key, clk, 0))
+	n, err := OpenNode(durableConfig(dir, key, clk))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,6 +29,9 @@ type State struct {
 	// crafted key/value sets) is acceptable for this simulator and is
 	// called out in DESIGN.md. Guarded by mu.
 	root cryptoutil.Hash
+	// bytes is the running Σ len(key)+len(value), updated wherever root
+	// is: the size of a snapshot, in O(1). Guarded by mu.
+	bytes int64
 }
 
 // leafHash commits to one key/value pair.
@@ -41,6 +44,13 @@ func xorHash(root *cryptoutil.Hash, h cryptoutil.Hash) {
 	for i := range root {
 		root[i] ^= h[i]
 	}
+}
+
+// foldLeafLocked accounts one entry entering (sign +1) or leaving (-1)
+// the store in both running commitments; s.mu must be held for writing.
+func (s *State) foldLeafLocked(key string, value []byte, sign int64) {
+	xorHash(&s.root, leafHash(key, value))
+	s.bytes += sign * int64(len(key)+len(value))
 }
 
 type journalEntry struct {
@@ -87,12 +97,12 @@ func (s *State) Set(key string, value []byte) {
 	prior, existed := s.data[key]
 	s.journal = append(s.journal, journalEntry{key: key, prior: prior, existed: existed})
 	if existed {
-		xorHash(&s.root, leafHash(key, prior))
+		s.foldLeafLocked(key, prior, -1)
 	}
 	cp := make([]byte, len(value))
 	copy(cp, value)
 	s.data[key] = cp
-	xorHash(&s.root, leafHash(key, cp))
+	s.foldLeafLocked(key, cp, +1)
 }
 
 // Delete removes key.
@@ -104,7 +114,7 @@ func (s *State) Delete(key string) {
 		return
 	}
 	s.journal = append(s.journal, journalEntry{key: key, prior: prior, existed: true})
-	xorHash(&s.root, leafHash(key, prior))
+	s.foldLeafLocked(key, prior, -1)
 	delete(s.data, key)
 }
 
@@ -145,11 +155,11 @@ func (s *State) RevertTo(checkpoint int) {
 	for i := len(s.journal) - 1; i >= checkpoint; i-- {
 		e := s.journal[i]
 		if cur, ok := s.data[e.key]; ok {
-			xorHash(&s.root, leafHash(e.key, cur))
+			s.foldLeafLocked(e.key, cur, -1)
 		}
 		if e.existed {
 			s.data[e.key] = e.prior
-			xorHash(&s.root, leafHash(e.key, e.prior))
+			s.foldLeafLocked(e.key, e.prior, +1)
 		} else {
 			delete(s.data, e.key)
 		}
@@ -171,11 +181,11 @@ func (s *State) DiscardJournal() {
 // re-executing transactions.
 type Delta struct {
 	// K is the state key.
-	K string `json:"k"`
+	K string
 	// V is the post-block value (ignored when Del is set).
-	V []byte `json:"v,omitempty"`
+	V []byte
 	// Del marks the key as deleted by the block.
-	Del bool `json:"del,omitempty"`
+	Del bool
 }
 
 // Diff returns the net effect of every mutation journaled since the
@@ -289,15 +299,15 @@ func (s *State) applyDeltas(deltas []Delta) {
 			if !existed {
 				continue
 			}
-			xorHash(&s.root, leafHash(d.K, prior))
+			s.foldLeafLocked(d.K, prior, -1)
 			delete(s.data, d.K)
 			continue
 		}
 		if existed {
-			xorHash(&s.root, leafHash(d.K, prior))
+			s.foldLeafLocked(d.K, prior, -1)
 		}
 		s.data[d.K] = d.V
-		xorHash(&s.root, leafHash(d.K, d.V))
+		s.foldLeafLocked(d.K, d.V, +1)
 	}
 }
 
@@ -308,6 +318,14 @@ func (s *State) Root() cryptoutil.Hash {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.root
+}
+
+// Bytes returns the sum of len(key)+len(value) over all entries — the
+// payload a snapshot of the state would carry. O(1), like Root.
+func (s *State) Bytes() int64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.bytes
 }
 
 // Clone returns a deep copy of the state with an empty journal. Clones are
@@ -323,5 +341,6 @@ func (s *State) Clone() *State {
 		c.data[k] = cp
 	}
 	c.root = s.root
+	c.bytes = s.bytes
 	return c
 }

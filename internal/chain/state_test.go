@@ -1,6 +1,7 @@
 package chain
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -166,32 +167,32 @@ func TestStateRevertProperty(t *testing.T) {
 	}
 }
 
-// recomputeRoot derives the multiset commitment from scratch through the
-// public API, for cross-checking the incremental root.
-func recomputeRoot(st *State) cryptoutil.Hash {
-	var root cryptoutil.Hash
+// recompute derives the multiset commitment and the byte size from
+// scratch through the public API, for cross-checking the incrementally
+// maintained ones.
+func recompute(st *State) (root cryptoutil.Hash, size int64) {
 	for _, k := range st.Keys("") {
 		v, _ := st.Get(k)
-		leaf := leafHash(k, v)
-		for i := range root {
-			root[i] ^= leaf[i]
-		}
+		xorHash(&root, leafHash(k, v))
+		size += int64(len(k) + len(v))
 	}
-	return root
+	return root, size
 }
 
 // TestStateRootIncrementalMatchesRecomputation: after any random sequence
-// of sets, deletes, checkpoints and reverts, the O(1) incremental root
-// equals the full recomputation.
+// of sets, deletes, checkpoints, reverts, replayed diffs and folded
+// deltas, the O(1) incremental root and byte size equal the full
+// recomputation.
 func TestStateRootIncrementalMatchesRecomputation(t *testing.T) {
 	f := func(ops []uint16) bool {
 		st := NewState()
 		var checkpoints []int
 		for i, op := range ops {
 			key := fmt.Sprintf("k%d", op%16)
-			switch op % 5 {
+			value := bytes.Repeat([]byte{byte(i)}, int(op>>8)%40)
+			switch op % 7 {
 			case 0, 1:
-				st.Set(key, []byte{byte(op), byte(i)})
+				st.Set(key, value)
 			case 2:
 				st.Delete(key)
 			case 3:
@@ -201,11 +202,17 @@ func TestStateRootIncrementalMatchesRecomputation(t *testing.T) {
 					st.RevertTo(checkpoints[len(checkpoints)-1])
 					checkpoints = checkpoints[:len(checkpoints)-1]
 				}
+			case 5: // recovery replay: retires the journal like a commit
+				st.ApplyDiff([]Delta{{K: key, V: value}, {K: fmt.Sprintf("k%d", (op+1)%16), Del: true}})
+				checkpoints = nil
+			case 6: // commit fold: unjournaled
+				st.applyDeltas([]Delta{{K: key, Del: true}, {K: fmt.Sprintf("k%d", (op+1)%16), V: value}})
 			}
 		}
-		return st.Root() == recomputeRoot(st)
+		root, size := recompute(st)
+		return st.Root() == root && st.Bytes() == size && st.Clone().Bytes() == size
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -85,14 +85,12 @@ type Config struct {
 	// uses the defaults documented on RetryPolicy.
 	Retry RetryPolicy
 	// DataDir, when non-empty, makes every validator durable: each node
-	// keeps a write-ahead log and state snapshots under
+	// keeps a write-ahead log and state snapshots (taken by the chain's
+	// recovery-cost rule; there is no cadence to set) under
 	// DataDir/node-<i>/, enabling the CrashValidator /
 	// RestartValidatorFromDisk fault hooks. Empty (the default) keeps the
 	// historical all-in-memory deployment.
 	DataDir string
-	// SnapshotInterval is the per-node snapshot cadence in blocks
-	// (default: the chain package's default). Ignored without DataDir.
-	SnapshotInterval int
 	// WALSync is the validators' WAL fsync policy (default
 	// store.SyncInterval). Ignored without DataDir.
 	WALSync store.SyncPolicy
@@ -203,7 +201,6 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 		}
 		if cfg.DataDir != "" {
 			nodeCfgs[i].DataDir = filepath.Join(cfg.DataDir, fmt.Sprintf("node-%d", i))
-			nodeCfgs[i].SnapshotInterval = cfg.SnapshotInterval
 			nodeCfgs[i].Persist = store.Options{Sync: cfg.WALSync}
 			if cfg.Obs != nil && i == 0 {
 				nodeCfgs[i].Persist.Metrics = store.NewMetrics(cfg.Obs)
@@ -348,7 +345,7 @@ func (b *networkBackend) retrySubmit(submit func() error) error {
 	p := b.d.retry
 	for attempt := 0; ; attempt++ {
 		err := submit()
-		if err == nil || !retryable(err) || attempt >= p.MaxAttempts-1 {
+		if err == nil || !chain.IsBackpressure(err) || attempt >= p.MaxAttempts-1 {
 			return err
 		}
 		if b.d.sealing == SealOnSubmit {

@@ -6,8 +6,8 @@ import (
 )
 
 // TestAblationDurability smoke-runs the durability ablation in quick
-// mode: four modes, ingestion numbers present, and the durable modes
-// reopen at the ingested height.
+// mode: four modes at two ledger lengths, ingestion numbers present, and
+// the durable modes reopen at the ingested height.
 func TestAblationDurability(t *testing.T) {
 	if testing.Short() {
 		t.Skip("durability ablation sweeps disk-backed nodes")
@@ -20,7 +20,7 @@ func TestAblationDurability(t *testing.T) {
 			t.Fatalf("mode %s missing from table:\n%s", mode, out)
 		}
 	}
-	if len(table.Rows) != 4 {
-		t.Fatalf("want 4 rows, got %d:\n%s", len(table.Rows), out)
+	if len(table.Rows) != 8 {
+		t.Fatalf("want 8 rows, got %d:\n%s", len(table.Rows), out)
 	}
 }

@@ -732,9 +732,10 @@ func (h *Harness) AblationParallelVerify() *Table {
 // hot path and the crash-recovery time it buys: a single durable
 // validator ingests n registerPod transactions in batches (sealing until
 // drained), closes, and reopens from disk. It returns ingestion and
-// reopen wall-clock milliseconds plus the recovered height. durable=false
-// runs the in-memory baseline (reopen time is then zero).
-func durabilityScenario(n int, durable bool, sync store.SyncPolicy, snapshotEvery int) (ingestMS, reopenMS float64, height uint64) {
+// reopen wall-clock milliseconds, the recovered height, and the
+// snapshots written with their total payload. durable=false runs the
+// in-memory baseline (everything past ingestion is then zero).
+func durabilityScenario(n int, durable bool, sync store.SyncPolicy) (ingestMS, reopenMS float64, height, snapshots, snapshotBytes uint64) {
 	manufacturer := must(tee.NewManufacturer("tee-manufacturer"))
 	runtime := contract.NewRuntime()
 	deAddr := runtime.Deploy(distexchange.ContractName, distexchange.New(distexchange.Config{
@@ -755,8 +756,8 @@ func durabilityScenario(n int, durable bool, sync store.SyncPolicy, snapshotEver
 		must0(err)
 		defer os.RemoveAll(dir)
 		cfg.DataDir = dir
-		cfg.SnapshotInterval = snapshotEvery
 		cfg.Persist = store.Options{Sync: sync}
+		cfg.Metrics = chain.NewMetrics(obs.NewRegistry())
 	}
 	node := must(chain.OpenNode(cfg))
 
@@ -782,27 +783,30 @@ func durabilityScenario(n int, durable bool, sync store.SyncPolicy, snapshotEver
 	must0(node.Close())
 
 	if durable {
+		snapshots, snapshotBytes = cfg.Metrics.SnapshotWrite.Count(), cfg.Metrics.SnapshotBytes.Value()
 		start = time.Now()
 		reopened := must(chain.OpenNode(cfg))
 		reopenMS = float64(time.Since(start).Microseconds()) / 1000
 		height = reopened.Height()
 		must0(reopened.Close())
 	}
-	return ingestMS, reopenMS, height
+	return ingestMS, reopenMS, height, snapshots, snapshotBytes
 }
 
 // AblationDurability quantifies the durability subsystem: ingestion
 // throughput under each WAL fsync policy against the in-memory baseline,
-// and the crash-recovery (reopen) time the store buys. The snapshot
-// interval is fixed; BenchmarkSnapshotRecovery sweeps it.
+// and the crash-recovery (reopen) time the store buys, at two ledger
+// lengths. There is no snapshot cadence to sweep (store.SnapshotDue), so
+// the table reports how many were written and how large — none below
+// the 1 MiB floor, which the quick lengths never reach.
 func (h *Harness) AblationDurability() *Table {
 	t := &Table{
 		Title:  "Ablation: durability (WAL fsync policy vs ingestion + recovery, 1 validator)",
-		Header: []string{"mode", "txs", "ingest_ms", "reopen_ms", "reopened_height"},
+		Header: []string{"mode", "txs", "ingest_ms", "reopen_ms", "reopened_height", "snapshots", "snapshot_kb"},
 	}
-	n := 512
+	lengths := []int{2048, 8192}
 	if h.Quick {
-		n = 96
+		lengths = []int{96, 192}
 	}
 	modes := []struct {
 		name    string
@@ -814,13 +818,15 @@ func (h *Harness) AblationDurability() *Table {
 		{"wal-interval", true, store.SyncInterval},
 		{"wal-always", true, store.SyncAlways},
 	}
-	for _, m := range modes {
-		ingest, reopen, height := durabilityScenario(n, m.durable, m.sync, 16)
-		if !m.durable {
-			t.Add(m.name, n, ingest, "-", "-")
-			continue
+	for _, n := range lengths {
+		for _, m := range modes {
+			ingest, reopen, height, snaps, snapBytes := durabilityScenario(n, m.durable, m.sync)
+			if !m.durable {
+				t.Add(m.name, n, ingest, "-", "-", "-", "-")
+				continue
+			}
+			t.Add(m.name, n, ingest, reopen, height, snaps, snapBytes/1024)
 		}
-		t.Add(m.name, n, ingest, reopen, height)
 	}
 	return t
 }

@@ -65,14 +65,6 @@ func (p RetryPolicy) delay(attempt int, hint time.Duration) time.Duration {
 	return d
 }
 
-// retryable reports whether err is backpressure worth retrying: a full
-// pool drains as blocks seal, and a quota frees as the sender's pending
-// transactions commit. Everything else (bad nonce, bad signature,
-// underpriced replacement) is deterministic and retried never.
-func retryable(err error) bool {
-	return errors.Is(err, chain.ErrPoolFull) || errors.Is(err, chain.ErrQuotaExceeded)
-}
-
 // TxVerdictWire is one line of the de-node streaming ingestion response
 // (`POST /txs/stream`, NDJSON): the transaction hash, whether it was
 // admitted, the admission error otherwise, and whether retrying later

@@ -3,7 +3,6 @@ package distexchange
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"sync"
 
@@ -224,7 +223,7 @@ func (c *Client) SubmitEvidenceBatch(ctx context.Context, signed []SignedEvidenc
 		end := min(start+size, len(signed))
 		hashes, err := c.submitEvidenceTxs(signed[start:end])
 		if err != nil {
-			if end-start > 1 && (errors.Is(err, chain.ErrQuotaExceeded) || errors.Is(err, chain.ErrPoolFull)) {
+			if end-start > 1 && chain.IsBackpressure(err) {
 				size = (end - start) / 2
 				continue
 			}

@@ -13,11 +13,8 @@ import (
 // and raw resource bytes (the JSON era base64-inflated every resource
 // body by 4/3). ACL documents are small structured values with no bulk
 // payload, so they are embedded as length-prefixed JSON blobs — the
-// hot bytes (resource data) stay raw.
-//
-// Legacy JSON records always start with '{' (never a binary tag), so
-// decoders route through store.IsLegacyJSON and PR 4-era pod dirs keep
-// recovering; a log may hold a JSON prefix and a binary tail.
+// hot bytes (resource data) stay raw. It is the only record format: a
+// payload that opens with any other byte than these tags fails decoding.
 const (
 	// tagPodOp opens a pod op-log record.
 	tagPodOp byte = 0x11
@@ -75,18 +72,9 @@ func encodePodOp(op *podOp) ([]byte, error) {
 	return appendACLBlob(dst, op.ACL)
 }
 
-// decodePodOp decodes an op-log payload in either format.
+// decodePodOp decodes an op-log payload.
 func decodePodOp(payload []byte) (podOp, error) {
 	var op podOp
-	if store.IsLegacyJSON(payload) {
-		if err := json.Unmarshal(payload, &op); err != nil {
-			return op, fmt.Errorf("solid: legacy pod op: %w", err)
-		}
-		if _, err := podOpKindByte(op.Kind); err != nil {
-			return op, err
-		}
-		return op, nil
-	}
 	if len(payload) < 2 || payload[0] != tagPodOp {
 		return op, fmt.Errorf("solid: not a pod op record")
 	}
@@ -152,17 +140,10 @@ func encodePodSnapshot(snap *podSnapshot) ([]byte, error) {
 	return dst, nil
 }
 
-// decodePodSnapshot decodes a snapshot payload in either format.
-// Resource ETags are not stored: they are recomputed from the data
-// bytes, exactly as the pod does on every write.
+// decodePodSnapshot decodes a snapshot payload. Resource ETags are not
+// stored: they are recomputed from the data bytes, exactly as the pod
+// does on every write.
 func decodePodSnapshot(payload []byte) (*podSnapshot, error) {
-	if store.IsLegacyJSON(payload) {
-		var snap podSnapshot
-		if err := json.Unmarshal(payload, &snap); err != nil {
-			return nil, fmt.Errorf("solid: legacy pod snapshot: %w", err)
-		}
-		return &snap, nil
-	}
 	if len(payload) == 0 || payload[0] != tagPodSnapshot {
 		return nil, fmt.Errorf("solid: not a pod snapshot payload")
 	}

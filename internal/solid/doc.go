@@ -68,7 +68,9 @@
 // A pod opened with OpenPod (or created on a Host after
 // EnablePersistence) journals every mutation's effect — the stored
 // bytes, the deleted path, the installed ACL — to a per-pod op log,
-// with full-content snapshots bounding replay. A restarted pod serves
+// with full-content snapshots bounding replay (written when the log
+// tail has outgrown the last one: store.SnapshotDue, the chain's rule).
+// A restarted pod serves
 // byte-identical resources with identical ETags, reports the same ACL
 // generation, and never re-mints a POST-assigned child name. Mutations
 // on a durable pod fail if their journal append fails; replay applies

@@ -14,10 +14,6 @@ import (
 // podLogName is the per-pod operation log filename.
 const podLogName = "oplog.wal"
 
-// defaultPodSnapshotEvery is the op cadence of pod snapshots when
-// PodStoreOptions.SnapshotEvery is zero.
-const defaultPodSnapshotEvery = 256
-
 // podSnapshotsKept bounds retained pod snapshot files.
 const podSnapshotsKept = 3
 
@@ -25,9 +21,6 @@ const podSnapshotsKept = 3
 type PodStoreOptions struct {
 	// WAL is the operation log's fsync policy.
 	WAL store.Options
-	// SnapshotEvery is the op cadence of full-content snapshots that
-	// bound replay (default 256).
-	SnapshotEvery int
 }
 
 // podOp is one logged mutation effect. Replay applies effects directly —
@@ -37,27 +30,27 @@ type PodStoreOptions struct {
 type podOp struct {
 	// Kind is "put" (create/replace, covering Append's net effect too),
 	// "del", or "acl".
-	Kind string `json:"kind"`
+	Kind string
 	// Path is the affected resource (or ACL target) path.
-	Path string `json:"path"`
+	Path string
 	// ContentType/Data/Modified describe the stored resource for "put".
-	ContentType string    `json:"contentType,omitempty"`
-	Data        []byte    `json:"data,omitempty"`
-	Modified    time.Time `json:"modified,omitzero"`
+	ContentType string
+	Data        []byte
+	Modified    time.Time
 	// ACL is the installed document for "acl".
-	ACL *ACL `json:"acl,omitempty"`
+	ACL *ACL
 	// PostSeq is the pod's POST-minting counter after the op, so replay
 	// never re-mints a server-assigned child name.
-	PostSeq uint64 `json:"postSeq,omitempty"`
+	PostSeq uint64
 }
 
 // podSnapshot is a full pod dump bounding op replay.
 type podSnapshot struct {
-	Ops       uint64          `json:"ops"` // op count the snapshot covers
-	PostSeq   uint64          `json:"postSeq"`
-	ACLGen    uint64          `json:"aclGen"`
-	Resources []*Resource     `json:"resources"`
-	ACLs      map[string]*ACL `json:"acls"`
+	Ops       uint64 // op count the snapshot covers
+	PostSeq   uint64
+	ACLGen    uint64
+	Resources []*Resource
+	ACLs      map[string]*ACL
 }
 
 // podStore is a pod's attached durability state. Its fields are guarded
@@ -70,11 +63,17 @@ type podSnapshot struct {
 // prefix would trade that property for bounded storage; if a
 // deployment ever needs it, the rotation must keep at least one
 // verified snapshot per truncated prefix.
+//
+// Snapshots follow the chain's rule (store.SnapshotDue): tailBytes is the
+// op-log payload appended since the last snapshot, snapBytes that
+// snapshot's size, floor store.SnapshotFloor (tests lower it).
 type podStore struct {
-	wal   *store.WAL
-	dir   string
-	every int
-	ops   uint64 // total ops in the log (replayed + appended)
+	wal       *store.WAL
+	dir       string
+	ops       uint64 // total ops in the log (replayed + appended)
+	tailBytes int64
+	snapBytes int64
+	floor     int64
 }
 
 // OpenPod opens (or bootstraps) a durable pod rooted at dir: it loads
@@ -99,7 +98,12 @@ func OpenPod(owner WebID, baseURL, dir string, opts PodStoreOptions) (*Pod, erro
 	p.mu.Lock()
 	defer p.mu.Unlock()
 
-	start := uint64(0)
+	// ps.ops counts the records actually in the log (snapshot base + the
+	// replayed tail) — the op log is the source of truth, not the ACL
+	// generation, even though the two agree on every successful path.
+	// tailBytes starts at what this open replays, so a pod that keeps
+	// restarting still reaches its next snapshot.
+	ps := &podStore{wal: wal, dir: dir, floor: store.SnapshotFloor}
 	if seq, payload, ok := store.LatestSnapshot(dir, uint64(len(records))); ok {
 		if snap, err := decodePodSnapshot(payload); err == nil && snap.Ops == seq {
 			for _, r := range snap.Resources {
@@ -110,17 +114,16 @@ func OpenPod(owner WebID, baseURL, dir string, opts PodStoreOptions) (*Pod, erro
 			}
 			p.postSeq = snap.PostSeq
 			p.aclGen.Store(snap.ACLGen)
-			start = seq
+			ps.ops, ps.snapBytes = seq, int64(len(payload))
 		}
 		// An undecodable snapshot is skipped: the log tail below carries
 		// every op, so full replay recovers the same content.
 	}
 	lastGoodEnd := int64(0)
-	if start > 0 {
-		lastGoodEnd = records[start-1].End
+	if ps.ops > 0 {
+		lastGoodEnd = records[ps.ops-1].End
 	}
-	applied := uint64(0)
-	for _, rec := range records[start:] {
+	for _, rec := range records[ps.ops:] {
 		op, err := decodePodOp(rec.Payload)
 		if err != nil {
 			// A record that passes the CRC but not the schema is damage
@@ -128,7 +131,8 @@ func OpenPod(owner WebID, baseURL, dir string, opts PodStoreOptions) (*Pod, erro
 			break
 		}
 		p.applyOpLocked(op)
-		applied++
+		ps.ops++
+		ps.tailBytes += int64(len(rec.Payload))
 		lastGoodEnd = rec.End
 	}
 	if lastGoodEnd < wal.Size() {
@@ -136,14 +140,7 @@ func OpenPod(owner WebID, baseURL, dir string, opts PodStoreOptions) (*Pod, erro
 			return nil, errors.Join(err, wal.Close())
 		}
 	}
-	every := opts.SnapshotEvery
-	if every <= 0 {
-		every = defaultPodSnapshotEvery
-	}
-	// ops counts the records actually in the log (snapshot base + the
-	// replayed tail) — the op log is the source of truth, not the ACL
-	// generation, even though the two agree on every successful path.
-	p.persist = &podStore{wal: wal, dir: dir, every: every, ops: start + applied}
+	p.persist = ps
 	return p, nil
 }
 
@@ -192,18 +189,21 @@ func (p *Pod) logOpLocked(op podOp) error {
 		return fmt.Errorf("solid: persist pod op: %w", err)
 	}
 	p.persist.ops++
+	p.persist.tailBytes += int64(len(buf))
 	return nil
 }
 
-// maybeSnapshotLocked snapshots on the op cadence. Callers hold p.mu
-// for writing and call it AFTER applying the mutation, so the snapshot
-// includes the op it is stamped with. A failed snapshot never fails the
-// (already journaled and applied) mutation: recovery just replays a
-// longer tail.
+// maybeSnapshotLocked snapshots when the op-log tail has outgrown the
+// last snapshot. Callers hold p.mu for writing and call it AFTER applying
+// the mutation, so the snapshot includes the op it is stamped with. A
+// failed snapshot never fails the (already journaled and applied)
+// mutation: recovery just replays a longer tail.
 func (p *Pod) maybeSnapshotLocked() {
-	if p.persist == nil || p.persist.every <= 0 || p.persist.ops%uint64(p.persist.every) != 0 {
+	ps := p.persist
+	if ps == nil || !store.SnapshotDue(ps.tailBytes, ps.snapBytes, ps.floor) {
 		return
 	}
+	ps.tailBytes = 0 // also on failure: the retry comes a tail later, not on every op
 	if err := p.writeSnapshotLocked(); err != nil {
 		log.Printf("solid: pod snapshot at op %d skipped: %v", p.persist.ops, err)
 	}
@@ -212,20 +212,17 @@ func (p *Pod) maybeSnapshotLocked() {
 // writeSnapshotLocked dumps the pod under its current op count. Callers
 // hold p.mu for writing.
 func (p *Pod) writeSnapshotLocked() error {
+	// Encoded before p.mu is released, so the dump shares the pod's
+	// resources and ACLs instead of copying them.
 	snap := podSnapshot{
-		Ops:     p.persist.ops,
-		PostSeq: p.postSeq,
-		ACLGen:  p.aclGen.Load(),
-		ACLs:    make(map[string]*ACL, len(p.acls)),
+		Ops:       p.persist.ops,
+		PostSeq:   p.postSeq,
+		ACLGen:    p.aclGen.Load(),
+		Resources: make([]*Resource, 0, len(p.resources)),
+		ACLs:      p.acls,
 	}
-	snap.Resources = make([]*Resource, 0, len(p.resources))
 	for _, r := range p.resources {
-		cp := *r
-		cp.Data = append([]byte(nil), r.Data...)
-		snap.Resources = append(snap.Resources, &cp)
-	}
-	for path, acl := range p.acls {
-		snap.ACLs[path] = acl
+		snap.Resources = append(snap.Resources, r)
 	}
 	buf, err := encodePodSnapshot(&snap)
 	if err != nil {
@@ -234,6 +231,7 @@ func (p *Pod) writeSnapshotLocked() error {
 	if err := store.WriteSnapshot(p.persist.dir, snap.Ops, buf); err != nil {
 		return fmt.Errorf("solid: write pod snapshot: %w", err)
 	}
+	p.persist.snapBytes = int64(len(buf))
 	if _, err := store.PruneSnapshots(p.persist.dir, podSnapshotsKept); err != nil {
 		return fmt.Errorf("solid: prune pod snapshots: %w", err)
 	}

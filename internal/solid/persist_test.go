@@ -2,7 +2,8 @@ package solid
 
 import (
 	"bytes"
-	"encoding/json"
+	"fmt"
+	"math/bits"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -157,16 +158,28 @@ func TestPodRestartPostMinting(t *testing.T) {
 	}
 }
 
-// TestPodRestartWithSnapshots: a tight snapshot cadence produces
-// snapshot files, prunes them, and restores identically from
-// snapshot+tail.
-func TestPodRestartWithSnapshots(t *testing.T) {
-	dir := t.TempDir()
-	opts := PodStoreOptions{WAL: store.Options{Sync: store.SyncNever}, SnapshotEvery: 3}
-	p, err := OpenPod(persistOwner, "https://alice.pod", dir, opts)
+// openPodWithFloor opens a durable pod and lowers its snapshot floor:
+// the in-package seam for tests that need snapshots on a pod far smaller
+// than store.SnapshotFloor. With floor 1 the rule alone decides.
+func openPodWithFloor(t *testing.T, dir string, floor int64) *Pod {
+	t.Helper()
+	p, err := OpenPod(persistOwner, "https://alice.pod", dir, PodStoreOptions{WAL: store.Options{Sync: store.SyncNever}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.mu.Lock()
+	p.persist.floor = floor
+	p.mu.Unlock()
+	return p
+}
+
+// TestPodRestartWithSnapshots: a pod that outgrows its snapshots
+// produces snapshot files, prunes them, and restores identically from
+// snapshot+tail — the tail counters included, so a pod that restarts
+// often still reaches its next snapshot.
+func TestPodRestartWithSnapshots(t *testing.T) {
+	dir := t.TempDir()
+	p := openPodWithFloor(t, dir, 1)
 	var paths []string
 	for i := range 11 {
 		path := filepath.Join("/data", string(rune('a'+i))+".txt")
@@ -179,14 +192,59 @@ func TestPodRestartWithSnapshots(t *testing.T) {
 	if err != nil || len(seqs) == 0 {
 		t.Fatalf("no pod snapshots written: %v, %v", seqs, err)
 	}
-	if seqs[0] != 9 {
-		t.Fatalf("newest snapshot at op %d, want 9", seqs[0])
+	if seqs[0] == 0 || seqs[0] >= 11 {
+		t.Fatalf("newest snapshot at op %d, want snapshot+tail", seqs[0])
 	}
 	if len(seqs) > podSnapshotsKept {
 		t.Fatalf("%d snapshots kept, want <= %d", len(seqs), podSnapshotsKept)
 	}
-	p2 := restartPod(t, p, dir, opts)
+	p2 := restartPod(t, p, dir, PodStoreOptions{WAL: store.Options{Sync: store.SyncNever}})
 	requireSamePod(t, p2, p, paths...)
+	if g, w := *p2.persist, *p.persist; g.ops != w.ops || g.tailBytes != w.tailBytes || g.snapBytes != w.snapBytes {
+		t.Fatalf("restarted with ops/tail/snapshot %d/%d/%d, want %d/%d/%d",
+			g.ops, g.tailBytes, g.snapBytes, w.ops, w.tailBytes, w.snapBytes)
+	}
+}
+
+// TestPodSnapshotRule: the pod layer snapshots by the same rule as the
+// chain (store.SnapshotDue against the last snapshot's size). A pod that
+// grows by equal-size PUTs writes O(log N) snapshots; a pod rewritten in
+// place 10 000 times under the real floor writes at most one per floor's
+// worth of op log.
+func TestPodSnapshotRule(t *testing.T) {
+	body := bytes.Repeat([]byte("x"), 100)
+	for _, tc := range []struct {
+		name  string
+		floor int64
+		ops   int
+		path  func(i int) string
+		limit func(logBytes int64) int
+	}{
+		{"growing", 2048, 2000, func(i int) string { return fmt.Sprintf("/data/%04d.txt", i) },
+			func(b int64) int { return bits.Len64(uint64(b/2048)) + 1 }},
+		{"rewritten-in-place", store.SnapshotFloor, 10_000, func(int) string { return "/data/hot.txt" },
+			func(b int64) int { return int(b / store.SnapshotFloor) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			p := openPodWithFloor(t, dir, tc.floor)
+			snapshots := 0
+			for i := range tc.ops {
+				if err := p.Put(persistOwner, tc.path(i), "text/plain", body, persistEpoch); err != nil {
+					t.Fatal(err)
+				}
+				if p.persist.tailBytes == 0 {
+					snapshots++
+				}
+			}
+			logBytes := p.persist.wal.Size()
+			if limit := tc.limit(logBytes); snapshots == 0 || snapshots > limit {
+				t.Fatalf("%d snapshots over %d ops (%d log bytes), want 1..%d", snapshots, tc.ops, logBytes, limit)
+			}
+			p2 := restartPod(t, p, dir, PodStoreOptions{WAL: store.Options{Sync: store.SyncNever}})
+			requireSamePod(t, p2, p, tc.path(0), tc.path(tc.ops-1))
+		})
+	}
 }
 
 // TestPodRestartTornOpLog: a torn tail in the pod op log recovers to the
@@ -289,11 +347,8 @@ func TestHostPersistenceRestart(t *testing.T) {
 // ignored in favour of a full op-log replay.
 func TestPodCorruptSnapshotFallsBack(t *testing.T) {
 	dir := t.TempDir()
-	opts := PodStoreOptions{WAL: store.Options{Sync: store.SyncNever}, SnapshotEvery: 2}
-	p, err := OpenPod(persistOwner, "https://alice.pod", dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opts := PodStoreOptions{WAL: store.Options{Sync: store.SyncNever}}
+	p := openPodWithFloor(t, dir, 1)
 	for i := range 4 {
 		if err := p.Put(persistOwner, "/f.txt", "text/plain", []byte{byte(i)}, persistEpoch); err != nil {
 			t.Fatal(err)
@@ -303,6 +358,9 @@ func TestPodCorruptSnapshotFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	seqs, _ := store.ListSnapshots(dir)
+	if len(seqs) == 0 {
+		t.Fatal("no snapshot to corrupt")
+	}
 	for _, seq := range seqs {
 		path := filepath.Join(dir, "snap-"+"0000000000000000"[:16-len(hex16(seq))]+hex16(seq)+".snap")
 		raw, err := os.ReadFile(path)
@@ -394,8 +452,8 @@ func TestPodMutationInvisibleOnLogFailure(t *testing.T) {
 }
 
 // TestPodOpCodecRoundTrip: binary pod op and snapshot records decode
-// back to equivalent structures, and the legacy JSON forms (what PR 4
-// wrote with json.Marshal) decode through the same entry points.
+// back to equivalent structures, and a payload that opens with '{' (what
+// PR 4 wrote with json.Marshal) is rejected like any other unknown tag.
 func TestPodOpCodecRoundTrip(t *testing.T) {
 	acl := NewACL(persistOwner, "/notes/")
 	acl.Grant("reader", []WebID{persistReader}, "/notes/", true, ModeRead)
@@ -415,16 +473,12 @@ func TestPodOpCodecRoundTrip(t *testing.T) {
 			t.Fatalf("op %d: %v", i, err)
 		}
 		requireSamePodOp(t, got, want)
-
-		legacy, err := json.Marshal(want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err = decodePodOp(legacy)
-		if err != nil {
-			t.Fatalf("op %d legacy: %v", i, err)
-		}
-		requireSamePodOp(t, got, want)
+	}
+	if _, err := decodePodOp([]byte(`{"kind":"del","path":"/a.bin"}`)); err == nil {
+		t.Fatal("JSON pod op decoded")
+	}
+	if _, err := decodePodSnapshot([]byte(`{"ops":9,"resources":[]}`)); err == nil {
+		t.Fatal("JSON pod snapshot decoded")
 	}
 	if _, err := encodePodOp(&podOp{Kind: "bogus"}); err == nil {
 		t.Fatal("unknown kind encoded")
@@ -472,13 +526,6 @@ func TestPodOpCodecRoundTrip(t *testing.T) {
 			t.Fatalf("resource %s = %+v, want %+v", want.Path, found, want)
 		}
 	}
-	legacySnap, err := json.Marshal(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err = decodePodSnapshot(legacySnap); err != nil || got.Ops != 9 {
-		t.Fatalf("legacy snapshot: %+v, %v", got, err)
-	}
 }
 
 func requireSamePodOp(t *testing.T, got, want podOp) {
@@ -493,83 +540,4 @@ func requireSamePodOp(t *testing.T, got, want podOp) {
 	if got.ACL != nil && !reflect.DeepEqual(got.ACL, want.ACL) {
 		t.Fatalf("op ACL = %+v, want %+v", got.ACL, want.ACL)
 	}
-}
-
-// TestPodLegacyJSONStoreRecovers: a pod dir written entirely in the
-// PR 4 JSON op-log format (reproduced by transcoding a binary-era log)
-// restores identical content, keeps journaling in the binary format,
-// and the resulting mixed-format log survives another restart.
-func TestPodLegacyJSONStoreRecovers(t *testing.T) {
-	binDir := t.TempDir()
-	clk := simclock.NewSim(persistEpoch)
-	opts := PodStoreOptions{WAL: store.Options{Sync: store.SyncNever}}
-	p, err := OpenPod(persistOwner, "https://alice.pod", binDir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	put := func(pd *Pod, path, body string) {
-		t.Helper()
-		clk.Advance(time.Second)
-		if err := pd.Put(persistOwner, path, "text/plain", []byte(body), clk.Now()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	put(p, "/notes/a.txt", "alpha")
-	put(p, "/notes/b.txt", "beta")
-	acl := NewACL(persistOwner, "/notes/")
-	acl.Grant("reader", []WebID{persistReader}, "/notes/", true, ModeRead)
-	if err := p.SetACL(persistOwner, "/notes/", acl); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Delete(persistOwner, "/notes/b.txt"); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.CloseStore(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Transcode the op log into the legacy JSON format.
-	legacyDir := t.TempDir()
-	wal, records, err := store.OpenWAL(filepath.Join(binDir, podLogName), store.Options{Sync: store.SyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wal.Close(); err != nil {
-		t.Fatal(err)
-	}
-	out, _, err := store.OpenWAL(filepath.Join(legacyDir, podLogName), store.Options{Sync: store.SyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range records {
-		op, err := decodePodOp(rec.Payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		legacy, err := json.Marshal(op)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := out.Append(legacy); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := out.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	p2, err := OpenPod(persistOwner, "https://alice.pod", legacyDir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSamePod(t, p2, p, "/notes/a.txt", "/notes/b.txt")
-	if err := p2.Authorize(persistReader, "/notes/a.txt", ModeRead); err != nil {
-		t.Fatalf("granted reader denied after legacy recovery: %v", err)
-	}
-
-	// New mutations append binary records after the JSON prefix; the
-	// mixed-format log must restore once more.
-	put(p2, "/notes/c.txt", "gamma")
-	p3 := restartPod(t, p2, legacyDir, opts)
-	requireSamePod(t, p3, p2, "/notes/a.txt", "/notes/c.txt")
 }

@@ -11,8 +11,7 @@ import (
 // by the chain and pod persistence formats: length-prefixed byte strings
 // with varint lengths and raw (never base64-inflated) payload bytes.
 // Record schemas live with their owning packages; this file only knows
-// how to frame primitives and how to tell a binary record from a
-// legacy JSON one.
+// how to frame primitives.
 //
 // Framing rules:
 //
@@ -25,20 +24,13 @@ import (
 //   - fixed-width fields (hashes, addresses) are raw bytes with no
 //     length prefix; the schema fixes their width
 //
-// Every durable record's first byte is a format tag. Legacy JSON records
-// (the PR 4 on-disk format) always start with '{', so decoders route on
-// IsLegacyJSON and old data dirs keep recovering.
+// Every durable record's first byte is a format tag; a payload that opens
+// with anything else (the '{' of a PR 4-era JSON record included) fails
+// decoding.
 
 // ErrCodec reports a malformed binary record payload (truncated field,
 // impossible length, or trailing garbage).
 var ErrCodec = errors.New("store: malformed binary record")
-
-// IsLegacyJSON reports whether a record payload is a legacy JSON
-// document rather than a tagged binary record. The binary format never
-// assigns '{' as a tag byte.
-func IsLegacyJSON(payload []byte) bool {
-	return len(payload) > 0 && payload[0] == '{'
-}
 
 // AppendUvarint appends v as a uvarint.
 func AppendUvarint(dst []byte, v uint64) []byte {
@@ -175,7 +167,7 @@ func (d *Dec) Uvarint() uint64 {
 }
 
 // Bytes reads a length-prefixed byte string, returning a copy (nil for a
-// zero length, matching the omitempty behaviour of the JSON era).
+// zero length).
 func (d *Dec) Bytes() []byte {
 	n := d.Uvarint()
 	if d.err != nil {

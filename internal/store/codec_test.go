@@ -120,16 +120,3 @@ func TestCodecInvalidBool(t *testing.T) {
 		t.Fatalf("err = %v", d.Err())
 	}
 }
-
-// TestIsLegacyJSON: the legacy/binary router keys off the first byte.
-func TestIsLegacyJSON(t *testing.T) {
-	if !IsLegacyJSON([]byte(`{"meta":{}}`)) {
-		t.Fatal("JSON object not detected")
-	}
-	if IsLegacyJSON([]byte{0x02, 0x01}) {
-		t.Fatal("binary tag detected as JSON")
-	}
-	if IsLegacyJSON(nil) {
-		t.Fatal("empty payload detected as JSON")
-	}
-}

@@ -30,5 +30,5 @@
 //
 // The package has no opinion about payload contents; the chain layer
 // stores sealed blocks with state diffs, the pod layer stores resource
-// operations. Both decide their own snapshot cadence.
+// operations. Both snapshot by the one rule in SnapshotDue.
 package store

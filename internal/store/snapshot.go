@@ -16,6 +16,27 @@ const (
 	snapSuffix = ".snap"
 )
 
+// SnapshotFloor is the smallest diff tail worth replacing with a
+// snapshot: below it, replaying the tail on recovery costs less than
+// writing the snapshot would have. Measured by the chain package's
+// BenchmarkSnapshotFloor on the reference host: replaying 1 MiB of diff
+// takes ≈ 3.0 ms, writing a 1 MiB snapshot (fsync and rename included)
+// ≈ 3.7 ms, loading one ≈ 5.8 ms.
+const SnapshotFloor = 1 << 20
+
+// SnapshotDue is the one snapshot trigger, shared by the chain and pod
+// layers: due when the diff tail a recovery would have to replay is at
+// least as large as the snapshot that would replace it, and at least
+// floor (SnapshotFloor outside tests). snapshotBytes is that snapshot's
+// size where the caller tracks it (the chain's State.Bytes), else the
+// last one's (pods). Snapshot writes then cost at most one byte per diff
+// byte committed (two for pods) and a recovery replays less than
+// max(floor, snapshotBytes). The rule reads committed bytes only, so
+// replicas and repeated runs snapshot at the same points.
+func SnapshotDue(tailBytes, snapshotBytes, floor int64) bool {
+	return tailBytes >= max(floor, snapshotBytes)
+}
+
 // snapshotPath returns the snapshot filename for a sequence number.
 func snapshotPath(dir string, seq uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("%s%016x%s", snapPrefix, seq, snapSuffix))

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"math/bits"
 	"os"
 	"testing"
 )
@@ -133,5 +134,53 @@ func TestListSnapshotsIgnoresForeignFiles(t *testing.T) {
 	seqs, err = ListSnapshots(dir + "/does-not-exist")
 	if err != nil || seqs != nil {
 		t.Fatalf("missing dir: %v, %v", seqs, err)
+	}
+}
+
+// TestSnapshotDue pins the one snapshot trigger: due exactly when the
+// tail has reached both the floor and the size of the snapshot.
+func TestSnapshotDue(t *testing.T) {
+	for _, tc := range []struct {
+		tail, snapshot, floor int64
+		want                  bool
+	}{
+		{0, 0, SnapshotFloor, false},
+		{SnapshotFloor - 1, 0, SnapshotFloor, false},             // below the floor a replay is cheaper than the fsync
+		{SnapshotFloor, 0, SnapshotFloor, true},                  // empty or tiny snapshot: the floor decides
+		{SnapshotFloor, 4 * SnapshotFloor, SnapshotFloor, false}, // past the floor, the snapshot's size decides
+		{4*SnapshotFloor - 1, 4 * SnapshotFloor, SnapshotFloor, false},
+		{4 * SnapshotFloor, 4 * SnapshotFloor, SnapshotFloor, true},
+		{100, 99, 1, true}, // a lowered floor (tests) leaves the rule alone
+		{98, 99, 1, false},
+	} {
+		if got := SnapshotDue(tc.tail, tc.snapshot, tc.floor); got != tc.want {
+			t.Errorf("SnapshotDue(%d, %d, %d) = %v, want %v", tc.tail, tc.snapshot, tc.floor, got, tc.want)
+		}
+	}
+}
+
+// TestSnapshotDueAmortises replays the rule over a tail that grows by a
+// fixed step while every snapshot is as large as everything committed so
+// far — the worst case for a pod, which compares against its last
+// snapshot. Snapshots come at geometrically growing sizes: O(log N) of
+// them, holding at most twice the final size plus the floor.
+func TestSnapshotDueAmortises(t *testing.T) {
+	const step, steps, floor = 1000, 10_000, 16_000
+	var tail, last, total, written int64
+	var count int
+	for range steps {
+		tail += step
+		total += step
+		if SnapshotDue(tail, last, floor) {
+			tail, last = 0, total
+			written += total
+			count++
+		}
+	}
+	if limit := bits.Len64(uint64(total/floor)) + 1; count > limit {
+		t.Fatalf("%d snapshots, want <= %d", count, limit)
+	}
+	if written > 2*total+floor {
+		t.Fatalf("wrote %d bytes of snapshots for %d committed", written, total)
 	}
 }
