@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/cryptoutil"
+	"repro/internal/obs"
 	"repro/internal/simclock"
 	"repro/internal/store"
 )
@@ -331,10 +332,10 @@ func parexecBenchTxs(b *testing.B, key *cryptoutil.KeyPair, count int, hotKey st
 
 // BenchmarkParallelExecution is the parexec ablation: block execution
 // latency across worker counts on a conflict-free 1k-tx workload (the
-// scheduler's best case — expected near-linear scaling, with ≥ 2× at 4
-// workers as the acceptance bar) and on a 100%-conflict workload (the
-// worst case — every optimistic result is discarded and the block
-// re-executes serially, so the bar is graceful degradation, not speedup).
+// scheduler's best case: it scales only as far as the host has idle
+// CPUs) and on a 100%-conflict workload (the worst case: the optimistic
+// pass is doomed from index 1, so the bar is the serial path's latency
+// plus the handful of executions discarded/op counts, not a speedup).
 func BenchmarkParallelExecution(b *testing.B) {
 	key := cryptoutil.MustGenerateKey()
 	ex := parexecBenchExecutor{rounds: 32}
@@ -350,10 +351,14 @@ func BenchmarkParallelExecution(b *testing.B) {
 		txs := parexecBenchTxs(b, key, 1000, wl.hotKey)
 		for _, workers := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("%s/workers=%d", wl.name, workers), func(b *testing.B) {
+				m := NewMetrics(obs.NewRegistry())
 				b.ReportAllocs()
 				for b.Loop() {
-					_, _ = ReplayBlock(ex, st, txs, bctx, workers)
+					overlay := NewOverlay(st)
+					_ = replayTxsParallelObs(ex, overlay, txs, txHashes(txs), bctx, workers, m)
+					_ = overlay.TakeDeltas()
 				}
+				b.ReportMetric(float64(m.ExecDiscarded.Value())/float64(b.N), "discarded/op")
 			})
 		}
 	}

@@ -1,6 +1,7 @@
 package chain
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -211,5 +212,58 @@ func TestConcurrentSubmitTxSingleNode(t *testing.T) {
 	}
 	if committed != senders*txsPerSender {
 		t.Fatalf("committed %d txs, want %d", committed, senders*txsPerSender)
+	}
+}
+
+// TestCostLedgerVisibleWithReceipt: whoever can see a receipt can see its
+// gas in the cost ledger. A waiter on each node of a two-validator
+// cluster wakes on the last transaction of a block and at once compares
+// the node's ledger with the gas in its committed receipts — on the
+// proposer (Seal) and on the follower (ApplyBlock), round after round.
+// Charging after commitBlock returned, as both paths once did, leaves a
+// window in which the waiter reads the ledger a block short.
+func TestCostLedgerVisibleWithReceipt(t *testing.T) {
+	nodes, net, _, clk := newTestCluster(t, 2)
+	sender := cryptoutil.MustGenerateKey()
+	const rounds, perBlock = 60, 32
+
+	nonce := uint64(0)
+	for round := range rounds {
+		txs := make([]*Tx, perBlock)
+		for i := range txs {
+			txs[i] = mustTx(t, sender, nonce, testContractAddr(), "k", "v")
+			nonce++
+		}
+		if _, err := net.SubmitEverywhereBatch(txs); err != nil {
+			t.Fatal(err)
+		}
+		last := txs[perBlock-1].Hash()
+
+		var wg sync.WaitGroup
+		for i, n := range nodes {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := n.WaitForReceipt(context.Background(), last); err != nil {
+					t.Errorf("round %d node %d: %v", round, i, err)
+					return
+				}
+				ledger := n.Costs().TotalSpent()
+				var fromReceipts uint64
+				for h := uint64(1); h <= n.Height(); h++ {
+					for _, r := range n.BlockByNumber(h).Receipts {
+						fromReceipts += r.GasUsed
+					}
+				}
+				if ledger != fromReceipts {
+					t.Errorf("round %d node %d: cost ledger %d != receipts total %d", round, i, ledger, fromReceipts)
+				}
+			}()
+		}
+		clk.Advance(time.Millisecond)
+		if _, err := net.SealNext(); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
 	}
 }

@@ -45,11 +45,35 @@
 // validation execute against a copy-on-write Overlay of the committed
 // state (O(touched keys), not O(ledger)), encode and append the WAL
 // record off-lock, and take the write lock only to fold the overlay's
-// delta set into the state and append the block. Receipt waiters are
-// woken through capacity-1 buffered channels, so a slow WaitForReceipt
-// consumer cannot stall a commit. State snapshots are serialized and
+// delta set into the state, append the block, and charge its gas to the
+// CostLedger (whose own lock is a leaf under mu) — in that order, and
+// before any receipt waiter is woken, so whoever can see a receipt can
+// see its block and its gas. Receipt waiters are woken through
+// capacity-1 buffered channels, so a slow WaitForReceipt consumer
+// cannot stall a commit. State snapshots are serialized and
 // written by a background goroutine fed a copy-on-write export, never
 // under any node lock.
+//
+// With Config.ExecWorkers other than 1, a block of four or more
+// transactions is executed by the optimistic scheduler of parallel.go,
+// in three phases. Workers execute transactions in claim order, each
+// against its own read-recording child of the block overlay, while
+// finished children are walked in block order accumulating the keys
+// written so far; the first child whose reads hit them fixes the
+// conflict index, workers stop claiming, and executions in flight are
+// dropped. When every worker has returned — the block overlay is not
+// written before that, so a child's result depends on the base state
+// and its transaction alone — the children ahead of the conflict index
+// are merged in order, and the transactions from it on run serially on
+// the result. The conflict index is the smallest index whose reads meet
+// an earlier child's writes, found by a walk that visits indexes in
+// order however they finish, so receipts, event order, roots and diffs
+// are those of the serial path at every worker count and under every
+// goroutine schedule; a block that conflicts from its second
+// transaction on costs the serial path plus about one discarded
+// execution per worker. The walk needs no lock: children are published
+// with atomic stores and whichever worker finds the walk idle advances
+// it (see frontier in parallel.go).
 //
 // What the locks do NOT guarantee: a Query observes the live state store
 // (State is internally synchronized, so reads are memory-safe), which

@@ -48,6 +48,7 @@ type Metrics struct {
 	SerialBlocks   *obs.Counter // blocks on the serial path (workers==1 or tiny)
 	ExecConflicts  *obs.Counter // blocks whose optimistic run hit a conflict
 	SerialTailTxs  *obs.Counter // transactions re-executed on the serial tail
+	ExecDiscarded  *obs.Counter // optimistic executions started whose result was not merged
 
 	// Durability.
 	SnapshotWrite  *obs.Histogram // background snapshot encode+write
@@ -95,6 +96,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		SerialBlocks:   reg.Counter("chain_exec_blocks_total", "blocks executed by path", obs.L("path", "serial")),
 		ExecConflicts:  reg.Counter("chain_exec_conflicts_total", "parallel blocks whose optimistic run hit a conflict"),
 		SerialTailTxs:  reg.Counter("chain_exec_serial_tail_txs_total", "transactions re-executed on the serial tail"),
+		ExecDiscarded:  reg.Counter("chain_exec_discarded_total", "optimistic executions started whose result was not merged"),
 
 		SnapshotWrite:  reg.Histogram("chain_snapshot_write_ns", "background snapshot encode and write duration"),
 		SnapshotBytes:  reg.Counter("chain_snapshot_bytes_total", "snapshot payload bytes written"),

@@ -172,8 +172,8 @@ func TestChainMetricsRecorded(t *testing.T) {
 			m.VerifyLatency.Count(), m.FoldLatency.Count(), m.ReceiptWait.Count())
 	}
 	// 8-tx conflict-free blocks through the parallel scheduler.
-	if m.ParallelBlocks.Value() != 3 || m.ExecConflicts.Value() != 0 {
-		t.Fatalf("parallel=%d conflicts=%d", m.ParallelBlocks.Value(), m.ExecConflicts.Value())
+	if m.ParallelBlocks.Value() != 3 || m.ExecConflicts.Value() != 0 || m.ExecDiscarded.Value() != 0 {
+		t.Fatalf("parallel=%d conflicts=%d discarded=%d", m.ParallelBlocks.Value(), m.ExecConflicts.Value(), m.ExecDiscarded.Value())
 	}
 	if m.ExecWorkers.Value() != 4 {
 		t.Fatalf("exec workers = %d, want 4", m.ExecWorkers.Value())

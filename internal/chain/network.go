@@ -154,22 +154,15 @@ func (n *Node) ApplyBlock(block *Block, proposerKey []byte) error {
 	// Commit the validated execution: the overlay's write set is the
 	// block diff — no second replay against the real state.
 	applied := &Block{Header: h, Txs: block.Txs, Receipts: receipts}
-	if err := n.commitBlock(applied, overlay.TakeDeltas()); err != nil {
-		return err
-	}
-
-	for i, tx := range block.Txs {
-		n.costs.Record(tx.From, tx.Method, receipts[i].GasUsed)
-	}
-	return nil
+	return n.commitBlock(applied, overlay.TakeDeltas())
 }
 
 // replayTxs executes one block's transactions against st (a seal-time or
 // validation overlay), producing receipts with block-local event
 // indexes. hashes are the transactions' hashes, parallel to txs. It is
 // the single execution path for sealing and validation; it never
-// touches the node's cost ledger — callers record gas only after the
-// block durably commits.
+// touches the node's cost ledger — commitBlock charges gas once the
+// block is durable.
 func replayTxs(ex Executor, st StateRW, txs []*Tx, hashes []cryptoutil.Hash, bctx BlockContext) []*Receipt {
 	receipts := make([]*Receipt, 0, len(txs))
 	eventIndex := 0

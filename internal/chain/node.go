@@ -524,12 +524,6 @@ func (n *Node) seal(force bool) (*Block, error) {
 	if err := n.commitBlock(block, overlay.TakeDeltas()); err != nil {
 		return nil, err
 	}
-	// Costs are recorded only after the block durably committed, so a
-	// WAL failure never leaves the gas ledger charged for a dropped
-	// block (ApplyBlock does the same).
-	for i, tx := range txs {
-		n.costs.Record(tx.From, tx.Method, receipts[i].GasUsed)
-	}
 	return block, nil
 }
 
@@ -558,9 +552,9 @@ func (n *Node) executeBlock(overlay *Overlay, txs []*Tx, hashes []cryptoutil.Has
 // untouched — the deltas are simply dropped — so the PR 4 invariant
 // (memory never ahead of disk-acknowledged state) holds with no rollback
 // path at all. Only the O(touched-keys) delta fold, the ledger append,
-// and waiter wakeups run under the write lock; when a snapshot is due, a
-// copy-on-write export is taken after mu is released (sealMu alone keeps
-// writers out) and handed to the background writer.
+// the gas charge, and waiter wakeups run under the write lock; when a
+// snapshot is due, a copy-on-write export is taken after mu is released
+// (sealMu alone keeps writers out) and handed to the background writer.
 func (n *Node) commitBlock(block *Block, deltas []Delta) error {
 	if n.wal != nil {
 		payload, err := encodeWALBlock(&walBlock{
@@ -584,6 +578,12 @@ func (n *Node) commitBlock(block *Block, deltas []Delta) error {
 	st.applyDeltas(deltas)
 	foldTm.Stop()
 	n.blocks = append(n.blocks, block)
+	// Gas is charged here — after the WAL accepted the block, so a
+	// dropped block is never charged, and before any waiter is woken, so
+	// whoever can see a receipt can see its gas in the cost ledger.
+	for i, tx := range block.Txs {
+		n.costs.Record(tx.From, tx.Method, block.Receipts[i].GasUsed)
+	}
 	for _, r := range block.Receipts {
 		n.receipts[r.TxHash] = r
 		events = append(events, r.Events...)

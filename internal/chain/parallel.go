@@ -18,25 +18,38 @@ import (
 // execution caps the whole cluster's commit throughput. The parallel
 // scheduler instead:
 //
-//  1. executes every transaction optimistically against its own child
-//     overlay of the (quiescent) block overlay, recording the keys it
-//     read (including misses and Keys-listing prefixes) and wrote;
-//  2. walks the transactions in block order, merging each child whose
-//     read set is disjoint from the write sets merged ahead of it —
-//     such a transaction observed exactly the state the serial path
+//  1. executes transactions optimistically, in claim order, each against
+//     its own child overlay of the (quiescent) block overlay, recording
+//     the keys it read (including misses and Keys-listing prefixes) and
+//     wrote — and, while workers execute, walks the finished children in
+//     block order (the frontier), accumulating the write keys of the
+//     children it has passed. A child whose read set is disjoint from
+//     the writes ahead of it observed exactly the state the serial path
 //     would have shown it, so its receipt and write set are already
-//     correct;
-//  3. on the first conflict, abandons the remaining children and
-//     re-executes that transaction and everything after it serially
-//     against the block overlay (which now holds exactly the effects of
-//     the merged prefix), which is the serial path by construction.
+//     correct. The first child whose read set hits them fixes the
+//     conflict index; workers stop claiming transactions, the few
+//     executions already in flight finish and are dropped;
+//  2. once every worker has returned, merges the clean prefix — the
+//     children before the conflict index — into the block overlay, in
+//     block order;
+//  3. re-executes the conflicting transaction and everything after it
+//     serially against the block overlay (which now holds exactly the
+//     effects of the merged prefix), which is the serial path by
+//     construction.
 //
-// The schedule is deterministic: the children's read/write sets depend
-// only on the base state and the transactions (phase 1 is
-// order-independent), so the first-conflict index — and therefore every
-// receipt, the event order, the state root, and the block diff — is
-// identical for every worker count, including 1. The differential tests
-// in parallel_test.go pin this against the serial path.
+// The schedule is deterministic. The block overlay is not written until
+// every worker has returned (the frontier only reads finished children),
+// so a child's read and write sets depend only on the base state and its
+// transaction, never on which other children ran, finished, or were
+// never started. The conflict index is the smallest i whose reads hit
+// the writes of children 0..i-1: a function of those sets alone, found
+// by a walk that visits indexes in order whatever order they finish in.
+// Every receipt, the event order, the state root, and the block diff are
+// therefore identical for every worker count, including 1, and under
+// every goroutine schedule; only the number of optimistic executions
+// thrown away varies (about one per worker on a conflicting block). The
+// differential and schedule tests in parallel_test.go pin this against
+// the serial path.
 
 // minParallelTxs is the block size below which the scheduler falls back
 // to the serial path: per-child overlay setup and merge bookkeeping cost
@@ -52,6 +65,67 @@ func execWorkerCount(workers int) int {
 	return workers
 }
 
+// frontier is the block-order conflict walk that runs beside optimistic
+// execution. It has no goroutine of its own: a worker that publishes a
+// child while no pass is running carries the walk over every child
+// published so far and goes back to executing; a worker that publishes
+// while a pass is running leaves a count and goes straight back, and the
+// running pass goes round again before it retires. No worker ever waits
+// for another.
+type frontier struct {
+	// children[i] is set, once, when transaction i's optimistic
+	// execution is final; the atomic store is what publishes the child's
+	// maps to the pass that reads them.
+	children []atomic.Pointer[Overlay]
+	// pending counts publications no finished pass has accounted for.
+	// The publisher that takes it from 0 to 1 owns the pass until it
+	// brings it back to 0; that hand-over orders one pass's writes to at
+	// and written before the next pass's reads.
+	pending atomic.Int64
+	// stop tells workers the conflict index is known: claim no more.
+	stop atomic.Bool
+
+	at      int                 // next index to examine; owned by the running pass
+	written map[string]struct{} // write keys of children [0, at); owned by the running pass
+}
+
+// publish records transaction i's finished child and, if no pass is
+// running, walks the frontier forward. When every worker has returned,
+// every published child has been seen by a pass that started after its
+// publication, so at is the block's first conflict index (or len(children)).
+func (f *frontier) publish(i int, child *Overlay) {
+	f.children[i].Store(child)
+	if f.pending.Add(1) != 1 {
+		return
+	}
+	for {
+		seen := f.pending.Load()
+		f.walk()
+		if f.pending.Add(-seen) == 0 {
+			return
+		}
+	}
+}
+
+// walk advances at over the contiguous published children, folding each
+// one's write keys into written, until it meets an unpublished slot or
+// the first child whose reads hit the writes ahead of it. It only reads
+// children: the block overlay they execute against stays untouched.
+func (f *frontier) walk() {
+	for !f.stop.Load() && f.at < len(f.children) {
+		child := f.children[f.at].Load()
+		if child == nil {
+			return
+		}
+		if child.conflictsWith(f.written) {
+			f.stop.Store(true)
+			return
+		}
+		child.addWriteKeys(f.written)
+		f.at++
+	}
+}
+
 // replayTxsParallel executes one block's transactions against parent
 // with up to workers goroutines, producing exactly the receipts, final
 // overlay layer, and root that replayTxs would. workers <= 0 selects
@@ -65,9 +139,9 @@ func replayTxsParallel(ex Executor, parent *Overlay, txs []*Tx, bctx BlockContex
 // replayTxsParallelObs is replayTxsParallel given the block's
 // precomputed transaction hashes (parallel to txs), with scheduler stats
 // recorded into m (never nil): workers used, blocks by path, conflict
-// count, and serial-tail length. Metrics are observers only — they
-// never influence the schedule, so instrumented and bare runs produce
-// bit-identical blocks.
+// count, serial-tail length, and optimistic executions discarded.
+// Metrics are observers only — they never influence the schedule, so
+// instrumented and bare runs produce bit-identical blocks.
 func replayTxsParallelObs(ex Executor, parent *Overlay, txs []*Tx, hashes []cryptoutil.Hash, bctx BlockContext, workers int, m *Metrics) []*Receipt {
 	workers = execWorkerCount(workers)
 	if workers > len(txs) {
@@ -80,19 +154,24 @@ func replayTxsParallelObs(ex Executor, parent *Overlay, txs []*Tx, hashes []cryp
 	m.ParallelBlocks.Inc()
 	m.ExecWorkers.Set(int64(workers))
 
-	// Phase 1: optimistic execution, every transaction against its own
-	// read-recording child overlay. Workers pull indexes from an atomic
-	// counter; results land in per-index slots, so scheduling order
-	// never influences the outcome.
-	children := make([]*Overlay, len(txs))
+	// Phase 1: optimistic execution in claim order, each transaction
+	// against its own read-recording child overlay, with the frontier
+	// walking the finished children in block order beside it. Workers
+	// pull indexes from an atomic counter until it runs out or the
+	// frontier has found the conflict; results land in per-index slots,
+	// so scheduling order never influences the outcome.
 	receipts := make([]*Receipt, len(txs))
+	f := frontier{
+		children: make([]atomic.Pointer[Overlay], len(txs)),
+		written:  make(map[string]struct{}),
+	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for range workers {
 		go func() {
 			defer wg.Done()
-			for {
+			for !f.stop.Load() {
 				i := int(next.Add(1)) - 1
 				if i >= len(txs) {
 					return
@@ -107,31 +186,31 @@ func replayTxsParallelObs(ex Executor, parent *Overlay, txs []*Tx, hashes []cryp
 					child.RevertTo(0)
 					r.Events = nil
 				}
-				children[i], receipts[i] = child, r
+				receipts[i] = r
+				f.publish(i, child)
 			}
 		}()
 	}
 	wg.Wait()
 
-	// Phase 2: merge in transaction order. written accumulates the keys
-	// the merged prefix wrote; the first transaction whose reads touch
-	// it ends the optimistic run.
-	conflictAt := len(txs)
-	written := make(map[string]struct{})
-	for i, child := range children {
-		if child.conflictsWith(written) {
-			conflictAt = i
-			break
-		}
-		parent.mergeChild(child)
-		child.addWriteKeys(written)
-		children[i] = nil // drop the child's maps eagerly
-	}
-
+	// Every published child has been walked (see frontier.publish), so
+	// the frontier rests on the first conflict, or past the last
+	// transaction when there is none. Executions were claimed
+	// contiguously from 0, so those at or past it are the wasted ones.
+	conflictAt := f.at
+	started := min(int(next.Load()), len(txs))
+	m.ExecDiscarded.Add(uint64(started - conflictAt))
 	if conflictAt < len(txs) {
 		m.ExecConflicts.Inc()
 		m.SerialTailTxs.Add(uint64(len(txs) - conflictAt))
 	}
+
+	// Phase 2: merge the clean prefix in transaction order. Only now,
+	// with no child left executing, is the block overlay written.
+	for i := range conflictAt {
+		parent.mergeChild(f.children[i].Load())
+	}
+
 	if tr := m.Tracer; tr != nil {
 		for i, h := range hashes {
 			if i < conflictAt {

@@ -5,11 +5,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/cryptoutil"
+	"repro/internal/obs"
 	"repro/internal/simclock"
 )
 
@@ -162,6 +165,7 @@ func TestDifferentialParallelAllConflicts(t *testing.T) {
 //	"del"   {key}       : delete; writes "deleted:<yes|no>" event.
 //	"count" {key}       : lists Keys("<contract>/item/") and stores the
 //	                      count under the given key.
+//	"claim" {key, value}: writes the item, then reverts if it was taken.
 type rwExecutor struct{}
 
 func (rwExecutor) ExecuteTx(st StateRW, tx *Tx, bctx BlockContext) *Receipt {
@@ -183,6 +187,15 @@ func (rwExecutor) ExecuteTx(st StateRW, tx *Tx, bctx BlockContext) *Receipt {
 			verdict = "yes"
 		}
 		r.Events = append(r.Events, Event{Contract: tx.Contract, Topic: "Del", Key: args.Key, Data: []byte("deleted:" + verdict)})
+	case "claim":
+		// Write first, check second: a revert has a write to roll back,
+		// and the read it was decided on must outlive the rollback.
+		k := prefix + args.Key
+		_, taken := st.Get(k)
+		st.Set(k, []byte(args.Value))
+		if taken {
+			return &Receipt{Status: StatusReverted, GasUsed: GasTxBase, Err: "taken"}
+		}
 	case "count":
 		n := len(st.Keys(prefix))
 		st.Set(tx.Contract.String()+"/"+args.Key, []byte(strconv.Itoa(n)))
@@ -254,6 +267,254 @@ func TestDifferentialParallelDeleteAndPrefixConflicts(t *testing.T) {
 				t.Fatalf("count n2 = %s, want 2", got)
 			}
 		})
+	}
+}
+
+// scheduleExecutor wraps an executor for the scheduler tests: it counts
+// ExecuteTx calls and holds each one up the way the test chooses, so
+// children finish in an order the test controls rather than in claim
+// order.
+type scheduleExecutor struct {
+	Executor
+	calls atomic.Int64
+	hold  func(tx *Tx) // nil: no hold-up
+}
+
+func (e *scheduleExecutor) ExecuteTx(st StateRW, tx *Tx, bctx BlockContext) *Receipt {
+	e.calls.Add(1)
+	if e.hold != nil {
+		e.hold(tx)
+	}
+	return e.Executor.ExecuteTx(st, tx, bctx)
+}
+
+// seededDelays holds each transaction of a block up for its own delay,
+// drawn from seed: a different completion order per seed. The hold is a
+// yielding spin — the host's sleep granularity (about a millisecond)
+// would round every delay to the same value.
+func seededDelays(seed int64, hashes []cryptoutil.Hash) func(*Tx) {
+	rng := rand.New(rand.NewSource(seed))
+	delays := make(map[cryptoutil.Hash]time.Duration, len(hashes))
+	for _, h := range hashes {
+		delays[h] = time.Duration(rng.Intn(120)) * time.Microsecond
+	}
+	return func(tx *Tx) {
+		for start, d := time.Now(), delays[tx.Hash()]; time.Since(start) < d; {
+			runtime.Gosched()
+		}
+	}
+}
+
+// scheduleTestWorkers are the widths the schedule tests sweep: the
+// serial degenerate case, the smallest real pool, an odd one, and one
+// wider than any host this runs on.
+var scheduleTestWorkers = []int{1, 2, 3, 8}
+
+// plantedConflictTxs builds an n-transaction block whose first conflict
+// is exactly at index at (at >= 1: nothing is written ahead of index 0,
+// so it can never conflict): blind writes to distinct keys, with a
+// read-modify-write of one hot counter at index 0, at index at, and at
+// every index after it — so the serial tail's result depends on its
+// order. at == n plants nothing.
+func plantedConflictTxs(t testing.TB, key *cryptoutil.KeyPair, n, at int) []*Tx {
+	t.Helper()
+	txs := make([]*Tx, n)
+	for i := range txs {
+		method, args := "set", setArgs{Key: fmt.Sprintf("k%03d", i), Value: "v"}
+		if at < n && (i == 0 || i >= at) {
+			method, args = "incr", setArgs{Key: "hot"}
+		}
+		tx, err := NewTx(key, uint64(i), testContractAddr(), method, args, 200_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		txs[i] = tx
+	}
+	return txs
+}
+
+// TestParallelScheduleIndependence: the conflict index is found while
+// children are still finishing, in whatever order the host schedules
+// them — and must not depend on that order. Every transaction is held
+// for a seeded random delay so completion order is a fresh permutation
+// each repetition; with the first conflict planted early, at the pool's
+// edge, at the last index, and nowhere, every width and every repetition
+// must reproduce the serial path's receipts, root and diff, and report
+// the same conflict and serial-tail counts.
+func TestParallelScheduleIndependence(t *testing.T) {
+	const n, reps = 16, 20
+	key := cryptoutil.MustGenerateKey()
+	bctx := BlockContext{Number: 1, Time: chainEpoch}
+	for _, workers := range scheduleTestWorkers {
+		plants := map[int]bool{1: true, 2: true, workers - 1: true, workers: true, n - 1: true, n: true}
+		for at := range plants {
+			if at < 1 {
+				continue
+			}
+			t.Run(fmt.Sprintf("workers=%d/conflictAt=%d", workers, at), func(t *testing.T) {
+				txs := plantedConflictTxs(t, key, n, at)
+				hashes := txHashes(txs)
+				st := NewState()
+				for rep := range reps {
+					serialOv := NewOverlay(st)
+					serial := replayTxs(testExecutor{}, serialOv, txs, hashes, bctx)
+					ex := &scheduleExecutor{Executor: testExecutor{}, hold: seededDelays(int64(rep), hashes)}
+					m := NewMetrics(obs.NewRegistry())
+					parOv := NewOverlay(st)
+					par := replayTxsParallelObs(ex, parOv, txs, hashes, bctx, workers, m)
+					requireSameExecution(t, fmt.Sprintf("rep %d", rep), serial, par, serialOv, parOv)
+
+					wantConflicts, wantTail := uint64(0), uint64(0)
+					if workers > 1 && at < n {
+						wantConflicts, wantTail = 1, uint64(n-at)
+					}
+					if c, tail := m.ExecConflicts.Value(), m.SerialTailTxs.Value(); c != wantConflicts || tail != wantTail {
+						t.Fatalf("rep %d: conflicts=%d serial tail=%d, want %d and %d", rep, c, tail, wantConflicts, wantTail)
+					}
+					// Whatever was started and not merged is what was discarded,
+					// and a conflict-free block discards nothing.
+					if d, wasted := m.ExecDiscarded.Value(), uint64(ex.calls.Load())-uint64(n); d != wasted {
+						t.Fatalf("rep %d: discarded=%d, executor saw %d calls for %d txs", rep, d, ex.calls.Load(), n)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestParallelWasteBound: on a block where every transaction conflicts,
+// the optimistic pass is doomed from index 1, and the scheduler must stop
+// paying for it about as soon as the first two children are in: with
+// equal-cost transactions the executor is called once per transaction
+// plus a few per worker (every worker may hold one execution in flight
+// and claim one more before it sees the stop), not twice per
+// transaction. A conflict-free block of the same size wastes nothing.
+func TestParallelWasteBound(t *testing.T) {
+	const n = 256
+	key := cryptoutil.MustGenerateKey()
+	bctx := BlockContext{Number: 1, Time: chainEpoch}
+	// Equal cost as a sleep, not a spin: the bound is about which
+	// executions get started, and a sleeping worker cannot be starved of
+	// a CPU by its neighbours on a small or busy host.
+	equalCost := func(*Tx) { time.Sleep(300 * time.Microsecond) }
+	for _, workers := range []int{2, 4, 8} {
+		t.Run(fmt.Sprintf("all-conflict/workers=%d", workers), func(t *testing.T) {
+			txs := plantedConflictTxs(t, key, n, 1)
+			ex := &scheduleExecutor{Executor: testExecutor{}, hold: equalCost}
+			m := NewMetrics(obs.NewRegistry())
+			receipts := replayTxsParallelObs(ex, NewOverlay(NewState()), txs, txHashes(txs), bctx, workers, m)
+			if ev := receipts[n-1].Events; len(ev) != 1 || string(ev[0].Data) != strconv.Itoa(n) {
+				t.Fatalf("final counter event = %+v, want %d", ev, n)
+			}
+			calls := int(ex.calls.Load())
+			if limit := n + 8*workers; calls > limit {
+				t.Fatalf("executor called %d times for %d txs, want <= %d (executing the whole block twice is %d)", calls, n, limit, 2*n-1)
+			}
+			if d := m.ExecDiscarded.Value(); d != uint64(calls-n) || d == 0 {
+				t.Fatalf("discarded=%d, want calls-txs = %d (and at least the conflicting child)", d, calls-n)
+			}
+			if c, tail := m.ExecConflicts.Value(), m.SerialTailTxs.Value(); c != 1 || tail != n-1 {
+				t.Fatalf("conflicts=%d serial tail=%d, want 1 and %d", c, tail, n-1)
+			}
+		})
+		t.Run(fmt.Sprintf("conflict-free/workers=%d", workers), func(t *testing.T) {
+			txs := plantedConflictTxs(t, key, n, n)
+			ex := &scheduleExecutor{Executor: testExecutor{}}
+			m := NewMetrics(obs.NewRegistry())
+			replayTxsParallelObs(ex, NewOverlay(NewState()), txs, txHashes(txs), bctx, workers, m)
+			if calls, d := ex.calls.Load(), m.ExecDiscarded.Value(); calls != n || d != 0 {
+				t.Fatalf("calls=%d discarded=%d, want %d and 0", calls, d, n)
+			}
+			if c, tail := m.ExecConflicts.Value(), m.SerialTailTxs.Value(); c != 0 || tail != 0 {
+				t.Fatalf("conflicts=%d serial tail=%d, want 0 and 0", c, tail)
+			}
+		})
+	}
+}
+
+// TestParallelScheduleRevertAndPrefixReads: two read-set corners the
+// in-order walk must get right under a permuted completion order. A
+// transaction that reverts in both paths sits in the clean prefix and
+// contributes no writes; a transaction whose OPTIMISTIC run reverts on a
+// stale read must still be caught by that read (the rollback keeps the
+// read set), or its reverted receipt would be merged where the serial
+// path succeeds. And a Keys listing is the first conflict of a block
+// whose earlier transactions only write blindly.
+func TestParallelScheduleRevertAndPrefixReads(t *testing.T) {
+	key := cryptoutil.MustGenerateKey()
+	mk := func(nonce int, method, k string) *Tx {
+		tx, err := NewTx(key, uint64(nonce), testContractAddr(), method, setArgs{Key: k, Value: "v"}, 200_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tx
+	}
+	st := NewState()
+	for _, k := range []string{"held", "freed"} {
+		st.Set(testContractAddr().String()+"/item/"+k, []byte("x"))
+	}
+	st.DiscardJournal()
+
+	for _, tc := range []struct {
+		name       string
+		txs        []*Tx
+		conflictAt int
+		reverted   []int // indexes the serial path reverts
+	}{
+		{
+			name: "stale revert",
+			txs: []*Tx{
+				mk(0, "put", "a"),
+				mk(1, "claim", "held"), // taken in every path: reverts, clean prefix
+				mk(2, "put", "b"),
+				mk(3, "del", "freed"),
+				mk(4, "claim", "freed"), // optimistic run sees it taken; serially it is free
+				mk(5, "put", "c"),
+				mk(6, "claim", "a"), // the other way round: serially taken
+			},
+			conflictAt: 4,
+			reverted:   []int{1, 6},
+		},
+		{
+			name: "prefix read first",
+			txs: []*Tx{
+				mk(0, "put", "a"),
+				mk(1, "put", "b"),
+				mk(2, "put", "c"),
+				mk(3, "count", "n1"),
+				mk(4, "put", "d"),
+				mk(5, "count", "n2"),
+			},
+			conflictAt: 3,
+		},
+	} {
+		for _, workers := range scheduleTestWorkers[1:] {
+			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
+				bctx := BlockContext{Number: 1, Time: chainEpoch}
+				hashes := txHashes(tc.txs)
+				for rep := range 20 {
+					ex := &scheduleExecutor{Executor: rwExecutor{}, hold: seededDelays(int64(rep), hashes)}
+					serialOv := NewOverlay(st)
+					serial := replayTxs(rwExecutor{}, serialOv, tc.txs, hashes, bctx)
+					m := NewMetrics(obs.NewRegistry())
+					parOv := NewOverlay(st)
+					par := replayTxsParallelObs(ex, parOv, tc.txs, hashes, bctx, workers, m)
+					requireSameExecution(t, fmt.Sprintf("rep %d", rep), serial, par, serialOv, parOv)
+					if tail := m.SerialTailTxs.Value(); tail != uint64(len(tc.txs)-tc.conflictAt) {
+						t.Fatalf("rep %d: serial tail %d, want the block from index %d on (%d)", rep, tail, tc.conflictAt, len(tc.txs)-tc.conflictAt)
+					}
+					var reverted []int
+					for i, r := range par {
+						if r.Status != StatusOK {
+							reverted = append(reverted, i)
+						}
+					}
+					if fmt.Sprint(reverted) != fmt.Sprint(tc.reverted) {
+						t.Fatalf("rep %d: reverted %v, want %v", rep, reverted, tc.reverted)
+					}
+				}
+			})
+		}
 	}
 }
 
