@@ -198,8 +198,8 @@ func benchFloodPool(b *testing.B, capacity, senders, perSender int, price uint64
 // are pre-filled outside the timed loop; admit paths restore the pool
 // each iteration so every pass measures the same state. Node-level flood
 // behavior (signatures, sealing, settlement under sustained overload) is
-// covered by the mempool ablation in internal/core and `ucbench -exp
-// mempool`.
+// covered by the scenario engine's tx-flood op and its starvation-freedom
+// invariant.
 func BenchmarkFloodIngestion(b *testing.B) {
 	const (
 		capacity  = 1024
@@ -330,12 +330,12 @@ func parexecBenchTxs(b *testing.B, key *cryptoutil.KeyPair, count int, hotKey st
 	return txs
 }
 
-// BenchmarkParallelExecution is the parexec ablation: block execution
-// latency across worker counts on a conflict-free 1k-tx workload (the
-// scheduler's best case: it scales only as far as the host has idle
-// CPUs) and on a 100%-conflict workload (the worst case: the optimistic
-// pass is doomed from index 1, so the bar is the serial path's latency
-// plus the handful of executions discarded/op counts, not a speedup).
+// BenchmarkParallelExecution measures block execution latency across
+// worker counts on a conflict-free 1k-tx workload (the scheduler's best
+// case: it scales only as far as the host has idle CPUs) and on a
+// 100%-conflict workload (the worst case: the optimistic pass is doomed
+// from index 1, so the bar is the serial path's latency plus the handful
+// of executions discarded/op counts, not a speedup).
 func BenchmarkParallelExecution(b *testing.B) {
 	key := cryptoutil.MustGenerateKey()
 	ex := parexecBenchExecutor{rounds: 32}

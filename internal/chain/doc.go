@@ -85,9 +85,8 @@
 // Signature verification — the dominant CPU cost of admission and
 // validation — never runs under any node lock. Batch paths (SubmitBatch,
 // Network.SubmitEverywhereBatch, ApplyBlock) verify concurrently via a
-// bounded worker pool (VerifyTxSignatures); Config.VerifyWorkers bounds
-// the pool, with 1 forcing the sequential ablation baseline. Each
-// validator verifies a transaction once: ApplyBlock skips the check for
+// GOMAXPROCS-wide worker pool (VerifyTxSignatures). Each validator
+// verifies a transaction once: ApplyBlock skips the check for
 // transactions whose hash is in the node's own mempool (it verified them
 // at admission) and runs it for everything else — see ApplyBlock for the
 // soundness argument. Likewise a transaction is hashed once per node per

@@ -385,11 +385,12 @@ func TestVerifyTxSignaturesDeterministicError(t *testing.T) {
 	txs[5].GasLimit = 0 // fails with ErrGasLimitZero
 	txs[40].Method = "" // fails with ErrNoMethod
 	for range 8 {
-		if err := VerifyTxSignatures(txs, 0); !errors.Is(err, ErrGasLimitZero) {
+		if err := VerifyTxSignatures(txs); !errors.Is(err, ErrGasLimitZero) {
 			t.Fatalf("err = %v, want the lowest-indexed failure (ErrGasLimitZero)", err)
 		}
 	}
-	if err := VerifyTxSignatures(txs, 1); !errors.Is(err, ErrGasLimitZero) {
+	withVerifyPool(t, 1)
+	if err := VerifyTxSignatures(txs); !errors.Is(err, ErrGasLimitZero) {
 		t.Fatalf("sequential err = %v, want ErrGasLimitZero", err)
 	}
 }

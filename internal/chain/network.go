@@ -105,7 +105,7 @@ func (n *Node) ApplyBlock(block *Block, proposerKey []byte) error {
 		}
 	}
 	n.mpMu.Unlock()
-	if err := VerifyTxSignatures(unadmitted, n.verifyWorkers); err != nil {
+	if err := VerifyTxSignatures(unadmitted); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadTxInBlock, err)
 	}
 	n.metrics.SigsReused.Add(uint64(len(block.Txs) - len(unadmitted)))
@@ -202,11 +202,10 @@ type Network struct {
 	// taken only for short membership reads and writes.
 	sealMu sync.Mutex
 
-	mu            sync.Mutex
-	nodes         []*Node
-	keys          map[cryptoutil.Address][]byte // authority address -> public key bytes
-	down          map[cryptoutil.Address]bool
-	verifyWorkers int
+	mu    sync.Mutex
+	nodes []*Node
+	keys  map[cryptoutil.Address][]byte // authority address -> public key bytes
+	down  map[cryptoutil.Address]bool
 
 	// Partition state. When cells is non-nil the cluster is split: each
 	// member belongs to a cell, only the quorum cell (the one holding a
@@ -246,8 +245,7 @@ var (
 )
 
 // NewNetwork groups nodes into a cluster. All nodes must share the same
-// authority set and genesis. The cluster-level signature verification
-// pool inherits the first node's VerifyWorkers setting.
+// authority set and genesis.
 func NewNetwork(nodes ...*Node) (*Network, error) {
 	if len(nodes) == 0 {
 		return nil, errors.New("chain: empty network")
@@ -260,10 +258,9 @@ func NewNetwork(nodes ...*Node) (*Network, error) {
 	// a crashed node), and cluster membership changes must go through
 	// Replace.
 	return &Network{
-		nodes:         append([]*Node(nil), nodes...),
-		keys:          keys,
-		down:          make(map[cryptoutil.Address]bool),
-		verifyWorkers: nodes[0].verifyWorkers,
+		nodes: append([]*Node(nil), nodes...),
+		keys:  keys,
+		down:  make(map[cryptoutil.Address]bool),
 	}, nil
 }
 
@@ -664,11 +661,10 @@ func (net *Network) SubmitEverywhere(tx *Tx) (cryptoutil.Hash, error) {
 }
 
 // SubmitEverywhereBatch verifies a batch of transactions once (with the
-// concurrent verification pool, bounded by the cluster's VerifyWorkers)
-// and enqueues the batch on every live node under a single mempool lock
-// acquisition per node. Transactions a node already holds are skipped,
-// so rebroadcasts are idempotent. The returned hashes parallel the
-// input.
+// concurrent verification pool) and enqueues the batch on every live
+// node under a single mempool lock acquisition per node. Transactions a
+// node already holds are skipped, so rebroadcasts are idempotent. The
+// returned hashes parallel the input.
 //
 // If a node rejects the batch, the transactions already enqueued on
 // earlier nodes are withdrawn again (best effort: anything a concurrent
@@ -686,7 +682,7 @@ func (net *Network) SubmitEverywhereBatch(txs []*Tx) ([]cryptoutil.Hash, error) 
 	for i, n := range v.nodes {
 		tms[i] = n.metrics.VerifyLatency.Start()
 	}
-	err := VerifyTxSignatures(txs, net.verifyWorkers)
+	err := VerifyTxSignatures(txs)
 	for _, tm := range tms {
 		tm.Stop()
 	}
@@ -758,7 +754,7 @@ func (net *Network) SubmitEverywhereVerdicts(txs []*Tx) []TxVerdict {
 	for i, n := range v.nodes {
 		tms[i] = n.metrics.VerifyLatency.Start()
 	}
-	verrs := verifyTxVerdicts(txs, net.verifyWorkers)
+	verrs := verifyTxVerdicts(txs)
 	for _, tm := range tms {
 		tm.Stop()
 	}
@@ -802,14 +798,9 @@ func (net *Network) SubmitEverywhereVerdicts(txs []*Tx) []TxVerdict {
 // returning a per-index error slice instead of VerifyTxSignatures'
 // first-failure collapse. Each worker writes only its own indexes, so
 // the slice needs no synchronization beyond the WaitGroup.
-func verifyTxVerdicts(txs []*Tx, workers int) []error {
+func verifyTxVerdicts(txs []*Tx) []error {
 	errs := make([]error, len(txs))
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(txs) {
-		workers = len(txs)
-	}
+	workers := min(runtime.GOMAXPROCS(0), len(txs))
 	if workers <= 1 {
 		for i, tx := range txs {
 			errs[i] = tx.VerifySignature()

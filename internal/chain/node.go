@@ -68,11 +68,6 @@ type Config struct {
 	// replace-by-fee submission must bid over the queued transaction it
 	// replaces; defaults to 10. A strict increase is required even at 0.
 	PriceBumpPercent int
-	// VerifyWorkers bounds the signature-verification worker pool used by
-	// batch submission and block validation. 0 (the default) uses
-	// GOMAXPROCS; 1 forces sequential verification (the ablation
-	// baseline).
-	VerifyWorkers int
 	// ExecWorkers bounds the parallel transaction scheduler used by block
 	// sealing and validation (see parallel.go). 0 (the default) uses
 	// GOMAXPROCS; 1 forces the exact legacy serial execution path. Every
@@ -106,13 +101,12 @@ type Config struct {
 // sealMu → mpMu → mu, and no lock is held while calling out to the
 // Executor's Query path.
 type Node struct {
-	key           *cryptoutil.KeyPair
-	authorities   []cryptoutil.Address
-	executor      Executor
-	clock         simclock.Clock
-	maxTxs        int
-	verifyWorkers int
-	execWorkers   int
+	key         *cryptoutil.KeyPair
+	authorities []cryptoutil.Address
+	executor    Executor
+	clock       simclock.Clock
+	maxTxs      int
+	execWorkers int
 
 	mu       sync.RWMutex
 	state    *State                              // guarded by mu
@@ -198,21 +192,20 @@ func NewNode(cfg Config) (*Node, error) {
 		bump = 10
 	}
 	n := &Node{
-		key:           cfg.Key,
-		authorities:   append([]cryptoutil.Address(nil), cfg.Authorities...),
-		executor:      cfg.Executor,
-		clock:         clk,
-		maxTxs:        maxTxs,
-		verifyWorkers: cfg.VerifyWorkers,
-		execWorkers:   cfg.ExecWorkers,
-		state:         NewState(),
-		mempool:       newMempool(poolCap, quota, bump),
-		nonces:        make(map[cryptoutil.Address]uint64),
-		waiters:       make(map[cryptoutil.Hash][]chan *Receipt),
-		receipts:      make(map[cryptoutil.Hash]*Receipt),
-		feed:          newEventFeed(),
-		costs:         NewCostLedger(),
-		metrics:       cfg.Metrics.orNoop(),
+		key:         cfg.Key,
+		authorities: append([]cryptoutil.Address(nil), cfg.Authorities...),
+		executor:    cfg.Executor,
+		clock:       clk,
+		maxTxs:      maxTxs,
+		execWorkers: cfg.ExecWorkers,
+		state:       NewState(),
+		mempool:     newMempool(poolCap, quota, bump),
+		nonces:      make(map[cryptoutil.Address]uint64),
+		waiters:     make(map[cryptoutil.Hash][]chan *Receipt),
+		receipts:    make(map[cryptoutil.Hash]*Receipt),
+		feed:        newEventFeed(),
+		costs:       NewCostLedger(),
+		metrics:     cfg.Metrics.orNoop(),
 	}
 	genesis := &Block{Header: Header{
 		Number:      0,
@@ -283,17 +276,16 @@ func (n *Node) SubmitTx(tx *Tx) (cryptoutil.Hash, error) {
 	return n.enqueueLocked(tx)
 }
 
-// SubmitBatch verifies the transactions concurrently (bounded by the
-// node's VerifyWorkers) and enqueues them as one unit under a single
-// mempool lock acquisition. The batch is atomic: on a nonce failure
-// nothing is enqueued. Transactions already queued are skipped (their
+// SubmitBatch verifies the transactions concurrently and enqueues them as
+// one unit under a single mempool lock acquisition. The batch is atomic:
+// on a nonce failure nothing is enqueued. Transactions already queued are skipped (their
 // hashes are still returned), so rebroadcasts are idempotent.
 //
 // Within the batch, transactions from the same sender must appear in
 // nonce order, exactly as if submitted back-to-back via SubmitTx.
 func (n *Node) SubmitBatch(txs []*Tx) ([]cryptoutil.Hash, error) {
 	tm := n.metrics.VerifyLatency.Start()
-	err := VerifyTxSignatures(txs, n.verifyWorkers)
+	err := VerifyTxSignatures(txs)
 	tm.Stop()
 	if err != nil {
 		return nil, err

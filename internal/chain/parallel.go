@@ -249,19 +249,3 @@ func replayTxsParallelObs(ex Executor, parent *Overlay, txs []*Tx, hashes []cryp
 	}
 	return receipts
 }
-
-// ReplayBlock executes a block's transactions against a fresh overlay of
-// st with the given worker count and returns the receipts plus the net
-// block diff — the block-execution core as a single call, exported for
-// benchmarks and the ucbench parexec ablation. workers == 1 is the exact
-// serial path; <= 0 selects GOMAXPROCS.
-func ReplayBlock(ex Executor, st *State, txs []*Tx, bctx BlockContext, workers int) ([]*Receipt, []Delta) {
-	overlay := NewOverlay(st)
-	var receipts []*Receipt
-	if workers == 1 {
-		receipts = replayTxs(ex, overlay, txs, txHashes(txs), bctx)
-	} else {
-		receipts = replayTxsParallel(ex, overlay, txs, bctx, workers)
-	}
-	return receipts, overlay.TakeDeltas()
-}

@@ -188,22 +188,17 @@ type Delta struct {
 	Del bool
 }
 
-// Diff returns the net effect of every mutation journaled since the
-// last commit — one Delta per touched key, sorted by key for a
-// deterministic encoding. The journal is left in place, so the caller
-// can still RevertTo if persisting the diff fails. Values are copied;
-// the commit hot path uses TakeDiff's move semantics instead.
-func (s *State) Diff() []Delta {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.diffLocked(true)
-}
-
-// diffLocked builds the journal's net diff. With copyValues false the
-// deltas alias the stored slices — safe to retain because stored values
-// are immutable (every write installs a fresh slice), but only TakeDiff,
-// which simultaneously retires the journal, may use it.
-func (s *State) diffLocked(copyValues bool) []Delta {
+// TakeDiff makes every mutation journaled since the last commit
+// permanent and returns their net effect for persistence — one Delta per
+// touched key, sorted by key for a deterministic encoding. Because the
+// journal is retired in the same critical section, the returned deltas
+// safely alias the stored (immutable) value slices instead of copying
+// every touched value — the move-semantics path used on the commit hot
+// path. Later writes to the same keys replace the stored slices rather
+// than mutating them, so the returned diff stays stable.
+func (s *State) TakeDiff() []Delta {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	touched := make(map[string]struct{}, len(s.journal))
 	for _, e := range s.journal {
 		touched[e.key] = struct{}{}
@@ -211,31 +206,12 @@ func (s *State) diffLocked(copyValues bool) []Delta {
 	diff := make([]Delta, 0, len(touched))
 	for k := range touched {
 		if v, ok := s.data[k]; ok {
-			if copyValues {
-				cp := make([]byte, len(v))
-				copy(cp, v)
-				v = cp
-			}
 			diff = append(diff, Delta{K: k, V: v})
 		} else {
 			diff = append(diff, Delta{K: k, Del: true})
 		}
 	}
 	sort.Slice(diff, func(i, j int) bool { return diff[i].K < diff[j].K })
-	return diff
-}
-
-// TakeDiff is Diff followed by DiscardJournal: the mutations become
-// permanent and their net effect is returned for persistence. Because
-// the journal is retired in the same critical section, the returned
-// deltas safely alias the stored (immutable) value slices instead of
-// copying every touched value — the move-semantics path used on the
-// commit hot path. Later writes to the same keys replace the stored
-// slices rather than mutating them, so the returned diff stays stable.
-func (s *State) TakeDiff() []Delta {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	diff := s.diffLocked(false)
 	s.journal = s.journal[:0]
 	return diff
 }
@@ -252,20 +228,6 @@ func (s *State) ApplyDiff(diff []Delta) {
 		}
 	}
 	s.DiscardJournal()
-}
-
-// Export returns a deep copy of the full key-value content, as persisted
-// in state snapshots.
-func (s *State) Export() map[string][]byte {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make(map[string][]byte, len(s.data))
-	for k, v := range s.data {
-		cp := make([]byte, len(v))
-		copy(cp, v)
-		out[k] = cp
-	}
-	return out
 }
 
 // ExportShared returns the full key-value content in a fresh map that

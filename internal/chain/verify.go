@@ -7,27 +7,18 @@ import (
 )
 
 // VerifyTxSignatures checks the signature of every transaction using a
-// bounded pool of `workers` goroutines. ECDSA verification is the dominant
+// pool of GOMAXPROCS goroutines. ECDSA verification is the dominant
 // CPU cost of block validation (it dwarfs the state replay for typical
 // transactions), and every verification is independent, so the pool turns
 // block admission from O(n) sequential verifies into O(n/cores).
 //
-// workers <= 0 selects GOMAXPROCS; workers == 1 degenerates to the
-// sequential path (used as the ablation baseline). The returned error is
-// deterministic: the failure of the lowest-indexed bad transaction,
-// regardless of worker scheduling. Remaining work is abandoned as soon as
-// any worker observes a failure.
-func VerifyTxSignatures(txs []*Tx, workers int) error {
-	if len(txs) == 0 {
-		return nil
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(txs) {
-		workers = len(txs)
-	}
-	if workers == 1 || len(txs) == 1 {
+// On one CPU, or for a single transaction, it degenerates to the
+// sequential path. The returned error is deterministic: the failure of
+// the lowest-indexed bad transaction, regardless of worker scheduling.
+// Remaining work is abandoned as soon as any worker observes a failure.
+func VerifyTxSignatures(txs []*Tx) error {
+	workers := min(runtime.GOMAXPROCS(0), len(txs))
+	if workers <= 1 {
 		for _, tx := range txs {
 			if err := tx.VerifySignature(); err != nil {
 				return err

@@ -2,6 +2,7 @@ package chain
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/cryptoutil"
@@ -28,6 +29,17 @@ func corruptSig(tx *Tx, mutate func(sig []byte) []byte) *Tx {
 	bad := *tx
 	bad.Signature = mutate(append([]byte(nil), tx.Signature...))
 	return &bad
+}
+
+// withVerifyPool sizes the verification pool for the rest of the test:
+// the pool is GOMAXPROCS wide, so that is what varies it (as `go test
+// -cpu` does); 0 leaves the host's value.
+func withVerifyPool(t *testing.T, workers int) {
+	t.Helper()
+	if workers > 0 {
+		prev := runtime.GOMAXPROCS(workers)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	}
 }
 
 // TestVerifyTxSignaturesMalformed exercises the verifier's error paths —
@@ -65,7 +77,8 @@ func TestVerifyTxSignaturesMalformed(t *testing.T) {
 	for _, tc := range cases {
 		for _, workers := range []int{0, 1, 2, 16} {
 			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
-				err := VerifyTxSignatures(tc.txs, workers)
+				withVerifyPool(t, workers)
+				err := VerifyTxSignatures(tc.txs)
 				if tc.bad < 0 {
 					if err != nil {
 						t.Fatalf("valid batch rejected: %v", err)

@@ -87,34 +87,3 @@ func TestDeploymentSubmitBatchSealOnSubmit(t *testing.T) {
 		t.Fatal("empty pod record")
 	}
 }
-
-// TestHarnessAblationBatchSubmit runs the batch-submission ablation in
-// quick mode and checks the table's shape: positive timings for both
-// modes at every block size.
-func TestHarnessAblationBatchSubmit(t *testing.T) {
-	tbl := quickHarness().AblationBatchSubmit()
-	if len(tbl.Rows) < 2 {
-		t.Fatalf("rows = %d", len(tbl.Rows))
-	}
-	for _, row := range tbl.Rows {
-		if parseF(t, row[1]) <= 0 || parseF(t, row[2]) <= 0 {
-			t.Fatalf("non-positive timing: %v", row)
-		}
-	}
-}
-
-// TestHarnessAblationParallelVerify runs the verification ablation in
-// quick mode; both the sequential and concurrent pools must ingest the
-// batch correctly (timings positive, not shape-compared because the CI
-// container may be single-core).
-func TestHarnessAblationParallelVerify(t *testing.T) {
-	tbl := quickHarness().AblationParallelVerify()
-	if len(tbl.Rows) < 2 {
-		t.Fatalf("rows = %d", len(tbl.Rows))
-	}
-	for _, row := range tbl.Rows {
-		if parseF(t, row[1]) <= 0 || parseF(t, row[2]) <= 0 {
-			t.Fatalf("non-positive timing: %v", row)
-		}
-	}
-}

@@ -33,8 +33,7 @@ const (
 	// SealOnSubmit seals a block immediately after every transaction
 	// submission (zero-latency "instaseal", the default for tests).
 	SealOnSubmit SealingMode = iota
-	// SealManually leaves block production to explicit SealBlock calls
-	// (used by the block-interval ablation).
+	// SealManually leaves block production to explicit SealBlock calls.
 	SealManually
 )
 
@@ -49,7 +48,7 @@ type Config struct {
 	// Genesis is the simulated start time (defaults to 2023-10-09).
 	Genesis time.Time
 	// OracleFanout enables concurrent evidence collection in the pull-in
-	// oracle (the fan-out ablation).
+	// oracle.
 	OracleFanout bool
 	// MonitoringGrace is how long Owner.Monitor waits for all targets to
 	// report before closing the round and flagging silent devices as
@@ -61,14 +60,9 @@ type Config struct {
 	// enforcing the paper's rule that client requests are generated by
 	// trusted applications.
 	RequireAttestation bool
-	// VerifyWorkers bounds each node's signature-verification worker pool
-	// (0 = GOMAXPROCS, 1 = sequential; the parallel-verification
-	// ablation's knob).
-	VerifyWorkers int
 	// ExecWorkers bounds each node's parallel transaction scheduler for
 	// block sealing and validation (0 = GOMAXPROCS, 1 = the exact serial
-	// legacy path; the parexec ablation's knob). Every setting produces
-	// bit-identical blocks.
+	// legacy path). Every setting produces bit-identical blocks.
 	ExecWorkers int
 	// MempoolCapacity bounds every validator's transaction pool (0 = the
 	// chain default, 8192). Beyond it, admission evicts cheaper
@@ -187,7 +181,6 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 			Executor:            runtime,
 			Clock:               clk,
 			GenesisTime:         cfg.Genesis,
-			VerifyWorkers:       cfg.VerifyWorkers,
 			ExecWorkers:         cfg.ExecWorkers,
 			MempoolCapacity:     cfg.MempoolCapacity,
 			MaxPendingPerSender: cfg.SenderQuota,
@@ -409,8 +402,8 @@ func (d *Deployment) PullOutOracle() *oracle.PullOut {
 	return oracle.NewPullOut(d.backend(), d.Metrics)
 }
 
-// PullIn exposes the deployment's pull-in oracle (for fan-out ablation
-// tweaks and waiting in tests).
+// PullIn exposes the deployment's pull-in oracle (for fan-out tweaks and
+// waiting in tests).
 func (d *Deployment) PullIn() *oracle.PullIn { return d.pullIn }
 
 // --- owners ---

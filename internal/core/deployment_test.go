@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"testing"
@@ -19,6 +20,33 @@ func newDeployment(t *testing.T, cfg Config) *Deployment {
 	}
 	t.Cleanup(d.Close)
 	return d
+}
+
+func must[T any](v T, err error) T {
+	must0(err)
+	return v
+}
+
+func must0(err error) {
+	if err != nil {
+		panic(err)
+	}
+}
+
+// ownerWithResource boots an owner with one published resource of the
+// given size and policy mutator.
+func ownerWithResource(d *Deployment, name string, size int, mutate func(*policy.Policy)) (*Owner, string) {
+	ctx := context.Background()
+	o := must(d.NewOwner(name))
+	must0(o.InitializePod(ctx, nil))
+	data := bytes.Repeat([]byte("x"), size)
+	must0(o.AddResource("/data/r.bin", "application/octet-stream", data))
+	pol := o.NewPolicy("/data/r.bin")
+	if mutate != nil {
+		mutate(pol)
+	}
+	iri := must(o.Publish(ctx, "/data/r.bin", "exp resource", pol))
+	return o, iri
 }
 
 // aliceAndBob provisions the motivating scenario's principals: Alice owns

@@ -1,0 +1,225 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/chain"
+	"repro/internal/distexchange"
+	"repro/internal/podmanager"
+	"repro/internal/policy"
+	"repro/internal/solid"
+)
+
+// The paper's evaluation (§V) is qualitative: verdicts and a gas table,
+// not timings. These tests pin those results; how fast anything runs is
+// the repo benchmark's question (bash bench/run.sh).
+
+// reverted asserts a DE App revert of the given method for the given
+// reason.
+func reverted(method, reason string) func(error) bool {
+	return func(err error) bool {
+		var re *distexchange.RevertError
+		return errors.As(err, &re) && re.Method == method && strings.Contains(re.Reason, reason)
+	}
+}
+
+// forbidden asserts a pod's HTTP 403 carrying the pod manager's reason.
+func forbidden(reason error) func(error) bool {
+	return func(err error) bool {
+		var se *solid.StatusError
+		return errors.As(err, &se) && se.Code == 403 && strings.Contains(se.Body, reason.Error())
+	}
+}
+
+// TestPaperSecurityVerdicts is §V-2: each attack is rejected, and for its
+// own reason — a rejection for any other reason would hide a hole.
+func TestPaperSecurityVerdicts(t *testing.T) {
+	d := newDeployment(t, Config{Validators: 2})
+	ctx := context.Background()
+	owner, iri := ownerWithResource(d, "owner", 1024, nil)
+	consumer := must(d.NewConsumer("reader", policy.PurposeAny))
+	must0(owner.Grant(ctx, consumer, "/data/r.bin", policy.PurposeAny))
+	must0(consumer.Access(ctx, iri))
+
+	attacks := []struct {
+		name     string
+		attempt  func() error
+		rejected func(error) bool
+	}{
+		{"tampered evidence content", func() error {
+			forged := must(consumer.App.Evidence(iri, 0))
+			forged.Evidence.UseCount += 99 // tamper without re-signing
+			_, err := consumer.DE.SubmitEvidence(ctx, forged)
+			return err
+		}, reverted("submitEvidence", "evidence signature invalid")},
+		{"policy update by non-owner", func() error {
+			v2 := owner.NewPolicy("/data/r.bin")
+			v2.Version = 2
+			_, err := consumer.DE.UpdatePolicy(ctx, distexchange.UpdatePolicyArgs{ResourceIRI: iri, Policy: v2})
+			return err
+		}, reverted("updatePolicy", "does not own")},
+		{"unattested device registration", func() error {
+			_, err := consumer.DE.RegisterDevice(ctx, []byte(`{"serial":1}`))
+			return err
+		}, reverted("registerDevice", "certificate rejected")},
+		{"certificate for wrong resource", func() error {
+			wrongCert := must(d.Market.PayFee(string(consumer.WebID), "https://other/resource"))
+			client := solid.NewClient(consumer.WebID, consumer.Key, d.Clock)
+			client.Decorate = must(podmanager.AttachCertificate(wrongCert))
+			_, _, err := client.Get(iri)
+			return err
+		}, forbidden(podmanager.ErrCertificate)},
+		{"anonymous pod write", func() error {
+			anon := &solid.Client{Clock: d.Clock}
+			return anon.Put(iri, "text/plain", []byte("defaced"))
+		}, forbidden(podmanager.ErrPublishedImmutable)},
+		{"tampered block", func() error {
+			// Signed by an authority, but committing to a state root that
+			// execution cannot reproduce.
+			return must(d.InjectInvalidBlock(chain.InvalidStateRoot, 0, []int{1}))[1]
+		}, func(err error) bool { return errors.Is(err, chain.ErrBadStateRoot) }},
+	}
+	for _, a := range attacks {
+		t.Run(a.name, func(t *testing.T) {
+			if err := a.attempt(); !a.rejected(err) {
+				t.Fatalf("verdict = %v", err)
+			}
+		})
+	}
+}
+
+// TestPaperGasTable is §V-4 affordability: the motivating scenario costs
+// each of the eight DE App operations once. Gas is not bit-exact from run
+// to run: stored records differ by a few bytes (28 gas per stored and
+// emitted byte) — ROADMAP's gas_per_op lead names the RFC3339Nano
+// timestamps inside them, whose trailing zeros are dropped. Hence a
+// ±2 % band around the measured centre (spread observed: ±0.4 %) rather
+// than equality.
+func TestPaperGasTable(t *testing.T) {
+	golden := map[string]uint64{
+		"registerPod":       35_171,
+		"registerResource":  60_674,
+		"registerDevice":    48_593,
+		"recordGrant":       40_005,
+		"confirmRetrieval":  37_053,
+		"updatePolicy":      47_531,
+		"requestMonitoring": 49_313,
+		"submitEvidence":    61_997,
+	}
+	d := newDeployment(t, Config{})
+	ctx := context.Background()
+	owner, iri := ownerWithResource(d, "alice", 4096, func(p *policy.Policy) {
+		p.MaxRetention = 30 * 24 * time.Hour
+	})
+	consumer := must(d.NewConsumer("bob", policy.PurposeWebAnalytics))
+	must0(owner.Grant(ctx, consumer, "/data/r.bin", policy.PurposeWebAnalytics))
+	must0(consumer.Access(ctx, iri))
+	must(consumer.Use(iri, policy.ActionUse))
+	v2 := owner.NewPolicy("/data/r.bin")
+	v2.Version = 2
+	v2.MaxRetention = 7 * 24 * time.Hour
+	must0(owner.ModifyPolicy(ctx, "/data/r.bin", v2))
+	must0(consumer.WaitPolicyVersion(iri, 2, 5*time.Second))
+	_, _, err := owner.Monitor(ctx, "/data/r.bin")
+	must0(err)
+
+	costs := d.Nodes[0].Costs()
+	ops := costs.ByOperation()
+	if len(ops) != len(golden) {
+		t.Fatalf("%d operations in the gas table, want %d: %+v", len(ops), len(golden), ops)
+	}
+	var sum uint64
+	for _, op := range ops {
+		want, ok := golden[op.Method]
+		if !ok || op.Count != 1 {
+			t.Fatalf("%s ×%d: want each of the eight operations exactly once", op.Method, op.Count)
+		}
+		if got := op.AvgGas(); got*100 < want*98 || got*100 > want*102 {
+			t.Errorf("%s: %d gas, outside ±2%% of %d", op.Method, got, want)
+		}
+		sum += op.TotalGas
+	}
+	if total := costs.TotalSpent(); total != sum {
+		t.Fatalf("TOTAL %d != Σ rows %d", total, sum)
+	}
+}
+
+// TestPaperPolicyModificationReachesEveryHolder is Fig. 2-5 at more than
+// one copy: a shortened retention reaches every holder, and every copy is
+// gone once it expires.
+func TestPaperPolicyModificationReachesEveryHolder(t *testing.T) {
+	d := newDeployment(t, Config{})
+	ctx := context.Background()
+	owner, iri := ownerWithResource(d, "owner", 1024, func(p *policy.Policy) {
+		p.MaxRetention = 30 * 24 * time.Hour
+	})
+	holders := holdersOf(t, d, owner, iri, "holder", 4)
+	v2 := owner.NewPolicy("/data/r.bin")
+	v2.Version = 2
+	v2.MaxRetention = 7 * 24 * time.Hour
+	must0(owner.ModifyPolicy(ctx, "/data/r.bin", v2))
+	for _, c := range holders {
+		must0(c.WaitPolicyVersion(iri, 2, 10*time.Second))
+	}
+	d.Clock.Advance(7*24*time.Hour + time.Minute)
+	for i, c := range holders {
+		if c.App.Holds(iri) {
+			t.Errorf("holder %d still holds its copy after the new deadline", i)
+		}
+	}
+}
+
+// TestPaperRemuneration is the §V-4 economics: market revenue is paid out
+// to owners in the order of the accesses their resources received.
+func TestPaperRemuneration(t *testing.T) {
+	d := newDeployment(t, Config{})
+	ratios := []int{6, 3, 1}
+	for i, ratio := range ratios {
+		owner, iri := ownerWithResource(d, fmt.Sprintf("owner%d", i), 8, nil)
+		holdersOf(t, d, owner, iri, fmt.Sprintf("c%d", i), ratio)
+	}
+	payouts, err := d.Market.Settle(10) // 10% market margin
+	must0(err)
+	amount := map[uint64]uint64{} // accesses → payout
+	for _, p := range payouts {
+		amount[p.Accesses] = p.Amount
+	}
+	if len(payouts) != len(ratios) || !(amount[6] > amount[3] && amount[3] > amount[1] && amount[1] > 0) {
+		t.Fatalf("payouts not ordered by access share 6 > 3 > 1: %+v", payouts)
+	}
+}
+
+// TestPaperRobustness is the §V-2 availability claim: a 4-validator
+// cluster keeps committing with f = 0…3 validators down (any live
+// authority may seal), and the live ones agree on the chain.
+func TestPaperRobustness(t *testing.T) {
+	for down := range 4 {
+		t.Run(fmt.Sprintf("down=%d", down), func(t *testing.T) {
+			d := newDeployment(t, Config{Validators: 4})
+			owner := must(d.NewOwner("owner"))
+			for i := range down {
+				must0(d.FailValidator(1 + i))
+			}
+			before := d.Nodes[0].Height()
+			for i := range 8 {
+				must(owner.Manager.DE().RegisterPod(context.Background(), distexchange.RegisterPodArgs{
+					OwnerWebID: fmt.Sprintf("%s/profile#p%d", owner.URL(), i),
+					Location:   owner.URL() + "/",
+				}))
+			}
+			if d.Nodes[0].Height() == before {
+				t.Fatal("nothing committed")
+			}
+			for i := 1 + down; i < 4; i++ {
+				if d.Nodes[i].Head().Hash() != d.Nodes[0].Head().Hash() {
+					t.Fatalf("live validator %d diverged", i)
+				}
+			}
+		})
+	}
+}

@@ -2,14 +2,13 @@ package core
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 )
 
-// Table is a printable experiment result: the harness emits one Table per
-// paper artifact (Fig. 2 process or Section V property).
+// Table is a printable result with aligned columns; ChainStats is its one
+// producer (examples/datamarket prints it at the end of a run).
 type Table struct {
-	// Title names the experiment (e.g. "E5 policy modification").
+	// Title names the table (e.g. "chain statistics").
 	Title string
 	// Header labels the columns.
 	Header []string
@@ -67,120 +66,18 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// BenchRow is one machine-readable measurement emitted by
-// `ucbench -json`: the perf-trajectory schema tracked across PRs in
-// BENCH_*.json files.
-type BenchRow struct {
-	// Exp is the experiment table's selector name (e.g. "commitpath").
-	Exp string `json:"exp"`
-	// Case identifies the row within the table (its label cells joined
-	// with "/").
-	Case string `json:"case"`
-	// NsOp is the row's primary latency measurement in nanoseconds
-	// (converted from the table's _ns/_us/_ms column; 0 if the table has
-	// no latency column).
-	NsOp float64 `json:"ns_op"`
-	// AllocsOp and BytesOp carry allocation metrics when the table
-	// reports them, else 0.
-	AllocsOp float64 `json:"allocs_op"`
-	BytesOp  float64 `json:"bytes_op"`
-}
-
-// benchTimeScale returns the to-nanoseconds factor for a latency column
-// header — one whose underscore-separated tokens include a time unit
-// (ns/us/ms), e.g. "avg_latency_us" or "baseline_us_per_op" — or 0 for
-// non-latency headers. Headers mentioning "interval" are swept inputs
-// (the configured block interval), never measurements.
-func benchTimeScale(header string) float64 {
-	h := strings.ToLower(header)
-	if strings.Contains(h, "interval") {
-		return 0
+// ChainStats summarizes ledger shape after a scenario (diagnostic table).
+func ChainStats(d *Deployment) *Table {
+	t := &Table{
+		Title:  "chain statistics",
+		Header: []string{"metric", "value"},
 	}
-	for _, tok := range strings.Split(h, "_") {
-		switch tok {
-		case "ns":
-			return 1
-		case "us":
-			return 1e3
-		case "ms":
-			return 1e6
-		}
-	}
-	return 0
-}
-
-// hasRatioToken reports a derived ratio column ("overhead_x",
-// "vs_single_pod_x"): excluded from case labels (run-to-run noise would
-// make (exp, case) keys unmatchable across PRs) but not a metric.
-func hasRatioToken(h string) bool {
-	for _, tok := range strings.Split(h, "_") {
-		if tok == "x" {
-			return true
-		}
-	}
-	return false
-}
-
-// BenchRows flattens the table into one BenchRow per table row, so
-// every printed measurement also exists machine-readably. The first
-// latency-unit header supplies ns_op; the benchmark-standard names
-// "allocs"/"allocs_op" and "bytes"/"bytes_op" supply allocs_op/bytes_op
-// (workload-size labels like "size_bytes" stay labels); every remaining
-// non-derived column becomes part of the case label.
-func (t *Table) BenchRows(exp string) []BenchRow {
-	timeCol, allocsCol, bytesCol := -1, -1, -1
-	timeScale := 0.0
-	derived := make(map[int]bool) // metric columns: excluded from case labels
-	for i, h := range t.Header {
-		lh := strings.ToLower(h)
-		if scale := benchTimeScale(h); scale > 0 {
-			derived[i] = true
-			if timeCol < 0 {
-				timeCol, timeScale = i, scale
-			}
-			continue
-		}
-		switch {
-		case lh == "allocs" || lh == "allocs_op":
-			derived[i] = true
-			if allocsCol < 0 {
-				allocsCol = i
-			}
-		case lh == "bytes" || lh == "bytes_op":
-			derived[i] = true
-			if bytesCol < 0 {
-				bytesCol = i
-			}
-		case strings.Contains(lh, "speedup") || strings.Contains(lh, "per_sec") || hasRatioToken(lh):
-			derived[i] = true // rate/ratio columns are derived, not labels
-		}
-	}
-	parse := func(row []string, col int, scale float64) float64 {
-		if col < 0 || col >= len(row) {
-			return 0
-		}
-		v, err := strconv.ParseFloat(row[col], 64)
-		if err != nil {
-			return 0 // non-numeric cells (e.g. "-") carry no measurement
-		}
-		return v * scale
-	}
-	rows := make([]BenchRow, 0, len(t.Rows))
-	for _, row := range t.Rows {
-		labels := make([]string, 0, len(row))
-		for i, cell := range row {
-			if derived[i] {
-				continue
-			}
-			labels = append(labels, cell)
-		}
-		rows = append(rows, BenchRow{
-			Exp:      exp,
-			Case:     strings.Join(labels, "/"),
-			NsOp:     parse(row, timeCol, timeScale),
-			AllocsOp: parse(row, allocsCol, 1),
-			BytesOp:  parse(row, bytesCol, 1),
-		})
-	}
-	return rows
+	node := d.Nodes[0]
+	t.Add("height", node.Height())
+	t.Add("state_keys", node.State().Len())
+	t.Add("total_gas", node.Costs().TotalSpent())
+	t.Add("oracle_in", d.Metrics.In.Load())
+	t.Add("oracle_out", d.Metrics.Out.Load())
+	t.Add("events_dropped", node.EventsDropped())
+	return t
 }

@@ -15,7 +15,7 @@ import (
 // to every node, and that encryption-based approaches remedy this for
 // confidentiality-sensitive deployments. EncryptEnvelope/DecryptEnvelope
 // implement that remedy: AES-256-GCM under a key shared out of band with
-// authorized parties. The encrypted-metadata ablation measures its cost.
+// authorized parties.
 
 // EnvelopeOverhead is the ciphertext expansion in bytes (nonce + GCM tag).
 const EnvelopeOverhead = 12 + 16

@@ -7,8 +7,7 @@ import (
 	"strings"
 )
 
-// Exported quantiles for histogram series (the HDR-style trio the load
-// harness and the ablation docs track).
+// Exported quantiles for histogram series (the HDR-style trio).
 var exportQuantiles = []struct {
 	label string
 	q     float64

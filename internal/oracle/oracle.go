@@ -47,9 +47,9 @@ type Node interface {
 
 var _ Node = (*chain.Node)(nil)
 
-// Metrics counts oracle traffic, used by the experiment harness, and holds
-// the pull-in oracle's obs instruments. The zero value counts traffic and
-// leaves the instruments on the no-op path.
+// Metrics counts oracle traffic and holds the pull-in oracle's obs
+// instruments. The zero value counts traffic and leaves the instruments
+// on the no-op path.
 type Metrics struct {
 	// In counts off-chain → on-chain messages (push-in + pull-in answers).
 	In atomic.Uint64

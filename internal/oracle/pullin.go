@@ -32,14 +32,14 @@ type PullIn struct {
 	metrics *Metrics
 
 	// Fanout collects evidence from targets concurrently when true
-	// (sequential otherwise) — the subject of the oracle-fanout ablation.
+	// (sequential otherwise).
 	Fanout bool
 
 	mu      sync.Mutex
 	sources map[cryptoutil.Address]EvidenceSource
 	cancel  func()
 
-	// inFlight lets tests and the harness wait for round completion.
+	// inFlight lets tests wait for round completion.
 	inFlight sync.WaitGroup
 }
 

@@ -151,7 +151,7 @@ func (m *Manager) Owner() solid.WebID { return m.owner }
 // Address returns the manager's blockchain address.
 func (m *Manager) Address() cryptoutil.Address { return m.de.Address() }
 
-// DE exposes the manager's DE App client (for tests and the harness).
+// DE exposes the manager's DE App client.
 func (m *Manager) DE() *distexchange.Client { return m.de }
 
 // Handler returns the HTTP handler serving the pod.

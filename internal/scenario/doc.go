@@ -37,9 +37,7 @@
 // violation the engine replays the seed with step-level shrinking
 // (ddmin-style) and reports a minimal reproducing trace.
 //
-// The engine is wired three ways: table-driven go test scenarios
-// (race-enabled smoke runs over a seed matrix), a go test -fuzz target
-// feeding the step decoder from fuzz input, and the
-// Harness.AblationScenarioThroughput table (cmd/ucbench) tracking
-// scenario step throughput as a perf number.
+// The engine is wired two ways: table-driven go test scenarios
+// (race-enabled smoke runs over a seed matrix) and a go test -fuzz
+// target feeding the step decoder from fuzz input.
 package scenario

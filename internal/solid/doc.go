@@ -36,9 +36,8 @@
 // stamped with the generation observed *before* evaluation, so a decision
 // computed against newer state under an older stamp is ignored, never
 // trusted. The hot read path therefore costs one map lookup instead of an
-// ancestor walk plus a linear authorization scan; benchmarks live in the
-// repository root (BenchmarkSolidAuthorizeCache) and the harness
-// (Harness.AblationAuthCache).
+// ancestor walk plus a linear authorization scan; the repo benchmark
+// reads the hit ratio off solid.auth_cache_hit_ratio.
 //
 // # Authentication and replay protection
 //
