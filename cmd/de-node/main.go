@@ -371,7 +371,7 @@ func newAPIMux(nodes []*chain.Node, network *chain.Network, deAddr cryptoutil.Ad
 			http.Error(w, "empty transaction batch", http.StatusBadRequest)
 			return
 		}
-		hashes, err := network.SubmitEverywhereBatch(txs)
+		hashes, err := network.SubmitAllOrNothing(txs)
 		if err != nil {
 			status := http.StatusBadRequest
 			if chain.IsBackpressure(err) {
@@ -399,7 +399,7 @@ func newAPIMux(nodes []*chain.Node, network *chain.Network, deAddr cryptoutil.Ad
 		flusher, _ := w.(http.Flusher)
 		enc := json.NewEncoder(w)
 		emit := func(chunk []*chain.Tx) {
-			for _, v := range network.SubmitEverywhereVerdicts(chunk) {
+			for _, v := range network.Submit(chunk) {
 				line := core.TxVerdictWire{Hash: v.Hash.String(), Ok: v.Admitted()}
 				if v.Err != nil {
 					line.Error = v.Err.Error()

@@ -63,8 +63,8 @@ func TestBuildClusterDurableRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := network.SubmitEverywhere(tx); err != nil {
-		t.Fatal(err)
+	if v := network.Submit([]*chain.Tx{tx})[0]; v.Err != nil {
+		t.Fatal(v.Err)
 	}
 	if _, err := network.SealNext(); err != nil {
 		t.Fatal(err)
@@ -309,7 +309,7 @@ func TestTxClientRetriesBackpressure(t *testing.T) {
 	for i := range fill {
 		fill[i] = registerPodTx(t, filler, uint64(i), deAddr, "filler")
 	}
-	if _, err := network.SubmitEverywhereBatch(fill); err != nil {
+	if _, err := network.SubmitAllOrNothing(fill); err != nil {
 		t.Fatal(err)
 	}
 
@@ -438,8 +438,8 @@ func TestDebugMetricsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := network.SubmitEverywhere(tx); err != nil {
-		t.Fatal(err)
+	if v := network.Submit([]*chain.Tx{tx})[0]; v.Err != nil {
+		t.Fatal(v.Err)
 	}
 	if _, err := network.SealNext(); err != nil {
 		t.Fatal(err)
@@ -494,5 +494,67 @@ func TestDebugMetricsEndpoint(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("GET %s = %d", path, resp.StatusCode)
 		}
+	}
+}
+
+// TestStaleNonceIsNotAdmitted: over HTTP, a new transaction on an
+// already-committed nonce is a 400 on POST /txs and a terminal ok:false
+// verdict on /txs/stream (both used to report it admitted), while a
+// rebroadcast of the transaction that holds the nonce stays accepted.
+func TestStaleNonceIsNotAdmitted(t *testing.T) {
+	nodes, network, deAddr := newTestCluster(t, 3)
+	srv := httptest.NewServer(newAPIMux(nodes, network, deAddr, time.Second))
+	defer srv.Close()
+
+	sender := cryptoutil.MustGenerateKey()
+	committed := registerPodTx(t, sender, 0, deAddr, "first")
+	if v := network.Submit([]*chain.Tx{committed})[0]; v.Err != nil {
+		t.Fatal(v.Err)
+	}
+	if _, err := network.SealNext(); err != nil {
+		t.Fatal(err)
+	}
+	replay := registerPodTx(t, sender, 0, deAddr, "second")
+
+	post := func(tx *chain.Tx) int {
+		t.Helper()
+		body, _ := json.Marshal([]*chain.Tx{tx})
+		resp, err := http.Post(srv.URL+"/txs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if got := post(replay); got != http.StatusBadRequest {
+		t.Fatalf("POST /txs with a new tx on a committed nonce: status %d, want 400", got)
+	}
+	if got := post(committed); got != http.StatusOK {
+		t.Fatalf("POST /txs rebroadcasting the committed tx: status %d, want 200", got)
+	}
+
+	stream := func(tx *chain.Tx) core.TxVerdictWire {
+		t.Helper()
+		body, _ := json.Marshal(tx)
+		resp, err := http.Post(srv.URL+"/txs/stream", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var v core.TxVerdictWire
+		if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	if v := stream(replay); v.Ok || v.Retryable || v.Hash != replay.Hash().String() {
+		t.Fatalf("/txs/stream with a new tx on a committed nonce: %+v, want ok:false, not retryable", v)
+	}
+	if v := stream(committed); !v.Ok {
+		t.Fatalf("/txs/stream rebroadcasting the committed tx: %+v, want ok:true", v)
+	}
+	if got := network.PendingTxs(); got != 0 {
+		t.Fatalf("%d txs queued, want 0", got)
 	}
 }

@@ -144,7 +144,7 @@ func BenchmarkCommitLatency(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := n.SubmitTx(tx); err != nil {
+				if _, err := submit1(n, tx); err != nil {
 					b.Fatal(err)
 				}
 				clk.Advance(time.Second)

@@ -252,7 +252,7 @@ func TestGasCapAdmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.SubmitTx(over); !errors.Is(err, ErrGasTooLarge) {
+	if _, err := submit1(n, over); !errors.Is(err, ErrGasTooLarge) {
 		t.Fatalf("over-cap submit = %v, want ErrGasTooLarge", err)
 	}
 	if n.PendingTxs() != 0 {
@@ -262,7 +262,7 @@ func TestGasCapAdmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.SubmitTx(at); err != nil {
+	if _, err := submit1(n, at); err != nil {
 		t.Fatalf("at-cap submit = %v, want accepted", err)
 	}
 }

@@ -179,3 +179,27 @@ func testContractAddr() cryptoutil.Address {
 	copy(a[:], strings.Repeat("c", cryptoutil.AddressLen))
 	return a
 }
+
+// submitter is the one submission pipeline, as Node and Network offer it.
+type submitter interface{ Submit(txs []*Tx) []TxVerdict }
+
+// submit1 pushes one transaction through the pipeline.
+func submit1(s submitter, tx *Tx) (cryptoutil.Hash, error) {
+	v := s.Submit([]*Tx{tx})[0]
+	return v.Hash, v.Err
+}
+
+// submitAll pushes a batch through the pipeline and collapses its
+// verdicts to the hashes and the lowest-indexed error. Nothing is
+// withdrawn: what was admitted stays queued.
+func submitAll(s submitter, txs []*Tx) ([]cryptoutil.Hash, error) {
+	hashes := make([]cryptoutil.Hash, len(txs))
+	var first error
+	for i, v := range s.Submit(txs) {
+		hashes[i] = v.Hash
+		if first == nil {
+			first = v.Err
+		}
+	}
+	return hashes, first
+}

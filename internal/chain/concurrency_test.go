@@ -14,10 +14,23 @@ import (
 // concurrently and readers poll every query surface. Run under -race it
 // exercises the mpMu/mu lock split: admission, sealing, validation, and
 // reads all overlap. Afterwards every submitted transaction must be
-// committed exactly once and all nodes must agree on the chain.
+// committed exactly once and all nodes must agree on the chain. With one
+// node partitioned away, submission and sealing ride the quorum side only
+// and the healed minority must converge on the same chain.
 func TestConcurrentBatchSubmitWhileSealing(t *testing.T) {
+	t.Run("all reachable", func(t *testing.T) { concurrentBatchSubmitWhileSealing(t, false) })
+	t.Run("one node partitioned", func(t *testing.T) { concurrentBatchSubmitWhileSealing(t, true) })
+}
+
+func concurrentBatchSubmitWhileSealing(t *testing.T, partitioned bool) {
 	nodes, net, _, clk := newTestCluster(t, 3)
 	contract := testContractAddr()
+	if partitioned {
+		cells := map[cryptoutil.Address]int{nodes[0].Address(): 0, nodes[1].Address(): 0, nodes[2].Address(): 1}
+		if err := net.Partition(cells); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	const senders = 8
 	const batchesPerSender = 6
@@ -88,7 +101,13 @@ func TestConcurrentBatchSubmitWhileSealing(t *testing.T) {
 					batch[i] = mustTx(t, key, nonce, contract, "k0", "v")
 					nonce++
 				}
-				hs, err := net.SubmitEverywhereBatch(batch)
+				// Even senders use the all-or-nothing form, odd ones
+				// the verdict form; on an honest batch they agree.
+				submit := net.SubmitAllOrNothing
+				if s%2 == 1 {
+					submit = func(txs []*Tx) ([]cryptoutil.Hash, error) { return submitAll(net, txs) }
+				}
+				hs, err := submit(batch)
 				if err != nil {
 					t.Errorf("sender %d batch %d: %v", s, b, err)
 					return
@@ -107,6 +126,12 @@ func TestConcurrentBatchSubmitWhileSealing(t *testing.T) {
 	for nodes[0].PendingTxs() > 0 {
 		clk.Advance(time.Millisecond)
 		if _, err := net.SealNext(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if partitioned {
+		if _, _, err := net.Heal(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -149,10 +174,10 @@ func TestConcurrentBatchSubmitWhileSealing(t *testing.T) {
 	}
 }
 
-// TestConcurrentSubmitTxSingleNode races many per-sender SubmitTx streams
+// TestConcurrentSubmitSingleNode races many per-sender Submit streams
 // against a node sealing continuously, checking the split between the
 // admission lock and the ledger lock on a single node.
-func TestConcurrentSubmitTxSingleNode(t *testing.T) {
+func TestConcurrentSubmitSingleNode(t *testing.T) {
 	node, _, clk := newTestNode(t)
 	contract := testContractAddr()
 
@@ -189,7 +214,7 @@ func TestConcurrentSubmitTxSingleNode(t *testing.T) {
 			defer wg.Done()
 			key := cryptoutil.MustGenerateKey()
 			for i := range txsPerSender {
-				if _, err := node.SubmitTx(mustTx(t, key, uint64(i), contract, "k", "v")); err != nil {
+				if _, err := submit1(node, mustTx(t, key, uint64(i), contract, "k", "v")); err != nil {
 					t.Errorf("sender %d tx %d: %v", s, i, err)
 					return
 				}
@@ -234,7 +259,7 @@ func TestCostLedgerVisibleWithReceipt(t *testing.T) {
 			txs[i] = mustTx(t, sender, nonce, testContractAddr(), "k", "v")
 			nonce++
 		}
-		if _, err := net.SubmitEverywhereBatch(txs); err != nil {
+		if _, err := net.SubmitAllOrNothing(txs); err != nil {
 			t.Fatal(err)
 		}
 		last := txs[perBlock-1].Hash()

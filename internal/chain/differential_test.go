@@ -126,7 +126,7 @@ func TestDifferentialCrashRestartEquivalence(t *testing.T) {
 			nonces := make([]uint64, len(senders))
 			for range 12 {
 				for _, tx := range randomBlockTxs(t, rng, senders, nonces) {
-					if _, err := n.SubmitTx(tx); err != nil {
+					if _, err := submit1(n, tx); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -210,7 +210,7 @@ func TestConcurrentReadersDuringCommit(t *testing.T) {
 
 	for i := range 24 {
 		tx := mustTx(t, key, uint64(i), testContractAddr(), fmt.Sprintf("k%d", i%32), fmt.Sprintf("v%d", i))
-		if _, err := n.SubmitTx(tx); err != nil {
+		if _, err := submit1(n, tx); err != nil {
 			t.Fatal(err)
 		}
 		clk.Advance(time.Second)
@@ -238,7 +238,7 @@ func TestConcurrentReadersDuringCommit(t *testing.T) {
 func TestSlowReceiptWaiterCannotStallSealing(t *testing.T) {
 	n, key, clk := newTestNode(t)
 	tx := mustTx(t, key, 0, testContractAddr(), "a", "1")
-	if _, err := n.SubmitTx(tx); err != nil {
+	if _, err := submit1(n, tx); err != nil {
 		t.Fatal(err)
 	}
 

@@ -32,9 +32,14 @@
 //     SealOutOfTurn, ApplyBlock, SyncFrom). At most one block is built or
 //     validated at a time; chain state only ever advances under sealMu.
 //   - mpMu guards transaction admission: the hash-indexed mempool and the
-//     per-sender nonce table. Submissions (SubmitTx, SubmitBatch) contend
-//     only on this lock, so they are admitted concurrently with block
-//     execution rather than serializing behind it.
+//     per-sender nonce table. Submissions contend only on this lock — one
+//     acquisition per node per Submit call, whatever the batch size — so
+//     they are admitted concurrently with block execution rather than
+//     serializing behind it. The one exception is a transaction whose
+//     nonce is already committed: after mpMu is released, admission passes
+//     through sealMu (holding nothing, so the order above stands) and
+//     reads the receipt index under mu, to tell a rebroadcast of a
+//     transaction whose block is still in flight from a replay.
 //   - mu (an RWMutex) guards the ledger: the block list, the state
 //     handle, and receipt waiters. Read paths — Height, Head,
 //     BlockByNumber, Query, Events, Receipt — take only the read lock and
@@ -82,17 +87,38 @@
 // WaitForReceipt or event subscriptions. State and CostLedger carry their
 // own synchronization and may be read without node locks.
 //
+// # Submission
+//
+// There is one way into a mempool. Node.Submit and Network.Submit run the
+// same three stages — hash every transaction once, check every signature
+// on the verifier pool, admit — and answer with one TxVerdict per
+// transaction. admit is the only caller of enqueueLocked: it takes
+// signature-checked transactions and their hashes, holds mpMu once for
+// the whole slice, skips what an earlier stage (or an earlier node)
+// already refused, and lets a refusal take the sender's later
+// transactions in the batch with it. Network.Submit verifies once for
+// the cluster and runs admit on every reachable node; a transaction
+// stands iff every reachable node took it or already holds it, and is
+// otherwise withdrawn from the nodes that took it.
+// Network.SubmitAllOrNothing is the same call followed by "if any verdict
+// failed, withdraw everything this call added and return the
+// lowest-indexed error". Resubmitting a queued transaction, or one this
+// node has committed, is an idempotent success (counted in
+// chain_mempool_duplicate_total and chain_mempool_stale_total); a
+// different transaction on a committed nonce is ErrTxStale.
+//
 // Signature verification — the dominant CPU cost of admission and
-// validation — never runs under any node lock. Batch paths (SubmitBatch,
-// Network.SubmitEverywhereBatch, ApplyBlock) verify concurrently via a
-// GOMAXPROCS-wide worker pool (VerifyTxSignatures). Each validator
-// verifies a transaction once: ApplyBlock skips the check for
-// transactions whose hash is in the node's own mempool (it verified them
-// at admission) and runs it for everything else — see ApplyBlock for the
-// soundness argument. Likewise a transaction is hashed once per node per
-// block (mempool.Take hands the proposer its admission-time hashes,
-// ApplyBlock computes them once) and the slice is threaded through the
-// tx root, execution, and mempool removal.
+// validation — never runs under any node lock, and one function spawns
+// its goroutines: verify, a GOMAXPROCS-wide worker pool that returns an
+// error per index. Submission reads the slice per transaction; ApplyBlock
+// takes its lowest-indexed error. Each validator verifies a transaction
+// once: ApplyBlock skips the check for transactions whose hash is in the
+// node's own mempool (it verified them at admission) and runs it for
+// everything else — see ApplyBlock for the soundness argument. Likewise a
+// transaction is hashed once per submission, not once per node, and once
+// per node per block (mempool.Take hands the proposer its admission-time
+// hashes, ApplyBlock computes them once) and the slice is threaded
+// through the tx root, execution, and mempool removal.
 //
 // # Durability
 //

@@ -2,6 +2,7 @@ package chain
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -101,6 +102,33 @@ func flipSigByte(tx *Tx) *Tx {
 	return &bad
 }
 
+// admitUnverified writes tx straight into n's mempool through admit, the
+// stage behind signature verification — the one way a test can queue a
+// badly signed transaction.
+func admitUnverified(t *testing.T, n *Node, tx *Tx) {
+	t.Helper()
+	out := []TxVerdict{{Hash: tx.Hash()}}
+	n.admit([]*Tx{tx}, out)
+	if out[0].Err != nil {
+		t.Fatal(out[0].Err)
+	}
+}
+
+// txFieldMutations changes each field of Tx in place. Every field is
+// either inside SigningBytes or is the signature, so each mutation must
+// change the hash (a mempool miss) and fail verification.
+var txFieldMutations = map[string]func(tx *Tx){
+	"Nonce":     func(tx *Tx) { tx.Nonce++ },
+	"From":      func(tx *Tx) { tx.From[0] ^= 0x01 },
+	"SenderKey": func(tx *Tx) { tx.SenderKey = cryptoutil.MustGenerateKey().PublicBytes() },
+	"Contract":  func(tx *Tx) { tx.Contract[0] ^= 0x01 },
+	"Method":    func(tx *Tx) { tx.Method += "x" },
+	"Args":      func(tx *Tx) { tx.Args = []byte(`{"key":"k","value":"forged"}`) },
+	"GasLimit":  func(tx *Tx) { tx.GasLimit++ },
+	"GasPrice":  func(tx *Tx) { tx.GasPrice++ },
+	"Signature": func(tx *Tx) { tx.Signature = flipSigByte(tx).Signature },
+}
+
 // TestFastPathStillVerifiesWhatItDidNotAdmit: a follower must reject,
 // with ErrBadTxInBlock, every block carrying a badly signed transaction
 // it did not itself admit under exactly those bytes — whatever the
@@ -108,43 +136,48 @@ func flipSigByte(tx *Tx) *Tx {
 // and plays the byzantine authority; node 0 is the follower under test.
 func TestFastPathStillVerifiesWhatItDidNotAdmit(t *testing.T) {
 	sender := cryptoutil.MustGenerateKey()
-	// admitThenMutate submits an honest transaction to every mempool and
-	// then rewrites the shared *Tx in place, as the forgers do: the
-	// follower holds the admission-time hash, the block carries different
-	// bytes.
+	// admitThenMutate submits two honest transactions to every mempool
+	// and then rewrites the second shared *Tx in place, as the forgers do:
+	// the follower holds the admission-time hash, the block carries
+	// different bytes. (The second, because a proposer's own mempool only
+	// hands out a queue whose head still carries the committed nonce.)
 	admitThenMutate := func(mutate func(tx *Tx)) func(*testing.T, *fastPathCluster) {
 		return func(t *testing.T, c *fastPathCluster) {
-			tx := mustTx(t, sender, 0, testContractAddr(), "k", "v")
-			if _, err := c.net.SubmitEverywhere(tx); err != nil {
+			txs := []*Tx{
+				mustTx(t, sender, 0, testContractAddr(), "k", "v"),
+				mustTx(t, sender, 1, testContractAddr(), "k", "v"),
+			}
+			if _, err := c.net.SubmitAllOrNothing(txs); err != nil {
 				t.Fatal(err)
 			}
-			mutate(tx)
+			mutate(txs[1])
 		}
 	}
 	// injectAtProposer writes a transaction with a flipped signature
 	// byte straight into the proposer's mempool, bypassing admission.
 	injectAtProposer := func(t *testing.T, c *fastPathCluster) {
-		bad := flipSigByte(mustTx(t, sender, 0, testContractAddr(), "k", "v"))
-		if _, err := c.nodes[1].submitVerified(bad); err != nil {
-			t.Fatal(err)
-		}
+		admitUnverified(t, c.nodes[1], flipSigByte(mustTx(t, sender, 0, testContractAddr(), "k", "v")))
 	}
-	cases := []struct {
+	type testCase struct {
 		name    string
 		prepare func(t *testing.T, c *fastPathCluster)
-	}{
+	}
+	cases := []testCase{
 		{"never admitted, flipped signature byte", injectAtProposer},
-		{"admitted, then Args mutated", admitThenMutate(func(tx *Tx) {
-			tx.Args = []byte(`{"key":"k","value":"forged"}`)
-		})},
-		{"admitted, then GasPrice mutated", admitThenMutate(func(tx *Tx) { tx.GasPrice++ })},
-		{"admitted, then Signature mutated", admitThenMutate(func(tx *Tx) {
-			tx.Signature = flipSigByte(tx).Signature
-		})},
 		{"freshly restarted follower", func(t *testing.T, c *fastPathCluster) {
 			injectAtProposer(t, c)
 			c.restartNode0(t)
 		}},
+	}
+	// One admit-then-mutate row per field of Tx, enumerated by reflection
+	// so a field added later fails here until it has a mutation.
+	for i := range reflect.TypeFor[Tx]().NumField() {
+		field := reflect.TypeFor[Tx]().Field(i).Name
+		mutate := txFieldMutations[field]
+		if mutate == nil {
+			t.Fatalf("Tx.%s has no row in txFieldMutations: the fast path's soundness is unchecked for it", field)
+		}
+		cases = append(cases, testCase{"admitted, then " + field + " mutated", admitThenMutate(mutate)})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -155,10 +188,16 @@ func TestFastPathStillVerifiesWhatItDidNotAdmit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(block.Txs) != 1 {
-				t.Fatalf("proposer sealed %d txs, want the 1 bad one", len(block.Txs))
+			if len(block.Txs) == 0 {
+				t.Fatal("proposer sealed an empty block, want the bad tx last in it")
 			}
 			follower := c.nodes[0]
+			follower.mpMu.Lock()
+			hit := follower.mempool.Contains(block.Txs[len(block.Txs)-1].Hash())
+			follower.mpMu.Unlock()
+			if hit {
+				t.Fatal("the block's bytes hash to a transaction the follower admitted")
+			}
 			err = follower.ApplyBlock(block, c.nodes[1].key.PublicBytes())
 			if !errors.Is(err, ErrBadTxInBlock) {
 				t.Fatalf("follower verdict = %v, want ErrBadTxInBlock", err)
@@ -189,7 +228,7 @@ func TestFastPathSignatureAccounting(t *testing.T) {
 			txs[i] = mustTx(t, sender, nonce, testContractAddr(), "k", "v")
 			nonce++
 		}
-		if _, err := c.net.SubmitEverywhereBatch(txs); err != nil {
+		if _, err := c.net.SubmitAllOrNothing(txs); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -245,10 +284,7 @@ func TestSealNextNamesLowestRejectingFollower(t *testing.T) {
 	sender := cryptoutil.MustGenerateKey()
 	for range 50 {
 		nodes, net, _, clk := newTestCluster(t, 3)
-		bad := flipSigByte(mustTx(t, sender, 0, testContractAddr(), "k", "v"))
-		if _, err := nodes[1].submitVerified(bad); err != nil {
-			t.Fatal(err)
-		}
+		admitUnverified(t, nodes[1], flipSigByte(mustTx(t, sender, 0, testContractAddr(), "k", "v")))
 		clk.Advance(time.Second)
 		_, err := net.SealNext()
 		if !errors.Is(err, ErrBadTxInBlock) {

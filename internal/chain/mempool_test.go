@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"repro/internal/cryptoutil"
+	"repro/internal/obs"
+	"repro/internal/simclock"
 )
 
 // testPool builds a bare mempool with roomy defaults for direct
@@ -278,18 +280,20 @@ func TestMempoolFullRejectsUnderpriced(t *testing.T) {
 // still reported.
 func TestSubmitBatchDedup(t *testing.T) {
 	node, key, clk := newTestNode(t)
+	reg := obs.NewRegistry()
+	node.metrics = NewMetrics(reg)
 	contract := testContractAddr()
 
 	batch := make([]*Tx, 4)
 	for i := range batch {
 		batch[i] = mustTx(t, key, uint64(i), contract, "k", "v")
 	}
-	hashes, err := node.SubmitBatch(batch)
+	hashes, err := submitAll(node, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(hashes) != 4 {
-		t.Fatalf("SubmitBatch returned %d hashes, want 4", len(hashes))
+		t.Fatalf("Submit returned %d hashes, want 4", len(hashes))
 	}
 	if node.PendingTxs() != 4 {
 		t.Fatalf("PendingTxs = %d, want 4", node.PendingTxs())
@@ -297,7 +301,7 @@ func TestSubmitBatchDedup(t *testing.T) {
 
 	// Resubmit the same batch plus one genuinely new transaction.
 	extended := append(append([]*Tx(nil), batch...), mustTx(t, key, 4, contract, "k", "v"))
-	hashes, err = node.SubmitBatch(extended)
+	hashes, err = submitAll(node, extended)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,13 +312,20 @@ func TestSubmitBatchDedup(t *testing.T) {
 		t.Fatalf("PendingTxs after resubmit = %d, want 5 (dedup broken)", node.PendingTxs())
 	}
 
-	// Single-tx resubmission reports ErrTxKnown with the hash.
-	h, err := node.SubmitTx(batch[0])
-	if !errors.Is(err, ErrTxKnown) {
-		t.Fatalf("duplicate SubmitTx err = %v, want ErrTxKnown", err)
+	// One duplicate rule: a single-tx resubmission is the same idempotent
+	// success, hash returned, and is counted.
+	h, err := submit1(node, batch[0])
+	if err != nil {
+		t.Fatalf("duplicate Submit err = %v, want nil", err)
 	}
 	if h != batch[0].Hash() {
-		t.Fatal("duplicate SubmitTx did not return the queued hash")
+		t.Fatal("duplicate Submit did not return the queued hash")
+	}
+	if node.PendingTxs() != 5 {
+		t.Fatalf("PendingTxs after duplicate = %d, want 5", node.PendingTxs())
+	}
+	if got := reg.Counter("chain_mempool_duplicate_total", "").Value(); got != 5 {
+		t.Fatalf("chain_mempool_duplicate_total = %d, want 5 (4 in the batch, 1 alone)", got)
 	}
 
 	// The sealed block must contain each transaction exactly once.
@@ -336,28 +347,90 @@ func TestSubmitBatchDedup(t *testing.T) {
 	}
 }
 
-// TestSubmitBatchAtomicOnBadNonce verifies that a batch with a nonce gap
-// is rejected without enqueuing any part of it.
+// TestSubmitBatchAtomicOnBadNonce: the all-or-nothing form withdraws a
+// partially admitted batch from every node — whether a transaction was
+// refused everywhere (a nonce gap behind an admitted head) or by one node
+// only (its own queue holds a rival for the slot) — while the verdict form
+// keeps the admitted part and answers per transaction.
 func TestSubmitBatchAtomicOnBadNonce(t *testing.T) {
-	node, key, _ := newTestNode(t)
 	contract := testContractAddr()
-
-	batch := []*Tx{
-		mustTx(t, key, 0, contract, "a", "1"),
-		mustTx(t, key, 3, contract, "b", "2"), // gap: want 1
+	cases := []struct {
+		name string
+		// batch builds the submission; it may first skew one node's mempool.
+		batch    func(t *testing.T, nodes []*Node, key *cryptoutil.KeyPair) []*Tx
+		want     error
+		verdicts []bool // Admitted() per tx from the verdict form
+		residue  []int  // per-node PendingTxs the batch must leave behind
+	}{
+		{
+			name: "gap behind an admitted head",
+			batch: func(t *testing.T, _ []*Node, key *cryptoutil.KeyPair) []*Tx {
+				return []*Tx{
+					mustTx(t, key, 0, contract, "a", "1"),
+					mustTx(t, key, 3, contract, "b", "2"), // gap: want 1
+				}
+			},
+			want:     ErrBadNonce,
+			verdicts: []bool{true, false},
+			residue:  []int{0, 0, 0},
+		},
+		{
+			name: "one node holds a rival for the head's slot",
+			batch: func(t *testing.T, nodes []*Node, key *cryptoutil.KeyPair) []*Tx {
+				if _, err := submit1(nodes[2], mustTx(t, key, 0, contract, "rival", "0")); err != nil {
+					t.Fatal(err)
+				}
+				return []*Tx{
+					mustTx(t, key, 0, contract, "a", "1"), // nodes 0, 1 take it; node 2: underpriced replacement
+					mustTx(t, key, 1, contract, "b", "2"), // continues every node's queue, but its predecessor is refused
+				}
+			},
+			want:     ErrReplaceUnderpriced,
+			verdicts: []bool{false, false},
+			residue:  []int{0, 0, 1},
+		},
 	}
-	if _, err := node.SubmitBatch(batch); !errors.Is(err, ErrBadNonce) {
-		t.Fatalf("err = %v, want ErrBadNonce", err)
-	}
-	if node.PendingTxs() != 0 {
-		t.Fatalf("PendingTxs = %d, want 0 (batch must be atomic)", node.PendingTxs())
+	for _, tc := range cases {
+		for _, form := range []string{"all-or-nothing", "verdicts"} {
+			t.Run(tc.name+"/"+form, func(t *testing.T) {
+				nodes, net, _, _ := newTestCluster(t, 3)
+				batch := tc.batch(t, nodes, cryptoutil.MustGenerateKey())
+				kept := 0
+				if form == "all-or-nothing" {
+					if _, err := net.SubmitAllOrNothing(batch); !errors.Is(err, tc.want) {
+						t.Fatalf("err = %v, want %v", err, tc.want)
+					}
+				} else {
+					out := net.Submit(batch)
+					for i, v := range out {
+						if v.Admitted() != tc.verdicts[i] {
+							t.Fatalf("tx %d: verdict %v, want admitted=%v", i, v.Err, tc.verdicts[i])
+						}
+						if v.Admitted() {
+							kept++
+						}
+					}
+					if err := firstError([]error{out[0].Err, out[1].Err}); !errors.Is(err, tc.want) {
+						t.Fatalf("lowest-indexed error = %v, want %v", err, tc.want)
+					}
+				}
+				for i, n := range nodes {
+					if got := n.PendingTxs(); got != tc.residue[i]+kept {
+						t.Fatalf("node %d queues %d txs, want %d", i, got, tc.residue[i]+kept)
+					}
+				}
+			})
+		}
 	}
 }
 
 // TestSubmitBatchRejectsBadSignature verifies the concurrent verification
-// pool surfaces a deterministic signature failure for the whole batch.
+// pool pins a signature failure on the tampered transaction: the ones
+// ahead of it are admitted, its same-sender successors are refused for
+// their nonce, and the all-or-nothing form queues nothing at all.
 func TestSubmitBatchRejectsBadSignature(t *testing.T) {
-	node, key, _ := newTestNode(t)
+	nodes, net, keys, _ := newTestCluster(t, 1)
+	node, key := nodes[0], keys[0]
 	contract := testContractAddr()
 
 	batch := make([]*Tx, 16)
@@ -365,11 +438,24 @@ func TestSubmitBatchRejectsBadSignature(t *testing.T) {
 		batch[i] = mustTx(t, key, uint64(i), contract, "k", "v")
 	}
 	batch[11].Args = []byte(`{"key":"tampered"}`)
-	if _, err := node.SubmitBatch(batch); !errors.Is(err, ErrBadSignature) {
+	if _, err := net.SubmitAllOrNothing(batch); !errors.Is(err, ErrBadSignature) {
 		t.Fatalf("err = %v, want ErrBadSignature", err)
 	}
 	if node.PendingTxs() != 0 {
 		t.Fatalf("PendingTxs = %d, want 0", node.PendingTxs())
+	}
+	for i, v := range node.Submit(batch) {
+		switch {
+		case i < 11 && v.Err != nil:
+			t.Fatalf("tx %d ahead of the tampered one refused: %v", i, v.Err)
+		case i == 11 && !errors.Is(v.Err, ErrBadSignature):
+			t.Fatalf("tampered tx: err = %v, want ErrBadSignature", v.Err)
+		case i > 11 && !errors.Is(v.Err, ErrBadNonce):
+			t.Fatalf("tx %d behind the tampered one: err = %v, want ErrBadNonce", i, v.Err)
+		}
+	}
+	if node.PendingTxs() != 11 {
+		t.Fatalf("PendingTxs = %d, want the 11 ahead of the tampered one", node.PendingTxs())
 	}
 }
 
@@ -385,12 +471,12 @@ func TestVerifyTxSignaturesDeterministicError(t *testing.T) {
 	txs[5].GasLimit = 0 // fails with ErrGasLimitZero
 	txs[40].Method = "" // fails with ErrNoMethod
 	for range 8 {
-		if err := VerifyTxSignatures(txs); !errors.Is(err, ErrGasLimitZero) {
+		if err := firstError(verify(txs)); !errors.Is(err, ErrGasLimitZero) {
 			t.Fatalf("err = %v, want the lowest-indexed failure (ErrGasLimitZero)", err)
 		}
 	}
 	withVerifyPool(t, 1)
-	if err := VerifyTxSignatures(txs); !errors.Is(err, ErrGasLimitZero) {
+	if err := firstError(verify(txs)); !errors.Is(err, ErrGasLimitZero) {
 		t.Fatalf("sequential err = %v, want ErrGasLimitZero", err)
 	}
 }
@@ -404,11 +490,11 @@ func TestReplaceByFee(t *testing.T) {
 	contract := testContractAddr()
 
 	orig := mustTxPriced(t, key, 0, contract, "k", "old", 100)
-	if _, err := node.SubmitTx(orig); err != nil {
+	if _, err := submit1(node, orig); err != nil {
 		t.Fatal(err)
 	}
 	bump := mustTxPriced(t, key, 0, contract, "k", "new", 110) // exactly +10%
-	if _, err := node.SubmitTx(bump); err != nil {
+	if _, err := submit1(node, bump); err != nil {
 		t.Fatalf("replacement at the bump threshold: %v", err)
 	}
 	if node.PendingTxs() != 1 {
@@ -443,15 +529,15 @@ func TestReplaceByFeeEdges(t *testing.T) {
 	contract := testContractAddr()
 
 	orig := mustTxPriced(t, key, 0, contract, "k", "old", 100)
-	if _, err := node.SubmitTx(orig); err != nil {
+	if _, err := submit1(node, orig); err != nil {
 		t.Fatal(err)
 	}
 	equal := mustTxPriced(t, key, 0, contract, "k", "eq", 100)
-	if _, err := node.SubmitTx(equal); !errors.Is(err, ErrReplaceUnderpriced) {
+	if _, err := submit1(node, equal); !errors.Is(err, ErrReplaceUnderpriced) {
 		t.Fatalf("equal-price replace err = %v, want ErrReplaceUnderpriced", err)
 	}
 	low := mustTxPriced(t, key, 0, contract, "k", "low", 109) // below +10%
-	if _, err := node.SubmitTx(low); !errors.Is(err, ErrReplaceUnderpriced) {
+	if _, err := submit1(node, low); !errors.Is(err, ErrReplaceUnderpriced) {
 		t.Fatalf("below-bump replace err = %v, want ErrReplaceUnderpriced", err)
 	}
 	node.mpMu.Lock()
@@ -464,7 +550,7 @@ func TestReplaceByFeeEdges(t *testing.T) {
 	// Same nonce, different sender: two independent queues.
 	other := cryptoutil.MustGenerateKey()
 	cross := mustTxPriced(t, other, 0, contract, "x", "1", 1)
-	if _, err := node.SubmitTx(cross); err != nil {
+	if _, err := submit1(node, cross); err != nil {
 		t.Fatalf("cross-sender same-nonce submit: %v", err)
 	}
 	if node.PendingTxs() != 2 {
@@ -480,16 +566,16 @@ func TestSenderQuota(t *testing.T) {
 	contract := testContractAddr()
 
 	for i := range 4 {
-		if _, err := node.SubmitTx(mustTx(t, key, uint64(i), contract, "k", "v")); err != nil {
+		if _, err := submit1(node, mustTx(t, key, uint64(i), contract, "k", "v")); err != nil {
 			t.Fatal(err)
 		}
 	}
 	over := mustTx(t, key, 4, contract, "k", "v")
-	if _, err := node.SubmitTx(over); !errors.Is(err, ErrQuotaExceeded) {
+	if _, err := submit1(node, over); !errors.Is(err, ErrQuotaExceeded) {
 		t.Fatalf("over-quota err = %v, want ErrQuotaExceeded", err)
 	}
 	other := cryptoutil.MustGenerateKey()
-	if _, err := node.SubmitTx(mustTx(t, other, 0, contract, "x", "1")); err != nil {
+	if _, err := submit1(node, mustTx(t, other, 0, contract, "x", "1")); err != nil {
 		t.Fatalf("other sender blocked by someone else's quota: %v", err)
 	}
 }
@@ -524,7 +610,7 @@ func TestConcurrentSubmitBatchQuota(t *testing.T) {
 			// Per-tx submission: quota rejections must not disturb the
 			// transactions admitted before the quota hit.
 			for _, tx := range batches[i] {
-				if _, err := node.SubmitTx(tx); err != nil {
+				if _, err := submit1(node, tx); err != nil {
 					return
 				}
 			}
@@ -562,5 +648,116 @@ func TestConcurrentSubmitBatchQuota(t *testing.T) {
 	}
 	if total == 0 {
 		t.Fatal("nothing sealed despite concurrent submissions")
+	}
+}
+
+// TestStaleNonceIsNotAdmitted: a nonce below the sender's committed nonce
+// is an idempotent rebroadcast only when the node committed that very
+// transaction; a different transaction reusing the nonce is a replay and
+// is refused with ErrTxStale on every submission surface — it must never
+// be reported admitted, because no receipt will ever exist for it.
+func TestStaleNonceIsNotAdmitted(t *testing.T) {
+	surfaces := []struct {
+		name   string
+		submit func(nodes []*Node, net *Network, tx *Tx) (cryptoutil.Hash, error)
+	}{
+		{"Node.Submit", func(nodes []*Node, _ *Network, tx *Tx) (cryptoutil.Hash, error) {
+			return submit1(nodes[0], tx)
+		}},
+		{"Network.Submit", func(_ []*Node, net *Network, tx *Tx) (cryptoutil.Hash, error) {
+			return submit1(net, tx)
+		}},
+		{"Network.SubmitAllOrNothing", func(_ []*Node, net *Network, tx *Tx) (cryptoutil.Hash, error) {
+			hashes, err := net.SubmitAllOrNothing([]*Tx{tx})
+			if err != nil {
+				return cryptoutil.Hash{}, err
+			}
+			return hashes[0], nil
+		}},
+	}
+	for _, s := range surfaces {
+		t.Run(s.name, func(t *testing.T) {
+			nodes, net, _, clk := newTestCluster(t, 3)
+			sender := cryptoutil.MustGenerateKey()
+			committed := mustTx(t, sender, 0, testContractAddr(), "k", "v")
+			if _, err := submit1(net, committed); err != nil {
+				t.Fatal(err)
+			}
+			clk.Advance(time.Second)
+			if _, err := net.SealNext(); err != nil {
+				t.Fatal(err)
+			}
+
+			replay := mustTx(t, sender, 0, testContractAddr(), "k", "another value")
+			if _, err := s.submit(nodes, net, replay); !errors.Is(err, ErrTxStale) {
+				t.Fatalf("a new tx on a committed nonce: err = %v, want ErrTxStale", err)
+			}
+			h, err := s.submit(nodes, net, committed)
+			if err != nil || h != committed.Hash() {
+				t.Fatalf("rebroadcast of the committed tx: hash %s, err %v; want its hash and nil", h.Short(), err)
+			}
+			for i, n := range nodes {
+				if got := n.PendingTxs(); got != 0 {
+					t.Fatalf("node %d queues %d txs, want 0", i, got)
+				}
+			}
+		})
+	}
+}
+
+// gatedExecutor holds every execution until released, so a test can act
+// while a block is in flight: taken from the mempool, nonces advanced,
+// receipts not yet indexed.
+type gatedExecutor struct {
+	testExecutor
+	entered, release chan struct{}
+}
+
+func (g gatedExecutor) ExecuteTx(st StateRW, tx *Tx, bctx BlockContext) *Receipt {
+	g.entered <- struct{}{}
+	<-g.release
+	return g.testExecutor.ExecuteTx(st, tx, bctx)
+}
+
+// TestStaleNonceRebroadcastDuringSeal: a rebroadcast that lands while the
+// block carrying the transaction is still in flight finds the nonce
+// advanced and no receipt yet. It must wait for the block and answer as
+// the idempotent rebroadcast it is, not as a replay.
+func TestStaleNonceRebroadcastDuringSeal(t *testing.T) {
+	key := cryptoutil.MustGenerateKey()
+	clk := simclock.NewSim(chainEpoch)
+	gate := gatedExecutor{entered: make(chan struct{}), release: make(chan struct{})}
+	node, err := NewNode(Config{
+		Key: key, Authorities: []cryptoutil.Address{key.Address()},
+		Executor: gate, Clock: clk, GenesisTime: chainEpoch, ExecWorkers: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := mustTx(t, key, 0, testContractAddr(), "k", "v")
+	if _, err := submit1(node, tx); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(time.Second)
+	sealed := make(chan error, 1)
+	go func() {
+		_, err := node.Seal()
+		sealed <- err
+	}()
+	<-gate.entered
+
+	verdict := make(chan TxVerdict, 1)
+	go func() { verdict <- node.Submit([]*Tx{tx})[0] }()
+	select {
+	case v := <-verdict:
+		t.Fatalf("rebroadcast answered while its block was in flight: %v", v.Err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(gate.release)
+	if err := <-sealed; err != nil {
+		t.Fatal(err)
+	}
+	if v := <-verdict; v.Err != nil || v.Hash != tx.Hash() {
+		t.Fatalf("rebroadcast verdict = %s, %v; want the tx hash and nil", v.Hash.Short(), v.Err)
 	}
 }

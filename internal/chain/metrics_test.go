@@ -62,15 +62,16 @@ func buildMeteredChain(t *testing.T, key *cryptoutil.KeyPair, wl *meteredWorkloa
 		t.Fatal(err)
 	}
 	for block, txs := range wl.blocks {
-		hashes, err := node.SubmitBatch(txs)
+		hashes, err := submitAll(node, txs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Duplicate rebroadcast and a nonce-gap rejection.
-		if _, err := node.SubmitTx(txs[0]); err == nil {
-			t.Fatal("duplicate accepted")
+		// Duplicate rebroadcast (an idempotent success that queues
+		// nothing) and a nonce-gap rejection.
+		if _, err := submit1(node, txs[0]); err != nil {
+			t.Fatalf("duplicate: %v", err)
 		}
-		if _, err := node.SubmitTx(wl.gaps[block]); err == nil {
+		if _, err := submit1(node, wl.gaps[block]); err == nil {
 			t.Fatal("nonce gap accepted")
 		}
 		// Register a receipt waiter BEFORE sealing so one transaction per

@@ -3,12 +3,9 @@ package chain
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/cryptoutil"
-	"repro/internal/obs"
 )
 
 // Block validation errors.
@@ -51,9 +48,8 @@ var (
 //     address and key) is inside SigningBytes, whose encoding is
 //     injective: every field but Method renders as digits or hex, so the
 //     '|' separators split unambiguously from both ends;
-//   - every path into a node's mempool (SubmitTx, SubmitBatch, and the
-//     network's verify-once submitVerified[Batch]) checks the signature
-//     before enqueueing.
+//   - admit is the only way into a node's mempool, and both its callers
+//     (Node.Submit, Network.Submit) check the signature first.
 //
 // The hash is recomputed here from the block's own bytes, never taken
 // from the proposer, so a transaction mutated after admission, one that
@@ -105,7 +101,7 @@ func (n *Node) ApplyBlock(block *Block, proposerKey []byte) error {
 		}
 	}
 	n.mpMu.Unlock()
-	if err := VerifyTxSignatures(unadmitted); err != nil {
+	if err := firstError(verify(unadmitted)); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadTxInBlock, err)
 	}
 	n.metrics.SigsReused.Add(uint64(len(block.Txs) - len(unadmitted)))
@@ -115,9 +111,9 @@ func (n *Node) ApplyBlock(block *Block, proposerKey []byte) error {
 	}
 	// The per-tx gas cap is enforced here as well as at admission: a
 	// byzantine proposer writes over-cap transactions straight into a
-	// block, bypassing Submit. Checked separately from VerifyTxSignatures
-	// so the rejection carries its own sentinel (ErrBadTxInBlock wraps the
-	// cause as text, which would hide errors.Is(ErrGasTooLarge)).
+	// block, bypassing Submit. Checked separately from verify so the
+	// rejection carries its own sentinel (ErrBadTxInBlock wraps the cause
+	// as text, which would hide errors.Is(ErrGasTooLarge)).
 	for i, tx := range block.Txs {
 		if tx.GasLimit > MaxTxGasLimit {
 			return fmt.Errorf("%w: tx %s declares %d, cap %d",
@@ -649,181 +645,93 @@ func (net *Network) Recover(addr cryptoutil.Address) (int, error) {
 	return target.SyncFrom(donor, net.AuthorityKeys())
 }
 
-// SubmitEverywhere submits a transaction to every live node's mempool so
-// that whichever node seals next includes it. The signature is verified
-// once for the whole cluster, not once per node.
-func (net *Network) SubmitEverywhere(tx *Tx) (cryptoutil.Hash, error) {
-	hashes, err := net.SubmitEverywhereBatch([]*Tx{tx})
-	if err != nil {
-		return cryptoutil.Hash{}, err
-	}
-	return hashes[0], nil
-}
+// errNoLiveNode is the verdict of every transaction submitted while no
+// node is reachable.
+var errNoLiveNode = errors.New("chain: no live node accepted the transaction")
 
-// SubmitEverywhereBatch verifies a batch of transactions once (with the
-// concurrent verification pool) and enqueues the batch on every live
-// node under a single mempool lock acquisition per node. Transactions a
-// node already holds are skipped, so rebroadcasts are idempotent. The
-// returned hashes parallel the input.
+// Submit is the one way into the cluster's mempools: each transaction is
+// hashed once and its signature verified once for the whole cluster, then
+// the batch is admitted on every reachable node under a single mempool
+// lock acquisition per node. It answers per transaction and admits what
+// fits — under backpressure a caller learns exactly which transactions
+// were priced out (ErrPoolFull/ErrUnderpriced), quota-bounced
+// (ErrQuotaExceeded) or admitted, and can retry selectively. A
+// transaction stands iff every reachable node took it or already holds
+// it; otherwise it is withdrawn from the nodes that took it (best effort:
+// anything a concurrent seal has already committed stays committed).
 //
-// If a node rejects the batch, the transactions already enqueued on
-// earlier nodes are withdrawn again (best effort: anything a concurrent
-// seal has already committed stays committed), so a returned error means
-// no live mempool still queues the batch.
-func (net *Network) SubmitEverywhereBatch(txs []*Tx) ([]cryptoutil.Hash, error) {
-	if len(txs) == 0 {
-		return nil, nil
-	}
-	v := net.liveView()
-	// The cluster verifies once, so node-level SubmitBatch timers never
-	// see this path; record the pool latency on every node's instruments
-	// (no-ops everywhere except the metered validator).
-	tms := make([]obs.Timer, len(v.nodes))
-	for i, n := range v.nodes {
-		tms[i] = n.metrics.VerifyLatency.Start()
-	}
-	err := VerifyTxSignatures(txs)
-	for _, tm := range tms {
-		tm.Stop()
-	}
-	if err != nil {
-		return nil, err
-	}
+// Transactions sharing a sender must appear in nonce order; a refused
+// transaction takes its same-sender successors in the batch with it.
+func (net *Network) Submit(txs []*Tx) []TxVerdict { return net.submit(txs, false) }
 
-	var hashes []cryptoutil.Hash
-	var accepted []*Node
-	var acceptedAdded [][]cryptoutil.Hash
-	for _, n := range v.nodes {
-		// Submission rides the quorum side only: a minority node's mempool
-		// would hold the tx invisibly until heal, breaking the "no live
-		// mempool still queues the batch" error contract.
-		if !v.reachable(n.Address()) {
-			continue
+// SubmitAllOrNothing is Submit for a batch that must stand whole: if any
+// verdict failed, everything the call added is withdrawn again and the
+// lowest-indexed error returned, so an error means no reachable mempool
+// still queues the batch (best effort against a concurrent seal, as in
+// Submit). The returned hashes parallel the input.
+func (net *Network) SubmitAllOrNothing(txs []*Tx) ([]cryptoutil.Hash, error) {
+	out := net.submit(txs, true)
+	hashes := make([]cryptoutil.Hash, len(out))
+	for i, v := range out {
+		if v.Err != nil {
+			return nil, v.Err
 		}
-		h, added, err := n.submitVerifiedBatch(txs)
-		if err != nil {
-			for i, prev := range accepted {
-				prev.removeFromMempool(acceptedAdded[i])
-			}
-			return nil, err
-		}
-		if hashes == nil {
-			hashes = h
-		}
-		accepted = append(accepted, n)
-		acceptedAdded = append(acceptedAdded, added)
-	}
-	if len(accepted) == 0 {
-		return nil, errors.New("chain: no live node accepted the transaction")
+		hashes[i] = v.Hash
 	}
 	return hashes, nil
 }
 
-// TxVerdict is the per-transaction outcome of a best-effort batch
-// submission: the transaction's hash plus the admission error, nil when
-// every live node queued it (or already held it).
-type TxVerdict struct {
-	Hash cryptoutil.Hash
-	Err  error
-}
-
-// Admitted reports whether the transaction was accepted cluster-wide.
-func (v TxVerdict) Admitted() bool { return v.Err == nil }
-
-// SubmitEverywhereVerdicts submits a batch best-effort: signatures are
-// verified concurrently once for the cluster, then each transaction is
-// enqueued on every live node independently, admitting what fits and
-// reporting a per-transaction verdict instead of rejecting the whole
-// batch on the first failure. This is the overload-facing ingestion
-// path: under backpressure a caller learns exactly which transactions
-// were priced out (ErrPoolFull/ErrUnderpriced), quota-bounced
-// (ErrQuotaExceeded), or admitted, and can retry selectively.
-//
-// Transactions sharing a sender must appear in nonce order; a rejected
-// transaction makes its same-sender successors fail their nonce check,
-// which is the correct cascading verdict. On a cross-node disagreement
-// the transaction is withdrawn from the nodes that accepted it (best
-// effort, as in SubmitEverywhereBatch).
-func (net *Network) SubmitEverywhereVerdicts(txs []*Tx) []TxVerdict {
-	out := make([]TxVerdict, len(txs))
+func (net *Network) submit(txs []*Tx, allOrNothing bool) []TxVerdict {
 	if len(txs) == 0 {
-		return out
+		return nil
 	}
 	v := net.liveView()
-	tms := make([]obs.Timer, len(v.nodes))
-	for i, n := range v.nodes {
-		tms[i] = n.metrics.VerifyLatency.Start()
+	// The cluster verifies once: the pool latency lands on every node's
+	// instruments (no-ops everywhere except the metered validator).
+	out := checked(txs, v.nodes)
+	if allOrNothing && anyRefused(out) {
+		return out // nothing queued yet, nothing to withdraw
 	}
-	verrs := verifyTxVerdicts(txs)
-	for _, tm := range tms {
-		tm.Stop()
+
+	type admission struct {
+		node  *Node
+		added []int
 	}
-	for i, tx := range txs {
-		out[i].Hash = tx.Hash()
-		if verrs[i] != nil {
-			out[i].Err = verrs[i]
+	took := make([]admission, 0, len(v.nodes))
+	for _, n := range v.nodes {
+		// Submission rides the quorum side only: a minority node's mempool
+		// would hold the tx invisibly until heal, breaking the "a failed
+		// verdict means no live mempool queues it" contract.
+		if !v.reachable(n.Address()) {
 			continue
 		}
-		var accepted []*Node
-		var submitErr error
-		for _, n := range v.nodes {
-			if !v.reachable(n.Address()) {
-				continue
+		// A transaction an earlier node refused is skipped here, so its
+		// same-sender successors cascade on this node as they did there.
+		took = append(took, admission{n, n.admit(txs, out)})
+	}
+	if len(took) == 0 {
+		for i := range out {
+			if out[i].Err == nil {
+				out[i].Err = errNoLiveNode
 			}
-			if _, err := n.submitVerified(tx); err != nil {
-				if errors.Is(err, ErrTxKnown) || errors.Is(err, ErrTxStale) {
-					// Idempotent rebroadcast; the node effectively holds it.
-					accepted = append(accepted, n)
-					continue
-				}
-				submitErr = err
-				break
-			}
-			accepted = append(accepted, n)
 		}
-		switch {
-		case submitErr != nil:
-			for _, n := range accepted {
-				n.removeFromMempool([]cryptoutil.Hash{out[i].Hash})
-			}
-			out[i].Err = submitErr
-		case len(accepted) == 0:
-			out[i].Err = errors.New("chain: no live node accepted the transaction")
+	}
+	if anyRefused(out) {
+		for _, a := range took {
+			a.node.withdraw(out, a.added, allOrNothing)
 		}
 	}
 	return out
 }
 
-// verifyTxVerdicts checks every signature with the bounded worker pool,
-// returning a per-index error slice instead of VerifyTxSignatures'
-// first-failure collapse. Each worker writes only its own indexes, so
-// the slice needs no synchronization beyond the WaitGroup.
-func verifyTxVerdicts(txs []*Tx) []error {
-	errs := make([]error, len(txs))
-	workers := min(runtime.GOMAXPROCS(0), len(txs))
-	if workers <= 1 {
-		for i, tx := range txs {
-			errs[i] = tx.VerifySignature()
+// anyRefused reports whether any verdict carries an error.
+func anyRefused(out []TxVerdict) bool {
+	for i := range out {
+		if out[i].Err != nil {
+			return true
 		}
-		return errs
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for range workers {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(txs) {
-					return
-				}
-				errs[i] = txs[i].VerifySignature()
-			}
-		}()
-	}
-	wg.Wait()
-	return errs
+	return false
 }
 
 // IsDown reports whether the node at addr is currently marked failed.

@@ -47,7 +47,7 @@ func TestNetworkConsensusReplication(t *testing.T) {
 	contract := testContractAddr()
 
 	tx := mustTx(t, sender, 0, contract, "k", "replicated")
-	if _, err := net.SubmitEverywhere(tx); err != nil {
+	if _, err := submit1(net, tx); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(time.Second)
@@ -104,7 +104,7 @@ func TestNetworkRejectsTamperedBlock(t *testing.T) {
 	contract := testContractAddr()
 
 	tx := mustTx(t, sender, 0, contract, "k", "original")
-	if _, err := nodes[0].SubmitTx(tx); err != nil {
+	if _, err := submit1(nodes[0], tx); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(time.Second)
@@ -206,7 +206,7 @@ func TestNetworkAvailabilityUnderNodeFailure(t *testing.T) {
 	net.SetDown(downAddr, true)
 
 	tx := mustTx(t, sender, 0, contract, "k", "v")
-	if _, err := net.SubmitEverywhere(tx); err != nil {
+	if _, err := submit1(net, tx); err != nil {
 		t.Fatal(err)
 	}
 
@@ -242,7 +242,7 @@ func TestNetworkRecoverySync(t *testing.T) {
 	net.SetDown(nodes[2].Address(), true)
 	for i := range 5 {
 		tx := mustTx(t, sender, uint64(i), contract, string(rune('a'+i)), "v")
-		if _, err := net.SubmitEverywhere(tx); err != nil {
+		if _, err := submit1(net, tx); err != nil {
 			t.Fatal(err)
 		}
 		clk.Advance(time.Second)

@@ -153,10 +153,9 @@ var (
 	ErrNoAuthorities = errors.New("chain: empty authority set")
 	ErrBadNonce      = errors.New("chain: bad nonce")
 	ErrNotOurTurn    = errors.New("chain: not this node's turn to propose")
-	ErrTxKnown       = errors.New("chain: transaction already in mempool")
-	// ErrTxStale reports a nonce below the sender's committed nonce: the
-	// transaction was already included (a rebroadcast) or is a replay
-	// attempt. It matches ErrBadNonce under errors.Is.
+	// ErrTxStale reports a transaction that reuses a nonce this node has
+	// already committed to a different transaction: a replay attempt. It
+	// matches ErrBadNonce under errors.Is.
 	ErrTxStale = fmt.Errorf("%w: nonce already committed", ErrBadNonce)
 )
 
@@ -261,110 +260,157 @@ func (n *Node) CommittedNonce(addr cryptoutil.Address) uint64 {
 	return n.nonces[addr]
 }
 
-// SubmitTx verifies and enqueues a transaction, returning its hash.
-// Resubmitting a transaction already queued returns its hash alongside
-// ErrTxKnown.
-func (n *Node) SubmitTx(tx *Tx) (cryptoutil.Hash, error) {
-	tm := n.metrics.VerifyLatency.Start()
-	err := tx.VerifySignature()
-	tm.Stop()
-	if err != nil {
-		return cryptoutil.Hash{}, err
-	}
-	n.mpMu.Lock()
-	defer n.mpMu.Unlock()
-	return n.enqueueLocked(tx)
+// TxVerdict is the per-transaction outcome of a submission: the
+// transaction's hash plus the admission error, nil when the transaction
+// is queued (or was already queued, or already committed) wherever it
+// was submitted.
+type TxVerdict struct {
+	Hash cryptoutil.Hash
+	Err  error
 }
 
-// SubmitBatch verifies the transactions concurrently and enqueues them as
-// one unit under a single mempool lock acquisition. The batch is atomic:
-// on a nonce failure nothing is enqueued. Transactions already queued are skipped (their
-// hashes are still returned), so rebroadcasts are idempotent.
-//
-// Within the batch, transactions from the same sender must appear in
-// nonce order, exactly as if submitted back-to-back via SubmitTx.
-func (n *Node) SubmitBatch(txs []*Tx) ([]cryptoutil.Hash, error) {
-	tm := n.metrics.VerifyLatency.Start()
-	err := VerifyTxSignatures(txs)
-	tm.Stop()
-	if err != nil {
-		return nil, err
+// Admitted reports whether the transaction was accepted.
+func (v TxVerdict) Admitted() bool { return v.Err == nil }
+
+// checked runs the first two stages of the submission pipeline, shared
+// by Node.Submit and Network.Submit: hash every transaction once, then
+// check every signature on the verifier pool, whose latency is recorded on
+// each observer's VerifyLatency. A verdict that already carries an error
+// is skipped by admit.
+func checked(txs []*Tx, observers []*Node) []TxVerdict {
+	out := make([]TxVerdict, len(txs))
+	for i, tx := range txs {
+		out[i].Hash = tx.Hash()
 	}
-	hashes, _, err := n.submitVerifiedBatch(txs)
-	return hashes, err
+	tms := make([]obs.Timer, len(observers))
+	for i, n := range observers {
+		tms[i] = n.metrics.VerifyLatency.Start()
+	}
+	for i, err := range verify(txs) {
+		out[i].Err = err
+	}
+	for _, tm := range tms {
+		tm.Stop()
+	}
+	return out
 }
 
-// submitVerifiedBatch enqueues transactions whose signatures have already
-// been checked (the network layer verifies once for the whole cluster).
-// It returns the hash of every transaction in the batch plus the subset
-// actually added here (excluding known/stale skips), which the network
-// layer uses to withdraw the batch from peers on a cross-node failure.
-func (n *Node) submitVerifiedBatch(txs []*Tx) (hashes, added []cryptoutil.Hash, err error) {
+// Submit is the one way into this node's mempool: hash once, verify on
+// the pool, admit under a single mempool lock acquisition. It answers
+// per transaction and admits what it can; a refused transaction takes
+// its same-sender successors in the batch with it (transactions sharing
+// a sender must appear in nonce order). Resubmitting a transaction that
+// is queued here, or that this node has already committed, is an
+// idempotent success.
+func (n *Node) Submit(txs []*Tx) []TxVerdict {
+	out := checked(txs, []*Node{n})
+	n.admit(txs, out)
+	return out
+}
+
+// errPredecessorRefused is the verdict of a transaction whose sender had
+// an earlier transaction of the same submission refused.
+var errPredecessorRefused = fmt.Errorf("%w: an earlier transaction of this sender was refused", ErrBadNonce)
+
+// admit enqueues signature-checked transactions — out[i].Hash is
+// txs[i].Hash() — under one mempool lock acquisition, skipping those
+// whose verdict already failed and recording each refusal in out[i].Err.
+// A refusal takes the sender's later transactions in the batch with it,
+// whether or not this node's own queue would have let them continue (a
+// peer's refusal arrives here as a failed verdict), so withdrawing a
+// refused transaction never leaves a successor queued behind the gap.
+// It returns the indexes it newly queued (duplicates and committed
+// rebroadcasts excluded), which is what withdraw undoes. It is the only
+// caller of enqueueLocked, so nothing enters a mempool unverified unless
+// a test hands admit an unverified transaction on purpose.
+func (n *Node) admit(txs []*Tx, out []TxVerdict) (added []int) {
+	added = make([]int, 0, len(txs))
+	var stale []int
+	var refused map[cryptoutil.Address]bool // senders with a refusal so far
 	n.mpMu.Lock()
-	defer n.mpMu.Unlock()
-	hashes = make([]cryptoutil.Hash, 0, len(txs))
-	added = make([]cryptoutil.Hash, 0, len(txs))
-	for _, tx := range txs {
-		h, err := n.enqueueLocked(tx)
-		if errors.Is(err, ErrTxKnown) || errors.Is(err, ErrTxStale) {
-			// Idempotent rebroadcast: the transaction is already queued
-			// here, or another node sealed it before this enqueue landed.
-			hashes = append(hashes, h)
-			continue
-		}
-		if err != nil {
-			for _, a := range added {
-				n.mempool.Remove(a)
+	for i, tx := range txs {
+		switch {
+		case out[i].Err != nil: // refused upstream: by verification, or by a peer
+		case refused[tx.From]:
+			n.metrics.RejectedNonce.Inc()
+			out[i].Err = errPredecessorRefused
+		default:
+			var took bool
+			if took, out[i].Err = n.enqueueLocked(tx, out[i].Hash); took {
+				added = append(added, i)
 			}
-			return nil, nil, err
 		}
-		hashes = append(hashes, h)
-		added = append(added, h)
+		switch err := out[i].Err; {
+		case err == nil:
+		case errors.Is(err, ErrTxStale):
+			// Settled below. It was never queued, so no successor hangs
+			// on it.
+			stale = append(stale, i)
+		default:
+			if refused == nil {
+				refused = make(map[cryptoutil.Address]bool)
+			}
+			refused[tx.From] = true
+		}
 	}
-	return hashes, added, nil
+	n.mpMu.Unlock()
+	if len(stale) == 0 {
+		return added
+	}
+	// A nonce below the committed sequence is an idempotent rebroadcast
+	// only when this node committed that very transaction (a peer sealed
+	// it before this enqueue landed); anything else reusing the nonce is
+	// a replay. Block production advances nonces before it indexes
+	// receipts, both under sealMu, so passing through sealMu first lets a
+	// block in flight land. Nothing is held here, which keeps the lock
+	// order sealMu → mpMu → mu.
+	n.sealMu.Lock()
+	n.mu.RLock()
+	for _, i := range stale {
+		if n.receipts[out[i].Hash] != nil {
+			out[i].Err = nil
+		}
+	}
+	n.mu.RUnlock()
+	n.sealMu.Unlock()
+	return added
 }
 
-// submitVerified enqueues one transaction whose signature has already
-// been checked (the network layer's per-verdict path verifies once for
-// the whole cluster).
-func (n *Node) submitVerified(tx *Tx) (cryptoutil.Hash, error) {
+// withdraw removes from the mempool the transactions of added (indexes
+// into out, as admit returned them) whose verdict failed, or all of them.
+// The network layer uses it to undo an admission a peer refused; whatever
+// a concurrent seal has already taken stays taken.
+func (n *Node) withdraw(out []TxVerdict, added []int, all bool) {
 	n.mpMu.Lock()
 	defer n.mpMu.Unlock()
-	return n.enqueueLocked(tx)
-}
-
-// removeFromMempool withdraws queued transactions by hash (missing
-// hashes are ignored). The network layer uses it to undo a batch enqueue
-// when a peer rejects the same batch.
-func (n *Node) removeFromMempool(hashes []cryptoutil.Hash) {
-	n.mpMu.Lock()
-	defer n.mpMu.Unlock()
-	for _, h := range hashes {
-		n.mempool.Remove(h)
+	for _, i := range added {
+		if all || out[i].Err != nil {
+			n.mempool.Remove(out[i].Hash)
+		}
 	}
 }
 
-// enqueueLocked admits one signature-checked transaction; mpMu must be
-// held. The nonce must either continue the sender's committed+pending
-// sequence (append) or land on an already-queued slot with a sufficient
-// price bump (replace-by-fee). Appends are subject to the sender quota
-// and the pool capacity; at a full pool the transaction must price-beat
-// the cheapest speculative tail, which is evicted.
-func (n *Node) enqueueLocked(tx *Tx) (cryptoutil.Hash, error) {
+// enqueueLocked admits one signature-checked transaction with hash h;
+// mpMu must be held. The nonce must either continue the sender's
+// committed+pending sequence (append) or land on an already-queued slot
+// with a sufficient price bump (replace-by-fee). Appends are subject to
+// the sender quota and the pool capacity; at a full pool the transaction
+// must price-beat the cheapest speculative tail, which is evicted. A
+// transaction already queued is a success that adds nothing.
+func (n *Node) enqueueLocked(tx *Tx, h cryptoutil.Hash) (added bool, err error) {
 	m := n.metrics
-	h := tx.Hash()
 	if n.mempool.Contains(h) {
 		m.Duplicates.Inc()
-		return h, ErrTxKnown
+		return false, nil
 	}
 	committed := n.nonces[tx.From]
 	if tx.Nonce < committed {
 		m.Stale.Inc()
-		return h, fmt.Errorf("%w: got %d, committed %d", ErrTxStale, tx.Nonce, committed)
+		return false, fmt.Errorf("%w: got %d, committed %d", ErrTxStale, tx.Nonce, committed)
 	}
 	if tx.GasLimit > MaxTxGasLimit {
 		m.RejectedGas.Inc()
-		return cryptoutil.Hash{}, fmt.Errorf("%w: declares %d, cap %d",
+		return false, fmt.Errorf("%w: declares %d, cap %d",
 			ErrGasTooLarge, tx.GasLimit, MaxTxGasLimit)
 	}
 	expected := committed + n.mempool.PendingFrom(tx.From)
@@ -373,7 +419,7 @@ func (n *Node) enqueueLocked(tx *Tx) (cryptoutil.Hash, error) {
 		old, err := n.mempool.Replace(h, tx)
 		if err != nil {
 			m.RejectedReplace.Inc()
-			return cryptoutil.Hash{}, err
+			return false, err
 		}
 		m.Replaced.Inc()
 		if tr := m.Tracer; tr != nil {
@@ -382,11 +428,11 @@ func (n *Node) enqueueLocked(tx *Tx) (cryptoutil.Hash, error) {
 			tr.Begin(id, obs.StageSubmit)
 			tr.Mark(id, obs.StageAdmit)
 		}
-		return h, nil
+		return true, nil
 	}
 	if tx.Nonce > expected {
 		m.RejectedNonce.Inc()
-		return cryptoutil.Hash{}, fmt.Errorf("%w: got %d, want %d", ErrBadNonce, tx.Nonce, expected)
+		return false, fmt.Errorf("%w: got %d, want %d", ErrBadNonce, tx.Nonce, expected)
 	}
 	evicted, err := n.mempool.Add(h, tx)
 	if err != nil {
@@ -396,7 +442,7 @@ func (n *Node) enqueueLocked(tx *Tx) (cryptoutil.Hash, error) {
 		case errors.Is(err, ErrPoolFull):
 			m.Backpressured.Inc()
 		}
-		return cryptoutil.Hash{}, err
+		return false, err
 	}
 	if evicted != nil {
 		m.Evicted.Inc()
@@ -411,7 +457,7 @@ func (n *Node) enqueueLocked(tx *Tx) (cryptoutil.Hash, error) {
 		tr.Begin(id, obs.StageSubmit)
 		tr.Mark(id, obs.StageAdmit)
 	}
-	return h, nil
+	return true, nil
 }
 
 // noteOccupancyLocked refreshes the mempool depth and occupancy gauges;

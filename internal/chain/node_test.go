@@ -44,7 +44,7 @@ func TestSubmitAndSeal(t *testing.T) {
 	contract := testContractAddr()
 
 	tx := mustTx(t, key, 0, contract, "greeting", "hello")
-	hash, err := node.SubmitTx(tx)
+	hash, err := submit1(node, tx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,30 +85,30 @@ func TestSubmitAndSeal(t *testing.T) {
 	}
 }
 
-func TestSubmitTxRejectsBadSignatureAndNonce(t *testing.T) {
+func TestSubmitRejectsBadSignatureAndNonce(t *testing.T) {
 	node, key, _ := newTestNode(t)
 	contract := testContractAddr()
 
 	tx := mustTx(t, key, 0, contract, "k", "v")
 	tx.Args = []byte(`{"key":"tampered"}`)
-	if _, err := node.SubmitTx(tx); !errors.Is(err, ErrBadSignature) {
+	if _, err := submit1(node, tx); !errors.Is(err, ErrBadSignature) {
 		t.Fatalf("tampered tx: err = %v, want ErrBadSignature", err)
 	}
 
 	wrongNonce := mustTx(t, key, 5, contract, "k", "v")
-	if _, err := node.SubmitTx(wrongNonce); !errors.Is(err, ErrBadNonce) {
+	if _, err := submit1(node, wrongNonce); !errors.Is(err, ErrBadNonce) {
 		t.Fatalf("wrong nonce: err = %v, want ErrBadNonce", err)
 	}
 
 	unsigned := &Tx{Nonce: 0, From: key.Address(), SenderKey: key.PublicBytes(),
 		Contract: contract, Method: "set", Args: []byte(`{}`), GasLimit: 1000}
-	if _, err := node.SubmitTx(unsigned); err == nil {
+	if _, err := submit1(node, unsigned); err == nil {
 		t.Fatal("unsigned tx accepted")
 	}
 
 	zeroGas := &Tx{Nonce: 0, From: key.Address(), SenderKey: key.PublicBytes(),
 		Contract: contract, Method: "set", Args: []byte(`{}`)}
-	if _, err := node.SubmitTx(zeroGas); !errors.Is(err, ErrGasLimitZero) {
+	if _, err := submit1(node, zeroGas); !errors.Is(err, ErrGasLimitZero) {
 		t.Fatalf("zero gas: err = %v, want ErrGasLimitZero", err)
 	}
 }
@@ -120,13 +120,13 @@ func TestNonceSequenceAcrossMempoolAndBlocks(t *testing.T) {
 	if got := node.NonceFor(key.Address()); got != 0 {
 		t.Fatalf("NonceFor = %d, want 0", got)
 	}
-	if _, err := node.SubmitTx(mustTx(t, key, 0, contract, "a", "1")); err != nil {
+	if _, err := submit1(node, mustTx(t, key, 0, contract, "a", "1")); err != nil {
 		t.Fatal(err)
 	}
 	if got := node.NonceFor(key.Address()); got != 1 {
 		t.Fatalf("NonceFor with pending = %d, want 1", got)
 	}
-	if _, err := node.SubmitTx(mustTx(t, key, 1, contract, "b", "2")); err != nil {
+	if _, err := submit1(node, mustTx(t, key, 1, contract, "b", "2")); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(time.Second)
@@ -137,7 +137,7 @@ func TestNonceSequenceAcrossMempoolAndBlocks(t *testing.T) {
 		t.Fatalf("NonceFor after seal = %d, want 2", got)
 	}
 	// Replaying nonce 1 must fail.
-	if _, err := node.SubmitTx(mustTx(t, key, 1, contract, "c", "3")); !errors.Is(err, ErrBadNonce) {
+	if _, err := submit1(node, mustTx(t, key, 1, contract, "c", "3")); !errors.Is(err, ErrBadNonce) {
 		t.Fatalf("replay: err = %v, want ErrBadNonce", err)
 	}
 }
@@ -153,7 +153,7 @@ func TestRevertedTxRollsBackState(t *testing.T) {
 	}
 	okAfter := mustTx(t, key, 2, contract, "also", "kept")
 	for _, tx := range []*Tx{ok, fail, okAfter} {
-		if _, err := node.SubmitTx(tx); err != nil {
+		if _, err := submit1(node, tx); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -190,7 +190,7 @@ func TestOutOfGasReverts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hash, err := node.SubmitTx(tx)
+	hash, err := submit1(node, tx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestWaitForReceipt(t *testing.T) {
 	node, key, clk := newTestNode(t)
 	contract := testContractAddr()
 	tx := mustTx(t, key, 0, contract, "k", "v")
-	hash, err := node.SubmitTx(tx)
+	hash, err := submit1(node, tx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestEventSubscription(t *testing.T) {
 	sub := node.SubscribeEvents(EventFilter{Topic: "Set"}, 8)
 	defer sub.Cancel()
 
-	if _, err := node.SubmitTx(mustTx(t, key, 0, contract, "watched", "x")); err != nil {
+	if _, err := submit1(node, mustTx(t, key, 0, contract, "watched", "x")); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(time.Second)
@@ -305,7 +305,7 @@ func TestEventsLedgerScanAndFilter(t *testing.T) {
 	node, key, clk := newTestNode(t)
 	contract := testContractAddr()
 	for i, k := range []string{"a", "b", "c"} {
-		if _, err := node.SubmitTx(mustTx(t, key, uint64(i), contract, k, "v")); err != nil {
+		if _, err := submit1(node, mustTx(t, key, uint64(i), contract, k, "v")); err != nil {
 			t.Fatal(err)
 		}
 		clk.Advance(time.Second)
@@ -334,7 +334,7 @@ func TestEventsLedgerScanAndFilter(t *testing.T) {
 func TestCostLedgerRecordsGas(t *testing.T) {
 	node, key, clk := newTestNode(t)
 	contract := testContractAddr()
-	if _, err := node.SubmitTx(mustTx(t, key, 0, contract, "k", "v")); err != nil {
+	if _, err := submit1(node, mustTx(t, key, 0, contract, "k", "v")); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(time.Second)
@@ -356,7 +356,7 @@ func TestStartSealingWithSimClock(t *testing.T) {
 	node.StartSealing(100 * time.Millisecond)
 	defer node.StopSealing()
 
-	if _, err := node.SubmitTx(mustTx(t, key, 0, contract, "k", "v")); err != nil {
+	if _, err := submit1(node, mustTx(t, key, 0, contract, "k", "v")); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(time.Second)
@@ -385,7 +385,7 @@ func TestMaxTxsPerBlock(t *testing.T) {
 	}
 	contract := testContractAddr()
 	for i := range 5 {
-		if _, err := node.SubmitTx(mustTx(t, key, uint64(i), contract, string(rune('a'+i)), "v")); err != nil {
+		if _, err := submit1(node, mustTx(t, key, uint64(i), contract, string(rune('a'+i)), "v")); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -555,7 +555,7 @@ func TestDifferentialParallelCluster(t *testing.T) {
 	for range 8 {
 		txs := randomParallelBlockTxs(t, rng, senders, nonces)
 		for _, net := range []*Network{serialNet, parNet} {
-			if _, err := net.SubmitEverywhereBatch(txs); err != nil {
+			if _, err := net.SubmitAllOrNothing(txs); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -628,7 +628,7 @@ func TestCancelledReceiptWaitsDoNotLeak(t *testing.T) {
 	// the cancelled waiter if it was delivered before deregistration —
 	// and either way, live waiters keep working.
 	tx := mustTx(t, key, 0, testContractAddr(), "a", "1")
-	if _, err := n.SubmitTx(tx); err != nil {
+	if _, err := submit1(n, tx); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan struct{})
@@ -664,7 +664,7 @@ func TestReceiptIndexRebuiltOnRecovery(t *testing.T) {
 	var hashes []cryptoutil.Hash
 	for i := range 9 {
 		tx := mustTx(t, key, uint64(i), testContractAddr(), fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i))
-		if _, err := n.SubmitTx(tx); err != nil {
+		if _, err := submit1(n, tx); err != nil {
 			t.Fatal(err)
 		}
 		hashes = append(hashes, tx.Hash())

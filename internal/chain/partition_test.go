@@ -144,7 +144,7 @@ func TestPartitionSubmissionRidesQuorum(t *testing.T) {
 		t.Fatal("LiveNode returned a minority node under a split")
 	}
 	sender := keys[0]
-	if _, err := net.SubmitEverywhere(mustTx(t, sender, 0, testContractAddr(), "k", "v")); err != nil {
+	if _, err := submit1(net, mustTx(t, sender, 0, testContractAddr(), "k", "v")); err != nil {
 		t.Fatal(err)
 	}
 	if p := nodes[2].PendingTxs(); p != 0 {

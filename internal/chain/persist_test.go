@@ -44,7 +44,7 @@ func openWithFloor(t testing.TB, cfg Config, floor int64) *Node {
 // sealSet seals one block containing a single "set" transaction.
 func sealSet(t *testing.T, n *Node, key *cryptoutil.KeyPair, clk *simclock.Sim, nonce uint64, k, v string) *Block {
 	t.Helper()
-	if _, err := n.SubmitTx(mustTx(t, key, nonce, testContractAddr(), k, v)); err != nil {
+	if _, err := submit1(n, mustTx(t, key, nonce, testContractAddr(), k, v)); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(time.Second)
@@ -165,7 +165,7 @@ func TestRecoveryCleanClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.SubmitTx(failTx); err != nil {
+	if _, err := submit1(n, failTx); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(time.Second)
@@ -497,7 +497,7 @@ func TestDurableClusterApplyBlock(t *testing.T) {
 	}
 	sender := cryptoutil.MustGenerateKey()
 	for i := range 3 {
-		if _, err := net.SubmitEverywhere(mustTx(t, sender, uint64(i), testContractAddr(), fmt.Sprintf("k%d", i), "v")); err != nil {
+		if _, err := submit1(net, mustTx(t, sender, uint64(i), testContractAddr(), fmt.Sprintf("k%d", i), "v")); err != nil {
 			t.Fatal(err)
 		}
 		clk.Advance(time.Second)
@@ -579,7 +579,7 @@ func TestCommitRollsBackOnWALFailure(t *testing.T) {
 	if err := n.wal.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.SubmitTx(mustTx(t, key, 1, testContractAddr(), "b", "2")); err != nil {
+	if _, err := submit1(n, mustTx(t, key, 1, testContractAddr(), "b", "2")); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(time.Second)

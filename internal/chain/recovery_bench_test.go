@@ -56,8 +56,10 @@ func BenchmarkSnapshotRecovery(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				if _, err := node.SubmitBatch(txs); err != nil {
-					b.Fatal(err)
+				for _, v := range node.Submit(txs) {
+					if v.Err != nil {
+						b.Fatal(v.Err)
+					}
 				}
 				clk.Advance(time.Second)
 				if _, err := node.Seal(); err != nil {

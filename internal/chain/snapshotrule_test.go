@@ -148,7 +148,7 @@ func TestSnapshotRuleCountsDiffNotTxBytes(t *testing.T) {
 		for i := range txs {
 			txs[i] = mustTx(t, key, uint64(b*perBlock+i), testContractAddr(), "hot", "value")
 		}
-		if _, err := n.SubmitBatch(txs); err != nil {
+		if _, err := submitAll(n, txs); err != nil {
 			t.Fatal(err)
 		}
 		clk.Advance(time.Second)
@@ -188,7 +188,7 @@ func TestSnapshotRuleBoundedRecovery(t *testing.T) {
 	fromSnapshot := 0
 	for block := 1; block <= 40; block++ {
 		for _, tx := range randomBlockTxs(t, rng, senders, nonces) {
-			if _, err := n.SubmitTx(tx); err != nil {
+			if _, err := submit1(n, tx); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -291,7 +291,7 @@ func TestSnapshotRuleValidatorsAgree(t *testing.T) {
 		if i%3 == 0 {
 			k = fmt.Sprintf("k%02d", i)
 		}
-		if _, err := net.SubmitEverywhere(mustTx(t, sender, uint64(i), testContractAddr(), k, value)); err != nil {
+		if _, err := submit1(net, mustTx(t, sender, uint64(i), testContractAddr(), k, value)); err != nil {
 			t.Fatal(err)
 		}
 		clk.Advance(time.Second)
@@ -336,7 +336,7 @@ func TestSnapshotExportOutsideLedgerLock(t *testing.T) {
 	}
 	defer n.Close()
 	tx := mustTx(t, key, 0, testContractAddr(), "k", "v")
-	if _, err := n.SubmitTx(tx); err != nil {
+	if _, err := submit1(n, tx); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(time.Second)

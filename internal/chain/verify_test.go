@@ -42,12 +42,11 @@ func withVerifyPool(t *testing.T, workers int) {
 	}
 }
 
-// TestVerifyTxSignaturesMalformed exercises the verifier's error paths —
-// bit-flipped, truncated, and absent signatures at varying batch
+// TestVerifyTxSignaturesMalformed exercises the verifier pool's error
+// paths — bit-flipped, truncated, and absent signatures at varying batch
 // positions — across the sequential path, the bounded pool, and a pool
-// wider than the batch. The reported error must always be the bad
-// transaction's own failure (lowest-indexed), never a scheduling
-// artifact.
+// wider than the batch. The bad index must carry the bad transaction's
+// own failure and every other index nil, never a scheduling artifact.
 func TestVerifyTxSignaturesMalformed(t *testing.T) {
 	base := mkSignedTxs(t, 12)
 	flip := func(sig []byte) []byte { sig[len(sig)/2] ^= 0xff; return sig }
@@ -78,43 +77,51 @@ func TestVerifyTxSignaturesMalformed(t *testing.T) {
 		for _, workers := range []int{0, 1, 2, 16} {
 			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
 				withVerifyPool(t, workers)
-				err := VerifyTxSignatures(tc.txs)
-				if tc.bad < 0 {
-					if err != nil {
-						t.Fatalf("valid batch rejected: %v", err)
-					}
-					return
+				errs := verify(tc.txs)
+				if len(errs) != len(tc.txs) {
+					t.Fatalf("%d verdicts for %d txs", len(errs), len(tc.txs))
 				}
-				if err == nil {
-					t.Fatal("malformed signature accepted")
+				for i, err := range errs {
+					if i != tc.bad && err != nil {
+						t.Fatalf("valid tx %d rejected: %v", i, err)
+					}
+				}
+				if tc.bad < 0 {
+					return
 				}
 				want := tc.txs[tc.bad].VerifySignature()
 				if want == nil {
 					t.Fatal("test bug: expected-bad tx verifies")
 				}
-				if err.Error() != want.Error() {
-					t.Fatalf("reported %q, want the lowest-indexed failure %q", err, want)
+				if err := firstError(errs); err == nil || err.Error() != want.Error() {
+					t.Fatalf("reported %v, want the lowest-indexed failure %q", err, want)
 				}
 			})
 		}
 	}
 }
 
-// TestSubmitRejectsCorruptSignatureBytes covers the admission paths with
-// byte-level signature corruption (as opposed to tampered payloads): a
-// node must refuse via both SubmitTx and SubmitBatch and queue nothing.
+// TestSubmitRejectsCorruptSignatureBytes covers admission with byte-level
+// signature corruption (as opposed to tampered payloads): a node must
+// refuse the corrupt transaction, alone or in a batch, and queue only the
+// valid one beside it.
 func TestSubmitRejectsCorruptSignatureBytes(t *testing.T) {
 	node, _, _ := newTestNode(t)
-	txs := mkSignedTxs(t, 2)
+	txs := mkSignedTxs(t, 1)
 	bad := corruptSig(txs[0], func(sig []byte) []byte { sig[3] ^= 0xff; return sig })
 
-	if _, err := node.SubmitTx(bad); err == nil {
-		t.Fatal("SubmitTx accepted a corrupt signature")
-	}
-	if _, err := node.SubmitBatch([]*Tx{txs[1], bad}); err == nil {
-		t.Fatal("SubmitBatch accepted a corrupt signature")
+	if _, err := submit1(node, bad); err == nil {
+		t.Fatal("Submit accepted a corrupt signature")
 	}
 	if got := node.PendingTxs(); got != 0 {
-		t.Fatalf("rejected submissions left %d txs queued", got)
+		t.Fatalf("rejected submission left %d txs queued", got)
+	}
+	other := mkSignedTxs(t, 1) // another sender: no nonce cascade from the refusal
+	out := node.Submit([]*Tx{bad, other[0]})
+	if out[0].Err == nil || out[1].Err != nil {
+		t.Fatalf("verdicts = %v, %v; want the corrupt tx refused and the valid one admitted", out[0].Err, out[1].Err)
+	}
+	if got := node.PendingTxs(); got != 1 {
+		t.Fatalf("%d txs queued, want the 1 valid one", got)
 	}
 }

@@ -112,10 +112,11 @@ func submitAndSeal(t *testing.T, node *chain.Node, key *cryptoutil.KeyPair, cont
 	if err != nil {
 		t.Fatal(err)
 	}
-	hash, err := node.SubmitTx(tx)
-	if err != nil {
-		t.Fatal(err)
+	v := node.Submit([]*chain.Tx{tx})[0]
+	if v.Err != nil {
+		t.Fatal(v.Err)
 	}
+	hash := v.Hash
 	if _, err := node.Seal(); err != nil {
 		t.Fatal(err)
 	}
@@ -226,10 +227,11 @@ func TestRuntimeOutOfGas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hash, err := node.SubmitTx(tx)
-	if err != nil {
-		t.Fatal(err)
+	v := node.Submit([]*chain.Tx{tx})[0]
+	if v.Err != nil {
+		t.Fatal(v.Err)
 	}
+	hash := v.Hash
 	if _, err := node.Seal(); err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -85,5 +86,41 @@ func TestDeploymentSubmitBatchSealOnSubmit(t *testing.T) {
 	}
 	if len(raw) == 0 {
 		t.Fatal("empty pod record")
+	}
+}
+
+// TestStaleNonceIsNotAdmitted: Deployment.SubmitBatch refuses a new
+// transaction on an already-committed nonce (it used to return its hash,
+// for which no receipt would ever exist) and stays idempotent for a
+// rebroadcast of the transaction that holds the nonce.
+func TestStaleNonceIsNotAdmitted(t *testing.T) {
+	d, err := NewDeployment(Config{Validators: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+
+	key := cryptoutil.MustGenerateKey()
+	committed := buildRegisterPodBatch(t, d, key, 1, "first")
+	if _, err := d.SubmitBatch(committed); err != nil {
+		t.Fatal(err)
+	}
+	height := d.Nodes[0].Height()
+
+	replay := make([]*chain.Tx, 1)
+	if replay[0], err = chain.NewTx(key, 0, d.DEAddr, "registerPod", distexchange.RegisterPodArgs{
+		OwnerWebID: "https://second.example/profile#me", Location: "https://second.example/",
+	}, distexchange.DefaultGasLimit); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.SubmitBatch(replay); !errors.Is(err, chain.ErrTxStale) {
+		t.Fatalf("a new tx on a committed nonce: err = %v, want ErrTxStale", err)
+	}
+	hashes, err := d.SubmitBatch(committed)
+	if err != nil || hashes[0] != committed[0].Hash() {
+		t.Fatalf("rebroadcast of the committed tx: %v, %v; want its hash and nil", hashes, err)
+	}
+	if got := d.Nodes[0].Height(); got != height {
+		t.Fatalf("height %d -> %d: a refused or rebroadcast tx sealed a block", height, got)
 	}
 }

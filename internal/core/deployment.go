@@ -74,10 +74,6 @@ type Config struct {
 	// PriceBump is the minimum replace-by-fee price increase in percent
 	// (0 = the chain default, 10).
 	PriceBump int
-	// Retry shapes the submission backend's backoff when the cluster
-	// answers backpressure (pool full / quota exceeded). The zero value
-	// uses the defaults documented on RetryPolicy.
-	Retry RetryPolicy
 	// DataDir, when non-empty, makes every validator durable: each node
 	// keeps a write-ahead log and state snapshots (taken by the chain's
 	// recovery-cost rule; there is no cadence to set) under
@@ -116,7 +112,6 @@ type Deployment struct {
 
 	pullIn     *oracle.PullIn
 	pushOut    *oracle.PushOut
-	batchBE    *networkBackend // shared backend serializing SubmitBatch calls
 	hostServer *httptest.Server
 
 	// addrs/nodeCfgs are the per-validator authority addresses and chain
@@ -134,7 +129,6 @@ type Deployment struct {
 	obs       *obs.Registry // nil when the deployment is not observed
 	grace     time.Duration
 	attest    bool
-	retry     RetryPolicy
 	// equivGuardOff mirrors SetEquivocationGuard(false) so the setting
 	// survives crash-restarts (a reopened node starts with the guard on
 	// and must have the sabotage reapplied). Fault injection only.
@@ -236,9 +230,7 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 		sealing:      cfg.Sealing,
 		grace:        cfg.MonitoringGrace,
 		attest:       cfg.RequireAttestation,
-		retry:        cfg.Retry.withDefaults(),
 	}
-	d.batchBE = &networkBackend{d: d}
 	d.Host = solid.NewHost(d.Directory, clk)
 	if cfg.Obs != nil {
 		d.Host.SetMetrics(solid.NewMetrics(cfg.Obs))
@@ -270,85 +262,73 @@ func (d *Deployment) Close() {
 	}
 }
 
-// backend builds the submission backend according to the sealing mode.
-func (d *Deployment) backend() distexchange.Backend {
-	return &networkBackend{d: d}
-}
+// backend returns the deployment's submission backend: one value, shared
+// by every client.
+func (d *Deployment) backend() networkBackend { return networkBackend{d} }
 
 // networkBackend submits transactions to every live node and (in
-// SealOnSubmit mode) immediately drives network consensus on a block.
-type networkBackend struct {
-	d  *Deployment
-	mu sync.Mutex
-}
+// SealOnSubmit mode) immediately drives network consensus on them. It
+// holds no lock of its own: a Client serializes its sender's nonce
+// sequence, Network.SealNext serializes rounds, and signature
+// verification runs concurrently across clients.
+type networkBackend struct{ d *Deployment }
 
-func (b *networkBackend) SubmitTx(tx *chain.Tx) (cryptoutil.Hash, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	var hash cryptoutil.Hash
-	err := b.retrySubmit(func() error {
-		var err error
-		hash, err = b.d.Network.SubmitEverywhere(tx)
-		return err
-	})
-	if err != nil {
-		return hash, err
-	}
-	if b.d.sealing == SealOnSubmit {
-		if _, err := b.d.Network.SealNext(); err != nil {
-			return hash, err
-		}
-	}
-	return hash, nil
-}
+// backendRetry is the in-process backend's backoff: RetryPolicy's
+// documented defaults.
+var backendRetry = RetryPolicy{}.withDefaults()
 
-// SubmitBatch broadcasts a pre-signed batch to every live node (one
-// signature-verification pass, one mempool lock acquisition per node)
-// and, in SealOnSubmit mode, seals consensus rounds until every live
-// node's mempool is drained (the batch may span several blocks when it
-// exceeds MaxTxsPerBlock).
-func (b *networkBackend) SubmitBatch(txs []*chain.Tx) ([]cryptoutil.Hash, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	var hashes []cryptoutil.Hash
-	err := b.retrySubmit(func() error {
-		var err error
-		hashes, err = b.d.Network.SubmitEverywhereBatch(txs)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	if b.d.sealing == SealOnSubmit {
-		for b.d.Network.PendingTxs() > 0 {
-			if _, err := b.d.Network.SealNext(); err != nil {
-				return hashes, err
+// Submit hands the transactions to the cluster and resubmits the ones it
+// backpressured (pool full, quota exceeded) under backendRetry. In
+// SealOnSubmit mode a retry is preceded by sealing a block — the
+// deployment is its own drain — so no wall-clock wait is needed, and the
+// call ends by sealing what it admitted; otherwise the backend backs off
+// and lets whoever drives sealing catch up.
+func (b networkBackend) Submit(txs []*chain.Tx) []chain.TxVerdict {
+	net := b.d.Network
+	out := net.Submit(txs)
+	for attempt := 0; attempt < backendRetry.MaxAttempts-1; attempt++ {
+		var again []*chain.Tx
+		var at []int
+		for i, v := range out {
+			if chain.IsBackpressure(v.Err) {
+				again, at = append(again, txs[i]), append(at, i)
 			}
 		}
+		if len(again) == 0 {
+			break
+		}
+		if b.d.sealing != SealOnSubmit {
+			time.Sleep(backendRetry.delay(attempt, 0))
+		} else if _, err := net.SealNext(); err != nil {
+			break
+		}
+		for j, v := range net.Submit(again) {
+			out[at[j]] = v
+		}
 	}
-	return hashes, nil
+	for i := range out {
+		if out[i].Err == nil {
+			out[i].Err = b.seal(out[i].Hash)
+		}
+	}
+	return out
 }
 
-// retrySubmit runs submit, retrying backpressure errors (pool full,
-// quota exceeded) under the deployment's RetryPolicy. In SealOnSubmit
-// mode a retry is preceded by sealing a block — the deployment is its
-// own drain — so no wall-clock wait is needed; otherwise the backend
-// backs off and lets whoever drives sealing catch up.
-func (b *networkBackend) retrySubmit(submit func() error) error {
-	p := b.d.retry
-	for attempt := 0; ; attempt++ {
-		err := submit()
-		if err == nil || !chain.IsBackpressure(err) || attempt >= p.MaxAttempts-1 {
+// seal drives consensus, in SealOnSubmit mode, until the admitted
+// transaction is committed (a batch may span several blocks) or no live
+// mempool holds anything more to seal. It seals for this transaction
+// only: draining until every mempool is empty would race concurrent
+// clients into sealing each other's transactions and empty blocks.
+func (b networkBackend) seal(tx cryptoutil.Hash) error {
+	if b.d.sealing != SealOnSubmit {
+		return nil
+	}
+	for b.liveNode().Receipt(tx) == nil && b.d.Network.PendingTxs() > 0 {
+		if _, err := b.d.Network.SealNext(); err != nil {
 			return err
 		}
-		if b.d.sealing == SealOnSubmit {
-			if _, serr := b.d.Network.SealNext(); serr != nil {
-				return err
-			}
-			continue
-		}
-		time.Sleep(p.delay(attempt, 0))
 	}
+	return nil
 }
 
 // liveNode picks a node whose ledger is advancing. A failed node's chain
@@ -356,22 +336,22 @@ func (b *networkBackend) retrySubmit(submit func() error) error {
 // there would hang or return stale data while the rest of the cluster
 // moves on. Falls back to node 0 when the whole cluster is down (the
 // caller's context governs how long it waits).
-func (b *networkBackend) liveNode() *chain.Node {
+func (b networkBackend) liveNode() *chain.Node {
 	if n := b.d.Network.LiveNode(); n != nil {
 		return n
 	}
 	return b.d.Nodes[0]
 }
 
-func (b *networkBackend) WaitForReceipt(ctx context.Context, h cryptoutil.Hash) (*chain.Receipt, error) {
+func (b networkBackend) WaitForReceipt(ctx context.Context, h cryptoutil.Hash) (*chain.Receipt, error) {
 	return b.liveNode().WaitForReceipt(ctx, h)
 }
 
-func (b *networkBackend) Query(c cryptoutil.Address, method string, args []byte) ([]byte, error) {
+func (b networkBackend) Query(c cryptoutil.Address, method string, args []byte) ([]byte, error) {
 	return b.liveNode().Query(c, method, args)
 }
 
-func (b *networkBackend) NonceFor(a cryptoutil.Address) uint64 {
+func (b networkBackend) NonceFor(a cryptoutil.Address) uint64 {
 	return b.liveNode().NonceFor(a)
 }
 
@@ -381,14 +361,17 @@ func (d *Deployment) SealBlock() (*chain.Block, error) {
 }
 
 // SubmitBatch broadcasts pre-signed transactions to the cluster as one
-// batch and, in SealOnSubmit mode, drives consensus until the batch is
-// committed. It is the high-throughput ingestion path: signatures are
-// verified once (concurrently) for the whole cluster instead of per
-// transaction per node. Concurrent SubmitBatch calls are serialized on
-// a shared backend, so each batch's submit+seal sequence is atomic with
-// respect to other batches.
+// all-or-nothing batch (chain.Network.SubmitAllOrNothing: one
+// signature-verification pass, one mempool lock acquisition per node) and,
+// in SealOnSubmit mode, drives consensus until the batch is committed.
+// Backpressure is answered, not retried: a refused batch leaves nothing
+// queued and the caller decides when to come back.
 func (d *Deployment) SubmitBatch(txs []*chain.Tx) ([]cryptoutil.Hash, error) {
-	return d.batchBE.SubmitBatch(txs)
+	hashes, err := d.Network.SubmitAllOrNothing(txs)
+	for i := 0; err == nil && i < len(hashes); i++ {
+		err = d.backend().seal(hashes[i])
+	}
+	return hashes, err
 }
 
 // PushInOracle returns a fresh push-in oracle view over the deployment's

@@ -16,14 +16,18 @@
 // A Deployment is safe for concurrent use by many owners and consumers:
 // its own mutex only guards the owner/consumer registries, while all
 // chain-state synchronization is delegated to the chain layer (see
-// package chain's concurrency contract). Transaction ingestion has two
-// paths with different throughput characteristics: the per-transaction
-// backend used by distexchange clients (one broadcast + one consensus
-// round per call in SealOnSubmit mode) and Deployment.SubmitBatch, which
-// verifies a whole batch concurrently, enqueues it on every validator
-// under one mempool lock acquisition each, and seals the batch in as few
-// blocks as MaxTxsPerBlock allows. Oracles (pull-in, push-out) run their
-// own goroutines observing node 0; their delivery is asynchronous, which
-// is why tests wait on WaitPolicyVersion / WaitForRoundClosure rather
-// than assuming synchronous propagation.
+// package chain's concurrency contract). Transactions enter the chain
+// through one backend value shared by every distexchange client, the
+// oracles included: it hands a client's transactions to
+// chain.Network.Submit, resubmits the ones the cluster backpressured
+// (the one in-process retry loop; the HTTP TxClient has the other), and
+// in SealOnSubmit mode seals until what it admitted is committed. It
+// holds no lock, so concurrent clients verify signatures concurrently.
+// Deployment.SubmitBatch is the all-or-nothing form for pre-signed
+// batches: verified once, enqueued on every validator under one mempool
+// lock acquisition each, and sealed in as few blocks as MaxTxsPerBlock
+// allows. Oracles (pull-in, push-out) run their own goroutines observing
+// node 0; their delivery is asynchronous, which is why tests wait on
+// WaitPolicyVersion / WaitForRoundClosure rather than assuming
+// synchronous propagation.
 package core

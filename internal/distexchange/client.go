@@ -14,10 +14,9 @@ import (
 // satisfied by *chain.Node directly and by the oracle components that
 // relay to one.
 type Backend interface {
-	SubmitTx(tx *chain.Tx) (cryptoutil.Hash, error)
-	// SubmitBatch admits the transactions as one unit — all or none — and
-	// returns their hashes in input order.
-	SubmitBatch(txs []*chain.Tx) ([]cryptoutil.Hash, error)
+	// Submit hands signed transactions to the chain and answers per
+	// transaction, admitting what it can (see chain.Node.Submit).
+	Submit(txs []*chain.Tx) []chain.TxVerdict
 	WaitForReceipt(ctx context.Context, txHash cryptoutil.Hash) (*chain.Receipt, error)
 	Query(contract cryptoutil.Address, method string, args []byte) ([]byte, error)
 	NonceFor(addr cryptoutil.Address) uint64
@@ -65,7 +64,7 @@ func (e *RevertError) Error() string {
 	return fmt.Sprintf("distexchange: %s reverted: %s", e.Method, e.Reason)
 }
 
-// call submits a transaction and waits for its receipt.
+// call submits a transaction — a batch of one — and waits for its receipt.
 func (c *Client) call(ctx context.Context, method string, args any) (*chain.Receipt, error) {
 	c.mu.Lock()
 	nonce := c.backend.NonceFor(c.key.Address())
@@ -74,12 +73,12 @@ func (c *Client) call(ctx context.Context, method string, args any) (*chain.Rece
 		c.mu.Unlock()
 		return nil, err
 	}
-	hash, err := c.backend.SubmitTx(tx)
+	v := c.backend.Submit([]*chain.Tx{tx})[0]
 	c.mu.Unlock()
-	if err != nil {
-		return nil, fmt.Errorf("distexchange: submit %s: %w", method, err)
+	if v.Err != nil {
+		return nil, fmt.Errorf("distexchange: submit %s: %w", method, v.Err)
 	}
-	return c.await(ctx, method, hash)
+	return c.await(ctx, method, v.Hash)
 }
 
 const methodSubmitEvidence = "submitEvidence"
@@ -97,8 +96,9 @@ func (c *Client) await(ctx context.Context, method string, hash cryptoutil.Hash)
 }
 
 // submitEvidenceTxs signs one submitEvidence transaction per evidence under
-// consecutive nonces and admits them through the backend as one batch.
-func (c *Client) submitEvidenceTxs(signed []SignedEvidence) ([]cryptoutil.Hash, error) {
+// consecutive nonces and hands them to the backend as one submission. A
+// signing failure is every evidence's verdict.
+func (c *Client) submitEvidenceTxs(signed []SignedEvidence) []chain.TxVerdict {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	nonce := c.backend.NonceFor(c.key.Address())
@@ -106,15 +106,15 @@ func (c *Client) submitEvidenceTxs(signed []SignedEvidence) ([]cryptoutil.Hash, 
 	for i, s := range signed {
 		tx, err := chain.NewTx(c.key, nonce+uint64(i), c.contract, methodSubmitEvidence, SubmitEvidenceArgs{Signed: s}, c.gas)
 		if err != nil {
-			return nil, err
+			out := make([]chain.TxVerdict, len(signed))
+			for j := range out {
+				out[j].Err = err
+			}
+			return out
 		}
 		txs[i] = tx
 	}
-	hashes, err := c.backend.SubmitBatch(txs)
-	if err != nil {
-		return nil, fmt.Errorf("distexchange: submit %d× %s: %w", len(txs), methodSubmitEvidence, err)
-	}
-	return hashes, nil
+	return c.backend.Submit(txs)
 }
 
 // query runs a read-only method and decodes the JSON reply into out.
@@ -208,34 +208,31 @@ type EvidenceOutcome struct {
 }
 
 // SubmitEvidenceBatch delivers several signed evidence — typically one
-// monitoring round's — as one batch admission: one transaction each, under
+// monitoring round's — as one submission: one transaction each, under
 // consecutive nonces, so they can share a block. Every receipt is awaited.
 // Outcomes parallel the input; evidence the contract reverts does not
 // affect the others.
 //
-// The batch is admitted whole or not at all. When the backend refuses it
-// for backpressure (a sender quota or pool smaller than the batch), it is
-// cut in halves that are submitted one after the other, each once the one
-// before has committed and freed its share.
+// The backend admits a prefix (the first refusal makes the rest fail their
+// nonce check). When a sender quota or pool smaller than the batch cuts it
+// short, the admitted prefix is awaited — its commit frees the room it
+// took — and the remainder is signed afresh and submitted again; a
+// submission that admits nothing ends the batch with its verdicts.
 func (c *Client) SubmitEvidenceBatch(ctx context.Context, signed []SignedEvidence) []EvidenceOutcome {
 	out := make([]EvidenceOutcome, len(signed))
-	for start, size := 0, len(signed); start < len(signed); {
-		end := min(start+size, len(signed))
-		hashes, err := c.submitEvidenceTxs(signed[start:end])
-		if err != nil {
-			if end-start > 1 && chain.IsBackpressure(err) {
-				size = (end - start) / 2
-				continue
-			}
-			for i := start; i < len(signed); i++ {
-				out[i].Err = err
-			}
-			return out
+	for start := 0; start < len(signed); {
+		verdicts := c.submitEvidenceTxs(signed[start:])
+		n := 0
+		for ; n < len(verdicts) && verdicts[n].Err == nil; n++ {
+			out[start+n].Receipt, out[start+n].Err = c.await(ctx, methodSubmitEvidence, verdicts[n].Hash)
 		}
-		for i, hash := range hashes {
-			out[start+i].Receipt, out[start+i].Err = c.await(ctx, methodSubmitEvidence, hash)
+		if n == 0 {
+			for i, v := range verdicts {
+				out[start+i].Err = fmt.Errorf("distexchange: submit %s: %w", methodSubmitEvidence, v.Err)
+			}
+			break
 		}
-		start = end
+		start += n
 	}
 	return out
 }

@@ -36,24 +36,12 @@ type fixture struct {
 // keeping tests synchronous.
 type sealingBackend struct{ node *chain.Node }
 
-func (b sealingBackend) SubmitTx(tx *chain.Tx) (cryptoutil.Hash, error) {
-	h, err := b.node.SubmitTx(tx)
-	if err != nil {
-		return h, err
-	}
+func (b sealingBackend) Submit(txs []*chain.Tx) []chain.TxVerdict {
+	out := b.node.Submit(txs)
 	if _, err := b.node.Seal(); err != nil {
-		return h, err
+		panic(err)
 	}
-	return h, nil
-}
-
-func (b sealingBackend) SubmitBatch(txs []*chain.Tx) ([]cryptoutil.Hash, error) {
-	hashes, err := b.node.SubmitBatch(txs)
-	if err != nil {
-		return hashes, err
-	}
-	_, err = b.node.Seal()
-	return hashes, err
+	return out
 }
 
 func (b sealingBackend) WaitForReceipt(ctx context.Context, h cryptoutil.Hash) (*chain.Receipt, error) {

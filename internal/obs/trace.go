@@ -8,7 +8,7 @@ import (
 // Lifecycle stage names recorded by the chain layer (exported here so
 // the instrumentation sites and the dashboards agree on spelling).
 const (
-	StageSubmit     = "submit"      // entered admission (SubmitTx/SubmitBatch)
+	StageSubmit     = "submit"      // entered admission (Submit)
 	StageAdmit      = "admit"       // accepted into the mempool
 	StageExec       = "exec"        // executed during sealing/validation
 	StageMerge      = "merge"       // optimistic child merged conflict-free

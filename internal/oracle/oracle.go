@@ -24,24 +24,16 @@ import (
 
 	"repro/internal/chain"
 	"repro/internal/cryptoutil"
+	"repro/internal/distexchange"
 	"repro/internal/obs"
 )
 
-// TxBackend is the transaction/query access the push-in and pull-out
-// oracles need; *chain.Node satisfies it, as does any relay that wraps
-// one (e.g. an auto-sealing test backend).
-type TxBackend interface {
-	SubmitTx(tx *chain.Tx) (cryptoutil.Hash, error)
-	SubmitBatch(txs []*chain.Tx) ([]cryptoutil.Hash, error)
-	WaitForReceipt(ctx context.Context, txHash cryptoutil.Hash) (*chain.Receipt, error)
-	Query(contract cryptoutil.Address, method string, args []byte) ([]byte, error)
-	NonceFor(addr cryptoutil.Address) uint64
-}
-
-// Node additionally exposes event subscriptions, needed by the push-out
-// and pull-in oracles; *chain.Node satisfies it.
+// Node is a distexchange.Backend — the transaction/query access the
+// push-in and pull-out oracles relay — that additionally exposes event
+// subscriptions, needed by the push-out and pull-in oracles; *chain.Node
+// satisfies it.
 type Node interface {
-	TxBackend
+	distexchange.Backend
 	SubscribeEvents(filter chain.EventFilter, buffer int) *chain.Subscription
 }
 
@@ -84,30 +76,22 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 // implements distexchange.Backend, so a distexchange.Client can run on
 // top of it transparently.
 type PushIn struct {
-	node    TxBackend
+	node    distexchange.Backend
 	metrics *Metrics
 }
 
 // NewPushIn builds a push-in oracle over a chain backend. metrics may be
 // nil.
-func NewPushIn(node TxBackend, metrics *Metrics) *PushIn {
+func NewPushIn(node distexchange.Backend, metrics *Metrics) *PushIn {
 	return &PushIn{node: node, metrics: metrics}
 }
 
-// SubmitTx relays a signed transaction on-chain.
-func (o *PushIn) SubmitTx(tx *chain.Tx) (cryptoutil.Hash, error) {
-	if o.metrics != nil {
-		o.metrics.In.Add(1)
-	}
-	return o.node.SubmitTx(tx)
-}
-
-// SubmitBatch relays a batch of signed transactions on-chain as one unit.
-func (o *PushIn) SubmitBatch(txs []*chain.Tx) ([]cryptoutil.Hash, error) {
+// Submit relays signed transactions on-chain, one push-in message each.
+func (o *PushIn) Submit(txs []*chain.Tx) []chain.TxVerdict {
 	if o.metrics != nil {
 		o.metrics.In.Add(uint64(len(txs)))
 	}
-	return o.node.SubmitBatch(txs)
+	return o.node.Submit(txs)
 }
 
 // WaitForReceipt waits for inclusion.
@@ -131,12 +115,12 @@ func (o *PushIn) NonceFor(addr cryptoutil.Address) uint64 { return o.node.NonceF
 // entities pull data from the blockchain with read-only queries (used by
 // TEEs for resource indexing, Fig. 2(3)).
 type PullOut struct {
-	node    TxBackend
+	node    distexchange.Backend
 	metrics *Metrics
 }
 
 // NewPullOut builds a pull-out oracle. metrics may be nil.
-func NewPullOut(node TxBackend, metrics *Metrics) *PullOut {
+func NewPullOut(node distexchange.Backend, metrics *Metrics) *PullOut {
 	return &PullOut{node: node, metrics: metrics}
 }
 

@@ -65,8 +65,8 @@ func emitTx(t *testing.T, node *chain.Node, key *cryptoutil.KeyPair, addr crypto
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := node.SubmitTx(tx); err != nil {
-		t.Fatal(err)
+	if v := node.Submit([]*chain.Tx{tx})[0]; v.Err != nil {
+		t.Fatal(v.Err)
 	}
 	if _, err := node.Seal(); err != nil {
 		t.Fatal(err)
@@ -82,10 +82,11 @@ func TestPushInRelaysAndCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hash, err := pushIn.SubmitTx(tx)
-	if err != nil {
-		t.Fatal(err)
+	v := pushIn.Submit([]*chain.Tx{tx})[0]
+	if v.Err != nil {
+		t.Fatal(v.Err)
 	}
+	hash := v.Hash
 	if _, err := node.Seal(); err != nil {
 		t.Fatal(err)
 	}

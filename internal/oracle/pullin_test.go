@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/hex"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -26,6 +27,7 @@ type pullInEnv struct {
 	pullIn  *PullIn
 	metrics *Metrics
 	clk     *simclock.Sim
+	relayed *relayLog // sizes of the evidence submissions that reached the node
 }
 
 // scriptedSource returns pre-signed evidence for a device.
@@ -39,25 +41,35 @@ func (s scriptedSource) Evidence(iri string, round uint64) (distexchange.SignedE
 	return s.fn(iri, round)
 }
 
-// autoSealNode wraps a node to seal on submit (keeps the test linear).
-type autoSealNode struct{ *chain.Node }
-
-func (n autoSealNode) SubmitTx(tx *chain.Tx) (cryptoutil.Hash, error) {
-	h, err := n.Node.SubmitTx(tx)
-	if err != nil {
-		return h, err
-	}
-	_, err = n.Node.Seal()
-	return h, err
+// autoSealNode wraps a node to seal on submit (keeps the test linear) and
+// notes the size of every evidence submission it relays.
+type autoSealNode struct {
+	*chain.Node
+	relayed *relayLog
 }
 
-func (n autoSealNode) SubmitBatch(txs []*chain.Tx) ([]cryptoutil.Hash, error) {
-	hashes, err := n.Node.SubmitBatch(txs)
-	if err != nil {
-		return hashes, err
+type relayLog struct {
+	mu    sync.Mutex
+	sizes []int
+}
+
+func (l *relayLog) list() []int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return slices.Clone(l.sizes)
+}
+
+func (n autoSealNode) Submit(txs []*chain.Tx) []chain.TxVerdict {
+	if txs[0].Method == "submitEvidence" {
+		n.relayed.mu.Lock()
+		n.relayed.sizes = append(n.relayed.sizes, len(txs))
+		n.relayed.mu.Unlock()
 	}
-	_, err = n.Node.Seal()
-	return hashes, err
+	out := n.Node.Submit(txs)
+	if _, err := n.Node.Seal(); err != nil {
+		panic(err)
+	}
+	return out
 }
 
 func newPullInEnv(t *testing.T) *pullInEnv { return newPullInEnvWith(t, 1, 0, nil) }
@@ -88,7 +100,7 @@ func newPullInEnvWith(t *testing.T, devices, senderQuota int, reg *obs.Registry)
 	if err != nil {
 		t.Fatal(err)
 	}
-	backend := autoSealNode{node}
+	backend := autoSealNode{node, &relayLog{}}
 	owner := distexchange.NewClient(backend, cryptoutil.MustGenerateKey(), deAddr)
 	ctx := context.Background()
 
@@ -137,6 +149,7 @@ func newPullInEnvWith(t *testing.T, devices, senderQuota int, reg *obs.Registry)
 	return &pullInEnv{
 		node: node, deAddr: deAddr, owner: owner, devKeys: devKeys,
 		pullIn: NewPullIn(node, relay, metrics), metrics: metrics, clk: clk,
+		relayed: backend.relayed,
 	}
 }
 
@@ -296,12 +309,18 @@ func TestPullInBatchRelay(t *testing.T) {
 		quota   int
 		failing []int // target positions whose source returns an error
 		forging []int // target positions whose evidence carries a bad signature
+		// submissions is the size of each relay submission: one for the whole
+		// round, unless the sender quota admits only a prefix — then every
+		// submission carries exactly the evidence not yet committed, so each
+		// signature is verified once per submission and 16 evidence under
+		// quota 4 take 4 submissions.
+		submissions []int
 	}{
-		{name: "sequential gather"},
-		{name: "fanned-out gather", fanout: true},
-		{name: "sender quota below the round size", fanout: true, quota: 4},
-		{name: "a failing source and a reverted evidence sink only themselves", fanout: true, failing: []int{2}, forging: []int{9}},
-		{name: "the same, gathered sequentially", failing: []int{2}, forging: []int{9}},
+		{name: "sequential gather", submissions: []int{16}},
+		{name: "fanned-out gather", fanout: true, submissions: []int{16}},
+		{name: "sender quota below the round size", fanout: true, quota: 4, submissions: []int{16, 12, 8, 4}},
+		{name: "a failing source and a reverted evidence sink only themselves", fanout: true, failing: []int{2}, forging: []int{9}, submissions: []int{15}},
+		{name: "the same, gathered sequentially", failing: []int{2}, forging: []int{9}, submissions: []int{15}},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -390,6 +409,10 @@ func TestPullInBatchRelay(t *testing.T) {
 			}
 			if !slices.Equal(state.Responded, relayed) {
 				t.Errorf("responded %v, want %v", state.Responded, relayed)
+			}
+
+			if got := e.relayed.list(); !slices.Equal(got, row.submissions) {
+				t.Errorf("relay submissions of sizes %v, want %v", got, row.submissions)
 			}
 
 			count := func(result string) uint64 {

@@ -63,21 +63,12 @@ type autoSeal struct {
 	log  *queryLog
 }
 
-func (b autoSeal) SubmitTx(tx *chain.Tx) (cryptoutil.Hash, error) {
-	h, err := b.node.SubmitTx(tx)
-	if err != nil {
-		return h, err
+func (b autoSeal) Submit(txs []*chain.Tx) []chain.TxVerdict {
+	out := b.node.Submit(txs)
+	if _, err := b.node.Seal(); err != nil {
+		panic(err)
 	}
-	_, err = b.node.Seal()
-	return h, err
-}
-func (b autoSeal) SubmitBatch(txs []*chain.Tx) ([]cryptoutil.Hash, error) {
-	hashes, err := b.node.SubmitBatch(txs)
-	if err != nil {
-		return hashes, err
-	}
-	_, err = b.node.Seal()
-	return hashes, err
+	return out
 }
 func (b autoSeal) WaitForReceipt(ctx context.Context, h cryptoutil.Hash) (*chain.Receipt, error) {
 	return b.node.WaitForReceipt(ctx, h)

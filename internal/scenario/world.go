@@ -1219,7 +1219,7 @@ func (w *World) txFlood(stepIdx int, st Step) (string, *Failure) {
 			}
 			batch = append(batch, tx)
 		}
-		for _, v := range w.d.Network.SubmitEverywhereVerdicts(batch) {
+		for _, v := range w.d.Network.Submit(batch) {
 			if v.Admitted() {
 				admitted++
 			} else {
@@ -1240,7 +1240,7 @@ func (w *World) txFlood(stepIdx int, st Step) (string, *Failure) {
 	if err != nil {
 		return "err", expectation(op, "build probe tx: %v", err)
 	}
-	if vs := w.d.Network.SubmitEverywhereVerdicts([]*chain.Tx{probe}); !vs[0].Admitted() {
+	if vs := w.d.Network.Submit([]*chain.Tx{probe}); !vs[0].Admitted() {
 		return "starved", expectation(op, "adequately-priced settlement rejected mid-flood: %v", vs[0].Err)
 	}
 	w.dupNonce++
