@@ -11,7 +11,8 @@
 //
 // -debug-addr starts a second, private HTTP server with the
 // observability endpoints: GET /metrics (Prometheus text exposition of
-// validator 0's chain and WAL instruments), /debug/vars,
+// validator 0's chain and WAL instruments and the process's
+// verified-signature table counters), /debug/vars,
 // /debug/traces (recent tx-lifecycle traces), and the /debug/pprof/
 // suite. Without the flag no instrument is live: every hot-path hook
 // stays on the no-op path and nothing listens.
@@ -106,6 +107,7 @@ func run(args []string) error {
 	if *debugAddr != "" {
 		reg = obs.NewRegistry()
 		metrics = chain.NewMetrics(reg)
+		cryptoutil.Instrument(reg)
 	}
 
 	nodes, network, deAddr, err := buildCluster(clusterConfig{

@@ -42,6 +42,26 @@ func (h *Header) Hash() cryptoutil.Hash {
 	return cryptoutil.HashOf(h.SigningBytes(), h.Signature)
 }
 
+// verifySeal checks that proposerKey is the key of h.Proposer and that
+// h.Signature is its signature over SigningBytes. A node is offered the
+// same sealed header more than once — every follower of an in-process
+// cluster, a rebroadcast, a catch-up after a partition — so the signature
+// goes through cryptoutil.VerifyCached (doc.go: "Signatures a block
+// carries"); the key/address binding is cheap and checked every time.
+func (h *Header) verifySeal(proposerKey []byte) error {
+	pub, err := cryptoutil.ParsePublicKey(proposerKey)
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrBadHeaderSig, err)
+	}
+	if cryptoutil.AddressOf(pub) != h.Proposer {
+		return fmt.Errorf("%w: key does not belong to proposer %s", ErrBadHeaderSig, h.Proposer)
+	}
+	if !cryptoutil.VerifyCached(pub, h.SigningBytes(), h.Signature) {
+		return fmt.Errorf("%w: signature verification failed", ErrBadHeaderSig)
+	}
+	return nil
+}
+
 // Block is a header plus its transactions and receipts.
 type Block struct {
 	Header   Header

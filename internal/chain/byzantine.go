@@ -61,8 +61,8 @@ func (n *Node) handleStaleDelivery(block *Block, proposerKey []byte) error {
 	// Same height, same proposer, different content. Verify the signature
 	// BEFORE recording evidence: a forged signature must not let an
 	// attacker frame an honest authority as an equivocator.
-	if err := cryptoutil.VerifyWithAddress(h.Proposer, proposerKey, h.SigningBytes(), h.Signature); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadHeaderSig, err)
+	if err := h.verifySeal(proposerKey); err != nil {
+		return err
 	}
 	if n.equivGuardOff.Load() {
 		// Test hook (SetEquivocationGuard(false)): swallow the conflicting

@@ -120,6 +120,48 @@
 // hashes, ApplyBlock computes them once) and the slice is threaded
 // through the tx root, execution, and mempool removal.
 //
+// # Signatures a block carries
+//
+// The mempool lookup above settles the repeat sightings of transaction
+// signatures. A block carries three more kinds of signature inside it —
+// the proposer's seal on the header, device signatures on evidence, and
+// the manufacturer's signature on a device certificate — and each is
+// presented to this process again: every follower of an in-process
+// cluster is handed the same header and re-executes the same
+// transactions, the parallel executor re-executes what its optimistic
+// pass discarded, and a node meets a header again on rebroadcast
+// (handleStaleDelivery) and on catch-up. Those checks go through
+// cryptoutil.VerifyCached — Header.verifySeal here, submitEvidence and
+// Certificate.Verify in the contract — which answers a repeat from one
+// process-wide table of verified signatures.
+//
+// The argument is the fast path's, one level down. There, a hit on
+// Tx.Hash stands for "this node verified these signing bytes under this
+// key with this signature". Here, a hit on SHA-256(public key ‖ message
+// digest ‖ signature) stands for "this process ran ecdsa.VerifyASN1 on
+// exactly these bytes and it accepted": the tag is over everything the
+// verification reads, it is stored and compared whole, only successes are
+// inserted, and the lookup key is recomputed from the block's own bytes,
+// never taken from the proposer. So a seal that was valid for another
+// header, a seal under another authority's key, and evidence signed by a
+// key the ledger no longer names for the device all miss and get the full
+// check (sealsig_test.go, distexchange/sigtable_test.go). Everything that
+// is not the signature — authority membership, the key/address binding,
+// height, parent, timestamp, both roots, the certificate's validity at
+// the block's time — is evaluated on every call as before, so receipts,
+// roots, gas and traces are the same with the table cold or warm
+// (core.TestSigTableColdWarmReplay, scenario.TestScenarioColdWarmTable).
+//
+// The trust domain is the process, which Network.Submit already assumes:
+// its one checked pass stands for every validator the process hosts. When
+// every validator has its own process nothing is gained for a peer's
+// first sighting of a block — each process pays for its own — and what
+// remains is a node's own repeats: discarded optimistic executions,
+// rebroadcasts, catch-up after a partition, and certificates. Transaction
+// admission (verify.go) stays on plain verification: its repeats are
+// the mempool's to answer, and a table entry per transaction would only
+// evict the entries that do repeat.
+//
 // # Durability
 //
 // A node opened with OpenNode and a Config.DataDir is durable: every

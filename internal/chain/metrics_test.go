@@ -104,17 +104,50 @@ func buildMeteredChain(t *testing.T, key *cryptoutil.KeyPair, wl *meteredWorkloa
 	return node
 }
 
+// followChain replays origin's blocks into a fresh follower, which checks
+// every seal (through the verified-signature table) and both roots.
+func followChain(t *testing.T, key *cryptoutil.KeyPair, origin *Node, execWorkers int) {
+	t.Helper()
+	follower, err := NewNode(Config{
+		Key:         key,
+		Authorities: []cryptoutil.Address{key.Address()},
+		Executor:    testExecutor{},
+		Clock:       simclock.NewSim(chainEpoch),
+		GenesisTime: chainEpoch,
+		ExecWorkers: execWorkers,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for num := uint64(1); num <= origin.Height(); num++ {
+		if err := follower.ApplyBlock(origin.BlockByNumber(num), key.PublicBytes()); err != nil {
+			t.Fatalf("follower rejected block %d: %v", num, err)
+		}
+	}
+}
+
 // TestDifferentialMetricsBitIdentity pins the no-observer-effect
 // contract: the same workload on a metered node and a bare node must
-// produce bit-identical blocks — hashes, receipt roots, state roots.
+// produce bit-identical blocks — hashes, receipt roots, state roots —
+// and a follower accepts either chain whether or not the process-wide
+// signature-table counters are attached.
 func TestDifferentialMetricsBitIdentity(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			key := cryptoutil.MustGenerateKey()
 			wl := makeMeteredWorkload(t, key)
 			reg := obs.NewRegistry()
+			cryptoutil.Instrument(reg)
 			metered := buildMeteredChain(t, key, wl, NewMetrics(reg), workers)
+			followChain(t, key, metered, workers)
+			cryptoutil.Instrument(nil)
 			bare := buildMeteredChain(t, key, wl, nil, workers)
+			followChain(t, key, bare, workers)
+			sigChecks := reg.Counter("cryptoutil_sigcache_hits_total", "").Value() +
+				reg.Counter("cryptoutil_sigcache_misses_total", "").Value()
+			if sigChecks != metered.Height() {
+				t.Fatalf("signature-table counters saw %d checks, want one per followed block (%d)", sigChecks, metered.Height())
+			}
 
 			if mh, bh := metered.Height(), bare.Height(); mh != bh {
 				t.Fatalf("heights differ: metered %d, bare %d", mh, bh)

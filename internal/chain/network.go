@@ -89,8 +89,8 @@ func (n *Node) ApplyBlock(block *Block, proposerKey []byte) error {
 	if !n.isAuthority(h.Proposer) {
 		return fmt.Errorf("%w: %s is not an authority", ErrWrongProposer, h.Proposer)
 	}
-	if err := cryptoutil.VerifyWithAddress(h.Proposer, proposerKey, h.SigningBytes(), h.Signature); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadHeaderSig, err)
+	if err := h.verifySeal(proposerKey); err != nil {
+		return err
 	}
 	hashes := txHashes(block.Txs)
 	n.mpMu.Lock()

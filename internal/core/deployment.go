@@ -234,6 +234,9 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 	d.Host = solid.NewHost(d.Directory, clk)
 	if cfg.Obs != nil {
 		d.Host.SetMetrics(solid.NewMetrics(cfg.Obs))
+		// One table per process, so one pair of counters: it covers every
+		// validator's and every pod manager's checks, not validator 0's.
+		cryptoutil.Instrument(cfg.Obs)
 	}
 	d.hostServer = httptest.NewServer(d.Host)
 
@@ -432,6 +435,7 @@ func (d *Deployment) NewOwner(name string) (*Owner, error) {
 		Directory:  d.Directory,
 		Clock:      d.Clock,
 		TEE:        teeReq,
+		PushOut:    d.pushOut,
 	})
 	if err != nil {
 		return nil, err
@@ -705,16 +709,13 @@ func (c *Consumer) Use(resourceIRI string, action policy.Action) ([]byte, error)
 }
 
 // WaitPolicyVersion blocks until the trusted application enforces at
-// least the given policy version (push-out delivery is asynchronous).
+// least the given policy version (push-out delivery is asynchronous). The
+// app signals each version it applies; the timeout is the only timer.
 func (c *Consumer) WaitPolicyVersion(resourceIRI string, version uint64, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		if c.App.PolicyVersion(resourceIRI) >= version {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("core: policy v%d not applied to %s within %s", version, resourceIRI, timeout)
-		}
-		time.Sleep(time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	if err := c.App.WaitPolicyVersion(ctx, resourceIRI, version); err != nil {
+		return fmt.Errorf("core: policy v%d not applied to %s within %s", version, resourceIRI, timeout)
 	}
+	return nil
 }

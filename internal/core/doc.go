@@ -29,5 +29,7 @@
 // allows. Oracles (pull-in, push-out) run their own goroutines observing
 // node 0; their delivery is asynchronous, which is why tests wait on
 // WaitPolicyVersion / WaitForRoundClosure rather than assuming
-// synchronous propagation.
+// synchronous propagation. Both are woken by what they wait for (the
+// trusted app applying a version; the push-out oracle delivering the
+// resource's evidence) and keep their timeout as the only timer.
 package core

@@ -79,6 +79,8 @@ var (
 // Verify checks that the certificate (i) names the expected issuer,
 // (ii) has a subject key that hashes to the subject address, (iii) carries
 // a valid issuer signature, and (iv) is within its validity window at now.
+// A certificate is made to be presented many times, so (iii) goes through
+// VerifyCached; (i), (ii) and (iv) are evaluated on every call.
 func (c *Certificate) Verify(issuerPubBytes []byte, issuerAddr Address, now time.Time) error {
 	if c.Issuer != issuerAddr {
 		return fmt.Errorf("%w: got %s, want %s", ErrCertWrongIssuer, c.Issuer, issuerAddr)
@@ -94,7 +96,7 @@ func (c *Certificate) Verify(issuerPubBytes []byte, issuerAddr Address, now time
 	if err != nil {
 		return fmt.Errorf("cryptoutil: issuer key: %w", err)
 	}
-	if !Verify(issuerPub, c.SigningBytes(), c.Signature) {
+	if !VerifyCached(issuerPub, c.SigningBytes(), c.Signature) {
 		return ErrCertBadSignature
 	}
 	if now.Before(c.NotBefore) {

@@ -5,6 +5,64 @@
 //
 // Everything is built on the Go standard library (crypto/ecdsa,
 // crypto/sha256, crypto/x509 for key encoding).
+//
+// # Verify and VerifyCached
+//
+// There are two ways to check a signature, and which one a call site uses
+// is decided by one question: is this signed object, by design, presented
+// again to this process?
+//
+// VerifyCached is for objects that are. It keeps one fixed-size,
+// process-wide table of verified signatures (sigtable.go) and answers a
+// repeat from it. Its callers are
+//
+//   - distexchange.submitEvidence, the device's signature on evidence:
+//     every validator of an in-process cluster executes the same
+//     transaction, and the parallel executor re-executes what its
+//     optimistic pass discarded;
+//   - chain's Header.verifySeal (ApplyBlock and the stale-delivery path),
+//     the proposer's seal: every follower is handed the same header, and a
+//     node sees it again on rebroadcast and on catch-up;
+//   - Certificate.Verify, and through it distexchange.registerDevice,
+//     tee.VerifyQuote's device certificate and market.Verifier.Check: a
+//     certificate exists to be shown many times. Its validity window,
+//     issuer and subject binding are evaluated on every call; only the
+//     ECDSA check is remembered.
+//
+// Verify (and VerifyWithAddress) is for objects that are seen once:
+//
+//   - transaction admission (chain's verify pool via Tx.VerifySignature):
+//     a transaction's repeat sightings are already answered per node by
+//     the mempool lookup in ApplyBlock, which costs a map read, and
+//     Network.Submit verifies once for the cluster;
+//   - the Solid request signature (solid.Server) and the TEE quote
+//     signature (tee.VerifyQuote): both cover a fresh nonce, so a repeat
+//     is a replay to refuse, not work to save.
+//
+// Routing those through the table would only churn it.
+//
+// Why a hit is sound. ECDSA verification is a pure function of the public
+// key, the message digest and the signature bytes. The table is keyed by
+// SHA-256 over exactly those three (65-byte key ‖ 32-byte digest ‖
+// signature; the first two have fixed length, so the encoding is
+// injective), stores the whole 32-byte tag, compares the whole tag, and is
+// written only after ecdsa.VerifyASN1 has accepted the triple. A hit
+// therefore means this process ran the verification on these very bytes
+// and it succeeded — or SHA-256 collided. A failed verification is never
+// remembered, so there is nothing to poison; eviction (the table is
+// direct-mapped, a new entry overwrites its slot) can only cause a miss.
+// Everything that is not the triple — which key a ledger record or a
+// pinned CA names, whether a certificate has expired, whether a header
+// extends this chain — is the caller's to decide and is decided on every
+// call, before or after the signature check, exactly as with Verify.
+//
+// The trust domain is the process: the same one chain.Network.Submit
+// already assumes when it verifies a batch once for every validator it
+// hosts. In a deployment with one validator per process the table saves
+// only a node's own repeats (discarded optimistic executions,
+// rebroadcasts, catch-up, certificates), not its peers' first sightings.
+// There is no option: the size is a constant, and nothing turns the table
+// off.
 package cryptoutil
 
 import (

@@ -32,6 +32,22 @@
 // round keys. Seq stays one counter per resource, so getEvidence and
 // getViolations list a whole history in Seq order, or — given a round —
 // only that round's key prefix.
+//
+// # Signature checks
+//
+// The contract checks two signatures: the manufacturer's on a device
+// certificate (registerDevice) and the device's on evidence
+// (submitEvidence). Both are re-executed on the same bytes by every
+// validator, so both go through cryptoutil.VerifyCached, which answers a
+// repeat sighting from the process's table of verified signatures. That
+// cannot change an outcome: a table hit means this process already ran
+// the ECDSA verification on exactly this key, message and signature and it
+// passed, and the contract decides everything else on every execution —
+// which key the ledger holds for the device at that point, whether there
+// is a grant, whether the certificate is valid at the block's time. A
+// validator in a process of its own simply pays for each first sighting
+// itself. The soundness argument is written out in chain/doc.go
+// ("Signatures a block carries") and the cryptoutil package comment.
 package distexchange
 
 import (

@@ -143,19 +143,21 @@ type PushOut struct {
 	metrics *Metrics
 
 	mu      sync.Mutex
-	subs    []*chain.Subscription
+	subs    map[*chain.Subscription]struct{} // live registrations; guarded by mu
 	wg      sync.WaitGroup
-	stopped bool
+	stopped bool // guarded by mu
 }
 
 // NewPushOut builds a push-out oracle. metrics may be nil.
 func NewPushOut(node Node, metrics *Metrics) *PushOut {
-	return &PushOut{node: node, metrics: metrics}
+	return &PushOut{node: node, metrics: metrics, subs: make(map[*chain.Subscription]struct{})}
 }
 
 // On registers a handler for events matching the filter. Handlers run on a
 // dedicated goroutine per registration, in event order. Returns an
-// unsubscribe function.
+// unsubscribe function, after which the oracle holds nothing of the
+// registration: a caller may register per wait for the life of a
+// deployment.
 func (o *PushOut) On(filter chain.EventFilter, handler Handler) (cancel func()) {
 	sub := o.node.SubscribeEvents(filter, 256)
 	o.mu.Lock()
@@ -164,7 +166,7 @@ func (o *PushOut) On(filter chain.EventFilter, handler Handler) (cancel func()) 
 		sub.Cancel()
 		return func() {}
 	}
-	o.subs = append(o.subs, sub)
+	o.subs[sub] = struct{}{}
 	o.wg.Add(1)
 	o.mu.Unlock()
 
@@ -177,7 +179,12 @@ func (o *PushOut) On(filter chain.EventFilter, handler Handler) (cancel func()) 
 			handler(ev)
 		}
 	}()
-	return sub.Cancel
+	return func() {
+		o.mu.Lock()
+		delete(o.subs, sub)
+		o.mu.Unlock()
+		sub.Cancel()
+	}
 }
 
 // Close cancels all subscriptions and waits for handlers to drain.
@@ -187,7 +194,7 @@ func (o *PushOut) Close() {
 	subs := o.subs
 	o.subs = nil
 	o.mu.Unlock()
-	for _, s := range subs {
+	for s := range subs {
 		s.Cancel()
 	}
 	o.wg.Wait()

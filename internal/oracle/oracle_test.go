@@ -226,3 +226,39 @@ func TestPushOutCloseWaitsForHandlers(t *testing.T) {
 		t.Fatal("Close hung")
 	}
 }
+
+// TestPushOutCancelForgetsSubscription: a caller that registers per wait
+// (podmanager.WaitForRoundClosure does, once per monitoring round) must
+// leave nothing behind. Cancel used to close the subscription but keep it
+// in the oracle's list for the life of the deployment.
+func TestPushOutCancelForgetsSubscription(t *testing.T) {
+	node, key, addr := newOracleNode(t)
+	pushOut := NewPushOut(node, nil)
+	for range 10_000 {
+		cancel := pushOut.On(chain.EventFilter{Topic: "Ping"}, func(chain.Event) {})
+		cancel()
+	}
+	pushOut.mu.Lock()
+	n := len(pushOut.subs)
+	pushOut.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("%d cancelled subscriptions still held", n)
+	}
+
+	// A registration that was not cancelled is still Close's to drain.
+	delivered := make(chan string, 2)
+	pushOut.On(chain.EventFilter{Topic: "Ping"}, func(ev chain.Event) { delivered <- ev.Key })
+	emitTx(t, node, key, addr, "live")
+	select {
+	case <-delivered:
+	case <-time.After(2 * time.Second):
+		t.Fatal("live registration got no delivery")
+	}
+	pushOut.Close() // returns once the handler goroutine has exited
+	emitTx(t, node, key, addr, "after-close")
+	select {
+	case k := <-delivered:
+		t.Fatalf("delivery after Close: %s", k)
+	case <-time.After(50 * time.Millisecond):
+	}
+}

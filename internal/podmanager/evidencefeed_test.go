@@ -127,3 +127,84 @@ func TestEvidenceFeedIgnoresForeignResources(t *testing.T) {
 		t.Fatalf("journal polluted by foreign events: %+v", journal)
 	}
 }
+
+// TestWaitForRoundClosureWokenByEvidence: the wait reads the round when it
+// starts, when the push-out oracle delivers evidence for the resource, and
+// at its deadline — never on a poll interval.
+func TestWaitForRoundClosureWokenByEvidence(t *testing.T) {
+	e := newEnv(t)
+	iri := e.publish(browsingPolicy())
+	e.registerDevice()
+	ctx := context.Background()
+	pushOut := oracle.NewPushOut(e.node, nil)
+	defer pushOut.Close()
+	e.mgr.pushOut = pushOut
+
+	if err := e.mgr.GrantAccess(ctx, bobWebID, e.bobKey.Address(), e.devKey.Address(),
+		"/web/browsing.csv", policy.PurposeWebAnalytics); err != nil {
+		t.Fatal(err)
+	}
+	devClient := distexchange.NewClient(autoSeal{node: e.node}, e.devKey, e.deAddr)
+	if _, err := devClient.ConfirmRetrieval(ctx, iri); err != nil {
+		t.Fatal(err)
+	}
+	round, err := e.mgr.StartMonitoring(ctx, "/web/browsing.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	roundReads := func() (n int) {
+		e.queries.mu.Lock()
+		defer e.queries.mu.Unlock()
+		for _, c := range e.queries.calls {
+			if c.method == "getMonitoringRound" {
+				n++
+			}
+		}
+		return n
+	}
+
+	// Nobody answers: two reads, one at each end of the grace period.
+	before := roundReads()
+	state, err := e.mgr.WaitForRoundClosure("/web/browsing.csv", round.Round, 20*time.Millisecond)
+	if err != nil || state.Closed {
+		t.Fatalf("silent round: closed=%v err=%v, want open and nil", state.Closed, err)
+	}
+	if n := roundReads() - before; n != 2 {
+		t.Errorf("silent round read %d times, want 2", n)
+	}
+
+	// The device answers while the owner waits with an hour to spare.
+	before = roundReads()
+	waited := make(chan distexchange.MonitoringRound, 1)
+	go func() {
+		state, err := e.mgr.WaitForRoundClosure("/web/browsing.csv", round.Round, time.Hour)
+		if err != nil {
+			t.Error(err)
+		}
+		waited <- state
+	}()
+	ev := distexchange.Evidence{
+		ResourceIRI: iri, Device: e.devKey.Address(), Round: round.Round,
+		PolicyVersion: 1, StillStored: true,
+		RetrievedAt: e.clk.Now(), GeneratedAt: e.clk.Now(),
+	}
+	sig, err := e.devKey.Sign(ev.SigningBytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := devClient.SubmitEvidence(ctx, distexchange.SignedEvidence{Evidence: ev, Signature: sig}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case state := <-waited:
+		if !state.Closed {
+			t.Fatalf("woken with the round open: %+v", state)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("evidence recorded, waiter not woken")
+	}
+	// One read if the evidence beat the subscription, else two.
+	if n := roundReads() - before; n < 1 || n > 2 {
+		t.Errorf("answered round read %d times, want 1 or 2", n)
+	}
+}

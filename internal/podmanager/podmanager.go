@@ -77,6 +77,10 @@ type Config struct {
 	// TEE, when non-nil, requires consumer requests on published
 	// resources to carry a valid attestation quote (HeaderTEEQuote).
 	TEE *TEERequirement
+	// PushOut delivers DE App events to the manager: it is what wakes
+	// WaitForRoundClosure when evidence lands. Without one that wait
+	// learns of nothing before its deadline.
+	PushOut *oracle.PushOut
 }
 
 // Manager is a running pod manager.
@@ -86,6 +90,8 @@ type Manager struct {
 	pod     *solid.Pod
 	server  *solid.Server
 	de      *distexchange.Client
+	deAddr  cryptoutil.Address
+	pushOut *oracle.PushOut
 	market  market.Verifier
 	dir     solid.AgentDirectory
 	clock   simclock.Clock
@@ -123,6 +129,8 @@ func New(cfg Config) (*Manager, error) {
 		baseURL:    cfg.BaseURL,
 		pod:        solid.NewPod(cfg.OwnerWebID, cfg.BaseURL),
 		de:         distexchange.NewClient(cfg.Backend, cfg.Key, cfg.DEAddr),
+		deAddr:     cfg.DEAddr,
+		pushOut:    cfg.PushOut,
 		market:     cfg.Market,
 		dir:        cfg.Directory,
 		clock:      clk,
@@ -624,21 +632,39 @@ func AttachCertificate(cert *cryptoutil.Certificate) (func(*http.Request), error
 	}, nil
 }
 
-// WaitForRoundClosure polls the round until it closes or the timeout
-// elapses, returning the final state. The poll interval is wall-clock
-// bound (not simclock) because it synchronizes goroutines, not simulated
-// time.
+// WaitForRoundClosure returns the round's state once it has closed or the
+// timeout has elapsed. It waits on the push-out oracle, not on a poll: it
+// subscribes to the resource's EvidenceRecorded events and only then
+// reads the round, so evidence recorded before the subscription is in
+// that read and evidence recorded after it is delivered; each delivery
+// triggers a re-read, and a burst (a block of evidence) coalesces into
+// one. The timeout is wall-clock bound (not simclock) because it
+// synchronizes goroutines, not simulated time; it is the only timer.
 func (m *Manager) WaitForRoundClosure(path string, round uint64, timeout time.Duration) (distexchange.MonitoringRound, error) {
 	iri := m.ResourceIRI(path)
-	deadline := time.Now().Add(timeout)
+	recorded := make(chan struct{}, 1)
+	if m.pushOut != nil {
+		cancel := m.pushOut.On(chain.EventFilter{
+			Contract: m.deAddr, Topic: distexchange.TopicEvidenceRecorded, Key: iri,
+		}, func(chain.Event) {
+			select {
+			case recorded <- struct{}{}:
+			default: // a re-read is already owed
+			}
+		})
+		defer cancel()
+	}
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
 	for {
 		state, err := m.de.GetMonitoringRound(iri, round)
-		if err != nil {
+		if err != nil || state.Closed {
 			return state, err
 		}
-		if state.Closed || time.Now().After(deadline) {
-			return state, nil
+		select {
+		case <-recorded:
+		case <-deadline.C:
+			return m.de.GetMonitoringRound(iri, round) // the state at the deadline
 		}
-		time.Sleep(2 * time.Millisecond)
 	}
 }

@@ -1,6 +1,7 @@
 package tee
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -48,6 +49,10 @@ type App struct {
 
 	mu     sync.Mutex
 	copies map[string]*copyState
+	// versionChanged is closed (and dropped) whenever a copy's enforced
+	// policy version may have moved; WaitPolicyVersion makes it on demand,
+	// so an app nobody waits on pays nothing. Guarded by mu.
+	versionChanged chan struct{}
 
 	// rogue disables deletion obligations (failure injection): the app
 	// keeps data past its deadline, which policy monitoring must detect.
@@ -105,6 +110,7 @@ func (a *App) StoreResource(iri string, data []byte, pol *policy.Policy) error {
 		retrievedAt: a.clock.Now(),
 	}
 	a.copies[iri] = st
+	a.signalVersionLocked()
 	a.scheduleDeletionLocked(st)
 	return nil
 }
@@ -228,6 +234,7 @@ func (a *App) ApplyPolicyUpdate(newPol *policy.Policy) ([]policy.Obligation, err
 		return []policy.Obligation{{Kind: policy.ObligationNone, Reason: "stale version"}}, nil
 	}
 	st.pol = newPol.Clone()
+	a.signalVersionLocked()
 
 	obligations := policy.ObligationsFor(newPol, policy.HolderState{
 		RetrievedAt: st.retrievedAt,
@@ -266,6 +273,38 @@ func (a *App) PolicyVersion(iri string) uint64 {
 		return st.pol.Version
 	}
 	return 0
+}
+
+// signalVersionLocked wakes every WaitPolicyVersion caller to re-read.
+// Caller holds a.mu.
+func (a *App) signalVersionLocked() {
+	if a.versionChanged != nil {
+		close(a.versionChanged)
+		a.versionChanged = nil
+	}
+}
+
+// WaitPolicyVersion blocks until the app enforces at least the given
+// policy version for the resource, or ctx is done. It is woken by
+// StoreResource and ApplyPolicyUpdate, not by a poll.
+func (a *App) WaitPolicyVersion(ctx context.Context, iri string, version uint64) error {
+	for {
+		a.mu.Lock()
+		if st, ok := a.copies[iri]; ok && st.pol.Version >= version {
+			a.mu.Unlock()
+			return nil
+		}
+		if a.versionChanged == nil {
+			a.versionChanged = make(chan struct{})
+		}
+		changed := a.versionChanged
+		a.mu.Unlock()
+		select {
+		case <-changed:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
 }
 
 // Holds reports whether a live (non-deleted) copy of the resource exists.

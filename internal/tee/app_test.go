@@ -2,7 +2,9 @@ package tee
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -348,5 +350,67 @@ func TestEvidenceSignedAndCapped(t *testing.T) {
 	}
 	if _, err := app.Evidence("https://unknown", 1); !errors.Is(err, ErrNoCopy) {
 		t.Fatalf("unknown evidence: %v", err)
+	}
+}
+
+// parked spins until a WaitPolicyVersion caller is waiting on the app.
+func parked(app *App) {
+	for {
+		app.mu.Lock()
+		waiting := app.versionChanged != nil
+		app.mu.Unlock()
+		if waiting {
+			return
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestWaitPolicyVersion: the wait is woken by the update that satisfies
+// it, sleeps through the ones that do not, and ends with its context.
+func TestWaitPolicyVersion(t *testing.T) {
+	app, _ := newApp(t, policy.PurposeWebAnalytics)
+	pol := webPolicy(time.Hour)
+	iri := pol.ResourceIRI
+	ctx := context.Background()
+
+	waiting := make(chan error, 1)
+	go func() { waiting <- app.WaitPolicyVersion(ctx, iri, 3) }()
+	parked(app) // before the copy even exists
+	if err := app.StoreResource(iri, []byte("x"), pol); err != nil {
+		t.Fatal(err)
+	}
+	if err := app.WaitPolicyVersion(ctx, iri, 1); err != nil {
+		t.Fatalf("version already enforced: %v", err)
+	}
+	for v := uint64(2); v <= 3; v++ {
+		parked(app) // woken by the previous change, found it short, waiting again
+		select {
+		case err := <-waiting:
+			t.Fatalf("wait for v3 returned %v at v%d", err, v-1)
+		default:
+		}
+		next := pol.Clone()
+		next.Version = v
+		if _, err := app.ApplyPolicyUpdate(next); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := <-waiting; err != nil {
+		t.Fatalf("wait for v3: %v", err)
+	}
+	app.mu.Lock()
+	left := app.versionChanged
+	app.mu.Unlock()
+	if left != nil {
+		t.Fatal("a wake-up channel outlived its waiters")
+	}
+
+	ctx, cancel := context.WithCancel(ctx)
+	go func() { waiting <- app.WaitPolicyVersion(ctx, iri, 9) }()
+	parked(app)
+	cancel()
+	if err := <-waiting; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled wait returned %v", err)
 	}
 }
