@@ -84,7 +84,7 @@ func BenchmarkCodecEncodeBlock(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		size = len(buf)
+		size = len(buf) - store.RecordHeaderSize
 	}
 	b.ReportMetric(float64(size), "bytes/rec")
 }

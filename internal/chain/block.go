@@ -2,7 +2,6 @@ package chain
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/cryptoutil"
@@ -31,10 +30,11 @@ type Header struct {
 // SigningBytes returns the deterministic encoding covered by the proposer
 // signature.
 func (h *Header) SigningBytes() []byte {
-	var b strings.Builder
-	fmt.Fprintf(&b, "header|%d|%s|%d|%s|%s|%s|%s",
-		h.Number, h.ParentHash, h.Time.UnixNano(), h.Proposer, h.TxRoot, h.ReceiptRoot, h.StateRoot)
-	return []byte(b.String())
+	// "header|", six separators, two 20-byte integers, the 42-byte
+	// proposer and four 66-byte hashes.
+	return make(cryptoutil.Enc, 0, 359).Str("header|").Uint(h.Number).Sep().Hex0x(h.ParentHash[:]).Sep().
+		Int(h.Time.UnixNano()).Sep().Hex0x(h.Proposer[:]).Sep().Hex0x(h.TxRoot[:]).Sep().
+		Hex0x(h.ReceiptRoot[:]).Sep().Hex0x(h.StateRoot[:])
 }
 
 // Hash returns the block hash (header content plus signature).
@@ -105,11 +105,11 @@ func merkleRoot(leaves []cryptoutil.Hash) cryptoutil.Hash {
 }
 
 // txHashes computes every transaction's hash, parallel to txs. Tx.Hash
-// is an uncached Fprintf plus SHA-256, so block production and
-// validation call this once per block and thread the slice through
-// txRoot, execution, and mempool removal instead of rehashing at each
-// step. (The hash is deliberately not memoized on Tx: its fields are
-// exported and mutable.)
+// encodes the transaction and runs SHA-256 over it every time it is
+// called, so block production and validation call this once per block
+// and thread the slice through txRoot, execution, and mempool removal
+// instead of rehashing at each step. (The hash is deliberately not
+// memoized on Tx: its fields are exported and mutable.)
 func txHashes(txs []*Tx) []cryptoutil.Hash {
 	hashes := make([]cryptoutil.Hash, len(txs))
 	for i, tx := range txs {

@@ -120,7 +120,7 @@ func TestEquivocationEntryPoints(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := wal.Append(buf); err != nil {
+		if err := wal.AppendFrame(buf); err != nil {
 			t.Fatal(err)
 		}
 		if err := wal.Close(); err != nil {

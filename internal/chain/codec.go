@@ -39,9 +39,12 @@ func encodeWALMeta(m *walMeta) ([]byte, error) {
 	return dst, nil
 }
 
-// encodeWALBlock encodes a committed block plus its net state diff.
+// encodeWALBlock encodes a committed block plus its net state diff as a
+// frame for store.WAL.AppendFrame: the record starts at
+// store.RecordHeaderSize, behind the space the log fills in, so the
+// largest record the chain writes is built once and never copied.
 func encodeWALBlock(b *walBlock) ([]byte, error) {
-	dst := make([]byte, 0, blockRecordSizeHint(b))
+	dst := make([]byte, store.RecordHeaderSize, store.RecordHeaderSize+blockRecordSizeHint(b))
 	dst = append(dst, tagChainBlock)
 	dst, err := appendHeader(dst, &b.Header)
 	if err != nil {

@@ -94,16 +94,22 @@ func randomWALBlock(r *rand.Rand) *walBlock {
 // TestCodecBlockRecordRoundTrip: binary block records decode back to
 // deep-equal structures across randomized content, and the encoding is
 // deterministic.
+// blockPayload is the record inside encodeWALBlock's frame.
+func blockPayload(t testing.TB, b *walBlock) []byte {
+	t.Helper()
+	frame, err := encodeWALBlock(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame[store.RecordHeaderSize:]
+}
+
 func TestCodecBlockRecordRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for i := range 50 {
 		want := randomWALBlock(r)
-		payload, err := encodeWALBlock(want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		again, err := encodeWALBlock(want)
-		if err != nil || !bytes.Equal(payload, again) {
+		payload := blockPayload(t, want)
+		if again := blockPayload(t, want); !bytes.Equal(payload, again) {
 			t.Fatalf("iteration %d: encoding is not deterministic", i)
 		}
 		rec, err := decodeWALRecord(payload)
@@ -236,10 +242,7 @@ func TestCodecRejectsGarbage(t *testing.T) {
 	if _, err := decodeChainSnapshot([]byte(`{"height":7,"state":{}}`)); err == nil {
 		t.Fatal("JSON snapshot accepted")
 	}
-	good, err := encodeWALBlock(randomWALBlock(rand.New(rand.NewSource(2))))
-	if err != nil {
-		t.Fatal(err)
-	}
+	good := blockPayload(t, randomWALBlock(rand.New(rand.NewSource(2))))
 	if _, err := decodeWALRecord(good[:len(good)-1]); err == nil {
 		t.Fatal("truncated block record accepted")
 	}
@@ -268,10 +271,7 @@ func TestCodecRejectsGarbage(t *testing.T) {
 // half.
 func TestCodecSizeAdvantage(t *testing.T) {
 	block := benchWALBlock(64, 512)
-	bin, err := encodeWALBlock(block)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bin := blockPayload(t, block)
 	js, err := json.Marshal(walRecord{Block: block})
 	if err != nil {
 		t.Fatal(err)

@@ -90,9 +90,9 @@
 // # Submission
 //
 // There is one way into a mempool. Node.Submit and Network.Submit run the
-// same three stages — hash every transaction once, check every signature
-// on the verifier pool, admit — and answer with one TxVerdict per
-// transaction. admit is the only caller of enqueueLocked: it takes
+// same stages — on the verifier pool, encode every transaction once and
+// take both its hash and its signature check from that encoding; then
+// admit — and answer with one TxVerdict per transaction. admit is the only caller of enqueueLocked: it takes
 // signature-checked transactions and their hashes, holds mpMu once for
 // the whole slice, skips what an earlier stage (or an earlier node)
 // already refused, and lets a refusal take the sender's later

@@ -1,0 +1,236 @@
+package chain
+
+import (
+	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/cryptoutil"
+	"repro/internal/simclock"
+)
+
+// TestEncodersMatchFmtReference drives the encoders and the fmt
+// one-liners they replaced over 1 000 seeded random objects: empty Args
+// and Return, '|' and ';' in every free-text field, non-ASCII text,
+// integers at both ends of their range, the zero time.
+func TestEncodersMatchFmtReference(t *testing.T) {
+	r := rand.New(rand.NewSource(21))
+	text := func() string {
+		alphabet := []string{"", "a", "|", ";", "%", "0x", "ü", "\x00", "\"", "pod", " "}
+		var b strings.Builder
+		for range r.Intn(6) {
+			b.WriteString(alphabet[r.Intn(len(alphabet))])
+		}
+		return b.String()
+	}
+	u64 := func() uint64 {
+		switch r.Intn(4) {
+		case 0:
+			return 0
+		case 1:
+			return math.MaxUint64
+		}
+		return r.Uint64() >> r.Intn(64)
+	}
+	blob := func(n int) []byte {
+		if r.Intn(4) == 0 {
+			return nil
+		}
+		b := make([]byte, r.Intn(n))
+		r.Read(b)
+		return b
+	}
+	addr := func() (a cryptoutil.Address) { r.Read(a[:]); return a }
+	hash := func() (h cryptoutil.Hash) { r.Read(h[:]); return h }
+	for i := range 1000 {
+		tx := &Tx{
+			Nonce: u64(), From: addr(), SenderKey: blob(70), Contract: addr(), Method: text(),
+			Args: blob(300), GasLimit: u64(), GasPrice: u64(), Signature: blob(72),
+		}
+		if got, want := tx.SigningBytes(), refTxSigningBytes(tx); string(got) != string(want) {
+			t.Fatalf("case %d: Tx.SigningBytes\n got %q\nwant %q", i, got, want)
+		}
+		if got, want := tx.Hash(), refHashOf(refTxSigningBytes(tx), tx.Signature); got != want {
+			t.Fatalf("case %d: Tx.Hash %s, reference %s", i, got, want)
+		}
+		if h, _ := tx.hashAndVerify(); h != tx.Hash() {
+			t.Fatalf("case %d: hashAndVerify hash %s, Tx.Hash %s", i, h, tx.Hash())
+		}
+
+		hd := &Header{
+			Number: u64(), ParentHash: hash(), Proposer: addr(), TxRoot: hash(), ReceiptRoot: hash(),
+			StateRoot: hash(), Signature: blob(72),
+		}
+		if r.Intn(8) != 0 {
+			hd.Time = time.Unix(0, int64(u64()))
+		}
+		if got, want := hd.SigningBytes(), refHeaderSigningBytes(hd); string(got) != string(want) {
+			t.Fatalf("case %d: Header.SigningBytes\n got %q\nwant %q", i, got, want)
+		}
+		if got, want := hd.Hash(), refHashOf(refHeaderSigningBytes(hd), hd.Signature); got != want {
+			t.Fatalf("case %d: Header.Hash %s, reference %s", i, got, want)
+		}
+
+		rc := &Receipt{
+			TxHash: hash(), Status: Status(r.Intn(5) - 1), GasUsed: u64(), Err: text(), BlockNumber: u64(), Return: blob(100),
+		}
+		for range r.Intn(4) {
+			rc.Events = append(rc.Events, Event{
+				Contract: addr(), Topic: text(), Key: text(), Data: blob(100), BlockNumber: u64(),
+				TxHash: hash(), Index: int(int64(u64())),
+			})
+		}
+		if got, want := rc.Digest(), refReceiptDigest(rc); got != want {
+			t.Fatalf("case %d: Receipt.Digest %s, reference %s (%+v)", i, got, want, rc)
+		}
+	}
+}
+
+// TestEncoderAllocCeilings names the layer when an encoder regresses:
+// each hash is one sized buffer and nothing else, at the widest values
+// its size bound has to hold.
+func TestEncoderAllocCeilings(t *testing.T) {
+	tx, hd, rc := vecTxs()[1], vecHeaders()[1], vecReceipts()[2]
+	tx.SenderKey, tx.Args = make([]byte, 65), make([]byte, 300)
+	hd.Time = time.Unix(0, math.MinInt64)
+	rc.Status, rc.Events[1].Index = Status(math.MinInt64), math.MinInt64
+	for _, c := range []struct {
+		name string
+		f    func()
+	}{
+		{"Tx.Hash", func() { tx.Hash() }},
+		{"Header.Hash", func() { hd.Hash() }},
+		{"Receipt.Digest", func() { rc.Digest() }},
+	} {
+		if got := testing.AllocsPerRun(100, c.f); got > 1 {
+			t.Errorf("%s: %.0f allocations per call, want at most 1 (the encoding buffer)", c.name, got)
+		}
+	}
+	key, value := "0x"+strings.Repeat("c0", 20)+"/pod/https://alice.example/profile#me", make([]byte, 300)
+	if got := testing.AllocsPerRun(100, func() { leafHash(key, value) }); got != 0 {
+		t.Errorf("leafHash: %.0f allocations per call, want 0", got)
+	}
+	if got, want := leafHash(key, value), refHashOf([]byte(key), value); got != want {
+		t.Errorf("leafHash %s, reference %s", got, want)
+	}
+	if long := strings.Repeat("k", 300); leafHash(long, value) != refHashOf([]byte(long), value) {
+		t.Error("leafHash of a key past its stack buffer differs from the reference")
+	}
+}
+
+// TestParentWrittenWALStillOpens recovers testdata/parent-wal, a data
+// dir written by the binary of commit d71331e (fmt encoders, payload
+// then framed copy): four blocks — two "set"s, a revert beside an
+// "incr", an empty block, an overwrite at a high gas price — sealed and
+// signed by testdata's authority key. Recovery checks parent-hash
+// linkage and replays every diff against its header's state root; the
+// test then re-derives what the log does not re-check: each seal and
+// transaction signature (made over the old encoders' bytes), each
+// transaction hash against its receipt, and both Merkle roots.
+func TestParentWrittenWALStillOpens(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{walFileName, "authority.key"} {
+		raw, err := os.ReadFile(filepath.Join("testdata", "parent-wal", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	key, err := cryptoutil.LoadOrCreateKeyFile(filepath.Join(dir, "authority.key"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk := simclock.NewSim(chainEpoch.Add(time.Hour))
+	n, err := OpenNode(durableConfig(dir, key, clk))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		wantHead = "0xd5b581e1733b89c7149aa6890340cdc90d22bb3493ac12c5b80c3afe41bee9fb"
+		wantRoot = "0x44bba21dce1f6e2269ce339adb24ba5f9d2d172ba42ef20fd773e2acf2433e0d"
+	)
+	if got := n.Height(); got != 4 {
+		t.Fatalf("recovered height %d, want 4 (a record failed linkage and was truncated)", got)
+	}
+	if got := n.Head().Hash().String(); got != wantHead {
+		t.Errorf("head hash %s, want %s", got, wantHead)
+	}
+	if got := n.State().Root().String(); got != wantRoot {
+		t.Errorf("state root %s, want %s", got, wantRoot)
+	}
+	txs := 0
+	for num := uint64(1); num <= 4; num++ {
+		b := n.BlockByNumber(num)
+		if err := b.Header.verifySeal(key.PublicBytes()); err != nil {
+			t.Errorf("block %d: %v", num, err)
+		}
+		hashes := txHashes(b.Txs)
+		if txRoot(hashes) != b.Header.TxRoot {
+			t.Errorf("block %d: tx root does not match the header", num)
+		}
+		if receiptRoot(b.Receipts) != b.Header.ReceiptRoot {
+			t.Errorf("block %d: receipt root does not match the header", num)
+		}
+		for i, v := range verify(b.Txs) {
+			if v.Err != nil || v.Hash != hashes[i] || v.Hash != b.Receipts[i].TxHash {
+				t.Errorf("block %d tx %d: verdict %v, hash %s, receipt names %s", num, i, v.Err, v.Hash, b.Receipts[i].TxHash)
+			}
+			txs++
+		}
+	}
+	if txs != 5 {
+		t.Errorf("recovered %d transactions, want 5", txs)
+	}
+	// The log goes on: a block sealed by this binary extends the parent's.
+	sealSet(t, n, key, clk, 5, "pod|3", "carol")
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
+	}
+	n, err = OpenNode(durableConfig(dir, key, clk))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	if got := n.Height(); got != 5 {
+		t.Fatalf("height after reopening the extended log: %d, want 5", got)
+	}
+}
+
+// TestCheckedEncodesEachTransactionOnce counts encodings by weight, so
+// the product carries no counter: a transaction with 1 MiB of arguments
+// encodes to 2 MiB, which dwarfs everything else the submission
+// pipeline allocates, and hashing and verifying must share one such
+// buffer. (At d71331e the ratio was above 2: Tx.Hash and
+// VerifySignature each encoded, into a builder that grew by doubling.)
+func TestCheckedEncodesEachTransactionOnce(t *testing.T) {
+	key := cryptoutil.MustGenerateKey()
+	txs := make([]*Tx, 4)
+	for i := range txs {
+		tx, err := NewTx(key, uint64(i), testContractAddr(), "set", strings.Repeat("a", 1<<20), 200_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		txs[i] = tx
+	}
+	encoding := uint64(len(txs[0].SigningBytes()))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	out := checked(txs, nil)
+	runtime.ReadMemStats(&after)
+	for i, v := range out {
+		if v.Err != nil || v.Hash != txs[i].Hash() {
+			t.Fatalf("tx %d: verdict %v, hash %s, want %s", i, v.Err, v.Hash, txs[i].Hash())
+		}
+	}
+	perTx := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(txs)) / float64(encoding)
+	if perTx < 1 || perTx >= 1.5 {
+		t.Fatalf("checked allocated %.2f encodings' worth of bytes per transaction, want 1", perTx)
+	}
+}

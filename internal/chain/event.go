@@ -1,7 +1,6 @@
 package chain
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/cryptoutil"
@@ -25,10 +24,6 @@ type Event struct {
 	TxHash      cryptoutil.Hash
 	// Index is the position of the event within its block.
 	Index int
-}
-
-func (e *Event) digestString() string {
-	return fmt.Sprintf("%s|%s|%s|%x|%d|%d", e.Contract, e.Topic, e.Key, e.Data, e.BlockNumber, e.Index)
 }
 
 // EventFilter selects events. Zero fields match everything.

@@ -410,7 +410,7 @@ func TestSubmitBatchAtomicOnBadNonce(t *testing.T) {
 							kept++
 						}
 					}
-					if err := firstError([]error{out[0].Err, out[1].Err}); !errors.Is(err, tc.want) {
+					if err := firstError(out[:2]); !errors.Is(err, tc.want) {
 						t.Fatalf("lowest-indexed error = %v, want %v", err, tc.want)
 					}
 				}

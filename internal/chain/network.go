@@ -44,7 +44,7 @@ var (
 //   - Tx.Hash is HashOf(SigningBytes, Signature) over length-prefixed
 //     parts, so a hash hit means the same signing bytes and the same
 //     signature bytes;
-//   - everything VerifySignature inspects (method, gas limit, sender
+//   - everything hashAndVerify inspects (method, gas limit, sender
 //     address and key) is inside SigningBytes, whose encoding is
 //     injective: every field but Method renders as digits or hex, so the
 //     '|' separators split unambiguously from both ends;

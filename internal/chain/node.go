@@ -273,22 +273,16 @@ type TxVerdict struct {
 func (v TxVerdict) Admitted() bool { return v.Err == nil }
 
 // checked runs the first two stages of the submission pipeline, shared
-// by Node.Submit and Network.Submit: hash every transaction once, then
-// check every signature on the verifier pool, whose latency is recorded on
-// each observer's VerifyLatency. A verdict that already carries an error
-// is skipped by admit.
+// by Node.Submit and Network.Submit: hash every transaction and check
+// its signature on the verifier pool, whose latency is recorded on each
+// observer's VerifyLatency. A verdict that already carries an error is
+// skipped by admit.
 func checked(txs []*Tx, observers []*Node) []TxVerdict {
-	out := make([]TxVerdict, len(txs))
-	for i, tx := range txs {
-		out[i].Hash = tx.Hash()
-	}
 	tms := make([]obs.Timer, len(observers))
 	for i, n := range observers {
 		tms[i] = n.metrics.VerifyLatency.Start()
 	}
-	for i, err := range verify(txs) {
-		out[i].Err = err
-	}
+	out := verify(txs)
 	for _, tm := range tms {
 		tm.Stop()
 	}
@@ -595,7 +589,7 @@ func (n *Node) executeBlock(overlay *Overlay, txs []*Tx, hashes []cryptoutil.Has
 // (sealMu alone keeps writers out) and handed to the background writer.
 func (n *Node) commitBlock(block *Block, deltas []Delta) error {
 	if n.wal != nil {
-		payload, err := encodeWALBlock(&walBlock{
+		frame, err := encodeWALBlock(&walBlock{
 			Header:   block.Header,
 			Txs:      block.Txs,
 			Receipts: block.Receipts,
@@ -604,7 +598,7 @@ func (n *Node) commitBlock(block *Block, deltas []Delta) error {
 		if err != nil {
 			return fmt.Errorf("chain: encode block %d: %w", block.Header.Number, err)
 		}
-		if err := n.wal.Append(payload); err != nil {
+		if err := n.wal.AppendFrame(frame); err != nil {
 			return fmt.Errorf("chain: persist block %d: %w", block.Header.Number, err)
 		}
 	}

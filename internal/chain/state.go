@@ -34,9 +34,13 @@ type State struct {
 	bytes int64
 }
 
-// leafHash commits to one key/value pair.
+// leafHash commits to one key/value pair: HashOf([]byte(key), value),
+// with the key copied to the stack rather than converted on the heap
+// (keys are "0x<contract>/<bucket>/<id>"; one past 256 bytes costs the
+// allocation again, nothing else).
 func leafHash(key string, value []byte) cryptoutil.Hash {
-	return cryptoutil.HashOf([]byte(key), value)
+	var buf [256]byte
+	return cryptoutil.HashOf(append(buf[:0], key...), value)
 }
 
 // xorHash folds h into root in place.

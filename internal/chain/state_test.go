@@ -264,7 +264,7 @@ func TestCostLedger(t *testing.T) {
 
 func TestMerkleRoot(t *testing.T) {
 	empty := merkleRoot(nil)
-	if empty.IsZero() {
+	if empty == (cryptoutil.Hash{}) {
 		t.Fatal("empty merkle root should be a defined non-zero digest")
 	}
 	h1 := merkleRoot([]cryptoutil.Hash{hashOfByte(1)})

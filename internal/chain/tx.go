@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"strings"
 
 	"repro/internal/cryptoutil"
 )
@@ -37,10 +36,11 @@ type Tx struct {
 // SigningBytes returns the deterministic encoding covered by the
 // signature.
 func (tx *Tx) SigningBytes() []byte {
-	var b strings.Builder
-	fmt.Fprintf(&b, "tx|%d|%s|%x|%s|%s|%x|%d|%d",
-		tx.Nonce, tx.From, tx.SenderKey, tx.Contract, tx.Method, tx.Args, tx.GasLimit, tx.GasPrice)
-	return []byte(b.String())
+	// "tx|", seven separators, three 20-byte integers, two 42-byte addresses.
+	size := 154 + 2*len(tx.SenderKey) + len(tx.Method) + 2*len(tx.Args)
+	return make(cryptoutil.Enc, 0, size).Str("tx|").Uint(tx.Nonce).Sep().Hex0x(tx.From[:]).Sep().
+		Hex(tx.SenderKey).Sep().Hex0x(tx.Contract[:]).Sep().Str(tx.Method).Sep().
+		Hex(tx.Args).Sep().Uint(tx.GasLimit).Sep().Uint(tx.GasPrice)
 }
 
 // Hash returns the transaction hash (over the signed content plus the
@@ -56,19 +56,23 @@ var (
 	ErrGasLimitZero = errors.New("chain: transaction gas limit is zero")
 )
 
-// VerifySignature checks the sender signature and sender-key/address
-// consistency.
-func (tx *Tx) VerifySignature() error {
-	if tx.Method == "" {
-		return ErrNoMethod
+// hashAndVerify returns the transaction's hash and checks the sender
+// signature and sender-key/address consistency, both from one encoding
+// of the transaction: the submission pipeline needs both for every
+// transaction it is handed. The hash is valid whatever the verdict.
+func (tx *Tx) hashAndVerify() (cryptoutil.Hash, error) {
+	enc := tx.SigningBytes()
+	h := cryptoutil.HashOf(enc, tx.Signature)
+	switch {
+	case tx.Method == "":
+		return h, ErrNoMethod
+	case tx.GasLimit == 0:
+		return h, ErrGasLimitZero
 	}
-	if tx.GasLimit == 0 {
-		return ErrGasLimitZero
+	if err := cryptoutil.VerifyWithAddress(tx.From, tx.SenderKey, enc, tx.Signature); err != nil {
+		return h, fmt.Errorf("%w: %v", ErrBadSignature, err)
 	}
-	if err := cryptoutil.VerifyWithAddress(tx.From, tx.SenderKey, tx.SigningBytes(), tx.Signature); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadSignature, err)
-	}
-	return nil
+	return h, nil
 }
 
 // DefaultGasPrice is the price NewTx stamps on transactions. Honest
@@ -149,13 +153,22 @@ type Receipt struct {
 // Succeeded reports whether the transaction executed without reverting.
 func (r *Receipt) Succeeded() bool { return r.Status == StatusOK }
 
-// Digest returns a deterministic encoding of the receipt used in the
-// block's receipt root.
+// Digest returns the hash of the receipt's deterministic encoding, a
+// leaf of the block's receipt root.
 func (r *Receipt) Digest() cryptoutil.Hash {
-	var b strings.Builder
-	fmt.Fprintf(&b, "receipt|%s|%d|%d|%s|%d|%x|", r.TxHash, r.Status, r.GasUsed, r.Err, r.BlockNumber, r.Return)
-	for _, ev := range r.Events {
-		fmt.Fprintf(&b, "%s;", ev.digestString())
+	// "receipt|", six separators, three 20-byte integers, the 66-byte hash.
+	size := 140 + len(r.Err) + 2*len(r.Return)
+	for i := range r.Events {
+		ev := &r.Events[i]
+		// Five separators and ';', two 20-byte integers, the 42-byte address.
+		size += 88 + len(ev.Topic) + len(ev.Key) + 2*len(ev.Data)
 	}
-	return cryptoutil.HashOf([]byte(b.String()))
+	e := make(cryptoutil.Enc, 0, size).Str("receipt|").Hex0x(r.TxHash[:]).Sep().Int(int64(r.Status)).Sep().
+		Uint(r.GasUsed).Sep().Str(r.Err).Sep().Uint(r.BlockNumber).Sep().Hex(r.Return).Sep()
+	for i := range r.Events {
+		ev := &r.Events[i]
+		e = e.Hex0x(ev.Contract[:]).Sep().Str(ev.Topic).Sep().Str(ev.Key).Sep().Hex(ev.Data).Sep().
+			Uint(ev.BlockNumber).Sep().Int(int64(ev.Index)).Str(";")
+	}
+	return cryptoutil.HashOf(e)
 }

@@ -81,15 +81,15 @@ func TestVerifyTxSignaturesMalformed(t *testing.T) {
 				if len(errs) != len(tc.txs) {
 					t.Fatalf("%d verdicts for %d txs", len(errs), len(tc.txs))
 				}
-				for i, err := range errs {
-					if i != tc.bad && err != nil {
-						t.Fatalf("valid tx %d rejected: %v", i, err)
+				for i, v := range errs {
+					if i != tc.bad && v.Err != nil {
+						t.Fatalf("valid tx %d rejected: %v", i, v.Err)
 					}
 				}
 				if tc.bad < 0 {
 					return
 				}
-				want := tc.txs[tc.bad].VerifySignature()
+				_, want := tc.txs[tc.bad].hashAndVerify()
 				if want == nil {
 					t.Fatal("test bug: expected-bad tx verifies")
 				}

@@ -59,14 +59,10 @@ type Env struct {
 	// Block exposes the block number and timestamp.
 	Block chain.BlockContext
 
+	prefix string // deployment.prefix of Contract
 	state  chain.StateRW
 	meter  *chain.GasMeter
 	events []chain.Event
-}
-
-// storageKey namespaces a contract-local key into the global state.
-func storageKey(contract cryptoutil.Address, key string) string {
-	return contract.String() + "/" + key
 }
 
 // Get reads a storage key, charging read gas.
@@ -74,7 +70,7 @@ func (e *Env) Get(key string) ([]byte, bool, error) {
 	if err := e.meter.Charge(chain.GasStorageGet); err != nil {
 		return nil, false, err
 	}
-	v, ok := e.state.Get(storageKey(e.Contract, key))
+	v, ok := e.state.Get(e.prefix + key)
 	return v, ok, nil
 }
 
@@ -84,7 +80,7 @@ func (e *Env) Set(key string, value []byte) error {
 	if err := e.meter.Charge(chain.GasStorageSet + uint64(len(value))*chain.GasStoragePerByte); err != nil {
 		return err
 	}
-	e.state.Set(storageKey(e.Contract, key), value)
+	e.state.Set(e.prefix+key, value)
 	return nil
 }
 
@@ -93,21 +89,20 @@ func (e *Env) Delete(key string) error {
 	if err := e.meter.Charge(chain.GasStorageDelete); err != nil {
 		return err
 	}
-	e.state.Delete(storageKey(e.Contract, key))
+	e.state.Delete(e.prefix + key)
 	return nil
 }
 
 // Keys lists contract-local keys under a prefix in sorted order, charging
 // one read per returned key.
 func (e *Env) Keys(prefix string) ([]string, error) {
-	full := e.state.Keys(storageKey(e.Contract, prefix))
+	full := e.state.Keys(e.prefix + prefix)
 	out := make([]string, 0, len(full))
-	strip := len(storageKey(e.Contract, ""))
 	for _, k := range full {
 		if err := e.meter.Charge(chain.GasStorageGet); err != nil {
 			return nil, err
 		}
-		out = append(out, k[strip:])
+		out = append(out, k[len(e.prefix):])
 	}
 	return out, nil
 }
@@ -127,9 +122,6 @@ func (e *Env) Emit(topic, key string, payload []byte) error {
 	return nil
 }
 
-// GasUsed reports gas consumed so far in this call.
-func (e *Env) GasUsed() uint64 { return e.meter.Used() }
-
 // ReadEnv is the environment for read-only queries: storage reads without
 // gas accounting and no event emission.
 type ReadEnv struct {
@@ -138,21 +130,21 @@ type ReadEnv struct {
 	// Block exposes the block number and timestamp at the head.
 	Block chain.BlockContext
 
-	state chain.StateRW
+	prefix string // as Env.prefix
+	state  chain.StateRW
 }
 
 // Get reads a storage key.
 func (e *ReadEnv) Get(key string) ([]byte, bool) {
-	return e.state.Get(storageKey(e.Contract, key))
+	return e.state.Get(e.prefix + key)
 }
 
 // Keys lists contract-local keys under a prefix in sorted order.
 func (e *ReadEnv) Keys(prefix string) []string {
-	full := e.state.Keys(storageKey(e.Contract, prefix))
+	full := e.state.Keys(e.prefix + prefix)
 	out := make([]string, 0, len(full))
-	strip := len(storageKey(e.Contract, ""))
 	for _, k := range full {
-		out = append(out, k[strip:])
+		out = append(out, k[len(e.prefix):])
 	}
 	return out
 }
@@ -170,7 +162,7 @@ func Revertf(format string, args ...any) error {
 // Runtime is the chain.Executor that hosts deployed contracts.
 //
 // Re-entrancy and concurrency (audited for the parallel scheduler): the
-// two maps are written only by Deploy and read by ExecuteTx/Query, so
+// deployment table is written only by Deploy and read by ExecuteTx/Query, so
 // the runtime is safe for any number of concurrent executions PROVIDED
 // all Deploy calls happen before execution starts — the deployment
 // pattern every binary and the core.Deployment wiring follow. Each
@@ -180,18 +172,22 @@ func Revertf(format string, args ...any) error {
 // internally synchronized. Contracts themselves must honour the
 // Contract interface's statelessness contract.
 type Runtime struct {
-	contracts map[cryptoutil.Address]Contract
-	names     map[cryptoutil.Address]string
+	contracts map[cryptoutil.Address]deployment
+}
+
+// deployment is a contract and its storage prefix "0x<address>/", which
+// namespaces the contract's local keys in the global state. It is
+// rendered once, at Deploy, not on every storage access.
+type deployment struct {
+	code   Contract
+	prefix string
 }
 
 var _ chain.Executor = (*Runtime)(nil)
 
 // NewRuntime returns an empty runtime.
 func NewRuntime() *Runtime {
-	return &Runtime{
-		contracts: make(map[cryptoutil.Address]Contract),
-		names:     make(map[cryptoutil.Address]string),
-	}
+	return &Runtime{contracts: make(map[cryptoutil.Address]deployment)}
 }
 
 // Deploy registers a contract under a name and returns its deterministic
@@ -199,8 +195,7 @@ func NewRuntime() *Runtime {
 // (useful in tests); addresses never change.
 func (r *Runtime) Deploy(name string, c Contract) cryptoutil.Address {
 	addr := AddressFor(name)
-	r.contracts[addr] = c
-	r.names[addr] = name
+	r.contracts[addr] = deployment{code: c, prefix: addr.String() + "/"}
 	return addr
 }
 
@@ -219,7 +214,7 @@ func (r *Runtime) ExecuteTx(st chain.StateRW, tx *chain.Tx, bctx chain.BlockCont
 	if err := meter.Charge(chain.GasTxBase + uint64(len(tx.Args))*chain.GasPerArgByte); err != nil {
 		return revert(err)
 	}
-	c, ok := r.contracts[tx.Contract]
+	d, ok := r.contracts[tx.Contract]
 	if !ok {
 		return revert(fmt.Errorf("contract: no contract at %s", tx.Contract))
 	}
@@ -228,10 +223,11 @@ func (r *Runtime) ExecuteTx(st chain.StateRW, tx *chain.Tx, bctx chain.BlockCont
 		Sender:    tx.From,
 		SenderKey: tx.SenderKey,
 		Block:     bctx,
+		prefix:    d.prefix,
 		state:     st,
 		meter:     meter,
 	}
-	ret, err := c.Call(env, tx.Method, tx.Args)
+	ret, err := d.code.Call(env, tx.Method, tx.Args)
 	if err != nil {
 		return revert(err)
 	}
@@ -243,10 +239,10 @@ func (r *Runtime) ExecuteTx(st chain.StateRW, tx *chain.Tx, bctx chain.BlockCont
 
 // Query implements chain.Executor.
 func (r *Runtime) Query(st chain.StateRW, contractAddr cryptoutil.Address, method string, args []byte, bctx chain.BlockContext) ([]byte, error) {
-	c, ok := r.contracts[contractAddr]
+	d, ok := r.contracts[contractAddr]
 	if !ok {
 		return nil, fmt.Errorf("contract: no contract at %s", contractAddr)
 	}
-	env := &ReadEnv{Contract: contractAddr, Block: bctx, state: st}
-	return c.Read(env, method, args)
+	env := &ReadEnv{Contract: contractAddr, Block: bctx, prefix: d.prefix, state: st}
+	return d.code.Read(env, method, args)
 }

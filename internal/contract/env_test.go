@@ -9,7 +9,7 @@ import (
 	"repro/internal/cryptoutil"
 )
 
-// rwContract exercises Env.Get / Env.Keys / Env.GasUsed inside a
+// rwContract exercises Env.Get / Env.Keys inside a
 // state-mutating call (read-modify-write counter).
 type rwContract struct{}
 
@@ -29,7 +29,7 @@ func (rwContract) Call(env *Env, method string, args []byte) ([]byte, error) {
 		if err := env.Set("counter", raw); err != nil {
 			return nil, err
 		}
-		return json.Marshal(map[string]any{"value": n, "gasSoFar": env.GasUsed()})
+		return json.Marshal(map[string]any{"value": n})
 	case "fanout":
 		// Write several keys, then list them back through Env.Keys.
 		for _, k := range []string{"x/1", "x/2", "x/3"} {
@@ -70,17 +70,13 @@ func TestEnvReadModifyWrite(t *testing.T) {
 			t.Fatalf("incr %d: %+v", want, r)
 		}
 		var out struct {
-			Value    int64  `json:"value"`
-			GasSoFar uint64 `json:"gasSoFar"`
+			Value int64 `json:"value"`
 		}
 		if err := json.Unmarshal(r.Return, &out); err != nil {
 			t.Fatal(err)
 		}
 		if out.Value != want {
 			t.Fatalf("counter = %d, want %d", out.Value, want)
-		}
-		if out.GasSoFar <= chain.GasTxBase || out.GasSoFar > r.GasUsed {
-			t.Fatalf("mid-call GasUsed = %d, receipt = %d", out.GasSoFar, r.GasUsed)
 		}
 	}
 }
@@ -108,5 +104,38 @@ func TestEnvKeysInsideCall(t *testing.T) {
 	}
 	if len(keys) != 3 || !strings.HasPrefix(keys[0], "x/") {
 		t.Fatalf("keys = %v", keys)
+	}
+}
+
+// keySink is a StateRW that only records the keys it is asked for.
+type keySink struct {
+	chain.StateRW
+	last string
+}
+
+func (s *keySink) Get(key string) ([]byte, bool) { s.last = key; return nil, false }
+func (s *keySink) Set(key string, _ []byte)      { s.last = key }
+func (s *keySink) Delete(key string)             { s.last = key }
+
+// TestEnvStorageKeyIsOneAllocation: a storage access builds its global
+// key by one concatenation onto the prefix the runtime rendered at
+// Deploy. (Hex-encoding the contract address per access made it three.)
+func TestEnvStorageKeyIsOneAllocation(t *testing.T) {
+	rt := NewRuntime()
+	addr := rt.Deploy("rw", rwContract{})
+	sink := &keySink{}
+	env := &Env{Contract: addr, prefix: rt.contracts[addr].prefix, state: sink, meter: chain.NewGasMeter(1 << 40)}
+	const local = "pod/https://alice.example/profile#me"
+	for name, access := range map[string]func(){
+		"Get":    func() { env.Get(local) },
+		"Set":    func() { env.Set(local, nil) },
+		"Delete": func() { env.Delete(local) },
+	} {
+		if got := testing.AllocsPerRun(100, access); got > 1 {
+			t.Errorf("Env.%s: %.0f allocations per call, want at most 1 (the key)", name, got)
+		}
+		if want := addr.String() + "/" + local; sink.last != want {
+			t.Errorf("Env.%s used key %q, want %q", name, sink.last, want)
+		}
 	}
 }

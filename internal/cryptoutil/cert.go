@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -40,19 +39,19 @@ type Certificate struct {
 // SigningBytes returns the deterministic byte encoding that the issuer
 // signs: every field except the signature, with claims in sorted key order.
 func (c *Certificate) SigningBytes() []byte {
-	var b strings.Builder
-	fmt.Fprintf(&b, "cert|%d|%s|%x|%d|%d|%s|",
-		c.Serial, c.Subject, c.SubjectKey,
-		c.NotBefore.UnixNano(), c.NotAfter.UnixNano(), c.Issuer)
 	keys := make([]string, 0, len(c.Claims))
-	for k := range c.Claims {
+	size := 160 + 2*len(c.SubjectKey) // "cert|", six separators, three 20-byte integers, two 42-byte addresses
+	for k, v := range c.Claims {
 		keys = append(keys, k)
+		size += len(k) + len(v) + 6 // two pairs of quotes, '=' and ';'; an escape grows the buffer
 	}
 	sort.Strings(keys)
+	e := make(Enc, 0, size).Str("cert|").Uint(c.Serial).Sep().Hex0x(c.Subject[:]).Sep().Hex(c.SubjectKey).Sep().
+		Int(c.NotBefore.UnixNano()).Sep().Int(c.NotAfter.UnixNano()).Sep().Hex0x(c.Issuer[:]).Sep()
 	for _, k := range keys {
-		fmt.Fprintf(&b, "%q=%q;", k, c.Claims[k])
+		e = e.Quote(k).Str("=").Quote(c.Claims[k]).Str(";")
 	}
-	return []byte(b.String())
+	return e
 }
 
 // Encode serializes the certificate to JSON.

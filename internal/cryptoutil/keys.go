@@ -31,7 +31,7 @@
 //
 // Verify (and VerifyWithAddress) is for objects that are seen once:
 //
-//   - transaction admission (chain's verify pool via Tx.VerifySignature):
+//   - transaction admission (chain's verify pool, Tx.hashAndVerify):
 //     a transaction's repeat sightings are already answered per node by
 //     the mempool lookup in ApplyBlock, which costs a map read, and
 //     Network.Submit verifies once for the cluster;
@@ -72,6 +72,7 @@ import (
 	"crypto/sha256"
 	"crypto/subtle"
 	"crypto/x509"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -100,23 +101,6 @@ func (a Address) String() string { return "0x" + hex.EncodeToString(a[:]) }
 func (a Address) Short() string {
 	s := hex.EncodeToString(a[:])
 	return "0x" + s[:4] + ".." + s[len(s)-4:]
-}
-
-// ParseAddress parses a 0x-prefixed (or bare) 40-hex-digit address.
-func ParseAddress(s string) (Address, error) {
-	var a Address
-	if len(s) >= 2 && s[0] == '0' && (s[1] == 'x' || s[1] == 'X') {
-		s = s[2:]
-	}
-	raw, err := hex.DecodeString(s)
-	if err != nil {
-		return a, fmt.Errorf("cryptoutil: parse address: %w", err)
-	}
-	if len(raw) != AddressLen {
-		return a, fmt.Errorf("cryptoutil: address must be %d bytes, got %d", AddressLen, len(raw))
-	}
-	copy(a[:], raw)
-	return a, nil
 }
 
 // KeyPair is an ECDSA P-256 key pair with its derived address.
@@ -276,7 +260,7 @@ func VerifyWithAddress(addr Address, pubBytes, msg, sig []byte) error {
 	return nil
 }
 
-// Hash returns the SHA-256 digest of the concatenation of the parts.
+// Hash is a SHA-256 digest.
 type Hash [32]byte
 
 // String returns the 0x-prefixed hex form of the hash.
@@ -288,27 +272,21 @@ func (h Hash) Short() string {
 	return "0x" + s[:8]
 }
 
-// IsZero reports whether the hash is all zero.
-func (h Hash) IsZero() bool { return h == Hash{} }
-
-// HashOf returns the SHA-256 digest of the concatenation of parts.
+// HashOf returns the SHA-256 digest of parts, each preceded by its
+// length as 8 big-endian bytes, so that ("ab","c") and ("a","bc") hash
+// differently. It does not allocate: the compiler sees through
+// sha256.New to the concrete digest, which then lives on this stack
+// beside the buffers it is fed from (TestHashOfDoesNotAllocate holds a
+// toolchain to that).
 func HashOf(parts ...[]byte) Hash {
-	hsh := sha256.New()
+	h := sha256.New()
+	var n [8]byte
 	for _, p := range parts {
-		// Length-prefix each part so that ("ab","c") != ("a","bc").
-		var lenBuf [8]byte
-		putUint64(lenBuf[:], uint64(len(p)))
-		hsh.Write(lenBuf[:])
-		hsh.Write(p)
+		binary.BigEndian.PutUint64(n[:], uint64(len(p)))
+		h.Write(n[:])
+		h.Write(p)
 	}
 	var out Hash
-	copy(out[:], hsh.Sum(nil))
+	h.Sum(out[:0])
 	return out
-}
-
-func putUint64(b []byte, v uint64) {
-	for i := 7; i >= 0; i-- {
-		b[i] = byte(v)
-		v >>= 8
-	}
 }

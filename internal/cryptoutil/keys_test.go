@@ -20,32 +20,6 @@ func TestGenerateKeyAndAddress(t *testing.T) {
 	}
 }
 
-func TestAddressStringRoundTrip(t *testing.T) {
-	k := MustGenerateKey()
-	addr := k.Address()
-	parsed, err := ParseAddress(addr.String())
-	if err != nil {
-		t.Fatalf("ParseAddress(%q): %v", addr.String(), err)
-	}
-	if parsed != addr {
-		t.Fatalf("round trip mismatch: %s != %s", parsed, addr)
-	}
-	// Also without the 0x prefix.
-	parsed2, err := ParseAddress(addr.String()[2:])
-	if err != nil || parsed2 != addr {
-		t.Fatalf("bare hex parse failed: %v", err)
-	}
-}
-
-func TestParseAddressErrors(t *testing.T) {
-	tests := []string{"", "0x1234", "zzzz", "0x" + string(make([]byte, 40))}
-	for _, in := range tests {
-		if _, err := ParseAddress(in); err == nil {
-			t.Errorf("ParseAddress(%q) succeeded, want error", in)
-		}
-	}
-}
-
 func TestAddressShort(t *testing.T) {
 	k := MustGenerateKey()
 	s := k.Address().Short()
@@ -127,7 +101,7 @@ func TestHashOf(t *testing.T) {
 	if h1 == h2 {
 		t.Fatal("length prefixing failed: boundary-shifted inputs collide")
 	}
-	if h1.IsZero() {
+	if h1 == (Hash{}) {
 		t.Fatal("hash should not be zero")
 	}
 	if h1 != HashOf([]byte("ab"), []byte("c")) {

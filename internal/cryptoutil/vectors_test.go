@@ -1,0 +1,98 @@
+package cryptoutil
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"sort"
+	"strings"
+	"testing"
+	"time"
+)
+
+// Frozen vectors for the two canonical forms this package owns, printed
+// by the implementations of commit d71331e (fmt-built certificate
+// encoding, unpooled HashOf). The ref* functions are those
+// implementations, kept here only.
+
+func refCertSigningBytes(c *Certificate) []byte {
+	var b strings.Builder
+	fmt.Fprintf(&b, "cert|%d|%s|%x|%d|%d|%s|",
+		c.Serial, c.Subject, c.SubjectKey,
+		c.NotBefore.UnixNano(), c.NotAfter.UnixNano(), c.Issuer)
+	keys := make([]string, 0, len(c.Claims))
+	for k := range c.Claims {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		fmt.Fprintf(&b, "%q=%q;", k, c.Claims[k])
+	}
+	return []byte(b.String())
+}
+
+func refHashOf(parts ...[]byte) Hash {
+	hsh := sha256.New()
+	for _, p := range parts {
+		var n [8]byte
+		for i, v := 7, uint64(len(p)); i >= 0; i, v = i-1, v>>8 {
+			n[i] = byte(v)
+		}
+		hsh.Write(n[:])
+		hsh.Write(p)
+	}
+	return Hash(hsh.Sum(nil))
+}
+
+func vecAddr(seed byte) (a Address) {
+	for i := range a {
+		a[i] = seed + byte(i)
+	}
+	return a
+}
+
+func vecCertificates() []*Certificate {
+	return []*Certificate{
+		{
+			Serial: 3, Subject: vecAddr(0x30), SubjectKey: []byte{4, 1, 2, 3},
+			Claims: map[string]string{
+				"feePaid":     "https://alice.example/data/hr.ttl",
+				"quote\"d":    "tab\there, newline\n, backslash \\",
+				"müller":      "straße — 東京",
+				"":            "",
+				"control\x01": "\x7f\xff invalid utf-8",
+			},
+			NotBefore: time.Unix(1_696_809_600, 0).UTC(), NotAfter: time.Unix(1_696_813_200, 999).UTC(),
+			Issuer: vecAddr(0xa0),
+		},
+		{Serial: 1<<64 - 1}, // no claims, zero times: their UnixNano is negative
+	}
+}
+
+func TestFrozenCertificateEncoding(t *testing.T) {
+	want := []string{
+		"cert|3|0x303132333435363738393a3b3c3d3e3f40414243|04010203|1696809600000000000|1696813200000000999|0xa0a1a2a3a4a5a6a7a8a9aaabacadaeafb0b1b2b3|\"\"=\"\";\"control\\x01\"=\"\\x7f\\xff invalid utf-8\";\"feePaid\"=\"https://alice.example/data/hr.ttl\";\"müller\"=\"straße — 東京\";\"quote\\\"d\"=\"tab\\there, newline\\n, backslash \\\\\";",
+		"cert|18446744073709551615|0x0000000000000000000000000000000000000000||-6795364578871345152|-6795364578871345152|0x0000000000000000000000000000000000000000|",
+	}
+	for i, c := range vecCertificates() {
+		if got := string(c.SigningBytes()); got != want[i] {
+			t.Errorf("certificate %d signing bytes:\n got %q\nwant %q", i, got, want[i])
+		}
+	}
+}
+
+func TestFrozenHashOf(t *testing.T) {
+	for _, c := range []struct {
+		parts [][]byte
+		want  string
+	}{
+		{nil, "0xe3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+		{[][]byte{nil}, "0xaf5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc"},
+		{[][]byte{[]byte("ab"), []byte("c")}, "0x601d5476e2ccfe2c87a2bba7a322659734a05749d5b5aa781f513e4912db0d5f"},
+		{[][]byte{[]byte("a"), []byte("bc")}, "0x3fafa1cf2f19a7c1129beb20cf0983f73a489a221fc0dd2f16d1be292d089205"},
+		{[][]byte{[]byte("0x00/res/https://alice.example/data"), make([]byte, 300)}, "0xaf2b5bbd00d72fcbea2be3e89545dd19927621cec8c185b107adfe2a0543aeba"},
+	} {
+		if got := HashOf(c.parts...).String(); got != c.want {
+			t.Errorf("HashOf of %d parts = %s, want %s", len(c.parts), got, c.want)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"regexp"
 	"slices"
@@ -20,6 +21,27 @@ var DeterministicPackages = []string{
 	"repro/internal/store",
 	"repro/internal/scenario",
 }
+
+// EncoderPackages hold the canonical encoders: the functions whose
+// output a signature covers or a hash commits to (transactions, headers,
+// receipts, evidence, certificates, policies) and the append-style
+// codecs beside them. Their bytes are consensus; see cryptoutil.Enc.
+var EncoderPackages = []string{
+	"repro/internal/chain",
+	"repro/internal/cryptoutil",
+	"repro/internal/distexchange",
+	"repro/internal/policy",
+}
+
+// encoderFuncRe names a consensus encoder inside EncoderPackages.
+var encoderFuncRe = regexp.MustCompile(`^(SigningBytes|Digest|Hash|[aA]ppend.*)$`)
+
+// fmtFormatterRe matches the fmt functions that render operands
+// (Sprintf, Fprint, Appendln, ...); Errorf and the scanners do not.
+var fmtFormatterRe = regexp.MustCompile(`^(Sp|Fp|P)rint|^Append`)
+
+// reflectVerbRe matches the verbs that print an operand by its dynamic type.
+var reflectVerbRe = regexp.MustCompile(`%[+#]?v`)
 
 // bannedTimeFuncs sample or schedule against the wall clock.
 var bannedTimeFuncs = map[string]bool{
@@ -58,26 +80,64 @@ var sortFuncRe = regexp.MustCompile(`(?i)^sort`)
 //     range over a map may not call an encoder/hash/write-like sink,
 //     and a slice it appends to must be sorted (sort.* or slices.Sort*)
 //     somewhere in the same function before it can be trusted.
+//
+// and, in EncoderPackages, formatting by reflection inside a consensus
+// encoder (SigningBytes, Digest, Hash, append*/Append*): fmt's
+// formatters, a %v verb, or a strings.Builder to collect them in. What
+// such an encoder emits depends on the operand's dynamic type and its
+// String method, and it allocates per field on the path every validator
+// runs per transaction; cryptoutil.Enc writes the same bytes from typed
+// appends.
 func Determinism(pkgs ...string) *Analyzer {
 	a := &Analyzer{
 		Name: "determinism",
 		Doc:  "replay-path packages must not read the wall clock, the global rand source, or leak map iteration order",
 	}
 	a.Run = func(pass *Pass) {
-		if !slices.Contains(pkgs, pass.Pkg.Path) {
-			return
-		}
+		replayPath := slices.Contains(pkgs, pass.Pkg.Path)
+		encoders := slices.Contains(EncoderPackages, pass.Pkg.Path)
 		for _, f := range pass.Pkg.Files {
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
 				if !ok || fd.Body == nil {
 					continue
 				}
-				checkFuncDeterminism(pass, fd)
+				if replayPath {
+					checkFuncDeterminism(pass, fd)
+				}
+				if encoders && encoderFuncRe.MatchString(fd.Name.Name) {
+					checkEncoderFormatting(pass, fd)
+				}
 			}
 		}
 	}
 	return a
+}
+
+// checkEncoderFormatting flags reflection-driven formatting inside one
+// consensus encoder. A fmt call is reported once, not again for the %v
+// in its own format string.
+func checkEncoderFormatting(pass *Pass, fd *ast.FuncDecl) {
+	info := pass.Pkg.Info
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			if pkg, name := calleePkgFunc(info, n); pkg == "fmt" && fmtFormatterRe.MatchString(name) {
+				pass.Reportf(n.Pos(), "fmt.%s in consensus encoder %s; append typed fields with cryptoutil.Enc", name, fd.Name.Name)
+				return false
+			}
+		case *ast.BasicLit:
+			if n.Kind == token.STRING && reflectVerbRe.MatchString(n.Value) {
+				pass.Reportf(n.Pos(), "%%v in consensus encoder %s: the bytes would follow the operand's dynamic type", fd.Name.Name)
+			}
+		case *ast.SelectorExpr:
+			if obj, ok := info.Uses[n.Sel].(*types.TypeName); ok && obj.Pkg() != nil &&
+				obj.Pkg().Path() == "strings" && obj.Name() == "Builder" {
+				pass.Reportf(n.Pos(), "strings.Builder in consensus encoder %s; size one cryptoutil.Enc up front", fd.Name.Name)
+			}
+		}
+		return true
+	})
 }
 
 func checkFuncDeterminism(pass *Pass, fd *ast.FuncDecl) {

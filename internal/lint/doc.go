@@ -12,7 +12,10 @@
 //     scenario engine) must not read the wall clock or the global
 //     math/rand source, and must not let Go's randomized map iteration
 //     order leak into encoders, hashes, or accumulated slices without an
-//     intervening sort.
+//     intervening sort. In the packages that own a canonical encoding
+//     (chain, cryptoutil, distexchange, policy) a consensus encoder —
+//     SigningBytes, Digest, Hash, append*/Append* — must not format by
+//     reflection: no fmt formatter, no %v, no strings.Builder.
 //   - codecsafe: every record tag constant that is encoded must have a
 //     matching decode case and vice versa, and decoders must read
 //     element counts through the bounds-checked Dec.Count (never a raw

@@ -3,7 +3,6 @@ package policy
 import (
 	"encoding/json"
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/cryptoutil"
@@ -38,17 +37,25 @@ func (p *Policy) Hash() cryptoutil.Hash {
 	c := p.Clone()
 	sortPurposes(c.AllowedPurposes)
 	sortActions(c.AllowedActions)
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s|%s|%s|%d|%d|", c.ID, c.ResourceIRI, c.OwnerWebID, c.Version, c.IssuedAt.UnixNano())
+	// Ten separators, five 20-byte integers and two booleans.
+	size := 120 + len(c.ID) + len(c.ResourceIRI) + len(c.OwnerWebID)
 	for _, pu := range c.AllowedPurposes {
-		fmt.Fprintf(&b, "p:%s;", pu)
+		size += 3 + len(pu)
 	}
 	for _, a := range c.AllowedActions {
-		fmt.Fprintf(&b, "a:%s;", a)
+		size += 3 + len(a)
 	}
-	fmt.Fprintf(&b, "|%d|%d|%d|%t|%t",
-		c.MaxRetention, c.ExpiresAt.UnixNano(), c.MaxUses, c.ProhibitSharing, c.NotifyOnUse)
-	return cryptoutil.HashOf([]byte(b.String()))
+	b := make(cryptoutil.Enc, 0, size).Str(c.ID).Sep().Str(c.ResourceIRI).Sep().Str(c.OwnerWebID).Sep().
+		Uint(c.Version).Sep().Int(c.IssuedAt.UnixNano()).Sep()
+	for _, pu := range c.AllowedPurposes {
+		b = b.Str("p:").Str(string(pu)).Str(";")
+	}
+	for _, a := range c.AllowedActions {
+		b = b.Str("a:").Str(string(a)).Str(";")
+	}
+	b = b.Sep().Int(int64(c.MaxRetention)).Sep().Int(c.ExpiresAt.UnixNano()).Sep().Uint(c.MaxUses).Sep().
+		Bool(c.ProhibitSharing).Sep().Bool(c.NotifyOnUse)
+	return cryptoutil.HashOf(b)
 }
 
 func sortPurposes(ps []Purpose) {

@@ -83,9 +83,6 @@ func NewDec(b []byte) *Dec { return &Dec{b: b} }
 // Err returns the first decode error, or nil.
 func (d *Dec) Err() error { return d.err }
 
-// Done reports whether the input is fully consumed without error.
-func (d *Dec) Done() bool { return d.err == nil && d.off == len(d.b) }
-
 // Finish returns ErrCodec-wrapped context if decoding failed or left
 // trailing bytes.
 func (d *Dec) Finish() error {

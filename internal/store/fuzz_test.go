@@ -20,7 +20,7 @@ func FuzzWALDecode(f *testing.F) {
 	torn := AppendRecord(nil, []byte("about to be torn"))
 	f.Add(torn[:len(torn)-3])
 	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0}) // oversized length
-	f.Add(make([]byte, recordHeaderSize))             // zero-length record
+	f.Add(make([]byte, RecordHeaderSize))             // zero-length record
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		payload, consumed, err := DecodeRecord(data)
@@ -33,10 +33,10 @@ func FuzzWALDecode(f *testing.F) {
 			}
 			return
 		}
-		if consumed < recordHeaderSize || consumed > len(data) {
-			t.Fatalf("consumed %d outside [%d,%d]", consumed, recordHeaderSize, len(data))
+		if consumed < RecordHeaderSize || consumed > len(data) {
+			t.Fatalf("consumed %d outside [%d,%d]", consumed, RecordHeaderSize, len(data))
 		}
-		if len(payload) != consumed-recordHeaderSize {
+		if len(payload) != consumed-RecordHeaderSize {
 			t.Fatalf("payload %d bytes, consumed %d", len(payload), consumed)
 		}
 		// Round trip: re-encoding the payload must reproduce the consumed

@@ -7,9 +7,9 @@ import (
 	"hash/crc32"
 )
 
-// recordHeaderSize is the fixed per-record framing overhead: a 4-byte
+// RecordHeaderSize is the fixed per-record framing overhead: a 4-byte
 // little-endian payload length followed by the payload's CRC-32 (IEEE).
-const recordHeaderSize = 8
+const RecordHeaderSize = 8
 
 // MaxRecordSize bounds a single record's payload. A decoded length above
 // it is treated as corruption (a torn or overwritten header), so a bad
@@ -28,19 +28,11 @@ var (
 )
 
 // recordHeader returns the frame header that precedes payload on disk.
-func recordHeader(payload []byte) [recordHeaderSize]byte {
-	var hdr [recordHeaderSize]byte
+func recordHeader(payload []byte) [RecordHeaderSize]byte {
+	var hdr [RecordHeaderSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
 	return hdr
-}
-
-// AppendRecord appends the framed encoding of payload to dst and returns
-// the extended slice.
-func AppendRecord(dst, payload []byte) []byte {
-	hdr := recordHeader(payload)
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
 }
 
 // DecodeRecord decodes the first record in b. It returns the payload (a
@@ -49,22 +41,22 @@ func AppendRecord(dst, payload []byte) []byte {
 // ErrCorruptRecord when the length is impossible or the CRC does not
 // match. consumed is 0 on any error.
 func DecodeRecord(b []byte) (payload []byte, consumed int, err error) {
-	if len(b) < recordHeaderSize {
-		return nil, 0, fmt.Errorf("%w: %d header bytes of %d", ErrPartialRecord, len(b), recordHeaderSize)
+	if len(b) < RecordHeaderSize {
+		return nil, 0, fmt.Errorf("%w: %d header bytes of %d", ErrPartialRecord, len(b), RecordHeaderSize)
 	}
 	n := binary.LittleEndian.Uint32(b[0:4])
 	if n > MaxRecordSize {
 		return nil, 0, fmt.Errorf("%w: length %d exceeds %d", ErrCorruptRecord, n, MaxRecordSize)
 	}
 	sum := binary.LittleEndian.Uint32(b[4:8])
-	if len(b) < recordHeaderSize+int(n) {
-		return nil, 0, fmt.Errorf("%w: %d payload bytes of %d", ErrPartialRecord, len(b)-recordHeaderSize, n)
+	if len(b) < RecordHeaderSize+int(n) {
+		return nil, 0, fmt.Errorf("%w: %d payload bytes of %d", ErrPartialRecord, len(b)-RecordHeaderSize, n)
 	}
-	body := b[recordHeaderSize : recordHeaderSize+int(n)]
+	body := b[RecordHeaderSize : RecordHeaderSize+int(n)]
 	if crc32.ChecksumIEEE(body) != sum {
 		return nil, 0, fmt.Errorf("%w: CRC mismatch", ErrCorruptRecord)
 	}
 	payload = make([]byte, n)
 	copy(payload, body)
-	return payload, recordHeaderSize + int(n), nil
+	return payload, RecordHeaderSize + int(n), nil
 }

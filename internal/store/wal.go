@@ -85,8 +85,7 @@ var ErrClosed = errors.New("store: wal closed")
 type WAL struct {
 	mu      sync.Mutex
 	f       *os.File // guarded by mu
-	path    string
-	size    int64 // guarded by mu
+	size    int64    // guarded by mu
 	opts    Options
 	m       *Metrics // never nil (normalized from opts.Metrics)
 	pending int      // appends since the last fsync; guarded by mu
@@ -126,13 +125,10 @@ func OpenWAL(path string, opts Options) (*WAL, []Record, error) {
 	if _, err := f.Seek(offset, 0); err != nil {
 		return nil, nil, errors.Join(fmt.Errorf("store: seek wal: %w", err), f.Close())
 	}
-	w := &WAL{f: f, path: path, size: offset, opts: opts.withDefaults()}
+	w := &WAL{f: f, size: offset, opts: opts.withDefaults()}
 	w.m = opts.Metrics.orNoop()
 	return w, records, nil
 }
-
-// Path returns the log's file path.
-func (w *WAL) Path() string { return w.path }
 
 // Size returns the current log size in bytes.
 func (w *WAL) Size() int64 {
@@ -144,7 +140,19 @@ func (w *WAL) Size() int64 {
 // Append writes one record and applies the fsync policy. The payload is
 // durable against an in-process crash when Append returns; durability
 // against a machine crash depends on the policy.
-func (w *WAL) Append(payload []byte) error {
+func (w *WAL) Append(payload []byte) error { return w.append(nil, payload) }
+
+// AppendFrame is Append for a caller that encoded its payload at
+// frame[RecordHeaderSize:] and left the bytes before it free: the header
+// is filled in there and the frame written as it stands, so a large
+// record is not copied to be framed.
+func (w *WAL) AppendFrame(frame []byte) error {
+	return w.append(frame, frame[RecordHeaderSize:])
+}
+
+// append frames payload — in place when frame already holds it, in a
+// fresh buffer when frame is nil — and writes the frame in one write.
+func (w *WAL) append(frame, payload []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
@@ -152,12 +160,17 @@ func (w *WAL) Append(payload []byte) error {
 	}
 	tm := w.m.AppendLatency.Start()
 	defer tm.Stop()
-	buf := AppendRecord(make([]byte, 0, recordHeaderSize+len(payload)), payload)
-	if _, err := w.f.Write(buf); err != nil {
+	if frame == nil {
+		frame = make([]byte, RecordHeaderSize+len(payload))
+		copy(frame[RecordHeaderSize:], payload)
+	}
+	hdr := recordHeader(payload)
+	copy(frame, hdr[:])
+	if _, err := w.f.Write(frame); err != nil {
 		return fmt.Errorf("store: append: %w", err)
 	}
-	w.size += int64(len(buf))
-	w.m.AppendedBytes.Add(uint64(len(buf)))
+	w.size += int64(len(frame))
+	w.m.AppendedBytes.Add(uint64(len(frame)))
 	w.pending++
 	switch w.opts.Sync {
 	case SyncAlways:
