@@ -355,13 +355,8 @@ func newAPIMux(nodes []*chain.Node, network *chain.Network, deAddr cryptoutil.Ad
 	})
 	mux.HandleFunc("GET /resources", func(w http.ResponseWriter, r *http.Request) {
 		args, _ := json.Marshal(distexchange.ListResourcesArgs{})
-		out, err := nodes[0].Query(deAddr, "listResources", args)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(out)
+		reply, err := nodes[0].Query(deAddr, "listResources", args)
+		writeListing(w, reply, err, distexchange.DecodeResourceRecords)
 	})
 	mux.HandleFunc("POST /txs", func(w http.ResponseWriter, r *http.Request) {
 		var txs []*chain.Tx
@@ -449,15 +444,27 @@ func newAPIMux(nodes []*chain.Node, network *chain.Network, deAddr cryptoutil.Ad
 			return
 		}
 		args, _ := json.Marshal(distexchange.GetViolationsArgs{ResourceIRI: iri})
-		out, err := nodes[0].Query(deAddr, "getViolations", args)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(out)
+		reply, err := nodes[0].Query(deAddr, "getViolations", args)
+		writeListing(w, reply, err, distexchange.DecodeViolations)
 	})
 	return mux
+}
+
+// writeListing answers with a DE App listing query's outcome: the chain
+// speaks the record codec, the HTTP surface JSON (an empty listing is []).
+func writeListing[T any](w http.ResponseWriter, reply []byte, err error, decode func([]byte) ([]T, error)) {
+	var records []T
+	if err == nil {
+		records, err = decode(reply)
+	}
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	if records == nil {
+		records = []T{}
+	}
+	writeJSON(w, records)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -614,8 +614,8 @@ func (d *Deployment) NewConsumer(name string, purpose policy.Purpose) (*Consumer
 
 	// Push-out oracle: policy updates reach the trusted application.
 	d.pushOut.On(chain.EventFilter{Contract: d.DEAddr, Topic: distexchange.TopicPolicyUpdated}, func(ev chain.Event) {
-		var pol policy.Policy
-		if err := json.Unmarshal(ev.Data, &pol); err != nil {
+		pol, err := distexchange.DecodePolicy(ev.Data)
+		if err != nil {
 			log.Printf("core: bad policy update event: %v", err)
 			return
 		}
@@ -646,11 +646,7 @@ func (c *Consumer) Index(resourceIRI string) (distexchange.ResourceRecord, error
 	if err != nil {
 		return distexchange.ResourceRecord{}, err
 	}
-	var rec distexchange.ResourceRecord
-	if err := json.Unmarshal(reply, &rec); err != nil {
-		return distexchange.ResourceRecord{}, err
-	}
-	return rec, nil
+	return distexchange.DecodeResourceRecord(reply)
 }
 
 // ListCatalog lists the market's resource index.
@@ -664,9 +660,7 @@ func (c *Consumer) ListCatalog() ([]distexchange.ResourceRecord, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out []distexchange.ResourceRecord
-	err = json.Unmarshal(reply, &out)
-	return out, err
+	return distexchange.DecodeResourceRecords(reply)
 }
 
 // Access runs the Fig. 2(4) resource access process end to end: pay the

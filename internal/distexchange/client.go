@@ -117,17 +117,18 @@ func (c *Client) submitEvidenceTxs(signed []SignedEvidence) []chain.TxVerdict {
 	return c.backend.Submit(txs)
 }
 
-// query runs a read-only method and decodes the JSON reply into out.
-func (c *Client) query(method string, args, out any) error {
+// query runs a read-only method and decodes its reply, the DE App's record
+// encoding, with decode.
+func query[T any](c *Client, method string, args any, decode func([]byte) (T, error)) (v T, err error) {
 	raw, err := json.Marshal(args)
 	if err != nil {
-		return err
+		return v, err
 	}
 	reply, err := c.backend.Query(c.contract, method, raw)
 	if err != nil {
-		return err
+		return v, err
 	}
-	return json.Unmarshal(reply, out)
+	return decode(reply)
 }
 
 // RegisterPod performs the on-chain half of pod initiation (Fig. 2(1)).
@@ -177,8 +178,8 @@ func (c *Client) RequestMonitoring(ctx context.Context, resourceIRI string) (Mon
 	if err != nil {
 		return MonitoringRound{}, err
 	}
-	var round MonitoringRound
-	if err := json.Unmarshal(receipt.Return, &round); err != nil {
+	round, err := DecodeMonitoringRound(receipt.Return)
+	if err != nil {
 		return MonitoringRound{}, fmt.Errorf("distexchange: decode round: %w", err)
 	}
 	return round, nil
@@ -190,8 +191,8 @@ func (c *Client) SubmitEvidence(ctx context.Context, signed SignedEvidence) (Evi
 	if out.Err != nil {
 		return EvidenceRecord{}, out.Err
 	}
-	var rec EvidenceRecord
-	if err := json.Unmarshal(out.Receipt.Return, &rec); err != nil {
+	rec, err := DecodeEvidenceRecord(out.Receipt.Return)
+	if err != nil {
 		return EvidenceRecord{}, fmt.Errorf("distexchange: decode evidence record: %w", err)
 	}
 	return rec, nil
@@ -244,74 +245,54 @@ func (c *Client) ReportUnresponsive(ctx context.Context, resourceIRI string, rou
 
 // GetPod fetches a pod record.
 func (c *Client) GetPod(ownerWebID string) (PodRecord, error) {
-	var rec PodRecord
-	err := c.query("getPod", GetPodArgs{OwnerWebID: ownerWebID}, &rec)
-	return rec, err
+	return query(c, "getPod", GetPodArgs{OwnerWebID: ownerWebID}, DecodePodRecord)
 }
 
 // GetResource fetches a resource record with its current policy
 // (resource indexing, Fig. 2(3)).
 func (c *Client) GetResource(resourceIRI string) (ResourceRecord, error) {
-	var rec ResourceRecord
-	err := c.query("getResource", GetResourceArgs{ResourceIRI: resourceIRI}, &rec)
-	return rec, err
+	return query(c, "getResource", GetResourceArgs{ResourceIRI: resourceIRI}, DecodeResourceRecord)
 }
 
 // ListResources lists the resource index, optionally for one pod.
 func (c *Client) ListResources(podWebID string) ([]ResourceRecord, error) {
-	var out []ResourceRecord
-	err := c.query("listResources", ListResourcesArgs{PodWebID: podWebID}, &out)
-	return out, err
+	return query(c, "listResources", ListResourcesArgs{PodWebID: podWebID}, DecodeResourceRecords)
 }
 
 // GetGrants lists grants for a resource.
 func (c *Client) GetGrants(resourceIRI string) ([]Grant, error) {
-	var out []Grant
-	err := c.query("getGrants", GetGrantsArgs{ResourceIRI: resourceIRI}, &out)
-	return out, err
+	return query(c, "getGrants", GetGrantsArgs{ResourceIRI: resourceIRI}, DecodeGrants)
 }
 
 // GetDevice fetches a device record.
 func (c *Client) GetDevice(device cryptoutil.Address) (DeviceRecord, error) {
-	var rec DeviceRecord
-	err := c.query("getDevice", GetDeviceArgs{Device: device}, &rec)
-	return rec, err
+	return query(c, "getDevice", GetDeviceArgs{Device: device}, DecodeDeviceRecord)
 }
 
 // GetViolations lists every violation recorded for a resource.
 func (c *Client) GetViolations(resourceIRI string) ([]Violation, error) {
-	var out []Violation
-	err := c.query("getViolations", GetViolationsArgs{ResourceIRI: resourceIRI}, &out)
-	return out, err
+	return query(c, "getViolations", GetViolationsArgs{ResourceIRI: resourceIRI}, DecodeViolations)
 }
 
 // GetRoundViolations lists the violations one monitoring round surfaced.
 // Its cost follows the round's size, not the resource's history.
 func (c *Client) GetRoundViolations(resourceIRI string, round uint64) ([]Violation, error) {
-	var out []Violation
-	err := c.query("getViolations", GetViolationsArgs{ResourceIRI: resourceIRI, Round: &round}, &out)
-	return out, err
+	return query(c, "getViolations", GetViolationsArgs{ResourceIRI: resourceIRI, Round: &round}, DecodeViolations)
 }
 
 // GetEvidence lists every verified evidence record for a resource.
 func (c *Client) GetEvidence(resourceIRI string) ([]EvidenceRecord, error) {
-	var out []EvidenceRecord
-	err := c.query("getEvidence", GetEvidenceArgs{ResourceIRI: resourceIRI}, &out)
-	return out, err
+	return query(c, "getEvidence", GetEvidenceArgs{ResourceIRI: resourceIRI}, DecodeEvidenceRecords)
 }
 
 // GetRoundEvidence lists the evidence answering one monitoring round
 // (round 0: unsolicited evidence). Its cost follows the round's size, not
 // the resource's history.
 func (c *Client) GetRoundEvidence(resourceIRI string, round uint64) ([]EvidenceRecord, error) {
-	var out []EvidenceRecord
-	err := c.query("getEvidence", GetEvidenceArgs{ResourceIRI: resourceIRI, Round: &round}, &out)
-	return out, err
+	return query(c, "getEvidence", GetEvidenceArgs{ResourceIRI: resourceIRI, Round: &round}, DecodeEvidenceRecords)
 }
 
 // GetMonitoringRound fetches a monitoring round record.
 func (c *Client) GetMonitoringRound(resourceIRI string, round uint64) (MonitoringRound, error) {
-	var rec MonitoringRound
-	err := c.query("getMonitoringRound", GetMonitoringRoundArgs{ResourceIRI: resourceIRI, Round: round}, &rec)
-	return rec, err
+	return query(c, "getMonitoringRound", GetMonitoringRoundArgs{ResourceIRI: resourceIRI, Round: round}, DecodeMonitoringRound)
 }

@@ -1,0 +1,420 @@
+package distexchange
+
+import (
+	"slices"
+
+	"repro/internal/cryptoutil"
+	"repro/internal/policy"
+	"repro/internal/store"
+)
+
+// The record codec: the one encoding of every DE App record, described in
+// the package comment ("Record format"). What the contract stores under a
+// key is what it emits, returns and answers queries with; the Decode
+// functions read those bytes off-chain.
+const (
+	// tagPod opens a PodRecord.
+	tagPod byte = 0x21
+	// tagResource opens a ResourceRecord.
+	tagResource byte = 0x22
+	// tagDevice opens a DeviceRecord.
+	tagDevice byte = 0x23
+	// tagGrant opens a Grant.
+	tagGrant byte = 0x24
+	// tagRound opens a MonitoringRound.
+	tagRound byte = 0x25
+	// tagRoundProgress opens a roundProgress.
+	tagRoundProgress byte = 0x26
+	// tagEvidence opens an EvidenceRecord.
+	tagEvidence byte = 0x27
+	// tagViolation opens a Violation.
+	tagViolation byte = 0x28
+)
+
+// fixedSize bounds from above what a record's fixed-width and integer
+// fields add to its strings: the tag, four timestamps, two addresses and a
+// handful of integers and booleans.
+const fixedSize = 160
+
+func appendOptPolicy(dst []byte, p *policy.Policy) []byte {
+	if p == nil {
+		return store.AppendBool(dst, false)
+	}
+	return policy.AppendRecord(store.AppendBool(dst, true), p)
+}
+
+func decodeOptPolicy(d *store.Dec) *policy.Policy {
+	if !d.Bool() {
+		return nil
+	}
+	p := new(policy.Policy)
+	policy.DecodeRecord(d, p)
+	return p
+}
+
+func optPolicySize(p *policy.Policy) int {
+	if p == nil {
+		return 0
+	}
+	return policy.RecordSize(p)
+}
+
+func appendAddresses(dst []byte, as []cryptoutil.Address) []byte {
+	dst = store.AppendUvarint(dst, uint64(len(as)))
+	for i := range as {
+		dst = append(dst, as[i][:]...)
+	}
+	return dst
+}
+
+func decodeAddresses(d *store.Dec, what string) []cryptoutil.Address {
+	n := d.Count(what, uint64(d.Remaining()/cryptoutil.AddressLen))
+	if n == 0 {
+		return nil
+	}
+	out := make([]cryptoutil.Address, 0, min(n, store.DecodeCapHint))
+	for range n {
+		var a cryptoutil.Address
+		d.Raw(a[:])
+		out = append(out, a)
+	}
+	return out
+}
+
+func appendPodRecord(dst []byte, r *PodRecord) []byte {
+	dst = slices.Grow(dst, fixedSize+len(r.OwnerWebID)+len(r.Location)+optPolicySize(r.DefaultPolicy))
+	dst = append(dst, tagPod)
+	dst = store.AppendString(dst, r.OwnerWebID)
+	dst = store.AppendString(dst, r.Location)
+	dst = append(dst, r.Owner[:]...)
+	dst = store.AppendUTC(dst, r.RegisteredAt)
+	return appendOptPolicy(dst, r.DefaultPolicy)
+}
+
+func decodePodRecord(d *store.Dec, r *PodRecord) {
+	d.Tag(tagPod)
+	r.OwnerWebID = d.String()
+	r.Location = d.String()
+	d.Raw(r.Owner[:])
+	r.RegisteredAt = d.UTC()
+	r.DefaultPolicy = decodeOptPolicy(d)
+}
+
+// appendResourceRecord also returns where the policy's own encoding starts
+// (len(record) when there is none): the record ends with it, so the events
+// that carry the policy alone carry a tail of the stored bytes.
+func appendResourceRecord(dst []byte, r *ResourceRecord) (record []byte, policyAt int) {
+	dst = slices.Grow(dst, fixedSize+len(r.ResourceIRI)+len(r.PodWebID)+len(r.Location)+len(r.Description)+optPolicySize(r.Policy))
+	dst = append(dst, tagResource)
+	dst = store.AppendBool(dst, r.Withdrawn)
+	dst = store.AppendString(dst, r.ResourceIRI)
+	dst = store.AppendString(dst, r.PodWebID)
+	dst = store.AppendString(dst, r.Location)
+	dst = store.AppendString(dst, r.Description)
+	dst = append(dst, r.Owner[:]...)
+	dst = store.AppendUTC(dst, r.RegisteredAt)
+	policyAt = len(dst) + 1
+	return appendOptPolicy(dst, r.Policy), policyAt
+}
+
+func decodeResourceRecord(d *store.Dec, r *ResourceRecord) {
+	d.Tag(tagResource)
+	r.Withdrawn = d.Bool()
+	r.ResourceIRI = d.String()
+	r.PodWebID = d.String()
+	r.Location = d.String()
+	r.Description = d.String()
+	d.Raw(r.Owner[:])
+	r.RegisteredAt = d.UTC()
+	r.Policy = decodeOptPolicy(d)
+}
+
+// decodeResourceWithdrawn reads the Withdrawn flag — the byte behind the
+// tag — off a stored ResourceRecord, so the market listing can leave out
+// withdrawn resources without decoding any. ok is false when raw does not
+// open like a ResourceRecord.
+func decodeResourceWithdrawn(raw []byte) (withdrawn, ok bool) {
+	if len(raw) < 2 || raw[0] != tagResource || raw[1] > 1 {
+		return false, false
+	}
+	return raw[1] == 1, true
+}
+
+func appendDeviceRecord(dst []byte, r *DeviceRecord) []byte {
+	dst = slices.Grow(dst, fixedSize+len(r.DeviceKey))
+	dst = append(dst, tagDevice)
+	dst = append(dst, r.Device[:]...)
+	dst = store.AppendBytes(dst, r.DeviceKey)
+	dst = append(dst, r.Measurement[:]...)
+	return store.AppendUTC(dst, r.RegisteredAt)
+}
+
+func decodeDeviceRecord(d *store.Dec, r *DeviceRecord) {
+	d.Tag(tagDevice)
+	d.Raw(r.Device[:])
+	r.DeviceKey = d.Bytes()
+	d.Raw(r.Measurement[:])
+	r.RegisteredAt = d.UTC()
+}
+
+func appendGrant(dst []byte, g *Grant) []byte {
+	dst = slices.Grow(dst, fixedSize+len(g.ResourceIRI)+len(g.Purpose))
+	dst = append(dst, tagGrant)
+	dst = store.AppendString(dst, g.ResourceIRI)
+	dst = append(dst, g.Consumer[:]...)
+	dst = append(dst, g.Device[:]...)
+	dst = store.AppendString(dst, string(g.Purpose))
+	dst = store.AppendUTC(dst, g.GrantedAt)
+	dst = store.AppendUTC(dst, g.RetrievedAt)
+	return store.AppendBool(dst, g.Revoked)
+}
+
+func decodeGrant(d *store.Dec, g *Grant) {
+	d.Tag(tagGrant)
+	g.ResourceIRI = d.String()
+	d.Raw(g.Consumer[:])
+	d.Raw(g.Device[:])
+	g.Purpose = policy.Purpose(d.String())
+	g.GrantedAt = d.UTC()
+	g.RetrievedAt = d.UTC()
+	g.Revoked = d.Bool()
+}
+
+func appendMonitoringRound(dst []byte, r *MonitoringRound) []byte {
+	dst = slices.Grow(dst, fixedSize+len(r.ResourceIRI)+cryptoutil.AddressLen*(len(r.Targets)+len(r.Responded)))
+	dst = append(dst, tagRound)
+	dst = store.AppendUvarint(dst, r.Round)
+	dst = store.AppendString(dst, r.ResourceIRI)
+	dst = store.AppendUTC(dst, r.RequestedAt)
+	dst = store.AppendBool(dst, r.Closed)
+	dst = appendAddresses(dst, r.Targets)
+	return appendAddresses(dst, r.Responded)
+}
+
+func decodeMonitoringRound(d *store.Dec, r *MonitoringRound) {
+	d.Tag(tagRound)
+	r.Round = d.Uvarint()
+	r.ResourceIRI = d.String()
+	r.RequestedAt = d.UTC()
+	r.Closed = d.Bool()
+	r.Targets = decodeAddresses(d, "targets")
+	r.Responded = decodeAddresses(d, "responded")
+}
+
+func appendRoundProgress(dst []byte, p *roundProgress) []byte {
+	dst = append(dst, tagRoundProgress)
+	dst = store.AppendUvarint(dst, uint64(p.Targets))
+	dst = store.AppendUvarint(dst, uint64(p.Responded))
+	return store.AppendBool(dst, p.Closed)
+}
+
+func decodeRoundProgress(d *store.Dec, p *roundProgress) {
+	d.Tag(tagRoundProgress)
+	p.Targets = int(d.Uvarint())
+	p.Responded = int(d.Uvarint())
+	p.Closed = d.Bool()
+}
+
+// appendEvidence and decodeEvidence are the Evidence inside an
+// EvidenceRecord; evidence is not stored on its own, so it has no tag.
+func appendEvidence(dst []byte, e *Evidence) []byte {
+	dst = store.AppendString(dst, e.ResourceIRI)
+	dst = append(dst, e.Device[:]...)
+	dst = store.AppendUvarint(dst, e.Round)
+	dst = store.AppendUvarint(dst, e.PolicyVersion)
+	dst = store.AppendBool(dst, e.StillStored)
+	dst = store.AppendUTC(dst, e.DeletedAt)
+	dst = store.AppendUTC(dst, e.RetrievedAt)
+	dst = store.AppendUvarint(dst, e.UseCount)
+	dst = store.AppendUvarint(dst, uint64(len(e.Entries)))
+	for i := range e.Entries {
+		u := &e.Entries[i]
+		dst = store.AppendUTC(dst, u.At)
+		dst = store.AppendString(dst, string(u.Action))
+		dst = store.AppendString(dst, string(u.Purpose))
+		dst = store.AppendBool(dst, u.Allowed)
+	}
+	return store.AppendUTC(dst, e.GeneratedAt)
+}
+
+func decodeEvidence(d *store.Dec, e *Evidence) {
+	e.ResourceIRI = d.String()
+	d.Raw(e.Device[:])
+	e.Round = d.Uvarint()
+	e.PolicyVersion = d.Uvarint()
+	e.StillStored = d.Bool()
+	e.DeletedAt = d.UTC()
+	e.RetrievedAt = d.UTC()
+	e.UseCount = d.Uvarint()
+	e.Entries = decodeUsageEntries(d)
+	e.GeneratedAt = d.UTC()
+}
+
+func decodeUsageEntries(d *store.Dec) []UsageEntry {
+	n := d.Count("usage entries", uint64(d.Remaining()))
+	if n == 0 {
+		return nil
+	}
+	out := make([]UsageEntry, 0, min(n, store.DecodeCapHint))
+	for range n {
+		out = append(out, UsageEntry{
+			At: d.UTC(), Action: policy.Action(d.String()), Purpose: policy.Purpose(d.String()), Allowed: d.Bool(),
+		})
+		if d.Err() != nil {
+			return nil
+		}
+	}
+	return out
+}
+
+func appendEvidenceRecord(dst []byte, r *EvidenceRecord) []byte {
+	e := &r.Evidence
+	// A usage entry is a timestamp, a boolean and two short strings.
+	size := fixedSize + len(e.ResourceIRI) + 16*len(r.Findings)
+	for i := range e.Entries {
+		size += 20 + len(e.Entries[i].Action) + len(e.Entries[i].Purpose)
+	}
+	dst = slices.Grow(dst, size)
+	dst = append(dst, tagEvidence)
+	dst = store.AppendUvarint(dst, r.Seq)
+	dst = appendEvidence(dst, e)
+	dst = store.AppendBool(dst, r.Verified)
+	dst = store.AppendUTC(dst, r.Stored)
+	dst = store.AppendUvarint(dst, r.Round)
+	return store.AppendStrings(dst, r.Findings)
+}
+
+func decodeEvidenceRecord(d *store.Dec, r *EvidenceRecord) {
+	d.Tag(tagEvidence)
+	r.Seq = d.Uvarint()
+	decodeEvidence(d, &r.Evidence)
+	r.Verified = d.Bool()
+	r.Stored = d.UTC()
+	r.Round = d.Uvarint()
+	r.Findings = store.Strings[ViolationKind](d, "findings")
+}
+
+func appendViolation(dst []byte, v *Violation) []byte {
+	dst = slices.Grow(dst, fixedSize+len(v.ResourceIRI)+len(v.Kind)+len(v.Detail))
+	dst = append(dst, tagViolation)
+	dst = store.AppendUvarint(dst, v.Seq)
+	dst = store.AppendString(dst, v.ResourceIRI)
+	dst = append(dst, v.Device[:]...)
+	dst = store.AppendString(dst, string(v.Kind))
+	dst = store.AppendString(dst, v.Detail)
+	dst = store.AppendUTC(dst, v.DetectedAt)
+	return store.AppendUvarint(dst, v.Round)
+}
+
+func decodeViolation(d *store.Dec, v *Violation) {
+	d.Tag(tagViolation)
+	v.Seq = d.Uvarint()
+	v.ResourceIRI = d.String()
+	d.Raw(v.Device[:])
+	v.Kind = ViolationKind(d.String())
+	v.Detail = d.String()
+	v.DetectedAt = d.UTC()
+	v.Round = d.Uvarint()
+}
+
+// appendListing appends a query's listing reply: a count, then the stored
+// encodings as they are. Records delimit themselves, so nothing separates
+// them and a listing costs its own records and nothing else.
+func appendListing(dst []byte, records [][]byte) []byte {
+	size := 10
+	for _, raw := range records {
+		size += len(raw)
+	}
+	dst = slices.Grow(dst, size)
+	dst = store.AppendUvarint(dst, uint64(len(records)))
+	for _, raw := range records {
+		dst = append(dst, raw...)
+	}
+	return dst
+}
+
+// decodeRecord decodes b as exactly one record of decode's type.
+func decodeRecord[T any](b []byte, decode func(*store.Dec, *T)) (T, error) {
+	var v T
+	d := store.NewDec(b)
+	decode(d, &v)
+	return v, d.Finish()
+}
+
+// decodeListing decodes a reply built by appendListing.
+func decodeListing[T any](b []byte, decode func(*store.Dec, *T)) ([]T, error) {
+	d := store.NewDec(b)
+	n := d.Count("records", uint64(len(b)))
+	var out []T
+	if n > 0 {
+		out = make([]T, 0, min(n, store.DecodeCapHint))
+	}
+	for range n {
+		// Decoded in place: a value handed to decode by address would be
+		// allocated once per record.
+		var zero T
+		out = append(out, zero)
+		if decode(d, &out[len(out)-1]); d.Err() != nil {
+			break
+		}
+	}
+	if err := d.Finish(); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// The Decode functions read what the DE App stores, emits, returns and
+// answers queries with. Each takes exactly one record (or one listing) and
+// reports anything else as store.ErrCodec.
+
+// DecodePodRecord decodes a getPod reply or a PodRegistered payload.
+func DecodePodRecord(b []byte) (PodRecord, error) { return decodeRecord(b, decodePodRecord) }
+
+// DecodeResourceRecord decodes a getResource reply or a ResourceRegistered
+// or ResourceWithdrawn payload.
+func DecodeResourceRecord(b []byte) (ResourceRecord, error) {
+	return decodeRecord(b, decodeResourceRecord)
+}
+
+// DecodeResourceRecords decodes a listResources reply.
+func DecodeResourceRecords(b []byte) ([]ResourceRecord, error) {
+	return decodeListing(b, decodeResourceRecord)
+}
+
+// DecodePolicy decodes a PolicyPublished or PolicyUpdated payload.
+func DecodePolicy(b []byte) (policy.Policy, error) { return decodeRecord(b, policy.DecodeRecord) }
+
+// DecodeDeviceRecord decodes a getDevice reply or a DeviceRegistered payload.
+func DecodeDeviceRecord(b []byte) (DeviceRecord, error) { return decodeRecord(b, decodeDeviceRecord) }
+
+// DecodeGrant decodes a GrantRecorded, RetrievalConfirmed or GrantRevoked
+// payload.
+func DecodeGrant(b []byte) (Grant, error) { return decodeRecord(b, decodeGrant) }
+
+// DecodeGrants decodes a getGrants reply.
+func DecodeGrants(b []byte) ([]Grant, error) { return decodeListing(b, decodeGrant) }
+
+// DecodeMonitoringRound decodes a getMonitoringRound reply, what
+// requestMonitoring and reportUnresponsive return, or a MonitoringRequested
+// payload.
+func DecodeMonitoringRound(b []byte) (MonitoringRound, error) {
+	return decodeRecord(b, decodeMonitoringRound)
+}
+
+// DecodeEvidenceRecord decodes what submitEvidence returns or an
+// EvidenceRecorded payload.
+func DecodeEvidenceRecord(b []byte) (EvidenceRecord, error) {
+	return decodeRecord(b, decodeEvidenceRecord)
+}
+
+// DecodeEvidenceRecords decodes a getEvidence reply.
+func DecodeEvidenceRecords(b []byte) ([]EvidenceRecord, error) {
+	return decodeListing(b, decodeEvidenceRecord)
+}
+
+// DecodeViolation decodes a ViolationDetected payload.
+func DecodeViolation(b []byte) (Violation, error) { return decodeRecord(b, decodeViolation) }
+
+// DecodeViolations decodes a getViolations reply.
+func DecodeViolations(b []byte) ([]Violation, error) { return decodeListing(b, decodeViolation) }

@@ -1,0 +1,519 @@
+package distexchange
+
+import (
+	"bytes"
+	"context"
+	"encoding/hex"
+	"errors"
+	"math"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/chain"
+	"repro/internal/contract"
+	"repro/internal/cryptoutil"
+	"repro/internal/policy"
+	"repro/internal/store"
+)
+
+// gen draws record values with no regard for what the contract would
+// write: separator and multi-byte characters in strings, zero times, nil
+// policies and lists, integers of every width, and now and then a list
+// longer than store.DecodeCapHint.
+type gen struct{ *rand.Rand }
+
+func (g gen) text() string {
+	alphabet := []string{"", "a", "|", "{", "ü", "\x00", "use", "https://alice.pod/"}
+	var b strings.Builder
+	for range g.Intn(5) {
+		b.WriteString(alphabet[g.Intn(len(alphabet))])
+	}
+	return b.String()
+}
+
+func (g gen) when() time.Time {
+	if g.Intn(4) == 0 {
+		return time.Time{}
+	}
+	return time.Unix(0, g.Int63()-g.Int63()).UTC()
+}
+
+func (g gen) uint() uint64 {
+	if g.Intn(8) == 0 {
+		return math.MaxUint64
+	}
+	return g.Uint64() >> g.Intn(64)
+}
+
+func (g gen) address() (a cryptoutil.Address) {
+	g.Read(a[:])
+	return a
+}
+
+// count is a list length: mostly short, nil one time in four, past the
+// decoders' capacity hint one time in sixty-four.
+func (g gen) count() int {
+	switch {
+	case g.Intn(64) == 0:
+		return store.DecodeCapHint + 1 + g.Intn(8)
+	case g.Intn(4) == 0:
+		return 0
+	}
+	return 1 + g.Intn(4)
+}
+
+func (g gen) addresses() []cryptoutil.Address {
+	var out []cryptoutil.Address
+	for range g.count() {
+		out = append(out, g.address())
+	}
+	return out
+}
+
+func (g gen) policy() *policy.Policy {
+	if g.Intn(3) == 0 {
+		return nil
+	}
+	p := &policy.Policy{
+		ID: g.text(), ResourceIRI: g.text(), OwnerWebID: g.text(), Version: g.uint(), IssuedAt: g.when(),
+		MaxRetention: time.Duration(g.Int63() - g.Int63()), ExpiresAt: g.when(), MaxUses: g.uint(),
+		ProhibitSharing: g.Intn(2) == 0, NotifyOnUse: g.Intn(2) == 0,
+	}
+	for range g.count() {
+		p.AllowedPurposes = append(p.AllowedPurposes, policy.Purpose(g.text()))
+	}
+	for range g.Intn(3) {
+		p.AllowedActions = append(p.AllowedActions, policy.Action(g.text()))
+	}
+	return p
+}
+
+func (g gen) pod() PodRecord {
+	return PodRecord{OwnerWebID: g.text(), Location: g.text(), Owner: g.address(), DefaultPolicy: g.policy(), RegisteredAt: g.when()}
+}
+
+func (g gen) resource() ResourceRecord {
+	return ResourceRecord{
+		ResourceIRI: g.text(), PodWebID: g.text(), Location: g.text(), Description: g.text(),
+		Owner: g.address(), Policy: g.policy(), RegisteredAt: g.when(), Withdrawn: g.Intn(2) == 0,
+	}
+}
+
+func (g gen) device() DeviceRecord {
+	r := DeviceRecord{Device: g.address(), RegisteredAt: g.when()}
+	if g.Intn(4) != 0 {
+		r.DeviceKey = make([]byte, 1+g.Intn(65))
+		g.Read(r.DeviceKey)
+	}
+	g.Read(r.Measurement[:])
+	return r
+}
+
+func (g gen) grant() Grant {
+	return Grant{
+		ResourceIRI: g.text(), Consumer: g.address(), Device: g.address(), Purpose: policy.Purpose(g.text()),
+		GrantedAt: g.when(), RetrievedAt: g.when(), Revoked: g.Intn(2) == 0,
+	}
+}
+
+func (g gen) round() MonitoringRound {
+	return MonitoringRound{
+		Round: g.uint(), ResourceIRI: g.text(), RequestedAt: g.when(),
+		Targets: g.addresses(), Responded: g.addresses(), Closed: g.Intn(2) == 0,
+	}
+}
+
+func (g gen) progress() roundProgress {
+	return roundProgress{Targets: g.Intn(1 << 20), Responded: g.Intn(1 << 20), Closed: g.Intn(2) == 0}
+}
+
+func (g gen) evidence() EvidenceRecord {
+	r := EvidenceRecord{
+		Seq: g.uint(), Verified: g.Intn(2) == 0, Stored: g.when(), Round: g.uint(),
+		Evidence: Evidence{
+			ResourceIRI: g.text(), Device: g.address(), Round: g.uint(), PolicyVersion: g.uint(), StillStored: g.Intn(2) == 0,
+			DeletedAt: g.when(), RetrievedAt: g.when(), UseCount: g.uint(), GeneratedAt: g.when(),
+		},
+	}
+	for range g.count() {
+		r.Evidence.Entries = append(r.Evidence.Entries, UsageEntry{
+			At: g.when(), Action: policy.Action(g.text()), Purpose: policy.Purpose(g.text()), Allowed: g.Intn(2) == 0,
+		})
+	}
+	for range g.count() {
+		r.Findings = append(r.Findings, ViolationKind(g.text()))
+	}
+	return r
+}
+
+func (g gen) violation() Violation {
+	return Violation{
+		Seq: g.uint(), ResourceIRI: g.text(), Device: g.address(), Kind: ViolationKind(g.text()),
+		Detail: g.text(), DetectedAt: g.when(), Round: g.uint(),
+	}
+}
+
+// checkRecords is the round-trip property of one record type over its
+// frozen vectors and 300 drawn values: decode∘append is the identity on
+// values and append∘decode on encodings; no proper prefix of an encoding
+// decodes, nor does one that opens with another byte than its tag (the '{'
+// of a JSON record included); and a listing of the encodings decodes to the
+// values.
+func checkRecords[T any](t *testing.T, name string, seed int64, vectors []T, draw func(gen) T, appendTo func([]byte, *T) []byte, decode func([]byte) (T, error), decodeAll func([]byte) ([]T, error)) {
+	t.Run(name, func(t *testing.T) {
+		g := gen{rand.New(rand.NewSource(seed))}
+		values := vectors
+		for range 300 {
+			values = append(values, draw(g))
+		}
+		var encodings [][]byte
+		for i := range values {
+			enc := appendTo(nil, &values[i])
+			encodings = append(encodings, enc)
+			back, err := decode(enc)
+			if err != nil {
+				t.Fatalf("case %d: %v", i, err)
+			}
+			if !reflect.DeepEqual(back, values[i]) {
+				t.Fatalf("case %d:\n got %+v\nwant %+v", i, back, values[i])
+			}
+			if again := appendTo(nil, &back); !bytes.Equal(again, enc) {
+				t.Fatalf("case %d: re-encoding differs:\n got %x\nwant %x", i, again, enc)
+			}
+			if _, err := decode(append([]byte{'{'}, enc[1:]...)); !errors.Is(err, store.ErrCodec) {
+				t.Fatalf("case %d: a '{'-opening record decoded (err %v)", i, err)
+			}
+			if _, err := decode(append(enc[:len(enc):len(enc)], 0)); !errors.Is(err, store.ErrCodec) {
+				t.Fatalf("case %d: a record with a trailing byte decoded (err %v)", i, err)
+			}
+			if len(enc) > 2048 {
+				continue // every prefix of a long list's encoding is quadratic work
+			}
+			for cut := range len(enc) {
+				if _, err := decode(enc[:cut]); !errors.Is(err, store.ErrCodec) {
+					t.Fatalf("case %d: the %d-byte prefix of %d bytes decoded (err %v)", i, cut, len(enc), err)
+				}
+			}
+		}
+		if decodeAll == nil {
+			return
+		}
+		// Listings: none, one, and more records than the capacity hint.
+		for _, n := range []int{0, 1, len(values), store.DecodeCapHint + 5} {
+			var want []T
+			var records [][]byte
+			for i := range n {
+				want = append(want, values[i%len(values)])
+				records = append(records, encodings[i%len(values)])
+			}
+			listing := appendListing(nil, records)
+			got, err := decodeAll(listing)
+			if err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("listing of %d: err %v, %d records decoded", n, err, len(got))
+			}
+			if n > 0 {
+				if _, err := decodeAll(listing[:len(listing)-1]); !errors.Is(err, store.ErrCodec) {
+					t.Fatalf("listing of %d less its last byte decoded (err %v)", n, err)
+				}
+			}
+		}
+	})
+}
+
+func TestRecordCodecRoundTrip(t *testing.T) {
+	v := recordVectors()
+	checkRecords(t, "PodRecord", 1, v.pods, gen.pod, appendPodRecord, DecodePodRecord, nil)
+	checkRecords(t, "ResourceRecord", 2, v.resources, gen.resource, appendResource, DecodeResourceRecord, DecodeResourceRecords)
+	checkRecords(t, "DeviceRecord", 3, v.devices, gen.device, appendDeviceRecord, DecodeDeviceRecord, nil)
+	checkRecords(t, "Grant", 4, v.grants, gen.grant, appendGrant, DecodeGrant, DecodeGrants)
+	checkRecords(t, "MonitoringRound", 5, v.rounds, gen.round, appendMonitoringRound, DecodeMonitoringRound, nil)
+	checkRecords(t, "roundProgress", 6, v.progress, gen.progress, appendRoundProgress,
+		func(b []byte) (roundProgress, error) { return decodeRecord(b, decodeRoundProgress) }, nil)
+	checkRecords(t, "EvidenceRecord", 7, v.evidence, gen.evidence, appendEvidenceRecord, DecodeEvidenceRecord, DecodeEvidenceRecords)
+	checkRecords(t, "Violation", 8, v.violations, gen.violation, appendViolation, DecodeViolation, DecodeViolations)
+	checkRecords(t, "Policy", 9, v.policies, func(g gen) policy.Policy {
+		for {
+			if p := g.policy(); p != nil {
+				return *p
+			}
+		}
+	}, func(dst []byte, p *policy.Policy) []byte { return policy.AppendRecord(dst, p) }, DecodePolicy, nil)
+}
+
+// TestResourceRecordTail: the policy's own encoding is the tail of the
+// resource record's, which is what lets PolicyPublished and PolicyUpdated
+// carry stored bytes; and the Withdrawn flag sits where the market listing
+// reads it.
+func TestResourceRecordTail(t *testing.T) {
+	g := gen{rand.New(rand.NewSource(10))}
+	for range 200 {
+		r := g.resource()
+		record, policyAt := appendResourceRecord(nil, &r)
+		if withdrawn, ok := decodeResourceWithdrawn(record); !ok || withdrawn != r.Withdrawn {
+			t.Fatalf("withdrawn flag read as %v (ok %v), want %v", withdrawn, ok, r.Withdrawn)
+		}
+		if r.Policy == nil {
+			if policyAt != len(record) {
+				t.Fatalf("no policy, yet the tail is %d bytes", len(record)-policyAt)
+			}
+			continue
+		}
+		if tail := record[policyAt:]; !bytes.Equal(tail, policy.AppendRecord(nil, r.Policy)) {
+			t.Fatalf("the record's tail is not the policy's encoding:\n%x", tail)
+		}
+	}
+	for _, raw := range [][]byte{nil, {tagResource}, {'{', '"'}, {tagResource, 2}, {tagGrant, 0}} {
+		if _, ok := decodeResourceWithdrawn(raw); ok {
+			t.Errorf("% x read as a resource record", raw)
+		}
+	}
+}
+
+// TestRecordCodecAllocations pins what the execution path's most frequent
+// decode and its largest append allocate.
+func TestRecordCodecAllocations(t *testing.T) {
+	v := recordVectors()
+	// The record's four strings, the policy, its three strings and its two
+	// lists of two strings each.
+	record, _ := appendResourceRecord(nil, &v.resources[0])
+	var rec ResourceRecord
+	if got := testing.AllocsPerRun(100, func() {
+		d := store.NewDec(record)
+		decodeResourceRecord(d, &rec)
+	}); got != 14 {
+		t.Errorf("decodeResourceRecord: %.0f allocations, want 14", got)
+	}
+	// The buffer, sized up front.
+	ev := v.evidence[0]
+	if got := testing.AllocsPerRun(100, func() { _ = appendEvidenceRecord(nil, &ev) }); got != 1 {
+		t.Errorf("appendEvidenceRecord: %.0f allocations, want 1", got)
+	}
+}
+
+// appendResource is appendResourceRecord without the policy offset.
+func appendResource(dst []byte, r *ResourceRecord) []byte {
+	dst, _ = appendResourceRecord(dst, r)
+	return dst
+}
+
+// relist re-encodes a decoded listing.
+func relist[T any](vs []T, appendTo func([]byte, *T) []byte) []byte {
+	records := make([][]byte, len(vs))
+	for i := range vs {
+		records[i] = appendTo(nil, &vs[i])
+	}
+	return appendListing(nil, records)
+}
+
+// FuzzRecordDecode feeds every decoder arbitrary bytes. None may panic or
+// allocate out of proportion to its input, and whatever one accepts must
+// re-encode to exactly the input: a record has one encoding.
+//
+// CI smoke-runs this with -fuzz=FuzzRecordDecode -fuzztime=30s.
+func FuzzRecordDecode(f *testing.F) {
+	for _, enc := range recordVectors().encodings() {
+		f.Add(enc)
+		f.Add(appendListing(nil, [][]byte{enc, enc}))
+	}
+	f.Add([]byte(`{"resource":"https://alice.pod/web/browsing.csv"}`))
+	f.Add(store.AppendUvarint(nil, 1<<40)) // a listing that claims more records than bytes
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		try := func(name string, roundTrip func() ([]byte, error)) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			again, err := roundTrip()
+			runtime.ReadMemStats(&after)
+			// The largest record value is under 512 bytes, and a decoder
+			// reserves at most one value per input byte.
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<16+1024*uint64(len(data)) {
+				t.Fatalf("%s: %d bytes allocated over %d bytes of input", name, grew, len(data))
+			}
+			if err != nil {
+				if !errors.Is(err, store.ErrCodec) {
+					t.Fatalf("%s: undocumented error class: %v", name, err)
+				}
+				return
+			}
+			if !bytes.Equal(again, data) {
+				t.Fatalf("%s accepted\n%x\nand re-encodes it as\n%x", name, data, again)
+			}
+		}
+		try("PodRecord", func() ([]byte, error) {
+			v, err := DecodePodRecord(data)
+			return appendPodRecord(nil, &v), err
+		})
+		try("ResourceRecord", func() ([]byte, error) {
+			v, err := DecodeResourceRecord(data)
+			return appendResource(nil, &v), err
+		})
+		try("DeviceRecord", func() ([]byte, error) {
+			v, err := DecodeDeviceRecord(data)
+			return appendDeviceRecord(nil, &v), err
+		})
+		try("Grant", func() ([]byte, error) {
+			v, err := DecodeGrant(data)
+			return appendGrant(nil, &v), err
+		})
+		try("MonitoringRound", func() ([]byte, error) {
+			v, err := DecodeMonitoringRound(data)
+			return appendMonitoringRound(nil, &v), err
+		})
+		try("roundProgress", func() ([]byte, error) {
+			v, err := decodeRecord(data, decodeRoundProgress)
+			return appendRoundProgress(nil, &v), err
+		})
+		try("EvidenceRecord", func() ([]byte, error) {
+			v, err := DecodeEvidenceRecord(data)
+			return appendEvidenceRecord(nil, &v), err
+		})
+		try("Violation", func() ([]byte, error) {
+			v, err := DecodeViolation(data)
+			return appendViolation(nil, &v), err
+		})
+		try("Policy", func() ([]byte, error) {
+			v, err := DecodePolicy(data)
+			return policy.AppendRecord(nil, &v), err
+		})
+		try("counter", func() ([]byte, error) {
+			v, err := decodeRecord(data, decodeCounter)
+			return store.AppendUvarint(nil, v), err
+		})
+		try("listing of ResourceRecord", func() ([]byte, error) {
+			vs, err := DecodeResourceRecords(data)
+			return relist(vs, appendResource), err
+		})
+		try("listing of Grant", func() ([]byte, error) {
+			vs, err := DecodeGrants(data)
+			return relist(vs, appendGrant), err
+		})
+		try("listing of EvidenceRecord", func() ([]byte, error) {
+			vs, err := DecodeEvidenceRecords(data)
+			return relist(vs, appendEvidenceRecord), err
+		})
+		try("listing of Violation", func() ([]byte, error) {
+			vs, err := DecodeViolations(data)
+			return relist(vs, appendViolation), err
+		})
+	})
+}
+
+// TestJSONRecordRevertsNamingItsKey: a data directory written before the
+// record codec holds JSON records. There is no second decoder for them: a
+// transaction that reads one reverts naming the key and changes nothing, a
+// listing names the key too, and a single-record reply fails in the
+// client's decoder.
+func TestJSONRecordRevertsNamingItsKey(t *testing.T) {
+	f := newFixture(t)
+	ctx := context.Background()
+	iri := f.registerAlicePodAndResource(alicePolicy())
+	prefix := f.deAddr.String() + "/"
+	st := f.node.State()
+	st.Set(prefix+resKey(iri), []byte(`{"resource":"`+iri+`","podWebID":"https://alice.pod/profile#me","policy":{"version":1}}`))
+	snapshot := func() map[string]string {
+		out := make(map[string]string)
+		for _, k := range st.Keys(prefix) {
+			v, _ := st.Get(k)
+			out[k] = string(v)
+		}
+		return out
+	}
+	before := snapshot()
+
+	v2 := alicePolicy().NextVersion(t0.Add(time.Hour))
+	_, err := f.alice.UpdatePolicy(ctx, UpdatePolicyArgs{ResourceIRI: iri, Policy: v2})
+	var revert *RevertError
+	if !errors.As(err, &revert) || !strings.Contains(revert.Reason, "corrupt record at "+resKey(iri)) {
+		t.Fatalf("updatePolicy over a JSON record: %v, want a revert naming %s", err, resKey(iri))
+	}
+	if after := snapshot(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("the reverted transaction changed the contract's state:\n%v\n%v", before, after)
+	}
+	if events := f.node.Events(chain.EventFilter{Topic: TopicPolicyUpdated}); len(events) != 0 {
+		t.Fatalf("the reverted transaction emitted %d PolicyUpdated events", len(events))
+	}
+	if _, err := f.alice.ListResources(""); err == nil || !strings.Contains(err.Error(), "corrupt record at "+resKey(iri)) {
+		t.Fatalf("listResources over a JSON record: %v, want an error naming %s", err, resKey(iri))
+	}
+	if _, err := f.alice.GetResource(iri); !errors.Is(err, store.ErrCodec) {
+		t.Fatalf("getResource over a JSON record: %v, want store.ErrCodec", err)
+	}
+}
+
+// TestGasIndependentOfBlockTime runs the eight §V-4 operations — the very
+// same signed transactions — over two chains whose block times differ in
+// how many trailing zeros their nanoseconds have. Records hold fixed-width
+// timestamps, so every operation costs the same gas on both; when they held
+// RFC3339Nano text it did not.
+func TestGasIndependentOfBlockTime(t *testing.T) {
+	ca, err := cryptoutil.NewAuthority("tee-manufacturer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := contract.NewRuntime()
+	deAddr := rt.Deploy(ContractName, New(Config{ManufacturerCAKey: ca.PublicBytes(), ManufacturerCA: ca.Address()}))
+	alice, device := cryptoutil.MustGenerateKey(), cryptoutil.MustGenerateKey()
+	pol := alicePolicy()
+	iri := pol.ResourceIRI
+	const webID = "https://alice.pod/profile#me"
+	var m cryptoutil.Hash
+	cert, err := ca.Issue(device, map[string]string{"measurement": hex.EncodeToString(m[:])}, t0, t0.Add(time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	certRaw, err := cert.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := Evidence{
+		ResourceIRI: iri, Device: device.Address(), Round: 1, PolicyVersion: 2, StillStored: true,
+		RetrievedAt: t0, UseCount: 1, GeneratedAt: t0.Add(time.Minute),
+		Entries: []UsageEntry{{At: t0.Add(time.Second), Action: policy.ActionUse, Purpose: policy.PurposeWebAnalytics, Allowed: true}},
+	}
+	sig, err := device.Sign(ev.SigningBytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := []struct {
+		key    *cryptoutil.KeyPair
+		method string
+		args   any
+	}{
+		{alice, "registerPod", RegisterPodArgs{OwnerWebID: webID, Location: "https://alice.pod/"}},
+		{alice, "registerResource", RegisterResourceArgs{ResourceIRI: iri, PodWebID: webID, Location: iri, Policy: pol}},
+		{device, "registerDevice", RegisterDeviceArgs{Certificate: certRaw}},
+		{alice, "recordGrant", RecordGrantArgs{ResourceIRI: iri, Consumer: device.Address(), Device: device.Address(), Purpose: policy.PurposeWebAnalytics}},
+		{device, "confirmRetrieval", ConfirmRetrievalArgs{ResourceIRI: iri}},
+		{alice, "updatePolicy", UpdatePolicyArgs{ResourceIRI: iri, Policy: pol.NextVersion(t0.Add(time.Minute))}},
+		{alice, "requestMonitoring", RequestMonitoringArgs{ResourceIRI: iri}},
+		{device, "submitEvidence", SubmitEvidenceArgs{Signed: SignedEvidence{Evidence: ev, Signature: sig}}},
+	}
+	txs := make([]*chain.Tx, len(steps))
+	for i, s := range steps {
+		if txs[i], err = chain.NewTx(s.key, 0, deAddr, s.method, s.args, DefaultGasLimit); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gasAt := func(genesis time.Time) []uint64 {
+		st := chain.NewState()
+		gas := make([]uint64, len(txs))
+		for i, tx := range txs {
+			r := rt.ExecuteTx(st, tx, chain.BlockContext{Number: uint64(i + 1), Time: genesis.Add(time.Duration(i) * time.Second)})
+			if !r.Succeeded() {
+				t.Fatalf("%s at %v: %s", tx.Method, genesis, r.Err)
+			}
+			gas[i] = r.GasUsed
+		}
+		return gas
+	}
+	round, ragged := gasAt(t0.Add(500_000_000)), gasAt(t0.Add(123_456_789))
+	for i, tx := range txs {
+		if round[i] != ragged[i] {
+			t.Errorf("%s: %d gas at ….500000000, %d at ….123456789", tx.Method, round[i], ragged[i])
+		}
+	}
+}

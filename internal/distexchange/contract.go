@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/contract"
 	"repro/internal/cryptoutil"
+	"repro/internal/store"
 )
 
 // Config parameterizes the DE App deployment.
@@ -83,9 +84,9 @@ const seqWidth = 12
 // roundProgress is the mutable part of a monitoring round: the only record
 // submitEvidence rewrites, so its cost does not grow with the target list.
 type roundProgress struct {
-	Targets   int  `json:"targets"`
-	Responded int  `json:"responded"`
-	Closed    bool `json:"closed,omitempty"`
+	Targets   int
+	Responded int
+	Closed    bool
 }
 
 // pendingMarker is the value under pendingKey: requestMonitoring writes one
@@ -124,43 +125,32 @@ func (c *Contract) Call(env *contract.Env, method string, args []byte) ([]byte, 
 
 // --- storage helpers ---
 
-func getJSON[T any](env *contract.Env, key string, out *T) (bool, error) {
+// load reads the record under key into out, reporting whether there is one.
+// A value that decode refuses — a JSON record of a data directory written
+// before the record codec, for one — reverts the transaction naming the key.
+func load[T any](env *contract.Env, key string, out *T, decode func(*store.Dec, *T)) (bool, error) {
 	raw, ok, err := env.Get(key)
-	if err != nil {
+	if err != nil || !ok {
 		return false, err
 	}
-	if !ok {
-		return false, nil
-	}
-	if err := json.Unmarshal(raw, out); err != nil {
+	d := store.NewDec(raw)
+	decode(d, out)
+	if err := d.Finish(); err != nil {
 		return false, contract.Revertf("corrupt record at %s: %v", key, err)
 	}
 	return true, nil
 }
 
-func setJSON(env *contract.Env, key string, v any) error {
-	raw, err := json.Marshal(v)
-	if err != nil {
-		return contract.Revertf("encode record at %s: %v", key, err)
-	}
-	return env.Set(key, raw)
-}
-
-func counter(env *contract.Env, key string) (uint64, error) {
-	var n uint64
-	if _, err := getJSON(env, key, &n); err != nil {
-		return 0, err
-	}
-	return n, nil
-}
+// decodeCounter reads a sequence counter: a bare uvarint, no tag.
+func decodeCounter(d *store.Dec, n *uint64) { *n = d.Uvarint() }
 
 func bumpCounter(env *contract.Env, key string) (uint64, error) {
-	n, err := counter(env, key)
-	if err != nil {
+	var n uint64
+	if _, err := load(env, key, &n, decodeCounter); err != nil {
 		return 0, err
 	}
 	n++
-	if err := setJSON(env, key, n); err != nil {
+	if err := env.Set(key, store.AppendUvarint(nil, n)); err != nil {
 		return 0, err
 	}
 	return n, nil
@@ -177,7 +167,7 @@ func (c *Contract) registerPod(env *contract.Env, raw []byte) ([]byte, error) {
 		return nil, contract.Revertf("registerPod: ownerWebID and location are required")
 	}
 	var existing PodRecord
-	if ok, err := getJSON(env, podKey(args.OwnerWebID), &existing); err != nil {
+	if ok, err := load(env, podKey(args.OwnerWebID), &existing, decodePodRecord); err != nil {
 		return nil, err
 	} else if ok {
 		return nil, contract.Revertf("registerPod: pod %q already registered", args.OwnerWebID)
@@ -194,11 +184,11 @@ func (c *Contract) registerPod(env *contract.Env, raw []byte) ([]byte, error) {
 		DefaultPolicy: args.DefaultPolicy,
 		RegisteredAt:  env.Block.Time,
 	}
-	if err := setJSON(env, podKey(args.OwnerWebID), rec); err != nil {
+	record := appendPodRecord(nil, &rec)
+	if err := env.Set(podKey(args.OwnerWebID), record); err != nil {
 		return nil, err
 	}
-	payload, _ := json.Marshal(rec)
-	if err := env.Emit(TopicPodRegistered, args.OwnerWebID, payload); err != nil {
+	if err := env.Emit(TopicPodRegistered, args.OwnerWebID, record); err != nil {
 		return nil, err
 	}
 	return nil, nil
@@ -215,7 +205,7 @@ func (c *Contract) registerResource(env *contract.Env, raw []byte) ([]byte, erro
 		return nil, contract.Revertf("registerResource: resource, podWebID and location are required")
 	}
 	var pod PodRecord
-	ok, err := getJSON(env, podKey(args.PodWebID), &pod)
+	ok, err := load(env, podKey(args.PodWebID), &pod, decodePodRecord)
 	if err != nil {
 		return nil, err
 	}
@@ -226,7 +216,7 @@ func (c *Contract) registerResource(env *contract.Env, raw []byte) ([]byte, erro
 		return nil, contract.Revertf("registerResource: sender %s does not own pod %q", env.Sender, args.PodWebID)
 	}
 	var existing ResourceRecord
-	if ok, err := getJSON(env, resKey(args.ResourceIRI), &existing); err != nil {
+	if ok, err := load(env, resKey(args.ResourceIRI), &existing, decodeResourceRecord); err != nil {
 		return nil, err
 	} else if ok {
 		return nil, contract.Revertf("registerResource: resource %q already registered", args.ResourceIRI)
@@ -259,18 +249,17 @@ func (c *Contract) registerResource(env *contract.Env, raw []byte) ([]byte, erro
 		Policy:       pol,
 		RegisteredAt: env.Block.Time,
 	}
-	if err := setJSON(env, resKey(args.ResourceIRI), rec); err != nil {
+	record, policyAt := appendResourceRecord(nil, &rec)
+	if err := env.Set(resKey(args.ResourceIRI), record); err != nil {
 		return nil, err
 	}
 	if err := env.Set(resByPodKey(args.PodWebID, args.ResourceIRI), []byte{1}); err != nil {
 		return nil, err
 	}
-	payload, _ := json.Marshal(rec)
-	if err := env.Emit(TopicResourceRegistered, args.ResourceIRI, payload); err != nil {
+	if err := env.Emit(TopicResourceRegistered, args.ResourceIRI, record); err != nil {
 		return nil, err
 	}
-	polPayload, _ := json.Marshal(pol)
-	if err := env.Emit(TopicPolicyPublished, args.ResourceIRI, polPayload); err != nil {
+	if err := env.Emit(TopicPolicyPublished, args.ResourceIRI, record[policyAt:]); err != nil {
 		return nil, err
 	}
 	return nil, nil
@@ -287,7 +276,7 @@ func (c *Contract) updatePolicy(env *contract.Env, raw []byte) ([]byte, error) {
 		return nil, contract.Revertf("updatePolicy: missing policy")
 	}
 	var rec ResourceRecord
-	ok, err := getJSON(env, resKey(args.ResourceIRI), &rec)
+	ok, err := load(env, resKey(args.ResourceIRI), &rec, decodeResourceRecord)
 	if err != nil {
 		return nil, err
 	}
@@ -308,11 +297,11 @@ func (c *Contract) updatePolicy(env *contract.Env, raw []byte) ([]byte, error) {
 			args.Policy.Version, rec.Policy.Version)
 	}
 	rec.Policy = args.Policy
-	if err := setJSON(env, resKey(args.ResourceIRI), rec); err != nil {
+	record, policyAt := appendResourceRecord(nil, &rec)
+	if err := env.Set(resKey(args.ResourceIRI), record); err != nil {
 		return nil, err
 	}
-	payload, _ := json.Marshal(args.Policy)
-	if err := env.Emit(TopicPolicyUpdated, args.ResourceIRI, payload); err != nil {
+	if err := env.Emit(TopicPolicyUpdated, args.ResourceIRI, record[policyAt:]); err != nil {
 		return nil, err
 	}
 	return nil, nil
@@ -324,7 +313,7 @@ func (c *Contract) withdrawResource(env *contract.Env, raw []byte) ([]byte, erro
 		return nil, contract.Revertf("bad args: %v", err)
 	}
 	var rec ResourceRecord
-	ok, err := getJSON(env, resKey(args.ResourceIRI), &rec)
+	ok, err := load(env, resKey(args.ResourceIRI), &rec, decodeResourceRecord)
 	if err != nil {
 		return nil, err
 	}
@@ -338,14 +327,14 @@ func (c *Contract) withdrawResource(env *contract.Env, raw []byte) ([]byte, erro
 		return nil, contract.Revertf("withdrawResource: already withdrawn")
 	}
 	rec.Withdrawn = true
-	if err := setJSON(env, resKey(args.ResourceIRI), rec); err != nil {
+	record, _ := appendResourceRecord(nil, &rec)
+	if err := env.Set(resKey(args.ResourceIRI), record); err != nil {
 		return nil, err
 	}
 	if err := env.Delete(resByPodKey(rec.PodWebID, args.ResourceIRI)); err != nil {
 		return nil, err
 	}
-	payload, _ := json.Marshal(rec)
-	if err := env.Emit(TopicResourceWithdrawn, args.ResourceIRI, payload); err != nil {
+	if err := env.Emit(TopicResourceWithdrawn, args.ResourceIRI, record); err != nil {
 		return nil, err
 	}
 	return nil, nil
@@ -386,11 +375,11 @@ func (c *Contract) registerDevice(env *contract.Env, raw []byte) ([]byte, error)
 		Measurement:  measurement,
 		RegisteredAt: env.Block.Time,
 	}
-	if err := setJSON(env, devKey(env.Sender), rec); err != nil {
+	record := appendDeviceRecord(nil, &rec)
+	if err := env.Set(devKey(env.Sender), record); err != nil {
 		return nil, err
 	}
-	payload, _ := json.Marshal(rec)
-	if err := env.Emit(TopicDeviceRegistered, env.Sender.String(), payload); err != nil {
+	if err := env.Emit(TopicDeviceRegistered, env.Sender.String(), record); err != nil {
 		return nil, err
 	}
 	return nil, nil
@@ -404,7 +393,7 @@ func (c *Contract) recordGrant(env *contract.Env, raw []byte) ([]byte, error) {
 		return nil, contract.Revertf("bad args: %v", err)
 	}
 	var rec ResourceRecord
-	ok, err := getJSON(env, resKey(args.ResourceIRI), &rec)
+	ok, err := load(env, resKey(args.ResourceIRI), &rec, decodeResourceRecord)
 	if err != nil {
 		return nil, err
 	}
@@ -418,7 +407,7 @@ func (c *Contract) recordGrant(env *contract.Env, raw []byte) ([]byte, error) {
 		return nil, contract.Revertf("recordGrant: sender %s does not own %q", env.Sender, args.ResourceIRI)
 	}
 	var dev DeviceRecord
-	if ok, err := getJSON(env, devKey(args.Device), &dev); err != nil {
+	if ok, err := load(env, devKey(args.Device), &dev, decodeDeviceRecord); err != nil {
 		return nil, err
 	} else if !ok {
 		return nil, contract.Revertf("recordGrant: device %s not registered", args.Device)
@@ -437,11 +426,11 @@ func (c *Contract) recordGrant(env *contract.Env, raw []byte) ([]byte, error) {
 		Purpose:     args.Purpose,
 		GrantedAt:   env.Block.Time,
 	}
-	if err := setJSON(env, grantKey(args.ResourceIRI, args.Device), g); err != nil {
+	record := appendGrant(nil, &g)
+	if err := env.Set(grantKey(args.ResourceIRI, args.Device), record); err != nil {
 		return nil, err
 	}
-	payload, _ := json.Marshal(g)
-	if err := env.Emit(TopicGrantRecorded, args.ResourceIRI, payload); err != nil {
+	if err := env.Emit(TopicGrantRecorded, args.ResourceIRI, record); err != nil {
 		return nil, err
 	}
 	return nil, nil
@@ -453,7 +442,7 @@ func (c *Contract) confirmRetrieval(env *contract.Env, raw []byte) ([]byte, erro
 		return nil, contract.Revertf("bad args: %v", err)
 	}
 	var g Grant
-	ok, err := getJSON(env, grantKey(args.ResourceIRI, env.Sender), &g)
+	ok, err := load(env, grantKey(args.ResourceIRI, env.Sender), &g, decodeGrant)
 	if err != nil {
 		return nil, err
 	}
@@ -467,11 +456,11 @@ func (c *Contract) confirmRetrieval(env *contract.Env, raw []byte) ([]byte, erro
 		return nil, contract.Revertf("confirmRetrieval: already confirmed")
 	}
 	g.RetrievedAt = env.Block.Time
-	if err := setJSON(env, grantKey(args.ResourceIRI, env.Sender), g); err != nil {
+	record := appendGrant(nil, &g)
+	if err := env.Set(grantKey(args.ResourceIRI, env.Sender), record); err != nil {
 		return nil, err
 	}
-	payload, _ := json.Marshal(g)
-	if err := env.Emit(TopicRetrievalConfirmed, args.ResourceIRI, payload); err != nil {
+	if err := env.Emit(TopicRetrievalConfirmed, args.ResourceIRI, record); err != nil {
 		return nil, err
 	}
 	return nil, nil
@@ -483,7 +472,7 @@ func (c *Contract) revokeGrant(env *contract.Env, raw []byte) ([]byte, error) {
 		return nil, contract.Revertf("bad args: %v", err)
 	}
 	var rec ResourceRecord
-	ok, err := getJSON(env, resKey(args.ResourceIRI), &rec)
+	ok, err := load(env, resKey(args.ResourceIRI), &rec, decodeResourceRecord)
 	if err != nil {
 		return nil, err
 	}
@@ -494,7 +483,7 @@ func (c *Contract) revokeGrant(env *contract.Env, raw []byte) ([]byte, error) {
 		return nil, contract.Revertf("revokeGrant: sender %s does not own %q", env.Sender, args.ResourceIRI)
 	}
 	var g Grant
-	if ok, err := getJSON(env, grantKey(args.ResourceIRI, args.Device), &g); err != nil {
+	if ok, err := load(env, grantKey(args.ResourceIRI, args.Device), &g, decodeGrant); err != nil {
 		return nil, err
 	} else if !ok {
 		return nil, contract.Revertf("revokeGrant: no grant for device %s", args.Device)
@@ -503,11 +492,11 @@ func (c *Contract) revokeGrant(env *contract.Env, raw []byte) ([]byte, error) {
 		return nil, contract.Revertf("revokeGrant: already revoked")
 	}
 	g.Revoked = true
-	if err := setJSON(env, grantKey(args.ResourceIRI, args.Device), g); err != nil {
+	record := appendGrant(nil, &g)
+	if err := env.Set(grantKey(args.ResourceIRI, args.Device), record); err != nil {
 		return nil, err
 	}
-	payload, _ := json.Marshal(g)
-	if err := env.Emit(TopicGrantRevoked, args.ResourceIRI, payload); err != nil {
+	if err := env.Emit(TopicGrantRevoked, args.ResourceIRI, record); err != nil {
 		return nil, err
 	}
 	return nil, nil
@@ -521,7 +510,7 @@ func (c *Contract) requestMonitoring(env *contract.Env, raw []byte) ([]byte, err
 		return nil, contract.Revertf("bad args: %v", err)
 	}
 	var rec ResourceRecord
-	ok, err := getJSON(env, resKey(args.ResourceIRI), &rec)
+	ok, err := load(env, resKey(args.ResourceIRI), &rec, decodeResourceRecord)
 	if err != nil {
 		return nil, err
 	}
@@ -539,7 +528,7 @@ func (c *Contract) requestMonitoring(env *contract.Env, raw []byte) ([]byte, err
 	var targets []cryptoutil.Address
 	for _, k := range keys {
 		var g Grant
-		if ok, err := getJSON(env, k, &g); err != nil {
+		if ok, err := load(env, k, &g, decodeGrant); err != nil {
 			return nil, err
 		} else if !ok {
 			continue
@@ -560,18 +549,15 @@ func (c *Contract) requestMonitoring(env *contract.Env, raw []byte) ([]byte, err
 		Targets:     targets,
 		Closed:      len(targets) == 0,
 	}
-	record, err := json.Marshal(round)
-	if err != nil {
-		return nil, contract.Revertf("requestMonitoring: encode round: %v", err)
-	}
+	record := appendMonitoringRound(nil, &round)
 	// The round record is written here and never again; what changes as
 	// evidence arrives lives in the progress record and the pending markers.
 	if err := env.Set(roundKey(args.ResourceIRI, n), record); err != nil {
 		return nil, err
 	}
-	if err := setJSON(env, progressKey(args.ResourceIRI, n), roundProgress{
+	if err := env.Set(progressKey(args.ResourceIRI, n), appendRoundProgress(nil, &roundProgress{
 		Targets: len(targets), Closed: round.Closed,
-	}); err != nil {
+	})); err != nil {
 		return nil, err
 	}
 	for _, target := range targets {
@@ -593,7 +579,7 @@ func (c *Contract) submitEvidence(env *contract.Env, raw []byte) ([]byte, error)
 	ev := args.Signed.Evidence
 
 	var rec ResourceRecord
-	ok, err := getJSON(env, resKey(ev.ResourceIRI), &rec)
+	ok, err := load(env, resKey(ev.ResourceIRI), &rec, decodeResourceRecord)
 	if err != nil {
 		return nil, err
 	}
@@ -601,13 +587,13 @@ func (c *Contract) submitEvidence(env *contract.Env, raw []byte) ([]byte, error)
 		return nil, contract.Revertf("submitEvidence: resource %q not registered", ev.ResourceIRI)
 	}
 	var dev DeviceRecord
-	if ok, err := getJSON(env, devKey(ev.Device), &dev); err != nil {
+	if ok, err := load(env, devKey(ev.Device), &dev, decodeDeviceRecord); err != nil {
 		return nil, err
 	} else if !ok {
 		return nil, contract.Revertf("submitEvidence: device %s not registered", ev.Device)
 	}
 	var g Grant
-	if ok, err := getJSON(env, grantKey(ev.ResourceIRI, ev.Device), &g); err != nil {
+	if ok, err := load(env, grantKey(ev.ResourceIRI, ev.Device), &g, decodeGrant); err != nil {
 		return nil, err
 	} else if !ok {
 		return nil, contract.Revertf("submitEvidence: no grant for device %s on %q", ev.Device, ev.ResourceIRI)
@@ -632,7 +618,7 @@ func (c *Contract) submitEvidence(env *contract.Env, raw []byte) ([]byte, error)
 		return nil, err
 	}
 	// One encoding serves storage, the event payload and the return value.
-	record, err := json.Marshal(EvidenceRecord{
+	record := appendEvidenceRecord(nil, &EvidenceRecord{
 		Seq:      seq,
 		Evidence: ev,
 		Verified: true,
@@ -640,9 +626,6 @@ func (c *Contract) submitEvidence(env *contract.Env, raw []byte) ([]byte, error)
 		Round:    ev.Round,
 		Findings: findings,
 	})
-	if err != nil {
-		return nil, contract.Revertf("submitEvidence: encode record: %v", err)
-	}
 	if err := env.Set(evKey(ev.ResourceIRI, ev.Round, seq), record); err != nil {
 		return nil, err
 	}
@@ -675,7 +658,7 @@ func (c *Contract) noteResponse(env *contract.Env, iri string, round uint64, dev
 		return err
 	}
 	var prog roundProgress
-	if ok, err := getJSON(env, progressKey(iri, round), &prog); err != nil {
+	if ok, err := load(env, progressKey(iri, round), &prog, decodeRoundProgress); err != nil {
 		return err
 	} else if !ok || prog.Closed {
 		return nil
@@ -685,7 +668,7 @@ func (c *Contract) noteResponse(env *contract.Env, iri string, round uint64, dev
 	}
 	prog.Responded++
 	prog.Closed = prog.Responded >= prog.Targets
-	return setJSON(env, progressKey(iri, round), prog)
+	return env.Set(progressKey(iri, round), appendRoundProgress(nil, &prog))
 }
 
 // checkCompliance evaluates evidence against the current policy and grant.
@@ -741,11 +724,11 @@ func (c *Contract) recordViolation(env *contract.Env, iri string, device cryptou
 		DetectedAt:  env.Block.Time,
 		Round:       round,
 	}
-	if err := setJSON(env, violKey(iri, round, seq), v); err != nil {
+	record := appendViolation(nil, &v)
+	if err := env.Set(violKey(iri, round, seq), record); err != nil {
 		return err
 	}
-	payload, _ := json.Marshal(v)
-	return env.Emit(TopicViolationDetected, iri, payload)
+	return env.Emit(TopicViolationDetected, iri, record)
 }
 
 func (c *Contract) reportUnresponsive(env *contract.Env, raw []byte) ([]byte, error) {
@@ -754,7 +737,7 @@ func (c *Contract) reportUnresponsive(env *contract.Env, raw []byte) ([]byte, er
 		return nil, contract.Revertf("bad args: %v", err)
 	}
 	var rec ResourceRecord
-	ok, err := getJSON(env, resKey(args.ResourceIRI), &rec)
+	ok, err := load(env, resKey(args.ResourceIRI), &rec, decodeResourceRecord)
 	if err != nil {
 		return nil, err
 	}
@@ -781,12 +764,30 @@ func (c *Contract) reportUnresponsive(env *contract.Env, raw []byte) ([]byte, er
 		}
 	}
 	round.Closed = true
-	if err := setJSON(env, progressKey(args.ResourceIRI, args.Round), roundProgress{
+	if err := env.Set(progressKey(args.ResourceIRI, args.Round), appendRoundProgress(nil, &roundProgress{
 		Targets: len(round.Targets), Responded: len(round.Responded), Closed: true,
-	}); err != nil {
+	})); err != nil {
 		return nil, err
 	}
-	return json.Marshal(round)
+	return appendMonitoringRound(nil, &round), nil
+}
+
+// fetch reads and decodes the record under key through get. A missing
+// record wraps ErrNotFound.
+func fetch[T any](get func(key string) ([]byte, bool, error), key string, out *T, decode func(*store.Dec, *T)) error {
+	raw, ok, err := get(key)
+	if err != nil {
+		return err
+	}
+	if !ok {
+		return fmt.Errorf("%w: %s", ErrNotFound, key)
+	}
+	d := store.NewDec(raw)
+	decode(d, out)
+	if err := d.Finish(); err != nil {
+		return fmt.Errorf("distexchange: corrupt record at %s: %w", key, err)
+	}
+	return nil
 }
 
 // loadRound assembles a MonitoringRound from its three kinds of keys: the
@@ -795,24 +796,11 @@ func (c *Contract) reportUnresponsive(env *contract.Env, raw []byte) ([]byte, er
 // target order). It also returns the targets that have not responded. get is Env.Get in a transaction and
 // ReadEnv.Get behind a query. A missing round wraps ErrNotFound.
 func loadRound(get func(key string) ([]byte, bool, error), iri string, n uint64) (round MonitoringRound, silent []cryptoutil.Address, err error) {
-	load := func(key string, out any) error {
-		raw, ok, err := get(key)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return fmt.Errorf("%w: %s", ErrNotFound, key)
-		}
-		if err := json.Unmarshal(raw, out); err != nil {
-			return fmt.Errorf("distexchange: corrupt record at %s: %w", key, err)
-		}
-		return nil
-	}
-	if err := load(roundKey(iri, n), &round); err != nil {
+	if err := fetch(get, roundKey(iri, n), &round, decodeMonitoringRound); err != nil {
 		return round, nil, err
 	}
 	var prog roundProgress
-	if err := load(progressKey(iri, n), &prog); err != nil {
+	if err := fetch(get, progressKey(iri, n), &prog, decodeRoundProgress); err != nil {
 		return round, nil, err
 	}
 	round.Closed = prog.Closed
@@ -832,7 +820,9 @@ func loadRound(get func(key string) ([]byte, bool, error), iri string, n uint64)
 
 // --- read-only queries ---
 
-// Read implements contract.Contract.
+// Read implements contract.Contract. A record is answered with its stored
+// bytes and a listing with appendListing of them; the Decode functions read
+// both.
 func (c *Contract) Read(env *contract.ReadEnv, method string, args []byte) ([]byte, error) {
 	switch method {
 	case "getPod":
@@ -840,19 +830,19 @@ func (c *Contract) Read(env *contract.ReadEnv, method string, args []byte) ([]by
 		if err := json.Unmarshal(args, &a); err != nil {
 			return nil, fmt.Errorf("distexchange: bad args: %w", err)
 		}
-		return readRecord[PodRecord](env, podKey(a.OwnerWebID))
+		return readRecord(env, podKey(a.OwnerWebID))
 	case "getResource":
 		var a GetResourceArgs
 		if err := json.Unmarshal(args, &a); err != nil {
 			return nil, fmt.Errorf("distexchange: bad args: %w", err)
 		}
-		return readRecord[ResourceRecord](env, resKey(a.ResourceIRI))
+		return readRecord(env, resKey(a.ResourceIRI))
 	case "getDevice":
 		var a GetDeviceArgs
 		if err := json.Unmarshal(args, &a); err != nil {
 			return nil, fmt.Errorf("distexchange: bad args: %w", err)
 		}
-		return readRecord[DeviceRecord](env, devKey(a.Device))
+		return readRecord(env, devKey(a.Device))
 	case "listResources":
 		return c.listResources(env, args)
 	case "getGrants":
@@ -860,19 +850,19 @@ func (c *Contract) Read(env *contract.ReadEnv, method string, args []byte) ([]by
 		if err := json.Unmarshal(args, &a); err != nil {
 			return nil, fmt.Errorf("distexchange: bad args: %w", err)
 		}
-		return spliceRecords(env, env.Keys(grantPrefix(a.ResourceIRI)))
+		return readListing(env, env.Keys(grantPrefix(a.ResourceIRI)), tagGrant)
 	case "getViolations":
 		var a GetViolationsArgs
 		if err := json.Unmarshal(args, &a); err != nil {
 			return nil, fmt.Errorf("distexchange: bad args: %w", err)
 		}
-		return readLedger(env, "viol", a.ResourceIRI, a.Round)
+		return readLedger(env, "viol", tagViolation, a.ResourceIRI, a.Round)
 	case "getEvidence":
 		var a GetEvidenceArgs
 		if err := json.Unmarshal(args, &a); err != nil {
 			return nil, fmt.Errorf("distexchange: bad args: %w", err)
 		}
-		return readLedger(env, "ev", a.ResourceIRI, a.Round)
+		return readLedger(env, "ev", tagEvidence, a.ResourceIRI, a.Round)
 	case "getMonitoringRound":
 		var a GetMonitoringRoundArgs
 		if err := json.Unmarshal(args, &a); err != nil {
@@ -885,7 +875,7 @@ func (c *Contract) Read(env *contract.ReadEnv, method string, args []byte) ([]by
 		if err != nil {
 			return nil, err
 		}
-		return json.Marshal(round)
+		return appendMonitoringRound(nil, &round), nil
 	default:
 		return nil, fmt.Errorf("distexchange: unknown query %q", method)
 	}
@@ -894,7 +884,7 @@ func (c *Contract) Read(env *contract.ReadEnv, method string, args []byte) ([]by
 // ErrNotFound is returned (wrapped) by queries for missing records.
 var ErrNotFound = fmt.Errorf("distexchange: not found")
 
-func readRecord[T any](env *contract.ReadEnv, key string) ([]byte, error) {
+func readRecord(env *contract.ReadEnv, key string) ([]byte, error) {
 	raw, ok := env.Get(key)
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, key)
@@ -905,7 +895,7 @@ func readRecord[T any](env *contract.ReadEnv, key string) ([]byte, error) {
 // readLedger lists a resource's evidence ("ev") or violation ("viol")
 // records in Seq order: one round's when round is non-nil, the whole
 // history otherwise.
-func readLedger(env *contract.ReadEnv, kind, iri string, round *uint64) ([]byte, error) {
+func readLedger(env *contract.ReadEnv, kind string, tag byte, iri string, round *uint64) ([]byte, error) {
 	keys := env.Keys(ledgerPrefix(kind, iri, round))
 	if round == nil {
 		// Keys sort by round first; Seq is the fixed-width key suffix.
@@ -913,28 +903,25 @@ func readLedger(env *contract.ReadEnv, kind, iri string, round *uint64) ([]byte,
 			return keys[i][len(keys[i])-seqWidth:] < keys[j][len(keys[j])-seqWidth:]
 		})
 	}
-	return spliceRecords(env, keys)
+	return readListing(env, keys, tag)
 }
 
-// spliceRecords returns the records stored under keys as a JSON array. The
-// stored encodings are spliced into the reply as they are, so a listing
-// costs its own records and nothing else.
-func spliceRecords(env *contract.ReadEnv, keys []string) ([]byte, error) {
-	out := []byte{'['}
+// readListing answers with the records stored under keys, undecoded but
+// for the tag they must open with: a listing names the key of a record that
+// is not one, which the reply's reader no longer could.
+func readListing(env *contract.ReadEnv, keys []string, tag byte) ([]byte, error) {
+	records := make([][]byte, 0, len(keys))
 	for _, k := range keys {
 		raw, ok := env.Get(k)
 		if !ok {
 			continue
 		}
-		if !json.Valid(raw) {
+		if len(raw) == 0 || raw[0] != tag {
 			return nil, fmt.Errorf("distexchange: corrupt record at %s", k)
 		}
-		if len(out) > 1 {
-			out = append(out, ',')
-		}
-		out = append(out, raw...)
+		records = append(records, raw)
 	}
-	return append(out, ']'), nil
+	return appendListing(nil, records), nil
 }
 
 func (c *Contract) listResources(env *contract.ReadEnv, args []byte) ([]byte, error) {
@@ -942,38 +929,29 @@ func (c *Contract) listResources(env *contract.ReadEnv, args []byte) ([]byte, er
 	if err := json.Unmarshal(args, &a); err != nil {
 		return nil, fmt.Errorf("distexchange: bad args: %w", err)
 	}
-	var out []ResourceRecord
 	if a.PodWebID != "" {
-		for _, k := range env.Keys("resbypod/" + a.PodWebID + "|") {
-			iri := k[len("resbypod/"+a.PodWebID+"|"):]
-			raw, ok := env.Get(resKey(iri))
-			if !ok {
-				continue
-			}
-			var rec ResourceRecord
-			if err := json.Unmarshal(raw, &rec); err != nil {
-				return nil, fmt.Errorf("distexchange: corrupt resource %q: %w", iri, err)
-			}
-			out = append(out, rec)
+		// The per-pod index holds no withdrawn resource.
+		prefix := "resbypod/" + a.PodWebID + "|"
+		keys := env.Keys(prefix)
+		for i, k := range keys {
+			keys[i] = resKey(k[len(prefix):])
 		}
-	} else {
-		for _, k := range env.Keys("res/") {
-			raw, ok := env.Get(k)
-			if !ok {
-				continue
-			}
-			var rec ResourceRecord
-			if err := json.Unmarshal(raw, &rec); err != nil {
-				return nil, fmt.Errorf("distexchange: corrupt resource at %q: %w", k, err)
-			}
-			if rec.Withdrawn {
-				continue
-			}
-			out = append(out, rec)
+		return readListing(env, keys, tagResource)
+	}
+	keys := env.Keys("res/")
+	records := make([][]byte, 0, len(keys))
+	for _, k := range keys {
+		raw, ok := env.Get(k)
+		if !ok {
+			continue
+		}
+		withdrawn, ok := decodeResourceWithdrawn(raw)
+		if !ok {
+			return nil, fmt.Errorf("distexchange: corrupt record at %s", k)
+		}
+		if !withdrawn {
+			records = append(records, raw)
 		}
 	}
-	if out == nil {
-		out = []ResourceRecord{}
-	}
-	return json.Marshal(out)
+	return appendListing(nil, records), nil
 }

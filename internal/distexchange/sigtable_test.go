@@ -2,7 +2,6 @@ package distexchange
 
 import (
 	"encoding/hex"
-	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -98,15 +97,12 @@ func TestEvidenceUnderReplacedDeviceKey(t *testing.T) {
 	if !ok {
 		t.Fatal("device record not found in state")
 	}
-	var rec DeviceRecord
-	if err := json.Unmarshal(raw, &rec); err != nil {
+	rec, err := DecodeDeviceRecord(raw)
+	if err != nil {
 		t.Fatal(err)
 	}
 	rec.DeviceKey = replacement.PublicBytes()
-	if raw, err = json.Marshal(rec); err != nil {
-		t.Fatal(err)
-	}
-	st.Set(recKey, raw)
+	st.Set(recKey, appendDeviceRecord(nil, &rec))
 
 	for range 2 {
 		if r := exec(device, "submitEvidence", original); r.Succeeded() || !strings.Contains(r.Err, "signature invalid") {

@@ -33,6 +33,52 @@
 // getViolations list a whole history in Seq order, or — given a round —
 // only that round's key prefix.
 //
+// # Record format
+//
+// A record has one encoding wherever it travels: the bytes under its key
+// are the bytes in the event payload, in Receipt.Return and in a query's
+// reply, and the Decode functions read them off-chain. The encoding
+// (codec.go) is store's framing — shortest-form uvarints, length-prefixed
+// strings, one-byte booleans, raw 20-byte addresses and 32-byte hashes,
+// 16-byte UTC timestamps (store.AppendUTC; the zero time round-trips) —
+// behind a one-byte tag, fields in this order:
+//
+//	0x21 PodRecord        ownerWebID, location, owner, registeredAt,
+//	                      hasPolicy [, policy]
+//	0x22 ResourceRecord   withdrawn, resource, podWebID, location,
+//	                      description, owner, registeredAt,
+//	                      hasPolicy [, policy]
+//	0x23 DeviceRecord     device, deviceKey, measurement, registeredAt
+//	0x24 Grant            resource, consumer, device, purpose, grantedAt,
+//	                      retrievedAt, revoked
+//	0x25 MonitoringRound  round, resource, requestedAt, closed,
+//	                      n × target, n × responded
+//	0x26 roundProgress    targets, responded, closed
+//	0x27 EvidenceRecord   seq, evidence (resource, device, round,
+//	                      policyVersion, stillStored, deletedAt,
+//	                      retrievedAt, useCount, n × (at, action, purpose,
+//	                      allowed), generatedAt), verified, stored, round,
+//	                      n × finding
+//	0x28 Violation        seq, resource, device, kind, detail, detectedAt,
+//	                      round
+//	0x20 policy           policy.AppendRecord; alone, the payload of
+//	                      PolicyPublished and PolicyUpdated
+//
+// The three sequence counters are a bare uvarint and the index and pending
+// markers the byte 1. A ResourceRecord ends with its policy, so the policy
+// events carry a tail of the stored bytes, and opens with Withdrawn, which
+// is all the market listing reads of a record. A listing (listResources,
+// getGrants, getEvidence, getViolations) is a count followed by the stored
+// encodings as they are; records delimit themselves. Every value has
+// exactly one encoding, so sizes — and with them gas — follow from the
+// workload alone. There is no second decoder: a value that opens with
+// another byte, the '{' of a record written before this format included,
+// reverts the transaction that reads it with "corrupt record at <key>".
+//
+// Method arguments are still JSON (the …Args types below):
+// chain.NewTx marshals whatever struct it is given, and the transactions
+// callers build that way are outside this package.
+//
 // # Signature checks
 //
 // The contract checks two signatures: the manufacturer's on a device

@@ -2,7 +2,6 @@ package oracle
 
 import (
 	"context"
-	"encoding/json"
 	"log"
 	"sync"
 
@@ -76,8 +75,8 @@ func (o *PullIn) UnregisterSource(addr cryptoutil.Address) {
 func (o *PullIn) Start(deAddr cryptoutil.Address) {
 	filter := chain.EventFilter{Contract: deAddr, Topic: distexchange.TopicMonitoringRequested}
 	cancel := o.pushOut.On(filter, func(ev chain.Event) {
-		var round distexchange.MonitoringRound
-		if err := json.Unmarshal(ev.Data, &round); err != nil {
+		round, err := distexchange.DecodeMonitoringRound(ev.Data)
+		if err != nil {
 			log.Printf("oracle: pull-in: bad monitoring event: %v", err)
 			return
 		}

@@ -1,33 +1,72 @@
 package policy
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
 	"repro/internal/cryptoutil"
 	"repro/internal/rdf"
+	"repro/internal/store"
 )
 
-// Encode serializes the policy as JSON. This is the wire form stored
-// on-chain by the DE App and exchanged through oracles.
-func (p *Policy) Encode() ([]byte, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return json.Marshal(p)
+// tagPolicy opens a policy's record encoding.
+const tagPolicy byte = 0x20
+
+// AppendRecord appends p's record encoding: the form in which the DE App
+// holds a policy inside its pod and resource records and carries it in
+// PolicyPublished and PolicyUpdated events. Fields follow the tag in
+// declaration order — ID, ResourceIRI, OwnerWebID, Version, IssuedAt, the
+// purposes and the actions (a count, then the strings), MaxRetention (its
+// int64 bits), ExpiresAt, MaxUses, ProhibitSharing, NotifyOnUse — in
+// store's framing, with timestamps in store.AppendUTC's form. An empty list
+// and a nil one encode alike and decode to nil.
+func AppendRecord(dst []byte, p *Policy) []byte {
+	dst = append(dst, tagPolicy)
+	dst = store.AppendString(dst, p.ID)
+	dst = store.AppendString(dst, p.ResourceIRI)
+	dst = store.AppendString(dst, p.OwnerWebID)
+	dst = store.AppendUvarint(dst, p.Version)
+	dst = store.AppendUTC(dst, p.IssuedAt)
+	dst = store.AppendStrings(dst, p.AllowedPurposes)
+	dst = store.AppendStrings(dst, p.AllowedActions)
+	dst = store.AppendUvarint(dst, uint64(p.MaxRetention))
+	dst = store.AppendUTC(dst, p.ExpiresAt)
+	dst = store.AppendUvarint(dst, p.MaxUses)
+	dst = store.AppendBool(dst, p.ProhibitSharing)
+	return store.AppendBool(dst, p.NotifyOnUse)
 }
 
-// Decode parses a JSON-encoded policy and validates it.
-func Decode(data []byte) (*Policy, error) {
-	var p Policy
-	if err := json.Unmarshal(data, &p); err != nil {
-		return nil, fmt.Errorf("policy: decode: %w", err)
+// RecordSize bounds the length of p's record encoding from above, for
+// callers that size a buffer before appending to it.
+func RecordSize(p *Policy) int {
+	// The tag, two 16-byte timestamps, four 10-byte integers, two
+	// booleans and five length prefixes.
+	size := 128 + len(p.ID) + len(p.ResourceIRI) + len(p.OwnerWebID)
+	for _, pu := range p.AllowedPurposes {
+		size += 10 + len(pu)
 	}
-	if err := p.Validate(); err != nil {
-		return nil, err
+	for _, a := range p.AllowedActions {
+		size += 10 + len(a)
 	}
-	return &p, nil
+	return size
+}
+
+// DecodeRecord reads into p a policy appended by AppendRecord. A malformed
+// encoding is d's error; the policy is not validated.
+func DecodeRecord(d *store.Dec, p *Policy) {
+	d.Tag(tagPolicy)
+	p.ID = d.String()
+	p.ResourceIRI = d.String()
+	p.OwnerWebID = d.String()
+	p.Version = d.Uvarint()
+	p.IssuedAt = d.UTC()
+	p.AllowedPurposes = store.Strings[Purpose](d, "purposes")
+	p.AllowedActions = store.Strings[Action](d, "actions")
+	p.MaxRetention = time.Duration(d.Uvarint())
+	p.ExpiresAt = d.UTC()
+	p.MaxUses = d.Uvarint()
+	p.ProhibitSharing = d.Bool()
+	p.NotifyOnUse = d.Bool()
 }
 
 // Hash returns a canonical content hash of the policy, used for on-chain

@@ -1,11 +1,13 @@
 package policy
 
 import (
+	"encoding/json"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"repro/internal/rdf"
+	"repro/internal/store"
 )
 
 func fullPolicy() *Policy {
@@ -20,14 +22,15 @@ func fullPolicy() *Policy {
 	return p
 }
 
+// TestJSONRoundTrip: JSON is how a policy travels in transaction arguments.
 func TestJSONRoundTrip(t *testing.T) {
 	p := fullPolicy()
-	data, err := p.Encode()
+	data, err := json.Marshal(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := Decode(data)
-	if err != nil {
+	back := new(Policy)
+	if err := json.Unmarshal(data, back); err != nil {
 		t.Fatal(err)
 	}
 	if back.Hash() != p.Hash() {
@@ -35,23 +38,6 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 	if back.MaxRetention != p.MaxRetention || back.MaxUses != p.MaxUses {
 		t.Fatal("fields lost in round trip")
-	}
-}
-
-func TestEncodeRejectsInvalid(t *testing.T) {
-	p := fullPolicy()
-	p.ID = ""
-	if _, err := p.Encode(); err == nil {
-		t.Fatal("Encode accepted an invalid policy")
-	}
-}
-
-func TestDecodeRejectsGarbageAndInvalid(t *testing.T) {
-	if _, err := Decode([]byte("{")); err == nil {
-		t.Fatal("Decode accepted malformed JSON")
-	}
-	if _, err := Decode([]byte(`{"id":"x"}`)); err == nil {
-		t.Fatal("Decode accepted structurally invalid policy")
 	}
 }
 
@@ -140,8 +126,8 @@ func TestFromGraphErrors(t *testing.T) {
 	}
 }
 
-// TestCodecRoundTripProperty: random policies survive JSON and RDF round
-// trips with identical hashes.
+// TestCodecRoundTripProperty: random policies survive JSON, record and RDF
+// round trips with identical hashes.
 func TestCodecRoundTripProperty(t *testing.T) {
 	purposes := []Purpose{PurposeMedicalResearch, PurposeAcademic, PurposeWebAnalytics}
 	actions := []Action{ActionRead, ActionUse, ActionStore, ActionShare, ActionModify}
@@ -165,12 +151,17 @@ func TestCodecRoundTripProperty(t *testing.T) {
 			p.ExpiresAt = t0.Add(time.Duration(retentionMin) * time.Hour)
 		}
 
-		data, err := p.Encode()
+		data, err := json.Marshal(p)
 		if err != nil {
 			return false
 		}
-		viaJSON, err := Decode(data)
-		if err != nil || viaJSON.Hash() != p.Hash() {
+		viaJSON := new(Policy)
+		if err := json.Unmarshal(data, viaJSON); err != nil || viaJSON.Hash() != p.Hash() {
+			return false
+		}
+		d := store.NewDec(AppendRecord(nil, p))
+		viaRecord := new(Policy)
+		if DecodeRecord(d, viaRecord); d.Finish() != nil || viaRecord.Hash() != p.Hash() {
 			return false
 		}
 		viaRDF, err := FromGraph(p.ToGraph(), p.ID)

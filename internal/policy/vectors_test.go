@@ -1,14 +1,19 @@
 package policy
 
 import (
+	"bytes"
+	"encoding/hex"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/cryptoutil"
+	"repro/internal/store"
 )
 
 // refCanonical is the canonical form Policy.Hash hashed at commit
@@ -57,8 +62,10 @@ func TestFrozenPolicyHash(t *testing.T) {
 	}
 }
 
-func TestPolicyHashMatchesFmtReference(t *testing.T) {
-	r := rand.New(rand.NewSource(21))
+// randPolicy draws a policy with no regard for validity: separator and
+// multi-byte characters in every string, zero times, nil lists, integers of
+// every width.
+func randPolicy(r *rand.Rand) *Policy {
 	text := func() string {
 		alphabet := []string{"", "a", "|", ";", ":", "p:", "ü", "\x00", "read", "https://"}
 		var b strings.Builder
@@ -71,22 +78,82 @@ func TestPolicyHashMatchesFmtReference(t *testing.T) {
 		if r.Intn(4) == 0 {
 			return time.Time{}
 		}
-		return time.Unix(0, r.Int63()-r.Int63())
+		return time.Unix(0, r.Int63()-r.Int63()).UTC()
 	}
+	p := &Policy{
+		ID: text(), ResourceIRI: text(), OwnerWebID: text(), Version: r.Uint64() >> r.Intn(64), IssuedAt: when(),
+		MaxRetention: time.Duration(r.Int63() - r.Int63()), ExpiresAt: when(), MaxUses: r.Uint64() >> r.Intn(64),
+		ProhibitSharing: r.Intn(2) == 0, NotifyOnUse: r.Intn(2) == 0,
+	}
+	for range r.Intn(4) {
+		p.AllowedPurposes = append(p.AllowedPurposes, Purpose(text()))
+	}
+	for range r.Intn(4) {
+		p.AllowedActions = append(p.AllowedActions, Action(text()))
+	}
+	return p
+}
+
+func TestPolicyHashMatchesFmtReference(t *testing.T) {
+	r := rand.New(rand.NewSource(21))
 	for i := range 1000 {
-		p := &Policy{
-			ID: text(), ResourceIRI: text(), OwnerWebID: text(), Version: r.Uint64() >> r.Intn(64), IssuedAt: when(),
-			MaxRetention: time.Duration(r.Int63() - r.Int63()), ExpiresAt: when(), MaxUses: r.Uint64() >> r.Intn(64),
-			ProhibitSharing: r.Intn(2) == 0, NotifyOnUse: r.Intn(2) == 0,
-		}
-		for range r.Intn(4) {
-			p.AllowedPurposes = append(p.AllowedPurposes, Purpose(text()))
-		}
-		for range r.Intn(4) {
-			p.AllowedActions = append(p.AllowedActions, Action(text()))
-		}
+		p := randPolicy(r)
 		if got, want := p.Hash(), cryptoutil.HashOf([]byte(refCanonical(p))); got != want {
 			t.Fatalf("case %d: Policy.Hash %s, reference %s over %q", i, got, want, refCanonical(p))
+		}
+	}
+}
+
+// TestFrozenPolicyRecord pins the record encoding: the DE App's state, its
+// gas and its event payloads are made of these bytes.
+func TestFrozenPolicyRecord(t *testing.T) {
+	want := []string{
+		"202868747470733a2f2f616c6963652e6578616d706c652f646174612f68722e74746c23706f6c6963792168747470733a2f2f616c6963652e6578616d706c652f646174612f68722e74746c2068747470733a2f2f616c6963652e6578616d706c652f70726f66696c65236d65030f010000000edcb5398000000000ffff02106d65646963616c2d72657365617263680861636164656d6963020375736504726561648080b49fdbf73a0f010000000edcb68b0000000000ffff050100",
+		"2003617c6202c3bc013bffffffffffffffffff010f01000000000000000000000000ffff0000808080808080808080010f01000000000000000000000000ffffffffffffffffffffff010001",
+	}
+	for i, p := range vecPolicies() {
+		if got := hex.EncodeToString(AppendRecord(nil, p)); got != want[i] {
+			t.Errorf("policy %d record:\n got %s\nwant %s", i, got, want[i])
+		}
+	}
+}
+
+// TestPolicyRecordRoundTrip: decode∘append is the identity on policies and
+// append∘decode on their encodings, and RecordSize bounds the encoding.
+func TestPolicyRecordRoundTrip(t *testing.T) {
+	r := rand.New(rand.NewSource(22))
+	policies := vecPolicies()
+	for range 1000 {
+		policies = append(policies, randPolicy(r))
+	}
+	for i, p := range policies {
+		enc := AppendRecord(nil, p)
+		if len(enc) > RecordSize(p) {
+			t.Fatalf("case %d: %d bytes, RecordSize %d", i, len(enc), RecordSize(p))
+		}
+		d := store.NewDec(enc)
+		back := new(Policy)
+		DecodeRecord(d, back)
+		if err := d.Finish(); err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(back, p) {
+			t.Fatalf("case %d:\n got %+v\nwant %+v", i, back, p)
+		}
+		if again := AppendRecord(nil, back); !bytes.Equal(again, enc) {
+			t.Fatalf("case %d: re-encoding differs", i)
+		}
+		// No proper prefix decodes, and neither does a record that opens
+		// with another byte than the tag (a JSON policy's '{' included).
+		for cut := range len(enc) {
+			d := store.NewDec(enc[:cut])
+			if DecodeRecord(d, new(Policy)); !errors.Is(d.Finish(), store.ErrCodec) {
+				t.Fatalf("case %d: the %d-byte prefix decoded (%v)", i, cut, d.Finish())
+			}
+		}
+		d = store.NewDec(append([]byte{'{'}, enc[1:]...))
+		if DecodeRecord(d, new(Policy)); !errors.Is(d.Finish(), store.ErrCodec) {
+			t.Fatalf("case %d: a '{'-opening record decoded", i)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -15,12 +16,15 @@ import (
 //
 // Framing rules:
 //
-//   - unsigned integers are encoding/binary uvarints
+//   - unsigned integers are encoding/binary uvarints in their shortest
+//     form; the decoder refuses a padded one, so a value has one encoding
 //   - byte strings are a uvarint length followed by the raw bytes
 //   - strings are byte strings of their UTF-8 bytes
 //   - booleans are one byte (0 or 1)
 //   - timestamps are the byte string of time.Time.MarshalBinary, which
-//     round-trips the wall clock (zero value included) exactly
+//     round-trips the wall clock (zero value included) exactly; AppendUTC
+//     and Dec.UTC narrow that to one 16-byte form per instant, for records
+//     whose size and bytes must not depend on the writer's time zone
 //   - fixed-width fields (hashes, addresses) are raw bytes with no
 //     length prefix; the schema fixes their width
 //
@@ -49,6 +53,16 @@ func AppendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
+// AppendStrings appends a count and then each string; Strings reads them
+// back. An empty list and a nil one encode alike.
+func AppendStrings[S ~string](dst []byte, ss []S) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(ss)))
+	for _, s := range ss {
+		dst = AppendString(dst, string(s))
+	}
+	return dst
+}
+
 // AppendBool appends b as one byte.
 func AppendBool(dst []byte, b bool) []byte {
 	if b {
@@ -59,11 +73,23 @@ func AppendBool(dst []byte, b bool) []byte {
 
 // AppendTime appends t's binary marshalling as a byte string.
 func AppendTime(dst []byte, t time.Time) ([]byte, error) {
-	b, err := t.MarshalBinary()
+	// The marshalling is 15 or 16 bytes, so its length prefix is one byte,
+	// filled in once the length is known.
+	at := len(dst)
+	dst, err := t.AppendBinary(append(dst, 0))
 	if err != nil {
 		return nil, fmt.Errorf("store: encode time: %w", err)
 	}
-	return AppendBytes(dst, b), nil
+	dst[at] = byte(len(dst) - at - 1)
+	return dst, nil
+}
+
+// AppendUTC appends the instant t as AppendTime would append t.UTC(): the
+// same 16 bytes whatever zone t carries. UTC has no zone offset for the
+// marshalling to reject, hence no error.
+func AppendUTC(dst []byte, t time.Time) []byte {
+	dst, _ = t.UTC().AppendBinary(append(dst, 15))
+	return dst
 }
 
 // Dec decodes the primitives appended by the Append helpers with a
@@ -122,6 +148,10 @@ func (d *Dec) Count(what string, bound uint64) uint64 {
 	return n
 }
 
+// Remaining returns the number of bytes not yet read: the bound Count
+// wants from a decoder whose every element costs at least one byte.
+func (d *Dec) Remaining() int { return len(d.b) - d.off }
+
 // Byte reads one raw byte.
 func (d *Dec) Byte() byte {
 	if d.err != nil {
@@ -149,13 +179,21 @@ func (d *Dec) Bool() bool {
 	}
 }
 
-// Uvarint reads a uvarint.
+// Tag reads a record's format tag and fails the decode unless it is want.
+func (d *Dec) Tag(want byte) {
+	if got := d.Byte(); d.err == nil && got != want {
+		d.fail(fmt.Sprintf("record tag 0x%02x, want 0x%02x", got, want))
+	}
+}
+
+// Uvarint reads a uvarint. A padded encoding (a final zero byte behind a
+// continuation) is malformed: the encoder never writes one.
 func (d *Dec) Uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
+	if n <= 0 || (n > 1 && d.b[d.off+n-1] == 0) {
 		d.fail("bad uvarint")
 		return 0
 	}
@@ -163,9 +201,9 @@ func (d *Dec) Uvarint() uint64 {
 	return v
 }
 
-// Bytes reads a length-prefixed byte string, returning a copy (nil for a
-// zero length).
-func (d *Dec) Bytes() []byte {
+// view reads a length prefix and returns the input bytes it announces,
+// uncopied.
+func (d *Dec) view() []byte {
 	n := d.Uvarint()
 	if d.err != nil {
 		return nil
@@ -174,18 +212,39 @@ func (d *Dec) Bytes() []byte {
 		d.fail(fmt.Sprintf("byte string length %d exceeds remaining %d", n, len(d.b)-d.off))
 		return nil
 	}
-	if n == 0 {
+	v := d.b[d.off : d.off+int(n)]
+	d.off += int(n)
+	return v
+}
+
+// Bytes reads a length-prefixed byte string, returning a copy (nil for a
+// zero length).
+func (d *Dec) Bytes() []byte {
+	v := d.view()
+	if len(v) == 0 {
 		return nil
 	}
-	//repolint:ignore codecsafe length is validated against the remaining input above; this is the primitive Count-style reads build on
-	out := make([]byte, n)
-	copy(out, d.b[d.off:])
-	d.off += int(n)
-	return out
+	return append([]byte(nil), v...)
 }
 
 // String reads a length-prefixed string.
-func (d *Dec) String() string { return string(d.Bytes()) }
+func (d *Dec) String() string { return string(d.view()) }
+
+// Strings reads a list written by AppendStrings; an empty one is nil.
+func Strings[S ~string](d *Dec, what string) []S {
+	n := d.Count(what, uint64(d.Remaining()))
+	if n == 0 {
+		return nil
+	}
+	out := make([]S, 0, min(n, DecodeCapHint))
+	for range n {
+		out = append(out, S(d.String()))
+		if d.err != nil {
+			return nil
+		}
+	}
+	return out
+}
 
 // Raw reads exactly n raw bytes into dst (fixed-width fields: hashes,
 // addresses).
@@ -203,13 +262,30 @@ func (d *Dec) Raw(dst []byte) {
 
 // Time reads a timestamp written by AppendTime.
 func (d *Dec) Time() time.Time {
-	b := d.Bytes()
+	b := d.view()
 	if d.err != nil {
 		return time.Time{}
 	}
 	var t time.Time
 	if err := t.UnmarshalBinary(b); err != nil {
 		d.fail("bad timestamp")
+		return time.Time{}
+	}
+	return t
+}
+
+// UTC reads a timestamp written by AppendUTC and fails on any other
+// spelling of it (a zone offset, nanoseconds out of range), so an instant
+// has one encoding. The result's location is time.UTC.
+func (d *Dec) UTC() time.Time {
+	start := d.off
+	t := d.Time()
+	if d.err != nil {
+		return time.Time{}
+	}
+	var canon [16]byte
+	if !bytes.Equal(AppendUTC(canon[:0], t), d.b[start:d.off]) {
+		d.fail("timestamp not in UTC form")
 		return time.Time{}
 	}
 	return t

@@ -117,3 +117,94 @@ func TestCodecInvalidBool(t *testing.T) {
 		t.Fatalf("err = %v", d.Err())
 	}
 }
+
+// TestCodecOneSpellingPerValue: the decoder refuses the encodings the
+// encoder never writes — a padded uvarint, and for Dec.UTC a timestamp that
+// carries a zone, the 16-byte marshalling or nanoseconds past a second — so
+// a record that decodes re-encodes to the same bytes.
+func TestCodecOneSpellingPerValue(t *testing.T) {
+	when := time.Date(2023, 6, 21, 9, 30, 0, 123456789, time.UTC)
+	canon := AppendUTC(nil, when.In(time.FixedZone("", 3600)))
+	if len(canon) != 16 {
+		t.Fatalf("AppendUTC wrote %d bytes, want 16", len(canon))
+	}
+	d := NewDec(canon)
+	if got := d.UTC(); got != when || d.Finish() != nil {
+		t.Fatalf("UTC = %v (err %v), want %v", got, d.Finish(), when)
+	}
+	zero := NewDec(AppendUTC(nil, time.Time{}))
+	if got := zero.UTC(); got != (time.Time{}) || zero.Finish() != nil {
+		t.Fatalf("zero time decoded as %#v (err %v)", got, zero.Finish())
+	}
+
+	zoned, _ := AppendTime(nil, when.In(time.FixedZone("", 3600)))
+	seconds, _ := AppendTime(nil, when.In(time.FixedZone("", 3601)))
+	v2 := append([]byte{16, 2}, canon[2:]...) // the 16-byte marshalling of a UTC instant
+	v2 = append(v2, 0)
+	nanos := append([]byte(nil), canon...)
+	nanos[10] = 0x7f // nanoseconds = 0x7f......
+	for name, b := range map[string][]byte{"zone offset": zoned, "zone offset with seconds": seconds, "16-byte marshalling": v2, "nanoseconds": nanos} {
+		d := NewDec(b)
+		if d.Time(); d.Err() != nil {
+			t.Errorf("%s: Dec.Time refuses it (%v), so it does not test Dec.UTC", name, d.Err())
+		}
+		d = NewDec(b)
+		if d.UTC(); !errors.Is(d.Err(), ErrCodec) {
+			t.Errorf("%s: Dec.UTC err = %v, want ErrCodec", name, d.Err())
+		}
+	}
+
+	for _, b := range [][]byte{{0x80, 0x00}, {0xff, 0x80, 0x00}} {
+		d := NewDec(b)
+		if d.Uvarint(); !errors.Is(d.Err(), ErrCodec) {
+			t.Errorf("padded uvarint % x: err = %v, want ErrCodec", b, d.Err())
+		}
+	}
+}
+
+// TestCodecTagAndStrings: Dec.Tag accepts its tag and nothing else; a
+// string list round-trips, an empty one to nil.
+func TestCodecTagAndStrings(t *testing.T) {
+	type word string
+	buf := AppendStrings(AppendStrings(append([]byte(nil), 0x21), []word{"a", "", "ü"}), []word{})
+	d := NewDec(buf)
+	d.Tag(0x21)
+	if got := Strings[word](d, "words"); len(got) != 3 || got[0] != "a" || got[1] != "" || got[2] != "ü" {
+		t.Fatalf("words = %q", got)
+	}
+	if got := Strings[word](d, "words"); got != nil || d.Remaining() != 0 || d.Finish() != nil {
+		t.Fatalf("empty list = %#v, %d bytes left, err %v", got, d.Remaining(), d.Finish())
+	}
+	d = NewDec([]byte{'{'})
+	if d.Tag(0x21); !errors.Is(d.Err(), ErrCodec) {
+		t.Fatalf("Tag on '{': err = %v, want ErrCodec", d.Err())
+	}
+	// A count no remaining input could hold is refused before any loop.
+	if got := Strings[word](NewDec(AppendUvarint(nil, 1<<40)), "words"); got != nil {
+		t.Fatalf("over-claimed list decoded to %q", got)
+	}
+}
+
+// TestCodecAllocations pins what the primitives on the DE App's execution
+// path allocate: a timestamp appends into the caller's buffer, a string is
+// read straight off the input.
+func TestCodecAllocations(t *testing.T) {
+	when := time.Date(2023, 6, 21, 9, 30, 0, 123456789, time.FixedZone("", 3600))
+	buf := make([]byte, 0, 64)
+	if got := testing.AllocsPerRun(100, func() { _, _ = AppendTime(buf, when) }); got != 0 {
+		t.Errorf("AppendTime: %.0f allocations, want 0", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { _ = AppendUTC(buf, when) }); got != 0 {
+		t.Errorf("AppendUTC: %.0f allocations, want 0", got)
+	}
+	in := AppendUTC(AppendString(nil, "https://alice.example/data/hr.ttl"), when)
+	var s string
+	if got := testing.AllocsPerRun(100, func() {
+		d := NewDec(in)
+		s = d.String()
+		_ = d.UTC()
+	}); got != 1 {
+		t.Errorf("Dec.String + Dec.UTC: %.0f allocations, want 1 (the string)", got)
+	}
+	_ = s
+}
