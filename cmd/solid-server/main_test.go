@@ -112,7 +112,7 @@ func TestServerDurableRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	pod, _ := host.Lookup("alice")
-	res, err := pod.Get(pod.Owner(), "/private/note.txt")
+	res, err := pod.Get(ownerWebID(srv.URL, "alice"), "/private/note.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestServerDurableRestart(t *testing.T) {
 		t.Fatalf("restored body %q", body)
 	}
 	pod2, _ := host2.Lookup("alice")
-	res2, err := pod2.Get(pod2.Owner(), "/private/note.txt")
+	res2, err := pod2.Get(ownerWebID(srv2.URL, "alice"), "/private/note.txt")
 	if err != nil {
 		t.Fatal(err)
 	}

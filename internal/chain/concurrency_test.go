@@ -77,7 +77,6 @@ func concurrentBatchSubmitWhileSealing(t *testing.T, partitioned bool) {
 				_ = n.Height()
 				_ = n.Head()
 				_ = n.PendingTxs()
-				_ = n.Events(EventFilter{Topic: "Set"})
 				// The key may not be committed yet; the point is that the
 				// read path runs in parallel with everything else.
 				_, _ = n.Query(contract, "get", []byte(`{"key":"k0"}`))

@@ -42,7 +42,7 @@
 //     transaction whose block is still in flight from a replay.
 //   - mu (an RWMutex) guards the ledger: the block list, the state
 //     handle, and receipt waiters. Read paths — Height, Head,
-//     BlockByNumber, Query, Events, Receipt — take only the read lock and
+//     BlockByNumber, Query, Receipt — take only the read lock and
 //     therefore run in parallel with each other and with everything
 //     except the brief commit section of sealing/application.
 //
@@ -51,7 +51,7 @@
 // state (O(touched keys), not O(ledger)), encode and append the WAL
 // record off-lock, and take the write lock only to fold the overlay's
 // delta set into the state, append the block, and charge its gas to the
-// CostLedger (whose own lock is a leaf under mu) — in that order, and
+// CostLedger (one atomic counter) — in that order, and
 // before any receipt waiter is woken, so whoever can see a receipt can
 // see its block and its gas. Receipt waiters are woken through
 // capacity-1 buffered channels, so a slow WaitForReceipt consumer

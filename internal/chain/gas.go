@@ -3,9 +3,7 @@ package chain
 import (
 	"errors"
 	"fmt"
-	"sync"
-
-	"repro/internal/cryptoutil"
+	"sync/atomic"
 )
 
 // Gas schedule. The constants mirror the structure (not the magnitudes) of
@@ -70,92 +68,16 @@ func (m *GasMeter) Charge(amount uint64) error {
 // Used returns the gas consumed so far.
 func (m *GasMeter) Used() uint64 { return m.used }
 
-// Remaining returns the gas left before the limit.
-func (m *GasMeter) Remaining() uint64 { return m.limit - m.used }
-
-// CostLedger accumulates per-address gas expenditure across the chain's
-// lifetime. It backs the affordability analysis: "resorting to a public
-// blockchain, users ... would make a payment to interact with the
-// blockchain metadata through transactions" (Section V-4).
+// CostLedger accumulates the gas spent across the chain's lifetime. It
+// backs the affordability analysis: "resorting to a public blockchain,
+// users ... would make a payment to interact with the blockchain metadata
+// through transactions" (Section V-4). The zero value is an empty ledger.
 type CostLedger struct {
-	mu    sync.Mutex
-	spent map[cryptoutil.Address]uint64
-	byOp  map[string]opStats
+	total atomic.Uint64
 }
 
-type opStats struct {
-	Count    uint64
-	TotalGas uint64
-}
-
-// OpCost reports aggregate gas statistics for one contract method.
-type OpCost struct {
-	Method   string
-	Count    uint64
-	TotalGas uint64
-}
-
-// AvgGas returns the mean gas per invocation.
-func (o OpCost) AvgGas() uint64 {
-	if o.Count == 0 {
-		return 0
-	}
-	return o.TotalGas / o.Count
-}
-
-// NewCostLedger returns an empty ledger.
-func NewCostLedger() *CostLedger {
-	return &CostLedger{
-		spent: make(map[cryptoutil.Address]uint64),
-		byOp:  make(map[string]opStats),
-	}
-}
-
-// Record notes that addr spent gas on method.
-func (l *CostLedger) Record(addr cryptoutil.Address, method string, gas uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.spent[addr] += gas
-	s := l.byOp[method]
-	s.Count++
-	s.TotalGas += gas
-	l.byOp[method] = s
-}
-
-// SpentBy returns the total gas spent by addr.
-func (l *CostLedger) SpentBy(addr cryptoutil.Address) uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.spent[addr]
-}
+// Record notes the gas a committed block's transactions spent.
+func (l *CostLedger) Record(gas uint64) { l.total.Add(gas) }
 
 // TotalSpent returns the gas spent across all addresses.
-func (l *CostLedger) TotalSpent() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var total uint64
-	for _, v := range l.spent {
-		total += v
-	}
-	return total
-}
-
-// ByOperation returns per-method aggregate costs, sorted by method name.
-func (l *CostLedger) ByOperation() []OpCost {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]OpCost, 0, len(l.byOp))
-	for m, s := range l.byOp {
-		out = append(out, OpCost{Method: m, Count: s.Count, TotalGas: s.TotalGas})
-	}
-	sortOpCosts(out)
-	return out
-}
-
-func sortOpCosts(ops []OpCost) {
-	for i := 1; i < len(ops); i++ {
-		for j := i; j > 0 && ops[j].Method < ops[j-1].Method; j-- {
-			ops[j], ops[j-1] = ops[j-1], ops[j]
-		}
-	}
-}
+func (l *CostLedger) TotalSpent() uint64 { return l.total.Load() }

@@ -214,9 +214,6 @@ type Network struct {
 	// discards them (the partition "eventually drops" in-flight traffic)
 	// and re-syncs minority nodes from a live peer instead.
 	buffered []bufferedDelivery
-	// droppedDeliveries counts buffered deliveries discarded by heals, plus
-	// deliveries dropped on the floor once the buffer cap was hit.
-	droppedDeliveries int
 }
 
 // bufferedDelivery is one block broadcast held back by a partition.
@@ -258,13 +255,6 @@ func NewNetwork(nodes ...*Node) (*Network, error) {
 		keys:  keys,
 		down:  make(map[cryptoutil.Address]bool),
 	}, nil
-}
-
-// Nodes returns the cluster members.
-func (net *Network) Nodes() []*Node {
-	net.mu.Lock()
-	defer net.mu.Unlock()
-	return append([]*Node(nil), net.nodes...)
 }
 
 // SetDown marks a node as failed (true) or recovered (false). Failed nodes
@@ -371,7 +361,6 @@ func (net *Network) Heal() (synced int, dropped int, err error) {
 	net.cells = nil
 	dropped = len(net.buffered)
 	net.buffered = nil
-	net.droppedDeliveries += dropped
 	net.mu.Unlock()
 
 	v := net.liveView()
@@ -419,15 +408,6 @@ func (net *Network) Partitioned() bool {
 	return net.cells != nil
 }
 
-// DroppedDeliveries reports the cumulative count of cross-cell block
-// deliveries dropped by partitions (buffer overflow plus heal-time
-// discards).
-func (net *Network) DroppedDeliveries() int {
-	net.mu.Lock()
-	defer net.mu.Unlock()
-	return net.droppedDeliveries
-}
-
 // bufferDelivery queues a cross-cell broadcast while partitioned,
 // dropping it outright once the buffer cap is reached.
 func (net *Network) bufferDelivery(to cryptoutil.Address, block *Block, proposerKey []byte) {
@@ -437,7 +417,6 @@ func (net *Network) bufferDelivery(to cryptoutil.Address, block *Block, proposer
 		return // healed concurrently: the node will re-sync anyway
 	}
 	if len(net.buffered) >= maxBufferedDeliveries {
-		net.droppedDeliveries++
 		return
 	}
 	net.buffered = append(net.buffered, bufferedDelivery{to: to, block: block, proposerKey: proposerKey})

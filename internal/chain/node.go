@@ -119,7 +119,7 @@ type Node struct {
 	nonces  map[cryptoutil.Address]uint64 // guarded by mpMu
 
 	feed  *eventFeed
-	costs *CostLedger
+	costs CostLedger
 
 	// metrics is never nil (normalized from Config.Metrics); its
 	// instruments are nil-safe no-ops when no registry was supplied.
@@ -137,8 +137,7 @@ type Node struct {
 	tailBytes int64
 	snapFloor int64
 
-	sealMu      sync.Mutex
-	stopSealing func() // guarded by sealMu
+	sealMu sync.Mutex
 
 	// Byzantine-fault bookkeeping (see byzantine.go): evMu guards the
 	// collected double-seal evidence; equivGuardOff disables the
@@ -203,7 +202,6 @@ func NewNode(cfg Config) (*Node, error) {
 		waiters:     make(map[cryptoutil.Hash][]chan *Receipt),
 		receipts:    make(map[cryptoutil.Hash]*Receipt),
 		feed:        newEventFeed(),
-		costs:       NewCostLedger(),
 		metrics:     cfg.Metrics.orNoop(),
 	}
 	genesis := &Block{Header: Header{
@@ -613,9 +611,7 @@ func (n *Node) commitBlock(block *Block, deltas []Delta) error {
 	// Gas is charged here — after the WAL accepted the block, so a
 	// dropped block is never charged, and before any waiter is woken, so
 	// whoever can see a receipt can see its gas in the cost ledger.
-	for i, tx := range block.Txs {
-		n.costs.Record(tx.From, tx.Method, block.Receipts[i].GasUsed)
-	}
+	n.costs.Record(block.GasUsed())
 	for _, r := range block.Receipts {
 		n.receipts[r.TxHash] = r
 		events = append(events, r.Events...)
@@ -747,26 +743,8 @@ func (n *Node) SubscribeEvents(filter EventFilter, buffer int) *Subscription {
 // EventsDropped reports events lost to slow subscribers.
 func (n *Node) EventsDropped() uint64 { return n.feed.Dropped() }
 
-// Events returns committed events matching the filter, scanning the
-// ledger. It serves pull-in oracle reads and test assertions.
-func (n *Node) Events(filter EventFilter) []Event {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	var out []Event
-	for _, b := range n.blocks {
-		for _, r := range b.Receipts {
-			for _, ev := range r.Events {
-				if filter.Matches(&ev) {
-					out = append(out, ev)
-				}
-			}
-		}
-	}
-	return out
-}
-
 // Costs returns the node's gas cost ledger.
-func (n *Node) Costs() *CostLedger { return n.costs }
+func (n *Node) Costs() *CostLedger { return &n.costs }
 
 // State returns the node's state store. Contracts deployed on the
 // executor share it; external callers must treat it as read-only.
@@ -774,56 +752,4 @@ func (n *Node) State() *State {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	return n.state
-}
-
-// StartSealing begins background block production at the given interval.
-// Calling it twice stops the previous loop. Stop with StopSealing.
-func (n *Node) StartSealing(interval time.Duration) {
-	n.StopSealing()
-	var cancelled bool
-	var mu sync.Mutex
-	var schedule func()
-	var cancelTimer func()
-	schedule = func() {
-		cancelTimer = n.clock.AfterFunc(interval, func() {
-			mu.Lock()
-			if cancelled {
-				mu.Unlock()
-				return
-			}
-			mu.Unlock()
-			// Ignore ErrNotOurTurn: another authority proposes.
-			_, _ = n.Seal()
-			mu.Lock()
-			if !cancelled {
-				schedule()
-			}
-			mu.Unlock()
-		})
-	}
-	mu.Lock()
-	schedule()
-	mu.Unlock()
-	n.sealMu.Lock()
-	n.stopSealing = func() {
-		mu.Lock()
-		cancelled = true
-		stop := cancelTimer
-		mu.Unlock()
-		if stop != nil {
-			stop()
-		}
-	}
-	n.sealMu.Unlock()
-}
-
-// StopSealing halts background block production.
-func (n *Node) StopSealing() {
-	n.sealMu.Lock()
-	stop := n.stopSealing
-	n.stopSealing = nil
-	n.sealMu.Unlock()
-	if stop != nil {
-		stop()
-	}
 }

@@ -126,18 +126,13 @@ func (f *frontier) walk() {
 	}
 }
 
-// replayTxsParallel executes one block's transactions against parent
+// replayTxsParallelObs executes one block's transactions against parent
 // with up to workers goroutines, producing exactly the receipts, final
 // overlay layer, and root that replayTxs would. workers <= 0 selects
 // GOMAXPROCS; workers == 1 (and small blocks) degenerate to the serial
 // path. The parent overlay must be quiescent (sealMu excludes all other
-// state writers, exactly as on the serial path).
-func replayTxsParallel(ex Executor, parent *Overlay, txs []*Tx, bctx BlockContext, workers int) []*Receipt {
-	return replayTxsParallelObs(ex, parent, txs, txHashes(txs), bctx, workers, noopMetrics)
-}
-
-// replayTxsParallelObs is replayTxsParallel given the block's
-// precomputed transaction hashes (parallel to txs), with scheduler stats
+// state writers, exactly as on the serial path). hashes are the block's
+// precomputed transaction hashes (parallel to txs); scheduler stats are
 // recorded into m (never nil): workers used, blocks by path, conflict
 // count, serial-tail length, and optimistic executions discarded.
 // Metrics are observers only — they never influence the schedule, so

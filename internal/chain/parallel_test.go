@@ -109,7 +109,7 @@ func TestDifferentialParallelVsSerialRandom(t *testing.T) {
 					serialOv := NewOverlay(st)
 					serial := replayTxs(ex, serialOv, txs, txHashes(txs), bctx)
 					parOv := NewOverlay(st)
-					par := replayTxsParallel(ex, parOv, txs, bctx, workers)
+					par := replayTxsParallelObs(ex, parOv, txs, txHashes(txs), bctx, workers, noopMetrics)
 
 					deltas := requireSameExecution(t, fmt.Sprintf("block %d", block), serial, par, serialOv, parOv)
 					st.applyDeltas(deltas)
@@ -144,7 +144,7 @@ func TestDifferentialParallelAllConflicts(t *testing.T) {
 			serialOv := NewOverlay(st)
 			serial := replayTxs(ex, serialOv, txs, txHashes(txs), bctx)
 			parOv := NewOverlay(st)
-			par := replayTxsParallel(ex, parOv, txs, bctx, workers)
+			par := replayTxsParallelObs(ex, parOv, txs, txHashes(txs), bctx, workers, noopMetrics)
 			requireSameExecution(t, "hot-counter block", serial, par, serialOv, parOv)
 
 			// The last receipt's event carries the final count: proof no
@@ -251,7 +251,7 @@ func TestDifferentialParallelDeleteAndPrefixConflicts(t *testing.T) {
 			serialOv := NewOverlay(st)
 			serial := replayTxs(ex, serialOv, txs, txHashes(txs), bctx)
 			parOv := NewOverlay(st)
-			par := replayTxsParallel(ex, parOv, txs, bctx, workers)
+			par := replayTxsParallelObs(ex, parOv, txs, txHashes(txs), bctx, workers, noopMetrics)
 			requireSameExecution(t, "delete/prefix block", serial, par, serialOv, parOv)
 
 			// Spot-check semantics, not just equality: the del of "a" saw the
@@ -575,7 +575,7 @@ func TestDifferentialParallelCluster(t *testing.T) {
 	// Everything execution determines — tx root, receipt root, state
 	// root, timestamp, proposer, and every receipt — must be identical
 	// block for block.
-	sNode, pNode := serialNet.Nodes()[0], parNet.Nodes()[0]
+	sNode, pNode := serialNet.nodes[0], parNet.nodes[0]
 	if sNode.Height() != pNode.Height() {
 		t.Fatalf("heights differ: serial %d, parallel %d", sNode.Height(), pNode.Height())
 	}
@@ -598,7 +598,7 @@ func TestDifferentialParallelCluster(t *testing.T) {
 		t.Fatal("final state roots differ")
 	}
 	// Within the parallel cluster, the validator tracked the proposer.
-	if a, b := parNet.Nodes()[0].Head().Hash(), parNet.Nodes()[1].Head().Hash(); a != b {
+	if a, b := parNet.nodes[0].Head().Hash(), parNet.nodes[1].Head().Hash(); a != b {
 		t.Fatalf("parallel cluster diverged: %s vs %s", a.Short(), b.Short())
 	}
 }

@@ -87,9 +87,6 @@ func TestPartitionQuorumSealsMinorityStalls(t *testing.T) {
 			t.Fatalf("node %d head differs after heal", i)
 		}
 	}
-	if net.DroppedDeliveries() != dropped {
-		t.Fatalf("DroppedDeliveries() = %d, want %d", net.DroppedDeliveries(), dropped)
-	}
 
 	// The healed cluster seals as a whole again.
 	sealEmpty(t, net, clk)
@@ -179,8 +176,11 @@ func TestPartitionBufferCap(t *testing.T) {
 	for range rounds {
 		sealEmpty(t, net, clk)
 	}
-	if got := net.DroppedDeliveries(); got != 5 {
-		t.Fatalf("pre-heal floor drops = %d, want 5", got)
+	net.mu.Lock()
+	held := len(net.buffered)
+	net.mu.Unlock()
+	if held != maxBufferedDeliveries {
+		t.Fatalf("pre-heal buffer holds %d deliveries, want the cap %d (5 dropped on the floor)", held, maxBufferedDeliveries)
 	}
 	synced, dropped, err := net.Heal()
 	if err != nil {
@@ -191,9 +191,6 @@ func TestPartitionBufferCap(t *testing.T) {
 	}
 	if synced != rounds {
 		t.Fatalf("heal synced %d blocks, want %d", synced, rounds)
-	}
-	if got, want := net.DroppedDeliveries(), rounds; got != want {
-		t.Fatalf("total dropped = %d, want %d", got, want)
 	}
 	if nodes[2].Head().Hash() != nodes[0].Head().Hash() {
 		t.Fatal("minority did not converge after a capped buffer heal")

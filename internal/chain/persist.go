@@ -214,10 +214,10 @@ func recoverNode(cfg Config, wal *store.WAL, records []store.Record) (*Node, err
 	// committed nonces and the gas cost ledger are pure functions of the
 	// blocks, so they need no dedicated records.
 	for _, b := range blocks {
-		for i, tx := range b.Txs {
+		for _, tx := range b.Txs {
 			n.nonces[tx.From] = tx.Nonce + 1
-			n.costs.Record(tx.From, tx.Method, b.Receipts[i].GasUsed)
 		}
+		n.costs.Record(b.GasUsed())
 		// The hash → receipt index is likewise a pure function of the
 		// blocks; rebuilding it here keeps Receipt/WaitForReceipt O(1)
 		// across a restart.
@@ -430,11 +430,10 @@ func (w *snapshotWriter) stop() {
 	<-w.done
 }
 
-// Close stops sealing, drains the snapshot writer, and flushes and
-// closes the durable store (no-op for in-memory nodes). The
-// clean-shutdown path for durable nodes.
+// Close drains the snapshot writer, and flushes and closes the durable
+// store (no-op for in-memory nodes). The clean-shutdown path for durable
+// nodes.
 func (n *Node) Close() error {
-	n.StopSealing()
 	if n.snap != nil {
 		n.snap.stop()
 	}
@@ -444,14 +443,13 @@ func (n *Node) Close() error {
 	return nil
 }
 
-// Crash stops sealing and abandons the durable store WITHOUT the final
-// flush, modelling a process crash for fault injection. Pair with
-// OpenNode to exercise crash-restart recovery. The snapshot writer is
+// Crash abandons the durable store WITHOUT the final flush, modelling a
+// process crash for fault injection. Pair with OpenNode to exercise
+// crash-restart recovery. The snapshot writer is
 // still stopped (and any queued job written) so test runs stay
 // deterministic; atomic temp-and-rename writes mean a real crash can
 // only ever lose a whole snapshot, which recovery treats as absent.
 func (n *Node) Crash() error {
-	n.StopSealing()
 	if n.snap != nil {
 		n.snap.stop()
 	}

@@ -36,7 +36,7 @@ func TestConsumerCatalogAndIndexErrors(t *testing.T) {
 	if _, err := s.aliceAsCon.Index("https://nonexistent/resource"); err == nil {
 		t.Fatal("index of unknown resource succeeded")
 	}
-	catalog, err := s.aliceAsCon.ListCatalog()
+	catalog, err := s.aliceAsCon.DE.ListResources("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,22 +77,15 @@ func TestMarketSettlementThroughDeployment(t *testing.T) {
 	if err := s.bobAsCon.Access(ctx, s.browsingIRI); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.d.Market.AccessesFor(string(s.alice.WebID)); got != 1 {
-		t.Fatalf("alice accesses = %d, want 1", got)
-	}
 	payouts, err := s.d.Market.Settle(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(payouts) != 1 || payouts[0].OwnerWebID != string(s.alice.WebID) {
+	if len(payouts) != 1 || payouts[0].OwnerWebID != string(s.alice.WebID) || payouts[0].Accesses != 1 {
 		t.Fatalf("payouts = %+v", payouts)
 	}
-	acct, err := s.d.Market.Account(string(s.alice.WebID))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acct.Earned == 0 {
-		t.Fatal("owner earned nothing")
+	if _, earned, _ := s.d.Market.Totals(); earned != payouts[0].Amount || earned == 0 {
+		t.Fatalf("owners earned %d, payout %+v", earned, payouts[0])
 	}
 }
 
@@ -113,7 +106,7 @@ func TestUnpublishLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Catalog shrinks to Bob's resource only.
-	catalog, err := s.aliceAsCon.ListCatalog()
+	catalog, err := s.aliceAsCon.DE.ListResources("")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -539,11 +539,6 @@ func (o *Owner) Monitor(ctx context.Context, path string) ([]distexchange.Eviden
 	return o.Manager.CollectMonitoring(ctx, path, round.Round)
 }
 
-// Violations lists all violations recorded for a resource.
-func (o *Owner) Violations(path string) ([]distexchange.Violation, error) {
-	return o.Manager.DE().GetViolations(o.Manager.ResourceIRI(path))
-}
-
 // --- consumers ---
 
 // Consumer is a data consumer: a WebID + market account + TEE device with
@@ -647,20 +642,6 @@ func (c *Consumer) Index(resourceIRI string) (distexchange.ResourceRecord, error
 		return distexchange.ResourceRecord{}, err
 	}
 	return distexchange.DecodeResourceRecord(reply)
-}
-
-// ListCatalog lists the market's resource index.
-func (c *Consumer) ListCatalog() ([]distexchange.ResourceRecord, error) {
-	pullOut := c.d.PullOutOracle()
-	raw, err := json.Marshal(distexchange.ListResourcesArgs{})
-	if err != nil {
-		return nil, err
-	}
-	reply, err := pullOut.Query(c.d.DEAddr, "listResources", raw)
-	if err != nil {
-		return nil, err
-	}
-	return distexchange.DecodeResourceRecords(reply)
 }
 
 // Access runs the Fig. 2(4) resource access process end to end: pay the

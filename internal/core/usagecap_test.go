@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/distexchange"
@@ -128,19 +129,19 @@ func TestOverusedCopyDetectedByMonitoring(t *testing.T) {
 }
 
 // TestOwnerProfilePubliclyDereferenceable: the owner's WebID document is
-// served from the pod with the correct key.
+// served from the pod, to anyone, with the correct key.
 func TestOwnerProfilePubliclyDereferenceable(t *testing.T) {
 	d := newDeployment(t, Config{})
 	owner, err := d.NewOwner("alice")
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := solid.NewWebDirectory(nil)
-	key, ok := dir.KeyFor(owner.WebID)
-	if !ok {
-		t.Fatal("owner profile not dereferenceable")
+	docURL, _, _ := strings.Cut(string(owner.WebID), "#")
+	doc, contentType, err := solid.NewClient("", nil, nil).Get(docURL)
+	if err != nil {
+		t.Fatalf("owner profile not dereferenceable: %v", err)
 	}
-	if string(key) != string(owner.Key.PublicBytes()) {
-		t.Fatal("profile key mismatch")
+	if want := solid.ProfileTurtle(owner.WebID, owner.Key.PublicBytes()); string(doc) != want || contentType != "text/turtle" {
+		t.Fatalf("profile document (%s):\n%s\nwant:\n%s", contentType, doc, want)
 	}
 }

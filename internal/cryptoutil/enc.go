@@ -7,8 +7,8 @@ import (
 
 // Enc is the one field writer behind every canonical encoding in the
 // repository — the bytes a signature covers or a hash commits to:
-// chain's Tx, Header and Receipt, distexchange's Evidence, Certificate
-// and policy.Policy.Hash. An encoder makes one Enc with the capacity its
+// chain's Tx, Header and Receipt, distexchange's Evidence and
+// Certificate. An encoder makes one Enc with the capacity its
 // fields need (20 bytes bound any integer) and chains the fields onto
 // it, so a canonical form costs one allocation and no reflection.
 //

@@ -133,9 +133,6 @@ func MustGenerateKey() *KeyPair {
 	return kp
 }
 
-// Public returns the public key.
-func (k *KeyPair) Public() *ecdsa.PublicKey { return &k.priv.PublicKey }
-
 // PrivateBytes returns the SEC 1 / ASN.1 DER encoding of the private
 // key, as durable node and pod-owner identities are persisted on disk.
 func (k *KeyPair) PrivateBytes() ([]byte, error) {

@@ -15,7 +15,7 @@ func TestGenerateKeyAndAddress(t *testing.T) {
 	if k1.Address().IsZero() {
 		t.Fatal("derived address is zero")
 	}
-	if got := AddressOf(k1.Public()); got != k1.Address() {
+	if got := AddressOf(&k1.priv.PublicKey); got != k1.Address() {
 		t.Fatalf("AddressOf = %s, want %s", got, k1.Address())
 	}
 }
@@ -38,7 +38,7 @@ func TestPublicKeyRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParsePublicKey: %v", err)
 	}
-	if !pub.Equal(k.Public()) {
+	if !pub.Equal(&k.priv.PublicKey) {
 		t.Fatal("decoded key differs from original")
 	}
 }
@@ -58,14 +58,14 @@ func TestSignVerify(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Sign: %v", err)
 	}
-	if !Verify(k.Public(), msg, sig) {
+	if !Verify(&k.priv.PublicKey, msg, sig) {
 		t.Fatal("Verify rejected a valid signature")
 	}
-	if Verify(k.Public(), []byte("tampered"), sig) {
+	if Verify(&k.priv.PublicKey, []byte("tampered"), sig) {
 		t.Fatal("Verify accepted a signature over a different message")
 	}
 	other := MustGenerateKey()
-	if Verify(other.Public(), msg, sig) {
+	if Verify(&other.priv.PublicKey, msg, sig) {
 		t.Fatal("Verify accepted a signature under the wrong key")
 	}
 }
@@ -124,11 +124,11 @@ func TestSignVerifyProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if !Verify(k.Public(), msg, sig) {
+		if !Verify(&k.priv.PublicKey, msg, sig) {
 			return false
 		}
 		mutated := append([]byte{0xA5}, msg...)
-		return !Verify(k.Public(), mutated, sig)
+		return !Verify(&k.priv.PublicKey, mutated, sig)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)

@@ -49,7 +49,7 @@ func flipBit(b []byte, bit int) []byte {
 func TestVerifyCachedSoundness(t *testing.T) {
 	counts := countTable(t)
 	k := MustGenerateKey()
-	pub := k.Public()
+	pub := &k.priv.PublicKey
 	msg := []byte("evidence|round 7|")
 	sig := signed(t, k, msg)
 
@@ -82,7 +82,7 @@ func TestVerifyCachedSoundness(t *testing.T) {
 		reject("key X bit", &ecdsa.PublicKey{Curve: elliptic.P256(), X: new(big.Int).SetBytes(flipBit(x, bit)), Y: pub.Y}, msg, sig)
 		reject("key Y bit", &ecdsa.PublicKey{Curve: elliptic.P256(), X: pub.X, Y: new(big.Int).SetBytes(flipBit(y, bit))}, msg, sig)
 	}
-	reject("another valid key", MustGenerateKey().Public(), msg, sig)
+	reject("another valid key", &MustGenerateKey().priv.PublicKey, msg, sig)
 	if h, m := counts(); h != 1 || m != uint64(1+variants) {
 		t.Fatalf("after %d variants: hits=%d misses=%d, want 1 and %d", variants, h, m, 1+variants)
 	}
@@ -134,7 +134,7 @@ func TestSigTableComparesWholeTag(t *testing.T) {
 func TestVerifyCachedSlotCollision(t *testing.T) {
 	counts := countTable(t)
 	k := MustGenerateKey()
-	pub := k.Public()
+	pub := &k.priv.PublicKey
 	type triple struct{ msg, sig []byte }
 	bySlot := make(map[[2]byte]triple)
 	var first, second triple
@@ -171,7 +171,7 @@ func TestVerifyCachedSlotCollision(t *testing.T) {
 func TestVerifyCachedAllocs(t *testing.T) {
 	ForgetVerified()
 	k := MustGenerateKey()
-	pub := k.Public()
+	pub := &k.priv.PublicKey
 	msg := []byte("allocs")
 	sig := signed(t, k, msg)
 	bad := flipBit(sig, len(sig)*8-1)
@@ -209,7 +209,7 @@ func TestVerifyCachedOutsideTheTable(t *testing.T) {
 		t.Fatal("valid P-224 signature rejected")
 	}
 	k := MustGenerateKey()
-	if VerifyCached(k.Public(), msg, make([]byte, maxP256SigLen+1)) {
+	if VerifyCached(&k.priv.PublicKey, msg, make([]byte, maxP256SigLen+1)) {
 		t.Fatal("overlong signature accepted")
 	}
 	if h, m := counts(); h != 0 || m != 3 {
@@ -233,8 +233,8 @@ func TestVerifyCachedConcurrent(t *testing.T) {
 		msg := []byte{byte(i)}
 		sig := signed(t, k, msg)
 		triples = append(triples,
-			triple{k.Public(), msg, sig, true},
-			triple{k.Public(), []byte{byte(i), 1}, sig, false})
+			triple{&k.priv.PublicKey, msg, sig, true},
+			triple{&k.priv.PublicKey, []byte{byte(i), 1}, sig, false})
 	}
 	stop := make(chan struct{})
 	var forgetter sync.WaitGroup

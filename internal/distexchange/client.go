@@ -49,10 +49,6 @@ func NewClient(backend Backend, key *cryptoutil.KeyPair, contractAddr cryptoutil
 // Address returns the client's sender address.
 func (c *Client) Address() cryptoutil.Address { return c.key.Address() }
 
-// Key returns the client's key pair (used by TEE components that sign
-// evidence with the same identity).
-func (c *Client) Key() *cryptoutil.KeyPair { return c.key }
-
 // RevertError is returned when a transaction is included but reverted.
 type RevertError struct {
 	Method string

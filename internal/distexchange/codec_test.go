@@ -433,7 +433,7 @@ func TestJSONRecordRevertsNamingItsKey(t *testing.T) {
 	if after := snapshot(); !reflect.DeepEqual(after, before) {
 		t.Fatalf("the reverted transaction changed the contract's state:\n%v\n%v", before, after)
 	}
-	if events := f.node.Events(chain.EventFilter{Topic: TopicPolicyUpdated}); len(events) != 0 {
+	if events := f.emitted(chain.EventFilter{Topic: TopicPolicyUpdated}); len(events) != 0 {
 		t.Fatalf("the reverted transaction emitted %d PolicyUpdated events", len(events))
 	}
 	if _, err := f.alice.ListResources(""); err == nil || !strings.Contains(err.Error(), "corrupt record at "+resKey(iri)) {

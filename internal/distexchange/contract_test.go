@@ -30,6 +30,30 @@ type fixture struct {
 	bob    *Client // second pod owner
 	device *Client // consumer TEE device identity
 	devKey *cryptoutil.KeyPair
+
+	feed *chain.Subscription // every event the node publishes
+	seen []chain.Event       // what emitted has drained from feed so far
+}
+
+// emitted returns the published events matching the filter. Sealing is
+// synchronous here, so a call's events are in the feed once it returns.
+func (f *fixture) emitted(filter chain.EventFilter) []chain.Event {
+drain:
+	for {
+		select {
+		case ev := <-f.feed.C:
+			f.seen = append(f.seen, ev)
+		default:
+			break drain
+		}
+	}
+	var out []chain.Event
+	for i := range f.seen {
+		if filter.Matches(&f.seen[i]) {
+			out = append(out, f.seen[i])
+		}
+	}
+	return out
 }
 
 // sealingBackend wraps a node so every submission is sealed immediately,
@@ -80,7 +104,11 @@ func newFixture(t *testing.T) *fixture {
 	}
 	backend := sealingBackend{node: node}
 	devKey := cryptoutil.MustGenerateKey()
+	// More room than any test here fills between two looks at the feed.
+	feed := node.SubscribeEvents(chain.EventFilter{}, 4096)
+	t.Cleanup(feed.Cancel)
 	return &fixture{
+		feed:   feed,
 		t:      t,
 		node:   node,
 		clk:    clk,
@@ -195,7 +223,7 @@ func TestPodInitiation(t *testing.T) {
 	if rec.DefaultPolicy == nil || rec.DefaultPolicy.Version != 1 {
 		t.Fatalf("default policy = %+v", rec.DefaultPolicy)
 	}
-	events := f.node.Events(chain.EventFilter{Topic: TopicPodRegistered})
+	events := f.emitted(chain.EventFilter{Topic: TopicPodRegistered})
 	if len(events) != 1 || events[0].Key != "https://alice.pod/profile#me" {
 		t.Fatalf("events = %+v", events)
 	}
@@ -232,10 +260,10 @@ func TestResourceInitiation(t *testing.T) {
 	}
 
 	// Both registration events fired.
-	if n := len(f.node.Events(chain.EventFilter{Topic: TopicResourceRegistered})); n != 1 {
+	if n := len(f.emitted(chain.EventFilter{Topic: TopicResourceRegistered})); n != 1 {
 		t.Fatalf("ResourceRegistered events = %d", n)
 	}
-	if n := len(f.node.Events(chain.EventFilter{Topic: TopicPolicyPublished})); n != 1 {
+	if n := len(f.emitted(chain.EventFilter{Topic: TopicPolicyPublished})); n != 1 {
 		t.Fatalf("PolicyPublished events = %d", n)
 	}
 
@@ -353,7 +381,7 @@ func TestDeviceRegistration(t *testing.T) {
 			t.Fatal(err)
 		}
 		other := NewClient(sealingBackend{node: f.node}, cryptoutil.MustGenerateKey(), f.deAddr)
-		cert, err := rogue.Issue(other.Key(), map[string]string{"measurement": hex.EncodeToString(m[:])}, t0, t0.Add(time.Hour))
+		cert, err := rogue.Issue(other.key, map[string]string{"measurement": hex.EncodeToString(m[:])}, t0, t0.Add(time.Hour))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -492,7 +520,7 @@ func TestPolicyModification(t *testing.T) {
 	if rec.Policy.Version != 2 || rec.Policy.MaxRetention != week {
 		t.Fatalf("policy after update = %+v", rec.Policy)
 	}
-	if n := len(f.node.Events(chain.EventFilter{Topic: TopicPolicyUpdated, Key: iri})); n != 1 {
+	if n := len(f.emitted(chain.EventFilter{Topic: TopicPolicyUpdated, Key: iri})); n != 1 {
 		t.Fatalf("PolicyUpdated events = %d", n)
 	}
 
@@ -613,7 +641,7 @@ func TestEvidenceDetectsRetentionViolation(t *testing.T) {
 	if len(viols) != 1 || viols[0].Kind != ViolationRetention || viols[0].Device != f.device.Address() {
 		t.Fatalf("violations = %+v", viols)
 	}
-	if n := len(f.node.Events(chain.EventFilter{Topic: TopicViolationDetected, Key: iri})); n != 1 {
+	if n := len(f.emitted(chain.EventFilter{Topic: TopicViolationDetected, Key: iri})); n != 1 {
 		t.Fatalf("ViolationDetected events = %d", n)
 	}
 }

@@ -28,7 +28,6 @@ var requiredGuards = map[string]map[string]string{
 		"Node.waiters":           "mu",
 		"Node.mempool":           "mpMu",
 		"Node.nonces":            "mpMu",
-		"Node.stopSealing":       "sealMu",
 		"Node.evidence":          "evMu",
 		"State.data":             "mu",
 		"State.journal":          "mu",

@@ -131,17 +131,6 @@ func (s *Service) Subscribe(webID string, plan Plan) error {
 	return nil
 }
 
-// Account returns a copy of the account record.
-func (s *Service) Account(webID string) (Account, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	acct, ok := s.accounts[webID]
-	if !ok {
-		return Account{}, fmt.Errorf("%w: %s", ErrNoAccount, webID)
-	}
-	return *acct, nil
-}
-
 // PayFee charges the consumer the market fee for a resource and issues a
 // payment certificate binding (consumer key, resource) for CertificateTTL.
 // This is the certificate Alice presents to Bob's Pod Manager in the

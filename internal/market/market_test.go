@@ -38,10 +38,7 @@ func TestRegisterAndSubscribe(t *testing.T) {
 	if err := svc.Subscribe("https://nobody", PlanBasic); !errors.Is(err, ErrNoAccount) {
 		t.Fatalf("subscribe unknown: %v", err)
 	}
-	acct, err := svc.Account("https://alice.pod/profile#me")
-	if err != nil {
-		t.Fatal(err)
-	}
+	acct := svc.accounts["https://alice.pod/profile#me"]
 	if acct.Plan != PlanBasic || acct.Contact != "alice@example.org" {
 		t.Fatalf("account = %+v", acct)
 	}
@@ -78,8 +75,7 @@ func TestPayFeeIssuesValidCertificate(t *testing.T) {
 	}
 
 	// Fees accumulate.
-	acct, _ := svc.Account(webID)
-	if acct.FeesPaid != FeeFor(PlanBasic) {
+	if acct := svc.accounts[webID]; acct.FeesPaid != FeeFor(PlanBasic) {
 		t.Fatalf("FeesPaid = %d", acct.FeesPaid)
 	}
 	if svc.Payments() != 1 {

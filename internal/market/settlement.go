@@ -33,13 +33,6 @@ func (s *Service) SetResourceOwner(resourceIRI, ownerWebID string) {
 	s.resourceOwners[resourceIRI] = ownerWebID
 }
 
-// ResourceOwner returns the attributed owner of a resource ("" if none).
-func (s *Service) ResourceOwner(resourceIRI string) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.resourceOwners[resourceIRI]
-}
-
 // Revenue returns the undistributed fee revenue.
 func (s *Service) Revenue() uint64 {
 	s.mu.Lock()
@@ -63,18 +56,11 @@ func (s *Service) Totals() (feesPaid, earned, revenue uint64) {
 	return feesPaid, earned, s.revenue
 }
 
-// AccessesFor returns the paid accesses attributed to an owner in the
-// current (unsettled) period.
-func (s *Service) AccessesFor(ownerWebID string) uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ownerAccesses[ownerWebID]
-}
-
 // Settle distributes the accumulated revenue to owners proportionally to
 // the accesses their resources received, retaining marginPercent for the
 // market, and resets the period. Earned amounts are credited to the
-// owners' accounts. Rounding residue stays with the market.
+// owners' accounts. Rounding residue stays with the market, and so does
+// the share of an attributed owner who holds no account.
 func (s *Service) Settle(marginPercent uint64) ([]Payout, error) {
 	if marginPercent > 100 {
 		return nil, fmt.Errorf("market: margin %d%% > 100%%", marginPercent)
@@ -101,11 +87,13 @@ func (s *Service) Settle(marginPercent uint64) ([]Payout, error) {
 	var distributed uint64
 	for _, owner := range owners {
 		n := s.ownerAccesses[owner]
-		amount := distributable * n / totalAccesses
-		distributed += amount
-		if acct, ok := s.accounts[owner]; ok {
-			acct.Earned += amount
+		acct, ok := s.accounts[owner]
+		if !ok {
+			continue
 		}
+		amount := distributable * n / totalAccesses
+		acct.Earned += amount
+		distributed += amount
 		payouts = append(payouts, Payout{OwnerWebID: owner, Accesses: n, Amount: amount})
 	}
 	// The market keeps its margin plus rounding residue.

@@ -50,8 +50,8 @@ func TestSettlementProportionalDistribution(t *testing.T) {
 	if got := svc.Revenue(); got != 4*fee {
 		t.Fatalf("Revenue = %d, want %d", got, 4*fee)
 	}
-	if svc.AccessesFor(alice) != 3 || svc.AccessesFor(bob) != 1 {
-		t.Fatalf("accesses = %d/%d", svc.AccessesFor(alice), svc.AccessesFor(bob))
+	if svc.ownerAccesses[alice] != 3 || svc.ownerAccesses[bob] != 1 {
+		t.Fatalf("accesses = %d/%d", svc.ownerAccesses[alice], svc.ownerAccesses[bob])
 	}
 
 	payouts, err := svc.Settle(0) // no margin: distribute everything
@@ -74,12 +74,11 @@ func TestSettlementProportionalDistribution(t *testing.T) {
 	}
 
 	// Earnings credited to accounts.
-	aliceAcct, _ := svc.Account(alice)
-	if aliceAcct.Earned != byOwner[alice].Amount {
-		t.Fatalf("alice Earned = %d", aliceAcct.Earned)
+	if earned := svc.accounts[alice].Earned; earned != byOwner[alice].Amount {
+		t.Fatalf("alice Earned = %d", earned)
 	}
 	// Period reset.
-	if svc.AccessesFor(alice) != 0 {
+	if svc.ownerAccesses[alice] != 0 {
 		t.Fatal("accesses not reset after settlement")
 	}
 	if svc.Revenue() != 0 {
@@ -150,13 +149,42 @@ func TestSettlementEdgeCases(t *testing.T) {
 			t.Fatal("revenue vanished")
 		}
 	})
-	t.Run("resource owner lookup", func(t *testing.T) {
-		svc.SetResourceOwner("https://x/r", "https://owner")
-		if got := svc.ResourceOwner("https://x/r"); got != "https://owner" {
-			t.Fatalf("ResourceOwner = %q", got)
+}
+
+// TestSettleConservesFundsForUnregisteredOwner: an owner attributed to a
+// resource but holding no account is paid nothing, and their share stays
+// in the market's revenue instead of leaving the books.
+func TestSettleConservesFundsForUnregisteredOwner(t *testing.T) {
+	svc, alice, _ := settlementFixture(t)
+	consumer := "https://carol.example/profile#me"
+	svc.SetResourceOwner("https://ghost.pod/r1", "https://ghost.pod/profile#me")
+	if _, err := svc.PayFee(consumer, "https://ghost.pod/r1"); err != nil {
+		t.Fatal(err)
+	}
+	fee := uint64(FeeFor(PlanBasic))
+
+	payouts, err := svc.Settle(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var paid uint64
+	for _, p := range payouts {
+		if p.OwnerWebID == "https://ghost.pod/profile#me" {
+			t.Fatalf("payout to an owner without an account: %+v", p)
 		}
-		if got := svc.ResourceOwner("https://y/r"); got != "" {
-			t.Fatalf("unknown ResourceOwner = %q", got)
-		}
-	})
+		paid += p.Amount
+	}
+	if want := 5 * fee * 4 / 5; paid != want {
+		t.Fatalf("registered owners were paid %d, want %d", paid, want)
+	}
+	if svc.accounts[alice].Earned != 5*fee*3/5 {
+		t.Fatalf("alice earned %d, want %d", svc.accounts[alice].Earned, 5*fee*3/5)
+	}
+	feesPaid, earned, revenue := svc.Totals()
+	if feesPaid != earned+revenue {
+		t.Fatalf("fees paid %d != earned %d + revenue %d", feesPaid, earned, revenue)
+	}
+	if revenue != fee {
+		t.Fatalf("revenue = %d, want the unregistered owner's share %d", revenue, fee)
+	}
 }

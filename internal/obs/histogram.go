@@ -77,9 +77,6 @@ func (h *Histogram) Observe(v int64) {
 	h.buckets[bucketIndex(uint64(v))].Add(1)
 }
 
-// ObserveDuration records a duration in nanoseconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
-
 // Count returns the number of recorded observations.
 func (h *Histogram) Count() uint64 {
 	if h == nil {

@@ -47,14 +47,6 @@ func (g *Gauge) Set(v int64) {
 	g.v.Store(v)
 }
 
-// Add applies a delta.
-func (g *Gauge) Add(d int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(d)
-}
-
 // Value returns the current value (0 for a nil gauge).
 func (g *Gauge) Value() int64 {
 	if g == nil {

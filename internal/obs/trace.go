@@ -10,7 +10,6 @@ import (
 const (
 	StageSubmit     = "submit"      // entered admission (Submit)
 	StageAdmit      = "admit"       // accepted into the mempool
-	StageExec       = "exec"        // executed during sealing/validation
 	StageMerge      = "merge"       // optimistic child merged conflict-free
 	StageSerialTail = "serial-tail" // re-executed on the serial tail
 	StageCommit     = "commit"      // block durably committed
@@ -34,16 +33,15 @@ type TxTrace struct {
 }
 
 // Tracer records transaction lifecycles with bounded memory: at most
-// activeCap in-flight traces (admissions beyond that are dropped and
-// counted) and a ring buffer of the last ringCap completed traces. A
-// nil *Tracer is a no-op; callers on hot paths should skip even the ID
-// rendering when the tracer is nil.
+// activeCap in-flight traces (admissions beyond that are dropped) and a
+// ring buffer of the last ringCap completed traces. A nil *Tracer is a
+// no-op; callers on hot paths should skip even the ID rendering when the
+// tracer is nil.
 type Tracer struct {
 	mu        sync.Mutex
 	active    map[string]*TxTrace // guarded by mu
 	ring      []*TxTrace          // guarded by mu; ring buffer of completed traces
 	next      int                 // guarded by mu; next ring slot
-	dropped   uint64              // guarded by mu
 	activeCap int
 }
 
@@ -66,7 +64,7 @@ func NewTracer(ringCap int) *Tracer {
 
 // Begin opens a trace for id with the given first stage. Re-beginning
 // an open id is a no-op (the first admission wins); beginning past the
-// in-flight cap drops the trace and counts it.
+// in-flight cap drops the trace.
 func (t *Tracer) Begin(id, stage string) {
 	if t == nil {
 		return
@@ -78,7 +76,6 @@ func (t *Tracer) Begin(id, stage string) {
 		return
 	}
 	if len(t.active) >= t.activeCap {
-		t.dropped++
 		return
 	}
 	t.active[id] = &TxTrace{ID: id, Start: now, Spans: []Span{{Stage: stage}}}
@@ -136,24 +133,4 @@ func (t *Tracer) Recent() []TxTrace {
 		out = append(out, TxTrace{ID: tr.ID, Start: tr.Start, Spans: append([]Span(nil), tr.Spans...)})
 	}
 	return out
-}
-
-// Active reports the number of in-flight traces.
-func (t *Tracer) Active() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.active)
-}
-
-// Dropped reports traces discarded at the in-flight cap.
-func (t *Tracer) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
 }

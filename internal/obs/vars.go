@@ -53,15 +53,6 @@ func (r *Registry) snapshotSeries() []varsSeries {
 	return out
 }
 
-// WriteJSON renders the registry as a JSON array of series objects
-// (counters/gauges carry value; histograms carry count, sum, and
-// p50/p99/p999).
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.snapshotSeries())
-}
-
 // WriteVars renders an expvar-compatible JSON object: every published
 // expvar (the package auto-publishes cmdline and memstats) plus a
 // "metrics" key holding the registry's series. It reimplements

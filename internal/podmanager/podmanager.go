@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
@@ -100,11 +99,9 @@ type Manager struct {
 	// collectLatency times CollectMonitoring; nil (a no-op) until Instrument.
 	collectLatency *obs.Histogram
 
-	mu         sync.Mutex
-	published  map[string]*policy.Policy // resource IRI -> current policy
-	withdrawn  map[string]bool           // resources pulled from the market but still monitored
-	containers map[string]*policy.Policy // container path -> default policy template
-	journal    []JournalEntry            // compliance events from the push-out oracle
+	mu        sync.Mutex
+	published map[string]*policy.Policy // resource IRI -> current policy
+	withdrawn map[string]bool           // resources pulled from the market but still monitored
 }
 
 // Manager errors.
@@ -125,19 +122,18 @@ func New(cfg Config) (*Manager, error) {
 		clk = simclock.Real{}
 	}
 	m := &Manager{
-		owner:      cfg.OwnerWebID,
-		baseURL:    cfg.BaseURL,
-		pod:        solid.NewPod(cfg.OwnerWebID, cfg.BaseURL),
-		de:         distexchange.NewClient(cfg.Backend, cfg.Key, cfg.DEAddr),
-		deAddr:     cfg.DEAddr,
-		pushOut:    cfg.PushOut,
-		market:     cfg.Market,
-		dir:        cfg.Directory,
-		clock:      clk,
-		tee:        cfg.TEE,
-		published:  make(map[string]*policy.Policy),
-		withdrawn:  make(map[string]bool),
-		containers: make(map[string]*policy.Policy),
+		owner:     cfg.OwnerWebID,
+		baseURL:   cfg.BaseURL,
+		pod:       solid.NewPod(cfg.OwnerWebID, cfg.BaseURL),
+		de:        distexchange.NewClient(cfg.Backend, cfg.Key, cfg.DEAddr),
+		deAddr:    cfg.DEAddr,
+		pushOut:   cfg.PushOut,
+		market:    cfg.Market,
+		dir:       cfg.Directory,
+		clock:     clk,
+		tee:       cfg.TEE,
+		published: make(map[string]*policy.Policy),
+		withdrawn: make(map[string]bool),
 	}
 	m.server = solid.NewServer(m.pod, cfg.Directory, clk, m.accessHook)
 	return m, nil
@@ -152,9 +148,6 @@ func (m *Manager) Instrument(reg *obs.Registry) {
 
 // Pod returns the managed pod.
 func (m *Manager) Pod() *solid.Pod { return m.pod }
-
-// Owner returns the pod owner's WebID.
-func (m *Manager) Owner() solid.WebID { return m.owner }
 
 // Address returns the manager's blockchain address.
 func (m *Manager) Address() cryptoutil.Address { return m.de.Address() }
@@ -206,15 +199,9 @@ func (m *Manager) Publish(ctx context.Context, agent solid.WebID, path, descript
 	}
 	iri := m.ResourceIRI(path)
 	if pol == nil {
-		// Policy granularity (the paper's future-work item): fall back to
-		// the nearest enclosing container's default policy template, then
-		// to an unconstrained resource policy. (Pod-wide defaults live on
-		// the chain side, applied by the DE App at registration.)
-		if template := m.containerPolicyFor(path); template != nil {
-			pol = rebindPolicy(template, iri, string(m.owner))
-		} else {
-			pol = policy.New(iri, string(m.owner), m.clock.Now())
-		}
+		// An unconstrained resource policy. (Pod-wide defaults live on the
+		// chain side, applied by the DE App at registration.)
+		pol = policy.New(iri, string(m.owner), m.clock.Now())
 	}
 	if pol.ResourceIRI != iri {
 		return fmt.Errorf("podmanager: policy bound to %q, want %q", pol.ResourceIRI, iri)
@@ -239,60 +226,6 @@ func (m *Manager) Publish(ctx context.Context, agent solid.WebID, path, descript
 	m.published[iri] = pol.Clone()
 	m.mu.Unlock()
 	return nil
-}
-
-// SetContainerPolicy installs a default usage-policy template for every
-// resource later published under containerPath without an explicit
-// policy. The nearest enclosing container wins; the template's resource
-// binding is ignored (it is re-bound per resource at publication).
-func (m *Manager) SetContainerPolicy(agent solid.WebID, containerPath string, template *policy.Policy) error {
-	if agent != m.owner {
-		if err := m.pod.Authorize(agent, containerPath, solid.ModeControl); err != nil {
-			return fmt.Errorf("%w: %v", ErrOwnerOnly, err)
-		}
-	}
-	if !strings.HasSuffix(containerPath, "/") {
-		return fmt.Errorf("podmanager: container path %q must end with '/'", containerPath)
-	}
-	probe := rebindPolicy(template, m.ResourceIRI(containerPath)+"probe", string(m.owner))
-	if err := probe.Validate(); err != nil {
-		return fmt.Errorf("podmanager: invalid container policy template: %w", err)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.containers[containerPath] = template.Clone()
-	return nil
-}
-
-// containerPolicyFor returns the template of the nearest enclosing
-// container with a default policy, or nil.
-func (m *Manager) containerPolicyFor(resourcePath string) *policy.Policy {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	best := ""
-	for container := range m.containers {
-		if strings.HasPrefix(resourcePath, container) && len(container) > len(best) {
-			best = container
-		}
-	}
-	if best == "" {
-		return nil
-	}
-	return m.containers[best]
-}
-
-// rebindPolicy clones a template and binds it to a concrete resource.
-func rebindPolicy(template *policy.Policy, resourceIRI, owner string) *policy.Policy {
-	c := template.Clone()
-	c.ID = resourceIRI + "#policy"
-	c.ResourceIRI = resourceIRI
-	if c.OwnerWebID == "" {
-		c.OwnerWebID = owner
-	}
-	if c.Version == 0 {
-		c.Version = 1
-	}
-	return c
 }
 
 // Unpublish withdraws a resource from the market: the DE App stops
@@ -445,57 +378,6 @@ func (m *Manager) CollectMonitoring(ctx context.Context, path string, round uint
 		return nil, nil, err
 	}
 	return evidence, violations, nil
-}
-
-// StartEvidenceFeed subscribes the manager to EvidenceRecorded and
-// ViolationDetected events for its own resources via a push-out oracle,
-// accumulating them in a local compliance journal — the final arrow of
-// Fig. 2(6), where gathered evidence flows back to the Pod Manager that
-// initiated monitoring. Returns an unsubscribe function.
-func (m *Manager) StartEvidenceFeed(pushOut *oracle.PushOut, deAddr cryptoutil.Address) func() {
-	record := func(ev chain.Event) {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		if _, ok := m.published[ev.Key]; !ok {
-			return
-		}
-		m.journal = append(m.journal, JournalEntry{
-			Topic:    ev.Topic,
-			Resource: ev.Key,
-			Payload:  append([]byte(nil), ev.Data...),
-			At:       m.clock.Now(),
-		})
-	}
-	cancelEvidence := pushOut.On(chain.EventFilter{
-		Contract: deAddr, Topic: distexchange.TopicEvidenceRecorded,
-	}, record)
-	cancelViolations := pushOut.On(chain.EventFilter{
-		Contract: deAddr, Topic: distexchange.TopicViolationDetected,
-	}, record)
-	return func() {
-		cancelEvidence()
-		cancelViolations()
-	}
-}
-
-// JournalEntry is one compliance event received through the push-out
-// oracle.
-type JournalEntry struct {
-	// Topic is the DE App event topic.
-	Topic string
-	// Resource is the concerned resource IRI.
-	Resource string
-	// Payload is the raw event payload (evidence record or violation).
-	Payload []byte
-	// At is the local receipt time.
-	At time.Time
-}
-
-// ComplianceJournal returns a copy of the received compliance events.
-func (m *Manager) ComplianceJournal() []JournalEntry {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]JournalEntry(nil), m.journal...)
 }
 
 // PublishedPolicy returns the manager's view of a resource's policy.

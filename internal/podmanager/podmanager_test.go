@@ -37,6 +37,7 @@ type env struct {
 	devKey  *cryptoutil.KeyPair // consumer device blockchain identity
 	devCert []byte
 	bobKey  *cryptoutil.KeyPair // consumer WebID key
+	mgrKey  *cryptoutil.KeyPair // the owner's key: her WebID and the manager's chain identity
 	queries *queryLog           // every DE App query the manager issued
 }
 
@@ -152,7 +153,7 @@ func newEnv(t *testing.T) *env {
 
 	return &env{
 		t: t, clk: clk, node: node, deAddr: deAddr, mkt: mkt, dir: dir,
-		mgr: mgr, srv: srv, devKey: devKey, devCert: certRaw, bobKey: bobKey,
+		mgr: mgr, srv: srv, devKey: devKey, devCert: certRaw, bobKey: bobKey, mgrKey: aliceKey,
 		queries: queries,
 	}
 }
@@ -234,6 +235,29 @@ func TestPublishRequiresResourceAndOwner(t *testing.T) {
 	}
 }
 
+// TestPublishWithoutPolicyIsUnconstrained: a resource published with no
+// policy gets an unconstrained one bound to it.
+func TestPublishWithoutPolicyIsUnconstrained(t *testing.T) {
+	e := newEnv(t)
+	ctx := context.Background()
+	if err := e.mgr.RegisterPod(ctx, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.mgr.Upload("/public/readme.txt", "text/plain", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.mgr.Publish(ctx, aliceWebID, "/public/readme.txt", "", nil); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := e.mgr.DE().GetResource(e.mgr.ResourceIRI("/public/readme.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Policy.ResourceIRI != rec.ResourceIRI || rec.Policy.MaxRetention != 0 || len(rec.Policy.AllowedPurposes) != 0 {
+		t.Fatalf("unexpected policy: %+v", rec.Policy)
+	}
+}
+
 func TestResourceAccessWithCertificate(t *testing.T) {
 	e := newEnv(t)
 	iri := e.publish(browsingPolicy())
@@ -302,17 +326,11 @@ func TestResourceAccessWithCertificate(t *testing.T) {
 func TestOwnerAccessNeedsNoCertificate(t *testing.T) {
 	e := newEnv(t)
 	e.publish(browsingPolicy())
-	aliceKey, _ := e.dir.KeyFor(aliceWebID)
-	_ = aliceKey
-	alice := solid.NewClient(aliceWebID, e.mgrKey(), e.clk)
+	alice := solid.NewClient(aliceWebID, e.mgrKey, e.clk)
 	if _, _, err := alice.Get(e.srv.URL + "/web/browsing.csv"); err != nil {
 		t.Fatalf("owner access: %v", err)
 	}
 }
-
-// mgrKey digs the manager's key out for the owner HTTP client. The manager
-// signs with the same key as Alice's WebID in this environment.
-func (e *env) mgrKey() *cryptoutil.KeyPair { return e.mgr.DE().Key() }
 
 func TestUnpublishedResourceSkipsCertificateCheck(t *testing.T) {
 	e := newEnv(t)
@@ -339,6 +357,8 @@ func TestModifyPolicy(t *testing.T) {
 	iri := e.publish(browsingPolicy())
 	ctx := context.Background()
 
+	updates := e.node.SubscribeEvents(chain.EventFilter{Topic: distexchange.TopicPolicyUpdated, Key: iri}, 1)
+	defer updates.Cancel()
 	v2 := browsingPolicy().NextVersion(e.clk.Now())
 	v2.MaxRetention = 7 * 24 * time.Hour
 	if err := e.mgr.ModifyPolicy(ctx, aliceWebID, "/web/browsing.csv", v2); err != nil {
@@ -352,8 +372,10 @@ func TestModifyPolicy(t *testing.T) {
 		t.Fatalf("on-chain policy = %+v", rec.Policy)
 	}
 	// PolicyUpdated event fired for push-out delivery.
-	if n := len(e.node.Events(chain.EventFilter{Topic: distexchange.TopicPolicyUpdated, Key: iri})); n != 1 {
-		t.Fatalf("PolicyUpdated events = %d", n)
+	select {
+	case <-updates.C:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no PolicyUpdated event delivered")
 	}
 
 	// Version regressions and non-owners are rejected.
@@ -435,5 +457,86 @@ func TestGrantAccessRequiresPublication(t *testing.T) {
 	err := e.mgr.GrantAccess(ctx, bobWebID, e.bobKey.Address(), e.devKey.Address(), "/x", policy.PurposeAny)
 	if !errors.Is(err, ErrNotPublished) {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestWaitForRoundClosureWokenByEvidence: the wait reads the round when it
+// starts, when the push-out oracle delivers evidence for the resource, and
+// at its deadline — never on a poll interval.
+func TestWaitForRoundClosureWokenByEvidence(t *testing.T) {
+	e := newEnv(t)
+	iri := e.publish(browsingPolicy())
+	e.registerDevice()
+	ctx := context.Background()
+	pushOut := oracle.NewPushOut(e.node, nil)
+	defer pushOut.Close()
+	e.mgr.pushOut = pushOut
+
+	if err := e.mgr.GrantAccess(ctx, bobWebID, e.bobKey.Address(), e.devKey.Address(),
+		"/web/browsing.csv", policy.PurposeWebAnalytics); err != nil {
+		t.Fatal(err)
+	}
+	devClient := distexchange.NewClient(autoSeal{node: e.node}, e.devKey, e.deAddr)
+	if _, err := devClient.ConfirmRetrieval(ctx, iri); err != nil {
+		t.Fatal(err)
+	}
+	round, err := e.mgr.StartMonitoring(ctx, "/web/browsing.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	roundReads := func() (n int) {
+		e.queries.mu.Lock()
+		defer e.queries.mu.Unlock()
+		for _, c := range e.queries.calls {
+			if c.method == "getMonitoringRound" {
+				n++
+			}
+		}
+		return n
+	}
+
+	// Nobody answers: two reads, one at each end of the grace period.
+	before := roundReads()
+	state, err := e.mgr.WaitForRoundClosure("/web/browsing.csv", round.Round, 20*time.Millisecond)
+	if err != nil || state.Closed {
+		t.Fatalf("silent round: closed=%v err=%v, want open and nil", state.Closed, err)
+	}
+	if n := roundReads() - before; n != 2 {
+		t.Errorf("silent round read %d times, want 2", n)
+	}
+
+	// The device answers while the owner waits with an hour to spare.
+	before = roundReads()
+	waited := make(chan distexchange.MonitoringRound, 1)
+	go func() {
+		state, err := e.mgr.WaitForRoundClosure("/web/browsing.csv", round.Round, time.Hour)
+		if err != nil {
+			t.Error(err)
+		}
+		waited <- state
+	}()
+	ev := distexchange.Evidence{
+		ResourceIRI: iri, Device: e.devKey.Address(), Round: round.Round,
+		PolicyVersion: 1, StillStored: true,
+		RetrievedAt: e.clk.Now(), GeneratedAt: e.clk.Now(),
+	}
+	sig, err := e.devKey.Sign(ev.SigningBytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := devClient.SubmitEvidence(ctx, distexchange.SignedEvidence{Evidence: ev, Signature: sig}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case state := <-waited:
+		if !state.Closed {
+			t.Fatalf("woken with the round open: %+v", state)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("evidence recorded, waiter not woken")
+	}
+	// One read if the evidence beat the subscription, else two.
+	if n := roundReads() - before; n < 1 || n > 2 {
+		t.Errorf("answered round read %d times, want 1 or 2", n)
 	}
 }

@@ -1,10 +1,8 @@
 package policy
 
 import (
-	"fmt"
 	"time"
 
-	"repro/internal/cryptoutil"
 	"repro/internal/rdf"
 	"repro/internal/store"
 )
@@ -69,50 +67,6 @@ func DecodeRecord(d *store.Dec, p *Policy) {
 	p.NotifyOnUse = d.Bool()
 }
 
-// Hash returns a canonical content hash of the policy, used for on-chain
-// integrity anchoring. Two structurally equal policies hash identically
-// regardless of slice ordering of purposes/actions.
-func (p *Policy) Hash() cryptoutil.Hash {
-	c := p.Clone()
-	sortPurposes(c.AllowedPurposes)
-	sortActions(c.AllowedActions)
-	// Ten separators, five 20-byte integers and two booleans.
-	size := 120 + len(c.ID) + len(c.ResourceIRI) + len(c.OwnerWebID)
-	for _, pu := range c.AllowedPurposes {
-		size += 3 + len(pu)
-	}
-	for _, a := range c.AllowedActions {
-		size += 3 + len(a)
-	}
-	b := make(cryptoutil.Enc, 0, size).Str(c.ID).Sep().Str(c.ResourceIRI).Sep().Str(c.OwnerWebID).Sep().
-		Uint(c.Version).Sep().Int(c.IssuedAt.UnixNano()).Sep()
-	for _, pu := range c.AllowedPurposes {
-		b = b.Str("p:").Str(string(pu)).Str(";")
-	}
-	for _, a := range c.AllowedActions {
-		b = b.Str("a:").Str(string(a)).Str(";")
-	}
-	b = b.Sep().Int(int64(c.MaxRetention)).Sep().Int(c.ExpiresAt.UnixNano()).Sep().Uint(c.MaxUses).Sep().
-		Bool(c.ProhibitSharing).Sep().Bool(c.NotifyOnUse)
-	return cryptoutil.HashOf(b)
-}
-
-func sortPurposes(ps []Purpose) {
-	for i := 1; i < len(ps); i++ {
-		for j := i; j > 0 && ps[j] < ps[j-1]; j-- {
-			ps[j], ps[j-1] = ps[j-1], ps[j]
-		}
-	}
-}
-
-func sortActions(as []Action) {
-	for i := 1; i < len(as); i++ {
-		for j := i; j > 0 && as[j] < as[j-1]; j-- {
-			as[j], as[j-1] = as[j-1], as[j]
-		}
-	}
-}
-
 // UC is the RDF vocabulary namespace for usage-control policy documents.
 const UC = "https://w3id.org/usagecontrol#"
 
@@ -164,79 +118,4 @@ func (p *Policy) ToGraph() *rdf.Graph {
 		g.Add(rdf.T(id, ucNotifyOnUse, rdf.Boolean(true)))
 	}
 	return g
-}
-
-// FromGraph extracts the policy with the given ID from an RDF graph
-// produced by ToGraph (or hand-written Turtle using the UC vocabulary).
-func FromGraph(g *rdf.Graph, id string) (*Policy, error) {
-	subject := rdf.IRI(id)
-	if !g.Has(rdf.T(subject, rdf.IRI(rdf.RDFType), ucPolicy)) {
-		return nil, fmt.Errorf("policy: %s is not a uc:UsagePolicy in graph", id)
-	}
-	p := &Policy{ID: id}
-	if o := g.FirstObject(subject, ucResource); !o.IsZero() {
-		p.ResourceIRI = o.Value()
-	}
-	if o := g.FirstObject(subject, ucOwner); !o.IsZero() {
-		p.OwnerWebID = o.Value()
-	}
-	if o := g.FirstObject(subject, ucVersion); !o.IsZero() {
-		v, err := o.Int()
-		if err != nil {
-			return nil, fmt.Errorf("policy: bad version literal: %w", err)
-		}
-		p.Version = uint64(v)
-	}
-	if o := g.FirstObject(subject, ucIssuedAt); !o.IsZero() {
-		ts, err := time.Parse(time.RFC3339Nano, o.Value())
-		if err != nil {
-			return nil, fmt.Errorf("policy: bad issuedAt literal: %w", err)
-		}
-		p.IssuedAt = ts
-	}
-	for _, o := range g.Objects(subject, ucAllowedPurpose) {
-		p.AllowedPurposes = append(p.AllowedPurposes, Purpose(o.Value()))
-	}
-	for _, o := range g.Objects(subject, ucAllowedAction) {
-		p.AllowedActions = append(p.AllowedActions, Action(o.Value()))
-	}
-	if o := g.FirstObject(subject, ucMaxRetention); !o.IsZero() {
-		v, err := o.Int()
-		if err != nil {
-			return nil, fmt.Errorf("policy: bad retention literal: %w", err)
-		}
-		p.MaxRetention = time.Duration(v)
-	}
-	if o := g.FirstObject(subject, ucExpiresAt); !o.IsZero() {
-		ts, err := time.Parse(time.RFC3339Nano, o.Value())
-		if err != nil {
-			return nil, fmt.Errorf("policy: bad expiresAt literal: %w", err)
-		}
-		p.ExpiresAt = ts
-	}
-	if o := g.FirstObject(subject, ucMaxUses); !o.IsZero() {
-		v, err := o.Int()
-		if err != nil {
-			return nil, fmt.Errorf("policy: bad maxUses literal: %w", err)
-		}
-		p.MaxUses = uint64(v)
-	}
-	if o := g.FirstObject(subject, ucProhibitSharing); !o.IsZero() {
-		v, err := o.Bool()
-		if err != nil {
-			return nil, fmt.Errorf("policy: bad prohibitSharing literal: %w", err)
-		}
-		p.ProhibitSharing = v
-	}
-	if o := g.FirstObject(subject, ucNotifyOnUse); !o.IsZero() {
-		v, err := o.Bool()
-		if err != nil {
-			return nil, fmt.Errorf("policy: bad notifyOnUse literal: %w", err)
-		}
-		p.NotifyOnUse = v
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return p, nil
 }

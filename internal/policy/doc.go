@@ -2,7 +2,7 @@
 // architecture: an ODRL-inspired language with purpose constraints,
 // temporal (retention/expiry) obligations, usage-count limits, sharing
 // prohibitions and notification duties, together with an evaluation engine
-// and a policy-update differ.
+// and the translation of a policy update into a copy-holder's obligations.
 //
 // The paper's two running examples are expressible directly:
 //
@@ -16,7 +16,7 @@
 // # Concurrency contract
 //
 // The package holds no locks and spawns no goroutines. Policy values are
-// plain data: Evaluate, Diff, and the codec are pure functions of their
+// plain data: Evaluate, ObligationsFor and the codec are pure functions of their
 // inputs, so concurrent evaluation of the same *Policy is safe as long
 // as no caller mutates it concurrently. Components that share a policy
 // across goroutines (the TEE trusted application, the DE App contract)

@@ -95,12 +95,3 @@ func (p *Policy) Evaluate(ctx UsageContext) Decision {
 	d.Allowed = len(d.Reasons) == 0
 	return d
 }
-
-// CompliantAt reports whether merely holding a copy retrieved at
-// retrievedAt is compliant at instant now (i.e. the deletion obligation,
-// if any, has not yet lapsed). This is the check performed during the
-// Fig. 2(6) policy-monitoring process for devices that still store a copy.
-func (p *Policy) CompliantAt(now, retrievedAt time.Time) bool {
-	deadline, has := p.DeleteDeadline(retrievedAt)
-	return !has || !now.After(deadline)
-}

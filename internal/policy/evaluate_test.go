@@ -133,20 +133,6 @@ func TestEvaluateMustNotify(t *testing.T) {
 	}
 }
 
-func TestCompliantAt(t *testing.T) {
-	p := alicePolicy() // 30-day retention
-	if !p.CompliantAt(t0.Add(29*24*time.Hour), t0) {
-		t.Error("should be compliant within retention")
-	}
-	if p.CompliantAt(t0.Add(31*24*time.Hour), t0) {
-		t.Error("should be non-compliant after retention")
-	}
-	unconstrained := New("https://x/r", "o", t0)
-	if !unconstrained.CompliantAt(t0.Add(1000*time.Hour), t0) {
-		t.Error("unconstrained policy is always compliant")
-	}
-}
-
 func TestDecisionString(t *testing.T) {
 	p := alicePolicy()
 	allow := p.Evaluate(UsageContext{Now: t0, Purpose: PurposeAny, Action: ActionUse, RetrievedAt: t0})

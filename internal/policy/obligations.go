@@ -47,75 +47,6 @@ type Obligation struct {
 	Reason string
 }
 
-// Diff summarises how a policy changed between two versions.
-type Diff struct {
-	// RetentionChanged reports a changed MaxRetention or ExpiresAt.
-	RetentionChanged bool
-	// PurposesNarrowed lists previously allowed purposes that are no longer
-	// allowed. A nil slice with PurposesChanged=false means no change.
-	PurposesNarrowed []Purpose
-	// PurposesChanged reports any change to the purpose set.
-	PurposesChanged bool
-	// UsesChanged reports a changed MaxUses.
-	UsesChanged bool
-	// SharingTightened reports ProhibitSharing turning on.
-	SharingTightened bool
-	// NotifyChanged reports NotifyOnUse toggling.
-	NotifyChanged bool
-}
-
-// Compute returns the difference between two versions of a policy.
-// old and new must refer to the same resource.
-func Compute(oldP, newP *Policy) (Diff, error) {
-	var d Diff
-	if oldP.ResourceIRI != newP.ResourceIRI {
-		return d, fmt.Errorf("policy: diff across resources %q and %q",
-			oldP.ResourceIRI, newP.ResourceIRI)
-	}
-	d.RetentionChanged = oldP.MaxRetention != newP.MaxRetention ||
-		!oldP.ExpiresAt.Equal(newP.ExpiresAt)
-	d.UsesChanged = oldP.MaxUses != newP.MaxUses
-	d.SharingTightened = !oldP.ProhibitSharing && newP.ProhibitSharing
-	d.NotifyChanged = oldP.NotifyOnUse != newP.NotifyOnUse
-
-	oldAllowed := purposeSet(oldP.AllowedPurposes)
-	newAllowed := purposeSet(newP.AllowedPurposes)
-	if !purposeSetsEqual(oldAllowed, newAllowed) {
-		d.PurposesChanged = true
-		for pu := range oldAllowed {
-			if !newP.PermitsPurpose(pu) {
-				d.PurposesNarrowed = append(d.PurposesNarrowed, pu)
-			}
-		}
-	}
-	return d, nil
-}
-
-func purposeSet(ps []Purpose) map[Purpose]struct{} {
-	// nil (unconstrained) is represented as {PurposeAny}.
-	set := make(map[Purpose]struct{}, len(ps))
-	if len(ps) == 0 {
-		set[PurposeAny] = struct{}{}
-		return set
-	}
-	for _, p := range ps {
-		set[p] = struct{}{}
-	}
-	return set
-}
-
-func purposeSetsEqual(a, b map[Purpose]struct{}) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for p := range a {
-		if _, ok := b[p]; !ok {
-			return false
-		}
-	}
-	return true
-}
-
 // ObligationsFor translates a policy update into the obligations a given
 // holder must execute. This is the core of the paper's policy-modification
 // scenario: after Alice shortens retention from one month to one week,

@@ -5,92 +5,6 @@ import (
 	"time"
 )
 
-func TestComputeDiff(t *testing.T) {
-	week := 7 * 24 * time.Hour
-
-	t.Run("retention shortened", func(t *testing.T) {
-		oldP := alicePolicy()
-		newP := oldP.NextVersion(t0.Add(48 * time.Hour))
-		newP.MaxRetention = week
-		d, err := Compute(oldP, newP)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !d.RetentionChanged {
-			t.Error("RetentionChanged not detected")
-		}
-		if d.PurposesChanged {
-			t.Error("spurious purpose change")
-		}
-	})
-
-	t.Run("purpose narrowed", func(t *testing.T) {
-		oldP := bobPolicy()
-		newP := oldP.NextVersion(t0.Add(48 * time.Hour))
-		newP.AllowedPurposes = []Purpose{PurposeAcademic}
-		d, err := Compute(oldP, newP)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !d.PurposesChanged {
-			t.Fatal("PurposesChanged not detected")
-		}
-		if len(d.PurposesNarrowed) != 1 || d.PurposesNarrowed[0] != PurposeMedicalResearch {
-			t.Fatalf("PurposesNarrowed = %v", d.PurposesNarrowed)
-		}
-	})
-
-	t.Run("no change", func(t *testing.T) {
-		oldP := bobPolicy()
-		newP := oldP.NextVersion(t0.Add(time.Hour))
-		d, err := Compute(oldP, newP)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d.RetentionChanged || d.PurposesChanged || d.UsesChanged || d.SharingTightened || d.NotifyChanged {
-			t.Fatalf("spurious diff: %+v", d)
-		}
-	})
-
-	t.Run("sharing tightened and notify toggled", func(t *testing.T) {
-		oldP := alicePolicy()
-		newP := oldP.NextVersion(t0.Add(time.Hour))
-		newP.ProhibitSharing = true
-		newP.NotifyOnUse = true
-		newP.MaxUses = 5
-		d, err := Compute(oldP, newP)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !d.SharingTightened || !d.NotifyChanged || !d.UsesChanged {
-			t.Fatalf("diff = %+v", d)
-		}
-	})
-
-	t.Run("cross-resource diff rejected", func(t *testing.T) {
-		if _, err := Compute(alicePolicy(), bobPolicy()); err == nil {
-			t.Fatal("Compute across resources should fail")
-		}
-	})
-
-	t.Run("unconstrained to constrained", func(t *testing.T) {
-		oldP := alicePolicy() // no purpose constraint
-		newP := oldP.NextVersion(t0.Add(time.Hour))
-		newP.AllowedPurposes = []Purpose{PurposeAcademic}
-		d, err := Compute(oldP, newP)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !d.PurposesChanged {
-			t.Fatal("constraining an unconstrained policy must register")
-		}
-		// The wildcard pseudo-purpose is narrowed away.
-		if len(d.PurposesNarrowed) != 1 || d.PurposesNarrowed[0] != PurposeAny {
-			t.Fatalf("PurposesNarrowed = %v", d.PurposesNarrowed)
-		}
-	})
-}
-
 // TestObligationsForAliceScenario reproduces the paper's policy
 // modification: after two days Alice shortens max storage from one month
 // to one week. A holder that retrieved five days ago reschedules; a holder

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/hex"
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -12,29 +11,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cryptoutil"
+	"repro/internal/rdf"
 	"repro/internal/store"
 )
-
-// refCanonical is the canonical form Policy.Hash hashed at commit
-// d71331e, where fmt built it; the frozen vectors below were printed
-// there. The DE App anchors this hash on chain.
-func refCanonical(p *Policy) string {
-	c := p.Clone()
-	sortPurposes(c.AllowedPurposes)
-	sortActions(c.AllowedActions)
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s|%s|%s|%d|%d|", c.ID, c.ResourceIRI, c.OwnerWebID, c.Version, c.IssuedAt.UnixNano())
-	for _, pu := range c.AllowedPurposes {
-		fmt.Fprintf(&b, "p:%s;", pu)
-	}
-	for _, a := range c.AllowedActions {
-		fmt.Fprintf(&b, "a:%s;", a)
-	}
-	fmt.Fprintf(&b, "|%d|%d|%d|%t|%t",
-		c.MaxRetention, c.ExpiresAt.UnixNano(), c.MaxUses, c.ProhibitSharing, c.NotifyOnUse)
-	return b.String()
-}
 
 func vecPolicies() []*Policy {
 	at := time.Unix(1_696_809_600, 0).UTC()
@@ -47,18 +26,6 @@ func vecPolicies() []*Policy {
 		},
 		// No lists, zero times (negative UnixNano), the widest integers.
 		{ID: "a|b", ResourceIRI: "ü", OwnerWebID: ";", Version: math.MaxUint64, MaxRetention: math.MinInt64, MaxUses: math.MaxUint64, NotifyOnUse: true},
-	}
-}
-
-func TestFrozenPolicyHash(t *testing.T) {
-	want := []string{
-		"0xd3ece7bb83441aa604b7405ac98690579908c96c6f9da3cfdb7da1c402d2373f",
-		"0x5890045b5825dd2b028327eb554ce2eae0465136796a47d2c618c64dd96bff65",
-	}
-	for i, p := range vecPolicies() {
-		if got := p.Hash().String(); got != want[i] {
-			t.Errorf("policy %d hash: got %s, want %s", i, got, want[i])
-		}
 	}
 }
 
@@ -92,16 +59,6 @@ func randPolicy(r *rand.Rand) *Policy {
 		p.AllowedActions = append(p.AllowedActions, Action(text()))
 	}
 	return p
-}
-
-func TestPolicyHashMatchesFmtReference(t *testing.T) {
-	r := rand.New(rand.NewSource(21))
-	for i := range 1000 {
-		p := randPolicy(r)
-		if got, want := p.Hash(), cryptoutil.HashOf([]byte(refCanonical(p))); got != want {
-			t.Fatalf("case %d: Policy.Hash %s, reference %s over %q", i, got, want, refCanonical(p))
-		}
-	}
 }
 
 // TestFrozenPolicyRecord pins the record encoding: the DE App's state, its
@@ -154,6 +111,42 @@ func TestPolicyRecordRoundTrip(t *testing.T) {
 		d = store.NewDec(append([]byte{'{'}, enc[1:]...))
 		if DecodeRecord(d, new(Policy)); !errors.Is(d.Finish(), store.ErrCodec) {
 			t.Fatalf("case %d: a '{'-opening record decoded", i)
+		}
+	}
+}
+
+// TestFrozenPolicyTurtle pins the .policy document the pod manager stores
+// beside a resource: Policy.ToGraph written as Turtle under the uc prefix,
+// with every optional field set and with none.
+func TestFrozenPolicyTurtle(t *testing.T) {
+	want := []string{
+		`@prefix uc: <https://w3id.org/usagecontrol#> .
+
+<https://bob.pod/medical/ds1.ttl#policy> a uc:UsagePolicy ;
+    uc:allowedAction "read", "use" ;
+    uc:allowedPurpose "academic", "medical-research" ;
+    uc:expiresAt "2024-01-07T12:00:00Z"^^<http://www.w3.org/2001/XMLSchema#dateTime> ;
+    uc:issuedAt "2023-10-09T12:00:00Z"^^<http://www.w3.org/2001/XMLSchema#dateTime> ;
+    uc:maxRetentionNanos "604800000000000"^^<http://www.w3.org/2001/XMLSchema#integer> ;
+    uc:maxUses "100"^^<http://www.w3.org/2001/XMLSchema#integer> ;
+    uc:notifyOnUse "true"^^<http://www.w3.org/2001/XMLSchema#boolean> ;
+    uc:owner <https://bob.pod/profile#me> ;
+    uc:prohibitSharing "true"^^<http://www.w3.org/2001/XMLSchema#boolean> ;
+    uc:resource <https://bob.pod/medical/ds1.ttl> ;
+    uc:version "1"^^<http://www.w3.org/2001/XMLSchema#integer> .
+`,
+		`@prefix uc: <https://w3id.org/usagecontrol#> .
+
+<https://bob.pod/medical/ds1.ttl#policy> a uc:UsagePolicy ;
+    uc:issuedAt "2023-10-09T12:00:00Z"^^<http://www.w3.org/2001/XMLSchema#dateTime> ;
+    uc:owner <https://bob.pod/profile#me> ;
+    uc:resource <https://bob.pod/medical/ds1.ttl> ;
+    uc:version "1"^^<http://www.w3.org/2001/XMLSchema#integer> .
+`,
+	}
+	for i, p := range []*Policy{fullPolicy(), New("https://bob.pod/medical/ds1.ttl", "https://bob.pod/profile#me", t0)} {
+		if got := rdf.SerializeTurtle(p.ToGraph(), map[string]string{"uc": UC}); got != want[i] {
+			t.Errorf("policy %d document:\n%s\nwant:\n%s", i, got, want[i])
 		}
 	}
 }

@@ -47,28 +47,6 @@ func addIndex(idx map[Term]map[Term]map[Term]struct{}, a, b, c Term) bool {
 	return true
 }
 
-func removeIndex(idx map[Term]map[Term]map[Term]struct{}, a, b, c Term) bool {
-	m1, ok := idx[a]
-	if !ok {
-		return false
-	}
-	m2, ok := m1[b]
-	if !ok {
-		return false
-	}
-	if _, exists := m2[c]; !exists {
-		return false
-	}
-	delete(m2, c)
-	if len(m2) == 0 {
-		delete(m1, b)
-	}
-	if len(m1) == 0 {
-		delete(idx, a)
-	}
-	return true
-}
-
 // Add inserts a triple. It reports whether the triple was not already
 // present.
 func (g *Graph) Add(t Triple) bool {
@@ -83,51 +61,11 @@ func (g *Graph) Add(t Triple) bool {
 	return true
 }
 
-// AddAll inserts all triples and returns the number newly added.
-func (g *Graph) AddAll(ts ...Triple) int {
-	added := 0
-	for _, t := range ts {
-		if g.Add(t) {
-			added++
-		}
-	}
-	return added
-}
-
-// Remove deletes a triple. It reports whether the triple was present.
-func (g *Graph) Remove(t Triple) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if !removeIndex(g.spo, t.S, t.P, t.O) {
-		return false
-	}
-	removeIndex(g.pos, t.P, t.O, t.S)
-	removeIndex(g.osp, t.O, t.S, t.P)
-	g.n--
-	return true
-}
-
 // Len returns the number of triples in the graph.
 func (g *Graph) Len() int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	return g.n
-}
-
-// Has reports whether the graph contains the exact triple.
-func (g *Graph) Has(t Triple) bool {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	m1, ok := g.spo[t.S]
-	if !ok {
-		return false
-	}
-	m2, ok := m1[t.P]
-	if !ok {
-		return false
-	}
-	_, ok = m2[t.O]
-	return ok
 }
 
 // Match returns all triples matching the pattern. A zero Term in any
@@ -179,72 +117,11 @@ func (g *Graph) Match(s, p, o Term) []Triple {
 	return out
 }
 
-// Subjects returns the distinct subjects of triples matching (*, p, o),
-// sorted. Zero terms are wildcards.
-func (g *Graph) Subjects(p, o Term) []Term {
-	seen := make(map[Term]struct{})
-	for _, t := range g.Match(Term{}, p, o) {
-		seen[t.S] = struct{}{}
-	}
-	return sortedTerms(seen)
-}
-
-// Objects returns the distinct objects of triples matching (s, p, *),
-// sorted. Zero terms are wildcards.
-func (g *Graph) Objects(s, p Term) []Term {
-	seen := make(map[Term]struct{})
-	for _, t := range g.Match(s, p, Term{}) {
-		seen[t.O] = struct{}{}
-	}
-	return sortedTerms(seen)
-}
-
-// FirstObject returns the first object of (s, p, *) in sorted order, or the
-// zero Term if none exists.
-func (g *Graph) FirstObject(s, p Term) Term {
-	objs := g.Objects(s, p)
-	if len(objs) == 0 {
-		return Term{}
-	}
-	return objs[0]
-}
-
 // Triples returns every triple in deterministic order.
 func (g *Graph) Triples() []Triple { return g.Match(Term{}, Term{}, Term{}) }
 
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	clone := NewGraph()
-	for _, t := range g.Triples() {
-		clone.Add(t)
-	}
-	return clone
-}
-
-// Merge adds every triple of other into g and returns the number added.
-func (g *Graph) Merge(other *Graph) int {
-	return g.AddAll(other.Triples()...)
-}
-
-// Equal reports whether both graphs contain exactly the same triples.
-// Blank-node isomorphism is not considered: blank labels must match, which
-// is sufficient for this package's round-trip guarantees because the parser
-// preserves labels.
-func (g *Graph) Equal(other *Graph) bool {
-	a, b := g.Triples(), other.Triples()
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 func termSortKey(t Term) string {
-	return strings.Join([]string{t.kind.String(), t.value, t.datatype, t.lang}, "\x00")
+	return strings.Join([]string{t.kind.String(), t.value, t.datatype}, "\x00")
 }
 
 func sortTriples(ts []Triple) {
@@ -258,15 +135,4 @@ func sortTriples(ts []Triple) {
 		}
 		return termSortKey(a.O) < termSortKey(b.O)
 	})
-}
-
-func sortedTerms(set map[Term]struct{}) []Term {
-	out := make([]Term, 0, len(set))
-	for t := range set {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return termSortKey(out[i]) < termSortKey(out[j])
-	})
-	return out
 }

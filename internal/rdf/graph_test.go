@@ -2,17 +2,15 @@ package rdf
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"testing"
-	"testing/quick"
 )
 
 func tr(s, p, o string) Triple {
 	return T(IRI("http://e/"+s), IRI("http://e/"+p), IRI("http://e/"+o))
 }
 
-func TestGraphAddRemove(t *testing.T) {
+func TestGraphAdd(t *testing.T) {
 	g := NewGraph()
 	if g.Len() != 0 {
 		t.Fatalf("new graph Len = %d, want 0", g.Len())
@@ -26,31 +24,18 @@ func TestGraphAddRemove(t *testing.T) {
 	if g.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", g.Len())
 	}
-	if !g.Has(tr("s", "p", "o")) {
-		t.Error("Has should find the triple")
-	}
-	if g.Has(tr("s", "p", "other")) {
-		t.Error("Has should not find an absent triple")
-	}
-	if !g.Remove(tr("s", "p", "o")) {
-		t.Error("Remove of present triple should report true")
-	}
-	if g.Remove(tr("s", "p", "o")) {
-		t.Error("Remove of absent triple should report false")
-	}
-	if g.Len() != 0 {
-		t.Fatalf("Len after removal = %d, want 0", g.Len())
-	}
 }
 
 func TestGraphMatchWildcards(t *testing.T) {
 	g := NewGraph()
-	g.AddAll(
+	for _, t := range []Triple{
 		tr("alice", "knows", "bob"),
 		tr("alice", "knows", "carol"),
 		tr("alice", "name", "a"),
 		tr("bob", "knows", "carol"),
-	)
+	} {
+		g.Add(t)
+	}
 
 	tests := []struct {
 		name    string
@@ -97,64 +82,6 @@ func TestGraphMatchDeterministicOrder(t *testing.T) {
 	}
 }
 
-func TestGraphSubjectsObjects(t *testing.T) {
-	g := NewGraph()
-	g.AddAll(
-		tr("alice", "knows", "bob"),
-		tr("carol", "knows", "bob"),
-		tr("alice", "knows", "dave"),
-	)
-	subs := g.Subjects(IRI("http://e/knows"), IRI("http://e/bob"))
-	if len(subs) != 2 {
-		t.Fatalf("Subjects = %v, want 2 entries", subs)
-	}
-	objs := g.Objects(IRI("http://e/alice"), IRI("http://e/knows"))
-	if len(objs) != 2 {
-		t.Fatalf("Objects = %v, want 2 entries", objs)
-	}
-	first := g.FirstObject(IRI("http://e/alice"), IRI("http://e/knows"))
-	if first.IsZero() {
-		t.Fatal("FirstObject should find an object")
-	}
-	if got := g.FirstObject(IRI("http://e/zed"), IRI("http://e/knows")); !got.IsZero() {
-		t.Fatalf("FirstObject on absent subject = %v, want zero", got)
-	}
-}
-
-func TestGraphCloneAndEqual(t *testing.T) {
-	g := NewGraph()
-	g.AddAll(tr("s1", "p", "o"), tr("s2", "p", "o"))
-	c := g.Clone()
-	if !g.Equal(c) {
-		t.Fatal("clone should equal original")
-	}
-	c.Add(tr("s3", "p", "o"))
-	if g.Equal(c) {
-		t.Fatal("graphs with different sizes should not be equal")
-	}
-	if g.Len() != 2 {
-		t.Fatal("mutating clone must not affect original")
-	}
-	d := NewGraph()
-	d.AddAll(tr("s1", "p", "o"), tr("s2", "p", "x"))
-	if g.Equal(d) {
-		t.Fatal("graphs with same size but different triples should not be equal")
-	}
-}
-
-func TestGraphMerge(t *testing.T) {
-	a := NewGraph()
-	a.AddAll(tr("s1", "p", "o"))
-	b := NewGraph()
-	b.AddAll(tr("s1", "p", "o"), tr("s2", "p", "o"))
-	if added := a.Merge(b); added != 1 {
-		t.Fatalf("Merge added %d, want 1", added)
-	}
-	if a.Len() != 2 {
-		t.Fatalf("after merge Len = %d, want 2", a.Len())
-	}
-}
-
 func TestGraphConcurrentAccess(t *testing.T) {
 	g := NewGraph()
 	var wg sync.WaitGroup
@@ -172,39 +99,5 @@ func TestGraphConcurrentAccess(t *testing.T) {
 	wg.Wait()
 	if g.Len() != 800 {
 		t.Fatalf("Len = %d, want 800", g.Len())
-	}
-}
-
-// TestGraphAddRemoveProperty checks that adding then removing a random set
-// of triples always returns the graph to its prior state.
-func TestGraphAddRemoveProperty(t *testing.T) {
-	f := func(seed int64, n uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := NewGraph()
-		base := []Triple{tr("a", "p", "b"), tr("b", "p", "c")}
-		g.AddAll(base...)
-
-		var added []Triple
-		for range int(n%32) + 1 {
-			trp := tr(
-				fmt.Sprintf("s%d", rng.Intn(10)),
-				fmt.Sprintf("p%d", rng.Intn(3)),
-				fmt.Sprintf("o%d", rng.Intn(10)),
-			)
-			if g.Add(trp) {
-				added = append(added, trp)
-			}
-		}
-		for _, trp := range added {
-			if !g.Remove(trp) {
-				return false
-			}
-		}
-		want := NewGraph()
-		want.AddAll(base...)
-		return g.Equal(want)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -1,11 +1,12 @@
-// Package rdf provides a minimal RDF data model: IRIs, literals, blank
-// nodes, triples, an indexed in-memory graph with pattern matching, and a
-// Turtle-subset parser and serializer.
+// Package rdf provides a minimal RDF data model: IRIs, literals, triples,
+// an indexed in-memory graph with pattern matching, and a Turtle
+// serializer.
 //
-// The package implements exactly the subset of RDF/Turtle that the Solid
-// substrate needs: Web Access Control (WAC) documents, WebID profile
-// snippets, and usage-policy documents are all expressed as small Turtle
-// graphs. It is not a general-purpose RDF toolkit.
+// The package implements exactly what the documents pods store and serve
+// need: usage-policy documents, WebID profile documents and container
+// listings are small graphs written out as Turtle. Nothing in the system
+// reads Turtle back, so there is no parser. It is not a general-purpose
+// RDF toolkit.
 package rdf
 
 import (
@@ -22,7 +23,6 @@ type TermKind int
 const (
 	KindIRI TermKind = iota + 1
 	KindLiteral
-	KindBlank
 )
 
 // String returns a short human-readable kind name.
@@ -32,28 +32,23 @@ func (k TermKind) String() string {
 		return "iri"
 	case KindLiteral:
 		return "literal"
-	case KindBlank:
-		return "blank"
 	default:
 		return fmt.Sprintf("termkind(%d)", int(k))
 	}
 }
 
-// Term is an RDF term: an IRI, a literal, or a blank node.
+// Term is an RDF term: an IRI or a literal.
 //
 // Terms are immutable value types. Two terms are equal (in the == sense)
 // exactly when they denote the same RDF term, so Term values can be used as
 // map keys.
 type Term struct {
 	kind TermKind
-	// value holds the IRI string, the literal lexical form, or the blank
-	// node label depending on kind.
+	// value holds the IRI string or the literal lexical form depending on
+	// kind.
 	value string
-	// datatype is the datatype IRI for literals ("" means xsd:string when
-	// lang is empty).
+	// datatype is the datatype IRI for literals ("" means xsd:string).
 	datatype string
-	// lang is the language tag for language-tagged literals.
-	lang string
 }
 
 // Common XSD datatype IRIs used by typed literals.
@@ -61,17 +56,11 @@ const (
 	XSDString   = "http://www.w3.org/2001/XMLSchema#string"
 	XSDInteger  = "http://www.w3.org/2001/XMLSchema#integer"
 	XSDBoolean  = "http://www.w3.org/2001/XMLSchema#boolean"
-	XSDDecimal  = "http://www.w3.org/2001/XMLSchema#decimal"
 	XSDDateTime = "http://www.w3.org/2001/XMLSchema#dateTime"
-	XSDDuration = "http://www.w3.org/2001/XMLSchema#duration"
 )
 
 // IRI returns an IRI term.
 func IRI(iri string) Term { return Term{kind: KindIRI, value: iri} }
-
-// Blank returns a blank-node term with the given label (without the "_:"
-// prefix).
-func Blank(label string) Term { return Term{kind: KindBlank, value: label} }
 
 // Literal returns a plain string literal.
 func Literal(lexical string) Term {
@@ -81,11 +70,6 @@ func Literal(lexical string) Term {
 // TypedLiteral returns a literal with an explicit datatype IRI.
 func TypedLiteral(lexical, datatype string) Term {
 	return Term{kind: KindLiteral, value: lexical, datatype: datatype}
-}
-
-// LangLiteral returns a language-tagged string literal.
-func LangLiteral(lexical, lang string) Term {
-	return Term{kind: KindLiteral, value: lexical, lang: lang}
 }
 
 // Integer returns an xsd:integer literal.
@@ -105,57 +89,20 @@ func (t Term) Kind() TermKind { return t.kind }
 // IsZero reports whether t is the zero Term (no kind).
 func (t Term) IsZero() bool { return t.kind == 0 }
 
-// Value returns the IRI string, literal lexical form, or blank label.
+// Value returns the IRI string or the literal lexical form.
 func (t Term) Value() string { return t.value }
-
-// Datatype returns the literal datatype IRI. For plain literals it returns
-// XSDString; for non-literals it returns "".
-func (t Term) Datatype() string {
-	if t.kind != KindLiteral {
-		return ""
-	}
-	if t.datatype == "" && t.lang == "" {
-		return XSDString
-	}
-	return t.datatype
-}
-
-// Lang returns the language tag, or "" if none.
-func (t Term) Lang() string { return t.lang }
-
-// Int parses the literal lexical form as an int64.
-func (t Term) Int() (int64, error) {
-	if t.kind != KindLiteral {
-		return 0, fmt.Errorf("rdf: term %s is not a literal", t)
-	}
-	return strconv.ParseInt(t.value, 10, 64)
-}
-
-// Bool parses the literal lexical form as a boolean.
-func (t Term) Bool() (bool, error) {
-	if t.kind != KindLiteral {
-		return false, fmt.Errorf("rdf: term %s is not a literal", t)
-	}
-	return strconv.ParseBool(t.value)
-}
 
 // String renders the term in N-Triples-like syntax.
 func (t Term) String() string {
 	switch t.kind {
 	case KindIRI:
 		return "<" + t.value + ">"
-	case KindBlank:
-		return "_:" + t.value
 	case KindLiteral:
 		quoted := quoteLiteral(t.value)
-		switch {
-		case t.lang != "":
-			return quoted + "@" + t.lang
-		case t.datatype != "" && t.datatype != XSDString:
+		if t.datatype != "" && t.datatype != XSDString {
 			return quoted + "^^<" + t.datatype + ">"
-		default:
-			return quoted
 		}
+		return quoted
 	default:
 		return "?"
 	}
@@ -202,23 +149,7 @@ func T(s, p, o Term) Triple { return Triple{S: s, P: p, O: o} }
 const (
 	RDFType = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 
-	// Web Access Control vocabulary.
-	ACLAuthorization = "http://www.w3.org/ns/auth/acl#Authorization"
-	ACLAgent         = "http://www.w3.org/ns/auth/acl#agent"
-	ACLAgentClass    = "http://www.w3.org/ns/auth/acl#agentClass"
-	ACLAccessTo      = "http://www.w3.org/ns/auth/acl#accessTo"
-	ACLDefault       = "http://www.w3.org/ns/auth/acl#default"
-	ACLMode          = "http://www.w3.org/ns/auth/acl#mode"
-	ACLRead          = "http://www.w3.org/ns/auth/acl#Read"
-	ACLWrite         = "http://www.w3.org/ns/auth/acl#Write"
-	ACLAppend        = "http://www.w3.org/ns/auth/acl#Append"
-	ACLControl       = "http://www.w3.org/ns/auth/acl#Control"
-
-	// FOAF agent classes.
-	FOAFAgent = "http://xmlns.com/foaf/0.1/Agent"
-
 	// Solid/LDP vocabulary subset.
 	LDPContainer = "http://www.w3.org/ns/ldp#Container"
-	LDPResource  = "http://www.w3.org/ns/ldp#Resource"
 	LDPContains  = "http://www.w3.org/ns/ldp#contains"
 )

@@ -6,20 +6,16 @@ import (
 
 func TestTermConstructorsAndAccessors(t *testing.T) {
 	tests := []struct {
-		name     string
-		term     Term
-		kind     TermKind
-		value    string
-		datatype string
-		lang     string
+		name  string
+		term  Term
+		kind  TermKind
+		value string
 	}{
-		{"iri", IRI("http://example.org/x"), KindIRI, "http://example.org/x", "", ""},
-		{"blank", Blank("b1"), KindBlank, "b1", "", ""},
-		{"plain literal", Literal("hello"), KindLiteral, "hello", XSDString, ""},
-		{"typed literal", TypedLiteral("5", XSDInteger), KindLiteral, "5", XSDInteger, ""},
-		{"lang literal", LangLiteral("ciao", "it"), KindLiteral, "ciao", "", "it"},
-		{"integer", Integer(-42), KindLiteral, "-42", XSDInteger, ""},
-		{"boolean", Boolean(true), KindLiteral, "true", XSDBoolean, ""},
+		{"iri", IRI("http://example.org/x"), KindIRI, "http://example.org/x"},
+		{"plain literal", Literal("hello"), KindLiteral, "hello"},
+		{"typed literal", TypedLiteral("5", XSDInteger), KindLiteral, "5"},
+		{"integer", Integer(-42), KindLiteral, "-42"},
+		{"boolean", Boolean(true), KindLiteral, "true"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -28,14 +24,6 @@ func TestTermConstructorsAndAccessors(t *testing.T) {
 			}
 			if got := tt.term.Value(); got != tt.value {
 				t.Errorf("Value() = %q, want %q", got, tt.value)
-			}
-			if tt.kind == KindLiteral && tt.lang == "" {
-				if got := tt.term.Datatype(); got != tt.datatype {
-					t.Errorf("Datatype() = %q, want %q", got, tt.datatype)
-				}
-			}
-			if got := tt.term.Lang(); got != tt.lang {
-				t.Errorf("Lang() = %q, want %q", got, tt.lang)
 			}
 		})
 	}
@@ -48,9 +36,6 @@ func TestTermZero(t *testing.T) {
 	}
 	if IRI("x").IsZero() {
 		t.Error("IRI should not report IsZero")
-	}
-	if zero.Datatype() != "" {
-		t.Errorf("zero Datatype() = %q, want empty", zero.Datatype())
 	}
 }
 
@@ -69,34 +54,14 @@ func TestTermEqualityAsMapKey(t *testing.T) {
 	}
 }
 
-func TestTermIntBool(t *testing.T) {
-	if v, err := Integer(7).Int(); err != nil || v != 7 {
-		t.Errorf("Int() = %d, %v; want 7, nil", v, err)
-	}
-	if _, err := IRI("x").Int(); err == nil {
-		t.Error("Int() on IRI should error")
-	}
-	if v, err := Boolean(true).Bool(); err != nil || !v {
-		t.Errorf("Bool() = %t, %v; want true, nil", v, err)
-	}
-	if _, err := Blank("b").Bool(); err == nil {
-		t.Error("Bool() on blank should error")
-	}
-	if _, err := Literal("xyz").Int(); err == nil {
-		t.Error("Int() on non-numeric literal should error")
-	}
-}
-
 func TestTermString(t *testing.T) {
 	tests := []struct {
 		term Term
 		want string
 	}{
 		{IRI("http://e/x"), "<http://e/x>"},
-		{Blank("b9"), "_:b9"},
 		{Literal("hi"), `"hi"`},
 		{Literal("say \"hi\"\n"), `"say \"hi\"\n"`},
-		{LangLiteral("hi", "en"), `"hi"@en`},
 		{TypedLiteral("3", XSDInteger), `"3"^^<` + XSDInteger + `>`},
 		{TypedLiteral("s", XSDString), `"s"`},
 	}
@@ -116,7 +81,7 @@ func TestTripleString(t *testing.T) {
 }
 
 func TestTermKindString(t *testing.T) {
-	if KindIRI.String() != "iri" || KindLiteral.String() != "literal" || KindBlank.String() != "blank" {
+	if KindIRI.String() != "iri" || KindLiteral.String() != "literal" {
 		t.Error("unexpected kind names")
 	}
 	if TermKind(99).String() == "" {

@@ -7,391 +7,6 @@ import (
 	"unicode"
 )
 
-// ParseTurtle parses a Turtle-subset document into a graph.
-//
-// Supported syntax:
-//
-//   - @prefix and PREFIX directives
-//   - prefixed names (ex:thing), full IRIs (<http://...>), blank nodes
-//     (_:label), the "a" keyword for rdf:type
-//   - plain, language-tagged ("x"@en) and typed ("1"^^xsd:integer) string
-//     literals with the usual escapes, plus bare integers and booleans
-//   - object lists (comma), predicate-object lists (semicolon)
-//   - line comments (#)
-//
-// Unsupported Turtle features (collections, anonymous blank-node property
-// lists, multiline strings) produce an error.
-func ParseTurtle(input string) (*Graph, error) {
-	p := &turtleParser{
-		input:    input,
-		prefixes: map[string]string{},
-		graph:    NewGraph(),
-	}
-	if err := p.run(); err != nil {
-		return nil, err
-	}
-	return p.graph, nil
-}
-
-type turtleParser struct {
-	input    string
-	pos      int
-	line     int
-	prefixes map[string]string
-	graph    *Graph
-}
-
-func (p *turtleParser) errf(format string, args ...any) error {
-	return fmt.Errorf("turtle: line %d: %s", p.line+1, fmt.Sprintf(format, args...))
-}
-
-func (p *turtleParser) run() error {
-	for {
-		p.skipWS()
-		if p.eof() {
-			return nil
-		}
-		if p.hasPrefixDirective() {
-			if err := p.parsePrefix(); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := p.parseStatement(); err != nil {
-			return err
-		}
-	}
-}
-
-func (p *turtleParser) eof() bool { return p.pos >= len(p.input) }
-
-func (p *turtleParser) peek() byte {
-	if p.eof() {
-		return 0
-	}
-	return p.input[p.pos]
-}
-
-func (p *turtleParser) skipWS() {
-	for !p.eof() {
-		c := p.input[p.pos]
-		switch {
-		case c == '\n':
-			p.line++
-			p.pos++
-		case c == ' ' || c == '\t' || c == '\r':
-			p.pos++
-		case c == '#':
-			for !p.eof() && p.input[p.pos] != '\n' {
-				p.pos++
-			}
-		default:
-			return
-		}
-	}
-}
-
-func (p *turtleParser) hasPrefixDirective() bool {
-	rest := p.input[p.pos:]
-	return strings.HasPrefix(rest, "@prefix") ||
-		strings.HasPrefix(rest, "PREFIX") || strings.HasPrefix(rest, "prefix")
-}
-
-func (p *turtleParser) parsePrefix() error {
-	atForm := p.peek() == '@'
-	if atForm {
-		p.pos += len("@prefix")
-	} else {
-		p.pos += len("PREFIX")
-	}
-	p.skipWS()
-	// Read "name:".
-	start := p.pos
-	for !p.eof() && p.input[p.pos] != ':' {
-		p.pos++
-	}
-	if p.eof() {
-		return p.errf("prefix directive missing ':'")
-	}
-	name := strings.TrimSpace(p.input[start:p.pos])
-	p.pos++ // consume ':'
-	p.skipWS()
-	iri, err := p.parseIRIRef()
-	if err != nil {
-		return err
-	}
-	p.prefixes[name] = iri
-	p.skipWS()
-	if atForm {
-		if p.peek() != '.' {
-			return p.errf("@prefix directive must end with '.'")
-		}
-		p.pos++
-	} else if p.peek() == '.' {
-		// SPARQL-style PREFIX has no dot, but tolerate one.
-		p.pos++
-	}
-	return nil
-}
-
-func (p *turtleParser) parseIRIRef() (string, error) {
-	if p.peek() != '<' {
-		return "", p.errf("expected '<' to open IRI, found %q", string(p.peek()))
-	}
-	p.pos++
-	start := p.pos
-	for !p.eof() && p.input[p.pos] != '>' {
-		if p.input[p.pos] == '\n' {
-			return "", p.errf("newline inside IRI")
-		}
-		p.pos++
-	}
-	if p.eof() {
-		return "", p.errf("unterminated IRI")
-	}
-	iri := p.input[start:p.pos]
-	p.pos++
-	return iri, nil
-}
-
-func (p *turtleParser) parseStatement() error {
-	subject, err := p.parseTerm(false)
-	if err != nil {
-		return err
-	}
-	if subject.Kind() == KindLiteral {
-		return p.errf("literal %s cannot be a subject", subject)
-	}
-	for {
-		p.skipWS()
-		predicate, err := p.parsePredicate()
-		if err != nil {
-			return err
-		}
-		for {
-			p.skipWS()
-			object, err := p.parseTerm(true)
-			if err != nil {
-				return err
-			}
-			p.graph.Add(Triple{S: subject, P: predicate, O: object})
-			p.skipWS()
-			if p.peek() == ',' {
-				p.pos++
-				continue
-			}
-			break
-		}
-		switch p.peek() {
-		case ';':
-			p.pos++
-			p.skipWS()
-			// A trailing ';' before '.' is legal Turtle.
-			if p.peek() == '.' {
-				p.pos++
-				return nil
-			}
-			continue
-		case '.':
-			p.pos++
-			return nil
-		default:
-			return p.errf("expected ';' or '.' after object, found %q", string(p.peek()))
-		}
-	}
-}
-
-func (p *turtleParser) parsePredicate() (Term, error) {
-	// The "a" keyword abbreviates rdf:type.
-	if p.peek() == 'a' {
-		next := p.pos + 1
-		if next >= len(p.input) || isTermBoundary(p.input[next]) {
-			p.pos++
-			return IRI(RDFType), nil
-		}
-	}
-	t, err := p.parseTerm(false)
-	if err != nil {
-		return Term{}, err
-	}
-	if t.Kind() != KindIRI {
-		return Term{}, p.errf("predicate must be an IRI, found %s", t)
-	}
-	return t, nil
-}
-
-func isTermBoundary(c byte) bool {
-	return c == ' ' || c == '\t' || c == '\r' || c == '\n' || c == '<' || c == '"' || c == '_'
-}
-
-// parseTerm parses an IRI, prefixed name, blank node or (when allowLiteral)
-// a literal.
-func (p *turtleParser) parseTerm(allowLiteral bool) (Term, error) {
-	p.skipWS()
-	if p.eof() {
-		return Term{}, p.errf("unexpected end of input")
-	}
-	switch c := p.peek(); {
-	case c == '<':
-		iri, err := p.parseIRIRef()
-		if err != nil {
-			return Term{}, err
-		}
-		return IRI(iri), nil
-	case c == '_':
-		if p.pos+1 >= len(p.input) || p.input[p.pos+1] != ':' {
-			return Term{}, p.errf("expected ':' after '_' in blank node")
-		}
-		p.pos += 2
-		label := p.readName()
-		if label == "" {
-			return Term{}, p.errf("empty blank node label")
-		}
-		return Blank(label), nil
-	case c == '"':
-		if !allowLiteral {
-			return Term{}, p.errf("literal not allowed here")
-		}
-		return p.parseLiteral()
-	case (c >= '0' && c <= '9') || c == '-' || c == '+':
-		if !allowLiteral {
-			return Term{}, p.errf("numeric literal not allowed here")
-		}
-		start := p.pos
-		p.pos++
-		isDecimal := false
-		for !p.eof() {
-			d := p.input[p.pos]
-			if d >= '0' && d <= '9' {
-				p.pos++
-				continue
-			}
-			if d == '.' && p.pos+1 < len(p.input) && p.input[p.pos+1] >= '0' && p.input[p.pos+1] <= '9' {
-				isDecimal = true
-				p.pos++
-				continue
-			}
-			break
-		}
-		lex := p.input[start:p.pos]
-		if isDecimal {
-			return TypedLiteral(lex, XSDDecimal), nil
-		}
-		return TypedLiteral(lex, XSDInteger), nil
-	default:
-		// Prefixed name or boolean keyword.
-		name := p.readName()
-		if name == "" {
-			return Term{}, p.errf("unexpected character %q", string(c))
-		}
-		if name == "true" || name == "false" {
-			if !allowLiteral {
-				return Term{}, p.errf("boolean literal not allowed here")
-			}
-			return TypedLiteral(name, XSDBoolean), nil
-		}
-		if p.peek() != ':' {
-			return Term{}, p.errf("expected ':' in prefixed name after %q", name)
-		}
-		p.pos++
-		local := p.readName()
-		base, ok := p.prefixes[name]
-		if !ok {
-			return Term{}, p.errf("undefined prefix %q", name)
-		}
-		return IRI(base + local), nil
-	}
-}
-
-func (p *turtleParser) readName() string {
-	start := p.pos
-	for !p.eof() {
-		r := rune(p.input[p.pos])
-		if unicode.IsLetter(r) || unicode.IsDigit(r) || r == '-' || r == '_' || r == '.' {
-			// A '.' only belongs to the name if followed by a name char;
-			// otherwise it terminates the statement.
-			if r == '.' {
-				if p.pos+1 >= len(p.input) {
-					break
-				}
-				nxt := rune(p.input[p.pos+1])
-				if !unicode.IsLetter(nxt) && !unicode.IsDigit(nxt) && nxt != '_' && nxt != '-' {
-					break
-				}
-			}
-			p.pos++
-			continue
-		}
-		break
-	}
-	return p.input[start:p.pos]
-}
-
-func (p *turtleParser) parseLiteral() (Term, error) {
-	p.pos++ // consume opening quote
-	var b strings.Builder
-	for {
-		if p.eof() {
-			return Term{}, p.errf("unterminated string literal")
-		}
-		c := p.input[p.pos]
-		if c == '"' {
-			p.pos++
-			break
-		}
-		if c == '\n' {
-			return Term{}, p.errf("newline in string literal")
-		}
-		if c == '\\' {
-			p.pos++
-			if p.eof() {
-				return Term{}, p.errf("unterminated escape")
-			}
-			switch esc := p.input[p.pos]; esc {
-			case 'n':
-				b.WriteByte('\n')
-			case 't':
-				b.WriteByte('\t')
-			case 'r':
-				b.WriteByte('\r')
-			case '"':
-				b.WriteByte('"')
-			case '\\':
-				b.WriteByte('\\')
-			default:
-				return Term{}, p.errf("unsupported escape \\%s", string(esc))
-			}
-			p.pos++
-			continue
-		}
-		b.WriteByte(c)
-		p.pos++
-	}
-	lexical := b.String()
-	// Language tag or datatype suffix.
-	switch {
-	case p.peek() == '@':
-		p.pos++
-		lang := p.readName()
-		if lang == "" {
-			return Term{}, p.errf("empty language tag")
-		}
-		return LangLiteral(lexical, lang), nil
-	case strings.HasPrefix(p.input[p.pos:], "^^"):
-		p.pos += 2
-		dt, err := p.parseTerm(false)
-		if err != nil {
-			return Term{}, err
-		}
-		if dt.Kind() != KindIRI {
-			return Term{}, p.errf("datatype must be an IRI")
-		}
-		return TypedLiteral(lexical, dt.Value()), nil
-	default:
-		return Literal(lexical), nil
-	}
-}
-
 // SerializeTurtle renders the graph as Turtle, grouping triples by subject
 // and predicate, using the supplied prefix map (name -> IRI base). Output
 // is deterministic.

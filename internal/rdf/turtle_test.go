@@ -2,174 +2,110 @@ package rdf
 
 import (
 	"fmt"
-	"math/rand"
-	"strings"
 	"testing"
-	"testing/quick"
 )
 
-func TestParseTurtleBasic(t *testing.T) {
-	doc := `
-@prefix ex: <http://example.org/> .
-@prefix acl: <http://www.w3.org/ns/auth/acl#> .
-
-ex:auth1 a acl:Authorization ;
-    acl:agent <https://alice.example/profile#me> ;
-    acl:accessTo ex:resource1 ;
-    acl:mode acl:Read, acl:Write .
-`
-	g, err := ParseTurtle(doc)
-	if err != nil {
-		t.Fatalf("ParseTurtle: %v", err)
-	}
-	if g.Len() != 5 {
-		t.Fatalf("Len = %d, want 5; triples: %v", g.Len(), g.Triples())
-	}
-	auth := IRI("http://example.org/auth1")
-	if !g.Has(T(auth, IRI(RDFType), IRI(ACLAuthorization))) {
-		t.Error("missing rdf:type triple from 'a' keyword")
-	}
-	if !g.Has(T(auth, IRI(ACLMode), IRI(ACLRead))) || !g.Has(T(auth, IRI(ACLMode), IRI(ACLWrite))) {
-		t.Error("missing mode triples from object list")
-	}
-}
-
-func TestParseTurtleLiterals(t *testing.T) {
-	doc := `
-@prefix ex: <http://example.org/> .
+// TestSerializeTurtle pins the bytes SerializeTurtle writes: nothing in
+// the system parses Turtle back, so the documents pods store are checked
+// as text.
+func TestSerializeTurtle(t *testing.T) {
+	ex := "http://example.org/"
+	tests := []struct {
+		name     string
+		triples  []Triple
+		prefixes map[string]string
+		want     string
+	}{
+		{
+			// A literal's datatype is written in full whatever the prefixes.
+			name: "subjects predicates and object lists",
+			triples: []Triple{
+				T(IRI(ex+"auth"), IRI(RDFType), IRI(ex+"Authorization")),
+				T(IRI(ex+"auth"), IRI(ex+"agent"), IRI("https://alice.example/profile#me")),
+				T(IRI(ex+"auth"), IRI(ex+"mode"), IRI(ex+"Read")),
+				T(IRI(ex+"auth"), IRI(ex+"mode"), IRI(ex+"Write")),
+				T(IRI(ex+"r"), IRI(ex+"count"), Integer(7)),
+				T(IRI(ex+"r"), IRI(ex+"done"), Boolean(false)),
+			},
+			prefixes: map[string]string{"ex": ex, "xsd": "http://www.w3.org/2001/XMLSchema#"},
+			want: `@prefix ex: <http://example.org/> .
 @prefix xsd: <http://www.w3.org/2001/XMLSchema#> .
 
-ex:r ex:title "A \"quoted\" title\n" ;
-    ex:count 42 ;
-    ex:rating 4.5 ;
-    ex:active true ;
-    ex:label "ciao"@it ;
-    ex:created "2023-10-09T00:00:00Z"^^xsd:dateTime .
-`
-	g, err := ParseTurtle(doc)
-	if err != nil {
-		t.Fatalf("ParseTurtle: %v", err)
-	}
-	r := IRI("http://example.org/r")
-	tests := []struct {
-		pred string
-		want Term
-	}{
-		{"title", Literal("A \"quoted\" title\n")},
-		{"count", TypedLiteral("42", XSDInteger)},
-		{"rating", TypedLiteral("4.5", XSDDecimal)},
-		{"active", TypedLiteral("true", XSDBoolean)},
-		{"label", LangLiteral("ciao", "it")},
-		{"created", TypedLiteral("2023-10-09T00:00:00Z", XSDDateTime)},
-	}
-	for _, tt := range tests {
-		t.Run(tt.pred, func(t *testing.T) {
-			got := g.FirstObject(r, IRI("http://example.org/"+tt.pred))
-			if got != tt.want {
-				t.Errorf("object = %v, want %v", got, tt.want)
-			}
-		})
-	}
-}
-
-func TestParseTurtleBlankNodes(t *testing.T) {
-	doc := `
+ex:auth ex:agent <https://alice.example/profile#me> ;
+    ex:mode ex:Read, ex:Write ;
+    a ex:Authorization .
+ex:r ex:count "7"^^<http://www.w3.org/2001/XMLSchema#integer> ;
+    ex:done "false"^^<http://www.w3.org/2001/XMLSchema#boolean> .
+`,
+		},
+		{
+			name:    "no prefixes",
+			triples: []Triple{T(IRI(ex+"s"), IRI(RDFType), IRI(ex+"T"))},
+			want:    "<http://example.org/s> a <http://example.org/T> .\n",
+		},
+		{
+			name: "longest prefix wins",
+			triples: []Triple{
+				T(IRI(ex+"deep/s"), IRI(ex+"p"), IRI(ex+"deep/o")),
+			},
+			prefixes: map[string]string{"ex": ex, "deep": ex + "deep/"},
+			want: `@prefix deep: <http://example.org/deep/> .
 @prefix ex: <http://example.org/> .
-_:b1 ex:p ex:o .
-ex:s ex:q _:b1 .
-`
-	g, err := ParseTurtle(doc)
-	if err != nil {
-		t.Fatalf("ParseTurtle: %v", err)
-	}
-	if !g.Has(T(Blank("b1"), IRI("http://example.org/p"), IRI("http://example.org/o"))) {
-		t.Error("blank subject triple missing")
-	}
-	if !g.Has(T(IRI("http://example.org/s"), IRI("http://example.org/q"), Blank("b1"))) {
-		t.Error("blank object triple missing")
-	}
-}
 
-func TestParseTurtleComments(t *testing.T) {
-	doc := `
-# leading comment
-@prefix ex: <http://example.org/> . # trailing comment
-ex:s ex:p ex:o . # done
-`
-	g, err := ParseTurtle(doc)
-	if err != nil {
-		t.Fatalf("ParseTurtle: %v", err)
-	}
-	if g.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", g.Len())
-	}
-}
+deep:s ex:p deep:o .
+`,
+		},
+		{
+			// A local name with anything but letters, digits, '-' and '_'
+			// is written as a full IRI; an empty local name is safe.
+			name: "unsafe local names",
+			triples: []Triple{
+				T(IRI(ex+"a/b"), IRI(ex+"p"), IRI(ex+"x.ttl")),
+				T(IRI(ex+"c#d"), IRI(ex+"p"), IRI(ex)),
+				T(IRI(ex+"ok-1_ü"), IRI(ex+"p"), IRI(ex+"with space")),
+			},
+			prefixes: map[string]string{"ex": ex},
+			want: `@prefix ex: <http://example.org/> .
 
-func TestParseTurtleSPARQLPrefix(t *testing.T) {
-	doc := `
-PREFIX ex: <http://example.org/>
-ex:s ex:p ex:o .
-`
-	g, err := ParseTurtle(doc)
-	if err != nil {
-		t.Fatalf("ParseTurtle: %v", err)
-	}
-	if g.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", g.Len())
-	}
-}
+<http://example.org/a/b> ex:p <http://example.org/x.ttl> .
+<http://example.org/c#d> ex:p ex: .
+ex:ok-1_ü ex:p <http://example.org/with space> .
+`,
+		},
+		{
+			name: "literal escapes",
+			triples: []Triple{
+				T(IRI(ex+"s"), IRI(ex+"quote"), Literal(`say "hi"`)),
+				T(IRI(ex+"s"), IRI(ex+"backslash"), Literal(`a\b`)),
+				T(IRI(ex+"s"), IRI(ex+"newline"), Literal("line1\nline2\r\n")),
+				T(IRI(ex+"s"), IRI(ex+"tab"), Literal("a\tb")),
+				T(IRI(ex+"s"), IRI(ex+"unicode"), Literal("żółć ✓")),
+				T(IRI(ex+"s"), IRI(ex+"empty"), Literal("")),
+				T(IRI(ex+"s"), IRI(ex+"string"), TypedLiteral("s", XSDString)),
+			},
+			prefixes: map[string]string{"ex": ex},
+			want: `@prefix ex: <http://example.org/> .
 
-func TestParseTurtleErrors(t *testing.T) {
-	tests := []struct {
-		name string
-		doc  string
-	}{
-		{"undefined prefix", `ex:s ex:p ex:o .`},
-		{"unterminated iri", `<http://e/s <http://e/p> <http://e/o> .`},
-		{"unterminated literal", "@prefix ex: <http://e/> .\nex:s ex:p \"abc ."},
-		{"literal subject", "@prefix ex: <http://e/> .\n\"lit\" ex:p ex:o ."},
-		{"literal predicate", "@prefix ex: <http://e/> .\nex:s \"lit\" ex:o ."},
-		{"missing dot", "@prefix ex: <http://e/> .\nex:s ex:p ex:o"},
-		{"bad escape", `@prefix ex: <http://e/> .` + "\n" + `ex:s ex:p "a\qb" .`},
-		{"prefix missing dot", `@prefix ex: <http://e/>`},
-		{"blank missing colon", "@prefix ex: <http://e/> .\n_x ex:p ex:o ."},
-		{"newline in literal", "@prefix ex: <http://e/> .\nex:s ex:p \"a\nb\" ."},
+ex:s ex:backslash "a\\b" ;
+    ex:empty "" ;
+    ex:newline "line1\nline2\r\n" ;
+    ex:quote "say \"hi\"" ;
+    ex:string "s" ;
+    ex:tab "a\tb" ;
+    ex:unicode "żółć ✓" .
+`,
+		},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := ParseTurtle(tt.doc); err == nil {
-				t.Errorf("ParseTurtle(%q) succeeded, want error", tt.doc)
+			g := NewGraph()
+			for _, tr := range tt.triples {
+				g.Add(tr)
+			}
+			if got := SerializeTurtle(g, tt.prefixes); got != tt.want {
+				t.Errorf("SerializeTurtle wrote:\n%s\nwant:\n%s\n(quoted: %q)", got, tt.want, got)
 			}
 		})
-	}
-}
-
-func TestSerializeTurtleRoundTrip(t *testing.T) {
-	g := NewGraph()
-	ex := "http://example.org/"
-	g.AddAll(
-		T(IRI(ex+"auth"), IRI(RDFType), IRI(ACLAuthorization)),
-		T(IRI(ex+"auth"), IRI(ACLAgent), IRI("https://alice.example/profile#me")),
-		T(IRI(ex+"auth"), IRI(ACLMode), IRI(ACLRead)),
-		T(IRI(ex+"auth"), IRI(ACLMode), IRI(ACLWrite)),
-		T(IRI(ex+"r"), IRI(ex+"count"), Integer(7)),
-		T(IRI(ex+"r"), IRI(ex+"label"), LangLiteral("x", "en")),
-		T(Blank("b0"), IRI(ex+"p"), Literal("plain \"text\"")),
-	)
-	out := SerializeTurtle(g, map[string]string{
-		"ex":  ex,
-		"acl": "http://www.w3.org/ns/auth/acl#",
-	})
-	back, err := ParseTurtle(out)
-	if err != nil {
-		t.Fatalf("reparse failed: %v\noutput:\n%s", err, out)
-	}
-	if !g.Equal(back) {
-		t.Fatalf("round trip mismatch.\noriginal: %v\nreparsed: %v\nserialized:\n%s",
-			g.Triples(), back.Triples(), out)
-	}
-	if !strings.Contains(out, "a acl:Authorization") {
-		t.Errorf("expected 'a' shorthand and prefixed name in output:\n%s", out)
 	}
 }
 
@@ -184,93 +120,5 @@ func TestSerializeTurtleDeterminism(t *testing.T) {
 		if again := SerializeTurtle(g, prefixes); again != first {
 			t.Fatal("serialization is not deterministic")
 		}
-	}
-}
-
-// randomGraph builds a pseudo-random graph from a seed, using only
-// serializable terms.
-func randomGraph(seed int64, size int) *Graph {
-	rng := rand.New(rand.NewSource(seed))
-	g := NewGraph()
-	ex := "http://example.org/"
-	for range size {
-		s := IRI(fmt.Sprintf("%ss%d", ex, rng.Intn(8)))
-		if rng.Intn(4) == 0 {
-			s = Blank(fmt.Sprintf("b%d", rng.Intn(4)))
-		}
-		p := IRI(fmt.Sprintf("%sp%d", ex, rng.Intn(5)))
-		var o Term
-		switch rng.Intn(5) {
-		case 0:
-			o = IRI(fmt.Sprintf("%so%d", ex, rng.Intn(8)))
-		case 1:
-			o = Literal(randomText(rng))
-		case 2:
-			o = Integer(int64(rng.Intn(1000) - 500))
-		case 3:
-			o = LangLiteral(randomText(rng), "en")
-		default:
-			o = Blank(fmt.Sprintf("b%d", rng.Intn(4)))
-		}
-		g.Add(T(s, p, o))
-	}
-	return g
-}
-
-func randomText(rng *rand.Rand) string {
-	alphabet := `abc XYZ"\	'` + "\n"
-	n := rng.Intn(12)
-	var b strings.Builder
-	for range n {
-		b.WriteByte(alphabet[rng.Intn(len(alphabet))])
-	}
-	return b.String()
-}
-
-// TestTurtleRoundTripProperty: serialize(parse(serialize(g))) == serialize(g)
-// for arbitrary graphs built from serializable terms.
-func TestTurtleRoundTripProperty(t *testing.T) {
-	prefixes := map[string]string{"ex": "http://example.org/"}
-	f := func(seed int64, n uint8) bool {
-		g := randomGraph(seed, int(n%40)+1)
-		out := SerializeTurtle(g, prefixes)
-		back, err := ParseTurtle(out)
-		if err != nil {
-			t.Logf("parse error: %v\ndoc:\n%s", err, out)
-			return false
-		}
-		if !g.Equal(back) {
-			t.Logf("mismatch for seed %d\ndoc:\n%s", seed, out)
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestParseTurtleTrailingSemicolon(t *testing.T) {
-	doc := "@prefix ex: <http://e/> .\nex:s ex:p ex:o ; .\n"
-	g, err := ParseTurtle(doc)
-	if err != nil {
-		t.Fatalf("ParseTurtle: %v", err)
-	}
-	if g.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", g.Len())
-	}
-}
-
-func TestParseTurtleNegativeNumbers(t *testing.T) {
-	doc := "@prefix ex: <http://e/> .\nex:s ex:p -17 ; ex:q 3.25 .\n"
-	g, err := ParseTurtle(doc)
-	if err != nil {
-		t.Fatalf("ParseTurtle: %v", err)
-	}
-	if got := g.FirstObject(IRI("http://e/s"), IRI("http://e/p")); got != TypedLiteral("-17", XSDInteger) {
-		t.Errorf("negative integer parsed as %v", got)
-	}
-	if got := g.FirstObject(IRI("http://e/s"), IRI("http://e/q")); got != TypedLiteral("3.25", XSDDecimal) {
-		t.Errorf("decimal parsed as %v", got)
 	}
 }

@@ -1,12 +1,6 @@
 package solid
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-
-	"repro/internal/rdf"
-)
+import "strings"
 
 // WebID identifies an agent (e.g. "https://alice.pod/profile#me").
 type WebID string
@@ -21,11 +15,6 @@ const (
 	ModeAppend  AccessMode = "Append"
 	ModeControl AccessMode = "Control"
 )
-
-// modeIRI maps a mode to its vocabulary IRI.
-func modeIRI(m AccessMode) rdf.Term {
-	return rdf.IRI("http://www.w3.org/ns/auth/acl#" + string(m))
-}
 
 // Authorization is one WAC authorization: a set of agents (or the public)
 // granted modes on a resource, optionally inherited by contained
@@ -141,101 +130,4 @@ func containsAgent(agents []WebID, agent WebID) bool {
 		}
 	}
 	return false
-}
-
-// aclBase is the base IRI for authorization fragments in serialized docs.
-const aclBase = "https://pod.local/acl#"
-
-// ToGraph renders the ACL as a WAC RDF graph.
-func (a *ACL) ToGraph(podBase string) *rdf.Graph {
-	g := rdf.NewGraph()
-	for _, auth := range a.Authorizations {
-		node := rdf.IRI(aclBase + auth.ID)
-		g.Add(rdf.T(node, rdf.IRI(rdf.RDFType), rdf.IRI(rdf.ACLAuthorization)))
-		for _, agent := range auth.Agents {
-			g.Add(rdf.T(node, rdf.IRI(rdf.ACLAgent), rdf.IRI(string(agent))))
-		}
-		if auth.Public {
-			g.Add(rdf.T(node, rdf.IRI(rdf.ACLAgentClass), rdf.IRI(rdf.FOAFAgent)))
-		}
-		g.Add(rdf.T(node, rdf.IRI(rdf.ACLAccessTo), rdf.IRI(podBase+auth.AccessTo)))
-		if auth.Default {
-			g.Add(rdf.T(node, rdf.IRI(rdf.ACLDefault), rdf.IRI(podBase+auth.AccessTo)))
-		}
-		for _, m := range auth.Modes {
-			g.Add(rdf.T(node, rdf.IRI(rdf.ACLMode), modeIRI(m)))
-		}
-	}
-	return g
-}
-
-// ACLFromGraph parses a WAC graph back into an ACL. podBase is stripped
-// from accessTo IRIs to recover pod-relative paths.
-func ACLFromGraph(g *rdf.Graph, podBase string) (*ACL, error) {
-	acl := &ACL{}
-	subjects := g.Subjects(rdf.IRI(rdf.RDFType), rdf.IRI(rdf.ACLAuthorization))
-	for _, node := range subjects {
-		auth := Authorization{ID: fragmentOf(node.Value())}
-		for _, o := range g.Objects(node, rdf.IRI(rdf.ACLAgent)) {
-			auth.Agents = append(auth.Agents, WebID(o.Value()))
-		}
-		for _, o := range g.Objects(node, rdf.IRI(rdf.ACLAgentClass)) {
-			if o.Value() == rdf.FOAFAgent {
-				auth.Public = true
-			}
-		}
-		accessTo := g.FirstObject(node, rdf.IRI(rdf.ACLAccessTo))
-		if accessTo.IsZero() {
-			return nil, fmt.Errorf("solid: authorization %s lacks acl:accessTo", node)
-		}
-		rel, ok := strings.CutPrefix(accessTo.Value(), podBase)
-		if !ok || !strings.HasPrefix(rel, "/") {
-			return nil, fmt.Errorf("solid: authorization %s: accessTo %s outside pod base %s",
-				node, accessTo.Value(), podBase)
-		}
-		auth.AccessTo = rel
-		if !g.FirstObject(node, rdf.IRI(rdf.ACLDefault)).IsZero() {
-			auth.Default = true
-		}
-		for _, o := range g.Objects(node, rdf.IRI(rdf.ACLMode)) {
-			mode := AccessMode(fragmentOf(o.Value()))
-			switch mode {
-			case ModeRead, ModeWrite, ModeAppend, ModeControl:
-				auth.Modes = append(auth.Modes, mode)
-			default:
-				return nil, fmt.Errorf("solid: unknown access mode %s", o)
-			}
-		}
-		sortModes(auth.Modes)
-		acl.Authorizations = append(acl.Authorizations, auth)
-	}
-	return acl, nil
-}
-
-func fragmentOf(iri string) string {
-	if i := strings.LastIndexByte(iri, '#'); i >= 0 {
-		return iri[i+1:]
-	}
-	return iri
-}
-
-func sortModes(modes []AccessMode) {
-	sort.Slice(modes, func(i, j int) bool { return modes[i] < modes[j] })
-}
-
-// EncodeTurtle renders the ACL as a Turtle document.
-func (a *ACL) EncodeTurtle(podBase string) string {
-	return rdf.SerializeTurtle(a.ToGraph(podBase), map[string]string{
-		"acl":  "http://www.w3.org/ns/auth/acl#",
-		"foaf": "http://xmlns.com/foaf/0.1/",
-	})
-}
-
-// DecodeACLTurtle parses a Turtle WAC document.
-func DecodeACLTurtle(doc, podBase string) (*ACL, error) {
-	g, err := rdf.ParseTurtle(doc)
-	if err != nil {
-		return nil, err
-	}
-	return ACLFromGraph(g, podBase)
 }

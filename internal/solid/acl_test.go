@@ -2,7 +2,6 @@ package solid
 
 import (
 	"errors"
-	"strings"
 	"testing"
 )
 
@@ -79,68 +78,6 @@ func TestACLAnonymousNeverMatchesAgentList(t *testing.T) {
 	}
 }
 
-func TestACLTurtleRoundTrip(t *testing.T) {
-	acl := NewACL(aliceID, "/")
-	acl.Grant("bob-read", []WebID{bobID}, "/web/browsing.csv", false, ModeRead, ModeAppend)
-	acl.GrantPublic("world", "/pub/", true, ModeRead)
-
-	doc := acl.EncodeTurtle(podBase)
-	back, err := DecodeACLTurtle(doc, podBase)
-	if err != nil {
-		t.Fatalf("decode: %v\n%s", err, doc)
-	}
-	if len(back.Authorizations) != 3 {
-		t.Fatalf("authorizations = %d, want 3\n%s", len(back.Authorizations), doc)
-	}
-	// Decisions survive the round trip.
-	cases := []struct {
-		agent     WebID
-		path      string
-		mode      AccessMode
-		inherited bool
-		want      bool
-	}{
-		{aliceID, "/", ModeControl, false, true},
-		{bobID, "/web/browsing.csv", ModeRead, false, true},
-		{bobID, "/web/browsing.csv", ModeAppend, false, true},
-		{bobID, "/web/browsing.csv", ModeWrite, false, false},
-		{eveID, "/pub/anything", ModeRead, true, true},
-		{eveID, "/web/browsing.csv", ModeRead, false, false},
-	}
-	for _, c := range cases {
-		if got := back.Allows(c.agent, c.path, c.mode, c.inherited); got != c.want {
-			t.Errorf("Allows(%s, %s, %s, %t) = %t, want %t",
-				c.agent, c.path, c.mode, c.inherited, got, c.want)
-		}
-	}
-	if !strings.Contains(doc, "acl:Authorization") {
-		t.Errorf("doc lacks prefixed vocabulary:\n%s", doc)
-	}
-}
-
-func TestDecodeACLTurtleErrors(t *testing.T) {
-	if _, err := DecodeACLTurtle("not turtle [", podBase); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	// Authorization without accessTo.
-	doc := `
-@prefix acl: <http://www.w3.org/ns/auth/acl#> .
-<https://pod.local/acl#x> a acl:Authorization ; acl:mode acl:Read .
-`
-	if _, err := DecodeACLTurtle(doc, podBase); err == nil {
-		t.Fatal("authorization without accessTo accepted")
-	}
-	// Unknown mode.
-	doc2 := `
-@prefix acl: <http://www.w3.org/ns/auth/acl#> .
-<https://pod.local/acl#x> a acl:Authorization ;
-  acl:accessTo <https://alice.pod/r> ; acl:mode acl:Fly .
-`
-	if _, err := DecodeACLTurtle(doc2, podBase); err == nil {
-		t.Fatal("unknown mode accepted")
-	}
-}
-
 // TestACLDefaultScopedToTarget pins the WAC inheritance fix: an
 // acl:default authorization grants only on resources contained in its
 // stated target, not on every descendant of wherever the document was
@@ -200,27 +137,5 @@ func TestACLWriteImpliesAppend(t *testing.T) {
 	}
 	if acl.Allows(eveID, "/r", ModeWrite, false) {
 		t.Error("Append grant satisfied Write")
-	}
-}
-
-// TestACLFromGraphRejectsForeignBase pins the parsing fix: an accessTo
-// IRI outside the pod base used to be stored verbatim as a "path".
-func TestACLFromGraphRejectsForeignBase(t *testing.T) {
-	doc := `
-@prefix acl: <http://www.w3.org/ns/auth/acl#> .
-<https://pod.local/acl#x> a acl:Authorization ;
-  acl:accessTo <https://other.pod/r> ; acl:mode acl:Read .
-`
-	if _, err := DecodeACLTurtle(doc, podBase); err == nil {
-		t.Fatal("foreign accessTo IRI accepted")
-	}
-	// The pod base itself (no path) is also not a resource path.
-	doc2 := `
-@prefix acl: <http://www.w3.org/ns/auth/acl#> .
-<https://pod.local/acl#x> a acl:Authorization ;
-  acl:accessTo <https://alice.pod> ; acl:mode acl:Read .
-`
-	if _, err := DecodeACLTurtle(doc2, podBase); err == nil {
-		t.Fatal("pathless accessTo IRI accepted")
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"sync"
 	"time"
 
 	"repro/internal/cryptoutil"
@@ -29,39 +28,11 @@ type Client struct {
 	// Decorate, when non-nil, can add headers to every request (used to
 	// attach market payment certificates).
 	Decorate func(*http.Request)
-
-	// cacheMu guards cache; entries revalidate via If-None-Match so
-	// unchanged resources are not re-transferred.
-	cacheMu sync.Mutex
-	cache   map[string]*cachedResource
 }
-
-// cachedResource is a validated copy kept for conditional revalidation.
-type cachedResource struct {
-	etag        string
-	contentType string
-	data        []byte
-}
-
-// maxClientCacheEntries bounds the conditional-GET cache; when full, the
-// cache is reset (revalidation rebuilds it on demand).
-const maxClientCacheEntries = 256
 
 // NewClient builds an authenticated client.
 func NewClient(agent WebID, key *cryptoutil.KeyPair, clock simclock.Clock) *Client {
 	return &Client{Agent: agent, Key: key, Clock: clock}
-}
-
-// EnableCaching turns on conditional-GET caching: Get remembers each
-// resource's ETag and body, revalidates with If-None-Match, and serves
-// the cached copy on 304 Not Modified. Call before sharing the client
-// across goroutines.
-func (c *Client) EnableCaching() {
-	c.cacheMu.Lock()
-	defer c.cacheMu.Unlock()
-	if c.cache == nil {
-		c.cache = make(map[string]*cachedResource)
-	}
 }
 
 func (c *Client) httpClient() *http.Client {
@@ -162,57 +133,13 @@ func (c *Client) do(req *http.Request) ([]byte, string, error) {
 	return body, header.Get("Content-Type"), nil
 }
 
-// Get retrieves a resource. With caching enabled, a revalidated 304
-// answer is served from the local copy without re-transferring the body.
+// Get retrieves a resource.
 func (c *Client) Get(resourceURL string) (data []byte, contentType string, err error) {
 	req, err := c.newRequest(http.MethodGet, resourceURL, nil)
 	if err != nil {
 		return nil, "", err
 	}
-	var cached *cachedResource
-	if c.cache != nil {
-		c.cacheMu.Lock()
-		cached = c.cache[resourceURL]
-		c.cacheMu.Unlock()
-		if cached != nil {
-			req.Header.Set("If-None-Match", cached.etag)
-		}
-	}
-	body, header, status, err := c.doRaw(req)
-	if err != nil {
-		return nil, "", err
-	}
-	if status == http.StatusNotModified && cached != nil {
-		return append([]byte(nil), cached.data...), cached.contentType, nil
-	}
-	if status < 200 || status > 299 {
-		return nil, "", &StatusError{Code: status, Body: string(bytes.TrimSpace(body))}
-	}
-	ct := header.Get("Content-Type")
-	if c.cache != nil {
-		if etag := header.Get("ETag"); etag != "" {
-			c.cacheMu.Lock()
-			if len(c.cache) >= maxClientCacheEntries {
-				c.cache = make(map[string]*cachedResource)
-			}
-			c.cache[resourceURL] = &cachedResource{
-				etag: etag, contentType: ct, data: append([]byte(nil), body...),
-			}
-			c.cacheMu.Unlock()
-		}
-	}
-	return body, ct, nil
-}
-
-// invalidateCached drops the cached copy of a resource the client just
-// mutated, so a later Get revalidates against the server's new state.
-func (c *Client) invalidateCached(resourceURL string) {
-	if c.cache == nil {
-		return
-	}
-	c.cacheMu.Lock()
-	delete(c.cache, resourceURL)
-	c.cacheMu.Unlock()
+	return c.do(req)
 }
 
 // Put stores a resource.
@@ -224,11 +151,8 @@ func (c *Client) Put(resourceURL, contentType string, data []byte) error {
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
 	}
-	if _, _, err = c.do(req); err != nil {
-		return err
-	}
-	c.invalidateCached(resourceURL)
-	return nil
+	_, _, err = c.do(req)
+	return err
 }
 
 // Post appends data: to a container URL it creates a contained resource
@@ -249,7 +173,6 @@ func (c *Client) Post(resourceURL, contentType string, data []byte) (location st
 	if status < 200 || status > 299 {
 		return "", &StatusError{Code: status, Body: string(bytes.TrimSpace(body))}
 	}
-	c.invalidateCached(resourceURL)
 	return header.Get("Location"), nil
 }
 
@@ -259,9 +182,6 @@ func (c *Client) Delete(resourceURL string) error {
 	if err != nil {
 		return err
 	}
-	if _, _, err = c.do(req); err != nil {
-		return err
-	}
-	c.invalidateCached(resourceURL)
-	return nil
+	_, _, err = c.do(req)
+	return err
 }

@@ -1,8 +1,7 @@
 // Package solid implements the Solid substrate: personal online datastores
 // (pods) holding a hierarchical resource tree, Web Access Control (WAC)
-// authorization documents expressed in Turtle, and an LDP-style HTTP
-// server and client for the Solid communication rules the paper's
-// architecture builds on.
+// authorizations, and an LDP-style HTTP server and client for the Solid
+// communication rules the paper's architecture builds on.
 //
 // The package reproduces exactly the subset of the Solid protocol the
 // architecture needs: agents identified by WebIDs perform HTTP CRUD on pod
@@ -10,8 +9,8 @@
 // acl:accessTo / acl:default inheritance, acl:agent / acl:agentClass
 // subjects, and the Read/Write/Append/Control modes (Write implies
 // Append). GET answers carry ETag and Last-Modified validators and honour
-// If-None-Match / If-Modified-Since, so clients (see Client.EnableCaching)
-// revalidate instead of re-transferring unchanged resources; POST appends
+// If-None-Match / If-Modified-Since, so a client that sends a validator
+// is not re-sent an unchanged resource; POST appends
 // (to a resource) or mints a contained resource (on a container, LDP
 // style).
 //
@@ -60,7 +59,7 @@
 // writer updates two resources may observe the intermediate state.
 // Client is a thin wrapper over http.Client plus a signing key; it is
 // safe for concurrent use as long as Decorate is not reassigned
-// mid-flight and EnableCaching, if used, is called before sharing.
+// mid-flight.
 //
 // # Durability
 //

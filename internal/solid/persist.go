@@ -248,10 +248,3 @@ func (p *Pod) CloseStore() error {
 	}
 	return p.persist.wal.Close()
 }
-
-// Persistent reports whether the pod journals mutations to disk.
-func (p *Pod) Persistent() bool {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.persist != nil
-}

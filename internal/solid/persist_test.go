@@ -28,7 +28,7 @@ func restartPod(t *testing.T, p *Pod, dir string, opts PodStoreOptions) *Pod {
 	if err := p.CloseStore(); err != nil {
 		t.Fatal(err)
 	}
-	p2, err := OpenPod(p.Owner(), p.BaseURL(), dir, opts)
+	p2, err := OpenPod(p.owner, p.BaseURL(), dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,8 +45,8 @@ func requireSamePod(t *testing.T, restored, original *Pod, paths ...string) {
 		t.Fatalf("ACL generation = %d, want %d", g, w)
 	}
 	for _, path := range paths {
-		want, wantErr := original.Get(original.Owner(), path)
-		got, gotErr := restored.Get(restored.Owner(), path)
+		want, wantErr := original.Get(original.owner, path)
+		got, gotErr := restored.Get(restored.owner, path)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("%s: err %v vs %v", path, gotErr, wantErr)
 		}
@@ -307,9 +307,6 @@ func TestHostPersistenceRestart(t *testing.T) {
 	pod, err := host.CreatePod("alice", persistOwner, srv.URL, nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !pod.Persistent() {
-		t.Fatal("host pod not persistent")
 	}
 	if err := pod.Put(persistOwner, "/pub/hello.txt", "text/plain", []byte("hello"), clk.Now()); err != nil {
 		t.Fatal(err)

@@ -73,10 +73,9 @@ type Pod struct {
 	acls      map[string]*ACL      // keyed by the path the ACL document governs; guarded by mu
 	postSeq   uint64               // server-assigned POST child names; guarded by mu
 
-	aclGen       atomic.Uint64 // bumped on every mutation
-	authMu       sync.RWMutex
-	authCache    map[authCacheKey]authDecision // guarded by authMu
-	authCacheOff atomic.Bool                   // benchmarks compare cached vs uncached
+	aclGen    atomic.Uint64 // bumped on every mutation
+	authMu    sync.RWMutex
+	authCache map[authCacheKey]authDecision // guarded by authMu
 
 	// persist journals mutation effects to a per-pod op log (nil for
 	// in-memory pods); see OpenPod. Guarded by mu.
@@ -113,26 +112,11 @@ func NewPod(owner WebID, baseURL string) *Pod {
 // calls it, before the pod serves). A nil m restores the no-op default.
 func (p *Pod) setMetrics(m *Metrics) { p.metrics = m.orNoop() }
 
-// SetAuthCacheEnabled toggles the ACL decision cache (on by default).
-// Disabling exists for benchmarking the uncached path; correctness does
-// not depend on the cache either way.
-func (p *Pod) SetAuthCacheEnabled(enabled bool) {
-	p.authCacheOff.Store(!enabled)
-	if !enabled {
-		p.authMu.Lock()
-		p.authCache = make(map[authCacheKey]authDecision)
-		p.authMu.Unlock()
-	}
-}
-
 // invalidateAuthCache advances the ACL generation, orphaning every cached
 // decision. Callers hold p.mu for writing.
 func (p *Pod) invalidateAuthCache() {
 	p.aclGen.Add(1)
 }
-
-// Owner returns the pod owner's WebID.
-func (p *Pod) Owner() WebID { return p.owner }
 
 // ACLGeneration returns the pod's current ACL generation. The counter
 // advances on every mutation (SetACL, Put, Delete, Append), so two equal
@@ -423,32 +407,27 @@ func (p *Pod) Authorize(agent WebID, resPath string, mode AccessMode) error {
 		return nil
 	}
 
-	useCache := !p.authCacheOff.Load()
 	key := authCacheKey{agent: agent, path: clean, mode: mode}
 	// Snapshot the generation before evaluating: a decision computed
 	// against newer state stored under an older stamp is merely ignored,
 	// never trusted.
 	gen := p.aclGen.Load()
-	if useCache {
-		p.authMu.RLock()
-		dec, ok := p.authCache[key]
-		p.authMu.RUnlock()
-		if ok && dec.gen == gen {
-			p.metrics.AuthCacheHits.Inc()
-			return dec.err
-		}
+	p.authMu.RLock()
+	dec, ok := p.authCache[key]
+	p.authMu.RUnlock()
+	if ok && dec.gen == gen {
+		p.metrics.AuthCacheHits.Inc()
+		return dec.err
 	}
 
 	p.metrics.AuthCacheMisses.Inc()
 	decision := p.authorizeUncached(agent, clean, mode)
-	if useCache {
-		p.authMu.Lock()
-		if len(p.authCache) >= maxAuthCacheEntries {
-			p.authCache = make(map[authCacheKey]authDecision)
-		}
-		p.authCache[key] = authDecision{gen: gen, err: decision}
-		p.authMu.Unlock()
+	p.authMu.Lock()
+	if len(p.authCache) >= maxAuthCacheEntries {
+		p.authCache = make(map[authCacheKey]authDecision)
 	}
+	p.authCache[key] = authDecision{gen: gen, err: decision}
+	p.authMu.Unlock()
 	return decision
 }
 

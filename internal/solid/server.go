@@ -175,9 +175,6 @@ func NewServer(pod *Pod, dir AgentDirectory, clock simclock.Clock, hook AccessHo
 // serving; a nil m restores the no-op default.
 func (s *Server) SetMetrics(m *Metrics) { s.metrics = m.orNoop() }
 
-// Pod returns the served pod.
-func (s *Server) Pod() *Pod { return s.pod }
-
 // signingString is the byte string covered by the request signature.
 func signingString(method, path, date, nonce string) []byte {
 	return []byte(method + "|" + path + "|" + date + "|" + nonce)

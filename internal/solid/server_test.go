@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -557,52 +556,6 @@ func TestServerBodyTooLarge(t *testing.T) {
 	if _, _, err := e.alice.Get(e.url("/big.bin")); err == nil {
 		t.Fatal("truncated resource was stored")
 	}
-}
-
-// TestClientCachingRevalidates: a caching client re-fetches via
-// If-None-Match and serves 304 answers from its local copy.
-func TestClientCachingRevalidates(t *testing.T) {
-	e := newTestEnv(t, nil)
-	if err := e.alice.Put(e.url("/r.txt"), "text/csv", []byte("v1")); err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	statuses := []int{}
-	e.alice.HTTP = &http.Client{Transport: statusRecorder{record: func(code int) {
-		mu.Lock()
-		statuses = append(statuses, code)
-		mu.Unlock()
-	}}}
-	e.alice.EnableCaching()
-
-	for range 3 {
-		data, ct, err := e.alice.Get(e.url("/r.txt"))
-		if err != nil || string(data) != "v1" || ct != "text/csv" {
-			t.Fatalf("cached get: %q (%s), %v", data, ct, err)
-		}
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	want := []int{http.StatusOK, http.StatusNotModified, http.StatusNotModified}
-	if len(statuses) != len(want) {
-		t.Fatalf("statuses = %v", statuses)
-	}
-	for i := range want {
-		if statuses[i] != want[i] {
-			t.Fatalf("statuses = %v, want %v", statuses, want)
-		}
-	}
-}
-
-// statusRecorder observes response status codes on the client side.
-type statusRecorder struct{ record func(int) }
-
-func (s statusRecorder) RoundTrip(r *http.Request) (*http.Response, error) {
-	resp, err := http.DefaultTransport.RoundTrip(r)
-	if resp != nil {
-		s.record(resp.StatusCode)
-	}
-	return resp, err
 }
 
 // TestReplayGuardPerAgentQuota pins the guard's capacity semantics: an

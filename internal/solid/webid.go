@@ -2,12 +2,6 @@ package solid
 
 import (
 	"encoding/hex"
-	"errors"
-	"fmt"
-	"io"
-	"net/http"
-	"strings"
-	"sync"
 
 	"repro/internal/rdf"
 )
@@ -15,9 +9,8 @@ import (
 // WebID profile documents. In Solid, an agent's identity is a
 // dereferenceable IRI: fetching it yields an RDF document describing the
 // agent, including its public key material. ProfileGraph builds such a
-// document; WebDirectory is an AgentDirectory that authenticates agents
-// by dereferencing their WebIDs over HTTP — the production counterpart of
-// the in-memory MapDirectory.
+// document for a pod to serve; servers resolve agent keys through a
+// MapDirectory, never by fetching the document.
 
 // Security vocabulary subset for key publication.
 const (
@@ -41,91 +34,4 @@ func ProfileTurtle(webID WebID, publicKey []byte) string {
 		"foaf": "http://xmlns.com/foaf/0.1/",
 		"sec":  "https://w3id.org/security#",
 	})
-}
-
-// ErrNoProfileKey reports a profile without usable key material.
-var ErrNoProfileKey = errors.New("solid: profile lacks a public key")
-
-// KeyFromProfile extracts the agent's public key from a profile graph.
-func KeyFromProfile(g *rdf.Graph, webID WebID) ([]byte, error) {
-	obj := g.FirstObject(rdf.IRI(string(webID)), rdf.IRI(secPublicKeyHex))
-	if obj.IsZero() {
-		return nil, fmt.Errorf("%w: %s", ErrNoProfileKey, webID)
-	}
-	key, err := hex.DecodeString(obj.Value())
-	if err != nil {
-		return nil, fmt.Errorf("solid: profile key of %s: %w", webID, err)
-	}
-	return key, nil
-}
-
-// WebDirectory resolves agent keys by dereferencing WebID profile
-// documents over HTTP, caching successful lookups. It implements
-// AgentDirectory for servers whose counterparties host real profiles.
-type WebDirectory struct {
-	// HTTP is the client used for dereferencing (http.DefaultClient if
-	// nil).
-	HTTP *http.Client
-
-	mu    sync.Mutex
-	cache map[WebID][]byte
-}
-
-var _ AgentDirectory = (*WebDirectory)(nil)
-
-// NewWebDirectory returns an empty dereferencing directory.
-func NewWebDirectory(client *http.Client) *WebDirectory {
-	return &WebDirectory{HTTP: client, cache: make(map[WebID][]byte)}
-}
-
-// KeyFor implements AgentDirectory: it fetches the WebID document (the
-// IRI without its fragment), parses it as Turtle, and extracts the
-// agent's published key. Failures report the agent as unknown.
-func (d *WebDirectory) KeyFor(agent WebID) ([]byte, bool) {
-	d.mu.Lock()
-	if k, ok := d.cache[agent]; ok {
-		d.mu.Unlock()
-		return k, true
-	}
-	d.mu.Unlock()
-
-	docURL := string(agent)
-	if i := strings.IndexByte(docURL, '#'); i >= 0 {
-		docURL = docURL[:i]
-	}
-	client := d.HTTP
-	if client == nil {
-		client = http.DefaultClient
-	}
-	resp, err := client.Get(docURL)
-	if err != nil {
-		return nil, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, false
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return nil, false
-	}
-	g, err := rdf.ParseTurtle(string(body))
-	if err != nil {
-		return nil, false
-	}
-	key, err := KeyFromProfile(g, agent)
-	if err != nil {
-		return nil, false
-	}
-	d.mu.Lock()
-	d.cache[agent] = key
-	d.mu.Unlock()
-	return key, true
-}
-
-// Invalidate drops a cached key (e.g. after rotation).
-func (d *WebDirectory) Invalidate(agent WebID) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	delete(d.cache, agent)
 }

@@ -1,159 +1,17 @@
 package solid
 
-import (
-	"net/http"
-	"net/http/httptest"
-	"strings"
-	"sync/atomic"
-	"testing"
+import "testing"
 
-	"repro/internal/cryptoutil"
-	"repro/internal/rdf"
-	"repro/internal/simclock"
-)
+// TestFrozenProfileTurtle pins the WebID profile document a pod serves at
+// /profile: the agent as a foaf:Person carrying its public key in hex.
+func TestFrozenProfileTurtle(t *testing.T) {
+	want := `@prefix foaf: <http://xmlns.com/foaf/0.1/> .
+@prefix sec: <https://w3id.org/security#> .
 
-func TestProfileRoundTrip(t *testing.T) {
-	key := cryptoutil.MustGenerateKey()
-	doc := ProfileTurtle(aliceID, key.PublicBytes())
-	g, err := rdf.ParseTurtle(doc)
-	if err != nil {
-		t.Fatalf("reparse: %v\n%s", err, doc)
+<https://alice.pod/profile#me> a foaf:Person ;
+    sec:publicKeyHex "0400abcdef" .
+`
+	if got := ProfileTurtle(aliceID, []byte{0x04, 0x00, 0xab, 0xcd, 0xef}); got != want {
+		t.Errorf("profile document:\n%s\nwant:\n%s", got, want)
 	}
-	got, err := KeyFromProfile(g, aliceID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(key.PublicBytes()) {
-		t.Fatal("key lost in profile round trip")
-	}
-	if _, err := KeyFromProfile(g, bobID); err == nil {
-		t.Fatal("profile leaked a key for another agent")
-	}
-	if !strings.Contains(doc, "foaf:Person") {
-		t.Fatalf("profile doc:\n%s", doc)
-	}
-}
-
-// TestWebDirectoryDereferencesProfile hosts a WebID profile in a pod and
-// authenticates the agent against a second pod purely via HTTP
-// dereferencing — no out-of-band key registration.
-func TestWebDirectoryDereferencesProfile(t *testing.T) {
-	clk := simclock.NewSim(podEpoch)
-
-	// Bob hosts his profile on his own pod, publicly readable.
-	bobKey := cryptoutil.MustGenerateKey()
-	var bobWebID WebID
-	bobPodDir := NewMapDirectory()
-	var bobPod *Pod
-	bobSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		NewServer(bobPod, bobPodDir, clk, nil).ServeHTTP(w, r)
-	}))
-	defer bobSrv.Close()
-	bobWebID = WebID(bobSrv.URL + "/profile#me")
-	bobPod = NewPod(bobWebID, bobSrv.URL)
-	if err := bobPod.Put(bobWebID, "/profile", "text/turtle",
-		[]byte(ProfileTurtle(bobWebID, bobKey.PublicBytes())), podEpoch); err != nil {
-		t.Fatal(err)
-	}
-	acl := NewACL(bobWebID, "/profile")
-	acl.GrantPublic("public-profile", "/profile", false, ModeRead)
-	if err := bobPod.SetACL(bobWebID, "/profile", acl); err != nil {
-		t.Fatal(err)
-	}
-
-	// Alice's pod authenticates agents by dereferencing their WebIDs.
-	webDir := NewWebDirectory(nil)
-	alicePod := NewPod(aliceID, "https://alice.pod")
-	if err := alicePod.Put(aliceID, "/shared.txt", "text/plain", []byte("hi bob"), podEpoch); err != nil {
-		t.Fatal(err)
-	}
-	shareACL := NewACL(aliceID, "/shared.txt")
-	shareACL.Grant("bob", []WebID{bobWebID}, "/shared.txt", false, ModeRead)
-	if err := alicePod.SetACL(aliceID, "/shared.txt", shareACL); err != nil {
-		t.Fatal(err)
-	}
-	aliceSrv := httptest.NewServer(NewServer(alicePod, webDir, clk, nil))
-	defer aliceSrv.Close()
-
-	// Bob authenticates to Alice's pod with his key; the server fetches
-	// his profile from his pod to verify it.
-	bob := NewClient(bobWebID, bobKey, clk)
-	data, _, err := bob.Get(aliceSrv.URL + "/shared.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != "hi bob" {
-		t.Fatalf("data = %q", data)
-	}
-
-	// An impostor claiming Bob's WebID with a different key fails.
-	eve := NewClient(bobWebID, cryptoutil.MustGenerateKey(), clk)
-	if _, _, err := eve.Get(aliceSrv.URL + "/shared.txt"); err == nil {
-		t.Fatal("impostor authenticated via web directory")
-	}
-}
-
-func TestWebDirectoryCachesAndInvalidates(t *testing.T) {
-	key := cryptoutil.MustGenerateKey()
-	var hits atomic.Int32
-	var webID WebID
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hits.Add(1)
-		_, _ = w.Write([]byte(ProfileTurtle(webID, key.PublicBytes())))
-	}))
-	defer srv.Close()
-	webID = WebID(srv.URL + "/profile#me")
-
-	dir := NewWebDirectory(nil)
-	if _, ok := dir.KeyFor(webID); !ok {
-		t.Fatal("lookup failed")
-	}
-	if _, ok := dir.KeyFor(webID); !ok {
-		t.Fatal("second lookup failed")
-	}
-	if hits.Load() != 1 {
-		t.Fatalf("profile fetched %d times, want 1 (cache miss only)", hits.Load())
-	}
-	dir.Invalidate(webID)
-	if _, ok := dir.KeyFor(webID); !ok {
-		t.Fatal("post-invalidation lookup failed")
-	}
-	if hits.Load() != 2 {
-		t.Fatalf("hits = %d, want 2", hits.Load())
-	}
-}
-
-func TestWebDirectoryFailureModes(t *testing.T) {
-	dir := NewWebDirectory(nil)
-
-	t.Run("unreachable host", func(t *testing.T) {
-		if _, ok := dir.KeyFor("http://127.0.0.1:1/profile#me"); ok {
-			t.Fatal("unreachable profile resolved")
-		}
-	})
-	t.Run("non-200", func(t *testing.T) {
-		srv := httptest.NewServer(http.NotFoundHandler())
-		defer srv.Close()
-		if _, ok := dir.KeyFor(WebID(srv.URL + "/profile#me")); ok {
-			t.Fatal("404 profile resolved")
-		}
-	})
-	t.Run("non-turtle body", func(t *testing.T) {
-		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			_, _ = w.Write([]byte("<html>not turtle</html>"))
-		}))
-		defer srv.Close()
-		if _, ok := dir.KeyFor(WebID(srv.URL + "/profile#me")); ok {
-			t.Fatal("HTML profile resolved")
-		}
-	})
-	t.Run("profile without key", func(t *testing.T) {
-		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			_, _ = w.Write([]byte("@prefix foaf: <http://xmlns.com/foaf/0.1/> .\n<#me> a foaf:Person .\n"))
-		}))
-		defer srv.Close()
-		if _, ok := dir.KeyFor(WebID(srv.URL + "/profile#me")); ok {
-			t.Fatal("keyless profile resolved")
-		}
-	})
 }

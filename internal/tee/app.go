@@ -76,9 +76,6 @@ func NewApp(device *Device, purpose policy.Purpose, clock simclock.Clock) *App {
 // Device returns the hosting device.
 func (a *App) Device() *Device { return a.device }
 
-// Purpose returns the application's declared purpose.
-func (a *App) Purpose() policy.Purpose { return a.purpose }
-
 // SetRogue toggles deletion-obligation bypassing (failure injection for
 // the monitoring experiments).
 func (a *App) SetRogue(rogue bool) {
@@ -313,29 +310,6 @@ func (a *App) Holds(iri string) bool {
 	defer a.mu.Unlock()
 	st, ok := a.copies[iri]
 	return ok && !st.deleted
-}
-
-// Holdings lists resources with live copies.
-func (a *App) Holdings() []string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	var out []string
-	for iri, st := range a.copies {
-		if !st.deleted {
-			out = append(out, iri)
-		}
-	}
-	return out
-}
-
-// UseCount returns the number of permitted uses of a copy.
-func (a *App) UseCount(iri string) uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if st, ok := a.copies[iri]; ok {
-		return st.useCount
-	}
-	return 0
 }
 
 // Evidence builds and signs a compliance report for a resource, answering

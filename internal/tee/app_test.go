@@ -45,14 +45,11 @@ func TestStoreAndUse(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatalf("Use returned %q", got)
 	}
-	if app.UseCount("https://alice.pod/web/browsing.csv") != 1 {
+	if app.copies["https://alice.pod/web/browsing.csv"].useCount != 1 {
 		t.Fatal("use count not incremented")
 	}
 	if !app.Holds("https://alice.pod/web/browsing.csv") {
 		t.Fatal("Holds = false")
-	}
-	if len(app.Holdings()) != 1 {
-		t.Fatal("Holdings wrong")
 	}
 }
 
@@ -77,7 +74,7 @@ func TestUseDeniedByPurpose(t *testing.T) {
 	if !errors.Is(err, ErrUseDenied) {
 		t.Fatalf("err = %v, want ErrUseDenied", err)
 	}
-	if app.UseCount(iri) != 0 {
+	if app.copies[iri].useCount != 0 {
 		t.Fatal("denied use counted")
 	}
 	// The denied attempt is still logged for evidence.
@@ -108,7 +105,7 @@ func TestAutomaticExpiryDeletion(t *testing.T) {
 		t.Fatalf("use after deletion: %v", err)
 	}
 	// Sealed bytes are gone too.
-	if app.Device().Store().Has("data/" + iri) {
+	if _, sealed := app.device.store.entries["data/"+iri]; sealed {
 		t.Fatal("sealed data survived deletion")
 	}
 }
@@ -345,7 +342,7 @@ func TestEvidenceSignedAndCapped(t *testing.T) {
 		t.Fatalf("evidence = %+v", ev)
 	}
 	// Signature verifies under the device key.
-	if !cryptoutil.Verify(app.Device().Key().Public(), ev.SigningBytes(), signed.Signature) {
+	if err := cryptoutil.VerifyWithAddress(ev.Device, app.Device().Key().PublicBytes(), ev.SigningBytes(), signed.Signature); err != nil {
 		t.Fatal("evidence signature invalid")
 	}
 	if _, err := app.Evidence("https://unknown", 1); !errors.Is(err, ErrNoCopy) {

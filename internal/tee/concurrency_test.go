@@ -46,8 +46,8 @@ func TestAppConcurrentUseAndMonitoring(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := app.UseCount(iri); got != workers*usesPerWorker {
-		t.Fatalf("UseCount = %d, want %d", got, workers*usesPerWorker)
+	if got := app.copies[iri].useCount; got != workers*usesPerWorker {
+		t.Fatalf("use count = %d, want %d", got, workers*usesPerWorker)
 	}
 	if evidenceErrs.Load() != 0 {
 		t.Fatalf("evidence errors: %d", evidenceErrs.Load())

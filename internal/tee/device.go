@@ -90,15 +90,9 @@ func (d *Device) Address() cryptoutil.Address { return d.key.Address() }
 // identity).
 func (d *Device) Key() *cryptoutil.KeyPair { return d.key }
 
-// Measurement returns the attested application measurement.
-func (d *Device) Measurement() Measurement { return d.measurement }
-
 // CertificateBytes returns the JSON-encoded manufacturer certificate used
 // for on-chain device registration.
 func (d *Device) CertificateBytes() ([]byte, error) { return d.cert.Encode() }
-
-// Store returns the device's sealed storage.
-func (d *Device) Store() *SealedStore { return d.store }
 
 // Quote is a remote attestation statement: the device signs a verifier
 // nonce together with its measurement.

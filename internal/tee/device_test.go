@@ -92,7 +92,7 @@ func TestDeviceIdentities(t *testing.T) {
 	if d1.Address() == d2.Address() {
 		t.Fatal("two devices share an address")
 	}
-	if d1.Measurement() != MeasurementOf("trusted-app-v1") {
+	if d1.measurement != MeasurementOf("trusted-app-v1") {
 		t.Fatal("measurement mismatch")
 	}
 	if _, err := d1.CertificateBytes(); err != nil {

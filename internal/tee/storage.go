@@ -117,37 +117,9 @@ func (s *SealedStore) Delete(name string) bool {
 	return true
 }
 
-// Has reports whether an entry exists.
-func (s *SealedStore) Has(name string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.entries[name]
-	return ok
-}
-
 // Len reports the number of sealed entries.
 func (s *SealedStore) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.entries)
-}
-
-// ExportBlob returns the raw ciphertext of an entry (what a host-level
-// attacker can see). Used by tests to verify confidentiality at rest.
-func (s *SealedStore) ExportBlob(name string) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	blob, ok := s.entries[name]
-	if !ok {
-		return nil, false
-	}
-	return append([]byte(nil), blob...), true
-}
-
-// InjectBlob overwrites an entry's raw ciphertext (what a host-level
-// attacker can do). Used by tests to verify integrity protection.
-func (s *SealedStore) InjectBlob(name string, blob []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.entries[name] = append([]byte(nil), blob...)
 }

