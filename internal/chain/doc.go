@@ -129,7 +129,9 @@
 // presented to this process again: every follower of an in-process
 // cluster is handed the same header and re-executes the same
 // transactions, the parallel executor re-executes what its optimistic
-// pass discarded, and a node meets a header again on rebroadcast
+// pass discarded (a round's evidence travels as one transaction, so a
+// discarded pass re-presents all of its signatures), and a node meets a
+// header again on rebroadcast
 // (handleStaleDelivery) and on catch-up. Those checks go through
 // cryptoutil.VerifyCached — Header.verifySeal here, submitEvidence and
 // Certificate.Verify in the contract — which answers a repeat from one

@@ -111,8 +111,8 @@ func (s forgingSource) Evidence(iri string, round uint64) (distexchange.SignedEv
 }
 
 // TestMonitoringBatchRelayIsolatesFailures: the pull-in oracle relays a
-// round as one batch; a source that fails and an evidence the contract
-// reverts must cost exactly those two devices their answer. Also pins the
+// round as one transaction; a source that fails and an evidence the contract
+// refuses must cost exactly those two devices their answer. Also pins the
 // round's instruments, on a cluster whose bare followers re-execute what
 // the metered validator sealed.
 func TestMonitoringBatchRelayIsolatesFailures(t *testing.T) {
@@ -171,8 +171,9 @@ func TestMonitoringBatchRelayIsolatesFailures(t *testing.T) {
 	}
 }
 
-// TestMonitoringUnderSenderQuota: a sender quota below the round size
-// refuses the relay's batch whole; it must get through in smaller ones.
+// TestMonitoringUnderSenderQuota: a round's answer takes one of the relay's
+// pending-transaction slots, so a sender quota below the round size is no
+// obstacle to it.
 func TestMonitoringUnderSenderQuota(t *testing.T) {
 	d := newDeployment(t, Config{SenderQuota: 4, OracleFanout: true})
 	ctx := context.Background()
@@ -184,5 +185,49 @@ func TestMonitoringUnderSenderQuota(t *testing.T) {
 	}
 	if len(evidence) != 16 || len(violations) != 0 {
 		t.Fatalf("%d evidence records and %d violations, want 16 and 0", len(evidence), len(violations))
+	}
+}
+
+// TestCloseReturnsWithRoundAnswerUnsealed: the pull-in oracle used to submit
+// a round's answer under context.Background and Close waited for the round,
+// so a deployment whose sealing had stopped with an answer in the mempool
+// never closed.
+func TestCloseReturnsWithRoundAnswerUnsealed(t *testing.T) {
+	d := must(NewDeployment(Config{}))
+	ctx := context.Background()
+	owner, iri := ownerWithResource(d, "owner", 512, nil)
+	holdersOf(t, d, owner, iri, "holder", 1)
+	// Set-up ran under SealOnSubmit; from here on nothing seals but the test.
+	d.sealing = SealManually
+	pending := func(n int) {
+		t.Helper()
+		deadline := time.Now().Add(3 * time.Second)
+		for d.Nodes[0].PendingTxs() != n {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d transactions pending, want %d", d.Nodes[0].PendingTxs(), n)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	requested := make(chan error, 1)
+	go func() {
+		_, err := owner.Manager.StartMonitoring(ctx, "/data/r.bin")
+		requested <- err
+	}()
+	pending(1)
+	must(d.SealBlock())
+	must0(<-requested)
+	pending(1) // the oracle's answer, which no block will take
+
+	closed := make(chan struct{})
+	go func() {
+		d.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(3 * time.Second):
+		t.Fatal("Close is still waiting for the unsealed answer's receipt")
 	}
 }

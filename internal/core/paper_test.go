@@ -160,6 +160,48 @@ func TestPaperGasTable(t *testing.T) {
 	}
 }
 
+// TestPaperGasPerEvidence prices the table's submitEvidence row by the round:
+// the pull-in oracle answers a round with one transaction, whose first
+// evidence costs the row (43 547 to execute, the 21 000 base charge in it) and
+// every further one the row less the base charge, exactly.
+func TestPaperGasPerEvidence(t *testing.T) {
+	const first, marginal = 43_547, 22_547
+	d := newDeployment(t, Config{OracleFanout: true})
+	ctx := context.Background()
+	owner, iri := ownerWithResource(d, "alice", 4096, nil)
+	for i := range 16 {
+		// The table's consumer, sixteen times: one logged use each.
+		c := must(d.NewConsumer(fmt.Sprintf("bob%02d", i), policy.PurposeWebAnalytics))
+		must0(owner.Grant(ctx, c, "/data/r.bin", policy.PurposeWebAnalytics))
+		must0(c.Access(ctx, iri))
+		must(c.Use(iri, policy.ActionUse))
+	}
+	evidence, _, err := owner.Monitor(ctx, "/data/r.bin")
+	must0(err)
+	d.PullIn().Wait()
+	if len(evidence) != 16 {
+		t.Fatalf("%d evidence records, want 16", len(evidence))
+	}
+	node := d.Nodes[0]
+	answers := 0
+	for n := uint64(1); n <= node.Height(); n++ {
+		block := node.BlockByNumber(n)
+		for i, tx := range block.Txs {
+			if tx.Method != "submitEvidence" {
+				continue
+			}
+			answers++
+			exec := block.Receipts[i].GasUsed - uint64(len(tx.Args))*chain.GasPerArgByte
+			if want := uint64(first + 15*marginal); exec != want {
+				t.Errorf("%d gas to execute 16 evidence, want %d + 15 × %d = %d", exec, first, marginal, want)
+			}
+		}
+	}
+	if answers != 1 {
+		t.Fatalf("%d submitEvidence transactions for one round, want 1", answers)
+	}
+}
+
 // TestPaperPolicyModificationReachesEveryHolder is Fig. 2-5 at more than
 // one copy: a shortened retention reaches every holder, and every copy is
 // gone once it expires.

@@ -16,8 +16,9 @@
 // process-wide table of verified signatures (sigtable.go) and answers a
 // repeat from it. Its callers are
 //
-//   - distexchange.submitEvidence, the device's signature on evidence:
-//     every validator of an in-process cluster executes the same
+//   - distexchange.submitEvidence, the device's signature on each evidence
+//     of the list it is handed (one transaction carries a whole monitoring
+//     round's): every validator of an in-process cluster executes the same
 //     transaction, and the parallel executor re-executes what its
 //     optimistic pass discarded;
 //   - chain's Header.verifySeal (ApplyBlock and the stale-delivery path),

@@ -74,14 +74,7 @@ func (c *Client) call(ctx context.Context, method string, args any) (*chain.Rece
 	if v.Err != nil {
 		return nil, fmt.Errorf("distexchange: submit %s: %w", method, v.Err)
 	}
-	return c.await(ctx, method, v.Hash)
-}
-
-const methodSubmitEvidence = "submitEvidence"
-
-// await waits for a submitted transaction's receipt.
-func (c *Client) await(ctx context.Context, method string, hash cryptoutil.Hash) (*chain.Receipt, error) {
-	receipt, err := c.backend.WaitForReceipt(ctx, hash)
+	receipt, err := c.backend.WaitForReceipt(ctx, v.Hash)
 	if err != nil {
 		return nil, fmt.Errorf("distexchange: wait %s: %w", method, err)
 	}
@@ -91,27 +84,7 @@ func (c *Client) await(ctx context.Context, method string, hash cryptoutil.Hash)
 	return receipt, nil
 }
 
-// submitEvidenceTxs signs one submitEvidence transaction per evidence under
-// consecutive nonces and hands them to the backend as one submission. A
-// signing failure is every evidence's verdict.
-func (c *Client) submitEvidenceTxs(signed []SignedEvidence) []chain.TxVerdict {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	nonce := c.backend.NonceFor(c.key.Address())
-	txs := make([]*chain.Tx, len(signed))
-	for i, s := range signed {
-		tx, err := chain.NewTx(c.key, nonce+uint64(i), c.contract, methodSubmitEvidence, SubmitEvidenceArgs{Signed: s}, c.gas)
-		if err != nil {
-			out := make([]chain.TxVerdict, len(signed))
-			for j := range out {
-				out[j].Err = err
-			}
-			return out
-		}
-		txs[i] = tx
-	}
-	return c.backend.Submit(txs)
-}
+const methodSubmitEvidence = "submitEvidence"
 
 // query runs a read-only method and decodes its reply, the DE App's record
 // encoding, with decode.
@@ -181,57 +154,112 @@ func (c *Client) RequestMonitoring(ctx context.Context, resourceIRI string) (Mon
 	return round, nil
 }
 
-// SubmitEvidence delivers signed compliance evidence: a batch of one.
+// SubmitEvidence delivers signed compliance evidence: a list of one.
 func (c *Client) SubmitEvidence(ctx context.Context, signed SignedEvidence) (EvidenceRecord, error) {
 	out := c.SubmitEvidenceBatch(ctx, []SignedEvidence{signed})[0]
-	if out.Err != nil {
-		return EvidenceRecord{}, out.Err
-	}
-	rec, err := DecodeEvidenceRecord(out.Receipt.Return)
-	if err != nil {
-		return EvidenceRecord{}, fmt.Errorf("distexchange: decode evidence record: %w", err)
-	}
-	return rec, nil
+	return out.Record, out.Err
 }
 
-// EvidenceOutcome is the fate of one evidence of a SubmitEvidenceBatch.
+// EvidenceOutcome is the fate of one evidence of a submitEvidence list.
 type EvidenceOutcome struct {
-	// Receipt is the transaction's receipt, nil when it was never included;
-	// on success its Return is the encoded EvidenceRecord.
-	Receipt *chain.Receipt
-	// Err is a *RevertError when the contract refused this evidence, and
-	// the admission or wait error otherwise.
+	// Record is the stored record of an accepted evidence.
+	Record EvidenceRecord
+	// Err is a *RevertError when the contract refused this evidence: with
+	// its own reason when the transaction accepted another, with the
+	// transaction's — the first refusal's — when it accepted none. Any other
+	// error is the transaction's admission or wait error.
 	Err error
 }
 
 // SubmitEvidenceBatch delivers several signed evidence — typically one
-// monitoring round's — as one submission: one transaction each, under
-// consecutive nonces, so they can share a block. Every receipt is awaited.
-// Outcomes parallel the input; evidence the contract reverts does not
-// affect the others.
-//
-// The backend admits a prefix (the first refusal makes the rest fail their
-// nonce check). When a sender quota or pool smaller than the batch cuts it
-// short, the admitted prefix is awaited — its commit frees the room it
-// took — and the remainder is signed afresh and submitted again; a
-// submission that admits nothing ends the batch with its verdicts.
+// monitoring round's — as one submitEvidence transaction. Outcomes parallel
+// the input; evidence the contract refuses does not affect the rest. A list
+// that might not fit the gas limit goes as consecutive transactions, each
+// awaited before the next is signed.
 func (c *Client) SubmitEvidenceBatch(ctx context.Context, signed []SignedEvidence) []EvidenceOutcome {
-	out := make([]EvidenceOutcome, len(signed))
+	out := make([]EvidenceOutcome, 0, len(signed))
+	// Every item is marshalled once: its length is what its calldata will
+	// cost, and the bytes go into the call as they are.
+	items := make([]json.RawMessage, len(signed))
+	for i := range signed {
+		item, err := json.Marshal(&signed[i])
+		if err != nil {
+			return failedEvidence(out, len(signed), fmt.Errorf("distexchange: encode evidence %d: %w", i, err))
+		}
+		items[i] = item
+	}
 	for start := 0; start < len(signed); {
-		verdicts := c.submitEvidenceTxs(signed[start:])
-		n := 0
-		for ; n < len(verdicts) && verdicts[n].Err == nil; n++ {
-			out[start+n].Receipt, out[start+n].Err = c.await(ctx, methodSubmitEvidence, verdicts[n].Hash)
-		}
-		if n == 0 {
-			for i, v := range verdicts {
-				out[start+i].Err = fmt.Errorf("distexchange: submit %s: %w", methodSubmitEvidence, v.Err)
+		end, gas := start, evidenceTxGas
+		for end < len(signed) {
+			gas += evidenceGasBound(&signed[end].Evidence, len(items[end]))
+			if gas > c.gas && end > start {
+				break
 			}
-			break
+			end++
 		}
-		start += n
+		out = c.submitEvidence(ctx, out, items[start:end])
+		start = end
 	}
 	return out
+}
+
+// submitEvidence makes one submitEvidence call and appends its outcomes, one
+// per item, to out.
+func (c *Client) submitEvidence(ctx context.Context, out []EvidenceOutcome, items []json.RawMessage) []EvidenceOutcome {
+	// SubmitEvidenceArgs, its items marshalled already.
+	receipt, err := c.call(ctx, methodSubmitEvidence, struct {
+		Signed []json.RawMessage `json:"signed"`
+	}{items})
+	if err != nil {
+		return failedEvidence(out, len(items), err)
+	}
+	outcomes, err := DecodeEvidenceOutcomes(receipt.Return)
+	if err == nil && len(outcomes) != len(items) {
+		err = fmt.Errorf("%d outcomes for %d evidence", len(outcomes), len(items))
+	}
+	if err != nil {
+		return failedEvidence(out, len(items), fmt.Errorf("distexchange: decode evidence outcomes: %w", err))
+	}
+	return append(out, outcomes...)
+}
+
+// failedEvidence appends n outcomes that share err.
+func failedEvidence(out []EvidenceOutcome, n int, err error) []EvidenceOutcome {
+	for range n {
+		out = append(out, EvidenceOutcome{Err: err})
+	}
+	return out
+}
+
+// evidenceTxGas bounds what a submitEvidence transaction costs before its
+// first item: the base charge and the calldata around the list.
+const evidenceTxGas = chain.GasTxBase + uint64(len(`{"signed":[]}`))*chain.GasPerArgByte
+
+// evidenceGasBound bounds from above the gas one item of a submitEvidence
+// list can cost: its argBytes of calldata with the comma behind them, and
+// everything Contract.recordEvidence charges when the evidence is accepted,
+// breaks the policy in all four ways and answers an open round.
+func evidenceGasBound(e *Evidence, argBytes int) uint64 {
+	const (
+		// bumpCounter: a read, and a write of a uvarint.
+		counter = chain.GasStorageGet + chain.GasStorageSet + 10*chain.GasStoragePerByte
+		// Stale policy, retention, purpose and usage cap.
+		findings = 4
+		// The kind and detail of a violation found in evidence, the longest
+		// kind and the widest numbers.
+		violationText = len(ViolationStalePolicy) + len("evidence # round ") + 2*20
+	)
+	// A record is stored and emitted: one Set and one Emit of the same bytes.
+	record := func(size int) uint64 {
+		return chain.GasStorageSet + chain.GasEventBase + uint64(size)*(chain.GasStoragePerByte+chain.GasEventPerByte)
+	}
+	return uint64(argBytes+1)*chain.GasPerArgByte +
+		3*chain.GasStorageGet + // resource, device, grant
+		counter + record(evidenceRecordSize(e, findings)) +
+		findings*(counter+record(fixedSize+len(e.ResourceIRI)+violationText)) +
+		// noteResponse: the pending marker read and deleted, the progress
+		// record read and rewritten.
+		2*chain.GasStorageGet + chain.GasStorageDelete + chain.GasStorageSet + fixedSize*chain.GasStoragePerByte
 }
 
 // ReportUnresponsive closes a round, flagging silent holders.

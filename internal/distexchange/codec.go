@@ -29,6 +29,8 @@ const (
 	tagEvidence byte = 0x27
 	// tagViolation opens a Violation.
 	tagViolation byte = 0x28
+	// tagEvidenceOutcomes opens what submitEvidence returns.
+	tagEvidenceOutcomes byte = 0x29
 )
 
 // fixedSize bounds from above what a record's fixed-width and integer
@@ -267,14 +269,21 @@ func decodeUsageEntries(d *store.Dec) []UsageEntry {
 	return out
 }
 
+// evidenceRecordSize bounds from above the encoding of an EvidenceRecord
+// that holds e and the given number of findings.
+func evidenceRecordSize(e *Evidence, findings int) int {
+	// A finding is a short string; a usage entry a timestamp, a boolean and
+	// two strings behind their lengths.
+	size := fixedSize + len(e.ResourceIRI) + 16*findings
+	for i := range e.Entries {
+		size += 24 + len(e.Entries[i].Action) + len(e.Entries[i].Purpose)
+	}
+	return size
+}
+
 func appendEvidenceRecord(dst []byte, r *EvidenceRecord) []byte {
 	e := &r.Evidence
-	// A usage entry is a timestamp, a boolean and two short strings.
-	size := fixedSize + len(e.ResourceIRI) + 16*len(r.Findings)
-	for i := range e.Entries {
-		size += 20 + len(e.Entries[i].Action) + len(e.Entries[i].Purpose)
-	}
-	dst = slices.Grow(dst, size)
+	dst = slices.Grow(dst, evidenceRecordSize(e, len(r.Findings)))
 	dst = append(dst, tagEvidence)
 	dst = store.AppendUvarint(dst, r.Seq)
 	dst = appendEvidence(dst, e)
@@ -315,6 +324,46 @@ func decodeViolation(d *store.Dec, v *Violation) {
 	v.Detail = d.String()
 	v.DetectedAt = d.UTC()
 	v.Round = d.Uvarint()
+}
+
+// appendEvidenceOutcomes opens what submitEvidence returns for a list of n
+// evidence: the tag and n, followed — in list order, one per item — by
+// appendAcceptedEvidence or appendRefusedEvidence.
+func appendEvidenceOutcomes(dst []byte, n int) []byte {
+	return store.AppendUvarint(append(dst, tagEvidenceOutcomes), uint64(n))
+}
+
+// appendAcceptedEvidence appends the outcome of an accepted evidence: its
+// stored record, as it is.
+func appendAcceptedEvidence(dst, record []byte) []byte {
+	return append(store.AppendBool(dst, true), record...)
+}
+
+// appendRefusedEvidence appends the outcome of a refused evidence: the
+// revert text a transaction carrying it alone would have had.
+func appendRefusedEvidence(dst []byte, reason string) []byte {
+	return store.AppendString(store.AppendBool(dst, false), reason)
+}
+
+func decodeEvidenceOutcomes(d *store.Dec, out *[]EvidenceOutcome) {
+	d.Tag(tagEvidenceOutcomes)
+	n := d.Count("outcomes", uint64(d.Remaining()))
+	if n == 0 {
+		return
+	}
+	*out = make([]EvidenceOutcome, 0, min(n, store.DecodeCapHint))
+	for range n {
+		var o EvidenceOutcome
+		if d.Bool() {
+			decodeEvidenceRecord(d, &o.Record)
+		} else {
+			o.Err = &RevertError{Method: methodSubmitEvidence, Reason: d.String()}
+		}
+		if d.Err() != nil {
+			return
+		}
+		*out = append(*out, o)
+	}
 }
 
 // appendListing appends a query's listing reply: a count, then the stored
@@ -402,10 +451,15 @@ func DecodeMonitoringRound(b []byte) (MonitoringRound, error) {
 	return decodeRecord(b, decodeMonitoringRound)
 }
 
-// DecodeEvidenceRecord decodes what submitEvidence returns or an
-// EvidenceRecorded payload.
+// DecodeEvidenceRecord decodes an EvidenceRecorded payload.
 func DecodeEvidenceRecord(b []byte) (EvidenceRecord, error) {
 	return decodeRecord(b, decodeEvidenceRecord)
+}
+
+// DecodeEvidenceOutcomes decodes what submitEvidence returns: one outcome
+// per evidence of the list, in its order.
+func DecodeEvidenceOutcomes(b []byte) ([]EvidenceOutcome, error) {
+	return decodeRecord(b, decodeEvidenceOutcomes)
 }
 
 // DecodeEvidenceRecords decodes a getEvidence reply.

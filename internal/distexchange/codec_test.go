@@ -150,6 +150,22 @@ func (g gen) evidence() EvidenceRecord {
 	return r
 }
 
+// outcomes draws what submitEvidence returns. A list past the decoder's
+// capacity hint is all refusals: its records would only repeat what the
+// EvidenceRecord cases check, several thousand times over.
+func (g gen) outcomes() []EvidenceOutcome {
+	var out []EvidenceOutcome
+	n := g.count()
+	for range n {
+		if n > 4 || g.Intn(3) == 0 {
+			out = append(out, EvidenceOutcome{Err: &RevertError{Method: methodSubmitEvidence, Reason: g.text()}})
+		} else {
+			out = append(out, EvidenceOutcome{Record: g.evidence()})
+		}
+	}
+	return out
+}
+
 func (g gen) violation() Violation {
 	return Violation{
 		Seq: g.uint(), ResourceIRI: g.text(), Device: g.address(), Kind: ViolationKind(g.text()),
@@ -235,6 +251,7 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 		func(b []byte) (roundProgress, error) { return decodeRecord(b, decodeRoundProgress) }, nil)
 	checkRecords(t, "EvidenceRecord", 7, v.evidence, gen.evidence, appendEvidenceRecord, DecodeEvidenceRecord, DecodeEvidenceRecords)
 	checkRecords(t, "Violation", 8, v.violations, gen.violation, appendViolation, DecodeViolation, DecodeViolations)
+	checkRecords(t, "EvidenceOutcomes", 10, v.outcomes, gen.outcomes, appendOutcomes, DecodeEvidenceOutcomes, nil)
 	checkRecords(t, "Policy", 9, v.policies, func(g gen) policy.Policy {
 		for {
 			if p := g.policy(); p != nil {
@@ -297,6 +314,21 @@ func TestRecordCodecAllocations(t *testing.T) {
 // appendResource is appendResourceRecord without the policy offset.
 func appendResource(dst []byte, r *ResourceRecord) []byte {
 	dst, _ = appendResourceRecord(dst, r)
+	return dst
+}
+
+// appendOutcomes encodes outcomes the way submitEvidence builds its return
+// value: item by item, an accepted evidence as its stored record.
+func appendOutcomes(dst []byte, outcomes *[]EvidenceOutcome) []byte {
+	dst = appendEvidenceOutcomes(dst, len(*outcomes))
+	for i := range *outcomes {
+		var refused *RevertError
+		if o := &(*outcomes)[i]; errors.As(o.Err, &refused) {
+			dst = appendRefusedEvidence(dst, refused.Reason)
+		} else {
+			dst = appendAcceptedEvidence(dst, appendEvidenceRecord(nil, &o.Record))
+		}
+	}
 	return dst
 }
 
@@ -374,6 +406,10 @@ func FuzzRecordDecode(f *testing.F) {
 		try("Violation", func() ([]byte, error) {
 			v, err := DecodeViolation(data)
 			return appendViolation(nil, &v), err
+		})
+		try("EvidenceOutcomes", func() ([]byte, error) {
+			v, err := DecodeEvidenceOutcomes(data)
+			return appendOutcomes(nil, &v), err
 		})
 		try("Policy", func() ([]byte, error) {
 			v, err := DecodePolicy(data)
@@ -490,7 +526,7 @@ func TestGasIndependentOfBlockTime(t *testing.T) {
 		{device, "confirmRetrieval", ConfirmRetrievalArgs{ResourceIRI: iri}},
 		{alice, "updatePolicy", UpdatePolicyArgs{ResourceIRI: iri, Policy: pol.NextVersion(t0.Add(time.Minute))}},
 		{alice, "requestMonitoring", RequestMonitoringArgs{ResourceIRI: iri}},
-		{device, "submitEvidence", SubmitEvidenceArgs{Signed: SignedEvidence{Evidence: ev, Signature: sig}}},
+		{device, "submitEvidence", SubmitEvidenceArgs{Signed: []SignedEvidence{{Evidence: ev, Signature: sig}}}},
 	}
 	txs := make([]*chain.Tx, len(steps))
 	for i, s := range steps {

@@ -571,12 +571,58 @@ func (c *Contract) requestMonitoring(env *contract.Env, raw []byte) ([]byte, err
 	return record, nil
 }
 
+// refusal is the contract declining one evidence of a submitEvidence list: a
+// verdict on that item alone, reached before anything was written for it.
+// Every other error of recordEvidence — out of gas, a storage failure, a
+// corrupt record — reverts the transaction.
+type refusal struct{ error }
+
+func refusef(format string, args ...any) error {
+	return refusal{contract.Revertf(format, args...)}
+}
+
+// submitEvidence records a list of signed evidence — one monitoring round's,
+// typically — item by item, in list order. An item the contract refuses
+// writes nothing and leaves its neighbours alone; the transaction reverts,
+// with the first refusal, only when it accepted no item. So a list of one
+// reverts as that evidence always did.
 func (c *Contract) submitEvidence(env *contract.Env, raw []byte) ([]byte, error) {
 	var args SubmitEvidenceArgs
 	if err := json.Unmarshal(raw, &args); err != nil {
 		return nil, contract.Revertf("bad args: %v", err)
 	}
-	ev := args.Signed.Evidence
+	if len(args.Signed) == 0 {
+		return nil, contract.Revertf("submitEvidence: no evidence")
+	}
+	var firstRefusal error
+	accepted := false
+	outcomes := appendEvidenceOutcomes(nil, len(args.Signed))
+	for i := range args.Signed {
+		record, err := c.recordEvidence(env, &args.Signed[i])
+		var refused refusal
+		switch {
+		case errors.As(err, &refused):
+			if firstRefusal == nil {
+				firstRefusal = refused.error
+			}
+			outcomes = appendRefusedEvidence(outcomes, refused.Error())
+		case err != nil:
+			return nil, err
+		default:
+			accepted = true
+			outcomes = appendAcceptedEvidence(outcomes, record)
+		}
+	}
+	if !accepted {
+		return nil, firstRefusal
+	}
+	return outcomes, nil
+}
+
+// recordEvidence checks one signed evidence and, unless it refuses it,
+// records it, returning the stored record.
+func (c *Contract) recordEvidence(env *contract.Env, signed *SignedEvidence) ([]byte, error) {
+	ev := &signed.Evidence
 
 	var rec ResourceRecord
 	ok, err := load(env, resKey(ev.ResourceIRI), &rec, decodeResourceRecord)
@@ -584,19 +630,19 @@ func (c *Contract) submitEvidence(env *contract.Env, raw []byte) ([]byte, error)
 		return nil, err
 	}
 	if !ok {
-		return nil, contract.Revertf("submitEvidence: resource %q not registered", ev.ResourceIRI)
+		return nil, refusef("submitEvidence: resource %q not registered", ev.ResourceIRI)
 	}
 	var dev DeviceRecord
 	if ok, err := load(env, devKey(ev.Device), &dev, decodeDeviceRecord); err != nil {
 		return nil, err
 	} else if !ok {
-		return nil, contract.Revertf("submitEvidence: device %s not registered", ev.Device)
+		return nil, refusef("submitEvidence: device %s not registered", ev.Device)
 	}
 	var g Grant
 	if ok, err := load(env, grantKey(ev.ResourceIRI, ev.Device), &g, decodeGrant); err != nil {
 		return nil, err
 	} else if !ok {
-		return nil, contract.Revertf("submitEvidence: no grant for device %s on %q", ev.Device, ev.ResourceIRI)
+		return nil, refusef("submitEvidence: no grant for device %s on %q", ev.Device, ev.ResourceIRI)
 	}
 
 	// Verify the device signature over the evidence, under the key the
@@ -605,13 +651,14 @@ func (c *Contract) submitEvidence(env *contract.Env, raw []byte) ([]byte, error)
 	// again, so it goes through VerifyCached (see the package comment).
 	devPub, err := cryptoutil.ParsePublicKey(dev.DeviceKey)
 	if err != nil {
-		return nil, contract.Revertf("submitEvidence: stored device key corrupt: %v", err)
+		return nil, refusef("submitEvidence: stored device key corrupt: %v", err)
 	}
-	if !cryptoutil.VerifyCached(devPub, ev.SigningBytes(), args.Signed.Signature) {
-		return nil, contract.Revertf("submitEvidence: evidence signature invalid")
+	if !cryptoutil.VerifyCached(devPub, ev.SigningBytes(), signed.Signature) {
+		return nil, refusef("submitEvidence: evidence signature invalid")
 	}
 
-	findings := c.checkCompliance(&rec, &g, &ev)
+	// Accepted: from here on nothing refuses, and what fails reverts.
+	findings := c.checkCompliance(&rec, &g, ev)
 
 	seq, err := bumpCounter(env, evSeqKey(ev.ResourceIRI))
 	if err != nil {
@@ -620,7 +667,7 @@ func (c *Contract) submitEvidence(env *contract.Env, raw []byte) ([]byte, error)
 	// One encoding serves storage, the event payload and the return value.
 	record := appendEvidenceRecord(nil, &EvidenceRecord{
 		Seq:      seq,
-		Evidence: ev,
+		Evidence: *ev,
 		Verified: true,
 		Stored:   env.Block.Time,
 		Round:    ev.Round,

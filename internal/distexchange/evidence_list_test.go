@@ -1,0 +1,510 @@
+package distexchange
+
+import (
+	"context"
+	"encoding/hex"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/chain"
+	"repro/internal/contract"
+	"repro/internal/cryptoutil"
+	"repro/internal/policy"
+)
+
+// listWorld is a DE App over a bare state with one monitored resource, set
+// up so that a drawn evidence can meet every fate submitEvidence has:
+//
+//	holders[0..3]  targets of round 1 (closed with nobody heard) and of
+//	               round 2 (open)
+//	holders[4]     granted and then revoked before round 2: not a target,
+//	               but its grant record is still there
+//	holders[5]     obtained its copy after round 2 was requested: a grant,
+//	               no target
+//	stranger       registered, but has no grant on the resource
+//	nobody         not a registered device
+type listWorld struct {
+	t        *testing.T
+	rt       *contract.Runtime
+	deAddr   cryptoutil.Address
+	st       *chain.State
+	relay    *cryptoutil.KeyPair
+	iri      string
+	holders  []*cryptoutil.KeyPair
+	stranger *cryptoutil.KeyPair
+	nobody   *cryptoutil.KeyPair
+}
+
+func (w *listWorld) exec(key *cryptoutil.KeyPair, method string, args any, at time.Time) *chain.Receipt {
+	w.t.Helper()
+	tx, err := chain.NewTx(key, 0, w.deAddr, method, args, DefaultGasLimit)
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	// What the chain does around an execution: a reverted one leaves nothing.
+	checkpoint := w.st.Checkpoint()
+	r := w.rt.ExecuteTx(w.st, tx, chain.BlockContext{Number: 1, Time: at})
+	if !r.Succeeded() {
+		w.st.RevertTo(checkpoint)
+	}
+	return r
+}
+
+func (w *listWorld) must(key *cryptoutil.KeyPair, method string, args any) {
+	w.t.Helper()
+	if r := w.exec(key, method, args, t0); !r.Succeeded() {
+		w.t.Fatalf("%s: %s", method, r.Err)
+	}
+}
+
+func newListWorld(t *testing.T) *listWorld {
+	t.Helper()
+	ca, err := cryptoutil.NewAuthority("tee-manufacturer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := contract.NewRuntime()
+	pol := alicePolicy()
+	pol.AllowedPurposes = []policy.Purpose{policy.PurposeWebAnalytics}
+	pol.MaxUses = 3
+	pol.MaxRetention = 24 * time.Hour
+	w := &listWorld{
+		t: t, rt: rt, st: chain.NewState(), iri: pol.ResourceIRI,
+		deAddr:   rt.Deploy(ContractName, New(Config{ManufacturerCAKey: ca.PublicBytes(), ManufacturerCA: ca.Address()})),
+		relay:    cryptoutil.MustGenerateKey(),
+		stranger: cryptoutil.MustGenerateKey(),
+		nobody:   cryptoutil.MustGenerateKey(),
+	}
+	alice := cryptoutil.MustGenerateKey()
+	const webID = "https://alice.pod/profile#me"
+	w.must(alice, "registerPod", RegisterPodArgs{OwnerWebID: webID, Location: "https://alice.pod/"})
+	w.must(alice, "registerResource", RegisterResourceArgs{ResourceIRI: w.iri, PodWebID: webID, Location: w.iri, Policy: pol})
+	register := func(key *cryptoutil.KeyPair) {
+		var m cryptoutil.Hash
+		cert, err := ca.Issue(key, map[string]string{"measurement": hex.EncodeToString(m[:])}, t0, t0.Add(365*24*time.Hour))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := cert.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.must(key, "registerDevice", RegisterDeviceArgs{Certificate: raw})
+	}
+	hold := func(key *cryptoutil.KeyPair) {
+		register(key)
+		w.must(alice, "recordGrant", RecordGrantArgs{ResourceIRI: w.iri, Consumer: key.Address(), Device: key.Address(), Purpose: policy.PurposeWebAnalytics})
+		w.must(key, "confirmRetrieval", ConfirmRetrievalArgs{ResourceIRI: w.iri})
+	}
+	for range 6 {
+		w.holders = append(w.holders, cryptoutil.MustGenerateKey())
+	}
+	for _, key := range w.holders[:5] {
+		hold(key)
+	}
+	register(w.stranger)
+	w.must(alice, "revokeGrant", RevokeGrantArgs{ResourceIRI: w.iri, Device: w.holders[4].Address()})
+	w.must(alice, "requestMonitoring", RequestMonitoringArgs{ResourceIRI: w.iri})
+	w.must(alice, "reportUnresponsive", ReportUnresponsiveArgs{ResourceIRI: w.iri, Round: 1})
+	w.must(alice, "requestMonitoring", RequestMonitoringArgs{ResourceIRI: w.iri})
+	hold(w.holders[5])
+	w.must(alice, "updatePolicy", UpdatePolicyArgs{ResourceIRI: w.iri, Policy: pol.NextVersion(t0)})
+	w.st.DiscardJournal()
+	return w
+}
+
+// fork returns a world of its own that starts from w's state.
+func (w *listWorld) fork() *listWorld {
+	f := *w
+	f.st = w.st.Clone()
+	return &f
+}
+
+// draw returns one signed evidence: from any of the world's devices, for
+// round 0, 1 or 2, compliant or breaking the policy in up to four ways,
+// and one time in five under a signature that does not verify.
+func (w *listWorld) draw(rng *rand.Rand) SignedEvidence {
+	w.t.Helper()
+	keys := append(append([]*cryptoutil.KeyPair(nil), w.holders...), w.stranger, w.nobody)
+	key := keys[rng.Intn(len(keys))]
+	ev := Evidence{
+		ResourceIRI: w.iri, Device: key.Address(), Round: uint64(rng.Intn(3)),
+		PolicyVersion: uint64(1 + rng.Intn(2)), StillStored: true, RetrievedAt: t0, UseCount: uint64(1 + rng.Intn(5)),
+		GeneratedAt: t0.Add(time.Duration(rng.Intn(48)) * time.Hour),
+	}
+	for range rng.Intn(3) {
+		purpose := policy.PurposeWebAnalytics
+		if rng.Intn(3) == 0 {
+			purpose = policy.PurposeMarketing
+		}
+		ev.Entries = append(ev.Entries, UsageEntry{At: t0.Add(time.Minute), Action: policy.ActionUse, Purpose: purpose, Allowed: true})
+	}
+	if rng.Intn(4) == 0 {
+		ev.StillStored, ev.DeletedAt = false, t0.Add(time.Duration(rng.Intn(48))*time.Hour)
+	}
+	sig, err := key.Sign(ev.SigningBytes())
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	if rng.Intn(5) == 0 {
+		sig[len(sig)-1] ^= 1
+	}
+	return SignedEvidence{Evidence: ev, Signature: sig}
+}
+
+// snapshot is the DE App's whole state and every event payload emitted so
+// far, in order.
+type snapshot struct {
+	state  map[string]string
+	events []string
+}
+
+func (w *listWorld) snapshot(receipts []*chain.Receipt) snapshot {
+	s := snapshot{state: make(map[string]string)}
+	for _, k := range w.st.Keys(w.deAddr.String() + "/") {
+		v, _ := w.st.Get(k)
+		s.state[k] = string(v)
+	}
+	for _, r := range receipts {
+		for _, ev := range r.Events {
+			s.events = append(s.events, ev.Topic+"|"+ev.Key+"|"+string(ev.Data))
+		}
+	}
+	return s
+}
+
+// TestEvidenceListMatchesSingleSubmissions is the differential behind "a
+// single evidence is a list of one": the same signed evidence, submitted as
+// N transactions of one and as one transaction of N, leave byte-identical
+// contract state — ev/, viol/, the three round keys, every counter — and
+// the same event payloads in the same order. Item by item the list reports
+// what the single transaction did: the stored record, or the revert text.
+func TestEvidenceListMatchesSingleSubmissions(t *testing.T) {
+	base := newListWorld(t)
+	at := t0.Add(48 * time.Hour)
+	// met counts the fates the drawn lists met, so that the seeds cannot
+	// drift away from a case without the test saying so.
+	met := map[string]int{}
+	for seed := int64(1); seed <= 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		singles, list := base.fork(), base.fork()
+		signed := make([]SignedEvidence, 1+rng.Intn(12))
+		for i := range signed {
+			signed[i] = base.draw(rng)
+		}
+
+		one := make([]*chain.Receipt, len(signed))
+		for i := range signed {
+			one[i] = singles.exec(singles.relay, methodSubmitEvidence, SubmitEvidenceArgs{Signed: signed[i : i+1]}, at)
+		}
+		all := list.exec(list.relay, methodSubmitEvidence, SubmitEvidenceArgs{Signed: signed}, at)
+
+		want, got := singles.snapshot(one), list.snapshot([]*chain.Receipt{all})
+		if !reflect.DeepEqual(got.state, want.state) {
+			for k, v := range want.state {
+				if got.state[k] != v {
+					t.Errorf("seed %d: %s differs: %x as a list, %x one by one", seed, k, got.state[k], v)
+				}
+			}
+			t.Fatalf("seed %d: %d keys as a list, %d one by one", seed, len(got.state), len(want.state))
+		}
+		if !reflect.DeepEqual(got.events, want.events) {
+			t.Fatalf("seed %d: %d events as a list, %d one by one, or in another order", seed, len(got.events), len(want.events))
+		}
+
+		accepted, firstRefusal := 0, ""
+		answered := map[string]bool{}
+		for i, r := range one {
+			ev := &signed[i].Evidence
+			switch {
+			case !r.Succeeded():
+				if firstRefusal == "" {
+					firstRefusal = r.Err
+				}
+				for _, reason := range []string{"signature invalid", "not registered", "no grant"} {
+					if strings.Contains(r.Err, reason) {
+						met[reason]++
+					}
+				}
+				continue
+			case answered[fmt.Sprint(ev.Device, ev.Round)]:
+				met["repeat response"]++
+			case ev.Device == base.holders[4].Address():
+				met["revoked grant"]++
+			case ev.Device == base.holders[5].Address():
+				met["non-target device"]++
+			}
+			accepted++
+			answered[fmt.Sprint(ev.Device, ev.Round)] = true
+			met[fmt.Sprint("round ", ev.Round)]++
+		}
+		if accepted == 0 {
+			if all.Succeeded() || all.Err != firstRefusal {
+				t.Fatalf("seed %d: a list of %d refusals: status %v, %q; want a revert with the first reason %q", seed, len(signed), all.Status, all.Err, firstRefusal)
+			}
+			met["all refused"]++
+			continue
+		}
+		if accepted < len(signed) {
+			met["partly refused"]++
+		}
+		outcomes, err := DecodeEvidenceOutcomes(all.Return)
+		if err != nil || len(outcomes) != len(signed) {
+			t.Fatalf("seed %d: %d outcomes for %d evidence (%v): %s", seed, len(outcomes), len(signed), err, all.Err)
+		}
+		for i, o := range outcomes {
+			if !one[i].Succeeded() {
+				var revert *RevertError
+				if !errors.As(o.Err, &revert) || revert.Reason != one[i].Err {
+					t.Errorf("seed %d item %d: outcome %v, alone it reverted with %q", seed, i, o.Err, one[i].Err)
+				}
+				continue
+			}
+			alone, err := DecodeEvidenceOutcomes(one[i].Return)
+			if err != nil || len(alone) != 1 {
+				t.Fatal(err)
+			}
+			if o.Err != nil || !reflect.DeepEqual(o.Record, alone[0].Record) {
+				t.Errorf("seed %d item %d: outcome %+v (%v), alone %+v", seed, i, o.Record, o.Err, alone[0].Record)
+			}
+			for _, kind := range o.Record.Findings {
+				met[string(kind)]++
+			}
+		}
+	}
+	for _, fate := range []string{
+		"signature invalid", "not registered", "no grant", "all refused", "partly refused",
+		"repeat response", "revoked grant", "non-target device", "round 0", "round 1", "round 2",
+		string(ViolationStalePolicy), string(ViolationRetention), string(ViolationPurpose), string(ViolationMaxUses),
+	} {
+		if met[fate] == 0 {
+			t.Errorf("no drawn list met %q", fate)
+		}
+	}
+}
+
+// TestEvidenceListRefusals: a list the contract refuses whole reverts with
+// its first refusal and writes nothing; a list it refuses in part succeeds,
+// records what it accepted and names each refusal where it stood.
+func TestEvidenceListRefusals(t *testing.T) {
+	w := newListWorld(t)
+	sign := func(key *cryptoutil.KeyPair, round uint64) SignedEvidence {
+		ev := Evidence{ResourceIRI: w.iri, Device: key.Address(), Round: round, PolicyVersion: 1, StillStored: true, RetrievedAt: t0, GeneratedAt: t0}
+		sig, err := key.Sign(ev.SigningBytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return SignedEvidence{Evidence: ev, Signature: sig}
+	}
+	forged := sign(w.holders[0], 2)
+	forged.Signature[0] ^= 1
+	before := w.snapshot(nil)
+
+	r := w.exec(w.relay, methodSubmitEvidence, SubmitEvidenceArgs{Signed: []SignedEvidence{sign(w.stranger, 2), forged, sign(w.nobody, 2)}}, t0)
+	if r.Succeeded() || !strings.Contains(r.Err, "no grant for device "+w.stranger.Address().String()) || len(r.Events) != 0 {
+		t.Fatalf("three refusals: status %v, %q, %d events; want a revert naming the first", r.Status, r.Err, len(r.Events))
+	}
+	if r := w.exec(w.relay, methodSubmitEvidence, SubmitEvidenceArgs{}, t0); r.Succeeded() || !strings.Contains(r.Err, "no evidence") {
+		t.Fatalf("an empty list: status %v, %q", r.Status, r.Err)
+	}
+	if after := w.snapshot(nil); !reflect.DeepEqual(after, before) {
+		t.Fatal("a refused list changed the contract's state")
+	}
+
+	r = w.exec(w.relay, methodSubmitEvidence, SubmitEvidenceArgs{Signed: []SignedEvidence{
+		forged, sign(w.holders[0], 2), sign(w.nobody, 2), sign(w.holders[1], 2),
+	}}, t0)
+	if !r.Succeeded() {
+		t.Fatal(r.Err)
+	}
+	outcomes, err := DecodeEvidenceOutcomes(r.Return)
+	if err != nil || len(outcomes) != 4 {
+		t.Fatalf("%d outcomes: %v", len(outcomes), err)
+	}
+	for i, want := range []string{"evidence signature invalid", "", "device " + w.nobody.Address().String() + " not registered", ""} {
+		o := outcomes[i]
+		if want == "" {
+			if o.Err != nil || o.Record.Evidence.Device != w.holders[i/2].Address() || o.Record.Seq != uint64(1+i/2) {
+				t.Errorf("item %d: %+v (%v), want holder %d's record", i, o.Record, o.Err, i/2)
+			}
+			continue
+		}
+		var revert *RevertError
+		if !errors.As(o.Err, &revert) || revert.Method != methodSubmitEvidence || !strings.Contains(revert.Reason, want) {
+			t.Errorf("item %d: %v, want a refusal saying %q", i, o.Err, want)
+		}
+	}
+	var recorded int
+	for _, ev := range r.Events {
+		if ev.Topic == TopicEvidenceRecorded {
+			recorded++
+		}
+	}
+	if recorded != 2 {
+		t.Errorf("%d EvidenceRecorded events, want the two accepted", recorded)
+	}
+}
+
+// recordingBackend notes the transactions a client submits.
+type recordingBackend struct {
+	sealingBackend
+	txs *[]*chain.Tx
+}
+
+func (b recordingBackend) Submit(txs []*chain.Tx) []chain.TxVerdict {
+	*b.txs = append(*b.txs, txs...)
+	return b.sealingBackend.Submit(txs)
+}
+
+// TestEvidenceListSplitsAtTheGasLimit: a 200-target round whose devices each
+// report 50 usage entries does not fit one transaction. The client cuts it
+// where its gas bound says, the bound holds — no transaction runs out of
+// gas, every evidence is recorded, in order — and the bound is the one the
+// contract's charges add up to for an evidence that breaks the policy in
+// every way it can.
+func TestEvidenceListSplitsAtTheGasLimit(t *testing.T) {
+	f := newFixture(t)
+	ctx := context.Background()
+	iri := f.registerAlicePodAndResource(alicePolicy())
+	const devices, entries = 200, 50
+	var m cryptoutil.Hash
+	keys := make([]*cryptoutil.KeyPair, devices)
+	for i := range keys {
+		keys[i] = cryptoutil.MustGenerateKey()
+		device := NewClient(sealingBackend{f.node}, keys[i], f.deAddr)
+		cert, err := f.ca.Issue(keys[i], map[string]string{"measurement": hex.EncodeToString(m[:])}, t0, t0.Add(time.Hour))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := cert.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := device.RegisterDevice(ctx, raw); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.alice.RecordGrant(ctx, RecordGrantArgs{ResourceIRI: iri, Consumer: keys[i].Address(), Device: keys[i].Address(), Purpose: policy.PurposeWebAnalytics}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := device.ConfirmRetrieval(ctx, iri); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round, err := f.alice.RequestMonitoring(ctx, iri)
+	if err != nil || len(round.Targets) != devices {
+		t.Fatalf("%d targets: %v", len(round.Targets), err)
+	}
+	byAddr := make(map[cryptoutil.Address]*cryptoutil.KeyPair, devices)
+	for _, key := range keys {
+		byAddr[key.Address()] = key
+	}
+	now := f.clk.Now()
+	signed := make([]SignedEvidence, devices)
+	var bound uint64
+	for i, target := range round.Targets {
+		ev := Evidence{
+			ResourceIRI: iri, Device: target, Round: round.Round, PolicyVersion: 1,
+			StillStored: true, RetrievedAt: now, UseCount: entries, GeneratedAt: now,
+		}
+		for range entries {
+			ev.Entries = append(ev.Entries, UsageEntry{At: now, Action: policy.ActionUse, Purpose: policy.PurposeWebAnalytics, Allowed: true})
+		}
+		sig, err := byAddr[target].Sign(ev.SigningBytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		signed[i] = SignedEvidence{Evidence: ev, Signature: sig}
+		if i == 0 {
+			// Every evidence here has the same shape, so one bound serves.
+			arg, err := json.Marshal(&signed[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			bound = evidenceGasBound(&ev, len(arg))
+		}
+	}
+	perTx := int((DefaultGasLimit - evidenceTxGas) / bound)
+	wantTxs := (devices + perTx - 1) / perTx
+	if wantTxs < 2 {
+		t.Fatalf("the round fits %d transaction: nothing to split", wantTxs)
+	}
+
+	var txs []*chain.Tx
+	relay := NewClient(recordingBackend{sealingBackend{f.node}, &txs}, cryptoutil.MustGenerateKey(), f.deAddr)
+	for i, o := range relay.SubmitEvidenceBatch(ctx, signed) {
+		if o.Err != nil || o.Record.Evidence.Device != round.Targets[i] || o.Record.Seq != uint64(i+1) {
+			t.Fatalf("evidence %d: device %s seq %d (%v)", i, o.Record.Evidence.Device.Short(), o.Record.Seq, o.Err)
+		}
+	}
+	if len(txs) != wantTxs {
+		t.Errorf("%d transactions, want %d of at most %d evidence", len(txs), wantTxs, perTx)
+	}
+	for i, tx := range txs {
+		var args SubmitEvidenceArgs
+		if err := json.Unmarshal(tx.Args, &args); err != nil {
+			t.Fatal(err)
+		}
+		r := f.node.Receipt(tx.Hash())
+		if !r.Succeeded() || tx.Nonce != uint64(i) {
+			t.Fatalf("transaction %d: nonce %d, %s", i, tx.Nonce, r.Err)
+		}
+		if limit := evidenceTxGas + uint64(len(args.Signed))*bound; r.GasUsed > limit || limit > DefaultGasLimit {
+			t.Errorf("transaction %d: %d gas for %d evidence, bound %d", i, r.GasUsed, len(args.Signed), limit)
+		}
+	}
+	if state, err := f.alice.GetMonitoringRound(iri, round.Round); err != nil || !state.Closed {
+		t.Errorf("round closed=%v (%v)", state.Closed, err)
+	}
+}
+
+// TestEvidenceGasBoundCoversTheWorstCase: evidence that breaks the policy in
+// all four ways and answers an open round costs what evidenceGasBound says
+// or less, whatever the length of its log.
+func TestEvidenceGasBoundCoversTheWorstCase(t *testing.T) {
+	for _, entries := range []int{0, 1, 50} {
+		t.Run(fmt.Sprint(entries, " entries"), func(t *testing.T) {
+			f := newFixture(t)
+			ctx := context.Background()
+			pol := alicePolicy()
+			pol.AllowedPurposes = []policy.Purpose{policy.PurposeWebAnalytics}
+			pol.MaxUses = 1
+			pol.MaxRetention = time.Hour
+			iri := f.registerAlicePodAndResource(pol)
+			f.registerDevice()
+			f.grantAndRetrieve(iri, policy.PurposeWebAnalytics)
+			if _, err := f.alice.UpdatePolicy(ctx, UpdatePolicyArgs{ResourceIRI: iri, Policy: pol.NextVersion(t0.Add(time.Minute))}); err != nil {
+				t.Fatal(err)
+			}
+			round, err := f.alice.RequestMonitoring(ctx, iri)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.clk.Advance(48 * time.Hour)
+			ev := Evidence{
+				ResourceIRI: iri, Device: f.device.Address(), Round: round.Round, PolicyVersion: 1,
+				StillStored: true, RetrievedAt: t0, UseCount: 1 << 40, GeneratedAt: f.clk.Now(),
+				Entries: []UsageEntry{{At: t0, Action: policy.ActionUse, Purpose: policy.PurposeMarketing, Allowed: true}},
+			}
+			for range entries {
+				ev.Entries = append(ev.Entries, UsageEntry{At: t0, Action: policy.ActionUse, Purpose: policy.PurposeWebAnalytics, Allowed: true})
+			}
+			var txs []*chain.Tx
+			device := NewClient(recordingBackend{sealingBackend{f.node}, &txs}, f.devKey, f.deAddr)
+			rec, err := device.SubmitEvidence(ctx, f.signedEvidence(ev))
+			if err != nil || len(rec.Findings) != 4 {
+				t.Fatalf("findings %v (%v), want all four", rec.Findings, err)
+			}
+			used := f.node.Receipt(txs[0].Hash()).GasUsed
+			bound := evidenceTxGas + evidenceGasBound(&ev, len(txs[0].Args)-len(`{"signed":[]}`))
+			if used > bound || used < bound/2 {
+				t.Fatalf("%d gas used, bound %d: want the bound to hold, and by less than half", used, bound)
+			}
+		})
+	}
+}

@@ -79,7 +79,7 @@ func TestEvidenceUnderReplacedDeviceKey(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return SubmitEvidenceArgs{Signed: SignedEvidence{Evidence: ev, Signature: sig}}
+		return SubmitEvidenceArgs{Signed: []SignedEvidence{{Evidence: ev, Signature: sig}}}
 	}
 	original := sign(device)
 	must(exec(device, "submitEvidence", original)) // first sighting

@@ -17,7 +17,8 @@
 //	round/<iri>|<round>              MonitoringRound with Targets; written once
 //	                                 by requestMonitoring, never rewritten
 //	roundprog/<iri>|<round>          {targets, responded, closed}; the only
-//	                                 record submitEvidence rewrites
+//	                                 record submitEvidence rewrites, once
+//	                                 per answering target of its list
 //	roundpend/<iri>|<round>|<device> one marker per target that has not
 //	                                 answered yet; deleted by the target's
 //	                                 first evidence for the round
@@ -32,6 +33,16 @@
 // round keys. Seq stays one counter per resource, so getEvidence and
 // getViolations list a whole history in Seq order, or — given a round —
 // only that round's key prefix.
+//
+// submitEvidence takes a list of signed evidence — the pull-in oracle sends
+// a round's as one transaction — and treats every item as a transaction of
+// one evidence would be treated, in list order: the same checks, the same
+// ev/ record, event, violations and round bookkeeping, the same gas. An item
+// it refuses (unregistered device, no grant, a signature that does not
+// verify under the key the ledger holds) writes nothing and leaves the other
+// items alone; the return value says, per item, what was stored or why not.
+// The transaction reverts only when no item was accepted, with the first
+// refusal's text — which is all a list of one can do.
 //
 // # Record format
 //
@@ -61,6 +72,8 @@
 //	                      n × finding
 //	0x28 Violation        seq, resource, device, kind, detail, detectedAt,
 //	                      round
+//	0x29 evidence outcomes n × (accepted, EvidenceRecord | refusal text);
+//	                      what submitEvidence returns, never stored
 //	0x20 policy           policy.AppendRecord; alone, the payload of
 //	                      PolicyPublished and PolicyUpdated
 //
@@ -82,7 +95,7 @@
 // # Signature checks
 //
 // The contract checks two signatures: the manufacturer's on a device
-// certificate (registerDevice) and the device's on evidence
+// certificate (registerDevice) and the device's on each evidence of a list
 // (submitEvidence). Both are re-executed on the same bytes by every
 // validator, so both go through cryptoutil.VerifyCached, which answers a
 // repeat sighting from the process's table of verified signatures. That
@@ -371,9 +384,10 @@ type RequestMonitoringArgs struct {
 	ResourceIRI string `json:"resource"`
 }
 
-// SubmitEvidenceArgs delivers signed evidence for a round.
+// SubmitEvidenceArgs delivers a list of signed evidence: typically every
+// answer to one monitoring round. A single evidence is a list of one.
 type SubmitEvidenceArgs struct {
-	Signed SignedEvidence `json:"signed"`
+	Signed []SignedEvidence `json:"signed"`
 }
 
 // ReportUnresponsiveArgs closes a round, flagging non-reporting targets.

@@ -104,6 +104,7 @@ type vectors struct {
 	progress   []roundProgress
 	evidence   []EvidenceRecord
 	violations []Violation
+	outcomes   [][]EvidenceOutcome
 }
 
 func recordVectors() vectors {
@@ -123,6 +124,10 @@ func recordVectors() vectors {
 		MaxRetention:    72 * time.Hour, ExpiresAt: at.Add(24 * time.Hour), MaxUses: 5, ProhibitSharing: true,
 	}
 	evidence := vecEvidence()
+	records := []EvidenceRecord{
+		{Seq: 7, Evidence: *evidence[0], Verified: true, Stored: at.Add(2 * time.Hour), Round: 3, Findings: []ViolationKind{ViolationRetention, ViolationMaxUses}},
+		{Seq: math.MaxUint64, Evidence: *evidence[1], Round: math.MaxUint64},
+	}
 	return vectors{
 		policies: []policy.Policy{pol, {Version: math.MaxUint64, MaxRetention: math.MinInt64, MaxUses: math.MaxUint64}},
 		pods: []PodRecord{
@@ -146,13 +151,18 @@ func recordVectors() vectors {
 			{Round: math.MaxUint64},
 		},
 		progress: []roundProgress{{Targets: 16, Responded: 300, Closed: true}, {}},
-		evidence: []EvidenceRecord{
-			{Seq: 7, Evidence: *evidence[0], Verified: true, Stored: at.Add(2 * time.Hour), Round: 3, Findings: []ViolationKind{ViolationRetention, ViolationMaxUses}},
-			{Seq: math.MaxUint64, Evidence: *evidence[1], Round: math.MaxUint64},
-		},
+		evidence: records,
 		violations: []Violation{
 			{Seq: 2, ResourceIRI: iri, Device: dev, Kind: ViolationUnresponsive, Detail: "no evidence for round 3", DetectedAt: at, Round: 3},
 			{Seq: math.MaxUint64, Round: math.MaxUint64},
+		},
+		outcomes: [][]EvidenceOutcome{
+			{
+				{Record: records[0]},
+				{Err: &RevertError{Method: methodSubmitEvidence, Reason: "contract: reverted: submitEvidence: evidence signature invalid"}},
+				{Record: records[1]},
+			},
+			nil,
 		},
 	}
 }
@@ -188,12 +198,17 @@ func (v vectors) encodings() [][]byte {
 	for i := range v.violations {
 		out = append(out, appendViolation(nil, &v.violations[i]))
 	}
+	for i := range v.outcomes {
+		out = append(out, appendOutcomes(nil, &v.outcomes[i]))
+	}
 	return out
 }
 
 // TestFrozenRecordEncodings pins the bytes of every DE App record: they are
 // the chain's state, so its roots, its gas and what a data directory holds.
-// A change here is a state-format change.
+// A change here is a state-format change. (The last two are what
+// submitEvidence returns: no state holds them, but receipts do, so a
+// header's receipt root and a data directory.)
 func TestFrozenRecordEncodings(t *testing.T) {
 	want := []string{
 		"202868747470733a2f2f616c6963652e6578616d706c652f646174612f68722e74746c23706f6c6963792168747470733a2f2f616c6963652e6578616d706c652f646174612f68722e74746c2068747470733a2f2f616c6963652e6578616d706c652f70726f66696c65236d65030f010000000edcb5398000000005ffff02106d65646963616c2d72657365617263680861636164656d6963020375736504726561648080b49fdbf73a0f010000000edcb68b0000000005ffff050100",
@@ -214,6 +229,8 @@ func TestFrozenRecordEncodings(t *testing.T) {
 		"27ffffffffffffffffff010775726e3a787c790000000000000000000000000000000000000000ffffffffffffffffff01ffffffffffffffffff01000f01000000000000000000000000ffff0f01000000000000000000000000ffffffffffffffffffffff01010f01000000000000000000000000ffff0000000f01000000000000000000000000ffff000f01000000000000000000000000ffffffffffffffffffffff0100",
 		"28022168747470733a2f2f616c6963652e6578616d706c652f646174612f68722e74746cd0d1d2d3d4d5d6d7d8d9dadbdcdddedfe0e1e2e30c756e726573706f6e73697665176e6f2065766964656e636520666f7220726f756e6420330f010000000edcb5398000000005ffff03",
 		"28ffffffffffffffffff0100000000000000000000000000000000000000000000000f01000000000000000000000000ffffffffffffffffffffff01",
+		"29030127072168747470733a2f2f616c6963652e6578616d706c652f646174612f68722e74746cd0d1d2d3d4d5d6d7d8d9dadbdcdddedfe0e1e2e30302010f01000000000000000000000000ffff0f010000000edcb5398000000005ffff02020f010000000edcb539bc00000005ffff03757365106d65646963616c2d7265736561726368010f010000000edcb539f800000005ffff05736861726507617c622c633b64000f010000000edcb5479000000005ffff010f010000000edcb555a000000005ffff030209726574656e74696f6e086d61782d75736573003e636f6e74726163743a2072657665727465643a207375626d697445766964656e63653a2065766964656e6365207369676e617475726520696e76616c69640127ffffffffffffffffff010775726e3a787c790000000000000000000000000000000000000000ffffffffffffffffff01ffffffffffffffffff01000f01000000000000000000000000ffff0f01000000000000000000000000ffffffffffffffffffffff01010f01000000000000000000000000ffff0000000f01000000000000000000000000ffff000f01000000000000000000000000ffffffffffffffffffffff0100",
+		"2900",
 	}
 	got := recordVectors().encodings()
 	if len(got) != len(want) {

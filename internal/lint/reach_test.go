@@ -29,7 +29,7 @@ var reachKeep = map[string]string{
 	"repro/internal/solid.Client.Post":         "client half of the POST route solid-server serves",
 
 	"repro/internal/distexchange.DecodeDeviceRecord":   "exported decoder of the record format (getDevice's reply), fuzzed by FuzzRecordDecode",
-	"repro/internal/distexchange.DecodeEvidenceRecord": "exported decoder of the record format (a submitEvidence receipt's Return), fuzzed by FuzzRecordDecode",
+	"repro/internal/distexchange.DecodeEvidenceRecord": "exported decoder of the record format (an EvidenceRecorded event's payload), fuzzed by FuzzRecordDecode",
 	"repro/internal/distexchange.DecodeGrant":          "exported decoder of the record format (a GrantRecorded event's payload), fuzzed by FuzzRecordDecode",
 	"repro/internal/distexchange.DecodeGrants":         "exported decoder of the record format (getGrants' reply), fuzzed by FuzzRecordDecode",
 	"repro/internal/distexchange.DecodePodRecord":      "exported decoder of the record format (getPod's reply), fuzzed by FuzzRecordDecode",
@@ -43,7 +43,7 @@ var reachKeep = map[string]string{
 	"repro/internal/distexchange.Client.GetGrants":      "typed getter over the contract's getGrants query",
 	"repro/internal/distexchange.Client.GetPod":         "typed getter over the contract's getPod query",
 	"repro/internal/distexchange.Client.ListResources":  "typed getter over the contract's listResources query",
-	"repro/internal/distexchange.Client.SubmitEvidence": "the one-evidence form of SubmitEvidenceBatch, through which contract tests drive submitEvidence",
+	"repro/internal/distexchange.Client.SubmitEvidence": "SubmitEvidenceBatch for a list of one: a device answering for itself, which is how the contract, pod-manager and core tests submit evidence the oracle does not relay",
 
 	"repro/internal/oracle.PullIn.Wait":      "the quiescence point the oracle and core monitoring tests wait on before they read the relay's counters; without it they would sleep",
 	"repro/internal/policy.PurposeMarketing": "the disallowed purpose in the evaluation, TEE and contract tests, named beside the purposes it is refused against",

@@ -14,7 +14,7 @@
 //     dispatches them to off-chain handlers; PullOut serves read-only
 //     queries of on-chain state; PullIn watches on-chain data requests
 //     (monitoring rounds), collects answers from off-chain sources (TEEs),
-//     and pushes them back on-chain.
+//     and pushes them back on-chain, one transaction per round.
 package oracle
 
 import (
@@ -49,7 +49,7 @@ type Metrics struct {
 	Out atomic.Uint64
 
 	// PullInRound times one monitoring round in the pull-in oracle, from
-	// the MonitoringRequested event to the last evidence receipt.
+	// the MonitoringRequested event to the receipt of its answer.
 	PullInRound *obs.Histogram
 	// Evidence* count the pull-in oracle's per-target outcomes.
 	EvidenceSubmitted   *obs.Counter // relayed and accepted by the DE App
@@ -64,7 +64,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		return reg.Counter("oracle_pullin_evidence_total", "pull-in evidence per target by outcome", obs.L("result", result))
 	}
 	return &Metrics{
-		PullInRound:         reg.Histogram("oracle_pullin_round_ns", "pull-in monitoring round: request event to last evidence receipt"),
+		PullInRound:         reg.Histogram("oracle_pullin_round_ns", "pull-in monitoring round: request event to the answer's receipt"),
 		EvidenceSubmitted:   evidence("submitted"),
 		EvidenceSourceError: evidence("source_error"),
 		EvidenceReverted:    evidence("reverted"),

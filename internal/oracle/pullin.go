@@ -23,12 +23,17 @@ type EvidenceSource interface {
 // PullIn is the off-chain component of the pull-in oracle: the blockchain
 // requests data from the off-chain world (the DE App emits a
 // MonitoringRequested event), the oracle collects the answers from its
-// registered sources, and pushes them back on-chain as evidence
-// submissions (Fig. 2(6)).
+// registered sources, and pushes them back on-chain as one evidence
+// submission per round (Fig. 2(6)).
 type PullIn struct {
 	client  *distexchange.Client
 	pushOut *PushOut
 	metrics *Metrics
+
+	// ctx is the oracle's lifetime: rounds submit under it and Close cancels
+	// it, so a round whose answer is never sealed does not outlive the oracle.
+	ctx  context.Context
+	stop context.CancelFunc
 
 	// Fanout collects evidence from targets concurrently when true
 	// (sequential otherwise).
@@ -38,7 +43,7 @@ type PullIn struct {
 	sources map[cryptoutil.Address]EvidenceSource
 	cancel  func()
 
-	// inFlight lets tests wait for round completion.
+	// inFlight counts the rounds being answered, one goroutine each.
 	inFlight sync.WaitGroup
 }
 
@@ -48,10 +53,13 @@ func NewPullIn(node Node, client *distexchange.Client, metrics *Metrics) *PullIn
 	if metrics == nil {
 		metrics = &Metrics{}
 	}
+	ctx, stop := context.WithCancel(context.Background())
 	return &PullIn{
 		client:  client,
 		pushOut: NewPushOut(node, metrics),
 		metrics: metrics,
+		ctx:     ctx,
+		stop:    stop,
 		sources: make(map[cryptoutil.Address]EvidenceSource),
 	}
 }
@@ -71,7 +79,11 @@ func (o *PullIn) UnregisterSource(addr cryptoutil.Address) {
 }
 
 // Start begins watching MonitoringRequested events from the DE App at
-// deAddr. Stop with Close.
+// deAddr. Stop with Close. Every round is answered on a goroutine of its
+// own: a round waits for its answer's receipt, and the rounds requested
+// meanwhile — other owners' — must not wait with it. What bounds them is what
+// bounds the requests: each was a committed transaction, and each holds one
+// of the relay's pending-transaction slots until its answer is sealed.
 func (o *PullIn) Start(deAddr cryptoutil.Address) {
 	filter := chain.EventFilter{Contract: deAddr, Topic: distexchange.TopicMonitoringRequested}
 	cancel := o.pushOut.On(filter, func(ev chain.Event) {
@@ -80,7 +92,11 @@ func (o *PullIn) Start(deAddr cryptoutil.Address) {
 			log.Printf("oracle: pull-in: bad monitoring event: %v", err)
 			return
 		}
-		o.handleRound(round)
+		o.inFlight.Add(1)
+		go func() {
+			defer o.inFlight.Done()
+			o.handleRound(round)
+		}()
 	})
 	o.mu.Lock()
 	o.cancel = cancel
@@ -88,13 +104,11 @@ func (o *PullIn) Start(deAddr cryptoutil.Address) {
 }
 
 // handleRound answers one monitoring request: it gathers every target's
-// signed evidence first, then relays the round as one batch, so the
-// submissions can share a block. A target without a source, or whose source
-// fails, is left out of the batch: it stays silent on-chain and is flagged
-// unresponsive when the owner closes the round.
+// signed evidence first, then relays the round as one submitEvidence
+// transaction. A target without a source, or whose source fails, is left out
+// of the list: it stays silent on-chain and is flagged unresponsive when the
+// owner closes the round.
 func (o *PullIn) handleRound(round distexchange.MonitoringRound) {
-	o.inFlight.Add(1)
-	defer o.inFlight.Done()
 	defer o.metrics.PullInRound.Start().Stop()
 
 	// gathered[i] answers round.Targets[i]; each gather writes its own slot.
@@ -141,7 +155,7 @@ func (o *PullIn) handleRound(round distexchange.MonitoringRound) {
 		return
 	}
 	o.metrics.In.Add(uint64(len(batch)))
-	for i, outcome := range o.client.SubmitEvidenceBatch(context.Background(), batch) {
+	for i, outcome := range o.client.SubmitEvidenceBatch(o.ctx, batch) {
 		if outcome.Err != nil {
 			o.metrics.EvidenceReverted.Inc()
 			log.Printf("oracle: pull-in: submit for %s: %v", batch[i].Evidence.Device.Short(), outcome.Err)
@@ -154,7 +168,8 @@ func (o *PullIn) handleRound(round distexchange.MonitoringRound) {
 // Wait blocks until all in-flight rounds have been answered.
 func (o *PullIn) Wait() { o.inFlight.Wait() }
 
-// Close stops watching and waits for in-flight work.
+// Close stops watching, gives up on answers still waiting to be sealed and
+// waits for the rounds in flight to return.
 func (o *PullIn) Close() {
 	o.mu.Lock()
 	cancel := o.cancel
@@ -163,6 +178,7 @@ func (o *PullIn) Close() {
 	if cancel != nil {
 		cancel()
 	}
+	o.stop()
 	o.pushOut.Close()
 	o.inFlight.Wait()
 }

@@ -3,6 +3,7 @@ package oracle
 import (
 	"context"
 	"encoding/hex"
+	"encoding/json"
 	"slices"
 	"sync"
 	"testing"
@@ -20,14 +21,16 @@ import (
 // pullInEnv wires a chain with the DE App, registered devices holding a
 // copy of one resource, and a pull-in oracle for scripted evidence sources.
 type pullInEnv struct {
-	node    *chain.Node
-	deAddr  cryptoutil.Address
-	owner   *distexchange.Client
-	devKeys []*cryptoutil.KeyPair
-	pullIn  *PullIn
-	metrics *Metrics
-	clk     *simclock.Sim
-	relayed *relayLog // sizes of the evidence submissions that reached the node
+	node     *chain.Node
+	backend  autoSealNode
+	deAddr   cryptoutil.Address
+	owner    *distexchange.Client
+	ownerKey *cryptoutil.KeyPair
+	devKeys  []*cryptoutil.KeyPair
+	pullIn   *PullIn
+	metrics  *Metrics
+	clk      *simclock.Sim
+	relayed  *relayLog // the submitEvidence transactions that reached the node
 }
 
 // scriptedSource returns pre-signed evidence for a device.
@@ -42,27 +45,36 @@ func (s scriptedSource) Evidence(iri string, round uint64) (distexchange.SignedE
 }
 
 // autoSealNode wraps a node to seal on submit (keeps the test linear) and
-// notes the size of every evidence submission it relays.
+// notes every submitEvidence transaction it relays.
 type autoSealNode struct {
 	*chain.Node
 	relayed *relayLog
 }
 
+// relayLog holds, per submitEvidence transaction, how many evidence it
+// carried.
 type relayLog struct {
 	mu    sync.Mutex
-	sizes []int
+	items []int
 }
 
 func (l *relayLog) list() []int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return slices.Clone(l.sizes)
+	return slices.Clone(l.items)
 }
 
 func (n autoSealNode) Submit(txs []*chain.Tx) []chain.TxVerdict {
-	if txs[0].Method == "submitEvidence" {
+	for _, tx := range txs {
+		if tx.Method != "submitEvidence" {
+			continue
+		}
+		var args distexchange.SubmitEvidenceArgs
+		if err := json.Unmarshal(tx.Args, &args); err != nil {
+			panic(err)
+		}
 		n.relayed.mu.Lock()
-		n.relayed.sizes = append(n.relayed.sizes, len(txs))
+		n.relayed.items = append(n.relayed.items, len(args.Signed))
 		n.relayed.mu.Unlock()
 	}
 	out := n.Node.Submit(txs)
@@ -101,7 +113,8 @@ func newPullInEnvWith(t *testing.T, devices, senderQuota int, reg *obs.Registry)
 		t.Fatal(err)
 	}
 	backend := autoSealNode{node, &relayLog{}}
-	owner := distexchange.NewClient(backend, cryptoutil.MustGenerateKey(), deAddr)
+	ownerKey := cryptoutil.MustGenerateKey()
+	owner := distexchange.NewClient(backend, ownerKey, deAddr)
 	ctx := context.Background()
 
 	// Register pod + resource, then per device: registration, grant,
@@ -147,7 +160,7 @@ func newPullInEnvWith(t *testing.T, devices, senderQuota int, reg *obs.Registry)
 	relay := distexchange.NewClient(backend, cryptoutil.MustGenerateKey(), deAddr)
 	metrics := NewMetrics(reg)
 	return &pullInEnv{
-		node: node, deAddr: deAddr, owner: owner, devKeys: devKeys,
+		node: node, backend: backend, deAddr: deAddr, owner: owner, ownerKey: ownerKey, devKeys: devKeys,
 		pullIn: NewPullIn(node, relay, metrics), metrics: metrics, clk: clk,
 		relayed: backend.relayed,
 	}
@@ -296,11 +309,95 @@ func TestPullInCountsRequestDeliveries(t *testing.T) {
 	}
 }
 
-// TestPullInBatchRelay drives 16-target rounds through the batch relay. In
-// every row the ledger must hold one record per relayed device, in target
-// order under consecutive sequence numbers — so a sequential and a fanned-
-// out gather leave the same ledger — and closing the round must flag
-// exactly the devices whose evidence never made it.
+// TestPullInConcurrentRounds: two rounds requested in one block — two
+// resources' — are both answered in the next one, by two relay transactions
+// under consecutive nonces. The oracle used to answer a round, receipt
+// included, before it looked at the next request, so the second round waited
+// a block for every round ahead of it.
+func TestPullInConcurrentRounds(t *testing.T) {
+	e := newPullInEnvWith(t, 2, 0, nil)
+	ctx := context.Background()
+	iris := []string{"https://o/r1", "https://o/r2"}
+	if _, err := e.owner.RegisterResource(ctx, distexchange.RegisterResourceArgs{
+		ResourceIRI: iris[1], PodWebID: "https://o/profile#me", Location: iris[1],
+		Policy: policy.New(iris[1], "https://o/profile#me", t0),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	holder := e.devKeys[1]
+	if _, err := e.owner.RecordGrant(ctx, distexchange.RecordGrantArgs{
+		ResourceIRI: iris[1], Consumer: holder.Address(), Device: holder.Address(), Purpose: policy.PurposeAny,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := distexchange.NewClient(e.backend, holder, e.deAddr).ConfirmRetrieval(ctx, iris[1]); err != nil {
+		t.Fatal(err)
+	}
+
+	// This oracle's relay submits to the bare node: nothing seals but the test.
+	relayKey := cryptoutil.MustGenerateKey()
+	pullIn := NewPullIn(e.node, distexchange.NewClient(e.node, relayKey, e.deAddr), nil)
+	for _, key := range e.devKeys {
+		pullIn.RegisterSource(scriptedSource{addr: key.Address(), fn: func(iri string, round uint64) (distexchange.SignedEvidence, error) {
+			return e.signedBy(t, key, iri, round), nil
+		}})
+	}
+	pullIn.Start(e.deAddr)
+	defer pullIn.Close()
+
+	nonce := e.node.NonceFor(e.ownerKey.Address())
+	requests := make([]*chain.Tx, len(iris))
+	for i, iri := range iris {
+		tx, err := chain.NewTx(e.ownerKey, nonce+uint64(i), e.deAddr, "requestMonitoring",
+			distexchange.RequestMonitoringArgs{ResourceIRI: iri}, distexchange.DefaultGasLimit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requests[i] = tx
+	}
+	for _, v := range e.node.Submit(requests) {
+		if v.Err != nil {
+			t.Fatal(v.Err)
+		}
+	}
+	if block, err := e.node.Seal(); err != nil || len(block.Txs) != 2 {
+		t.Fatalf("sealing the two requests: %v", err)
+	}
+
+	relay := relayKey.Address()
+	deadline := time.Now().Add(3 * time.Second)
+	for e.node.NonceFor(relay) != 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d answers pending with both rounds requested, want 2", e.node.NonceFor(relay))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	block, err := e.node.Seal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(block.Txs) != 2 {
+		t.Fatalf("%d transactions in the answering block, want 2", len(block.Txs))
+	}
+	for i, tx := range block.Txs {
+		if tx.From != relay || tx.Method != "submitEvidence" || tx.Nonce != uint64(i) || !block.Receipts[i].Succeeded() {
+			t.Errorf("transaction %d: %s from %s, nonce %d, %s", i, tx.Method, tx.From.Short(), tx.Nonce, block.Receipts[i].Err)
+		}
+	}
+	pullIn.Wait()
+	for _, iri := range iris {
+		if state, err := e.owner.GetMonitoringRound(iri, 1); err != nil || !state.Closed {
+			t.Errorf("%s round 1: closed=%v err=%v", iri, state.Closed, err)
+		}
+	}
+}
+
+// TestPullInBatchRelay drives 16-target rounds through the relay: one
+// submitEvidence transaction per round, whatever the sender quota. In every
+// row the ledger must hold one record per relayed device, in target order
+// under consecutive sequence numbers — so a sequential and a fanned-out
+// gather leave the same ledger — and closing the round must flag exactly the
+// devices whose evidence never made it.
 func TestPullInBatchRelay(t *testing.T) {
 	const devices = 16
 	rows := []struct {
@@ -309,18 +406,16 @@ func TestPullInBatchRelay(t *testing.T) {
 		quota   int
 		failing []int // target positions whose source returns an error
 		forging []int // target positions whose evidence carries a bad signature
-		// submissions is the size of each relay submission: one for the whole
-		// round, unless the sender quota admits only a prefix — then every
-		// submission carries exactly the evidence not yet committed, so each
-		// signature is verified once per submission and 16 evidence under
-		// quota 4 take 4 submissions.
-		submissions []int
+		// relayed is how many evidence the round's one transaction carries:
+		// a failing source has nothing to relay, a forged evidence travels
+		// and is refused there.
+		relayed int
 	}{
-		{name: "sequential gather", submissions: []int{16}},
-		{name: "fanned-out gather", fanout: true, submissions: []int{16}},
-		{name: "sender quota below the round size", fanout: true, quota: 4, submissions: []int{16, 12, 8, 4}},
-		{name: "a failing source and a reverted evidence sink only themselves", fanout: true, failing: []int{2}, forging: []int{9}, submissions: []int{15}},
-		{name: "the same, gathered sequentially", failing: []int{2}, forging: []int{9}, submissions: []int{15}},
+		{name: "sequential gather", relayed: 16},
+		{name: "fanned-out gather", fanout: true, relayed: 16},
+		{name: "sender quota below the round size", fanout: true, quota: 4, relayed: 16},
+		{name: "a failing source and a reverted evidence sink only themselves", fanout: true, failing: []int{2}, forging: []int{9}, relayed: 15},
+		{name: "the same, gathered sequentially", failing: []int{2}, forging: []int{9}, relayed: 15},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -411,8 +506,8 @@ func TestPullInBatchRelay(t *testing.T) {
 				t.Errorf("responded %v, want %v", state.Responded, relayed)
 			}
 
-			if got := e.relayed.list(); !slices.Equal(got, row.submissions) {
-				t.Errorf("relay submissions of sizes %v, want %v", got, row.submissions)
+			if got := e.relayed.list(); !slices.Equal(got, []int{row.relayed}) {
+				t.Errorf("relay transactions carrying %v evidence, want one carrying %d", got, row.relayed)
 			}
 
 			count := func(result string) uint64 {
