@@ -1,6 +1,7 @@
 // Command de-node runs a proof-of-authority blockchain cluster hosting
 // the DistExchange application, sealing blocks at a fixed interval and
-// exposing a small HTTP status/query API.
+// exposing a small HTTP status/query API. The cluster is booted by
+// core.NewCluster, the constructor core.NewDeployment also runs.
 //
 // Usage:
 //
@@ -20,11 +21,12 @@
 // With -data-dir each validator journals sealed blocks to a write-ahead
 // log under DIR/node-<i>/, snapshots its state there whenever the diff
 // tail a recovery would replay has outgrown it (store.SnapshotDue; there
-// is no cadence to tune), and persists its authority key there, so a
-// restarted process resumes the same chain at the height it left off. An
-// empty -data-dir (the default) keeps the historical all-in-memory
-// behaviour. SIGINT/SIGTERM trigger a graceful shutdown: sealing stops,
-// the HTTP server drains, and every store is flushed and closed.
+// is no cadence to tune), and persists its authority key there as
+// key.der, so a restarted process resumes the same chain at the height it
+// left off. An empty -data-dir (the default) keeps the historical
+// all-in-memory behaviour. SIGINT/SIGTERM trigger a graceful shutdown:
+// sealing stops, the HTTP server drains, and every store is flushed and
+// closed.
 //
 // Endpoints:
 //
@@ -55,17 +57,15 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strconv"
 	"syscall"
 	"time"
 
 	"repro/internal/chain"
-	"repro/internal/contract"
 	"repro/internal/core"
-	"repro/internal/cryptoutil"
 	"repro/internal/distexchange"
 	"repro/internal/obs"
+	"repro/internal/simclock"
 	"repro/internal/store"
 	"repro/internal/tee"
 )
@@ -103,41 +103,40 @@ func run(args []string) error {
 	// Instruments are live only when something can scrape them; with the
 	// flag unset every hot-path hook stays no-op.
 	var reg *obs.Registry
-	var metrics *chain.Metrics
 	if *debugAddr != "" {
 		reg = obs.NewRegistry()
-		metrics = chain.NewMetrics(reg)
-		cryptoutil.Instrument(reg)
 	}
-
-	nodes, network, deAddr, err := buildCluster(clusterConfig{
-		Validators:  *validators,
-		DataDir:     *dataDir,
-		Sync:        syncPolicy,
-		ExecWorkers: *execWorkers,
-		MempoolCap:  *mempoolCap,
-		SenderQuota: *senderQuota,
-		PriceBump:   *priceBump,
-		Registry:    reg,
-		Metrics:     metrics,
-	})
+	// The DE App trusts a manufacturer CA generated here and discarded, so
+	// no TEE device can register on a de-node cluster yet.
+	manufacturer, err := tee.NewManufacturer("tee-manufacturer")
 	if err != nil {
 		return err
 	}
-	closeNodes := func() {
-		for i, n := range nodes {
-			if err := n.Close(); err != nil {
-				log.Printf("close validator %d: %v", i, err)
-			}
-		}
+	cluster, err := core.NewCluster(core.Config{
+		Validators:      *validators,
+		DataDir:         *dataDir,
+		WALSync:         syncPolicy,
+		ExecWorkers:     *execWorkers,
+		MempoolCapacity: *mempoolCap,
+		SenderQuota:     *senderQuota,
+		Obs:             reg,
+	}, simclock.Real{}, manufacturer.CAPublicBytes(), *priceBump)
+	if err != nil {
+		return err
 	}
+	// Runs on either exit path, after sealing stops and the servers drain.
+	defer func() {
+		if err := cluster.Close(); err != nil {
+			log.Print(err)
+		}
+	}()
 
-	log.Printf("DE App deployed at %s on a %d-validator PoA cluster", deAddr, *validators)
+	log.Printf("DE App deployed at %s on a %d-validator PoA cluster", cluster.DEAddr, *validators)
 	if *dataDir != "" {
 		log.Printf("durable storage under %s (fsync=%s), height %d recovered",
-			*dataDir, syncPolicy, nodes[0].Height())
+			*dataDir, syncPolicy, cluster.Nodes[0].Height())
 	}
-	for i, n := range nodes {
+	for i, n := range cluster.Nodes {
 		log.Printf("  validator %d: %s", i, n.Address().Short())
 	}
 
@@ -153,7 +152,7 @@ func run(args []string) error {
 			case <-stop:
 				return
 			case <-ticker.C:
-				block, err := network.SealNext()
+				block, err := cluster.Network.SealNext()
 				if err != nil {
 					log.Printf("seal: %v", err)
 					continue
@@ -165,7 +164,7 @@ func run(args []string) error {
 		}
 	}()
 
-	mux := newAPIMux(nodes, network, deAddr, *interval)
+	mux := newAPIMux(cluster, *interval)
 
 	srv := &http.Server{Addr: *httpAddr, Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 	errCh := make(chan error, 1)
@@ -178,7 +177,7 @@ func run(args []string) error {
 	if reg != nil {
 		debugSrv = &http.Server{
 			Addr:              *debugAddr,
-			Handler:           obs.DebugMux(reg, metrics.Tracer),
+			Handler:           obs.DebugMux(reg, cluster.Configs[0].Metrics.Tracer),
 			ReadHeaderTimeout: 5 * time.Second,
 		}
 		go func() {
@@ -212,7 +211,6 @@ func run(args []string) error {
 			log.Printf("http shutdown: %v", err)
 		}
 		shutdownDebug(ctx)
-		closeNodes()
 		return nil
 	case err := <-errCh:
 		close(stop)
@@ -220,105 +218,8 @@ func run(args []string) error {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		shutdownDebug(ctx)
-		closeNodes()
 		return err
 	}
-}
-
-// clusterConfig collects the knobs run() threads into buildCluster —
-// one struct instead of a nine-positional-argument signature.
-type clusterConfig struct {
-	Validators  int
-	DataDir     string
-	Sync        store.SyncPolicy
-	ExecWorkers int
-	MempoolCap  int
-	SenderQuota int
-	PriceBump   int
-	Registry    *obs.Registry
-	Metrics     *chain.Metrics
-}
-
-// buildCluster constructs the validator cluster: the contract runtime
-// with the DE App, one node per validator (reopened from its durable
-// store when cfg.DataDir is set, with the authority key persisted
-// alongside it), and the broadcast network.
-func buildCluster(cc clusterConfig) ([]*chain.Node, *chain.Network, cryptoutil.Address, error) {
-	validators := cc.Validators
-	dataDir := cc.DataDir
-	manufacturer, err := tee.NewManufacturer("tee-manufacturer")
-	if err != nil {
-		return nil, nil, cryptoutil.Address{}, err
-	}
-	runtime := contract.NewRuntime()
-	deAddr := runtime.Deploy(distexchange.ContractName, distexchange.New(distexchange.Config{
-		ManufacturerCAKey: manufacturer.CAPublicBytes(),
-		ManufacturerCA:    manufacturer.CAAddress(),
-	}))
-
-	keys := make([]*cryptoutil.KeyPair, validators)
-	auths := make([]cryptoutil.Address, validators)
-	for i := range validators {
-		keys[i], err = loadOrCreateKey(dataDir, i)
-		if err != nil {
-			return nil, nil, cryptoutil.Address{}, err
-		}
-		auths[i] = keys[i].Address()
-	}
-	genesis := time.Now()
-	nodes := make([]*chain.Node, validators)
-	for i := range validators {
-		cfg := chain.Config{
-			Key:                 keys[i],
-			Authorities:         auths,
-			Executor:            runtime,
-			GenesisTime:         genesis,
-			ExecWorkers:         cc.ExecWorkers,
-			MempoolCapacity:     cc.MempoolCap,
-			MaxPendingPerSender: cc.SenderQuota,
-			PriceBumpPercent:    cc.PriceBump,
-		}
-		if i == 0 {
-			// Validator 0 is the observed node — the same one the API
-			// serves reads from.
-			cfg.Metrics = cc.Metrics
-		}
-		if dataDir != "" {
-			cfg.DataDir = nodeDir(dataDir, i)
-			cfg.Persist = store.Options{Sync: cc.Sync}
-			if cc.Registry != nil && i == 0 {
-				cfg.Persist.Metrics = store.NewMetrics(cc.Registry)
-			}
-		}
-		nodes[i], err = chain.OpenNode(cfg)
-		if err != nil {
-			for _, n := range nodes[:i] {
-				n.Close()
-			}
-			return nil, nil, cryptoutil.Address{}, err
-		}
-	}
-	network, err := chain.NewNetwork(nodes...)
-	if err != nil {
-		return nil, nil, cryptoutil.Address{}, err
-	}
-	return nodes, network, deAddr, nil
-}
-
-// nodeDir is validator i's storage root.
-func nodeDir(dataDir string, i int) string {
-	return filepath.Join(dataDir, fmt.Sprintf("node-%d", i))
-}
-
-// loadOrCreateKey returns validator i's authority key: random for
-// in-memory clusters, persisted under the validator's data dir
-// otherwise (a restart must keep its authority identity, or the
-// recovered chain's proposer set would no longer match the cluster's).
-func loadOrCreateKey(dataDir string, i int) (*cryptoutil.KeyPair, error) {
-	if dataDir == "" {
-		return cryptoutil.GenerateKey(nil)
-	}
-	return cryptoutil.LoadOrCreateKeyFile(filepath.Join(nodeDir(dataDir, i), "key.der"))
 }
 
 // retryAfterSeconds turns the block interval into a Retry-After hint:
@@ -337,9 +238,11 @@ func retryAfterSeconds(interval time.Duration) string {
 // verifies and broadcasts per round trip to the network layer.
 const streamChunkSize = 256
 
-// newAPIMux builds the node's HTTP status/query/submission API. The
-// block interval sizes the Retry-After hint on 429 responses.
-func newAPIMux(nodes []*chain.Node, network *chain.Network, deAddr cryptoutil.Address, interval time.Duration) *http.ServeMux {
+// newAPIMux builds the cluster's HTTP status/query/submission API, reading
+// from validator 0. The block interval sizes the Retry-After hint on 429
+// responses.
+func newAPIMux(cluster *core.Cluster, interval time.Duration) *http.ServeMux {
+	nodes, network, deAddr := cluster.Nodes, cluster.Network, cluster.DEAddr
 	retryAfter := retryAfterSeconds(interval)
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /status", func(w http.ResponseWriter, r *http.Request) {

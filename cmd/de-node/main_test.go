@@ -20,6 +20,7 @@ import (
 	"repro/internal/cryptoutil"
 	"repro/internal/distexchange"
 	"repro/internal/obs"
+	"repro/internal/simclock"
 	"repro/internal/store"
 )
 
@@ -35,14 +36,26 @@ func TestRunRejectsBadFlag(t *testing.T) {
 	}
 }
 
-// newTestCluster builds the cluster exactly as run() does (in-memory).
-func newTestCluster(t *testing.T, validators int) ([]*chain.Node, *chain.Network, cryptoutil.Address) {
+// bootCluster boots a cluster through the constructor run() calls, with
+// a real clock and a throwaway manufacturer CA, as run() does.
+func bootCluster(cfg core.Config) (*core.Cluster, error) {
+	ca, err := cryptoutil.NewAuthority("tee-manufacturer")
+	if err != nil {
+		return nil, err
+	}
+	cfg.WALSync = store.SyncNever
+	return core.NewCluster(cfg, simclock.Real{}, ca.PublicBytes(), 0)
+}
+
+// newTestCluster boots an in-memory cluster closed at the end of the test.
+func newTestCluster(t *testing.T, cfg core.Config) *core.Cluster {
 	t.Helper()
-	nodes, network, deAddr, err := buildCluster(clusterConfig{Validators: validators, Sync: store.SyncNever})
+	cluster, err := bootCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return nodes, network, deAddr
+	t.Cleanup(func() { cluster.Close() })
+	return cluster
 }
 
 // TestBuildClusterDurableRestart: a durable cluster rebuilt over the
@@ -50,10 +63,11 @@ func newTestCluster(t *testing.T, validators int) ([]*chain.Node, *chain.Network
 // boot resumes at the first boot's height with the same head.
 func TestBuildClusterDurableRestart(t *testing.T) {
 	dir := t.TempDir()
-	nodes, network, deAddr, err := buildCluster(clusterConfig{Validators: 2, DataDir: dir, Sync: store.SyncNever})
+	cluster, err := bootCluster(core.Config{Validators: 2, DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
+	nodes, network, deAddr := cluster.Nodes, cluster.Network, cluster.DEAddr
 	sender := cryptoutil.MustGenerateKey()
 	args := distexchange.RegisterPodArgs{
 		OwnerWebID: "https://restart.example/profile#me",
@@ -71,22 +85,16 @@ func TestBuildClusterDurableRestart(t *testing.T) {
 	}
 	wantHead := nodes[0].Head().Hash()
 	wantAddrs := []cryptoutil.Address{nodes[0].Address(), nodes[1].Address()}
-	for _, n := range nodes {
-		if err := n.Close(); err != nil {
-			t.Fatal(err)
-		}
+	if err := cluster.Close(); err != nil {
+		t.Fatal(err)
 	}
 
-	nodes2, _, _, err := buildCluster(clusterConfig{Validators: 2, DataDir: dir, Sync: store.SyncNever})
+	cluster2, err := bootCluster(core.Config{Validators: 2, DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		for _, n := range nodes2 {
-			n.Close()
-		}
-	}()
-	for i, n := range nodes2 {
+	defer cluster2.Close()
+	for i, n := range cluster2.Nodes {
 		if n.Address() != wantAddrs[i] {
 			t.Fatalf("validator %d identity changed across restart", i)
 		}
@@ -130,13 +138,11 @@ func TestRunGracefulShutdown(t *testing.T) {
 				t.Fatalf("run returned %v on SIGTERM", err)
 			}
 			// The flushed store must reopen as a consistent chain.
-			nodes, _, _, err := buildCluster(clusterConfig{Validators: 2, DataDir: dir, Sync: store.SyncNever})
+			cluster, err := bootCluster(core.Config{Validators: 2, DataDir: dir})
 			if err != nil {
 				t.Fatalf("reopen after shutdown: %v", err)
 			}
-			for _, n := range nodes {
-				n.Close()
-			}
+			cluster.Close()
 			return
 		case <-deadline:
 			t.Fatal("run did not exit within 5s of SIGTERM")
@@ -146,8 +152,9 @@ func TestRunGracefulShutdown(t *testing.T) {
 }
 
 func TestPostTxsBatchEndpoint(t *testing.T) {
-	nodes, network, deAddr := newTestCluster(t, 2)
-	srv := httptest.NewServer(newAPIMux(nodes, network, deAddr, time.Second))
+	cluster := newTestCluster(t, core.Config{Validators: 2})
+	nodes, network, deAddr := cluster.Nodes, cluster.Network, cluster.DEAddr
+	srv := httptest.NewServer(newAPIMux(cluster, time.Second))
 	defer srv.Close()
 
 	sender := cryptoutil.MustGenerateKey()
@@ -229,20 +236,10 @@ func registerPodTx(t *testing.T, key *cryptoutil.KeyPair, nonce uint64, deAddr c
 // mempool so overload behaviour is reachable with a handful of txs.
 func newOverloadCluster(t *testing.T) ([]*chain.Node, *chain.Network, cryptoutil.Address, *httptest.Server) {
 	t.Helper()
-	nodes, network, deAddr, err := buildCluster(clusterConfig{
-		Validators: 1, Sync: store.SyncNever, MempoolCap: 4, SenderQuota: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		for _, n := range nodes {
-			n.Close()
-		}
-	})
-	srv := httptest.NewServer(newAPIMux(nodes, network, deAddr, time.Second))
+	cluster := newTestCluster(t, core.Config{Validators: 1, MempoolCapacity: 4, SenderQuota: 8})
+	srv := httptest.NewServer(newAPIMux(cluster, time.Second))
 	t.Cleanup(srv.Close)
-	return nodes, network, deAddr, srv
+	return cluster.Nodes, cluster.Network, cluster.DEAddr, srv
 }
 
 // TestPostTxsBackpressure429: a full mempool answers POST /txs with 429
@@ -418,16 +415,8 @@ func TestTxStreamEndpoint(t *testing.T) {
 // committed block must be visible in the counters.
 func TestDebugMetricsEndpoint(t *testing.T) {
 	reg := obs.NewRegistry()
-	metrics := chain.NewMetrics(reg)
-	nodes, network, deAddr, err := buildCluster(clusterConfig{Validators: 2, Sync: store.SyncNever, Registry: reg, Metrics: metrics})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		for _, n := range nodes {
-			n.Close()
-		}
-	}()
+	cluster := newTestCluster(t, core.Config{Validators: 2, Obs: reg})
+	network, deAddr := cluster.Network, cluster.DEAddr
 
 	sender := cryptoutil.MustGenerateKey()
 	args := distexchange.RegisterPodArgs{
@@ -445,7 +434,7 @@ func TestDebugMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv := httptest.NewServer(obs.DebugMux(reg, metrics.Tracer))
+	srv := httptest.NewServer(obs.DebugMux(reg, cluster.Configs[0].Metrics.Tracer))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/metrics")
@@ -502,8 +491,9 @@ func TestDebugMetricsEndpoint(t *testing.T) {
 // verdict on /txs/stream (both used to report it admitted), while a
 // rebroadcast of the transaction that holds the nonce stays accepted.
 func TestStaleNonceIsNotAdmitted(t *testing.T) {
-	nodes, network, deAddr := newTestCluster(t, 3)
-	srv := httptest.NewServer(newAPIMux(nodes, network, deAddr, time.Second))
+	cluster := newTestCluster(t, core.Config{Validators: 3})
+	network, deAddr := cluster.Network, cluster.DEAddr
+	srv := httptest.NewServer(newAPIMux(cluster, time.Second))
 	defer srv.Close()
 
 	sender := cryptoutil.MustGenerateKey()

@@ -149,7 +149,7 @@ func (d *Deployment) Equivocate(targets []int) (*EquivocationReport, error) {
 	if proposer < 0 {
 		return nil, fmt.Errorf("core: proposer %s not a deployment validator", block.Header.Proposer.Short())
 	}
-	key := d.nodeCfgs[proposer].Key
+	key := d.Configs[proposer].Key
 	forged, err := chain.ForgeEquivocalSibling(block, key)
 	if err != nil {
 		return nil, err
@@ -199,7 +199,7 @@ func (d *Deployment) InjectInvalidBlock(kind chain.InvalidBlockKind, proposer in
 			return nil, fmt.Errorf("core: validator %d is unreachable; injection targets must be synced", t)
 		}
 	}
-	key := d.nodeCfgs[proposer].Key
+	key := d.Configs[proposer].Key
 	forged, err := chain.ForgeInvalidBlock(ref, key, kind)
 	if err != nil {
 		return nil, err

@@ -2,9 +2,14 @@ package core
 
 import (
 	"context"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/chain"
+	"repro/internal/cryptoutil"
 	"repro/internal/policy"
 	"repro/internal/store"
 )
@@ -220,4 +225,98 @@ func TestDurableDeploymentSnapshotUnaffected(t *testing.T) {
 	if snap.Height == 0 {
 		t.Fatal("snapshot lost the live chain height")
 	}
+}
+
+// TestDurableDeploymentPersistsAuthorityKeys: a durable deployment keeps
+// each validator's authority key at node-<i>/key.der, and a validator
+// restarted from disk comes back under that same authority address.
+func TestDurableDeploymentPersistsAuthorityKeys(t *testing.T) {
+	d := durableDeployment(t)
+	for i, n := range d.Nodes {
+		der, err := os.ReadFile(filepath.Join(d.Configs[i].DataDir, "key.der"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, err := cryptoutil.ParsePrivateKey(der)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if key.Address() != n.Address() {
+			t.Fatalf("validator %d: key.der holds %s, node signs as %s", i, key.Address(), n.Address())
+		}
+	}
+	want := d.Nodes[2].Address()
+	if err := d.CrashValidator(2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.RestartValidatorFromDisk(2); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Nodes[2].Address(); got != want {
+		t.Fatalf("restarted validator signs as %s, want %s", got, want)
+	}
+}
+
+// TestNewDeploymentFailureReleasesValidators: when a later validator
+// cannot open, the ones already opened are closed — their WAL file
+// descriptors and snapshot-writer goroutines do not outlive the failed
+// boot.
+func TestNewDeploymentFailureReleasesValidators(t *testing.T) {
+	cases := []struct {
+		name  string
+		block func(dir string) error
+	}{
+		// A regular file where validator 1's data dir should be.
+		{"node dir is a file", func(dir string) error {
+			return os.WriteFile(filepath.Join(dir, "node-1"), nil, 0o644)
+		}},
+		// Validator 1's key is fine, but its WAL path is a directory.
+		{"wal is a directory", func(dir string) error {
+			return os.MkdirAll(chain.WALPath(filepath.Join(dir, "node-1")), 0o755)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := tc.block(dir); err != nil {
+				t.Fatal(err)
+			}
+			writers := snapshotWriters()
+			d, err := NewDeployment(Config{Validators: 2, DataDir: dir, WALSync: store.SyncNever})
+			if err == nil {
+				d.Close()
+				t.Fatal("deployment booted over an unopenable validator dir")
+			}
+			if open := openFilesUnder(t, dir); len(open) > 0 {
+				t.Fatalf("files still open after the failed boot: %v", open)
+			}
+			if got := snapshotWriters(); got > writers {
+				t.Fatalf("%d snapshot writers running after the failed boot, %d before", got, writers)
+			}
+		})
+	}
+}
+
+// snapshotWriters counts the running chain snapshot-writer goroutines.
+func snapshotWriters() int {
+	buf := make([]byte, 1<<20)
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "chain.(*snapshotWriter).run")
+}
+
+// openFilesUnder lists the process's open file descriptors that point
+// into dir.
+func openFilesUnder(t *testing.T, dir string) []string {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("no /proc/self/fd: %v", err)
+	}
+	var open []string
+	for _, fd := range fds {
+		target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name()))
+		if err == nil && strings.HasPrefix(target, dir+string(filepath.Separator)) {
+			open = append(open, target)
+		}
+	}
+	return open
 }

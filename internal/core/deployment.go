@@ -7,12 +7,10 @@ import (
 	"fmt"
 	"log"
 	"net/http/httptest"
-	"path/filepath"
 	"sync"
 	"time"
 
 	"repro/internal/chain"
-	"repro/internal/contract"
 	"repro/internal/cryptoutil"
 	"repro/internal/distexchange"
 	"repro/internal/market"
@@ -43,8 +41,6 @@ type Config struct {
 	Validators int
 	// Sealing selects the block production mode.
 	Sealing SealingMode
-	// MaxPolicyLag configures the DE App's stale-policy tolerance.
-	MaxPolicyLag uint64
 	// Genesis is the simulated start time (defaults to 2023-10-09).
 	Genesis time.Time
 	// OracleFanout enables concurrent evidence collection in the pull-in
@@ -71,9 +67,6 @@ type Config struct {
 	// SenderQuota caps one sender's pending transactions per validator
 	// (0 = the chain default, 1024).
 	SenderQuota int
-	// PriceBump is the minimum replace-by-fee price increase in percent
-	// (0 = the chain default, 10).
-	PriceBump int
 	// DataDir, when non-empty, makes every validator durable: each node
 	// keeps a write-ahead log and state snapshots (taken by the chain's
 	// recovery-cost rule; there is no cadence to set) under
@@ -98,10 +91,10 @@ const TrustedAppIdentity = "usage-control-app-v1"
 
 // Deployment is a running instance of the architecture.
 type Deployment struct {
+	// Cluster is the validator network (Nodes, Network, DEAddr), booted by
+	// the same NewCluster the de-node binary runs.
+	*Cluster
 	Clock        *simclock.Sim
-	Network      *chain.Network
-	Nodes        []*chain.Node
-	DEAddr       cryptoutil.Address
 	Market       *market.Service
 	Manufacturer *tee.Manufacturer
 	Directory    *solid.MapDirectory
@@ -114,12 +107,10 @@ type Deployment struct {
 	pushOut    *oracle.PushOut
 	hostServer *httptest.Server
 
-	// addrs/nodeCfgs are the per-validator authority addresses and chain
-	// configs, retained so crashed validators can be reopened from disk;
-	// crashed marks slots whose in-memory node was dropped (d.Nodes[i] is
-	// nil until RestartValidatorFromDisk).
-	addrs    []cryptoutil.Address
-	nodeCfgs []chain.Config
+	// addrs are the validators' authority addresses, index-aligned with
+	// Nodes; crashed marks slots whose in-memory node was dropped
+	// (d.Nodes[i] is nil until RestartValidatorFromDisk).
+	addrs []cryptoutil.Address
 
 	mu        sync.Mutex
 	owners    map[solid.WebID]*Owner
@@ -152,78 +143,27 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	runtime := contract.NewRuntime()
-	deAddr := runtime.Deploy(distexchange.ContractName, distexchange.New(distexchange.Config{
-		ManufacturerCAKey: manufacturer.CAPublicBytes(),
-		ManufacturerCA:    manufacturer.CAAddress(),
-		MaxPolicyLag:      cfg.MaxPolicyLag,
-	}))
-
-	keys := make([]*cryptoutil.KeyPair, cfg.Validators)
-	auths := make([]cryptoutil.Address, cfg.Validators)
-	for i := range cfg.Validators {
-		keys[i] = cryptoutil.MustGenerateKey()
-		auths[i] = keys[i].Address()
-	}
-	nodes := make([]*chain.Node, cfg.Validators)
-	nodeCfgs := make([]chain.Config, cfg.Validators)
-	for i := range cfg.Validators {
-		nodeCfgs[i] = chain.Config{
-			Key:                 keys[i],
-			Authorities:         auths,
-			Executor:            runtime,
-			Clock:               clk,
-			GenesisTime:         cfg.Genesis,
-			ExecWorkers:         cfg.ExecWorkers,
-			MempoolCapacity:     cfg.MempoolCapacity,
-			MaxPendingPerSender: cfg.SenderQuota,
-			PriceBumpPercent:    cfg.PriceBump,
-		}
-		if cfg.Obs != nil && i == 0 {
-			// Validator 0 is the observed node (it already backs the
-			// oracles); metering every validator would multiply identical
-			// series without adding signal.
-			nodeCfgs[i].Metrics = chain.NewMetrics(cfg.Obs)
-		}
-		if cfg.DataDir != "" {
-			nodeCfgs[i].DataDir = filepath.Join(cfg.DataDir, fmt.Sprintf("node-%d", i))
-			nodeCfgs[i].Persist = store.Options{Sync: cfg.WALSync}
-			if cfg.Obs != nil && i == 0 {
-				nodeCfgs[i].Persist.Metrics = store.NewMetrics(cfg.Obs)
-			}
-		}
-		node, err := chain.OpenNode(nodeCfgs[i])
-		if err != nil {
-			return nil, err
-		}
-		nodes[i] = node
-	}
-	network, err := chain.NewNetwork(nodes...)
+	cluster, err := NewCluster(cfg, clk, manufacturer.CAPublicBytes(), 0)
 	if err != nil {
 		return nil, err
 	}
-
 	mkt, err := market.NewService("datamarket", clk)
 	if err != nil {
-		return nil, err
+		return nil, errors.Join(err, cluster.Close())
 	}
 
 	if cfg.MonitoringGrace <= 0 {
 		cfg.MonitoringGrace = 2 * time.Second
 	}
 	d := &Deployment{
+		Cluster:      cluster,
 		Clock:        clk,
-		Network:      network,
-		Nodes:        nodes,
-		DEAddr:       deAddr,
 		Market:       mkt,
 		Manufacturer: manufacturer,
 		Directory:    solid.NewMapDirectory(),
 		Metrics:      oracle.NewMetrics(cfg.Obs),
 		obs:          cfg.Obs,
-		addrs:        auths,
-		nodeCfgs:     nodeCfgs,
+		addrs:        cluster.Configs[0].Authorities,
 		owners:       make(map[solid.WebID]*Owner),
 		consumers:    make(map[solid.WebID]*Consumer),
 		crashed:      make(map[int]bool),
@@ -234,9 +174,6 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 	d.Host = solid.NewHost(d.Directory, clk)
 	if cfg.Obs != nil {
 		d.Host.SetMetrics(solid.NewMetrics(cfg.Obs))
-		// One table per process, so one pair of counters: it covers every
-		// validator's and every pod manager's checks, not validator 0's.
-		cryptoutil.Instrument(cfg.Obs)
 	}
 	d.hostServer = httptest.NewServer(d.Host)
 
@@ -244,11 +181,11 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 	// registered consumer devices; the push-out oracle dispatches policy
 	// updates to them. Both observe node 0.
 	relayKey := cryptoutil.MustGenerateKey()
-	relayClient := distexchange.NewClient(d.backend(), relayKey, deAddr)
-	d.pullIn = oracle.NewPullIn(nodes[0], relayClient, d.Metrics)
+	relayClient := distexchange.NewClient(d.backend(), relayKey, d.DEAddr)
+	d.pullIn = oracle.NewPullIn(d.Nodes[0], relayClient, d.Metrics)
 	d.pullIn.Fanout = cfg.OracleFanout
-	d.pullIn.Start(deAddr)
-	d.pushOut = oracle.NewPushOut(nodes[0], d.Metrics)
+	d.pullIn.Start(d.DEAddr)
+	d.pushOut = oracle.NewPushOut(d.Nodes[0], d.Metrics)
 	return d, nil
 }
 
@@ -258,11 +195,7 @@ func (d *Deployment) Close() {
 	d.pullIn.Close()
 	d.pushOut.Close()
 	d.hostServer.Close()
-	for _, n := range d.Nodes {
-		if n != nil {
-			_ = n.Close()
-		}
-	}
+	_ = d.Cluster.Close()
 }
 
 // backend returns the deployment's submission backend: one value, shared
@@ -421,7 +354,6 @@ func (d *Deployment) NewOwner(name string) (*Owner, error) {
 		m := tee.MeasurementOf(TrustedAppIdentity)
 		teeReq = &podmanager.TEERequirement{
 			CAKey:       d.Manufacturer.CAPublicBytes(),
-			CAAddr:      d.Manufacturer.CAAddress(),
 			Measurement: &m,
 		}
 	}

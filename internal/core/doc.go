@@ -6,7 +6,10 @@
 // worlds together.
 //
 // Deployment is the façade; Owner and Consumer expose the six Fig. 2
-// processes as typed Go methods. The paper's non-timing evaluation
+// processes as typed Go methods. Its validator cluster comes from
+// NewCluster, the one constructor that boots the DE App's PoA network:
+// the de-node binary runs the same function, so the cluster it serves
+// over HTTP is the cluster the benchmark measures in-process. The paper's non-timing evaluation
 // results (§V-2 attack verdicts, the §V-4 gas table, payout order,
 // liveness with validators down) are pinned by paper_test.go; how fast
 // the processes run is the repo benchmark's question (bench/).

@@ -80,7 +80,7 @@ func (d *Deployment) CrashValidator(i int) error {
 		}
 		return fmt.Errorf("core: validator %d out of range [0,%d)", i, len(d.Nodes))
 	}
-	if len(d.nodeCfgs[i].DataDir) == 0 {
+	if len(d.Configs[i].DataDir) == 0 {
 		return fmt.Errorf("core: validator %d is not durable (deployment has no DataDir)", i)
 	}
 	node := d.Nodes[i]
@@ -111,7 +111,7 @@ func (d *Deployment) RestartValidatorFromDisk(i int) (int, error) {
 	if !d.ValidatorCrashed(i) {
 		return 0, fmt.Errorf("core: validator %d has not crashed", i)
 	}
-	node, err := chain.OpenNode(d.nodeCfgs[i])
+	node, err := chain.OpenNode(d.Configs[i])
 	if err != nil {
 		return 0, fmt.Errorf("core: reopen validator %d: %w", i, err)
 	}
@@ -143,7 +143,7 @@ func (d *Deployment) TruncateValidatorWAL(i int, n int64) error {
 	if !d.ValidatorCrashed(i) {
 		return fmt.Errorf("core: validator %d must be crashed before its WAL is damaged", i)
 	}
-	path := chain.WALPath(d.nodeCfgs[i].DataDir)
+	path := chain.WALPath(d.Configs[i].DataDir)
 	info, err := os.Stat(path)
 	if err != nil {
 		return fmt.Errorf("core: stat validator %d wal: %w", i, err)

@@ -62,7 +62,7 @@ func TestSigTableColdWarmReplay(t *testing.T) {
 			proposerKeys := d.Network.AuthorityKeys()
 			replay := func(name string) (hits, misses uint64) {
 				t.Helper()
-				cfg := d.nodeCfgs[1]
+				cfg := d.Configs[1]
 				cfg.DataDir, cfg.Persist, cfg.Metrics = "", store.Options{}, nil
 				replica, err := chain.NewNode(cfg)
 				if err != nil {

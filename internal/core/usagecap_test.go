@@ -96,8 +96,8 @@ func TestOverusedCopyDetectedByMonitoring(t *testing.T) {
 	}
 
 	// The owner tightens the cap below the device's use count later on,
-	// then the device (still on v1, within MaxPolicyLag... but lag is 0)
-	// would be stale. Instead, simulate overuse directly: use 5 times,
+	// then the device (still on v1, while the chain holds v2) would be
+	// stale. Instead, simulate overuse directly: use 5 times,
 	// then tighten the cap to 2 and monitor. The evidence reports 5 > 2.
 	for range 5 {
 		if _, err := consumer.Use(iri, policy.ActionUse); err != nil {

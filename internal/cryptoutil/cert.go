@@ -75,14 +75,15 @@ var (
 	ErrCertSubjectKey   = errors.New("certificate subject key does not match subject address")
 )
 
-// Verify checks that the certificate (i) names the expected issuer,
-// (ii) has a subject key that hashes to the subject address, (iii) carries
-// a valid issuer signature, and (iv) is within its validity window at now.
-// A certificate is made to be presented many times, so (iii) goes through
-// VerifyCached; (i), (ii) and (iv) are evaluated on every call.
-func (c *Certificate) Verify(issuerPubBytes []byte, issuerAddr Address, now time.Time) error {
-	if c.Issuer != issuerAddr {
-		return fmt.Errorf("%w: got %s, want %s", ErrCertWrongIssuer, c.Issuer, issuerAddr)
+// Verify checks that the certificate (i) names the issuer whose public
+// key (uncompressed point) is given, (ii) has a subject key that hashes to
+// the subject address, (iii) carries a valid issuer signature, and (iv) is
+// within its validity window at now. A certificate is made to be presented
+// many times, so (iii) goes through VerifyCached; (i), (ii) and (iv) are
+// evaluated on every call.
+func (c *Certificate) Verify(issuerPubBytes []byte, now time.Time) error {
+	if want := addressOfKeyBytes(issuerPubBytes); c.Issuer != want {
+		return fmt.Errorf("%w: got %s, want %s", ErrCertWrongIssuer, c.Issuer, want)
 	}
 	subjPub, err := ParsePublicKey(c.SubjectKey)
 	if err != nil {

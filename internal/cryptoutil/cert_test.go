@@ -30,17 +30,17 @@ func TestCertificateIssueVerify(t *testing.T) {
 		t.Fatalf("subject = %s, want %s", cert.Subject, subject.Address())
 	}
 	now := testEpoch.Add(time.Hour)
-	if err := cert.Verify(ca.PublicBytes(), ca.Address(), now); err != nil {
+	if err := cert.Verify(ca.PublicBytes(), now); err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
 }
 
 func TestCertificateValidityWindow(t *testing.T) {
 	ca, _, cert := issueTestCert(t)
-	if err := cert.Verify(ca.PublicBytes(), ca.Address(), testEpoch.Add(-time.Minute)); !errors.Is(err, ErrCertNotYetValid) {
+	if err := cert.Verify(ca.PublicBytes(), testEpoch.Add(-time.Minute)); !errors.Is(err, ErrCertNotYetValid) {
 		t.Fatalf("before window: err = %v, want ErrCertNotYetValid", err)
 	}
-	if err := cert.Verify(ca.PublicBytes(), ca.Address(), testEpoch.Add(25*time.Hour)); !errors.Is(err, ErrCertExpired) {
+	if err := cert.Verify(ca.PublicBytes(), testEpoch.Add(25*time.Hour)); !errors.Is(err, ErrCertExpired) {
 		t.Fatalf("after window: err = %v, want ErrCertExpired", err)
 	}
 }
@@ -52,7 +52,7 @@ func TestCertificateTamperDetection(t *testing.T) {
 	t.Run("claims", func(t *testing.T) {
 		tampered := *cert
 		tampered.Claims = map[string]string{"feePaid": "https://bob.pod/medical/OTHER"}
-		if err := tampered.Verify(ca.PublicBytes(), ca.Address(), now); !errors.Is(err, ErrCertBadSignature) {
+		if err := tampered.Verify(ca.PublicBytes(), now); !errors.Is(err, ErrCertBadSignature) {
 			t.Fatalf("err = %v, want ErrCertBadSignature", err)
 		}
 	})
@@ -61,7 +61,7 @@ func TestCertificateTamperDetection(t *testing.T) {
 		tampered := *cert
 		tampered.Subject = mallory.Address()
 		tampered.SubjectKey = mallory.PublicBytes()
-		if err := tampered.Verify(ca.PublicBytes(), ca.Address(), now); !errors.Is(err, ErrCertBadSignature) {
+		if err := tampered.Verify(ca.PublicBytes(), now); !errors.Is(err, ErrCertBadSignature) {
 			t.Fatalf("err = %v, want ErrCertBadSignature", err)
 		}
 	})
@@ -69,7 +69,7 @@ func TestCertificateTamperDetection(t *testing.T) {
 		mallory := MustGenerateKey()
 		tampered := *cert
 		tampered.SubjectKey = mallory.PublicBytes()
-		if err := tampered.Verify(ca.PublicBytes(), ca.Address(), now); !errors.Is(err, ErrCertSubjectKey) {
+		if err := tampered.Verify(ca.PublicBytes(), now); !errors.Is(err, ErrCertSubjectKey) {
 			t.Fatalf("err = %v, want ErrCertSubjectKey", err)
 		}
 	})
@@ -78,8 +78,22 @@ func TestCertificateTamperDetection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := cert.Verify(other.PublicBytes(), other.Address(), now); !errors.Is(err, ErrCertWrongIssuer) {
+		if err := cert.Verify(other.PublicBytes(), now); !errors.Is(err, ErrCertWrongIssuer) {
 			t.Fatalf("err = %v, want ErrCertWrongIssuer", err)
+		}
+		// The issuer a certificate names is checked against the trusted
+		// key's own address, derived from its bytes without allocating.
+		renamed := *cert
+		renamed.Issuer = other.Address()
+		if err := renamed.Verify(ca.PublicBytes(), now); !errors.Is(err, ErrCertWrongIssuer) {
+			t.Fatalf("certificate naming another issuer: err = %v, want ErrCertWrongIssuer", err)
+		}
+		pub := ca.PublicBytes()
+		if addressOfKeyBytes(pub) != ca.Address() {
+			t.Fatal("address from key bytes differs from the authority's address")
+		}
+		if n := testing.AllocsPerRun(100, func() { _ = addressOfKeyBytes(pub) }); n != 0 {
+			t.Fatalf("address from key bytes allocates %v times", n)
 		}
 	})
 	t.Run("forged signature", func(t *testing.T) {
@@ -90,7 +104,7 @@ func TestCertificateTamperDetection(t *testing.T) {
 			t.Fatal(err)
 		}
 		tampered.Signature = sig
-		if err := tampered.Verify(ca.PublicBytes(), ca.Address(), now); !errors.Is(err, ErrCertBadSignature) {
+		if err := tampered.Verify(ca.PublicBytes(), now); !errors.Is(err, ErrCertBadSignature) {
 			t.Fatalf("err = %v, want ErrCertBadSignature", err)
 		}
 	})
@@ -106,7 +120,7 @@ func TestCertificateEncodeDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := back.Verify(ca.PublicBytes(), ca.Address(), testEpoch.Add(time.Hour)); err != nil {
+	if err := back.Verify(ca.PublicBytes(), testEpoch.Add(time.Hour)); err != nil {
 		t.Fatalf("decoded certificate failed verification: %v", err)
 	}
 	if back.Claims["feePaid"] != cert.Claims["feePaid"] {

@@ -215,8 +215,13 @@ func ParsePublicKey(data []byte) (*ecdsa.PublicKey, error) {
 }
 
 // AddressOf derives the address of a public key.
-func AddressOf(pub *ecdsa.PublicKey) Address {
-	sum := sha256.Sum256(MarshalPublicKey(pub))
+func AddressOf(pub *ecdsa.PublicKey) Address { return addressOfKeyBytes(MarshalPublicKey(pub)) }
+
+// addressOfKeyBytes is AddressOf for a key already in its uncompressed
+// encoding (the only one ParsePublicKey accepts): the same digest, with no
+// parse and no allocation.
+func addressOfKeyBytes(pub []byte) Address {
+	sum := sha256.Sum256(pub)
 	var a Address
 	copy(a[:], sum[len(sum)-AddressLen:])
 	return a

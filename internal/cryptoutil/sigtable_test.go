@@ -285,34 +285,29 @@ func TestCertificateWindowCheckedOnEveryCall(t *testing.T) {
 		t.Fatal(err)
 	}
 	for range 2 {
-		if err := cert.Verify(ca.PublicBytes(), ca.Address(), notBefore.Add(time.Minute)); err != nil {
+		if err := cert.Verify(ca.PublicBytes(), notBefore.Add(time.Minute)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if h, m := counts(); h != 1 || m != 1 {
 		t.Fatalf("hits=%d misses=%d, want 1 and 1", h, m)
 	}
-	if err := cert.Verify(ca.PublicBytes(), ca.Address(), notAfter.Add(time.Nanosecond)); !errors.Is(err, ErrCertExpired) {
+	if err := cert.Verify(ca.PublicBytes(), notAfter.Add(time.Nanosecond)); !errors.Is(err, ErrCertExpired) {
 		t.Errorf("after the window, warm table: %v, want ErrCertExpired", err)
 	}
-	if err := cert.Verify(ca.PublicBytes(), ca.Address(), notBefore.Add(-time.Nanosecond)); !errors.Is(err, ErrCertNotYetValid) {
+	if err := cert.Verify(ca.PublicBytes(), notBefore.Add(-time.Nanosecond)); !errors.Is(err, ErrCertNotYetValid) {
 		t.Errorf("before the window, warm table: %v, want ErrCertNotYetValid", err)
 	}
 	other, err := NewAuthority("other")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cert.Verify(other.PublicBytes(), other.Address(), notBefore); !errors.Is(err, ErrCertWrongIssuer) {
+	if err := cert.Verify(other.PublicBytes(), notBefore); !errors.Is(err, ErrCertWrongIssuer) {
 		t.Errorf("wrong issuer, warm table: %v, want ErrCertWrongIssuer", err)
-	}
-	// The right issuer address with another authority's key: the tag covers
-	// the key, so the verified entry does not answer.
-	if err := cert.Verify(other.PublicBytes(), ca.Address(), notBefore); !errors.Is(err, ErrCertBadSignature) {
-		t.Errorf("wrong issuer key, warm table: %v, want ErrCertBadSignature", err)
 	}
 	extended := *cert
 	extended.NotAfter = notAfter.Add(24 * time.Hour)
-	if err := extended.Verify(ca.PublicBytes(), ca.Address(), notAfter.Add(time.Minute)); !errors.Is(err, ErrCertBadSignature) {
+	if err := extended.Verify(ca.PublicBytes(), notAfter.Add(time.Minute)); !errors.Is(err, ErrCertBadSignature) {
 		t.Errorf("window extended after signing, warm table: %v, want ErrCertBadSignature", err)
 	}
 }

@@ -491,7 +491,7 @@ func TestGasIndependentOfBlockTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt := contract.NewRuntime()
-	deAddr := rt.Deploy(ContractName, New(Config{ManufacturerCAKey: ca.PublicBytes(), ManufacturerCA: ca.Address()}))
+	deAddr := rt.Deploy(ContractName, New(Config{ManufacturerCAKey: ca.PublicBytes()}))
 	alice, device := cryptoutil.MustGenerateKey(), cryptoutil.MustGenerateKey()
 	pol := alicePolicy()
 	iri := pol.ResourceIRI

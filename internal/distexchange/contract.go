@@ -17,12 +17,6 @@ type Config struct {
 	// ManufacturerCAKey is the public key (uncompressed point) of the TEE
 	// manufacturer certificate authority trusted for device registration.
 	ManufacturerCAKey []byte
-	// ManufacturerCA is the CA's address.
-	ManufacturerCA cryptoutil.Address
-	// MaxPolicyLag is how many policy versions a holder may lag behind
-	// before monitoring flags a stale-policy violation. Zero means holders
-	// must always enforce the latest version.
-	MaxPolicyLag uint64
 }
 
 // Contract is the DE App smart contract.
@@ -351,7 +345,7 @@ func (c *Contract) registerDevice(env *contract.Env, raw []byte) ([]byte, error)
 	if err != nil {
 		return nil, contract.Revertf("registerDevice: %v", err)
 	}
-	if err := cert.Verify(c.cfg.ManufacturerCAKey, c.cfg.ManufacturerCA, env.Block.Time); err != nil {
+	if err := cert.Verify(c.cfg.ManufacturerCAKey, env.Block.Time); err != nil {
 		return nil, contract.Revertf("registerDevice: certificate rejected: %v", err)
 	}
 	if cert.Subject != env.Sender {
@@ -723,8 +717,8 @@ func (c *Contract) checkCompliance(rec *ResourceRecord, g *Grant, ev *Evidence) 
 	var findings []ViolationKind
 	pol := rec.Policy
 
-	// Stale policy enforcement.
-	if pol.Version > ev.PolicyVersion && pol.Version-ev.PolicyVersion > c.cfg.MaxPolicyLag {
+	// Stale policy enforcement: a holder must enforce the latest version.
+	if pol.Version > ev.PolicyVersion {
 		findings = append(findings, ViolationStalePolicy)
 	}
 

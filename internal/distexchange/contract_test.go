@@ -85,11 +85,7 @@ func newFixture(t *testing.T) *fixture {
 		t.Fatal(err)
 	}
 	rt := contract.NewRuntime()
-	deAddr := rt.Deploy(ContractName, New(Config{
-		ManufacturerCAKey: ca.PublicBytes(),
-		ManufacturerCA:    ca.Address(),
-		MaxPolicyLag:      0,
-	}))
+	deAddr := rt.Deploy(ContractName, New(Config{ManufacturerCAKey: ca.PublicBytes()}))
 	authority := cryptoutil.MustGenerateKey()
 	clk := simclock.NewSim(t0)
 	node, err := chain.NewNode(chain.Config{

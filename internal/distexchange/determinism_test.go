@@ -26,10 +26,7 @@ type replica struct {
 func newReplica(t *testing.T, ca *cryptoutil.Authority, clk *simclock.Sim, ownerKey, deviceKey *cryptoutil.KeyPair) *replica {
 	t.Helper()
 	rt := contract.NewRuntime()
-	deAddr := rt.Deploy(ContractName, New(Config{
-		ManufacturerCAKey: ca.PublicBytes(),
-		ManufacturerCA:    ca.Address(),
-	}))
+	deAddr := rt.Deploy(ContractName, New(Config{ManufacturerCAKey: ca.PublicBytes()}))
 	authority := cryptoutil.MustGenerateKey()
 	node, err := chain.NewNode(chain.Config{
 		Key:         authority,

@@ -76,7 +76,7 @@ func newListWorld(t *testing.T) *listWorld {
 	pol.MaxRetention = 24 * time.Hour
 	w := &listWorld{
 		t: t, rt: rt, st: chain.NewState(), iri: pol.ResourceIRI,
-		deAddr:   rt.Deploy(ContractName, New(Config{ManufacturerCAKey: ca.PublicBytes(), ManufacturerCA: ca.Address()})),
+		deAddr:   rt.Deploy(ContractName, New(Config{ManufacturerCAKey: ca.PublicBytes()})),
 		relay:    cryptoutil.MustGenerateKey(),
 		stranger: cryptoutil.MustGenerateKey(),
 		nobody:   cryptoutil.MustGenerateKey(),

@@ -29,7 +29,7 @@ func TestEvidenceUnderReplacedDeviceKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt := contract.NewRuntime()
-	deAddr := rt.Deploy(ContractName, New(Config{ManufacturerCAKey: ca.PublicBytes(), ManufacturerCA: ca.Address()}))
+	deAddr := rt.Deploy(ContractName, New(Config{ManufacturerCAKey: ca.PublicBytes()}))
 	st := chain.NewState()
 	exec := func(key *cryptoutil.KeyPair, method string, args any) *chain.Receipt {
 		t.Helper()

@@ -180,14 +180,12 @@ func (s *Service) Payments() uint64 {
 type Verifier struct {
 	// MarketKey is the market's public key bytes.
 	MarketKey []byte
-	// MarketAddress is the market's address.
-	MarketAddress cryptoutil.Address
 }
 
 // VerifierFor pins a verifier to a service (convenience for in-process
 // wiring; a remote pod manager would pin the key out of band).
 func VerifierFor(s *Service) Verifier {
-	return Verifier{MarketKey: s.PublicBytes(), MarketAddress: s.Address()}
+	return Verifier{MarketKey: s.PublicBytes()}
 }
 
 // Check validates a payment certificate for a resource access: issuer,
@@ -198,7 +196,7 @@ func (v Verifier) Check(certRaw []byte, presenterKey []byte, resourceIRI string,
 	if err != nil {
 		return err
 	}
-	if err := cert.Verify(v.MarketKey, v.MarketAddress, now); err != nil {
+	if err := cert.Verify(v.MarketKey, now); err != nil {
 		return err
 	}
 	if cert.Claims["feePaid"] != resourceIRI {

@@ -95,10 +95,7 @@ func newPullInEnvWith(t *testing.T, devices, senderQuota int, reg *obs.Registry)
 		t.Fatal(err)
 	}
 	rt := contract.NewRuntime()
-	deAddr := rt.Deploy(distexchange.ContractName, distexchange.New(distexchange.Config{
-		ManufacturerCAKey: ca.PublicBytes(),
-		ManufacturerCA:    ca.Address(),
-	}))
+	deAddr := rt.Deploy(distexchange.ContractName, distexchange.New(distexchange.Config{ManufacturerCAKey: ca.PublicBytes()}))
 	authority := cryptoutil.MustGenerateKey()
 	clk := simclock.NewSim(t0)
 	node, err := chain.NewNode(chain.Config{

@@ -46,9 +46,8 @@ const HeaderTEEQuote = "X-TEE-Quote"
 // consumer requests on published resources. A nil requirement disables
 // attestation checking.
 type TEERequirement struct {
-	// CAKey and CAAddr pin the TEE manufacturer certificate authority.
-	CAKey  []byte
-	CAAddr cryptoutil.Address
+	// CAKey pins the TEE manufacturer certificate authority's public key.
+	CAKey []byte
 	// Measurement, when non-nil, additionally pins the trusted
 	// application's code measurement.
 	Measurement *tee.Measurement
@@ -463,7 +462,7 @@ func (m *Manager) checkAttestation(r *http.Request) error {
 	if len(nonce) == 0 {
 		return fmt.Errorf("%w: request has no date header to bind the quote to", ErrAttestation)
 	}
-	if _, err := tee.VerifyQuote(&quote, m.tee.CAKey, m.tee.CAAddr, nonce, m.tee.Measurement, m.clock.Now()); err != nil {
+	if _, err := tee.VerifyQuote(&quote, m.tee.CAKey, nonce, m.tee.Measurement, m.clock.Now()); err != nil {
 		return fmt.Errorf("%w: %v", ErrAttestation, err)
 	}
 	return nil

@@ -93,10 +93,7 @@ func newEnv(t *testing.T) *env {
 		t.Fatal(err)
 	}
 	rt := contract.NewRuntime()
-	deAddr := rt.Deploy(distexchange.ContractName, distexchange.New(distexchange.Config{
-		ManufacturerCAKey: ca.PublicBytes(),
-		ManufacturerCA:    ca.Address(),
-	}))
+	deAddr := rt.Deploy(distexchange.ContractName, distexchange.New(distexchange.Config{ManufacturerCAKey: ca.PublicBytes()}))
 	authority := cryptoutil.MustGenerateKey()
 	node, err := chain.NewNode(chain.Config{
 		Key:         authority,

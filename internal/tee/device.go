@@ -39,9 +39,6 @@ func NewManufacturer(name string) (*Manufacturer, error) {
 // CAPublicBytes returns the CA public key that verifiers pin.
 func (m *Manufacturer) CAPublicBytes() []byte { return m.ca.PublicBytes() }
 
-// CAAddress returns the CA address that verifiers pin.
-func (m *Manufacturer) CAAddress() cryptoutil.Address { return m.ca.Address() }
-
 // Provision creates a device running the trusted application with the
 // given measurement, issuing its attestation certificate valid for the
 // given window.
@@ -140,7 +137,7 @@ func (d *Device) Attest(nonce []byte) (*Quote, error) {
 // VerifyQuote checks a quote against the pinned manufacturer CA, the
 // expected nonce, and (optionally) an expected measurement. It returns the
 // quoting device's address on success.
-func VerifyQuote(q *Quote, caPub []byte, caAddr cryptoutil.Address, nonce []byte, expectMeasurement *Measurement, now time.Time) (cryptoutil.Address, error) {
+func VerifyQuote(q *Quote, caPub []byte, nonce []byte, expectMeasurement *Measurement, now time.Time) (cryptoutil.Address, error) {
 	if string(q.Nonce) != string(nonce) {
 		return cryptoutil.Address{}, fmt.Errorf("tee: quote nonce mismatch")
 	}
@@ -151,7 +148,7 @@ func VerifyQuote(q *Quote, caPub []byte, caAddr cryptoutil.Address, nonce []byte
 	if err != nil {
 		return cryptoutil.Address{}, err
 	}
-	if err := cert.Verify(caPub, caAddr, now); err != nil {
+	if err := cert.Verify(caPub, now); err != nil {
 		return cryptoutil.Address{}, fmt.Errorf("tee: quote certificate: %w", err)
 	}
 	if string(cert.SubjectKey) != string(q.DeviceKey) {

@@ -28,7 +28,7 @@ func TestProvisionAndAttest(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := MeasurementOf("trusted-app-v1")
-	addr, err := VerifyQuote(q, m.CAPublicBytes(), m.CAAddress(), nonce, &want, teeEpoch.Add(time.Hour))
+	addr, err := VerifyQuote(q, m.CAPublicBytes(), nonce, &want, teeEpoch.Add(time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,13 +48,13 @@ func TestVerifyQuoteRejections(t *testing.T) {
 	want := MeasurementOf("trusted-app-v1")
 
 	t.Run("wrong nonce (replay)", func(t *testing.T) {
-		if _, err := VerifyQuote(q, m.CAPublicBytes(), m.CAAddress(), []byte("nonce-B"), &want, now); err == nil {
+		if _, err := VerifyQuote(q, m.CAPublicBytes(), []byte("nonce-B"), &want, now); err == nil {
 			t.Fatal("replayed quote accepted")
 		}
 	})
 	t.Run("wrong expected measurement", func(t *testing.T) {
 		other := MeasurementOf("malware-v1")
-		if _, err := VerifyQuote(q, m.CAPublicBytes(), m.CAAddress(), nonce, &other, now); err == nil {
+		if _, err := VerifyQuote(q, m.CAPublicBytes(), nonce, &other, now); err == nil {
 			t.Fatal("wrong measurement accepted")
 		}
 	})
@@ -63,24 +63,24 @@ func TestVerifyQuoteRejections(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := VerifyQuote(q, rogue.CAPublicBytes(), rogue.CAAddress(), nonce, &want, now); err == nil {
+		if _, err := VerifyQuote(q, rogue.CAPublicBytes(), nonce, &want, now); err == nil {
 			t.Fatal("quote verified against wrong CA")
 		}
 	})
 	t.Run("tampered measurement", func(t *testing.T) {
 		bad := *q
 		bad.Measurement = MeasurementOf("tampered")
-		if _, err := VerifyQuote(&bad, m.CAPublicBytes(), m.CAAddress(), nonce, nil, now); err == nil {
+		if _, err := VerifyQuote(&bad, m.CAPublicBytes(), nonce, nil, now); err == nil {
 			t.Fatal("tampered quote accepted")
 		}
 	})
 	t.Run("expired certificate", func(t *testing.T) {
-		if _, err := VerifyQuote(q, m.CAPublicBytes(), m.CAAddress(), nonce, &want, teeEpoch.Add(400*24*time.Hour)); err == nil {
+		if _, err := VerifyQuote(q, m.CAPublicBytes(), nonce, &want, teeEpoch.Add(400*24*time.Hour)); err == nil {
 			t.Fatal("expired certificate accepted")
 		}
 	})
 	t.Run("no measurement expectation still verifies chain", func(t *testing.T) {
-		if _, err := VerifyQuote(q, m.CAPublicBytes(), m.CAAddress(), nonce, nil, now); err != nil {
+		if _, err := VerifyQuote(q, m.CAPublicBytes(), nonce, nil, now); err != nil {
 			t.Fatal(err)
 		}
 	})
