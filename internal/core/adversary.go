@@ -118,21 +118,8 @@ type EquivocationReport struct {
 // as a plain extension and the injected state would no longer model
 // equivocation but a hard fork.
 func (d *Deployment) Equivocate(targets []int) (*EquivocationReport, error) {
-	if len(targets) == 0 {
-		return nil, fmt.Errorf("core: no equivocation targets")
-	}
-	seen := make(map[int]bool, len(targets))
-	for _, t := range targets {
-		if t < 0 || t >= len(d.Nodes) {
-			return nil, fmt.Errorf("core: validator %d out of range [0,%d)", t, len(d.Nodes))
-		}
-		if seen[t] {
-			return nil, fmt.Errorf("core: validator %d targeted twice", t)
-		}
-		seen[t] = true
-		if d.ValidatorCrashed(t) || d.ValidatorDown(t) || d.ValidatorPartitioned(t) {
-			return nil, fmt.Errorf("core: validator %d is unreachable; equivocation targets must be synced", t)
-		}
+	if err := d.checkTargets("equivocation", targets); err != nil {
+		return nil, err
 	}
 
 	block, err := d.Network.SealNext()
@@ -179,25 +166,12 @@ func (d *Deployment) InjectInvalidBlock(kind chain.InvalidBlockKind, proposer in
 	if proposer < 0 || proposer >= len(d.Nodes) {
 		return nil, fmt.Errorf("core: proposer %d out of range [0,%d)", proposer, len(d.Nodes))
 	}
-	if len(targets) == 0 {
-		return nil, fmt.Errorf("core: no injection targets")
+	if err := d.checkTargets("injection", targets); err != nil {
+		return nil, err
 	}
 	ref := d.LiveNode()
 	if ref == nil {
 		return nil, fmt.Errorf("core: no live validator to forge against")
-	}
-	seen := make(map[int]bool, len(targets))
-	for _, t := range targets {
-		if t < 0 || t >= len(d.Nodes) {
-			return nil, fmt.Errorf("core: validator %d out of range [0,%d)", t, len(d.Nodes))
-		}
-		if seen[t] {
-			return nil, fmt.Errorf("core: validator %d targeted twice", t)
-		}
-		seen[t] = true
-		if d.ValidatorCrashed(t) || d.ValidatorDown(t) || d.ValidatorPartitioned(t) {
-			return nil, fmt.Errorf("core: validator %d is unreachable; injection targets must be synced", t)
-		}
 	}
 	key := d.Configs[proposer].Key
 	forged, err := chain.ForgeInvalidBlock(ref, key, kind)
@@ -209,4 +183,28 @@ func (d *Deployment) InjectInvalidBlock(kind chain.InvalidBlockKind, proposer in
 		verdicts[t] = d.Network.DeliverTo(d.addrs[t], forged, key.PublicBytes())
 	}
 	return verdicts, nil
+}
+
+// checkTargets demands a non-empty list of distinct validators that are
+// live, uncrashed and unpartitioned: the targets of a forged block, which
+// must contend with each one's current head. kind names the attack in
+// the error.
+func (d *Deployment) checkTargets(kind string, targets []int) error {
+	if len(targets) == 0 {
+		return fmt.Errorf("core: no %s targets", kind)
+	}
+	seen := make(map[int]bool, len(targets))
+	for _, t := range targets {
+		if t < 0 || t >= len(d.Nodes) {
+			return fmt.Errorf("core: validator %d out of range [0,%d)", t, len(d.Nodes))
+		}
+		if seen[t] {
+			return fmt.Errorf("core: validator %d targeted twice", t)
+		}
+		seen[t] = true
+		if d.ValidatorCrashed(t) || d.ValidatorDown(t) || d.ValidatorPartitioned(t) {
+			return fmt.Errorf("core: validator %d is unreachable; %s targets must be synced", t, kind)
+		}
+	}
+	return nil
 }

@@ -108,14 +108,12 @@ type Deployment struct {
 	hostServer *httptest.Server
 
 	// addrs are the validators' authority addresses, index-aligned with
-	// Nodes; crashed marks slots whose in-memory node was dropped
-	// (d.Nodes[i] is nil until RestartValidatorFromDisk).
+	// Nodes.
 	addrs []cryptoutil.Address
 
 	mu        sync.Mutex
 	owners    map[solid.WebID]*Owner
 	consumers map[solid.WebID]*Consumer
-	crashed   map[int]bool
 	sealing   SealingMode
 	obs       *obs.Registry // nil when the deployment is not observed
 	grace     time.Duration
@@ -166,7 +164,6 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 		addrs:        cluster.Configs[0].Authorities,
 		owners:       make(map[solid.WebID]*Owner),
 		consumers:    make(map[solid.WebID]*Consumer),
-		crashed:      make(map[int]bool),
 		sealing:      cfg.Sealing,
 		grace:        cfg.MonitoringGrace,
 		attest:       cfg.RequireAttestation,
@@ -347,7 +344,6 @@ func (d *Deployment) NewOwner(name string) (*Owner, error) {
 
 	baseURL := d.hostServer.URL + solid.PodRoutePrefix + name
 	webID := solid.WebID(baseURL + "/profile#" + name)
-	d.Directory.Register(webID, key.PublicBytes())
 
 	var teeReq *podmanager.TEERequirement
 	if d.attest {
@@ -396,6 +392,9 @@ func (d *Deployment) NewOwner(name string) (*Owner, error) {
 		d.Host.Remove(name)
 		return nil, err
 	}
+	// Register the key last: a refused duplicate must not replace the
+	// existing agent's key.
+	d.Directory.Register(webID, key.PublicBytes())
 
 	o := &Owner{WebID: webID, Key: key, Manager: mgr, d: d, baseURL: baseURL}
 	d.mu.Lock()
@@ -502,7 +501,6 @@ func (d *Deployment) NewConsumer(name string, purpose policy.Purpose) (*Consumer
 	ctx := context.Background()
 	key := cryptoutil.MustGenerateKey()
 	webID := solid.WebID("https://" + name + ".example/profile#me")
-	d.Directory.Register(webID, key.PublicBytes())
 
 	now := d.Clock.Now()
 	device, err := d.Manufacturer.Provision(tee.MeasurementOf(TrustedAppIdentity), now, now.Add(10*365*24*time.Hour))
@@ -528,6 +526,8 @@ func (d *Deployment) NewConsumer(name string, purpose policy.Purpose) (*Consumer
 	if _, err := deviceClient.RegisterDevice(ctx, certRaw); err != nil {
 		return nil, err
 	}
+	// Register the key last, as in NewOwner.
+	d.Directory.Register(webID, key.PublicBytes())
 
 	c := &Consumer{
 		WebID:  webID,

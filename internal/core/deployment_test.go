@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/distexchange"
 	"repro/internal/policy"
+	"repro/internal/solid"
 	"repro/internal/tee"
 )
 
@@ -519,4 +520,38 @@ func TestManualSealingMode(t *testing.T) {
 	if err := <-errCh; err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestDuplicateAgentKeepsDirectoryKey: provisioning an owner or consumer
+// under a name that is already taken is refused, and the refusal leaves
+// the existing agent's directory key in place, so its signed requests
+// still authenticate.
+func TestDuplicateAgentKeepsDirectoryKey(t *testing.T) {
+	d := newDeployment(t, Config{})
+	owner := must(d.NewOwner("alice"))
+	profile := owner.URL() + "/profile"
+
+	t.Run("owner", func(t *testing.T) {
+		if _, err := d.NewOwner("alice"); err == nil {
+			t.Fatal("second owner alice was provisioned")
+		}
+		if key, _ := d.Directory.KeyFor(owner.WebID); !bytes.Equal(key, owner.Key.PublicBytes()) {
+			t.Fatal("refused duplicate owner replaced the directory key")
+		}
+		if _, _, err := solid.NewClient(owner.WebID, owner.Key, d.Clock).Get(profile); err != nil {
+			t.Fatalf("first owner's signed request: %v", err)
+		}
+	})
+	t.Run("consumer", func(t *testing.T) {
+		bob := must(d.NewConsumer("bob", policy.PurposeAny))
+		if _, err := d.NewConsumer("bob", policy.PurposeAny); err == nil {
+			t.Fatal("second consumer bob was provisioned")
+		}
+		if key, _ := d.Directory.KeyFor(bob.WebID); !bytes.Equal(key, bob.Key.PublicBytes()) {
+			t.Fatal("refused duplicate consumer replaced the directory key")
+		}
+		if _, _, err := bob.http.Get(profile); err != nil {
+			t.Fatalf("first consumer's signed request: %v", err)
+		}
+	})
 }

@@ -61,9 +61,7 @@ func (d *Deployment) ValidatorDown(i int) bool {
 // ValidatorCrashed reports whether validator i's in-memory node has been
 // dropped by CrashValidator and not yet restarted.
 func (d *Deployment) ValidatorCrashed(i int) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.crashed[i]
+	return i >= 0 && i < len(d.Nodes) && d.Nodes[i] == nil
 }
 
 // CrashValidator kills validator i the hard way: the node stops without
@@ -93,9 +91,6 @@ func (d *Deployment) CrashValidator(i int) error {
 		d.Network.SetDown(addr, false)
 		return fmt.Errorf("core: refusing to crash validator %d: no live validator would remain", i)
 	}
-	d.mu.Lock()
-	d.crashed[i] = true
-	d.mu.Unlock()
 	d.Nodes[i] = nil
 	return node.Crash()
 }
@@ -121,7 +116,6 @@ func (d *Deployment) RestartValidatorFromDisk(i int) (int, error) {
 	}
 	d.Nodes[i] = node
 	d.mu.Lock()
-	delete(d.crashed, i)
 	guardOff := d.equivGuardOff
 	d.mu.Unlock()
 	if guardOff {

@@ -164,8 +164,8 @@ func TestScenarioAdversarialGenerated(t *testing.T) {
 	}
 }
 
-// TestScenarioAdversarialThroughput guards the cost of the two
-// adversarial invariants: running the full twelve-invariant suite must
+// TestScenarioAdversarialThroughput guards the cost of the three
+// adversarial invariants: running the full thirteen-invariant suite must
 // keep the steps/s of a mixed plan within 25% of the ten-invariant
 // honest suite (duration at most 4/3 of the honest run). Both suites
 // replay the identical plan; best-of-3 absorbs scheduler noise.

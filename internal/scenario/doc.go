@@ -10,8 +10,12 @@
 // interleaved with injected faults (replayed and dropped HTTP requests,
 // duplicated and reordered transaction submissions, validator failures
 // and recoveries, hard validator crashes restarted from the durable
-// store — optionally with the write-ahead log torn mid-record — and
-// clock skips across policy-retention windows).
+// store — optionally with the write-ahead log torn mid-record — clock
+// skips across policy-retention windows, and the byzantine repertoire:
+// equivocating proposers, invalid blocks, partitions and heals,
+// credential replay, nonce floods and transaction floods). Every op is
+// one row of the op table in step.go: its keyword, sampling weight,
+// shrink pairing, preconditions and run function.
 //
 // After every step, and again at quiescence, the engine evaluates
 // system-wide invariants as plain predicates over live state:
@@ -31,6 +35,14 @@
 //   - recovery-equivalence: every live validator's state reproduces its
 //     committed head root, and a validator restarted from disk stands at
 //     the live cluster's head with an identical state root
+//   - no-equivocation-accepted: no live validator commits a forged
+//     double-seal sibling, and every targeted validator holds the
+//     matching evidence
+//   - partition-convergence: partitioned minority chains stay prefixes
+//     of the quorum chain, and no head pinned at a heal ever rolls back
+//   - starvation-freedom: an adequately-priced transaction submitted
+//     during a transaction flood commits within a bounded number of
+//     blocks, and no mempool outgrows its capacity
 //
 // Every run with the same seed is bit-for-bit reproducible: the step
 // trace and all invariant results are identical across runs. On a

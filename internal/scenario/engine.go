@@ -297,8 +297,9 @@ func (e *Engine) shrinkResult(first *RunResult) *RunResult {
 }
 
 // pairPartners maps each step index to the index of its paired
-// counterpart, or -1 when unpaired: an OpHeal closes the nearest open
-// OpPartition before it; an OpRecoverNode the nearest open OpFailNode.
+// counterpart, or -1 when unpaired: a step whose row names the op it
+// closes (heal closes partition, recover-node closes fail-node) pairs
+// with the nearest open step of that op before it.
 // Pairing is at the op level — selectors resolve modulo the live
 // population at execution time, so "which validator" is a property of
 // the run, not the plan text; what shrinking must preserve is the
@@ -306,28 +307,18 @@ func (e *Engine) shrinkResult(first *RunResult) *RunResult {
 // failure whose repair was deleted out from under it).
 func pairPartners(plan []Step) []int {
 	partners := make([]int, len(plan))
-	for i := range partners {
-		partners[i] = -1
-	}
-	var partitions, fails []int
+	open := make(map[Op][]int)
 	for i, st := range plan {
-		switch st.Op {
-		case OpPartition:
-			partitions = append(partitions, i)
-		case OpHeal:
-			if n := len(partitions); n > 0 {
-				j := partitions[n-1]
-				partitions = partitions[:n-1]
-				partners[i], partners[j] = j, i
-			}
-		case OpFailNode:
-			fails = append(fails, i)
-		case OpRecoverNode:
-			if n := len(fails); n > 0 {
-				j := fails[n-1]
-				fails = fails[:n-1]
-				partners[i], partners[j] = j, i
-			}
+		partners[i] = -1
+		closes := st.Op.spec().closes
+		if closes == 0 {
+			open[st.Op] = append(open[st.Op], i)
+			continue
+		}
+		if n := len(open[closes]); n > 0 {
+			j := open[closes][n-1]
+			open[closes] = open[closes][:n-1]
+			partners[i], partners[j] = j, i
 		}
 	}
 	return partners

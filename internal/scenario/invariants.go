@@ -233,22 +233,9 @@ func checkNonceMonotonicity(w *World) error {
 // separately holds that stalled head to be a quorum-chain prefix), and
 // rejoin this check the moment the partition heals.
 func checkHeadAgreement(w *World) error {
-	var refIdx = -1
-	var ref cryptoutil.Hash
-	var refHeight uint64
-	for i, n := range w.d.Nodes {
-		if w.d.ValidatorDown(i) || w.d.ValidatorPartitioned(i) {
-			continue
-		}
-		head := n.Head()
-		if refIdx < 0 {
-			refIdx, ref, refHeight = i, head.Hash(), head.Header.Number
-			continue
-		}
-		if head.Hash() != ref || head.Header.Number != refHeight {
-			return fmt.Errorf("validator %d head (height %d) disagrees with validator %d (height %d)",
-				i, head.Header.Number, refIdx, refHeight)
-		}
+	if ref, i := w.splitHead(); i >= 0 {
+		return fmt.Errorf("validator %d head (height %d) disagrees with validator %d (height %d)",
+			i, w.d.Nodes[i].Head().Header.Number, ref, w.d.Nodes[ref].Head().Header.Number)
 	}
 	return nil
 }

@@ -27,12 +27,12 @@ import (
 // plan.
 
 // opByName resolves the step keyword of a repro line. Built from the
-// fuzz-decodable op range, so OpSabotage can never enter via a repro
-// file — same safety property as DecodePlan.
+// decodable rows, so OpSabotage can never enter via a repro file — same
+// safety property as DecodePlan.
 var opByName = func() map[string]Op {
-	m := make(map[string]Op, int(numOps))
-	for op := Op(0); op < numOps; op++ {
-		m[op.String()] = op
+	m := make(map[string]Op, len(decodable))
+	for op, spec := range decodable {
+		m[spec.name] = Op(op)
 	}
 	return m
 }()

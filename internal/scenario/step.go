@@ -109,62 +109,80 @@ const (
 	OpSabotage
 )
 
+// opSpec is one row of the op table: everything the engine knows about
+// one kind of step.
+type opSpec struct {
+	// name is the op's keyword in traces and .repro files.
+	name string
+	// weight is the op's share of GeneratePlan's draw.
+	weight int
+	// closes is the op whose nearest open step this one closes: shrinking
+	// drops or keeps the two together. Zero closes nothing (Op 0,
+	// add-owner, is never closed).
+	closes Op
+	// owner resolves the step's A selector to an owner before run, and
+	// skips the step when there is none.
+	owner bool
+	// unsplit skips the step while a partition is active: node faults
+	// and forged blocks layered over a split would make the heal's
+	// convergence obligation ill-defined, and minority nodes lag by
+	// construction.
+	unsplit bool
+	// run executes the step against the deployment and advances the
+	// model; see World.apply.
+	run func(w *World, r opRun) (string, *Failure)
+}
+
+// ops is the op table, indexed by Op. Rows past numOps are test-only:
+// fuzz bytes and .repro files cannot name them, and GeneratePlan draws
+// them only when asked to sabotage. The draw walks the rows in Op order,
+// so reordering, reweighting or inserting a row changes every seed's
+// plan (TestPlanVocabularyGolden pins it).
+var ops = [...]opSpec{
+	OpAddOwner:         {name: "add-owner", weight: 4, run: (*World).addOwner},
+	OpAddConsumer:      {name: "add-consumer", weight: 6, run: (*World).addConsumer},
+	OpPublish:          {name: "publish", weight: 9, owner: true, run: (*World).publish},
+	OpGrant:            {name: "grant", weight: 12, run: (*World).grant},
+	OpAccess:           {name: "access", weight: 14, run: (*World).access},
+	OpUse:              {name: "use", weight: 14, run: (*World).use},
+	OpModifyPolicy:     {name: "modify-policy", weight: 8, owner: true, run: (*World).modifyPolicy},
+	OpUnpublish:        {name: "unpublish", weight: 2, owner: true, run: (*World).unpublish},
+	OpMonitor:          {name: "monitor", weight: 5, owner: true, run: (*World).monitor},
+	OpSettle:           {name: "settle", weight: 2, run: (*World).settle},
+	OpReplayRequest:    {name: "replay-request", weight: 3, owner: true, run: (*World).replayRequest},
+	OpDropRequest:      {name: "drop-request", weight: 2, owner: true, run: (*World).dropRequest},
+	OpDuplicateTx:      {name: "duplicate-tx", weight: 3, run: (*World).duplicateTx},
+	OpReorderTxs:       {name: "reorder-txs", weight: 2, run: (*World).reorderTxs},
+	OpFailNode:         {name: "fail-node", weight: 2, unsplit: true, run: (*World).failNode},
+	OpRecoverNode:      {name: "recover-node", weight: 3, closes: OpFailNode, unsplit: true, run: (*World).recoverNode},
+	OpClockSkip:        {name: "clock-skip", weight: 5, run: (*World).clockSkip},
+	OpSealEmpty:        {name: "seal-empty", weight: 2, run: (*World).sealEmpty},
+	OpCrashRestart:     {name: "crash-restart", weight: 3, unsplit: true, run: (*World).crashRestart},
+	OpEquivocate:       {name: "equivocate", weight: 3, unsplit: true, run: (*World).equivocate},
+	OpInvalidBlock:     {name: "invalid-block", weight: 3, unsplit: true, run: (*World).invalidBlock},
+	OpPartition:        {name: "partition", weight: 3, unsplit: true, run: (*World).partition},
+	OpHeal:             {name: "heal", weight: 4, closes: OpPartition, run: (*World).heal},
+	OpCredentialReplay: {name: "credential-replay", weight: 3, run: (*World).credentialReplay},
+	OpNonceFlood:       {name: "nonce-flood", weight: 2, owner: true, run: (*World).nonceFlood},
+	OpTxFlood:          {name: "tx-flood", weight: 2, run: (*World).txFlood},
+	OpSabotage:         {name: "sabotage", weight: 4, run: (*World).sabotage},
+}
+
+// decodable is the part of the table that fuzz bytes and .repro files
+// can name.
+var decodable = ops[:numOps]
+
+// spec returns the op's row; an Op outside the table gets the empty row.
+func (o Op) spec() opSpec {
+	if int(o) < len(ops) {
+		return ops[o]
+	}
+	return opSpec{}
+}
+
 func (o Op) String() string {
-	switch o {
-	case OpAddOwner:
-		return "add-owner"
-	case OpAddConsumer:
-		return "add-consumer"
-	case OpPublish:
-		return "publish"
-	case OpGrant:
-		return "grant"
-	case OpAccess:
-		return "access"
-	case OpUse:
-		return "use"
-	case OpModifyPolicy:
-		return "modify-policy"
-	case OpUnpublish:
-		return "unpublish"
-	case OpMonitor:
-		return "monitor"
-	case OpSettle:
-		return "settle"
-	case OpReplayRequest:
-		return "replay-request"
-	case OpDropRequest:
-		return "drop-request"
-	case OpDuplicateTx:
-		return "duplicate-tx"
-	case OpReorderTxs:
-		return "reorder-txs"
-	case OpFailNode:
-		return "fail-node"
-	case OpRecoverNode:
-		return "recover-node"
-	case OpClockSkip:
-		return "clock-skip"
-	case OpSealEmpty:
-		return "seal-empty"
-	case OpCrashRestart:
-		return "crash-restart"
-	case OpEquivocate:
-		return "equivocate"
-	case OpInvalidBlock:
-		return "invalid-block"
-	case OpPartition:
-		return "partition"
-	case OpHeal:
-		return "heal"
-	case OpCredentialReplay:
-		return "credential-replay"
-	case OpNonceFlood:
-		return "nonce-flood"
-	case OpTxFlood:
-		return "tx-flood"
-	case OpSabotage:
-		return "sabotage"
+	if name := o.spec().name; name != "" {
+		return name
 	}
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
@@ -186,22 +204,6 @@ func (s Step) String() string {
 	return fmt.Sprintf("%-14s a=%d b=%d c=%d arg=%d", s.Op, s.A, s.B, s.C, s.Arg)
 }
 
-// opWeights is the sampling distribution for plan generation. The mix
-// keeps populations growing early and leans on the access/use hot path
-// while sprinkling faults throughout.
-var opWeights = []struct {
-	op Op
-	w  int
-}{
-	{OpAddOwner, 4}, {OpAddConsumer, 6}, {OpPublish, 9}, {OpGrant, 12},
-	{OpAccess, 14}, {OpUse, 14}, {OpModifyPolicy, 8}, {OpUnpublish, 2},
-	{OpMonitor, 5}, {OpSettle, 2}, {OpReplayRequest, 3}, {OpDropRequest, 2},
-	{OpDuplicateTx, 3}, {OpReorderTxs, 2}, {OpFailNode, 2}, {OpRecoverNode, 3},
-	{OpClockSkip, 5}, {OpSealEmpty, 2}, {OpCrashRestart, 3},
-	{OpEquivocate, 3}, {OpInvalidBlock, 3}, {OpPartition, 3}, {OpHeal, 4},
-	{OpCredentialReplay, 3}, {OpNonceFlood, 2}, {OpTxFlood, 2},
-}
-
 // GeneratePlan derives a step plan deterministically from the seed. The
 // first four steps always provision an owner, a consumer, a resource,
 // and a grant so that short plans still exercise the full stack. With
@@ -210,19 +212,13 @@ var opWeights = []struct {
 // guaranteed to violate published-immutability.
 func GeneratePlan(seed int64, steps int, sabotage bool) []Step {
 	rng := rand.New(rand.NewSource(seed))
-	weights := opWeights
+	drawn := decodable
 	if sabotage {
-		weights = append(append([]struct {
-			op Op
-			w  int
-		}(nil), opWeights...), struct {
-			op Op
-			w  int
-		}{OpSabotage, 4})
+		drawn = ops[:]
 	}
 	total := 0
-	for _, ow := range weights {
-		total += ow.w
+	for _, spec := range drawn {
+		total += spec.weight
 	}
 
 	plan := make([]Step, 0, steps)
@@ -240,12 +236,12 @@ func GeneratePlan(seed int64, steps int, sabotage bool) []Step {
 			op = OpGrant
 		default:
 			pick := rng.Intn(total)
-			for _, ow := range weights {
-				if pick < ow.w {
-					op = ow.op
+			for o, spec := range drawn {
+				if pick < spec.weight {
+					op = Op(o)
 					break
 				}
-				pick -= ow.w
+				pick -= spec.weight
 			}
 		}
 		if op == OpSabotage {
@@ -272,7 +268,7 @@ func DecodePlan(data []byte, maxSteps int) []Step {
 	var plan []Step
 	for i := 0; i+5 <= len(data) && len(plan) < maxSteps; i += 5 {
 		plan = append(plan, Step{
-			Op:  Op(data[i] % uint8(numOps)),
+			Op:  Op(data[i] % uint8(len(decodable))),
 			A:   int(data[i+1]),
 			B:   int(data[i+2]),
 			C:   int(data[i+3]),
