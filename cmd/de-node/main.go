@@ -257,8 +257,7 @@ func newAPIMux(cluster *core.Cluster, interval time.Duration) *http.ServeMux {
 		})
 	})
 	mux.HandleFunc("GET /resources", func(w http.ResponseWriter, r *http.Request) {
-		args, _ := json.Marshal(distexchange.ListResourcesArgs{})
-		reply, err := nodes[0].Query(deAddr, "listResources", args)
+		reply, err := nodes[0].Query(deAddr, "listResources", distexchange.ListResourcesArgs{}.AppendArgs(nil))
 		writeListing(w, reply, err, distexchange.DecodeResourceRecords)
 	})
 	mux.HandleFunc("POST /txs", func(w http.ResponseWriter, r *http.Request) {
@@ -346,8 +345,7 @@ func newAPIMux(cluster *core.Cluster, interval time.Duration) *http.ServeMux {
 			http.Error(w, "missing iri query parameter", http.StatusBadRequest)
 			return
 		}
-		args, _ := json.Marshal(distexchange.GetViolationsArgs{ResourceIRI: iri})
-		reply, err := nodes[0].Query(deAddr, "getViolations", args)
+		reply, err := nodes[0].Query(deAddr, "getViolations", distexchange.GetViolationsArgs{ResourceIRI: iri}.AppendArgs(nil))
 		writeListing(w, reply, err, distexchange.DecodeViolations)
 	})
 	return mux

@@ -30,6 +30,19 @@ type burnArgs struct {
 	Amount uint64 `json:"amount"`
 }
 
+// The test executor reads its arguments as JSON; NewTx takes them through
+// AppendArgs.
+func (a setArgs) AppendArgs(dst []byte) []byte  { return appendJSON(dst, a) }
+func (a burnArgs) AppendArgs(dst []byte) []byte { return appendJSON(dst, a) }
+
+func appendJSON(dst []byte, v any) []byte {
+	b, err := json.Marshal(v)
+	if err != nil {
+		panic(err)
+	}
+	return append(dst, b...)
+}
+
 func (testExecutor) ExecuteTx(st StateRW, tx *Tx, bctx BlockContext) *Receipt {
 	meter := NewGasMeter(tx.GasLimit)
 	r := &Receipt{Status: StatusOK}

@@ -26,7 +26,7 @@ func randomBlockTxs(t testing.TB, rng *rand.Rand, keys []*cryptoutil.KeyPair, no
 		var err error
 		switch rng.Intn(10) {
 		case 0:
-			tx, err = NewTx(keys[s], nonces[s], testContractAddr(), "fail", struct{}{}, 100_000)
+			tx, err = NewTx(keys[s], nonces[s], testContractAddr(), "fail", []byte(`{}`), 100_000)
 		case 1:
 			tx, err = NewTx(keys[s], nonces[s], testContractAddr(), "burn", burnArgs{Amount: uint64(rng.Intn(50_000))}, 100_000)
 		default:

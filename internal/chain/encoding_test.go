@@ -213,7 +213,7 @@ func TestCheckedEncodesEachTransactionOnce(t *testing.T) {
 	key := cryptoutil.MustGenerateKey()
 	txs := make([]*Tx, 4)
 	for i := range txs {
-		tx, err := NewTx(key, uint64(i), testContractAddr(), "set", strings.Repeat("a", 1<<20), 200_000)
+		tx, err := NewTx(key, uint64(i), testContractAddr(), "set", []byte(strings.Repeat("a", 1<<20)), 200_000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,5 +232,33 @@ func TestCheckedEncodesEachTransactionOnce(t *testing.T) {
 	perTx := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(txs)) / float64(encoding)
 	if perTx < 1 || perTx >= 1.5 {
 		t.Fatalf("checked allocated %.2f encodings' worth of bytes per transaction, want 1", perTx)
+	}
+}
+
+// TestNewTxTakesOnlyEncodedArgs: NewTx encodes a value through its
+// AppendArgs, takes a []byte as it is and nil as no arguments, and refuses
+// anything else rather than pick an encoding for it.
+func TestNewTxTakesOnlyEncodedArgs(t *testing.T) {
+	key := cryptoutil.MustGenerateKey()
+	for _, tc := range []struct {
+		args any
+		want string
+	}{
+		{setArgs{Key: "k", Value: "v"}, `{"key":"k","value":"v"}`},
+		{[]byte{1, 2}, "\x01\x02"},
+		{nil, ""},
+	} {
+		tx, err := NewTx(key, 0, testContractAddr(), "set", tc.args, 100_000)
+		if err != nil {
+			t.Fatalf("%T: %v", tc.args, err)
+		}
+		if string(tx.Args) != tc.want {
+			t.Errorf("%T: args %q, want %q", tc.args, tx.Args, tc.want)
+		}
+	}
+	for _, args := range []any{struct{}{}, "text", map[string]int{"i": 1}} {
+		if _, err := NewTx(key, 0, testContractAddr(), "set", args, 100_000); err == nil {
+			t.Errorf("%T accepted as arguments", args)
+		}
 	}
 }

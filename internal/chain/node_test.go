@@ -147,7 +147,7 @@ func TestRevertedTxRollsBackState(t *testing.T) {
 	contract := testContractAddr()
 
 	ok := mustTx(t, key, 0, contract, "keep", "me")
-	fail, err := NewTx(key, 1, contract, "fail", struct{}{}, 100_000)
+	fail, err := NewTx(key, 1, contract, "fail", []byte(`{}`), 100_000)
 	if err != nil {
 		t.Fatal(err)
 	}

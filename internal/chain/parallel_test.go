@@ -33,7 +33,7 @@ func randomParallelBlockTxs(t testing.TB, rng *rand.Rand, keys []*cryptoutil.Key
 		var err error
 		switch rng.Intn(10) {
 		case 0:
-			tx, err = NewTx(keys[s], nonces[s], testContractAddr(), "fail", struct{}{}, 100_000)
+			tx, err = NewTx(keys[s], nonces[s], testContractAddr(), "fail", []byte(`{}`), 100_000)
 		case 1:
 			tx, err = NewTx(keys[s], nonces[s], testContractAddr(), "burn", burnArgs{Amount: uint64(rng.Intn(50_000))}, 100_000)
 		case 2, 3, 4:

@@ -158,7 +158,7 @@ func TestRecoveryCleanClose(t *testing.T) {
 		sealSet(t, n, key, clk, uint64(i), fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i))
 	}
 	// A reverted transaction must recover too (charged gas, no state).
-	failTx, err := NewTx(key, 5, testContractAddr(), "fail", struct{}{}, 100_000)
+	failTx, err := NewTx(key, 5, testContractAddr(), "fail", []byte(`{}`), 100_000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package chain
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 
@@ -21,7 +20,9 @@ type Tx struct {
 	Contract cryptoutil.Address `json:"contract"`
 	// Method is the contract method to invoke.
 	Method string `json:"method"`
-	// Args is the JSON-encoded argument object for the method.
+	// Args is the method's arguments, in the encoding the contract reads
+	// them in: for the DE App, the binary encoding of the method's …Args
+	// type (distexchange's "Argument format").
 	Args []byte `json:"args"`
 	// GasLimit caps the gas this transaction may consume.
 	GasLimit uint64 `json:"gasLimit"`
@@ -81,7 +82,30 @@ func (tx *Tx) hashAndVerify() (cryptoutil.Hash, error) {
 // mempool exploits to keep settlements flowing under overload.
 const DefaultGasPrice uint64 = 100
 
-// NewTx builds and signs a transaction at DefaultGasPrice.
+// argsEncoder is a method's arguments that append their own encoding.
+type argsEncoder interface {
+	AppendArgs(dst []byte) []byte
+}
+
+// encodeArgs returns the bytes NewTxPriced puts in Tx.Args: an argsEncoder's
+// encoding, a []byte as it is, and nothing for nil. Any other value is an
+// error; there is no reflective fallback.
+func encodeArgs(args any) ([]byte, error) {
+	switch a := args.(type) {
+	case argsEncoder:
+		return a.AppendArgs(nil), nil
+	case []byte:
+		return a, nil
+	case nil:
+		return nil, nil
+	default:
+		return nil, fmt.Errorf("chain: encode args: %T has no AppendArgs method", args)
+	}
+}
+
+// NewTx builds and signs a transaction at DefaultGasPrice. args is a value
+// with an AppendArgs method, which encodes it, a []byte taken as it is, or
+// nil for no arguments.
 func NewTx(key *cryptoutil.KeyPair, nonce uint64, contract cryptoutil.Address, method string, args any, gasLimit uint64) (*Tx, error) {
 	return NewTxPriced(key, nonce, contract, method, args, gasLimit, DefaultGasPrice)
 }
@@ -89,9 +113,9 @@ func NewTx(key *cryptoutil.KeyPair, nonce uint64, contract cryptoutil.Address, m
 // NewTxPriced builds and signs a transaction with an explicit gas-price
 // bid.
 func NewTxPriced(key *cryptoutil.KeyPair, nonce uint64, contract cryptoutil.Address, method string, args any, gasLimit, gasPrice uint64) (*Tx, error) {
-	encoded, err := json.Marshal(args)
+	encoded, err := encodeArgs(args)
 	if err != nil {
-		return nil, fmt.Errorf("chain: encode args: %w", err)
+		return nil, err
 	}
 	tx := &Tx{
 		Nonce:     nonce,
@@ -146,7 +170,8 @@ type Receipt struct {
 	Events []Event
 	// BlockNumber is the block the transaction landed in.
 	BlockNumber uint64
-	// Return is the method's return value (JSON), if any.
+	// Return is the method's return value, if any, in the contract's own
+	// encoding (the DE App's record format).
 	Return []byte
 }
 

@@ -15,7 +15,7 @@ func mkSignedTxs(t *testing.T, n int) []*Tx {
 	to := testContractAddr()
 	txs := make([]*Tx, n)
 	for i := range n {
-		tx, err := NewTx(key, uint64(i), to, "method", map[string]int{"i": i}, 1_000_000)
+		tx, err := NewTx(key, uint64(i), to, "method", fmt.Appendf(nil, `{"i":%d}`, i), 1_000_000)
 		if err != nil {
 			t.Fatal(err)
 		}

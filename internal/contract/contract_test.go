@@ -23,6 +23,15 @@ type kvArgs struct {
 	Value string `json:"value"`
 }
 
+// AppendArgs encodes kvArgs as the test contract reads them: JSON.
+func (a kvArgs) AppendArgs(dst []byte) []byte {
+	b, err := json.Marshal(a)
+	if err != nil {
+		panic(err)
+	}
+	return append(dst, b...)
+}
+
 func (kvContract) Call(env *Env, method string, args []byte) ([]byte, error) {
 	var a kvArgs
 	if len(args) > 0 {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"testing"
@@ -76,10 +75,7 @@ func TestDeploymentSubmitBatchSealOnSubmit(t *testing.T) {
 		}
 	}
 	// The DE App observed all registrations.
-	args, err := json.Marshal(distexchange.GetPodArgs{OwnerWebID: "https://batch0.example/profile#me"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	args := distexchange.GetPodArgs{OwnerWebID: "https://batch0.example/profile#me"}.AppendArgs(nil)
 	raw, err := d.Nodes[0].Query(d.DEAddr, "getPod", args)
 	if err != nil {
 		t.Fatalf("getPod after batch: %v", err)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
@@ -565,11 +564,8 @@ func (d *Deployment) NewConsumer(name string, purpose policy.Purpose) (*Consumer
 // via the pull-out oracle.
 func (c *Consumer) Index(resourceIRI string) (distexchange.ResourceRecord, error) {
 	pullOut := c.d.PullOutOracle()
-	raw, err := json.Marshal(distexchange.GetResourceArgs{ResourceIRI: resourceIRI})
-	if err != nil {
-		return distexchange.ResourceRecord{}, err
-	}
-	reply, err := pullOut.Query(c.d.DEAddr, "getResource", raw)
+	args := distexchange.GetResourceArgs{ResourceIRI: resourceIRI}.AppendArgs(nil)
+	reply, err := pullOut.Query(c.d.DEAddr, "getResource", args)
 	if err != nil {
 		return distexchange.ResourceRecord{}, err
 	}

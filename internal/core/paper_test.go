@@ -97,22 +97,23 @@ func TestPaperSecurityVerdicts(t *testing.T) {
 // each of the eight DE App operations once, and what each costs is exact.
 // Gas is the calldata charge (16 per argument byte) plus execution, and
 // execution — reads, and 20 or 8 gas per stored or emitted record byte —
-// depends on the workload alone now that records are fixed-width binary.
-// Arguments are still JSON: five operations' are the same bytes on every
-// run, and three carry a 20-byte address, which JSON spells as an array of
-// decimal numbers whose digits vary with the key (ROADMAP, "smaller
-// leads": argument JSON). So the golden is execution gas, with the argument
-// length beside it where it is fixed.
+// depends on the workload alone, since records are fixed-width binary.
+// Arguments are binary too, an address their 20 raw bytes, so their length
+// follows from the workload as well, with two exceptions: registerDevice's
+// carries the JSON certificate, whose length varies with its key and
+// signature, and submitEvidence's ends with the device's ASN.1 signature,
+// whose length varies by a byte or two, so its row pins the length less
+// the signature.
 func TestPaperGasTable(t *testing.T) {
 	golden := map[string]struct{ exec, argBytes uint64 }{
-		"registerPod":       {29_963, 112},
-		"registerResource":  {44_402, 511},
-		"registerDevice":    {30_155, 0}, // ≈ 758: the certificate names its subject
-		"recordGrant":       {30_499, 0}, // ≈ 252: consumer and device
-		"confirmRetrieval":  {30_299, 59},
-		"updatePolicy":      {35_751, 362},
-		"requestMonitoring": {44_703, 59},
-		"submitEvidence":    {43_547, 0}, // ≈ 544: the evidence names its device
+		"registerPod":       {29_963, 84},
+		"registerResource":  {44_402, 344},
+		"registerDevice":    {30_155, 0}, // ≈ 758: the JSON certificate
+		"recordGrant":       {30_499, 99},
+		"confirmRetrieval":  {30_299, 45},
+		"updatePolicy":      {35_751, 238},
+		"requestMonitoring": {44_703, 45},
+		"submitEvidence":    {43_547, 155}, // less the signature
 	}
 	d := newDeployment(t, Config{})
 	ctx := context.Background()
@@ -146,6 +147,9 @@ func TestPaperGasTable(t *testing.T) {
 			if exec := gas - argBytes*chain.GasPerArgByte; exec != want.exec {
 				t.Errorf("%s: %d gas to execute (%d less %d argument bytes), want %d", tx.Method, exec, gas, argBytes, want.exec)
 			}
+			if tx.Method == "submitEvidence" {
+				argBytes -= uint64(trailingSignatureLen(t, tx.Args))
+			}
 			if want.argBytes != 0 && argBytes != want.argBytes {
 				t.Errorf("%s: %d argument bytes, want %d", tx.Method, argBytes, want.argBytes)
 			}
@@ -158,6 +162,21 @@ func TestPaperGasTable(t *testing.T) {
 	if total := node.Costs().TotalSpent(); total != sum {
 		t.Fatalf("TOTAL %d != Σ rows %d", total, sum)
 	}
+}
+
+// trailingSignatureLen is the length of the ASN.1 ECDSA signature that ends
+// args behind its one-byte length prefix: a SEQUENCE (0x30) whose length
+// byte counts the rest of it.
+func trailingSignatureLen(t *testing.T, args []byte) int {
+	t.Helper()
+	for n := min(73, len(args)-1); n >= 8; n-- {
+		at := len(args) - n
+		if args[at-1] == byte(n) && args[at] == 0x30 && args[at+1] == byte(n-2) {
+			return n
+		}
+	}
+	t.Fatalf("no signature at the end of % x", args)
+	return 0
 }
 
 // TestPaperGasPerEvidence prices the table's submitEvidence row by the round:

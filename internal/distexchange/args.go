@@ -1,0 +1,229 @@
+package distexchange
+
+import (
+	"slices"
+
+	"repro/internal/cryptoutil"
+	"repro/internal/policy"
+	"repro/internal/store"
+)
+
+// The argument codec: the one encoding of every method's and query's
+// arguments, described in the package comment ("Argument format"). Each
+// …Args type appends its own encoding with a value-receiver AppendArgs,
+// which chain.NewTx calls; the contract decodes it with the decoder that
+// the method name selects.
+
+func appendOptRound(dst []byte, round *uint64) []byte {
+	if round == nil {
+		return store.AppendBool(dst, false)
+	}
+	return store.AppendUvarint(store.AppendBool(dst, true), *round)
+}
+
+func decodeOptRound(d *store.Dec) *uint64 {
+	if !d.Bool() {
+		return nil
+	}
+	round := d.Uvarint()
+	return &round
+}
+
+// AppendArgs appends the arguments' encoding.
+func (a RegisterPodArgs) AppendArgs(dst []byte) []byte {
+	dst = slices.Grow(dst, 20+len(a.OwnerWebID)+len(a.Location)+optPolicySize(a.DefaultPolicy))
+	dst = store.AppendString(dst, a.OwnerWebID)
+	dst = store.AppendString(dst, a.Location)
+	return appendOptPolicy(dst, a.DefaultPolicy)
+}
+
+func decodeRegisterPodArgs(d *store.Dec, a *RegisterPodArgs) {
+	a.OwnerWebID = d.String()
+	a.Location = d.String()
+	a.DefaultPolicy = decodeOptPolicy(d)
+}
+
+// AppendArgs appends the arguments' encoding.
+func (a RegisterResourceArgs) AppendArgs(dst []byte) []byte {
+	dst = slices.Grow(dst, 40+len(a.ResourceIRI)+len(a.PodWebID)+len(a.Location)+len(a.Description)+optPolicySize(a.Policy))
+	dst = store.AppendString(dst, a.ResourceIRI)
+	dst = store.AppendString(dst, a.PodWebID)
+	dst = store.AppendString(dst, a.Location)
+	dst = store.AppendString(dst, a.Description)
+	return appendOptPolicy(dst, a.Policy)
+}
+
+func decodeRegisterResourceArgs(d *store.Dec, a *RegisterResourceArgs) {
+	a.ResourceIRI = d.String()
+	a.PodWebID = d.String()
+	a.Location = d.String()
+	a.Description = d.String()
+	a.Policy = decodeOptPolicy(d)
+}
+
+// AppendArgs appends the arguments' encoding.
+func (a WithdrawResourceArgs) AppendArgs(dst []byte) []byte {
+	return store.AppendString(dst, a.ResourceIRI)
+}
+
+func decodeWithdrawResourceArgs(d *store.Dec, a *WithdrawResourceArgs) { a.ResourceIRI = d.String() }
+
+// AppendArgs appends the arguments' encoding.
+func (a UpdatePolicyArgs) AppendArgs(dst []byte) []byte {
+	dst = slices.Grow(dst, 10+len(a.ResourceIRI)+optPolicySize(a.Policy))
+	return appendOptPolicy(store.AppendString(dst, a.ResourceIRI), a.Policy)
+}
+
+func decodeUpdatePolicyArgs(d *store.Dec, a *UpdatePolicyArgs) {
+	a.ResourceIRI = d.String()
+	a.Policy = decodeOptPolicy(d)
+}
+
+// AppendArgs appends the arguments' encoding.
+func (a RegisterDeviceArgs) AppendArgs(dst []byte) []byte {
+	return store.AppendBytes(dst, a.Certificate)
+}
+
+func decodeRegisterDeviceArgs(d *store.Dec, a *RegisterDeviceArgs) { a.Certificate = d.Bytes() }
+
+// AppendArgs appends the arguments' encoding.
+func (a RecordGrantArgs) AppendArgs(dst []byte) []byte {
+	dst = slices.Grow(dst, 20+2*cryptoutil.AddressLen+len(a.ResourceIRI)+len(a.Purpose))
+	dst = store.AppendString(dst, a.ResourceIRI)
+	dst = append(dst, a.Consumer[:]...)
+	dst = append(dst, a.Device[:]...)
+	return store.AppendString(dst, string(a.Purpose))
+}
+
+func decodeRecordGrantArgs(d *store.Dec, a *RecordGrantArgs) {
+	a.ResourceIRI = d.String()
+	d.Raw(a.Consumer[:])
+	d.Raw(a.Device[:])
+	a.Purpose = policy.Purpose(d.String())
+}
+
+// AppendArgs appends the arguments' encoding.
+func (a ConfirmRetrievalArgs) AppendArgs(dst []byte) []byte {
+	return store.AppendString(dst, a.ResourceIRI)
+}
+
+func decodeConfirmRetrievalArgs(d *store.Dec, a *ConfirmRetrievalArgs) { a.ResourceIRI = d.String() }
+
+// AppendArgs appends the arguments' encoding.
+func (a RevokeGrantArgs) AppendArgs(dst []byte) []byte {
+	return append(store.AppendString(dst, a.ResourceIRI), a.Device[:]...)
+}
+
+func decodeRevokeGrantArgs(d *store.Dec, a *RevokeGrantArgs) {
+	a.ResourceIRI = d.String()
+	d.Raw(a.Device[:])
+}
+
+// AppendArgs appends the arguments' encoding.
+func (a RequestMonitoringArgs) AppendArgs(dst []byte) []byte {
+	return store.AppendString(dst, a.ResourceIRI)
+}
+
+func decodeRequestMonitoringArgs(d *store.Dec, a *RequestMonitoringArgs) { a.ResourceIRI = d.String() }
+
+// signedEvidenceSize bounds from above the encoding of one item of a
+// submitEvidence list.
+func signedEvidenceSize(s *SignedEvidence) int {
+	return evidenceRecordSize(&s.Evidence, 0) + 10 + len(s.Signature)
+}
+
+// AppendArgs appends the arguments' encoding: the count of the list, then
+// per item the evidence as an EvidenceRecord holds it and the signature.
+func (a SubmitEvidenceArgs) AppendArgs(dst []byte) []byte {
+	size := 10
+	for i := range a.Signed {
+		size += signedEvidenceSize(&a.Signed[i])
+	}
+	dst = store.AppendUvarint(slices.Grow(dst, size), uint64(len(a.Signed)))
+	for i := range a.Signed {
+		dst = store.AppendBytes(appendEvidence(dst, &a.Signed[i].Evidence), a.Signed[i].Signature)
+	}
+	return dst
+}
+
+func decodeSubmitEvidenceArgs(d *store.Dec, a *SubmitEvidenceArgs) {
+	n := d.Count("evidence", uint64(d.Remaining()))
+	if n == 0 {
+		return
+	}
+	a.Signed = make([]SignedEvidence, 0, min(n, store.DecodeCapHint))
+	for range n {
+		// Decoded in place, as decodeListing does.
+		a.Signed = append(a.Signed, SignedEvidence{})
+		s := &a.Signed[len(a.Signed)-1]
+		decodeEvidence(d, &s.Evidence)
+		if s.Signature = d.Bytes(); d.Err() != nil {
+			return
+		}
+	}
+}
+
+// AppendArgs appends the arguments' encoding.
+func (a ReportUnresponsiveArgs) AppendArgs(dst []byte) []byte {
+	return store.AppendUvarint(store.AppendString(dst, a.ResourceIRI), a.Round)
+}
+
+func decodeReportUnresponsiveArgs(d *store.Dec, a *ReportUnresponsiveArgs) {
+	a.ResourceIRI = d.String()
+	a.Round = d.Uvarint()
+}
+
+// AppendArgs appends the arguments' encoding.
+func (a GetPodArgs) AppendArgs(dst []byte) []byte { return store.AppendString(dst, a.OwnerWebID) }
+
+func decodeGetPodArgs(d *store.Dec, a *GetPodArgs) { a.OwnerWebID = d.String() }
+
+// AppendArgs appends the arguments' encoding.
+func (a GetResourceArgs) AppendArgs(dst []byte) []byte { return store.AppendString(dst, a.ResourceIRI) }
+
+func decodeGetResourceArgs(d *store.Dec, a *GetResourceArgs) { a.ResourceIRI = d.String() }
+
+// AppendArgs appends the arguments' encoding.
+func (a ListResourcesArgs) AppendArgs(dst []byte) []byte { return store.AppendString(dst, a.PodWebID) }
+
+func decodeListResourcesArgs(d *store.Dec, a *ListResourcesArgs) { a.PodWebID = d.String() }
+
+// AppendArgs appends the arguments' encoding.
+func (a GetGrantsArgs) AppendArgs(dst []byte) []byte { return store.AppendString(dst, a.ResourceIRI) }
+
+func decodeGetGrantsArgs(d *store.Dec, a *GetGrantsArgs) { a.ResourceIRI = d.String() }
+
+// AppendArgs appends the arguments' encoding.
+func (a GetDeviceArgs) AppendArgs(dst []byte) []byte { return append(dst, a.Device[:]...) }
+
+func decodeGetDeviceArgs(d *store.Dec, a *GetDeviceArgs) { d.Raw(a.Device[:]) }
+
+// AppendArgs appends the arguments' encoding.
+func (a GetViolationsArgs) AppendArgs(dst []byte) []byte {
+	return appendOptRound(store.AppendString(dst, a.ResourceIRI), a.Round)
+}
+
+func decodeGetViolationsArgs(d *store.Dec, a *GetViolationsArgs) {
+	a.ResourceIRI = d.String()
+	a.Round = decodeOptRound(d)
+}
+
+// AppendArgs appends the arguments' encoding.
+func (a GetEvidenceArgs) AppendArgs(dst []byte) []byte {
+	return appendOptRound(store.AppendString(dst, a.ResourceIRI), a.Round)
+}
+
+func decodeGetEvidenceArgs(d *store.Dec, a *GetEvidenceArgs) {
+	a.ResourceIRI = d.String()
+	a.Round = decodeOptRound(d)
+}
+
+// AppendArgs appends the arguments' encoding.
+func (a GetMonitoringRoundArgs) AppendArgs(dst []byte) []byte {
+	return store.AppendUvarint(store.AppendString(dst, a.ResourceIRI), a.Round)
+}
+
+func decodeGetMonitoringRoundArgs(d *store.Dec, a *GetMonitoringRoundArgs) {
+	a.ResourceIRI = d.String()
+	a.Round = d.Uvarint()
+}

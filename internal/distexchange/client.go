@@ -2,7 +2,7 @@ package distexchange
 
 import (
 	"context"
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -88,12 +88,8 @@ const methodSubmitEvidence = "submitEvidence"
 
 // query runs a read-only method and decodes its reply, the DE App's record
 // encoding, with decode.
-func query[T any](c *Client, method string, args any, decode func([]byte) (T, error)) (v T, err error) {
-	raw, err := json.Marshal(args)
-	if err != nil {
-		return v, err
-	}
-	reply, err := c.backend.Query(c.contract, method, raw)
+func query[A interface{ AppendArgs([]byte) []byte }, T any](c *Client, method string, args A, decode func([]byte) (T, error)) (v T, err error) {
+	reply, err := c.backend.Query(c.contract, method, args.AppendArgs(nil))
 	if err != nil {
 		return v, err
 	}
@@ -178,26 +174,16 @@ type EvidenceOutcome struct {
 // awaited before the next is signed.
 func (c *Client) SubmitEvidenceBatch(ctx context.Context, signed []SignedEvidence) []EvidenceOutcome {
 	out := make([]EvidenceOutcome, 0, len(signed))
-	// Every item is marshalled once: its length is what its calldata will
-	// cost, and the bytes go into the call as they are.
-	items := make([]json.RawMessage, len(signed))
-	for i := range signed {
-		item, err := json.Marshal(&signed[i])
-		if err != nil {
-			return failedEvidence(out, len(signed), fmt.Errorf("distexchange: encode evidence %d: %w", i, err))
-		}
-		items[i] = item
-	}
 	for start := 0; start < len(signed); {
 		end, gas := start, evidenceTxGas
 		for end < len(signed) {
-			gas += evidenceGasBound(&signed[end].Evidence, len(items[end]))
+			gas += evidenceGasBound(&signed[end])
 			if gas > c.gas && end > start {
 				break
 			}
 			end++
 		}
-		out = c.submitEvidence(ctx, out, items[start:end])
+		out = c.submitEvidence(ctx, out, signed[start:end])
 		start = end
 	}
 	return out
@@ -205,20 +191,17 @@ func (c *Client) SubmitEvidenceBatch(ctx context.Context, signed []SignedEvidenc
 
 // submitEvidence makes one submitEvidence call and appends its outcomes, one
 // per item, to out.
-func (c *Client) submitEvidence(ctx context.Context, out []EvidenceOutcome, items []json.RawMessage) []EvidenceOutcome {
-	// SubmitEvidenceArgs, its items marshalled already.
-	receipt, err := c.call(ctx, methodSubmitEvidence, struct {
-		Signed []json.RawMessage `json:"signed"`
-	}{items})
+func (c *Client) submitEvidence(ctx context.Context, out []EvidenceOutcome, signed []SignedEvidence) []EvidenceOutcome {
+	receipt, err := c.call(ctx, methodSubmitEvidence, SubmitEvidenceArgs{Signed: signed})
 	if err != nil {
-		return failedEvidence(out, len(items), err)
+		return failedEvidence(out, len(signed), err)
 	}
 	outcomes, err := DecodeEvidenceOutcomes(receipt.Return)
-	if err == nil && len(outcomes) != len(items) {
-		err = fmt.Errorf("%d outcomes for %d evidence", len(outcomes), len(items))
+	if err == nil && len(outcomes) != len(signed) {
+		err = fmt.Errorf("%d outcomes for %d evidence", len(outcomes), len(signed))
 	}
 	if err != nil {
-		return failedEvidence(out, len(items), fmt.Errorf("distexchange: decode evidence outcomes: %w", err))
+		return failedEvidence(out, len(signed), fmt.Errorf("distexchange: decode evidence outcomes: %w", err))
 	}
 	return append(out, outcomes...)
 }
@@ -232,14 +215,16 @@ func failedEvidence(out []EvidenceOutcome, n int, err error) []EvidenceOutcome {
 }
 
 // evidenceTxGas bounds what a submitEvidence transaction costs before its
-// first item: the base charge and the calldata around the list.
-const evidenceTxGas = chain.GasTxBase + uint64(len(`{"signed":[]}`))*chain.GasPerArgByte
+// first item: the base charge and the calldata of the list's count, a
+// uvarint of at most binary.MaxVarintLen64 bytes. Items follow the count
+// with nothing between them.
+const evidenceTxGas = chain.GasTxBase + binary.MaxVarintLen64*chain.GasPerArgByte
 
 // evidenceGasBound bounds from above the gas one item of a submitEvidence
-// list can cost: its argBytes of calldata with the comma behind them, and
-// everything Contract.recordEvidence charges when the evidence is accepted,
-// breaks the policy in all four ways and answers an open round.
-func evidenceGasBound(e *Evidence, argBytes int) uint64 {
+// list can cost: its calldata, and everything Contract.recordEvidence
+// charges when the evidence is accepted, breaks the policy in all four ways
+// and answers an open round.
+func evidenceGasBound(s *SignedEvidence) uint64 {
 	const (
 		// bumpCounter: a read, and a write of a uvarint.
 		counter = chain.GasStorageGet + chain.GasStorageSet + 10*chain.GasStoragePerByte
@@ -253,7 +238,8 @@ func evidenceGasBound(e *Evidence, argBytes int) uint64 {
 	record := func(size int) uint64 {
 		return chain.GasStorageSet + chain.GasEventBase + uint64(size)*(chain.GasStoragePerByte+chain.GasEventPerByte)
 	}
-	return uint64(argBytes+1)*chain.GasPerArgByte +
+	e := &s.Evidence
+	return uint64(signedEvidenceSize(s))*chain.GasPerArgByte +
 		3*chain.GasStorageGet + // resource, device, grant
 		counter + record(evidenceRecordSize(e, findings)) +
 		findings*(counter+record(fixedSize+len(e.ResourceIRI)+violationText)) +

@@ -2,10 +2,10 @@ package distexchange
 
 import (
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/contract"
 	"repro/internal/cryptoutil"
@@ -29,8 +29,11 @@ var _ contract.Contract = (*Contract)(nil)
 // New returns a DE App contract instance.
 func New(cfg Config) *Contract { return &Contract{cfg: cfg} }
 
-// Storage key builders. Composite keys use '|' as the separator because it
-// cannot appear in IRIs or hex addresses.
+// Storage key builders. Composite keys join their parts with '|'. A hex
+// address or a zero-padded number never holds one, and registerPod and
+// registerResource refuse a WebID or resource IRI that does (checkKeyPart):
+// such an IRI would name another resource's keys, its grant and ledger
+// listings included.
 func podKey(webID string) string         { return "pod/" + webID }
 func resKey(iri string) string           { return "res/" + iri }
 func resByPodKey(pod, iri string) string { return "resbypod/" + pod + "|" + iri }
@@ -83,6 +86,14 @@ type roundProgress struct {
 	Closed    bool
 }
 
+// checkKeyPart refuses an identifier that holds the key separator.
+func checkKeyPart(method, field, id string) error {
+	if strings.Contains(id, "|") {
+		return contract.Revertf("%s: %s %q contains '|'", method, field, id)
+	}
+	return nil
+}
+
 // pendingMarker is the value under pendingKey: requestMonitoring writes one
 // marker per target, the target's first evidence for the round deletes it.
 var pendingMarker = []byte{1}
@@ -91,27 +102,27 @@ var pendingMarker = []byte{1}
 func (c *Contract) Call(env *contract.Env, method string, args []byte) ([]byte, error) {
 	switch method {
 	case "registerPod":
-		return c.registerPod(env, args)
+		return call(env, args, decodeRegisterPodArgs, c.registerPod)
 	case "registerResource":
-		return c.registerResource(env, args)
+		return call(env, args, decodeRegisterResourceArgs, c.registerResource)
 	case "updatePolicy":
-		return c.updatePolicy(env, args)
+		return call(env, args, decodeUpdatePolicyArgs, c.updatePolicy)
 	case "withdrawResource":
-		return c.withdrawResource(env, args)
+		return call(env, args, decodeWithdrawResourceArgs, c.withdrawResource)
 	case "registerDevice":
-		return c.registerDevice(env, args)
+		return call(env, args, decodeRegisterDeviceArgs, c.registerDevice)
 	case "recordGrant":
-		return c.recordGrant(env, args)
+		return call(env, args, decodeRecordGrantArgs, c.recordGrant)
 	case "confirmRetrieval":
-		return c.confirmRetrieval(env, args)
+		return call(env, args, decodeConfirmRetrievalArgs, c.confirmRetrieval)
 	case "revokeGrant":
-		return c.revokeGrant(env, args)
+		return call(env, args, decodeRevokeGrantArgs, c.revokeGrant)
 	case "requestMonitoring":
-		return c.requestMonitoring(env, args)
+		return call(env, args, decodeRequestMonitoringArgs, c.requestMonitoring)
 	case "submitEvidence":
-		return c.submitEvidence(env, args)
+		return call(env, args, decodeSubmitEvidenceArgs, c.submitEvidence)
 	case "reportUnresponsive":
-		return c.reportUnresponsive(env, args)
+		return call(env, args, decodeReportUnresponsiveArgs, c.reportUnresponsive)
 	default:
 		return nil, contract.Revertf("unknown method %q", method)
 	}
@@ -135,6 +146,27 @@ func load[T any](env *contract.Env, key string, out *T, decode func(*store.Dec, 
 	return true, nil
 }
 
+// call decodes a method's arguments and runs the method on them.
+func call[A any](env *contract.Env, raw []byte, decode func(*store.Dec, *A), method func(*contract.Env, *A) ([]byte, error)) ([]byte, error) {
+	var args A
+	if err := decodeArgs(raw, &args, decode); err != nil {
+		return nil, err
+	}
+	return method(env, &args)
+}
+
+// decodeArgs decodes a method's or a query's arguments: exactly raw, in the
+// encoding of its …Args type, which the method name selects. Anything else
+// reverts the transaction, or fails the query, with "bad args: …".
+func decodeArgs[A any](raw []byte, args *A, decode func(*store.Dec, *A)) error {
+	d := store.NewDec(raw)
+	decode(d, args)
+	if err := d.Finish(); err != nil {
+		return contract.Revertf("bad args: %v", err)
+	}
+	return nil
+}
+
 // decodeCounter reads a sequence counter: a bare uvarint, no tag.
 func decodeCounter(d *store.Dec, n *uint64) { *n = d.Uvarint() }
 
@@ -152,13 +184,12 @@ func bumpCounter(env *contract.Env, key string) (uint64, error) {
 
 // --- pod initiation (Fig. 2(1)) ---
 
-func (c *Contract) registerPod(env *contract.Env, raw []byte) ([]byte, error) {
-	var args RegisterPodArgs
-	if err := json.Unmarshal(raw, &args); err != nil {
-		return nil, contract.Revertf("bad args: %v", err)
-	}
+func (c *Contract) registerPod(env *contract.Env, args *RegisterPodArgs) ([]byte, error) {
 	if args.OwnerWebID == "" || args.Location == "" {
 		return nil, contract.Revertf("registerPod: ownerWebID and location are required")
+	}
+	if err := checkKeyPart("registerPod", "ownerWebID", args.OwnerWebID); err != nil {
+		return nil, err
 	}
 	var existing PodRecord
 	if ok, err := load(env, podKey(args.OwnerWebID), &existing, decodePodRecord); err != nil {
@@ -190,13 +221,15 @@ func (c *Contract) registerPod(env *contract.Env, raw []byte) ([]byte, error) {
 
 // --- resource initiation (Fig. 2(2)) ---
 
-func (c *Contract) registerResource(env *contract.Env, raw []byte) ([]byte, error) {
-	var args RegisterResourceArgs
-	if err := json.Unmarshal(raw, &args); err != nil {
-		return nil, contract.Revertf("bad args: %v", err)
-	}
+func (c *Contract) registerResource(env *contract.Env, args *RegisterResourceArgs) ([]byte, error) {
 	if args.ResourceIRI == "" || args.PodWebID == "" || args.Location == "" {
 		return nil, contract.Revertf("registerResource: resource, podWebID and location are required")
+	}
+	if err := checkKeyPart("registerResource", "resource", args.ResourceIRI); err != nil {
+		return nil, err
+	}
+	if err := checkKeyPart("registerResource", "podWebID", args.PodWebID); err != nil {
+		return nil, err
 	}
 	var pod PodRecord
 	ok, err := load(env, podKey(args.PodWebID), &pod, decodePodRecord)
@@ -261,11 +294,7 @@ func (c *Contract) registerResource(env *contract.Env, raw []byte) ([]byte, erro
 
 // --- policy modification (Fig. 2(5)) ---
 
-func (c *Contract) updatePolicy(env *contract.Env, raw []byte) ([]byte, error) {
-	var args UpdatePolicyArgs
-	if err := json.Unmarshal(raw, &args); err != nil {
-		return nil, contract.Revertf("bad args: %v", err)
-	}
+func (c *Contract) updatePolicy(env *contract.Env, args *UpdatePolicyArgs) ([]byte, error) {
 	if args.Policy == nil {
 		return nil, contract.Revertf("updatePolicy: missing policy")
 	}
@@ -301,11 +330,7 @@ func (c *Contract) updatePolicy(env *contract.Env, raw []byte) ([]byte, error) {
 	return nil, nil
 }
 
-func (c *Contract) withdrawResource(env *contract.Env, raw []byte) ([]byte, error) {
-	var args WithdrawResourceArgs
-	if err := json.Unmarshal(raw, &args); err != nil {
-		return nil, contract.Revertf("bad args: %v", err)
-	}
+func (c *Contract) withdrawResource(env *contract.Env, args *WithdrawResourceArgs) ([]byte, error) {
 	var rec ResourceRecord
 	ok, err := load(env, resKey(args.ResourceIRI), &rec, decodeResourceRecord)
 	if err != nil {
@@ -336,11 +361,7 @@ func (c *Contract) withdrawResource(env *contract.Env, raw []byte) ([]byte, erro
 
 // --- device registration (TEE attestation) ---
 
-func (c *Contract) registerDevice(env *contract.Env, raw []byte) ([]byte, error) {
-	var args RegisterDeviceArgs
-	if err := json.Unmarshal(raw, &args); err != nil {
-		return nil, contract.Revertf("bad args: %v", err)
-	}
+func (c *Contract) registerDevice(env *contract.Env, args *RegisterDeviceArgs) ([]byte, error) {
 	cert, err := cryptoutil.DecodeCertificate(args.Certificate)
 	if err != nil {
 		return nil, contract.Revertf("registerDevice: %v", err)
@@ -381,11 +402,7 @@ func (c *Contract) registerDevice(env *contract.Env, raw []byte) ([]byte, error)
 
 // --- grants (resource access bookkeeping, Fig. 2(4)) ---
 
-func (c *Contract) recordGrant(env *contract.Env, raw []byte) ([]byte, error) {
-	var args RecordGrantArgs
-	if err := json.Unmarshal(raw, &args); err != nil {
-		return nil, contract.Revertf("bad args: %v", err)
-	}
+func (c *Contract) recordGrant(env *contract.Env, args *RecordGrantArgs) ([]byte, error) {
 	var rec ResourceRecord
 	ok, err := load(env, resKey(args.ResourceIRI), &rec, decodeResourceRecord)
 	if err != nil {
@@ -430,11 +447,7 @@ func (c *Contract) recordGrant(env *contract.Env, raw []byte) ([]byte, error) {
 	return nil, nil
 }
 
-func (c *Contract) confirmRetrieval(env *contract.Env, raw []byte) ([]byte, error) {
-	var args ConfirmRetrievalArgs
-	if err := json.Unmarshal(raw, &args); err != nil {
-		return nil, contract.Revertf("bad args: %v", err)
-	}
+func (c *Contract) confirmRetrieval(env *contract.Env, args *ConfirmRetrievalArgs) ([]byte, error) {
 	var g Grant
 	ok, err := load(env, grantKey(args.ResourceIRI, env.Sender), &g, decodeGrant)
 	if err != nil {
@@ -460,11 +473,7 @@ func (c *Contract) confirmRetrieval(env *contract.Env, raw []byte) ([]byte, erro
 	return nil, nil
 }
 
-func (c *Contract) revokeGrant(env *contract.Env, raw []byte) ([]byte, error) {
-	var args RevokeGrantArgs
-	if err := json.Unmarshal(raw, &args); err != nil {
-		return nil, contract.Revertf("bad args: %v", err)
-	}
+func (c *Contract) revokeGrant(env *contract.Env, args *RevokeGrantArgs) ([]byte, error) {
 	var rec ResourceRecord
 	ok, err := load(env, resKey(args.ResourceIRI), &rec, decodeResourceRecord)
 	if err != nil {
@@ -498,11 +507,7 @@ func (c *Contract) revokeGrant(env *contract.Env, raw []byte) ([]byte, error) {
 
 // --- policy monitoring (Fig. 2(6)) ---
 
-func (c *Contract) requestMonitoring(env *contract.Env, raw []byte) ([]byte, error) {
-	var args RequestMonitoringArgs
-	if err := json.Unmarshal(raw, &args); err != nil {
-		return nil, contract.Revertf("bad args: %v", err)
-	}
+func (c *Contract) requestMonitoring(env *contract.Env, args *RequestMonitoringArgs) ([]byte, error) {
 	var rec ResourceRecord
 	ok, err := load(env, resKey(args.ResourceIRI), &rec, decodeResourceRecord)
 	if err != nil {
@@ -580,11 +585,7 @@ func refusef(format string, args ...any) error {
 // writes nothing and leaves its neighbours alone; the transaction reverts,
 // with the first refusal, only when it accepted no item. So a list of one
 // reverts as that evidence always did.
-func (c *Contract) submitEvidence(env *contract.Env, raw []byte) ([]byte, error) {
-	var args SubmitEvidenceArgs
-	if err := json.Unmarshal(raw, &args); err != nil {
-		return nil, contract.Revertf("bad args: %v", err)
-	}
+func (c *Contract) submitEvidence(env *contract.Env, args *SubmitEvidenceArgs) ([]byte, error) {
 	if len(args.Signed) == 0 {
 		return nil, contract.Revertf("submitEvidence: no evidence")
 	}
@@ -772,11 +773,7 @@ func (c *Contract) recordViolation(env *contract.Env, iri string, device cryptou
 	return env.Emit(TopicViolationDetected, iri, record)
 }
 
-func (c *Contract) reportUnresponsive(env *contract.Env, raw []byte) ([]byte, error) {
-	var args ReportUnresponsiveArgs
-	if err := json.Unmarshal(raw, &args); err != nil {
-		return nil, contract.Revertf("bad args: %v", err)
-	}
+func (c *Contract) reportUnresponsive(env *contract.Env, args *ReportUnresponsiveArgs) ([]byte, error) {
 	var rec ResourceRecord
 	ok, err := load(env, resKey(args.ResourceIRI), &rec, decodeResourceRecord)
 	if err != nil {
@@ -868,46 +865,46 @@ func (c *Contract) Read(env *contract.ReadEnv, method string, args []byte) ([]by
 	switch method {
 	case "getPod":
 		var a GetPodArgs
-		if err := json.Unmarshal(args, &a); err != nil {
-			return nil, fmt.Errorf("distexchange: bad args: %w", err)
+		if err := decodeArgs(args, &a, decodeGetPodArgs); err != nil {
+			return nil, err
 		}
 		return readRecord(env, podKey(a.OwnerWebID))
 	case "getResource":
 		var a GetResourceArgs
-		if err := json.Unmarshal(args, &a); err != nil {
-			return nil, fmt.Errorf("distexchange: bad args: %w", err)
+		if err := decodeArgs(args, &a, decodeGetResourceArgs); err != nil {
+			return nil, err
 		}
 		return readRecord(env, resKey(a.ResourceIRI))
 	case "getDevice":
 		var a GetDeviceArgs
-		if err := json.Unmarshal(args, &a); err != nil {
-			return nil, fmt.Errorf("distexchange: bad args: %w", err)
+		if err := decodeArgs(args, &a, decodeGetDeviceArgs); err != nil {
+			return nil, err
 		}
 		return readRecord(env, devKey(a.Device))
 	case "listResources":
 		return c.listResources(env, args)
 	case "getGrants":
 		var a GetGrantsArgs
-		if err := json.Unmarshal(args, &a); err != nil {
-			return nil, fmt.Errorf("distexchange: bad args: %w", err)
+		if err := decodeArgs(args, &a, decodeGetGrantsArgs); err != nil {
+			return nil, err
 		}
 		return readListing(env, env.Keys(grantPrefix(a.ResourceIRI)), tagGrant)
 	case "getViolations":
 		var a GetViolationsArgs
-		if err := json.Unmarshal(args, &a); err != nil {
-			return nil, fmt.Errorf("distexchange: bad args: %w", err)
+		if err := decodeArgs(args, &a, decodeGetViolationsArgs); err != nil {
+			return nil, err
 		}
 		return readLedger(env, "viol", tagViolation, a.ResourceIRI, a.Round)
 	case "getEvidence":
 		var a GetEvidenceArgs
-		if err := json.Unmarshal(args, &a); err != nil {
-			return nil, fmt.Errorf("distexchange: bad args: %w", err)
+		if err := decodeArgs(args, &a, decodeGetEvidenceArgs); err != nil {
+			return nil, err
 		}
 		return readLedger(env, "ev", tagEvidence, a.ResourceIRI, a.Round)
 	case "getMonitoringRound":
 		var a GetMonitoringRoundArgs
-		if err := json.Unmarshal(args, &a); err != nil {
-			return nil, fmt.Errorf("distexchange: bad args: %w", err)
+		if err := decodeArgs(args, &a, decodeGetMonitoringRoundArgs); err != nil {
+			return nil, err
 		}
 		round, _, err := loadRound(func(key string) ([]byte, bool, error) {
 			raw, ok := env.Get(key)
@@ -967,8 +964,8 @@ func readListing(env *contract.ReadEnv, keys []string, tag byte) ([]byte, error)
 
 func (c *Contract) listResources(env *contract.ReadEnv, args []byte) ([]byte, error) {
 	var a ListResourcesArgs
-	if err := json.Unmarshal(args, &a); err != nil {
-		return nil, fmt.Errorf("distexchange: bad args: %w", err)
+	if err := decodeArgs(args, &a, decodeListResourcesArgs); err != nil {
+		return nil, err
 	}
 	if a.PodWebID != "" {
 		// The per-pod index holds no withdrawn resource.

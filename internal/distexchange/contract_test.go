@@ -935,3 +935,61 @@ func TestMonitoringOnlyOwner(t *testing.T) {
 		t.Fatal("non-owner started monitoring")
 	}
 }
+
+// TestSeparatorInIdentifierRefused: composite keys join their parts with
+// '|', so a resource IRI that holds one can name another resource's keys.
+// Bob registered "<alice's IRI>|x" in his own pod, granted his device on it
+// and had it confirm retrieval; the grant was stored under
+// "grant/<alice's IRI>|x|<device>", inside Alice's grant prefix. Alice's
+// getGrants then listed Bob's grant, and her monitoring round targeted his
+// device, waited on it and, when it stayed silent, charged it to her
+// resource. registerPod and registerResource now refuse a '|' in the pod
+// WebID and the resource IRI.
+func TestSeparatorInIdentifierRefused(t *testing.T) {
+	f := newFixture(t)
+	ctx := context.Background()
+	iri := f.registerAlicePodAndResource(alicePolicy())
+	f.registerDevice()
+	const bobPod = "https://bob.pod/profile#me"
+	if _, err := f.bob.RegisterPod(ctx, RegisterPodArgs{OwnerWebID: bobPod, Location: "https://bob.pod/"}); err != nil {
+		t.Fatal(err)
+	}
+	refused := func(what string, err error) {
+		t.Helper()
+		var revert *RevertError
+		if !errors.As(err, &revert) || !strings.Contains(revert.Reason, "contains '|'") {
+			t.Errorf("%s: %v, want a revert for the '|'", what, err)
+		}
+	}
+
+	forged := iri + "|x"
+	_, err := f.bob.RegisterResource(ctx, RegisterResourceArgs{
+		ResourceIRI: forged, PodWebID: bobPod, Location: "https://bob.pod/x", Policy: policy.New(forged, bobPod, t0),
+	})
+	refused("a resource IRI with '|'", err)
+	if err == nil {
+		// Carry the attack through, to show what the registration let Bob do.
+		if _, err := f.bob.RecordGrant(ctx, RecordGrantArgs{
+			ResourceIRI: forged, Consumer: f.device.Address(), Device: f.device.Address(), Purpose: policy.PurposeWebAnalytics,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.device.ConfirmRetrieval(ctx, forged); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if grants, err := f.alice.GetGrants(iri); err != nil || len(grants) != 0 {
+		t.Errorf("Alice's grants: %+v (%v), want none", grants, err)
+	}
+	round, err := f.alice.RequestMonitoring(ctx, iri)
+	if err != nil || len(round.Targets) != 0 || !round.Closed {
+		t.Errorf("Alice's round: %d targets, closed=%v (%v); want none, closed", len(round.Targets), round.Closed, err)
+	}
+
+	_, err = f.bob.RegisterPod(ctx, RegisterPodArgs{OwnerWebID: bobPod + "|y", Location: "https://bob.pod/y"})
+	refused("a pod WebID with '|'", err)
+	_, err = f.bob.RegisterResource(ctx, RegisterResourceArgs{
+		ResourceIRI: "https://bob.pod/z", PodWebID: bobPod + "|y", Location: "https://bob.pod/z", Policy: policy.New("https://bob.pod/z", bobPod, t0),
+	})
+	refused("a pod WebID with '|' in registerResource", err)
+}

@@ -3,7 +3,6 @@ package distexchange
 import (
 	"context"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -422,11 +421,7 @@ func TestEvidenceListSplitsAtTheGasLimit(t *testing.T) {
 		signed[i] = SignedEvidence{Evidence: ev, Signature: sig}
 		if i == 0 {
 			// Every evidence here has the same shape, so one bound serves.
-			arg, err := json.Marshal(&signed[0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			bound = evidenceGasBound(&ev, len(arg))
+			bound = evidenceGasBound(&signed[0])
 		}
 	}
 	perTx := int((DefaultGasLimit - evidenceTxGas) / bound)
@@ -447,7 +442,7 @@ func TestEvidenceListSplitsAtTheGasLimit(t *testing.T) {
 	}
 	for i, tx := range txs {
 		var args SubmitEvidenceArgs
-		if err := json.Unmarshal(tx.Args, &args); err != nil {
+		if err := decodeArgs(tx.Args, &args, decodeSubmitEvidenceArgs); err != nil {
 			t.Fatal(err)
 		}
 		r := f.node.Receipt(tx.Hash())
@@ -496,12 +491,13 @@ func TestEvidenceGasBoundCoversTheWorstCase(t *testing.T) {
 			}
 			var txs []*chain.Tx
 			device := NewClient(recordingBackend{sealingBackend{f.node}, &txs}, f.devKey, f.deAddr)
-			rec, err := device.SubmitEvidence(ctx, f.signedEvidence(ev))
+			signed := f.signedEvidence(ev)
+			rec, err := device.SubmitEvidence(ctx, signed)
 			if err != nil || len(rec.Findings) != 4 {
 				t.Fatalf("findings %v (%v), want all four", rec.Findings, err)
 			}
 			used := f.node.Receipt(txs[0].Hash()).GasUsed
-			bound := evidenceTxGas + evidenceGasBound(&ev, len(txs[0].Args)-len(`{"signed":[]}`))
+			bound := evidenceTxGas + evidenceGasBound(&signed)
 			if used > bound || used < bound/2 {
 				t.Fatalf("%d gas used, bound %d: want the bound to hold, and by less than half", used, bound)
 			}

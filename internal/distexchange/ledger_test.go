@@ -3,7 +3,6 @@ package distexchange
 import (
 	"context"
 	"encoding/hex"
-	"encoding/json"
 	"slices"
 	"testing"
 	"time"
@@ -287,11 +286,7 @@ func TestRoundScopedReadIsHistoryIndependent(t *testing.T) {
 		}
 	}
 	reply := func(n uint64) []byte {
-		args, err := json.Marshal(GetEvidenceArgs{ResourceIRI: iri, Round: &n})
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw, err := f.node.Query(f.deAddr, "getEvidence", args)
+		raw, err := f.node.Query(f.deAddr, "getEvidence", GetEvidenceArgs{ResourceIRI: iri, Round: &n}.AppendArgs(nil))
 		if err != nil {
 			t.Fatal(err)
 		}

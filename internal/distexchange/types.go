@@ -88,9 +88,39 @@
 // another byte, the '{' of a record written before this format included,
 // reverts the transaction that reads it with "corrupt record at <key>".
 //
-// Method arguments are still JSON (the …Args types below):
-// chain.NewTx marshals whatever struct it is given, and the transactions
-// callers build that way are outside this package.
+// # Argument format
+//
+// A method's or a query's arguments (the …Args types below) have one binary
+// encoding too, in the same framing but with no tag: the method name
+// selects the decoder (args.go). Each …Args type appends its own with a
+// value-receiver AppendArgs, which chain.NewTx calls for a transaction and
+// Client for a query; the contract decodes exactly those bytes, or reverts
+// the transaction (fails the query) with "bad args: …". There is no JSON
+// fallback. Fields follow in this order; an optional one is a boolean, then
+// the value when it is true:
+//
+//	registerPod          ownerWebID, location, hasPolicy [, policy]
+//	registerResource     resource, podWebID, location, description,
+//	                     hasPolicy [, policy]
+//	updatePolicy         resource, hasPolicy [, policy]
+//	registerDevice       certificate (a byte string)
+//	recordGrant          resource, consumer, device, purpose
+//	revokeGrant          resource, device
+//	submitEvidence       n × (evidence as an EvidenceRecord holds it,
+//	                     signature as a byte string)
+//	reportUnresponsive,  resource, round
+//	getMonitoringRound
+//	getViolations,       resource, hasRound [, round]
+//	getEvidence
+//	getDevice            device
+//	getPod               ownerWebID
+//	listResources        podWebID ("" for every pod)
+//	every other method   resource
+//
+// A policy is policy.AppendRecord's encoding. As with records, every value
+// has exactly one encoding, so calldata gas follows from the workload —
+// except where a field is itself variable-length data: the certificate,
+// which cryptoutil encodes as JSON, and the ASN.1 evidence signature.
 //
 // # Signature checks
 //
@@ -323,19 +353,19 @@ type MonitoringRound struct {
 
 // RegisterPodArgs registers a pod (Fig. 2(1), pod initiation).
 type RegisterPodArgs struct {
-	OwnerWebID    string         `json:"ownerWebID"`
-	Location      string         `json:"location"`
-	DefaultPolicy *policy.Policy `json:"defaultPolicy,omitempty"`
+	OwnerWebID    string
+	Location      string
+	DefaultPolicy *policy.Policy
 }
 
 // RegisterResourceArgs publishes a resource (Fig. 2(2), resource
 // initiation).
 type RegisterResourceArgs struct {
-	ResourceIRI string         `json:"resource"`
-	PodWebID    string         `json:"podWebID"`
-	Location    string         `json:"location"`
-	Description string         `json:"description,omitempty"`
-	Policy      *policy.Policy `json:"policy,omitempty"`
+	ResourceIRI string
+	PodWebID    string
+	Location    string
+	Description string
+	Policy      *policy.Policy
 }
 
 // WithdrawResourceArgs removes a resource from the market index. Grants
@@ -343,101 +373,102 @@ type RegisterResourceArgs struct {
 // last published policy, and the owner can keep monitoring them, but no
 // new grants can be recorded and indexing no longer finds the resource.
 type WithdrawResourceArgs struct {
-	ResourceIRI string `json:"resource"`
+	ResourceIRI string
 }
 
 // UpdatePolicyArgs replaces a resource's policy (Fig. 2(5)).
 type UpdatePolicyArgs struct {
-	ResourceIRI string         `json:"resource"`
-	Policy      *policy.Policy `json:"policy"`
+	ResourceIRI string
+	Policy      *policy.Policy
 }
 
 // RegisterDeviceArgs registers a TEE device with its attestation
 // certificate chain (certificate issued by the trusted manufacturer CA).
 type RegisterDeviceArgs struct {
-	// Certificate is the JSON-encoded manufacturer certificate binding the
-	// device key to its measurement.
-	Certificate []byte `json:"certificate"`
+	// Certificate is the manufacturer certificate binding the device key to
+	// its measurement, as cryptoutil.Certificate.Encode writes it. The
+	// arguments carry it as one byte string.
+	Certificate []byte
 }
 
 // RecordGrantArgs records that access was granted to a device.
 type RecordGrantArgs struct {
-	ResourceIRI string             `json:"resource"`
-	Consumer    cryptoutil.Address `json:"consumer"`
-	Device      cryptoutil.Address `json:"device"`
-	Purpose     policy.Purpose     `json:"purpose"`
+	ResourceIRI string
+	Consumer    cryptoutil.Address
+	Device      cryptoutil.Address
+	Purpose     policy.Purpose
 }
 
 // ConfirmRetrievalArgs confirms physical retrieval by the sender device.
 type ConfirmRetrievalArgs struct {
-	ResourceIRI string `json:"resource"`
+	ResourceIRI string
 }
 
 // RevokeGrantArgs revokes a device's grant.
 type RevokeGrantArgs struct {
-	ResourceIRI string             `json:"resource"`
-	Device      cryptoutil.Address `json:"device"`
+	ResourceIRI string
+	Device      cryptoutil.Address
 }
 
 // RequestMonitoringArgs starts a monitoring round (Fig. 2(6)).
 type RequestMonitoringArgs struct {
-	ResourceIRI string `json:"resource"`
+	ResourceIRI string
 }
 
 // SubmitEvidenceArgs delivers a list of signed evidence: typically every
 // answer to one monitoring round. A single evidence is a list of one.
 type SubmitEvidenceArgs struct {
-	Signed []SignedEvidence `json:"signed"`
+	Signed []SignedEvidence
 }
 
 // ReportUnresponsiveArgs closes a round, flagging non-reporting targets.
 type ReportUnresponsiveArgs struct {
-	ResourceIRI string `json:"resource"`
-	Round       uint64 `json:"round"`
+	ResourceIRI string
+	Round       uint64
 }
 
 // GetPodArgs, GetResourceArgs, etc. parameterize read-only queries.
 type (
 	// GetPodArgs fetches a pod record.
 	GetPodArgs struct {
-		OwnerWebID string `json:"ownerWebID"`
+		OwnerWebID string
 	}
 	// GetResourceArgs fetches a resource record (resource indexing,
 	// Fig. 2(3)).
 	GetResourceArgs struct {
-		ResourceIRI string `json:"resource"`
+		ResourceIRI string
 	}
 	// ListResourcesArgs lists the resource index.
 	ListResourcesArgs struct {
 		// PodWebID optionally restricts to one pod's resources.
-		PodWebID string `json:"podWebID,omitempty"`
+		PodWebID string
 	}
 	// GetGrantsArgs lists grants for a resource.
 	GetGrantsArgs struct {
-		ResourceIRI string `json:"resource"`
+		ResourceIRI string
 	}
 	// GetDeviceArgs fetches a device record.
 	GetDeviceArgs struct {
-		Device cryptoutil.Address `json:"device"`
+		Device cryptoutil.Address
 	}
 	// GetViolationsArgs lists violations for a resource, in Seq order.
 	GetViolationsArgs struct {
-		ResourceIRI string `json:"resource"`
+		ResourceIRI string
 		// Round, when set, restricts the listing to violations surfaced by
 		// that monitoring round (0: by unsolicited evidence).
-		Round *uint64 `json:"round,omitempty"`
+		Round *uint64
 	}
 	// GetEvidenceArgs lists recorded evidence for a resource, in Seq order.
 	GetEvidenceArgs struct {
-		ResourceIRI string `json:"resource"`
+		ResourceIRI string
 		// Round, when set, restricts the listing to evidence answering that
 		// monitoring round (0: unsolicited evidence).
-		Round *uint64 `json:"round,omitempty"`
+		Round *uint64
 	}
 	// GetMonitoringRoundArgs fetches one monitoring round.
 	GetMonitoringRoundArgs struct {
-		ResourceIRI string `json:"resource"`
-		Round       uint64 `json:"round"`
+		ResourceIRI string
+		Round       uint64
 	}
 )
 

@@ -6,6 +6,7 @@ import (
 	"go/types"
 	"regexp"
 	"slices"
+	"strconv"
 )
 
 // DeterministicPackages is the deterministic replay path: every
@@ -79,7 +80,12 @@ var sortFuncRe = regexp.MustCompile(`(?i)^sort`)
 //   - map iteration whose per-element effects are order-sensitive: a
 //     range over a map may not call an encoder/hash/write-like sink,
 //     and a slice it appends to must be sorted (sort.* or slices.Sort*)
-//     somewhere in the same function before it can be trusted.
+//     somewhere in the same function before it can be trusted;
+//   - importing encoding/json: a value has many JSON spellings (field
+//     order and case, whitespace, escapes) that decode alike, so the
+//     bytes a hash commits to and gas charges for would not follow from
+//     the value, and reflection costs every validator on every
+//     transaction; replayed bytes go through store's codec.
 //
 // and, in EncoderPackages, formatting by reflection inside a consensus
 // encoder (SigningBytes, Digest, Hash, append*/Append*): fmt's
@@ -97,6 +103,9 @@ func Determinism(pkgs ...string) *Analyzer {
 		replayPath := slices.Contains(pkgs, pass.Pkg.Path)
 		encoders := slices.Contains(EncoderPackages, pass.Pkg.Path)
 		for _, f := range pass.Pkg.Files {
+			if replayPath {
+				checkImportsDeterminism(pass, f)
+			}
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
 				if !ok || fd.Body == nil {
@@ -112,6 +121,16 @@ func Determinism(pkgs ...string) *Analyzer {
 		}
 	}
 	return a
+}
+
+// checkImportsDeterminism flags the imports a replay-path file may not
+// have.
+func checkImportsDeterminism(pass *Pass, f *ast.File) {
+	for _, imp := range f.Imports {
+		if path, _ := strconv.Unquote(imp.Path.Value); path == "encoding/json" {
+			pass.Reportf(imp.Pos(), "encoding/json on the deterministic replay path; encode with store's codec")
+		}
+	}
 }
 
 // checkEncoderFormatting flags reflection-driven formatting inside one

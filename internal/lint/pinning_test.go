@@ -169,3 +169,61 @@ func TestObsWallClockConfinement(t *testing.T) {
 	t.Fatalf("determinism analyzer found no time.Now in internal/obs when auditing it; "+
 		"the confinement test is vacuous (findings: %d)", len(findings))
 }
+
+// TestJSONImportInjectionDetected re-type-checks internal/distexchange with
+// an encoding/json import spliced into contract.go and requires the
+// determinism analyzer to flag it: the acceptance criterion that bringing
+// JSON back onto the replay path, for arguments or records, fails repolint.
+func TestJSONImportInjectionDetected(t *testing.T) {
+	const dir = "../../internal/distexchange"
+	names, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixtureExports.once.Do(func() {
+		fixtureExports.m, fixtureExports.err = ExportsFor("../..", "./...", "std")
+	})
+	if fixtureExports.err != nil {
+		t.Fatalf("loading export data: %v", fixtureExports.err)
+	}
+
+	fset := token.NewFileSet()
+	var files []*ast.File
+	mutated := false
+	for _, name := range names {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := string(src)
+		if filepath.Base(name) == "contract.go" {
+			if strings.Contains(text, `"encoding/json"`) || !strings.Contains(text, "import (") {
+				t.Fatalf("contract.go imports encoding/json already, or has no import block to splice it into")
+			}
+			text = strings.Replace(text, "import (", "import (\n\t\"encoding/json\"", 1)
+			text += "\n\nfunc lintMutationProbe(raw []byte, args *RegisterPodArgs) error { return json.Unmarshal(raw, args) }\n"
+			mutated = true
+		}
+		f, err := parser.ParseFile(fset, name, text, parser.ParseComments)
+		if err != nil {
+			t.Fatalf("parsing %s: %v", name, err)
+		}
+		files = append(files, f)
+	}
+	if !mutated {
+		t.Fatal("contract.go not found under internal/distexchange")
+	}
+	pkg, err := TypeCheck(fset, "repro/internal/distexchange", files, NewExportImporter(fset, fixtureExports.m))
+	if err != nil {
+		t.Fatalf("type-checking mutated distexchange package: %v", err)
+	}
+	for _, f := range Run([]*Package{pkg}, []*Analyzer{Determinism(DeterministicPackages...)}) {
+		if filepath.Base(f.Pos.Filename) == "contract.go" && strings.Contains(f.Message, "encoding/json") {
+			return // detected, as required
+		}
+	}
+	t.Fatal("determinism analyzer did not flag the injected encoding/json import in contract.go")
+}

@@ -2,7 +2,6 @@ package oracle
 
 import (
 	"context"
-	"encoding/json"
 	"sync"
 	"testing"
 	"time"
@@ -22,13 +21,8 @@ func (emitContract) Call(env *contract.Env, method string, args []byte) ([]byte,
 	if method != "emit" {
 		return nil, contract.Revertf("unknown method")
 	}
-	var a struct {
-		Key string `json:"key"`
-	}
-	if err := json.Unmarshal(args, &a); err != nil {
-		return nil, contract.Revertf("bad args")
-	}
-	if err := env.Emit("Ping", a.Key, []byte(`"pong"`)); err != nil {
+	// The argument is the event's key, as it is.
+	if err := env.Emit("Ping", string(args), []byte(`"pong"`)); err != nil {
 		return nil, err
 	}
 	return nil, nil
@@ -61,7 +55,7 @@ func newOracleNode(t *testing.T) (*chain.Node, *cryptoutil.KeyPair, cryptoutil.A
 
 func emitTx(t *testing.T, node *chain.Node, key *cryptoutil.KeyPair, addr cryptoutil.Address, k string) {
 	t.Helper()
-	tx, err := chain.NewTx(key, node.NonceFor(key.Address()), addr, "emit", map[string]string{"key": k}, 200_000)
+	tx, err := chain.NewTx(key, node.NonceFor(key.Address()), addr, "emit", []byte(k), 200_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +72,7 @@ func TestPushInRelaysAndCounts(t *testing.T) {
 	var metrics Metrics
 	pushIn := NewPushIn(node, &metrics)
 
-	tx, err := chain.NewTx(key, pushIn.NonceFor(key.Address()), addr, "emit", map[string]string{"key": "a"}, 200_000)
+	tx, err := chain.NewTx(key, pushIn.NonceFor(key.Address()), addr, "emit", []byte("a"), 200_000)
 	if err != nil {
 		t.Fatal(err)
 	}

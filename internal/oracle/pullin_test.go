@@ -2,8 +2,8 @@ package oracle
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"slices"
 	"sync"
 	"testing"
@@ -69,12 +69,13 @@ func (n autoSealNode) Submit(txs []*chain.Tx) []chain.TxVerdict {
 		if tx.Method != "submitEvidence" {
 			continue
 		}
-		var args distexchange.SubmitEvidenceArgs
-		if err := json.Unmarshal(tx.Args, &args); err != nil {
-			panic(err)
+		// The arguments open with the count of the evidence list.
+		count, width := binary.Uvarint(tx.Args)
+		if width <= 0 {
+			panic("submitEvidence arguments without a count")
 		}
 		n.relayed.mu.Lock()
-		n.relayed.items = append(n.relayed.items, len(args.Signed))
+		n.relayed.items = append(n.relayed.items, int(count))
 		n.relayed.mu.Unlock()
 	}
 	out := n.Node.Submit(txs)

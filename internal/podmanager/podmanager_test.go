@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -427,13 +426,15 @@ func TestMonitoringViaManager(t *testing.T) {
 	// Collection reads the round's slice of the ledger, never the whole
 	// history of the resource.
 	listings := 0
+	// getEvidence and getViolations take their arguments in one encoding.
+	scoped := string(distexchange.GetEvidenceArgs{ResourceIRI: iri, Round: &round.Round}.AppendArgs(nil))
 	for _, q := range e.queries.calls {
 		if q.method != "getEvidence" && q.method != "getViolations" {
 			continue
 		}
 		listings++
-		if !strings.Contains(q.args, `"round":1`) {
-			t.Errorf("unscoped %s query: %s", q.method, q.args)
+		if q.args != scoped {
+			t.Errorf("%s query with arguments %x, want the round-scoped %x", q.method, q.args, scoped)
 		}
 	}
 	if listings != 2 {
