@@ -1,8 +1,10 @@
 package chain
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
+	"time"
 
 	"repro/internal/cryptoutil"
 	"repro/internal/store"
@@ -85,7 +87,12 @@ func blockRecordSizeHint(b *walBlock) int {
 	return n
 }
 
-// decodeWALRecord decodes a WAL record payload.
+// decodeWALRecord decodes a WAL record payload. A record has one spelling:
+// store.Dec.Time also accepts timestamps store.AppendTime never writes —
+// nanoseconds that reach a second, the 16-byte form of a whole-minute
+// zone — so the parts that hold one, a meta record and a block header,
+// must hold a normal time (canonicalTime) and encode back to exactly the
+// bytes read.
 func decodeWALRecord(payload []byte) (*walRecord, error) {
 	if len(payload) == 0 {
 		return nil, fmt.Errorf("chain: empty record")
@@ -103,21 +110,34 @@ func decodeWALRecord(payload []byte) (*walRecord, error) {
 		if err := d.Finish(); err != nil {
 			return nil, err
 		}
+		if again, err := encodeWALMeta(m); err != nil || !bytes.Equal(again, payload) || !canonicalTime(m.GenesisTime) {
+			return nil, fmt.Errorf("chain: meta record not in canonical form")
+		}
 		return &walRecord{Meta: m}, nil
 	case tagChainBlock:
 		b := &walBlock{}
 		decodeHeader(d, &b.Header)
+		headerEnd := len(payload) - d.Remaining()
 		b.Txs = decodeTxs(d, len(payload))
 		b.Receipts = decodeReceipts(d, len(payload))
 		b.Diff = decodeDeltas(d, len(payload))
 		if err := d.Finish(); err != nil {
 			return nil, err
 		}
+		if again, err := appendHeader([]byte{tagChainBlock}, &b.Header); err != nil || !bytes.Equal(again, payload[:headerEnd]) || !canonicalTime(b.Header.Time) {
+			return nil, fmt.Errorf("chain: block header not in canonical form")
+		}
 		return &walRecord{Block: b}, nil
 	default:
 		return nil, fmt.Errorf("chain: unknown record tag 0x%02x", payload[0])
 	}
 }
+
+// canonicalTime reports whether t's nanoseconds lie within their second,
+// as in every time.Time the encoders are handed. store.Dec.Time decodes
+// larger ones too, and AppendTime writes them back as read: a second
+// spelling of a later instant.
+func canonicalTime(t time.Time) bool { return t.Nanosecond() < 1e9 }
 
 // appendChainSnapshot appends the deterministic encoding of a state
 // snapshot (keys sorted) to dst and returns the extended slice. The

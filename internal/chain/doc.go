@@ -108,9 +108,11 @@
 // different transaction on a committed nonce is ErrTxStale.
 //
 // Signature verification — the dominant CPU cost of admission and
-// validation — never runs under any node lock, and one function spawns
-// its goroutines: verify, a GOMAXPROCS-wide worker pool that returns an
-// error per index. Submission reads the slice per transaction; ApplyBlock
+// validation — never runs under any node lock, and runs on the
+// repository's one verifier pool, cryptoutil.VerifyAll, which spreads the
+// checks over min(GOMAXPROCS, n) goroutines (the DE App's submitEvidence
+// checks a list's device signatures on the same pool). verify returns an
+// error per index; submission reads the slice per transaction, ApplyBlock
 // takes its lowest-indexed error. Each validator verifies a transaction
 // once: ApplyBlock skips the check for transactions whose hash is in the
 // node's own mempool (it verified them at admission) and runs it for

@@ -32,7 +32,8 @@
 //
 // Verify (and VerifyWithAddress) is for objects that are seen once:
 //
-//   - transaction admission (chain's verify pool, Tx.hashAndVerify):
+//   - transaction admission (chain's verify on the VerifyAll pool,
+//     Tx.hashAndVerify):
 //     a transaction's repeat sightings are already answered per node by
 //     the mempool lookup in ApplyBlock, which costs a map read, and
 //     Network.Submit verifies once for the cluster;

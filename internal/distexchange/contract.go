@@ -1,6 +1,7 @@
 package distexchange
 
 import (
+	"crypto/ecdsa"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -570,43 +571,66 @@ func (c *Contract) requestMonitoring(env *contract.Env, args *RequestMonitoringA
 	return record, nil
 }
 
-// refusal is the contract declining one evidence of a submitEvidence list: a
-// verdict on that item alone, reached before anything was written for it.
-// Every other error of recordEvidence — out of gas, a storage failure, a
-// corrupt record — reverts the transaction.
-type refusal struct{ error }
-
-func refusef(format string, args ...any) error {
-	return refusal{contract.Revertf(format, args...)}
+// checkedEvidence is one item of a submitEvidence list between its passes:
+// what checkEvidence read for it, and the refusal if the contract declines
+// it.
+type checkedEvidence struct {
+	rec     ResourceRecord
+	grant   Grant
+	key     *ecdsa.PublicKey // the device key the ledger holds
+	signing []byte           // the bytes the device signature covers
+	refused error
 }
 
 // submitEvidence records a list of signed evidence — one monitoring round's,
-// typically — item by item, in list order. An item the contract refuses
-// writes nothing and leaves its neighbours alone; the transaction reverts,
-// with the first refusal, only when it accepted no item. So a list of one
-// reverts as that evidence always did.
+// typically — in three passes. The check pass reads, in list order, what
+// each item is judged by; the verify pass checks the device signatures of
+// the items still standing on the verifier pool (cryptoutil.VerifyAll);
+// the record pass, in list order, records each accepted item. An item the
+// contract refuses writes nothing and leaves its neighbours alone; the
+// transaction reverts, with the first refusal, only when it accepted no
+// item. So a list of one reverts as that evidence always did.
+//
+// The record pass writes no key the check pass reads (res/, dev/, grant/),
+// so every item is judged on what it would have been judged on had the
+// items run one after another, and the reads, writes, events and gas are
+// theirs. Only a hard error — in a valid ledger, running out of gas — can
+// surface earlier than it would have, and the meter then pins at the limit
+// either way, so the receipt is the same.
 func (c *Contract) submitEvidence(env *contract.Env, args *SubmitEvidenceArgs) ([]byte, error) {
 	if len(args.Signed) == 0 {
 		return nil, contract.Revertf("submitEvidence: no evidence")
 	}
+	items := make([]checkedEvidence, len(args.Signed))
+	for i := range items {
+		if err := c.checkEvidence(env, &args.Signed[i].Evidence, &items[i]); err != nil {
+			return nil, err
+		}
+	}
+	cryptoutil.VerifyAll(len(items), func(i int) {
+		it := &items[i]
+		if it.refused == nil && !cryptoutil.VerifyCached(it.key, it.signing, args.Signed[i].Signature) {
+			it.refused = contract.Revertf("submitEvidence: evidence signature invalid")
+		}
+	})
+
 	var firstRefusal error
 	accepted := false
-	outcomes := appendEvidenceOutcomes(nil, len(args.Signed))
-	for i := range args.Signed {
-		record, err := c.recordEvidence(env, &args.Signed[i])
-		var refused refusal
-		switch {
-		case errors.As(err, &refused):
+	outcomes := appendEvidenceOutcomes(nil, len(items))
+	for i := range items {
+		if refused := items[i].refused; refused != nil {
 			if firstRefusal == nil {
-				firstRefusal = refused.error
+				firstRefusal = refused
 			}
 			outcomes = appendRefusedEvidence(outcomes, refused.Error())
-		case err != nil:
-			return nil, err
-		default:
-			accepted = true
-			outcomes = appendAcceptedEvidence(outcomes, record)
+			continue
 		}
+		record, err := c.recordEvidence(env, &args.Signed[i].Evidence, &items[i])
+		if err != nil {
+			return nil, err
+		}
+		accepted = true
+		outcomes = appendAcceptedEvidence(outcomes, record)
 	}
 	if !accepted {
 		return nil, firstRefusal
@@ -614,46 +638,48 @@ func (c *Contract) submitEvidence(env *contract.Env, args *SubmitEvidenceArgs) (
 	return outcomes, nil
 }
 
-// recordEvidence checks one signed evidence and, unless it refuses it,
-// records it, returning the stored record.
-func (c *Contract) recordEvidence(env *contract.Env, signed *SignedEvidence) ([]byte, error) {
-	ev := &signed.Evidence
-
-	var rec ResourceRecord
-	ok, err := load(env, resKey(ev.ResourceIRI), &rec, decodeResourceRecord)
+// checkEvidence reads what one evidence is judged by — its resource, its
+// device's key and its grant — into it, or sets it.refused. The signature
+// is checked against the key the ledger holds for the device NOW, later,
+// by the verify pass. Every validator executes that check on the same
+// bytes, and an optimistic pass the scheduler discards executes it again,
+// so it goes through VerifyCached (see the package comment). A returned
+// error reverts the transaction.
+func (c *Contract) checkEvidence(env *contract.Env, ev *Evidence, it *checkedEvidence) error {
+	ok, err := load(env, resKey(ev.ResourceIRI), &it.rec, decodeResourceRecord)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if !ok {
-		return nil, refusef("submitEvidence: resource %q not registered", ev.ResourceIRI)
+		it.refused = contract.Revertf("submitEvidence: resource %q not registered", ev.ResourceIRI)
+		return nil
 	}
 	var dev DeviceRecord
 	if ok, err := load(env, devKey(ev.Device), &dev, decodeDeviceRecord); err != nil {
-		return nil, err
+		return err
 	} else if !ok {
-		return nil, refusef("submitEvidence: device %s not registered", ev.Device)
+		it.refused = contract.Revertf("submitEvidence: device %s not registered", ev.Device)
+		return nil
 	}
-	var g Grant
-	if ok, err := load(env, grantKey(ev.ResourceIRI, ev.Device), &g, decodeGrant); err != nil {
-		return nil, err
+	if ok, err := load(env, grantKey(ev.ResourceIRI, ev.Device), &it.grant, decodeGrant); err != nil {
+		return err
 	} else if !ok {
-		return nil, refusef("submitEvidence: no grant for device %s on %q", ev.Device, ev.ResourceIRI)
+		it.refused = contract.Revertf("submitEvidence: no grant for device %s on %q", ev.Device, ev.ResourceIRI)
+		return nil
 	}
+	if it.key, err = cryptoutil.ParsePublicKey(dev.DeviceKey); err != nil {
+		it.refused = contract.Revertf("submitEvidence: stored device key corrupt: %v", err)
+		return nil
+	}
+	it.signing = ev.SigningBytes()
+	return nil
+}
 
-	// Verify the device signature over the evidence, under the key the
-	// ledger holds for the device NOW. Every validator executes this on the
-	// same bytes, and an optimistic pass the scheduler discards executes it
-	// again, so it goes through VerifyCached (see the package comment).
-	devPub, err := cryptoutil.ParsePublicKey(dev.DeviceKey)
-	if err != nil {
-		return nil, refusef("submitEvidence: stored device key corrupt: %v", err)
-	}
-	if !cryptoutil.VerifyCached(devPub, ev.SigningBytes(), signed.Signature) {
-		return nil, refusef("submitEvidence: evidence signature invalid")
-	}
-
-	// Accepted: from here on nothing refuses, and what fails reverts.
-	findings := c.checkCompliance(&rec, &g, ev)
+// recordEvidence records one evidence that the check and verify passes
+// accepted — its ev/ record, event, violations and round bookkeeping — and
+// returns the stored record. Nothing here refuses: what fails reverts.
+func (c *Contract) recordEvidence(env *contract.Env, ev *Evidence, it *checkedEvidence) ([]byte, error) {
+	findings := c.checkCompliance(&it.rec, &it.grant, ev)
 
 	seq, err := bumpCounter(env, evSeqKey(ev.ResourceIRI))
 	if err != nil {

@@ -137,6 +137,19 @@
 // validator in a process of its own simply pays for each first sighting
 // itself. The soundness argument is written out in chain/doc.go
 // ("Signatures a block carries") and the cryptoutil package comment.
+//
+// A list's device signatures are checked together, on the verifier pool
+// that admission and block validation use (cryptoutil.VerifyAll), so a
+// round's sixteen first sightings cost the proposer about sixteen divided
+// by its cores. submitEvidence runs in three passes to allow it: a serial
+// check pass reads each item's resource, device and grant and charges for
+// them as before; the verify pass checks the signatures of the items still
+// standing, each worker writing only the items it claimed; a serial record
+// pass writes, emits and advances the round in list order. No write touches
+// a key the check pass reads, so every item is judged as it would be alone,
+// and the receipt — status, gas, revert text, return value, events — the
+// state root and the net diff are the same at every pool width
+// (TestEvidencePassesReceiptIdentity).
 package distexchange
 
 import (
