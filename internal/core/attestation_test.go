@@ -171,3 +171,49 @@ func TestAttestationNotRequiredByDefault(t *testing.T) {
 		t.Fatalf("certificate-only access without attestation requirement: %v", err)
 	}
 }
+
+// TestStolenQuoteOtherAgentRefused: a quote attests one request of one
+// agent. Consumer B, paid and granted but attaching no quote of its own,
+// signs a GET with the same X-Date as consumer A's attested GET and
+// splices in A's captured X-TEE-Quote. When the quote's nonce was the date
+// string, which the requester chooses, that request was served.
+func TestStolenQuoteOtherAgentRefused(t *testing.T) {
+	d := newDeployment(t, Config{RequireAttestation: true})
+	ctx := context.Background()
+	owner, iri := ownerWithResource(d, "owner", 64, nil)
+	alice := must(d.NewConsumer("alice", policy.PurposeAny))
+	bob := must(d.NewConsumer("bob", policy.PurposeAny))
+	for _, c := range []*Consumer{alice, bob} {
+		must0(owner.Grant(ctx, c, "/data/r.bin", policy.PurposeAny))
+	}
+	attached := func(c *Consumer, more ...func(*http.Request)) *solid.Client {
+		client := solid.NewClient(c.WebID, c.Key, d.Clock)
+		decorate := must(podmanager.AttachCertificate(must(d.Market.PayFee(string(c.WebID), iri))))
+		client.Decorate = podmanager.Decorators(append([]func(*http.Request){decorate}, more...)...)
+		return client
+	}
+
+	var date, quote string
+	victim := attached(alice, podmanager.AttachTEEQuote(alice.Device), func(r *http.Request) {
+		date, quote = r.Header.Get(solid.HeaderDate), r.Header.Get(podmanager.HeaderTEEQuote)
+	})
+	if _, _, err := victim.Get(iri); err != nil || quote == "" {
+		t.Fatalf("attested GET: %v (quote %q)", err, quote)
+	}
+
+	thief := attached(bob, func(r *http.Request) {
+		if got := r.Header.Get(solid.HeaderDate); got != date {
+			t.Fatalf("the thief's request is dated %s, want the victim's %s", got, date)
+		}
+		r.Header.Set(podmanager.HeaderTEEQuote, quote)
+	})
+	_, _, err := thief.Get(iri)
+	if !forbidden(podmanager.ErrAttestation)(err) {
+		t.Fatalf("GET with another agent's quote: %v, want 403 %v", err, podmanager.ErrAttestation)
+	}
+	// Bob is refused for the quote alone: with his own device's quote the
+	// same GET is served.
+	if _, _, err := attached(bob, podmanager.AttachTEEQuote(bob.Device)).Get(iri); err != nil {
+		t.Fatalf("GET with bob's own quote: %v", err)
+	}
+}

@@ -518,11 +518,7 @@ func (d *Deployment) NewConsumer(name string, purpose policy.Purpose) (*Consumer
 	// The device registers itself on-chain with its attestation
 	// certificate (through the push-in oracle).
 	deviceClient := distexchange.NewClient(d.backend(), device.Key(), d.DEAddr)
-	certRaw, err := device.CertificateBytes()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := deviceClient.RegisterDevice(ctx, certRaw); err != nil {
+	if _, err := deviceClient.RegisterDevice(ctx, device.CertificateBytes()); err != nil {
 		return nil, err
 	}
 	// Register the key last, as in NewOwner.

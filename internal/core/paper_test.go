@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"strings"
@@ -9,10 +10,12 @@ import (
 	"time"
 
 	"repro/internal/chain"
+	"repro/internal/cryptoutil"
 	"repro/internal/distexchange"
 	"repro/internal/podmanager"
 	"repro/internal/policy"
 	"repro/internal/solid"
+	"repro/internal/tee"
 )
 
 // The paper's evaluation (§V) is qualitative: verdicts and a gas table,
@@ -64,9 +67,21 @@ func TestPaperSecurityVerdicts(t *testing.T) {
 			return err
 		}, reverted("updatePolicy", "does not own")},
 		{"unattested device registration", func() error {
-			_, err := consumer.DE.RegisterDevice(ctx, []byte(`{"serial":1}`))
+			// Well formed and naming the pinned manufacturer, but unsigned.
+			ca := must(cryptoutil.ParsePublicKey(d.Manufacturer.CAPublicBytes()))
+			dev, m, now := consumer.Device.Key(), tee.MeasurementOf(TrustedAppIdentity), d.Clock.Now()
+			unsigned := &cryptoutil.Certificate{
+				Serial: 1, Subject: dev.Address(), SubjectKey: dev.PublicBytes(),
+				Claims:    map[string]string{"measurement": hex.EncodeToString(m[:])},
+				NotBefore: now.Add(-time.Hour), NotAfter: now.Add(time.Hour), Issuer: cryptoutil.AddressOf(ca),
+			}
+			_, err := consumer.DE.RegisterDevice(ctx, unsigned.Encode())
 			return err
 		}, reverted("registerDevice", "certificate rejected")},
+		{"malformed device certificate", func() error {
+			_, err := consumer.DE.RegisterDevice(ctx, []byte(`{"serial":1}`))
+			return err
+		}, reverted("registerDevice", "decode certificate")},
 		{"certificate for wrong resource", func() error {
 			wrongCert := must(d.Market.PayFee(string(consumer.WebID), "https://other/resource"))
 			client := solid.NewClient(consumer.WebID, consumer.Key, d.Clock)
@@ -99,16 +114,15 @@ func TestPaperSecurityVerdicts(t *testing.T) {
 // execution — reads, and 20 or 8 gas per stored or emitted record byte —
 // depends on the workload alone, since records are fixed-width binary.
 // Arguments are binary too, an address their 20 raw bytes, so their length
-// follows from the workload as well, with two exceptions: registerDevice's
-// carries the JSON certificate, whose length varies with its key and
-// signature, and submitEvidence's ends with the device's ASN.1 signature,
-// whose length varies by a byte or two, so its row pins the length less
-// the signature.
+// follows from the workload as well, except for an ASN.1 signature, whose
+// length varies by a byte or two: registerDevice's certificate and
+// submitEvidence's evidence each end with one, so their rows pin the length
+// less the signature.
 func TestPaperGasTable(t *testing.T) {
 	golden := map[string]struct{ exec, argBytes uint64 }{
 		"registerPod":       {29_963, 84},
 		"registerResource":  {44_402, 344},
-		"registerDevice":    {30_155, 0}, // ≈ 758: the JSON certificate
+		"registerDevice":    {30_155, 221}, // less the signature
 		"recordGrant":       {30_499, 99},
 		"confirmRetrieval":  {30_299, 45},
 		"updatePolicy":      {35_751, 238},
@@ -147,10 +161,10 @@ func TestPaperGasTable(t *testing.T) {
 			if exec := gas - argBytes*chain.GasPerArgByte; exec != want.exec {
 				t.Errorf("%s: %d gas to execute (%d less %d argument bytes), want %d", tx.Method, exec, gas, argBytes, want.exec)
 			}
-			if tx.Method == "submitEvidence" {
+			if tx.Method == "registerDevice" || tx.Method == "submitEvidence" {
 				argBytes -= uint64(trailingSignatureLen(t, tx.Args))
 			}
-			if want.argBytes != 0 && argBytes != want.argBytes {
+			if argBytes != want.argBytes {
 				t.Errorf("%s: %d argument bytes, want %d", tx.Method, argBytes, want.argBytes)
 			}
 			sum += gas

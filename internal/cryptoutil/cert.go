@@ -1,12 +1,14 @@
 package cryptoutil
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/store"
 )
 
 // Certificate is a signed claim envelope: an issuer attests a set of
@@ -20,20 +22,20 @@ import (
 //     root attestation quotes.
 type Certificate struct {
 	// Serial uniquely identifies the certificate within its issuer.
-	Serial uint64 `json:"serial"`
+	Serial uint64
 	// Subject is the address of the certified key.
-	Subject Address `json:"subject"`
+	Subject Address
 	// SubjectKey is the uncompressed-point encoding of the certified key.
-	SubjectKey []byte `json:"subjectKey"`
+	SubjectKey []byte
 	// Claims carries the attested attributes (e.g. "feePaid": "resource-iri").
-	Claims map[string]string `json:"claims"`
+	Claims map[string]string
 	// NotBefore and NotAfter bound the validity window.
-	NotBefore time.Time `json:"notBefore"`
-	NotAfter  time.Time `json:"notAfter"`
+	NotBefore time.Time
+	NotAfter  time.Time
 	// Issuer is the address of the signing authority.
-	Issuer Address `json:"issuer"`
+	Issuer Address
 	// Signature is the issuer's ASN.1 ECDSA signature over SigningBytes.
-	Signature []byte `json:"signature"`
+	Signature []byte
 }
 
 // SigningBytes returns the deterministic byte encoding that the issuer
@@ -54,16 +56,70 @@ func (c *Certificate) SigningBytes() []byte {
 	return e
 }
 
-// Encode serializes the certificate to JSON.
-func (c *Certificate) Encode() ([]byte, error) { return json.Marshal(c) }
+// tagCertificate opens a certificate's encoding.
+const tagCertificate byte = 0x31
 
-// DecodeCertificate parses a JSON-encoded certificate.
+// Encode returns the certificate's one byte form, in store's codec: the
+// tag, Serial, Subject (20 raw bytes), SubjectKey, the claims as a count
+// and key/value strings in ascending key order, NotBefore and NotAfter in
+// store.AppendUTC's form, Issuer (20 raw bytes), and the signature last.
+// It is what an HTTP header and registerDevice carry; the signature
+// covers SigningBytes, not these bytes.
+func (c *Certificate) Encode() []byte {
+	var buf [2]string // room for a market or device certificate's claims, off the heap
+	keys := buf[:0]
+	size := 1 + 10 + len(c.Subject) + 10 + len(c.SubjectKey) + 10 + 2*16 + len(c.Issuer) + 10 + len(c.Signature)
+	for k, v := range c.Claims {
+		keys = append(keys, k)
+		size += 20 + len(k) + len(v)
+	}
+	slices.Sort(keys)
+	b := append(make([]byte, 0, size), tagCertificate)
+	b = store.AppendUvarint(b, c.Serial)
+	b = append(b, c.Subject[:]...)
+	b = store.AppendBytes(b, c.SubjectKey)
+	b = store.AppendUvarint(b, uint64(len(keys)))
+	for _, k := range keys {
+		b = store.AppendString(store.AppendString(b, k), c.Claims[k])
+	}
+	b = store.AppendUTC(b, c.NotBefore)
+	b = store.AppendUTC(b, c.NotAfter)
+	b = append(b, c.Issuer[:]...)
+	return store.AppendBytes(b, c.Signature)
+}
+
+// DecodeCertificate parses a certificate's encoding (Encode). It accepts
+// exactly the bytes Encode writes: claim keys out of order or repeated, a
+// time in another spelling, or trailing bytes fail the decode.
 func DecodeCertificate(data []byte) (*Certificate, error) {
-	var c Certificate
-	if err := json.Unmarshal(data, &c); err != nil {
+	d := store.NewDec(data)
+	d.Tag(tagCertificate)
+	c := &Certificate{Serial: d.Uvarint()}
+	d.Raw(c.Subject[:])
+	c.SubjectKey = d.Bytes()
+	// A claim is two length-prefixed strings: two bytes at least.
+	if n := d.Count("claims", uint64(d.Remaining()/2)); n > 0 {
+		c.Claims = make(map[string]string, min(n, store.DecodeCapHint))
+		prev := ""
+		for i := range n {
+			k, v := d.String(), d.String()
+			if d.Err() != nil {
+				break
+			}
+			if i > 0 && k <= prev {
+				return nil, fmt.Errorf("cryptoutil: decode certificate: %w: claim %q after %q", store.ErrCodec, k, prev)
+			}
+			c.Claims[k], prev = v, k
+		}
+	}
+	c.NotBefore = d.UTC()
+	c.NotAfter = d.UTC()
+	d.Raw(c.Issuer[:])
+	c.Signature = d.Bytes()
+	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("cryptoutil: decode certificate: %w", err)
 	}
-	return &c, nil
+	return c, nil
 }
 
 // Certificate verification errors, matchable with errors.Is.

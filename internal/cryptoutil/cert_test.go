@@ -1,9 +1,13 @@
 package cryptoutil
 
 import (
+	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/store"
 )
 
 var testEpoch = time.Date(2023, 10, 9, 12, 0, 0, 0, time.UTC)
@@ -112,10 +116,7 @@ func TestCertificateTamperDetection(t *testing.T) {
 
 func TestCertificateEncodeDecode(t *testing.T) {
 	ca, _, cert := issueTestCert(t)
-	data, err := cert.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := cert.Encode()
 	back, err := DecodeCertificate(data)
 	if err != nil {
 		t.Fatal(err)
@@ -123,11 +124,55 @@ func TestCertificateEncodeDecode(t *testing.T) {
 	if err := back.Verify(ca.PublicBytes(), testEpoch.Add(time.Hour)); err != nil {
 		t.Fatalf("decoded certificate failed verification: %v", err)
 	}
-	if back.Claims["feePaid"] != cert.Claims["feePaid"] {
-		t.Fatal("claims lost in round trip")
+	if !reflect.DeepEqual(back.Claims, cert.Claims) {
+		t.Fatalf("claims %v after the round trip, want %v", back.Claims, cert.Claims)
 	}
-	if _, err := DecodeCertificate([]byte("{not json")); err == nil {
-		t.Fatal("DecodeCertificate accepted garbage")
+	if again := back.Encode(); !bytes.Equal(again, data) {
+		t.Fatalf("re-encoding differs:\n got %x\nwant %x", again, data)
+	}
+}
+
+// TestCertificateDecodeRefusesOtherSpellings: a certificate has one
+// encoding, so every other spelling of the same fields fails the decode.
+func TestCertificateDecodeRefusesOtherSpellings(t *testing.T) {
+	_, subject, _ := issueTestCert(t)
+	// Claims written as given, not sorted: the decoder must check order.
+	spell := func(claims ...string) []byte {
+		c := Certificate{Serial: 7, Subject: subject.Address(), SubjectKey: subject.PublicBytes(),
+			NotBefore: testEpoch, NotAfter: testEpoch.Add(time.Hour), Signature: []byte{0x30, 1, 2}}
+		b := append([]byte{tagCertificate}, store.AppendUvarint(nil, c.Serial)...)
+		b = append(b, c.Subject[:]...)
+		b = store.AppendBytes(b, c.SubjectKey)
+		b = store.AppendUvarint(b, uint64(len(claims)/2))
+		for _, s := range claims {
+			b = store.AppendString(b, s)
+		}
+		b = store.AppendUTC(store.AppendUTC(b, c.NotBefore), c.NotAfter)
+		b = append(b, c.Issuer[:]...)
+		return store.AppendBytes(b, c.Signature)
+	}
+	if _, err := DecodeCertificate(spell("a", "1", "b", "2")); err != nil {
+		t.Fatalf("sorted claims refused: %v", err)
+	}
+	local := spell("a", "1")
+	at := bytes.Index(local, store.AppendUTC(nil, testEpoch))
+	zoned, err := testEpoch.In(time.FixedZone("CEST", 2*3600)).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	zoned = append(append(append(local[:at:at], byte(len(zoned))), zoned...), local[at+16:]...)
+	for name, b := range map[string][]byte{
+		"JSON":               []byte(`{"serial":1}`),
+		"empty":              nil,
+		"unsorted claims":    spell("b", "2", "a", "1"),
+		"repeated claim key": spell("a", "1", "a", "2"),
+		"zoned time":         zoned,
+		"trailing byte":      append(spell("a", "1"), 0),
+		"truncated":          local[:len(local)-1],
+	} {
+		if _, err := DecodeCertificate(b); !errors.Is(err, store.ErrCodec) {
+			t.Errorf("%s: err = %v, want store.ErrCodec", name, err)
+		}
 	}
 }
 
@@ -177,4 +222,39 @@ func TestAuthorityIssueCopiesClaims(t *testing.T) {
 	if cert.Claims["k"] != "v" {
 		t.Fatal("Issue did not copy the claims map")
 	}
+}
+
+// FuzzCertificateDecode: DecodeCertificate never panics, and what it
+// accepts is Encode's output, byte for byte, so a certificate has one
+// encoding.
+func FuzzCertificateDecode(f *testing.F) {
+	ca, err := NewAuthority("market")
+	if err != nil {
+		f.Fatal(err)
+	}
+	subject := MustGenerateKey()
+	for _, claims := range []map[string]string{
+		nil,
+		{"feePaid": "https://bob.pod/medical/ds1"},
+		{"measurement": "00ff", "plan": "basic", "": ""},
+	} {
+		cert, err := ca.Issue(subject, claims, testEpoch, testEpoch.Add(time.Hour))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(cert.Encode())
+	}
+	for _, c := range vecCertificates() {
+		f.Add(c.Encode())
+	}
+	f.Add([]byte(`{"serial":1}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := DecodeCertificate(data)
+		if err != nil {
+			return
+		}
+		if again := c.Encode(); !bytes.Equal(again, data) {
+			t.Fatalf("accepted %x, re-encodes to %x", data, again)
+		}
+	})
 }

@@ -2,6 +2,7 @@ package cryptoutil
 
 import (
 	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"sort"
 	"strings"
@@ -12,7 +13,8 @@ import (
 // Frozen vectors for the two canonical forms this package owns, printed
 // by the implementations of commit d71331e (fmt-built certificate
 // encoding, unpooled HashOf). The ref* functions are those
-// implementations, kept here only.
+// implementations, kept here only. TestFrozenCertificateWire pins the
+// certificate's codec encoding, which no signature covers.
 
 func refCertSigningBytes(c *Certificate) []byte {
 	var b strings.Builder
@@ -76,6 +78,24 @@ func TestFrozenCertificateEncoding(t *testing.T) {
 	for i, c := range vecCertificates() {
 		if got := string(c.SigningBytes()); got != want[i] {
 			t.Errorf("certificate %d signing bytes:\n got %q\nwant %q", i, got, want[i])
+		}
+	}
+}
+
+// TestFrozenCertificateWire pins Encode, the form headers and
+// registerDevice carry, for the same two certificates; the first carries
+// an 8-byte stand-in signature.
+func TestFrozenCertificateWire(t *testing.T) {
+	want := []string{
+		"3103303132333435363738393a3b3c3d3e3f40414243040401020305000008636f6e74726f6c01107fff20696e76616c6964207574662d3807666565506169642168747470733a2f2f616c6963652e6578616d706c652f646174612f68722e74746c076dc3bc6c6c65721273747261c39f6520e2809420e69db1e4baac0771756f746522641f74616209686572652c206e65776c696e650a2c206261636b736c617368205c0f010000000edcb5398000000000ffff0f010000000edcb54790000003e7ffffa0a1a2a3a4a5a6a7a8a9aaabacadaeafb0b1b2b3083006020101020102",
+		"31ffffffffffffffffff01000000000000000000000000000000000000000000000f01000000000000000000000000ffff0f01000000000000000000000000ffff000000000000000000000000000000000000000000",
+	}
+	for i, c := range vecCertificates() {
+		if i == 0 {
+			c.Signature = []byte{0x30, 0x06, 0x02, 0x01, 0x01, 0x02, 0x01, 0x02}
+		}
+		if got := hex.EncodeToString(c.Encode()); got != want[i] {
+			t.Errorf("certificate %d encoding:\n got %s\nwant %s", i, got, want[i])
 		}
 	}
 }

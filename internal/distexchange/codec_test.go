@@ -501,10 +501,7 @@ func TestGasIndependentOfBlockTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	certRaw, err := cert.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	certRaw := cert.Encode()
 	ev := Evidence{
 		ResourceIRI: iri, Device: device.Address(), Round: 1, PolicyVersion: 2, StillStored: true,
 		RetrievedAt: t0, UseCount: 1, GeneratedAt: t0.Add(time.Minute),

@@ -126,11 +126,7 @@ func (f *fixture) deviceCert(measurement cryptoutil.Hash) []byte {
 	if err != nil {
 		f.t.Fatal(err)
 	}
-	raw, err := cert.Encode()
-	if err != nil {
-		f.t.Fatal(err)
-	}
-	return raw
+	return cert.Encode()
 }
 
 // registerAlicePodAndResource walks Fig. 2(1) + 2(2) for Alice.
@@ -381,7 +377,7 @@ func TestDeviceRegistration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw, _ := cert.Encode()
+		raw := cert.Encode()
 		if _, err := other.RegisterDevice(ctx, raw); err == nil {
 			t.Fatal("rogue certificate accepted")
 		}
@@ -401,7 +397,7 @@ func TestDeviceRegistration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw, _ := cert.Encode()
+		raw := cert.Encode()
 		if _, err := client.RegisterDevice(ctx, raw); err == nil {
 			t.Fatal("certificate without measurement accepted")
 		}
@@ -415,7 +411,7 @@ func TestDeviceRegistration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw, _ := cert.Encode()
+		raw := cert.Encode()
 		if _, err := client.RegisterDevice(ctx, raw); err == nil {
 			t.Fatal("expired certificate accepted")
 		}
@@ -878,7 +874,7 @@ func TestReportUnresponsiveEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	certRaw, _ := cert.Encode()
+	certRaw := cert.Encode()
 	if _, err := client2.RegisterDevice(ctx, certRaw); err != nil {
 		t.Fatal(err)
 	}

@@ -90,10 +90,7 @@ func newListWorld(t *testing.T) *listWorld {
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw, err := cert.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
+		raw := cert.Encode()
 		w.must(key, "registerDevice", RegisterDeviceArgs{Certificate: raw})
 	}
 	hold := func(key *cryptoutil.KeyPair) {
@@ -381,10 +378,7 @@ func TestEvidenceListSplitsAtTheGasLimit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw, err := cert.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
+		raw := cert.Encode()
 		if _, err := device.RegisterDevice(ctx, raw); err != nil {
 			t.Fatal(err)
 		}

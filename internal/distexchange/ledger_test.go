@@ -30,10 +30,7 @@ func (f *fixture) addHolder(iri string) holder {
 	if err != nil {
 		f.t.Fatal(err)
 	}
-	raw, err := cert.Encode()
-	if err != nil {
-		f.t.Fatal(err)
-	}
+	raw := cert.Encode()
 	if _, err := h.client.RegisterDevice(ctx, raw); err != nil {
 		f.t.Fatal(err)
 	}

@@ -59,10 +59,7 @@ func TestEvidenceUnderReplacedDeviceKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	certRaw, err := cert.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	certRaw := cert.Encode()
 	must(exec(device, "registerDevice", RegisterDeviceArgs{Certificate: certRaw}))
 	must(exec(alice, "recordGrant", RecordGrantArgs{
 		ResourceIRI: iri, Consumer: device.Address(), Device: device.Address(), Purpose: policy.PurposeWebAnalytics,

@@ -119,8 +119,9 @@
 //
 // A policy is policy.AppendRecord's encoding. As with records, every value
 // has exactly one encoding, so calldata gas follows from the workload —
-// except where a field is itself variable-length data: the certificate,
-// which cryptoutil encodes as JSON, and the ASN.1 evidence signature.
+// except for the ASN.1 signatures, whose length varies by a byte or two:
+// the manufacturer's that ends the certificate (cryptoutil's one encoding
+// of it) and the device's on each evidence.
 //
 // # Signature checks
 //

@@ -140,7 +140,7 @@ func newPullInEnvWith(t *testing.T, devices, senderQuota int, reg *obs.Registry)
 		if err != nil {
 			t.Fatal(err)
 		}
-		certRaw, _ := cert.Encode()
+		certRaw := cert.Encode()
 		if _, err := device.RegisterDevice(ctx, certRaw); err != nil {
 			t.Fatal(err)
 		}

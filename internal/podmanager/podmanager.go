@@ -10,7 +10,6 @@ package podmanager
 import (
 	"context"
 	"encoding/base64"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -30,16 +29,19 @@ import (
 	"repro/internal/tee"
 )
 
-// HeaderMarketCertificate carries the base64-encoded JSON payment
-// certificate on resource-access requests (Fig. 2(4)).
+// HeaderMarketCertificate carries the payment certificate on
+// resource-access requests (Fig. 2(4)): its encoding
+// (cryptoutil.Certificate.Encode), base64.
 const HeaderMarketCertificate = "X-Market-Certificate"
 
-// HeaderTEEQuote carries a base64-encoded JSON attestation quote proving
-// the request originates from a trusted application. The quote's nonce
-// must equal the request's X-Date header, binding it to this request and
-// inheriting the server's freshness window. This realizes the paper's
-// rule that "Solid client requests are generated by Trusted Applications"
-// (Section III-C).
+// HeaderTEEQuote carries an attestation quote proving the request
+// originates from a trusted application: its encoding (tee.Quote.Encode),
+// base64. The quote's nonce must equal the request's X-Signature header,
+// the agent's signature over method, path, date and request nonce. That
+// binds the quote to this one request of this one agent, and it inherits
+// the server's freshness window and replay guard. This realizes the
+// paper's rule that "Solid client requests are generated by Trusted
+// Applications" (Section III-C).
 const HeaderTEEQuote = "X-TEE-Quote"
 
 // TEERequirement pins the attestation root a pod manager accepts for
@@ -443,8 +445,9 @@ func (m *Manager) accessHook(r *http.Request, agent solid.WebID, path string, mo
 var ErrAttestation = errors.New("podmanager: attestation rejected")
 
 // checkAttestation verifies the request's TEE quote: manufacturer chain,
-// optional measurement pin, and nonce binding to the request's date
-// header (whose freshness the Solid server already enforces).
+// optional measurement pin, and nonce binding to the request's signature
+// header (which the Solid server has already verified against the agent's
+// key, for a fresh date and an unused request nonce).
 func (m *Manager) checkAttestation(r *http.Request) error {
 	quoteB64 := r.Header.Get(HeaderTEEQuote)
 	if quoteB64 == "" {
@@ -454,38 +457,35 @@ func (m *Manager) checkAttestation(r *http.Request) error {
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrAttestation, err)
 	}
-	var quote tee.Quote
-	if err := json.Unmarshal(raw, &quote); err != nil {
+	quote, err := tee.DecodeQuote(raw)
+	if err != nil {
 		return fmt.Errorf("%w: %v", ErrAttestation, err)
 	}
-	nonce := []byte(r.Header.Get(solid.HeaderDate))
-	if len(nonce) == 0 {
-		return fmt.Errorf("%w: request has no date header to bind the quote to", ErrAttestation)
+	nonce := r.Header.Get(solid.HeaderSignature)
+	if nonce == "" {
+		return fmt.Errorf("%w: request has no signature to bind the quote to", ErrAttestation)
 	}
-	if _, err := tee.VerifyQuote(&quote, m.tee.CAKey, nonce, m.tee.Measurement, m.clock.Now()); err != nil {
+	if _, err := tee.VerifyQuote(quote, m.tee.CAKey, []byte(nonce), m.tee.Measurement, m.clock.Now()); err != nil {
 		return fmt.Errorf("%w: %v", ErrAttestation, err)
 	}
 	return nil
 }
 
 // AttachTEEQuote returns a request decorator that attests the request:
-// the device signs a quote over the request's date header. Compose with
-// AttachCertificate via Decorators.
+// the device signs a quote over the request's signature header. Compose
+// with AttachCertificate via Decorators, which solid.Client runs after it
+// signs.
 func AttachTEEQuote(device *tee.Device) func(*http.Request) {
 	return func(r *http.Request) {
-		nonce := []byte(r.Header.Get(solid.HeaderDate))
-		if len(nonce) == 0 {
+		nonce := r.Header.Get(solid.HeaderSignature)
+		if nonce == "" {
 			return // anonymous request; the server will reject if required
 		}
-		quote, err := device.Attest(nonce)
+		quote, err := device.Attest([]byte(nonce))
 		if err != nil {
 			return
 		}
-		raw, err := json.Marshal(quote)
-		if err != nil {
-			return
-		}
-		r.Header.Set(HeaderTEEQuote, base64.StdEncoding.EncodeToString(raw))
+		r.Header.Set(HeaderTEEQuote, base64.StdEncoding.EncodeToString(quote.Encode()))
 	}
 }
 
@@ -501,13 +501,12 @@ func Decorators(fns ...func(*http.Request)) func(*http.Request) {
 }
 
 // AttachCertificate returns a solid.Client decorator that presents a
-// payment certificate on every request.
+// payment certificate on every request. It refuses a nil certificate.
 func AttachCertificate(cert *cryptoutil.Certificate) (func(*http.Request), error) {
-	raw, err := cert.Encode()
-	if err != nil {
-		return nil, err
+	if cert == nil {
+		return nil, errors.New("podmanager: no certificate to attach")
 	}
-	encoded := base64.StdEncoding.EncodeToString(raw)
+	encoded := base64.StdEncoding.EncodeToString(cert.Encode())
 	return func(r *http.Request) {
 		r.Header.Set(HeaderMarketCertificate, encoded)
 	}, nil

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/hex"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/policy"
 	"repro/internal/simclock"
 	"repro/internal/solid"
+	"repro/internal/tee"
 )
 
 var t0 = time.Date(2023, 10, 9, 0, 0, 0, 0, time.UTC)
@@ -25,7 +27,7 @@ var t0 = time.Date(2023, 10, 9, 0, 0, 0, 0, time.UTC)
 // env is a full pod-manager test environment: chain + DE App + market +
 // HTTP server + a consumer with keys and a registered device identity.
 type env struct {
-	t       *testing.T
+	t       testing.TB
 	clk     *simclock.Sim
 	node    *chain.Node
 	deAddr  cryptoutil.Address
@@ -83,7 +85,7 @@ func (b autoSeal) Query(c cryptoutil.Address, method string, args []byte) ([]byt
 }
 func (b autoSeal) NonceFor(a cryptoutil.Address) uint64 { return b.node.NonceFor(a) }
 
-func newEnv(t *testing.T) *env {
+func newEnv(t testing.TB) *env {
 	t.Helper()
 	clk := simclock.NewSim(t0)
 
@@ -142,10 +144,7 @@ func newEnv(t *testing.T) *env {
 	if err != nil {
 		t.Fatal(err)
 	}
-	certRaw, err := cert.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	certRaw := cert.Encode()
 
 	return &env{
 		t: t, clk: clk, node: node, deAddr: deAddr, mkt: mkt, dir: dir,
@@ -536,5 +535,71 @@ func TestWaitForRoundClosureWokenByEvidence(t *testing.T) {
 	// One read if the evidence beat the subscription, else two.
 	if n := roundReads() - before; n < 1 || n > 2 {
 		t.Errorf("answered round read %d times, want 1 or 2", n)
+	}
+}
+
+// BenchmarkAccessHook times the pod manager's check of a consumer's paid
+// GET on a published resource (Fig. 2(4)) without the HTTP round trip:
+// the payment certificate alone, and the certificate with a TEE quote.
+// The same request repeats, so the certificate's signature is a
+// verified-signature table hit after the first iteration; the quote's
+// signature is checked every time.
+func BenchmarkAccessHook(b *testing.B) {
+	e := newEnv(b)
+	iri := e.publish(browsingPolicy())
+	e.registerDevice()
+	const path = "/web/browsing.csv"
+	if err := e.mgr.GrantAccess(context.Background(), bobWebID, e.bobKey.Address(), e.devKey.Address(),
+		path, policy.PurposeWebAnalytics); err != nil {
+		b.Fatal(err)
+	}
+	if err := e.mkt.Register(string(bobWebID), "bob@example.org", e.bobKey.Address(), e.bobKey.PublicBytes()); err != nil {
+		b.Fatal(err)
+	}
+	if err := e.mkt.Subscribe(string(bobWebID), market.PlanBasic); err != nil {
+		b.Fatal(err)
+	}
+	cert, err := e.mkt.PayFee(string(bobWebID), iri)
+	if err != nil {
+		b.Fatal(err)
+	}
+	withCert, err := AttachCertificate(cert)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mfr, err := tee.NewManufacturer("tee-vendor")
+	if err != nil {
+		b.Fatal(err)
+	}
+	dev, err := mfr.Provision(tee.MeasurementOf("bench-app"), t0, t0.Add(365*24*time.Hour))
+	if err != nil {
+		b.Fatal(err)
+	}
+
+	for _, c := range []struct {
+		name     string
+		tee      *TEERequirement
+		decorate func(*http.Request)
+	}{
+		{"certificate", nil, withCert},
+		{"certificate+quote", &TEERequirement{CAKey: mfr.CAPublicBytes()}, Decorators(withCert, AttachTEEQuote(dev))},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			e.mgr.tee = c.tee
+			// One served GET signs the request; the loop re-checks it.
+			var req *http.Request
+			bob := solid.NewClient(bobWebID, e.bobKey, e.clk)
+			bob.Decorate = Decorators(c.decorate, func(r *http.Request) { req = r })
+			if _, _, err := bob.Get(e.srv.URL + path); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				if err := e.mgr.accessHook(req, bobWebID, path, solid.ModeRead); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -3,12 +3,14 @@ package tee
 import (
 	"crypto/rand"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"io"
 	"time"
 
 	"repro/internal/cryptoutil"
+	"repro/internal/store"
 )
 
 // Measurement identifies the code of a trusted application, as a hash.
@@ -57,7 +59,7 @@ func (m *Manufacturer) Provision(measurement Measurement, notBefore, notAfter ti
 	if err != nil {
 		return nil, err
 	}
-	store, err := NewSealedStore(secret, measurement)
+	sealed, err := NewSealedStore(secret, measurement)
 	if err != nil {
 		return nil, err
 	}
@@ -65,8 +67,8 @@ func (m *Manufacturer) Provision(measurement Measurement, notBefore, notAfter ti
 		key:         key,
 		secret:      secret,
 		measurement: measurement,
-		cert:        cert,
-		store:       store,
+		cert:        cert.Encode(),
+		store:       sealed,
 	}, nil
 }
 
@@ -75,7 +77,7 @@ type Device struct {
 	key         *cryptoutil.KeyPair
 	secret      []byte
 	measurement Measurement
-	cert        *cryptoutil.Certificate
+	cert        []byte // the manufacturer certificate's encoding, made once at Provision
 	store       *SealedStore
 }
 
@@ -87,23 +89,57 @@ func (d *Device) Address() cryptoutil.Address { return d.key.Address() }
 // identity).
 func (d *Device) Key() *cryptoutil.KeyPair { return d.key }
 
-// CertificateBytes returns the JSON-encoded manufacturer certificate used
-// for on-chain device registration.
-func (d *Device) CertificateBytes() ([]byte, error) { return d.cert.Encode() }
+// CertificateBytes returns the manufacturer certificate's encoding
+// (cryptoutil.Certificate.Encode), the argument of on-chain device
+// registration. The slice is the device's own: callers must not modify it.
+func (d *Device) CertificateBytes() []byte { return d.cert }
 
 // Quote is a remote attestation statement: the device signs a verifier
 // nonce together with its measurement.
 type Quote struct {
 	// Measurement is the attested application code hash.
-	Measurement Measurement `json:"measurement"`
+	Measurement Measurement
 	// Nonce is the verifier-supplied freshness challenge.
-	Nonce []byte `json:"nonce"`
+	Nonce []byte
 	// DeviceKey is the quoting device's public key.
-	DeviceKey []byte `json:"deviceKey"`
+	DeviceKey []byte
+	// Certificate is the manufacturer certificate for DeviceKey, in its
+	// encoding (cryptoutil.Certificate.Encode).
+	Certificate []byte
 	// Signature is the device signature over the quote body.
-	Signature []byte `json:"signature"`
-	// Certificate is the JSON manufacturer certificate for DeviceKey.
-	Certificate []byte `json:"certificate"`
+	Signature []byte
+}
+
+// tagQuote opens a quote's encoding.
+const tagQuote byte = 0x32
+
+// Encode returns the quote's one byte form, in store's codec: the tag,
+// the measurement (32 raw bytes), Nonce, DeviceKey, Certificate, and the
+// signature last. The signature covers quoteSigningBytes, not these bytes.
+func (q *Quote) Encode() []byte {
+	b := make([]byte, 0, 1+len(q.Measurement)+4*binary.MaxVarintLen32+len(q.Nonce)+len(q.DeviceKey)+len(q.Certificate)+len(q.Signature))
+	b = append(append(b, tagQuote), q.Measurement[:]...)
+	b = store.AppendBytes(b, q.Nonce)
+	b = store.AppendBytes(b, q.DeviceKey)
+	b = store.AppendBytes(b, q.Certificate)
+	return store.AppendBytes(b, q.Signature)
+}
+
+// DecodeQuote parses a quote's encoding (Quote.Encode), refusing trailing
+// bytes. The certificate stays encoded; VerifyQuote decodes it.
+func DecodeQuote(data []byte) (*Quote, error) {
+	d := store.NewDec(data)
+	d.Tag(tagQuote)
+	q := &Quote{}
+	d.Raw(q.Measurement[:])
+	q.Nonce = d.Bytes()
+	q.DeviceKey = d.Bytes()
+	q.Certificate = d.Bytes()
+	q.Signature = d.Bytes()
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("tee: decode quote: %w", err)
+	}
+	return q, nil
 }
 
 func quoteSigningBytes(measurement Measurement, nonce, deviceKey []byte) []byte {
@@ -115,13 +151,10 @@ func quoteSigningBytes(measurement Measurement, nonce, deviceKey []byte) []byte 
 	return h.Sum(nil)
 }
 
-// Attest produces a quote over the verifier's nonce.
+// Attest produces a quote over the verifier's nonce. The quote's
+// Certificate is the device's own encoding (CertificateBytes), not a copy.
 func (d *Device) Attest(nonce []byte) (*Quote, error) {
 	sig, err := d.key.Sign(quoteSigningBytes(d.measurement, nonce, d.key.PublicBytes()))
-	if err != nil {
-		return nil, err
-	}
-	certRaw, err := d.cert.Encode()
 	if err != nil {
 		return nil, err
 	}
@@ -129,8 +162,8 @@ func (d *Device) Attest(nonce []byte) (*Quote, error) {
 		Measurement: d.measurement,
 		Nonce:       append([]byte(nil), nonce...),
 		DeviceKey:   d.key.PublicBytes(),
+		Certificate: d.cert,
 		Signature:   sig,
-		Certificate: certRaw,
 	}, nil
 }
 

@@ -1,8 +1,11 @@
 package tee
 
 import (
+	"bytes"
 	"testing"
 	"time"
+
+	"repro/internal/cryptoutil"
 )
 
 var teeEpoch = time.Date(2023, 10, 9, 0, 0, 0, 0, time.UTC)
@@ -95,7 +98,37 @@ func TestDeviceIdentities(t *testing.T) {
 	if d1.measurement != MeasurementOf("trusted-app-v1") {
 		t.Fatal("measurement mismatch")
 	}
-	if _, err := d1.CertificateBytes(); err != nil {
+	if _, err := cryptoutil.DecodeCertificate(d1.CertificateBytes()); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzQuoteDecode: DecodeQuote never panics, and what it accepts is
+// Quote.Encode's output, byte for byte, so a quote has one encoding.
+func FuzzQuoteDecode(f *testing.F) {
+	m, err := NewManufacturer("acme-tee")
+	if err != nil {
+		f.Fatal(err)
+	}
+	dev, err := m.Provision(MeasurementOf("trusted-app-v1"), teeEpoch, teeEpoch.Add(time.Hour))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, nonce := range []string{"", "nonce-A", "MEUCIQDx3m1v2dWk3q0tPb9rKq3RrJH8p6Ue1m3pXG8tHq4u1wIgXh6V2tE0o9S3xPnqYy1m5Vx7XyQ1bH2c6p6o5Yb7J3s="} {
+		q, err := dev.Attest([]byte(nonce))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(q.Encode())
+	}
+	f.Add((&Quote{}).Encode())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		q, err := DecodeQuote(data)
+		if err != nil {
+			return
+		}
+		if again := q.Encode(); !bytes.Equal(again, data) {
+			t.Fatalf("accepted %x, re-encodes to %x", data, again)
+		}
+	})
 }
