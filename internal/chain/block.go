@@ -32,7 +32,7 @@ type Header struct {
 func (h *Header) SigningBytes() []byte {
 	// "header|", six separators, two 20-byte integers, the 42-byte
 	// proposer and four 66-byte hashes.
-	return make(cryptoutil.Enc, 0, 359).Str("header|").Uint(h.Number).Sep().Hex0x(h.ParentHash[:]).Sep().
+	return make(textEnc, 0, 359).Str("header|").Uint(h.Number).Sep().Hex0x(h.ParentHash[:]).Sep().
 		Int(h.Time.UnixNano()).Sep().Hex0x(h.Proposer[:]).Sep().Hex0x(h.TxRoot[:]).Sep().
 		Hex0x(h.ReceiptRoot[:]).Sep().Hex0x(h.StateRoot[:])
 }

@@ -186,6 +186,38 @@ func TestRecoveryCleanClose(t *testing.T) {
 	}
 }
 
+// TestLocalZoneWALRecovers: de-node stamps headers, and the WAL meta its
+// genesis time, from the wall clock, whose times carry the Local zone
+// rather than UTC. A data dir written so must reopen whole: a codec that
+// refused those times would find a CRC-valid record it cannot decode and
+// truncate the log from it. CI runs this under a non-UTC TZ too.
+func TestLocalZoneWALRecovers(t *testing.T) {
+	dir := t.TempDir()
+	key := cryptoutil.MustGenerateKey()
+	clk := simclock.NewSim(chainEpoch.In(time.Local))
+	cfg := durableConfig(dir, key, clk)
+	cfg.GenesisTime = chainEpoch.In(time.Local)
+	n, err := OpenNode(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 3 {
+		sealSet(t, n, key, clk, uint64(i), fmt.Sprintf("k%d", i), "v")
+	}
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
+	}
+	n2, err := OpenNode(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n2.Close()
+	if n2.Height() != 3 {
+		t.Fatalf("recovered height = %d, want 3", n2.Height())
+	}
+	requireEquivalent(t, n2, n, key.Address())
+}
+
 // TestRecoveryCrashAfterSync: the crash-after-fsync leg — Crash abandons
 // the WAL without the final flush; nothing acknowledged is lost.
 func TestRecoveryCrashAfterSync(t *testing.T) {

@@ -39,7 +39,7 @@ type Tx struct {
 func (tx *Tx) SigningBytes() []byte {
 	// "tx|", seven separators, three 20-byte integers, two 42-byte addresses.
 	size := 154 + 2*len(tx.SenderKey) + len(tx.Method) + 2*len(tx.Args)
-	return make(cryptoutil.Enc, 0, size).Str("tx|").Uint(tx.Nonce).Sep().Hex0x(tx.From[:]).Sep().
+	return make(textEnc, 0, size).Str("tx|").Uint(tx.Nonce).Sep().Hex0x(tx.From[:]).Sep().
 		Hex(tx.SenderKey).Sep().Hex0x(tx.Contract[:]).Sep().Str(tx.Method).Sep().
 		Hex(tx.Args).Sep().Uint(tx.GasLimit).Sep().Uint(tx.GasPrice)
 }
@@ -188,7 +188,7 @@ func (r *Receipt) Digest() cryptoutil.Hash {
 		// Five separators and ';', two 20-byte integers, the 42-byte address.
 		size += 88 + len(ev.Topic) + len(ev.Key) + 2*len(ev.Data)
 	}
-	e := make(cryptoutil.Enc, 0, size).Str("receipt|").Hex0x(r.TxHash[:]).Sep().Int(int64(r.Status)).Sep().
+	e := make(textEnc, 0, size).Str("receipt|").Hex0x(r.TxHash[:]).Sep().Int(int64(r.Status)).Sep().
 		Uint(r.GasUsed).Sep().Str(r.Err).Sep().Uint(r.BlockNumber).Sep().Hex(r.Return).Sep()
 	for i := range r.Events {
 		ev := &r.Events[i]

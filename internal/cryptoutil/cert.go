@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -38,37 +37,29 @@ type Certificate struct {
 	Signature []byte
 }
 
-// SigningBytes returns the deterministic byte encoding that the issuer
-// signs: every field except the signature, with claims in sorted key order.
-func (c *Certificate) SigningBytes() []byte {
-	keys := make([]string, 0, len(c.Claims))
-	size := 160 + 2*len(c.SubjectKey) // "cert|", six separators, three 20-byte integers, two 42-byte addresses
-	for k, v := range c.Claims {
-		keys = append(keys, k)
-		size += len(k) + len(v) + 6 // two pairs of quotes, '=' and ';'; an escape grows the buffer
-	}
-	sort.Strings(keys)
-	e := make(Enc, 0, size).Str("cert|").Uint(c.Serial).Sep().Hex0x(c.Subject[:]).Sep().Hex(c.SubjectKey).Sep().
-		Int(c.NotBefore.UnixNano()).Sep().Int(c.NotAfter.UnixNano()).Sep().Hex0x(c.Issuer[:]).Sep()
-	for _, k := range keys {
-		e = e.Quote(k).Str("=").Quote(c.Claims[k]).Str(";")
-	}
-	return e
-}
-
 // tagCertificate opens a certificate's encoding.
 const tagCertificate byte = 0x31
+
+// SigningBytes returns the bytes the issuer signs: the certificate's
+// encoding (Encode) up to, and without, its trailing signature.
+func (c *Certificate) SigningBytes() []byte { return c.appendBody(0) }
 
 // Encode returns the certificate's one byte form, in store's codec: the
 // tag, Serial, Subject (20 raw bytes), SubjectKey, the claims as a count
 // and key/value strings in ascending key order, NotBefore and NotAfter in
 // store.AppendUTC's form, Issuer (20 raw bytes), and the signature last.
-// It is what an HTTP header and registerDevice carry; the signature
-// covers SigningBytes, not these bytes.
+// It is what an HTTP header and registerDevice carry; the signature covers
+// all of it but the signature (SigningBytes).
 func (c *Certificate) Encode() []byte {
+	return store.AppendBytes(c.appendBody(10+len(c.Signature)), c.Signature)
+}
+
+// appendBody returns the encoding without the signature, in a buffer with
+// room for extra more bytes.
+func (c *Certificate) appendBody(extra int) []byte {
 	var buf [2]string // room for a market or device certificate's claims, off the heap
 	keys := buf[:0]
-	size := 1 + 10 + len(c.Subject) + 10 + len(c.SubjectKey) + 10 + 2*16 + len(c.Issuer) + 10 + len(c.Signature)
+	size := 1 + 10 + len(c.Subject) + 10 + len(c.SubjectKey) + 10 + 2*16 + len(c.Issuer) + extra
 	for k, v := range c.Claims {
 		keys = append(keys, k)
 		size += 20 + len(k) + len(v)
@@ -84,8 +75,7 @@ func (c *Certificate) Encode() []byte {
 	}
 	b = store.AppendUTC(b, c.NotBefore)
 	b = store.AppendUTC(b, c.NotAfter)
-	b = append(b, c.Issuer[:]...)
-	return store.AppendBytes(b, c.Signature)
+	return append(b, c.Issuer[:]...)
 }
 
 // DecodeCertificate parses a certificate's encoding (Encode). It accepts

@@ -6,6 +6,15 @@
 // Everything is built on the Go standard library (crypto/ecdsa,
 // crypto/sha256, crypto/x509 for key encoding).
 //
+// # What a signature covers
+//
+// A signed object's signature covers its own encoding up to the signature
+// (Certificate.SigningBytes; tee.Quote and distexchange.Evidence alike),
+// and that encoding opens with a byte no other signed form opens with:
+// one device key signs transactions, quotes and evidence, so the first
+// byte is what keeps one from being taken for another. Core's
+// TestSigningFormsAreDomainSeparated lists every form and pins that.
+//
 // # Verify and VerifyCached
 //
 // There are two ways to check a signature, and which one a call site uses

@@ -3,34 +3,13 @@ package cryptoutil
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
-	"sort"
-	"strings"
 	"testing"
 	"time"
 )
 
-// Frozen vectors for the two canonical forms this package owns, printed
-// by the implementations of commit d71331e (fmt-built certificate
-// encoding, unpooled HashOf). The ref* functions are those
-// implementations, kept here only. TestFrozenCertificateWire pins the
-// certificate's codec encoding, which no signature covers.
-
-func refCertSigningBytes(c *Certificate) []byte {
-	var b strings.Builder
-	fmt.Fprintf(&b, "cert|%d|%s|%x|%d|%d|%s|",
-		c.Serial, c.Subject, c.SubjectKey,
-		c.NotBefore.UnixNano(), c.NotAfter.UnixNano(), c.Issuer)
-	keys := make([]string, 0, len(c.Claims))
-	for k := range c.Claims {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(&b, "%q=%q;", k, c.Claims[k])
-	}
-	return []byte(b.String())
-}
+// Frozen vectors for the certificate's two byte strings, SigningBytes and
+// Encode, and for HashOf. refHashOf is HashOf as commit d71331e had it
+// (unpooled), kept here only.
 
 func refHashOf(parts ...[]byte) Hash {
 	hsh := sha256.New()
@@ -66,18 +45,20 @@ func vecCertificates() []*Certificate {
 			NotBefore: time.Unix(1_696_809_600, 0).UTC(), NotAfter: time.Unix(1_696_813_200, 999).UTC(),
 			Issuer: vecAddr(0xa0),
 		},
-		{Serial: 1<<64 - 1}, // no claims, zero times: their UnixNano is negative
+		{Serial: 1<<64 - 1}, // no claims, zero times
 	}
 }
 
+// TestFrozenCertificateEncoding pins SigningBytes, what an issuer signs:
+// the encoding of TestFrozenCertificateWire without its signature.
 func TestFrozenCertificateEncoding(t *testing.T) {
 	want := []string{
-		"cert|3|0x303132333435363738393a3b3c3d3e3f40414243|04010203|1696809600000000000|1696813200000000999|0xa0a1a2a3a4a5a6a7a8a9aaabacadaeafb0b1b2b3|\"\"=\"\";\"control\\x01\"=\"\\x7f\\xff invalid utf-8\";\"feePaid\"=\"https://alice.example/data/hr.ttl\";\"müller\"=\"straße — 東京\";\"quote\\\"d\"=\"tab\\there, newline\\n, backslash \\\\\";",
-		"cert|18446744073709551615|0x0000000000000000000000000000000000000000||-6795364578871345152|-6795364578871345152|0x0000000000000000000000000000000000000000|",
+		"3103303132333435363738393a3b3c3d3e3f40414243040401020305000008636f6e74726f6c01107fff20696e76616c6964207574662d3807666565506169642168747470733a2f2f616c6963652e6578616d706c652f646174612f68722e74746c076dc3bc6c6c65721273747261c39f6520e2809420e69db1e4baac0771756f746522641f74616209686572652c206e65776c696e650a2c206261636b736c617368205c0f010000000edcb5398000000000ffff0f010000000edcb54790000003e7ffffa0a1a2a3a4a5a6a7a8a9aaabacadaeafb0b1b2b3",
+		"31ffffffffffffffffff01000000000000000000000000000000000000000000000f01000000000000000000000000ffff0f01000000000000000000000000ffff0000000000000000000000000000000000000000",
 	}
 	for i, c := range vecCertificates() {
-		if got := string(c.SigningBytes()); got != want[i] {
-			t.Errorf("certificate %d signing bytes:\n got %q\nwant %q", i, got, want[i])
+		if got := hex.EncodeToString(c.SigningBytes()); got != want[i] {
+			t.Errorf("certificate %d signing bytes:\n got %s\nwant %s", i, got, want[i])
 		}
 	}
 }

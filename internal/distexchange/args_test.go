@@ -149,7 +149,9 @@ func argCodecs() []argCodec {
 // TestArgsCodecRoundTrip is the round-trip property of every method's
 // arguments over their vectors and 300 drawn values: decode∘encode is the
 // identity on values and encode∘decode on encodings, and neither a proper
-// prefix of an encoding nor one with a trailing byte decodes.
+// prefix of an encoding nor one with a trailing byte decodes. A
+// submitEvidence item also carries, before its signature, exactly the
+// bytes that signature covers, less their tag.
 func TestArgsCodecRoundTrip(t *testing.T) {
 	for i, c := range argCodecs() {
 		t.Run(c.method, func(t *testing.T) {
@@ -169,6 +171,21 @@ func TestArgsCodecRoundTrip(t *testing.T) {
 				}
 				if again := back.AppendArgs(nil); !bytes.Equal(again, enc) {
 					t.Fatalf("case %d: re-encoding differs:\n got %x\nwant %x", j, again, enc)
+				}
+				if a, ok := v.(SubmitEvidenceArgs); ok {
+					// Each item is what its device signed, less tagEvidence,
+					// then the signature.
+					signed := store.AppendUvarint(nil, uint64(len(a.Signed)))
+					for _, s := range a.Signed {
+						sb := s.Evidence.SigningBytes()
+						if sb[0] != tagEvidence {
+							t.Fatalf("case %d: signing bytes open with %#x, want tagEvidence", j, sb[0])
+						}
+						signed = store.AppendBytes(append(signed, sb[1:]...), s.Signature)
+					}
+					if !bytes.Equal(signed, enc) {
+						t.Fatalf("case %d: the items' signing bytes\n %x\nare not the arguments\n %x", j, signed, enc)
+					}
 				}
 				if _, err := c.decode(append(enc[:len(enc):len(enc)], 0)); !isBadArgs(err) {
 					t.Fatalf("case %d: arguments with a trailing byte decoded (err %v)", j, err)

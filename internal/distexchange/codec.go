@@ -218,7 +218,9 @@ func decodeRoundProgress(d *store.Dec, p *roundProgress) {
 }
 
 // appendEvidence and decodeEvidence are the Evidence inside an
-// EvidenceRecord; evidence is not stored on its own, so it has no tag.
+// EvidenceRecord and a submitEvidence item. Evidence is not stored on its
+// own, so it has no tag; behind tagEvidence it is what a device signs
+// (Evidence.SigningBytes).
 func appendEvidence(dst []byte, e *Evidence) []byte {
 	dst = store.AppendString(dst, e.ResourceIRI)
 	dst = append(dst, e.Device[:]...)

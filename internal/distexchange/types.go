@@ -127,9 +127,14 @@
 //
 // The contract checks two signatures: the manufacturer's on a device
 // certificate (registerDevice) and the device's on each evidence of a list
-// (submitEvidence). Both are re-executed on the same bytes by every
-// validator, so both go through cryptoutil.VerifyCached, which answers a
-// repeat sighting from the process's table of verified signatures. That
+// (submitEvidence). Each covers its object's encoding up to the signature:
+// the certificate's (cryptoutil.Certificate.SigningBytes), and for
+// evidence tagEvidence followed by the bytes a submitEvidence item carries
+// before its signature (Evidence.SigningBytes). The tag keeps evidence
+// apart from what the same device key signs otherwise; no record is ever
+// signed. Both are re-executed on the same bytes by every validator, so
+// both go through cryptoutil.VerifyCached, which answers a repeat
+// sighting from the process's table of verified signatures. That
 // cannot change an outcome: a table hit means this process already ran
 // the ECDSA verification on exactly this key, message and signature and it
 // passed, and the contract decides everything else on every execution —
@@ -281,25 +286,12 @@ type Evidence struct {
 	GeneratedAt time.Time `json:"generatedAt"`
 }
 
-// SigningBytes returns the deterministic encoding signed by the device.
+// SigningBytes returns the bytes the device signs: tagEvidence, then the
+// evidence as a submitEvidence item and an EvidenceRecord carry it
+// (appendEvidence). The tag keeps them apart from the other forms the
+// device key signs (Tx, Quote).
 func (e *Evidence) SigningBytes() []byte {
-	// "evidence|", nine separators, six 20-byte integers, the 42-byte
-	// device and a boolean.
-	size := 185 + len(e.ResourceIRI)
-	for i := range e.Entries {
-		// A 20-byte integer, a boolean, three commas and ';'.
-		size += 29 + len(e.Entries[i].Action) + len(e.Entries[i].Purpose)
-	}
-	b := make(cryptoutil.Enc, 0, size).Str("evidence|").Str(e.ResourceIRI).Sep().Hex0x(e.Device[:]).Sep().
-		Uint(e.Round).Sep().Uint(e.PolicyVersion).Sep().Bool(e.StillStored).Sep().
-		Int(e.DeletedAt.UnixNano()).Sep().Int(e.RetrievedAt.UnixNano()).Sep().
-		Uint(e.UseCount).Sep().Int(e.GeneratedAt.UnixNano()).Sep()
-	for i := range e.Entries {
-		u := &e.Entries[i]
-		b = b.Int(u.At.UnixNano()).Str(",").Str(string(u.Action)).Str(",").Str(string(u.Purpose)).Str(",").
-			Bool(u.Allowed).Str(";")
-	}
-	return b
+	return appendEvidence(append(make([]byte, 0, evidenceRecordSize(e, 0)), tagEvidence), e)
 }
 
 // SignedEvidence bundles evidence with the device signature.

@@ -206,6 +206,30 @@ func TestPodRestartWithSnapshots(t *testing.T) {
 	}
 }
 
+// TestLocalZonePodRecovers: solid-server stamps a PUT's Modified from
+// the wall clock, whose times carry the Local zone rather than UTC. Op log
+// and snapshot alike must restore them: a codec that refused those times
+// would find a CRC-valid record it cannot decode and truncate from it. CI
+// runs this under a non-UTC TZ too.
+func TestLocalZonePodRecovers(t *testing.T) {
+	dir := t.TempDir()
+	p := openPodWithFloor(t, dir, 1)
+	at := persistEpoch.In(time.Local)
+	var paths []string
+	for i := range 5 {
+		path := fmt.Sprintf("/data/%d.txt", i)
+		paths = append(paths, path)
+		if err := p.Put(persistOwner, path, "text/plain", []byte{byte(i)}, at.Add(time.Duration(i)*time.Second)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if seqs, err := store.ListSnapshots(dir); err != nil || len(seqs) == 0 || seqs[0] >= 5 {
+		t.Fatalf("want a snapshot and an op-log tail, have snapshots %v (%v)", seqs, err)
+	}
+	p2 := restartPod(t, p, dir, PodStoreOptions{WAL: store.Options{Sync: store.SyncNever}})
+	requireSamePod(t, p2, p, paths...)
+}
+
 // TestPodSnapshotRule: the pod layer snapshots by the same rule as the
 // chain (store.SnapshotDue against the last snapshot's size). A pod that
 // grows by equal-size PUTs writes O(log N) snapshots; a pod rewritten in

@@ -2,7 +2,6 @@ package tee
 
 import (
 	"crypto/rand"
-	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
@@ -106,23 +105,33 @@ type Quote struct {
 	// Certificate is the manufacturer certificate for DeviceKey, in its
 	// encoding (cryptoutil.Certificate.Encode).
 	Certificate []byte
-	// Signature is the device signature over the quote body.
+	// Signature is the device signature over SigningBytes.
 	Signature []byte
 }
 
 // tagQuote opens a quote's encoding.
 const tagQuote byte = 0x32
 
+// SigningBytes returns the bytes the device signs: the quote's encoding
+// (Encode) up to, and without, its trailing signature. It covers the
+// certificate too, and the length prefixes keep the fields apart.
+func (q *Quote) SigningBytes() []byte { return q.appendBody(0) }
+
 // Encode returns the quote's one byte form, in store's codec: the tag,
 // the measurement (32 raw bytes), Nonce, DeviceKey, Certificate, and the
-// signature last. The signature covers quoteSigningBytes, not these bytes.
+// signature last, which covers all that precedes it (SigningBytes).
 func (q *Quote) Encode() []byte {
-	b := make([]byte, 0, 1+len(q.Measurement)+4*binary.MaxVarintLen32+len(q.Nonce)+len(q.DeviceKey)+len(q.Certificate)+len(q.Signature))
+	return store.AppendBytes(q.appendBody(binary.MaxVarintLen32+len(q.Signature)), q.Signature)
+}
+
+// appendBody returns the encoding without the signature, in a buffer with
+// room for extra more bytes.
+func (q *Quote) appendBody(extra int) []byte {
+	b := make([]byte, 0, 1+len(q.Measurement)+3*binary.MaxVarintLen32+len(q.Nonce)+len(q.DeviceKey)+len(q.Certificate)+extra)
 	b = append(append(b, tagQuote), q.Measurement[:]...)
 	b = store.AppendBytes(b, q.Nonce)
 	b = store.AppendBytes(b, q.DeviceKey)
-	b = store.AppendBytes(b, q.Certificate)
-	return store.AppendBytes(b, q.Signature)
+	return store.AppendBytes(b, q.Certificate)
 }
 
 // DecodeQuote parses a quote's encoding (Quote.Encode), refusing trailing
@@ -142,29 +151,21 @@ func DecodeQuote(data []byte) (*Quote, error) {
 	return q, nil
 }
 
-func quoteSigningBytes(measurement Measurement, nonce, deviceKey []byte) []byte {
-	h := sha256.New()
-	h.Write([]byte("quote|"))
-	h.Write(measurement[:])
-	h.Write(nonce)
-	h.Write(deviceKey)
-	return h.Sum(nil)
-}
-
 // Attest produces a quote over the verifier's nonce. The quote's
 // Certificate is the device's own encoding (CertificateBytes), not a copy.
 func (d *Device) Attest(nonce []byte) (*Quote, error) {
-	sig, err := d.key.Sign(quoteSigningBytes(d.measurement, nonce, d.key.PublicBytes()))
-	if err != nil {
-		return nil, err
-	}
-	return &Quote{
+	q := &Quote{
 		Measurement: d.measurement,
 		Nonce:       append([]byte(nil), nonce...),
 		DeviceKey:   d.key.PublicBytes(),
 		Certificate: d.cert,
-		Signature:   sig,
-	}, nil
+	}
+	sig, err := d.key.Sign(q.SigningBytes())
+	if err != nil {
+		return nil, err
+	}
+	q.Signature = sig
+	return q, nil
 }
 
 // VerifyQuote checks a quote against the pinned manufacturer CA, the
@@ -195,7 +196,7 @@ func VerifyQuote(q *Quote, caPub []byte, nonce []byte, expectMeasurement *Measur
 	if err != nil {
 		return cryptoutil.Address{}, err
 	}
-	if !cryptoutil.Verify(pub, quoteSigningBytes(q.Measurement, q.Nonce, q.DeviceKey), q.Signature) {
+	if !cryptoutil.Verify(pub, q.SigningBytes(), q.Signature) {
 		return cryptoutil.Address{}, fmt.Errorf("tee: quote signature invalid")
 	}
 	return cryptoutil.AddressOf(pub), nil

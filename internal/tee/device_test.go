@@ -2,10 +2,12 @@ package tee
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"time"
 
 	"repro/internal/cryptoutil"
+	"repro/internal/store"
 )
 
 var teeEpoch = time.Date(2023, 10, 9, 0, 0, 0, 0, time.UTC)
@@ -103,8 +105,38 @@ func TestDeviceIdentities(t *testing.T) {
 	}
 }
 
+// TestQuoteEncodeDecode: 1 000 seeded quotes round-trip, and what the
+// device signs is the encoding less its signature.
+func TestQuoteEncodeDecode(t *testing.T) {
+	r := rand.New(rand.NewSource(21))
+	blob := func(n int) []byte {
+		if r.Intn(4) == 0 {
+			return nil
+		}
+		b := make([]byte, r.Intn(n))
+		r.Read(b)
+		return b
+	}
+	for i := range 1000 {
+		q := &Quote{Nonce: blob(100), DeviceKey: blob(70), Certificate: blob(300), Signature: blob(72)}
+		r.Read(q.Measurement[:])
+		enc := q.Encode()
+		if got := store.AppendBytes(q.SigningBytes(), q.Signature); !bytes.Equal(got, enc) {
+			t.Fatalf("case %d: SigningBytes and signature\n %x\nare not the encoding\n %x", i, got, enc)
+		}
+		back, err := DecodeQuote(enc)
+		if err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
+		if again := back.Encode(); !bytes.Equal(again, enc) {
+			t.Fatalf("case %d: re-encoding differs:\n got %x\nwant %x", i, again, enc)
+		}
+	}
+}
+
 // FuzzQuoteDecode: DecodeQuote never panics, and what it accepts is
-// Quote.Encode's output, byte for byte, so a quote has one encoding.
+// Quote.Encode's output, byte for byte, so a quote has one encoding; the
+// bytes its signature covers are that encoding less the signature.
 func FuzzQuoteDecode(f *testing.F) {
 	m, err := NewManufacturer("acme-tee")
 	if err != nil {
@@ -129,6 +161,9 @@ func FuzzQuoteDecode(f *testing.F) {
 		}
 		if again := q.Encode(); !bytes.Equal(again, data) {
 			t.Fatalf("accepted %x, re-encodes to %x", data, again)
+		}
+		if signed := store.AppendBytes(q.SigningBytes(), q.Signature); !bytes.Equal(signed, data) {
+			t.Fatalf("accepted %x, but SigningBytes and signature are %x", data, signed)
 		}
 	})
 }
