@@ -80,10 +80,7 @@ func BenchmarkCodecEncodeBlock(b *testing.B) {
 	b.ReportAllocs()
 	var size int
 	for b.Loop() {
-		buf, err := encodeWALBlock(block)
-		if err != nil {
-			b.Fatal(err)
-		}
+		buf := encodeWALBlock(block)
 		size = len(buf) - store.RecordHeaderSize
 	}
 	b.ReportMetric(float64(size), "bytes/rec")

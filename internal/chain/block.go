@@ -27,14 +27,11 @@ type Header struct {
 	Signature []byte
 }
 
-// SigningBytes returns the deterministic encoding covered by the proposer
-// signature.
+// SigningBytes returns the bytes the proposer signature covers: the
+// header's encoding (codec.go) up to its signature. The time is encoded as
+// its UTC instant, so the bytes do not depend on the proposer's zone.
 func (h *Header) SigningBytes() []byte {
-	// "header|", six separators, two 20-byte integers, the 42-byte
-	// proposer and four 66-byte hashes.
-	return make(textEnc, 0, 359).Str("header|").Uint(h.Number).Sep().Hex0x(h.ParentHash[:]).Sep().
-		Int(h.Time.UnixNano()).Sep().Hex0x(h.Proposer[:]).Sep().Hex0x(h.TxRoot[:]).Sep().
-		Hex0x(h.ReceiptRoot[:]).Sep().Hex0x(h.StateRoot[:])
+	return appendHeaderBody(make([]byte, 0, headerSizeHint), h)
 }
 
 // Hash returns the block hash (header content plus signature).

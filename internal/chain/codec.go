@@ -1,10 +1,8 @@
 package chain
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/cryptoutil"
 	"repro/internal/store"
@@ -18,40 +16,46 @@ import (
 // other fields have a fixed order), so identical logical records always
 // produce identical bytes. It is the only record format: a payload that
 // opens with any other byte than these tags fails decoding.
+//
+// It is also the only byte form of a transaction, a header and a
+// receipt. Each opens with its own tag; a transaction's and a header's
+// encoding up to the signature is what the signature covers and, with the
+// signature, what the hash commits to (SigningBytes, Hash), and a
+// receipt's encoding is what its digest commits to. So a block record
+// holds every signed object in exactly the bytes that were signed.
 const (
-	// tagChainMeta opens a chain-identity (meta) WAL record.
-	tagChainMeta byte = 0x01
 	// tagChainBlock opens a committed-block WAL record.
 	tagChainBlock byte = 0x02
 	// tagChainSnapshot opens a state snapshot payload.
 	tagChainSnapshot byte = 0x03
+	// tagChainMeta opens a chain-identity (meta) WAL record.
+	tagChainMeta byte = 0x04
+	// tagTx opens a transaction.
+	tagTx byte = 0x05
+	// tagHeader opens a block header.
+	tagHeader byte = 0x06
+	// tagReceipt opens a receipt.
+	tagReceipt byte = 0x07
 )
 
 // encodeWALMeta encodes the chain-identity record.
-func encodeWALMeta(m *walMeta) ([]byte, error) {
-	dst := []byte{tagChainMeta}
-	dst, err := store.AppendTime(dst, m.GenesisTime)
-	if err != nil {
-		return nil, err
-	}
+func encodeWALMeta(m *walMeta) []byte {
+	dst := store.AppendUTC([]byte{tagChainMeta}, m.GenesisTime)
 	dst = store.AppendUvarint(dst, uint64(len(m.Authorities)))
 	for _, a := range m.Authorities {
 		dst = append(dst, a[:]...)
 	}
-	return dst, nil
+	return dst
 }
 
 // encodeWALBlock encodes a committed block plus its net state diff as a
 // frame for store.WAL.AppendFrame: the record starts at
 // store.RecordHeaderSize, behind the space the log fills in, so the
 // largest record the chain writes is built once and never copied.
-func encodeWALBlock(b *walBlock) ([]byte, error) {
+func encodeWALBlock(b *walBlock) []byte {
 	dst := make([]byte, store.RecordHeaderSize, store.RecordHeaderSize+blockRecordSizeHint(b))
 	dst = append(dst, tagChainBlock)
-	dst, err := appendHeader(dst, &b.Header)
-	if err != nil {
-		return nil, err
-	}
+	dst = appendHeader(dst, &b.Header)
 	dst = store.AppendUvarint(dst, uint64(len(b.Txs)))
 	for _, tx := range b.Txs {
 		dst = appendTx(dst, tx)
@@ -64,7 +68,28 @@ func encodeWALBlock(b *walBlock) ([]byte, error) {
 	for i := range b.Diff {
 		dst = appendDelta(dst, &b.Diff[i])
 	}
-	return dst, nil
+	return dst
+}
+
+// headerSizeHint bounds a header's encoding without its signature: the
+// tag, a 10-byte uvarint, the 16-byte time, the proposer and four hashes.
+const headerSizeHint = 1 + 10 + 16 + 20 + 4*32
+
+// txSizeHint estimates a transaction's encoding, so SigningBytes and the
+// block record allocate their buffer once.
+func txSizeHint(tx *Tx) int {
+	return 128 + len(tx.SenderKey) + len(tx.Method) + len(tx.Args) + len(tx.Signature)
+}
+
+// receiptSizeHint estimates a receipt's encoding, so Digest and the
+// block record allocate their buffer once.
+func receiptSizeHint(r *Receipt) int {
+	n := 96 + len(r.Err) + len(r.Return)
+	for i := range r.Events {
+		ev := &r.Events[i]
+		n += 80 + len(ev.Topic) + len(ev.Key) + len(ev.Data)
+	}
+	return n
 }
 
 // blockRecordSizeHint estimates the encoded size so the hot commit path
@@ -72,14 +97,10 @@ func encodeWALBlock(b *walBlock) ([]byte, error) {
 func blockRecordSizeHint(b *walBlock) int {
 	n := 256
 	for _, tx := range b.Txs {
-		n += 128 + len(tx.SenderKey) + len(tx.Method) + len(tx.Args) + len(tx.Signature)
+		n += txSizeHint(tx)
 	}
 	for _, r := range b.Receipts {
-		n += 96 + len(r.Err) + len(r.Return)
-		for i := range r.Events {
-			ev := &r.Events[i]
-			n += 80 + len(ev.Topic) + len(ev.Key) + len(ev.Data)
-		}
+		n += receiptSizeHint(r)
 	}
 	for i := range b.Diff {
 		n += 16 + len(b.Diff[i].K) + len(b.Diff[i].V)
@@ -88,11 +109,9 @@ func blockRecordSizeHint(b *walBlock) int {
 }
 
 // decodeWALRecord decodes a WAL record payload. A record has one spelling:
-// store.Dec.Time also accepts timestamps store.AppendTime never writes —
-// nanoseconds that reach a second, the 16-byte form of a whole-minute
-// zone — so the parts that hold one, a meta record and a block header,
-// must hold a normal time (canonicalTime) and encode back to exactly the
-// bytes read.
+// every primitive the decoders read has one (store.Dec.UTC refuses every
+// other spelling of a time), so a record it accepts encodes back to the
+// bytes it was read from.
 func decodeWALRecord(payload []byte) (*walRecord, error) {
 	if len(payload) == 0 {
 		return nil, fmt.Errorf("chain: empty record")
@@ -100,7 +119,7 @@ func decodeWALRecord(payload []byte) (*walRecord, error) {
 	d := store.NewDec(payload[1:])
 	switch payload[0] {
 	case tagChainMeta:
-		m := &walMeta{GenesisTime: d.Time()}
+		m := &walMeta{GenesisTime: d.UTC()}
 		count := d.Count("authorities", uint64(len(payload)/cryptoutil.AddressLen)+1)
 		for range count {
 			var a cryptoutil.Address
@@ -110,34 +129,21 @@ func decodeWALRecord(payload []byte) (*walRecord, error) {
 		if err := d.Finish(); err != nil {
 			return nil, err
 		}
-		if again, err := encodeWALMeta(m); err != nil || !bytes.Equal(again, payload) || !canonicalTime(m.GenesisTime) {
-			return nil, fmt.Errorf("chain: meta record not in canonical form")
-		}
 		return &walRecord{Meta: m}, nil
 	case tagChainBlock:
 		b := &walBlock{}
 		decodeHeader(d, &b.Header)
-		headerEnd := len(payload) - d.Remaining()
 		b.Txs = decodeTxs(d, len(payload))
 		b.Receipts = decodeReceipts(d, len(payload))
 		b.Diff = decodeDeltas(d, len(payload))
 		if err := d.Finish(); err != nil {
 			return nil, err
 		}
-		if again, err := appendHeader([]byte{tagChainBlock}, &b.Header); err != nil || !bytes.Equal(again, payload[:headerEnd]) || !canonicalTime(b.Header.Time) {
-			return nil, fmt.Errorf("chain: block header not in canonical form")
-		}
 		return &walRecord{Block: b}, nil
 	default:
 		return nil, fmt.Errorf("chain: unknown record tag 0x%02x", payload[0])
 	}
 }
-
-// canonicalTime reports whether t's nanoseconds lie within their second,
-// as in every time.Time the encoders are handed. store.Dec.Time decodes
-// larger ones too, and AppendTime writes them back as read: a second
-// spelling of a later instant.
-func canonicalTime(t time.Time) bool { return t.Nanosecond() < 1e9 }
 
 // appendChainSnapshot appends the deterministic encoding of a state
 // snapshot (keys sorted) to dst and returns the extended slice. The
@@ -181,25 +187,28 @@ func decodeChainSnapshot(payload []byte) (*chainSnapshot, error) {
 	return snap, nil
 }
 
-func appendHeader(dst []byte, h *Header) ([]byte, error) {
+// appendHeaderBody appends a header's encoding up to its signature: what
+// the proposer signs.
+func appendHeaderBody(dst []byte, h *Header) []byte {
+	dst = append(dst, tagHeader)
 	dst = store.AppendUvarint(dst, h.Number)
 	dst = append(dst, h.ParentHash[:]...)
-	dst, err := store.AppendTime(dst, h.Time)
-	if err != nil {
-		return nil, err
-	}
+	dst = store.AppendUTC(dst, h.Time)
 	dst = append(dst, h.Proposer[:]...)
 	dst = append(dst, h.TxRoot[:]...)
 	dst = append(dst, h.ReceiptRoot[:]...)
-	dst = append(dst, h.StateRoot[:]...)
-	dst = store.AppendBytes(dst, h.Signature)
-	return dst, nil
+	return append(dst, h.StateRoot[:]...)
+}
+
+func appendHeader(dst []byte, h *Header) []byte {
+	return store.AppendBytes(appendHeaderBody(dst, h), h.Signature)
 }
 
 func decodeHeader(d *store.Dec, h *Header) {
+	d.Tag(tagHeader)
 	h.Number = d.Uvarint()
 	d.Raw(h.ParentHash[:])
-	h.Time = d.Time()
+	h.Time = d.UTC()
 	d.Raw(h.Proposer[:])
 	d.Raw(h.TxRoot[:])
 	d.Raw(h.ReceiptRoot[:])
@@ -207,7 +216,10 @@ func decodeHeader(d *store.Dec, h *Header) {
 	h.Signature = d.Bytes()
 }
 
-func appendTx(dst []byte, tx *Tx) []byte {
+// appendTxBody appends a transaction's encoding up to its signature: what
+// the sender signs.
+func appendTxBody(dst []byte, tx *Tx) []byte {
+	dst = append(dst, tagTx)
 	dst = store.AppendUvarint(dst, tx.Nonce)
 	dst = append(dst, tx.From[:]...)
 	dst = store.AppendBytes(dst, tx.SenderKey)
@@ -215,9 +227,11 @@ func appendTx(dst []byte, tx *Tx) []byte {
 	dst = store.AppendString(dst, tx.Method)
 	dst = store.AppendBytes(dst, tx.Args)
 	dst = store.AppendUvarint(dst, tx.GasLimit)
-	dst = store.AppendUvarint(dst, tx.GasPrice)
-	dst = store.AppendBytes(dst, tx.Signature)
-	return dst
+	return store.AppendUvarint(dst, tx.GasPrice)
+}
+
+func appendTx(dst []byte, tx *Tx) []byte {
+	return store.AppendBytes(appendTxBody(dst, tx), tx.Signature)
 }
 
 func decodeTxs(d *store.Dec, bound int) []*Tx {
@@ -227,6 +241,7 @@ func decodeTxs(d *store.Dec, bound int) []*Tx {
 	}
 	txs := make([]*Tx, 0, min(count, store.DecodeCapHint))
 	for range count {
+		d.Tag(tagTx)
 		tx := &Tx{Nonce: d.Uvarint()}
 		d.Raw(tx.From[:])
 		tx.SenderKey = d.Bytes()
@@ -244,7 +259,9 @@ func decodeTxs(d *store.Dec, bound int) []*Tx {
 	return txs
 }
 
+// appendReceipt appends a receipt's encoding: what its digest commits to.
 func appendReceipt(dst []byte, r *Receipt) []byte {
+	dst = append(dst, tagReceipt)
 	dst = append(dst, r.TxHash[:]...)
 	dst = store.AppendUvarint(dst, uint64(r.Status))
 	dst = store.AppendUvarint(dst, r.GasUsed)
@@ -265,6 +282,7 @@ func decodeReceipts(d *store.Dec, bound int) []*Receipt {
 	}
 	receipts := make([]*Receipt, 0, min(count, store.DecodeCapHint))
 	for range count {
+		d.Tag(tagReceipt)
 		r := &Receipt{}
 		d.Raw(r.TxHash[:])
 		r.Status = Status(d.Uvarint())

@@ -91,25 +91,18 @@ func randomWALBlock(r *rand.Rand) *walBlock {
 	return b
 }
 
+// blockPayload is the record inside encodeWALBlock's frame.
+func blockPayload(b *walBlock) []byte { return encodeWALBlock(b)[store.RecordHeaderSize:] }
+
 // TestCodecBlockRecordRoundTrip: binary block records decode back to
 // deep-equal structures across randomized content, and the encoding is
 // deterministic.
-// blockPayload is the record inside encodeWALBlock's frame.
-func blockPayload(t testing.TB, b *walBlock) []byte {
-	t.Helper()
-	frame, err := encodeWALBlock(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return frame[store.RecordHeaderSize:]
-}
-
 func TestCodecBlockRecordRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for i := range 50 {
 		want := randomWALBlock(r)
-		payload := blockPayload(t, want)
-		if again := blockPayload(t, want); !bytes.Equal(payload, again) {
+		payload := blockPayload(want)
+		if again := blockPayload(want); !bytes.Equal(payload, again) {
 			t.Fatalf("iteration %d: encoding is not deterministic", i)
 		}
 		rec, err := decodeWALRecord(payload)
@@ -167,11 +160,7 @@ func TestCodecMetaRoundTrip(t *testing.T) {
 			GenesisTime: genesis,
 			Authorities: []cryptoutil.Address{testContractAddr(), {}},
 		}
-		payload, err := encodeWALMeta(want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec, err := decodeWALRecord(payload)
+		rec, err := decodeWALRecord(encodeWALMeta(want))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,7 +231,7 @@ func TestCodecRejectsGarbage(t *testing.T) {
 	if _, err := decodeChainSnapshot([]byte(`{"height":7,"state":{}}`)); err == nil {
 		t.Fatal("JSON snapshot accepted")
 	}
-	good := blockPayload(t, randomWALBlock(rand.New(rand.NewSource(2))))
+	good := blockPayload(randomWALBlock(rand.New(rand.NewSource(2))))
 	if _, err := decodeWALRecord(good[:len(good)-1]); err == nil {
 		t.Fatal("truncated block record accepted")
 	}
@@ -254,10 +243,7 @@ func TestCodecRejectsGarbage(t *testing.T) {
 	}
 	// An element count no valid encoding could produce must poison the
 	// decode deterministically, not fall through as an empty list.
-	hdr, err := appendHeader([]byte{tagChainBlock}, &Header{Time: chainEpoch})
-	if err != nil {
-		t.Fatal(err)
-	}
+	hdr := appendHeader([]byte{tagChainBlock}, &Header{Time: chainEpoch})
 	overclaim := store.AppendUvarint(hdr, 1<<40) // absurd tx count
 	if _, err := decodeWALRecord(overclaim); err == nil {
 		t.Fatal("over-claimed tx count accepted")
@@ -271,7 +257,7 @@ func TestCodecRejectsGarbage(t *testing.T) {
 // half.
 func TestCodecSizeAdvantage(t *testing.T) {
 	block := benchWALBlock(64, 512)
-	bin := blockPayload(t, block)
+	bin := blockPayload(block)
 	js, err := json.Marshal(walRecord{Block: block})
 	if err != nil {
 		t.Fatal(err)

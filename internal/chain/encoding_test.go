@@ -1,10 +1,13 @@
 package chain
 
 import (
+	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -12,13 +15,17 @@ import (
 
 	"repro/internal/cryptoutil"
 	"repro/internal/simclock"
+	"repro/internal/store"
 )
 
-// TestEncodersMatchFmtReference drives the encoders and the fmt
-// one-liners they replaced over 1 000 seeded random objects: empty Args
-// and Return, '|' and ';' in every free-text field, non-ASCII text,
-// integers at both ends of their range, the zero time.
-func TestEncodersMatchFmtReference(t *testing.T) {
+// TestSignedFormsAreWALEncodings drives the encoders over 1 000 seeded
+// random objects (empty Args and Return, '|' and ';' in every free-text
+// field, non-ASCII text, integers at both ends of their range, the zero
+// time, times in other zones) and holds each signed or hashed form to
+// what a block record holds: a transaction's and a header's signing bytes
+// and signature are their bytes in the record, the record decodes back to
+// the objects, and a receipt's digest is the hash of its bytes there.
+func TestSignedFormsAreWALEncodings(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	text := func() string {
 		alphabet := []string{"", "a", "|", ";", "%", "0x", "ü", "\x00", "\"", "pod", " "}
@@ -38,10 +45,10 @@ func TestEncodersMatchFmtReference(t *testing.T) {
 		return r.Uint64() >> r.Intn(64)
 	}
 	blob := func(n int) []byte {
-		if r.Intn(4) == 0 {
-			return nil
-		}
 		b := make([]byte, r.Intn(n))
+		if len(b) == 0 || r.Intn(4) == 0 {
+			return nil // the decoder's nil-for-empty
+		}
 		r.Read(b)
 		return b
 	}
@@ -52,13 +59,7 @@ func TestEncodersMatchFmtReference(t *testing.T) {
 			Nonce: u64(), From: addr(), SenderKey: blob(70), Contract: addr(), Method: text(),
 			Args: blob(300), GasLimit: u64(), GasPrice: u64(), Signature: blob(72),
 		}
-		if got, want := tx.SigningBytes(), refTxSigningBytes(tx); string(got) != string(want) {
-			t.Fatalf("case %d: Tx.SigningBytes\n got %q\nwant %q", i, got, want)
-		}
-		if got, want := tx.Hash(), refHashOf(refTxSigningBytes(tx), tx.Signature); got != want {
-			t.Fatalf("case %d: Tx.Hash %s, reference %s", i, got, want)
-		}
-		if h, _ := tx.hashAndVerify(); h != tx.Hash() {
+		if h, _ := tx.hashAndVerify(); h != tx.Hash() || h != cryptoutil.HashOf(tx.SigningBytes(), tx.Signature) {
 			t.Fatalf("case %d: hashAndVerify hash %s, Tx.Hash %s", i, h, tx.Hash())
 		}
 
@@ -67,13 +68,7 @@ func TestEncodersMatchFmtReference(t *testing.T) {
 			StateRoot: hash(), Signature: blob(72),
 		}
 		if r.Intn(8) != 0 {
-			hd.Time = time.Unix(0, int64(u64()))
-		}
-		if got, want := hd.SigningBytes(), refHeaderSigningBytes(hd); string(got) != string(want) {
-			t.Fatalf("case %d: Header.SigningBytes\n got %q\nwant %q", i, got, want)
-		}
-		if got, want := hd.Hash(), refHashOf(refHeaderSigningBytes(hd), hd.Signature); got != want {
-			t.Fatalf("case %d: Header.Hash %s, reference %s", i, got, want)
+			hd.Time = time.Unix(0, int64(u64())).In(time.FixedZone("", r.Intn(2*86400)-86400))
 		}
 
 		rc := &Receipt{
@@ -85,9 +80,43 @@ func TestEncodersMatchFmtReference(t *testing.T) {
 				TxHash: hash(), Index: int(int64(u64())),
 			})
 		}
-		if got, want := rc.Digest(), refReceiptDigest(rc); got != want {
-			t.Fatalf("case %d: Receipt.Digest %s, reference %s (%+v)", i, got, want, rc)
+
+		block := &walBlock{Header: *hd, Txs: []*Tx{tx}, Receipts: []*Receipt{rc}}
+		record := blockPayload(block)
+		want := append([]byte{tagChainBlock}, hd.SigningBytes()...)
+		want = store.AppendBytes(want, hd.Signature)
+		want = append(append(want, 1), tx.SigningBytes()...)
+		want = store.AppendBytes(want, tx.Signature)
+		want = appendReceipt(append(want, 1), rc)
+		if want = append(want, 0); !bytes.Equal(record, want) {
+			t.Fatalf("case %d: block record\n got %x\nwant %x", i, record, want)
 		}
+		if got := rc.Digest(); got != cryptoutil.HashOf(appendReceipt(nil, rc)) {
+			t.Fatalf("case %d: Receipt.Digest %s is not the hash of its encoding", i, got)
+		}
+		rec, err := decodeWALRecord(record)
+		if err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
+		requireWALBlockEqual(t, rec.Block, block)
+		if !reflect.DeepEqual(rec.Block.Receipts[0], rc) {
+			t.Fatalf("case %d: receipt decodes to %+v, want %+v", i, rec.Block.Receipts[0], rc)
+		}
+	}
+
+	// Two events and one event whose Key spells the first event's tail
+	// and the second's head in the hex-and-'|' text form, which gave both
+	// receipts one digest.
+	c1, c2 := vecAddr(0xc0), vecAddr(0xd0)
+	two := &Receipt{Status: StatusOK, BlockNumber: 5, Events: []Event{
+		{Contract: c1, Topic: "Set", Key: "a", Data: []byte{0xab}, BlockNumber: 5},
+		{Contract: c2, Topic: "Set", Key: "b", Data: []byte{0xcd}, BlockNumber: 5, Index: 1},
+	}}
+	one := &Receipt{Status: StatusOK, BlockNumber: 5, Events: []Event{
+		{Contract: c1, Topic: "Set", Key: "a|ab|5|0;" + c2.String() + "|Set|b", Data: []byte{0xcd}, BlockNumber: 5, Index: 1},
+	}}
+	if two.Digest() == one.Digest() {
+		t.Errorf("a receipt with two events and one with a single event share digest %s", two.Digest())
 	}
 }
 
@@ -123,26 +152,61 @@ func TestEncoderAllocCeilings(t *testing.T) {
 	}
 }
 
-// TestParentWrittenWALStillOpens recovers testdata/parent-wal, a data
-// dir written by the binary of commit d71331e (fmt encoders, payload
-// then framed copy): four blocks — two "set"s, a revert beside an
-// "incr", an empty block, an overwrite at a high gas price — sealed and
-// signed by testdata's authority key. Recovery checks parent-hash
-// linkage and replays every diff against its header's state root; the
-// test then re-derives what the log does not re-check: each seal and
-// transaction signature (made over the old encoders' bytes), each
-// transaction hash against its receipt, and both Merkle roots.
-func TestParentWrittenWALStillOpens(t *testing.T) {
+// copyDataDir copies testdata/name's wal.log and authority.key into a
+// fresh directory and returns it.
+func copyDataDir(t *testing.T, name string) string {
+	t.Helper()
 	dir := t.TempDir()
-	for _, name := range []string{walFileName, "authority.key"} {
-		raw, err := os.ReadFile(filepath.Join("testdata", "parent-wal", name))
+	for _, file := range []string{walFileName, "authority.key"} {
+		raw, err := os.ReadFile(filepath.Join("testdata", name, file))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o600); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, file), raw, 0o600); err != nil {
 			t.Fatal(err)
 		}
 	}
+	return dir
+}
+
+// TestTextFormWALIsRefused: testdata/text-form-wal is a data dir whose
+// transactions and headers were signed and hashed over the hex-and-'|'
+// text form, so its blocks no longer link under this format. Opening it
+// fails with an error that says to start from an empty directory, and the
+// log is left as it was rather than truncated back to genesis.
+func TestTextFormWALIsRefused(t *testing.T) {
+	dir := copyDataDir(t, "text-form-wal")
+	before, err := os.ReadFile(WALPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := cryptoutil.LoadOrCreateKeyFile(filepath.Join(dir, "authority.key"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := OpenNode(durableConfig(dir, key, simclock.NewSim(chainEpoch)))
+	if err == nil {
+		n.Close()
+		t.Fatal("a text-form data dir opened")
+	}
+	if !errors.Is(err, ErrStoreCorrupt) || !strings.Contains(err.Error(), "start from an empty directory") {
+		t.Errorf("err = %v, want ErrStoreCorrupt telling to start from an empty directory", err)
+	}
+	if after, err := os.ReadFile(WALPath(dir)); err != nil || !bytes.Equal(after, before) {
+		t.Errorf("the refused log changed (%d bytes, was %d; %v)", len(after), len(before), err)
+	}
+}
+
+// TestParentWrittenWALStillOpens recovers testdata/parent-wal, a data
+// dir written by the first binary of this record format: four blocks —
+// two "set"s, a revert beside an "incr", an empty block, an overwrite at
+// a high gas price — sealed and signed by testdata's authority key.
+// Recovery checks parent-hash linkage and replays every diff against its
+// header's state root; the test then re-derives what the log does not
+// re-check: each seal and transaction signature, each transaction hash
+// against its receipt, and both Merkle roots.
+func TestParentWrittenWALStillOpens(t *testing.T) {
+	dir := copyDataDir(t, "parent-wal")
 	key, err := cryptoutil.LoadOrCreateKeyFile(filepath.Join(dir, "authority.key"))
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +217,7 @@ func TestParentWrittenWALStillOpens(t *testing.T) {
 		t.Fatal(err)
 	}
 	const (
-		wantHead = "0xd5b581e1733b89c7149aa6890340cdc90d22bb3493ac12c5b80c3afe41bee9fb"
+		wantHead = "0x60c29d06e3b97312be864ca0b621dd5d3df7327338c5923924a6b0d09ae84db7"
 		wantRoot = "0x44bba21dce1f6e2269ce339adb24ba5f9d2d172ba42ef20fd773e2acf2433e0d"
 	)
 	if got := n.Height(); got != 4 {
@@ -205,7 +269,7 @@ func TestParentWrittenWALStillOpens(t *testing.T) {
 
 // TestCheckedEncodesEachTransactionOnce counts encodings by weight, so
 // the product carries no counter: a transaction with 1 MiB of arguments
-// encodes to 2 MiB, which dwarfs everything else the submission
+// encodes to just over 1 MiB, which dwarfs everything else the submission
 // pipeline allocates, and hashing and verifying must share one such
 // buffer. (At d71331e the ratio was above 2: Tx.Hash and
 // VerifySignature each encoded, into a builder that grew by doubling.)

@@ -46,8 +46,7 @@ var (
 //     signature bytes;
 //   - everything hashAndVerify inspects (method, gas limit, sender
 //     address and key) is inside SigningBytes, whose encoding is
-//     injective: every field but Method renders as digits or hex, so the
-//     '|' separators split unambiguously from both ends;
+//     injective: every field is fixed-width or length-prefixed;
 //   - admit is the only way into a node's mempool, and both its callers
 //     (Node.Submit, Network.Submit) check the signature first.
 //

@@ -154,6 +154,21 @@ func TestNetworkRejectsTamperedBlock(t *testing.T) {
 		}
 	})
 
+	// The text form signed Time.UnixNano, which wraps every 2^64 ns: a
+	// header re-dated by 584 years kept its hash and seal, was accepted,
+	// and the next honest block then failed with ErrBadTimestamp.
+	t.Run("time shifted by 2^64 ns", func(t *testing.T) {
+		bad := *block
+		at := block.Header.Time
+		bad.Header.Time = time.Unix(at.Unix()+18446744073, int64(at.Nanosecond())+709551616)
+		if bad.Hash() == block.Hash() {
+			t.Fatalf("re-dated header keeps hash %s", block.Hash())
+		}
+		if err := nodes[1].ApplyBlock(&bad, keys[0].PublicBytes()); !errors.Is(err, ErrBadHeaderSig) {
+			t.Fatalf("err = %v, want ErrBadHeaderSig", err)
+		}
+	})
+
 	t.Run("valid block applies", func(t *testing.T) {
 		if err := nodes[1].ApplyBlock(block, keys[0].PublicBytes()); err != nil {
 			t.Fatal(err)

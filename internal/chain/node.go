@@ -587,15 +587,12 @@ func (n *Node) executeBlock(overlay *Overlay, txs []*Tx, hashes []cryptoutil.Has
 // (sealMu alone keeps writers out) and handed to the background writer.
 func (n *Node) commitBlock(block *Block, deltas []Delta) error {
 	if n.wal != nil {
-		frame, err := encodeWALBlock(&walBlock{
+		frame := encodeWALBlock(&walBlock{
 			Header:   block.Header,
 			Txs:      block.Txs,
 			Receipts: block.Receipts,
 			Diff:     deltas,
 		})
-		if err != nil {
-			return fmt.Errorf("chain: encode block %d: %w", block.Header.Number, err)
-		}
 		if err := n.wal.AppendFrame(frame); err != nil {
 			return fmt.Errorf("chain: persist block %d: %w", block.Header.Number, err)
 		}

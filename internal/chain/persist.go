@@ -132,13 +132,10 @@ func recoverNode(cfg Config, wal *store.WAL, records []store.Record) (*Node, err
 		if err != nil {
 			return nil, err
 		}
-		buf, err := encodeWALMeta(&walMeta{
+		buf := encodeWALMeta(&walMeta{
 			GenesisTime: cfg.GenesisTime,
 			Authorities: cfg.Authorities,
 		})
-		if err != nil {
-			return nil, err
-		}
 		if err := wal.Append(buf); err != nil {
 			return nil, err
 		}
@@ -146,9 +143,12 @@ func recoverNode(cfg Config, wal *store.WAL, records []store.Record) (*Node, err
 		return n, nil
 	}
 
+	// A log written in an earlier record format opens with another tag.
+	// Its blocks would not link under this one, and recovery would
+	// truncate them all, so the log is refused as it is.
 	metaRec, err := decodeWALRecord(records[0].Payload)
 	if err != nil || metaRec.Meta == nil {
-		return nil, fmt.Errorf("%w: first record is not a meta record", ErrStoreCorrupt)
+		return nil, fmt.Errorf("%w: first record is not a meta record of this format; start from an empty directory", ErrStoreCorrupt)
 	}
 	meta := metaRec.Meta
 	if len(meta.Authorities) != len(cfg.Authorities) {

@@ -34,14 +34,10 @@ type Tx struct {
 	Signature []byte `json:"signature"`
 }
 
-// SigningBytes returns the deterministic encoding covered by the
-// signature.
+// SigningBytes returns the bytes the signature covers: the transaction's
+// encoding (codec.go) up to its signature.
 func (tx *Tx) SigningBytes() []byte {
-	// "tx|", seven separators, three 20-byte integers, two 42-byte addresses.
-	size := 154 + 2*len(tx.SenderKey) + len(tx.Method) + 2*len(tx.Args)
-	return make(textEnc, 0, size).Str("tx|").Uint(tx.Nonce).Sep().Hex0x(tx.From[:]).Sep().
-		Hex(tx.SenderKey).Sep().Hex0x(tx.Contract[:]).Sep().Str(tx.Method).Sep().
-		Hex(tx.Args).Sep().Uint(tx.GasLimit).Sep().Uint(tx.GasPrice)
+	return appendTxBody(make([]byte, 0, txSizeHint(tx)), tx)
 }
 
 // Hash returns the transaction hash (over the signed content plus the
@@ -178,22 +174,8 @@ type Receipt struct {
 // Succeeded reports whether the transaction executed without reverting.
 func (r *Receipt) Succeeded() bool { return r.Status == StatusOK }
 
-// Digest returns the hash of the receipt's deterministic encoding, a
-// leaf of the block's receipt root.
+// Digest returns the hash of the receipt's encoding (codec.go), a leaf
+// of the block's receipt root.
 func (r *Receipt) Digest() cryptoutil.Hash {
-	// "receipt|", six separators, three 20-byte integers, the 66-byte hash.
-	size := 140 + len(r.Err) + 2*len(r.Return)
-	for i := range r.Events {
-		ev := &r.Events[i]
-		// Five separators and ';', two 20-byte integers, the 42-byte address.
-		size += 88 + len(ev.Topic) + len(ev.Key) + 2*len(ev.Data)
-	}
-	e := make(textEnc, 0, size).Str("receipt|").Hex0x(r.TxHash[:]).Sep().Int(int64(r.Status)).Sep().
-		Uint(r.GasUsed).Sep().Str(r.Err).Sep().Uint(r.BlockNumber).Sep().Hex(r.Return).Sep()
-	for i := range r.Events {
-		ev := &r.Events[i]
-		e = e.Hex0x(ev.Contract[:]).Sep().Str(ev.Topic).Sep().Str(ev.Key).Sep().Hex(ev.Data).Sep().
-			Uint(ev.BlockNumber).Sep().Int(int64(ev.Index)).Str(";")
-	}
-	return cryptoutil.HashOf(e)
+	return cryptoutil.HashOf(appendReceipt(make([]byte, 0, receiptSizeHint(r)), r))
 }

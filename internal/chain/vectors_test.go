@@ -2,43 +2,69 @@ package chain
 
 import (
 	"crypto/sha256"
-	"fmt"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
-	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/cryptoutil"
 )
 
-// The canonical encodings of Tx, Header and Receipt are consensus
-// bytes: transaction and block hashes, receipt roots and every stored
-// signature are computed over them. These tests do not trust the
-// encoders to say what those bytes are. The frozen vectors were printed
-// by the fmt-based encoders of commit d71331e (the last to have them);
-// the ref* functions are those encoders, kept here only.
+// The encodings of Tx, Header and Receipt are consensus bytes:
+// transaction and block hashes, receipt roots and every stored signature
+// are computed over them. These tests do not trust the encoders to say
+// what those bytes are. The ref* functions write the format from its
+// description in codec.go with encoding/binary and time.MarshalBinary,
+// not with the store helpers the encoders use, and the frozen vectors
+// hold both to the bytes they first printed.
+
+// refBytes appends p behind its uvarint length.
+func refBytes(b, p []byte) []byte { return append(binary.AppendUvarint(b, uint64(len(p))), p...) }
 
 func refTxSigningBytes(tx *Tx) []byte {
-	var b strings.Builder
-	fmt.Fprintf(&b, "tx|%d|%s|%x|%s|%s|%x|%d|%d",
-		tx.Nonce, tx.From, tx.SenderKey, tx.Contract, tx.Method, tx.Args, tx.GasLimit, tx.GasPrice)
-	return []byte(b.String())
+	b := binary.AppendUvarint([]byte{0x05}, tx.Nonce)
+	b = append(b, tx.From[:]...)
+	b = refBytes(b, tx.SenderKey)
+	b = append(b, tx.Contract[:]...)
+	b = refBytes(b, []byte(tx.Method))
+	b = refBytes(b, tx.Args)
+	b = binary.AppendUvarint(b, tx.GasLimit)
+	return binary.AppendUvarint(b, tx.GasPrice)
 }
 
-func refHeaderSigningBytes(h *Header) []byte {
-	var b strings.Builder
-	fmt.Fprintf(&b, "header|%d|%s|%d|%s|%s|%s|%s",
-		h.Number, h.ParentHash, h.Time.UnixNano(), h.Proposer, h.TxRoot, h.ReceiptRoot, h.StateRoot)
-	return []byte(b.String())
+func refHeaderSigningBytes(tb testing.TB, h *Header) []byte {
+	when, err := h.Time.UTC().MarshalBinary()
+	if err != nil || len(when) != 15 {
+		tb.Fatalf("marshal %v: %d bytes, %v", h.Time, len(when), err)
+	}
+	b := binary.AppendUvarint([]byte{0x06}, h.Number)
+	b = append(b, h.ParentHash[:]...)
+	b = refBytes(b, when)
+	b = append(b, h.Proposer[:]...)
+	b = append(b, h.TxRoot[:]...)
+	b = append(b, h.ReceiptRoot[:]...)
+	return append(b, h.StateRoot[:]...)
 }
 
 func refReceiptDigest(r *Receipt) cryptoutil.Hash {
-	var b strings.Builder
-	fmt.Fprintf(&b, "receipt|%s|%d|%d|%s|%d|%x|", r.TxHash, r.Status, r.GasUsed, r.Err, r.BlockNumber, r.Return)
+	b := append([]byte{0x07}, r.TxHash[:]...)
+	b = binary.AppendUvarint(b, uint64(r.Status))
+	b = binary.AppendUvarint(b, r.GasUsed)
+	b = refBytes(b, []byte(r.Err))
+	b = binary.AppendUvarint(b, r.BlockNumber)
+	b = refBytes(b, r.Return)
+	b = binary.AppendUvarint(b, uint64(len(r.Events)))
 	for _, e := range r.Events {
-		fmt.Fprintf(&b, "%s;", fmt.Sprintf("%s|%s|%s|%x|%d|%d", e.Contract, e.Topic, e.Key, e.Data, e.BlockNumber, e.Index))
+		b = append(b, e.Contract[:]...)
+		b = refBytes(b, []byte(e.Topic))
+		b = refBytes(b, []byte(e.Key))
+		b = refBytes(b, e.Data)
+		b = binary.AppendUvarint(b, e.BlockNumber)
+		b = append(b, e.TxHash[:]...)
+		b = binary.AppendUvarint(b, uint64(e.Index))
 	}
-	return refHashOf([]byte(b.String()))
+	return refHashOf(b)
 }
 
 // refHashOf is cryptoutil.HashOf as d71331e had it, minus the pool.
@@ -88,7 +114,7 @@ func vecHeaders() []*Header {
 			Number: 42, ParentHash: vecHash(1), Time: time.Unix(1_696_809_600, 123_456_789).UTC(), Proposer: vecAddr(0x20),
 			TxRoot: vecHash(2), ReceiptRoot: vecHash(3), StateRoot: vecHash(4), Signature: []byte{0x30, 0x44, 9, 8, 7},
 		},
-		{Number: math.MaxUint64}, // the zero time's UnixNano is negative
+		{Number: math.MaxUint64}, // the zero time
 	}
 }
 
@@ -106,20 +132,26 @@ func vecReceipts() []*Receipt {
 func TestFrozenTxEncoding(t *testing.T) {
 	want := []struct{ signing, hash string }{
 		{
-			"tx|7|0x101112131415161718191a1b1c1d1e1f20212223|04deadbeef|0xc0c1c2c3c4c5c6c7c8c9cacbcccdcecfd0d1d2d3|registerPod|7b226f776e65725765624944223a2268747470733a2f2f616c6963652e6578616d706c652f70726f66696c65236d65227d|200000|100",
-			"0x9e71214432bd0ae717fb80d73580a7f8be89490b4ea7d4eaf974643cb68f331b",
+			"0507101112131415161718191a1b1c1d1e1f202122230504deadbeefc0c1c2c3c4c5c6c7c8c9cacbcccdcecfd0d1d2d30b7265676973746572506f64317b226f776e65725765624944223a2268747470733a2f2f616c6963652e6578616d706c652f70726f66696c65236d65227dc09a0c64",
+			"0xd40abdff330a3dee218bfb7935462fb3f6ad82a9b33d1a1d1f2fb4f862739118",
 		},
 		{
-			"tx|18446744073709551615|0xf0f1f2f3f4f5f6f7f8f9fafbfcfdfeff00010203||0x000102030405060708090a0b0c0d0e0f10111213|a|b|ü||18446744073709551615|18446744073709551615",
-			"0x45cdf201d7ce792fcfb804c305b4194786806d1145e26ef0feb396a82e4ad76d",
+			"05ffffffffffffffffff01f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff0001020300000102030405060708090a0b0c0d0e0f1011121306617c627cc3bc00ffffffffffffffffff01ffffffffffffffffff01",
+			"0xa119e93836e47495aebe25936d9f0482aebc4cc71f6ff9c4a13c5dda71cbd9e8",
 		},
 	}
 	for i, tx := range vecTxs() {
-		if got := string(tx.SigningBytes()); got != want[i].signing {
-			t.Errorf("tx %d signing bytes:\n got %q\nwant %q", i, got, want[i].signing)
+		if got := hex.EncodeToString(tx.SigningBytes()); got != want[i].signing {
+			t.Errorf("tx %d signing bytes:\n got %s\nwant %s", i, got, want[i].signing)
+		}
+		if got := hex.EncodeToString(refTxSigningBytes(tx)); got != want[i].signing {
+			t.Errorf("tx %d reference signing bytes:\n got %s\nwant %s", i, got, want[i].signing)
 		}
 		if got := tx.Hash().String(); got != want[i].hash {
 			t.Errorf("tx %d hash: got %s, want %s", i, got, want[i].hash)
+		}
+		if got := refHashOf(refTxSigningBytes(tx), tx.Signature).String(); got != want[i].hash {
+			t.Errorf("tx %d reference hash: got %s, want %s", i, got, want[i].hash)
 		}
 	}
 }
@@ -127,38 +159,52 @@ func TestFrozenTxEncoding(t *testing.T) {
 func TestFrozenHeaderEncoding(t *testing.T) {
 	want := []struct{ signing, hash string }{
 		{
-			"header|42|0x01060f141d222b30393e474c555a636871767f848d929ba0a9aeb7bcc5cad3d8|1696809600123456789|0x202122232425262728292a2b2c2d2e2f30313233|0x02050c171e2128333a3d444f5659606b72757c878e9198a3aaadb4bfc6c9d0db|0x03040d161f2029323b3c454e5758616a73747d868f9099a2abacb5bec7c8d1da|0x04030a1118272e353c3b4249505f666d74737a8188979ea5acabb2b9c0cfd6dd",
-			"0x99737b222670d6bf2bc52d50bdf8acf4c3a79bd08c87c4b4049aa680268fa10e",
+			"062a01060f141d222b30393e474c555a636871767f848d929ba0a9aeb7bcc5cad3d80f010000000edcb53980075bcd15ffff202122232425262728292a2b2c2d2e2f3031323302050c171e2128333a3d444f5659606b72757c878e9198a3aaadb4bfc6c9d0db03040d161f2029323b3c454e5758616a73747d868f9099a2abacb5bec7c8d1da04030a1118272e353c3b4249505f666d74737a8188979ea5acabb2b9c0cfd6dd",
+			"0xa1fb88efde8576bf0e08021d048cb7aa9ff5170fb8763e284ecf64711fbd5054",
 		},
 		{
-			"header|18446744073709551615|0x0000000000000000000000000000000000000000000000000000000000000000|-6795364578871345152|0x0000000000000000000000000000000000000000|0x0000000000000000000000000000000000000000000000000000000000000000|0x0000000000000000000000000000000000000000000000000000000000000000|0x0000000000000000000000000000000000000000000000000000000000000000",
-			"0x2f7985373ddf6bf9da682f43977ba5b6116a7e1a8e229a566eaaff37716f8a04",
+			"06ffffffffffffffffff0100000000000000000000000000000000000000000000000000000000000000000f01000000000000000000000000ffff0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
+			"0x2c6f2271e9c25bd88ef8dbadaea9b7e9b999d41d4915adc1efb48ab069193ceb",
 		},
 	}
 	for i, h := range vecHeaders() {
-		if got := string(h.SigningBytes()); got != want[i].signing {
-			t.Errorf("header %d signing bytes:\n got %q\nwant %q", i, got, want[i].signing)
+		if got := hex.EncodeToString(h.SigningBytes()); got != want[i].signing {
+			t.Errorf("header %d signing bytes:\n got %s\nwant %s", i, got, want[i].signing)
+		}
+		if got := hex.EncodeToString(refHeaderSigningBytes(t, h)); got != want[i].signing {
+			t.Errorf("header %d reference signing bytes:\n got %s\nwant %s", i, got, want[i].signing)
 		}
 		if got := h.Hash().String(); got != want[i].hash {
 			t.Errorf("header %d hash: got %s, want %s", i, got, want[i].hash)
+		}
+		if got := refHashOf(refHeaderSigningBytes(t, h), h.Signature).String(); got != want[i].hash {
+			t.Errorf("header %d reference hash: got %s, want %s", i, got, want[i].hash)
+		}
+		// The same instant in another zone is the same header.
+		h.Time = h.Time.In(time.FixedZone("", 5*3600+45*60))
+		if got := h.Hash().String(); got != want[i].hash {
+			t.Errorf("header %d at UTC+5:45: hash %s, want %s", i, got, want[i].hash)
 		}
 	}
 }
 
 func TestFrozenReceiptDigest(t *testing.T) {
 	want := []string{
-		"0x49fcbb57b76f439a72baa4a88d284b805a552d06aca882315c37385d62ac741c",
-		"0xa31cb588c17bc78b6c404d74f3d9b6d3ab04a2cb3a15df2ae9b1bfbd1d124e0b",
-		"0x79a7651099625f2da48638ac12114ffdc626c422d3c385b723b70c39c19dd451",
-		"0xd88d091dbe200b164a4beb10c2f3c58913140d5897e5a292891ab9b8d04096c4",
+		"0x1a57c500e06c8a7654e1c06410e1a1d847898ce1bb679a5a71831a8f6575629c",
+		"0xefe3eaacb1690e623d9be8db1534b3361b1015c564d9d93397752c5e515026b4",
+		"0x3cd16953e9cdc629e77300edd8e73d36a975685ed7cba17dedd68416333b6ade",
+		"0x70cc5fad4e032415d8cd0fbbd91a8c0a6043da21b285fe194ac16d64aad73e9d",
 	}
 	receipts := vecReceipts()
 	for i, r := range receipts {
 		if got := r.Digest().String(); got != want[i] {
 			t.Errorf("receipt %d (%d events, %s) digest: got %s, want %s", i, len(r.Events), r.Status, got, want[i])
 		}
+		if got := refReceiptDigest(r).String(); got != want[i] {
+			t.Errorf("receipt %d reference digest: got %s, want %s", i, got, want[i])
+		}
 	}
-	const wantRoot = "0x50f31b3ad3a0f3779d5f49b34cbf698ecbcba9b38e7d60805f35ce7e8e8bfa1a"
+	const wantRoot = "0xfbd0d965f8897a4589dbd14d7290da9491f9cd1cabb52c423a5565e4a09cc39a"
 	if got := receiptRoot(receipts).String(); got != wantRoot {
 		t.Errorf("receipt root: got %s, want %s", got, wantRoot)
 	}

@@ -33,8 +33,8 @@ func TestSigningFormsAreDomainSeparated(t *testing.T) {
 		want  string // the bytes the form can open with
 		first []byte // what it opens with, read off the form itself
 	}{
-		{"chain.Tx.SigningBytes", "t", (&chain.Tx{}).SigningBytes()[:1]},
-		{"chain.Header.SigningBytes", "h", (&chain.Header{}).SigningBytes()[:1]},
+		{"chain.Tx.SigningBytes", "\x05", (&chain.Tx{}).SigningBytes()[:1]},
+		{"chain.Header.SigningBytes", "\x06", (&chain.Header{}).SigningBytes()[:1]},
 		{"distexchange.Evidence.SigningBytes", "\x27", (&distexchange.Evidence{}).SigningBytes()[:1]},
 		{"cryptoutil.Certificate.SigningBytes", "\x31", (&cryptoutil.Certificate{}).SigningBytes()[:1]},
 		{"tee.Quote.SigningBytes", "\x32", (&tee.Quote{}).SigningBytes()[:1]},

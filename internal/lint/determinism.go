@@ -26,8 +26,8 @@ var DeterministicPackages = []string{
 // EncoderPackages hold the canonical encoders: the functions whose
 // output a signature covers or a hash commits to (transactions, headers,
 // receipts, evidence, certificates, policies) and the append-style
-// codecs beside them. Their bytes are consensus: chain's textEnc writes
-// its text forms and store's codec every other one.
+// codecs beside them. Their bytes are consensus, and store's codec
+// writes them all.
 var EncoderPackages = []string{
 	"repro/internal/chain",
 	"repro/internal/cryptoutil",
@@ -93,8 +93,8 @@ var sortFuncRe = regexp.MustCompile(`(?i)^sort`)
 // formatters, a %v verb, or a strings.Builder to collect them in. What
 // such an encoder emits depends on the operand's dynamic type and its
 // String method, and it allocates per field on the path every validator
-// runs per transaction; chain's textEnc and store's codec write the
-// same bytes from typed appends.
+// runs per transaction; store's codec writes every field from a typed
+// append.
 func Determinism(pkgs ...string) *Analyzer {
 	a := &Analyzer{
 		Name: "determinism",
@@ -143,7 +143,7 @@ func checkEncoderFormatting(pass *Pass, fd *ast.FuncDecl) {
 		switch n := n.(type) {
 		case *ast.CallExpr:
 			if pkg, name := calleePkgFunc(info, n); pkg == "fmt" && fmtFormatterRe.MatchString(name) {
-				pass.Reportf(n.Pos(), "fmt.%s in consensus encoder %s; append typed fields with chain's textEnc or store's codec", name, fd.Name.Name)
+				pass.Reportf(n.Pos(), "fmt.%s in consensus encoder %s; append typed fields with store's codec", name, fd.Name.Name)
 				return false
 			}
 		case *ast.BasicLit:
@@ -153,7 +153,7 @@ func checkEncoderFormatting(pass *Pass, fd *ast.FuncDecl) {
 		case *ast.SelectorExpr:
 			if obj, ok := info.Uses[n.Sel].(*types.TypeName); ok && obj.Pkg() != nil &&
 				obj.Pkg().Path() == "strings" && obj.Name() == "Builder" {
-				pass.Reportf(n.Pos(), "strings.Builder in consensus encoder %s; size one buffer up front and append with chain's textEnc or store's codec", fd.Name.Name)
+				pass.Reportf(n.Pos(), "strings.Builder in consensus encoder %s; size one buffer up front and append with store's codec", fd.Name.Name)
 			}
 		}
 		return true

@@ -164,6 +164,12 @@ func decodePodSnapshot(payload []byte) (*podSnapshot, error) {
 		if d.Err() != nil {
 			break
 		}
+		// encodePodSnapshot writes resources in strictly increasing path
+		// order: another order would encode back to other bytes, and a
+		// repeated path would restore whichever copy came last.
+		if n := len(snap.Resources); n > 0 && r.Path <= snap.Resources[n-1].Path {
+			return nil, fmt.Errorf("%w: resource %q out of path order", store.ErrCodec, r.Path)
+		}
 		r.ETag = ETagFor(r.Data)
 		snap.Resources = append(snap.Resources, r)
 	}

@@ -283,8 +283,10 @@ func (d *Dec) UTC() time.Time {
 	if d.err != nil {
 		return time.Time{}
 	}
+	// Nanoseconds from 1e9 up to 2^30 marshal back as read, but they spell
+	// a later instant.
 	var canon [16]byte
-	if !bytes.Equal(AppendUTC(canon[:0], t), d.b[start:d.off]) {
+	if t.Nanosecond() >= 1e9 || !bytes.Equal(AppendUTC(canon[:0], t), d.b[start:d.off]) {
 		d.fail("timestamp not in UTC form")
 		return time.Time{}
 	}

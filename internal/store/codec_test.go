@@ -143,7 +143,9 @@ func TestCodecOneSpellingPerValue(t *testing.T) {
 	v2 = append(v2, 0)
 	nanos := append([]byte(nil), canon...)
 	nanos[10] = 0x7f // nanoseconds = 0x7f......
-	for name, b := range map[string][]byte{"zone offset": zoned, "zone offset with seconds": seconds, "16-byte marshalling": v2, "nanoseconds": nanos} {
+	second := append([]byte(nil), canon...)
+	copy(second[10:14], []byte{0x3b, 0x9a, 0xca, 0x00}) // nanoseconds = 1e9: the next second
+	for name, b := range map[string][]byte{"zone offset": zoned, "zone offset with seconds": seconds, "16-byte marshalling": v2, "nanoseconds": nanos, "nanoseconds at a second": second} {
 		d := NewDec(b)
 		if d.Time(); d.Err() != nil {
 			t.Errorf("%s: Dec.Time refuses it (%v), so it does not test Dec.UTC", name, d.Err())
