@@ -227,3 +227,49 @@ func TestJSONImportInjectionDetected(t *testing.T) {
 	}
 	t.Fatal("determinism analyzer did not flag the injected encoding/json import in contract.go")
 }
+
+// jsonEdges are the files of the module that may import encoding/json:
+// the HTTP and CLI edges, where JSON is what the other side speaks —
+// de-node's POST /txs and its client in core, obs's metrics endpoints,
+// and the `go list` stream the loader reads. Every record, argument and
+// signed form behind them has one binary encoding.
+var jsonEdges = []string{
+	"cmd/de-node/main.go",
+	"internal/core/submit.go",
+	"internal/lint/load.go",
+	"internal/obs/http.go",
+	"internal/obs/vars.go",
+}
+
+// TestJSONStaysAtTheEdges: the non-test files that import encoding/json
+// are exactly jsonEdges. A new importer fails it, and so does an edge
+// that stopped importing it, until the list says so.
+func TestJSONStaysAtTheEdges(t *testing.T) {
+	root, err := filepath.Abs("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := Load(root, "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var importers []string
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, imp := range f.Imports {
+				if imp.Path.Value != `"encoding/json"` {
+					continue
+				}
+				rel, err := filepath.Rel(root, pkg.Fset.Position(f.Pos()).Filename)
+				if err != nil {
+					t.Fatal(err)
+				}
+				importers = append(importers, filepath.ToSlash(rel))
+			}
+		}
+	}
+	slices.Sort(importers)
+	if !slices.Equal(importers, jsonEdges) {
+		t.Errorf("files importing encoding/json:\n got %q\nwant %q", importers, jsonEdges)
+	}
+}

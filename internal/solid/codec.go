@@ -1,7 +1,6 @@
 package solid
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 
@@ -9,99 +8,76 @@ import (
 )
 
 // Binary codec for the pod durability records (op log entries and pod
-// snapshots), built on the store package's primitives: varint lengths
-// and raw resource bytes (the JSON era base64-inflated every resource
-// body by 4/3). ACL documents are small structured values with no bulk
-// payload, so they are embedded as length-prefixed JSON blobs — the
-// hot bytes (resource data) stay raw. It is the only record format: a
-// payload that opens with any other byte than these tags fails decoding.
+// snapshots), built on the store package's primitives: varint lengths,
+// raw resource bytes, UTC timestamps (store.AppendUTC), and ACL documents
+// written field by field. It is the only record format, and each record
+// has one encoding: a payload that decodes encodes back to the same
+// bytes, and a payload that opens with any other byte than these tags
+// fails decoding.
 const (
-	// tagPodOp opens a pod op-log record.
-	tagPodOp byte = 0x11
-	// tagPodSnapshot opens a pod snapshot payload.
-	tagPodSnapshot byte = 0x12
+	// tagPodOp opens a pod op-log record. It is not 0x11, the tag of an
+	// earlier format (zoned times, JSON ACLs), so that OpenPod can tell
+	// such a log apart and refuse it.
+	tagPodOp byte = 0x13
+	// tagPodSnapshot opens a pod snapshot payload (not the earlier 0x12).
+	tagPodSnapshot byte = 0x14
 )
 
-// podOp.Kind values and their wire encoding.
+// podOpKind is a pod op's kind, as its record spells it.
+type podOpKind byte
+
 const (
-	podOpPut = "put"
-	podOpDel = "del"
-	podOpACL = "acl"
+	// podOpPut stores a resource (create/replace, covering Append's net
+	// effect too).
+	podOpPut podOpKind = 1
+	// podOpDel deletes a resource.
+	podOpDel podOpKind = 2
+	// podOpACL installs an ACL document.
+	podOpACL podOpKind = 3
 )
 
-func podOpKindByte(kind string) (byte, error) {
-	switch kind {
-	case podOpPut:
-		return 1, nil
-	case podOpDel:
-		return 2, nil
-	case podOpACL:
-		return 3, nil
-	}
-	return 0, fmt.Errorf("solid: unknown pod op kind %q", kind)
-}
-
-func podOpKindString(b byte) (string, error) {
-	switch b {
-	case 1:
-		return podOpPut, nil
-	case 2:
-		return podOpDel, nil
-	case 3:
-		return podOpACL, nil
-	}
-	return "", fmt.Errorf("solid: unknown pod op kind byte 0x%02x", b)
-}
-
-// encodePodOp encodes one logged mutation effect.
-func encodePodOp(op *podOp) ([]byte, error) {
-	kind, err := podOpKindByte(op.Kind)
-	if err != nil {
-		return nil, err
-	}
+// encodePodOp encodes one logged mutation effect. A kind writes only the
+// fields it uses.
+func encodePodOp(op *podOp) []byte {
 	dst := make([]byte, 0, 64+len(op.Path)+len(op.ContentType)+len(op.Data))
-	dst = append(dst, tagPodOp, kind)
+	dst = append(dst, tagPodOp, byte(op.Kind))
 	dst = store.AppendString(dst, op.Path)
-	dst = store.AppendString(dst, op.ContentType)
-	dst = store.AppendBytes(dst, op.Data)
-	dst, err = store.AppendTime(dst, op.Modified)
-	if err != nil {
-		return nil, err
+	switch op.Kind {
+	case podOpPut:
+		dst = store.AppendString(dst, op.ContentType)
+		dst = store.AppendBytes(dst, op.Data)
+		dst = store.AppendUTC(dst, op.Modified)
+	case podOpACL:
+		dst = appendACL(dst, op.ACL)
 	}
-	dst = store.AppendUvarint(dst, op.PostSeq)
-	return appendACLBlob(dst, op.ACL)
+	return store.AppendUvarint(dst, op.PostSeq)
 }
 
 // decodePodOp decodes an op-log payload.
 func decodePodOp(payload []byte) (podOp, error) {
-	var op podOp
-	if len(payload) < 2 || payload[0] != tagPodOp {
-		return op, fmt.Errorf("solid: not a pod op record")
+	d := store.NewDec(payload)
+	d.Tag(tagPodOp)
+	op := podOp{Kind: podOpKind(d.Byte()), Path: d.String()}
+	switch op.Kind {
+	case podOpPut:
+		op.ContentType = d.String()
+		op.Data = d.Bytes()
+		op.Modified = d.UTC()
+	case podOpDel:
+	case podOpACL:
+		op.ACL = decodeACL(d)
+	default:
+		if d.Err() == nil {
+			return op, fmt.Errorf("%w: unknown pod op kind %d", store.ErrCodec, op.Kind)
+		}
 	}
-	kind, err := podOpKindString(payload[1])
-	if err != nil {
-		return op, err
-	}
-	op.Kind = kind
-	d := store.NewDec(payload[2:])
-	op.Path = d.String()
-	op.ContentType = d.String()
-	op.Data = d.Bytes()
-	op.Modified = d.Time()
 	op.PostSeq = d.Uvarint()
-	op.ACL, err = decodeACLBlob(d)
-	if err != nil {
-		return op, err
-	}
-	if err := d.Finish(); err != nil {
-		return op, err
-	}
-	return op, nil
+	return op, d.Finish()
 }
 
 // encodePodSnapshot encodes a full pod dump deterministically
 // (resources and ACLs sorted by path).
-func encodePodSnapshot(snap *podSnapshot) ([]byte, error) {
+func encodePodSnapshot(snap *podSnapshot) []byte {
 	size := 64
 	for _, r := range snap.Resources {
 		size += 64 + len(r.Path) + len(r.ContentType) + len(r.Data)
@@ -115,14 +91,11 @@ func encodePodSnapshot(snap *podSnapshot) ([]byte, error) {
 	resources := append([]*Resource(nil), snap.Resources...)
 	sort.Slice(resources, func(i, j int) bool { return resources[i].Path < resources[j].Path })
 	dst = store.AppendUvarint(dst, uint64(len(resources)))
-	var err error
 	for _, r := range resources {
 		dst = store.AppendString(dst, r.Path)
 		dst = store.AppendString(dst, r.ContentType)
 		dst = store.AppendBytes(dst, r.Data)
-		if dst, err = store.AppendTime(dst, r.Modified); err != nil {
-			return nil, err
-		}
+		dst = store.AppendUTC(dst, r.Modified)
 	}
 
 	paths := make([]string, 0, len(snap.ACLs))
@@ -133,21 +106,17 @@ func encodePodSnapshot(snap *podSnapshot) ([]byte, error) {
 	dst = store.AppendUvarint(dst, uint64(len(paths)))
 	for _, path := range paths {
 		dst = store.AppendString(dst, path)
-		if dst, err = appendACLBlob(dst, snap.ACLs[path]); err != nil {
-			return nil, err
-		}
+		dst = appendACL(dst, snap.ACLs[path])
 	}
-	return dst, nil
+	return dst
 }
 
 // decodePodSnapshot decodes a snapshot payload. Resource ETags are not
 // stored: they are recomputed from the data bytes, exactly as the pod
 // does on every write.
 func decodePodSnapshot(payload []byte) (*podSnapshot, error) {
-	if len(payload) == 0 || payload[0] != tagPodSnapshot {
-		return nil, fmt.Errorf("solid: not a pod snapshot payload")
-	}
-	d := store.NewDec(payload[1:])
+	d := store.NewDec(payload)
+	d.Tag(tagPodSnapshot)
 	snap := &podSnapshot{
 		Ops:     d.Uvarint(),
 		PostSeq: d.Uvarint(),
@@ -159,14 +128,14 @@ func decodePodSnapshot(payload []byte) (*podSnapshot, error) {
 			Path:        d.String(),
 			ContentType: d.String(),
 			Data:        d.Bytes(),
-			Modified:    d.Time(),
+			Modified:    d.UTC(),
 		}
 		if d.Err() != nil {
 			break
 		}
-		// encodePodSnapshot writes resources in strictly increasing path
-		// order: another order would encode back to other bytes, and a
-		// repeated path would restore whichever copy came last.
+		// encodePodSnapshot writes resources and ACLs in strictly
+		// increasing path order: another order would encode back to other
+		// bytes, and a repeated path would restore whichever copy came last.
 		if n := len(snap.Resources); n > 0 && r.Path <= snap.Resources[n-1].Path {
 			return nil, fmt.Errorf("%w: resource %q out of path order", store.ErrCodec, r.Path)
 		}
@@ -175,15 +144,16 @@ func decodePodSnapshot(payload []byte) (*podSnapshot, error) {
 	}
 	aclCount := d.Count("ACLs", uint64(len(payload)))
 	snap.ACLs = make(map[string]*ACL, min(aclCount, store.DecodeCapHint))
-	for range aclCount {
-		path := d.String()
-		acl, err := decodeACLBlob(d)
-		if err != nil {
-			return nil, err
-		}
+	prev := ""
+	for i := range aclCount {
+		path, acl := d.String(), decodeACL(d)
 		if d.Err() != nil {
 			break
 		}
+		if i > 0 && path <= prev {
+			return nil, fmt.Errorf("%w: ACL %q out of path order", store.ErrCodec, path)
+		}
+		prev = path
 		snap.ACLs[path] = acl
 	}
 	if err := d.Finish(); err != nil {
@@ -192,28 +162,37 @@ func decodePodSnapshot(payload []byte) (*podSnapshot, error) {
 	return snap, nil
 }
 
-// appendACLBlob embeds an ACL document as a length-prefixed JSON blob
-// (empty blob = no ACL).
-func appendACLBlob(dst []byte, acl *ACL) ([]byte, error) {
-	if acl == nil {
-		return store.AppendBytes(dst, nil), nil
+// appendACL appends an ACL document: its authorization count, then each
+// authorization's fields in declaration order.
+func appendACL(dst []byte, acl *ACL) []byte {
+	dst = store.AppendUvarint(dst, uint64(len(acl.Authorizations)))
+	for _, a := range acl.Authorizations {
+		dst = store.AppendString(dst, a.ID)
+		dst = store.AppendStrings(dst, a.Agents)
+		dst = store.AppendBool(dst, a.Public)
+		dst = store.AppendString(dst, a.AccessTo)
+		dst = store.AppendBool(dst, a.Default)
+		dst = store.AppendStrings(dst, a.Modes)
 	}
-	blob, err := json.Marshal(acl)
-	if err != nil {
-		return nil, fmt.Errorf("solid: encode ACL: %w", err)
-	}
-	return store.AppendBytes(dst, blob), nil
+	return dst
 }
 
-// decodeACLBlob reads an ACL embedded by appendACLBlob.
-func decodeACLBlob(d *store.Dec) (*ACL, error) {
-	blob := d.Bytes()
-	if len(blob) == 0 {
-		return nil, nil
-	}
+// decodeACL reads an ACL written by appendACL.
+func decodeACL(d *store.Dec) *ACL {
 	acl := &ACL{}
-	if err := json.Unmarshal(blob, acl); err != nil {
-		return nil, fmt.Errorf("solid: decode ACL: %w", err)
+	n := d.Count("authorizations", uint64(d.Remaining()))
+	for range n {
+		acl.Authorizations = append(acl.Authorizations, Authorization{
+			ID:       d.String(),
+			Agents:   store.Strings[WebID](d, "agents"),
+			Public:   d.Bool(),
+			AccessTo: d.String(),
+			Default:  d.Bool(),
+			Modes:    store.Strings[AccessMode](d, "modes"),
+		})
+		if d.Err() != nil {
+			break
+		}
 	}
-	return acl, nil
+	return acl
 }

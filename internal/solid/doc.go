@@ -73,5 +73,9 @@
 // generation, and never re-mints a POST-assigned child name. Mutations
 // on a durable pod fail if their journal append fails; replay applies
 // effects directly and re-checks nothing (authorization happened when
-// the op was logged).
+// the op was logged). Op records and snapshots have one binary encoding
+// each (codec.go): times are written as their UTC instant and ACLs field
+// by field. A pod dir whose op log opens with a record of an earlier
+// format fails OpenPod ("start from an empty directory") and is left as
+// it was.
 package solid

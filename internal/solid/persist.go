@@ -28,16 +28,14 @@ type PodStoreOptions struct {
 // pod reproduces the exact resource bytes, ETags, ACL documents, ACL
 // generation, and POST-minting sequence of the pod that wrote the log.
 type podOp struct {
-	// Kind is "put" (create/replace, covering Append's net effect too),
-	// "del", or "acl".
-	Kind string
+	Kind podOpKind
 	// Path is the affected resource (or ACL target) path.
 	Path string
-	// ContentType/Data/Modified describe the stored resource for "put".
+	// ContentType/Data/Modified describe the stored resource of a put.
 	ContentType string
 	Data        []byte
 	Modified    time.Time
-	// ACL is the installed document for "acl".
+	// ACL is the document an ACL op installs.
 	ACL *ACL
 	// PostSeq is the pod's POST-minting counter after the op, so replay
 	// never re-mints a server-assigned child name.
@@ -89,6 +87,12 @@ func OpenPod(owner WebID, baseURL, dir string, opts PodStoreOptions) (*Pod, erro
 	wal, records, err := store.OpenWAL(filepath.Join(dir, podLogName), opts.WAL)
 	if err != nil {
 		return nil, err
+	}
+	// A log written in an earlier record format opens with another tag.
+	// Recovery would take its first record for damage and truncate the
+	// whole log from it, so the log is refused as it is.
+	if len(records) > 0 && (len(records[0].Payload) == 0 || records[0].Payload[0] != tagPodOp) {
+		return nil, errors.Join(fmt.Errorf("solid: %s: first op-log record is not of this format; start from an empty directory", dir), wal.Close())
 	}
 	p := NewPod(owner, baseURL)
 	// The pod is not yet published, so no other goroutine can race the
@@ -149,7 +153,7 @@ func OpenPod(owner WebID, baseURL, dir string, opts PodStoreOptions) (*Pod, erro
 // mirroring the original mutation.
 func (p *Pod) applyOpLocked(op podOp) {
 	switch op.Kind {
-	case "put":
+	case podOpPut:
 		p.resources[op.Path] = &Resource{
 			Path:        op.Path,
 			ContentType: op.ContentType,
@@ -157,12 +161,10 @@ func (p *Pod) applyOpLocked(op podOp) {
 			Modified:    op.Modified,
 			ETag:        ETagFor(op.Data),
 		}
-	case "del":
+	case podOpDel:
 		delete(p.resources, op.Path)
-	case "acl":
-		if op.ACL != nil {
-			p.acls[op.Path] = op.ACL
-		}
+	case podOpACL:
+		p.acls[op.Path] = op.ACL
 	}
 	if op.PostSeq > p.postSeq {
 		p.postSeq = op.PostSeq
@@ -181,10 +183,7 @@ func (p *Pod) logOpLocked(op podOp) error {
 		return nil
 	}
 	op.PostSeq = p.postSeq
-	buf, err := encodePodOp(&op)
-	if err != nil {
-		return fmt.Errorf("solid: encode pod op: %w", err)
-	}
+	buf := encodePodOp(&op)
 	if err := p.persist.wal.Append(buf); err != nil {
 		return fmt.Errorf("solid: persist pod op: %w", err)
 	}
@@ -224,10 +223,7 @@ func (p *Pod) writeSnapshotLocked() error {
 	for _, r := range p.resources {
 		snap.Resources = append(snap.Resources, r)
 	}
-	buf, err := encodePodSnapshot(&snap)
-	if err != nil {
-		return fmt.Errorf("solid: encode pod snapshot: %w", err)
-	}
+	buf := encodePodSnapshot(&snap)
 	if err := store.WriteSnapshot(p.persist.dir, snap.Ops, buf); err != nil {
 		return fmt.Errorf("solid: write pod snapshot: %w", err)
 	}

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -228,6 +229,43 @@ func TestLocalZonePodRecovers(t *testing.T) {
 	}
 	p2 := restartPod(t, p, dir, PodStoreOptions{WAL: store.Options{Sync: store.SyncNever}})
 	requireSamePod(t, p2, p, paths...)
+}
+
+// TestJSONACLPodIsRefused: testdata/json-acl-pod is a pod dir written in
+// the previous record format, under TZ=Asia/Kathmandu: its Modified times
+// carry the Local zone's offset and its ACL is a JSON blob. Opening it
+// fails with an error that says to start from an empty directory, and the
+// dir is left as it was rather than truncated.
+func TestJSONACLPodIsRefused(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "json-acl-pod"))); err != nil {
+		t.Fatal(err)
+	}
+	files := []string{podLogName, "snap-0000000000000002.snap"}
+	before := make([][]byte, len(files))
+	for i, file := range files {
+		raw, err := os.ReadFile(filepath.Join(dir, file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before[i] = raw
+	}
+	if !bytes.Contains(before[0], []byte(`"Authorizations":[`)) {
+		t.Fatal("the op log holds no JSON ACL")
+	}
+	p, err := OpenPod(persistOwner, "https://alice.pod", dir, PodStoreOptions{WAL: store.Options{Sync: store.SyncNever}})
+	if err == nil {
+		p.CloseStore()
+		t.Fatal("a pod dir of the previous format opened")
+	}
+	if !strings.Contains(err.Error(), "start from an empty directory") {
+		t.Errorf("err = %v, want one telling to start from an empty directory", err)
+	}
+	for i, file := range files {
+		if after, err := os.ReadFile(filepath.Join(dir, file)); err != nil || !bytes.Equal(after, before[i]) {
+			t.Errorf("the refused %s changed (%d bytes, was %d; %v)", file, len(after), len(before[i]), err)
+		}
+	}
 }
 
 // TestPodSnapshotRule: the pod layer snapshots by the same rule as the
@@ -479,17 +517,13 @@ func TestPodOpCodecRoundTrip(t *testing.T) {
 	acl := NewACL(persistOwner, "/notes/")
 	acl.Grant("reader", []WebID{persistReader}, "/notes/", true, ModeRead)
 	ops := []podOp{
-		{Kind: "put", Path: "/a.bin", ContentType: "application/octet-stream",
+		{Kind: podOpPut, Path: "/a.bin", ContentType: "application/octet-stream",
 			Data: []byte{0, 1, 2, 0xfe, 0xff}, Modified: persistEpoch, PostSeq: 3},
-		{Kind: "del", Path: "/a.bin", PostSeq: 4},
-		{Kind: "acl", Path: "/notes/", ACL: acl, PostSeq: 4},
+		{Kind: podOpDel, Path: "/a.bin", PostSeq: 4},
+		{Kind: podOpACL, Path: "/notes/", ACL: acl, PostSeq: 4},
 	}
 	for i, want := range ops {
-		payload, err := encodePodOp(&want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := decodePodOp(payload)
+		got, err := decodePodOp(encodePodOp(&want))
 		if err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
@@ -500,9 +534,6 @@ func TestPodOpCodecRoundTrip(t *testing.T) {
 	}
 	if _, err := decodePodSnapshot([]byte(`{"ops":9,"resources":[]}`)); err == nil {
 		t.Fatal("JSON pod snapshot decoded")
-	}
-	if _, err := encodePodOp(&podOp{Kind: "bogus"}); err == nil {
-		t.Fatal("unknown kind encoded")
 	}
 	if _, err := decodePodOp([]byte{tagPodOp, 99}); err == nil {
 		t.Fatal("unknown kind byte decoded")
@@ -518,11 +549,8 @@ func TestPodOpCodecRoundTrip(t *testing.T) {
 		},
 		ACLs: map[string]*ACL{"/notes/": acl},
 	}
-	payload, err := encodePodSnapshot(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again, _ := encodePodSnapshot(snap); !bytes.Equal(payload, again) {
+	payload := encodePodSnapshot(snap)
+	if again := encodePodSnapshot(snap); !bytes.Equal(payload, again) {
 		t.Fatal("pod snapshot encoding is not deterministic")
 	}
 	got, err := decodePodSnapshot(payload)

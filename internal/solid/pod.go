@@ -191,7 +191,7 @@ func (p *Pod) PutResource(agent WebID, resPath, contentType string, data []byte,
 // putOp builds the logged effect of storing res.
 func putOp(res *Resource) podOp {
 	return podOp{
-		Kind:        "put",
+		Kind:        podOpPut,
 		Path:        res.Path,
 		ContentType: res.ContentType,
 		Data:        res.Data,
@@ -306,7 +306,7 @@ func (p *Pod) Delete(agent WebID, resPath string) error {
 	if _, ok := p.resources[clean]; !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, clean)
 	}
-	if err := p.logOpLocked(podOp{Kind: "del", Path: clean}); err != nil {
+	if err := p.logOpLocked(podOp{Kind: podOpDel, Path: clean}); err != nil {
 		return err
 	}
 	delete(p.resources, clean)
@@ -351,18 +351,21 @@ func (p *Pod) List(agent WebID, containerPath string) ([]string, error) {
 }
 
 // SetACL installs an ACL document governing the given path, subject to the
-// agent holding Control access on that path.
+// agent holding Control access on that path. A nil document is refused.
 func (p *Pod) SetACL(agent WebID, resPath string, acl *ACL) error {
 	clean, err := normalizePath(resPath)
 	if err != nil {
 		return err
+	}
+	if acl == nil {
+		return fmt.Errorf("%w to install at %s", ErrNoACL, clean)
 	}
 	if err := p.Authorize(agent, clean, ModeControl); err != nil {
 		return err
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if err := p.logOpLocked(podOp{Kind: "acl", Path: clean, ACL: acl}); err != nil {
+	if err := p.logOpLocked(podOp{Kind: podOpACL, Path: clean, ACL: acl}); err != nil {
 		return err
 	}
 	p.acls[clean] = acl

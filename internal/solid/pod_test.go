@@ -120,6 +120,27 @@ func TestPodSetACLRequiresControl(t *testing.T) {
 	}
 }
 
+// TestPodSetACLRefusesNil: a nil ACL document is refused before it is
+// logged or installed. Installed, it made every later non-owner decision
+// under its path dereference it, and op-log replay dropped it, so a
+// restarted pod decided that path differently.
+func TestPodSetACLRefusesNil(t *testing.T) {
+	pod := newTestPod()
+	gen := pod.ACLGeneration()
+	if err := pod.SetACL(aliceID, "/doc/", nil); !errors.Is(err, ErrNoACL) {
+		t.Fatalf("SetACL(nil) = %v, want ErrNoACL", err)
+	}
+	if g := pod.ACLGeneration(); g != gen {
+		t.Fatalf("ACL generation %d after a refused SetACL, want %d", g, gen)
+	}
+	if _, err := pod.GetACL(aliceID, "/doc/"); !errors.Is(err, ErrNoACL) {
+		t.Fatalf("GetACL after a refused SetACL: %v", err)
+	}
+	if err := pod.Authorize(bobID, "/doc/x.txt", ModeRead); !errors.Is(err, ErrForbidden) {
+		t.Fatalf("stranger under the refused path: %v", err)
+	}
+}
+
 func TestPodList(t *testing.T) {
 	pod := newTestPod()
 	files := []string{"/a.txt", "/dir/b.txt", "/dir/c.txt", "/dir/sub/d.txt"}

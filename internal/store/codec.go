@@ -21,10 +21,9 @@ import (
 //   - byte strings are a uvarint length followed by the raw bytes
 //   - strings are byte strings of their UTF-8 bytes
 //   - booleans are one byte (0 or 1)
-//   - timestamps are the byte string of time.Time.MarshalBinary, which
-//     round-trips the wall clock (zero value included) exactly; AppendUTC
-//     and Dec.UTC narrow that to one 16-byte form per instant, for records
-//     whose size and bytes must not depend on the writer's time zone
+//   - timestamps are the byte string of the UTC instant's
+//     time.Time.MarshalBinary (AppendUTC): one 16-byte form per instant,
+//     zero value included, whatever zone the writer's time carries
 //   - fixed-width fields (hashes, addresses) are raw bytes with no
 //     length prefix; the schema fixes their width
 //
@@ -71,22 +70,9 @@ func AppendBool(dst []byte, b bool) []byte {
 	return append(dst, 0)
 }
 
-// AppendTime appends t's binary marshalling as a byte string.
-func AppendTime(dst []byte, t time.Time) ([]byte, error) {
-	// The marshalling is 15 or 16 bytes, so its length prefix is one byte,
-	// filled in once the length is known.
-	at := len(dst)
-	dst, err := t.AppendBinary(append(dst, 0))
-	if err != nil {
-		return nil, fmt.Errorf("store: encode time: %w", err)
-	}
-	dst[at] = byte(len(dst) - at - 1)
-	return dst, nil
-}
-
-// AppendUTC appends the instant t as AppendTime would append t.UTC(): the
-// same 16 bytes whatever zone t carries. UTC has no zone offset for the
-// marshalling to reject, hence no error.
+// AppendUTC appends the instant t as the byte string of t.UTC()'s binary
+// marshalling: the same 16 bytes whatever zone t carries. UTC has no zone
+// offset for the marshalling to reject, hence no error.
 func AppendUTC(dst []byte, t time.Time) []byte {
 	dst, _ = t.UTC().AppendBinary(append(dst, 15))
 	return dst
@@ -260,33 +246,20 @@ func (d *Dec) Raw(dst []byte) {
 	d.off += len(dst)
 }
 
-// Time reads a timestamp written by AppendTime.
-func (d *Dec) Time() time.Time {
-	b := d.view()
-	if d.err != nil {
-		return time.Time{}
-	}
-	var t time.Time
-	if err := t.UnmarshalBinary(b); err != nil {
-		d.fail("bad timestamp")
-		return time.Time{}
-	}
-	return t
-}
-
 // UTC reads a timestamp written by AppendUTC and fails on any other
 // spelling of it (a zone offset, nanoseconds out of range), so an instant
 // has one encoding. The result's location is time.UTC.
 func (d *Dec) UTC() time.Time {
 	start := d.off
-	t := d.Time()
+	b := d.view()
 	if d.err != nil {
 		return time.Time{}
 	}
 	// Nanoseconds from 1e9 up to 2^30 marshal back as read, but they spell
 	// a later instant.
+	var t time.Time
 	var canon [16]byte
-	if t.Nanosecond() >= 1e9 || !bytes.Equal(AppendUTC(canon[:0], t), d.b[start:d.off]) {
+	if t.UnmarshalBinary(b) != nil || t.Nanosecond() >= 1e9 || !bytes.Equal(AppendUTC(canon[:0], t), d.b[start:d.off]) {
 		d.fail("timestamp not in UTC form")
 		return time.Time{}
 	}
