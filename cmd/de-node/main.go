@@ -33,14 +33,9 @@
 //	GET  /status              cluster height, gas totals, oracle stats
 //	GET  /resources           the DE App resource index (JSON)
 //	GET  /violations?iri=...  violations recorded for a resource
-//	POST /txs                 submit a JSON array of signed transactions
-//	                          as one batch (verified concurrently,
-//	                          broadcast to every validator); answers
-//	                          429 + Retry-After when the mempool is
-//	                          full or the sender's quota is exhausted
-//	POST /txs/stream          streaming ingestion: a sequence of JSON
-//	                          transactions in, one NDJSON verdict line
-//	                          out per transaction — what fits is
+//	POST /txs/stream          the one ingestion route: a sequence of
+//	                          JSON transactions in, one NDJSON verdict
+//	                          line out per transaction — what fits is
 //	                          admitted, the rest is reported with a
 //	                          retryable flag instead of failing the
 //	                          whole upload
@@ -85,7 +80,7 @@ func run(args []string) error {
 	dataDir := fs.String("data-dir", "", "durable storage root (empty = in-memory; WAL + snapshots + keys under <dir>/node-<i>/)")
 	fsync := fs.String("fsync", "interval", "WAL fsync policy: always, interval, never")
 	execWorkers := fs.Int("exec-workers", 0, "parallel transaction execution workers per node (0 = GOMAXPROCS, 1 = serial; blocks are bit-identical at any setting)")
-	mempoolCap := fs.Int("mempool-cap", 0, "mempool capacity in transactions (0 = package default; full pool evicts the cheapest tail or answers 429)")
+	mempoolCap := fs.Int("mempool-cap", 0, "mempool capacity in transactions (0 = package default; full pool evicts the cheapest tail or answers a retryable verdict)")
 	senderQuota := fs.Int("sender-quota", 0, "max pending transactions per sender (0 = package default)")
 	priceBump := fs.Int("price-bump", 0, "minimum replace-by-fee gas-price bump in percent (0 = package default)")
 	debugAddr := fs.String("debug-addr", "", "observability listen address (empty = disabled; GET /metrics, /debug/vars, /debug/traces, /debug/pprof/)")
@@ -169,7 +164,7 @@ func run(args []string) error {
 	srv := &http.Server{Addr: *httpAddr, Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
-	log.Printf("HTTP API on %s (GET /status, /resources, /violations?iri=...; POST /txs, /txs/stream)", *httpAddr)
+	log.Printf("HTTP API on %s (GET /status, /resources, /violations?iri=...; POST /txs/stream)", *httpAddr)
 
 	// The observability server is separate from the API server: pprof and
 	// metrics bind to a private address and never ride on the public mux.
@@ -234,13 +229,24 @@ func retryAfterSeconds(interval time.Duration) string {
 	return strconv.Itoa(secs)
 }
 
+// TxVerdictWire is one line of the POST /txs/stream response (NDJSON):
+// the transaction hash, whether it was admitted, the admission error
+// otherwise, and whether retrying later can succeed (backpressure) or
+// not (deterministic rejection).
+type TxVerdictWire struct {
+	Hash      string `json:"hash"`
+	Ok        bool   `json:"ok"`
+	Error     string `json:"error,omitempty"`
+	Retryable bool   `json:"retryable,omitempty"`
+}
+
 // streamChunkSize bounds how many decoded transactions /txs/stream
 // verifies and broadcasts per round trip to the network layer.
 const streamChunkSize = 256
 
 // newAPIMux builds the cluster's HTTP status/query/submission API, reading
-// from validator 0. The block interval sizes the Retry-After hint on 429
-// responses.
+// from validator 0. The block interval sizes the stream's Retry-After
+// hint, which tells a client holding retryable verdicts when to resend.
 func newAPIMux(cluster *core.Cluster, interval time.Duration) *http.ServeMux {
 	nodes, network, deAddr := cluster.Nodes, cluster.Network, cluster.DEAddr
 	retryAfter := retryAfterSeconds(interval)
@@ -260,34 +266,6 @@ func newAPIMux(cluster *core.Cluster, interval time.Duration) *http.ServeMux {
 		reply, err := nodes[0].Query(deAddr, "listResources", distexchange.ListResourcesArgs{}.AppendArgs(nil))
 		writeListing(w, reply, err, distexchange.DecodeResourceRecords)
 	})
-	mux.HandleFunc("POST /txs", func(w http.ResponseWriter, r *http.Request) {
-		var txs []*chain.Tx
-		if err := json.NewDecoder(r.Body).Decode(&txs); err != nil {
-			http.Error(w, "bad transaction batch: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		if len(txs) == 0 {
-			http.Error(w, "empty transaction batch", http.StatusBadRequest)
-			return
-		}
-		hashes, err := network.SubmitAllOrNothing(txs)
-		if err != nil {
-			status := http.StatusBadRequest
-			if chain.IsBackpressure(err) {
-				// Transient pressure, not a malformed batch: tell the
-				// client when the pool is likely to have drained.
-				w.Header().Set("Retry-After", retryAfter)
-				status = http.StatusTooManyRequests
-			}
-			http.Error(w, err.Error(), status)
-			return
-		}
-		out := make([]string, len(hashes))
-		for i, h := range hashes {
-			out[i] = h.String()
-		}
-		writeJSON(w, map[string]any{"accepted": len(out), "hashes": out})
-	})
 	mux.HandleFunc("POST /txs/stream", func(w http.ResponseWriter, r *http.Request) {
 		// Streaming ingestion: decode transactions as they arrive, admit
 		// them in bounded chunks, and answer one NDJSON verdict line per
@@ -299,7 +277,7 @@ func newAPIMux(cluster *core.Cluster, interval time.Duration) *http.ServeMux {
 		enc := json.NewEncoder(w)
 		emit := func(chunk []*chain.Tx) {
 			for _, v := range network.Submit(chunk) {
-				line := core.TxVerdictWire{Hash: v.Hash.String(), Ok: v.Admitted()}
+				line := TxVerdictWire{Hash: v.Hash.String(), Ok: v.Admitted()}
 				if v.Err != nil {
 					line.Error = v.Err.Error()
 					line.Retryable = chain.IsBackpressure(v.Err)
@@ -323,7 +301,7 @@ func newAPIMux(cluster *core.Cluster, interval time.Duration) *http.ServeMux {
 				// Mid-stream garbage: report what we can and stop. The
 				// status line already went out with the first verdict, so
 				// the error rides the stream as a final pseudo-verdict.
-				_ = enc.Encode(core.TxVerdictWire{Error: "bad transaction stream: " + err.Error()})
+				_ = enc.Encode(TxVerdictWire{Error: "bad transaction stream: " + err.Error()})
 				return
 			}
 			if tx == nil {

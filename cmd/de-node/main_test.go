@@ -3,7 +3,6 @@ package main
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -151,72 +150,6 @@ func TestRunGracefulShutdown(t *testing.T) {
 	}
 }
 
-func TestPostTxsBatchEndpoint(t *testing.T) {
-	cluster := newTestCluster(t, core.Config{Validators: 2})
-	nodes, network, deAddr := cluster.Nodes, cluster.Network, cluster.DEAddr
-	srv := httptest.NewServer(newAPIMux(cluster, time.Second))
-	defer srv.Close()
-
-	sender := cryptoutil.MustGenerateKey()
-	const batchSize = 8
-	txs := make([]*chain.Tx, batchSize)
-	for i := range txs {
-		args := distexchange.RegisterPodArgs{
-			OwnerWebID: fmt.Sprintf("https://owner%d.example/profile#me", i),
-			Location:   fmt.Sprintf("https://owner%d.example/", i),
-		}
-		tx, err := chain.NewTx(sender, uint64(i), deAddr, "registerPod", args, distexchange.DefaultGasLimit)
-		if err != nil {
-			t.Fatal(err)
-		}
-		txs[i] = tx
-	}
-	body, err := json.Marshal(txs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(srv.URL+"/txs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /txs status = %d", resp.StatusCode)
-	}
-	var out struct {
-		Accepted int      `json:"accepted"`
-		Hashes   []string `json:"hashes"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Accepted != batchSize || len(out.Hashes) != batchSize {
-		t.Fatalf("accepted %d hashes %d, want %d", out.Accepted, len(out.Hashes), batchSize)
-	}
-	if got := nodes[0].PendingTxs(); got != batchSize {
-		t.Fatalf("pending = %d, want %d", got, batchSize)
-	}
-	block, err := network.SealNext()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(block.Txs) != batchSize {
-		t.Fatalf("sealed %d txs, want %d", len(block.Txs), batchSize)
-	}
-
-	// A tampered batch is rejected outright.
-	txs[0].Args = []byte(`{"ownerWebID":"evil"}`)
-	body, _ = json.Marshal(txs[:1])
-	resp2, err := http.Post(srv.URL+"/txs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	if resp2.StatusCode != http.StatusBadRequest {
-		t.Fatalf("tampered batch status = %d, want 400", resp2.StatusCode)
-	}
-}
-
 // registerPodTx builds a signed registerPod transaction at the default
 // gas price with a unique owner derived from (label, nonce).
 func registerPodTx(t *testing.T, key *cryptoutil.KeyPair, nonce uint64, deAddr cryptoutil.Address, label string) *chain.Tx {
@@ -242,115 +175,22 @@ func newOverloadCluster(t *testing.T) ([]*chain.Node, *chain.Network, cryptoutil
 	return cluster.Nodes, cluster.Network, cluster.DEAddr, srv
 }
 
-// TestPostTxsBackpressure429: a full mempool answers POST /txs with 429
-// and a Retry-After hint, and the same batch is accepted verbatim once
-// a sealed block drains the pool.
-func TestPostTxsBackpressure429(t *testing.T) {
-	_, network, deAddr, srv := newOverloadCluster(t)
-
-	filler := cryptoutil.MustGenerateKey()
-	fill := make([]*chain.Tx, 4)
-	for i := range fill {
-		fill[i] = registerPodTx(t, filler, uint64(i), deAddr, "filler")
-	}
-	body, _ := json.Marshal(fill)
-	resp, err := http.Post(srv.URL+"/txs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("filling batch status = %d", resp.StatusCode)
-	}
-
-	// An equally-priced newcomer cannot displace anything: 429, not 400.
-	late := cryptoutil.MustGenerateKey()
-	lateBody, _ := json.Marshal([]*chain.Tx{registerPodTx(t, late, 0, deAddr, "late")})
-	resp, err = http.Post(srv.URL+"/txs", "application/json", bytes.NewReader(lateBody))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("overload status = %d, want 429", resp.StatusCode)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra != "1" {
-		t.Fatalf("Retry-After = %q, want \"1\"", ra)
-	}
-
-	// Sealing drains the pool; the retried batch now fits.
-	if _, err := network.SealNext(); err != nil {
-		t.Fatal(err)
-	}
-	resp, err = http.Post(srv.URL+"/txs", "application/json", bytes.NewReader(lateBody))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("retry after seal status = %d, want 200", resp.StatusCode)
-	}
-}
-
-// TestTxClientRetriesBackpressure drives the core.TxClient against a
-// full pool: every early attempt gets 429, a concurrent seal frees the
-// pool, and the client's capped backoff lands the batch without the
-// caller seeing the backpressure.
-func TestTxClientRetriesBackpressure(t *testing.T) {
-	_, network, deAddr, srv := newOverloadCluster(t)
-
-	filler := cryptoutil.MustGenerateKey()
-	fill := make([]*chain.Tx, 4)
-	for i := range fill {
-		fill[i] = registerPodTx(t, filler, uint64(i), deAddr, "filler")
-	}
-	if _, err := network.SubmitAllOrNothing(fill); err != nil {
-		t.Fatal(err)
-	}
-
-	sealed := make(chan error, 1)
-	go func() {
-		time.Sleep(40 * time.Millisecond)
-		_, err := network.SealNext()
-		sealed <- err
-	}()
-
-	client := &core.TxClient{
-		BaseURL: srv.URL,
-		// MaxDelay caps the server's 1s Retry-After hint so the test
-		// stays fast while still exercising the hint-parsing path.
-		Policy: core.RetryPolicy{MaxAttempts: 50, BaseDelay: 5 * time.Millisecond, MaxDelay: 20 * time.Millisecond},
-	}
-	late := cryptoutil.MustGenerateKey()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	accepted, err := client.Submit(ctx, []*chain.Tx{registerPodTx(t, late, 0, deAddr, "late")})
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	if accepted != 1 {
-		t.Fatalf("accepted = %d, want 1", accepted)
-	}
-	if err := <-sealed; err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestTxStreamEndpoint exercises POST /txs/stream: an overlong upload
 // is admitted up to capacity with per-transaction verdicts — admitted
-// txs report ok, priced-out txs report a retryable error, and a
-// forged signature reports a terminal one — instead of the all-or-
-// nothing rejection of POST /txs.
+// txs report ok, priced-out txs report a retryable error under a
+// one-block Retry-After hint, and a forged signature reports a terminal
+// one — and the priced-out transaction, streamed again once a sealed
+// block drains the pool, is admitted.
 func TestTxStreamEndpoint(t *testing.T) {
 	nodes, network, deAddr, srv := newOverloadCluster(t)
 
 	sender := cryptoutil.MustGenerateKey()
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
+	txs := make([]*chain.Tx, 6)
 	for nonce := range uint64(6) {
-		if err := enc.Encode(registerPodTx(t, sender, nonce, deAddr, "stream")); err != nil {
+		txs[nonce] = registerPodTx(t, sender, nonce, deAddr, "stream")
+		if err := enc.Encode(txs[nonce]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -371,11 +211,14 @@ func TestTxStreamEndpoint(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Fatalf("content type %q", ct)
 	}
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Fatalf("Retry-After = %q, want \"1\"", ra)
+	}
 
 	var ok, retryable, terminal int
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
-		var v core.TxVerdictWire
+		var v TxVerdictWire
 		if err := json.Unmarshal(sc.Bytes(), &v); err != nil {
 			t.Fatalf("bad verdict line %q: %v", sc.Text(), err)
 		}
@@ -406,6 +249,76 @@ func TestTxStreamEndpoint(t *testing.T) {
 	}
 	if len(block.Txs) != 4 {
 		t.Fatalf("sealed %d txs, want 4", len(block.Txs))
+	}
+
+	// Sealing drained the pool: the priced-out nonce 4 now fits.
+	if v := streamTx(t, srv, txs[4]); !v.Ok || v.Hash != txs[4].Hash().String() {
+		t.Fatalf("re-streamed priced-out tx after seal: %+v, want ok", v)
+	}
+}
+
+// streamTx posts one transaction to /txs/stream and returns its verdict.
+func streamTx(t *testing.T, srv *httptest.Server, tx *chain.Tx) TxVerdictWire {
+	t.Helper()
+	body, _ := json.Marshal(tx)
+	resp, err := http.Post(srv.URL+"/txs/stream", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var v TxVerdictWire
+	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// TestTxStreamReachesEveryValidator: the transactions /txs/stream
+// admits are broadcast, so every validator's mempool holds all of them
+// and the next block seals them.
+func TestTxStreamReachesEveryValidator(t *testing.T) {
+	cluster := newTestCluster(t, core.Config{Validators: 2})
+	srv := httptest.NewServer(newAPIMux(cluster, time.Second))
+	defer srv.Close()
+
+	sender := cryptoutil.MustGenerateKey()
+	const batchSize = 8
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for nonce := range uint64(batchSize) {
+		if err := enc.Encode(registerPodTx(t, sender, nonce, cluster.DEAddr, "owner")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resp, err := http.Post(srv.URL+"/txs/stream", "application/json", &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	dec := json.NewDecoder(resp.Body)
+	for i := range batchSize {
+		var v TxVerdictWire
+		if err := dec.Decode(&v); err != nil {
+			t.Fatalf("verdict %d: %v", i, err)
+		}
+		if !v.Ok {
+			t.Fatalf("verdict %d: %+v, want ok", i, v)
+		}
+	}
+	if dec.More() {
+		t.Fatal("more verdict lines than transactions")
+	}
+	for i, n := range cluster.Nodes {
+		if got := n.PendingTxs(); got != batchSize {
+			t.Fatalf("validator %d holds %d txs, want %d", i, got, batchSize)
+		}
+	}
+	block, err := cluster.Network.SealNext()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(block.Txs) != batchSize {
+		t.Fatalf("sealed %d txs, want %d", len(block.Txs), batchSize)
 	}
 }
 
@@ -487,9 +400,9 @@ func TestDebugMetricsEndpoint(t *testing.T) {
 }
 
 // TestStaleNonceIsNotAdmitted: over HTTP, a new transaction on an
-// already-committed nonce is a 400 on POST /txs and a terminal ok:false
-// verdict on /txs/stream (both used to report it admitted), while a
-// rebroadcast of the transaction that holds the nonce stays accepted.
+// already-committed nonce is a terminal ok:false verdict on /txs/stream
+// (it used to report it admitted), while a rebroadcast of the
+// transaction that holds the nonce stays accepted.
 func TestStaleNonceIsNotAdmitted(t *testing.T) {
 	cluster := newTestCluster(t, core.Config{Validators: 3})
 	network, deAddr := cluster.Network, cluster.DEAddr
@@ -506,25 +419,7 @@ func TestStaleNonceIsNotAdmitted(t *testing.T) {
 	}
 	replay := registerPodTx(t, sender, 0, deAddr, "second")
 
-	post := func(tx *chain.Tx) int {
-		t.Helper()
-		body, _ := json.Marshal([]*chain.Tx{tx})
-		resp, err := http.Post(srv.URL+"/txs", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		return resp.StatusCode
-	}
-	if got := post(replay); got != http.StatusBadRequest {
-		t.Fatalf("POST /txs with a new tx on a committed nonce: status %d, want 400", got)
-	}
-	if got := post(committed); got != http.StatusOK {
-		t.Fatalf("POST /txs rebroadcasting the committed tx: status %d, want 200", got)
-	}
-
-	stream := func(tx *chain.Tx) core.TxVerdictWire {
+	stream := func(tx *chain.Tx) TxVerdictWire {
 		t.Helper()
 		body, _ := json.Marshal(tx)
 		resp, err := http.Post(srv.URL+"/txs/stream", "application/json", bytes.NewReader(body))
@@ -532,7 +427,7 @@ func TestStaleNonceIsNotAdmitted(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var v core.TxVerdictWire
+		var v TxVerdictWire
 		if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
 			t.Fatal(err)
 		}

@@ -11,10 +11,10 @@ import (
 )
 
 // Admission errors for the priced, bounded mempool. ErrUnderpriced wraps
-// ErrPoolFull so HTTP frontends can map both to 429 backpressure with a
-// single errors.Is check; ErrReplaceUnderpriced is a client error (the
-// bid was syntactically fine but below the bump threshold), not
-// backpressure.
+// ErrPoolFull so a submission surface can report both as retryable
+// backpressure with a single errors.Is check; ErrReplaceUnderpriced is a
+// client error (the bid was syntactically fine but below the bump
+// threshold), not backpressure.
 var (
 	ErrPoolFull           = errors.New("chain: mempool full")
 	ErrUnderpriced        = fmt.Errorf("%w: gas price below eviction floor", ErrPoolFull)

@@ -20,7 +20,7 @@ type Metrics struct {
 	RejectedGas     *obs.Counter // gas limit above the protocol cap
 	QuotaRejected   *obs.Counter // per-sender pending quota exceeded
 	RejectedReplace *obs.Counter // replace-by-fee bids below the bump threshold
-	Backpressured   *obs.Counter // full-pool rejections (the HTTP 429 cause)
+	Backpressured   *obs.Counter // full-pool rejections (retryable backpressure)
 	Evicted         *obs.Counter // cheapest tails evicted by better-priced arrivals
 	Replaced        *obs.Counter // queued transactions superseded by fee bumps
 	MempoolDepth    *obs.Gauge   // queued transactions after the last admission/drain

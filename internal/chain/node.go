@@ -59,7 +59,7 @@ type Config struct {
 	// MempoolCapacity bounds the transaction pool; defaults to 8192. At
 	// capacity, admission evicts the cheapest speculative tail when the
 	// incoming transaction strictly price-beats it, and rejects with
-	// ErrPoolFull/ErrUnderpriced (HTTP 429 backpressure) otherwise.
+	// ErrPoolFull/ErrUnderpriced (retryable backpressure) otherwise.
 	MempoolCapacity int
 	// MaxPendingPerSender caps one sender's queued transactions; defaults
 	// to 1024. Beyond it, admission rejects with ErrQuotaExceeded.

@@ -120,3 +120,32 @@ func TestStaleNonceIsNotAdmitted(t *testing.T) {
 		t.Fatalf("height %d -> %d: a refused or rebroadcast tx sealed a block", height, got)
 	}
 }
+
+// TestBackendRetriesBackpressure: a burst larger than the mempool, sent
+// through the push-in oracle of a SealOnSubmit deployment, is all
+// admitted and committed. The backend seals a block and resubmits what
+// the full pool pushed back; nothing reaches the caller as backpressure.
+func TestBackendRetriesBackpressure(t *testing.T) {
+	d, err := NewDeployment(Config{Validators: 1, MempoolCapacity: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+
+	// One transaction per sender, so a pushed-back transaction never gaps
+	// a later nonce of its own sender.
+	const burst = 10
+	txs := make([]*chain.Tx, burst)
+	for i := range txs {
+		txs[i] = buildRegisterPodBatch(t, d, cryptoutil.MustGenerateKey(), 1, fmt.Sprintf("burst%d-", i))[0]
+	}
+	for i, v := range d.PushInOracle().Submit(txs) {
+		if v.Err != nil {
+			t.Fatalf("tx %d: %v", i, v.Err)
+		}
+		r := d.Nodes[0].Receipt(v.Hash)
+		if r == nil || !r.Succeeded() {
+			t.Fatalf("tx %d not committed: %+v", i, r)
+		}
+	}
+}

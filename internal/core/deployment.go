@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"math/rand"
 	"net/http/httptest"
 	"sync"
 	"time"
@@ -205,12 +206,24 @@ func (d *Deployment) backend() networkBackend { return networkBackend{d} }
 // verification runs concurrently across clients.
 type networkBackend struct{ d *Deployment }
 
-// backendRetry is the in-process backend's backoff: RetryPolicy's
-// documented defaults.
-var backendRetry = RetryPolicy{}.withDefaults()
+// The backend's backoff on backpressure: at most retryAttempts tries in
+// all, retry n waiting retryBase·2ⁿ capped at retryCap, jittered ±50 %.
+const (
+	retryAttempts = 4
+	retryBase     = 10 * time.Millisecond
+	retryCap      = time.Second
+)
+
+// retryDelay is the pause before retry number attempt (0-based). The
+// jitter, in [0.5d, 1.5d) and capped again, de-synchronizes clients that
+// the same full pool pushed back.
+func retryDelay(attempt int) time.Duration {
+	d := min(retryBase<<attempt, retryCap)
+	return min(d/2+time.Duration(rand.Int63n(int64(d))), retryCap)
+}
 
 // Submit hands the transactions to the cluster and resubmits the ones it
-// backpressured (pool full, quota exceeded) under backendRetry. In
+// backpressured (pool full, quota exceeded), up to retryAttempts tries. In
 // SealOnSubmit mode a retry is preceded by sealing a block — the
 // deployment is its own drain — so no wall-clock wait is needed, and the
 // call ends by sealing what it admitted; otherwise the backend backs off
@@ -218,7 +231,7 @@ var backendRetry = RetryPolicy{}.withDefaults()
 func (b networkBackend) Submit(txs []*chain.Tx) []chain.TxVerdict {
 	net := b.d.Network
 	out := net.Submit(txs)
-	for attempt := 0; attempt < backendRetry.MaxAttempts-1; attempt++ {
+	for attempt := 0; attempt < retryAttempts-1; attempt++ {
 		var again []*chain.Tx
 		var at []int
 		for i, v := range out {
@@ -230,7 +243,7 @@ func (b networkBackend) Submit(txs []*chain.Tx) []chain.TxVerdict {
 			break
 		}
 		if b.d.sealing != SealOnSubmit {
-			time.Sleep(backendRetry.delay(attempt, 0))
+			time.Sleep(retryDelay(attempt))
 		} else if _, err := net.SealNext(); err != nil {
 			break
 		}

@@ -23,9 +23,9 @@
 // through one backend value shared by every distexchange client, the
 // oracles included: it hands a client's transactions to
 // chain.Network.Submit, resubmits the ones the cluster backpressured
-// (the one in-process retry loop; the HTTP TxClient has the other), and
-// in SealOnSubmit mode seals until what it admitted is committed. It
-// holds no lock, so concurrent clients verify signatures concurrently.
+// (the one retry loop), and in SealOnSubmit mode seals until what it
+// admitted is committed. It holds no lock, so concurrent clients verify
+// signatures concurrently.
 // Deployment.SubmitBatch is the all-or-nothing form for pre-signed
 // batches: verified once, enqueued on every validator under one mempool
 // lock acquisition each, and sealed in as few blocks as MaxTxsPerBlock

@@ -230,12 +230,11 @@ func TestJSONImportInjectionDetected(t *testing.T) {
 
 // jsonEdges are the files of the module that may import encoding/json:
 // the HTTP and CLI edges, where JSON is what the other side speaks —
-// de-node's POST /txs and its client in core, obs's metrics endpoints,
-// and the `go list` stream the loader reads. Every record, argument and
-// signed form behind them has one binary encoding.
+// de-node's status, listing and NDJSON /txs/stream routes, obs's metrics
+// endpoints, and the `go list` stream the loader reads. Every record,
+// argument and signed form behind them has one binary encoding.
 var jsonEdges = []string{
 	"cmd/de-node/main.go",
-	"internal/core/submit.go",
 	"internal/lint/load.go",
 	"internal/obs/http.go",
 	"internal/obs/vars.go",

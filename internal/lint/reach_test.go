@@ -23,10 +23,7 @@ var reachKeep = map[string]string{
 
 	"repro/internal/cryptoutil.ForgetVerified": "documented cross-package test seam: the cold/warm differentials empty the verified-signature table with it",
 
-	"repro/internal/core.TxClient":             "client half of de-node's POST /txs route, with its 429/Retry-After handling; ROADMAP item 4 drives the binaries through it",
-	"repro/internal/core.ErrBackpressure":      "the error TxClient.Submit gives up with",
-	"repro/internal/core.decodeSubmitResponse": "TxClient's reader of the POST /txs reply",
-	"repro/internal/solid.Client.Post":         "client half of the POST route solid-server serves",
+	"repro/internal/solid.Client.Post": "client half of the POST route solid-server serves",
 
 	"repro/internal/distexchange.DecodeDeviceRecord":   "exported decoder of the record format (getDevice's reply), fuzzed by FuzzRecordDecode",
 	"repro/internal/distexchange.DecodeEvidenceRecord": "exported decoder of the record format (an EvidenceRecorded event's payload), fuzzed by FuzzRecordDecode",

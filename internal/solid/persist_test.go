@@ -510,6 +510,36 @@ func TestPodMutationInvisibleOnLogFailure(t *testing.T) {
 	}
 }
 
+// TestPodRefusesOversizedPut: a PUT at MaxBodyBytes makes an op record
+// above store.MaxRecordSize, which recovery would read as corruption and
+// truncate from. The op log refuses it, so the PUT fails, the pod serves
+// what it served before, and a later PUT survives a reopen.
+func TestPodRefusesOversizedPut(t *testing.T) {
+	dir := t.TempDir()
+	opts := PodStoreOptions{WAL: store.Options{Sync: store.SyncAlways}}
+	p, err := OpenPod(persistOwner, "https://alice.pod", dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Put(persistOwner, "/small.txt", "text/plain", []byte("ok"), persistEpoch); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Put(persistOwner, "/big.bin", "application/octet-stream", make([]byte, MaxBodyBytes), persistEpoch); err == nil {
+		t.Fatal("a PUT whose op record exceeds store.MaxRecordSize was acknowledged")
+	}
+	if _, err := p.Get(persistOwner, "/big.bin"); err == nil {
+		t.Fatal("the refused PUT is being served")
+	}
+	if err := p.Put(persistOwner, "/after.txt", "text/plain", []byte("later"), persistEpoch); err != nil {
+		t.Fatal(err)
+	}
+	p2 := restartPod(t, p, dir, opts)
+	requireSamePod(t, p2, p, "/small.txt", "/big.bin", "/after.txt")
+	if _, err := p2.Get(persistOwner, "/after.txt"); err != nil {
+		t.Fatalf("a PUT after the refused one lost across a reopen: %v", err)
+	}
+}
+
 // TestPodOpCodecRoundTrip: binary pod op and snapshot records decode
 // back to equivalent structures, and a payload that opens with '{' (what
 // PR 4 wrote with json.Marshal) is rejected like any other unknown tag.

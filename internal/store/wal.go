@@ -139,7 +139,9 @@ func (w *WAL) Size() int64 {
 
 // Append writes one record and applies the fsync policy. The payload is
 // durable against an in-process crash when Append returns; durability
-// against a machine crash depends on the policy.
+// against a machine crash depends on the policy. A payload above
+// MaxRecordSize is refused before anything is written: OpenWAL would
+// read it as corruption and drop it with every record after it.
 func (w *WAL) Append(payload []byte) error { return w.append(nil, payload) }
 
 // AppendFrame is Append for a caller that encoded its payload at
@@ -153,6 +155,9 @@ func (w *WAL) AppendFrame(frame []byte) error {
 // append frames payload — in place when frame already holds it, in a
 // fresh buffer when frame is nil — and writes the frame in one write.
 func (w *WAL) append(frame, payload []byte) error {
+	if len(payload) > MaxRecordSize {
+		return fmt.Errorf("store: record of %d bytes exceeds MaxRecordSize (%d bytes)", len(payload), MaxRecordSize)
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {

@@ -420,3 +420,34 @@ func TestWALAppendFrameWritesAppendsBytes(t *testing.T) {
 		t.Fatalf("recovered %d records, want %d", len(recs), len(payloads)+102)
 	}
 }
+
+// TestWALRefusesOversizedRecord: a payload above MaxRecordSize, which
+// OpenWAL would read as corruption and truncate from, is refused by
+// Append and AppendFrame before anything is written. The log reopens
+// with the records before it and takes later appends.
+func TestWALRefusesOversizedRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	w, _ := openForTest(t, path, Options{Sync: SyncAlways})
+	appendAll(t, w, []byte("before"))
+	size := w.Size()
+	frame := make([]byte, RecordHeaderSize+MaxRecordSize+1)
+	if err := w.Append(frame[RecordHeaderSize:]); err == nil {
+		t.Fatal("Append took a record above MaxRecordSize")
+	}
+	if err := w.AppendFrame(frame); err == nil {
+		t.Fatal("AppendFrame took a record above MaxRecordSize")
+	}
+	if w.Size() != size {
+		t.Fatalf("refused appends grew the log from %d to %d bytes", size, w.Size())
+	}
+	appendAll(t, w, []byte("after"))
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w2, recs := openForTest(t, path, Options{})
+	defer w2.Close()
+	if got := payloadsOf(recs); len(got) != 2 || string(got[0]) != "before" || string(got[1]) != "after" {
+		t.Fatalf("reopened records %q, want [before after]", got)
+	}
+	appendAll(t, w2, []byte("later"))
+}
