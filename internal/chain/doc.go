@@ -137,7 +137,12 @@
 // (handleStaleDelivery) and on catch-up. Those checks go through
 // cryptoutil.VerifyCached — Header.verifySeal here, submitEvidence and
 // Certificate.Verify in the contract — which answers a repeat from one
-// process-wide table of verified signatures.
+// process-wide table of verified signatures. SealNext hands the header to
+// its followers at once; the table lists a signature under verification
+// as running, and the follower that arrives while it is waits for that
+// check instead of starting its own, so a sealed block's seal costs one
+// verification however many followers check it
+// (TestSealOnceAcrossFollowers).
 //
 // The argument is the fast path's, one level down. There, a hit on
 // Tx.Hash stands for "this node verified these signing bytes under this

@@ -734,9 +734,15 @@ func (net *Network) LiveNode() *Node {
 }
 
 // PendingTxs reports the largest mempool backlog among live nodes — the
-// number of consensus-round transactions still to seal cluster-wide.
+// number of consensus-round transactions still to seal cluster-wide. A
+// sealer polls it on every idle pass, so it reads the membership under
+// the network lock instead of copying it: a mempool count takes only the
+// node's mempool lock, which is never held while the network lock is
+// taken.
 func (net *Network) PendingTxs() int {
-	v := net.liveView()
+	net.mu.Lock()
+	defer net.mu.Unlock()
+	v := netView{nodes: net.nodes, down: net.down, cells: net.cells, quorumCell: net.quorumCell}
 	maxPending := 0
 	for _, n := range v.nodes {
 		if !v.reachable(n.Address()) {

@@ -326,3 +326,23 @@ func TestNewNetworkEmpty(t *testing.T) {
 		t.Fatal("empty network accepted")
 	}
 }
+
+// TestPendingTxsAllocatesNothing: a sealer polls PendingTxs on every idle
+// pass, so it reads the membership in place rather than copying it — with
+// a node down too, whose backlog it must skip.
+func TestPendingTxsAllocatesNothing(t *testing.T) {
+	nodes, net, _, _ := newTestCluster(t, 3)
+	sender := cryptoutil.MustGenerateKey()
+	for nonce := range uint64(3) {
+		if _, err := submit1(net, mustTx(t, sender, nonce, testContractAddr(), "k", "v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	net.SetDown(nodes[2].Address(), true)
+	if got := net.PendingTxs(); got != 3 {
+		t.Fatalf("PendingTxs = %d, want 3", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { net.PendingTxs() }); allocs != 0 {
+		t.Fatalf("PendingTxs: %.0f allocations per call, want 0", allocs)
+	}
+}

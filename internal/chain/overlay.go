@@ -16,6 +16,8 @@ import (
 type StateRW interface {
 	// Get returns the value for key (a copy) and whether it exists.
 	Get(key string) ([]byte, bool)
+	// Lookup is Get for a key held as bytes; the key is not copied.
+	Lookup(key []byte) ([]byte, bool)
 	// Set stores a copy of value under key.
 	Set(key string, value []byte)
 	// Delete removes key (a no-op when absent).
@@ -42,6 +44,7 @@ var (
 // by the same contract State.view documents.
 type stateView interface {
 	view(key string) ([]byte, bool)
+	viewBytes(key []byte) ([]byte, bool)
 	Keys(prefix string) []string
 	Len() int
 	Root() cryptoutil.Hash
@@ -133,6 +136,13 @@ func (o *Overlay) view(key string) ([]byte, bool) {
 	return o.effectiveLocked(key)
 }
 
+// viewBytes is view for a key held as bytes.
+func (o *Overlay) viewBytes(key []byte) ([]byte, bool) {
+	o.mu.RLock()
+	defer o.mu.RUnlock()
+	return o.effectiveBytesLocked(key)
+}
+
 // effectiveLocked returns the key's current value as seen through the
 // overlay, without copying. o.mu must be held. The returned slice is
 // immutable (both State and the layer store fresh copies and never
@@ -145,6 +155,18 @@ func (o *Overlay) effectiveLocked(key string) ([]byte, bool) {
 		return e.value, true
 	}
 	return o.base.view(key)
+}
+
+// effectiveBytesLocked is effectiveLocked for a key held as bytes: the
+// layer lookup converts it without allocating.
+func (o *Overlay) effectiveBytesLocked(key []byte) ([]byte, bool) {
+	if e, ok := o.layer[string(key)]; ok {
+		if e.del {
+			return nil, false
+		}
+		return e.value, true
+	}
+	return o.base.viewBytes(key)
 }
 
 // Get returns the value for key and whether it exists. The returned
@@ -163,6 +185,22 @@ func (o *Overlay) Get(key string) ([]byte, bool) {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
 	return copyValue(o.effectiveLocked(key))
+}
+
+// Lookup is Get for a key held as bytes. The key is not copied, except
+// into a read-recording child's read set the first time it is read there.
+func (o *Overlay) Lookup(key []byte) ([]byte, bool) {
+	if o.recordReads {
+		o.mu.Lock()
+		defer o.mu.Unlock()
+		if _, seen := o.reads[string(key)]; !seen {
+			o.reads[string(key)] = struct{}{}
+		}
+		return copyValue(o.effectiveBytesLocked(key))
+	}
+	o.mu.RLock()
+	defer o.mu.RUnlock()
+	return copyValue(o.effectiveBytesLocked(key))
 }
 
 // copyValue copies an effectiveLocked result for return to a caller that

@@ -132,3 +132,20 @@ func TestStaleDeliveryWithWarmTable(t *testing.T) {
 		t.Fatalf("%d evidence records, want 1", n)
 	}
 }
+
+// TestSealOnceAcrossFollowers: SealNext hands each sealed header to both
+// followers at once, and the seal costs one ECDSA verification between
+// them — the follower that comes second, even while the first is still
+// verifying, is answered by the table. So N blocks move the miss counter
+// by exactly N, and the hit counter by N too.
+func TestSealOnceAcrossFollowers(t *testing.T) {
+	counts := sigTableCounts(t)
+	_, net, _, clk := newTestCluster(t, 3)
+	const blocks = 50
+	for range blocks {
+		sealEmpty(t, net, clk)
+	}
+	if h, m := counts(); m != blocks || h != blocks {
+		t.Fatalf("%d blocks, two followers each: hits=%d misses=%d, want %d and %d", blocks, h, m, blocks, blocks)
+	}
+}

@@ -74,12 +74,15 @@ func (s *State) Get(key string) ([]byte, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	v, ok := s.data[key]
-	if !ok {
-		return nil, false
-	}
-	out := make([]byte, len(v))
-	copy(out, v)
-	return out, true
+	return copyValue(v, ok)
+}
+
+// Lookup is Get for a key held as bytes: the map lookup converts the key
+// without allocating, so a contract builds its key in a reused buffer and
+// reads it for the price of the value's copy alone.
+func (s *State) Lookup(key []byte) ([]byte, bool) {
+	v, ok := s.viewBytes(key)
+	return copyValue(v, ok)
 }
 
 // view returns the stored slice for key WITHOUT copying. Stored value
@@ -91,6 +94,14 @@ func (s *State) view(key string) ([]byte, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	v, ok := s.data[key]
+	return v, ok
+}
+
+// viewBytes is view for a key held as bytes.
+func (s *State) viewBytes(key []byte) ([]byte, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	v, ok := s.data[string(key)]
 	return v, ok
 }
 

@@ -8,6 +8,15 @@
 // They must be deterministic: all state lives in the chain state store,
 // all time comes from the block context, and iteration over storage uses
 // sorted key order.
+//
+// A contract's keys live under its namespace "0x<address>/" in the global
+// state, and the runtime keeps it there. Env.Key (ReadEnv.Key) hands out a
+// buffer that already holds the namespace; the contract appends its local
+// key and passes the bytes to Get, Set, Delete or Keys, each of which
+// refuses a key outside the namespace (ErrForeignKey). A read looks the
+// bytes up as they are, so it allocates no key; a write or a delete
+// allocates the one string the state stores. The buffer is reused by the
+// next Key call, so a key is built for an access, not kept.
 package contract
 
 import (
@@ -59,52 +68,67 @@ type Env struct {
 	// Block exposes the block number and timestamp.
 	Block chain.BlockContext
 
-	prefix string // deployment.prefix of Contract
+	keys   keyspace
 	state  chain.StateRW
 	meter  *chain.GasMeter
 	events []chain.Event
 }
 
-// Get reads a storage key, charging read gas.
-func (e *Env) Get(key string) ([]byte, bool, error) {
+// Key returns the buffer to build a storage key in: the contract's
+// namespace, for the local key to be appended to. See keyspace.
+func (e *Env) Key() []byte { return e.keys.key() }
+
+// Get reads a storage key built on Key, charging read gas.
+func (e *Env) Get(key []byte) ([]byte, bool, error) {
+	if err := e.keys.check(key); err != nil {
+		return nil, false, err
+	}
 	if err := e.meter.Charge(chain.GasStorageGet); err != nil {
 		return nil, false, err
 	}
-	v, ok := e.state.Get(e.prefix + key)
+	v, ok := e.state.Lookup(key)
 	return v, ok, nil
 }
 
-// Set writes a storage key, charging write gas proportional to the value
-// size.
-func (e *Env) Set(key string, value []byte) error {
+// Set writes a storage key built on Key, charging write gas proportional
+// to the value size. The state stores the key as a string: the one
+// allocation a write makes for its key.
+func (e *Env) Set(key []byte, value []byte) error {
+	if err := e.keys.check(key); err != nil {
+		return err
+	}
 	if err := e.meter.Charge(chain.GasStorageSet + uint64(len(value))*chain.GasStoragePerByte); err != nil {
 		return err
 	}
-	e.state.Set(e.prefix+key, value)
+	e.state.Set(string(key), value)
 	return nil
 }
 
-// Delete removes a storage key, charging delete gas.
-func (e *Env) Delete(key string) error {
+// Delete removes a storage key built on Key, charging delete gas.
+func (e *Env) Delete(key []byte) error {
+	if err := e.keys.check(key); err != nil {
+		return err
+	}
 	if err := e.meter.Charge(chain.GasStorageDelete); err != nil {
 		return err
 	}
-	e.state.Delete(e.prefix + key)
+	e.state.Delete(string(key))
 	return nil
 }
 
-// Keys lists contract-local keys under a prefix in sorted order, charging
-// one read per returned key.
-func (e *Env) Keys(prefix string) ([]string, error) {
-	full := e.state.Keys(e.prefix + prefix)
-	out := make([]string, 0, len(full))
-	for _, k := range full {
+// Keys lists the keys under a prefix built on Key in sorted order, without
+// the namespace, charging one read per returned key.
+func (e *Env) Keys(prefix []byte) ([]string, error) {
+	if err := e.keys.check(prefix); err != nil {
+		return nil, err
+	}
+	full := e.state.Keys(string(prefix))
+	for range full {
 		if err := e.meter.Charge(chain.GasStorageGet); err != nil {
 			return nil, err
 		}
-		out = append(out, k[len(e.prefix):])
 	}
-	return out, nil
+	return e.keys.local(full), nil
 }
 
 // Emit records an event, charging per payload byte.
@@ -130,23 +154,75 @@ type ReadEnv struct {
 	// Block exposes the block number and timestamp at the head.
 	Block chain.BlockContext
 
-	prefix string // as Env.prefix
-	state  chain.StateRW
+	keys  keyspace
+	state chain.StateRW
 }
 
-// Get reads a storage key.
-func (e *ReadEnv) Get(key string) ([]byte, bool) {
-	return e.state.Get(e.prefix + key)
-}
+// Key returns the buffer to build a storage key in, as Env.Key does.
+func (e *ReadEnv) Key() []byte { return e.keys.key() }
 
-// Keys lists contract-local keys under a prefix in sorted order.
-func (e *ReadEnv) Keys(prefix string) []string {
-	full := e.state.Keys(e.prefix + prefix)
-	out := make([]string, 0, len(full))
-	for _, k := range full {
-		out = append(out, k[len(e.prefix):])
+// Get reads a storage key built on Key.
+func (e *ReadEnv) Get(key []byte) ([]byte, bool, error) {
+	if err := e.keys.check(key); err != nil {
+		return nil, false, err
 	}
-	return out
+	v, ok := e.state.Lookup(key)
+	return v, ok, nil
+}
+
+// Keys lists the keys under a prefix built on Key in sorted order, without
+// the namespace.
+func (e *ReadEnv) Keys(prefix []byte) ([]string, error) {
+	if err := e.keys.check(prefix); err != nil {
+		return nil, err
+	}
+	return e.keys.local(e.state.Keys(string(prefix))), nil
+}
+
+// keyBufLen is how long a key, namespace included, may grow in a
+// keyspace's own buffer; appending past it moves that key to the heap.
+const keyBufLen = 256
+
+// keyspace is a contract's share of the global state during one call: its
+// namespace "0x<address>/", which every key it touches must start with,
+// and the buffer it builds those keys in. Key hands out the buffer cut
+// back to the namespace, so building a key is appending its local part
+// and reading one is a map lookup on the bytes: neither allocates. A key
+// stays valid until the next Key call reuses the buffer.
+//
+// check runs on every access, so namespacing is the runtime's decision
+// alone: a key that does not start with the namespace is refused with
+// ErrForeignKey, whatever built it.
+type keyspace struct {
+	prefix string
+	buf    []byte // prefix, then the key built last
+	arr    [keyBufLen]byte
+}
+
+// ErrForeignKey reports a storage access outside the calling contract's
+// namespace: a key not built on Env.Key or ReadEnv.Key.
+var ErrForeignKey = errors.New("contract: key outside the contract's namespace")
+
+func (ks *keyspace) init(prefix string) {
+	ks.prefix = prefix
+	ks.buf = append(ks.arr[:0], prefix...)
+}
+
+func (ks *keyspace) key() []byte { return ks.buf[:len(ks.prefix)] }
+
+func (ks *keyspace) check(key []byte) error {
+	if len(key) < len(ks.prefix) || string(key[:len(ks.prefix)]) != ks.prefix {
+		return ErrForeignKey
+	}
+	return nil
+}
+
+// local strips the namespace off full keys, in place.
+func (ks *keyspace) local(full []string) []string {
+	for i, k := range full {
+		full[i] = k[len(ks.prefix):]
+	}
+	return full
 }
 
 // Revert errors: returned by contracts to abort with a reason. Wrapping
@@ -176,8 +252,8 @@ type Runtime struct {
 }
 
 // deployment is a contract and its storage prefix "0x<address>/", which
-// namespaces the contract's local keys in the global state. It is
-// rendered once, at Deploy, not on every storage access.
+// namespaces the contract's keys in the global state. It is rendered
+// once, at Deploy; each call copies it into its keyspace's buffer.
 type deployment struct {
 	code   Contract
 	prefix string
@@ -223,10 +299,10 @@ func (r *Runtime) ExecuteTx(st chain.StateRW, tx *chain.Tx, bctx chain.BlockCont
 		Sender:    tx.From,
 		SenderKey: tx.SenderKey,
 		Block:     bctx,
-		prefix:    d.prefix,
 		state:     st,
 		meter:     meter,
 	}
+	env.keys.init(d.prefix)
 	ret, err := d.code.Call(env, tx.Method, tx.Args)
 	if err != nil {
 		return revert(err)
@@ -243,6 +319,7 @@ func (r *Runtime) Query(st chain.StateRW, contractAddr cryptoutil.Address, metho
 	if !ok {
 		return nil, fmt.Errorf("contract: no contract at %s", contractAddr)
 	}
-	env := &ReadEnv{Contract: contractAddr, Block: bctx, prefix: d.prefix, state: st}
+	env := &ReadEnv{Contract: contractAddr, Block: bctx, state: st}
+	env.keys.init(d.prefix)
 	return d.code.Read(env, method, args)
 }

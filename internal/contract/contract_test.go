@@ -44,7 +44,7 @@ func (kvContract) Call(env *Env, method string, args []byte) ([]byte, error) {
 		if a.Key == "" {
 			return nil, Revertf("empty key")
 		}
-		if err := env.Set("kv/"+a.Key, []byte(a.Value)); err != nil {
+		if err := env.Set(append(env.Key(), "kv/"+a.Key...), []byte(a.Value)); err != nil {
 			return nil, err
 		}
 		if err := env.Emit("Put", a.Key, []byte(a.Value)); err != nil {
@@ -52,12 +52,12 @@ func (kvContract) Call(env *Env, method string, args []byte) ([]byte, error) {
 		}
 		return json.Marshal(map[string]string{"stored": a.Key})
 	case "del":
-		if err := env.Delete("kv/" + a.Key); err != nil {
+		if err := env.Delete(append(env.Key(), "kv/"+a.Key...)); err != nil {
 			return nil, err
 		}
 		return nil, nil
 	case "putThenFail":
-		if err := env.Set("kv/"+a.Key, []byte(a.Value)); err != nil {
+		if err := env.Set(append(env.Key(), "kv/"+a.Key...), []byte(a.Value)); err != nil {
 			return nil, err
 		}
 		return nil, Revertf("changed my mind")
@@ -82,13 +82,20 @@ func (kvContract) Read(env *ReadEnv, method string, args []byte) ([]byte, error)
 	}
 	switch method {
 	case "get":
-		v, ok := env.Get("kv/" + a.Key)
+		v, ok, err := env.Get(append(env.Key(), "kv/"+a.Key...))
+		if err != nil {
+			return nil, err
+		}
 		if !ok {
 			return nil, errors.New("not found")
 		}
 		return v, nil
 	case "keys":
-		return json.Marshal(env.Keys("kv/"))
+		keys, err := env.Keys(append(env.Key(), "kv/"...))
+		if err != nil {
+			return nil, err
+		}
+		return json.Marshal(keys)
 	default:
 		return nil, errors.New("unknown query")
 	}

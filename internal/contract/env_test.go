@@ -2,6 +2,7 @@ package contract
 
 import (
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 
@@ -17,7 +18,7 @@ func (rwContract) Call(env *Env, method string, args []byte) ([]byte, error) {
 	switch method {
 	case "incr":
 		var n int64
-		if raw, ok, err := env.Get("counter"); err != nil {
+		if raw, ok, err := env.Get(append(env.Key(), "counter"...)); err != nil {
 			return nil, err
 		} else if ok {
 			if err := json.Unmarshal(raw, &n); err != nil {
@@ -26,18 +27,18 @@ func (rwContract) Call(env *Env, method string, args []byte) ([]byte, error) {
 		}
 		n++
 		raw, _ := json.Marshal(n)
-		if err := env.Set("counter", raw); err != nil {
+		if err := env.Set(append(env.Key(), "counter"...), raw); err != nil {
 			return nil, err
 		}
 		return json.Marshal(map[string]any{"value": n})
 	case "fanout":
 		// Write several keys, then list them back through Env.Keys.
 		for _, k := range []string{"x/1", "x/2", "x/3"} {
-			if err := env.Set(k, []byte("v")); err != nil {
+			if err := env.Set(append(env.Key(), k...), []byte("v")); err != nil {
 				return nil, err
 			}
 		}
-		keys, err := env.Keys("x/")
+		keys, err := env.Keys(append(env.Key(), "x/"...))
 		if err != nil {
 			return nil, err
 		}
@@ -107,35 +108,84 @@ func TestEnvKeysInsideCall(t *testing.T) {
 	}
 }
 
-// keySink is a StateRW that only records the keys it is asked for.
+// keySink is a StateRW that only records the key it is asked for last.
 type keySink struct {
 	chain.StateRW
-	last string
+	last []byte
 }
 
-func (s *keySink) Get(key string) ([]byte, bool) { s.last = key; return nil, false }
-func (s *keySink) Set(key string, _ []byte)      { s.last = key }
-func (s *keySink) Delete(key string)             { s.last = key }
+func (s *keySink) Lookup(key []byte) ([]byte, bool) {
+	s.last = append(s.last[:0], key...)
+	return nil, false
+}
+func (s *keySink) Set(key string, _ []byte) { s.last = append(s.last[:0], key...) }
+func (s *keySink) Delete(key string)        { s.last = append(s.last[:0], key...) }
 
-// TestEnvStorageKeyIsOneAllocation: a storage access builds its global
-// key by one concatenation onto the prefix the runtime rendered at
-// Deploy. (Hex-encoding the contract address per access made it three.)
+// TestEnvStorageKeyIsOneAllocation: a storage key is built by appending
+// its local part to the namespace Key hands out, in a buffer the Env
+// owns, so a read allocates nothing for its key and a write or a delete
+// allocates exactly once: the string the state stores. (Concatenating
+// the local key onto the prefix made it one more.)
 func TestEnvStorageKeyIsOneAllocation(t *testing.T) {
 	rt := NewRuntime()
 	addr := rt.Deploy("rw", rwContract{})
-	sink := &keySink{}
-	env := &Env{Contract: addr, prefix: rt.contracts[addr].prefix, state: sink, meter: chain.NewGasMeter(1 << 40)}
+	sink := &keySink{last: make([]byte, 0, 128)}
+	env := &Env{Contract: addr, state: sink, meter: chain.NewGasMeter(1 << 40)}
+	env.keys.init(rt.contracts[addr].prefix)
+	renv := &ReadEnv{Contract: addr, state: sink}
+	renv.keys.init(rt.contracts[addr].prefix)
 	const local = "pod/https://alice.example/profile#me"
-	for name, access := range map[string]func(){
-		"Get":    func() { env.Get(local) },
-		"Set":    func() { env.Set(local, nil) },
-		"Delete": func() { env.Delete(local) },
+	for _, c := range []struct {
+		name   string
+		access func()
+		want   float64
+	}{
+		{"Env.Get", func() { env.Get(append(env.Key(), local...)) }, 0},
+		{"ReadEnv.Get", func() { renv.Get(append(renv.Key(), local...)) }, 0},
+		{"Env.Set", func() { env.Set(append(env.Key(), local...), nil) }, 1},
+		{"Env.Delete", func() { env.Delete(append(env.Key(), local...)) }, 1},
 	} {
-		if got := testing.AllocsPerRun(100, access); got > 1 {
-			t.Errorf("Env.%s: %.0f allocations per call, want at most 1 (the key)", name, got)
+		if got := testing.AllocsPerRun(100, c.access); got != c.want {
+			t.Errorf("%s: %.0f allocations per call, key built included; want %.0f", c.name, got, c.want)
 		}
-		if want := addr.String() + "/" + local; sink.last != want {
-			t.Errorf("Env.%s used key %q, want %q", name, sink.last, want)
+		if want := addr.String() + "/" + local; string(sink.last) != want {
+			t.Errorf("%s used key %q, want %q", c.name, sink.last, want)
 		}
+	}
+}
+
+// TestEnvRefusesForeignKeys: every access checks that its key starts with
+// the contract's namespace, so a key built anywhere but on Key — bare, or
+// under another contract's namespace — is refused before it reaches the
+// state, and reverts the transaction that tried.
+func TestEnvRefusesForeignKeys(t *testing.T) {
+	rt := NewRuntime()
+	addr := rt.Deploy("rw", rwContract{})
+	other := rt.Deploy("other", rwContract{})
+	sink := &keySink{}
+	env := &Env{Contract: addr, state: sink, meter: chain.NewGasMeter(1 << 40)}
+	env.keys.init(rt.contracts[addr].prefix)
+	renv := &ReadEnv{Contract: addr, state: sink}
+	renv.keys.init(rt.contracts[addr].prefix)
+	for _, key := range []string{"", "counter", other.String() + "/counter", addr.String() + "counter", addr.String()[:10]} {
+		k := []byte(key)
+		_, _, getErr := env.Get(k)
+		_, _, readErr := renv.Get(k)
+		_, keysErr := env.Keys(k)
+		_, readKeysErr := renv.Keys(k)
+		for name, err := range map[string]error{
+			"Env.Get": getErr, "ReadEnv.Get": readErr, "Env.Keys": keysErr, "ReadEnv.Keys": readKeysErr,
+			"Env.Set": env.Set(k, nil), "Env.Delete": env.Delete(k),
+		} {
+			if !errors.Is(err, ErrForeignKey) {
+				t.Errorf("%s(%q) = %v, want ErrForeignKey", name, key, err)
+			}
+		}
+		if sink.last != nil {
+			t.Fatalf("key %q reached the state as %q", key, sink.last)
+		}
+	}
+	if used := env.meter.Used(); used != 0 {
+		t.Fatalf("refused accesses charged %d gas", used)
 	}
 }

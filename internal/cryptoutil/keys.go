@@ -31,8 +31,10 @@
 //     transaction, and the parallel executor re-executes what its
 //     optimistic pass discarded;
 //   - chain's Header.verifySeal (ApplyBlock and the stale-delivery path),
-//     the proposer's seal: every follower is handed the same header, and a
-//     node sees it again on rebroadcast and on catch-up;
+//     the proposer's seal: every follower is handed the same header at
+//     once — a sighting that arrives while the same triple is being
+//     verified waits for that check — and a node sees it again on
+//     rebroadcast and on catch-up;
 //   - Certificate.Verify, and through it distexchange.registerDevice,
 //     tee.VerifyQuote's device certificate and market.Verifier.Check: a
 //     certificate exists to be shown many times. Its validity window,

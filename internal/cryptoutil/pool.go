@@ -19,7 +19,11 @@ import (
 // goroutines claim indexes from one counter, so the order is unspecified;
 // verify must write only what index i owns, which makes the result
 // independent of the schedule and needs no synchronization beyond the
-// return.
+// return. The return waits for the indexes, not for the goroutines: a
+// helper that is scheduled only after the caller has run every index
+// itself finds nothing left to claim, and nobody waits for it. A new
+// goroutine's first run can come later than a whole batch of table hits
+// takes.
 func VerifyAll(n int, verify func(i int)) {
 	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers <= 1 {
@@ -29,19 +33,17 @@ func VerifyAll(n int, verify func(i int)) {
 		return
 	}
 	var next atomic.Int64
+	var done sync.WaitGroup // one count per index
+	done.Add(n)
 	claim := func() {
 		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
 			verify(i)
+			done.Done()
 		}
 	}
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
 	for range workers - 1 {
-		go func() {
-			defer wg.Done()
-			claim()
-		}()
+		go claim()
 	}
 	claim()
-	wg.Wait()
+	done.Wait()
 }

@@ -4,6 +4,7 @@ import (
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/sha256"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -23,6 +24,14 @@ import (
 // short of a SHA-256 preimage — the same assumption that keeps two
 // triples from sharing a tag.
 //
+// A verification runs outside the shard lock. A tag is listed as running
+// while it does, and a second sighting of the same tag in that window —
+// two followers handed one header at once — waits for the running check
+// instead of starting its own, then takes the answer from the table. So
+// every tag costs one ECDSA verification however many goroutines present
+// it together; a failed check is not remembered, and each waiter then runs
+// its own.
+//
 // Size: 64 × 128 slots × 32 B = 256 KiB holds 32 full 256-tx blocks of
 // evidence, and a repeat arrives within the block that carried the first
 // sighting or within a node's catch-up window.
@@ -34,11 +43,19 @@ const (
 )
 
 type sigShard struct {
-	mu    sync.Mutex
-	slots [sigSlotsPerShard]Hash // guarded by mu
+	mu      sync.Mutex
+	slots   [sigSlotsPerShard]Hash // guarded by mu
+	running []Hash                 // tags being verified; guarded by mu
+	settled sync.Cond              // on mu; broadcast when a running tag settles
 }
 
 var sigTable [sigShards]sigShard
+
+func init() {
+	for i := range sigTable {
+		sigTable[i].settled.L = &sigTable[i].mu
+	}
+}
 
 // sigHits and sigMisses are nil (no-ops) until Instrument.
 var sigHits, sigMisses atomic.Pointer[obs.Counter]
@@ -60,6 +77,37 @@ func sigVerified(tag Hash) bool {
 	hit := sh.slots[tag[1]%sigSlotsPerShard] == tag
 	sh.mu.Unlock()
 	return hit
+}
+
+// sigAwait is sigVerified for a tag that may be running: it first waits
+// for a running verification of tag to settle. On a miss it lists tag as
+// running, and the caller must verify it and sigSettle it.
+func sigAwait(tag Hash) bool {
+	sh := &sigTable[tag[0]%sigShards]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	for slices.Contains(sh.running, tag) {
+		sh.settled.Wait()
+	}
+	if sh.slots[tag[1]%sigSlotsPerShard] == tag {
+		return true
+	}
+	sh.running = append(sh.running, tag)
+	return false
+}
+
+// sigSettle ends the verification sigAwait listed tag as running for,
+// remembering tag if it was valid, and wakes the sightings waiting on it.
+func sigSettle(tag Hash, valid bool) {
+	if valid {
+		sigRemember(tag)
+	}
+	sh := &sigTable[tag[0]%sigShards]
+	sh.mu.Lock()
+	i := slices.Index(sh.running, tag)
+	sh.running = slices.Delete(sh.running, i, i+1)
+	sh.mu.Unlock()
+	sh.settled.Broadcast()
 }
 
 // sigRemember records tag, replacing its slot's previous entry.
@@ -91,21 +139,24 @@ func sigTag(pub *ecdsa.PublicKey, digest *[sha256.Size]byte, sig []byte) (tag Ha
 // this process again. It returns what Verify returns, always: a triple
 // is remembered only after Verify's own check accepted it, and ECDSA
 // verification is a pure function of exactly the bytes the tag covers.
+//
+// Concurrent calls on one triple run one verification between them (see
+// the table's comment above); every call still returns Verify's answer.
 func VerifyCached(pub *ecdsa.PublicKey, msg, sig []byte) bool {
 	digest := sha256.Sum256(msg)
 	tag, ok := sigTag(pub, &digest, sig)
-	if ok && sigVerified(tag) {
+	if !ok {
+		sigMisses.Load().Inc()
+		return ecdsa.VerifyASN1(pub, digest[:], sig)
+	}
+	if sigVerified(tag) || sigAwait(tag) {
 		sigHits.Load().Inc()
 		return true
 	}
 	sigMisses.Load().Inc()
-	if !ecdsa.VerifyASN1(pub, digest[:], sig) {
-		return false
-	}
-	if ok {
-		sigRemember(tag)
-	}
-	return true
+	valid := ecdsa.VerifyASN1(pub, digest[:], sig)
+	sigSettle(tag, valid)
+	return valid
 }
 
 // ForgetVerified empties the table. Tests use it to compare a cold table

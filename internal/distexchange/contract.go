@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/contract"
@@ -30,54 +31,84 @@ var _ contract.Contract = (*Contract)(nil)
 // New returns a DE App contract instance.
 func New(cfg Config) *Contract { return &Contract{cfg: cfg} }
 
-// Storage key builders. Composite keys join their parts with '|'. A hex
-// address or a zero-padded number never holds one, and registerPod and
-// registerResource refuse a WebID or resource IRI that does (checkKeyPart):
-// such an IRI would name another resource's keys, its grant and ledger
-// listings included.
-func podKey(webID string) string         { return "pod/" + webID }
-func resKey(iri string) string           { return "res/" + iri }
-func resByPodKey(pod, iri string) string { return "resbypod/" + pod + "|" + iri }
-func devKey(a cryptoutil.Address) string { return "dev/" + a.String() }
-func grantKey(iri string, d cryptoutil.Address) string {
-	return "grant/" + iri + "|" + d.String()
-}
-func grantPrefix(iri string) string { return "grant/" + iri + "|" }
-func roundSeqKey(iri string) string { return "roundseq/" + iri }
-func evSeqKey(iri string) string    { return "evseq/" + iri }
-func violSeqKey(iri string) string  { return "violseq/" + iri }
+// Storage key builders. Each appends its key to b — Env.Key or
+// ReadEnv.Key, which hold the contract's namespace — and returns it, so a
+// key is built in one buffer and never passes through a string. Composite
+// keys join their parts with '|'. A hex address or a zero-padded number
+// never holds one, and registerPod and registerResource refuse a WebID or
+// resource IRI that does (checkKeyPart): such an IRI would name another
+// resource's keys, its grant and ledger listings included.
+func podKey(b []byte, webID string) []byte { return append(append(b, "pod/"...), webID...) }
+func resKey(b []byte, iri string) []byte   { return append(append(b, "res/"...), iri...) }
 
-// Monitoring keys; the package comment describes the layout. Numbers are
-// zero-padded so sorted key order is numeric order.
-func roundKey(iri string, n uint64) string {
-	return fmt.Sprintf("round/%s|%012d", iri, n)
+// resByPodKey with iri "" is the prefix of a pod's index entries.
+func resByPodKey(b []byte, pod, iri string) []byte {
+	return append(append(append(append(b, "resbypod/"...), pod...), '|'), iri...)
 }
-func progressKey(iri string, n uint64) string {
-	return fmt.Sprintf("roundprog/%s|%012d", iri, n)
+func devKey(b []byte, a cryptoutil.Address) []byte {
+	return appendAddress(append(b, "dev/"...), a)
 }
-func pendingKey(iri string, n uint64, d cryptoutil.Address) string {
-	return fmt.Sprintf("roundpend/%s|%012d|%s", iri, n, d)
+func grantKey(b []byte, iri string, d cryptoutil.Address) []byte {
+	return appendAddress(grantPrefix(b, iri), d)
 }
-func evKey(iri string, round, seq uint64) string {
-	return fmt.Sprintf("ev/%s|%012d|%012d", iri, round, seq)
+func grantPrefix(b []byte, iri string) []byte {
+	return append(append(append(b, "grant/"...), iri...), '|')
 }
-func violKey(iri string, round, seq uint64) string {
-	return fmt.Sprintf("viol/%s|%012d|%012d", iri, round, seq)
+func roundSeqKey(b []byte, iri string) []byte { return append(append(b, "roundseq/"...), iri...) }
+func evSeqKey(b []byte, iri string) []byte    { return append(append(b, "evseq/"...), iri...) }
+func violSeqKey(b []byte, iri string) []byte  { return append(append(b, "violseq/"...), iri...) }
+
+// Monitoring keys; the package comment describes the layout.
+func roundKey(b []byte, iri string, n uint64) []byte {
+	return appendNum(append(append(b, "round/"...), iri...), n)
+}
+func progressKey(b []byte, iri string, n uint64) []byte {
+	return appendNum(append(append(b, "roundprog/"...), iri...), n)
+}
+func pendingKey(b []byte, iri string, n uint64, d cryptoutil.Address) []byte {
+	b = appendNum(append(append(b, "roundpend/"...), iri...), n)
+	return appendAddress(append(b, '|'), d)
+}
+func evKey(b []byte, iri string, round, seq uint64) []byte {
+	return appendNum(appendNum(append(append(b, "ev/"...), iri...), round), seq)
+}
+func violKey(b []byte, iri string, round, seq uint64) []byte {
+	return appendNum(appendNum(append(append(b, "viol/"...), iri...), round), seq)
 }
 
 // ledgerPrefix is the listing prefix of a resource's evidence ("ev") or
 // violation ("viol") records: one round's when round is non-nil, the whole
 // history otherwise.
-func ledgerPrefix(kind, iri string, round *uint64) string {
-	if round == nil {
-		return kind + "/" + iri + "|"
+func ledgerPrefix(b []byte, kind, iri string, round *uint64) []byte {
+	b = append(append(append(b, kind...), '/'), iri...)
+	if round != nil {
+		b = appendNum(b, *round)
 	}
-	return fmt.Sprintf("%s/%s|%012d|", kind, iri, *round)
+	return append(b, '|')
 }
 
-// seqWidth is the width of the zero-padded sequence number ending every
-// evidence and violation key.
-const seqWidth = 12
+// numWidth is the width numbers in keys are zero-padded to, so that key
+// order is numeric order; the sequence number ending an evidence or
+// violation key is the key's last numWidth bytes.
+const numWidth = 12
+
+// appendNum appends '|' and n in decimal, zero-padded to numWidth digits;
+// a longer number is written whole.
+func appendNum(b []byte, n uint64) []byte {
+	var digits [20]byte
+	d := strconv.AppendUint(digits[:0], n, 10)
+	b = append(b, '|')
+	for range numWidth - len(d) {
+		b = append(b, '0')
+	}
+	return append(b, d...)
+}
+
+// appendAddress appends a as Address.String writes it: "0x" and 40 hex
+// digits.
+func appendAddress(b []byte, a cryptoutil.Address) []byte {
+	return hex.AppendEncode(append(b, "0x"...), a[:])
+}
 
 // roundProgress is the mutable part of a monitoring round: the only record
 // submitEvidence rewrites, so its cost does not grow with the target list.
@@ -131,10 +162,21 @@ func (c *Contract) Call(env *contract.Env, method string, args []byte) ([]byte, 
 
 // --- storage helpers ---
 
+// ledger is what a key is built on and read through: Env in a
+// transaction, ReadEnv behind a query.
+type ledger interface {
+	Key() []byte
+	Get(key []byte) ([]byte, bool, error)
+}
+
+// localKey is a key built on l.Key without the namespace: the key as error
+// texts name it.
+func localKey(l ledger, key []byte) []byte { return key[len(l.Key()):] }
+
 // load reads the record under key into out, reporting whether there is one.
 // A value that decode refuses — a JSON record of a data directory written
 // before the record codec, for one — reverts the transaction naming the key.
-func load[T any](env *contract.Env, key string, out *T, decode func(*store.Dec, *T)) (bool, error) {
+func load[T any](env *contract.Env, key []byte, out *T, decode func(*store.Dec, *T)) (bool, error) {
 	raw, ok, err := env.Get(key)
 	if err != nil || !ok {
 		return false, err
@@ -142,7 +184,7 @@ func load[T any](env *contract.Env, key string, out *T, decode func(*store.Dec, 
 	d := store.NewDec(raw)
 	decode(d, out)
 	if err := d.Finish(); err != nil {
-		return false, contract.Revertf("corrupt record at %s: %v", key, err)
+		return false, contract.Revertf("corrupt record at %s: %v", localKey(env, key), err)
 	}
 	return true, nil
 }
@@ -171,7 +213,9 @@ func decodeArgs[A any](raw []byte, args *A, decode func(*store.Dec, *A)) error {
 // decodeCounter reads a sequence counter: a bare uvarint, no tag.
 func decodeCounter(d *store.Dec, n *uint64) { *n = d.Uvarint() }
 
-func bumpCounter(env *contract.Env, key string) (uint64, error) {
+// bumpCounter increments the counter under key, built on env.Key, and
+// returns its new value.
+func bumpCounter(env *contract.Env, key []byte) (uint64, error) {
 	var n uint64
 	if _, err := load(env, key, &n, decodeCounter); err != nil {
 		return 0, err
@@ -193,7 +237,7 @@ func (c *Contract) registerPod(env *contract.Env, args *RegisterPodArgs) ([]byte
 		return nil, err
 	}
 	var existing PodRecord
-	if ok, err := load(env, podKey(args.OwnerWebID), &existing, decodePodRecord); err != nil {
+	if ok, err := load(env, podKey(env.Key(), args.OwnerWebID), &existing, decodePodRecord); err != nil {
 		return nil, err
 	} else if ok {
 		return nil, contract.Revertf("registerPod: pod %q already registered", args.OwnerWebID)
@@ -211,7 +255,7 @@ func (c *Contract) registerPod(env *contract.Env, args *RegisterPodArgs) ([]byte
 		RegisteredAt:  env.Block.Time,
 	}
 	record := appendPodRecord(nil, &rec)
-	if err := env.Set(podKey(args.OwnerWebID), record); err != nil {
+	if err := env.Set(podKey(env.Key(), args.OwnerWebID), record); err != nil {
 		return nil, err
 	}
 	if err := env.Emit(TopicPodRegistered, args.OwnerWebID, record); err != nil {
@@ -233,7 +277,7 @@ func (c *Contract) registerResource(env *contract.Env, args *RegisterResourceArg
 		return nil, err
 	}
 	var pod PodRecord
-	ok, err := load(env, podKey(args.PodWebID), &pod, decodePodRecord)
+	ok, err := load(env, podKey(env.Key(), args.PodWebID), &pod, decodePodRecord)
 	if err != nil {
 		return nil, err
 	}
@@ -244,7 +288,7 @@ func (c *Contract) registerResource(env *contract.Env, args *RegisterResourceArg
 		return nil, contract.Revertf("registerResource: sender %s does not own pod %q", env.Sender, args.PodWebID)
 	}
 	var existing ResourceRecord
-	if ok, err := load(env, resKey(args.ResourceIRI), &existing, decodeResourceRecord); err != nil {
+	if ok, err := load(env, resKey(env.Key(), args.ResourceIRI), &existing, decodeResourceRecord); err != nil {
 		return nil, err
 	} else if ok {
 		return nil, contract.Revertf("registerResource: resource %q already registered", args.ResourceIRI)
@@ -278,10 +322,10 @@ func (c *Contract) registerResource(env *contract.Env, args *RegisterResourceArg
 		RegisteredAt: env.Block.Time,
 	}
 	record, policyAt := appendResourceRecord(nil, &rec)
-	if err := env.Set(resKey(args.ResourceIRI), record); err != nil {
+	if err := env.Set(resKey(env.Key(), args.ResourceIRI), record); err != nil {
 		return nil, err
 	}
-	if err := env.Set(resByPodKey(args.PodWebID, args.ResourceIRI), []byte{1}); err != nil {
+	if err := env.Set(resByPodKey(env.Key(), args.PodWebID, args.ResourceIRI), []byte{1}); err != nil {
 		return nil, err
 	}
 	if err := env.Emit(TopicResourceRegistered, args.ResourceIRI, record); err != nil {
@@ -300,7 +344,7 @@ func (c *Contract) updatePolicy(env *contract.Env, args *UpdatePolicyArgs) ([]by
 		return nil, contract.Revertf("updatePolicy: missing policy")
 	}
 	var rec ResourceRecord
-	ok, err := load(env, resKey(args.ResourceIRI), &rec, decodeResourceRecord)
+	ok, err := load(env, resKey(env.Key(), args.ResourceIRI), &rec, decodeResourceRecord)
 	if err != nil {
 		return nil, err
 	}
@@ -322,7 +366,7 @@ func (c *Contract) updatePolicy(env *contract.Env, args *UpdatePolicyArgs) ([]by
 	}
 	rec.Policy = args.Policy
 	record, policyAt := appendResourceRecord(nil, &rec)
-	if err := env.Set(resKey(args.ResourceIRI), record); err != nil {
+	if err := env.Set(resKey(env.Key(), args.ResourceIRI), record); err != nil {
 		return nil, err
 	}
 	if err := env.Emit(TopicPolicyUpdated, args.ResourceIRI, record[policyAt:]); err != nil {
@@ -333,7 +377,7 @@ func (c *Contract) updatePolicy(env *contract.Env, args *UpdatePolicyArgs) ([]by
 
 func (c *Contract) withdrawResource(env *contract.Env, args *WithdrawResourceArgs) ([]byte, error) {
 	var rec ResourceRecord
-	ok, err := load(env, resKey(args.ResourceIRI), &rec, decodeResourceRecord)
+	ok, err := load(env, resKey(env.Key(), args.ResourceIRI), &rec, decodeResourceRecord)
 	if err != nil {
 		return nil, err
 	}
@@ -348,10 +392,10 @@ func (c *Contract) withdrawResource(env *contract.Env, args *WithdrawResourceArg
 	}
 	rec.Withdrawn = true
 	record, _ := appendResourceRecord(nil, &rec)
-	if err := env.Set(resKey(args.ResourceIRI), record); err != nil {
+	if err := env.Set(resKey(env.Key(), args.ResourceIRI), record); err != nil {
 		return nil, err
 	}
-	if err := env.Delete(resByPodKey(rec.PodWebID, args.ResourceIRI)); err != nil {
+	if err := env.Delete(resByPodKey(env.Key(), rec.PodWebID, args.ResourceIRI)); err != nil {
 		return nil, err
 	}
 	if err := env.Emit(TopicResourceWithdrawn, args.ResourceIRI, record); err != nil {
@@ -392,7 +436,7 @@ func (c *Contract) registerDevice(env *contract.Env, args *RegisterDeviceArgs) (
 		RegisteredAt: env.Block.Time,
 	}
 	record := appendDeviceRecord(nil, &rec)
-	if err := env.Set(devKey(env.Sender), record); err != nil {
+	if err := env.Set(devKey(env.Key(), env.Sender), record); err != nil {
 		return nil, err
 	}
 	if err := env.Emit(TopicDeviceRegistered, env.Sender.String(), record); err != nil {
@@ -405,7 +449,7 @@ func (c *Contract) registerDevice(env *contract.Env, args *RegisterDeviceArgs) (
 
 func (c *Contract) recordGrant(env *contract.Env, args *RecordGrantArgs) ([]byte, error) {
 	var rec ResourceRecord
-	ok, err := load(env, resKey(args.ResourceIRI), &rec, decodeResourceRecord)
+	ok, err := load(env, resKey(env.Key(), args.ResourceIRI), &rec, decodeResourceRecord)
 	if err != nil {
 		return nil, err
 	}
@@ -419,7 +463,7 @@ func (c *Contract) recordGrant(env *contract.Env, args *RecordGrantArgs) ([]byte
 		return nil, contract.Revertf("recordGrant: sender %s does not own %q", env.Sender, args.ResourceIRI)
 	}
 	var dev DeviceRecord
-	if ok, err := load(env, devKey(args.Device), &dev, decodeDeviceRecord); err != nil {
+	if ok, err := load(env, devKey(env.Key(), args.Device), &dev, decodeDeviceRecord); err != nil {
 		return nil, err
 	} else if !ok {
 		return nil, contract.Revertf("recordGrant: device %s not registered", args.Device)
@@ -439,7 +483,7 @@ func (c *Contract) recordGrant(env *contract.Env, args *RecordGrantArgs) ([]byte
 		GrantedAt:   env.Block.Time,
 	}
 	record := appendGrant(nil, &g)
-	if err := env.Set(grantKey(args.ResourceIRI, args.Device), record); err != nil {
+	if err := env.Set(grantKey(env.Key(), args.ResourceIRI, args.Device), record); err != nil {
 		return nil, err
 	}
 	if err := env.Emit(TopicGrantRecorded, args.ResourceIRI, record); err != nil {
@@ -450,7 +494,7 @@ func (c *Contract) recordGrant(env *contract.Env, args *RecordGrantArgs) ([]byte
 
 func (c *Contract) confirmRetrieval(env *contract.Env, args *ConfirmRetrievalArgs) ([]byte, error) {
 	var g Grant
-	ok, err := load(env, grantKey(args.ResourceIRI, env.Sender), &g, decodeGrant)
+	ok, err := load(env, grantKey(env.Key(), args.ResourceIRI, env.Sender), &g, decodeGrant)
 	if err != nil {
 		return nil, err
 	}
@@ -465,7 +509,7 @@ func (c *Contract) confirmRetrieval(env *contract.Env, args *ConfirmRetrievalArg
 	}
 	g.RetrievedAt = env.Block.Time
 	record := appendGrant(nil, &g)
-	if err := env.Set(grantKey(args.ResourceIRI, env.Sender), record); err != nil {
+	if err := env.Set(grantKey(env.Key(), args.ResourceIRI, env.Sender), record); err != nil {
 		return nil, err
 	}
 	if err := env.Emit(TopicRetrievalConfirmed, args.ResourceIRI, record); err != nil {
@@ -476,7 +520,7 @@ func (c *Contract) confirmRetrieval(env *contract.Env, args *ConfirmRetrievalArg
 
 func (c *Contract) revokeGrant(env *contract.Env, args *RevokeGrantArgs) ([]byte, error) {
 	var rec ResourceRecord
-	ok, err := load(env, resKey(args.ResourceIRI), &rec, decodeResourceRecord)
+	ok, err := load(env, resKey(env.Key(), args.ResourceIRI), &rec, decodeResourceRecord)
 	if err != nil {
 		return nil, err
 	}
@@ -487,7 +531,7 @@ func (c *Contract) revokeGrant(env *contract.Env, args *RevokeGrantArgs) ([]byte
 		return nil, contract.Revertf("revokeGrant: sender %s does not own %q", env.Sender, args.ResourceIRI)
 	}
 	var g Grant
-	if ok, err := load(env, grantKey(args.ResourceIRI, args.Device), &g, decodeGrant); err != nil {
+	if ok, err := load(env, grantKey(env.Key(), args.ResourceIRI, args.Device), &g, decodeGrant); err != nil {
 		return nil, err
 	} else if !ok {
 		return nil, contract.Revertf("revokeGrant: no grant for device %s", args.Device)
@@ -497,7 +541,7 @@ func (c *Contract) revokeGrant(env *contract.Env, args *RevokeGrantArgs) ([]byte
 	}
 	g.Revoked = true
 	record := appendGrant(nil, &g)
-	if err := env.Set(grantKey(args.ResourceIRI, args.Device), record); err != nil {
+	if err := env.Set(grantKey(env.Key(), args.ResourceIRI, args.Device), record); err != nil {
 		return nil, err
 	}
 	if err := env.Emit(TopicGrantRevoked, args.ResourceIRI, record); err != nil {
@@ -510,7 +554,7 @@ func (c *Contract) revokeGrant(env *contract.Env, args *RevokeGrantArgs) ([]byte
 
 func (c *Contract) requestMonitoring(env *contract.Env, args *RequestMonitoringArgs) ([]byte, error) {
 	var rec ResourceRecord
-	ok, err := load(env, resKey(args.ResourceIRI), &rec, decodeResourceRecord)
+	ok, err := load(env, resKey(env.Key(), args.ResourceIRI), &rec, decodeResourceRecord)
 	if err != nil {
 		return nil, err
 	}
@@ -521,14 +565,14 @@ func (c *Contract) requestMonitoring(env *contract.Env, args *RequestMonitoringA
 		return nil, contract.Revertf("requestMonitoring: sender %s does not own %q", env.Sender, args.ResourceIRI)
 	}
 
-	keys, err := env.Keys(grantPrefix(args.ResourceIRI))
+	keys, err := env.Keys(grantPrefix(env.Key(), args.ResourceIRI))
 	if err != nil {
 		return nil, err
 	}
 	var targets []cryptoutil.Address
 	for _, k := range keys {
 		var g Grant
-		if ok, err := load(env, k, &g, decodeGrant); err != nil {
+		if ok, err := load(env, append(env.Key(), k...), &g, decodeGrant); err != nil {
 			return nil, err
 		} else if !ok {
 			continue
@@ -538,7 +582,7 @@ func (c *Contract) requestMonitoring(env *contract.Env, args *RequestMonitoringA
 		}
 	}
 
-	n, err := bumpCounter(env, roundSeqKey(args.ResourceIRI))
+	n, err := bumpCounter(env, roundSeqKey(env.Key(), args.ResourceIRI))
 	if err != nil {
 		return nil, err
 	}
@@ -552,16 +596,16 @@ func (c *Contract) requestMonitoring(env *contract.Env, args *RequestMonitoringA
 	record := appendMonitoringRound(nil, &round)
 	// The round record is written here and never again; what changes as
 	// evidence arrives lives in the progress record and the pending markers.
-	if err := env.Set(roundKey(args.ResourceIRI, n), record); err != nil {
+	if err := env.Set(roundKey(env.Key(), args.ResourceIRI, n), record); err != nil {
 		return nil, err
 	}
-	if err := env.Set(progressKey(args.ResourceIRI, n), appendRoundProgress(nil, &roundProgress{
+	if err := env.Set(progressKey(env.Key(), args.ResourceIRI, n), appendRoundProgress(nil, &roundProgress{
 		Targets: len(targets), Closed: round.Closed,
 	})); err != nil {
 		return nil, err
 	}
 	for _, target := range targets {
-		if err := env.Set(pendingKey(args.ResourceIRI, n, target), pendingMarker); err != nil {
+		if err := env.Set(pendingKey(env.Key(), args.ResourceIRI, n, target), pendingMarker); err != nil {
 			return nil, err
 		}
 	}
@@ -646,7 +690,7 @@ func (c *Contract) submitEvidence(env *contract.Env, args *SubmitEvidenceArgs) (
 // so it goes through VerifyCached (see the package comment). A returned
 // error reverts the transaction.
 func (c *Contract) checkEvidence(env *contract.Env, ev *Evidence, it *checkedEvidence) error {
-	ok, err := load(env, resKey(ev.ResourceIRI), &it.rec, decodeResourceRecord)
+	ok, err := load(env, resKey(env.Key(), ev.ResourceIRI), &it.rec, decodeResourceRecord)
 	if err != nil {
 		return err
 	}
@@ -655,13 +699,13 @@ func (c *Contract) checkEvidence(env *contract.Env, ev *Evidence, it *checkedEvi
 		return nil
 	}
 	var dev DeviceRecord
-	if ok, err := load(env, devKey(ev.Device), &dev, decodeDeviceRecord); err != nil {
+	if ok, err := load(env, devKey(env.Key(), ev.Device), &dev, decodeDeviceRecord); err != nil {
 		return err
 	} else if !ok {
 		it.refused = contract.Revertf("submitEvidence: device %s not registered", ev.Device)
 		return nil
 	}
-	if ok, err := load(env, grantKey(ev.ResourceIRI, ev.Device), &it.grant, decodeGrant); err != nil {
+	if ok, err := load(env, grantKey(env.Key(), ev.ResourceIRI, ev.Device), &it.grant, decodeGrant); err != nil {
 		return err
 	} else if !ok {
 		it.refused = contract.Revertf("submitEvidence: no grant for device %s on %q", ev.Device, ev.ResourceIRI)
@@ -681,7 +725,7 @@ func (c *Contract) checkEvidence(env *contract.Env, ev *Evidence, it *checkedEvi
 func (c *Contract) recordEvidence(env *contract.Env, ev *Evidence, it *checkedEvidence) ([]byte, error) {
 	findings := c.checkCompliance(&it.rec, &it.grant, ev)
 
-	seq, err := bumpCounter(env, evSeqKey(ev.ResourceIRI))
+	seq, err := bumpCounter(env, evSeqKey(env.Key(), ev.ResourceIRI))
 	if err != nil {
 		return nil, err
 	}
@@ -694,7 +738,7 @@ func (c *Contract) recordEvidence(env *contract.Env, ev *Evidence, it *checkedEv
 		Round:    ev.Round,
 		Findings: findings,
 	})
-	if err := env.Set(evKey(ev.ResourceIRI, ev.Round, seq), record); err != nil {
+	if err := env.Set(evKey(env.Key(), ev.ResourceIRI, ev.Round, seq), record); err != nil {
 		return nil, err
 	}
 	if err := env.Emit(TopicEvidenceRecorded, ev.ResourceIRI, record); err != nil {
@@ -722,21 +766,21 @@ func (c *Contract) recordEvidence(env *contract.Env, ev *Evidence, it *checkedEv
 // and evidence arriving after closure are all recorded by the caller but
 // leave the round as it is.
 func (c *Contract) noteResponse(env *contract.Env, iri string, round uint64, device cryptoutil.Address) error {
-	if _, pending, err := env.Get(pendingKey(iri, round, device)); err != nil || !pending {
+	if _, pending, err := env.Get(pendingKey(env.Key(), iri, round, device)); err != nil || !pending {
 		return err
 	}
 	var prog roundProgress
-	if ok, err := load(env, progressKey(iri, round), &prog, decodeRoundProgress); err != nil {
+	if ok, err := load(env, progressKey(env.Key(), iri, round), &prog, decodeRoundProgress); err != nil {
 		return err
 	} else if !ok || prog.Closed {
 		return nil
 	}
-	if err := env.Delete(pendingKey(iri, round, device)); err != nil {
+	if err := env.Delete(pendingKey(env.Key(), iri, round, device)); err != nil {
 		return err
 	}
 	prog.Responded++
 	prog.Closed = prog.Responded >= prog.Targets
-	return env.Set(progressKey(iri, round), appendRoundProgress(nil, &prog))
+	return env.Set(progressKey(env.Key(), iri, round), appendRoundProgress(nil, &prog))
 }
 
 // checkCompliance evaluates evidence against the current policy and grant.
@@ -779,7 +823,7 @@ func (c *Contract) checkCompliance(rec *ResourceRecord, g *Grant, ev *Evidence) 
 }
 
 func (c *Contract) recordViolation(env *contract.Env, iri string, device cryptoutil.Address, kind ViolationKind, detail string, round uint64) error {
-	seq, err := bumpCounter(env, violSeqKey(iri))
+	seq, err := bumpCounter(env, violSeqKey(env.Key(), iri))
 	if err != nil {
 		return err
 	}
@@ -793,7 +837,7 @@ func (c *Contract) recordViolation(env *contract.Env, iri string, device cryptou
 		Round:       round,
 	}
 	record := appendViolation(nil, &v)
-	if err := env.Set(violKey(iri, round, seq), record); err != nil {
+	if err := env.Set(violKey(env.Key(), iri, round, seq), record); err != nil {
 		return err
 	}
 	return env.Emit(TopicViolationDetected, iri, record)
@@ -801,7 +845,7 @@ func (c *Contract) recordViolation(env *contract.Env, iri string, device cryptou
 
 func (c *Contract) reportUnresponsive(env *contract.Env, args *ReportUnresponsiveArgs) ([]byte, error) {
 	var rec ResourceRecord
-	ok, err := load(env, resKey(args.ResourceIRI), &rec, decodeResourceRecord)
+	ok, err := load(env, resKey(env.Key(), args.ResourceIRI), &rec, decodeResourceRecord)
 	if err != nil {
 		return nil, err
 	}
@@ -811,7 +855,7 @@ func (c *Contract) reportUnresponsive(env *contract.Env, args *ReportUnresponsiv
 	if rec.Owner != env.Sender {
 		return nil, contract.Revertf("reportUnresponsive: sender %s does not own %q", env.Sender, args.ResourceIRI)
 	}
-	round, silent, err := loadRound(env.Get, args.ResourceIRI, args.Round)
+	round, silent, err := loadRound(env, args.ResourceIRI, args.Round)
 	if errors.Is(err, ErrNotFound) {
 		return nil, contract.Revertf("reportUnresponsive: round %d not found", args.Round)
 	}
@@ -828,7 +872,7 @@ func (c *Contract) reportUnresponsive(env *contract.Env, args *ReportUnresponsiv
 		}
 	}
 	round.Closed = true
-	if err := env.Set(progressKey(args.ResourceIRI, args.Round), appendRoundProgress(nil, &roundProgress{
+	if err := env.Set(progressKey(env.Key(), args.ResourceIRI, args.Round), appendRoundProgress(nil, &roundProgress{
 		Targets: len(round.Targets), Responded: len(round.Responded), Closed: true,
 	})); err != nil {
 		return nil, err
@@ -836,20 +880,20 @@ func (c *Contract) reportUnresponsive(env *contract.Env, args *ReportUnresponsiv
 	return appendMonitoringRound(nil, &round), nil
 }
 
-// fetch reads and decodes the record under key through get. A missing
+// fetch reads and decodes the record under key, built on l.Key. A missing
 // record wraps ErrNotFound.
-func fetch[T any](get func(key string) ([]byte, bool, error), key string, out *T, decode func(*store.Dec, *T)) error {
-	raw, ok, err := get(key)
+func fetch[T any](l ledger, key []byte, out *T, decode func(*store.Dec, *T)) error {
+	raw, ok, err := l.Get(key)
 	if err != nil {
 		return err
 	}
 	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, key)
+		return fmt.Errorf("%w: %s", ErrNotFound, localKey(l, key))
 	}
 	d := store.NewDec(raw)
 	decode(d, out)
 	if err := d.Finish(); err != nil {
-		return fmt.Errorf("distexchange: corrupt record at %s: %w", key, err)
+		return fmt.Errorf("distexchange: corrupt record at %s: %w", localKey(l, key), err)
 	}
 	return nil
 }
@@ -857,19 +901,19 @@ func fetch[T any](get func(key string) ([]byte, bool, error), key string, out *T
 // loadRound assembles a MonitoringRound from its three kinds of keys: the
 // write-once round record (targets), the progress record (closed) and the
 // pending markers (a target without one has responded; Responded is in
-// target order). It also returns the targets that have not responded. get is Env.Get in a transaction and
-// ReadEnv.Get behind a query. A missing round wraps ErrNotFound.
-func loadRound(get func(key string) ([]byte, bool, error), iri string, n uint64) (round MonitoringRound, silent []cryptoutil.Address, err error) {
-	if err := fetch(get, roundKey(iri, n), &round, decodeMonitoringRound); err != nil {
+// target order). It also returns the targets that have not responded. A
+// missing round wraps ErrNotFound.
+func loadRound(l ledger, iri string, n uint64) (round MonitoringRound, silent []cryptoutil.Address, err error) {
+	if err := fetch(l, roundKey(l.Key(), iri, n), &round, decodeMonitoringRound); err != nil {
 		return round, nil, err
 	}
 	var prog roundProgress
-	if err := fetch(get, progressKey(iri, n), &prog, decodeRoundProgress); err != nil {
+	if err := fetch(l, progressKey(l.Key(), iri, n), &prog, decodeRoundProgress); err != nil {
 		return round, nil, err
 	}
 	round.Closed = prog.Closed
 	for _, target := range round.Targets {
-		_, pending, err := get(pendingKey(iri, n, target))
+		_, pending, err := l.Get(pendingKey(l.Key(), iri, n, target))
 		if err != nil {
 			return round, nil, err
 		}
@@ -894,19 +938,19 @@ func (c *Contract) Read(env *contract.ReadEnv, method string, args []byte) ([]by
 		if err := decodeArgs(args, &a, decodeGetPodArgs); err != nil {
 			return nil, err
 		}
-		return readRecord(env, podKey(a.OwnerWebID))
+		return readRecord(env, podKey(env.Key(), a.OwnerWebID))
 	case "getResource":
 		var a GetResourceArgs
 		if err := decodeArgs(args, &a, decodeGetResourceArgs); err != nil {
 			return nil, err
 		}
-		return readRecord(env, resKey(a.ResourceIRI))
+		return readRecord(env, resKey(env.Key(), a.ResourceIRI))
 	case "getDevice":
 		var a GetDeviceArgs
 		if err := decodeArgs(args, &a, decodeGetDeviceArgs); err != nil {
 			return nil, err
 		}
-		return readRecord(env, devKey(a.Device))
+		return readRecord(env, devKey(env.Key(), a.Device))
 	case "listResources":
 		return c.listResources(env, args)
 	case "getGrants":
@@ -914,7 +958,11 @@ func (c *Contract) Read(env *contract.ReadEnv, method string, args []byte) ([]by
 		if err := decodeArgs(args, &a, decodeGetGrantsArgs); err != nil {
 			return nil, err
 		}
-		return readListing(env, env.Keys(grantPrefix(a.ResourceIRI)), tagGrant)
+		keys, err := env.Keys(grantPrefix(env.Key(), a.ResourceIRI))
+		if err != nil {
+			return nil, err
+		}
+		return readListing(env, keys, appendLocal, tagGrant)
 	case "getViolations":
 		var a GetViolationsArgs
 		if err := decodeArgs(args, &a, decodeGetViolationsArgs); err != nil {
@@ -932,10 +980,7 @@ func (c *Contract) Read(env *contract.ReadEnv, method string, args []byte) ([]by
 		if err := decodeArgs(args, &a, decodeGetMonitoringRoundArgs); err != nil {
 			return nil, err
 		}
-		round, _, err := loadRound(func(key string) ([]byte, bool, error) {
-			raw, ok := env.Get(key)
-			return raw, ok, nil
-		}, a.ResourceIRI, a.Round)
+		round, _, err := loadRound(env, a.ResourceIRI, a.Round)
 		if err != nil {
 			return nil, err
 		}
@@ -948,10 +993,14 @@ func (c *Contract) Read(env *contract.ReadEnv, method string, args []byte) ([]by
 // ErrNotFound is returned (wrapped) by queries for missing records.
 var ErrNotFound = fmt.Errorf("distexchange: not found")
 
-func readRecord(env *contract.ReadEnv, key string) ([]byte, error) {
-	raw, ok := env.Get(key)
+// readRecord answers with the record under key, built on env.Key.
+func readRecord(env *contract.ReadEnv, key []byte) ([]byte, error) {
+	raw, ok, err := env.Get(key)
+	if err != nil {
+		return nil, err
+	}
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, key)
+		return nil, fmt.Errorf("%w: %s", ErrNotFound, localKey(env, key))
 	}
 	return raw, nil
 }
@@ -960,28 +1009,39 @@ func readRecord(env *contract.ReadEnv, key string) ([]byte, error) {
 // records in Seq order: one round's when round is non-nil, the whole
 // history otherwise.
 func readLedger(env *contract.ReadEnv, kind string, tag byte, iri string, round *uint64) ([]byte, error) {
-	keys := env.Keys(ledgerPrefix(kind, iri, round))
+	keys, err := env.Keys(ledgerPrefix(env.Key(), kind, iri, round))
+	if err != nil {
+		return nil, err
+	}
 	if round == nil {
 		// Keys sort by round first; Seq is the fixed-width key suffix.
 		sort.Slice(keys, func(i, j int) bool {
-			return keys[i][len(keys[i])-seqWidth:] < keys[j][len(keys[j])-seqWidth:]
+			return keys[i][len(keys[i])-numWidth:] < keys[j][len(keys[j])-numWidth:]
 		})
 	}
-	return readListing(env, keys, tag)
+	return readListing(env, keys, appendLocal, tag)
 }
 
-// readListing answers with the records stored under keys, undecoded but
-// for the tag they must open with: a listing names the key of a record that
-// is not one, which the reply's reader no longer could.
-func readListing(env *contract.ReadEnv, keys []string, tag byte) ([]byte, error) {
+// appendLocal appends a key as Keys lists it, without the namespace.
+func appendLocal(b []byte, k string) []byte { return append(b, k...) }
+
+// readListing answers with the records stored under the keys that keyOf
+// builds from keys, undecoded but for the tag they must open with: a
+// listing names the key of a record that is not one, which the reply's
+// reader no longer could.
+func readListing(env *contract.ReadEnv, keys []string, keyOf func(b []byte, k string) []byte, tag byte) ([]byte, error) {
 	records := make([][]byte, 0, len(keys))
 	for _, k := range keys {
-		raw, ok := env.Get(k)
+		key := keyOf(env.Key(), k)
+		raw, ok, err := env.Get(key)
+		if err != nil {
+			return nil, err
+		}
 		if !ok {
 			continue
 		}
 		if len(raw) == 0 || raw[0] != tag {
-			return nil, fmt.Errorf("distexchange: corrupt record at %s", k)
+			return nil, fmt.Errorf("distexchange: corrupt record at %s", localKey(env, key))
 		}
 		records = append(records, raw)
 	}
@@ -995,17 +1055,26 @@ func (c *Contract) listResources(env *contract.ReadEnv, args []byte) ([]byte, er
 	}
 	if a.PodWebID != "" {
 		// The per-pod index holds no withdrawn resource.
-		prefix := "resbypod/" + a.PodWebID + "|"
-		keys := env.Keys(prefix)
-		for i, k := range keys {
-			keys[i] = resKey(k[len(prefix):])
+		prefix := resByPodKey(env.Key(), a.PodWebID, "")
+		n := len(localKey(env, prefix))
+		keys, err := env.Keys(prefix)
+		if err != nil {
+			return nil, err
 		}
-		return readListing(env, keys, tagResource)
+		return readListing(env, keys, func(b []byte, k string) []byte {
+			return resKey(b, k[n:])
+		}, tagResource)
 	}
-	keys := env.Keys("res/")
+	keys, err := env.Keys(resKey(env.Key(), ""))
+	if err != nil {
+		return nil, err
+	}
 	records := make([][]byte, 0, len(keys))
 	for _, k := range keys {
-		raw, ok := env.Get(k)
+		raw, ok, err := env.Get(append(env.Key(), k...))
+		if err != nil {
+			return nil, err
+		}
 		if !ok {
 			continue
 		}

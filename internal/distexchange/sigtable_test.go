@@ -86,7 +86,7 @@ func TestEvidenceUnderReplacedDeviceKey(t *testing.T) {
 	replacement := cryptoutil.MustGenerateKey()
 	var recKey string
 	for _, k := range st.Keys("") {
-		if strings.HasSuffix(k, "/"+devKey(device.Address())) {
+		if strings.HasSuffix(k, "/"+string(devKey(nil, device.Address()))) {
 			recKey = k
 		}
 	}

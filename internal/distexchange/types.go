@@ -12,7 +12,8 @@
 //
 // A monitoring round (Fig. 2(6)) costs its targets, never the resource's
 // history. Its state is split by how often it changes (numbers are
-// zero-padded to 12 digits, so key order is numeric order):
+// zero-padded to 12 digits, so key order is numeric order; addresses are
+// "0x" and 40 hex digits):
 //
 //	round/<iri>|<round>              MonitoringRound with Targets; written once
 //	                                 by requestMonitoring, never rewritten
@@ -33,6 +34,15 @@
 // round keys. Seq stays one counter per resource, so getEvidence and
 // getViolations list a whole history in Seq order, or — given a round —
 // only that round's key prefix.
+//
+// Every key is built for the access that uses it, by appending into the
+// buffer Env.Key (ReadEnv.Key) hands out, which already holds the
+// runtime's "0x<contract>/" namespace: the key builders in contract.go
+// append their literal, the IRI, strconv's digits after the padding zeros
+// and hex.AppendEncode's address, and the runtime looks the bytes up as
+// they are. So a read allocates no key and a write allocates only the
+// string the state stores; the bytes are those fmt and Address.String
+// wrote before (TestKeyBuildersMatchFmtForms).
 //
 // submitEvidence takes a list of signed evidence — the pull-in oracle sends
 // a round's as one transaction — and treats every item as a transaction of
