@@ -118,7 +118,7 @@ func BenchmarkCommitLatency(b *testing.B) {
 
 			stop := make(chan struct{})
 			latencies := make(chan []time.Duration, 1)
-			readKey := testContractAddr().String() + "/k0"
+			readKey := []byte(testContractAddr().String() + "/k0")
 			go func() {
 				var lats []time.Duration
 				for {
@@ -297,7 +297,7 @@ func (e parexecBenchExecutor) ExecuteTx(st StateRW, tx *Tx, bctx BlockContext) *
 		sum = sha256.Sum256(sum[:])
 	}
 	key := tx.Contract.String() + "/" + args.Key
-	prev, _ := st.Get(key)
+	prev, _ := st.Get([]byte(key))
 	st.Set(key, append(prev[:0:0], sum[:8]...))
 	return &Receipt{Status: StatusOK, GasUsed: GasTxBase}
 }

@@ -87,7 +87,7 @@ func (testExecutor) ExecuteTx(st StateRW, tx *Tx, bctx BlockContext) *Receipt {
 		}
 		k := tx.Contract.String() + "/" + args.Key
 		count := 0
-		if v, ok := st.Get(k); ok {
+		if v, ok := st.Get([]byte(k)); ok {
 			count, _ = strconv.Atoi(string(v))
 		}
 		next := []byte(strconv.Itoa(count + 1))
@@ -120,7 +120,7 @@ func (testExecutor) Query(st StateRW, contract cryptoutil.Address, method string
 	if err := json.Unmarshal(args, &a); err != nil {
 		return nil, err
 	}
-	v, ok := st.Get(contract.String() + "/" + a.Key)
+	v, ok := st.Get([]byte(contract.String() + "/" + a.Key))
 	if !ok {
 		return nil, fmt.Errorf("key %q not found", a.Key)
 	}

@@ -182,7 +182,7 @@ func TestConcurrentReadersDuringCommit(t *testing.T) {
 				}
 				switch (i + r) % 4 {
 				case 0:
-					n.State().Get(fmt.Sprintf("%s/k%d", testContractAddr(), i%32))
+					n.State().Get([]byte(fmt.Sprintf("%s/k%d", testContractAddr(), i%32)))
 				case 1:
 					// k0 is written by block 1; a query that starts after that
 					// must succeed. The height is read first: read after a

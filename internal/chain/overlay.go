@@ -14,10 +14,10 @@ import (
 // block validation, and benchmark replay without knowing which backing
 // it writes to.
 type StateRW interface {
-	// Get returns the value for key (a copy) and whether it exists.
-	Get(key string) ([]byte, bool)
-	// Lookup is Get for a key held as bytes; the key is not copied.
-	Lookup(key []byte) ([]byte, bool)
+	// Get returns the value for key (a copy) and whether it exists. The
+	// key is only read: a contract builds it in a reused buffer, and the
+	// lookup allocates nothing for it.
+	Get(key []byte) ([]byte, bool)
 	// Set stores a copy of value under key.
 	Set(key string, value []byte)
 	// Delete removes key (a no-op when absent).
@@ -40,11 +40,8 @@ var (
 // stateView is the read surface an Overlay layers over: the committed
 // *State for a block overlay, or a parent *Overlay for the per-transaction
 // child overlays the parallel scheduler executes against (parallel.go).
-// view returns the stored slice WITHOUT copying; the result is immutable
-// by the same contract State.view documents.
+// Its point reads go through view, which serves both.
 type stateView interface {
-	view(key string) ([]byte, bool)
-	viewBytes(key []byte) ([]byte, bool)
 	Keys(prefix string) []string
 	Len() int
 	Root() cryptoutil.Hash
@@ -127,83 +124,61 @@ func newChildOverlay(parent *Overlay) *Overlay {
 	}
 }
 
-// view returns the key's value as seen through the overlay without
-// copying, satisfying stateView so child overlays can layer over this
-// one. The returned slice is immutable (see effectiveLocked).
-func (o *Overlay) view(key string) ([]byte, bool) {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return o.effectiveLocked(key)
-}
+// stateKey is a state key as the store holds it or as a contract builds
+// it in a buffer. A lookup indexes with string(key), which allocates
+// nothing for either form.
+type stateKey interface{ ~string | ~[]byte }
 
-// viewBytes is view for a key held as bytes.
-func (o *Overlay) viewBytes(key []byte) ([]byte, bool) {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return o.effectiveBytesLocked(key)
-}
-
-// effectiveLocked returns the key's current value as seen through the
-// overlay, without copying. o.mu must be held. The returned slice is
-// immutable (both State and the layer store fresh copies and never
-// mutate in place), so it is safe to hash or alias.
-func (o *Overlay) effectiveLocked(key string) ([]byte, bool) {
-	if e, ok := o.layer[key]; ok {
-		if e.del {
-			return nil, false
-		}
-		return e.value, true
+// view returns key's value in v WITHOUT copying. The result is immutable
+// by the contract lookup documents.
+func view[K stateKey](v stateView, key K) ([]byte, bool) {
+	switch v := v.(type) {
+	case *State:
+		return lookup(v, key)
+	case *Overlay:
+		v.mu.RLock()
+		defer v.mu.RUnlock()
+		return effective(v, key)
 	}
-	return o.base.view(key)
+	panic("chain: unknown state view")
 }
 
-// effectiveBytesLocked is effectiveLocked for a key held as bytes: the
-// layer lookup converts it without allocating.
-func (o *Overlay) effectiveBytesLocked(key []byte) ([]byte, bool) {
+// effective returns key's current value as seen through o, without
+// copying. o.mu must be held. The returned slice is immutable (both State
+// and the layer store fresh copies and never mutate in place), so it is
+// safe to hash or alias.
+func effective[K stateKey](o *Overlay, key K) ([]byte, bool) {
 	if e, ok := o.layer[string(key)]; ok {
 		if e.del {
 			return nil, false
 		}
 		return e.value, true
 	}
-	return o.base.viewBytes(key)
+	return view(o.base, key)
 }
 
 // Get returns the value for key and whether it exists. The returned
 // slice is a copy. A read-recording child overlay also notes the key in
-// its read set (misses included: observing absence is a read too).
-func (o *Overlay) Get(key string) ([]byte, bool) {
+// its read set (misses included: observing absence is a read too); that
+// copies the key the first time the child reads it.
+func (o *Overlay) Get(key []byte) ([]byte, bool) {
 	if o.recordReads {
 		// Recording mutates the read set, so the read path needs the
 		// write lock on a child (children are effectively single-owner,
 		// so this costs nothing in practice).
 		o.mu.Lock()
 		defer o.mu.Unlock()
-		o.reads[key] = struct{}{}
-		return copyValue(o.effectiveLocked(key))
-	}
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return copyValue(o.effectiveLocked(key))
-}
-
-// Lookup is Get for a key held as bytes. The key is not copied, except
-// into a read-recording child's read set the first time it is read there.
-func (o *Overlay) Lookup(key []byte) ([]byte, bool) {
-	if o.recordReads {
-		o.mu.Lock()
-		defer o.mu.Unlock()
 		if _, seen := o.reads[string(key)]; !seen {
 			o.reads[string(key)] = struct{}{}
 		}
-		return copyValue(o.effectiveBytesLocked(key))
+		return copyValue(effective(o, key))
 	}
 	o.mu.RLock()
 	defer o.mu.RUnlock()
-	return copyValue(o.effectiveBytesLocked(key))
+	return copyValue(effective(o, key))
 }
 
-// copyValue copies an effectiveLocked result for return to a caller that
+// copyValue copies an effective result for return to a caller that
 // may write through it.
 func copyValue(v []byte, ok bool) ([]byte, bool) {
 	if !ok {
@@ -220,7 +195,7 @@ func (o *Overlay) Set(key string, value []byte) {
 	defer o.mu.Unlock()
 	prior, existed := o.layer[key]
 	o.journal = append(o.journal, overlayJournal{key: key, prior: prior, existed: existed})
-	if cur, ok := o.effectiveLocked(key); ok {
+	if cur, ok := effective(o, key); ok {
 		xorHash(&o.root, leafHash(key, cur))
 	}
 	cp := make([]byte, len(value))
@@ -239,7 +214,7 @@ func (o *Overlay) Delete(key string) {
 	if o.recordReads {
 		o.reads[key] = struct{}{}
 	}
-	cur, ok := o.effectiveLocked(key)
+	cur, ok := effective(o, key)
 	if !ok {
 		return
 	}
@@ -272,7 +247,7 @@ func (o *Overlay) Keys(prefix string) []string {
 		if e.del || !strings.HasPrefix(k, prefix) {
 			continue
 		}
-		if _, inBase := o.base.view(k); inBase {
+		if _, inBase := view(o.base, k); inBase {
 			continue // already listed
 		}
 		out = append(out, k)
@@ -296,7 +271,7 @@ func (o *Overlay) RevertTo(checkpoint int) {
 	defer o.mu.Unlock()
 	for i := len(o.journal) - 1; i >= checkpoint; i-- {
 		e := o.journal[i]
-		if cur, ok := o.effectiveLocked(e.key); ok {
+		if cur, ok := effective(o, e.key); ok {
 			xorHash(&o.root, leafHash(e.key, cur))
 		}
 		if e.existed {
@@ -304,7 +279,7 @@ func (o *Overlay) RevertTo(checkpoint int) {
 		} else {
 			delete(o.layer, e.key)
 		}
-		if cur, ok := o.effectiveLocked(e.key); ok {
+		if cur, ok := effective(o, e.key); ok {
 			xorHash(&o.root, leafHash(e.key, cur))
 		}
 	}
@@ -326,7 +301,7 @@ func (o *Overlay) Len() int {
 	defer o.mu.RUnlock()
 	n := o.base.Len()
 	for k, e := range o.layer {
-		_, inBase := o.base.view(k)
+		_, inBase := view(o.base, k)
 		switch {
 		case e.del && inBase:
 			n--
@@ -418,7 +393,7 @@ func (o *Overlay) mergeChild(child *Overlay) {
 	defer o.mu.Unlock()
 	for i, k := range keys {
 		e := entries[i]
-		if cur, ok := o.effectiveLocked(k); ok {
+		if cur, ok := effective(o, k); ok {
 			xorHash(&o.root, leafHash(k, cur))
 		}
 		if !e.del {

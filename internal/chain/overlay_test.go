@@ -26,10 +26,10 @@ func referenceState(n int) *State {
 func TestOverlayReadThrough(t *testing.T) {
 	st := referenceState(8)
 	ov := NewOverlay(st)
-	if got, ok := ov.Get("a/0003"); !ok || string(got) != "v3" {
+	if got, ok := ov.Get([]byte("a/0003")); !ok || string(got) != "v3" {
 		t.Fatalf("Get = %q, %v", got, ok)
 	}
-	if _, ok := ov.Get("missing"); ok {
+	if _, ok := ov.Get([]byte("missing")); ok {
 		t.Fatal("missing key found")
 	}
 	if got, want := ov.Keys("a/"), st.Keys("a/"); !reflect.DeepEqual(got, want) {
@@ -55,16 +55,16 @@ func TestOverlayWritesShadowBase(t *testing.T) {
 	ov.Delete("a/0002")
 	ov.Delete("nonexistent") // no-op
 
-	if got, _ := ov.Get("a/0001"); string(got) != "patched" {
+	if got, _ := ov.Get([]byte("a/0001")); string(got) != "patched" {
 		t.Fatalf("overlay read = %q", got)
 	}
-	if got, _ := st.Get("a/0001"); string(got) != "v1" {
+	if got, _ := st.Get([]byte("a/0001")); string(got) != "v1" {
 		t.Fatalf("base mutated: %q", got)
 	}
-	if _, ok := ov.Get("a/0002"); ok {
+	if _, ok := ov.Get([]byte("a/0002")); ok {
 		t.Fatal("deleted key visible through overlay")
 	}
-	if _, ok := st.Get("a/0002"); !ok {
+	if _, ok := st.Get([]byte("a/0002")); !ok {
 		t.Fatal("delete leaked to base")
 	}
 	want := []string{"a/0000", "a/0001", "a/0003", "a/new"}
@@ -86,11 +86,11 @@ func TestOverlayGetReturnsCopy(t *testing.T) {
 	ov := NewOverlay(st)
 	ov.Set("k", []byte("layer"))
 	for _, key := range []string{"k", "a/0000"} {
-		v, _ := ov.Get(key)
+		v, _ := ov.Get([]byte(key))
 		for i := range v {
 			v[i] = 'X'
 		}
-		if again, _ := ov.Get(key); bytes.Contains(again, []byte("X")) {
+		if again, _ := ov.Get([]byte(key)); bytes.Contains(again, []byte("X")) {
 			t.Fatalf("Get(%q) aliases internal storage", key)
 		}
 	}
@@ -152,16 +152,16 @@ func TestOverlayCheckpointRevert(t *testing.T) {
 	if ov.Root() != rootAfterTx1 {
 		t.Fatal("root not restored")
 	}
-	if got, _ := ov.Get("a/0000"); string(got) != "block-tx1" {
+	if got, _ := ov.Get([]byte("a/0000")); string(got) != "block-tx1" {
 		t.Fatalf("layer value = %q", got)
 	}
-	if got, _ := ov.Get("a/0001"); string(got) != "v1" {
+	if got, _ := ov.Get([]byte("a/0001")); string(got) != "v1" {
 		t.Fatalf("base value = %q", got)
 	}
-	if _, ok := ov.Get("fresh"); ok {
+	if _, ok := ov.Get([]byte("fresh")); ok {
 		t.Fatal("reverted key still present")
 	}
-	if _, ok := ov.Get("a/0003"); !ok {
+	if _, ok := ov.Get([]byte("a/0003")); !ok {
 		t.Fatal("reverted delete still effective")
 	}
 	// Only the pre-checkpoint write survives into the deltas.
@@ -216,7 +216,7 @@ func TestOverlayRevertCheckpointUnderConcurrentReaders(t *testing.T) {
 				}
 				switch (i + r) % 4 {
 				case 0:
-					if v, ok := ov.Get(fmt.Sprintf("a/%04d", i%16)); ok && len(v) == 0 {
+					if v, ok := ov.Get([]byte(fmt.Sprintf("a/%04d", i%16))); ok && len(v) == 0 {
 						t.Error("read a present key with empty value")
 						return
 					}

@@ -180,7 +180,7 @@ func (rwExecutor) ExecuteTx(st StateRW, tx *Tx, bctx BlockContext) *Receipt {
 		st.Set(prefix+args.Key, []byte(args.Value))
 	case "del":
 		k := prefix + args.Key
-		_, existed := st.Get(k)
+		_, existed := st.Get([]byte(k))
 		st.Delete(k)
 		verdict := "no"
 		if existed {
@@ -191,7 +191,7 @@ func (rwExecutor) ExecuteTx(st StateRW, tx *Tx, bctx BlockContext) *Receipt {
 		// Write first, check second: a revert has a write to roll back,
 		// and the read it was decided on must outlive the rollback.
 		k := prefix + args.Key
-		_, taken := st.Get(k)
+		_, taken := st.Get([]byte(k))
 		st.Set(k, []byte(args.Value))
 		if taken {
 			return &Receipt{Status: StatusReverted, GasUsed: GasTxBase, Err: "taken"}

@@ -573,10 +573,10 @@ func TestStateTakeDiffAndApplyDiff(t *testing.T) {
 	if replay.Root() != st.Root() {
 		t.Fatal("ApplyDiff root diverges from the live state")
 	}
-	if v, ok := replay.Get("keep"); !ok || string(v) != "new" {
+	if v, ok := replay.Get([]byte("keep")); !ok || string(v) != "new" {
 		t.Fatalf("keep = %q, %v", v, ok)
 	}
-	if _, ok := replay.Get("temp"); ok {
+	if _, ok := replay.Get([]byte("temp")); ok {
 		t.Fatal("temp survived its delete")
 	}
 	if rootBefore == st.Root() {

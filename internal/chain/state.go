@@ -69,36 +69,18 @@ func NewState() *State {
 }
 
 // Get returns the value for key and whether it exists. The returned slice
-// is a copy.
-func (s *State) Get(key string) ([]byte, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	v, ok := s.data[key]
-	return copyValue(v, ok)
+// is a copy; the key is only read.
+func (s *State) Get(key []byte) ([]byte, bool) {
+	return copyValue(lookup(s, key))
 }
 
-// Lookup is Get for a key held as bytes: the map lookup converts the key
-// without allocating, so a contract builds its key in a reused buffer and
-// reads it for the price of the value's copy alone.
-func (s *State) Lookup(key []byte) ([]byte, bool) {
-	v, ok := s.viewBytes(key)
-	return copyValue(v, ok)
-}
-
-// view returns the stored slice for key WITHOUT copying. Stored value
+// lookup returns the stored slice for key WITHOUT copying. Stored value
 // slices are immutable — every write path installs a fresh slice and
 // nothing mutates one in place — so the result is safe to read or hash
-// indefinitely, but callers must never write through it. The overlay and
-// the commit fold use it to keep the hot path allocation-free.
-func (s *State) view(key string) ([]byte, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	v, ok := s.data[key]
-	return v, ok
-}
-
-// viewBytes is view for a key held as bytes.
-func (s *State) viewBytes(key []byte) ([]byte, bool) {
+// indefinitely, but callers must never write through it. The overlay
+// reads the committed state through it to keep the hot path
+// allocation-free.
+func lookup[K stateKey](s *State, key K) ([]byte, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	v, ok := s.data[string(key)]

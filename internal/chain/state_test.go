@@ -11,21 +11,21 @@ import (
 
 func TestStateGetSetDelete(t *testing.T) {
 	st := NewState()
-	if _, ok := st.Get("missing"); ok {
+	if _, ok := st.Get([]byte("missing")); ok {
 		t.Fatal("Get on empty state returned ok")
 	}
 	st.Set("a", []byte("1"))
-	v, ok := st.Get("a")
+	v, ok := st.Get([]byte("a"))
 	if !ok || string(v) != "1" {
 		t.Fatalf("Get = %q, %t", v, ok)
 	}
 	st.Set("a", []byte("2"))
-	v, _ = st.Get("a")
+	v, _ = st.Get([]byte("a"))
 	if string(v) != "2" {
 		t.Fatal("overwrite failed")
 	}
 	st.Delete("a")
-	if _, ok := st.Get("a"); ok {
+	if _, ok := st.Get([]byte("a")); ok {
 		t.Fatal("Delete failed")
 	}
 	st.Delete("a") // idempotent
@@ -39,12 +39,12 @@ func TestStateCopiesValues(t *testing.T) {
 	in := []byte("abc")
 	st.Set("k", in)
 	in[0] = 'X'
-	out, _ := st.Get("k")
+	out, _ := st.Get([]byte("k"))
 	if string(out) != "abc" {
 		t.Fatal("Set did not copy the input")
 	}
 	out[0] = 'Y'
-	again, _ := st.Get("k")
+	again, _ := st.Get([]byte("k"))
 	if string(again) != "abc" {
 		t.Fatal("Get did not copy the output")
 	}
@@ -75,11 +75,11 @@ func TestStateRevert(t *testing.T) {
 	st.Delete("a")           // delete overwritten key
 	st.RevertTo(cp)
 
-	v, ok := st.Get("a")
+	v, ok := st.Get([]byte("a"))
 	if !ok || string(v) != "1" {
 		t.Fatalf("a = %q, %t; want original value restored", v, ok)
 	}
-	if _, ok := st.Get("b"); ok {
+	if _, ok := st.Get([]byte("b")); ok {
 		t.Fatal("created key survived revert")
 	}
 }
@@ -92,11 +92,11 @@ func TestStateNestedCheckpoints(t *testing.T) {
 	cp2 := st.Checkpoint()
 	st.Set("x", []byte("2"))
 	st.RevertTo(cp2)
-	if v, _ := st.Get("x"); string(v) != "1" {
+	if v, _ := st.Get([]byte("x")); string(v) != "1" {
 		t.Fatalf("x = %s after inner revert, want 1", v)
 	}
 	st.RevertTo(cp1)
-	if v, _ := st.Get("x"); string(v) != "0" {
+	if v, _ := st.Get([]byte("x")); string(v) != "0" {
 		t.Fatalf("x = %s after outer revert, want 0", v)
 	}
 }
@@ -134,7 +134,7 @@ func TestStateClone(t *testing.T) {
 		t.Fatal("clone root differs")
 	}
 	c.Set("k", []byte("mutated"))
-	if v, _ := st.Get("k"); string(v) != "v" {
+	if v, _ := st.Get([]byte("k")); string(v) != "v" {
 		t.Fatal("clone mutation leaked into original")
 	}
 }
@@ -172,7 +172,7 @@ func TestStateRevertProperty(t *testing.T) {
 // maintained ones.
 func recompute(st *State) (root cryptoutil.Hash, size int64) {
 	for _, k := range st.Keys("") {
-		v, _ := st.Get(k)
+		v, _ := st.Get([]byte(k))
 		xorHash(&root, leafHash(k, v))
 		size += int64(len(k) + len(v))
 	}
@@ -348,7 +348,7 @@ func TestExportSharedIsolation(t *testing.T) {
 	}
 	// And deleting from the export map is invisible to the state.
 	delete(shared, "k")
-	if _, ok := st.Get("k"); !ok {
+	if _, ok := st.Get([]byte("k")); !ok {
 		t.Fatal("state lost a key through the shared export map")
 	}
 }

@@ -86,7 +86,7 @@ func (e *Env) Get(key []byte) ([]byte, bool, error) {
 	if err := e.meter.Charge(chain.GasStorageGet); err != nil {
 		return nil, false, err
 	}
-	v, ok := e.state.Lookup(key)
+	v, ok := e.state.Get(key)
 	return v, ok, nil
 }
 
@@ -166,7 +166,7 @@ func (e *ReadEnv) Get(key []byte) ([]byte, bool, error) {
 	if err := e.keys.check(key); err != nil {
 		return nil, false, err
 	}
-	v, ok := e.state.Lookup(key)
+	v, ok := e.state.Get(key)
 	return v, ok, nil
 }
 

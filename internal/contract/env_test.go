@@ -114,7 +114,7 @@ type keySink struct {
 	last []byte
 }
 
-func (s *keySink) Lookup(key []byte) ([]byte, bool) {
+func (s *keySink) Get(key []byte) ([]byte, bool) {
 	s.last = append(s.last[:0], key...)
 	return nil, false
 }

@@ -70,17 +70,8 @@ func Instrument(reg *obs.Registry) {
 		"VerifyCached calls that ran the ECDSA verification (first sighting, overwritten slot, or invalid signature)"))
 }
 
-// sigVerified reports whether tag is in the table.
-func sigVerified(tag Hash) bool {
-	sh := &sigTable[tag[0]%sigShards]
-	sh.mu.Lock()
-	hit := sh.slots[tag[1]%sigSlotsPerShard] == tag
-	sh.mu.Unlock()
-	return hit
-}
-
-// sigAwait is sigVerified for a tag that may be running: it first waits
-// for a running verification of tag to settle. On a miss it lists tag as
+// sigAwait reports whether tag is in the table, first waiting for a
+// running verification of tag to settle. On a miss it lists tag as
 // running, and the caller must verify it and sigSettle it.
 func sigAwait(tag Hash) bool {
 	sh := &sigTable[tag[0]%sigShards]
@@ -97,25 +88,18 @@ func sigAwait(tag Hash) bool {
 }
 
 // sigSettle ends the verification sigAwait listed tag as running for,
-// remembering tag if it was valid, and wakes the sightings waiting on it.
+// recording tag if it was valid (replacing its slot's previous entry),
+// and wakes the sightings waiting on it.
 func sigSettle(tag Hash, valid bool) {
-	if valid {
-		sigRemember(tag)
-	}
 	sh := &sigTable[tag[0]%sigShards]
 	sh.mu.Lock()
+	if valid {
+		sh.slots[tag[1]%sigSlotsPerShard] = tag
+	}
 	i := slices.Index(sh.running, tag)
 	sh.running = slices.Delete(sh.running, i, i+1)
 	sh.mu.Unlock()
 	sh.settled.Broadcast()
-}
-
-// sigRemember records tag, replacing its slot's previous entry.
-func sigRemember(tag Hash) {
-	sh := &sigTable[tag[0]%sigShards]
-	sh.mu.Lock()
-	sh.slots[tag[1]%sigSlotsPerShard] = tag
-	sh.mu.Unlock()
 }
 
 // sigTag is SHA-256 over the 65-byte public key ‖ the 32-byte message
@@ -149,7 +133,7 @@ func VerifyCached(pub *ecdsa.PublicKey, msg, sig []byte) bool {
 		sigMisses.Load().Inc()
 		return ecdsa.VerifyASN1(pub, digest[:], sig)
 	}
-	if sigVerified(tag) || sigAwait(tag) {
+	if sigAwait(tag) {
 		sigHits.Load().Inc()
 		return true
 	}

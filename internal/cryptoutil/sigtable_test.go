@@ -109,22 +109,39 @@ func TestVerifyCachedSoundness(t *testing.T) {
 func TestSigTableComparesWholeTag(t *testing.T) {
 	ForgetVerified()
 	a := Hash(sha256.Sum256([]byte("a")))
-	sigRemember(a)
-	if !sigVerified(a) {
+	remember(a)
+	if !verified(a) {
 		t.Fatal("remembered tag not found")
 	}
 	for i := 2; i < len(a); i++ { // bytes 0 and 1 pick the slot
 		b := a
 		b[i] ^= 0x80
-		if sigVerified(b) {
+		if verified(b) {
 			t.Fatalf("tag differing in byte %d answered by its slot-mate", i)
 		}
 	}
 	b := a
 	b[len(b)-1] ^= 1
-	sigRemember(b) // overwrites a
-	if sigVerified(a) || !sigVerified(b) {
+	remember(b) // overwrites a
+	if verified(a) || !verified(b) {
 		t.Fatal("slot holds the overwritten tag, or not the new one")
+	}
+}
+
+// verified reports whether tag is in the table, settling the miss
+// sigAwait lists as running.
+func verified(tag Hash) bool {
+	if sigAwait(tag) {
+		return true
+	}
+	sigSettle(tag, false)
+	return false
+}
+
+// remember records tag as a verification that succeeded.
+func remember(tag Hash) {
+	if !sigAwait(tag) {
+		sigSettle(tag, true)
 	}
 }
 

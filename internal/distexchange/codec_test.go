@@ -454,7 +454,7 @@ func TestJSONRecordRevertsNamingItsKey(t *testing.T) {
 	snapshot := func() map[string]string {
 		out := make(map[string]string)
 		for _, k := range st.Keys(prefix) {
-			v, _ := st.Get(k)
+			v, _ := st.Get([]byte(k))
 			out[k] = string(v)
 		}
 		return out

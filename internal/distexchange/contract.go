@@ -962,7 +962,7 @@ func (c *Contract) Read(env *contract.ReadEnv, method string, args []byte) ([]by
 		if err != nil {
 			return nil, err
 		}
-		return readListing(env, keys, appendLocal, tagGrant)
+		return readListing(env, keys, tagGrant)
 	case "getViolations":
 		var a GetViolationsArgs
 		if err := decodeArgs(args, &a, decodeGetViolationsArgs); err != nil {
@@ -1019,21 +1019,17 @@ func readLedger(env *contract.ReadEnv, kind string, tag byte, iri string, round 
 			return keys[i][len(keys[i])-numWidth:] < keys[j][len(keys[j])-numWidth:]
 		})
 	}
-	return readListing(env, keys, appendLocal, tag)
+	return readListing(env, keys, tag)
 }
 
-// appendLocal appends a key as Keys lists it, without the namespace.
-func appendLocal(b []byte, k string) []byte { return append(b, k...) }
-
-// readListing answers with the records stored under the keys that keyOf
-// builds from keys, undecoded but for the tag they must open with: a
-// listing names the key of a record that is not one, which the reply's
-// reader no longer could.
-func readListing(env *contract.ReadEnv, keys []string, keyOf func(b []byte, k string) []byte, tag byte) ([]byte, error) {
+// readListing answers with the records stored under keys (as Keys lists
+// them, without the namespace), undecoded but for the tag they must open
+// with: a listing names the key of a record that is not one, which the
+// reply's reader no longer could.
+func readListing(env *contract.ReadEnv, keys []string, tag byte) ([]byte, error) {
 	records := make([][]byte, 0, len(keys))
 	for _, k := range keys {
-		key := keyOf(env.Key(), k)
-		raw, ok, err := env.Get(key)
+		raw, ok, err := env.Get(append(env.Key(), k...))
 		if err != nil {
 			return nil, err
 		}
@@ -1041,7 +1037,7 @@ func readListing(env *contract.ReadEnv, keys []string, keyOf func(b []byte, k st
 			continue
 		}
 		if len(raw) == 0 || raw[0] != tag {
-			return nil, fmt.Errorf("distexchange: corrupt record at %s", localKey(env, key))
+			return nil, fmt.Errorf("distexchange: corrupt record at %s", k)
 		}
 		records = append(records, raw)
 	}
@@ -1061,9 +1057,10 @@ func (c *Contract) listResources(env *contract.ReadEnv, args []byte) ([]byte, er
 		if err != nil {
 			return nil, err
 		}
-		return readListing(env, keys, func(b []byte, k string) []byte {
-			return resKey(b, k[n:])
-		}, tagResource)
+		for i, k := range keys {
+			keys[i] = string(resKey(nil, k[n:]))
+		}
+		return readListing(env, keys, tagResource)
 	}
 	keys, err := env.Keys(resKey(env.Key(), ""))
 	if err != nil {

@@ -164,7 +164,7 @@ type snapshot struct {
 func (w *listWorld) snapshot(receipts []*chain.Receipt) snapshot {
 	s := snapshot{state: make(map[string]string)}
 	for _, k := range w.st.Keys(w.deAddr.String() + "/") {
-		v, _ := w.st.Get(k)
+		v, _ := w.st.Get([]byte(k))
 		s.state[k] = string(v)
 	}
 	for _, r := range receipts {

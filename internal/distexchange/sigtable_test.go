@@ -90,7 +90,7 @@ func TestEvidenceUnderReplacedDeviceKey(t *testing.T) {
 			recKey = k
 		}
 	}
-	raw, ok := st.Get(recKey)
+	raw, ok := st.Get([]byte(recKey))
 	if !ok {
 		t.Fatal("device record not found in state")
 	}
