@@ -57,7 +57,7 @@ func BenchmarkOverlayApplyBlock(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
 				replica := st.Clone()
-				_ = replayTxs(ex, replica, txs, txHashes(txs), bctx)
+				_ = replayTxs(ex, replica, txs, txHashes(nil, txs), bctx)
 				_ = replica.TakeDiff()
 			}
 		})
@@ -65,7 +65,7 @@ func BenchmarkOverlayApplyBlock(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
 				overlay := NewOverlay(st)
-				_ = replayTxs(ex, overlay, txs, txHashes(txs), bctx)
+				_ = replayTxs(ex, overlay, txs, txHashes(nil, txs), bctx)
 				_ = overlay.TakeDeltas()
 			}
 		})
@@ -80,7 +80,7 @@ func BenchmarkCodecEncodeBlock(b *testing.B) {
 	b.ReportAllocs()
 	var size int
 	for b.Loop() {
-		buf := encodeWALBlock(block)
+		buf := encodeWALBlock(nil, block)
 		size = len(buf) - store.RecordHeaderSize
 	}
 	b.ReportMetric(float64(size), "bytes/rec")
@@ -352,7 +352,7 @@ func BenchmarkParallelExecution(b *testing.B) {
 				b.ReportAllocs()
 				for b.Loop() {
 					overlay := NewOverlay(st)
-					_ = replayTxsParallelObs(ex, overlay, txs, txHashes(txs), bctx, workers, m)
+					_ = replayTxsParallelObs(ex, overlay, txs, txHashes(nil, txs), bctx, workers, m)
 					_ = overlay.TakeDeltas()
 				}
 				b.ReportMetric(float64(m.ExecDiscarded.Value())/float64(b.N), "discarded/op")

@@ -78,17 +78,74 @@ func (b *Block) GasUsed() uint64 {
 	return total
 }
 
+// blockScratch is the memory one node builds a block's temporaries in:
+// buf holds one encoding at a time (a transaction's for its hash, a
+// receipt's for its digest, the WAL frame) and levels the Merkle levels.
+// A node owns one, guarded by its sealMu (doc.go, "Buffers a node
+// reuses"). Every function that takes a *blockScratch accepts nil, which
+// builds in fresh buffers: what callers outside a node's seal path pass.
+type blockScratch struct {
+	buf    []byte
+	levels []cryptoutil.Hash
+}
+
+// maxScratchBytes bounds what a blockScratch keeps between uses: a
+// buffer that grew past it for one outsized block is dropped, not held
+// until the next outsized block. It sits well above the largest WAL frame
+// the benchmark workloads write (docs/experiments.md, "Block scratch per
+// validator").
+const maxScratchBytes = 4 << 20
+
+// bytes returns an empty buffer with room for n bytes: s's own when it
+// is large enough, a fresh one otherwise.
+func (s *blockScratch) bytes(n int) []byte {
+	if s == nil || cap(s.buf) < n {
+		return make([]byte, 0, n)
+	}
+	return s.buf[:0]
+}
+
+// keep hands b, which the caller is done with, back to s for the next
+// encoding when it is larger than s's own buffer, unless it grew past
+// maxScratchBytes: then it is dropped, and s keeps what it had.
+func (s *blockScratch) keep(b []byte) {
+	if s != nil && cap(b) > cap(s.buf) && cap(b) <= maxScratchBytes {
+		s.buf = b[:0]
+	}
+}
+
+// hashes returns n hashes of unspecified content: s's own slice when it
+// is large enough, a fresh one otherwise (kept while within
+// maxScratchBytes).
+func (s *blockScratch) hashes(n int) []cryptoutil.Hash {
+	if s != nil && cap(s.levels) >= n {
+		return s.levels[:n]
+	}
+	h := make([]cryptoutil.Hash, n)
+	if s != nil && n*len(cryptoutil.Hash{}) <= maxScratchBytes {
+		s.levels = h
+	}
+	return h
+}
+
 // merkleRoot computes a binary Merkle root over the leaves. An empty leaf
 // set hashes to the hash of the empty string, and odd levels promote the
-// last node unchanged.
-func merkleRoot(leaves []cryptoutil.Hash) cryptoutil.Hash {
-	if len(leaves) == 0 {
+// last node unchanged. The levels are folded in place over a copy of the
+// leaves in s's hash slice, so leaves is left as it was.
+func merkleRoot(s *blockScratch, leaves []cryptoutil.Hash) cryptoutil.Hash {
+	level := s.hashes(len(leaves))
+	copy(level, leaves)
+	return foldMerkle(level)
+}
+
+// foldMerkle reduces level to its Merkle root in place: pair i of a
+// level is hashed into slot i, which no later pair of that level reads.
+func foldMerkle(level []cryptoutil.Hash) cryptoutil.Hash {
+	if len(level) == 0 {
 		return cryptoutil.HashOf(nil)
 	}
-	level := make([]cryptoutil.Hash, len(leaves))
-	copy(level, leaves)
 	for len(level) > 1 {
-		next := make([]cryptoutil.Hash, 0, (len(level)+1)/2)
+		next := level[:0]
 		for i := 0; i < len(level); i += 2 {
 			if i+1 == len(level) {
 				next = append(next, level[i])
@@ -101,30 +158,49 @@ func merkleRoot(leaves []cryptoutil.Hash) cryptoutil.Hash {
 	return level[0]
 }
 
-// txHashes computes every transaction's hash, parallel to txs. Tx.Hash
-// encodes the transaction and runs SHA-256 over it every time it is
-// called, so block production and validation call this once per block
+// txHash returns a transaction's hash, encoding it in s's buffer.
+func txHash(s *blockScratch, tx *Tx) cryptoutil.Hash {
+	enc := appendTxBody(s.bytes(txSizeHint(tx)), tx)
+	h := cryptoutil.HashOf(enc, tx.Signature)
+	s.keep(enc)
+	return h
+}
+
+// txHashes computes every transaction's hash, parallel to txs, encoding
+// each in s's buffer. Hashing encodes the transaction and runs SHA-256
+// over it, so block production and validation call this once per block
 // and thread the slice through txRoot, execution, and mempool removal
 // instead of rehashing at each step. (The hash is deliberately not
-// memoized on Tx: its fields are exported and mutable.)
-func txHashes(txs []*Tx) []cryptoutil.Hash {
+// memoized on Tx: its fields are exported and mutable.) The slice itself
+// is fresh: it outlives every other use of s in the block.
+func txHashes(s *blockScratch, txs []*Tx) []cryptoutil.Hash {
 	hashes := make([]cryptoutil.Hash, len(txs))
 	for i, tx := range txs {
-		hashes[i] = tx.Hash()
+		hashes[i] = txHash(s, tx)
 	}
 	return hashes
 }
 
 // txRoot commits to a transaction list, given its hashes in block order.
-func txRoot(hashes []cryptoutil.Hash) cryptoutil.Hash {
-	return merkleRoot(hashes)
+func txRoot(s *blockScratch, hashes []cryptoutil.Hash) cryptoutil.Hash {
+	return merkleRoot(s, hashes)
 }
 
-// receiptRoot commits to a receipt list.
-func receiptRoot(receipts []*Receipt) cryptoutil.Hash {
-	leaves := make([]cryptoutil.Hash, len(receipts))
+// receiptDigest returns the hash of a receipt's encoding, built in s's
+// buffer.
+func receiptDigest(s *blockScratch, r *Receipt) cryptoutil.Hash {
+	enc := appendReceipt(s.bytes(receiptSizeHint(r)), r)
+	d := cryptoutil.HashOf(enc)
+	s.keep(enc)
+	return d
+}
+
+// receiptRoot commits to a receipt list: the digests are the leaves,
+// written straight into s's hash slice and folded there.
+func receiptRoot(s *blockScratch, receipts []*Receipt) cryptoutil.Hash {
+	leaves := s.hashes(len(receipts))
 	for i, r := range receipts {
-		leaves[i] = r.Digest()
+		leaves[i] = receiptDigest(s, r)
 	}
-	return merkleRoot(leaves)
+	return foldMerkle(leaves)
 }

@@ -189,8 +189,8 @@ func ForgeInvalidBlock(target *Node, key *cryptoutil.KeyPair, kind InvalidBlockK
 		ParentHash:  parent.Hash(),
 		Time:        parent.Header.Time.Add(time.Nanosecond),
 		Proposer:    key.Address(),
-		TxRoot:      txRoot(txHashes(txs)),
-		ReceiptRoot: receiptRoot(nil),
+		TxRoot:      txRoot(nil, txHashes(nil, txs)),
+		ReceiptRoot: receiptRoot(nil, nil),
 		// An empty block leaves the state untouched, so the parent's root
 		// is the correct commitment (the over-gas block is rejected before
 		// execution and the roots never compared).

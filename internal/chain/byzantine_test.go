@@ -116,7 +116,7 @@ func TestEquivocationEntryPoints(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		buf := encodeWALBlock(&walBlock{Header: forged.Header, Txs: forged.Txs, Receipts: forged.Receipts})
+		buf := encodeWALBlock(nil, &walBlock{Header: forged.Header, Txs: forged.Txs, Receipts: forged.Receipts})
 		if err := wal.AppendFrame(buf); err != nil {
 			t.Fatal(err)
 		}

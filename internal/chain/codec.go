@@ -49,11 +49,13 @@ func encodeWALMeta(m *walMeta) []byte {
 }
 
 // encodeWALBlock encodes a committed block plus its net state diff as a
-// frame for store.WAL.AppendFrame: the record starts at
-// store.RecordHeaderSize, behind the space the log fills in, so the
-// largest record the chain writes is built once and never copied.
-func encodeWALBlock(b *walBlock) []byte {
-	dst := make([]byte, store.RecordHeaderSize, store.RecordHeaderSize+blockRecordSizeHint(b))
+// frame for store.WAL.AppendFrame, in s's buffer: the record starts at
+// store.RecordHeaderSize, behind zeroed space the log fills in, so the
+// largest record the chain writes is built once and never copied. The
+// caller hands the frame back with s.keep once the append returns.
+func encodeWALBlock(s *blockScratch, b *walBlock) []byte {
+	var hdr [store.RecordHeaderSize]byte
+	dst := append(s.bytes(store.RecordHeaderSize+blockRecordSizeHint(b)), hdr[:]...)
 	dst = append(dst, tagChainBlock)
 	dst = appendHeader(dst, &b.Header)
 	dst = store.AppendUvarint(dst, uint64(len(b.Txs)))
@@ -75,8 +77,8 @@ func encodeWALBlock(b *walBlock) []byte {
 // tag, a 10-byte uvarint, the 16-byte time, the proposer and four hashes.
 const headerSizeHint = 1 + 10 + 16 + 20 + 4*32
 
-// txSizeHint estimates a transaction's encoding, so SigningBytes and the
-// block record allocate their buffer once.
+// txSizeHint estimates a transaction's encoding, so SigningBytes, Hash
+// and the block record allocate their buffer once.
 func txSizeHint(tx *Tx) int {
 	return 128 + len(tx.SenderKey) + len(tx.Method) + len(tx.Args) + len(tx.Signature)
 }

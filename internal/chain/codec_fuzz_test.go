@@ -59,7 +59,7 @@ func FuzzWALRecordDecode(f *testing.F) {
 			var at time.Time
 			switch {
 			case rec.Block != nil:
-				again = encodeWALBlock(rec.Block)[store.RecordHeaderSize:]
+				again = encodeWALBlock(nil, rec.Block)[store.RecordHeaderSize:]
 				at = rec.Block.Header.Time
 			case rec.Meta != nil:
 				again = encodeWALMeta(rec.Meta)

@@ -92,7 +92,7 @@ func randomWALBlock(r *rand.Rand) *walBlock {
 }
 
 // blockPayload is the record inside encodeWALBlock's frame.
-func blockPayload(b *walBlock) []byte { return encodeWALBlock(b)[store.RecordHeaderSize:] }
+func blockPayload(b *walBlock) []byte { return encodeWALBlock(nil, b)[store.RecordHeaderSize:] }
 
 // TestCodecBlockRecordRoundTrip: binary block records decode back to
 // deep-equal structures across randomized content, and the encoding is

@@ -64,12 +64,12 @@ func TestDifferentialOverlayVsCloneReplay(t *testing.T) {
 
 				// New path: copy-on-write overlay.
 				overlay := NewOverlay(st)
-				ovReceipts := replayTxs(ex, overlay, txs, txHashes(txs), bctx)
+				ovReceipts := replayTxs(ex, overlay, txs, txHashes(nil, txs), bctx)
 				ovRoot := overlay.Root()
 
 				// Old path: deep clone, direct execution, journal diff.
 				clone := st.Clone()
-				clReceipts := replayTxs(ex, clone, txs, txHashes(txs), bctx)
+				clReceipts := replayTxs(ex, clone, txs, txHashes(nil, txs), bctx)
 				clDiff := clone.TakeDiff()
 
 				if len(ovReceipts) != len(clReceipts) {

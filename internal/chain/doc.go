@@ -171,6 +171,28 @@
 // the mempool's to answer, and a table entry per transaction would only
 // evict the entries that do repeat.
 //
+// # Buffers a node reuses
+//
+// Every validator hashes, roots and persists every block, so the
+// temporaries of that path are built in one blockScratch per node rather
+// than allocated per block: a byte buffer that holds one encoding at a
+// time — each transaction's while ApplyBlock hashes it, each receipt's
+// while its digest is taken, then the WAL frame — and a hash slice the
+// Merkle levels of the tx and receipt roots are folded in, in place. The
+// scratch belongs to the node's sealMu: seal and ApplyBlock take it after
+// locking and hand it to commitBlock, so one block at a time uses it, and
+// the followers SealNext fans a block out to each use their own. Nothing
+// read from it outlives the block: a hash or a root is copied out as a
+// value, the transaction hashes a block threads through execution and
+// mempool removal live in a slice of their own, and the WAL writes the
+// frame before AppendFrame returns (the frame is handed back then, refused
+// or not). A buffer that grew past maxScratchBytes for one outsized block
+// is dropped rather than kept. Callers outside the seal path — genesis,
+// ForgeInvalidBlock, Tx.Hash, Receipt.Digest — pass a nil scratch and get
+// fresh buffers from the same code. Network.SealNext likewise refills its
+// membership view, follower list and verdict slice in buffers it owns
+// under Network.sealMu; Network.mu is held only for the copy.
+//
 // # Durability
 //
 // A node opened with OpenNode and a Config.DataDir is durable: every

@@ -235,11 +235,11 @@ func TestParentWrittenWALStillOpens(t *testing.T) {
 		if err := b.Header.verifySeal(key.PublicBytes()); err != nil {
 			t.Errorf("block %d: %v", num, err)
 		}
-		hashes := txHashes(b.Txs)
-		if txRoot(hashes) != b.Header.TxRoot {
+		hashes := txHashes(nil, b.Txs)
+		if txRoot(nil, hashes) != b.Header.TxRoot {
 			t.Errorf("block %d: tx root does not match the header", num)
 		}
-		if receiptRoot(b.Receipts) != b.Header.ReceiptRoot {
+		if receiptRoot(nil, b.Receipts) != b.Header.ReceiptRoot {
 			t.Errorf("block %d: receipt root does not match the header", num)
 		}
 		for i, v := range verify(b.Txs) {

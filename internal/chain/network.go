@@ -3,6 +3,7 @@ package chain
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 
 	"repro/internal/cryptoutil"
@@ -60,6 +61,7 @@ var (
 func (n *Node) ApplyBlock(block *Block, proposerKey []byte) error {
 	n.sealMu.Lock()
 	defer n.sealMu.Unlock()
+	scratch := &n.scratch
 
 	n.mu.RLock()
 	parent := n.blocks[len(n.blocks)-1]
@@ -91,7 +93,7 @@ func (n *Node) ApplyBlock(block *Block, proposerKey []byte) error {
 	if err := h.verifySeal(proposerKey); err != nil {
 		return err
 	}
-	hashes := txHashes(block.Txs)
+	hashes := txHashes(scratch, block.Txs)
 	n.mpMu.Lock()
 	var unadmitted []*Tx
 	for i, tx := range block.Txs {
@@ -105,7 +107,7 @@ func (n *Node) ApplyBlock(block *Block, proposerKey []byte) error {
 	}
 	n.metrics.SigsReused.Add(uint64(len(block.Txs) - len(unadmitted)))
 	n.metrics.SigsVerified.Add(uint64(len(unadmitted)))
-	if got := txRoot(hashes); got != h.TxRoot {
+	if got := txRoot(scratch, hashes); got != h.TxRoot {
 		return ErrBadTxRoot
 	}
 	// The per-tx gas cap is enforced here as well as at admission: a
@@ -129,7 +131,7 @@ func (n *Node) ApplyBlock(block *Block, proposerKey []byte) error {
 	overlay := NewOverlay(st)
 	bctx := BlockContext{Number: h.Number, Time: h.Time}
 	receipts := n.executeBlock(overlay, block.Txs, hashes, bctx)
-	if got := receiptRoot(receipts); got != h.ReceiptRoot {
+	if got := receiptRoot(scratch, receipts); got != h.ReceiptRoot {
 		return ErrBadReceiptRoot
 	}
 	if got := overlay.Root(); got != h.StateRoot {
@@ -149,7 +151,7 @@ func (n *Node) ApplyBlock(block *Block, proposerKey []byte) error {
 	// Commit the validated execution: the overlay's write set is the
 	// block diff — no second replay against the real state.
 	applied := &Block{Header: h, Txs: block.Txs, Receipts: receipts}
-	return n.commitBlock(applied, overlay.TakeDeltas())
+	return n.commitBlock(applied, overlay.TakeDeltas(), scratch)
 }
 
 // replayTxs executes one block's transactions against st (a seal-time or
@@ -196,6 +198,12 @@ type Network struct {
 	// lock (Network.sealMu → Node.sealMu → mpMu → mu); mu below is a leaf
 	// taken only for short membership reads and writes.
 	sealMu sync.Mutex
+	// SealNext's round buffers, refilled every block rather than rebuilt:
+	// the membership view, the followers the block fans out to, and their
+	// verdicts. Nothing read from them outlives the round.
+	view      netView // guarded by sealMu
+	followers []*Node // guarded by sealMu
+	errs      []error // guarded by sealMu
 
 	mu    sync.Mutex
 	nodes []*Node
@@ -289,23 +297,37 @@ func (v *netView) reachable(addr cryptoutil.Address) bool {
 // liveView snapshots the cluster membership, liveness, and partition
 // state under the network lock.
 func (net *Network) liveView() *netView {
+	v := new(netView)
+	net.copyView(v)
+	return v
+}
+
+// copyView fills v with the cluster membership, liveness, and partition
+// state under the network lock, reusing v's node slice and maps: SealNext
+// keeps one view for every round. A view of a whole cluster drops its
+// cells map (nil means no partition).
+func (net *Network) copyView(v *netView) {
 	net.mu.Lock()
 	defer net.mu.Unlock()
-	v := &netView{
-		nodes:      append([]*Node(nil), net.nodes...),
-		down:       make(map[cryptoutil.Address]bool, len(net.down)),
-		quorumCell: net.quorumCell,
+	v.nodes = append(v.nodes[:0], net.nodes...)
+	v.down = refill(v.down, net.down)
+	if net.cells == nil {
+		v.cells = nil
+	} else {
+		v.cells = refill(v.cells, net.cells)
 	}
-	for k, d := range net.down {
-		v.down[k] = d
+	v.quorumCell = net.quorumCell
+}
+
+// refill copies src into dst, cleared first, or into a new map when dst
+// is nil, and returns it.
+func refill[K comparable, V any](dst, src map[K]V) map[K]V {
+	if dst == nil {
+		dst = make(map[K]V, len(src))
 	}
-	if net.cells != nil {
-		v.cells = make(map[cryptoutil.Address]int, len(net.cells))
-		for k, c := range net.cells {
-			v.cells[k] = c
-		}
-	}
-	return v
+	clear(dst)
+	maps.Copy(dst, src)
+	return dst
 }
 
 // Partition splits the cluster into isolated cells. Every current member
@@ -436,7 +458,8 @@ func (net *Network) bufferDelivery(to cryptoutil.Address, block *Block, proposer
 func (net *Network) SealNext() (*Block, error) {
 	net.sealMu.Lock()
 	defer net.sealMu.Unlock()
-	v := net.liveView()
+	v := &net.view
+	net.copyView(v)
 
 	if len(v.nodes) == 0 {
 		return nil, errors.New("chain: empty network")
@@ -458,16 +481,10 @@ func (net *Network) SealNext() (*Block, error) {
 	height := ref.Height() + 1
 	inTurn := ref.proposerFor(height)
 
-	byAddr := make(map[cryptoutil.Address]*Node, len(v.nodes))
-	order := make([]cryptoutil.Address, 0, len(v.nodes))
-	for _, n := range v.nodes {
-		byAddr[n.Address()] = n
-		order = append(order, n.Address())
-	}
 	// Rotate the candidate order so the in-turn authority goes first.
 	start := 0
-	for i, a := range order {
-		if a == inTurn {
+	for i, n := range v.nodes {
+		if n.Address() == inTurn {
 			start = i
 			break
 		}
@@ -475,9 +492,9 @@ func (net *Network) SealNext() (*Block, error) {
 
 	var block *Block
 	var proposerAddr cryptoutil.Address
-	for i := range order {
-		addr := order[(start+i)%len(order)]
-		node := byAddr[addr]
+	for i := range v.nodes {
+		node := v.nodes[(start+i)%len(v.nodes)]
+		addr := node.Address()
 		if !v.reachable(addr) {
 			continue
 		}
@@ -498,7 +515,7 @@ func (net *Network) SealNext() (*Block, error) {
 	}
 
 	proposerKey := net.keys[proposerAddr]
-	var followers []*Node
+	followers := net.followers[:0]
 	for _, n := range v.nodes {
 		addr := n.Address()
 		if addr == proposerAddr || v.down[addr] {
@@ -512,7 +529,8 @@ func (net *Network) SealNext() (*Block, error) {
 		}
 		followers = append(followers, n)
 	}
-	errs := make([]error, len(followers))
+	errs := append(net.errs[:0], make([]error, len(followers))...)
+	net.followers, net.errs = followers, errs
 	var wg sync.WaitGroup
 	for i, n := range followers {
 		if i == len(followers)-1 {

@@ -137,7 +137,8 @@ type Node struct {
 	tailBytes int64
 	snapFloor int64
 
-	sealMu sync.Mutex
+	sealMu  sync.Mutex
+	scratch blockScratch // guarded by sealMu; doc.go, "Buffers a node reuses"
 
 	// Byzantine-fault bookkeeping (see byzantine.go): evMu guards the
 	// collected double-seal evidence; equivGuardOff disables the
@@ -207,8 +208,8 @@ func NewNode(cfg Config) (*Node, error) {
 	genesis := &Block{Header: Header{
 		Number:      0,
 		Time:        cfg.GenesisTime,
-		TxRoot:      txRoot(nil),
-		ReceiptRoot: receiptRoot(nil),
+		TxRoot:      txRoot(nil, nil),
+		ReceiptRoot: receiptRoot(nil, nil),
 		StateRoot:   n.state.Root(),
 	}}
 	n.blocks = []*Block{genesis}
@@ -496,6 +497,7 @@ func (n *Node) SealOutOfTurn() (*Block, error) { return n.seal(true) }
 func (n *Node) seal(force bool) (*Block, error) {
 	n.sealMu.Lock()
 	defer n.sealMu.Unlock()
+	scratch := &n.scratch
 
 	n.mu.RLock()
 	parent := n.blocks[len(n.blocks)-1]
@@ -541,8 +543,8 @@ func (n *Node) seal(force bool) (*Block, error) {
 		ParentHash:  parent.Hash(),
 		Time:        bctx.Time,
 		Proposer:    n.key.Address(),
-		TxRoot:      txRoot(hashes),
-		ReceiptRoot: receiptRoot(receipts),
+		TxRoot:      txRoot(scratch, hashes),
+		ReceiptRoot: receiptRoot(scratch, receipts),
 		StateRoot:   overlay.Root(),
 	}
 	sig, err := n.key.Sign(header.SigningBytes())
@@ -551,7 +553,7 @@ func (n *Node) seal(force bool) (*Block, error) {
 	}
 	header.Signature = sig
 	block := &Block{Header: header, Txs: txs, Receipts: receipts}
-	if err := n.commitBlock(block, overlay.TakeDeltas()); err != nil {
+	if err := n.commitBlock(block, overlay.TakeDeltas(), scratch); err != nil {
 		return nil, err
 	}
 	return block, nil
@@ -574,7 +576,8 @@ func (n *Node) executeBlock(overlay *Overlay, txs []*Tx, hashes []cryptoutil.Has
 
 // commitBlock persists and applies a fully formed block whose execution
 // effects are captured in deltas (an overlay's drained write set). The
-// caller must hold sealMu (and no other node lock).
+// caller must hold sealMu (and no other node lock) and passes the node's
+// scratch, which the WAL frame is built in.
 //
 // Persistence happens first and entirely OUTSIDE mu: the record is
 // encoded and appended to the WAL while readers continue against the
@@ -585,15 +588,17 @@ func (n *Node) executeBlock(overlay *Overlay, txs []*Tx, hashes []cryptoutil.Has
 // the gas charge, and waiter wakeups run under the write lock; when a
 // snapshot is due, a copy-on-write export is taken after mu is released
 // (sealMu alone keeps writers out) and handed to the background writer.
-func (n *Node) commitBlock(block *Block, deltas []Delta) error {
+func (n *Node) commitBlock(block *Block, deltas []Delta, scratch *blockScratch) error {
 	if n.wal != nil {
-		frame := encodeWALBlock(&walBlock{
+		frame := encodeWALBlock(scratch, &walBlock{
 			Header:   block.Header,
 			Txs:      block.Txs,
 			Receipts: block.Receipts,
 			Diff:     deltas,
 		})
-		if err := n.wal.AppendFrame(frame); err != nil {
+		err := n.wal.AppendFrame(frame)
+		scratch.keep(frame) // the log has written it, or refused it
+		if err != nil {
 			return fmt.Errorf("chain: persist block %d: %w", block.Header.Number, err)
 		}
 	}

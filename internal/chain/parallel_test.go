@@ -107,9 +107,9 @@ func TestDifferentialParallelVsSerialRandom(t *testing.T) {
 					bctx := BlockContext{Number: uint64(block + 1), Time: chainEpoch.Add(time.Duration(block) * time.Second)}
 
 					serialOv := NewOverlay(st)
-					serial := replayTxs(ex, serialOv, txs, txHashes(txs), bctx)
+					serial := replayTxs(ex, serialOv, txs, txHashes(nil, txs), bctx)
 					parOv := NewOverlay(st)
-					par := replayTxsParallelObs(ex, parOv, txs, txHashes(txs), bctx, workers, noopMetrics)
+					par := replayTxsParallelObs(ex, parOv, txs, txHashes(nil, txs), bctx, workers, noopMetrics)
 
 					deltas := requireSameExecution(t, fmt.Sprintf("block %d", block), serial, par, serialOv, parOv)
 					st.applyDeltas(deltas)
@@ -142,9 +142,9 @@ func TestDifferentialParallelAllConflicts(t *testing.T) {
 			bctx := BlockContext{Number: 1, Time: chainEpoch}
 
 			serialOv := NewOverlay(st)
-			serial := replayTxs(ex, serialOv, txs, txHashes(txs), bctx)
+			serial := replayTxs(ex, serialOv, txs, txHashes(nil, txs), bctx)
 			parOv := NewOverlay(st)
-			par := replayTxsParallelObs(ex, parOv, txs, txHashes(txs), bctx, workers, noopMetrics)
+			par := replayTxsParallelObs(ex, parOv, txs, txHashes(nil, txs), bctx, workers, noopMetrics)
 			requireSameExecution(t, "hot-counter block", serial, par, serialOv, parOv)
 
 			// The last receipt's event carries the final count: proof no
@@ -249,9 +249,9 @@ func TestDifferentialParallelDeleteAndPrefixConflicts(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			bctx := BlockContext{Number: 1, Time: chainEpoch}
 			serialOv := NewOverlay(st)
-			serial := replayTxs(ex, serialOv, txs, txHashes(txs), bctx)
+			serial := replayTxs(ex, serialOv, txs, txHashes(nil, txs), bctx)
 			parOv := NewOverlay(st)
-			par := replayTxsParallelObs(ex, parOv, txs, txHashes(txs), bctx, workers, noopMetrics)
+			par := replayTxsParallelObs(ex, parOv, txs, txHashes(nil, txs), bctx, workers, noopMetrics)
 			requireSameExecution(t, "delete/prefix block", serial, par, serialOv, parOv)
 
 			// Spot-check semantics, not just equality: the del of "a" saw the
@@ -353,7 +353,7 @@ func TestParallelScheduleIndependence(t *testing.T) {
 			}
 			t.Run(fmt.Sprintf("workers=%d/conflictAt=%d", workers, at), func(t *testing.T) {
 				txs := plantedConflictTxs(t, key, n, at)
-				hashes := txHashes(txs)
+				hashes := txHashes(nil, txs)
 				st := NewState()
 				for rep := range reps {
 					serialOv := NewOverlay(st)
@@ -402,7 +402,7 @@ func TestParallelWasteBound(t *testing.T) {
 			txs := plantedConflictTxs(t, key, n, 1)
 			ex := &scheduleExecutor{Executor: testExecutor{}, hold: equalCost}
 			m := NewMetrics(obs.NewRegistry())
-			receipts := replayTxsParallelObs(ex, NewOverlay(NewState()), txs, txHashes(txs), bctx, workers, m)
+			receipts := replayTxsParallelObs(ex, NewOverlay(NewState()), txs, txHashes(nil, txs), bctx, workers, m)
 			if ev := receipts[n-1].Events; len(ev) != 1 || string(ev[0].Data) != strconv.Itoa(n) {
 				t.Fatalf("final counter event = %+v, want %d", ev, n)
 			}
@@ -421,7 +421,7 @@ func TestParallelWasteBound(t *testing.T) {
 			txs := plantedConflictTxs(t, key, n, n)
 			ex := &scheduleExecutor{Executor: testExecutor{}}
 			m := NewMetrics(obs.NewRegistry())
-			replayTxsParallelObs(ex, NewOverlay(NewState()), txs, txHashes(txs), bctx, workers, m)
+			replayTxsParallelObs(ex, NewOverlay(NewState()), txs, txHashes(nil, txs), bctx, workers, m)
 			if calls, d := ex.calls.Load(), m.ExecDiscarded.Value(); calls != n || d != 0 {
 				t.Fatalf("calls=%d discarded=%d, want %d and 0", calls, d, n)
 			}
@@ -491,7 +491,7 @@ func TestParallelScheduleRevertAndPrefixReads(t *testing.T) {
 		for _, workers := range scheduleTestWorkers[1:] {
 			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
 				bctx := BlockContext{Number: 1, Time: chainEpoch}
-				hashes := txHashes(tc.txs)
+				hashes := txHashes(nil, tc.txs)
 				for rep := range 20 {
 					ex := &scheduleExecutor{Executor: rwExecutor{}, hold: seededDelays(int64(rep), hashes)}
 					serialOv := NewOverlay(st)

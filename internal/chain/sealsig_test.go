@@ -49,8 +49,8 @@ func TestHeaderSealWithWarmTable(t *testing.T) {
 		ParentHash:  b1.Hash(),
 		Time:        b1.Header.Time.Add(time.Nanosecond),
 		Proposer:    proposer.Address(),
-		TxRoot:      txRoot(nil),
-		ReceiptRoot: receiptRoot(nil),
+		TxRoot:      txRoot(nil, nil),
+		ReceiptRoot: receiptRoot(nil, nil),
 		StateRoot:   b1.Header.StateRoot,
 	}
 	sig, err := proposer.Sign(next.SigningBytes())

@@ -254,18 +254,18 @@ func TestCostLedger(t *testing.T) {
 }
 
 func TestMerkleRoot(t *testing.T) {
-	empty := merkleRoot(nil)
+	empty := merkleRoot(nil, nil)
 	if empty == (cryptoutil.Hash{}) {
 		t.Fatal("empty merkle root should be a defined non-zero digest")
 	}
-	h1 := merkleRoot([]cryptoutil.Hash{hashOfByte(1)})
-	h12 := merkleRoot([]cryptoutil.Hash{hashOfByte(1), hashOfByte(2)})
-	h21 := merkleRoot([]cryptoutil.Hash{hashOfByte(2), hashOfByte(1)})
+	h1 := merkleRoot(nil, []cryptoutil.Hash{hashOfByte(1)})
+	h12 := merkleRoot(nil, []cryptoutil.Hash{hashOfByte(1), hashOfByte(2)})
+	h21 := merkleRoot(nil, []cryptoutil.Hash{hashOfByte(2), hashOfByte(1)})
 	if h1 == h12 || h12 == h21 {
 		t.Fatal("merkle root not order/content sensitive")
 	}
 	// Odd leaf count exercises promotion.
-	h123 := merkleRoot([]cryptoutil.Hash{hashOfByte(1), hashOfByte(2), hashOfByte(3)})
+	h123 := merkleRoot(nil, []cryptoutil.Hash{hashOfByte(1), hashOfByte(2), hashOfByte(3)})
 	if h123 == h12 {
 		t.Fatal("odd-leaf root collides with even-leaf root")
 	}

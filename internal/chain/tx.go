@@ -42,9 +42,7 @@ func (tx *Tx) SigningBytes() []byte {
 
 // Hash returns the transaction hash (over the signed content plus the
 // signature).
-func (tx *Tx) Hash() cryptoutil.Hash {
-	return cryptoutil.HashOf(tx.SigningBytes(), tx.Signature)
-}
+func (tx *Tx) Hash() cryptoutil.Hash { return txHash(nil, tx) }
 
 // Transaction validation errors.
 var (
@@ -176,6 +174,4 @@ func (r *Receipt) Succeeded() bool { return r.Status == StatusOK }
 
 // Digest returns the hash of the receipt's encoding (codec.go), a leaf
 // of the block's receipt root.
-func (r *Receipt) Digest() cryptoutil.Hash {
-	return cryptoutil.HashOf(appendReceipt(make([]byte, 0, receiptSizeHint(r)), r))
-}
+func (r *Receipt) Digest() cryptoutil.Hash { return receiptDigest(nil, r) }

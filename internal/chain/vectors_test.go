@@ -205,7 +205,7 @@ func TestFrozenReceiptDigest(t *testing.T) {
 		}
 	}
 	const wantRoot = "0xfbd0d965f8897a4589dbd14d7290da9491f9cd1cabb52c423a5565e4a09cc39a"
-	if got := receiptRoot(receipts).String(); got != wantRoot {
+	if got := receiptRoot(nil, receipts).String(); got != wantRoot {
 		t.Errorf("receipt root: got %s, want %s", got, wantRoot)
 	}
 }

@@ -29,6 +29,8 @@ var requiredGuards = map[string]map[string]string{
 		"Node.mempool":           "mpMu",
 		"Node.nonces":            "mpMu",
 		"Node.evidence":          "evMu",
+		"Node.scratch":           "sealMu",
+		"Network.view":           "sealMu",
 		"State.data":             "mu",
 		"State.journal":          "mu",
 		"State.root":             "mu",

@@ -1,6 +1,7 @@
 package rdf
 
 import (
+	"cmp"
 	"sort"
 	"strings"
 	"sync"
@@ -120,19 +121,47 @@ func (g *Graph) Match(s, p, o Term) []Triple {
 // Triples returns every triple in deterministic order.
 func (g *Graph) Triples() []Triple { return g.Match(Term{}, Term{}, Term{}) }
 
-func termSortKey(t Term) string {
-	return strings.Join([]string{t.kind.String(), t.value, t.datatype}, "\x00")
+// compareTerms orders terms by kind + "\x00" + value + "\x00" + datatype,
+// the parts compared in place rather than joined: the joined string's
+// order, NUL bytes in a value included, without building it.
+func compareTerms(a, b Term) int {
+	pa := [...]string{a.kind.String(), "\x00", a.value, "\x00", a.datatype}
+	pb := [...]string{b.kind.String(), "\x00", b.value, "\x00", b.datatype}
+	return compareJoined(pa[:], pb[:])
+}
+
+// compareJoined compares the concatenation of a's parts with that of b's,
+// as strings.Compare would compare the two joined strings.
+func compareJoined(a, b []string) int {
+	var x, y string
+	for {
+		for x == "" && len(a) > 0 {
+			x, a = a[0], a[1:]
+		}
+		for y == "" && len(b) > 0 {
+			y, b = b[0], b[1:]
+		}
+		if x == "" || y == "" {
+			// One side is exhausted: it is the smaller unless both are.
+			return cmp.Compare(len(x), len(y))
+		}
+		n := min(len(x), len(y))
+		if c := strings.Compare(x[:n], y[:n]); c != 0 {
+			return c
+		}
+		x, y = x[n:], y[n:]
+	}
 }
 
 func sortTriples(ts []Triple) {
 	sort.Slice(ts, func(i, j int) bool {
-		a, b := ts[i], ts[j]
-		if k1, k2 := termSortKey(a.S), termSortKey(b.S); k1 != k2 {
-			return k1 < k2
+		a, b := &ts[i], &ts[j]
+		if c := compareTerms(a.S, b.S); c != 0 {
+			return c < 0
 		}
-		if k1, k2 := termSortKey(a.P), termSortKey(b.P); k1 != k2 {
-			return k1 < k2
+		if c := compareTerms(a.P, b.P); c != 0 {
+			return c < 0
 		}
-		return termSortKey(a.O) < termSortKey(b.O)
+		return compareTerms(a.O, b.O) < 0
 	})
 }

@@ -1,10 +1,19 @@
 package rdf
 
 import (
+	"cmp"
 	"fmt"
+	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 )
+
+// termSortKey is the joined key compareTerms orders by, built: the
+// reference the comparator is checked against.
+func termSortKey(t Term) string {
+	return strings.Join([]string{t.kind.String(), t.value, t.datatype}, "\x00")
+}
 
 func tr(s, p, o string) Triple {
 	return T(IRI("http://e/"+s), IRI("http://e/"+p), IRI("http://e/"+o))
@@ -99,5 +108,50 @@ func TestGraphConcurrentAccess(t *testing.T) {
 	wg.Wait()
 	if g.Len() != 800 {
 		t.Fatalf("Len = %d, want 800", g.Len())
+	}
+}
+
+// TestCompareTermsMatchesJoinedKey checks the in-place comparator against
+// the joined key on seeded random terms drawn from a small alphabet that
+// holds NUL, so values are often prefixes of one another and a NUL in a
+// value meets the separator.
+func TestCompareTermsMatchesJoinedKey(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	alphabet := []string{"", "\x00", "a", "b", "\x00a", "a\x00", "ab", "\xff", "literal", "iri"}
+	str := func() string {
+		var b strings.Builder
+		for range rng.Intn(4) {
+			b.WriteString(alphabet[rng.Intn(len(alphabet))])
+		}
+		return b.String()
+	}
+	term := func() Term {
+		if rng.Intn(2) == 0 {
+			return IRI(str())
+		}
+		return TypedLiteral(str(), str())
+	}
+	cases := [][2]Term{
+		{IRI("a"), IRI("ab")},
+		{IRI("ab"), IRI("a")},
+		{IRI("a\x00"), IRI("a")},
+		{TypedLiteral("a", "b"), TypedLiteral("a\x00b", "")},
+		{TypedLiteral("a\x00b", ""), TypedLiteral("a", "b")},
+		{TypedLiteral("a", "\x00"), TypedLiteral("a\x00", "")},
+		{TypedLiteral("", ""), IRI("")},
+		{Literal("x"), Literal("x")},
+	}
+	for range 20000 {
+		cases = append(cases, [2]Term{term(), term()})
+	}
+	for _, c := range cases {
+		want := cmp.Compare(termSortKey(c[0]), termSortKey(c[1]))
+		if got := compareTerms(c[0], c[1]); got != want {
+			t.Fatalf("compareTerms(%q, %q) = %d, want %d", termSortKey(c[0]), termSortKey(c[1]), got, want)
+		}
+	}
+	a, b := TypedLiteral("a\x00b", XSDString), TypedLiteral("a", "b")
+	if n := testing.AllocsPerRun(100, func() { compareTerms(a, b) }); n != 0 {
+		t.Errorf("compareTerms allocates %.1f times per call, want 0", n)
 	}
 }
