@@ -7,7 +7,7 @@
 //
 //	de-node [-validators 3] [-interval 1s] [-http :8545]
 //	        [-data-dir DIR] [-fsync interval]
-//	        [-mempool-cap 8192] [-sender-quota 1024] [-price-bump 10]
+//	        [-mempool-cap 8192] [-sender-quota 1024]
 //	        [-debug-addr :6060]
 //
 // -debug-addr starts a second, private HTTP server with the
@@ -82,7 +82,6 @@ func run(args []string) error {
 	execWorkers := fs.Int("exec-workers", 0, "parallel transaction execution workers per node (0 = GOMAXPROCS, 1 = serial; blocks are bit-identical at any setting)")
 	mempoolCap := fs.Int("mempool-cap", 0, "mempool capacity in transactions (0 = package default; full pool evicts the cheapest tail or answers a retryable verdict)")
 	senderQuota := fs.Int("sender-quota", 0, "max pending transactions per sender (0 = package default)")
-	priceBump := fs.Int("price-bump", 0, "minimum replace-by-fee gas-price bump in percent (0 = package default)")
 	debugAddr := fs.String("debug-addr", "", "observability listen address (empty = disabled; GET /metrics, /debug/vars, /debug/traces, /debug/pprof/)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -115,7 +114,7 @@ func run(args []string) error {
 		MempoolCapacity: *mempoolCap,
 		SenderQuota:     *senderQuota,
 		Obs:             reg,
-	}, simclock.Real{}, manufacturer.CAPublicBytes(), *priceBump)
+	}, simclock.Real{}, manufacturer.CAPublicBytes())
 	if err != nil {
 		return err
 	}

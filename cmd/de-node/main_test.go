@@ -43,7 +43,7 @@ func bootCluster(cfg core.Config) (*core.Cluster, error) {
 		return nil, err
 	}
 	cfg.WALSync = store.SyncNever
-	return core.NewCluster(cfg, simclock.Real{}, ca.PublicBytes(), 0)
+	return core.NewCluster(cfg, simclock.Real{}, ca.PublicBytes())
 }
 
 // newTestCluster boots an in-memory cluster closed at the end of the test.

@@ -169,7 +169,7 @@ func BenchmarkCommitLatency(b *testing.B) {
 // and the signing keys in sender order.
 func benchFloodPool(b *testing.B, capacity, senders, perSender int, price uint64) (*mempool, []*cryptoutil.KeyPair) {
 	b.Helper()
-	mp := newMempool(capacity, perSender, 10)
+	mp := newMempool(capacity, perSender)
 	keys := make([]*cryptoutil.KeyPair, senders)
 	for s := range senders {
 		keys[s] = cryptoutil.MustGenerateKey()

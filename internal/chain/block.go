@@ -169,8 +169,8 @@ func txHash(s *blockScratch, tx *Tx) cryptoutil.Hash {
 // txHashes computes every transaction's hash, parallel to txs, encoding
 // each in s's buffer. Hashing encodes the transaction and runs SHA-256
 // over it, so block production and validation call this once per block
-// and thread the slice through txRoot, execution, and mempool removal
-// instead of rehashing at each step. (The hash is deliberately not
+// and thread the slice through txRoot and execution instead of
+// rehashing at each step. (The hash is deliberately not
 // memoized on Tx: its fields are exported and mutable.) The slice itself
 // is fresh: it outlives every other use of s in the block.
 func txHashes(s *blockScratch, txs []*Tx) []cryptoutil.Hash {

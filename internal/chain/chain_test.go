@@ -167,7 +167,7 @@ func mustTxPriced(tb interface{ Fatal(...any) }, key *cryptoutil.KeyPair, nonce 
 
 // newPoolNode builds a single-authority node with explicit mempool
 // admission knobs.
-func newPoolNode(tb interface{ Fatal(...any) }, capacity, quota, bump int) (*Node, *cryptoutil.KeyPair, *simclock.Sim) {
+func newPoolNode(tb interface{ Fatal(...any) }, capacity, quota int) (*Node, *cryptoutil.KeyPair, *simclock.Sim) {
 	key := cryptoutil.MustGenerateKey()
 	clk := simclock.NewSim(chainEpoch)
 	node, err := NewNode(Config{
@@ -178,7 +178,6 @@ func newPoolNode(tb interface{ Fatal(...any) }, capacity, quota, bump int) (*Nod
 		GenesisTime:         chainEpoch,
 		MempoolCapacity:     capacity,
 		MaxPendingPerSender: quota,
-		PriceBumpPercent:    bump,
 	})
 	if err != nil {
 		tb.Fatal(err)

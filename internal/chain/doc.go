@@ -35,11 +35,8 @@
 //     per-sender nonce table. Submissions contend only on this lock — one
 //     acquisition per node per Submit call, whatever the batch size — so
 //     they are admitted concurrently with block execution rather than
-//     serializing behind it. The one exception is a transaction whose
-//     nonce is already committed: after mpMu is released, admission passes
-//     through sealMu (holding nothing, so the order above stands) and
-//     reads the receipt index under mu, to tell a rebroadcast of a
-//     transaction whose block is still in flight from a replay.
+//     serializing behind it. A transaction on a committed nonce is told
+//     from a replay by the receipt index, read under mu with mpMu held.
 //   - mu (an RWMutex) guards the ledger: the block list, the state
 //     handle, and receipt waiters. Read paths — Height, Head,
 //     BlockByNumber, Query, Receipt — take only the read lock and
@@ -48,12 +45,18 @@
 //
 // Block execution itself never runs under mu: both sealing and
 // validation execute against a copy-on-write Overlay of the committed
-// state (O(touched keys), not O(ledger)), encode and append the WAL
-// record off-lock, and take the write lock only to fold the overlay's
-// delta set into the state, append the block, and charge its gas to the
-// CostLedger (one atomic counter) — in that order, and
-// before any receipt waiter is woken, so whoever can see a receipt can
-// see its block and its gas. Receipt waiters are woken through
+// state (O(touched keys), not O(ledger)), and encode and append the WAL
+// record off-lock. Only once the WAL has the block does commitBlock
+// settle it, in one section under mpMu and then the write lock: advance
+// each sender's nonce and drop what the sender still queues below it
+// (settleLocked, the one writer of the nonce table, which recovery also
+// runs), fold the overlay's delta set into the state, append the block,
+// charge its gas to the CostLedger (one atomic counter) and index its
+// receipts — in that order, and before any receipt waiter is woken, so
+// whoever can see a receipt can see its block, its gas and its sender's
+// nonce. Block production only selects from the mempool (mempool.Take),
+// so a seal whose WAL append fails leaves nonces, mempool and cost
+// ledger as they were. Receipt waiters are woken through
 // capacity-1 buffered channels, so a slow WaitForReceipt consumer
 // cannot stall a commit. State snapshots are serialized and
 // written by a background goroutine fed a copy-on-write export, never
@@ -105,7 +108,10 @@
 // lowest-indexed error". Resubmitting a queued transaction, or one this
 // node has committed, is an idempotent success (counted in
 // chain_mempool_duplicate_total and chain_mempool_stale_total); a
-// different transaction on a committed nonce is ErrTxStale.
+// different transaction on a committed nonce is ErrTxStale. A block
+// being sealed has not committed yet: its transactions are still queued,
+// so a rebroadcast is a duplicate and another transaction on its nonce is
+// judged as replace-by-fee, then dropped when the original commits.
 //
 // Signature verification — the dominant CPU cost of admission and
 // validation — never runs under any node lock, and runs on the
@@ -120,7 +126,7 @@
 // transaction is hashed once per submission, not once per node, and once
 // per node per block (mempool.Take hands the proposer its admission-time
 // hashes, ApplyBlock computes them once) and the slice is threaded
-// through the tx root, execution, and mempool removal.
+// through the tx root and execution.
 //
 // # Signatures a block carries
 //
@@ -183,8 +189,8 @@
 // locking and hand it to commitBlock, so one block at a time uses it, and
 // the followers SealNext fans a block out to each use their own. Nothing
 // read from it outlives the block: a hash or a root is copied out as a
-// value, the transaction hashes a block threads through execution and
-// mempool removal live in a slice of their own, and the WAL writes the
+// value, the transaction hashes a block threads through execution live
+// in a slice of their own, and the WAL writes the
 // frame before AppendFrame returns (the frame is handed back then, refused
 // or not). A buffer that grew past maxScratchBytes for one outsized block
 // is dropped rather than kept. Callers outside the seal path — genesis,

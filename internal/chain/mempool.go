@@ -41,9 +41,9 @@ type poolTx struct {
 // ascending nonce order: txs[0] is the next nonce the chain will accept
 // from this sender, txs[len-1] is the speculative tail. Contiguity is an
 // invariant — admission only appends the next nonce, replacement swaps
-// in place, and removal either pops the head (commit path) or truncates
-// a suffix (rollback path) — so selection never has to reason about
-// gaps.
+// in place, and removal either pops heads (Settle, once a block commits)
+// or truncates a suffix (Remove, the rollback path) — so selection never
+// has to reason about gaps.
 type senderQueue struct {
 	addr cryptoutil.Address
 	txs  []*poolTx
@@ -133,14 +133,13 @@ func (h *headHeap) Pop() any     { old := *h; n := len(old); c := old[n-1]; *h =
 // preserved, hash tie-break); admission enforces a per-sender pending
 // quota and a pool-wide capacity, evicting the cheapest speculative tail
 // when a better-priced transaction arrives at a full pool; replacement
-// (same sender and nonce) requires a configurable percentage price bump.
+// (same sender and nonce) requires a priceBumpPercent price bump.
 //
 // mempool is not internally synchronized; the owning Node guards it with
 // its mempool mutex.
 type mempool struct {
 	capacity int // pool-wide transaction bound (>=1)
 	quota    int // max pending transactions per sender (>=1)
-	bumpPct  int // replace-by-fee minimum price bump, percent
 
 	byHash  map[cryptoutil.Hash]*Tx
 	senders map[cryptoutil.Address]*senderQueue
@@ -148,11 +147,15 @@ type mempool struct {
 	size    int
 }
 
-func newMempool(capacity, quota, bumpPct int) *mempool {
+// priceBumpPercent is the minimum gas-price increase, in percent, a
+// replace-by-fee submission must bid over the queued transaction it
+// replaces.
+const priceBumpPercent = 10
+
+func newMempool(capacity, quota int) *mempool {
 	return &mempool{
 		capacity: capacity,
 		quota:    quota,
-		bumpPct:  bumpPct,
 		byHash:   make(map[cryptoutil.Hash]*Tx),
 		senders:  make(map[cryptoutil.Address]*senderQueue),
 	}
@@ -223,10 +226,9 @@ func (mp *mempool) Add(h cryptoutil.Hash, tx *Tx) (evicted *poolTx, err error) {
 }
 
 // Replace swaps the queued transaction at tx's (sender, nonce) slot for
-// tx, requiring the new gas price to exceed the old by at least the
-// configured bump percentage (and strictly, even at bump 0). The
-// replaced transaction is returned. Pending counts are unchanged: the
-// slot is reused, not re-queued.
+// tx, requiring the new gas price to exceed the old by at least
+// priceBumpPercent. The replaced transaction is returned. Pending counts
+// are unchanged: the slot is reused, not re-queued.
 func (mp *mempool) Replace(h cryptoutil.Hash, tx *Tx) (*poolTx, error) {
 	sq := mp.senders[tx.From]
 	if sq == nil || len(sq.txs) == 0 {
@@ -238,7 +240,7 @@ func (mp *mempool) Replace(h cryptoutil.Hash, tx *Tx) (*poolTx, error) {
 	}
 	idx := int(tx.Nonce - base)
 	old := sq.txs[idx]
-	need := bumpThreshold(old.tx.GasPrice, mp.bumpPct)
+	need := bumpThreshold(old.tx.GasPrice)
 	if tx.GasPrice <= old.tx.GasPrice || tx.GasPrice < need {
 		return nil, fmt.Errorf("%w: have %d, old %d, need >= %d", ErrReplaceUnderpriced, tx.GasPrice, old.tx.GasPrice, need)
 	}
@@ -251,22 +253,22 @@ func (mp *mempool) Replace(h cryptoutil.Hash, tx *Tx) (*poolTx, error) {
 	return old, nil
 }
 
-// bumpThreshold computes old*(100+bumpPct)/100, saturating at MaxUint64
-// so absurd prices cannot overflow their way past the bump requirement.
-func bumpThreshold(old uint64, bumpPct int) uint64 {
-	mult := uint64(100 + bumpPct)
+// bumpThreshold computes old*(100+priceBumpPercent)/100, saturating at
+// MaxUint64 so absurd prices cannot overflow their way past the bump
+// requirement.
+func bumpThreshold(old uint64) uint64 {
+	const mult = 100 + priceBumpPercent
 	if old > math.MaxUint64/mult {
 		return math.MaxUint64
 	}
 	return old * mult / 100
 }
 
-// Remove deletes the transaction with the given hash, reporting whether
-// it was present. Removing a queue head (the commit path: nonces were
-// just advanced past it) pops only the head; removing a later entry (the
-// rollback path: a just-appended run is being withdrawn) truncates that
-// entry and everything after it, so per-sender contiguity survives and
-// subsequent removals of the same run are no-ops.
+// Remove withdraws the transaction with the given hash, reporting
+// whether it was present. It is the rollback path (a just-appended run
+// that a peer refused is taken back): the entry and everything queued
+// after it go, so per-sender contiguity survives and later removals of
+// the same run are no-ops.
 func (mp *mempool) Remove(h cryptoutil.Hash) bool {
 	tx, ok := mp.byHash[h]
 	if !ok {
@@ -274,32 +276,43 @@ func (mp *mempool) Remove(h cryptoutil.Hash) bool {
 	}
 	sq := mp.senders[tx.From]
 	idx := int(tx.Nonce - sq.txs[0].tx.Nonce)
-	if idx == 0 {
-		mp.popHead(sq)
-		return true
-	}
 	for _, p := range sq.txs[idx:] {
 		delete(mp.byHash, p.hash)
 		mp.size--
 	}
 	sq.txs = sq.txs[:idx]
-	heap.Fix(&mp.tails, sq.evictIdx)
+	if len(sq.txs) == 0 {
+		heap.Remove(&mp.tails, sq.evictIdx)
+		delete(mp.senders, sq.addr)
+	} else {
+		heap.Fix(&mp.tails, sq.evictIdx)
+	}
 	return true
 }
 
-// popHead removes the head of sq, unindexing it and dropping the queue
-// entirely when it empties.
-func (mp *mempool) popHead(sq *senderQueue) {
-	head := sq.txs[0]
-	delete(mp.byHash, head.hash)
-	sq.txs = sq.txs[1:]
-	mp.size--
+// Settle drops from's queued transactions below next, the sender's
+// committed nonce once a block commits: the block's own transactions,
+// and any replacement whose original the block carried. A head pop
+// leaves a multi-entry queue's tail, and so the tail heap, as it was.
+func (mp *mempool) Settle(from cryptoutil.Address, next uint64) {
+	sq := mp.senders[from]
+	if sq == nil {
+		return
+	}
+	n := 0
+	for n < len(sq.txs) && sq.txs[n].tx.Nonce < next {
+		delete(mp.byHash, sq.txs[n].hash)
+		n++
+	}
+	if n == 0 {
+		return
+	}
+	sq.txs = sq.txs[n:]
+	mp.size -= n
 	if len(sq.txs) == 0 {
 		heap.Remove(&mp.tails, sq.evictIdx)
 		delete(mp.senders, sq.addr)
 	}
-	// A multi-entry queue's tail is unchanged by a head pop, so the tail
-	// heap needs no fix.
 }
 
 // dropTail evicts the speculative tail of sq (capacity pressure).
@@ -316,14 +329,16 @@ func (mp *mempool) dropTail(sq *senderQueue) {
 	}
 }
 
-// Take dequeues up to max transactions for a block: highest gas price
-// first, ties broken by ascending hash, per-sender nonce order always
-// preserved (a sender's second transaction is only eligible once its
-// first was picked). The admission-time hashes are handed out alongside
-// (parallel to the transactions), so sealing never rehashes what the
-// pool already indexed. committed maps senders to their next expected
-// nonce; queued transactions below it (committed by a block that carried
-// a replacement, so hash-removal missed them) are swept here.
+// Take selects up to max queued transactions for a block without
+// dequeuing them: highest gas price first, ties broken by ascending hash,
+// per-sender nonce order always preserved (a sender's second transaction
+// is only eligible once its first was picked). committed maps senders to
+// their next expected nonce; only a queue whose head carries it is
+// eligible. The admission-time hashes are handed out alongside (parallel
+// to the transactions), so sealing never rehashes what the pool already
+// indexed. The selected transactions stay queued until their block
+// commits and Settle drops them, so a seal that fails leaves the pool as
+// it was.
 //
 // Selection iterates the tail heap's backing slice and drains a strict
 // total-order candidate heap, so the result is deterministic and
@@ -331,16 +346,6 @@ func (mp *mempool) dropTail(sq *senderQueue) {
 func (mp *mempool) Take(max int, committed map[cryptoutil.Address]uint64) ([]*Tx, []cryptoutil.Hash) {
 	if mp.size == 0 || max <= 0 {
 		return nil, nil
-	}
-
-	// Sweep stale heads first. Iterate a snapshot of the queue set:
-	// emptied queues are removed from the tail heap as we go.
-	queues := make([]*senderQueue, len(mp.tails))
-	copy(queues, mp.tails)
-	for _, sq := range queues {
-		for len(sq.txs) > 0 && sq.txs[0].tx.Nonce < committed[sq.addr] {
-			mp.popHead(sq)
-		}
 	}
 
 	// Seed one candidate per sender whose head is executable now.
@@ -354,28 +359,16 @@ func (mp *mempool) Take(max int, committed map[cryptoutil.Address]uint64) ([]*Tx
 
 	out := make([]*Tx, 0, min(max, mp.size))
 	hashes := make([]cryptoutil.Hash, 0, cap(out))
-	taken := make(map[*senderQueue]int, len(cands))
 	for len(out) < max && cands.Len() > 0 {
 		c := cands[0]
 		p := c.sq.txs[c.idx]
 		out = append(out, p.tx)
 		hashes = append(hashes, p.hash)
-		taken[c.sq]++
 		if c.idx+1 < len(c.sq.txs) {
 			cands[0].idx++
 			heap.Fix(&cands, 0)
 		} else {
 			heap.Pop(&cands)
-		}
-	}
-
-	// Detach the selected prefixes. Iterate the snapshot rather than the
-	// taken map: queue set order is heap-internal but the removals below
-	// are per-queue and order-independent.
-	for _, sq := range queues {
-		n := taken[sq]
-		for range n {
-			mp.popHead(sq)
 		}
 	}
 	return out, hashes

@@ -13,7 +13,7 @@ import (
 
 // testPool builds a bare mempool with roomy defaults for direct
 // structure tests.
-func testPool() *mempool { return newMempool(64, 32, 10) }
+func testPool() *mempool { return newMempool(64, 32) }
 
 func TestMempoolIndexedOperations(t *testing.T) {
 	mp := testPool()
@@ -65,8 +65,13 @@ func TestMempoolIndexedOperations(t *testing.T) {
 			t.Fatalf("Take[%d].Nonce = %d, want %d (nonce order broken)", i, tx.Nonce, want[i])
 		}
 	}
-	if mp.Len() != 0 || mp.PendingFrom(key.Address()) != 0 {
-		t.Fatalf("pool not empty after Take: len=%d pending=%d", mp.Len(), mp.PendingFrom(key.Address()))
+	// Take only selects; the pool empties when the block settles.
+	if mp.Len() != 2 || !mp.Contains(hashes[0]) {
+		t.Fatalf("Take dequeued: len=%d, want 2 still queued", mp.Len())
+	}
+	mp.Settle(key.Address(), 2)
+	if mp.Len() != 0 || mp.PendingFrom(key.Address()) != 0 || mp.Contains(hashes[0]) {
+		t.Fatalf("pool not empty after Settle: len=%d pending=%d", mp.Len(), mp.PendingFrom(key.Address()))
 	}
 }
 
@@ -84,8 +89,15 @@ func TestMempoolTakeRespectsLimit(t *testing.T) {
 	if len(first) != 3 || first[0].Nonce != 0 || first[2].Nonce != 2 {
 		t.Fatalf("Take(3) = %d txs starting at nonce %d", len(first), first[0].Nonce)
 	}
+	if mp.Len() != 8 {
+		t.Fatalf("Len after Take = %d, want 8 (Take only selects)", mp.Len())
+	}
+	mp.Settle(key.Address(), 3)
 	if mp.Len() != 5 {
-		t.Fatalf("Len after partial Take = %d, want 5", mp.Len())
+		t.Fatalf("Len after settling the partial Take = %d, want 5", mp.Len())
+	}
+	if next, _ := mp.Take(1, map[cryptoutil.Address]uint64{key.Address(): 3}); len(next) != 1 || next[0].Nonce != 3 {
+		t.Fatalf("Take after Settle = %v, want nonce 3", next)
 	}
 }
 
@@ -192,7 +204,7 @@ func TestMempoolTakeDeterministicAcrossInsertionOrders(t *testing.T) {
 // pending count and drop its hash index entry, and the victim must be
 // readmittable afterwards.
 func TestMempoolEvictionUnwindsIndexes(t *testing.T) {
-	mp := newMempool(4, 4, 10)
+	mp := newMempool(4, 4)
 	contract := testContractAddr()
 	cheap := cryptoutil.MustGenerateKey()
 	rich := cryptoutil.MustGenerateKey()
@@ -224,11 +236,13 @@ func TestMempoolEvictionUnwindsIndexes(t *testing.T) {
 		t.Fatal("evicted tx still hash-indexed")
 	}
 
-	// Drain one slot and readmit the evicted transaction: its nonce is
-	// cheap's expected tail again, so admission must accept it cleanly.
+	// Seal and settle one slot, then readmit the evicted transaction: its
+	// nonce is cheap's expected tail again, so admission must accept it
+	// cleanly.
 	if got, _ := mp.Take(1, nil); len(got) != 1 || got[0].Hash() != bid.Hash() {
 		t.Fatalf("Take(1) = %v, want rich's bid first", got)
 	}
+	mp.Settle(rich.Address(), 1)
 	if _, err := mp.Add(cheapTxs[3].Hash(), cheapTxs[3]); err != nil {
 		t.Fatalf("readmission after eviction: %v", err)
 	}
@@ -245,7 +259,7 @@ func TestMempoolEvictionUnwindsIndexes(t *testing.T) {
 // ErrUnderpriced (an ErrPoolFull), and a sender cannot evict its own
 // tail to make room for itself.
 func TestMempoolFullRejectsUnderpriced(t *testing.T) {
-	mp := newMempool(3, 8, 10)
+	mp := newMempool(3, 8)
 	contract := testContractAddr()
 	a := cryptoutil.MustGenerateKey()
 	b := cryptoutil.MustGenerateKey()
@@ -486,7 +500,7 @@ func TestVerifyTxSignaturesDeterministicError(t *testing.T) {
 // transaction without changing the pending count, and the sealed block
 // carries the replacement only.
 func TestReplaceByFee(t *testing.T) {
-	node, key, clk := newPoolNode(t, 16, 8, 10)
+	node, key, clk := newPoolNode(t, 16, 8)
 	contract := testContractAddr()
 
 	orig := mustTxPriced(t, key, 0, contract, "k", "old", 100)
@@ -525,7 +539,7 @@ func TestReplaceByFee(t *testing.T) {
 // and a same-nonce transaction from a different sender is not a
 // replacement at all — both queue independently.
 func TestReplaceByFeeEdges(t *testing.T) {
-	node, key, _ := newPoolNode(t, 16, 8, 10)
+	node, key, _ := newPoolNode(t, 16, 8)
 	contract := testContractAddr()
 
 	orig := mustTxPriced(t, key, 0, contract, "k", "old", 100)
@@ -562,7 +576,7 @@ func TestReplaceByFeeEdges(t *testing.T) {
 // surface: the quota-th+1 transaction is refused with ErrQuotaExceeded
 // while other senders keep submitting.
 func TestSenderQuota(t *testing.T) {
-	node, key, _ := newPoolNode(t, 64, 4, 10)
+	node, key, _ := newPoolNode(t, 64, 4)
 	contract := testContractAddr()
 
 	for i := range 4 {
@@ -590,7 +604,7 @@ func TestConcurrentSubmitBatchQuota(t *testing.T) {
 		senders  = 8
 		perTx    = 8 // submitted per sender, twice the quota
 	)
-	node, _, clk := newPoolNode(t, capacity, quota, 10)
+	node, _, clk := newPoolNode(t, capacity, quota)
 	contract := testContractAddr()
 
 	keys := make([]*cryptoutil.KeyPair, senders)
@@ -706,8 +720,9 @@ func TestStaleNonceIsNotAdmitted(t *testing.T) {
 }
 
 // gatedExecutor holds every execution until released, so a test can act
-// while a block is in flight: taken from the mempool, nonces advanced,
-// receipts not yet indexed.
+// while a block is in flight: selected from the mempool, but neither
+// settled (its transactions still queued, nonces where they were) nor
+// indexed (no receipts yet).
 type gatedExecutor struct {
 	testExecutor
 	entered, release chan struct{}
@@ -719,45 +734,64 @@ func (g gatedExecutor) ExecuteTx(st StateRW, tx *Tx, bctx BlockContext) *Receipt
 	return g.testExecutor.ExecuteTx(st, tx, bctx)
 }
 
-// TestStaleNonceRebroadcastDuringSeal: a rebroadcast that lands while the
-// block carrying the transaction is still in flight finds the nonce
-// advanced and no receipt yet. It must wait for the block and answer as
-// the idempotent rebroadcast it is, not as a replay.
+// TestStaleNonceRebroadcastDuringSeal: while the block carrying a
+// transaction is in flight the transaction is still queued, so admission
+// answers at once. A rebroadcast is a duplicate success; a +10 %
+// replacement on the in-flight nonce is admitted as replace-by-fee and
+// dropped from the pool when the original commits, with no receipt.
 func TestStaleNonceRebroadcastDuringSeal(t *testing.T) {
-	key := cryptoutil.MustGenerateKey()
-	clk := simclock.NewSim(chainEpoch)
-	gate := gatedExecutor{entered: make(chan struct{}), release: make(chan struct{})}
-	node, err := NewNode(Config{
-		Key: key, Authorities: []cryptoutil.Address{key.Address()},
-		Executor: gate, Clock: clk, GenesisTime: chainEpoch, ExecWorkers: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tx := mustTx(t, key, 0, testContractAddr(), "k", "v")
-	if _, err := submit1(node, tx); err != nil {
-		t.Fatal(err)
-	}
-	clk.Advance(time.Second)
-	sealed := make(chan error, 1)
-	go func() {
-		_, err := node.Seal()
-		sealed <- err
-	}()
-	<-gate.entered
+	for _, tc := range []struct {
+		name   string
+		resend func(t *testing.T, orig *Tx, key *cryptoutil.KeyPair) *Tx
+	}{
+		{"rebroadcast", func(_ *testing.T, orig *Tx, _ *cryptoutil.KeyPair) *Tx { return orig }},
+		{"replacement", func(t *testing.T, orig *Tx, key *cryptoutil.KeyPair) *Tx {
+			return mustTxPriced(t, key, 0, testContractAddr(), "k", "new", orig.GasPrice*(100+priceBumpPercent)/100)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			key := cryptoutil.MustGenerateKey()
+			clk := simclock.NewSim(chainEpoch)
+			gate := gatedExecutor{entered: make(chan struct{}), release: make(chan struct{})}
+			node, err := NewNode(Config{
+				Key: key, Authorities: []cryptoutil.Address{key.Address()},
+				Executor: gate, Clock: clk, GenesisTime: chainEpoch, ExecWorkers: 1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			orig := mustTxPriced(t, key, 0, testContractAddr(), "k", "v", 100)
+			if _, err := submit1(node, orig); err != nil {
+				t.Fatal(err)
+			}
+			clk.Advance(time.Second)
+			sealed := make(chan error, 1)
+			go func() {
+				_, err := node.Seal()
+				sealed <- err
+			}()
+			<-gate.entered
 
-	verdict := make(chan TxVerdict, 1)
-	go func() { verdict <- node.Submit([]*Tx{tx})[0] }()
-	select {
-	case v := <-verdict:
-		t.Fatalf("rebroadcast answered while its block was in flight: %v", v.Err)
-	case <-time.After(50 * time.Millisecond):
-	}
-	close(gate.release)
-	if err := <-sealed; err != nil {
-		t.Fatal(err)
-	}
-	if v := <-verdict; v.Err != nil || v.Hash != tx.Hash() {
-		t.Fatalf("rebroadcast verdict = %s, %v; want the tx hash and nil", v.Hash.Short(), v.Err)
+			tx := tc.resend(t, orig, key)
+			if v := node.Submit([]*Tx{tx})[0]; v.Err != nil || v.Hash != tx.Hash() {
+				t.Fatalf("verdict during the seal = %s, %v; want the tx hash and nil", v.Hash.Short(), v.Err)
+			}
+			close(gate.release)
+			if err := <-sealed; err != nil {
+				t.Fatal(err)
+			}
+			if node.PendingTxs() != 0 {
+				t.Fatalf("PendingTxs after the seal = %d, want 0", node.PendingTxs())
+			}
+			if node.Receipt(orig.Hash()) == nil {
+				t.Fatal("the sealed original has no receipt")
+			}
+			if tx != orig && node.Receipt(tx.Hash()) != nil {
+				t.Fatal("the replacement of a committed nonce has a receipt")
+			}
+			if got := node.CommittedNonce(key.Address()); got != 1 {
+				t.Fatalf("CommittedNonce = %d, want 1", got)
+			}
+		})
 	}
 }

@@ -138,18 +138,9 @@ func (n *Node) ApplyBlock(block *Block, proposerKey []byte) error {
 		return ErrBadStateRoot
 	}
 
-	// Valid. Settle admission state first (nonces forward, included txs
-	// out of the mempool), so submissions racing with the commit observe
-	// a consistent nonce sequence.
-	n.mpMu.Lock()
-	for i, tx := range block.Txs {
-		n.nonces[tx.From] = tx.Nonce + 1
-		n.mempool.Remove(hashes[i])
-	}
-	n.mpMu.Unlock()
-
-	// Commit the validated execution: the overlay's write set is the
-	// block diff — no second replay against the real state.
+	// Valid. Commit the validated execution: the overlay's write set is
+	// the block diff — no second replay against the real state — and
+	// commitBlock settles nonces and the mempool once the WAL has it.
 	applied := &Block{Header: h, Txs: block.Txs, Receipts: receipts}
 	return n.commitBlock(applied, overlay.TakeDeltas(), scratch)
 }

@@ -40,6 +40,9 @@ type Executor interface {
 	Query(st StateRW, contract cryptoutil.Address, method string, args []byte, bctx BlockContext) ([]byte, error)
 }
 
+// maxTxsPerBlock caps the transactions one block carries.
+const maxTxsPerBlock = 1024
+
 // Config configures a Node.
 type Config struct {
 	// Key is this node's authority key.
@@ -54,8 +57,6 @@ type Config struct {
 	Clock simclock.Clock
 	// GenesisTime is the timestamp of block 0.
 	GenesisTime time.Time
-	// MaxTxsPerBlock caps block size; defaults to 1024.
-	MaxTxsPerBlock int
 	// MempoolCapacity bounds the transaction pool; defaults to 8192. At
 	// capacity, admission evicts the cheapest speculative tail when the
 	// incoming transaction strictly price-beats it, and rejects with
@@ -64,10 +65,6 @@ type Config struct {
 	// MaxPendingPerSender caps one sender's queued transactions; defaults
 	// to 1024. Beyond it, admission rejects with ErrQuotaExceeded.
 	MaxPendingPerSender int
-	// PriceBumpPercent is the minimum gas-price increase (percent) a
-	// replace-by-fee submission must bid over the queued transaction it
-	// replaces; defaults to 10. A strict increase is required even at 0.
-	PriceBumpPercent int
 	// ExecWorkers bounds the parallel transaction scheduler used by block
 	// sealing and validation (see parallel.go). 0 (the default) uses
 	// GOMAXPROCS; 1 forces the exact legacy serial execution path. Every
@@ -105,7 +102,6 @@ type Node struct {
 	authorities []cryptoutil.Address
 	executor    Executor
 	clock       simclock.Clock
-	maxTxs      int
 	execWorkers int
 
 	mu       sync.RWMutex
@@ -174,10 +170,6 @@ func NewNode(cfg Config) (*Node, error) {
 	if clk == nil {
 		clk = simclock.Real{}
 	}
-	maxTxs := cfg.MaxTxsPerBlock
-	if maxTxs <= 0 {
-		maxTxs = 1024
-	}
 	poolCap := cfg.MempoolCapacity
 	if poolCap <= 0 {
 		poolCap = 8192
@@ -186,19 +178,14 @@ func NewNode(cfg Config) (*Node, error) {
 	if quota <= 0 {
 		quota = 1024
 	}
-	bump := cfg.PriceBumpPercent
-	if bump <= 0 {
-		bump = 10
-	}
 	n := &Node{
 		key:         cfg.Key,
 		authorities: append([]cryptoutil.Address(nil), cfg.Authorities...),
 		executor:    cfg.Executor,
 		clock:       clk,
-		maxTxs:      maxTxs,
 		execWorkers: cfg.ExecWorkers,
 		state:       NewState(),
-		mempool:     newMempool(poolCap, quota, bump),
+		mempool:     newMempool(poolCap, quota),
 		nonces:      make(map[cryptoutil.Address]uint64),
 		waiters:     make(map[cryptoutil.Hash][]chan *Receipt),
 		receipts:    make(map[cryptoutil.Hash]*Receipt),
@@ -311,16 +298,18 @@ var errPredecessorRefused = fmt.Errorf("%w: an earlier transaction of this sende
 // A refusal takes the sender's later transactions in the batch with it,
 // whether or not this node's own queue would have let them continue (a
 // peer's refusal arrives here as a failed verdict), so withdrawing a
-// refused transaction never leaves a successor queued behind the gap.
-// It returns the indexes it newly queued (duplicates and committed
-// rebroadcasts excluded), which is what withdraw undoes. It is the only
-// caller of enqueueLocked, so nothing enters a mempool unverified unless
-// a test hands admit an unverified transaction on purpose.
+// refused transaction never leaves a successor queued behind the gap. A
+// replay on a committed nonce is the exception: it was never queued, so
+// no successor hangs on it. admit returns the indexes it newly queued
+// (duplicates and committed rebroadcasts excluded), which is what
+// withdraw undoes. It is the only caller of enqueueLocked, so nothing
+// enters a mempool unverified unless a test hands admit an unverified
+// transaction on purpose.
 func (n *Node) admit(txs []*Tx, out []TxVerdict) (added []int) {
 	added = make([]int, 0, len(txs))
-	var stale []int
 	var refused map[cryptoutil.Address]bool // senders with a refusal so far
 	n.mpMu.Lock()
+	defer n.mpMu.Unlock()
 	for i, tx := range txs {
 		switch {
 		case out[i].Err != nil: // refused upstream: by verification, or by a peer
@@ -333,46 +322,20 @@ func (n *Node) admit(txs []*Tx, out []TxVerdict) (added []int) {
 				added = append(added, i)
 			}
 		}
-		switch err := out[i].Err; {
-		case err == nil:
-		case errors.Is(err, ErrTxStale):
-			// Settled below. It was never queued, so no successor hangs
-			// on it.
-			stale = append(stale, i)
-		default:
+		if err := out[i].Err; err != nil && !errors.Is(err, ErrTxStale) {
 			if refused == nil {
 				refused = make(map[cryptoutil.Address]bool)
 			}
 			refused[tx.From] = true
 		}
 	}
-	n.mpMu.Unlock()
-	if len(stale) == 0 {
-		return added
-	}
-	// A nonce below the committed sequence is an idempotent rebroadcast
-	// only when this node committed that very transaction (a peer sealed
-	// it before this enqueue landed); anything else reusing the nonce is
-	// a replay. Block production advances nonces before it indexes
-	// receipts, both under sealMu, so passing through sealMu first lets a
-	// block in flight land. Nothing is held here, which keeps the lock
-	// order sealMu → mpMu → mu.
-	n.sealMu.Lock()
-	n.mu.RLock()
-	for _, i := range stale {
-		if n.receipts[out[i].Hash] != nil {
-			out[i].Err = nil
-		}
-	}
-	n.mu.RUnlock()
-	n.sealMu.Unlock()
 	return added
 }
 
 // withdraw removes from the mempool the transactions of added (indexes
 // into out, as admit returned them) whose verdict failed, or all of them.
-// The network layer uses it to undo an admission a peer refused; whatever
-// a concurrent seal has already taken stays taken.
+// The network layer uses it to undo an admission a peer refused; a block
+// being sealed concurrently still carries what it selected.
 func (n *Node) withdraw(out []TxVerdict, added []int, all bool) {
 	n.mpMu.Lock()
 	defer n.mpMu.Unlock()
@@ -389,7 +352,9 @@ func (n *Node) withdraw(out []TxVerdict, added []int, all bool) {
 // with a sufficient price bump (replace-by-fee). Appends are subject to
 // the sender quota and the pool capacity; at a full pool the transaction
 // must price-beat the cheapest speculative tail, which is evicted. A
-// transaction already queued is a success that adds nothing.
+// transaction already queued, or committed by this node, is a success
+// that adds nothing; another transaction on a committed nonce is
+// ErrTxStale.
 func (n *Node) enqueueLocked(tx *Tx, h cryptoutil.Hash) (added bool, err error) {
 	m := n.metrics
 	if n.mempool.Contains(h) {
@@ -399,6 +364,15 @@ func (n *Node) enqueueLocked(tx *Tx, h cryptoutil.Hash) (added bool, err error) 
 	committed := n.nonces[tx.From]
 	if tx.Nonce < committed {
 		m.Stale.Inc()
+		// commitBlock advances a nonce and indexes the block's receipts
+		// in one section under mpMu, so the index already holds every
+		// transaction below committed that this node committed.
+		n.mu.RLock()
+		r := n.receipts[h]
+		n.mu.RUnlock()
+		if r != nil {
+			return false, nil
+		}
 		return false, fmt.Errorf("%w: got %d, committed %d", ErrTxStale, tx.Nonce, committed)
 	}
 	if tx.GasLimit > MaxTxGasLimit {
@@ -509,16 +483,11 @@ func (n *Node) seal(force bool) (*Block, error) {
 	sealTm := n.metrics.SealDuration.Start()
 	defer sealTm.Stop()
 
-	// Drain the mempool and advance nonces in the same critical section,
-	// so a submission racing with sealing always sees a consistent
-	// committed+pending nonce sequence. Execution then proceeds without
-	// blocking admission of the next block's transactions.
+	// Select the block's transactions. They stay queued, and nonces stay
+	// put, until commitBlock settles the block, so admission runs on
+	// during execution and a seal that fails changes nothing.
 	n.mpMu.Lock()
-	txs, hashes := n.mempool.Take(n.maxTxs, n.nonces)
-	for _, tx := range txs {
-		n.nonces[tx.From] = tx.Nonce + 1
-	}
-	n.noteOccupancyLocked()
+	txs, hashes := n.mempool.Take(maxTxsPerBlock, n.nonces)
 	n.mpMu.Unlock()
 
 	bctx := BlockContext{Number: number, Time: n.clock.Now()}
@@ -584,10 +553,12 @@ func (n *Node) executeBlock(overlay *Overlay, txs []*Tx, hashes []cryptoutil.Has
 // previous committed state. A WAL failure aborts the commit with memory
 // untouched — the deltas are simply dropped — so the PR 4 invariant
 // (memory never ahead of disk-acknowledged state) holds with no rollback
-// path at all. Only the O(touched-keys) delta fold, the ledger append,
-// the gas charge, and waiter wakeups run under the write lock; when a
-// snapshot is due, a copy-on-write export is taken after mu is released
-// (sealMu alone keeps writers out) and handed to the background writer.
+// path at all. Only then is the block settled, in one section under mpMu
+// and mu: nonces and the mempool (settleLocked), the O(touched-keys)
+// delta fold, the ledger append, the gas charge, the receipt index and
+// waiter wakeups. When a snapshot is due, a copy-on-write export is
+// taken after the locks are released (sealMu alone keeps writers out)
+// and handed to the background writer.
 func (n *Node) commitBlock(block *Block, deltas []Delta, scratch *blockScratch) error {
 	if n.wal != nil {
 		frame := encodeWALBlock(scratch, &walBlock{
@@ -604,6 +575,8 @@ func (n *Node) commitBlock(block *Block, deltas []Delta, scratch *blockScratch) 
 	}
 	var events []Event
 	tr := n.metrics.Tracer
+	n.mpMu.Lock()
+	n.settleLocked(block.Txs)
 	n.mu.Lock()
 	st := n.state
 	foldTm := n.metrics.FoldLatency.Start()
@@ -641,6 +614,7 @@ func (n *Node) commitBlock(block *Block, deltas []Delta, scratch *blockScratch) 
 		}
 	}
 	n.mu.Unlock()
+	n.mpMu.Unlock()
 	if len(events) > 0 {
 		// Published outside mu; sealMu keeps cross-block event order.
 		n.feed.publish(events)
@@ -657,6 +631,18 @@ func (n *Node) commitBlock(block *Block, deltas []Delta, scratch *blockScratch) 
 	n.metrics.BlocksCommitted.Inc()
 	n.metrics.BlockTxs.Observe(int64(len(block.Txs)))
 	return nil
+}
+
+// settleLocked is the one writer of n.nonces: it moves each sender of a
+// committed block's transactions past its nonce and drops what the
+// sender still queues below it — the block's own transactions, or a
+// replacement of one of them. mpMu must be held.
+func (n *Node) settleLocked(txs []*Tx) {
+	for _, tx := range txs {
+		n.nonces[tx.From] = tx.Nonce + 1
+		n.mempool.Settle(tx.From, tx.Nonce+1)
+	}
+	n.noteOccupancyLocked()
 }
 
 // WaitForReceipt blocks until the transaction is included in a block or

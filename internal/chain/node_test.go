@@ -3,6 +3,7 @@ package chain
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -357,32 +358,36 @@ func TestCostLedgerRecordsGas(t *testing.T) {
 	}
 }
 
+// TestMaxTxsPerBlock: one block carries at most maxTxsPerBlock
+// transactions; the rest stay queued for the next.
 func TestMaxTxsPerBlock(t *testing.T) {
 	key := cryptoutil.MustGenerateKey()
 	node, err := NewNode(Config{
-		Key:            key,
-		Authorities:    []cryptoutil.Address{key.Address()},
-		Executor:       testExecutor{},
-		GenesisTime:    chainEpoch,
-		MaxTxsPerBlock: 2,
+		Key:                 key,
+		Authorities:         []cryptoutil.Address{key.Address()},
+		Executor:            testExecutor{},
+		GenesisTime:         chainEpoch,
+		MaxPendingPerSender: maxTxsPerBlock + 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	contract := testContractAddr()
-	for i := range 5 {
-		if _, err := submit1(node, mustTx(t, key, uint64(i), contract, string(rune('a'+i)), "v")); err != nil {
-			t.Fatal(err)
-		}
+	batch := make([]*Tx, maxTxsPerBlock+1)
+	for i := range batch {
+		batch[i] = mustTx(t, key, uint64(i), contract, fmt.Sprintf("k%d", i), "v")
+	}
+	if _, err := submitAll(node, batch); err != nil {
+		t.Fatal(err)
 	}
 	b1, err := node.Seal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(b1.Txs) != 2 {
-		t.Fatalf("block 1 txs = %d, want 2", len(b1.Txs))
+	if len(b1.Txs) != maxTxsPerBlock {
+		t.Fatalf("block 1 txs = %d, want %d", len(b1.Txs), maxTxsPerBlock)
 	}
-	if node.PendingTxs() != 3 {
-		t.Fatalf("pending = %d, want 3", node.PendingTxs())
+	if node.PendingTxs() != 1 {
+		t.Fatalf("pending = %d, want 1", node.PendingTxs())
 	}
 }

@@ -212,11 +212,11 @@ func recoverNode(cfg Config, wal *store.WAL, records []store.Record) (*Node, err
 
 	// Rebuild admission and accounting views from the recovered ledger:
 	// committed nonces and the gas cost ledger are pure functions of the
-	// blocks, so they need no dedicated records.
+	// blocks, so they need no dedicated records. Nonces go through the
+	// one settlement path commits use (the mempool is still empty).
+	n.mpMu.Lock()
 	for _, b := range blocks {
-		for _, tx := range b.Txs {
-			n.nonces[tx.From] = tx.Nonce + 1
-		}
+		n.settleLocked(b.Txs)
 		n.costs.Record(b.GasUsed())
 		// The hash → receipt index is likewise a pure function of the
 		// blocks; rebuilding it here keeps Receipt/WaitForReceipt O(1)
@@ -225,6 +225,7 @@ func recoverNode(cfg Config, wal *store.WAL, records []store.Record) (*Node, err
 			n.receipts[r.TxHash] = r
 		}
 	}
+	n.mpMu.Unlock()
 	n.blocks = append(n.blocks, blocks...)
 	n.state = st
 	n.attachStore(cfg, wal, diffs[base:]) // blocks[i] is height i+1

@@ -591,7 +591,9 @@ func TestStateTakeDiffAndApplyDiff(t *testing.T) {
 // TestCommitRollsBackOnWALFailure: when the WAL refuses the block
 // record, the commit is aborted AND the executed mutations are reverted
 // — the node stays exactly at its previous committed block (memory
-// consistent with disk and peers), rather than diverging silently.
+// consistent with disk and peers), rather than diverging silently. Its
+// admission state stays too: nonces, the queued transaction and the
+// cost ledger read as they did before the seal.
 func TestCommitRollsBackOnWALFailure(t *testing.T) {
 	dir := t.TempDir()
 	key := cryptoutil.MustGenerateKey()
@@ -608,9 +610,12 @@ func TestCommitRollsBackOnWALFailure(t *testing.T) {
 	if err := n.wal.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := submit1(n, mustTx(t, key, 1, testContractAddr(), "b", "2")); err != nil {
+	queued := mustTx(t, key, 1, testContractAddr(), "b", "2")
+	if _, err := submit1(n, queued); err != nil {
 		t.Fatal(err)
 	}
+	addr := key.Address()
+	committed, next, spent := n.CommittedNonce(addr), n.NonceFor(addr), n.Costs().TotalSpent()
 	clk.Advance(time.Second)
 	if _, err := n.Seal(); err == nil {
 		t.Fatal("seal succeeded with a dead WAL")
@@ -623,5 +628,107 @@ func TestCommitRollsBackOnWALFailure(t *testing.T) {
 	}
 	if n.State().Root() != n.Head().Header.StateRoot {
 		t.Fatal("live state root no longer matches the committed head root")
+	}
+	if got := n.CommittedNonce(addr); got != committed {
+		t.Fatalf("CommittedNonce = %d after the refused seal, want %d", got, committed)
+	}
+	if got := n.NonceFor(addr); got != next {
+		t.Fatalf("NonceFor = %d after the refused seal, want %d", got, next)
+	}
+	n.mpMu.Lock()
+	stillQueued := n.mempool.Contains(queued.Hash())
+	n.mpMu.Unlock()
+	if n.PendingTxs() != 1 || !stillQueued {
+		t.Fatalf("PendingTxs = %d (queued tx present: %v), want the nonce-1 tx still queued", n.PendingTxs(), stillQueued)
+	}
+	if got := n.Costs().TotalSpent(); got != spent {
+		t.Fatalf("cost ledger = %d after the refused seal, want %d", got, spent)
+	}
+	if h, err := submit1(n, queued); err != nil || h != queued.Hash() {
+		t.Fatalf("resubmitting the queued tx: hash %s, err %v; want its hash and nil", h.Short(), err)
+	}
+	if n.PendingTxs() != 1 {
+		t.Fatalf("PendingTxs after the resubmission = %d, want 1", n.PendingTxs())
+	}
+}
+
+// TestFailedSealLeavesValidatorsAgreed: the in-turn proposer of a
+// three-validator durable cluster fails its WAL append. Every validator
+// keeps the admission view it had, so the round taken over out of turn
+// commits the transaction and the sender's next nonce is admitted on
+// every live node.
+func TestFailedSealLeavesValidatorsAgreed(t *testing.T) {
+	clk := simclock.NewSim(chainEpoch)
+	keys := make([]*cryptoutil.KeyPair, 3)
+	auths := make([]cryptoutil.Address, len(keys))
+	for i := range keys {
+		keys[i] = cryptoutil.MustGenerateKey()
+		auths[i] = keys[i].Address()
+	}
+	nodes := make([]*Node, len(keys))
+	for i := range nodes {
+		cfg := durableConfig(t.TempDir(), keys[i], clk)
+		cfg.Authorities = auths
+		n, err := OpenNode(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = n.Close() })
+		nodes[i] = n
+	}
+	net, err := NewNetwork(nodes...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sender := cryptoutil.MustGenerateKey()
+	addr := sender.Address()
+	tx0 := mustTx(t, sender, 0, testContractAddr(), "k", "0")
+	if _, err := submit1(net, tx0); err != nil {
+		t.Fatal(err)
+	}
+	type view struct {
+		committed, next uint64
+		pending         int
+	}
+	viewOf := func(n *Node) view { return view{n.CommittedNonce(addr), n.NonceFor(addr), n.PendingTxs()} }
+	before := make([]view, len(nodes))
+	for i, n := range nodes {
+		before[i] = viewOf(n)
+	}
+
+	inTurn := nodes[1] // height 1 belongs to authorities[1]
+	if err := inTurn.wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(time.Second)
+	if _, err := net.SealNext(); err == nil {
+		t.Fatal("SealNext succeeded with the in-turn proposer's WAL closed")
+	}
+	for i, n := range nodes {
+		if got := viewOf(n); got != before[i] {
+			t.Fatalf("node %d after the refused round: %+v, want %+v", i, got, before[i])
+		}
+	}
+
+	net.SetDown(inTurn.Address(), true)
+	clk.Advance(time.Second)
+	block, err := net.SealNext()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(block.Txs) != 1 || block.Txs[0].Hash() != tx0.Hash() {
+		t.Fatalf("out-of-turn block carries %d txs, want tx0 alone", len(block.Txs))
+	}
+	tx1 := mustTx(t, sender, 1, testContractAddr(), "k", "1")
+	if _, err := submit1(net, tx1); err != nil {
+		t.Fatalf("next nonce after the out-of-turn commit: %v", err)
+	}
+	for i, n := range nodes {
+		if n == inTurn {
+			continue
+		}
+		if got, want := viewOf(n), (view{1, 2, 1}); got != want {
+			t.Fatalf("live node %d: %+v, want %+v", i, got, want)
+		}
 	}
 }

@@ -30,8 +30,7 @@ type Cluster struct {
 // public key is caKey, on cfg.Validators authority nodes. It is the one
 // way this repository boots a validator cluster: NewDeployment and the
 // de-node binary both call it. It reads cfg's Validators, DataDir,
-// WALSync, ExecWorkers, MempoolCapacity, SenderQuota and Obs; priceBump is
-// the replace-by-fee bump in percent (0 = the chain default).
+// WALSync, ExecWorkers, MempoolCapacity, SenderQuota and Obs.
 //
 // Genesis is clk.Now(). With cfg.DataDir each validator is durable under
 // DataDir/node-<i>/ and its authority key is persisted there as key.der,
@@ -39,7 +38,7 @@ type Cluster struct {
 // without one the keys are random. With cfg.Obs validator 0's chain (and
 // WAL, when durable) is metered, as is the process's verified-signature
 // table. On error every node already opened is closed.
-func NewCluster(cfg Config, clk simclock.Clock, caKey []byte, priceBump int) (*Cluster, error) {
+func NewCluster(cfg Config, clk simclock.Clock, caKey []byte) (*Cluster, error) {
 	runtime := contract.NewRuntime()
 	c := &Cluster{
 		Nodes:   make([]*chain.Node, cfg.Validators),
@@ -83,7 +82,6 @@ func NewCluster(cfg Config, clk simclock.Clock, caKey []byte, priceBump int) (*C
 		cc.ExecWorkers = cfg.ExecWorkers
 		cc.MempoolCapacity = cfg.MempoolCapacity
 		cc.MaxPendingPerSender = cfg.SenderQuota
-		cc.PriceBumpPercent = priceBump
 		n, err := chain.OpenNode(*cc)
 		if err != nil {
 			return nil, errors.Join(fmt.Errorf("core: open validator %d: %w", i, err), c.Close())

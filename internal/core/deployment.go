@@ -141,7 +141,7 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 	if err != nil {
 		return nil, err
 	}
-	cluster, err := NewCluster(cfg, clk, manufacturer.CAPublicBytes(), 0)
+	cluster, err := NewCluster(cfg, clk, manufacturer.CAPublicBytes())
 	if err != nil {
 		return nil, err
 	}

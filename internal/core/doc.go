@@ -28,8 +28,8 @@
 // signatures concurrently.
 // Deployment.SubmitBatch is the all-or-nothing form for pre-signed
 // batches: verified once, enqueued on every validator under one mempool
-// lock acquisition each, and sealed in as few blocks as MaxTxsPerBlock
-// allows. Oracles (pull-in, push-out) run their own goroutines observing
+// lock acquisition each, and sealed in as few blocks as the chain's
+// per-block cap (1024 transactions) allows. Oracles (pull-in, push-out) run their own goroutines observing
 // node 0; their delivery is asynchronous, which is why tests wait on
 // WaitPolicyVersion / WaitForRoundClosure rather than assuming
 // synchronous propagation. Both are woken by what they wait for (the

@@ -11,7 +11,7 @@ import (
 type SyncPolicy int
 
 const (
-	// SyncInterval (the default) fsyncs every Options.SyncEvery appends —
+	// SyncInterval (the default) fsyncs every syncEvery (64) appends —
 	// the middle ground: a machine crash loses at most one sync window.
 	SyncInterval SyncPolicy = iota
 	// SyncAlways fsyncs after every append: nothing acknowledged is ever
@@ -52,20 +52,13 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 type Options struct {
 	// Sync is the fsync policy (default SyncInterval).
 	Sync SyncPolicy
-	// SyncEvery is the append count between fsyncs under SyncInterval
-	// (default 64).
-	SyncEvery int
 	// Metrics receives append/fsync latency and byte counts; nil (the
 	// default) records nothing.
 	Metrics *Metrics
 }
 
-func (o Options) withDefaults() Options {
-	if o.SyncEvery <= 0 {
-		o.SyncEvery = 64
-	}
-	return o
-}
+// syncEvery is the append count between fsyncs under SyncInterval.
+const syncEvery = 64
 
 // Record is one decoded WAL record plus the file offset just past it, so
 // callers that layer their own validation on top (e.g. chain linkage) can
@@ -125,7 +118,7 @@ func OpenWAL(path string, opts Options) (*WAL, []Record, error) {
 	if _, err := f.Seek(offset, 0); err != nil {
 		return nil, nil, errors.Join(fmt.Errorf("store: seek wal: %w", err), f.Close())
 	}
-	w := &WAL{f: f, size: offset, opts: opts.withDefaults()}
+	w := &WAL{f: f, size: offset, opts: opts}
 	w.m = opts.Metrics.orNoop()
 	return w, records, nil
 }
@@ -181,7 +174,7 @@ func (w *WAL) append(frame, payload []byte) error {
 	case SyncAlways:
 		return w.syncLocked()
 	case SyncInterval:
-		if w.pending >= w.opts.SyncEvery {
+		if w.pending >= syncEvery {
 			return w.syncLocked()
 		}
 	}

@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // AppendRecord appends the framed encoding of payload to dst: the
@@ -214,17 +216,20 @@ func TestWALOversizedLength(t *testing.T) {
 }
 
 // TestWALSyncPolicies smoke-tests each policy end to end and pins the
-// interval policy's fsync cadence via the pending counter reset.
+// interval policy's fsync cadence: syncEvery+1 appends fsync once under
+// it, at every append under SyncAlways and never under SyncNever.
 func TestWALSyncPolicies(t *testing.T) {
+	want := map[SyncPolicy]uint64{SyncAlways: syncEvery + 1, SyncInterval: 1, SyncNever: 0}
 	for _, policy := range []SyncPolicy{SyncAlways, SyncInterval, SyncNever} {
 		t.Run(policy.String(), func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "wal.log")
-			w, _ := openForTest(t, path, Options{Sync: policy, SyncEvery: 2})
-			appendAll(t, w, []byte("a"), []byte("b"), []byte("c"))
-			switch policy {
-			case SyncAlways, SyncInterval:
-				// a,b synced (always: each; interval: at the 2nd), c pending
-				// under interval only.
+			m := NewMetrics(obs.NewRegistry())
+			w, _ := openForTest(t, path, Options{Sync: policy, Metrics: m})
+			for i := range syncEvery + 1 {
+				appendAll(t, w, fmt.Appendf(nil, "record-%03d", i))
+			}
+			if got := m.Fsyncs.Value(); got != want[policy] {
+				t.Fatalf("policy %s: %d fsyncs over %d appends, want %d", policy, got, syncEvery+1, want[policy])
 			}
 			if err := w.Sync(); err != nil {
 				t.Fatal(err)
@@ -233,7 +238,7 @@ func TestWALSyncPolicies(t *testing.T) {
 				t.Fatal(err)
 			}
 			_, recs := openForTest(t, path, Options{})
-			if len(recs) != 3 {
+			if len(recs) != syncEvery+1 {
 				t.Fatalf("policy %s: recovered %d records", policy, len(recs))
 			}
 		})
@@ -309,8 +314,8 @@ func TestDecodeRecordBounds(t *testing.T) {
 // cross several sync windows.
 func TestWALManyRecords(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	w, _ := openForTest(t, path, Options{Sync: SyncInterval, SyncEvery: 16})
-	const n = 100
+	w, _ := openForTest(t, path, Options{Sync: SyncInterval})
+	const n = 3*syncEvery + 8
 	for i := range n {
 		if err := w.Append(fmt.Appendf(nil, "record-%03d", i)); err != nil {
 			t.Fatal(err)
@@ -321,8 +326,8 @@ func TestWALManyRecords(t *testing.T) {
 	if len(recs) != n {
 		t.Fatalf("recovered %d records, want %d", len(recs), n)
 	}
-	if got := string(recs[n-1].Payload); got != "record-099" {
-		t.Fatalf("last record = %q", got)
+	if got, want := string(recs[n-1].Payload), fmt.Sprintf("record-%03d", n-1); got != want {
+		t.Fatalf("last record = %q, want %q", got, want)
 	}
 }
 
