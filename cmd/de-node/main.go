@@ -38,7 +38,9 @@
 //	                          line out per transaction — what fits is
 //	                          admitted, the rest is reported with a
 //	                          retryable flag instead of failing the
-//	                          whole upload
+//	                          whole upload; a transaction spelled in
+//	                          more than maxTxValueBytes ends the
+//	                          stream as garbage does
 package main
 
 import (
@@ -243,6 +245,35 @@ type TxVerdictWire struct {
 // verifies and broadcasts per round trip to the network layer.
 const streamChunkSize = 256
 
+// maxTxValueBytes bounds one transaction's JSON in /txs/stream. Twice a
+// block's byte budget leaves room for base64 arguments and field names;
+// a transaction that needs more could not be admitted anyway
+// (chain.ErrTxTooLarge).
+const maxTxValueBytes = 2 * chain.MaxBlockTxBytes
+
+// errTxValueTooLarge ends a stream whose next value outgrows
+// maxTxValueBytes.
+var errTxValueTooLarge = fmt.Errorf("a transaction exceeds %d bytes of JSON", maxTxValueBytes)
+
+// valueReader feeds a stream decoder at most maxTxValueBytes past the
+// end of the last value it decoded, so one value cannot make the decoder
+// buffer without bound.
+type valueReader struct {
+	io.Reader
+	dec  *json.Decoder
+	read int64 // bytes handed to the decoder
+}
+
+func (v *valueReader) Read(p []byte) (int, error) {
+	room := v.dec.InputOffset() + maxTxValueBytes - v.read
+	if room <= 0 {
+		return 0, errTxValueTooLarge
+	}
+	n, err := v.Reader.Read(p[:min(int64(len(p)), room)])
+	v.read += int64(n)
+	return n, err
+}
+
 // newAPIMux builds the cluster's HTTP status/query/submission API, reading
 // from validator 0. The block interval sizes the stream's Retry-After
 // hint, which tells a client holding retryable verdicts when to resend.
@@ -287,7 +318,9 @@ func newAPIMux(cluster *core.Cluster, interval time.Duration) *http.ServeMux {
 				flusher.Flush()
 			}
 		}
-		dec := json.NewDecoder(r.Body)
+		body := &valueReader{Reader: r.Body}
+		dec := json.NewDecoder(body)
+		body.dec = dec
 		chunk := make([]*chain.Tx, 0, streamChunkSize)
 		for {
 			var tx *chain.Tx

@@ -257,6 +257,70 @@ func TestTxStreamEndpoint(t *testing.T) {
 	}
 }
 
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// TestTxStreamBoundsEachValue: the largest transaction admission takes
+// streams through, while a value spelled in more than maxTxValueBytes
+// ends the stream with a bad-stream pseudo-verdict once the handler has
+// read that much of it, never the rest.
+func TestTxStreamBoundsEachValue(t *testing.T) {
+	cluster := newTestCluster(t, core.Config{Validators: 1})
+	mux := newAPIMux(cluster, time.Second)
+	largest, err := chain.NewTx(cryptoutil.MustGenerateKey(), 0, cluster.DEAddr, "registerPod",
+		make([]byte, chain.MaxBlockTxBytes-1024), distexchange.DefaultGasLimit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := json.Marshal(largest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first = append(first, '\n')
+	oversized := io.MultiReader(
+		strings.NewReader(`{"args":"`),
+		io.LimitReader(zeroDigits{}, 2*maxTxValueBytes),
+		strings.NewReader(`"}`),
+	)
+	body := &countingReader{r: io.MultiReader(bytes.NewReader(first), oversized)}
+	rec := httptest.NewRecorder()
+	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/txs/stream", body))
+
+	lines := strings.Split(strings.TrimSuffix(rec.Body.String(), "\n"), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("%d verdict lines, want 2: %q", len(lines), lines)
+	}
+	var v TxVerdictWire
+	if err := json.Unmarshal([]byte(lines[0]), &v); err != nil || !v.Ok || v.Hash != largest.Hash().String() {
+		t.Fatalf("largest admissible tx: %q (%v), want ok with its hash", lines[0], err)
+	}
+	if err := json.Unmarshal([]byte(lines[1]), &v); err != nil || v.Ok || !strings.Contains(v.Error, errTxValueTooLarge.Error()) {
+		t.Fatalf("oversized value: %q (%v), want the bad-stream verdict naming the bound", lines[1], err)
+	}
+	if max := len(first) + maxTxValueBytes; body.n > max {
+		t.Fatalf("handler read %d bytes, want at most %d", body.n, max)
+	}
+}
+
+// zeroDigits is an endless run of '0', a valid base64 body.
+type zeroDigits struct{}
+
+func (zeroDigits) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = '0'
+	}
+	return len(p), nil
+}
+
 // streamTx posts one transaction to /txs/stream and returns its verdict.
 func streamTx(t *testing.T, srv *httptest.Server, tx *chain.Tx) TxVerdictWire {
 	t.Helper()

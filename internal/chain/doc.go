@@ -111,7 +111,16 @@
 // different transaction on a committed nonce is ErrTxStale. A block
 // being sealed has not committed yet: its transactions are still queued,
 // so a rebroadcast is a duplicate and another transaction on its nonce is
-// judged as replace-by-fee, then dropped when the original commits.
+// judged as replace-by-fee, then dropped when the original commits. For
+// the same reason they hold pool room until then: they count against the
+// capacity and their sender's quota (ErrQuotaExceeded, retryable), and an
+// in-flight tail can be evicted; it is counted evicted and still commits.
+//
+// Size is bounded at the door too: a transaction larger than a block's
+// byte budget (MaxBlockTxBytes, a sixteenth of store.MaxRecordSize) is
+// ErrTxTooLarge. Take fills the budget and ApplyBlock refuses a block over
+// it (ErrBlockTooLarge), so no selection can build a WAL record the log
+// refuses on every retry.
 //
 // Signature verification — the dominant CPU cost of admission and
 // validation — never runs under any node lock, and runs on the

@@ -281,19 +281,13 @@ func (mp *mempool) Remove(h cryptoutil.Hash) bool {
 		mp.size--
 	}
 	sq.txs = sq.txs[:idx]
-	if len(sq.txs) == 0 {
-		heap.Remove(&mp.tails, sq.evictIdx)
-		delete(mp.senders, sq.addr)
-	} else {
-		heap.Fix(&mp.tails, sq.evictIdx)
-	}
+	mp.refit(sq)
 	return true
 }
 
 // Settle drops from's queued transactions below next, the sender's
 // committed nonce once a block commits: the block's own transactions,
-// and any replacement whose original the block carried. A head pop
-// leaves a multi-entry queue's tail, and so the tail heap, as it was.
+// and any replacement whose original the block carried.
 func (mp *mempool) Settle(from cryptoutil.Address, next uint64) {
 	sq := mp.senders[from]
 	if sq == nil {
@@ -309,10 +303,7 @@ func (mp *mempool) Settle(from cryptoutil.Address, next uint64) {
 	}
 	sq.txs = sq.txs[n:]
 	mp.size -= n
-	if len(sq.txs) == 0 {
-		heap.Remove(&mp.tails, sq.evictIdx)
-		delete(mp.senders, sq.addr)
-	}
+	mp.refit(sq)
 }
 
 // dropTail evicts the speculative tail of sq (capacity pressure).
@@ -321,6 +312,13 @@ func (mp *mempool) dropTail(sq *senderQueue) {
 	delete(mp.byHash, t.hash)
 	sq.txs = sq.txs[:len(sq.txs)-1]
 	mp.size--
+	mp.refit(sq)
+}
+
+// refit brings the indexes up to date after sq lost entries: an emptied
+// queue leaves the tail heap and the sender map, any other moves to its
+// tail's place in the heap.
+func (mp *mempool) refit(sq *senderQueue) {
 	if len(sq.txs) == 0 {
 		heap.Remove(&mp.tails, sq.evictIdx)
 		delete(mp.senders, sq.addr)
@@ -332,9 +330,11 @@ func (mp *mempool) dropTail(sq *senderQueue) {
 // Take selects up to max queued transactions for a block without
 // dequeuing them: highest gas price first, ties broken by ascending hash,
 // per-sender nonce order always preserved (a sender's second transaction
-// is only eligible once its first was picked). committed maps senders to
-// their next expected nonce; only a queue whose head carries it is
-// eligible. The admission-time hashes are handed out alongside (parallel
+// is only eligible once its first was picked). The selection's txSizeHint
+// total stays within maxBytes: a sender whose next transaction does not
+// fit what is left drops out of this block, and the others go on.
+// committed maps senders to their next expected nonce; only a queue
+// whose head carries it is eligible. The admission-time hashes are handed out alongside (parallel
 // to the transactions), so sealing never rehashes what the pool already
 // indexed. The selected transactions stay queued until their block
 // commits and Settle drops them, so a seal that fails leaves the pool as
@@ -343,7 +343,7 @@ func (mp *mempool) dropTail(sq *senderQueue) {
 // Selection iterates the tail heap's backing slice and drains a strict
 // total-order candidate heap, so the result is deterministic and
 // map-iteration-free.
-func (mp *mempool) Take(max int, committed map[cryptoutil.Address]uint64) ([]*Tx, []cryptoutil.Hash) {
+func (mp *mempool) Take(max, maxBytes int, committed map[cryptoutil.Address]uint64) ([]*Tx, []cryptoutil.Hash) {
 	if mp.size == 0 || max <= 0 {
 		return nil, nil
 	}
@@ -362,6 +362,12 @@ func (mp *mempool) Take(max int, committed map[cryptoutil.Address]uint64) ([]*Tx
 	for len(out) < max && cands.Len() > 0 {
 		c := cands[0]
 		p := c.sq.txs[c.idx]
+		size := txSizeHint(p.tx)
+		if size > maxBytes {
+			heap.Pop(&cands)
+			continue
+		}
+		maxBytes -= size
 		out = append(out, p.tx)
 		hashes = append(hashes, p.hash)
 		if c.idx+1 < len(c.sq.txs) {

@@ -52,7 +52,7 @@ func TestMempoolIndexedOperations(t *testing.T) {
 	if mp.PendingFrom(key.Address()) != 2 {
 		t.Fatalf("PendingFrom after remove = %d, want 2", mp.PendingFrom(key.Address()))
 	}
-	got, hashes := mp.Take(10, nil)
+	got, hashes := mp.Take(10, MaxBlockTxBytes, nil)
 	want := []uint64{0, 1}
 	if len(got) != len(want) || len(hashes) != len(want) {
 		t.Fatalf("Take returned %d txs and %d hashes, want %d", len(got), len(hashes), len(want))
@@ -85,7 +85,7 @@ func TestMempoolTakeRespectsLimit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	first, _ := mp.Take(3, nil)
+	first, _ := mp.Take(3, MaxBlockTxBytes, nil)
 	if len(first) != 3 || first[0].Nonce != 0 || first[2].Nonce != 2 {
 		t.Fatalf("Take(3) = %d txs starting at nonce %d", len(first), first[0].Nonce)
 	}
@@ -96,7 +96,7 @@ func TestMempoolTakeRespectsLimit(t *testing.T) {
 	if mp.Len() != 5 {
 		t.Fatalf("Len after settling the partial Take = %d, want 5", mp.Len())
 	}
-	if next, _ := mp.Take(1, map[cryptoutil.Address]uint64{key.Address(): 3}); len(next) != 1 || next[0].Nonce != 3 {
+	if next, _ := mp.Take(1, MaxBlockTxBytes, map[cryptoutil.Address]uint64{key.Address(): 3}); len(next) != 1 || next[0].Nonce != 3 {
 		t.Fatalf("Take after Settle = %v, want nonce 3", next)
 	}
 }
@@ -122,7 +122,7 @@ func TestMempoolPriceOrderedTake(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, _ := mp.Take(10, nil)
+	got, _ := mp.Take(10, MaxBlockTxBytes, nil)
 	if len(got) != 4 {
 		t.Fatalf("Take returned %d txs, want 4", len(got))
 	}
@@ -172,7 +172,7 @@ func TestMempoolTakeDeterministicAcrossInsertionOrders(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		got, _ := mp.Take(len(txs), nil)
+		got, _ := mp.Take(len(txs), MaxBlockTxBytes, nil)
 		return got
 	}
 
@@ -239,7 +239,7 @@ func TestMempoolEvictionUnwindsIndexes(t *testing.T) {
 	// Seal and settle one slot, then readmit the evicted transaction: its
 	// nonce is cheap's expected tail again, so admission must accept it
 	// cleanly.
-	if got, _ := mp.Take(1, nil); len(got) != 1 || got[0].Hash() != bid.Hash() {
+	if got, _ := mp.Take(1, MaxBlockTxBytes, nil); len(got) != 1 || got[0].Hash() != bid.Hash() {
 		t.Fatalf("Take(1) = %v, want rich's bid first", got)
 	}
 	mp.Settle(rich.Address(), 1)
@@ -793,5 +793,64 @@ func TestStaleNonceRebroadcastDuringSeal(t *testing.T) {
 				t.Fatalf("CommittedNonce = %d, want 1", got)
 			}
 		})
+	}
+}
+
+// TestInFlightTxsHoldPoolRoom: a block's transactions stay queued until
+// it commits, so while it is in flight they count against their
+// sender's quota (retryable ErrQuotaExceeded), and at a full pool a
+// cheap in-flight tail is the eviction victim. The evicted transaction
+// still commits with its block, and the pool settles consistently.
+func TestInFlightTxsHoldPoolRoom(t *testing.T) {
+	key := cryptoutil.MustGenerateKey()
+	clk := simclock.NewSim(chainEpoch)
+	gate := gatedExecutor{entered: make(chan struct{}), release: make(chan struct{})}
+	node, err := NewNode(Config{
+		Key: key, Authorities: []cryptoutil.Address{key.Address()},
+		Executor: gate, Clock: clk, GenesisTime: chainEpoch, ExecWorkers: 1,
+		MempoolCapacity: 2, MaxPendingPerSender: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	alice, bob, carol := cryptoutil.MustGenerateKey(), cryptoutil.MustGenerateKey(), cryptoutil.MustGenerateKey()
+	inFlight := mustTxPriced(t, alice, 0, testContractAddr(), "a", "0", 50)
+	if _, err := submit1(node, inFlight); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(time.Second)
+	sealed := make(chan error, 1)
+	go func() {
+		_, err := node.Seal()
+		sealed <- err
+	}()
+	<-gate.entered
+
+	next := mustTxPriced(t, alice, 1, testContractAddr(), "a", "1", 50)
+	if _, err := submit1(node, next); !errors.Is(err, ErrQuotaExceeded) || !IsBackpressure(err) {
+		t.Fatalf("alice's next nonce during the seal: err = %v, want retryable ErrQuotaExceeded", err)
+	}
+	if _, err := submit1(node, mustTxPriced(t, bob, 0, testContractAddr(), "b", "0", 100)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := submit1(node, mustTxPriced(t, carol, 0, testContractAddr(), "c", "0", 200)); err != nil {
+		t.Fatalf("carol at a full pool: %v, want alice's in-flight tail evicted", err)
+	}
+	node.mpMu.Lock()
+	evicted := !node.mempool.Contains(inFlight.Hash())
+	node.mpMu.Unlock()
+	if !evicted {
+		t.Fatal("carol was admitted, but alice's in-flight tail is still queued")
+	}
+	close(gate.release)
+	if err := <-sealed; err != nil {
+		t.Fatal(err)
+	}
+	if node.Receipt(inFlight.Hash()) == nil || node.CommittedNonce(alice.Address()) != 1 {
+		t.Fatal("the evicted in-flight tx did not commit with its block")
+	}
+	if node.PendingTxs() != 2 || node.NonceFor(alice.Address()) != 1 {
+		t.Fatalf("after the commit: PendingTxs %d, alice's next nonce %d; want bob and carol queued, 1",
+			node.PendingTxs(), node.NonceFor(alice.Address()))
 	}
 }

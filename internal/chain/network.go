@@ -20,6 +20,7 @@ var (
 	ErrBadReceiptRoot = errors.New("chain: receipt root mismatch")
 	ErrBadStateRoot   = errors.New("chain: state root mismatch")
 	ErrBadTimestamp   = errors.New("chain: block timestamp not after parent")
+	ErrBlockTooLarge  = errors.New("chain: block transactions exceed the byte budget")
 )
 
 // ApplyBlock validates a block sealed by another authority and, if valid,
@@ -45,7 +46,7 @@ var (
 //   - Tx.Hash is HashOf(SigningBytes, Signature) over length-prefixed
 //     parts, so a hash hit means the same signing bytes and the same
 //     signature bytes;
-//   - everything hashAndVerify inspects (method, gas limit, sender
+//   - everything hashAndVerify inspects (method, gas limit, size, sender
 //     address and key) is inside SigningBytes, whose encoding is
 //     injective: every field is fixed-width or length-prefixed;
 //   - admit is the only way into a node's mempool, and both its callers
@@ -56,8 +57,8 @@ var (
 // was evicted or replaced, one a byzantine proposer wrote straight into
 // the block, and every transaction seen by a freshly restarted node
 // (empty mempool) misses the lookup and gets the full check. The header
-// signature, tx root, gas cap, re-execution, and both root comparisons
-// apply to every transaction regardless.
+// signature, byte budget, tx root, gas cap, re-execution, and both root
+// comparisons apply to every transaction regardless.
 func (n *Node) ApplyBlock(block *Block, proposerKey []byte) error {
 	n.sealMu.Lock()
 	defer n.sealMu.Unlock()
@@ -93,6 +94,22 @@ func (n *Node) ApplyBlock(block *Block, proposerKey []byte) error {
 	if err := h.verifySeal(proposerKey); err != nil {
 		return err
 	}
+	// The per-tx gas cap and the byte budget are enforced here as well as
+	// at admission, before anything is hashed or run: a byzantine proposer
+	// writes over-cap transactions straight into a block, bypassing
+	// Submit. Each rejection carries its own sentinel (ErrBadTxInBlock
+	// wraps its cause as text, which would hide errors.Is).
+	size := 0
+	for _, tx := range block.Txs {
+		if tx.GasLimit > MaxTxGasLimit {
+			return fmt.Errorf("%w: tx %s declares %d, cap %d",
+				ErrGasTooLarge, tx.Hash().Short(), tx.GasLimit, MaxTxGasLimit)
+		}
+		size += txSizeHint(tx)
+	}
+	if size > MaxBlockTxBytes {
+		return fmt.Errorf("%w: %d bytes, budget %d", ErrBlockTooLarge, size, MaxBlockTxBytes)
+	}
 	hashes := txHashes(scratch, block.Txs)
 	n.mpMu.Lock()
 	var unadmitted []*Tx
@@ -109,17 +126,6 @@ func (n *Node) ApplyBlock(block *Block, proposerKey []byte) error {
 	n.metrics.SigsVerified.Add(uint64(len(unadmitted)))
 	if got := txRoot(scratch, hashes); got != h.TxRoot {
 		return ErrBadTxRoot
-	}
-	// The per-tx gas cap is enforced here as well as at admission: a
-	// byzantine proposer writes over-cap transactions straight into a
-	// block, bypassing Submit. Checked separately from verify so the
-	// rejection carries its own sentinel (ErrBadTxInBlock wraps the cause
-	// as text, which would hide errors.Is(ErrGasTooLarge)).
-	for i, tx := range block.Txs {
-		if tx.GasLimit > MaxTxGasLimit {
-			return fmt.Errorf("%w: tx %s declares %d, cap %d",
-				ErrGasTooLarge, hashes[i].Short(), tx.GasLimit, MaxTxGasLimit)
-		}
 	}
 
 	// Re-execute on an overlay and compare roots before touching real

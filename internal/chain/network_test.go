@@ -154,6 +154,17 @@ func TestNetworkRejectsTamperedBlock(t *testing.T) {
 		}
 	})
 
+	// The header seal does not cover the transaction list, so only the
+	// byte budget stands between a padded block and its tx root; it is
+	// checked before anything is hashed or run.
+	t.Run("over the byte budget", func(t *testing.T) {
+		padded := *block
+		padded.Txs = append(padded.Txs[:len(padded.Txs):len(padded.Txs)], &Tx{Args: make([]byte, MaxBlockTxBytes)})
+		if err := nodes[1].ApplyBlock(&padded, keys[0].PublicBytes()); !errors.Is(err, ErrBlockTooLarge) {
+			t.Fatalf("err = %v, want ErrBlockTooLarge", err)
+		}
+	})
+
 	// The text form signed Time.UnixNano, which wraps every 2^64 ns: a
 	// header re-dated by 584 years kept its hash and seal, was accepted,
 	// and the next honest block then failed with ErrBadTimestamp.

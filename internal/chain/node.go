@@ -43,6 +43,17 @@ type Executor interface {
 // maxTxsPerBlock caps the transactions one block carries.
 const maxTxsPerBlock = 1024
 
+// MaxBlockTxBytes is a block's byte budget: the encoded size of its
+// transactions, each counted at txSizeHint (a bound from above). Take
+// fills it, ApplyBlock refuses a block over it, and admission refuses a
+// transaction that could never fit it (ErrTxTooLarge). It is a sixteenth
+// of store.MaxRecordSize, so the block's WAL record keeps room for its
+// receipts and state diff: a record the WAL refuses would fail every
+// seal of the same selection and halt the chain. The largest block
+// record any benchmark workload writes, receipts and diff included, is
+// about 0.4 MB.
+const MaxBlockTxBytes = store.MaxRecordSize / 16
+
 // Config configures a Node.
 type Config struct {
 	// Key is this node's authority key.
@@ -487,7 +498,7 @@ func (n *Node) seal(force bool) (*Block, error) {
 	// put, until commitBlock settles the block, so admission runs on
 	// during execution and a seal that fails changes nothing.
 	n.mpMu.Lock()
-	txs, hashes := n.mempool.Take(maxTxsPerBlock, n.nonces)
+	txs, hashes := n.mempool.Take(maxTxsPerBlock, MaxBlockTxBytes, n.nonces)
 	n.mpMu.Unlock()
 
 	bctx := BlockContext{Number: number, Time: n.clock.Now()}

@@ -652,20 +652,17 @@ func TestCommitRollsBackOnWALFailure(t *testing.T) {
 	}
 }
 
-// TestFailedSealLeavesValidatorsAgreed: the in-turn proposer of a
-// three-validator durable cluster fails its WAL append. Every validator
-// keeps the admission view it had, so the round taken over out of turn
-// commits the transaction and the sender's next nonce is admitted on
-// every live node.
-func TestFailedSealLeavesValidatorsAgreed(t *testing.T) {
-	clk := simclock.NewSim(chainEpoch)
-	keys := make([]*cryptoutil.KeyPair, 3)
-	auths := make([]cryptoutil.Address, len(keys))
+// openDurableCluster opens size durable validators, each with its own
+// data directory, behind one Network; they are closed when t ends.
+func openDurableCluster(t *testing.T, clk *simclock.Sim, size int) ([]*Node, *Network) {
+	t.Helper()
+	keys := make([]*cryptoutil.KeyPair, size)
+	auths := make([]cryptoutil.Address, size)
 	for i := range keys {
 		keys[i] = cryptoutil.MustGenerateKey()
 		auths[i] = keys[i].Address()
 	}
-	nodes := make([]*Node, len(keys))
+	nodes := make([]*Node, size)
 	for i := range nodes {
 		cfg := durableConfig(t.TempDir(), keys[i], clk)
 		cfg.Authorities = auths
@@ -680,6 +677,17 @@ func TestFailedSealLeavesValidatorsAgreed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return nodes, net
+}
+
+// TestFailedSealLeavesValidatorsAgreed: the in-turn proposer of a
+// three-validator durable cluster fails its WAL append. Every validator
+// keeps the admission view it had, so the round taken over out of turn
+// commits the transaction and the sender's next nonce is admitted on
+// every live node.
+func TestFailedSealLeavesValidatorsAgreed(t *testing.T) {
+	clk := simclock.NewSim(chainEpoch)
+	nodes, net := openDurableCluster(t, clk, 3)
 	sender := cryptoutil.MustGenerateKey()
 	addr := sender.Address()
 	tx0 := mustTx(t, sender, 0, testContractAddr(), "k", "0")

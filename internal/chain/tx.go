@@ -49,6 +49,7 @@ var (
 	ErrBadSignature = errors.New("chain: invalid transaction signature")
 	ErrNoMethod     = errors.New("chain: transaction missing method")
 	ErrGasLimitZero = errors.New("chain: transaction gas limit is zero")
+	ErrTxTooLarge   = errors.New("chain: transaction larger than a block's byte budget")
 )
 
 // hashAndVerify returns the transaction's hash and checks the sender
@@ -63,6 +64,8 @@ func (tx *Tx) hashAndVerify() (cryptoutil.Hash, error) {
 		return h, ErrNoMethod
 	case tx.GasLimit == 0:
 		return h, ErrGasLimitZero
+	case txSizeHint(tx) > MaxBlockTxBytes:
+		return h, fmt.Errorf("%w: %d bytes, budget %d", ErrTxTooLarge, txSizeHint(tx), MaxBlockTxBytes)
 	}
 	if err := cryptoutil.VerifyWithAddress(tx.From, tx.SenderKey, enc, tx.Signature); err != nil {
 		return h, fmt.Errorf("%w: %v", ErrBadSignature, err)
