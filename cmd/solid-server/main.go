@@ -93,8 +93,7 @@ func run(args []string) error {
 		host.SetMetrics(solid.NewMetrics(reg))
 	}
 	if *dataDir != "" {
-		host.EnablePersistence(filepath.Join(*dataDir, "pods"),
-			solid.PodStoreOptions{WAL: store.Options{Sync: syncPolicy}})
+		host.EnablePersistence(filepath.Join(*dataDir, "pods"), store.Options{Sync: syncPolicy})
 	}
 	names, keys, err := provisionPods(host, dir, baseURL, strings.Split(*owners, ","), clock, *dataDir)
 	if err != nil {

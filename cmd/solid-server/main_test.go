@@ -96,7 +96,7 @@ func TestServerDurableRestart(t *testing.T) {
 		dir := solid.NewMapDirectory()
 		host := solid.NewHost(dir, clock)
 		host.EnablePersistence(filepath.Join(dataDir, "pods"),
-			solid.PodStoreOptions{WAL: store.Options{Sync: store.SyncNever}})
+			store.Options{Sync: store.SyncNever})
 		srv := httptest.NewServer(host)
 		_, keys, err := provisionPods(host, dir, srv.URL, []string{"alice"}, clock, dataDir)
 		if err != nil {

@@ -16,7 +16,9 @@ import (
 //	"set"   {key, value}: writes value under "<contract>/<key>", emits "Set".
 //	"incr"  {key}       : read-modify-write counter at "<contract>/<key>"
 //	                      (every incr of one key conflicts with the last).
-//	"fail"  {}          : reverts with GasTxBase consumed.
+//	"fail"  {key}       : writes "<contract>/<key>" ("<contract>/reverted"
+//	                      without a key), then reverts: the caller must
+//	                      undo the write.
 //	"burn"  {amount}    : charges amount gas (tests out-of-gas handling).
 //	"get"   {key}       : query-only read returning {"value": ...}.
 type testExecutor struct{}
@@ -96,6 +98,12 @@ func (testExecutor) ExecuteTx(st StateRW, tx *Tx, bctx BlockContext) *Receipt {
 			Contract: tx.Contract, Topic: "Incr", Key: args.Key, Data: next,
 		})
 	case "fail":
+		var args setArgs
+		_ = json.Unmarshal(tx.Args, &args)
+		if args.Key == "" {
+			args.Key = "reverted"
+		}
+		st.Set(tx.Contract.String()+"/"+args.Key, []byte("written by a reverted transaction"))
 		r.Status = StatusReverted
 		r.Err = "deliberate failure"
 	case "burn":
@@ -112,7 +120,7 @@ func (testExecutor) ExecuteTx(st StateRW, tx *Tx, bctx BlockContext) *Receipt {
 	return r
 }
 
-func (testExecutor) Query(st StateRW, contract cryptoutil.Address, method string, args []byte, bctx BlockContext) ([]byte, error) {
+func (testExecutor) Query(st StateReader, contract cryptoutil.Address, method string, args []byte, bctx BlockContext) ([]byte, error) {
 	if method != "get" {
 		return nil, fmt.Errorf("unknown query %q", method)
 	}

@@ -175,10 +175,9 @@ func decodeChainSnapshot(payload []byte) (*chainSnapshot, error) {
 	d := store.NewDec(payload[1:])
 	snap := &chainSnapshot{Height: d.Uvarint()}
 	count := d.Count("snapshot keys", uint64(len(payload)))
-	snap.State = make(map[string][]byte, min(count, store.DecodeCapHint))
+	snap.State = make([]Delta, 0, min(count, store.DecodeCapHint))
 	for range count {
-		k := d.String()
-		snap.State[k] = d.Bytes()
+		snap.State = append(snap.State, Delta{K: d.String(), V: d.Bytes()})
 		if d.Err() != nil {
 			break
 		}

@@ -207,10 +207,42 @@ func TestCodecSnapshotRoundTrip(t *testing.T) {
 	if len(snap.State) != len(state) {
 		t.Fatalf("%d keys, want %d", len(snap.State), len(state))
 	}
-	for k, v := range state {
-		if !bytes.Equal(snap.State[k], v) {
-			t.Fatalf("key %q = %v, want %v", k, snap.State[k], v)
+	for i, d := range snap.State {
+		if i > 0 && snap.State[i-1].K >= d.K {
+			t.Fatalf("keys out of order: %q then %q", snap.State[i-1].K, d.K)
 		}
+		if v, ok := state[d.K]; !ok || d.Del || !bytes.Equal(d.V, v) {
+			t.Fatalf("key %q = %v, want %v", d.K, d.V, v)
+		}
+	}
+}
+
+// TestDecodedStateOwnsItsBytes: recovery moves a decoded snapshot's
+// entries and each block's decoded diff into the state without copying
+// them, which is sound only because the decoders copy every key and value
+// out of the record. Overwriting a record after decoding it must not
+// reach what was decoded from it.
+func TestDecodedStateOwnsItsBytes(t *testing.T) {
+	payload := appendChainSnapshot(nil, 1, map[string][]byte{"k": []byte("snapshot-value")})
+	snap, err := decodeChainSnapshot(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := benchWALBlock(2, 16)
+	want := block.Diff[0]
+	want.V = bytes.Clone(want.V)
+	record := encodeWALBlock(nil, block)[store.RecordHeaderSize:]
+	wr, err := decodeWALRecord(record)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clear(payload)
+	clear(record)
+	if d := snap.State[0]; d.K != "k" || string(d.V) != "snapshot-value" {
+		t.Fatalf("snapshot entry = %+v after its payload was overwritten", d)
+	}
+	if d := wr.Block.Diff[0]; d.K != want.K || !bytes.Equal(d.V, want.V) {
+		t.Fatalf("diff entry = %+v after its record was overwritten, want %+v", d, want)
 	}
 }
 

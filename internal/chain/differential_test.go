@@ -1,9 +1,13 @@
 package chain
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,7 +20,8 @@ import (
 // randomBlockTxs builds one block's worth of random transactions from a
 // set of senders: mostly "set" (random key/value over a bounded key
 // space, so overwrites and fresh keys both occur), with occasional
-// reverts ("fail") and gas burns sprinkled in.
+// reverts ("fail", which writes a key of the same space before it
+// reverts) and gas burns sprinkled in.
 func randomBlockTxs(t testing.TB, rng *rand.Rand, keys []*cryptoutil.KeyPair, nonces []uint64) []*Tx {
 	t.Helper()
 	var txs []*Tx
@@ -26,7 +31,7 @@ func randomBlockTxs(t testing.TB, rng *rand.Rand, keys []*cryptoutil.KeyPair, no
 		var err error
 		switch rng.Intn(10) {
 		case 0:
-			tx, err = NewTx(keys[s], nonces[s], testContractAddr(), "fail", []byte(`{}`), 100_000)
+			tx, err = NewTx(keys[s], nonces[s], testContractAddr(), "fail", setArgs{Key: fmt.Sprintf("k%03d", i)}, 100_000)
 		case 1:
 			tx, err = NewTx(keys[s], nonces[s], testContractAddr(), "burn", burnArgs{Amount: uint64(rng.Intn(50_000))}, 100_000)
 		default:
@@ -44,10 +49,112 @@ func randomBlockTxs(t testing.TB, rng *rand.Rand, keys []*cryptoutil.KeyPair, no
 	return txs
 }
 
-// TestDifferentialOverlayVsCloneReplay: the new overlay replay must be
-// observationally identical to the historical Clone()-based replay on
-// random workloads — same receipts, same state roots, same net diffs —
-// block after block as the ledger grows.
+// mapState is the reference model the overlay differential runs
+// against: a plain map that shares no code with State or Overlay. A
+// checkpoint clones the whole map and a revert restores the clone;
+// written collects the keys a surviving transaction wrote, which are the
+// keys a block's diff lists.
+type mapState struct {
+	data    map[string][]byte
+	written map[string]bool
+}
+
+// newMapState copies base's content into a fresh model.
+func newMapState(base StateReader) *mapState {
+	m := &mapState{data: make(map[string][]byte), written: make(map[string]bool)}
+	for _, k := range base.Keys("") {
+		m.data[k], _ = base.Get([]byte(k))
+	}
+	return m
+}
+
+func (m *mapState) Get(key []byte) ([]byte, bool) {
+	v, ok := m.data[string(key)]
+	return bytes.Clone(v), ok
+}
+
+func (m *mapState) Set(key string, value []byte) {
+	m.data[key] = bytes.Clone(value)
+	m.written[key] = true
+}
+
+func (m *mapState) Delete(key string) {
+	if _, ok := m.data[key]; ok {
+		delete(m.data, key)
+		m.written[key] = true
+	}
+}
+
+func (m *mapState) Keys(prefix string) []string {
+	var out []string
+	for k := range m.data {
+		if strings.HasPrefix(k, prefix) {
+			out = append(out, k)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+func (m *mapState) checkpoint() mapState {
+	return mapState{data: maps.Clone(m.data), written: maps.Clone(m.written)}
+}
+
+func (m *mapState) revert(cp mapState) { *m = cp }
+
+// replayReference executes one block on the model the way a block
+// executes: transactions in order, a reverted one leaving no writes and
+// no events, receipts stamped with the block and block-local event
+// indexes.
+func replayReference(ex Executor, m *mapState, txs []*Tx, bctx BlockContext) []*Receipt {
+	receipts := make([]*Receipt, 0, len(txs))
+	index := 0
+	for _, tx := range txs {
+		cp := m.checkpoint()
+		r := ex.ExecuteTx(m, tx, bctx)
+		if r.Status != StatusOK {
+			m.revert(cp)
+			r.Events = nil
+		}
+		r.TxHash = tx.Hash()
+		r.BlockNumber = bctx.Number
+		for j := range r.Events {
+			r.Events[j].BlockNumber = bctx.Number
+			r.Events[j].TxHash = r.TxHash
+			r.Events[j].Index = index
+			index++
+		}
+		receipts = append(receipts, r)
+	}
+	return receipts
+}
+
+// mapDiff is the reference block diff: every key whose value differs
+// between before and after, sorted by key.
+func mapDiff(before, after map[string][]byte) []Delta {
+	var diff []Delta
+	for k, v := range after {
+		if old, ok := before[k]; !ok || !bytes.Equal(old, v) {
+			diff = append(diff, Delta{K: k, V: v})
+		}
+	}
+	for k := range before {
+		if _, ok := after[k]; !ok {
+			diff = append(diff, Delta{K: k, Del: true})
+		}
+	}
+	sort.Slice(diff, func(i, j int) bool { return diff[i].K < diff[j].K })
+	return diff
+}
+
+// TestDifferentialOverlayVsCloneReplay: the overlay replay must be
+// observationally identical to a clone-and-replay reference — the model
+// above, which clones its whole map at every checkpoint — on random
+// workloads: same receipts, same state roots, same net diffs, block
+// after block as the ledger grows. The reference's root is recomputed
+// from every leaf, and its diff is the difference of the maps before and
+// after the block, so the overlay's incremental root, journal and layer
+// are checked against nothing that shares their code.
 func TestDifferentialOverlayVsCloneReplay(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 4, 5} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -58,50 +165,68 @@ func TestDifferentialOverlayVsCloneReplay(t *testing.T) {
 			nonces := make([]uint64, len(keys))
 			ex := testExecutor{}
 			st := NewState() // canonical committed state, advanced via overlay deltas
+			model := newMapState(st)
 			for block := range 40 {
 				txs := randomBlockTxs(t, rng, keys, nonces)
 				bctx := BlockContext{Number: uint64(block + 1), Time: chainEpoch.Add(time.Duration(block) * time.Second)}
 
-				// New path: copy-on-write overlay.
+				// The overlay, as sealing and validation run it.
 				overlay := NewOverlay(st)
 				ovReceipts := replayTxs(ex, overlay, txs, txHashes(nil, txs), bctx)
 				ovRoot := overlay.Root()
 
-				// Old path: deep clone, direct execution, journal diff.
-				clone := st.Clone()
-				clReceipts := replayTxs(ex, clone, txs, txHashes(nil, txs), bctx)
-				clDiff := clone.TakeDiff()
+				// The reference: the same block on the map model.
+				before := maps.Clone(model.data)
+				clear(model.written)
+				refReceipts := replayReference(ex, model, txs, bctx)
+				refRoot, refBytes := recompute(model)
 
-				if len(ovReceipts) != len(clReceipts) {
+				if len(ovReceipts) != len(refReceipts) {
 					t.Fatalf("block %d: receipt counts differ", block)
 				}
-				for i := range clReceipts {
-					if ovReceipts[i].Digest() != clReceipts[i].Digest() {
-						t.Fatalf("block %d: receipt %d differs:\noverlay %+v\nclone   %+v",
-							block, i, ovReceipts[i], clReceipts[i])
+				for i := range refReceipts {
+					if ovReceipts[i].Digest() != refReceipts[i].Digest() {
+						t.Fatalf("block %d: receipt %d differs:\noverlay   %+v\nreference %+v",
+							block, i, ovReceipts[i], refReceipts[i])
 					}
 				}
-				if ovRoot != clone.Root() {
-					t.Fatalf("block %d: overlay root %s != clone root %s", block, ovRoot.Short(), clone.Root().Short())
+				if ovRoot != refRoot {
+					t.Fatalf("block %d: overlay root %s != reference root %s", block, ovRoot.Short(), refRoot.Short())
 				}
 
+				// The overlay's diff lists exactly the keys a surviving
+				// transaction wrote; the entries that change the ledger
+				// are the maps' difference, and the rest (a key created
+				// and deleted, or rewritten with its value) change nothing.
 				deltas := overlay.TakeDeltas()
-				if len(deltas) != len(clDiff) {
-					t.Fatalf("block %d: overlay diff has %d entries, clone diff %d:\n%+v\n%+v",
-						block, len(deltas), len(clDiff), deltas, clDiff)
+				var net []Delta
+				for _, d := range deltas {
+					if !model.written[d.K] {
+						t.Fatalf("block %d: diff entry %+v for a key no surviving transaction wrote", block, d)
+					}
+					if old, ok := before[d.K]; d.Del && ok || !d.Del && (!ok || !bytes.Equal(old, d.V)) {
+						net = append(net, d)
+					}
 				}
-				for i := range clDiff {
-					if deltas[i].K != clDiff[i].K || deltas[i].Del != clDiff[i].Del ||
-						string(deltas[i].V) != string(clDiff[i].V) {
-						t.Fatalf("block %d: diff entry %d differs: %+v vs %+v", block, i, deltas[i], clDiff[i])
+				if len(deltas) != len(model.written) {
+					t.Fatalf("block %d: overlay diff has %d entries, the reference wrote %d keys", block, len(deltas), len(model.written))
+				}
+				want := mapDiff(before, model.data)
+				if len(net) != len(want) {
+					t.Fatalf("block %d: overlay diff changes %d keys, reference %d:\n%+v\n%+v",
+						block, len(net), len(want), net, want)
+				}
+				for i := range want {
+					if net[i].K != want[i].K || net[i].Del != want[i].Del || !bytes.Equal(net[i].V, want[i].V) {
+						t.Fatalf("block %d: diff entry %d differs: %+v vs %+v", block, i, net[i], want[i])
 					}
 				}
 
 				// Advance the canonical state the way commitBlock does and
-				// check it against both replays.
+				// check it against the reference.
 				st.applyDeltas(deltas)
-				if st.Root() != ovRoot {
-					t.Fatalf("block %d: folded root diverged", block)
+				if st.Root() != refRoot || st.Bytes() != refBytes {
+					t.Fatalf("block %d: folded root or size diverged", block)
 				}
 			}
 		})

@@ -1,9 +1,9 @@
 // Package chain implements the blockchain substrate of the usage-control
 // architecture: ECDSA-signed transactions, a hash-indexed mempool,
-// proof-of-authority block production, a journaled key-value state with
-// deterministic state roots, receipts, topic-filterable event logs with
-// subscriptions, and a gas schedule used by the affordability
-// experiments.
+// proof-of-authority block production, a committed key-value state that
+// only blocks write, with deterministic state roots, receipts,
+// topic-filterable event logs with subscriptions, and a gas schedule used
+// by the affordability experiments.
 //
 // The package replaces the public blockchain the paper assumes. It keeps
 // the same interface contract — submit a signed transaction, have it
@@ -83,10 +83,10 @@
 // with atomic stores and whichever worker finds the walk idle advances
 // it (see frontier in parallel.go).
 //
-// What the locks do NOT guarantee: a Query observes the live state store
-// (State is internally synchronized, so reads are memory-safe), which
-// means a query racing a commit may see a partially applied block's
-// writes. Callers needing block-atomic reads should key off
+// What the locks do NOT guarantee: a Query observes the live committed
+// State (read-only outside the package and internally synchronized, so
+// reads are memory-safe), which means a query racing a commit may see a
+// partially applied block's writes. Callers needing block-atomic reads should key off
 // WaitForReceipt or event subscriptions. State and CostLedger carry their
 // own synchronization and may be read without node locks.
 //
@@ -226,7 +226,8 @@
 // validator, and no cadence to configure.
 // Reopening the same directory reconstructs the node: the newest usable
 // snapshot bounds replay, the diff tail is applied with every block's
-// state root checked against its header, and nonces plus the gas cost
+// state root checked against its header (the snapshot and each diff are
+// folded in by applyDeltas, the same fold a commit uses), and nonces plus the gas cost
 // ledger are rebuilt from the recovered blocks (the tail counter restarts
 // at what was replayed). Torn log tails (a crash
 // mid-append) are truncated back to the last complete record; corrupt

@@ -31,8 +31,7 @@ var (
 // the executed code is validated by the consensus mechanism of the
 // blockchain".
 //
-// The overlay replaced the historical State.Clone() replica: validation
-// now costs O(touched keys) instead of O(ledger) per block, the block is
+// Validation costs O(touched keys) per block, not O(ledger); the block is
 // executed exactly once (on success the overlay's write set IS the commit
 // diff — no second replay against the real state), and the whole phase —
 // signature checks, execution, and the WAL append — runs without the
@@ -157,7 +156,7 @@ func (n *Node) ApplyBlock(block *Block, proposerKey []byte) error {
 // the single execution path for sealing and validation; it never
 // touches the node's cost ledger — commitBlock charges gas once the
 // block is durable.
-func replayTxs(ex Executor, st StateRW, txs []*Tx, hashes []cryptoutil.Hash, bctx BlockContext) []*Receipt {
+func replayTxs(ex Executor, st *Overlay, txs []*Tx, hashes []cryptoutil.Hash, bctx BlockContext) []*Receipt {
 	receipts := make([]*Receipt, 0, len(txs))
 	eventIndex := 0
 	for i, tx := range txs {
@@ -210,25 +209,20 @@ type Network struct {
 	// Partition state. When cells is non-nil the cluster is split: each
 	// member belongs to a cell, only the quorum cell (the one holding a
 	// strict majority of members) makes progress, and cross-cell traffic
-	// is buffered until Heal drops it. A nil cells map means fully
+	// is held back until Heal drops it. A nil cells map means fully
 	// connected.
 	cells      map[cryptoutil.Address]int
 	quorumCell int
-	// buffered holds cross-cell deliveries queued while partitioned; Heal
-	// discards them (the partition "eventually drops" in-flight traffic)
-	// and re-syncs minority nodes from a live peer instead.
-	buffered []bufferedDelivery
+	// undelivered counts the cross-cell block broadcasts held back while
+	// partitioned, up to maxBufferedDeliveries. None is ever delivered:
+	// Heal drops them all (the partition "eventually drops" in-flight
+	// traffic), reports how many, and re-syncs minority nodes from a live
+	// peer instead.
+	undelivered int
 }
 
-// bufferedDelivery is one block broadcast held back by a partition.
-type bufferedDelivery struct {
-	to          cryptoutil.Address
-	block       *Block
-	proposerKey []byte
-}
-
-// maxBufferedDeliveries caps the cross-cell buffer; a long-lived
-// partition eventually drops traffic rather than queueing unboundedly.
+// maxBufferedDeliveries caps the cross-cell traffic a partition holds
+// back; a long-lived partition drops what comes past it on the floor.
 const maxBufferedDeliveries = 1024
 
 // Partition errors.
@@ -330,7 +324,7 @@ func refill[K comparable, V any](dst, src map[K]V) map[K]V {
 // Partition splits the cluster into isolated cells. Every current member
 // must be assigned a cell, and exactly one cell must hold a strict
 // majority of members — that quorum cell keeps sealing while the others
-// stall with their traffic buffered (and eventually dropped). Refuses to
+// stall with their traffic held back (and eventually dropped). Refuses to
 // stack partitions: Heal first.
 func (net *Network) Partition(cells map[cryptoutil.Address]int) error {
 	net.mu.Lock()
@@ -364,12 +358,12 @@ func (net *Network) Partition(cells map[cryptoutil.Address]int) error {
 	return nil
 }
 
-// Heal reconnects a partitioned cluster: the cross-cell delivery buffer
-// is dropped (those broadcasts are long gone — minority nodes re-sync
-// instead, re-validating every block, so a heal cannot smuggle in
+// Heal reconnects a partitioned cluster: the held-back cross-cell
+// deliveries are dropped (those broadcasts are long gone — minority nodes
+// re-sync instead, re-validating every block, so a heal cannot smuggle in
 // unvalidated state), and every lagging live node catches up from the
 // most advanced live peer. Returns the number of blocks synced across
-// all nodes and the number of buffered deliveries dropped.
+// all nodes and the number of held-back deliveries dropped.
 func (net *Network) Heal() (synced int, dropped int, err error) {
 	net.mu.Lock()
 	if net.cells == nil {
@@ -377,8 +371,8 @@ func (net *Network) Heal() (synced int, dropped int, err error) {
 		return 0, 0, errors.New("chain: network is not partitioned")
 	}
 	net.cells = nil
-	dropped = len(net.buffered)
-	net.buffered = nil
+	dropped = net.undelivered
+	net.undelivered = 0
 	net.mu.Unlock()
 
 	v := net.liveView()
@@ -426,18 +420,17 @@ func (net *Network) Partitioned() bool {
 	return net.cells != nil
 }
 
-// bufferDelivery queues a cross-cell broadcast while partitioned,
-// dropping it outright once the buffer cap is reached.
-func (net *Network) bufferDelivery(to cryptoutil.Address, block *Block, proposerKey []byte) {
+// holdBack counts a cross-cell broadcast withheld by the partition, up
+// to the cap; past it the broadcast is dropped uncounted.
+func (net *Network) holdBack() {
 	net.mu.Lock()
 	defer net.mu.Unlock()
 	if net.cells == nil {
 		return // healed concurrently: the node will re-sync anyway
 	}
-	if len(net.buffered) >= maxBufferedDeliveries {
-		return
+	if net.undelivered < maxBufferedDeliveries {
+		net.undelivered++
 	}
-	net.buffered = append(net.buffered, bufferedDelivery{to: to, block: block, proposerKey: proposerKey})
 }
 
 // SealNext asks the in-turn authority to seal the next block and
@@ -520,8 +513,8 @@ func (net *Network) SealNext() (*Block, error) {
 		}
 		if !v.reachable(addr) {
 			// Live but on the wrong side of the split: the broadcast is
-			// buffered (and eventually dropped) instead of delivered.
-			net.bufferDelivery(addr, block, proposerKey)
+			// held back (and dropped at the heal) instead of delivered.
+			net.holdBack()
 			continue
 		}
 		followers = append(followers, n)

@@ -26,18 +26,18 @@ type BlockContext struct {
 // Executor runs transactions against state. It is implemented by the
 // contract runtime (package contract); the indirection keeps the chain
 // package free of contract semantics, as an EVM is pluggable in a real
-// node. Execution receives the StateRW interface rather than a concrete
-// *State: block production and validation run against a copy-on-write
-// *Overlay of the committed state, while queries read the committed
-// *State directly — the executor cannot tell the difference.
+// node. A transaction runs on a StateRW, which block production and
+// validation back with a copy-on-write *Overlay of the committed state; a
+// query reads a StateReader, the committed *State itself, and has no way
+// to write it.
 type Executor interface {
 	// ExecuteTx runs a state-mutating transaction and returns its receipt.
-	// On a revert, the executor must leave the state untouched (the node
-	// additionally guards with a checkpoint).
+	// A reverted transaction's writes are undone by the caller, which
+	// wraps each execution in an overlay checkpoint.
 	ExecuteTx(st StateRW, tx *Tx, bctx BlockContext) *Receipt
 	// Query runs a read-only method with no transaction and no gas
-	// accounting. It must not mutate state.
-	Query(st StateRW, contract cryptoutil.Address, method string, args []byte, bctx BlockContext) ([]byte, error)
+	// accounting.
+	Query(st StateReader, contract cryptoutil.Address, method string, args []byte, bctx BlockContext) ([]byte, error)
 }
 
 // maxTxsPerBlock caps the transactions one block carries.
@@ -745,8 +745,8 @@ func (n *Node) EventsDropped() uint64 { return n.feed.Dropped() }
 // Costs returns the node's gas cost ledger.
 func (n *Node) Costs() *CostLedger { return &n.costs }
 
-// State returns the node's state store. Contracts deployed on the
-// executor share it; external callers must treat it as read-only.
+// State returns the node's committed state: the ledger as of the head
+// block. It is read-only: only a committed block changes it.
 func (n *Node) State() *State {
 	n.mu.RLock()
 	defer n.mu.RUnlock()

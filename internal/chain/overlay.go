@@ -8,48 +8,36 @@ import (
 	"repro/internal/cryptoutil"
 )
 
-// StateRW is the mutable state surface transaction execution runs
-// against. Both the committed *State and the copy-on-write *Overlay
-// satisfy it, so the same executor code path serves direct execution,
-// block validation, and benchmark replay without knowing which backing
-// it writes to.
-type StateRW interface {
+// StateReader is the read surface of state: what a query runs against
+// (the committed *State) and what an Overlay layers over (the committed
+// *State for a block overlay, or a parent *Overlay for the
+// per-transaction child overlays the parallel scheduler executes against,
+// parallel.go). An Overlay's point reads of its base go through view,
+// which serves both without copying.
+type StateReader interface {
 	// Get returns the value for key (a copy) and whether it exists. The
 	// key is only read: a contract builds it in a reused buffer, and the
 	// lookup allocates nothing for it.
 	Get(key []byte) ([]byte, bool)
+	// Keys returns the keys with the given prefix, sorted.
+	Keys(prefix string) []string
+}
+
+// StateRW is the surface a transaction executes against. Its one
+// implementation is *Overlay: sealing, validation and the parallel
+// scheduler's children all run transactions on an overlay, and a
+// committed block reaches the *State only through applyDeltas.
+type StateRW interface {
+	StateReader
 	// Set stores a copy of value under key.
 	Set(key string, value []byte)
 	// Delete removes key (a no-op when absent).
 	Delete(key string)
-	// Keys returns the keys with the given prefix, sorted.
-	Keys(prefix string) []string
-	// Checkpoint marks the journal position for RevertTo.
-	Checkpoint() int
-	// RevertTo rolls back every mutation made after the checkpoint.
-	RevertTo(checkpoint int)
-	// Root returns the deterministic state commitment.
-	Root() cryptoutil.Hash
 }
 
 var (
-	_ StateRW = (*State)(nil)
-	_ StateRW = (*Overlay)(nil)
-)
-
-// stateView is the read surface an Overlay layers over: the committed
-// *State for a block overlay, or a parent *Overlay for the per-transaction
-// child overlays the parallel scheduler executes against (parallel.go).
-// Its point reads go through view, which serves both.
-type stateView interface {
-	Keys(prefix string) []string
-	Len() int
-	Root() cryptoutil.Hash
-}
-
-var (
-	_ stateView = (*State)(nil)
-	_ stateView = (*Overlay)(nil)
+	_ StateReader = (*State)(nil)
+	_ StateRW     = (*Overlay)(nil)
 )
 
 // overlayEntry is one key's pending effect in an overlay: a replacement
@@ -71,17 +59,19 @@ type overlayJournal struct {
 // through to the base, writes and deletes land in a small layer map, and
 // the XOR state root is maintained incrementally from the base's root.
 // Executing a block against an overlay therefore costs O(touched keys)
-// regardless of ledger size — this is what replaced the O(ledger)
-// State.Clone on the validation path — and on success the layer is
-// exactly the block's net diff, so no separate Diff pass is needed.
+// regardless of ledger size, and on success the layer is exactly the
+// block's net diff, so no separate Diff pass is needed. The overlay is
+// also where a reverted transaction is undone: Checkpoint and RevertTo
+// are the only journal in the package.
 //
 // The base state must not be mutated while the overlay is live (the
-// node's sealMu guarantees this: all state writers hold it). Concurrent
-// readers of the base are fine — the overlay never writes through.
-// An Overlay is safe for concurrent use, mirroring State's contract.
+// node's sealMu guarantees this: commitBlock, which folds blocks into a
+// live node's state, runs under it). Concurrent readers of the base are
+// fine — the overlay never writes through. An Overlay is safe for
+// concurrent use, mirroring State's contract.
 type Overlay struct {
 	mu      sync.RWMutex
-	base    stateView
+	base    StateReader
 	layer   map[string]overlayEntry
 	journal []overlayJournal
 	root    cryptoutil.Hash
@@ -131,7 +121,7 @@ type stateKey interface{ ~string | ~[]byte }
 
 // view returns key's value in v WITHOUT copying. The result is immutable
 // by the contract lookup documents.
-func view[K stateKey](v stateView, key K) ([]byte, bool) {
+func view[K stateKey](v StateReader, key K) ([]byte, bool) {
 	switch v := v.(type) {
 	case *State:
 		return lookup(v, key)
@@ -144,9 +134,9 @@ func view[K stateKey](v stateView, key K) ([]byte, bool) {
 }
 
 // effective returns key's current value as seen through o, without
-// copying. o.mu must be held. The returned slice is immutable (both State
-// and the layer store fresh copies and never mutate in place), so it is
-// safe to hash or alias.
+// copying. o.mu must be held. The returned slice is immutable (neither
+// State nor the layer mutates a stored slice in place), so it is safe to
+// hash or alias.
 func effective[K stateKey](o *Overlay, key K) ([]byte, bool) {
 	if e, ok := o.layer[string(key)]; ok {
 		if e.del {
@@ -205,9 +195,9 @@ func (o *Overlay) Set(key string, value []byte) {
 }
 
 // Delete removes key. Deleting an absent key is a no-op (and is not
-// journaled), matching State.Delete. On a read-recording child the key
-// joins the read set either way: whether the delete takes effect depends
-// on the key's existence, which is an observation of state.
+// journaled). On a read-recording child the key joins the read set
+// either way: whether the delete takes effect depends on the key's
+// existence, which is an observation of state.
 func (o *Overlay) Delete(key string) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -293,23 +283,6 @@ func (o *Overlay) Root() cryptoutil.Hash {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
 	return o.root
-}
-
-// Len returns the number of keys visible through the overlay.
-func (o *Overlay) Len() int {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	n := o.base.Len()
-	for k, e := range o.layer {
-		_, inBase := view(o.base, k)
-		switch {
-		case e.del && inBase:
-			n--
-		case !e.del && !inBase:
-			n++
-		}
-	}
-	return n
 }
 
 // TakeDeltas drains the overlay's write set as the block's net diff, one

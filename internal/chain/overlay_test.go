@@ -10,19 +10,19 @@ import (
 )
 
 // referenceState builds a committed state with n keys under two
-// prefixes.
+// prefixes, folded in as one block.
 func referenceState(n int) *State {
-	st := NewState()
+	kv := make([]string, 0, 2*n+2)
 	for i := range n {
-		st.Set(fmt.Sprintf("a/%04d", i), []byte(fmt.Sprintf("v%d", i)))
+		kv = append(kv, fmt.Sprintf("a/%04d", i), fmt.Sprintf("v%d", i))
 	}
-	st.Set("b/only", []byte("base"))
-	st.DiscardJournal()
+	st := NewState()
+	foldSet(st, append(kv, "b/only", "base")...)
 	return st
 }
 
 // TestOverlayReadThrough: an empty overlay is indistinguishable from its
-// base — values, key listings, length, and root.
+// base — values, key listings, and root.
 func TestOverlayReadThrough(t *testing.T) {
 	st := referenceState(8)
 	ov := NewOverlay(st)
@@ -37,9 +37,6 @@ func TestOverlayReadThrough(t *testing.T) {
 	}
 	if ov.Root() != st.Root() {
 		t.Fatal("fresh overlay root differs from base")
-	}
-	if ov.Len() != st.Len() {
-		t.Fatalf("Len = %d, want %d", ov.Len(), st.Len())
 	}
 }
 
@@ -74,9 +71,6 @@ func TestOverlayWritesShadowBase(t *testing.T) {
 	if st.Root() != baseRoot {
 		t.Fatal("base root changed")
 	}
-	if ov.Len() != st.Len() { // +1 added, -1 deleted
-		t.Fatalf("Len = %d, want %d", ov.Len(), st.Len())
-	}
 }
 
 // TestOverlayGetReturnsCopy: mutating a Get result must not corrupt the
@@ -97,13 +91,13 @@ func TestOverlayGetReturnsCopy(t *testing.T) {
 }
 
 // TestOverlayRootMatchesFoldedState: for a random mutation sequence, the
-// overlay's incrementally maintained root equals the root of a state
-// that applied the same mutations directly, and folding the drained
-// deltas into the base reproduces it exactly.
+// overlay's incrementally maintained root equals the root recomputed
+// from a plain map that applied the same mutations, and folding the
+// drained deltas into the base reproduces it exactly.
 func TestOverlayRootMatchesFoldedState(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	st := referenceState(32)
-	mirror := st.Clone()
+	mirror := newMapState(st)
 	ov := NewOverlay(st)
 	for i := range 500 {
 		key := fmt.Sprintf("a/%04d", rng.Intn(40)) // hits existing and fresh keys
@@ -115,7 +109,7 @@ func TestOverlayRootMatchesFoldedState(t *testing.T) {
 			ov.Set(key, val)
 			mirror.Set(key, val)
 		}
-		if ov.Root() != mirror.Root() {
+		if root, _ := recompute(mirror); ov.Root() != root {
 			t.Fatalf("root diverged after %d mutations", i+1)
 		}
 	}
@@ -126,11 +120,11 @@ func TestOverlayRootMatchesFoldedState(t *testing.T) {
 		}
 	}
 	st.applyDeltas(deltas)
-	if st.Root() != mirror.Root() {
+	if root, size := recompute(mirror); st.Root() != root || st.Bytes() != size {
 		t.Fatal("folding deltas into the base diverged from direct application")
 	}
-	if st.Len() != mirror.Len() {
-		t.Fatalf("folded Len = %d, mirror %d", st.Len(), mirror.Len())
+	if st.Len() != len(mirror.data) {
+		t.Fatalf("folded Len = %d, mirror %d", st.Len(), len(mirror.data))
 	}
 }
 
@@ -195,7 +189,7 @@ func TestOverlayDeleteOfFreshKey(t *testing.T) {
 
 // TestOverlayRevertCheckpointUnderConcurrentReaders: a writer cycling
 // Checkpoint / Set / Delete / RevertTo must never expose readers (Get,
-// Keys, Root, Len) to a torn view — the -race proof that the journal
+// Keys, Root) to a torn view — the -race proof that the journal
 // rollback path and the read paths share the overlay lock correctly.
 func TestOverlayRevertCheckpointUnderConcurrentReaders(t *testing.T) {
 	st := referenceState(16)
@@ -225,7 +219,7 @@ func TestOverlayRevertCheckpointUnderConcurrentReaders(t *testing.T) {
 				case 2:
 					_ = ov.Root()
 				case 3:
-					_ = ov.Len()
+					_, _ = ov.Get([]byte("b/only"))
 				}
 			}
 		}()

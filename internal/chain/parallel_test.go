@@ -206,7 +206,7 @@ func (rwExecutor) ExecuteTx(st StateRW, tx *Tx, bctx BlockContext) *Receipt {
 	return r
 }
 
-func (rwExecutor) Query(StateRW, cryptoutil.Address, string, []byte, BlockContext) ([]byte, error) {
+func (rwExecutor) Query(StateReader, cryptoutil.Address, string, []byte, BlockContext) ([]byte, error) {
 	return nil, fmt.Errorf("no queries")
 }
 
@@ -227,8 +227,7 @@ func TestDifferentialParallelDeleteAndPrefixConflicts(t *testing.T) {
 	}
 
 	st := NewState()
-	st.Set(testContractAddr().String()+"/item/seeded", []byte("x"))
-	st.DiscardJournal()
+	foldSet(st, testContractAddr().String()+"/item/seeded", "x")
 
 	// Block 1: the del of "a" must observe put("a") before it (conflict via
 	// delete-read); the count must observe every put/del before it
@@ -450,10 +449,7 @@ func TestParallelScheduleRevertAndPrefixReads(t *testing.T) {
 		return tx
 	}
 	st := NewState()
-	for _, k := range []string{"held", "freed"} {
-		st.Set(testContractAddr().String()+"/item/"+k, []byte("x"))
-	}
-	st.DiscardJournal()
+	foldSet(st, testContractAddr().String()+"/item/held", "x", testContractAddr().String()+"/item/freed", "x")
 
 	for _, tc := range []struct {
 		name       string

@@ -177,7 +177,7 @@ func TestPartitionBufferCap(t *testing.T) {
 		sealEmpty(t, net, clk)
 	}
 	net.mu.Lock()
-	held := len(net.buffered)
+	held := net.undelivered
 	net.mu.Unlock()
 	if held != maxBufferedDeliveries {
 		t.Fatalf("pre-heal buffer holds %d deliveries, want the cap %d (5 dropped on the floor)", held, maxBufferedDeliveries)

@@ -64,11 +64,12 @@ type walBlock struct {
 }
 
 // chainSnapshot is the durable state snapshot payload: the full
-// key-value content as of Height. Blocks at or below Height replay
+// key-value content as of Height, one Delta per key in key order — the
+// diff that takes an empty state there. Blocks at or below Height replay
 // ledger-only on recovery; blocks above it replay their diffs.
 type chainSnapshot struct {
 	Height uint64
-	State  map[string][]byte
+	State  []Delta
 }
 
 // OpenNode opens (or bootstraps) a durable node from cfg.DataDir: it
@@ -292,11 +293,10 @@ func stateFromSnapshot(seq uint64, payload []byte, blocks []*Block, diffs [][]De
 	if snap.Height != seq {
 		return nil, fmt.Errorf("%w: snapshot file %d claims height %d", ErrStoreCorrupt, seq, snap.Height)
 	}
+	// The decoded snapshot owns its keys and values (the decoder copies
+	// them out of the payload), so they are moved in, not copied again.
 	st := NewState()
-	for k, v := range snap.State {
-		st.Set(k, v)
-	}
-	st.DiscardJournal()
+	st.applyDeltas(snap.State)
 	// The snapshot must reproduce the root committed at its height.
 	if snap.Height > 0 {
 		idx := int(snap.Height) - 1
@@ -314,13 +314,14 @@ func stateFromSnapshot(seq uint64, payload []byte, blocks []*Block, diffs [][]De
 }
 
 // applyDiffsFrom replays the recorded diffs of every block above height
-// from, checking each block's committed state root.
+// from, checking each block's committed state root. The diffs were
+// decoded from the WAL into fresh slices, so applyDeltas takes them over.
 func applyDiffsFrom(st *State, blocks []*Block, diffs [][]Delta, from uint64) error {
 	for i, b := range blocks {
 		if b.Header.Number <= from {
 			continue
 		}
-		st.ApplyDiff(diffs[i])
+		st.applyDeltas(diffs[i])
 		if got := st.Root(); got != b.Header.StateRoot {
 			return fmt.Errorf("%w: replaying block %d produced root %s, header commits %s",
 				ErrStoreCorrupt, b.Header.Number, got.Short(), b.Header.StateRoot.Short())

@@ -542,52 +542,6 @@ func TestDurableClusterApplyBlock(t *testing.T) {
 	requireEquivalent(t, b2, a, sender.Address())
 }
 
-// TestStateTakeDiffAndApplyDiff pins the diff primitives directly:
-// set/overwrite/delete fold to a net effect that ApplyDiff reproduces,
-// root included.
-func TestStateTakeDiffAndApplyDiff(t *testing.T) {
-	st := NewState()
-	st.Set("keep", []byte("old"))
-	st.DiscardJournal()
-	rootBefore := st.Root()
-
-	st.Set("keep", []byte("new"))
-	st.Set("temp", []byte("x"))
-	st.Delete("temp")
-	st.Set("fresh", []byte("y"))
-	diff := st.TakeDiff()
-	if len(diff) != 3 {
-		t.Fatalf("diff has %d entries, want 3 (fresh, keep, temp)", len(diff))
-	}
-	for i := 1; i < len(diff); i++ {
-		if diff[i-1].K >= diff[i].K {
-			t.Fatalf("diff not sorted: %q >= %q", diff[i-1].K, diff[i].K)
-		}
-	}
-
-	// Replay the diff on a state holding only the pre-block content.
-	replay := NewState()
-	replay.Set("keep", []byte("old"))
-	replay.DiscardJournal()
-	replay.ApplyDiff(diff)
-	if replay.Root() != st.Root() {
-		t.Fatal("ApplyDiff root diverges from the live state")
-	}
-	if v, ok := replay.Get([]byte("keep")); !ok || string(v) != "new" {
-		t.Fatalf("keep = %q, %v", v, ok)
-	}
-	if _, ok := replay.Get([]byte("temp")); ok {
-		t.Fatal("temp survived its delete")
-	}
-	if rootBefore == st.Root() {
-		t.Fatal("root did not change across the block")
-	}
-	// TakeDiff consumed the journal: a fresh TakeDiff is empty.
-	if d := st.TakeDiff(); len(d) != 0 {
-		t.Fatalf("second TakeDiff returned %d entries", len(d))
-	}
-}
-
 // TestCommitRollsBackOnWALFailure: when the WAL refuses the block
 // record, the commit is aborted AND the executed mutations are reverted
 // — the node stays exactly at its previous committed block (memory

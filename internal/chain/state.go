@@ -8,17 +8,17 @@ import (
 	"repro/internal/cryptoutil"
 )
 
-// State is the journaled key-value store that contracts execute against.
+// State is the committed key-value store: the ledger as of the head
+// block. Keys are namespaced strings (by convention
+// "<contract-addr>/<bucket>/<key>").
 //
-// Keys are namespaced strings (by convention "<contract-addr>/<bucket>/<key>").
-// A journal records every mutation so that the effects of a reverted
-// transaction can be rolled back without copying the whole store. State is
-// safe for concurrent readers; writers are serialized by the node's block
-// production, but the internal lock keeps direct use safe too.
+// It is read-only outside this package. Transactions never run on it:
+// they run on an Overlay over it, and the one write path is applyDeltas,
+// which folds a block's net diff in — at commit, and in recovery for the
+// snapshot and the diff tail. State is safe for concurrent readers.
 type State struct {
-	mu      sync.RWMutex
-	data    map[string][]byte // guarded by mu
-	journal []journalEntry    // guarded by mu
+	mu   sync.RWMutex
+	data map[string][]byte // guarded by mu
 	// root is the incrementally maintained state commitment: the XOR of
 	// H(key, value) over all entries (a multiset hash). Because map keys
 	// are unique, every leaf appears at most once, so any single
@@ -57,12 +57,6 @@ func (s *State) foldLeafLocked(key string, value []byte, sign int64) {
 	s.bytes += sign * int64(len(key)+len(value))
 }
 
-type journalEntry struct {
-	key     string
-	prior   []byte
-	existed bool
-}
-
 // NewState returns an empty state.
 func NewState() *State {
 	return &State{data: make(map[string][]byte)}
@@ -75,8 +69,8 @@ func (s *State) Get(key []byte) ([]byte, bool) {
 }
 
 // lookup returns the stored slice for key WITHOUT copying. Stored value
-// slices are immutable — every write path installs a fresh slice and
-// nothing mutates one in place — so the result is safe to read or hash
+// slices are immutable — applyDeltas installs slices it owns and nothing
+// mutates one in place — so the result is safe to read or hash
 // indefinitely, but callers must never write through it. The overlay
 // reads the committed state through it to keep the hot path
 // allocation-free.
@@ -85,34 +79,6 @@ func lookup[K stateKey](s *State, key K) ([]byte, bool) {
 	defer s.mu.RUnlock()
 	v, ok := s.data[string(key)]
 	return v, ok
-}
-
-// Set stores a copy of value under key.
-func (s *State) Set(key string, value []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	prior, existed := s.data[key]
-	s.journal = append(s.journal, journalEntry{key: key, prior: prior, existed: existed})
-	if existed {
-		s.foldLeafLocked(key, prior, -1)
-	}
-	cp := make([]byte, len(value))
-	copy(cp, value)
-	s.data[key] = cp
-	s.foldLeafLocked(key, cp, +1)
-}
-
-// Delete removes key.
-func (s *State) Delete(key string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	prior, existed := s.data[key]
-	if !existed {
-		return
-	}
-	s.journal = append(s.journal, journalEntry{key: key, prior: prior, existed: true})
-	s.foldLeafLocked(key, prior, -1)
-	delete(s.data, key)
 }
 
 // Keys returns the keys with the given prefix, sorted.
@@ -136,42 +102,6 @@ func (s *State) Len() int {
 	return len(s.data)
 }
 
-// Checkpoint marks the current journal position; RevertTo undoes every
-// mutation made after it.
-func (s *State) Checkpoint() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.journal)
-}
-
-// RevertTo rolls the state back to a checkpoint previously returned by
-// Checkpoint.
-func (s *State) RevertTo(checkpoint int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := len(s.journal) - 1; i >= checkpoint; i-- {
-		e := s.journal[i]
-		if cur, ok := s.data[e.key]; ok {
-			s.foldLeafLocked(e.key, cur, -1)
-		}
-		if e.existed {
-			s.data[e.key] = e.prior
-			s.foldLeafLocked(e.key, e.prior, +1)
-		} else {
-			delete(s.data, e.key)
-		}
-	}
-	s.journal = s.journal[:checkpoint]
-}
-
-// DiscardJournal forgets rollback information (called after a block
-// commits; mutations become permanent).
-func (s *State) DiscardJournal() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.journal = s.journal[:0]
-}
-
 // Delta is one key's net change across a block, as recorded in the
 // durable block log: the value the key holds after the block (or a
 // deletion marker). Deltas are what crash recovery applies instead of
@@ -185,53 +115,11 @@ type Delta struct {
 	Del bool
 }
 
-// TakeDiff makes every mutation journaled since the last commit
-// permanent and returns their net effect for persistence — one Delta per
-// touched key, sorted by key for a deterministic encoding. Because the
-// journal is retired in the same critical section, the returned deltas
-// safely alias the stored (immutable) value slices instead of copying
-// every touched value — the move-semantics path used on the commit hot
-// path. Later writes to the same keys replace the stored slices rather
-// than mutating them, so the returned diff stays stable.
-func (s *State) TakeDiff() []Delta {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	touched := make(map[string]struct{}, len(s.journal))
-	for _, e := range s.journal {
-		touched[e.key] = struct{}{}
-	}
-	diff := make([]Delta, 0, len(touched))
-	for k := range touched {
-		if v, ok := s.data[k]; ok {
-			diff = append(diff, Delta{K: k, V: v})
-		} else {
-			diff = append(diff, Delta{K: k, Del: true})
-		}
-	}
-	sort.Slice(diff, func(i, j int) bool { return diff[i].K < diff[j].K })
-	s.journal = s.journal[:0]
-	return diff
-}
-
-// ApplyDiff applies a block's recorded deltas (recovery replay). The
-// root is maintained incrementally by Set/Delete; the journal entries the
-// application creates are discarded, mirroring a committed block.
-func (s *State) ApplyDiff(diff []Delta) {
-	for _, d := range diff {
-		if d.Del {
-			s.Delete(d.K)
-		} else {
-			s.Set(d.K, d.V)
-		}
-	}
-	s.DiscardJournal()
-}
-
 // ExportShared returns the full key-value content in a fresh map that
 // SHARES the stored value slices instead of copying them — a
 // copy-on-write export costing O(keys) map work and zero byte copying.
-// It is safe because stored values are immutable: every subsequent Set
-// installs a fresh slice, leaving the shared ones untouched. The
+// It is safe because stored values are immutable: a later fold installs
+// other slices, leaving the shared ones untouched. The
 // background snapshot writer serializes from such an export so commits
 // never pay for, and readers never wait on, snapshot serialization.
 func (s *State) ExportShared() map[string][]byte {
@@ -244,11 +132,13 @@ func (s *State) ExportShared() map[string][]byte {
 	return out
 }
 
-// applyDeltas folds a committed block's net diff into the state: no
-// journaling (the block is final) and no value copying (the deltas'
-// values are moved in — callers hand over ownership, e.g. an overlay's
-// drained layer or freshly decoded WAL records). The root is maintained
-// incrementally, so folding costs O(touched keys).
+// applyDeltas folds a committed block's net diff into the state. It is
+// the state's only writer: commitBlock folds an overlay's drained layer,
+// and recovery folds a decoded snapshot and then each block's recorded
+// diff. Values are moved in, not copied: callers hand over slices nobody
+// else writes (an overlay's layer, or bytes store.Dec.Bytes copied out of
+// a record). The root and size are maintained incrementally, so folding
+// costs O(touched keys).
 func (s *State) applyDeltas(deltas []Delta) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -271,8 +161,8 @@ func (s *State) applyDeltas(deltas []Delta) {
 }
 
 // Root returns the deterministic state commitment (see the root field for
-// the construction). It is O(1): the commitment is maintained
-// incrementally by every mutation.
+// the construction). It is O(1): applyDeltas maintains the commitment
+// incrementally.
 func (s *State) Root() cryptoutil.Hash {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -285,21 +175,4 @@ func (s *State) Bytes() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.bytes
-}
-
-// Clone returns a deep copy of the state with an empty journal. Clones are
-// how validator nodes re-execute proposed blocks without disturbing their
-// committed state.
-func (s *State) Clone() *State {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	c := NewState()
-	for k, v := range s.data {
-		cp := make([]byte, len(v))
-		copy(cp, v)
-		c.data[k] = cp
-	}
-	c.root = s.root
-	c.bytes = s.bytes
-	return c
 }

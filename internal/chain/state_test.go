@@ -9,39 +9,58 @@ import (
 	"repro/internal/cryptoutil"
 )
 
+// foldSet folds one block that writes each key/value pair of kv, in
+// order, through the state's one writer.
+func foldSet(st *State, kv ...string) {
+	deltas := make([]Delta, 0, len(kv)/2)
+	for i := 0; i < len(kv); i += 2 {
+		deltas = append(deltas, Delta{K: kv[i], V: []byte(kv[i+1])})
+	}
+	st.applyDeltas(deltas)
+}
+
+// foldDelete folds one block that deletes each key.
+func foldDelete(st *State, keys ...string) {
+	deltas := make([]Delta, 0, len(keys))
+	for _, k := range keys {
+		deltas = append(deltas, Delta{K: k, Del: true})
+	}
+	st.applyDeltas(deltas)
+}
+
 func TestStateGetSetDelete(t *testing.T) {
 	st := NewState()
 	if _, ok := st.Get([]byte("missing")); ok {
 		t.Fatal("Get on empty state returned ok")
 	}
-	st.Set("a", []byte("1"))
+	foldSet(st, "a", "1")
 	v, ok := st.Get([]byte("a"))
 	if !ok || string(v) != "1" {
 		t.Fatalf("Get = %q, %t", v, ok)
 	}
-	st.Set("a", []byte("2"))
+	foldSet(st, "a", "2")
 	v, _ = st.Get([]byte("a"))
 	if string(v) != "2" {
 		t.Fatal("overwrite failed")
 	}
-	st.Delete("a")
+	foldDelete(st, "a")
 	if _, ok := st.Get([]byte("a")); ok {
 		t.Fatal("Delete failed")
 	}
-	st.Delete("a") // idempotent
-	if st.Len() != 0 {
-		t.Fatalf("Len = %d, want 0", st.Len())
+	foldDelete(st, "a") // idempotent
+	if st.Len() != 0 || st.Bytes() != 0 || st.Root() != (cryptoutil.Hash{}) {
+		t.Fatalf("Len = %d, Bytes = %d, Root = %s; want an empty state", st.Len(), st.Bytes(), st.Root().Short())
 	}
 }
 
+// TestStateCopiesValues: a fold moves the value it is handed in (the
+// caller gives it up), and Get hands out a copy the caller may write.
 func TestStateCopiesValues(t *testing.T) {
 	st := NewState()
-	in := []byte("abc")
-	st.Set("k", in)
-	in[0] = 'X'
+	foldSet(st, "k", "abc")
 	out, _ := st.Get([]byte("k"))
 	if string(out) != "abc" {
-		t.Fatal("Set did not copy the input")
+		t.Fatalf("Get = %q", out)
 	}
 	out[0] = 'Y'
 	again, _ := st.Get([]byte("k"))
@@ -52,9 +71,7 @@ func TestStateCopiesValues(t *testing.T) {
 
 func TestStateKeysPrefix(t *testing.T) {
 	st := NewState()
-	st.Set("pods/alice", []byte("1"))
-	st.Set("pods/bob", []byte("2"))
-	st.Set("resources/r1", []byte("3"))
+	foldSet(st, "pods/alice", "1", "pods/bob", "2", "resources/r1", "3")
 	keys := st.Keys("pods/")
 	if len(keys) != 2 || keys[0] != "pods/alice" || keys[1] != "pods/bob" {
 		t.Fatalf("Keys = %v", keys)
@@ -64,113 +81,34 @@ func TestStateKeysPrefix(t *testing.T) {
 	}
 }
 
-func TestStateRevert(t *testing.T) {
-	st := NewState()
-	st.Set("a", []byte("1"))
-	st.DiscardJournal()
-
-	cp := st.Checkpoint()
-	st.Set("a", []byte("2")) // overwrite
-	st.Set("b", []byte("3")) // create
-	st.Delete("a")           // delete overwritten key
-	st.RevertTo(cp)
-
-	v, ok := st.Get([]byte("a"))
-	if !ok || string(v) != "1" {
-		t.Fatalf("a = %q, %t; want original value restored", v, ok)
-	}
-	if _, ok := st.Get([]byte("b")); ok {
-		t.Fatal("created key survived revert")
-	}
-}
-
-func TestStateNestedCheckpoints(t *testing.T) {
-	st := NewState()
-	st.Set("x", []byte("0"))
-	cp1 := st.Checkpoint()
-	st.Set("x", []byte("1"))
-	cp2 := st.Checkpoint()
-	st.Set("x", []byte("2"))
-	st.RevertTo(cp2)
-	if v, _ := st.Get([]byte("x")); string(v) != "1" {
-		t.Fatalf("x = %s after inner revert, want 1", v)
-	}
-	st.RevertTo(cp1)
-	if v, _ := st.Get([]byte("x")); string(v) != "0" {
-		t.Fatalf("x = %s after outer revert, want 0", v)
-	}
-}
-
 func TestStateRootDeterministicAndSensitive(t *testing.T) {
 	a := NewState()
 	b := NewState()
 	// Insert in different orders.
-	a.Set("k1", []byte("v1"))
-	a.Set("k2", []byte("v2"))
-	b.Set("k2", []byte("v2"))
-	b.Set("k1", []byte("v1"))
+	foldSet(a, "k1", "v1", "k2", "v2")
+	foldSet(b, "k2", "v2")
+	foldSet(b, "k1", "v1")
 	if a.Root() != b.Root() {
 		t.Fatal("root depends on insertion order")
 	}
-	b.Set("k3", []byte("v3"))
+	foldSet(b, "k3", "v3")
 	if a.Root() == b.Root() {
 		t.Fatal("root insensitive to extra key")
 	}
-	b.Delete("k3")
+	foldDelete(b, "k3")
 	if a.Root() != b.Root() {
 		t.Fatal("root did not return after delete")
 	}
-	b.Set("k1", []byte("OTHER"))
+	foldSet(b, "k1", "OTHER")
 	if a.Root() == b.Root() {
 		t.Fatal("root insensitive to value change")
 	}
 }
 
-func TestStateClone(t *testing.T) {
-	st := NewState()
-	st.Set("k", []byte("v"))
-	c := st.Clone()
-	if c.Root() != st.Root() {
-		t.Fatal("clone root differs")
-	}
-	c.Set("k", []byte("mutated"))
-	if v, _ := st.Get([]byte("k")); string(v) != "v" {
-		t.Fatal("clone mutation leaked into original")
-	}
-}
-
-// TestStateRevertProperty: applying any mutation sequence after a
-// checkpoint and reverting restores the exact root.
-func TestStateRevertProperty(t *testing.T) {
-	f := func(ops []uint8) bool {
-		st := NewState()
-		st.Set("seed", []byte("value"))
-		st.DiscardJournal()
-		before := st.Root()
-		cp := st.Checkpoint()
-		for i, op := range ops {
-			key := fmt.Sprintf("k%d", op%8)
-			switch op % 3 {
-			case 0:
-				st.Set(key, []byte{op, byte(i)})
-			case 1:
-				st.Set("seed", []byte{op})
-			case 2:
-				st.Delete(key)
-			}
-		}
-		st.RevertTo(cp)
-		return st.Root() == before
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // recompute derives the multiset commitment and the byte size from
-// scratch through the public API, for cross-checking the incrementally
-// maintained ones.
-func recompute(st *State) (root cryptoutil.Hash, size int64) {
+// scratch through the read surface, for cross-checking the incrementally
+// maintained ones — of a State, an Overlay, or a test's reference model.
+func recompute(st StateReader) (root cryptoutil.Hash, size int64) {
 	for _, k := range st.Keys("") {
 		v, _ := st.Get([]byte(k))
 		xorHash(&root, leafHash(k, v))
@@ -180,37 +118,27 @@ func recompute(st *State) (root cryptoutil.Hash, size int64) {
 }
 
 // TestStateRootIncrementalMatchesRecomputation: after any random sequence
-// of sets, deletes, checkpoints, reverts, replayed diffs and folded
-// deltas, the O(1) incremental root and byte size equal the full
-// recomputation.
+// of folds — sets, deletes of present and absent keys, and blocks that
+// touch several keys at once — the O(1) incremental root and byte size
+// equal the full recomputation.
 func TestStateRootIncrementalMatchesRecomputation(t *testing.T) {
 	f := func(ops []uint16) bool {
 		st := NewState()
-		var checkpoints []int
 		for i, op := range ops {
 			key := fmt.Sprintf("k%d", op%16)
 			value := bytes.Repeat([]byte{byte(i)}, int(op>>8)%40)
-			switch op % 7 {
+			next := fmt.Sprintf("k%d", (op+1)%16)
+			switch op % 4 {
 			case 0, 1:
-				st.Set(key, value)
+				st.applyDeltas([]Delta{{K: key, V: value}})
 			case 2:
-				st.Delete(key)
+				st.applyDeltas([]Delta{{K: key, Del: true}})
 			case 3:
-				checkpoints = append(checkpoints, st.Checkpoint())
-			case 4:
-				if len(checkpoints) > 0 {
-					st.RevertTo(checkpoints[len(checkpoints)-1])
-					checkpoints = checkpoints[:len(checkpoints)-1]
-				}
-			case 5: // recovery replay: retires the journal like a commit
-				st.ApplyDiff([]Delta{{K: key, V: value}, {K: fmt.Sprintf("k%d", (op+1)%16), Del: true}})
-				checkpoints = nil
-			case 6: // commit fold: unjournaled
-				st.applyDeltas([]Delta{{K: key, Del: true}, {K: fmt.Sprintf("k%d", (op+1)%16), V: value}})
+				st.applyDeltas([]Delta{{K: key, Del: true}, {K: next, V: value}})
 			}
 		}
 		root, size := recompute(st)
-		return st.Root() == root && st.Bytes() == size && st.Clone().Bytes() == size
+		return st.Root() == root && st.Bytes() == size
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -275,34 +203,41 @@ func hashOfByte(b byte) cryptoutil.Hash {
 	return cryptoutil.HashOf([]byte{b})
 }
 
-// TestTakeDiffMoveSemanticsNoAliasing: TakeDiff returns deltas that
-// alias the stored (immutable) value slices instead of copying them.
-// That is only sound if later mutations REPLACE stored slices rather
-// than writing through old ones — this regression test pins exactly
-// that: a taken diff must be unaffected by subsequent Set/Delete on the
-// same keys, and by mutation of the caller-owned buffer that was Set.
-func TestTakeDiffMoveSemanticsNoAliasing(t *testing.T) {
+// TestTakeDeltasMoveSemanticsNoAliasing: a block's diff moves its values
+// from the overlay's layer into the committed state, with no copy on
+// either hop. That is only sound if nothing writes through a moved slice:
+// the caller's buffer was copied by Set, and a later block replaces the
+// stored slice rather than mutating it. This pins both, for the drained
+// deltas and for the state they were folded into.
+func TestTakeDeltasMoveSemanticsNoAliasing(t *testing.T) {
 	st := NewState()
+	ov := NewOverlay(st)
 	buf := []byte("original")
-	st.Set("k", buf)
-	st.Set("gone", []byte("doomed"))
-	st.Delete("gone")
-	diff := st.TakeDiff()
+	ov.Set("k", buf)
+	ov.Set("gone", []byte("doomed"))
+	ov.Delete("gone")
+	diff := ov.TakeDeltas()
 	if len(diff) != 2 {
 		t.Fatalf("diff = %+v", diff)
 	}
+	st.applyDeltas(diff)
 
-	// Mutating the buffer the caller handed to Set must not reach the
-	// diff (Set stored a copy).
+	// Mutating the buffer the caller handed to Set must reach neither
+	// the diff nor the state (Set stored a copy).
 	for i := range buf {
 		buf[i] = 'X'
 	}
-	// Overwriting and deleting the key afterwards must not reach the
+	// A later block overwriting and deleting the key must not reach the
 	// already-taken diff either (stored slices are replaced, never
 	// mutated in place).
-	st.Set("k", []byte("overwritten"))
-	st.Delete("k")
-	st.Set("gone", []byte("resurrected"))
+	shared := st.ExportShared()
+	next := NewOverlay(st)
+	next.Set("k", []byte("overwritten"))
+	next.Set("gone", []byte("resurrected"))
+	st.applyDeltas(next.TakeDeltas())
+	after := NewOverlay(st)
+	after.Delete("k")
+	st.applyDeltas(after.TakeDeltas())
 
 	byKey := map[string]Delta{}
 	for _, d := range diff {
@@ -314,17 +249,14 @@ func TestTakeDiffMoveSemanticsNoAliasing(t *testing.T) {
 	if got := byKey["gone"]; !got.Del {
 		t.Fatalf("gone delta mutated: %+v", got)
 	}
-
-	// Same property for the overlay's moved deltas.
-	ov := NewOverlay(st)
-	ovBuf := []byte("layer-value")
-	ov.Set("ok", ovBuf)
-	deltas := ov.TakeDeltas()
-	for i := range ovBuf {
-		ovBuf[i] = 'Y'
+	if string(shared["k"]) != "original" {
+		t.Fatalf("export taken before the later blocks = %q", shared["k"])
 	}
-	if len(deltas) != 1 || string(deltas[0].V) != "layer-value" {
-		t.Fatalf("overlay delta mutated: %+v", deltas)
+	if _, ok := st.Get([]byte("k")); ok {
+		t.Fatal("deleted key still in the state")
+	}
+	if got, _ := st.Get([]byte("gone")); string(got) != "resurrected" {
+		t.Fatalf("gone = %q", got)
 	}
 }
 
@@ -332,8 +264,7 @@ func TestTakeDiffMoveSemanticsNoAliasing(t *testing.T) {
 // still isolates the map itself.
 func TestExportSharedIsolation(t *testing.T) {
 	st := NewState()
-	st.Set("k", []byte("value"))
-	st.DiscardJournal()
+	foldSet(st, "k", "value")
 
 	shared := st.ExportShared()
 	if string(shared["k"]) != "value" {
@@ -341,8 +272,7 @@ func TestExportSharedIsolation(t *testing.T) {
 	}
 	// Overwriting the key replaces the stored slice: the shared export
 	// keeps observing the old (immutable) value.
-	st.Set("k", []byte("fresh"))
-	st.DiscardJournal()
+	foldSet(st, "k", "fresh")
 	if string(shared["k"]) != "value" {
 		t.Fatalf("shared export changed under mutation: %q", shared["k"])
 	}

@@ -155,7 +155,7 @@ type ReadEnv struct {
 	Block chain.BlockContext
 
 	keys  keyspace
-	state chain.StateRW
+	state chain.StateReader
 }
 
 // Key returns the buffer to build a storage key in, as Env.Key does.
@@ -314,7 +314,7 @@ func (r *Runtime) ExecuteTx(st chain.StateRW, tx *chain.Tx, bctx chain.BlockCont
 }
 
 // Query implements chain.Executor.
-func (r *Runtime) Query(st chain.StateRW, contractAddr cryptoutil.Address, method string, args []byte, bctx chain.BlockContext) ([]byte, error) {
+func (r *Runtime) Query(st chain.StateReader, contractAddr cryptoutil.Address, method string, args []byte, bctx chain.BlockContext) ([]byte, error) {
 	d, ok := r.contracts[contractAddr]
 	if !ok {
 		return nil, fmt.Errorf("contract: no contract at %s", contractAddr)

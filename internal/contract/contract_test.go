@@ -354,7 +354,7 @@ func TestRuntimeConcurrentExecution(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			key := cryptoutil.MustGenerateKey()
-			st := chain.NewState()
+			st := chain.NewOverlay(chain.NewState())
 			for i := range txsPerWorker {
 				k := fmt.Sprintf("w%d-%d", w, i)
 				tx, err := chain.NewTx(key, uint64(i), addr, "put", kvArgs{Key: k, Value: k}, 500_000)

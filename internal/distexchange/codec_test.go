@@ -449,8 +449,8 @@ func TestJSONRecordRevertsNamingItsKey(t *testing.T) {
 	iri := f.registerAlicePodAndResource(alicePolicy())
 	prefix := f.deAddr.String() + "/"
 	key := string(resKey(nil, iri))
+	f.plant(prefix+key, []byte(`{"resource":"`+iri+`","podWebID":"https://alice.pod/profile#me","policy":{"version":1}}`))
 	st := f.node.State()
-	st.Set(prefix+key, []byte(`{"resource":"`+iri+`","podWebID":"https://alice.pod/profile#me","policy":{"version":1}}`))
 	snapshot := func() map[string]string {
 		out := make(map[string]string)
 		for _, k := range st.Keys(prefix) {
@@ -533,7 +533,7 @@ func TestGasIndependentOfBlockTime(t *testing.T) {
 		}
 	}
 	gasAt := func(genesis time.Time) []uint64 {
-		st := chain.NewState()
+		st := chain.NewOverlay(chain.NewState())
 		gas := make([]uint64, len(txs))
 		for i, tx := range txs {
 			r := rt.ExecuteTx(st, tx, chain.BlockContext{Number: uint64(i + 1), Time: genesis.Add(time.Duration(i) * time.Second)})

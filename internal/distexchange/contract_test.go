@@ -13,6 +13,7 @@ import (
 	"repro/internal/cryptoutil"
 	"repro/internal/policy"
 	"repro/internal/simclock"
+	"repro/internal/store"
 )
 
 var t0 = time.Date(2023, 10, 9, 0, 0, 0, 0, time.UTC)
@@ -78,6 +79,45 @@ func (b sealingBackend) Query(c cryptoutil.Address, method string, args []byte) 
 
 func (b sealingBackend) NonceFor(a cryptoutil.Address) uint64 { return b.node.NonceFor(a) }
 
+// plantMethod is the one method the fixture's executor answers itself,
+// outside any contract: it writes its arguments' key and value into the
+// state as they are. A test plants a record the DE App could never have
+// written with it, through a block like every other write.
+const plantMethod = "test.plant"
+
+// plantingRuntime is the fixture's executor: the contract runtime, plus
+// plantMethod.
+type plantingRuntime struct{ *contract.Runtime }
+
+func (p plantingRuntime) ExecuteTx(st chain.StateRW, tx *chain.Tx, bctx chain.BlockContext) *chain.Receipt {
+	if tx.Method != plantMethod {
+		return p.Runtime.ExecuteTx(st, tx, bctx)
+	}
+	d := store.NewDec(tx.Args)
+	key, value := d.String(), d.Bytes()
+	if err := d.Finish(); err != nil {
+		return &chain.Receipt{Status: chain.StatusReverted, Err: err.Error()}
+	}
+	st.Set(key, value)
+	return &chain.Receipt{Status: chain.StatusOK}
+}
+
+// plant commits a block that writes value under the state key key.
+func (f *fixture) plant(key string, value []byte) {
+	f.t.Helper()
+	args := store.AppendBytes(store.AppendString(nil, key), value)
+	tx, err := chain.NewTx(cryptoutil.MustGenerateKey(), 0, f.deAddr, plantMethod, args, DefaultGasLimit)
+	if err != nil {
+		f.t.Fatal(err)
+	}
+	if v := (sealingBackend{node: f.node}).Submit([]*chain.Tx{tx}); !v[0].Admitted() {
+		f.t.Fatal(v[0].Err)
+	}
+	if r := f.node.Receipt(tx.Hash()); r == nil || !r.Succeeded() {
+		f.t.Fatalf("plant %s: %+v", key, r)
+	}
+}
+
 func newFixture(t *testing.T) *fixture {
 	t.Helper()
 	ca, err := cryptoutil.NewAuthority("tee-manufacturer")
@@ -91,7 +131,7 @@ func newFixture(t *testing.T) *fixture {
 	node, err := chain.NewNode(chain.Config{
 		Key:         authority,
 		Authorities: []cryptoutil.Address{authority.Address()},
-		Executor:    rt,
+		Executor:    plantingRuntime{rt},
 		Clock:       clk,
 		GenesisTime: t0,
 	})

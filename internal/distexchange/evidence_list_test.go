@@ -32,7 +32,7 @@ type listWorld struct {
 	t        *testing.T
 	rt       *contract.Runtime
 	deAddr   cryptoutil.Address
-	st       *chain.State
+	st       *chain.Overlay
 	relay    *cryptoutil.KeyPair
 	iri      string
 	holders  []*cryptoutil.KeyPair
@@ -74,7 +74,7 @@ func newListWorld(t *testing.T) *listWorld {
 	pol.MaxUses = 3
 	pol.MaxRetention = 24 * time.Hour
 	w := &listWorld{
-		t: t, rt: rt, st: chain.NewState(), iri: pol.ResourceIRI,
+		t: t, rt: rt, st: chain.NewOverlay(chain.NewState()), iri: pol.ResourceIRI,
 		deAddr:   rt.Deploy(ContractName, New(Config{ManufacturerCAKey: ca.PublicBytes()})),
 		relay:    cryptoutil.MustGenerateKey(),
 		stranger: cryptoutil.MustGenerateKey(),
@@ -111,14 +111,18 @@ func newListWorld(t *testing.T) *listWorld {
 	w.must(alice, "requestMonitoring", RequestMonitoringArgs{ResourceIRI: w.iri})
 	hold(w.holders[5])
 	w.must(alice, "updatePolicy", UpdatePolicyArgs{ResourceIRI: w.iri, Policy: pol.NextVersion(t0)})
-	w.st.DiscardJournal()
 	return w
 }
 
-// fork returns a world of its own that starts from w's state.
+// fork returns a world of its own that starts from w's state: a fresh
+// overlay that every key of w's is copied into.
 func (w *listWorld) fork() *listWorld {
 	f := *w
-	f.st = w.st.Clone()
+	f.st = chain.NewOverlay(chain.NewState())
+	for _, k := range w.st.Keys("") {
+		v, _ := w.st.Get([]byte(k))
+		f.st.Set(k, v)
+	}
 	return &f
 }
 

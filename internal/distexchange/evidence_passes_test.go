@@ -1,6 +1,7 @@
 package distexchange
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -12,16 +13,16 @@ import (
 )
 
 // listRun is what the chain keeps of one submitEvidence executed in a
-// block: the receipt, and the block overlay's root and net diff.
+// block: the receipt, the state root after it, and its net diff.
 type listRun struct {
 	receipt *chain.Receipt
 	root    cryptoutil.Hash
 	deltas  []chain.Delta
 }
 
-// runList executes one submitEvidence of signed under gas on an overlay of
-// w's state, reverting it as a block does when the transaction fails, with
-// the verified-signature table cold so that the verify pass really verifies.
+// runList executes one submitEvidence of signed under gas on a fork of w's
+// state, reverting it as a block does when the transaction fails, with the
+// verified-signature table cold so that the verify pass really verifies.
 // w's state is left as it was.
 func (w *listWorld) runList(signed []SignedEvidence, gas uint64) listRun {
 	w.t.Helper()
@@ -30,13 +31,26 @@ func (w *listWorld) runList(signed []SignedEvidence, gas uint64) listRun {
 		w.t.Fatal(err)
 	}
 	cryptoutil.ForgetVerified()
-	ov := chain.NewOverlay(w.st)
+	ov := w.fork().st
 	checkpoint := ov.Checkpoint()
 	r := w.rt.ExecuteTx(ov, tx, chain.BlockContext{Number: 1, Time: t0})
 	if !r.Succeeded() {
 		ov.RevertTo(checkpoint)
 	}
-	return listRun{receipt: r, root: ov.Root(), deltas: ov.TakeDeltas()}
+	return listRun{receipt: r, root: ov.Root(), deltas: netDeltas(ov.TakeDeltas(), w.st)}
+}
+
+// netDeltas keeps the entries of a fork's drained diff that change base:
+// the fork's layer also holds the copy of base it started from.
+func netDeltas(deltas []chain.Delta, base chain.StateReader) []chain.Delta {
+	var net []chain.Delta
+	for _, d := range deltas {
+		v, ok := base.Get([]byte(d.K))
+		if d.Del && ok || !d.Del && (!ok || !bytes.Equal(v, d.V)) {
+			net = append(net, d)
+		}
+	}
+	return net
 }
 
 // TestEvidencePassesReceiptIdentity: the check, verify and record passes of

@@ -30,7 +30,7 @@ func TestEvidenceUnderReplacedDeviceKey(t *testing.T) {
 	}
 	rt := contract.NewRuntime()
 	deAddr := rt.Deploy(ContractName, New(Config{ManufacturerCAKey: ca.PublicBytes()}))
-	st := chain.NewState()
+	st := chain.NewOverlay(chain.NewState())
 	exec := func(key *cryptoutil.KeyPair, method string, args any) *chain.Receipt {
 		t.Helper()
 		tx, err := chain.NewTx(key, 0, deAddr, method, args, DefaultGasLimit)

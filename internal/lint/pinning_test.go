@@ -32,7 +32,6 @@ var requiredGuards = map[string]map[string]string{
 		"Node.scratch":           "sealMu",
 		"Network.view":           "sealMu",
 		"State.data":             "mu",
-		"State.journal":          "mu",
 		"State.root":             "mu",
 		"snapshotWriter.pending": "mu",
 		"snapshotWriter.closed":  "mu",

@@ -18,8 +18,6 @@ import (
 // them: name → reason. A type's entry covers its methods. An entry that
 // a root does reach, or that has no reason, fails the test.
 var reachKeep = map[string]string{
-	"repro/internal/chain.State.Clone":    "the clone-and-replay reference path of TestDifferentialOverlayVsCloneReplay",
-	"repro/internal/chain.State.TakeDiff": "the journal the same differential reads the reference path's diff from",
 	"repro/internal/chain.Receipt.Digest": "a receipt's identity in the chain, distexchange and core tests that compare receipts; the receipt root hashes the same encoding through receiptDigest in the node's scratch",
 
 	"repro/internal/cryptoutil.ForgetVerified": "documented cross-package test seam: the cold/warm differentials empty the verified-signature table with it",

@@ -151,7 +151,7 @@ func checkPartitionConvergence(w *World) error {
 // append, background snapshots), so this invariant doubles as the
 // system-wide differential check that the overlay replay and the
 // recovered replay agree; chain.TestDifferentialOverlayVsCloneReplay
-// pins the same property against the historical Clone() path directly.
+// pins the overlay against an independent map model directly.
 func checkRecoveryEquivalence(w *World) error {
 	ref := w.d.LiveNode()
 	if ref == nil {

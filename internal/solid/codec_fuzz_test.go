@@ -17,7 +17,7 @@ import (
 // is seeded with the op log and the latest snapshot of a real durable pod.
 func FuzzPodRecordDecode(f *testing.F) {
 	dir := f.TempDir()
-	p, err := OpenPod(persistOwner, "https://alice.pod", dir, PodStoreOptions{WAL: store.Options{Sync: store.SyncNever}})
+	p, err := OpenPod(persistOwner, "https://alice.pod", dir, store.Options{Sync: store.SyncNever})
 	if err != nil {
 		f.Fatal(err)
 	}

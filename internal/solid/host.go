@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"repro/internal/simclock"
+	"repro/internal/store"
 )
 
 // PodRoutePrefix is where a Host mounts its pods: /pods/{owner}/<path>.
@@ -43,7 +44,7 @@ type Host struct {
 	// exact content — ETags and ACL generations included — of its
 	// predecessor.
 	dataDir     string
-	persistOpts PodStoreOptions
+	persistOpts store.Options
 
 	// metrics is never nil (defaults to the no-op handle); set it with
 	// SetMetrics before mounting pods.
@@ -103,9 +104,9 @@ func validPodName(name string) bool {
 
 // EnablePersistence makes every subsequent CreatePod durable: pod
 // content is journaled under dataDir/<name>/ and restored when a new
-// host re-creates the pod over the same directory. Call before mounting
-// pods.
-func (h *Host) EnablePersistence(dataDir string, opts PodStoreOptions) {
+// host re-creates the pod over the same directory; opts is the op logs'
+// fsync policy. Call before mounting pods.
+func (h *Host) EnablePersistence(dataDir string, opts store.Options) {
 	h.dataDir = dataDir
 	h.persistOpts = opts
 }

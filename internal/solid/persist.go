@@ -17,12 +17,6 @@ const podLogName = "oplog.wal"
 // podSnapshotsKept bounds retained pod snapshot files.
 const podSnapshotsKept = 3
 
-// PodStoreOptions configures a durable pod.
-type PodStoreOptions struct {
-	// WAL is the operation log's fsync policy.
-	WAL store.Options
-}
-
 // podOp is one logged mutation effect. Replay applies effects directly —
 // authorization already happened when the op was logged — so a restored
 // pod reproduces the exact resource bytes, ETags, ACL documents, ACL
@@ -79,12 +73,13 @@ type podStore struct {
 // (truncating any torn tail back to the last complete record), and
 // attaches the log so subsequent mutations are durable. A pod restored
 // this way serves byte-identical resources with identical ETags and the
-// same ACL generation the original pod last reported.
-func OpenPod(owner WebID, baseURL, dir string, opts PodStoreOptions) (*Pod, error) {
+// same ACL generation the original pod last reported. opts is the
+// op log's fsync policy.
+func OpenPod(owner WebID, baseURL, dir string, opts store.Options) (*Pod, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("solid: create pod dir: %w", err)
 	}
-	wal, records, err := store.OpenWAL(filepath.Join(dir, podLogName), opts.WAL)
+	wal, records, err := store.OpenWAL(filepath.Join(dir, podLogName), opts)
 	if err != nil {
 		return nil, err
 	}

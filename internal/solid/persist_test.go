@@ -24,7 +24,7 @@ const (
 )
 
 // restartPod closes a durable pod and reopens it from the same dir.
-func restartPod(t *testing.T, p *Pod, dir string, opts PodStoreOptions) *Pod {
+func restartPod(t *testing.T, p *Pod, dir string, opts store.Options) *Pod {
 	t.Helper()
 	if err := p.CloseStore(); err != nil {
 		t.Fatal(err)
@@ -84,7 +84,7 @@ func requireSamePod(t *testing.T, restored, original *Pod, paths ...string) {
 func TestPodRestartRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	clk := simclock.NewSim(persistEpoch)
-	opts := PodStoreOptions{WAL: store.Options{Sync: store.SyncNever}}
+	opts := store.Options{Sync: store.SyncNever}
 	p, err := OpenPod(persistOwner, "https://alice.pod", dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +137,7 @@ func TestPodRestartRoundTrip(t *testing.T) {
 // collide across a restart (the postSeq counter is restored).
 func TestPodRestartPostMinting(t *testing.T) {
 	dir := t.TempDir()
-	opts := PodStoreOptions{WAL: store.Options{Sync: store.SyncNever}}
+	opts := store.Options{Sync: store.SyncNever}
 	p, err := OpenPod(persistOwner, "https://alice.pod", dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +164,7 @@ func TestPodRestartPostMinting(t *testing.T) {
 // than store.SnapshotFloor. With floor 1 the rule alone decides.
 func openPodWithFloor(t *testing.T, dir string, floor int64) *Pod {
 	t.Helper()
-	p, err := OpenPod(persistOwner, "https://alice.pod", dir, PodStoreOptions{WAL: store.Options{Sync: store.SyncNever}})
+	p, err := OpenPod(persistOwner, "https://alice.pod", dir, store.Options{Sync: store.SyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestPodRestartWithSnapshots(t *testing.T) {
 	if len(seqs) > podSnapshotsKept {
 		t.Fatalf("%d snapshots kept, want <= %d", len(seqs), podSnapshotsKept)
 	}
-	p2 := restartPod(t, p, dir, PodStoreOptions{WAL: store.Options{Sync: store.SyncNever}})
+	p2 := restartPod(t, p, dir, store.Options{Sync: store.SyncNever})
 	requireSamePod(t, p2, p, paths...)
 	if g, w := *p2.persist, *p.persist; g.ops != w.ops || g.tailBytes != w.tailBytes || g.snapBytes != w.snapBytes {
 		t.Fatalf("restarted with ops/tail/snapshot %d/%d/%d, want %d/%d/%d",
@@ -227,7 +227,7 @@ func TestLocalZonePodRecovers(t *testing.T) {
 	if seqs, err := store.ListSnapshots(dir); err != nil || len(seqs) == 0 || seqs[0] >= 5 {
 		t.Fatalf("want a snapshot and an op-log tail, have snapshots %v (%v)", seqs, err)
 	}
-	p2 := restartPod(t, p, dir, PodStoreOptions{WAL: store.Options{Sync: store.SyncNever}})
+	p2 := restartPod(t, p, dir, store.Options{Sync: store.SyncNever})
 	requireSamePod(t, p2, p, paths...)
 }
 
@@ -253,7 +253,7 @@ func TestJSONACLPodIsRefused(t *testing.T) {
 	if !bytes.Contains(before[0], []byte(`"Authorizations":[`)) {
 		t.Fatal("the op log holds no JSON ACL")
 	}
-	p, err := OpenPod(persistOwner, "https://alice.pod", dir, PodStoreOptions{WAL: store.Options{Sync: store.SyncNever}})
+	p, err := OpenPod(persistOwner, "https://alice.pod", dir, store.Options{Sync: store.SyncNever})
 	if err == nil {
 		p.CloseStore()
 		t.Fatal("a pod dir of the previous format opened")
@@ -303,7 +303,7 @@ func TestPodSnapshotRule(t *testing.T) {
 			if limit := tc.limit(logBytes); snapshots == 0 || snapshots > limit {
 				t.Fatalf("%d snapshots over %d ops (%d log bytes), want 1..%d", snapshots, tc.ops, logBytes, limit)
 			}
-			p2 := restartPod(t, p, dir, PodStoreOptions{WAL: store.Options{Sync: store.SyncNever}})
+			p2 := restartPod(t, p, dir, store.Options{Sync: store.SyncNever})
 			requireSamePod(t, p2, p, tc.path(0), tc.path(tc.ops-1))
 		})
 	}
@@ -313,7 +313,7 @@ func TestPodSnapshotRule(t *testing.T) {
 // last complete op.
 func TestPodRestartTornOpLog(t *testing.T) {
 	dir := t.TempDir()
-	opts := PodStoreOptions{WAL: store.Options{Sync: store.SyncNever}}
+	opts := store.Options{Sync: store.SyncNever}
 	p, err := OpenPod(persistOwner, "https://alice.pod", dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -358,7 +358,7 @@ func TestHostPersistenceRestart(t *testing.T) {
 	dataDir := t.TempDir()
 	clk := simclock.NewSim(persistEpoch)
 	dir := NewMapDirectory()
-	opts := PodStoreOptions{WAL: store.Options{Sync: store.SyncNever}}
+	opts := store.Options{Sync: store.SyncNever}
 
 	boot := func() (*Host, *httptest.Server) {
 		h := NewHost(dir, clk)
@@ -406,7 +406,7 @@ func TestHostPersistenceRestart(t *testing.T) {
 // ignored in favour of a full op-log replay.
 func TestPodCorruptSnapshotFallsBack(t *testing.T) {
 	dir := t.TempDir()
-	opts := PodStoreOptions{WAL: store.Options{Sync: store.SyncNever}}
+	opts := store.Options{Sync: store.SyncNever}
 	p := openPodWithFloor(t, dir, 1)
 	for i := range 4 {
 		if err := p.Put(persistOwner, "/f.txt", "text/plain", []byte{byte(i)}, persistEpoch); err != nil {
@@ -460,7 +460,7 @@ func hex16(seq uint64) string {
 // advance past what the log holds.
 func TestPodMutationInvisibleOnLogFailure(t *testing.T) {
 	dir := t.TempDir()
-	opts := PodStoreOptions{WAL: store.Options{Sync: store.SyncNever}}
+	opts := store.Options{Sync: store.SyncNever}
 	p, err := OpenPod(persistOwner, "https://alice.pod", dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -516,7 +516,7 @@ func TestPodMutationInvisibleOnLogFailure(t *testing.T) {
 // what it served before, and a later PUT survives a reopen.
 func TestPodRefusesOversizedPut(t *testing.T) {
 	dir := t.TempDir()
-	opts := PodStoreOptions{WAL: store.Options{Sync: store.SyncAlways}}
+	opts := store.Options{Sync: store.SyncAlways}
 	p, err := OpenPod(persistOwner, "https://alice.pod", dir, opts)
 	if err != nil {
 		t.Fatal(err)
