@@ -87,6 +87,10 @@ func (b *Block) GasUsed() uint64 {
 type blockScratch struct {
 	buf    []byte
 	levels []cryptoutil.Hash
+	// next is each sender's next nonce within the block ApplyBlock
+	// checks (checkNonceSequenceLocked). Nil, or one entry per sender
+	// of a block of at most maxTxsPerBlock transactions.
+	next map[cryptoutil.Address]uint64
 }
 
 // maxScratchBytes bounds what a blockScratch keeps between uses: a

@@ -56,7 +56,11 @@
 // whoever can see a receipt can see its block, its gas and its sender's
 // nonce. Block production only selects from the mempool (mempool.Take),
 // so a seal whose WAL append fails leaves nonces, mempool and cost
-// ledger as they were. Receipt waiters are woken through
+// ledger as they were. Another authority's block must continue each
+// sender's committed nonce, in order: ApplyBlock refuses a replayed
+// transaction, a gap or a repeat (errNonceSequence) before it executes
+// anything, so settleLocked only ever moves a nonce up by one per
+// transaction. Receipt waiters are woken through
 // capacity-1 buffered channels, so a slow WaitForReceipt consumer
 // cannot stall a commit. State snapshots are serialized and
 // written by a background goroutine fed a copy-on-write export, never
@@ -192,8 +196,9 @@
 // temporaries of that path are built in one blockScratch per node rather
 // than allocated per block: a byte buffer that holds one encoding at a
 // time — each transaction's while ApplyBlock hashes it, each receipt's
-// while its digest is taken, then the WAL frame — and a hash slice the
-// Merkle levels of the tx and receipt roots are folded in, in place. The
+// while its digest is taken, then the WAL frame — a hash slice the
+// Merkle levels of the tx and receipt roots are folded in, in place, and
+// the per-sender map ApplyBlock checks nonce continuity in. The
 // scratch belongs to the node's sealMu: seal and ApplyBlock take it after
 // locking and hand it to commitBlock, so one block at a time uses it, and
 // the followers SealNext fans a block out to each use their own. Nothing

@@ -21,6 +21,9 @@ var (
 	ErrBadStateRoot   = errors.New("chain: state root mismatch")
 	ErrBadTimestamp   = errors.New("chain: block timestamp not after parent")
 	ErrBlockTooLarge  = errors.New("chain: block transactions exceed the byte budget")
+	// errNonceSequence refuses a block that replays a committed
+	// transaction, skips a nonce or repeats one (checkNonceSequenceLocked).
+	errNonceSequence = errors.New("chain: block breaks a sender's nonce sequence")
 )
 
 // ApplyBlock validates a block sealed by another authority and, if valid,
@@ -110,7 +113,13 @@ func (n *Node) ApplyBlock(block *Block, proposerKey []byte) error {
 		return fmt.Errorf("%w: %d bytes, budget %d", ErrBlockTooLarge, size, MaxBlockTxBytes)
 	}
 	hashes := txHashes(scratch, block.Txs)
+	// Each sender's transactions must continue its committed nonces, in
+	// block order: a committed transaction replayed, a gap, or one
+	// transaction twice is refused before anything runs. Only
+	// commitBlock moves the nonces, under this sealMu. A transaction
+	// whose signature fails is reported as that, not as its nonce.
 	n.mpMu.Lock()
+	seqErr := n.checkNonceSequenceLocked(block.Txs)
 	var unadmitted []*Tx
 	for i, tx := range block.Txs {
 		if !n.mempool.Contains(hashes[i]) {
@@ -120,6 +129,9 @@ func (n *Node) ApplyBlock(block *Block, proposerKey []byte) error {
 	n.mpMu.Unlock()
 	if err := firstError(verify(unadmitted)); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadTxInBlock, err)
+	}
+	if seqErr != nil {
+		return seqErr
 	}
 	n.metrics.SigsReused.Add(uint64(len(block.Txs) - len(unadmitted)))
 	n.metrics.SigsVerified.Add(uint64(len(unadmitted)))
@@ -148,6 +160,34 @@ func (n *Node) ApplyBlock(block *Block, proposerKey []byte) error {
 	// commitBlock settles nonces and the mempool once the WAL has it.
 	applied := &Block{Header: h, Txs: block.Txs, Receipts: receipts}
 	return n.commitBlock(applied, overlay.TakeDeltas(), scratch)
+}
+
+// checkNonceSequenceLocked reports errNonceSequence unless every
+// sender's transactions in txs carry its committed nonce and the ones
+// after it, in order. It counts in the node's scratch map, cleared per
+// block and dropped after a block with more senders than an honest
+// block holds. sealMu and mpMu must be held.
+func (n *Node) checkNonceSequenceLocked(txs []*Tx) error {
+	next := n.scratch.next
+	if next == nil {
+		next = make(map[cryptoutil.Address]uint64)
+		n.scratch.next = next
+	}
+	clear(next)
+	if len(txs) > maxTxsPerBlock {
+		n.scratch.next = nil // not kept: it may grow past an honest block's senders
+	}
+	for _, tx := range txs {
+		want, seen := next[tx.From]
+		if !seen {
+			want = n.nonces[tx.From]
+		}
+		if tx.Nonce != want {
+			return fmt.Errorf("%w: sender %s nonce %d, want %d", errNonceSequence, tx.From.Short(), tx.Nonce, want)
+		}
+		next[tx.From] = want + 1
+	}
+	return nil
 }
 
 // replayTxs executes one block's transactions against st (a seal-time or

@@ -21,7 +21,8 @@
 // system-wide invariants as plain predicates over live state:
 //
 //   - funds-conservation: fees paid == payouts earned + market revenue
-//   - nonce-monotonicity: per-sender nonces on the ledger are gapless
+//   - nonce-monotonicity: on every live validator, per-sender nonces on
+//     its ledger are gapless and match its committed nonces
 //   - head-agreement: all live validators agree on the chain tip
 //   - gas-ledger: the cost ledger equals the sum of receipt gas
 //   - acl-isolation: an agent reads a resource iff some generation of

@@ -195,33 +195,36 @@ func checkFundsConservation(w *World) error {
 	return nil
 }
 
-// checkNonceMonotonicity: per-sender nonces across the committed chain
-// are gapless and strictly increasing from 0, and the node's committed
-// nonce bookkeeping matches the ledger. A replayed transaction that
+// checkNonceMonotonicity: on every live validator — a partitioned
+// minority's prefix included — per-sender nonces across its committed
+// chain are gapless and strictly increasing from 0, and its committed
+// nonce bookkeeping matches its own ledger. A replayed transaction that
 // executed twice shows up as a repeated nonce here.
 func checkNonceMonotonicity(w *World) error {
-	n := w.d.LiveNode()
-	if n == nil {
-		return errors.New("no live node")
-	}
-	next := make(map[cryptoutil.Address]uint64)
-	height := n.Height()
-	for h := uint64(1); h <= height; h++ {
-		b := n.BlockByNumber(h)
-		if b == nil {
-			return fmt.Errorf("block %d missing below height %d", h, height)
+	for i, n := range w.d.Nodes {
+		if w.d.ValidatorDown(i) {
+			continue
 		}
-		for _, tx := range b.Txs {
-			if tx.Nonce != next[tx.From] {
-				return fmt.Errorf("block %d: sender %s nonce %d, want %d",
-					h, tx.From.Short(), tx.Nonce, next[tx.From])
+		next := make(map[cryptoutil.Address]uint64)
+		height := n.Height()
+		for h := uint64(1); h <= height; h++ {
+			b := n.BlockByNumber(h)
+			if b == nil {
+				return fmt.Errorf("validator %d: block %d missing below height %d", i, h, height)
 			}
-			next[tx.From]++
+			for _, tx := range b.Txs {
+				if tx.Nonce != next[tx.From] {
+					return fmt.Errorf("validator %d block %d: sender %s nonce %d, want %d",
+						i, h, tx.From.Short(), tx.Nonce, next[tx.From])
+				}
+				next[tx.From]++
+			}
 		}
-	}
-	for addr, want := range next {
-		if got := n.CommittedNonce(addr); got != want {
-			return fmt.Errorf("sender %s: committed nonce %d, ledger says %d", addr.Short(), got, want)
+		for addr, want := range next {
+			if got := n.CommittedNonce(addr); got != want {
+				return fmt.Errorf("validator %d sender %s: committed nonce %d, ledger says %d",
+					i, addr.Short(), got, want)
+			}
 		}
 	}
 	return nil

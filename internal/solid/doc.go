@@ -63,19 +63,22 @@
 //
 // # Durability
 //
-// A pod opened with OpenPod (or created on a Host after
-// EnablePersistence) journals every mutation's effect — the stored
-// bytes, the deleted path, the installed ACL — to a per-pod op log,
-// with full-content snapshots bounding replay (written when the log
-// tail has outgrown the last one: store.SnapshotDue, the chain's rule).
-// A restarted pod serves
-// byte-identical resources with identical ETags, reports the same ACL
-// generation, and never re-mints a POST-assigned child name. Mutations
-// on a durable pod fail if their journal append fails; replay applies
-// effects directly and re-checks nothing (authorization happened when
-// the op was logged). Op records and snapshots have one binary encoding
-// each (codec.go): times are written as their UTC instant and ACLs field
-// by field. A pod dir whose op log opens with a record of an earlier
-// format fails OpenPod ("start from an empty directory") and is left as
-// it was.
+// Every mutation — Put, Append, Delete, SetACL — builds one op (the
+// stored bytes, the deleted path, the installed ACL, a minted POST
+// name) and commits it: a durable pod appends the op to its op log
+// first, then applies it with the same function OpenPod replays the log
+// through, so what a live pod serves and what a restarted pod serves
+// come from one piece of code. An op the log refuses fails the mutation
+// and changes nothing, not even the POST counter. A pod opened with
+// OpenPod (or created on a Host after EnablePersistence) writes
+// full-content snapshots when the log tail has outgrown the last one
+// (store.SnapshotDue, the chain's rule), and replays only the tail past
+// the newest. A restarted pod serves byte-identical resources with
+// identical ETags, reports the same ACL generation, and never re-mints
+// a POST-assigned child name. Replay re-checks nothing: authorization
+// happened before the op was built. Op records and snapshots have one
+// binary encoding each (codec.go): times are written as their UTC
+// instant and ACLs field by field. A pod dir whose op log opens with a
+// record of an earlier format fails OpenPod ("start from an empty
+// directory") and is left as it was.
 package solid

@@ -17,10 +17,11 @@ const podLogName = "oplog.wal"
 // podSnapshotsKept bounds retained pod snapshot files.
 const podSnapshotsKept = 3
 
-// podOp is one logged mutation effect. Replay applies effects directly —
-// authorization already happened when the op was logged — so a restored
-// pod reproduces the exact resource bytes, ETags, ACL documents, ACL
-// generation, and POST-minting sequence of the pod that wrote the log.
+// podOp is one mutation's effect: what commitLocked logs and applies,
+// and what replay applies again — authorization already happened when
+// the op was built — so a restored pod reproduces the exact resource
+// bytes, ETags, ACL documents, ACL generation, and POST-minting sequence
+// of the pod that wrote the log.
 type podOp struct {
 	Kind podOpKind
 	// Path is the affected resource (or ACL target) path.
@@ -143,9 +144,32 @@ func OpenPod(owner WebID, baseURL, dir string, opts store.Options) (*Pod, error)
 	return p, nil
 }
 
-// applyOpLocked replays one logged effect (open-time only, no logging;
-// callers hold p.mu). Each op bumps the ACL generation exactly once,
-// mirroring the original mutation.
+// commitLocked is the one way a pod changes. It logs op when the pod is
+// durable, applies it with applyOpLocked — the function OpenPod replays
+// the log through — and then snapshots if one is due. A log append that
+// fails is returned with the pod untouched: a durable pod never
+// acknowledges (or serves) a write its log does not hold. op.PostSeq is
+// the counter a POST minted, or zero; the op is logged with the pod's
+// counter after it. Callers hold p.mu for writing.
+func (p *Pod) commitLocked(op podOp) error {
+	op.PostSeq = max(op.PostSeq, p.postSeq)
+	if ps := p.persist; ps != nil {
+		buf := encodePodOp(&op)
+		if err := ps.wal.Append(buf); err != nil {
+			return fmt.Errorf("solid: persist pod op: %w", err)
+		}
+		ps.ops++
+		ps.tailBytes += int64(len(buf))
+	}
+	p.applyOpLocked(op)
+	p.maybeSnapshotLocked()
+	return nil
+}
+
+// applyOpLocked applies one op to memory, checking and logging nothing
+// (authorization happened before the op was built). Each op advances the
+// ACL generation once, orphaning every cached decision. Callers hold
+// p.mu for writing.
 func (p *Pod) applyOpLocked(op podOp) {
 	switch op.Kind {
 	case podOpPut:
@@ -161,37 +185,15 @@ func (p *Pod) applyOpLocked(op podOp) {
 	case podOpACL:
 		p.acls[op.Path] = op.ACL
 	}
-	if op.PostSeq > p.postSeq {
-		p.postSeq = op.PostSeq
-	}
-	p.invalidateAuthCache()
-}
-
-// logOpLocked journals one mutation effect. Callers hold p.mu for
-// writing and call it BEFORE applying the mutation to memory; a nil
-// persist makes it a no-op (the in-memory pod). A logging failure is
-// returned to the mutating caller, which must then leave the pod
-// untouched — a durable pod never acknowledges (or serves) a write its
-// journal does not hold.
-func (p *Pod) logOpLocked(op podOp) error {
-	if p.persist == nil {
-		return nil
-	}
-	op.PostSeq = p.postSeq
-	buf := encodePodOp(&op)
-	if err := p.persist.wal.Append(buf); err != nil {
-		return fmt.Errorf("solid: persist pod op: %w", err)
-	}
-	p.persist.ops++
-	p.persist.tailBytes += int64(len(buf))
-	return nil
+	p.postSeq = max(p.postSeq, op.PostSeq)
+	p.aclGen.Add(1)
 }
 
 // maybeSnapshotLocked snapshots when the op-log tail has outgrown the
-// last snapshot. Callers hold p.mu for writing and call it AFTER applying
-// the mutation, so the snapshot includes the op it is stamped with. A
-// failed snapshot never fails the (already journaled and applied)
-// mutation: recovery just replays a longer tail.
+// last snapshot. commitLocked calls it after applying the op, so the
+// snapshot includes the op it is stamped with. A failed snapshot never
+// fails the (already journaled and applied) mutation: recovery just
+// replays a longer tail.
 func (p *Pod) maybeSnapshotLocked() {
 	ps := p.persist
 	if ps == nil || !store.SnapshotDue(ps.tailBytes, ps.snapBytes, ps.floor) {

@@ -96,27 +96,19 @@ var (
 
 // NewPod creates a pod whose root ACL grants the owner full control.
 func NewPod(owner WebID, baseURL string) *Pod {
-	p := &Pod{
+	return &Pod{
 		owner:     owner,
 		baseURL:   strings.TrimSuffix(baseURL, "/"),
 		resources: make(map[string]*Resource),
-		acls:      make(map[string]*ACL),
+		acls:      map[string]*ACL{"/": NewACL(owner, "/")},
 		authCache: make(map[authCacheKey]authDecision),
 		metrics:   noopMetrics,
 	}
-	p.acls["/"] = NewACL(owner, "/")
-	return p
 }
 
 // setMetrics wires the pod's observability instruments (Host.Mount
 // calls it, before the pod serves). A nil m restores the no-op default.
 func (p *Pod) setMetrics(m *Metrics) { p.metrics = m.orNoop() }
-
-// invalidateAuthCache advances the ACL generation, orphaning every cached
-// decision. Callers hold p.mu for writing.
-func (p *Pod) invalidateAuthCache() {
-	p.aclGen.Add(1)
-}
 
 // ACLGeneration returns the pod's current ACL generation. The counter
 // advances on every mutation (SetACL, Put, Delete, Append), so two equal
@@ -168,35 +160,14 @@ func (p *Pod) PutResource(agent WebID, resPath, contentType string, data []byte,
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	_, existed := p.resources[clean]
-	body := make([]byte, len(data))
-	copy(body, data)
-	etag = ETagFor(body)
-	res := &Resource{
-		Path:        clean,
-		ContentType: contentType,
-		Data:        body,
-		Modified:    now,
-		ETag:        etag,
+	op := podOp{
+		Kind: podOpPut, Path: clean, ContentType: contentType,
+		Data: append([]byte(nil), data...), Modified: now,
 	}
-	// Journal before apply: a write the op log refuses is never visible.
-	if err := p.logOpLocked(putOp(res)); err != nil {
+	if err := p.commitLocked(op); err != nil {
 		return false, "", err
 	}
-	p.resources[clean] = res
-	p.invalidateAuthCache()
-	p.maybeSnapshotLocked()
-	return !existed, etag, nil
-}
-
-// putOp builds the logged effect of storing res.
-func putOp(res *Resource) podOp {
-	return podOp{
-		Kind:        podOpPut,
-		Path:        res.Path,
-		ContentType: res.ContentType,
-		Data:        res.Data,
-		Modified:    res.Modified,
-	}
+	return !existed, p.resources[clean].ETag, nil
 }
 
 // Append adds data to a resource, subject to the agent holding Append
@@ -214,62 +185,32 @@ func (p *Pod) Append(agent WebID, resPath, contentType string, data []byte, now 
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if strings.HasSuffix(clean, "/") {
-		// POST to a container: mint a child that does not collide.
-		prevSeq := p.postSeq
-		for {
-			p.postSeq++
-			storedPath = fmt.Sprintf("%sres-%06d", clean, p.postSeq)
-			if _, taken := p.resources[storedPath]; !taken {
+	op := podOp{Kind: podOpPut, Path: clean, ContentType: contentType, Modified: now}
+	res, existed := p.resources[clean]
+	switch {
+	case strings.HasSuffix(clean, "/"):
+		// POST to a container: mint a child that does not collide. The
+		// name goes into the op; the pod's counter moves when it commits.
+		existed = false
+		for op.PostSeq = p.postSeq + 1; ; op.PostSeq++ {
+			op.Path = fmt.Sprintf("%sres-%06d", clean, op.PostSeq)
+			if _, taken := p.resources[op.Path]; !taken {
 				break
 			}
 		}
-		body := append([]byte(nil), data...)
-		minted := &Resource{
-			Path: storedPath, ContentType: contentType,
-			Data: body, Modified: now, ETag: ETagFor(body),
+		op.Data = append([]byte(nil), data...)
+	case existed:
+		op.Data = append(append(make([]byte, 0, len(res.Data)+len(data)), res.Data...), data...)
+		if res.ContentType != "" {
+			op.ContentType = res.ContentType
 		}
-		if err := p.logOpLocked(putOp(minted)); err != nil {
-			p.postSeq = prevSeq
-			return "", false, err
-		}
-		p.resources[storedPath] = minted
-		p.invalidateAuthCache()
-		p.maybeSnapshotLocked()
-		return storedPath, true, nil
+	default:
+		op.Data = append([]byte(nil), data...)
 	}
-	res, ok := p.resources[clean]
-	if !ok {
-		body := append([]byte(nil), data...)
-		created := &Resource{
-			Path: clean, ContentType: contentType,
-			Data: body, Modified: now, ETag: ETagFor(body),
-		}
-		if err := p.logOpLocked(putOp(created)); err != nil {
-			return "", false, err
-		}
-		p.resources[clean] = created
-		p.invalidateAuthCache()
-		p.maybeSnapshotLocked()
-		return clean, true, nil
-	}
-	body := make([]byte, 0, len(res.Data)+len(data))
-	body = append(append(body, res.Data...), data...)
-	ct := res.ContentType
-	if ct == "" {
-		ct = contentType
-	}
-	extended := &Resource{
-		Path: clean, ContentType: ct,
-		Data: body, Modified: now, ETag: ETagFor(body),
-	}
-	if err := p.logOpLocked(putOp(extended)); err != nil {
+	if err := p.commitLocked(op); err != nil {
 		return "", false, err
 	}
-	p.resources[clean] = extended
-	p.invalidateAuthCache()
-	p.maybeSnapshotLocked()
-	return clean, false, nil
+	return op.Path, !existed, nil
 }
 
 // Get retrieves a resource, subject to Read access.
@@ -306,13 +247,7 @@ func (p *Pod) Delete(agent WebID, resPath string) error {
 	if _, ok := p.resources[clean]; !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, clean)
 	}
-	if err := p.logOpLocked(podOp{Kind: podOpDel, Path: clean}); err != nil {
-		return err
-	}
-	delete(p.resources, clean)
-	p.invalidateAuthCache()
-	p.maybeSnapshotLocked()
-	return nil
+	return p.commitLocked(podOp{Kind: podOpDel, Path: clean})
 }
 
 // List returns the paths directly contained in a container path, subject
@@ -365,13 +300,7 @@ func (p *Pod) SetACL(agent WebID, resPath string, acl *ACL) error {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if err := p.logOpLocked(podOp{Kind: podOpACL, Path: clean, ACL: acl}); err != nil {
-		return err
-	}
-	p.acls[clean] = acl
-	p.invalidateAuthCache()
-	p.maybeSnapshotLocked()
-	return nil
+	return p.commitLocked(podOp{Kind: podOpACL, Path: clean, ACL: acl})
 }
 
 // GetACL returns the ACL document stored exactly at the given path,
