@@ -1,8 +1,6 @@
 package distexchange
 
 import (
-	"slices"
-
 	"repro/internal/cryptoutil"
 	"repro/internal/policy"
 	"repro/internal/store"
@@ -31,7 +29,7 @@ func decodeOptRound(d *store.Dec) *uint64 {
 
 // AppendArgs appends the arguments' encoding.
 func (a RegisterPodArgs) AppendArgs(dst []byte) []byte {
-	dst = slices.Grow(dst, 20+len(a.OwnerWebID)+len(a.Location)+optPolicySize(a.DefaultPolicy))
+	dst = grow(dst, 20+len(a.OwnerWebID)+len(a.Location)+optPolicySize(a.DefaultPolicy))
 	dst = store.AppendString(dst, a.OwnerWebID)
 	dst = store.AppendString(dst, a.Location)
 	return appendOptPolicy(dst, a.DefaultPolicy)
@@ -45,7 +43,7 @@ func decodeRegisterPodArgs(d *store.Dec, a *RegisterPodArgs) {
 
 // AppendArgs appends the arguments' encoding.
 func (a RegisterResourceArgs) AppendArgs(dst []byte) []byte {
-	dst = slices.Grow(dst, 40+len(a.ResourceIRI)+len(a.PodWebID)+len(a.Location)+len(a.Description)+optPolicySize(a.Policy))
+	dst = grow(dst, 40+len(a.ResourceIRI)+len(a.PodWebID)+len(a.Location)+len(a.Description)+optPolicySize(a.Policy))
 	dst = store.AppendString(dst, a.ResourceIRI)
 	dst = store.AppendString(dst, a.PodWebID)
 	dst = store.AppendString(dst, a.Location)
@@ -70,7 +68,7 @@ func decodeWithdrawResourceArgs(d *store.Dec, a *WithdrawResourceArgs) { a.Resou
 
 // AppendArgs appends the arguments' encoding.
 func (a UpdatePolicyArgs) AppendArgs(dst []byte) []byte {
-	dst = slices.Grow(dst, 10+len(a.ResourceIRI)+optPolicySize(a.Policy))
+	dst = grow(dst, 10+len(a.ResourceIRI)+optPolicySize(a.Policy))
 	return appendOptPolicy(store.AppendString(dst, a.ResourceIRI), a.Policy)
 }
 
@@ -88,7 +86,7 @@ func decodeRegisterDeviceArgs(d *store.Dec, a *RegisterDeviceArgs) { a.Certifica
 
 // AppendArgs appends the arguments' encoding.
 func (a RecordGrantArgs) AppendArgs(dst []byte) []byte {
-	dst = slices.Grow(dst, 20+2*cryptoutil.AddressLen+len(a.ResourceIRI)+len(a.Purpose))
+	dst = grow(dst, 20+2*cryptoutil.AddressLen+len(a.ResourceIRI)+len(a.Purpose))
 	dst = store.AppendString(dst, a.ResourceIRI)
 	dst = append(dst, a.Consumer[:]...)
 	dst = append(dst, a.Device[:]...)
@@ -139,7 +137,7 @@ func (a SubmitEvidenceArgs) AppendArgs(dst []byte) []byte {
 	for i := range a.Signed {
 		size += signedEvidenceSize(&a.Signed[i])
 	}
-	dst = store.AppendUvarint(slices.Grow(dst, size), uint64(len(a.Signed)))
+	dst = store.AppendUvarint(grow(dst, size), uint64(len(a.Signed)))
 	for i := range a.Signed {
 		dst = store.AppendBytes(appendEvidence(dst, &a.Signed[i].Evidence), a.Signed[i].Signature)
 	}

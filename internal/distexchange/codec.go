@@ -1,8 +1,6 @@
 package distexchange
 
 import (
-	"slices"
-
 	"repro/internal/cryptoutil"
 	"repro/internal/policy"
 	"repro/internal/store"
@@ -32,6 +30,16 @@ const (
 	// tagEvidenceOutcomes opens what submitEvidence returns.
 	tagEvidenceOutcomes byte = 0x29
 )
+
+// grow returns dst with room for n more bytes, in one allocation when it
+// has none. slices.Grow's append of a fresh slice allocates twice when the
+// race detector keeps the compiler from fusing the two.
+func grow(dst []byte, n int) []byte {
+	if cap(dst)-len(dst) >= n {
+		return dst
+	}
+	return append(make([]byte, 0, len(dst)+n), dst...)
+}
 
 // fixedSize bounds from above what a record's fixed-width and integer
 // fields add to its strings: the tag, four timestamps, two addresses and a
@@ -84,7 +92,7 @@ func decodeAddresses(d *store.Dec, what string) []cryptoutil.Address {
 }
 
 func appendPodRecord(dst []byte, r *PodRecord) []byte {
-	dst = slices.Grow(dst, fixedSize+len(r.OwnerWebID)+len(r.Location)+optPolicySize(r.DefaultPolicy))
+	dst = grow(dst, fixedSize+len(r.OwnerWebID)+len(r.Location)+optPolicySize(r.DefaultPolicy))
 	dst = append(dst, tagPod)
 	dst = store.AppendString(dst, r.OwnerWebID)
 	dst = store.AppendString(dst, r.Location)
@@ -106,7 +114,7 @@ func decodePodRecord(d *store.Dec, r *PodRecord) {
 // (len(record) when there is none): the record ends with it, so the events
 // that carry the policy alone carry a tail of the stored bytes.
 func appendResourceRecord(dst []byte, r *ResourceRecord) (record []byte, policyAt int) {
-	dst = slices.Grow(dst, fixedSize+len(r.ResourceIRI)+len(r.PodWebID)+len(r.Location)+len(r.Description)+optPolicySize(r.Policy))
+	dst = grow(dst, fixedSize+len(r.ResourceIRI)+len(r.PodWebID)+len(r.Location)+len(r.Description)+optPolicySize(r.Policy))
 	dst = append(dst, tagResource)
 	dst = store.AppendBool(dst, r.Withdrawn)
 	dst = store.AppendString(dst, r.ResourceIRI)
@@ -143,7 +151,7 @@ func decodeResourceWithdrawn(raw []byte) (withdrawn, ok bool) {
 }
 
 func appendDeviceRecord(dst []byte, r *DeviceRecord) []byte {
-	dst = slices.Grow(dst, fixedSize+len(r.DeviceKey))
+	dst = grow(dst, fixedSize+len(r.DeviceKey))
 	dst = append(dst, tagDevice)
 	dst = append(dst, r.Device[:]...)
 	dst = store.AppendBytes(dst, r.DeviceKey)
@@ -160,7 +168,7 @@ func decodeDeviceRecord(d *store.Dec, r *DeviceRecord) {
 }
 
 func appendGrant(dst []byte, g *Grant) []byte {
-	dst = slices.Grow(dst, fixedSize+len(g.ResourceIRI)+len(g.Purpose))
+	dst = grow(dst, fixedSize+len(g.ResourceIRI)+len(g.Purpose))
 	dst = append(dst, tagGrant)
 	dst = store.AppendString(dst, g.ResourceIRI)
 	dst = append(dst, g.Consumer[:]...)
@@ -183,7 +191,7 @@ func decodeGrant(d *store.Dec, g *Grant) {
 }
 
 func appendMonitoringRound(dst []byte, r *MonitoringRound) []byte {
-	dst = slices.Grow(dst, fixedSize+len(r.ResourceIRI)+cryptoutil.AddressLen*(len(r.Targets)+len(r.Responded)))
+	dst = grow(dst, fixedSize+len(r.ResourceIRI)+cryptoutil.AddressLen*(len(r.Targets)+len(r.Responded)))
 	dst = append(dst, tagRound)
 	dst = store.AppendUvarint(dst, r.Round)
 	dst = store.AppendString(dst, r.ResourceIRI)
@@ -285,7 +293,7 @@ func evidenceRecordSize(e *Evidence, findings int) int {
 
 func appendEvidenceRecord(dst []byte, r *EvidenceRecord) []byte {
 	e := &r.Evidence
-	dst = slices.Grow(dst, evidenceRecordSize(e, len(r.Findings)))
+	dst = grow(dst, evidenceRecordSize(e, len(r.Findings)))
 	dst = append(dst, tagEvidence)
 	dst = store.AppendUvarint(dst, r.Seq)
 	dst = appendEvidence(dst, e)
@@ -306,7 +314,7 @@ func decodeEvidenceRecord(d *store.Dec, r *EvidenceRecord) {
 }
 
 func appendViolation(dst []byte, v *Violation) []byte {
-	dst = slices.Grow(dst, fixedSize+len(v.ResourceIRI)+len(v.Kind)+len(v.Detail))
+	dst = grow(dst, fixedSize+len(v.ResourceIRI)+len(v.Kind)+len(v.Detail))
 	dst = append(dst, tagViolation)
 	dst = store.AppendUvarint(dst, v.Seq)
 	dst = store.AppendString(dst, v.ResourceIRI)
@@ -376,7 +384,7 @@ func appendListing(dst []byte, records [][]byte) []byte {
 	for _, raw := range records {
 		size += len(raw)
 	}
-	dst = slices.Grow(dst, size)
+	dst = grow(dst, size)
 	dst = store.AppendUvarint(dst, uint64(len(records)))
 	for _, raw := range records {
 		dst = append(dst, raw...)

@@ -188,14 +188,13 @@ func (m *Manager) Upload(path, contentType string, data []byte) error {
 // owner's permission on the local ACL, it stores the policy next to the
 // resource as Turtle and forwards the metadata to the DE App.
 func (m *Manager) Publish(ctx context.Context, agent solid.WebID, path, description string, pol *policy.Policy) error {
-	if agent != m.owner {
-		// The Pod Manager "first checks that Alice is permitted to perform
-		// this action" — publication requires Control on the resource.
-		if err := m.pod.Authorize(agent, path, solid.ModeControl); err != nil {
+	// The Pod Manager "first checks that Alice is permitted to perform
+	// this action" — publication requires Control on the resource — and
+	// that the resource is in the pod.
+	if err := m.pod.Exists(agent, path, solid.ModeControl); err != nil {
+		if agent != m.owner && !errors.Is(err, solid.ErrNotFound) {
 			return fmt.Errorf("%w: %v", ErrOwnerOnly, err)
 		}
-	}
-	if _, err := m.pod.Get(m.owner, path); err != nil {
 		return fmt.Errorf("%w: %v", ErrMissingInPod, err)
 	}
 	iri := m.ResourceIRI(path)

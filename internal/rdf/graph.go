@@ -2,63 +2,41 @@ package rdf
 
 import (
 	"cmp"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 )
 
-// Graph is an in-memory RDF graph with subject/predicate/object indexes.
+// Graph is an in-memory RDF graph: its triples, deduplicated and kept in
+// the order Triples returns them, so writing a document out sorts nothing.
+// Add finds a triple's place by binary search; the documents pods store
+// (policies, profiles, container listings) are small or added in order,
+// so the shifting stays cheap.
 //
 // A Graph is safe for concurrent use. The zero value is not usable; create
 // graphs with NewGraph.
 type Graph struct {
-	mu sync.RWMutex
-	// spo is the canonical store: subject -> predicate -> object set.
-	spo map[Term]map[Term]map[Term]struct{}
-	// pos and osp are secondary indexes used by Match.
-	pos map[Term]map[Term]map[Term]struct{}
-	osp map[Term]map[Term]map[Term]struct{}
-	n   int
+	mu      sync.RWMutex
+	triples []Triple // sorted by compareTriples, no two equal
 }
 
 // NewGraph returns an empty graph.
-func NewGraph() *Graph {
-	return &Graph{
-		spo: make(map[Term]map[Term]map[Term]struct{}),
-		pos: make(map[Term]map[Term]map[Term]struct{}),
-		osp: make(map[Term]map[Term]map[Term]struct{}),
-	}
-}
-
-func addIndex(idx map[Term]map[Term]map[Term]struct{}, a, b, c Term) bool {
-	m1, ok := idx[a]
-	if !ok {
-		m1 = make(map[Term]map[Term]struct{})
-		idx[a] = m1
-	}
-	m2, ok := m1[b]
-	if !ok {
-		m2 = make(map[Term]struct{})
-		m1[b] = m2
-	}
-	if _, exists := m2[c]; exists {
-		return false
-	}
-	m2[c] = struct{}{}
-	return true
-}
+func NewGraph() *Graph { return &Graph{} }
 
 // Add inserts a triple. It reports whether the triple was not already
 // present.
 func (g *Graph) Add(t Triple) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if !addIndex(g.spo, t.S, t.P, t.O) {
-		return false
+	i, _ := slices.BinarySearchFunc(g.triples, t, compareTriples)
+	// Distinct terms can order as equal (a NUL in a value meets the
+	// separator), so a tie is checked for identity, not just order.
+	for j := i; j < len(g.triples) && compareTriples(g.triples[j], t) == 0; j++ {
+		if g.triples[j] == t {
+			return false
+		}
 	}
-	addIndex(g.pos, t.P, t.O, t.S)
-	addIndex(g.osp, t.O, t.S, t.P)
-	g.n++
+	g.triples = slices.Insert(g.triples, i, t)
 	return true
 }
 
@@ -66,7 +44,7 @@ func (g *Graph) Add(t Triple) bool {
 func (g *Graph) Len() int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return g.n
+	return len(g.triples)
 }
 
 // Match returns all triples matching the pattern. A zero Term in any
@@ -75,46 +53,15 @@ func (g *Graph) Len() int {
 func (g *Graph) Match(s, p, o Term) []Triple {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-
+	if s.IsZero() && p.IsZero() && o.IsZero() {
+		return slices.Clone(g.triples)
+	}
 	var out []Triple
-	switch {
-	case !s.IsZero():
-		for pp, objs := range g.spo[s] {
-			if !p.IsZero() && pp != p {
-				continue
-			}
-			for oo := range objs {
-				if !o.IsZero() && oo != o {
-					continue
-				}
-				out = append(out, Triple{S: s, P: pp, O: oo})
-			}
-		}
-	case !p.IsZero():
-		for oo, subs := range g.pos[p] {
-			if !o.IsZero() && oo != o {
-				continue
-			}
-			for ss := range subs {
-				out = append(out, Triple{S: ss, P: p, O: oo})
-			}
-		}
-	case !o.IsZero():
-		for ss, preds := range g.osp[o] {
-			for pp := range preds {
-				out = append(out, Triple{S: ss, P: pp, O: o})
-			}
-		}
-	default:
-		for ss, m1 := range g.spo {
-			for pp, objs := range m1 {
-				for obj := range objs {
-					out = append(out, Triple{S: ss, P: pp, O: obj})
-				}
-			}
+	for _, t := range g.triples {
+		if (s.IsZero() || t.S == s) && (p.IsZero() || t.P == p) && (o.IsZero() || t.O == o) {
+			out = append(out, t)
 		}
 	}
-	sortTriples(out)
 	return out
 }
 
@@ -153,15 +100,13 @@ func compareJoined(a, b []string) int {
 	}
 }
 
-func sortTriples(ts []Triple) {
-	sort.Slice(ts, func(i, j int) bool {
-		a, b := &ts[i], &ts[j]
-		if c := compareTerms(a.S, b.S); c != 0 {
-			return c < 0
-		}
-		if c := compareTerms(a.P, b.P); c != 0 {
-			return c < 0
-		}
-		return compareTerms(a.O, b.O) < 0
-	})
+// compareTriples orders triples by subject, then predicate, then object.
+func compareTriples(a, b Triple) int {
+	if c := compareTerms(a.S, b.S); c != 0 {
+		return c
+	}
+	if c := compareTerms(a.P, b.P); c != 0 {
+		return c
+	}
+	return compareTerms(a.O, b.O)
 }

@@ -1,6 +1,5 @@
 // Package rdf provides a minimal RDF data model: IRIs, literals, triples,
-// an indexed in-memory graph with pattern matching, and a Turtle
-// serializer.
+// an in-memory graph with pattern matching, and a Turtle serializer.
 //
 // The package implements exactly what the documents pods store and serve
 // need: usage-policy documents, WebID profile documents and container

@@ -115,7 +115,7 @@ func (c *Client) doRaw(req *http.Request) ([]byte, http.Header, int, error) {
 		return nil, nil, 0, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, MaxBodyBytes))
+	body, err := readSized(resp.Body, resp.ContentLength, MaxBodyBytes)
 	if err != nil {
 		return nil, nil, 0, err
 	}

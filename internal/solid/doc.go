@@ -14,6 +14,17 @@
 // (to a resource) or mints a contained resource (on a container, LDP
 // style).
 //
+// # One copy per hop
+//
+// A body crosses each hop with one copy. A stored body is never written
+// again (every mutation stores a fresh one), so GET writes it straight
+// from the pod, with its Content-Length, and HEAD answers the same
+// headers without it. Client and server read a body of declared length
+// into one buffer of that size; a body of unknown length, or one declared
+// larger than 1 MiB, grows as it arrives, so a header alone reserves no
+// memory. Pod.Get hands its caller a copy; Pod.Exists checks that a
+// resource is there without reading it.
+//
 // # Multi-pod hosting
 //
 // Host serves any number of pods behind one http.Handler — the paper's

@@ -213,13 +213,35 @@ func (p *Pod) Append(agent WebID, resPath, contentType string, data []byte, now 
 	return op.Path, !existed, nil
 }
 
-// Get retrieves a resource, subject to Read access.
+// Get retrieves a resource, subject to Read access. The result is the
+// caller's own copy.
 func (p *Pod) Get(agent WebID, resPath string) (*Resource, error) {
+	res, err := p.lookup(agent, resPath, ModeRead)
+	if err != nil {
+		return nil, err
+	}
+	cp := *res
+	cp.Data = append([]byte(nil), res.Data...)
+	return &cp, nil
+}
+
+// Exists reports whether the agent holds mode on resPath and a resource is
+// stored there: nil, Authorize's error, or ErrNotFound. It reads no body.
+func (p *Pod) Exists(agent WebID, resPath string, mode AccessMode) error {
+	_, err := p.lookup(agent, resPath, mode)
+	return err
+}
+
+// lookup authorizes mode and returns the stored resource itself, not a
+// copy. A stored Resource is never written after applyOpLocked installs
+// it (every mutation builds a fresh one), so the result stays whole while
+// later writes replace it; callers read it and must not change it.
+func (p *Pod) lookup(agent WebID, resPath string, mode AccessMode) (*Resource, error) {
 	clean, err := normalizePath(resPath)
 	if err != nil {
 		return nil, err
 	}
-	if err := p.Authorize(agent, clean, ModeRead); err != nil {
+	if err := p.Authorize(agent, clean, mode); err != nil {
 		return nil, err
 	}
 	p.mu.RLock()
@@ -228,9 +250,7 @@ func (p *Pod) Get(agent WebID, resPath string) (*Resource, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, clean)
 	}
-	cp := *res
-	cp.Data = append([]byte(nil), res.Data...)
-	return &cp, nil
+	return res, nil
 }
 
 // Delete removes a resource, subject to Write access.

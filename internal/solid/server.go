@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -363,7 +364,9 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request, agent WebID, 
 		_, _ = io.WriteString(w, doc)
 		return
 	}
-	res, err := s.pod.Get(agent, path)
+	// The stored resource itself: its body is never written again, so
+	// it goes out without a copy.
+	res, err := s.pod.lookup(agent, path, ModeRead)
 	if err != nil {
 		http.Error(w, err.Error(), httpStatusFor(err))
 		return
@@ -379,16 +382,34 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request, agent WebID, 
 		ct = "application/octet-stream"
 	}
 	w.Header().Set("Content-Type", ct)
+	w.Header().Set("Content-Length", strconv.Itoa(len(res.Data)))
 	if r.Method == http.MethodHead {
 		return
 	}
 	_, _ = w.Write(res.Data)
 }
 
+// maxPresized bounds the buffer readSized allocates on the sender's word
+// alone: a larger declared body grows as its bytes arrive, so a header
+// cannot make the reader reserve memory the sender never sends.
+const maxPresized = 1 << 20
+
+// readSized reads r whole, stopping after limit bytes. A body whose
+// Content-Length n is known and at most maxPresized is read into one
+// buffer of exactly n bytes; any other is read as io.ReadAll reads it.
+func readSized(r io.Reader, n, limit int64) ([]byte, error) {
+	if n < 0 || n > min(limit, maxPresized) {
+		return io.ReadAll(io.LimitReader(r, limit))
+	}
+	body := make([]byte, n)
+	_, err := io.ReadFull(r, body)
+	return body, err
+}
+
 // readBody drains the request body, refusing (rather than truncating)
 // payloads over MaxBodyBytes.
 func readBody(r *http.Request) ([]byte, bool, error) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, MaxBodyBytes+1))
+	body, err := readSized(r.Body, r.ContentLength, MaxBodyBytes+1)
 	if err != nil {
 		return nil, false, err
 	}

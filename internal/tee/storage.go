@@ -14,6 +14,10 @@
 // the paper survives the substitution because every protocol-visible
 // artifact (quotes, certificates, evidence signatures, sealed blobs) is
 // produced and verified exactly as a hardware TEE deployment would.
+//
+// A sealed blob is nonce ‖ ciphertext ‖ tag in one buffer: Seal allocates
+// it once, draws the nonce into its head and encrypts behind it, and
+// Delete overwrites the whole buffer before dropping it.
 package tee
 
 import (
@@ -66,16 +70,19 @@ func NewSealedStore(deviceSecret []byte, measurement [32]byte) (*SealedStore, er
 
 // Seal encrypts and stores value under name.
 func (s *SealedStore) Seal(name string, value []byte) error {
-	nonce := make([]byte, s.aead.NonceSize())
-	if _, err := io.ReadFull(rand.Reader, nonce); err != nil {
+	// One buffer holds the blob, nonce ‖ ciphertext ‖ tag: the nonce is
+	// drawn into its head and Seal appends behind it.
+	ns := s.aead.NonceSize()
+	blob := make([]byte, ns, ns+len(value)+s.aead.Overhead())
+	if _, err := io.ReadFull(rand.Reader, blob); err != nil {
 		return fmt.Errorf("tee: nonce: %w", err)
 	}
 	// Bind the ciphertext to its name so sealed blobs cannot be swapped
 	// between entries by the (untrusted) host.
-	ct := s.aead.Seal(nil, nonce, value, []byte(name))
+	blob = s.aead.Seal(blob, blob[:ns], value, []byte(name))
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.entries[name] = append(nonce, ct...)
+	s.entries[name] = blob
 	return nil
 }
 

@@ -3,6 +3,7 @@ package tee
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -159,5 +160,63 @@ func TestSealUnsealProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSealAllocations pins Seal to one buffer for the whole blob (nonce,
+// ciphertext and tag) besides the additional-data bytes of its name.
+func TestSealAllocations(t *testing.T) {
+	s := newStore(t)
+	value := bytes.Repeat([]byte{7}, 16<<10)
+	if got := testing.AllocsPerRun(100, func() {
+		if err := s.Seal("data/r1", value); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 2 {
+		t.Errorf("Seal: %.0f allocations, want 2", got)
+	}
+}
+
+// TestSealedBlobLayout checks that a blob is nonce ‖ ciphertext ‖ tag, the
+// layout blobs had when Seal drew the nonce and appended a separately
+// sealed ciphertext to it: a blob built that way still unseals, and a
+// blob Seal builds opens as one.
+func TestSealedBlobLayout(t *testing.T) {
+	s := newStore(t)
+	value := []byte("bob's medical dataset")
+	ns := s.aead.NonceSize()
+
+	nonce := bytes.Repeat([]byte{0x5a}, ns)
+	s.entries["data/old"] = append(nonce, s.aead.Seal(nil, nonce, value, []byte("data/old"))...)
+	if got, err := s.Unseal("data/old"); err != nil || !bytes.Equal(got, value) {
+		t.Fatalf("blob built the old way: %q, %v", got, err)
+	}
+
+	if err := s.Seal("data/new", value); err != nil {
+		t.Fatal(err)
+	}
+	blob := s.entries["data/new"]
+	if len(blob) != ns+len(value)+s.aead.Overhead() {
+		t.Fatalf("blob is %d bytes, want nonce %d + value %d + tag %d", len(blob), ns, len(value), s.aead.Overhead())
+	}
+	if got, err := s.aead.Open(nil, blob[:ns], blob[ns:], []byte("data/new")); err != nil || !bytes.Equal(got, value) {
+		t.Fatalf("blob opened as nonce then ciphertext: %q, %v", got, err)
+	}
+}
+
+// TestDeleteZeroesWholeBlob checks that Delete overwrites every byte of the
+// sealed buffer, up to its capacity, before dropping it.
+func TestDeleteZeroesWholeBlob(t *testing.T) {
+	s := newStore(t)
+	if err := s.Seal("data/r1", bytes.Repeat([]byte{0xff}, 1000)); err != nil {
+		t.Fatal(err)
+	}
+	blob := s.entries["data/r1"]
+	blob = blob[:cap(blob)]
+	if !s.Delete("data/r1") {
+		t.Fatal("Delete found nothing")
+	}
+	if i := slices.IndexFunc(blob, func(b byte) bool { return b != 0 }); i >= 0 {
+		t.Fatalf("byte %d of %d survived Delete", i, len(blob))
 	}
 }
