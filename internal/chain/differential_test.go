@@ -228,6 +228,11 @@ func TestDifferentialOverlayVsCloneReplay(t *testing.T) {
 				if st.Root() != refRoot || st.Bytes() != refBytes {
 					t.Fatalf("block %d: folded root or size diverged", block)
 				}
+				// Stored slices are handed over, never copied, so the
+				// root must still be that of the bytes the state holds.
+				if root, _ := recompute(st); root != st.Root() {
+					t.Fatalf("block %d: a stored value changed after it was hashed", block)
+				}
 			}
 		})
 	}

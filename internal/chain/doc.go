@@ -213,6 +213,25 @@
 // membership view, follower list and verdict slice in buffers it owns
 // under Network.sealMu; Network.mu is held only for the copy.
 //
+// # Who may hold a value slice
+//
+// A stored value is never written in place, and that one rule lets a
+// value cross the ledger without a copy. A contract hands the slice it
+// writes over to the overlay (StateRW.Set), which keeps it as the
+// layer's value; TakeDeltas moves it into the block's diff and
+// applyDeltas into the committed State, where the background snapshot
+// writer and ExportShared share it. A transaction reads through
+// Overlay.Get, which returns a view of the stored slice with its
+// capacity clipped to its length, so an append copies. An event payload
+// and a receipt's return value may be the very slice the contract
+// stored; every subscriber and the receipt share it. Any of these
+// holders may read or hash the slice for as long as it likes, and none
+// may write it. The one copy left is State.Get's: queries (Node.Query)
+// read through it, and what they answer leaves the ledger. The state
+// root is hashed from a value's bytes when it is stored, so a write
+// through any holder shows as a root that no longer matches the stored
+// bytes (the scenario engine's state-integrity invariant).
+//
 // # Durability
 //
 // A node opened with OpenNode and a Config.DataDir is durable: every

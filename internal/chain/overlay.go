@@ -15,8 +15,11 @@ import (
 // parallel.go). An Overlay's point reads of its base go through view,
 // which serves both without copying.
 type StateReader interface {
-	// Get returns the value for key (a copy) and whether it exists. The
-	// key is only read: a contract builds it in a reused buffer, and the
+	// Get returns the value for key and whether it exists. An overlay
+	// hands out a view of the stored slice, which the caller never writes
+	// through; the committed *State hands out a copy, since the queries
+	// that read it pass the bytes on to code outside the ledger. The key
+	// is only read: a contract builds it in a reused buffer, and the
 	// lookup allocates nothing for it.
 	Get(key []byte) ([]byte, bool)
 	// Keys returns the keys with the given prefix, sorted.
@@ -29,7 +32,8 @@ type StateReader interface {
 // committed block reaches the *State only through applyDeltas.
 type StateRW interface {
 	StateReader
-	// Set stores a copy of value under key.
+	// Set stores value under key. The slice is handed over: the state
+	// keeps it, and the caller must not write it afterwards.
 	Set(key string, value []byte)
 	// Delete removes key (a no-op when absent).
 	Delete(key string)
@@ -147,10 +151,12 @@ func effective[K stateKey](o *Overlay, key K) ([]byte, bool) {
 	return view(o.base, key)
 }
 
-// Get returns the value for key and whether it exists. The returned
-// slice is a copy. A read-recording child overlay also notes the key in
-// its read set (misses included: observing absence is a read too); that
-// copies the key the first time the child reads it.
+// Get returns the value for key and whether it exists: a view of the
+// stored slice, not a copy. The caller must not write through it; its
+// capacity is clipped to its length, so an append copies. A
+// read-recording child overlay also notes the key in its read set
+// (misses included: observing absence is a read too); that copies the
+// key the first time the child reads it.
 func (o *Overlay) Get(key []byte) ([]byte, bool) {
 	if o.recordReads {
 		// Recording mutates the read set, so the read path needs the
@@ -161,25 +167,17 @@ func (o *Overlay) Get(key []byte) ([]byte, bool) {
 		if _, seen := o.reads[string(key)]; !seen {
 			o.reads[string(key)] = struct{}{}
 		}
-		return copyValue(effective(o, key))
+	} else {
+		o.mu.RLock()
+		defer o.mu.RUnlock()
 	}
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return copyValue(effective(o, key))
+	v, ok := effective(o, key)
+	return v[:len(v):len(v)], ok
 }
 
-// copyValue copies an effective result for return to a caller that
-// may write through it.
-func copyValue(v []byte, ok bool) ([]byte, bool) {
-	if !ok {
-		return nil, false
-	}
-	out := make([]byte, len(v))
-	copy(out, v)
-	return out, true
-}
-
-// Set stores a copy of value under key.
+// Set stores value under key. The overlay keeps the slice it is handed
+// (see StateRW.Set): it becomes the layer's value, then the block diff's,
+// then the committed state's, and nothing on that path copies it.
 func (o *Overlay) Set(key string, value []byte) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -188,10 +186,8 @@ func (o *Overlay) Set(key string, value []byte) {
 	if cur, ok := effective(o, key); ok {
 		xorHash(&o.root, leafHash(key, cur))
 	}
-	cp := make([]byte, len(value))
-	copy(cp, value)
-	o.layer[key] = overlayEntry{value: cp}
-	xorHash(&o.root, leafHash(key, cp))
+	o.layer[key] = overlayEntry{value: value}
+	xorHash(&o.root, leafHash(key, value))
 }
 
 // Delete removes key. Deleting an absent key is a no-op (and is not

@@ -1,7 +1,6 @@
 package chain
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -73,20 +72,42 @@ func TestOverlayWritesShadowBase(t *testing.T) {
 	}
 }
 
-// TestOverlayGetReturnsCopy: mutating a Get result must not corrupt the
-// overlay (or the base).
-func TestOverlayGetReturnsCopy(t *testing.T) {
+// TestOverlayGetReturnsClippedView: Get hands out the stored slice
+// itself, from the layer and from the base, with its capacity clipped to
+// its length, so an append copies instead of writing past the value. A
+// write through a view is what the ownership rule forbids; the integrity
+// check catches it, because the root was hashed from the bytes when they
+// were stored.
+func TestOverlayGetReturnsClippedView(t *testing.T) {
 	st := referenceState(1)
 	ov := NewOverlay(st)
-	ov.Set("k", []byte("layer"))
+	ov.Set("k", make([]byte, 5, 64))
 	for _, key := range []string{"k", "a/0000"} {
-		v, _ := ov.Get([]byte(key))
-		for i := range v {
-			v[i] = 'X'
+		v, ok := ov.Get([]byte(key))
+		if !ok || cap(v) != len(v) {
+			t.Fatalf("Get(%q): ok %v, len %d, cap %d; want a view clipped to its length", key, ok, len(v), cap(v))
 		}
-		if again, _ := ov.Get([]byte(key)); bytes.Contains(again, []byte("X")) {
-			t.Fatalf("Get(%q) aliases internal storage", key)
+		if again, _ := ov.Get([]byte(key)); &again[0] != &v[0] {
+			t.Fatalf("Get(%q) copied the stored value", key)
 		}
+		if grown := append(v, 'X'); &grown[0] == &v[0] {
+			t.Fatalf("Get(%q): an append wrote into the stored slice's array", key)
+		}
+	}
+
+	// The integrity check: the root recomputed from the stored bytes.
+	integrity := func(st *State) bool {
+		root, _ := recompute(st)
+		return root == st.Root()
+	}
+	st.applyDeltas(ov.TakeDeltas())
+	if !integrity(st) {
+		t.Fatal("integrity check fails on an untouched state")
+	}
+	v, _ := NewOverlay(st).Get([]byte("a/0000"))
+	v[0] ^= 0xff
+	if integrity(st) {
+		t.Fatal("integrity check passes after a write through a view")
 	}
 }
 
@@ -274,5 +295,39 @@ func TestTakeDeltasOnRevertedEmptyOverlay(t *testing.T) {
 	deltas := ov.TakeDeltas()
 	if len(deltas) != 1 || deltas[0].K != "later" || string(deltas[0].V) != "y" {
 		t.Fatalf("post-revert write drained %+v", deltas)
+	}
+}
+
+// valueSink keeps what an allocation pin reads, so that the read escapes.
+var valueSink []byte
+
+// TestOverlayValueAccessAllocatesNothing: a transaction's reads and its
+// rewrites of a key it already wrote cost no allocation. Get hands out a
+// view of the stored slice, from the layer and from the base, and Set
+// keeps the slice it is handed; the journal entry a Set adds is undone
+// by RevertTo without shrinking the journal's array, so after warm-up
+// neither grows anything.
+func TestOverlayValueAccessAllocatesNothing(t *testing.T) {
+	// Values past 32 bytes, and reads kept in a package variable, so that
+	// a copy could not hide in the tiny allocator's blocks or on the stack.
+	st := NewState()
+	foldSet(st, "base", "a value the committed state holds")
+	ov := NewOverlay(st)
+	value := []byte("a value the overlay's layer holds")
+	ov.Set("k", value)
+	for _, key := range [][]byte{[]byte("k"), []byte("base"), []byte("absent")} {
+		if n := testing.AllocsPerRun(100, func() { valueSink, _ = ov.Get(key) }); n != 0 {
+			t.Errorf("Get(%q): %.0f allocations, want 0", key, n)
+		}
+	}
+	cp := ov.Checkpoint()
+	if n := testing.AllocsPerRun(100, func() {
+		ov.Set("k", value)
+		ov.RevertTo(cp)
+	}); n != 0 {
+		t.Errorf("Set of a key already in the layer: %.0f allocations, want 0", n)
+	}
+	if v, ok := ov.Get([]byte("k")); !ok || &v[0] != &value[0] {
+		t.Fatal("the layer does not hold the slice handed to Set")
 	}
 }

@@ -63,9 +63,14 @@ func NewState() *State {
 }
 
 // Get returns the value for key and whether it exists. The returned slice
-// is a copy; the key is only read.
+// is a copy, the one a ledger read makes: Node.Query reads through here,
+// and what it answers leaves the ledger. The key is only read.
 func (s *State) Get(key []byte) ([]byte, bool) {
-	return copyValue(lookup(s, key))
+	v, ok := lookup(s, key)
+	if !ok {
+		return nil, false
+	}
+	return append([]byte{}, v...), true
 }
 
 // lookup returns the stored slice for key WITHOUT copying. Stored value

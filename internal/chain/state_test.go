@@ -205,10 +205,10 @@ func hashOfByte(b byte) cryptoutil.Hash {
 
 // TestTakeDeltasMoveSemanticsNoAliasing: a block's diff moves its values
 // from the overlay's layer into the committed state, with no copy on
-// either hop. That is only sound if nothing writes through a moved slice:
-// the caller's buffer was copied by Set, and a later block replaces the
-// stored slice rather than mutating it. This pins both, for the drained
-// deltas and for the state they were folded into.
+// any hop. That is only sound if nothing writes through a moved slice:
+// the caller hands its buffer over to Set, and a later block replaces
+// the stored slice rather than mutating it. This pins both, for the
+// drained deltas and for the state they were folded into.
 func TestTakeDeltasMoveSemanticsNoAliasing(t *testing.T) {
 	st := NewState()
 	ov := NewOverlay(st)
@@ -222,10 +222,13 @@ func TestTakeDeltasMoveSemanticsNoAliasing(t *testing.T) {
 	}
 	st.applyDeltas(diff)
 
-	// Mutating the buffer the caller handed to Set must reach neither
-	// the diff nor the state (Set stored a copy).
-	for i := range buf {
-		buf[i] = 'X'
+	// The buffer the caller handed to Set is the one the diff and the
+	// state hold: nothing on the way copied it.
+	if d := diff[1]; d.K != "k" || &d.V[0] != &buf[0] {
+		t.Fatalf("k delta %+v does not hold the buffer handed to Set", d)
+	}
+	if v, ok := lookup(st, "k"); !ok || &v[0] != &buf[0] {
+		t.Fatal("the state does not hold the buffer handed to Set")
 	}
 	// A later block overwriting and deleting the key must not reach the
 	// already-taken diff either (stored slices are replaced, never

@@ -78,7 +78,9 @@ type Env struct {
 // namespace, for the local key to be appended to. See keyspace.
 func (e *Env) Key() []byte { return e.keys.key() }
 
-// Get reads a storage key built on Key, charging read gas.
+// Get reads a storage key built on Key, charging read gas. The value is
+// a view of the stored bytes, not a copy: the contract must not write
+// through it. Its capacity is its length, so an append copies.
 func (e *Env) Get(key []byte) ([]byte, bool, error) {
 	if err := e.keys.check(key); err != nil {
 		return nil, false, err
@@ -91,7 +93,9 @@ func (e *Env) Get(key []byte) ([]byte, bool, error) {
 }
 
 // Set writes a storage key built on Key, charging write gas proportional
-// to the value size. The state stores the key as a string: the one
+// to the value size. The contract hands value over: the state keeps the
+// slice, so the contract must not write it afterwards (it may still emit
+// or return it). The state stores the key as a string: the one
 // allocation a write makes for its key.
 func (e *Env) Set(key []byte, value []byte) error {
 	if err := e.keys.check(key); err != nil {
@@ -131,7 +135,10 @@ func (e *Env) Keys(prefix []byte) ([]string, error) {
 	return e.keys.local(full), nil
 }
 
-// Emit records an event, charging per payload byte.
+// Emit records an event, charging per payload byte. The event keeps
+// payload: one slice goes to every subscriber and into the receipt, so
+// the contract must not write it afterwards. A record the contract has
+// just Set may be emitted as it is.
 func (e *Env) Emit(topic, key string, payload []byte) error {
 	cost := chain.GasEventBase + uint64(len(payload))*chain.GasEventPerByte
 	if err := e.meter.Charge(cost); err != nil {
@@ -141,7 +148,7 @@ func (e *Env) Emit(topic, key string, payload []byte) error {
 		Contract: e.Contract,
 		Topic:    topic,
 		Key:      key,
-		Data:     append([]byte(nil), payload...),
+		Data:     payload,
 	})
 	return nil
 }

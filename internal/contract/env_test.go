@@ -189,3 +189,23 @@ func TestEnvRefusesForeignKeys(t *testing.T) {
 		t.Fatalf("refused accesses charged %d gas", used)
 	}
 }
+
+// TestEmitKeepsPayload: an event carries the payload slice it was
+// emitted with, so emitting allocates nothing for it; only the event
+// list's growth could, and that is warmed up here.
+func TestEmitKeepsPayload(t *testing.T) {
+	env := &Env{meter: chain.NewGasMeter(1 << 40)}
+	payload := []byte("a record the contract just stored")
+	if err := env.Emit("Topic", "key", payload); err != nil {
+		t.Fatal(err)
+	}
+	if &env.events[0].Data[0] != &payload[0] {
+		t.Fatal("Emit copied the payload")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		env.events = env.events[:0]
+		_ = env.Emit("Topic", "key", payload)
+	}); n != 0 {
+		t.Fatalf("Emit: %.0f allocations, want 0", n)
+	}
+}

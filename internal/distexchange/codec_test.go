@@ -551,3 +551,50 @@ func TestGasIndependentOfBlockTime(t *testing.T) {
 		}
 	}
 }
+
+// TestUpdatePolicyAllocations pins what one updatePolicy execution on an
+// overlay allocates, from the runtime's entry to the receipt (Fig. 2(5)).
+// The ledger hands values over: the read of the resource record is a view
+// of the stored bytes, the state keeps the record the contract writes,
+// and the PolicyUpdated event keeps its payload. At d74da50, which copied
+// at each of those three points, the same execution made 25 allocations.
+func TestUpdatePolicyAllocations(t *testing.T) {
+	const parent = 25
+	rt := contract.NewRuntime()
+	deAddr := rt.Deploy(ContractName, New(Config{}))
+	owner := cryptoutil.MustGenerateKey()
+	const webID, iri = "https://alice.pod/profile#me", "https://alice.pod/data.csv"
+	pol := policy.New(iri, webID, t0)
+	ov := chain.NewOverlay(chain.NewState())
+	bctx := chain.BlockContext{Number: 1, Time: t0}
+	for i, s := range []struct {
+		method string
+		args   any
+	}{
+		{"registerPod", RegisterPodArgs{OwnerWebID: webID, Location: "https://alice.pod/"}},
+		{"registerResource", RegisterResourceArgs{ResourceIRI: iri, PodWebID: webID, Location: iri, Policy: pol}},
+	} {
+		tx, err := chain.NewTx(owner, uint64(i), deAddr, s.method, s.args, DefaultGasLimit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := rt.ExecuteTx(ov, tx, bctx); !r.Succeeded() {
+			t.Fatalf("%s: %s", s.method, r.Err)
+		}
+	}
+	update, err := chain.NewTx(owner, 2, deAddr, "updatePolicy",
+		UpdatePolicyArgs{ResourceIRI: iri, Policy: pol.NextVersion(t0.Add(time.Minute))}, DefaultGasLimit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := ov.Checkpoint()
+	run := func() {
+		if r := rt.ExecuteTx(ov, update, bctx); !r.Succeeded() {
+			t.Fatalf("updatePolicy: %s", r.Err)
+		}
+		ov.RevertTo(cp)
+	}
+	if got := testing.AllocsPerRun(100, run); got > parent-3 {
+		t.Errorf("updatePolicy: %.0f allocations, want at most %d (%d at d74da50, less its three copies)", got, parent-3, parent)
+	}
+}

@@ -36,6 +36,9 @@
 //   - recovery-equivalence: every live validator's state reproduces its
 //     committed head root, and a validator restarted from disk stands at
 //     the live cluster's head with an identical state root
+//   - state-integrity: every live validator's state root is the hash of
+//     the bytes its state holds now, so no slice the ledger handed out
+//     or took over was written after it was stored
 //   - no-equivocation-accepted: no live validator commits a forged
 //     double-seal sibling, and every targeted validator holds the
 //     matching evidence

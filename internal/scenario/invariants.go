@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/cryptoutil"
 	"repro/internal/solid"
@@ -29,9 +31,11 @@ func DefaultInvariants() []Invariant {
 		{"retention-enforcement", checkRetentionEnforcement},
 		{"honest-compliance", checkHonestCompliance},
 		{"recovery-equivalence", checkRecoveryEquivalence},
-		// The adversarial invariants stay last so DefaultInvariants()[:10]
-		// remains the honest-path suite (the adversarial-throughput guard
+		// The adversarial invariants stay last, and state-integrity
+		// stays between them and the ten above, so DefaultInvariants()[:10]
+		// remains an honest-path suite (the adversarial-throughput guard
 		// compares against exactly that prefix).
+		{"state-integrity", checkStateIntegrity},
 		{"no-equivocation-accepted", checkNoEquivocationAccepted},
 		{"partition-convergence", checkPartitionConvergence},
 		{"starvation-freedom", checkStarvationFreedom},
@@ -180,6 +184,34 @@ func checkRecoveryEquivalence(w *World) error {
 		if got := n.State().Root(); got != refHead.Header.StateRoot {
 			return fmt.Errorf("restarted validator %d state root %s != live root %s",
 				i, got.Short(), refHead.Header.StateRoot.Short())
+		}
+	}
+	return nil
+}
+
+// checkStateIntegrity: on every live validator, the committed state
+// root is still the XOR of its leaves' hashes over the bytes the state
+// holds now. A value slice is handed over, not copied, from the contract
+// to the committed state and shared with events, receipts and snapshot
+// exports; the root was hashed from the bytes when they were stored, so
+// a later write through any of those slices breaks the equality.
+func checkStateIntegrity(w *World) error {
+	for i, n := range w.d.Nodes {
+		if n == nil || w.d.ValidatorDown(i) {
+			continue
+		}
+		st := n.State()
+		values := st.ExportShared()
+		var root cryptoutil.Hash
+		for _, k := range slices.Sorted(maps.Keys(values)) {
+			h := cryptoutil.HashOf([]byte(k), values[k])
+			for j := range root {
+				root[j] ^= h[j]
+			}
+		}
+		if want := st.Root(); root != want {
+			return fmt.Errorf("validator %d: state root %s, but its stored values hash to %s",
+				i, want.Short(), root.Short())
 		}
 	}
 	return nil
