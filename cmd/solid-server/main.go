@@ -83,31 +83,27 @@ func run(args []string) error {
 
 	clock := simclock.Real{}
 	dir := solid.NewMapDirectory()
-	host := solid.NewHost(dir, clock)
-	// Wire instruments before any pod is mounted: pods capture the
-	// metrics handle at creation. With the flag unset every hook stays
-	// no-op.
+	host := solid.NewHost()
+	// Wire instruments before any pod is mounted: Mount hands the
+	// metrics handle to each server and pod. With the flag unset every
+	// hook stays no-op.
 	var reg *obs.Registry
 	if *debugAddr != "" {
 		reg = obs.NewRegistry()
 		host.SetMetrics(solid.NewMetrics(reg))
 	}
-	if *dataDir != "" {
-		host.EnablePersistence(filepath.Join(*dataDir, "pods"), store.Options{Sync: syncPolicy})
-	}
-	names, keys, err := provisionPods(host, dir, baseURL, strings.Split(*owners, ","), clock, *dataDir)
+	pods, err := provisionPods(host, dir, baseURL, strings.Split(*owners, ","), clock, *dataDir, store.Options{Sync: syncPolicy})
 	if err != nil {
 		return err
 	}
-	if len(names) == 0 {
+	if len(pods) == 0 {
 		return fmt.Errorf("no pod owners given")
 	}
-	// Announce pods in -owners order (map iteration would shuffle the
-	// startup output between runs).
-	for _, name := range names {
-		podBase := baseURL + solid.PodRoutePrefix + name
-		log.Printf("pod %-12s owner %s", name, ownerWebID(baseURL, name))
-		log.Printf("  owner key (hex): %s", hex.EncodeToString(keys[name].PublicBytes()))
+	// Announce pods in -owners order.
+	for _, p := range pods {
+		podBase := baseURL + solid.PodRoutePrefix + p.name
+		log.Printf("pod %-12s owner %s", p.name, ownerWebID(baseURL, p.name))
+		log.Printf("  owner key (hex): %s", hex.EncodeToString(p.key.PublicBytes()))
 		log.Printf("  try GET %s/public/hello.txt", podBase)
 	}
 
@@ -152,16 +148,16 @@ func run(args []string) error {
 			log.Printf("http shutdown: %v", err)
 		}
 		shutdownDebug(ctx)
-		return host.Close()
+		return closePods(pods)
 	case err := <-errCh:
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		shutdownDebug(ctx)
-		host.Close()
+		closeErr := closePods(pods)
 		if errors.Is(err, http.ErrServerClosed) {
-			return nil
+			return closeErr
 		}
-		return err
+		return errors.Join(err, closeErr)
 	}
 }
 
@@ -170,57 +166,97 @@ func ownerWebID(baseURL, name string) solid.WebID {
 	return solid.WebID(baseURL + solid.PodRoutePrefix + name + "/profile#" + name)
 }
 
-// provisionPods creates one pod per owner name on the host: a signing
-// key registered in the agent directory (persisted under
-// dataDir/keys/<name>.der when dataDir is set, so a restart keeps the
-// owner identity), a root ACL granting the owner full control, and a
-// public demo resource. Pods restored from a durable store are not
-// re-seeded — their recovered content is authoritative. It returns the
-// provisioned names in input order (blank entries skipped) and each
-// owner's key so callers (and tests) can authenticate as them.
-func provisionPods(host *solid.Host, dir *solid.MapDirectory, baseURL string, names []string, clock simclock.Clock, dataDir string) ([]string, map[string]*cryptoutil.KeyPair, error) {
-	provisioned := make([]string, 0, len(names))
-	keys := make(map[string]*cryptoutil.KeyPair)
+// ownerPod is one provisioned pod: its name, the pod (whose store the
+// caller closes on shutdown) and its owner's signing key.
+type ownerPod struct {
+	name string
+	pod  *solid.Pod
+	key  *cryptoutil.KeyPair
+}
+
+// provisionPods builds one pod per owner name and mounts it on the host
+// (see provisionPod). It returns the pods in input order, blank entries
+// skipped; on error it closes the ones it opened.
+func provisionPods(host *solid.Host, dir *solid.MapDirectory, baseURL string, names []string, clock simclock.Clock, dataDir string, opts store.Options) ([]ownerPod, error) {
+	var pods []ownerPod
 	for _, name := range names {
 		name = strings.TrimSpace(name)
 		if name == "" {
 			continue
 		}
-		// CreatePod validates the pod name first, so no key file is ever
-		// written for a name the host would reject.
-		ownerID := ownerWebID(baseURL, name)
-		pod, err := host.CreatePod(name, ownerID, baseURL, nil)
+		p, err := provisionPod(host, dir, baseURL, name, clock, dataDir, opts)
 		if err != nil {
-			return nil, nil, err
+			return nil, errors.Join(err, closePods(pods))
 		}
-		key, err := loadOrCreateOwnerKey(dataDir, name)
-		if err != nil {
-			return nil, nil, err
-		}
-		dir.Register(ownerID, key.PublicBytes())
-		if count, _ := pod.Stats(); count == 0 {
-			// Fresh pod: seed the demo resource and its public ACL. A pod
-			// restored from disk keeps exactly what it had.
-			if err := pod.Put(ownerID, "/public/hello.txt", "text/plain",
-				[]byte("hello from the Solid pod of "+name+"\n"), clock.Now()); err != nil {
-				return nil, nil, err
-			}
-			acl := solid.NewACL(ownerID, "/public/")
-			acl.GrantPublic("world", "/public/", true, solid.ModeRead)
-			if err := pod.SetACL(ownerID, "/public/", acl); err != nil {
-				return nil, nil, err
-			}
-		}
-		provisioned = append(provisioned, name)
-		keys[name] = key
+		pods = append(pods, p)
 	}
-	return provisioned, keys, nil
+	return pods, nil
+}
+
+// provisionPod builds the named owner's pod and mounts its server: a
+// signing key registered in the agent directory (persisted under
+// dataDir/keys/<name>.der when dataDir is set, so a restart keeps the
+// owner identity), a root ACL granting the owner full control, and a
+// public demo resource. With dataDir the pod is durable under
+// dataDir/pods/<name>/ (opts is its op log's fsync policy); a pod
+// restored from its store is not re-seeded — its recovered content is
+// authoritative. On error the pod's store is closed.
+func provisionPod(host *solid.Host, dir *solid.MapDirectory, baseURL, name string, clock simclock.Clock, dataDir string, opts store.Options) (_ ownerPod, err error) {
+	// Check the name before anything is written under it: it names the
+	// pod's directory and the owner's key file.
+	if !solid.ValidPodName(name) {
+		return ownerPod{}, fmt.Errorf("%w: %q", solid.ErrBadPodName, name)
+	}
+	ownerID := ownerWebID(baseURL, name)
+	podBase := baseURL + solid.PodRoutePrefix + name
+	var pod *solid.Pod
+	if dataDir == "" {
+		pod = solid.NewPod(ownerID, podBase)
+	} else if pod, err = solid.OpenPod(ownerID, podBase, filepath.Join(dataDir, "pods", name), opts); err != nil {
+		return ownerPod{}, err
+	}
+	defer func() {
+		if err != nil {
+			err = errors.Join(err, pod.CloseStore())
+		}
+	}()
+	if err := host.Mount(name, solid.NewServer(pod, dir, clock, nil)); err != nil {
+		return ownerPod{}, err
+	}
+	key, err := loadOrCreateOwnerKey(dataDir, name)
+	if err != nil {
+		return ownerPod{}, err
+	}
+	dir.Register(ownerID, key.PublicBytes())
+	if count, _ := pod.Stats(); count == 0 {
+		// Fresh pod: seed the demo resource and its public ACL. A pod
+		// restored from disk keeps exactly what it had.
+		if err := pod.Put(ownerID, "/public/hello.txt", "text/plain",
+			[]byte("hello from the Solid pod of "+name+"\n"), clock.Now()); err != nil {
+			return ownerPod{}, err
+		}
+		acl := solid.NewACL(ownerID, "/public/")
+		acl.GrantPublic("world", "/public/", true, solid.ModeRead)
+		if err := pod.SetACL(ownerID, "/public/", acl); err != nil {
+			return ownerPod{}, err
+		}
+	}
+	return ownerPod{name: name, pod: pod, key: key}, nil
+}
+
+// closePods flushes and closes every pod's durable store (a no-op for
+// in-memory pods), returning every error met.
+func closePods(pods []ownerPod) error {
+	var errs []error
+	for _, p := range pods {
+		errs = append(errs, p.pod.CloseStore())
+	}
+	return errors.Join(errs...)
 }
 
 // loadOrCreateOwnerKey returns the owner's signing key, persisted under
-// the data dir for durable deployments. Callers must have validated the
-// name (provisionPods relies on Host.CreatePod for that) before a file
-// is created for it.
+// the data dir for durable deployments. Callers must have checked the
+// name with solid.ValidPodName before a file is created for it.
 func loadOrCreateOwnerKey(dataDir, name string) (*cryptoutil.KeyPair, error) {
 	if dataDir == "" {
 		return cryptoutil.GenerateKey(nil)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -35,17 +36,18 @@ func TestRunFlagErrors(t *testing.T) {
 func TestServerSignedRoundTrip(t *testing.T) {
 	clock := simclock.Real{}
 	dir := solid.NewMapDirectory()
-	host := solid.NewHost(dir, clock)
+	host := solid.NewHost()
 	srv := httptest.NewServer(host)
 	defer srv.Close()
 
-	names, keys, err := provisionPods(host, dir, srv.URL, []string{"alice", "bob", " "}, clock, "")
+	pods, err := provisionPods(host, dir, srv.URL, []string{"alice", "bob", " "}, clock, "", store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(keys) != 2 || len(names) != 2 || names[0] != "alice" || names[1] != "bob" {
-		t.Fatalf("provisioned %v (%d keys), want [alice bob]", names, len(keys))
+	if len(pods) != 2 || pods[0].name != "alice" || pods[1].name != "bob" {
+		t.Fatalf("provisioned %d pods, want [alice bob]", len(pods))
 	}
+	keys := map[string]*cryptoutil.KeyPair{"alice": pods[0].key, "bob": pods[1].key}
 	if host.Len() != 2 {
 		t.Fatalf("host serves %d pods, want 2", host.Len())
 	}
@@ -85,27 +87,26 @@ func TestServerSignedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestServerDurableRestart provisions a persistent host, writes through
-// the signed HTTP path, restarts the host over the same data dir, and
+// TestServerDurableRestart provisions durable pods, writes through the
+// signed HTTP path, closes them, provisions again over the same data dir, and
 // requires identical content, ETag, owner key, and no demo re-seeding.
 func TestServerDurableRestart(t *testing.T) {
 	dataDir := t.TempDir()
 	clock := simclock.Real{}
 
-	boot := func() (*solid.Host, *httptest.Server, map[string]*cryptoutil.KeyPair) {
+	boot := func() (*solid.Host, *httptest.Server, []ownerPod, map[string]*cryptoutil.KeyPair) {
 		dir := solid.NewMapDirectory()
-		host := solid.NewHost(dir, clock)
-		host.EnablePersistence(filepath.Join(dataDir, "pods"),
-			store.Options{Sync: store.SyncNever})
+		host := solid.NewHost()
 		srv := httptest.NewServer(host)
-		_, keys, err := provisionPods(host, dir, srv.URL, []string{"alice"}, clock, dataDir)
+		pods, err := provisionPods(host, dir, srv.URL, []string{"alice"}, clock, dataDir,
+			store.Options{Sync: store.SyncNever})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return host, srv, keys
+		return host, srv, pods, map[string]*cryptoutil.KeyPair{"alice": pods[0].key}
 	}
 
-	host, srv, keys := boot()
+	host, srv, pods, keys := boot()
 	alice := solid.NewClient(ownerWebID(srv.URL, "alice"), keys["alice"], clock)
 	target := srv.URL + solid.PodRoutePrefix + "alice/private/note.txt"
 	if err := alice.Put(target, "text/plain", []byte("durable write")); err != nil {
@@ -120,13 +121,13 @@ func TestServerDurableRestart(t *testing.T) {
 	wantGen := pod.ACLGeneration()
 	wantAddr := keys["alice"].Address()
 	srv.Close()
-	if err := host.Close(); err != nil {
+	if err := closePods(pods); err != nil {
 		t.Fatal(err)
 	}
 
-	host2, srv2, keys2 := boot()
+	host2, srv2, pods2, keys2 := boot()
 	defer srv2.Close()
-	defer host2.Close()
+	defer closePods(pods2)
 	if keys2["alice"].Address() != wantAddr {
 		t.Fatal("owner key changed across restart")
 	}
@@ -193,12 +194,12 @@ func TestRunGracefulShutdown(t *testing.T) {
 func TestDebugMetricsEndpoint(t *testing.T) {
 	clock := simclock.Real{}
 	dir := solid.NewMapDirectory()
-	host := solid.NewHost(dir, clock)
+	host := solid.NewHost()
 	reg := obs.NewRegistry()
 	host.SetMetrics(solid.NewMetrics(reg))
 	srv := httptest.NewServer(host)
 	defer srv.Close()
-	if _, _, err := provisionPods(host, dir, srv.URL, []string{"alice"}, clock, ""); err != nil {
+	if _, err := provisionPods(host, dir, srv.URL, []string{"alice"}, clock, "", store.Options{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -229,5 +230,42 @@ func TestDebugMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(string(body), want) {
 			t.Fatalf("exposition missing %q:\n%s", want, body)
 		}
+	}
+}
+
+// TestProvisionRefusesBadNameBeforeWriting: a name that is not a single
+// URL-safe segment is refused before a pod directory or key file is
+// written for it, and the pods opened before it are closed.
+func TestProvisionRefusesBadNameBeforeWriting(t *testing.T) {
+	dataDir := t.TempDir()
+	host := solid.NewHost()
+	_, err := provisionPods(host, solid.NewMapDirectory(), "http://localhost", []string{"alice", "../evil"},
+		simclock.Real{}, dataDir, store.Options{Sync: store.SyncNever})
+	if !errors.Is(err, solid.ErrBadPodName) {
+		t.Fatalf("provisionPods = %v, want ErrBadPodName", err)
+	}
+	// "../evil" would have put its key file and pod directory straight
+	// under dataDir, beside keys/ and pods/.
+	for sub, want := range map[string]string{".": "keys pods", "keys": "alice.der", "pods": "alice"} {
+		entries, err := os.ReadDir(filepath.Join(dataDir, sub))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		if got := strings.Join(names, " "); got != want {
+			t.Fatalf("%s holds %q, want %q", sub, got, want)
+		}
+	}
+	// alice's store was closed: a second open of the same directory works.
+	pod, err := solid.OpenPod("https://alice.example/profile#me", "http://localhost/pods/alice",
+		filepath.Join(dataDir, "pods", "alice"), store.Options{Sync: store.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pod.CloseStore(); err != nil {
+		t.Fatal(err)
 	}
 }

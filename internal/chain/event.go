@@ -17,7 +17,8 @@ type Event struct {
 	Topic string
 	// Key is an optional secondary filter (e.g. the resource IRI).
 	Key string
-	// Data is the JSON-encoded payload.
+	// Data is the payload, in the emitting contract's encoding (the DE
+	// App's is its record codec, distexchange/codec.go).
 	Data []byte
 	// BlockNumber and TxHash locate the event on the ledger.
 	BlockNumber uint64

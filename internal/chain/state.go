@@ -26,8 +26,8 @@ type State struct {
 	// make Root O(1) instead of O(n·log n) per block, which keeps block
 	// sealing linear as the ledger grows; the trade-off (weaker
 	// collision resistance than a Merkle trie against adversarially
-	// crafted key/value sets) is acceptable for this simulator and is
-	// called out in DESIGN.md. Guarded by mu.
+	// crafted key/value sets) is acceptable for this simulator.
+	// Guarded by mu.
 	root cryptoutil.Hash
 	// bytes is the running Σ len(key)+len(value), updated wherever root
 	// is: the size of a snapshot, in O(1). Guarded by mu.

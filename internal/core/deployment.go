@@ -41,8 +41,6 @@ type Config struct {
 	Validators int
 	// Sealing selects the block production mode.
 	Sealing SealingMode
-	// Genesis is the simulated start time (defaults to 2023-10-09).
-	Genesis time.Time
 	// OracleFanout enables concurrent evidence collection in the pull-in
 	// oracle.
 	OracleFanout bool
@@ -111,16 +109,16 @@ type Deployment struct {
 	// Nodes.
 	addrs []cryptoutil.Address
 
-	mu        sync.Mutex
-	owners    map[solid.WebID]*Owner
-	consumers map[solid.WebID]*Consumer
-	sealing   SealingMode
-	obs       *obs.Registry // nil when the deployment is not observed
-	grace     time.Duration
-	attest    bool
+	sealing SealingMode
+	obs     *obs.Registry // nil when the deployment is not observed
+	grace   time.Duration
+	attest  bool
+
+	mu sync.Mutex
 	// equivGuardOff mirrors SetEquivocationGuard(false) so the setting
 	// survives crash-restarts (a reopened node starts with the guard on
 	// and must have the sabotage reapplied). Fault injection only.
+	// Guarded by mu.
 	equivGuardOff bool
 }
 
@@ -132,10 +130,7 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 	if cfg.Validators <= 0 {
 		cfg.Validators = 1
 	}
-	if cfg.Genesis.IsZero() {
-		cfg.Genesis = defaultGenesis
-	}
-	clk := simclock.NewSim(cfg.Genesis)
+	clk := simclock.NewSim(defaultGenesis)
 
 	manufacturer, err := tee.NewManufacturer("tee-manufacturer")
 	if err != nil {
@@ -162,13 +157,11 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 		Metrics:      oracle.NewMetrics(cfg.Obs),
 		obs:          cfg.Obs,
 		addrs:        cluster.Configs[0].Authorities,
-		owners:       make(map[solid.WebID]*Owner),
-		consumers:    make(map[solid.WebID]*Consumer),
 		sealing:      cfg.Sealing,
 		grace:        cfg.MonitoringGrace,
 		attest:       cfg.RequireAttestation,
 	}
-	d.Host = solid.NewHost(d.Directory, clk)
+	d.Host = solid.NewHost()
 	if cfg.Obs != nil {
 		d.Host.SetMetrics(solid.NewMetrics(cfg.Obs))
 	}
@@ -381,7 +374,7 @@ func (d *Deployment) NewOwner(name string) (*Owner, error) {
 		return nil, err
 	}
 	mgr.Instrument(d.obs)
-	if err := d.Host.Mount(name, mgr.Pod(), mgr.Handler()); err != nil {
+	if err := d.Host.Mount(name, mgr.Server()); err != nil {
 		return nil, err
 	}
 
@@ -408,11 +401,7 @@ func (d *Deployment) NewOwner(name string) (*Owner, error) {
 	// existing agent's key.
 	d.Directory.Register(webID, key.PublicBytes())
 
-	o := &Owner{WebID: webID, Key: key, Manager: mgr, d: d, baseURL: baseURL}
-	d.mu.Lock()
-	d.owners[webID] = o
-	d.mu.Unlock()
-	return o, nil
+	return &Owner{WebID: webID, Key: key, Manager: mgr, d: d, baseURL: baseURL}, nil
 }
 
 // URL returns the owner's pod base URL (on the shared host).
@@ -561,10 +550,6 @@ func (d *Deployment) NewConsumer(name string, purpose policy.Purpose) (*Consumer
 
 	// Pull-in oracle: the device answers monitoring requests.
 	d.pullIn.RegisterSource(appSource{app: app})
-
-	d.mu.Lock()
-	d.consumers[webID] = c
-	d.mu.Unlock()
 	return c, nil
 }
 

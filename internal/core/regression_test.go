@@ -3,12 +3,14 @@ package core
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/policy"
+	"repro/internal/solid"
 )
 
 // Regression tests for cross-layer bugs shaken out by the scenario
@@ -207,9 +209,9 @@ func TestConcurrentSealOnSubmit(t *testing.T) {
 }
 
 // TestMountedPodReportsAuthCache: owner pods are built by the pod
-// manager and mounted with Host.Mount, which used to skip the metrics
-// wiring Host.CreatePod does — solid_auth_cache_total read 0 in every
-// deployment. A granted GET through such a pod must move the counter.
+// manager and mounted with Host.Mount, which used to skip the pod's
+// metrics wiring — solid_auth_cache_total read 0 in every deployment. A
+// granted GET through such a pod must move the counter.
 func TestMountedPodReportsAuthCache(t *testing.T) {
 	reg := obs.NewRegistry()
 	d, err := NewDeployment(Config{Obs: reg})
@@ -238,5 +240,47 @@ func TestMountedPodReportsAuthCache(t *testing.T) {
 	}
 	if after := outcomes(); after <= before {
 		t.Fatalf("solid_auth_cache_total stayed at %d across a granted GET", after)
+	}
+}
+
+// TestMountedPodCountsReplays: Host.Mount used to wire the host's
+// instruments into an owner's pod but not into the pod's server, so
+// solid_nonce_replays_total read 0 in every deployment. A signed GET
+// replayed verbatim to an owner's pod must count once.
+func TestMountedPodCountsReplays(t *testing.T) {
+	reg := obs.NewRegistry()
+	d, err := NewDeployment(Config{Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	owner, err := d.NewOwner("owner")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var signed http.Header
+	client := solid.NewClient(owner.WebID, owner.Key, d.Clock)
+	client.Decorate = func(r *http.Request) { signed = r.Header.Clone() }
+	url := owner.URL() + "/profile"
+	if _, _, err := client.Get(url); err != nil {
+		t.Fatal(err)
+	}
+	replay, err := http.NewRequest(http.MethodGet, url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay.Header = signed
+	resp, err := http.DefaultClient.Do(replay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnauthorized {
+		t.Fatalf("replayed GET answered %d, want 401", resp.StatusCode)
+	}
+	replays := reg.Counter("solid_nonce_replays_total", "verified requests rejected for a reused nonce")
+	if got := replays.Value(); got != 1 {
+		t.Fatalf("solid_nonce_replays_total = %d after one replay, want 1", got)
 	}
 }

@@ -37,12 +37,12 @@ var requiredGuards = map[string]map[string]string{
 		"snapshotWriter.closed":  "mu",
 	},
 	"repro/internal/solid": {
-		"Pod.resources":  "mu",
-		"Pod.acls":       "mu",
-		"Pod.postSeq":    "mu",
-		"Pod.persist":    "mu",
-		"Pod.authCache":  "authMu",
-		"hostShard.pods": "mu",
+		"Pod.resources": "mu",
+		"Pod.acls":      "mu",
+		"Pod.postSeq":   "mu",
+		"Pod.persist":   "mu",
+		"Pod.authCache": "authMu",
+		"Host.pods":     "mu",
 	},
 	"repro/internal/store": {
 		"WAL.f":       "mu",

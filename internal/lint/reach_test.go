@@ -43,7 +43,6 @@ var reachKeep = map[string]string{
 
 	"repro/internal/oracle.PullIn.Wait":      "the quiescence point the oracle and core monitoring tests wait on before they read the relay's counters; without it they would sleep",
 	"repro/internal/policy.PurposeMarketing": "the disallowed purpose in the evaluation, TEE and contract tests, named beside the purposes it is refused against",
-	"repro/internal/store.WAL.Sync":          "a durability flush: forces an interval- or never-synced log to disk",
 	"repro/internal/lint.ExportsFor":         "export data for the fixture and pinning tests, which type-check synthetic sources",
 	"repro/internal/lint.LockGuards":         "the guard-annotation view TestGuardAnnotationsPinned checks",
 }

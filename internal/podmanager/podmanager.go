@@ -156,8 +156,8 @@ func (m *Manager) Address() cryptoutil.Address { return m.de.Address() }
 // DE exposes the manager's DE App client.
 func (m *Manager) DE() *distexchange.Client { return m.de }
 
-// Handler returns the HTTP handler serving the pod.
-func (m *Manager) Handler() http.Handler { return m.server }
+// Server returns the pod's server, with the manager's access hook.
+func (m *Manager) Server() *solid.Server { return m.server }
 
 // ResourceIRI maps a pod path to its public IRI.
 func (m *Manager) ResourceIRI(path string) string { return m.baseURL + path }

@@ -133,7 +133,7 @@ func newEnv(t testing.TB) *env {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(mgr.Handler())
+	srv := httptest.NewServer(mgr.Server())
 	t.Cleanup(srv.Close)
 
 	// Provision a consumer device certificate.

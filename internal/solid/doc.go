@@ -32,9 +32,11 @@
 // Pods mount at /pods/{owner}/; the Host rewrites the URL to the
 // pod-relative path before delegating to the pod's Server, while the
 // original request path remains the signature target, so a credential
-// captured for one pod can never validate on another. The registry is
-// sharded across independent locks: concurrent requests only contend
-// within the shard of the pod they address.
+// captured for one pod can never validate on another. The Host only
+// routes: pods live in one map under one RWMutex, and Mount(name,
+// server) is the one way in, handing the host's instruments to the
+// server and its pod. Whoever builds a pod (NewPod, or OpenPod for a
+// durable one) mounts its server and closes its store.
 //
 // # Authorization cache
 //
@@ -62,12 +64,12 @@
 // # Concurrency contract
 //
 // Pod, Server and Host are safe for concurrent use: each guards its
-// state with RWMutexes (the Host shards its registry), so reads run in
-// parallel and HTTP handlers may be served from any number of
-// goroutines. Individual operations are atomic — a Get observes either
-// all or none of a concurrent Put — but the package offers no
-// multi-resource transactions: a reader walking a container while a
-// writer updates two resources may observe the intermediate state.
+// state with RWMutexes, so reads run in parallel and HTTP handlers may
+// be served from any number of goroutines. Individual operations are
+// atomic — a Get observes either all or none of a concurrent Put — but
+// the package offers no multi-resource transactions: a reader walking a
+// container while a writer updates two resources may observe the
+// intermediate state.
 // Client is a thin wrapper over http.Client plus a signing key; it is
 // safe for concurrent use as long as Decorate is not reassigned
 // mid-flight.
@@ -81,12 +83,11 @@
 // through, so what a live pod serves and what a restarted pod serves
 // come from one piece of code. An op the log refuses fails the mutation
 // and changes nothing, not even the POST counter. A pod opened with
-// OpenPod (or created on a Host after EnablePersistence) writes
-// full-content snapshots when the log tail has outgrown the last one
-// (store.SnapshotDue, the chain's rule), and replays only the tail past
-// the newest. A restarted pod serves byte-identical resources with
-// identical ETags, reports the same ACL generation, and never re-mints
-// a POST-assigned child name. Replay re-checks nothing: authorization
+// OpenPod writes full-content snapshots when the log tail has outgrown
+// the last one (store.SnapshotDue, the chain's rule), and replays only
+// the tail past the newest. A restarted pod serves byte-identical
+// resources with identical ETags, reports the same ACL generation, and
+// never re-mints a POST-assigned child name. Replay re-checks nothing: authorization
 // happened before the op was built. Op records and snapshots have one
 // binary encoding each (codec.go): times are written as their UTC
 // instant and ACLs field by field. A pod dir whose op log opens with a

@@ -25,7 +25,7 @@ func newHostEnv(t *testing.T) *hostEnv {
 	t.Helper()
 	clk := simclock.NewSim(podEpoch)
 	dir := NewMapDirectory()
-	host := NewHost(dir, clk)
+	host := NewHost()
 	srv := httptest.NewServer(host)
 	t.Cleanup(srv.Close)
 	return &hostEnv{host: host, srv: srv, dir: dir, clk: clk}
@@ -37,8 +37,8 @@ func (e *hostEnv) addOwner(t *testing.T, name string) (*Pod, *Client, WebID) {
 	key := cryptoutil.MustGenerateKey()
 	owner := WebID("https://" + name + ".example/profile#me")
 	e.dir.Register(owner, key.PublicBytes())
-	pod, err := e.host.CreatePod(name, owner, e.srv.URL, nil)
-	if err != nil {
+	pod := NewPod(owner, e.srv.URL+PodRoutePrefix+name)
+	if err := e.host.Mount(name, NewServer(pod, e.dir, e.clk, nil)); err != nil {
 		t.Fatal(err)
 	}
 	return pod, NewClient(owner, key, e.clk), owner
@@ -163,11 +163,12 @@ func TestHostUnknownPodAndBadNames(t *testing.T) {
 			t.Fatalf("GET %s = %d, want 404", path, resp.StatusCode)
 		}
 	}
-	if _, err := e.host.CreatePod("alice", "https://x/profile#me", e.srv.URL, nil); !errors.Is(err, ErrPodExists) {
+	srv := NewServer(NewPod("https://x/profile#me", e.srv.URL), e.dir, e.clk, nil)
+	if err := e.host.Mount("alice", srv); !errors.Is(err, ErrPodExists) {
 		t.Fatalf("duplicate mount: %v", err)
 	}
 	for _, bad := range []string{"", "a/b", "a b", strings.Repeat("x", 200)} {
-		if err := e.host.Mount(bad, nil, http.NotFoundHandler()); !errors.Is(err, ErrBadPodName) {
+		if err := e.host.Mount(bad, srv); !errors.Is(err, ErrBadPodName) {
 			t.Fatalf("Mount(%q) = %v, want ErrBadPodName", bad, err)
 		}
 	}
@@ -224,5 +225,82 @@ func TestHostConcurrentTraffic(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestHostMountRemoveWhileServing: pods mount and unmount on the one
+// registry while requests are routed through it. A request to a pod that
+// stays mounted is always served; one to a pod coming and going is
+// served or answered 404, never anything else.
+func TestHostMountRemoveWhileServing(t *testing.T) {
+	e := newHostEnv(t)
+	const owner = WebID("https://stable.example/profile#me")
+	newServer := func(name string) *Server {
+		pod := NewPod(owner, e.srv.URL+PodRoutePrefix+name)
+		if err := pod.Put(owner, "/pub/r.txt", "text/plain", []byte(name), podEpoch); err != nil {
+			t.Fatal(err)
+		}
+		acl := NewACL(owner, "/pub/")
+		acl.GrantPublic("world", "/pub/", true, ModeRead)
+		if err := pod.SetACL(owner, "/pub/", acl); err != nil {
+			t.Fatal(err)
+		}
+		return NewServer(pod, e.dir, e.clk, nil)
+	}
+	if err := e.host.Mount("stable", newServer("stable")); err != nil {
+		t.Fatal(err)
+	}
+	churn := make([]*Server, 50)
+	for i := range churn {
+		churn[i] = newServer("churn")
+	}
+
+	get := func(name string) int {
+		rec := httptest.NewRecorder()
+		e.host.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, PodRoutePrefix+name+"/pub/r.txt", nil))
+		return rec.Code
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if code := get("stable"); code != http.StatusOK {
+					errs <- fmt.Errorf("stable pod answered %d", code)
+					return
+				}
+				if code := get("churn"); code != http.StatusOK && code != http.StatusNotFound {
+					errs <- fmt.Errorf("churning pod answered %d", code)
+					return
+				}
+				e.host.Lookup("churn")
+				e.host.Names()
+			}
+		}()
+	}
+	for _, srv := range churn {
+		if err := e.host.Mount("churn", srv); err != nil {
+			t.Fatal(err)
+		}
+		if !e.host.Remove("churn") {
+			t.Fatal("Remove lost a mounted pod")
+		}
+	}
+	close(done)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if got := e.host.Len(); got != 1 {
+		t.Fatalf("host.Len() = %d after churn, want 1", got)
 	}
 }

@@ -14,7 +14,7 @@ import (
 func TestHostMetricsRecorded(t *testing.T) {
 	clk := simclock.NewSim(podEpoch)
 	dir := NewMapDirectory()
-	host := NewHost(dir, clk)
+	host := NewHost()
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg)
 	host.SetMetrics(m)
@@ -25,7 +25,8 @@ func TestHostMetricsRecorded(t *testing.T) {
 
 	srv := httptest.NewServer(host)
 	t.Cleanup(srv.Close)
-	if _, err := host.CreatePod("alice", owner, srv.URL, nil); err != nil {
+	pod := NewPod(owner, srv.URL+PodRoutePrefix+"alice")
+	if err := host.Mount("alice", NewServer(pod, dir, clk, nil)); err != nil {
 		t.Fatal(err)
 	}
 	client := NewClient(owner, key, clk)

@@ -351,25 +351,29 @@ func TestPodRestartTornOpLog(t *testing.T) {
 	}
 }
 
-// TestHostPersistenceRestart: a persistent multi-pod host restarted over
-// the same data dir serves identical content through HTTP-visible state
-// (ETag and ACL generation), without re-seeding.
+// TestHostPersistenceRestart: a durable pod mounted on a host, closed and
+// reopened over the same directory on a new host, serves identical
+// content through HTTP-visible state (ETag and ACL generation), without
+// re-seeding.
 func TestHostPersistenceRestart(t *testing.T) {
 	dataDir := t.TempDir()
 	clk := simclock.NewSim(persistEpoch)
 	dir := NewMapDirectory()
 	opts := store.Options{Sync: store.SyncNever}
 
-	boot := func() (*Host, *httptest.Server) {
-		h := NewHost(dir, clk)
-		h.EnablePersistence(dataDir, opts)
-		return h, httptest.NewServer(h)
+	boot := func() (*Pod, *httptest.Server) {
+		h := NewHost()
+		srv := httptest.NewServer(h)
+		pod, err := OpenPod(persistOwner, srv.URL+PodRoutePrefix+"alice", dataDir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Mount("alice", NewServer(pod, dir, clk, nil)); err != nil {
+			t.Fatal(err)
+		}
+		return pod, srv
 	}
-	host, srv := boot()
-	pod, err := host.CreatePod("alice", persistOwner, srv.URL, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pod, srv := boot()
 	if err := pod.Put(persistOwner, "/pub/hello.txt", "text/plain", []byte("hello"), clk.Now()); err != nil {
 		t.Fatal(err)
 	}
@@ -379,17 +383,13 @@ func TestHostPersistenceRestart(t *testing.T) {
 	}
 	wantETag, wantGen := res.ETag, pod.ACLGeneration()
 	srv.Close()
-	if err := host.Close(); err != nil {
+	if err := pod.CloseStore(); err != nil {
 		t.Fatal(err)
 	}
 
-	host2, srv2 := boot()
+	pod2, srv2 := boot()
 	defer srv2.Close()
-	defer host2.Close()
-	pod2, err := host2.CreatePod("alice", persistOwner, srv2.URL, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer pod2.CloseStore()
 	res2, err := pod2.Get(persistOwner, "/pub/hello.txt")
 	if err != nil {
 		t.Fatalf("restored pod lost its resource: %v", err)

@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 )
@@ -73,16 +74,28 @@ type Record struct {
 // ErrClosed reports an operation on a closed WAL.
 var ErrClosed = errors.New("store: wal closed")
 
+// walFile is what a WAL needs of its file; *os.File is the one product
+// implementation, and tests stand in for it to make writes and fsyncs fail.
+type walFile interface {
+	io.WriteSeeker
+	Sync() error
+	Truncate(size int64) error
+	Close() error
+}
+
 // WAL is an append-only, CRC-checked, length-prefixed log. It is safe for
 // concurrent use.
 type WAL struct {
 	mu      sync.Mutex
-	f       *os.File // guarded by mu
-	size    int64    // guarded by mu
+	f       walFile // guarded by mu
+	size    int64   // guarded by mu
 	opts    Options
 	m       *Metrics // never nil (normalized from opts.Metrics)
 	pending int      // appends since the last fsync; guarded by mu
 	closed  bool     // guarded by mu
+	// broken is the error of a refused append the log could not be cut
+	// back from: its end is unknown, so every later append returns it.
+	broken error // guarded by mu
 }
 
 // OpenWAL opens (creating if needed) the log at path, decodes every
@@ -147,6 +160,9 @@ func (w *WAL) AppendFrame(frame []byte) error {
 
 // append frames payload — in place when frame already holds it, in a
 // fresh buffer when frame is nil — and writes the frame in one write.
+// A refused append leaves the log as it was: a short write or a failed
+// fsync is cut back off the file, so the next record lands where this
+// one began.
 func (w *WAL) append(frame, payload []byte) error {
 	if len(payload) > MaxRecordSize {
 		return fmt.Errorf("store: record of %d bytes exceeds MaxRecordSize (%d bytes)", len(payload), MaxRecordSize)
@@ -155,6 +171,9 @@ func (w *WAL) append(frame, payload []byte) error {
 	defer w.mu.Unlock()
 	if w.closed {
 		return ErrClosed
+	}
+	if w.broken != nil {
+		return w.broken
 	}
 	tm := w.m.AppendLatency.Start()
 	defer tm.Stop()
@@ -165,20 +184,33 @@ func (w *WAL) append(frame, payload []byte) error {
 	hdr := recordHeader(payload)
 	copy(frame, hdr[:])
 	if _, err := w.f.Write(frame); err != nil {
-		return fmt.Errorf("store: append: %w", err)
+		return w.rollbackLocked(fmt.Errorf("store: append: %w", err))
+	}
+	if w.opts.Sync == SyncAlways || (w.opts.Sync == SyncInterval && w.pending+1 >= syncEvery) {
+		if err := w.syncLocked(); err != nil {
+			return w.rollbackLocked(err)
+		}
+	} else {
+		w.pending++
 	}
 	w.size += int64(len(frame))
 	w.m.AppendedBytes.Add(uint64(len(frame)))
-	w.pending++
-	switch w.opts.Sync {
-	case SyncAlways:
-		return w.syncLocked()
-	case SyncInterval:
-		if w.pending >= syncEvery {
-			return w.syncLocked()
-		}
-	}
 	return nil
+}
+
+// rollbackLocked cuts the log back to its last acknowledged record after
+// a refused append and returns err. If the cut fails too, the log's end
+// is unknown, and every later append returns err with the cut's error.
+func (w *WAL) rollbackLocked(err error) error {
+	terr := w.f.Truncate(w.size)
+	if terr == nil {
+		_, terr = w.f.Seek(w.size, io.SeekStart)
+	}
+	if terr != nil {
+		w.broken = errors.Join(err, terr)
+		return w.broken
+	}
+	return err
 }
 
 // Sync forces an fsync regardless of policy.

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -455,4 +456,104 @@ func TestWALRefusesOversizedRecord(t *testing.T) {
 		t.Fatalf("reopened records %q, want [before after]", got)
 	}
 	appendAll(t, w2, []byte("later"))
+}
+
+// errInjected is the failure faultFile injects.
+var errInjected = errors.New("injected fault")
+
+// faultFile is a WAL file whose next write stops halfway, whose next
+// fsync fails, or whose truncations fail, as its flags say.
+type faultFile struct {
+	walFile
+	shortWrite   bool // the next Write writes half its bytes and fails
+	failSync     bool // the next Sync fails
+	failTruncate bool // every Truncate fails
+}
+
+func (f *faultFile) Write(p []byte) (int, error) {
+	if f.shortWrite {
+		f.shortWrite = false
+		n, err := f.walFile.Write(p[:len(p)/2])
+		if err == nil {
+			err = io.ErrShortWrite
+		}
+		return n, err
+	}
+	return f.walFile.Write(p)
+}
+
+func (f *faultFile) Sync() error {
+	if f.failSync {
+		f.failSync = false
+		return errInjected
+	}
+	return f.walFile.Sync()
+}
+
+func (f *faultFile) Truncate(size int64) error {
+	if f.failTruncate {
+		return errInjected
+	}
+	return f.walFile.Truncate(size)
+}
+
+// refuseOne appends "a", appends a record the fault makes w refuse, then
+// appends "b", and returns the records a reopened log holds.
+func refuseOne(t *testing.T, opts Options, fault *faultFile) []Record {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "wal.log")
+	w, _ := openForTest(t, path, opts)
+	appendAll(t, w, []byte("a"))
+	fault.walFile = w.f
+	w.f = fault
+	if err := w.Append([]byte("refused record")); err == nil {
+		t.Fatal("faulted append accepted")
+	}
+	appendAll(t, w, []byte("b"))
+	if want := int64(2 * (RecordHeaderSize + 1)); w.Size() != want {
+		t.Fatalf("Size = %d after a refused append, want %d", w.Size(), want)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, recs := openForTest(t, path, opts)
+	return recs
+}
+
+// TestWALShortWriteLeavesLogAsItWas: a record written only in part is
+// cut back off, so the next record is not stranded behind it.
+func TestWALShortWriteLeavesLogAsItWas(t *testing.T) {
+	recs := refuseOne(t, Options{Sync: SyncNever}, &faultFile{shortWrite: true})
+	if got := payloadsOf(recs); len(got) != 2 || string(got[0]) != "a" || string(got[1]) != "b" {
+		t.Fatalf("reopened log holds %q, want [a b]", got)
+	}
+}
+
+// TestWALFailedSyncLeavesLogAsItWas: a record whose fsync failed was
+// refused, so it must not be in the log when it is reopened.
+func TestWALFailedSyncLeavesLogAsItWas(t *testing.T) {
+	recs := refuseOne(t, Options{Sync: SyncAlways}, &faultFile{failSync: true})
+	if got := payloadsOf(recs); len(got) != 2 || string(got[0]) != "a" || string(got[1]) != "b" {
+		t.Fatalf("reopened log holds %q, want [a b]", got)
+	}
+}
+
+// TestWALUncutRefusalStopsAppends: when a refused record cannot be cut
+// back off, where the log ends is unknown, and every later append fails
+// with the first refusal.
+func TestWALUncutRefusalStopsAppends(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	w, _ := openForTest(t, path, Options{Sync: SyncAlways})
+	w.f = &faultFile{walFile: w.f, failSync: true, failTruncate: true}
+	if err := w.Append([]byte("refused")); !errors.Is(err, errInjected) {
+		t.Fatalf("faulted append: %v", err)
+	}
+	for range 2 {
+		if err := w.Append([]byte("later")); !errors.Is(err, errInjected) {
+			t.Fatalf("append after an uncut refusal: %v", err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -64,7 +64,6 @@ func (m *Manufacturer) Provision(measurement Measurement, notBefore, notAfter ti
 	}
 	return &Device{
 		key:         key,
-		secret:      secret,
 		measurement: measurement,
 		cert:        cert.Encode(),
 		store:       sealed,
@@ -74,7 +73,6 @@ func (m *Manufacturer) Provision(measurement Measurement, notBefore, notAfter ti
 // Device is one consumer device with TEE support.
 type Device struct {
 	key         *cryptoutil.KeyPair
-	secret      []byte
 	measurement Measurement
 	cert        []byte // the manufacturer certificate's encoding, made once at Provision
 	store       *SealedStore
