@@ -104,7 +104,7 @@ func run(args []string) error {
 	}
 	// The DE App trusts a manufacturer CA generated here and discarded, so
 	// no TEE device can register on a de-node cluster yet.
-	manufacturer, err := tee.NewManufacturer("tee-manufacturer")
+	manufacturer, err := tee.NewManufacturer()
 	if err != nil {
 		return err
 	}

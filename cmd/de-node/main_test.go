@@ -38,7 +38,7 @@ func TestRunRejectsBadFlag(t *testing.T) {
 // bootCluster boots a cluster through the constructor run() calls, with
 // a real clock and a throwaway manufacturer CA, as run() does.
 func bootCluster(cfg core.Config) (*core.Cluster, error) {
-	ca, err := cryptoutil.NewAuthority("tee-manufacturer")
+	ca, err := cryptoutil.NewAuthority()
 	if err != nil {
 		return nil, err
 	}

@@ -27,13 +27,14 @@ const (
 	GasEventPerByte uint64 = 8
 )
 
-// MaxTxGasLimit caps a single transaction's declared gas limit. Without
-// it a byzantine proposer could stuff a block with transactions whose
-// limits dwarf the block gas budget, forcing every validator to meter
-// arbitrarily expensive replays. Admission (Node.Submit) and block
-// validation (ApplyBlock) both enforce the cap, so an over-gas
-// transaction is rejected whether it arrives by gossip or inside a
-// sealed block.
+// MaxTxGasLimit caps a single transaction's declared gas limit. There is
+// no block gas budget: what bounds a block's execution is its byte budget
+// (MaxBlockTxBytes), its transaction count (maxTxsPerBlock) and this cap
+// on each transaction, without which a byzantine proposer could force
+// every validator to meter arbitrarily expensive replays. Admission
+// (Node.Submit) and block validation (ApplyBlock) both enforce the cap,
+// so an over-gas transaction is rejected whether it arrives by gossip or
+// inside a sealed block.
 const MaxTxGasLimit uint64 = 8_000_000
 
 // ErrOutOfGas reverts a transaction whose gas limit is exhausted.

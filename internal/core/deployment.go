@@ -132,7 +132,7 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 	}
 	clk := simclock.NewSim(defaultGenesis)
 
-	manufacturer, err := tee.NewManufacturer("tee-manufacturer")
+	manufacturer, err := tee.NewManufacturer()
 	if err != nil {
 		return nil, err
 	}
@@ -140,7 +140,7 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 	if err != nil {
 		return nil, err
 	}
-	mkt, err := market.NewService("datamarket", clk)
+	mkt, err := market.NewService(clk)
 	if err != nil {
 		return nil, errors.Join(err, cluster.Close())
 	}

@@ -157,27 +157,20 @@ func (c *Certificate) Verify(issuerPubBytes []byte, now time.Time) error {
 // Authority is a minimal certificate authority: it issues certificates
 // signed with its key pair.
 type Authority struct {
-	key  *KeyPair
-	name string
+	key *KeyPair
 	// serial numbers the issued certificates; atomic because issuance is
 	// concurrent (market.Service.PayFee issues outside its own lock).
 	serial atomic.Uint64
 }
 
 // NewAuthority creates an authority with a fresh key pair.
-func NewAuthority(name string) (*Authority, error) {
+func NewAuthority() (*Authority, error) {
 	kp, err := GenerateKey(nil)
 	if err != nil {
 		return nil, err
 	}
-	return &Authority{key: kp, name: name}, nil
+	return &Authority{key: kp}, nil
 }
-
-// Name returns the authority's display name.
-func (a *Authority) Name() string { return a.name }
-
-// Address returns the authority's signing address.
-func (a *Authority) Address() Address { return a.key.Address() }
 
 // PublicBytes returns the authority's public key encoding, which verifiers
 // pin out of band.

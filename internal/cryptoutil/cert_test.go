@@ -16,7 +16,7 @@ var testEpoch = time.Date(2023, 10, 9, 12, 0, 0, 0, time.UTC)
 
 func issueTestCert(t *testing.T) (*Authority, *KeyPair, *Certificate) {
 	t.Helper()
-	ca, err := NewAuthority("market")
+	ca, err := NewAuthority()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestCertificateTamperDetection(t *testing.T) {
 		}
 	})
 	t.Run("wrong issuer", func(t *testing.T) {
-		other, err := NewAuthority("impostor")
+		other, err := NewAuthority()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,12 +90,12 @@ func TestCertificateTamperDetection(t *testing.T) {
 		// The issuer a certificate names is checked against the trusted
 		// key's own address, derived from its bytes without allocating.
 		renamed := *cert
-		renamed.Issuer = other.Address()
+		renamed.Issuer = other.key.Address()
 		if err := renamed.Verify(ca.PublicBytes(), now); !errors.Is(err, ErrCertWrongIssuer) {
 			t.Fatalf("certificate naming another issuer: err = %v, want ErrCertWrongIssuer", err)
 		}
 		pub := ca.PublicBytes()
-		if addressOfKeyBytes(pub) != ca.Address() {
+		if addressOfKeyBytes(pub) != ca.key.Address() {
 			t.Fatal("address from key bytes differs from the authority's address")
 		}
 		if n := testing.AllocsPerRun(100, func() { _ = addressOfKeyBytes(pub) }); n != 0 {
@@ -236,7 +236,7 @@ func TestAuthoritySerialsIncrease(t *testing.T) {
 }
 
 func TestAuthorityRejectsInvertedWindow(t *testing.T) {
-	ca, err := NewAuthority("market")
+	ca, err := NewAuthority()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestSigningBytesClaimOrderIndependence(t *testing.T) {
 }
 
 func TestAuthorityIssueCopiesClaims(t *testing.T) {
-	ca, err := NewAuthority("market")
+	ca, err := NewAuthority()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestAuthorityIssueCopiesClaims(t *testing.T) {
 // encoding; the bytes its signature covers are that encoding less the
 // signature.
 func FuzzCertificateDecode(f *testing.F) {
-	ca, err := NewAuthority("market")
+	ca, err := NewAuthority()
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -291,7 +291,7 @@ func TestVerifyCachedConcurrent(t *testing.T) {
 // binding are judged anew with a warm table, and a re-signed field misses.
 func TestCertificateWindowCheckedOnEveryCall(t *testing.T) {
 	counts := countTable(t)
-	ca, err := NewAuthority("ca")
+	ca, err := NewAuthority()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestCertificateWindowCheckedOnEveryCall(t *testing.T) {
 	if err := cert.Verify(ca.PublicBytes(), notBefore.Add(-time.Nanosecond)); !errors.Is(err, ErrCertNotYetValid) {
 		t.Errorf("before the window, warm table: %v, want ErrCertNotYetValid", err)
 	}
-	other, err := NewAuthority("other")
+	other, err := NewAuthority()
 	if err != nil {
 		t.Fatal(err)
 	}

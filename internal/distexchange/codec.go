@@ -150,6 +150,93 @@ func decodeResourceWithdrawn(raw []byte) (withdrawn, ok bool) {
 	return raw[1] == 1, true
 }
 
+// resourceHead is what a ResourceRecord's owner checks and rewrites read of
+// it (decodeResourceHead).
+type resourceHead struct {
+	withdrawn bool
+	owner     cryptoutil.Address
+	// pod is the PodWebID: a view of the stored bytes, not a copy.
+	pod []byte
+	// version is the policy's Version, 0 when the record has no policy.
+	version uint64
+	// flagAt is the offset of the optional-policy flag: the record's bytes
+	// before it are the same whatever its policy.
+	flagAt int
+}
+
+// policyTag opens a policy's record encoding; it is read off
+// policy.AppendRecord, which owns it.
+var policyTag = policy.AppendRecord(nil, new(policy.Policy))[0]
+
+// decodeResourceHead reads a stored ResourceRecord in place: it walks the
+// whole record and refuses exactly what decodeResourceRecord refuses, with
+// the same error, but copies nothing: reading a record it accepts
+// allocates nothing.
+func decodeResourceHead(raw []byte) (h resourceHead, err error) {
+	d := store.NewDec(raw)
+	d.Tag(tagResource)
+	h.withdrawn = d.Bool()
+	d.View() // ResourceIRI
+	h.pod = d.View()
+	d.View() // Location
+	d.View() // Description
+	d.Raw(h.owner[:])
+	d.UTC() // RegisteredAt
+	h.flagAt = len(raw) - d.Remaining()
+	if d.Bool() {
+		h.version = decodePolicyVersion(d)
+	}
+	return h, d.Finish()
+}
+
+// decodePolicyVersion walks a policy's record encoding as policy.DecodeRecord
+// reads it, refusing what that refuses, and returns only its Version.
+func decodePolicyVersion(d *store.Dec) uint64 {
+	d.Tag(policyTag)
+	d.View() // ID
+	d.View() // ResourceIRI
+	d.View() // OwnerWebID
+	version := d.Uvarint()
+	d.UTC() // IssuedAt
+	decodeStringsInPlace(d, "purposes")
+	decodeStringsInPlace(d, "actions")
+	d.Uvarint() // MaxRetention
+	d.UTC()     // ExpiresAt
+	d.Uvarint() // MaxUses
+	d.Bool()    // ProhibitSharing
+	d.Bool()    // NotifyOnUse
+	return version
+}
+
+// decodeStringsInPlace walks a list store.Strings would read, as it reads it.
+func decodeStringsInPlace(d *store.Dec, what string) {
+	for range d.Count(what, uint64(d.Remaining())) {
+		if d.View(); d.Err() != nil {
+			return
+		}
+	}
+}
+
+// spliceResourcePolicy returns the stored ResourceRecord raw, whose policy
+// flag sits at flagAt, with p as its policy, and where p's encoding starts.
+// The bytes before the flag are what appendResourceRecord writes for them —
+// the encoding is canonical — so the result is appendResourceRecord's for
+// the record with p, in one buffer sized for both parts.
+func spliceResourcePolicy(raw []byte, flagAt int, p *policy.Policy) (record []byte, policyAt int) {
+	record = append(grow(nil, flagAt+1+optPolicySize(p)), raw[:flagAt]...)
+	return appendOptPolicy(record, p), flagAt + 1
+}
+
+// withdrawnResource returns a copy of the stored ResourceRecord raw with its
+// Withdrawn flag — the byte behind the tag, where decodeResourceWithdrawn
+// reads it — set: appendResourceRecord's bytes for the withdrawn record. A
+// stored value is never written in place, hence the copy.
+func withdrawnResource(raw []byte) []byte {
+	record := append(grow(nil, len(raw)), raw...)
+	record[1] = 1
+	return record
+}
+
 func appendDeviceRecord(dst []byte, r *DeviceRecord) []byte {
 	dst = grow(dst, fixedSize+len(r.DeviceKey))
 	dst = append(dst, tagDevice)

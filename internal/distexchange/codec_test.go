@@ -290,6 +290,100 @@ func TestResourceRecordTail(t *testing.T) {
 	}
 }
 
+// checkResourceHead holds decodeResourceHead and the two splices to the
+// full codec on data: the head reader accepts exactly what
+// decodeResourceRecord accepts, refuses with the same error, and reads the
+// same fields; for an accepted record, the updatePolicy splice with each of
+// policies is appendResourceRecord's encoding with that policy, the
+// withdrawResource splice is its encoding with Withdrawn set, and neither
+// writes data.
+func checkResourceHead(t *testing.T, data []byte, policies []*policy.Policy) {
+	t.Helper()
+	stored := bytes.Clone(data)
+	rec, recErr := DecodeResourceRecord(data)
+	head, err := decodeResourceHead(data)
+	switch {
+	case recErr == nil && err != nil:
+		t.Fatalf("decodeResourceHead refuses\n%x\nwhich decodeResourceRecord accepts: %v", data, err)
+	case recErr != nil && err == nil:
+		t.Fatalf("decodeResourceHead accepts\n%x\nwhich decodeResourceRecord refuses: %v", data, recErr)
+	case recErr != nil:
+		if err.Error() != recErr.Error() {
+			t.Fatalf("refusals of\n%x\ndiffer: head %q, record %q", data, err, recErr)
+		}
+		return
+	}
+	var version uint64
+	if rec.Policy != nil {
+		version = rec.Policy.Version
+	}
+	_, policyAt := appendResourceRecord(nil, &rec)
+	if head.withdrawn != rec.Withdrawn || head.owner != rec.Owner || string(head.pod) != rec.PodWebID ||
+		head.version != version || head.flagAt != policyAt-1 {
+		t.Fatalf("head of\n%x\nreads %+v, the record %+v", data, head, rec)
+	}
+	for _, p := range policies {
+		updated := rec
+		updated.Policy = p
+		want, wantAt := appendResourceRecord(nil, &updated)
+		if got, gotAt := spliceResourcePolicy(data, head.flagAt, p); !bytes.Equal(got, want) || gotAt != wantAt {
+			t.Fatalf("policy splice of\n%x\nis\n%x (policy at %d), want\n%x (at %d)", data, got, gotAt, want, wantAt)
+		}
+	}
+	withdrawn := rec
+	withdrawn.Withdrawn = true
+	if got, want := withdrawnResource(data), appendResource(nil, &withdrawn); !bytes.Equal(got, want) {
+		t.Fatalf("withdraw splice of\n%x\nis\n%x, want\n%x", data, got, want)
+	}
+	if !bytes.Equal(data, stored) {
+		t.Fatalf("a splice wrote the stored record")
+	}
+}
+
+// splicePolicies are the policies checkResourceHead splices in.
+func splicePolicies() []*policy.Policy {
+	v := recordVectors()
+	return []*policy.Policy{nil, &v.policies[0], &v.policies[1]}
+}
+
+// TestResourceHeadMatchesRecord runs checkResourceHead over the frozen
+// vectors and generated records, whole, cut short and with one byte
+// changed.
+func TestResourceHeadMatchesRecord(t *testing.T) {
+	policies := splicePolicies()
+	v := recordVectors()
+	rng := rand.New(rand.NewSource(11))
+	g := gen{rng}
+	records := make([][]byte, 0, len(v.resources)+300)
+	for i := range v.resources {
+		records = append(records, appendResource(nil, &v.resources[i]))
+	}
+	for range 300 {
+		r := g.resource()
+		records = append(records, appendResource(nil, &r))
+	}
+	for _, record := range records {
+		checkResourceHead(t, record, policies)
+		checkResourceHead(t, record[:rng.Intn(len(record))], policies)
+		checkResourceHead(t, append(bytes.Clone(record), 0), policies)
+		changed := bytes.Clone(record)
+		changed[rng.Intn(len(changed))] ^= byte(1 + rng.Intn(255))
+		checkResourceHead(t, changed, policies)
+	}
+}
+
+// TestResourceHeadAllocatesNothing pins the in-place read at no allocation.
+func TestResourceHeadAllocatesNothing(t *testing.T) {
+	record, _ := appendResourceRecord(nil, &recordVectors().resources[0])
+	if got := testing.AllocsPerRun(100, func() {
+		if _, err := decodeResourceHead(record); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("decodeResourceHead: %.0f allocations, want 0", got)
+	}
+}
+
 // TestRecordCodecAllocations pins what the execution path's most frequent
 // decode and its largest append allocate.
 func TestRecordCodecAllocations(t *testing.T) {
@@ -343,7 +437,9 @@ func relist[T any](vs []T, appendTo func([]byte, *T) []byte) []byte {
 
 // FuzzRecordDecode feeds every decoder arbitrary bytes. None may panic or
 // allocate out of proportion to its input, and whatever one accepts must
-// re-encode to exactly the input: a record has one encoding.
+// re-encode to exactly the input: a record has one encoding. The in-place
+// resource reader and its splices must agree with the full codec
+// (checkResourceHead).
 //
 // CI smoke-runs this with -fuzz=FuzzRecordDecode -fuzztime=30s.
 func FuzzRecordDecode(f *testing.F) {
@@ -353,8 +449,10 @@ func FuzzRecordDecode(f *testing.F) {
 	}
 	f.Add([]byte(`{"resource":"https://alice.pod/web/browsing.csv"}`))
 	f.Add(store.AppendUvarint(nil, 1<<40)) // a listing that claims more records than bytes
+	policies := splicePolicies()
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkResourceHead(t, data, policies)
 		try := func(name string, roundTrip func() ([]byte, error)) {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
@@ -487,7 +585,7 @@ func TestJSONRecordRevertsNamingItsKey(t *testing.T) {
 // timestamps, so every operation costs the same gas on both; when they held
 // RFC3339Nano text it did not.
 func TestGasIndependentOfBlockTime(t *testing.T) {
-	ca, err := cryptoutil.NewAuthority("tee-manufacturer")
+	ca, err := cryptoutil.NewAuthority()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -552,49 +650,133 @@ func TestGasIndependentOfBlockTime(t *testing.T) {
 	}
 }
 
-// TestUpdatePolicyAllocations pins what one updatePolicy execution on an
-// overlay allocates, from the runtime's entry to the receipt (Fig. 2(5)).
-// The ledger hands values over: the read of the resource record is a view
-// of the stored bytes, the state keeps the record the contract writes,
-// and the PolicyUpdated event keeps its payload. At d74da50, which copied
-// at each of those three points, the same execution made 25 allocations.
-func TestUpdatePolicyAllocations(t *testing.T) {
-	const parent = 25
-	rt := contract.NewRuntime()
-	deAddr := rt.Deploy(ContractName, New(Config{}))
-	owner := cryptoutil.MustGenerateKey()
-	const webID, iri = "https://alice.pod/profile#me", "https://alice.pod/data.csv"
-	pol := policy.New(iri, webID, t0)
-	ov := chain.NewOverlay(chain.NewState())
-	bctx := chain.BlockContext{Number: 1, Time: t0}
-	for i, s := range []struct {
-		method string
-		args   any
-	}{
-		{"registerPod", RegisterPodArgs{OwnerWebID: webID, Location: "https://alice.pod/"}},
-		{"registerResource", RegisterResourceArgs{ResourceIRI: iri, PodWebID: webID, Location: iri, Policy: pol}},
-	} {
-		tx, err := chain.NewTx(owner, uint64(i), deAddr, s.method, s.args, DefaultGasLimit)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r := rt.ExecuteTx(ov, tx, bctx); !r.Succeeded() {
-			t.Fatalf("%s: %s", s.method, r.Err)
-		}
-	}
-	update, err := chain.NewTx(owner, 2, deAddr, "updatePolicy",
-		UpdatePolicyArgs{ResourceIRI: iri, Policy: pol.NextVersion(t0.Add(time.Minute))}, DefaultGasLimit)
+// execWorld runs DE App transactions straight on an overlay at one block,
+// for the pins of what one method's execution allocates, from the
+// runtime's entry to the receipt.
+type execWorld struct {
+	t      *testing.T
+	ca     *cryptoutil.Authority // the TEE manufacturer the contract trusts
+	rt     *contract.Runtime
+	deAddr cryptoutil.Address
+	ov     *chain.Overlay
+	nonces map[cryptoutil.Address]uint64
+}
+
+var execBlock = chain.BlockContext{Number: 1, Time: t0}
+
+func newExecWorld(t *testing.T) *execWorld {
+	ca, err := cryptoutil.NewAuthority()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp := ov.Checkpoint()
-	run := func() {
-		if r := rt.ExecuteTx(ov, update, bctx); !r.Succeeded() {
-			t.Fatalf("updatePolicy: %s", r.Err)
-		}
-		ov.RevertTo(cp)
+	rt := contract.NewRuntime()
+	return &execWorld{
+		t: t, ca: ca, rt: rt, deAddr: rt.Deploy(ContractName, New(Config{ManufacturerCAKey: ca.PublicBytes()})),
+		ov: chain.NewOverlay(chain.NewState()), nonces: map[cryptoutil.Address]uint64{},
 	}
-	if got := testing.AllocsPerRun(100, run); got > parent-3 {
-		t.Errorf("updatePolicy: %.0f allocations, want at most %d (%d at d74da50, less its three copies)", got, parent-3, parent)
+}
+
+// tx signs method's call with key's next nonce.
+func (w *execWorld) tx(key *cryptoutil.KeyPair, method string, args any) *chain.Tx {
+	w.t.Helper()
+	tx, err := chain.NewTx(key, w.nonces[key.Address()], w.deAddr, method, args, DefaultGasLimit)
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	w.nonces[key.Address()]++
+	return tx
+}
+
+func (w *execWorld) exec(tx *chain.Tx) {
+	if r := w.rt.ExecuteTx(w.ov, tx, execBlock); !r.Succeeded() {
+		w.t.Fatalf("%s: %s", tx.Method, r.Err)
+	}
+}
+
+func (w *execWorld) must(key *cryptoutil.KeyPair, method string, args any) {
+	w.t.Helper()
+	w.exec(w.tx(key, method, args))
+}
+
+// allocs reports what executing tx allocates, the overlay reverted after
+// each run.
+func (w *execWorld) allocs(tx *chain.Tx) float64 {
+	cp := w.ov.Checkpoint()
+	return testing.AllocsPerRun(100, func() {
+		w.exec(tx)
+		w.ov.RevertTo(cp)
+	})
+}
+
+const allocsWebID, allocsIRI = "https://alice.pod/profile#me", "https://alice.pod/data.csv"
+
+// withResource registers owner's pod and a resource under policy.New's
+// policy, and returns the policy.
+func (w *execWorld) withResource(owner *cryptoutil.KeyPair) *policy.Policy {
+	pol := policy.New(allocsIRI, allocsWebID, t0)
+	w.must(owner, "registerPod", RegisterPodArgs{OwnerWebID: allocsWebID, Location: "https://alice.pod/"})
+	w.must(owner, "registerResource", RegisterResourceArgs{ResourceIRI: allocsIRI, PodWebID: allocsWebID, Location: allocsIRI, Policy: pol})
+	return pol
+}
+
+// TestUpdatePolicyAllocations pins what one updatePolicy execution
+// allocates (Fig. 2(5)). The ledger hands values over — the read of the
+// resource record is a view of the stored bytes, the state keeps the record
+// the contract writes, the PolicyUpdated event keeps its payload — and the
+// record is read in place and spliced, not decoded and re-encoded. At
+// d74da50, which copied at each of those three points, the same execution
+// made 25 allocations; at 9a84427, which decoded the record, 22.
+func TestUpdatePolicyAllocations(t *testing.T) {
+	const want = 13
+	w := newExecWorld(t)
+	owner := cryptoutil.MustGenerateKey()
+	pol := w.withResource(owner)
+	update := w.tx(owner, "updatePolicy", UpdatePolicyArgs{ResourceIRI: allocsIRI, Policy: pol.NextVersion(t0.Add(time.Minute))})
+	if got := w.allocs(update); got > want {
+		t.Errorf("updatePolicy: %.0f allocations, want at most %d (22 at 9a84427, which decoded the resource record)", got, want)
+	}
+}
+
+// withRetrievedGrant registers a device, grants it owner's resource and
+// confirms its retrieval: the device is then a target of a monitoring
+// round.
+func (w *execWorld) withRetrievedGrant(owner *cryptoutil.KeyPair) *cryptoutil.KeyPair {
+	device := cryptoutil.MustGenerateKey()
+	var m cryptoutil.Hash
+	cert, err := w.ca.Issue(device, map[string]string{"measurement": hex.EncodeToString(m[:])}, t0, t0.Add(time.Hour))
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	w.must(device, "registerDevice", RegisterDeviceArgs{Certificate: cert.Encode()})
+	w.must(owner, "recordGrant", RecordGrantArgs{ResourceIRI: allocsIRI, Consumer: device.Address(), Device: device.Address(), Purpose: policy.PurposeAcademic})
+	w.must(device, "confirmRetrieval", ConfirmRetrievalArgs{ResourceIRI: allocsIRI})
+	return device
+}
+
+// TestRevokeGrantAllocations and TestRequestMonitoringAllocations pin two
+// owner-only methods that read nothing of the resource record but its
+// owner, and so read it in place. At 9a84427, which decoded it, each made
+// 9 more allocations: 22 and 31.
+func TestRevokeGrantAllocations(t *testing.T) {
+	const want = 13
+	w := newExecWorld(t)
+	owner := cryptoutil.MustGenerateKey()
+	w.withResource(owner)
+	device := w.withRetrievedGrant(owner)
+	revoke := w.tx(owner, "revokeGrant", RevokeGrantArgs{ResourceIRI: allocsIRI, Device: device.Address()})
+	if got := w.allocs(revoke); got > want {
+		t.Errorf("revokeGrant: %.0f allocations, want at most %d", got, want)
+	}
+}
+
+func TestRequestMonitoringAllocations(t *testing.T) {
+	const want = 22
+	w := newExecWorld(t)
+	owner := cryptoutil.MustGenerateKey()
+	w.withResource(owner)
+	w.withRetrievedGrant(owner)
+	request := w.tx(owner, "requestMonitoring", RequestMonitoringArgs{ResourceIRI: allocsIRI})
+	if got := w.allocs(request); got > want {
+		t.Errorf("requestMonitoring: %.0f allocations, want at most %d", got, want)
 	}
 }

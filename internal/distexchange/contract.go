@@ -189,6 +189,21 @@ func load[T any](env *contract.Env, key []byte, out *T, decode func(*store.Dec, 
 	return true, nil
 }
 
+// loadResourceHead reads the head of the ResourceRecord under key in place
+// (decodeResourceHead) and returns it with the stored bytes, reporting
+// whether there is one. It reverts on what load with decodeResourceRecord
+// reverts on, with the same text.
+func loadResourceHead(env *contract.Env, key []byte) (h resourceHead, raw []byte, ok bool, err error) {
+	raw, ok, err = env.Get(key)
+	if err != nil || !ok {
+		return h, nil, false, err
+	}
+	if h, err = decodeResourceHead(raw); err != nil {
+		return h, nil, false, contract.Revertf("corrupt record at %s: %v", localKey(env, key), err)
+	}
+	return h, raw, true, nil
+}
+
 // call decodes a method's arguments and runs the method on them.
 func call[A any](env *contract.Env, raw []byte, decode func(*store.Dec, *A), method func(*contract.Env, *A) ([]byte, error)) ([]byte, error) {
 	var args A
@@ -287,8 +302,7 @@ func (c *Contract) registerResource(env *contract.Env, args *RegisterResourceArg
 	if pod.Owner != env.Sender {
 		return nil, contract.Revertf("registerResource: sender %s does not own pod %q", env.Sender, args.PodWebID)
 	}
-	var existing ResourceRecord
-	if ok, err := load(env, resKey(env.Key(), args.ResourceIRI), &existing, decodeResourceRecord); err != nil {
+	if _, _, ok, err := loadResourceHead(env, resKey(env.Key(), args.ResourceIRI)); err != nil {
 		return nil, err
 	} else if ok {
 		return nil, contract.Revertf("registerResource: resource %q already registered", args.ResourceIRI)
@@ -343,15 +357,14 @@ func (c *Contract) updatePolicy(env *contract.Env, args *UpdatePolicyArgs) ([]by
 	if args.Policy == nil {
 		return nil, contract.Revertf("updatePolicy: missing policy")
 	}
-	var rec ResourceRecord
-	ok, err := load(env, resKey(env.Key(), args.ResourceIRI), &rec, decodeResourceRecord)
+	head, raw, ok, err := loadResourceHead(env, resKey(env.Key(), args.ResourceIRI))
 	if err != nil {
 		return nil, err
 	}
 	if !ok {
 		return nil, contract.Revertf("updatePolicy: resource %q not registered", args.ResourceIRI)
 	}
-	if rec.Owner != env.Sender {
+	if head.owner != env.Sender {
 		return nil, contract.Revertf("updatePolicy: sender %s does not own %q", env.Sender, args.ResourceIRI)
 	}
 	if err := args.Policy.Validate(); err != nil {
@@ -360,12 +373,11 @@ func (c *Contract) updatePolicy(env *contract.Env, args *UpdatePolicyArgs) ([]by
 	if args.Policy.ResourceIRI != args.ResourceIRI {
 		return nil, contract.Revertf("updatePolicy: policy bound to %q, not %q", args.Policy.ResourceIRI, args.ResourceIRI)
 	}
-	if args.Policy.Version <= rec.Policy.Version {
+	if args.Policy.Version <= head.version {
 		return nil, contract.Revertf("updatePolicy: version %d not greater than current %d",
-			args.Policy.Version, rec.Policy.Version)
+			args.Policy.Version, head.version)
 	}
-	rec.Policy = args.Policy
-	record, policyAt := appendResourceRecord(nil, &rec)
+	record, policyAt := spliceResourcePolicy(raw, head.flagAt, args.Policy)
 	if err := env.Set(resKey(env.Key(), args.ResourceIRI), record); err != nil {
 		return nil, err
 	}
@@ -376,26 +388,24 @@ func (c *Contract) updatePolicy(env *contract.Env, args *UpdatePolicyArgs) ([]by
 }
 
 func (c *Contract) withdrawResource(env *contract.Env, args *WithdrawResourceArgs) ([]byte, error) {
-	var rec ResourceRecord
-	ok, err := load(env, resKey(env.Key(), args.ResourceIRI), &rec, decodeResourceRecord)
+	head, raw, ok, err := loadResourceHead(env, resKey(env.Key(), args.ResourceIRI))
 	if err != nil {
 		return nil, err
 	}
 	if !ok {
 		return nil, contract.Revertf("withdrawResource: resource %q not registered", args.ResourceIRI)
 	}
-	if rec.Owner != env.Sender {
+	if head.owner != env.Sender {
 		return nil, contract.Revertf("withdrawResource: sender %s does not own %q", env.Sender, args.ResourceIRI)
 	}
-	if rec.Withdrawn {
+	if head.withdrawn {
 		return nil, contract.Revertf("withdrawResource: already withdrawn")
 	}
-	rec.Withdrawn = true
-	record, _ := appendResourceRecord(nil, &rec)
+	record := withdrawnResource(raw)
 	if err := env.Set(resKey(env.Key(), args.ResourceIRI), record); err != nil {
 		return nil, err
 	}
-	if err := env.Delete(resByPodKey(env.Key(), rec.PodWebID, args.ResourceIRI)); err != nil {
+	if err := env.Delete(resByPodKey(env.Key(), string(head.pod), args.ResourceIRI)); err != nil {
 		return nil, err
 	}
 	if err := env.Emit(TopicResourceWithdrawn, args.ResourceIRI, record); err != nil {
@@ -519,15 +529,14 @@ func (c *Contract) confirmRetrieval(env *contract.Env, args *ConfirmRetrievalArg
 }
 
 func (c *Contract) revokeGrant(env *contract.Env, args *RevokeGrantArgs) ([]byte, error) {
-	var rec ResourceRecord
-	ok, err := load(env, resKey(env.Key(), args.ResourceIRI), &rec, decodeResourceRecord)
+	head, _, ok, err := loadResourceHead(env, resKey(env.Key(), args.ResourceIRI))
 	if err != nil {
 		return nil, err
 	}
 	if !ok {
 		return nil, contract.Revertf("revokeGrant: resource %q not registered", args.ResourceIRI)
 	}
-	if rec.Owner != env.Sender {
+	if head.owner != env.Sender {
 		return nil, contract.Revertf("revokeGrant: sender %s does not own %q", env.Sender, args.ResourceIRI)
 	}
 	var g Grant
@@ -553,15 +562,14 @@ func (c *Contract) revokeGrant(env *contract.Env, args *RevokeGrantArgs) ([]byte
 // --- policy monitoring (Fig. 2(6)) ---
 
 func (c *Contract) requestMonitoring(env *contract.Env, args *RequestMonitoringArgs) ([]byte, error) {
-	var rec ResourceRecord
-	ok, err := load(env, resKey(env.Key(), args.ResourceIRI), &rec, decodeResourceRecord)
+	head, _, ok, err := loadResourceHead(env, resKey(env.Key(), args.ResourceIRI))
 	if err != nil {
 		return nil, err
 	}
 	if !ok {
 		return nil, contract.Revertf("requestMonitoring: resource %q not registered", args.ResourceIRI)
 	}
-	if rec.Owner != env.Sender {
+	if head.owner != env.Sender {
 		return nil, contract.Revertf("requestMonitoring: sender %s does not own %q", env.Sender, args.ResourceIRI)
 	}
 
@@ -844,15 +852,14 @@ func (c *Contract) recordViolation(env *contract.Env, iri string, device cryptou
 }
 
 func (c *Contract) reportUnresponsive(env *contract.Env, args *ReportUnresponsiveArgs) ([]byte, error) {
-	var rec ResourceRecord
-	ok, err := load(env, resKey(env.Key(), args.ResourceIRI), &rec, decodeResourceRecord)
+	head, _, ok, err := loadResourceHead(env, resKey(env.Key(), args.ResourceIRI))
 	if err != nil {
 		return nil, err
 	}
 	if !ok {
 		return nil, contract.Revertf("reportUnresponsive: resource %q not registered", args.ResourceIRI)
 	}
-	if rec.Owner != env.Sender {
+	if head.owner != env.Sender {
 		return nil, contract.Revertf("reportUnresponsive: sender %s does not own %q", env.Sender, args.ResourceIRI)
 	}
 	round, silent, err := loadRound(env, args.ResourceIRI, args.Round)

@@ -120,7 +120,7 @@ func (f *fixture) plant(key string, value []byte) {
 
 func newFixture(t *testing.T) *fixture {
 	t.Helper()
-	ca, err := cryptoutil.NewAuthority("tee-manufacturer")
+	ca, err := cryptoutil.NewAuthority()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +408,7 @@ func TestDeviceRegistration(t *testing.T) {
 	})
 
 	t.Run("certificate from untrusted CA", func(t *testing.T) {
-		rogue, err := cryptoutil.NewAuthority("rogue")
+		rogue, err := cryptoutil.NewAuthority()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -51,7 +51,7 @@ func newReplica(t *testing.T, ca *cryptoutil.Authority, clk *simclock.Sim, owner
 // property that lets validators re-execute blocks and agree (§V-2). The
 // sequence is randomized per run via testing/quick.
 func TestStateDeterminismAcrossReplicas(t *testing.T) {
-	ca, err := cryptoutil.NewAuthority("tee-ca")
+	ca, err := cryptoutil.NewAuthority()
 	if err != nil {
 		t.Fatal(err)
 	}

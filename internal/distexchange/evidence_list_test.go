@@ -64,7 +64,7 @@ func (w *listWorld) must(key *cryptoutil.KeyPair, method string, args any) {
 
 func newListWorld(t *testing.T) *listWorld {
 	t.Helper()
-	ca, err := cryptoutil.NewAuthority("tee-manufacturer")
+	ca, err := cryptoutil.NewAuthority()
 	if err != nil {
 		t.Fatal(err)
 	}

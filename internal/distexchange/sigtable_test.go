@@ -24,7 +24,7 @@ import (
 // check must not lean on an invariant some other method keeps.
 func TestEvidenceUnderReplacedDeviceKey(t *testing.T) {
 	cryptoutil.ForgetVerified()
-	ca, err := cryptoutil.NewAuthority("tee-manufacturer")
+	ca, err := cryptoutil.NewAuthority()
 	if err != nil {
 		t.Fatal(err)
 	}

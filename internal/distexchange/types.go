@@ -90,7 +90,12 @@
 // The three sequence counters are a bare uvarint and the index and pending
 // markers the byte 1. A ResourceRecord ends with its policy, so the policy
 // events carry a tail of the stored bytes, and opens with Withdrawn, which
-// is all the market listing reads of a record. A listing (listResources,
+// is all the market listing reads of a record. The methods that read only
+// a resource's owner, withdrawn flag or policy version (registerResource's
+// duplicate check, updatePolicy, withdrawResource, revokeGrant,
+// requestMonitoring, reportUnresponsive) read its record in place and
+// splice the stored bytes to rewrite it; recordGrant and submitEvidence
+// evaluate the policy, so they decode it. A listing (listResources,
 // getGrants, getEvidence, getViolations) is a count followed by the stored
 // encodings as they are; records delimit themselves. Every value has
 // exactly one encoding, so sizes — and with them gas — follow from the

@@ -22,7 +22,16 @@ var reachKeep = map[string]string{
 
 	"repro/internal/cryptoutil.ForgetVerified": "documented cross-package test seam: the cold/warm differentials empty the verified-signature table with it",
 
-	"repro/internal/solid.Client.Post": "client half of the POST route solid-server serves",
+	"repro/internal/solid.Client.Post":   "client half of the POST route solid-server serves",
+	"repro/internal/solid.Client.Delete": "client half of the DELETE route solid-server serves",
+
+	"repro/internal/distexchange.Client.Address": "the sender a contract-test fixture's clients sign as, which its assertions name",
+	"repro/internal/tee.App.Delete":              "on-demand erasure of a copy: the TEE tests reach deleteLocked through it without waiting for a retention timer",
+
+	// Counts the tests assert on; the product never asks how many.
+	"repro/internal/obs.Registry.Len":    "the series count the obs and solid metric tests check registration against",
+	"repro/internal/rdf.Graph.Len":       "the triple count the graph tests check deduplication and removal against",
+	"repro/internal/tee.SealedStore.Len": "the blob count the sealed-storage tests check deletion against",
 
 	"repro/internal/distexchange.DecodeDeviceRecord":   "exported decoder of the record format (getDevice's reply), fuzzed by FuzzRecordDecode",
 	"repro/internal/distexchange.DecodeEvidenceRecord": "exported decoder of the record format (an EvidenceRecorded event's payload), fuzzed by FuzzRecordDecode",
@@ -74,39 +83,91 @@ func declKey(obj types.Object) (key string, ifaceMethod bool) {
 	return obj.Pkg().Path() + "." + obj.Name(), false
 }
 
-func TestEveryDeclarationIsReached(t *testing.T) {
-	pkgs, err := Load("../..", "./...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	benchPkgs, err := Load("../../bench", "./...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs = append(pkgs, benchPkgs...)
+// decl is one package-level declaration's syntax.
+type decl struct {
+	pkg  *Package
+	node ast.Node
+}
 
-	type decl struct {
-		pkg  *Package
-		node ast.Node
+// reachResult is what reach finds: every package-level declaration by key
+// (init may repeat), each method's receiver type, and the declarations a
+// root reaches.
+type reachResult struct {
+	decls   map[string][]decl
+	ownerOf map[string]string
+	reached map[string]bool
+}
+
+// sigText spells a method's parameter and result types qualified by
+// package path, so signatures read from different type-checking passes
+// compare equal as text.
+func sigText(sig *types.Signature) string {
+	var b strings.Builder
+	qual := func(p *types.Package) string { return p.Path() }
+	tuple := func(t *types.Tuple) {
+		b.WriteByte('(')
+		for i := 0; i < t.Len(); i++ {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			b.WriteString(types.TypeString(t.At(i).Type(), qual))
+		}
+		b.WriteByte(')')
 	}
-	decls := map[string][]decl{}   // key → its declarations (init may repeat)
-	ownerOf := map[string]string{} // method key → key of its receiver type
+	tuple(sig.Params())
+	if sig.Variadic() {
+		b.WriteString("...")
+	}
+	tuple(sig.Results())
+	return b.String()
+}
+
+// methodSigs maps an interface's methods, by types.Id, to their sigText.
+func methodSigs(it *types.Interface) map[string]string {
+	m := make(map[string]string, it.NumMethods())
+	for i := 0; i < it.NumMethods(); i++ {
+		fn := it.Method(i)
+		m[fn.Id()] = sigText(fn.Type().(*types.Signature))
+	}
+	return m
+}
+
+// reach walks pkgs from their roots — main and init everywhere and the
+// scenario engine's exported API — through every identifier a reached
+// declaration uses. A method no identifier names is reached when an
+// interface call can dispatch to it: its receiver type is reached and has,
+// itself or through its pointer, every method of an interface that declares
+// it, with the same parameter and result types. The interfaces counted are
+// error, every interface the standard-library imports declare (fmt.Stringer,
+// http.Handler, sort.Interface, …) and, as the walk meets calls through
+// them, the module's own.
+func reach(pkgs []*Package) reachResult {
+	r := reachResult{decls: map[string][]decl{}, ownerOf: map[string]string{}, reached: map[string]bool{}}
+	typeOf := map[string]*types.Named{} // type key → its type, for method sets
 	var roots []string
-	// ifaceNames are the method names an interface call can dispatch to:
-	// every method of every interface the standard-library imports
-	// declare (fmt.Stringer, http.Handler, sort.Interface, …), and, as
-	// the walk meets them, of the module's own interfaces.
-	ifaceNames := map[string]bool{"Error": true}
+	ifaces := map[string]map[string]string{} // interface's method text → methodSigs
+	addIface := func(it *types.Interface) {
+		if it.NumMethods() == 0 {
+			return
+		}
+		sigs := methodSigs(it)
+		ids := make([]string, 0, len(sigs))
+		for id, sig := range sigs {
+			ids = append(ids, id+sig)
+		}
+		sort.Strings(ids)
+		ifaces[strings.Join(ids, ";")] = sigs
+	}
+	addIface(types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
 
 	for _, pkg := range pkgs {
-		// name is "Func", "Type", "var" or "Type.Method". The roots are
-		// main and init everywhere and the scenario engine's exported API.
+		// name is "Func", "Type", "var" or "Type.Method".
 		add := func(name string, node ast.Node) {
 			key := pkg.Path + "." + name
-			decls[key] = append(decls[key], decl{pkg, node})
+			r.decls[key] = append(r.decls[key], decl{pkg, node})
 			owner, last, isMethod := strings.Cut(name, ".")
 			if isMethod {
-				ownerOf[key] = pkg.Path + "." + owner
+				r.ownerOf[key] = pkg.Path + "." + owner
 			} else {
 				last = name
 			}
@@ -122,9 +183,7 @@ func TestEveryDeclarationIsReached(t *testing.T) {
 			for _, name := range imp.Scope().Names() {
 				if tn, ok := imp.Scope().Lookup(name).(*types.TypeName); ok {
 					if it, ok := tn.Type().Underlying().(*types.Interface); ok {
-						for i := 0; i < it.NumMethods(); i++ {
-							ifaceNames[it.Method(i).Name()] = true
-						}
+						addIface(it)
 					}
 				}
 			}
@@ -144,6 +203,9 @@ func TestEveryDeclarationIsReached(t *testing.T) {
 						switch s := spec.(type) {
 						case *ast.TypeSpec:
 							add(s.Name.Name, s)
+							if named, ok := pkg.Info.Defs[s.Name].Type().(*types.Named); ok {
+								typeOf[pkg.Path+"."+s.Name.Name] = named
+							}
 						case *ast.ValueSpec:
 							for _, id := range s.Names {
 								if id.Name != "_" { // compile-time assertions run nothing
@@ -157,27 +219,34 @@ func TestEveryDeclarationIsReached(t *testing.T) {
 		}
 	}
 
-	reached := map[string]bool{}
 	var work []string
 	mark := func(key string) {
-		if key != "" && !reached[key] && decls[key] != nil {
-			reached[key] = true
+		if key != "" && !r.reached[key] && r.decls[key] != nil {
+			r.reached[key] = true
 			work = append(work, key)
 		}
 	}
 	for _, key := range roots {
 		mark(key)
 	}
+	// methods holds a reached type's method set, through its pointer: each
+	// method's types.Id → its sigText and its declaration's key.
+	type method struct{ sig, key string }
+	methods := map[string]map[string]method{}
 	for len(work) > 0 {
 		for len(work) > 0 {
 			key := work[len(work)-1]
 			work = work[:len(work)-1]
-			for _, d := range decls[key] {
+			for _, d := range r.decls[key] {
 				ast.Inspect(d.node, func(n ast.Node) bool {
 					if id, ok := n.(*ast.Ident); ok {
-						used, iface := declKey(d.pkg.Info.Uses[id])
+						obj := d.pkg.Info.Uses[id]
+						used, iface := declKey(obj)
 						if iface {
-							ifaceNames[id.Name] = true
+							recv := obj.(*types.Func).Type().(*types.Signature).Recv().Type()
+							if it, ok := recv.Underlying().(*types.Interface); ok {
+								addIface(it)
+							}
 						}
 						mark(used)
 					}
@@ -185,14 +254,49 @@ func TestEveryDeclarationIsReached(t *testing.T) {
 				})
 			}
 		}
-		// A method of a reached type is reached when an interface call
-		// could dispatch to it: resolved by name, so it errs toward keeping.
-		for key, owner := range ownerOf {
-			if reached[owner] && ifaceNames[key[strings.LastIndex(key, ".")+1:]] {
-				mark(key)
+		for key, named := range typeOf {
+			if !r.reached[key] || types.IsInterface(named) || methods[key] != nil {
+				continue
+			}
+			ms := types.NewMethodSet(types.NewPointer(named))
+			methods[key] = make(map[string]method, ms.Len())
+			for i := 0; i < ms.Len(); i++ {
+				fn := ms.At(i).Obj().(*types.Func)
+				mkey, _ := declKey(fn)
+				methods[key][fn.Id()] = method{sigText(fn.Type().(*types.Signature)), mkey}
+			}
+		}
+		for _, set := range methods {
+			for _, sigs := range ifaces {
+				implements := true
+				for id, sig := range sigs {
+					if m, ok := set[id]; !ok || m.sig != sig {
+						implements = false
+						break
+					}
+				}
+				if implements {
+					for id := range sigs {
+						mark(set[id].key)
+					}
+				}
 			}
 		}
 	}
+	return r
+}
+
+func TestEveryDeclarationIsReached(t *testing.T) {
+	pkgs, err := Load("../..", "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	benchPkgs, err := Load("../../bench", "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := reach(append(pkgs, benchPkgs...))
+	decls, ownerOf, reached := r.decls, r.ownerOf, r.reached
 
 	var unreached []string
 	for key := range decls {
@@ -219,5 +323,22 @@ func TestEveryDeclarationIsReached(t *testing.T) {
 	}
 	if len(reachKeep) > 30 {
 		t.Errorf("reachKeep has %d entries; the list is meant to stay short (≤ 30)", len(reachKeep))
+	}
+}
+
+// TestReachDispatchNeedsTheWholeInterface: a method no identifier names is
+// reached only through an interface its type implements whole. A Sync()
+// error alone, or a Sync with other result types, is not a syncer's.
+func TestReachDispatchNeedsTheWholeInterface(t *testing.T) {
+	const path = "repro/internal/reachfixture"
+	r := reach(pkgs1(loadFixture(t, "testdata/reach", path)))
+	var got []string
+	for key := range r.reached {
+		got = append(got, strings.TrimPrefix(key, path+"."))
+	}
+	sort.Strings(got)
+	want := []string{"counter", "counter.Close", "file", "file.Close", "file.Sync", "journal", "main", "syncer"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("reached %v, want %v", got, want)
 	}
 }

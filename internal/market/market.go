@@ -80,11 +80,11 @@ var (
 )
 
 // NewService creates a market with a fresh signing authority.
-func NewService(name string, clock simclock.Clock) (*Service, error) {
+func NewService(clock simclock.Clock) (*Service, error) {
 	if clock == nil {
 		clock = simclock.Real{}
 	}
-	authority, err := cryptoutil.NewAuthority(name)
+	authority, err := cryptoutil.NewAuthority()
 	if err != nil {
 		return nil, err
 	}
@@ -96,9 +96,6 @@ func NewService(name string, clock simclock.Clock) (*Service, error) {
 		ownerAccesses:  make(map[string]uint64),
 	}, nil
 }
-
-// Address returns the market's certificate-issuing address.
-func (s *Service) Address() cryptoutil.Address { return s.authority.Address() }
 
 // PublicBytes returns the market's public key, pinned by pod managers.
 func (s *Service) PublicBytes() []byte { return s.authority.PublicBytes() }

@@ -16,7 +16,7 @@ var t0 = time.Date(2023, 10, 9, 0, 0, 0, 0, time.UTC)
 func newMarket(t *testing.T) (*Service, *simclock.Sim) {
 	t.Helper()
 	clk := simclock.NewSim(t0)
-	svc, err := NewService("datamarket", clk)
+	svc, err := NewService(clk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestVerifierRejections(t *testing.T) {
 		}
 	})
 	t.Run("wrong market", func(t *testing.T) {
-		other, err := NewService("impostor-market", clk)
+		other, err := NewService(clk)
 		if err != nil {
 			t.Fatal(err)
 		}

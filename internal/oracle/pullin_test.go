@@ -91,7 +91,7 @@ func newPullInEnv(t *testing.T) *pullInEnv { return newPullInEnvWith(t, 1, 0, ni
 // per-sender mempool quota (0: the chain default) and metrics registry.
 func newPullInEnvWith(t *testing.T, devices, senderQuota int, reg *obs.Registry) *pullInEnv {
 	t.Helper()
-	ca, err := cryptoutil.NewAuthority("tee-ca")
+	ca, err := cryptoutil.NewAuthority()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func FuzzAccessHook(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	mfr, err := tee.NewManufacturer("tee-vendor")
+	mfr, err := tee.NewManufacturer()
 	if err != nil {
 		f.Fatal(err)
 	}

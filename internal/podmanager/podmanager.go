@@ -150,9 +150,6 @@ func (m *Manager) Instrument(reg *obs.Registry) {
 // Pod returns the managed pod.
 func (m *Manager) Pod() *solid.Pod { return m.pod }
 
-// Address returns the manager's blockchain address.
-func (m *Manager) Address() cryptoutil.Address { return m.de.Address() }
-
 // DE exposes the manager's DE App client.
 func (m *Manager) DE() *distexchange.Client { return m.de }
 

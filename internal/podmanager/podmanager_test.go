@@ -89,7 +89,7 @@ func newEnv(t testing.TB) *env {
 	t.Helper()
 	clk := simclock.NewSim(t0)
 
-	ca, err := cryptoutil.NewAuthority("tee-ca")
+	ca, err := cryptoutil.NewAuthority()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func newEnv(t testing.TB) *env {
 		t.Fatal(err)
 	}
 
-	mkt, err := market.NewService("datamarket", clk)
+	mkt, err := market.NewService(clk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -567,7 +567,7 @@ func BenchmarkAccessHook(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	mfr, err := tee.NewManufacturer("tee-vendor")
+	mfr, err := tee.NewManufacturer()
 	if err != nil {
 		b.Fatal(err)
 	}

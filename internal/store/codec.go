@@ -89,7 +89,7 @@ type Dec struct {
 }
 
 // NewDec returns a decoder over b. The decoder never mutates b; Bytes
-// and String results are copies, safe to retain.
+// and String results are copies, safe to retain, and View's are not.
 func NewDec(b []byte) *Dec { return &Dec{b: b} }
 
 // Err returns the first decode error, or nil.
@@ -187,9 +187,10 @@ func (d *Dec) Uvarint() uint64 {
 	return v
 }
 
-// view reads a length prefix and returns the input bytes it announces,
-// uncopied.
-func (d *Dec) view() []byte {
+// View reads a length-prefixed byte string and returns the input bytes it
+// announces, uncopied: a view of the decoder's input, valid as long as that
+// is, and never to be written through.
+func (d *Dec) View() []byte {
 	n := d.Uvarint()
 	if d.err != nil {
 		return nil
@@ -206,7 +207,7 @@ func (d *Dec) view() []byte {
 // Bytes reads a length-prefixed byte string, returning a copy (nil for a
 // zero length).
 func (d *Dec) Bytes() []byte {
-	v := d.view()
+	v := d.View()
 	if len(v) == 0 {
 		return nil
 	}
@@ -214,7 +215,7 @@ func (d *Dec) Bytes() []byte {
 }
 
 // String reads a length-prefixed string.
-func (d *Dec) String() string { return string(d.view()) }
+func (d *Dec) String() string { return string(d.View()) }
 
 // Strings reads a list written by AppendStrings; an empty one is nil.
 func Strings[S ~string](d *Dec, what string) []S {
@@ -251,7 +252,7 @@ func (d *Dec) Raw(dst []byte) {
 // has one encoding. The result's location is time.UTC.
 func (d *Dec) UTC() time.Time {
 	start := d.off
-	b := d.view()
+	b := d.View()
 	if d.err != nil {
 		return time.Time{}
 	}

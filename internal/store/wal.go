@@ -213,16 +213,6 @@ func (w *WAL) rollbackLocked(err error) error {
 	return err
 }
 
-// Sync forces an fsync regardless of policy.
-func (w *WAL) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return ErrClosed
-	}
-	return w.syncLocked()
-}
-
 func (w *WAL) syncLocked() error {
 	tm := w.m.FsyncLatency.Start()
 	err := w.f.Sync()

@@ -232,9 +232,6 @@ func TestWALSyncPolicies(t *testing.T) {
 			if got := m.Fsyncs.Value(); got != want[policy] {
 				t.Fatalf("policy %s: %d fsyncs over %d appends, want %d", policy, got, syncEvery+1, want[policy])
 			}
-			if err := w.Sync(); err != nil {
-				t.Fatal(err)
-			}
 			if err := w.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -246,7 +243,7 @@ func TestWALSyncPolicies(t *testing.T) {
 	}
 }
 
-// TestWALClosedOperations: appends and syncs after Close fail with
+// TestWALClosedOperations: appends and truncations after Close fail with
 // ErrClosed; Close is idempotent.
 func TestWALClosedOperations(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
@@ -259,9 +256,6 @@ func TestWALClosedOperations(t *testing.T) {
 	}
 	if err := w.Append([]byte("x")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Append after Close: %v", err)
-	}
-	if err := w.Sync(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Sync after Close: %v", err)
 	}
 	if err := w.TruncateTo(0); !errors.Is(err, ErrClosed) {
 		t.Fatalf("TruncateTo after Close: %v", err)

@@ -29,8 +29,8 @@ type Manufacturer struct {
 }
 
 // NewManufacturer creates a manufacturer with a fresh CA key.
-func NewManufacturer(name string) (*Manufacturer, error) {
-	ca, err := cryptoutil.NewAuthority(name)
+func NewManufacturer() (*Manufacturer, error) {
+	ca, err := cryptoutil.NewAuthority()
 	if err != nil {
 		return nil, err
 	}

@@ -14,7 +14,7 @@ var teeEpoch = time.Date(2023, 10, 9, 0, 0, 0, 0, time.UTC)
 
 func newDevice(t *testing.T) (*Manufacturer, *Device) {
 	t.Helper()
-	m, err := NewManufacturer("acme-tee")
+	m, err := NewManufacturer()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestVerifyQuoteRejections(t *testing.T) {
 		}
 	})
 	t.Run("untrusted manufacturer", func(t *testing.T) {
-		rogue, err := NewManufacturer("rogue")
+		rogue, err := NewManufacturer()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +138,7 @@ func TestQuoteEncodeDecode(t *testing.T) {
 // Quote.Encode's output, byte for byte, so a quote has one encoding; the
 // bytes its signature covers are that encoding less the signature.
 func FuzzQuoteDecode(f *testing.F) {
-	m, err := NewManufacturer("acme-tee")
+	m, err := NewManufacturer()
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -70,7 +70,7 @@ func TestPolicyUpdateExtendsDeadline(t *testing.T) {
 // a resource governed by the mutated policy.
 func newAppWithCopy(t *testing.T, clk *simclock.Sim, mutate func(*policy.Policy)) (*App, string) {
 	t.Helper()
-	manufacturer, err := NewManufacturer("m")
+	manufacturer, err := NewManufacturer()
 	if err != nil {
 		t.Fatal(err)
 	}
