@@ -2,8 +2,8 @@
 // architecture: ECDSA-signed transactions, a hash-indexed mempool,
 // proof-of-authority block production, a committed key-value state that
 // only blocks write, with deterministic state roots, receipts,
-// topic-filterable event logs with subscriptions, and a gas schedule used
-// by the affordability experiments.
+// topic-filterable event logs handed to subscribed handlers, and a gas
+// schedule used by the affordability experiments.
 //
 // The package replaces the public blockchain the paper assumes. It keeps
 // the same interface contract — submit a signed transaction, have it
@@ -93,6 +93,28 @@
 // partially applied block's writes. Callers needing block-atomic reads should key off
 // WaitForReceipt or event subscriptions. State and CostLedger carry their
 // own synchronization and may be read without node locks.
+//
+// # Event delivery
+//
+// A committed event is handed to its handlers, not queued. SubscribeEvents
+// registers a handler and a filter; once commitBlock has released mu and
+// mpMu, and while it still holds sealMu, it calls every matching handler
+// on each of the block's events, in commit order — handlers of one event
+// in registration order — under the feed's lock, and returns only when
+// they have. Nothing is buffered, so nothing is dropped, and sealMu keeps
+// the order across blocks. The feed's lock joins the order as
+// sealMu → feed.mu → handler locks, which fixes what a handler may do:
+//
+//   - it returns promptly: the commit, and every seal behind it, waits
+//     for it;
+//   - it never seals, applies a block, waits for a receipt, subscribes or
+//     cancels — each needs a lock the commit holds, or a commit that
+//     cannot come while this one is in progress;
+//   - a lock it takes is never held by code that does any of those.
+//
+// Work that must wait hands itself to a goroutine of its own (the pull-in
+// oracle answers a round that way). Cancelling takes the feed's lock, so
+// once cancel returns the handler is not running and never runs again.
 //
 // # Submission
 //

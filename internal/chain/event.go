@@ -1,6 +1,7 @@
 package chain
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/cryptoutil"
@@ -56,86 +57,47 @@ func (f EventFilter) Matches(e *Event) bool {
 	return true
 }
 
-// Subscription delivers matching events to a channel until cancelled.
-type Subscription struct {
-	// C receives matching events. It is closed when the subscription is
-	// cancelled.
-	C      <-chan Event
-	cancel func()
-}
-
-// Cancel terminates the subscription and closes C. Cancel is idempotent.
-func (s *Subscription) Cancel() { s.cancel() }
-
-// eventFeed fans out committed events to subscribers. Delivery is
-// best-effort with a per-subscriber buffer: a subscriber that falls behind
-// loses events and the drop is counted (observable via Dropped).
+// eventFeed hands committed events to the handlers registered on it:
+// commitBlock calls publish, which calls every matching handler in
+// commit order while it holds mu, so nothing is buffered or dropped. See
+// the package doc's "Event delivery" for what a handler may do.
 type eventFeed struct {
-	mu      sync.Mutex
-	nextID  int
-	subs    map[int]*feedSub
-	dropped uint64
+	mu     sync.Mutex
+	nextID int       // guarded by mu
+	subs   []feedSub // in registration order; guarded by mu
 }
 
 type feedSub struct {
+	id     int
 	filter EventFilter
-	ch     chan Event
-	closed bool
+	handle func(Event)
 }
 
-func newEventFeed() *eventFeed {
-	return &eventFeed{subs: make(map[int]*feedSub)}
-}
-
-// subscribe registers a subscriber with the given buffer capacity.
-func (f *eventFeed) subscribe(filter EventFilter, buffer int) *Subscription {
-	if buffer <= 0 {
-		buffer = 64
-	}
+// subscribe registers handle for the events filter matches. The returned
+// cancel is idempotent; once it returns, handle is not running and never
+// runs again.
+func (f *eventFeed) subscribe(filter EventFilter, handle func(Event)) (cancel func()) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.nextID++
 	id := f.nextID
-	sub := &feedSub{filter: filter, ch: make(chan Event, buffer)}
-	f.subs[id] = sub
-	var once sync.Once
-	return &Subscription{
-		C: sub.ch,
-		cancel: func() {
-			once.Do(func() {
-				f.mu.Lock()
-				defer f.mu.Unlock()
-				if s, ok := f.subs[id]; ok {
-					s.closed = true
-					close(s.ch)
-					delete(f.subs, id)
-				}
-			})
-		},
+	f.subs = append(f.subs, feedSub{id: id, filter: filter, handle: handle})
+	return func() {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		f.subs = slices.DeleteFunc(f.subs, func(s feedSub) bool { return s.id == id })
 	}
 }
 
-// publish delivers events to every matching subscriber.
+// publish calls every matching handler on each event, in event order.
 func (f *eventFeed) publish(events []Event) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for _, ev := range events {
+	for i := range events {
 		for _, sub := range f.subs {
-			if sub.closed || !sub.filter.Matches(&ev) {
-				continue
-			}
-			select {
-			case sub.ch <- ev:
-			default:
-				f.dropped++
+			if sub.filter.Matches(&events[i]) {
+				sub.handle(events[i])
 			}
 		}
 	}
-}
-
-// Dropped returns the number of events dropped due to slow subscribers.
-func (f *eventFeed) Dropped() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.dropped
 }

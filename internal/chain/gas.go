@@ -32,9 +32,10 @@ const (
 // (MaxBlockTxBytes), its transaction count (maxTxsPerBlock) and this cap
 // on each transaction, without which a byzantine proposer could force
 // every validator to meter arbitrarily expensive replays. Admission
-// (Node.Submit) and block validation (ApplyBlock) both enforce the cap,
-// so an over-gas transaction is rejected whether it arrives by gossip or
-// inside a sealed block.
+// (enqueueLocked, which both Node.Submit and Network.Submit reach) and
+// block validation (ApplyBlock) both enforce the cap, so an over-gas
+// transaction is rejected whether it arrives by gossip or inside a sealed
+// block.
 const MaxTxGasLimit uint64 = 8_000_000
 
 // ErrOutOfGas reverts a transaction whose gas limit is exhausted.

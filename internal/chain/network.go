@@ -325,6 +325,12 @@ func (v *netView) reachable(addr cryptoutil.Address) bool {
 	return v.cells[addr] == v.quorumCell
 }
 
+// viewLocked is the cluster membership, liveness, and partition state
+// itself, not a copy: it is only read while net.mu is held.
+func (net *Network) viewLocked() netView {
+	return netView{nodes: net.nodes, down: net.down, cells: net.cells, quorumCell: net.quorumCell}
+}
+
 // liveView snapshots the cluster membership, liveness, and partition
 // state under the network lock.
 func (net *Network) liveView() *netView {
@@ -771,8 +777,14 @@ func (net *Network) IsDown(addr cryptoutil.Address) bool {
 // node has failed. Clients that need a ledger view (receipt waits,
 // queries, nonce reads) must use a live node: a failed node's ledger is
 // frozen until it recovers and syncs.
+//
+// Clients call it for every nonce read, query and receipt wait, so it
+// reads the membership in place under the network lock rather than
+// copying it; Node.Address takes no lock.
 func (net *Network) LiveNode() *Node {
-	v := net.liveView()
+	net.mu.Lock()
+	defer net.mu.Unlock()
+	v := net.viewLocked()
 	for _, n := range v.nodes {
 		if v.reachable(n.Address()) {
 			return n
@@ -790,7 +802,7 @@ func (net *Network) LiveNode() *Node {
 func (net *Network) PendingTxs() int {
 	net.mu.Lock()
 	defer net.mu.Unlock()
-	v := netView{nodes: net.nodes, down: net.down, cells: net.cells, quorumCell: net.quorumCell}
+	v := net.viewLocked()
 	maxPending := 0
 	for _, n := range v.nodes {
 		if !v.reachable(n.Address()) {

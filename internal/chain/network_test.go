@@ -357,3 +357,22 @@ func TestPendingTxsAllocatesNothing(t *testing.T) {
 		t.Fatalf("PendingTxs: %.0f allocations per call, want 0", allocs)
 	}
 }
+
+// TestLiveNodeAllocatesNothing: clients ask LiveNode for their ledger view
+// on every nonce read, query and receipt wait, so it reads the membership
+// in place — with the first node down and a partition up too, which it must
+// both skip.
+func TestLiveNodeAllocatesNothing(t *testing.T) {
+	nodes, net, _, _ := newTestCluster(t, 3)
+	net.SetDown(nodes[0].Address(), true)
+	cells := map[cryptoutil.Address]int{nodes[0].Address(): 0, nodes[1].Address(): 1, nodes[2].Address(): 0}
+	if err := net.Partition(cells); err != nil {
+		t.Fatal(err)
+	}
+	if got := net.LiveNode(); got != nodes[2] {
+		t.Fatalf("LiveNode = %v, want the third node", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { net.LiveNode() }); allocs != 0 {
+		t.Fatalf("LiveNode: %.0f allocations per call, want 0", allocs)
+	}
+}

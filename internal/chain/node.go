@@ -125,7 +125,7 @@ type Node struct {
 	mempool *mempool                      // guarded by mpMu
 	nonces  map[cryptoutil.Address]uint64 // guarded by mpMu
 
-	feed  *eventFeed
+	feed  eventFeed
 	costs CostLedger
 
 	// metrics is never nil (normalized from Config.Metrics); its
@@ -200,7 +200,6 @@ func NewNode(cfg Config) (*Node, error) {
 		nonces:      make(map[cryptoutil.Address]uint64),
 		waiters:     make(map[cryptoutil.Hash][]chan *Receipt),
 		receipts:    make(map[cryptoutil.Hash]*Receipt),
-		feed:        newEventFeed(),
 		metrics:     cfg.Metrics.orNoop(),
 	}
 	genesis := &Block{Header: Header{
@@ -627,7 +626,8 @@ func (n *Node) commitBlock(block *Block, deltas []Delta, scratch *blockScratch) 
 	n.mu.Unlock()
 	n.mpMu.Unlock()
 	if len(events) > 0 {
-		// Published outside mu; sealMu keeps cross-block event order.
+		// Handed to the handlers outside mu; sealMu keeps cross-block
+		// event order.
 		n.feed.publish(events)
 	}
 	if n.snap != nil {
@@ -733,14 +733,16 @@ func (n *Node) Query(contract cryptoutil.Address, method string, args []byte) ([
 	return n.executor.Query(st, contract, method, args, bctx)
 }
 
-// SubscribeEvents returns a subscription delivering committed events that
-// match the filter.
-func (n *Node) SubscribeEvents(filter EventFilter, buffer int) *Subscription {
-	return n.feed.subscribe(filter, buffer)
+// SubscribeEvents registers handle for the committed events that match
+// the filter: the goroutine that commits a block calls it on each of the
+// block's matching events, in commit order, before the commit returns.
+// cancel is idempotent; once it returns, handle is not running and never
+// runs again. A handler must return promptly and must not seal, apply a
+// block, wait for a receipt, subscribe or cancel (package doc, "Event
+// delivery").
+func (n *Node) SubscribeEvents(filter EventFilter, handle func(Event)) (cancel func()) {
+	return n.feed.subscribe(filter, handle)
 }
-
-// EventsDropped reports events lost to slow subscribers.
-func (n *Node) EventsDropped() uint64 { return n.feed.Dropped() }
 
 // Costs returns the node's gas cost ledger.
 func (n *Node) Costs() *CostLedger { return &n.costs }

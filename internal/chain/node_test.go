@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -271,38 +273,41 @@ func TestBlockTimestampsStrictlyIncrease(t *testing.T) {
 	}
 }
 
+// TestEventSubscription: a committed event reaches its handler before the
+// commit returns, and a cancelled handler — cancel is idempotent — is not
+// called again.
 func TestEventSubscription(t *testing.T) {
 	node, key, clk := newTestNode(t)
 	contract := testContractAddr()
 
-	sub := node.SubscribeEvents(EventFilter{Topic: "Set"}, 8)
-	defer sub.Cancel()
+	var got []Event
+	cancel := node.SubscribeEvents(EventFilter{Topic: "Set"}, func(ev Event) { got = append(got, ev) })
+	defer cancel()
 
-	if _, err := submit1(node, mustTx(t, key, 0, contract, "watched", "x")); err != nil {
-		t.Fatal(err)
-	}
-	clk.Advance(time.Second)
-	if _, err := node.Seal(); err != nil {
-		t.Fatal(err)
-	}
-
-	select {
-	case ev := <-sub.C:
-		if ev.Topic != "Set" || ev.Key != "watched" || ev.BlockNumber != 1 {
-			t.Fatalf("event = %+v", ev)
+	seal := func(nonce uint64, k string) {
+		t.Helper()
+		if _, err := submit1(node, mustTx(t, key, nonce, contract, k, "x")); err != nil {
+			t.Fatal(err)
 		}
-	case <-time.After(time.Second):
-		t.Fatal("no event delivered")
+		clk.Advance(time.Second)
+		if _, err := node.Seal(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seal(0, "watched")
+	if len(got) != 1 || got[0].Topic != "Set" || got[0].Key != "watched" || got[0].BlockNumber != 1 {
+		t.Fatalf("events after the seal returned = %+v", got)
 	}
 
-	sub.Cancel()
-	sub.Cancel() // idempotent
-	if _, open := <-sub.C; open {
-		t.Fatal("channel should be closed after Cancel")
+	cancel()
+	cancel() // idempotent
+	seal(1, "unwatched")
+	if len(got) != 1 {
+		t.Fatalf("cancelled handler called again: %+v", got)
 	}
 }
 
-// TestSubscribeEventsFilters: each subscriber receives exactly the events
+// TestSubscribeEventsFilters: each handler receives exactly the events
 // its filter matches, by topic, key, first block and contract.
 func TestSubscribeEventsFilters(t *testing.T) {
 	node, key, clk := newTestNode(t)
@@ -317,9 +322,9 @@ func TestSubscribeEventsFilters(t *testing.T) {
 		{"from block", EventFilter{FromBlock: 3}, 1},
 		{"other contract", EventFilter{Contract: cryptoutil.Address{1}}, 0},
 	}
-	subs := make([]*Subscription, len(filters))
+	got := make([]int, len(filters))
 	for i, f := range filters {
-		subs[i] = node.SubscribeEvents(f.filter, 8)
+		defer node.SubscribeEvents(f.filter, func(Event) { got[i]++ })()
 	}
 	for i, k := range []string{"a", "b", "c"} {
 		if _, err := submit1(node, mustTx(t, key, uint64(i), contract, k, "v")); err != nil {
@@ -330,15 +335,107 @@ func TestSubscribeEventsFilters(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Seal publishes a block's events before it returns.
+	// Seal hands a block's events to the handlers before it returns.
 	for i, f := range filters {
-		subs[i].Cancel()
-		got := 0
-		for range subs[i].C {
-			got++
+		if got[i] != f.want {
+			t.Errorf("%s: %d events delivered, want %d", f.name, got[i], f.want)
 		}
-		if got != f.want {
-			t.Errorf("%s: %d events delivered, want %d", f.name, got, f.want)
+	}
+}
+
+// TestEventDeliveryCancelWaitsForHandler: cancel returns only once a
+// running handler has returned, and the handler never runs after it — so
+// the caller may free what the handler uses as soon as cancel is back.
+func TestEventDeliveryCancelWaitsForHandler(t *testing.T) {
+	node, key, clk := newTestNode(t)
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	var running, calls atomic.Int32
+	cancel := node.SubscribeEvents(EventFilter{Topic: "Set"}, func(Event) {
+		running.Store(1)
+		if calls.Add(1) == 1 {
+			close(entered)
+			<-release
+		}
+		running.Store(0)
+	})
+	if _, err := submit1(node, mustTx(t, key, 0, testContractAddr(), "k", "v")); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(time.Second)
+	sealed := make(chan error, 1)
+	go func() {
+		_, err := node.Seal()
+		sealed <- err
+	}()
+	<-entered
+
+	cancelled := make(chan struct{})
+	go func() {
+		cancel()
+		close(cancelled)
+	}()
+	select {
+	case <-cancelled:
+		t.Fatal("cancel returned while the handler was running")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	<-cancelled
+	if running.Load() != 0 {
+		t.Fatal("handler still running after cancel returned")
+	}
+	if err := <-sealed; err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := submit1(node, mustTx(t, key, 1, testContractAddr(), "k", "w")); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(time.Second)
+	if _, err := node.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("handler called %d times, want once: it ran after cancel", n)
+	}
+}
+
+// TestEventDeliveryInCommitOrder: every event of a block larger than any
+// buffer reaches every handler, in commit order, and the handlers of one
+// event run in registration order.
+func TestEventDeliveryInCommitOrder(t *testing.T) {
+	node, key, clk := newTestNode(t)
+	const txs = 300
+	var trail []string
+	for _, name := range []string{"first", "second"} {
+		defer node.SubscribeEvents(EventFilter{Topic: "Set"}, func(ev Event) {
+			trail = append(trail, name+":"+ev.Key)
+		})()
+	}
+	batch := make([]*Tx, txs)
+	for i := range batch {
+		batch[i] = mustTx(t, key, uint64(i), testContractAddr(), strconv.Itoa(i), "v")
+	}
+	for _, v := range node.Submit(batch) {
+		if v.Err != nil {
+			t.Fatal(v.Err)
+		}
+	}
+	clk.Advance(time.Second)
+	block, err := node.Seal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(block.Txs) != txs {
+		t.Fatalf("block holds %d txs, want %d", len(block.Txs), txs)
+	}
+	if len(trail) != 2*txs {
+		t.Fatalf("%d deliveries, want %d", len(trail), 2*txs)
+	}
+	for i := range txs {
+		if trail[2*i] != "first:"+strconv.Itoa(i) || trail[2*i+1] != "second:"+strconv.Itoa(i) {
+			t.Fatalf("deliveries %d and %d = %s, %s", 2*i, 2*i+1, trail[2*i], trail[2*i+1])
 		}
 	}
 }

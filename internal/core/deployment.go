@@ -167,15 +167,17 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 	}
 	d.hostServer = httptest.NewServer(d.Host)
 
-	// The pull-in oracle answers monitoring requests with evidence from
-	// registered consumer devices; the push-out oracle dispatches policy
-	// updates to them. Both observe node 0.
+	// The push-out oracle hands node 0's committed events to the
+	// deployment's handlers: policy updates to the consumer devices,
+	// evidence to the pod managers waiting for it, and monitoring requests
+	// to the pull-in oracle, which answers them with evidence from the
+	// registered devices.
+	d.pushOut = oracle.NewPushOut(d.Nodes[0], d.Metrics)
 	relayKey := cryptoutil.MustGenerateKey()
 	relayClient := distexchange.NewClient(d.backend(), relayKey, d.DEAddr)
-	d.pullIn = oracle.NewPullIn(d.Nodes[0], relayClient, d.Metrics)
+	d.pullIn = oracle.NewPullIn(d.pushOut, relayClient, d.Metrics)
 	d.pullIn.Fanout = cfg.OracleFanout
 	d.pullIn.Start(d.DEAddr)
-	d.pushOut = oracle.NewPushOut(d.Nodes[0], d.Metrics)
 	return d, nil
 }
 

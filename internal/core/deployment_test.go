@@ -283,6 +283,32 @@ func TestProcess5PolicyModificationBobScenario(t *testing.T) {
 	}
 }
 
+// TestPushOutAppliesPolicyUpdateBeforeModifyReturns: with sealing on
+// submission, the push-out oracle hands a PolicyUpdated event to the
+// holder's TEE while the update's block commits on the oracle's
+// validator, so the copy follows the new policy by the time ModifyPolicy
+// returns — on a three-validator cluster, whoever proposes.
+func TestPushOutAppliesPolicyUpdateBeforeModifyReturns(t *testing.T) {
+	s := newScenario(t, Config{Validators: 3})
+	ctx := context.Background()
+	if err := s.bob.Grant(ctx, s.aliceAsCon, "/medical/ds1.ttl", policy.PurposeMedicalResearch); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.aliceAsCon.Access(ctx, s.medicalIRI); err != nil {
+		t.Fatal(err)
+	}
+	for version := uint64(2); version <= 4; version++ {
+		next := s.bob.NewPolicy("/medical/ds1.ttl")
+		next.Version = version
+		if err := s.bob.ModifyPolicy(ctx, "/medical/ds1.ttl", next); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.aliceAsCon.App.PolicyVersion(s.medicalIRI); got != version {
+			t.Fatalf("TEE holds policy v%d when ModifyPolicy to v%d returned", got, version)
+		}
+	}
+}
+
 func TestProcess5PolicyUpdateUnaffectedHolder(t *testing.T) {
 	// The paper: "As Alice is using an application in the medical research
 	// domain for a university hospital, changes do not affect her access

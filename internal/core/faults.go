@@ -68,8 +68,8 @@ func (d *Deployment) ValidatorCrashed(i int) bool {
 // flushing its store and the in-memory object is dropped entirely, so
 // the only route back is RestartValidatorFromDisk. It requires a durable
 // deployment (Config.DataDir). Validator 0 is refused — it hosts the
-// oracle subscriptions, whose event-feed registrations would dangle on a
-// fresh node object (fail it with FailValidator instead) — as is
+// push-out oracle, whose handler registrations would dangle on a fresh
+// node object (fail it with FailValidator instead) — as is
 // crashing the last live validator.
 func (d *Deployment) CrashValidator(i int) error {
 	if i <= 0 || i >= len(d.Nodes) {

@@ -78,6 +78,5 @@ func ChainStats(d *Deployment) *Table {
 	t.Add("total_gas", node.Costs().TotalSpent())
 	t.Add("oracle_in", d.Metrics.In.Load())
 	t.Add("oracle_out", d.Metrics.Out.Load())
-	t.Add("events_dropped", node.EventsDropped())
 	return t
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -32,22 +33,17 @@ type fixture struct {
 	device *Client // consumer TEE device identity
 	devKey *cryptoutil.KeyPair
 
-	feed *chain.Subscription // every event the node publishes
-	seen []chain.Event       // what emitted has drained from feed so far
+	mu   sync.Mutex
+	seen []chain.Event // every event the node has committed; guarded by mu
 }
 
-// emitted returns the published events matching the filter. Sealing is
-// synchronous here, so a call's events are in the feed once it returns.
+// emitted returns the committed events matching the filter. Sealing is
+// synchronous here, and the node hands a block's events to its handlers
+// before the commit returns, so a call's events are in seen once it
+// returns.
 func (f *fixture) emitted(filter chain.EventFilter) []chain.Event {
-drain:
-	for {
-		select {
-		case ev := <-f.feed.C:
-			f.seen = append(f.seen, ev)
-		default:
-			break drain
-		}
-	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	var out []chain.Event
 	for i := range f.seen {
 		if filter.Matches(&f.seen[i]) {
@@ -140,11 +136,7 @@ func newFixture(t *testing.T) *fixture {
 	}
 	backend := sealingBackend{node: node}
 	devKey := cryptoutil.MustGenerateKey()
-	// More room than any test here fills between two looks at the feed.
-	feed := node.SubscribeEvents(chain.EventFilter{}, 4096)
-	t.Cleanup(feed.Cancel)
-	return &fixture{
-		feed:   feed,
+	f := &fixture{
 		t:      t,
 		node:   node,
 		clk:    clk,
@@ -155,6 +147,12 @@ func newFixture(t *testing.T) *fixture {
 		device: NewClient(backend, devKey, deAddr),
 		devKey: devKey,
 	}
+	t.Cleanup(node.SubscribeEvents(chain.EventFilter{}, func(ev chain.Event) {
+		f.mu.Lock()
+		f.seen = append(f.seen, ev)
+		f.mu.Unlock()
+	}))
+	return f
 }
 
 // deviceCert issues a manufacturer certificate for the fixture device.

@@ -10,11 +10,18 @@
 //     (inbox) and its event log (outbox), provided by packages contract
 //     and chain.
 //   - The off-chain components live here: PushIn relays signed
-//     transactions into the chain; PushOut subscribes to events and
-//     dispatches them to off-chain handlers; PullOut serves read-only
-//     queries of on-chain state; PullIn watches on-chain data requests
-//     (monitoring rounds), collects answers from off-chain sources (TEEs),
-//     and pushes them back on-chain, one transaction per round.
+//     transactions into the chain; PushOut registers off-chain handlers
+//     that the node calls with each matching committed event, in commit
+//     order, as its block commits — nothing is queued, so nothing is
+//     dropped; PullOut serves read-only queries of on-chain state; PullIn
+//     registers on a PushOut for on-chain data requests (monitoring
+//     rounds), collects answers from off-chain sources (TEEs), and pushes
+//     them back on-chain, one transaction per round.
+//
+// A push-out handler runs on the committing goroutine, so it returns
+// promptly: the pull-in oracle's handler hands the round to a goroutine
+// of its own, a TEE's applies a policy update in place, and that of a pod
+// manager waiting for evidence marks a one-slot channel.
 package oracle
 
 import (
@@ -27,17 +34,6 @@ import (
 	"repro/internal/distexchange"
 	"repro/internal/obs"
 )
-
-// Node is a distexchange.Backend — the transaction/query access the
-// push-in and pull-out oracles relay — that additionally exposes event
-// subscriptions, needed by the push-out and pull-in oracles; *chain.Node
-// satisfies it.
-type Node interface {
-	distexchange.Backend
-	SubscribeEvents(filter chain.EventFilter, buffer int) *chain.Subscription
-}
-
-var _ Node = (*chain.Node)(nil)
 
 // Metrics counts oracle traffic and holds the pull-in oracle's obs
 // instruments. The zero value counts traffic and leaves the instruments
@@ -83,14 +79,20 @@ type PushIn struct {
 // NewPushIn builds a push-in oracle over a chain backend. metrics may be
 // nil.
 func NewPushIn(node distexchange.Backend, metrics *Metrics) *PushIn {
-	return &PushIn{node: node, metrics: metrics}
+	return &PushIn{node: node, metrics: orZero(metrics)}
+}
+
+// orZero returns metrics, or counters of the oracle's own when it is nil.
+func orZero(metrics *Metrics) *Metrics {
+	if metrics == nil {
+		return &Metrics{}
+	}
+	return metrics
 }
 
 // Submit relays signed transactions on-chain, one push-in message each.
 func (o *PushIn) Submit(txs []*chain.Tx) []chain.TxVerdict {
-	if o.metrics != nil {
-		o.metrics.In.Add(uint64(len(txs)))
-	}
+	o.metrics.In.Add(uint64(len(txs)))
 	return o.node.Submit(txs)
 }
 
@@ -102,9 +104,7 @@ func (o *PushIn) WaitForReceipt(ctx context.Context, txHash cryptoutil.Hash) (*c
 // Query delegates read-only queries (a push-in oracle is usually paired
 // with pull-out reads by the same component).
 func (o *PushIn) Query(contract cryptoutil.Address, method string, args []byte) ([]byte, error) {
-	if o.metrics != nil {
-		o.metrics.Out.Add(1)
-	}
+	o.metrics.Out.Add(1)
 	return o.node.Query(contract, method, args)
 }
 
@@ -121,81 +121,74 @@ type PullOut struct {
 
 // NewPullOut builds a pull-out oracle. metrics may be nil.
 func NewPullOut(node distexchange.Backend, metrics *Metrics) *PullOut {
-	return &PullOut{node: node, metrics: metrics}
+	return &PullOut{node: node, metrics: orZero(metrics)}
 }
 
 // Query reads on-chain state.
 func (o *PullOut) Query(contract cryptoutil.Address, method string, args []byte) ([]byte, error) {
-	if o.metrics != nil {
-		o.metrics.Out.Add(1)
-	}
+	o.metrics.Out.Add(1)
 	return o.node.Query(contract, method, args)
 }
 
 // Handler consumes a pushed-out event.
 type Handler func(ev chain.Event)
 
-// PushOut is the off-chain component of the push-out oracle: it subscribes
-// to contract events and pushes them to off-chain handlers (used to notify
-// TEEs of policy updates and pod managers of gathered evidence).
+// PushOut is the off-chain component of the push-out oracle: it hands
+// contract events to off-chain handlers (used to notify TEEs of policy
+// updates, the pull-in oracle of monitoring requests and pod managers of
+// gathered evidence). A deployment has one, over the validator its
+// oracles observe.
 type PushOut struct {
-	node    Node
+	node    *chain.Node
 	metrics *Metrics
 
 	mu      sync.Mutex
-	subs    map[*chain.Subscription]struct{} // live registrations; guarded by mu
-	wg      sync.WaitGroup
-	stopped bool // guarded by mu
+	nextID  int            // guarded by mu
+	cancels map[int]func() // live registrations; nil once closed; guarded by mu
 }
 
-// NewPushOut builds a push-out oracle. metrics may be nil.
-func NewPushOut(node Node, metrics *Metrics) *PushOut {
-	return &PushOut{node: node, metrics: metrics, subs: make(map[*chain.Subscription]struct{})}
+// NewPushOut builds a push-out oracle over node. metrics may be nil.
+func NewPushOut(node *chain.Node, metrics *Metrics) *PushOut {
+	return &PushOut{node: node, metrics: orZero(metrics), cancels: make(map[int]func())}
 }
 
-// On registers a handler for events matching the filter. Handlers run on a
-// dedicated goroutine per registration, in event order. Returns an
-// unsubscribe function, after which the oracle holds nothing of the
-// registration: a caller may register per wait for the life of a
+// On registers a handler for events matching the filter. The node calls
+// it on the goroutine that commits the event's block, in commit order,
+// before that commit returns, so a handler must return promptly and must
+// not seal, wait for a receipt, register or cancel (chain.Node's
+// SubscribeEvents). Returns an unsubscribe function; once it returns the
+// handler is not running, never runs again, and the oracle holds nothing
+// of the registration: a caller may register per wait for the life of a
 // deployment.
 func (o *PushOut) On(filter chain.EventFilter, handler Handler) (cancel func()) {
-	sub := o.node.SubscribeEvents(filter, 256)
 	o.mu.Lock()
-	if o.stopped {
-		o.mu.Unlock()
-		sub.Cancel()
+	defer o.mu.Unlock()
+	if o.cancels == nil {
 		return func() {}
 	}
-	o.subs[sub] = struct{}{}
-	o.wg.Add(1)
-	o.mu.Unlock()
-
-	go func() {
-		defer o.wg.Done()
-		for ev := range sub.C {
-			if o.metrics != nil {
-				o.metrics.Out.Add(1)
-			}
-			handler(ev)
-		}
-	}()
+	stop := o.node.SubscribeEvents(filter, func(ev chain.Event) {
+		o.metrics.Out.Add(1)
+		handler(ev)
+	})
+	o.nextID++
+	id := o.nextID
+	o.cancels[id] = stop
 	return func() {
 		o.mu.Lock()
-		delete(o.subs, sub)
+		delete(o.cancels, id)
 		o.mu.Unlock()
-		sub.Cancel()
+		stop()
 	}
 }
 
-// Close cancels all subscriptions and waits for handlers to drain.
+// Close cancels every registration; once it returns no handler is running
+// and none runs again. On after Close registers nothing.
 func (o *PushOut) Close() {
 	o.mu.Lock()
-	o.stopped = true
-	subs := o.subs
-	o.subs = nil
+	cancels := o.cancels
+	o.cancels = nil
 	o.mu.Unlock()
-	for s := range subs {
-		s.Cancel()
+	for _, stop := range cancels {
+		stop()
 	}
-	o.wg.Wait()
 }

@@ -2,7 +2,9 @@ package oracle
 
 import (
 	"context"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -149,6 +151,61 @@ func TestPushOutDeliversFilteredEventsInOrder(t *testing.T) {
 	}
 }
 
+// TestPushOutDeliversEveryEventOfABurst: one block whose matching events
+// outnumber any per-registration buffer reaches a handler that is slow on
+// its first call, every event of it, in commit order. A lost
+// PolicyUpdated would leave a TEE enforcing a stale policy.
+func TestPushOutDeliversEveryEventOfABurst(t *testing.T) {
+	node, key, addr := newOracleNode(t)
+	pushOut := NewPushOut(node, nil)
+	defer pushOut.Close()
+
+	const burst = 300
+	var mu sync.Mutex
+	var got []string
+	pushOut.On(chain.EventFilter{Contract: addr, Topic: "Ping"}, func(ev chain.Event) {
+		mu.Lock()
+		first := len(got) == 0
+		got = append(got, ev.Key)
+		mu.Unlock()
+		if first {
+			time.Sleep(100 * time.Millisecond)
+		}
+	})
+	txs := make([]*chain.Tx, burst)
+	for i := range txs {
+		tx, err := chain.NewTx(key, uint64(i), addr, "emit", []byte(strconv.Itoa(i)), 200_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		txs[i] = tx
+	}
+	for _, v := range node.Submit(txs) {
+		if v.Err != nil {
+			t.Fatal(v.Err)
+		}
+	}
+	block, err := node.Seal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(block.Txs) != burst {
+		t.Fatalf("block holds %d txs, want one block of %d", len(block.Txs), burst)
+	}
+	pushOut.Close()
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(got) != burst {
+		t.Fatalf("%d of %d events reached the handler", len(got), burst)
+	}
+	for i, k := range got {
+		if k != strconv.Itoa(i) {
+			t.Fatalf("event %d has key %s: not in commit order", i, k)
+		}
+	}
+}
+
 func TestPushOutUnsubscribe(t *testing.T) {
 	node, key, addr := newOracleNode(t)
 	pushOut := NewPushOut(node, nil)
@@ -191,33 +248,56 @@ func TestPushOutCloseThenOnIsNoop(t *testing.T) {
 	}
 }
 
+// TestPushOutCloseWaitsForHandlers: Close returns only once a handler the
+// committing goroutine is running has returned.
 func TestPushOutCloseWaitsForHandlers(t *testing.T) {
 	node, key, addr := newOracleNode(t)
 	pushOut := NewPushOut(node, nil)
 	started := make(chan struct{})
-	var finished sync.WaitGroup
-	finished.Add(1)
+	release := make(chan struct{})
+	var finished atomic.Bool
 	var once sync.Once
 	pushOut.On(chain.EventFilter{Topic: "Ping"}, func(chain.Event) {
 		once.Do(func() {
 			close(started)
-			time.Sleep(30 * time.Millisecond)
-			finished.Done()
+			<-release
+			finished.Store(true)
 		})
 	})
-	emitTx(t, node, key, addr, "x")
+	tx, err := chain.NewTx(key, 0, addr, "emit", []byte("x"), 200_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := node.Submit([]*chain.Tx{tx})[0]; v.Err != nil {
+		t.Fatal(v.Err)
+	}
+	sealed := make(chan error, 1)
+	go func() {
+		_, err := node.Seal()
+		sealed <- err
+	}()
 	<-started
-	closedAt := make(chan struct{})
+	closed := make(chan struct{})
 	go func() {
 		pushOut.Close()
-		close(closedAt)
+		close(closed)
 	}()
 	select {
-	case <-closedAt:
-		// Close returned; the handler must have finished.
-		finished.Wait()
+	case <-closed:
+		t.Fatal("Close returned while a handler was running")
+	case <-time.After(30 * time.Millisecond):
+	}
+	close(release)
+	select {
+	case <-closed:
+		if !finished.Load() {
+			t.Fatal("Close returned before the handler did")
+		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("Close hung")
+	}
+	if err := <-sealed; err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -233,26 +313,22 @@ func TestPushOutCancelForgetsSubscription(t *testing.T) {
 		cancel()
 	}
 	pushOut.mu.Lock()
-	n := len(pushOut.subs)
+	n := len(pushOut.cancels)
 	pushOut.mu.Unlock()
 	if n != 0 {
-		t.Fatalf("%d cancelled subscriptions still held", n)
+		t.Fatalf("%d cancelled registrations still held", n)
 	}
 
-	// A registration that was not cancelled is still Close's to drain.
-	delivered := make(chan string, 2)
-	pushOut.On(chain.EventFilter{Topic: "Ping"}, func(ev chain.Event) { delivered <- ev.Key })
+	// A registration that was not cancelled is still Close's to cancel.
+	var delivered []string
+	pushOut.On(chain.EventFilter{Topic: "Ping"}, func(ev chain.Event) { delivered = append(delivered, ev.Key) })
 	emitTx(t, node, key, addr, "live")
-	select {
-	case <-delivered:
-	case <-time.After(2 * time.Second):
-		t.Fatal("live registration got no delivery")
+	if len(delivered) != 1 {
+		t.Fatalf("live registration got %v by the time its block committed", delivered)
 	}
-	pushOut.Close() // returns once the handler goroutine has exited
+	pushOut.Close()
 	emitTx(t, node, key, addr, "after-close")
-	select {
-	case k := <-delivered:
-		t.Fatalf("delivery after Close: %s", k)
-	case <-time.After(50 * time.Millisecond):
+	if len(delivered) != 1 {
+		t.Fatalf("delivery after Close: %v", delivered)
 	}
 }

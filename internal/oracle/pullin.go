@@ -48,16 +48,14 @@ type PullIn struct {
 }
 
 // NewPullIn builds a pull-in oracle that answers monitoring requests for
-// the DE App behind client, watching events via node. metrics may be nil.
-func NewPullIn(node Node, client *distexchange.Client, metrics *Metrics) *PullIn {
-	if metrics == nil {
-		metrics = &Metrics{}
-	}
+// the DE App behind client, learning of them through pushOut. metrics may
+// be nil.
+func NewPullIn(pushOut *PushOut, client *distexchange.Client, metrics *Metrics) *PullIn {
 	ctx, stop := context.WithCancel(context.Background())
 	return &PullIn{
 		client:  client,
-		pushOut: NewPushOut(node, metrics),
-		metrics: metrics,
+		pushOut: pushOut,
+		metrics: orZero(metrics),
 		ctx:     ctx,
 		stop:    stop,
 		sources: make(map[cryptoutil.Address]EvidenceSource),
@@ -80,8 +78,10 @@ func (o *PullIn) UnregisterSource(addr cryptoutil.Address) {
 
 // Start begins watching MonitoringRequested events from the DE App at
 // deAddr. Stop with Close. Every round is answered on a goroutine of its
-// own: a round waits for its answer's receipt, and the rounds requested
-// meanwhile — other owners' — must not wait with it. What bounds them is what
+// own: the handler runs on the goroutine committing the request's block,
+// which must not wait for a receipt; a round waits for its answer's
+// receipt, and the rounds requested meanwhile — other owners' — must not
+// wait with it. What bounds them is what
 // bounds the requests: each was a committed transaction, and each holds one
 // of the relay's pending-transaction slots until its answer is sealed.
 func (o *PullIn) Start(deAddr cryptoutil.Address) {
@@ -169,7 +169,8 @@ func (o *PullIn) handleRound(round distexchange.MonitoringRound) {
 func (o *PullIn) Wait() { o.inFlight.Wait() }
 
 // Close stops watching, gives up on answers still waiting to be sealed and
-// waits for the rounds in flight to return.
+// waits for the rounds in flight to return. The push-out oracle it
+// registered on is its owner's to close.
 func (o *PullIn) Close() {
 	o.mu.Lock()
 	cancel := o.cancel
@@ -179,6 +180,5 @@ func (o *PullIn) Close() {
 		cancel()
 	}
 	o.stop()
-	o.pushOut.Close()
 	o.inFlight.Wait()
 }

@@ -159,7 +159,7 @@ func newPullInEnvWith(t *testing.T, devices, senderQuota int, reg *obs.Registry)
 	metrics := NewMetrics(reg)
 	return &pullInEnv{
 		node: node, backend: backend, deAddr: deAddr, owner: owner, ownerKey: ownerKey, devKeys: devKeys,
-		pullIn: NewPullIn(node, relay, metrics), metrics: metrics, clk: clk,
+		pullIn: NewPullIn(NewPushOut(node, metrics), relay, metrics), metrics: metrics, clk: clk,
 		relayed: backend.relayed,
 	}
 }
@@ -334,7 +334,7 @@ func TestPullInConcurrentRounds(t *testing.T) {
 
 	// This oracle's relay submits to the bare node: nothing seals but the test.
 	relayKey := cryptoutil.MustGenerateKey()
-	pullIn := NewPullIn(e.node, distexchange.NewClient(e.node, relayKey, e.deAddr), nil)
+	pullIn := NewPullIn(NewPushOut(e.node, nil), distexchange.NewClient(e.node, relayKey, e.deAddr), nil)
 	for _, key := range e.devKeys {
 		pullIn.RegisterSource(scriptedSource{addr: key.Address(), fn: func(iri string, round uint64) (distexchange.SignedEvidence, error) {
 			return e.signedBy(t, key, iri, round), nil

@@ -512,9 +512,10 @@ func AttachCertificate(cert *cryptoutil.Certificate) (func(*http.Request), error
 // timeout has elapsed. It waits on the push-out oracle, not on a poll: it
 // subscribes to the resource's EvidenceRecorded events and only then
 // reads the round, so evidence recorded before the subscription is in
-// that read and evidence recorded after it is delivered; each delivery
-// triggers a re-read, and a burst (a block of evidence) coalesces into
-// one. The timeout is wall-clock bound (not simclock) because it
+// that read and evidence recorded after it is delivered. The handler runs
+// on the goroutine committing the evidence, so it only marks a one-slot
+// channel: each mark triggers a re-read, and a burst (a block of
+// evidence) coalesces into one. The timeout is wall-clock bound (not simclock) because it
 // synchronizes goroutines, not simulated time; it is the only timer.
 func (m *Manager) WaitForRoundClosure(path string, round uint64, timeout time.Duration) (distexchange.MonitoringRound, error) {
 	iri := m.ResourceIRI(path)

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -352,8 +353,10 @@ func TestModifyPolicy(t *testing.T) {
 	iri := e.publish(browsingPolicy())
 	ctx := context.Background()
 
-	updates := e.node.SubscribeEvents(chain.EventFilter{Topic: distexchange.TopicPolicyUpdated, Key: iri}, 1)
-	defer updates.Cancel()
+	var updates atomic.Int32
+	defer e.node.SubscribeEvents(chain.EventFilter{Topic: distexchange.TopicPolicyUpdated, Key: iri}, func(chain.Event) {
+		updates.Add(1)
+	})()
 	v2 := browsingPolicy().NextVersion(e.clk.Now())
 	v2.MaxRetention = 7 * 24 * time.Hour
 	if err := e.mgr.ModifyPolicy(ctx, aliceWebID, "/web/browsing.csv", v2); err != nil {
@@ -366,11 +369,10 @@ func TestModifyPolicy(t *testing.T) {
 	if rec.Policy.Version != 2 || rec.Policy.MaxRetention != 7*24*time.Hour {
 		t.Fatalf("on-chain policy = %+v", rec.Policy)
 	}
-	// PolicyUpdated event fired for push-out delivery.
-	select {
-	case <-updates.C:
-	case <-time.After(10 * time.Second):
-		t.Fatal("no PolicyUpdated event delivered")
+	// PolicyUpdated event handed to push-out handlers by the time the
+	// update's block committed.
+	if n := updates.Load(); n != 1 {
+		t.Fatalf("%d PolicyUpdated events delivered, want 1", n)
 	}
 
 	// Version regressions and non-owners are rejected.
