@@ -81,7 +81,6 @@ func run(args []string) error {
 	httpAddr := fs.String("http", ":8545", "HTTP API listen address")
 	dataDir := fs.String("data-dir", "", "durable storage root (empty = in-memory; WAL + snapshots + keys under <dir>/node-<i>/)")
 	fsync := fs.String("fsync", "interval", "WAL fsync policy: always, interval, never")
-	execWorkers := fs.Int("exec-workers", 0, "parallel transaction execution workers per node (0 = GOMAXPROCS, 1 = serial; blocks are bit-identical at any setting)")
 	mempoolCap := fs.Int("mempool-cap", 0, "mempool capacity in transactions (0 = package default; full pool evicts the cheapest tail or answers a retryable verdict)")
 	senderQuota := fs.Int("sender-quota", 0, "max pending transactions per sender (0 = package default)")
 	debugAddr := fs.String("debug-addr", "", "observability listen address (empty = disabled; GET /metrics, /debug/vars, /debug/traces, /debug/pprof/)")
@@ -90,6 +89,9 @@ func run(args []string) error {
 	}
 	if *validators < 1 {
 		return fmt.Errorf("validators must be >= 1")
+	}
+	if *interval <= 0 {
+		return fmt.Errorf("interval must be positive, got %s", *interval)
 	}
 	syncPolicy, err := store.ParseSyncPolicy(*fsync)
 	if err != nil {
@@ -112,7 +114,6 @@ func run(args []string) error {
 		Validators:      *validators,
 		DataDir:         *dataDir,
 		WALSync:         syncPolicy,
-		ExecWorkers:     *execWorkers,
 		MempoolCapacity: *mempoolCap,
 		SenderQuota:     *senderQuota,
 		Obs:             reg,

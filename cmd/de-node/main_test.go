@@ -29,6 +29,21 @@ func TestRunRejectsBadValidatorCount(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadInterval: a non-positive block interval is refused
+// before anything is opened, so no validator key lands under -data-dir
+// (time.NewTicker would panic on it in the sealing goroutine).
+func TestRunRejectsBadInterval(t *testing.T) {
+	for _, interval := range []string{"0", "-1s"} {
+		dir := t.TempDir()
+		if err := run([]string{"-interval", interval, "-data-dir", dir, "-http", "127.0.0.1:0"}); err == nil {
+			t.Fatalf("interval %s accepted", interval)
+		}
+		if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+			t.Fatalf("interval %s: data dir holds %d entries (%v), want none", interval, len(entries), err)
+		}
+	}
+}
+
 func TestRunRejectsBadFlag(t *testing.T) {
 	if err := run([]string{"-bogus"}); err == nil {
 		t.Fatal("bad flag accepted")

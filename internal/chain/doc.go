@@ -66,8 +66,8 @@
 // written by a background goroutine fed a copy-on-write export, never
 // under any node lock.
 //
-// With Config.ExecWorkers other than 1, a block of four or more
-// transactions is executed by the optimistic scheduler of parallel.go,
+// With GOMAXPROCS above 1, a block of four or more transactions is
+// executed by parallel.go's optimistic scheduler on as many workers,
 // in three phases. Workers execute transactions in claim order, each
 // against its own read-recording child of the block overlay, while
 // finished children are walked in block order accumulating the keys

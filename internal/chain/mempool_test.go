@@ -755,7 +755,7 @@ func TestStaleNonceRebroadcastDuringSeal(t *testing.T) {
 			gate := gatedExecutor{entered: make(chan struct{}), release: make(chan struct{})}
 			node, err := NewNode(Config{
 				Key: key, Authorities: []cryptoutil.Address{key.Address()},
-				Executor: gate, Clock: clk, GenesisTime: chainEpoch, ExecWorkers: 1,
+				Executor: gate, Clock: clk, GenesisTime: chainEpoch,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -807,7 +807,7 @@ func TestInFlightTxsHoldPoolRoom(t *testing.T) {
 	gate := gatedExecutor{entered: make(chan struct{}), release: make(chan struct{})}
 	node, err := NewNode(Config{
 		Key: key, Authorities: []cryptoutil.Address{key.Address()},
-		Executor: gate, Clock: clk, GenesisTime: chainEpoch, ExecWorkers: 1,
+		Executor: gate, Clock: clk, GenesisTime: chainEpoch,
 		MempoolCapacity: 2, MaxPendingPerSender: 1,
 	})
 	if err != nil {

@@ -45,7 +45,7 @@ type Metrics struct {
 	// Parallel-execution scheduler stats (see parallel.go).
 	ExecWorkers    *obs.Gauge   // workers used by the last parallel block
 	ParallelBlocks *obs.Counter // blocks through the optimistic scheduler
-	SerialBlocks   *obs.Counter // blocks on the serial path (workers==1 or tiny)
+	SerialBlocks   *obs.Counter // blocks on the serial path (one worker or tiny)
 	ExecConflicts  *obs.Counter // blocks whose optimistic run hit a conflict
 	SerialTailTxs  *obs.Counter // transactions re-executed on the serial tail
 	ExecDiscarded  *obs.Counter // optimistic executions started whose result was not merged

@@ -3,6 +3,7 @@ package chain
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -45,8 +46,9 @@ func makeMeteredWorkload(t *testing.T, key *cryptoutil.KeyPair) *meteredWorkload
 
 // buildMeteredChain runs the workload — mixed submissions, parallel
 // execution, rejections, duplicates, receipt waits — on a node with the
-// given metrics handle and returns the node.
-func buildMeteredChain(t *testing.T, key *cryptoutil.KeyPair, wl *meteredWorkload, m *Metrics, execWorkers int) *Node {
+// given metrics handle and returns the node. Its blocks execute at the
+// caller's GOMAXPROCS.
+func buildMeteredChain(t *testing.T, key *cryptoutil.KeyPair, wl *meteredWorkload, m *Metrics) *Node {
 	t.Helper()
 	clk := simclock.NewSim(chainEpoch)
 	node, err := NewNode(Config{
@@ -55,7 +57,6 @@ func buildMeteredChain(t *testing.T, key *cryptoutil.KeyPair, wl *meteredWorkloa
 		Executor:    testExecutor{},
 		Clock:       clk,
 		GenesisTime: chainEpoch,
-		ExecWorkers: execWorkers,
 		Metrics:     m,
 	})
 	if err != nil {
@@ -106,7 +107,7 @@ func buildMeteredChain(t *testing.T, key *cryptoutil.KeyPair, wl *meteredWorkloa
 
 // followChain replays origin's blocks into a fresh follower, which checks
 // every seal (through the verified-signature table) and both roots.
-func followChain(t *testing.T, key *cryptoutil.KeyPair, origin *Node, execWorkers int) {
+func followChain(t *testing.T, key *cryptoutil.KeyPair, origin *Node) {
 	t.Helper()
 	follower, err := NewNode(Config{
 		Key:         key,
@@ -114,7 +115,6 @@ func followChain(t *testing.T, key *cryptoutil.KeyPair, origin *Node, execWorker
 		Executor:    testExecutor{},
 		Clock:       simclock.NewSim(chainEpoch),
 		GenesisTime: chainEpoch,
-		ExecWorkers: execWorkers,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -130,19 +130,22 @@ func followChain(t *testing.T, key *cryptoutil.KeyPair, origin *Node, execWorker
 // contract: the same workload on a metered node and a bare node must
 // produce bit-identical blocks — hashes, receipt roots, state roots —
 // and a follower accepts either chain whether or not the process-wide
-// signature-table counters are attached.
+// signature-table counters are attached. Each row sets GOMAXPROCS,
+// which is the executor's width.
 func TestDifferentialMetricsBitIdentity(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			prev := runtime.GOMAXPROCS(workers)
+			defer runtime.GOMAXPROCS(prev)
 			key := cryptoutil.MustGenerateKey()
 			wl := makeMeteredWorkload(t, key)
 			reg := obs.NewRegistry()
 			cryptoutil.Instrument(reg)
-			metered := buildMeteredChain(t, key, wl, NewMetrics(reg), workers)
-			followChain(t, key, metered, workers)
+			metered := buildMeteredChain(t, key, wl, NewMetrics(reg))
+			followChain(t, key, metered)
 			cryptoutil.Instrument(nil)
-			bare := buildMeteredChain(t, key, wl, nil, workers)
-			followChain(t, key, bare, workers)
+			bare := buildMeteredChain(t, key, wl, nil)
+			followChain(t, key, bare)
 			sigChecks := reg.Counter("cryptoutil_sigcache_hits_total", "").Value() +
 				reg.Counter("cryptoutil_sigcache_misses_total", "").Value()
 			if sigChecks != metered.Height() {
@@ -175,13 +178,73 @@ func TestDifferentialMetricsBitIdentity(t *testing.T) {
 	}
 }
 
+// TestBlockExecutionFollowsGOMAXPROCS pins what sizes block execution:
+// the executor runs one worker per GOMAXPROCS, and nothing else selects
+// its path. At 1 an 8-transaction block takes the serial path; at 4 it
+// goes through the parallel scheduler on four workers; a block under
+// minParallelTxs stays serial at any width.
+func TestBlockExecutionFollowsGOMAXPROCS(t *testing.T) {
+	key := cryptoutil.MustGenerateKey()
+	clk := simclock.NewSim(chainEpoch)
+	m := NewMetrics(obs.NewRegistry())
+	node, err := NewNode(Config{
+		Key:         key,
+		Authorities: []cryptoutil.Address{key.Address()},
+		Executor:    testExecutor{},
+		Clock:       clk,
+		GenesisTime: chainEpoch,
+		Metrics:     m,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nonce := uint64(0)
+	sealAt := func(procs, txs int) {
+		t.Helper()
+		prev := runtime.GOMAXPROCS(procs)
+		defer runtime.GOMAXPROCS(prev)
+		for range txs {
+			if _, err := submit1(node, mustTx(t, key, nonce, testContractAddr(), fmt.Sprintf("k%d", nonce), "v")); err != nil {
+				t.Fatal(err)
+			}
+			nonce++
+		}
+		clk.Advance(time.Second)
+		block, err := node.Seal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(block.Txs) != txs {
+			t.Fatalf("sealed %d txs, want %d", len(block.Txs), txs)
+		}
+	}
+	for _, step := range []struct {
+		procs, txs       int
+		serial, parallel uint64
+		workers          int64
+	}{
+		{procs: 1, txs: 8, serial: 1},
+		{procs: 4, txs: 8, serial: 1, parallel: 1, workers: 4},
+		{procs: 4, txs: 3, serial: 2, parallel: 1, workers: 4},
+	} {
+		sealAt(step.procs, step.txs)
+		serial, parallel, workers := m.SerialBlocks.Value(), m.ParallelBlocks.Value(), m.ExecWorkers.Value()
+		if serial != step.serial || parallel != step.parallel || workers != step.workers {
+			t.Fatalf("after a %d-tx block at GOMAXPROCS %d: serial=%d parallel=%d workers=%d, want %d, %d and %d",
+				step.txs, step.procs, serial, parallel, workers, step.serial, step.parallel, step.workers)
+		}
+	}
+}
+
 // TestChainMetricsRecorded asserts the instrumented hot paths actually
 // move their series.
 func TestChainMetricsRecorded(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg)
 	key := cryptoutil.MustGenerateKey()
-	buildMeteredChain(t, key, makeMeteredWorkload(t, key), m, 4)
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	buildMeteredChain(t, key, makeMeteredWorkload(t, key), m)
 
 	if got := m.Admitted.Value(); got != 24 {
 		t.Fatalf("admitted = %d, want 24", got)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -76,12 +77,6 @@ type Config struct {
 	// MaxPendingPerSender caps one sender's queued transactions; defaults
 	// to 1024. Beyond it, admission rejects with ErrQuotaExceeded.
 	MaxPendingPerSender int
-	// ExecWorkers bounds the parallel transaction scheduler used by block
-	// sealing and validation (see parallel.go). 0 (the default) uses
-	// GOMAXPROCS; 1 forces the exact legacy serial execution path. Every
-	// worker count produces bit-identical blocks — this only trades
-	// latency for cores.
-	ExecWorkers int
 	// DataDir, when non-empty, makes the node durable: sealed and applied
 	// blocks are appended to a write-ahead log under this directory and
 	// state snapshots bound recovery replay. Empty keeps the node fully
@@ -113,7 +108,6 @@ type Node struct {
 	authorities []cryptoutil.Address
 	executor    Executor
 	clock       simclock.Clock
-	execWorkers int
 
 	mu       sync.RWMutex
 	state    *State                              // guarded by mu
@@ -194,7 +188,6 @@ func NewNode(cfg Config) (*Node, error) {
 		authorities: append([]cryptoutil.Address(nil), cfg.Authorities...),
 		executor:    cfg.Executor,
 		clock:       clk,
-		execWorkers: cfg.ExecWorkers,
 		state:       NewState(),
 		mempool:     newMempool(poolCap, quota),
 		nonces:      make(map[cryptoutil.Address]uint64),
@@ -538,19 +531,16 @@ func (n *Node) seal(force bool) (*Block, error) {
 	return block, nil
 }
 
-// executeBlock runs one block's transactions against a fresh overlay,
-// with the parallel scheduler when ExecWorkers allows it and the exact
-// legacy serial path when ExecWorkers is 1 (or the block is too small to
-// be worth splitting). Both sealing and validation funnel through here,
-// so proposers and validators always agree on the execution semantics —
-// which are identical anyway (see parallel.go's determinism argument).
-// hashes are the block's transaction hashes, parallel to txs.
+// executeBlock runs one block's transactions against a fresh overlay
+// with the parallel scheduler at one worker per GOMAXPROCS, which takes
+// the serial path itself when that is 1 or the block is too small to be
+// worth splitting. Both sealing and validation funnel through here, so
+// proposers and validators always agree on the execution semantics —
+// which are identical at every width anyway (see parallel.go's
+// determinism argument). hashes are the block's transaction hashes,
+// parallel to txs.
 func (n *Node) executeBlock(overlay *Overlay, txs []*Tx, hashes []cryptoutil.Hash, bctx BlockContext) []*Receipt {
-	if n.execWorkers == 1 {
-		n.metrics.SerialBlocks.Inc()
-		return replayTxs(n.executor, overlay, txs, hashes, bctx)
-	}
-	return replayTxsParallelObs(n.executor, overlay, txs, hashes, bctx, n.execWorkers, n.metrics)
+	return replayTxsParallelObs(n.executor, overlay, txs, hashes, bctx, runtime.GOMAXPROCS(0), n.metrics)
 }
 
 // commitBlock persists and applies a fully formed block whose execution

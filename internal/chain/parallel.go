@@ -1,7 +1,6 @@
 package chain
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -55,15 +54,6 @@ import (
 // to the serial path: per-child overlay setup and merge bookkeeping cost
 // more than they save on tiny blocks.
 const minParallelTxs = 4
-
-// execWorkerCount resolves a Config.ExecWorkers value: <= 0 selects
-// GOMAXPROCS, anything else is taken as given.
-func execWorkerCount(workers int) int {
-	if workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return workers
-}
 
 // frontier is the block-order conflict walk that runs beside optimistic
 // execution. It has no goroutine of its own: a worker that publishes a
@@ -128,8 +118,9 @@ func (f *frontier) walk() {
 
 // replayTxsParallelObs executes one block's transactions against parent
 // with up to workers goroutines, producing exactly the receipts, final
-// overlay layer, and root that replayTxs would. workers <= 0 selects
-// GOMAXPROCS; workers == 1 (and small blocks) degenerate to the serial
+// overlay layer, and root that replayTxs would. Node.executeBlock
+// passes GOMAXPROCS; the differential suites pass their own widths. One
+// worker (and a block under minParallelTxs) degenerates to the serial
 // path. The parent overlay must be quiescent (sealMu excludes all other
 // state writers, exactly as on the serial path). hashes are the block's
 // precomputed transaction hashes (parallel to txs); scheduler stats are
@@ -138,7 +129,6 @@ func (f *frontier) walk() {
 // Metrics are observers only — they never influence the schedule, so
 // instrumented and bare runs produce bit-identical blocks.
 func replayTxsParallelObs(ex Executor, parent *Overlay, txs []*Tx, hashes []cryptoutil.Hash, bctx BlockContext, workers int, m *Metrics) []*Receipt {
-	workers = execWorkerCount(workers)
 	if workers > len(txs) {
 		workers = len(txs)
 	}

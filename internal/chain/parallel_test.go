@@ -515,21 +515,22 @@ func TestParallelScheduleRevertAndPrefixReads(t *testing.T) {
 }
 
 // TestDifferentialParallelCluster: a two-authority cluster sealing with
-// the parallel scheduler must produce exactly the chain a serial cluster
-// produces from the same transactions — and every ApplyBlock validation
-// (itself running the parallel scheduler) must accept the roots. This is
-// the node-level wiring proof for seal + ApplyBlock.
+// the parallel scheduler (GOMAXPROCS 4) must produce exactly the chain a
+// serial cluster (GOMAXPROCS 1) produces from the same transactions —
+// and every ApplyBlock validation (itself running the parallel
+// scheduler) must accept the roots. This is the node-level wiring proof
+// for seal + ApplyBlock.
 func TestDifferentialParallelCluster(t *testing.T) {
 	keyA, keyB := cryptoutil.MustGenerateKey(), cryptoutil.MustGenerateKey()
 	auths := []cryptoutil.Address{keyA.Address(), keyB.Address()}
 
-	buildNet := func(execWorkers int) (*Network, *simclock.Sim) {
+	buildNet := func() (*Network, *simclock.Sim) {
 		clk := simclock.NewSim(chainEpoch)
 		var nodes []*Node
 		for _, k := range []*cryptoutil.KeyPair{keyA, keyB} {
 			n, err := NewNode(Config{
 				Key: k, Authorities: auths, Executor: testExecutor{},
-				Clock: clk, GenesisTime: chainEpoch, ExecWorkers: execWorkers,
+				Clock: clk, GenesisTime: chainEpoch,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -542,8 +543,18 @@ func TestDifferentialParallelCluster(t *testing.T) {
 		}
 		return net, clk
 	}
-	serialNet, serialClk := buildNet(1)
-	parNet, parClk := buildNet(4)
+	serialNet, serialClk := buildNet()
+	parNet, parClk := buildNet()
+	// Each network seals (and its follower validates) at its own
+	// GOMAXPROCS, which is the executor's width.
+	sealAt := func(net *Network, procs int) {
+		t.Helper()
+		prev := runtime.GOMAXPROCS(procs)
+		defer runtime.GOMAXPROCS(prev)
+		if _, err := net.SealNext(); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	rng := rand.New(rand.NewSource(42))
 	senders := []*cryptoutil.KeyPair{keyA, keyB, cryptoutil.MustGenerateKey()}
@@ -557,12 +568,8 @@ func TestDifferentialParallelCluster(t *testing.T) {
 		}
 		serialClk.Advance(time.Second)
 		parClk.Advance(time.Second)
-		if _, err := serialNet.SealNext(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := parNet.SealNext(); err != nil {
-			t.Fatal(err)
-		}
+		sealAt(serialNet, 1)
+		sealAt(parNet, 4)
 	}
 	// Compare the chains' execution content, not their hashes: ECDSA
 	// signing is randomized, so two independently-sealed-but-identical

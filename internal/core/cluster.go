@@ -30,7 +30,7 @@ type Cluster struct {
 // public key is caKey, on cfg.Validators authority nodes. It is the one
 // way this repository boots a validator cluster: NewDeployment and the
 // de-node binary both call it. It reads cfg's Validators, DataDir,
-// WALSync, ExecWorkers, MempoolCapacity, SenderQuota and Obs.
+// WALSync, MempoolCapacity, SenderQuota and Obs.
 //
 // Genesis is clk.Now(). With cfg.DataDir each validator is durable under
 // DataDir/node-<i>/ and its authority key is persisted there as key.der,
@@ -79,7 +79,6 @@ func NewCluster(cfg Config, clk simclock.Clock, caKey []byte) (*Cluster, error) 
 		cc.Executor = runtime
 		cc.Clock = clk
 		cc.GenesisTime = genesis
-		cc.ExecWorkers = cfg.ExecWorkers
 		cc.MempoolCapacity = cfg.MempoolCapacity
 		cc.MaxPendingPerSender = cfg.SenderQuota
 		n, err := chain.OpenNode(*cc)

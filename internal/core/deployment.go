@@ -54,10 +54,6 @@ type Config struct {
 	// enforcing the paper's rule that client requests are generated by
 	// trusted applications.
 	RequireAttestation bool
-	// ExecWorkers bounds each node's parallel transaction scheduler for
-	// block sealing and validation (0 = GOMAXPROCS, 1 = the exact serial
-	// legacy path). Every setting produces bit-identical blocks.
-	ExecWorkers int
 	// MempoolCapacity bounds every validator's transaction pool (0 = the
 	// chain default, 8192). Beyond it, admission evicts cheaper
 	// speculative tails or answers backpressure (see chain.ErrPoolFull).
@@ -325,8 +321,9 @@ func (d *Deployment) PullOutOracle() *oracle.PullOut {
 	return oracle.NewPullOut(d.backend(), d.Metrics)
 }
 
-// PullIn exposes the deployment's pull-in oracle (for fan-out tweaks and
-// waiting in tests).
+// PullIn exposes the deployment's pull-in oracle, whose fan-out is fixed
+// at construction: callers register monitoring sources on it and Wait
+// for the rounds it is answering.
 func (d *Deployment) PullIn() *oracle.PullIn { return d.pullIn }
 
 // --- owners ---
@@ -608,8 +605,12 @@ func (c *Consumer) Use(resourceIRI string, action policy.Action) ([]byte, error)
 }
 
 // WaitPolicyVersion blocks until the trusted application enforces at
-// least the given policy version (push-out delivery is asynchronous). The
-// app signals each version it applies; the timeout is the only timer.
+// least the given policy version. The push-out oracle hands a committed
+// update to the app on validator 0's committing goroutine, so a caller
+// whose own call sealed the update needs no wait; it does when it did
+// not drive the commit (SealManually), or when validator 0 is down or
+// partitioned away and applies the block later. The app signals each
+// version it applies; the timeout is the only timer.
 func (c *Consumer) WaitPolicyVersion(resourceIRI string, version uint64, timeout time.Duration) error {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()

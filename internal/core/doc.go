@@ -17,7 +17,7 @@
 // # Concurrency contract
 //
 // A Deployment is safe for concurrent use by many owners and consumers:
-// its own mutex only guards the owner/consumer registries, while all
+// its own mutex only guards the equivocation-guard setting, while all
 // chain-state synchronization is delegated to the chain layer (see
 // package chain's concurrency contract). Transactions enter the chain
 // through one backend value shared by every distexchange client, the
@@ -29,10 +29,15 @@
 // Deployment.SubmitBatch is the all-or-nothing form for pre-signed
 // batches: verified once, enqueued on every validator under one mempool
 // lock acquisition each, and sealed in as few blocks as the chain's
-// per-block cap (1024 transactions) allows. Oracles (pull-in, push-out) run their own goroutines observing
-// node 0; their delivery is asynchronous, which is why tests wait on
-// WaitPolicyVersion / WaitForRoundClosure rather than assuming
-// synchronous propagation. Both are woken by what they wait for (the
-// trusted app applying a version; the push-out oracle delivering the
-// resource's evidence) and keep their timeout as the only timer.
+// per-block cap (1024 transactions) allows. The oracles observe node 0:
+// push-out handlers run on validator 0's committing goroutine, so a
+// commit that validator 0 applies has been handed to the trusted apps
+// and pod managers when it returns; only a pull-in monitoring round is
+// answered on a goroutine of its own. So WaitForRoundClosure is how a
+// caller meets a round's answers, and WaitPolicyVersion is needed only
+// when the caller did not drive the commit itself (SealManually) or
+// validator 0 is down or partitioned away. Both are woken by what they
+// wait for (the trusted app applying a version; the push-out oracle
+// delivering the resource's evidence) and keep their timeout as the
+// only timer.
 package core

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -20,9 +21,12 @@ import (
 // detached. Every replay must accept every block (ApplyBlock re-executes
 // and compares both roots) and end on the deployment's head, receipt for
 // receipt: a hit changes what a validator pays, never what it decides.
+// Each row sets GOMAXPROCS, which is every validator's executor width.
 func TestSigTableColdWarmReplay(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			prev := runtime.GOMAXPROCS(workers)
+			defer runtime.GOMAXPROCS(prev)
 			cryptoutil.ForgetVerified()
 			reg := obs.NewRegistry()
 			t.Cleanup(func() { cryptoutil.Instrument(nil) })
@@ -31,7 +35,7 @@ func TestSigTableColdWarmReplay(t *testing.T) {
 					reg.Counter("cryptoutil_sigcache_misses_total", "").Value()
 			}
 			d := newDeployment(t, Config{
-				Validators: 3, OracleFanout: true, Obs: reg, ExecWorkers: workers,
+				Validators: 3, OracleFanout: true, Obs: reg,
 				MonitoringGrace: 50 * time.Millisecond,
 			})
 			ctx := context.Background()

@@ -115,11 +115,6 @@ type Config struct {
 	// MaxShrinkRuns bounds the replays RunShrunk spends minimizing a
 	// failing plan (default 120).
 	MaxShrinkRuns int
-	// ExecWorkers bounds each validator's parallel transaction scheduler
-	// (0 = GOMAXPROCS, 1 = the exact serial legacy path). Traces are
-	// bit-identical for every setting; the differential scenario tests
-	// assert exactly that.
-	ExecWorkers int
 	// DisableEquivocationGuard boots the deployment with equivocation
 	// rejection sabotaged on every validator (test hook: the soak must
 	// catch the resulting silent double-seal acceptance through the

@@ -3,39 +3,51 @@ package scenario
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
-// TestScenarioDifferentialExecWorkers runs the same honest plans under
-// the serial legacy executor (ExecWorkers=1) and the parallel scheduler
-// (ExecWorkers=4) and requires bit-identical traces: same per-step
-// outcomes, same invariant-check count, no failure either way. This is
-// the end-to-end half of the parallel scheduler's determinism proof —
-// the chain-level differential tests compare receipts and roots, this
-// one compares everything the scenario model can observe through the
-// full deployment (contracts, oracles, monitoring, remuneration).
-func TestScenarioDifferentialExecWorkers(t *testing.T) {
+// atProcs runs fn with GOMAXPROCS set to procs, which is every
+// validator's executor width: 1 keeps each block on the serial path, and
+// more sends blocks of four or more transactions through the parallel
+// scheduler.
+func atProcs(procs int, fn func() *RunResult) *RunResult {
+	prev := runtime.GOMAXPROCS(procs)
+	defer runtime.GOMAXPROCS(prev)
+	return fn()
+}
+
+// TestScenarioDifferentialProcs runs the same honest plans at
+// GOMAXPROCS 1 (the serial executor) and 4 (the parallel scheduler) and
+// requires bit-identical traces: same per-step outcomes, same
+// invariant-check count, no failure either way. This is the end-to-end
+// half of the parallel scheduler's determinism proof — the chain-level
+// differential tests compare receipts and roots, this one compares
+// everything the scenario model can observe through the full deployment
+// (contracts, oracles, monitoring, remuneration).
+func TestScenarioDifferentialProcs(t *testing.T) {
 	for _, seed := range []int64{3, 11} {
-		serial := New(Config{Seed: seed, Steps: 25, ExecWorkers: 1}).Run()
+		run := func() *RunResult { return New(Config{Seed: seed, Steps: 25}).Run() }
+		serial := atProcs(1, run)
 		if serial.Failure != nil {
 			t.Fatalf("seed %d serial run failed: %s\ntrace:\n%s", seed, serial.Failure, serial.Trace())
 		}
-		parallel := New(Config{Seed: seed, Steps: 25, ExecWorkers: 4}).Run()
+		parallel := atProcs(4, run)
 		if parallel.Failure != nil {
 			t.Fatalf("seed %d parallel run failed: %s\ntrace:\n%s", seed, parallel.Failure, parallel.Trace())
 		}
 		if st, pt := serial.Trace(), parallel.Trace(); st != pt {
-			t.Fatalf("seed %d: ExecWorkers=1 and ExecWorkers=4 traces diverge\nserial:\n%s\nparallel:\n%s", seed, st, pt)
+			t.Fatalf("seed %d: traces at GOMAXPROCS 1 and 4 diverge\nserial:\n%s\nparallel:\n%s", seed, st, pt)
 		}
 	}
 }
 
-// TestScenarioDifferentialExecWorkersAdversarial replays every committed
+// TestScenarioDifferentialProcsAdversarial replays every committed
 // repro plan — the adversarial repertoire: equivocation, invalid blocks,
-// credential replay, nonce floods, partitions — under both executor
-// settings and requires identical traces. Fault handling must not
-// depend on how blocks were executed.
-func TestScenarioDifferentialExecWorkersAdversarial(t *testing.T) {
+// credential replay, nonce floods, partitions — at GOMAXPROCS 1 and 4
+// and requires identical traces. Fault handling must not depend on how
+// blocks were executed.
+func TestScenarioDifferentialProcsAdversarial(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("repros", "*.repro"))
 	if err != nil {
 		t.Fatal(err)
@@ -53,15 +65,14 @@ func TestScenarioDifferentialExecWorkersAdversarial(t *testing.T) {
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
-			cfg.ExecWorkers = 1
-			serial := New(cfg).RunPlan(plan)
-			cfg.ExecWorkers = 4
-			parallel := New(cfg).RunPlan(plan)
+			run := func() *RunResult { return New(cfg).RunPlan(plan) }
+			serial := atProcs(1, run)
+			parallel := atProcs(4, run)
 			if serial.Failure != nil || parallel.Failure != nil {
 				t.Fatalf("repro regressed: serial=%v parallel=%v", serial.Failure, parallel.Failure)
 			}
 			if st, pt := serial.Trace(), parallel.Trace(); st != pt {
-				t.Fatalf("ExecWorkers=1 and ExecWorkers=4 traces diverge\nserial:\n%s\nparallel:\n%s", st, pt)
+				t.Fatalf("traces at GOMAXPROCS 1 and 4 diverge\nserial:\n%s\nparallel:\n%s", st, pt)
 			}
 		})
 	}

@@ -187,7 +187,6 @@ func newWorld(cfg Config) (*World, error) {
 		MonitoringGrace: cfg.MonitorGrace,
 		DataDir:         dataDir,
 		WALSync:         store.SyncNever,
-		ExecWorkers:     cfg.ExecWorkers,
 		// Deliberately tight admission bounds so the tx-flood fault can
 		// overwhelm them with an in-step burst (the knobs ride the node
 		// configs, so a crash-restarted validator reopens with the same
