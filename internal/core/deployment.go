@@ -542,7 +542,7 @@ func (d *Deployment) NewConsumer(name string, purpose policy.Purpose) (*Consumer
 			log.Printf("core: bad policy update event: %v", err)
 			return
 		}
-		if _, err := app.ApplyPolicyUpdate(&pol); err != nil && !errors.Is(err, tee.ErrNoCopy) {
+		if err := app.ApplyPolicyUpdate(&pol); err != nil && !errors.Is(err, tee.ErrNoCopy) {
 			log.Printf("core: apply policy update: %v", err)
 		}
 	})

@@ -1,8 +1,9 @@
 // Package policy implements the usage-policy model of the usage-control
 // architecture: an ODRL-inspired language with purpose constraints,
 // temporal (retention/expiry) obligations, usage-count limits, sharing
-// prohibitions and notification duties, together with an evaluation engine
-// and the translation of a policy update into a copy-holder's obligations.
+// prohibitions and notification duties, together with an evaluation engine.
+// The copy-holder's trusted application (internal/tee) acts on a policy
+// update itself, from the new policy's DeleteDeadline and PermitsPurpose.
 //
 // The paper's two running examples are expressible directly:
 //
@@ -16,9 +17,9 @@
 // # Concurrency contract
 //
 // The package holds no locks and spawns no goroutines. Policy values are
-// plain data: Evaluate, ObligationsFor and the codec are pure functions of their
-// inputs, so concurrent evaluation of the same *Policy is safe as long
-// as no caller mutates it concurrently. Components that share a policy
+// plain data: Evaluate and the codec are pure functions of their inputs,
+// so concurrent evaluation of the same *Policy is safe as long as no
+// caller mutates it concurrently. Components that share a policy
 // across goroutines (the TEE trusted application, the DE App contract)
 // are responsible for copying or externally synchronizing mutation —
 // which is how the chain layer uses it: policies that cross the

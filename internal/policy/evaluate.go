@@ -37,15 +37,6 @@ type Decision struct {
 	Allowed bool
 	// Reasons lists why the use was denied (empty when allowed).
 	Reasons []DenialReason
-	// DeleteBy is the deletion deadline for the copy, if any. It is
-	// reported on allowed and denied decisions alike so the enforcement
-	// point can (re)schedule the deletion obligation.
-	DeleteBy time.Time
-	// HasDeadline reports whether DeleteBy is meaningful.
-	HasDeadline bool
-	// MustNotify reports whether this use must be logged for the
-	// notify-on-use duty.
-	MustNotify bool
 }
 
 // Deny reports whether the decision denies for the given reason.
@@ -61,9 +52,6 @@ func (d Decision) Deny(reason DenialReason) bool {
 // String renders the decision for logs.
 func (d Decision) String() string {
 	if d.Allowed {
-		if d.HasDeadline {
-			return fmt.Sprintf("permit (delete by %s)", d.DeleteBy.UTC().Format(time.RFC3339))
-		}
 		return "permit"
 	}
 	return fmt.Sprintf("deny %v", d.Reasons)
@@ -77,16 +65,14 @@ func (d Decision) String() string {
 // limit. All failing checks are reported, not just the first, so that
 // compliance evidence can name every violated constraint.
 func (p *Policy) Evaluate(ctx UsageContext) Decision {
-	d := Decision{MustNotify: p.NotifyOnUse}
-	d.DeleteBy, d.HasDeadline = p.DeleteDeadline(ctx.RetrievedAt)
-
+	var d Decision
 	if !p.PermitsPurpose(ctx.Purpose) {
 		d.Reasons = append(d.Reasons, DenyPurpose)
 	}
 	if !p.PermitsAction(ctx.Action) {
 		d.Reasons = append(d.Reasons, DenyAction)
 	}
-	if d.HasDeadline && ctx.Now.After(d.DeleteBy) {
+	if deadline, has := p.DeleteDeadline(ctx.RetrievedAt); has && ctx.Now.After(deadline) {
 		d.Reasons = append(d.Reasons, DenyExpired)
 	}
 	if p.MaxUses > 0 && ctx.PriorUses >= p.MaxUses {

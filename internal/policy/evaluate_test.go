@@ -112,36 +112,15 @@ func TestEvaluateScenarios(t *testing.T) {
 	}
 }
 
-func TestEvaluateReportsDeadline(t *testing.T) {
-	p := alicePolicy()
-	d := p.Evaluate(UsageContext{Now: t0, Purpose: PurposeAny, Action: ActionUse, RetrievedAt: t0})
-	if !d.HasDeadline {
-		t.Fatal("expected a deadline")
-	}
-	want := t0.Add(p.MaxRetention)
-	if !d.DeleteBy.Equal(want) {
-		t.Fatalf("DeleteBy = %s, want %s", d.DeleteBy, want)
-	}
-}
-
-func TestEvaluateMustNotify(t *testing.T) {
-	p := alicePolicy()
-	p.NotifyOnUse = true
-	d := p.Evaluate(UsageContext{Now: t0, Purpose: PurposeAny, Action: ActionUse, RetrievedAt: t0})
-	if !d.MustNotify {
-		t.Fatal("MustNotify not propagated")
-	}
-}
-
 func TestDecisionString(t *testing.T) {
 	p := alicePolicy()
 	allow := p.Evaluate(UsageContext{Now: t0, Purpose: PurposeAny, Action: ActionUse, RetrievedAt: t0})
-	if allow.String() == "" {
-		t.Error("empty String for permit")
+	if got := allow.String(); got != "permit" {
+		t.Errorf("permit String = %q", got)
 	}
 	deny := bobPolicy().Evaluate(UsageContext{Now: t0, Purpose: PurposeMarketing, Action: ActionUse, RetrievedAt: t0})
-	if deny.String() == "" {
-		t.Error("empty String for deny")
+	if got := deny.String(); got != "deny [purpose-not-allowed]" {
+		t.Errorf("deny String = %q", got)
 	}
 }
 

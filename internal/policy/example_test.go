@@ -28,24 +28,3 @@ func ExamplePolicy_Evaluate() {
 	// permit
 	// deny [purpose-not-allowed]
 }
-
-// ExampleObligationsFor shows how shortening retention (Alice's policy
-// change) turns into concrete device-side obligations.
-func ExampleObligationsFor() {
-	issued := time.Date(2023, 10, 9, 0, 0, 0, 0, time.UTC)
-	v2 := policy.New("https://alice.pod/web/browsing.csv", "https://alice.pod/profile#me", issued)
-	v2.Version = 2
-	v2.MaxRetention = 7 * 24 * time.Hour // shortened from one month
-
-	// A copy retrieved 9 days ago is already past the new deadline.
-	obs := policy.ObligationsFor(v2, policy.HolderState{
-		RetrievedAt: issued.Add(-9 * 24 * time.Hour),
-		Purpose:     policy.PurposeWebAnalytics,
-		Now:         issued,
-	})
-	for _, o := range obs {
-		fmt.Println(o.Kind)
-	}
-	// Output:
-	// delete-now
-}

@@ -130,6 +130,7 @@ func TestDeleteDeadline(t *testing.T) {
 		{"expiry only", 0, t0.Add(2 * time.Hour), t0.Add(2 * time.Hour), true},
 		{"expiry earlier", 5 * time.Hour, t0.Add(time.Hour), t0.Add(time.Hour), true},
 		{"retention earlier", time.Hour, t0.Add(5 * time.Hour), retrieved.Add(time.Hour), true},
+		{"alice one month", 30 * 24 * time.Hour, time.Time{}, retrieved.Add(30 * 24 * time.Hour), true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

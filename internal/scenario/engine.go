@@ -3,7 +3,6 @@ package scenario
 import (
 	"fmt"
 	"strings"
-	"time"
 )
 
 // Failure kinds.
@@ -107,8 +106,6 @@ type Config struct {
 	CheckEvery int
 	// MaxOwners / MaxConsumers / MaxResources bound the populations.
 	MaxOwners, MaxConsumers, MaxResources int
-	// MonitorGrace bounds how long a monitoring round may take to close.
-	MonitorGrace time.Duration
 	// Sabotage admits the OpSabotage step into generated plans (test
 	// hook: a sabotaging plan must fail published-immutability).
 	Sabotage bool
@@ -143,9 +140,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxResources <= 0 {
 		c.MaxResources = 16
-	}
-	if c.MonitorGrace <= 0 {
-		c.MonitorGrace = 10 * time.Second
 	}
 	if c.MaxShrinkRuns <= 0 {
 		c.MaxShrinkRuns = 120

@@ -33,6 +33,9 @@ const consumerPurpose = policy.PurposeWebAnalytics
 // node's ledger), which the engine reports instead of hanging.
 const stepTimeout = 30 * time.Second
 
+// monitorGrace bounds how long a monitoring round may take to close.
+const monitorGrace = 10 * time.Second
+
 // copySt models one consumer's TEE-held copy of a resource.
 type copySt struct {
 	stored      bool // ever stored (live or tombstone)
@@ -184,7 +187,7 @@ func newWorld(cfg Config) (*World, error) {
 	reg := obs.NewRegistry()
 	d, err := core.NewDeployment(core.Config{
 		Validators:      cfg.Validators,
-		MonitoringGrace: cfg.MonitorGrace,
+		MonitoringGrace: monitorGrace,
 		DataDir:         dataDir,
 		WALSync:         store.SyncNever,
 		// Deliberately tight admission bounds so the tx-flood fault can

@@ -40,8 +40,10 @@ type copyState struct {
 
 // App is the trusted application: it holds resource copies in trusted
 // storage and enforces their usage policies locally — the enforcement
-// point of the architecture. All uses flow through Use; obligations
-// (expiry deletion, revocation) execute automatically.
+// point of the architecture. All uses flow through Use. A copy is erased
+// when its policy's deletion deadline passes, on a timer or at the first
+// Use after it; a policy update (ApplyPolicyUpdate) can erase it at once,
+// revoke its use, or move the deadline.
 type App struct {
 	device  *Device
 	purpose policy.Purpose
@@ -213,42 +215,35 @@ func (a *App) Use(iri string, action policy.Action) ([]byte, error) {
 }
 
 // ApplyPolicyUpdate installs a new policy version for a held copy and
-// executes the obligations the change triggers (the Fig. 2(5) device-side
-// step). It returns the executed obligations. Updates for resources this
-// app does not hold return ErrNoCopy.
-func (a *App) ApplyPolicyUpdate(newPol *policy.Policy) ([]policy.Obligation, error) {
+// acts on it at once (the Fig. 2(5) device-side step): an update whose
+// deletion deadline has already passed erases the copy (unless the app is
+// rogue), one that no longer allows the app's purpose refuses every later
+// Use with ErrUseRevoked, and the deletion timer is re-armed to the new
+// deadline. Revocation is sticky: a later version that allows the purpose
+// again does not restore use. A stale or duplicate version is ignored.
+// Updates for resources this app does not hold return ErrNoCopy.
+func (a *App) ApplyPolicyUpdate(newPol *policy.Policy) error {
 	if err := newPol.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	st, ok := a.copies[newPol.ResourceIRI]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoCopy, newPol.ResourceIRI)
+		return fmt.Errorf("%w: %s", ErrNoCopy, newPol.ResourceIRI)
 	}
 	if newPol.Version <= st.pol.Version {
-		// Stale or duplicate update: ignore but report no obligations.
-		return []policy.Obligation{{Kind: policy.ObligationNone, Reason: "stale version"}}, nil
+		return nil
 	}
 	st.pol = newPol.Clone()
 	a.signalVersionLocked()
 
-	obligations := policy.ObligationsFor(newPol, policy.HolderState{
-		RetrievedAt: st.retrievedAt,
-		Purpose:     a.purpose,
-		Now:         a.clock.Now(),
-	})
-	for _, ob := range obligations {
-		switch ob.Kind {
-		case policy.ObligationDeleteNow:
-			if !st.deleted && !a.rogue {
-				a.deleteLocked(st)
-			}
-		case policy.ObligationRevokeUse:
-			st.useRevoked = true
-		case policy.ObligationNone, policy.ObligationReschedule:
-			// Timer handling is unified below.
-		}
+	deadline, has := newPol.DeleteDeadline(st.retrievedAt)
+	if has && a.clock.Now().After(deadline) && !st.deleted && !a.rogue {
+		a.deleteLocked(st)
+	}
+	if !newPol.PermitsPurpose(a.purpose) {
+		st.useRevoked = true
 	}
 	// Re-arm the deletion timer against the new policy unconditionally:
 	// scheduleDeletionLocked cancels the previous timer first, so a policy
@@ -258,7 +253,7 @@ func (a *App) ApplyPolicyUpdate(newPol *policy.Policy) ([]policy.Obligation, err
 	if !st.deleted {
 		a.scheduleDeletionLocked(st)
 	}
-	return obligations, nil
+	return nil
 }
 
 // PolicyVersion returns the policy version enforced for a copy (0 if the

@@ -156,8 +156,8 @@ func TestManualDelete(t *testing.T) {
 
 // TestPolicyUpdateAliceScenario reproduces the paper's running example:
 // Alice shortens retention from one month to one week two days after
-// Bob retrieved her data; Bob's copy is rescheduled and then erased when
-// the new deadline lapses.
+// Bob retrieved her data; Bob's copy is kept, its deletion rescheduled,
+// and then erased when the new deadline lapses.
 func TestPolicyUpdateAliceScenario(t *testing.T) {
 	app, clk := newApp(t, policy.PurposeWebAnalytics)
 	iri := "https://alice.pod/web/browsing.csv"
@@ -171,12 +171,11 @@ func TestPolicyUpdateAliceScenario(t *testing.T) {
 
 	v2 := webPolicy(week).NextVersion(clk.Now())
 	v2.MaxRetention = week
-	obs, err := app.ApplyPolicyUpdate(v2)
-	if err != nil {
+	if err := app.ApplyPolicyUpdate(v2); err != nil {
 		t.Fatal(err)
 	}
-	if len(obs) != 1 || obs[0].Kind != policy.ObligationReschedule {
-		t.Fatalf("obligations = %+v", obs)
+	if !app.Holds(iri) {
+		t.Fatal("young copy erased by the update")
 	}
 	if app.PolicyVersion(iri) != 2 {
 		t.Fatalf("policy version = %d", app.PolicyVersion(iri))
@@ -200,15 +199,14 @@ func TestPolicyUpdateDeleteNow(t *testing.T) {
 	clk.Advance(10 * 24 * time.Hour)
 	v2 := webPolicy(7 * 24 * time.Hour).NextVersion(clk.Now())
 	v2.MaxRetention = 7 * 24 * time.Hour
-	obs, err := app.ApplyPolicyUpdate(v2)
-	if err != nil {
+	if err := app.ApplyPolicyUpdate(v2); err != nil {
 		t.Fatal(err)
 	}
-	if len(obs) != 1 || obs[0].Kind != policy.ObligationDeleteNow {
-		t.Fatalf("obligations = %+v", obs)
-	}
 	if app.Holds(iri) {
-		t.Fatal("copy survived delete-now obligation")
+		t.Fatal("copy survived an update whose deadline had lapsed")
+	}
+	if _, err := app.Use(iri, policy.ActionUse); !errors.Is(err, ErrDeleted) {
+		t.Fatalf("use after erasure: %v", err)
 	}
 }
 
@@ -228,12 +226,11 @@ func TestPolicyUpdateBobScenario(t *testing.T) {
 		}
 		v2 := medicalPolicy().NextVersion(clk.Now())
 		v2.AllowedPurposes = []policy.Purpose{policy.PurposeAcademic}
-		obs, err := app.ApplyPolicyUpdate(v2)
-		if err != nil {
+		if err := app.ApplyPolicyUpdate(v2); err != nil {
 			t.Fatal(err)
 		}
-		if len(obs) != 1 || obs[0].Kind != policy.ObligationRevokeUse {
-			t.Fatalf("obligations = %+v", obs)
+		if app.PolicyVersion(iri) != 2 {
+			t.Fatalf("policy version = %d", app.PolicyVersion(iri))
 		}
 		if _, err := app.Use(iri, policy.ActionUse); !errors.Is(err, ErrUseRevoked) {
 			t.Fatalf("use after revocation: %v", err)
@@ -253,17 +250,50 @@ func TestPolicyUpdateBobScenario(t *testing.T) {
 		}
 		v2 := pol.NextVersion(clk.Now())
 		v2.AllowedPurposes = []policy.Purpose{policy.PurposeAcademic}
-		obs, err := app.ApplyPolicyUpdate(v2)
-		if err != nil {
+		if err := app.ApplyPolicyUpdate(v2); err != nil {
 			t.Fatal(err)
 		}
-		if len(obs) != 1 || obs[0].Kind != policy.ObligationNone {
-			t.Fatalf("obligations = %+v", obs)
+		if app.PolicyVersion(iri) != 2 || !app.Holds(iri) {
+			t.Fatalf("policy version = %d, holds = %t", app.PolicyVersion(iri), app.Holds(iri))
 		}
 		if _, err := app.Use(iri, policy.ActionUse); err != nil {
 			t.Fatalf("allowed purpose blocked after update: %v", err)
 		}
 	})
+
+	// One update both lapses the deadline and drops the app's purpose: an
+	// honest app erases its copy at once; a rogue app keeps it, but its
+	// use is still revoked.
+	for _, tt := range []struct {
+		name      string
+		rogue     bool
+		wantHolds bool
+		wantErr   error
+	}{
+		{"lapsed deadline and dropped purpose", false, false, ErrDeleted},
+		{"rogue app, lapsed deadline and dropped purpose", true, true, ErrUseRevoked},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			app, clk := newApp(t, policy.PurposeMedicalResearch)
+			app.SetRogue(tt.rogue)
+			if err := app.StoreResource(iri, []byte("med"), medicalPolicy()); err != nil {
+				t.Fatal(err)
+			}
+			clk.Advance(2 * time.Hour)
+			v2 := medicalPolicy().NextVersion(clk.Now())
+			v2.AllowedPurposes = []policy.Purpose{policy.PurposeAcademic}
+			v2.MaxRetention = time.Hour
+			if err := app.ApplyPolicyUpdate(v2); err != nil {
+				t.Fatal(err)
+			}
+			if app.Holds(iri) != tt.wantHolds {
+				t.Fatalf("holds = %t, want %t", app.Holds(iri), tt.wantHolds)
+			}
+			if _, err := app.Use(iri, policy.ActionUse); !errors.Is(err, tt.wantErr) {
+				t.Fatalf("use after update: %v, want %v", err, tt.wantErr)
+			}
+		})
+	}
 }
 
 func TestPolicyUpdateStaleVersionIgnored(t *testing.T) {
@@ -276,22 +306,22 @@ func TestPolicyUpdateStaleVersionIgnored(t *testing.T) {
 	}
 	stale := webPolicy(time.Minute)
 	stale.Version = 2
-	obs, err := app.ApplyPolicyUpdate(stale)
-	if err != nil {
+	if err := app.ApplyPolicyUpdate(stale); err != nil {
 		t.Fatal(err)
-	}
-	if len(obs) != 1 || obs[0].Kind != policy.ObligationNone {
-		t.Fatalf("obligations = %+v", obs)
 	}
 	if app.PolicyVersion(iri) != 3 {
 		t.Fatal("stale update applied")
 	}
-	_ = clk
+	// The stale one-minute retention must not have re-armed the timer.
+	clk.Advance(2 * time.Minute)
+	if !app.Holds(iri) {
+		t.Fatal("stale update's deadline erased the copy")
+	}
 }
 
 func TestPolicyUpdateForUnknownResource(t *testing.T) {
 	app, _ := newApp(t, policy.PurposeWebAnalytics)
-	if _, err := app.ApplyPolicyUpdate(webPolicy(time.Hour)); !errors.Is(err, ErrNoCopy) {
+	if err := app.ApplyPolicyUpdate(webPolicy(time.Hour)); !errors.Is(err, ErrNoCopy) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -389,7 +419,7 @@ func TestWaitPolicyVersion(t *testing.T) {
 		}
 		next := pol.Clone()
 		next.Version = v
-		if _, err := app.ApplyPolicyUpdate(next); err != nil {
+		if err := app.ApplyPolicyUpdate(next); err != nil {
 			t.Fatal(err)
 		}
 	}

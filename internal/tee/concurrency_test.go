@@ -70,7 +70,7 @@ func TestAppConcurrentPolicyUpdatesAndUses(t *testing.T) {
 		for v := uint64(2); v <= versions; v++ {
 			p := webPolicy(time.Duration(v) * time.Hour)
 			p.Version = v
-			if _, err := app.ApplyPolicyUpdate(p); err != nil {
+			if err := app.ApplyPolicyUpdate(p); err != nil {
 				t.Error(err)
 				return
 			}

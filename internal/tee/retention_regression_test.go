@@ -25,7 +25,7 @@ func TestPolicyUpdateCancelsStaleDeletionTimer(t *testing.T) {
 	// v2 removes the retention bound entirely.
 	v2 := policy.New(iri, "https://owner.example/profile#me", clk.Now())
 	v2.Version = 2
-	if _, err := app.ApplyPolicyUpdate(v2); err != nil {
+	if err := app.ApplyPolicyUpdate(v2); err != nil {
 		t.Fatal(err)
 	}
 
@@ -52,7 +52,7 @@ func TestPolicyUpdateExtendsDeadline(t *testing.T) {
 	v2 := policy.New(iri, "https://owner.example/profile#me", clk.Now())
 	v2.Version = 2
 	v2.MaxRetention = 9 * 24 * time.Hour
-	if _, err := app.ApplyPolicyUpdate(v2); err != nil {
+	if err := app.ApplyPolicyUpdate(v2); err != nil {
 		t.Fatal(err)
 	}
 
