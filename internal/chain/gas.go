@@ -45,15 +45,16 @@ var ErrOutOfGas = errors.New("chain: out of gas")
 // MaxTxGasLimit.
 var ErrGasTooLarge = errors.New("chain: tx gas limit above cap")
 
-// GasMeter tracks gas consumption against a limit.
+// GasMeter tracks gas consumption against a limit. It is a value: the
+// contract runtime keeps one in each execution environment.
 type GasMeter struct {
 	limit uint64
 	used  uint64
 }
 
 // NewGasMeter returns a meter with the given limit.
-func NewGasMeter(limit uint64) *GasMeter {
-	return &GasMeter{limit: limit}
+func NewGasMeter(limit uint64) GasMeter {
+	return GasMeter{limit: limit}
 }
 
 // Charge consumes amount gas, returning ErrOutOfGas if the limit would be

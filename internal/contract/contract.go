@@ -17,11 +17,18 @@
 // bytes up as they are, so it allocates no key; a write or a delete
 // allocates the one string the state stores. The buffer is reused by the
 // next Key call, so a key is built for an access, not kept.
+//
+// The runtime reuses its environments: an Env or a ReadEnv, and any key
+// built on its Key, is valid only until the Call or Read it was handed to
+// returns. A contract keeps neither, and returns or emits no slice of a
+// key buffer. What a call hands out — its receipt, events and return
+// value — is never reused.
 package contract
 
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/chain"
 	"repro/internal/cryptoutil"
@@ -36,6 +43,10 @@ import (
 // mutable state in contract storage (via env.Get/Set/Delete), never in
 // fields on the Contract value. Fields set at construction and read-only
 // thereafter (configuration) are fine.
+//
+// The env is lent for the one invocation: the runtime clears it and hands
+// it to a later call once Call or Read returns, so an implementation must
+// not keep it, or a key built on its Key, past its return.
 type Contract interface {
 	// Call executes a state-mutating method. Returning a non-nil error
 	// reverts the transaction (all storage effects are rolled back).
@@ -70,7 +81,7 @@ type Env struct {
 
 	keys   keyspace
 	state  chain.StateRW
-	meter  *chain.GasMeter
+	meter  chain.GasMeter
 	events []chain.Event
 }
 
@@ -248,14 +259,22 @@ func Revertf(format string, args ...any) error {
 // deployment table is written only by Deploy and read by ExecuteTx/Query, so
 // the runtime is safe for any number of concurrent executions PROVIDED
 // all Deploy calls happen before execution starts — the deployment
-// pattern every binary and the core.Deployment wiring follow. Each
-// ExecuteTx builds a fresh Env (meter, event buffer) on its own stack;
-// nothing is shared between concurrent calls except the caller-supplied
-// StateRW, which is the scheduler's per-transaction overlay and
-// internally synchronized. Contracts themselves must honour the
-// Contract interface's statelessness contract.
+// pattern every binary and the core.Deployment wiring follow.
+//
+// An environment escapes to the heap through the Contract interface call,
+// so the runtime keeps a pool of them rather than allocating one (and its
+// key buffer) per call. Each ExecuteTx or Query takes one from the pool,
+// fills it, runs the contract and zeroes it before putting it back, so
+// two executions in flight never share one and nothing carries over from
+// one call to the next; the receipt, its events and the return value are
+// allocated per call and never reused. The only other thing concurrent
+// calls share is the caller-supplied state: the scheduler's
+// per-transaction overlay, which is internally synchronized. Contracts
+// themselves must honour the Contract interface's statelessness contract.
 type Runtime struct {
 	contracts map[cryptoutil.Address]deployment
+	envs      sync.Pool // *Env, zeroed
+	readEnvs  sync.Pool // *ReadEnv, zeroed
 }
 
 // deployment is a contract and its storage prefix "0x<address>/", which
@@ -270,7 +289,11 @@ var _ chain.Executor = (*Runtime)(nil)
 
 // NewRuntime returns an empty runtime.
 func NewRuntime() *Runtime {
-	return &Runtime{contracts: make(map[cryptoutil.Address]deployment)}
+	return &Runtime{
+		contracts: make(map[cryptoutil.Address]deployment),
+		envs:      sync.Pool{New: func() any { return new(Env) }},
+		readEnvs:  sync.Pool{New: func() any { return new(ReadEnv) }},
+	}
 }
 
 // Deploy registers a contract under a name and returns its deterministic
@@ -284,31 +307,37 @@ func (r *Runtime) Deploy(name string, c Contract) cryptoutil.Address {
 
 // ExecuteTx implements chain.Executor.
 func (r *Runtime) ExecuteTx(st chain.StateRW, tx *chain.Tx, bctx chain.BlockContext) *chain.Receipt {
-	meter := chain.NewGasMeter(tx.GasLimit)
+	env := r.envs.Get().(*Env)
+	receipt := r.execute(env, st, tx, bctx)
+	*env = Env{}
+	r.envs.Put(env)
+	return receipt
+}
+
+// execute runs tx in env, a zeroed environment from the pool.
+func (r *Runtime) execute(env *Env, st chain.StateRW, tx *chain.Tx, bctx chain.BlockContext) *chain.Receipt {
+	env.meter = chain.NewGasMeter(tx.GasLimit)
 	receipt := &chain.Receipt{Status: chain.StatusOK}
 
 	revert := func(err error) *chain.Receipt {
 		receipt.Status = chain.StatusReverted
 		receipt.Err = err.Error()
-		receipt.GasUsed = meter.Used()
+		receipt.GasUsed = env.meter.Used()
 		return receipt
 	}
 
-	if err := meter.Charge(chain.GasTxBase + uint64(len(tx.Args))*chain.GasPerArgByte); err != nil {
+	if err := env.meter.Charge(chain.GasTxBase + uint64(len(tx.Args))*chain.GasPerArgByte); err != nil {
 		return revert(err)
 	}
 	d, ok := r.contracts[tx.Contract]
 	if !ok {
 		return revert(fmt.Errorf("contract: no contract at %s", tx.Contract))
 	}
-	env := &Env{
-		Contract:  tx.Contract,
-		Sender:    tx.From,
-		SenderKey: tx.SenderKey,
-		Block:     bctx,
-		state:     st,
-		meter:     meter,
-	}
+	env.Contract = tx.Contract
+	env.Sender = tx.From
+	env.SenderKey = tx.SenderKey
+	env.Block = bctx
+	env.state = st
 	env.keys.init(d.prefix)
 	ret, err := d.code.Call(env, tx.Method, tx.Args)
 	if err != nil {
@@ -316,7 +345,7 @@ func (r *Runtime) ExecuteTx(st chain.StateRW, tx *chain.Tx, bctx chain.BlockCont
 	}
 	receipt.Return = ret
 	receipt.Events = env.events
-	receipt.GasUsed = meter.Used()
+	receipt.GasUsed = env.meter.Used()
 	return receipt
 }
 
@@ -326,7 +355,13 @@ func (r *Runtime) Query(st chain.StateReader, contractAddr cryptoutil.Address, m
 	if !ok {
 		return nil, fmt.Errorf("contract: no contract at %s", contractAddr)
 	}
-	env := &ReadEnv{Contract: contractAddr, Block: bctx, state: st}
+	env := r.readEnvs.Get().(*ReadEnv)
+	env.Contract = contractAddr
+	env.Block = bctx
+	env.state = st
 	env.keys.init(d.prefix)
-	return d.code.Read(env, method, args)
+	out, err := d.code.Read(env, method, args)
+	*env = ReadEnv{}
+	r.readEnvs.Put(env)
+	return out, err
 }

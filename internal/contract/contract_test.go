@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -394,4 +395,206 @@ func mustJSON(t *testing.T, v any) []byte {
 		t.Fatal(err)
 	}
 	return buf
+}
+
+// nopContract returns at once: what a call to it allocates is the
+// runtime's own cost.
+type nopContract struct{}
+
+func (nopContract) Call(*Env, string, []byte) ([]byte, error)     { return nil, nil }
+func (nopContract) Read(*ReadEnv, string, []byte) ([]byte, error) { return nil, nil }
+
+// TestExecuteTxAllocations: the runtime takes a call's Env, gas meter
+// included, from its pool, so a call that does nothing allocates only
+// the receipt it hands out. (A fresh Env and *GasMeter per call made it
+// three.)
+func TestExecuteTxAllocations(t *testing.T) {
+	rt := NewRuntime()
+	tx := &chain.Tx{Contract: rt.Deploy("nop", nopContract{}), Method: "m", GasLimit: chain.GasTxBase}
+	st := chain.NewOverlay(chain.NewState())
+	bctx := chain.BlockContext{Number: 1, Time: testGenesis}
+	var r *chain.Receipt
+	if got := testing.AllocsPerRun(100, func() { r = rt.ExecuteTx(st, tx, bctx) }); got != 1 {
+		t.Errorf("ExecuteTx: %.0f allocations, want 1 (the receipt)", got)
+	}
+	if !r.Succeeded() || r.GasUsed != chain.GasTxBase {
+		t.Fatalf("receipt = %+v", r)
+	}
+}
+
+// TestQueryAllocations: a query's ReadEnv comes from the pool too, so a
+// query that does nothing allocates nothing.
+func TestQueryAllocations(t *testing.T) {
+	rt := NewRuntime()
+	addr := rt.Deploy("nop", nopContract{})
+	st := chain.NewState()
+	bctx := chain.BlockContext{Number: 1, Time: testGenesis}
+	if got := testing.AllocsPerRun(100, func() { _, _ = rt.Query(st, addr, "m", nil, bctx) }); got != 0 {
+		t.Errorf("Query: %.0f allocations, want 0", got)
+	}
+}
+
+// probeContract reports what its environment holds when a call starts,
+// and leaves behind what a call can: a long key in the buffer, an event,
+// gas charged.
+type probeContract struct{}
+
+// envSeen is what probe finds in its environment.
+type envSeen struct {
+	Sender    cryptoutil.Address
+	SenderKey []byte
+	Number    uint64
+	Time      time.Time
+	Events    int
+	GasUsed   uint64
+	Key       string
+}
+
+func (probeContract) Call(env *Env, method string, args []byte) ([]byte, error) {
+	switch method {
+	case "emit":
+		if err := env.Emit("Emitted", env.Sender.String(), fmt.Appendf(nil, "block %d", env.Block.Number)); err != nil {
+			return nil, err
+		}
+		return fmt.Appendf(nil, "%s at %d", env.Sender, env.Block.Number), nil
+	case "dirty":
+		if err := env.Set(append(env.Key(), "dirty/with/a/key/longer/than/the/namespace"...), []byte("v")); err != nil {
+			return nil, err
+		}
+		if err := env.Emit("Dirty", "k", []byte("payload")); err != nil {
+			return nil, err
+		}
+		return nil, Revertf("dirty")
+	case "probe":
+		return json.Marshal(envSeen{
+			Sender: env.Sender, SenderKey: env.SenderKey, Number: env.Block.Number, Time: env.Block.Time,
+			Events: len(env.events), GasUsed: env.meter.Used(), Key: string(env.Key()),
+		})
+	default:
+		return nil, Revertf("unknown method %q", method)
+	}
+}
+
+func (probeContract) Read(env *ReadEnv, method string, args []byte) ([]byte, error) {
+	if method == "dirty" {
+		_, _, err := env.Get(append(env.Key(), "dirty/with/a/key/longer/than/the/namespace"...))
+		return nil, err
+	}
+	return json.Marshal(envSeen{Number: env.Block.Number, Time: env.Block.Time, Key: string(env.Key())})
+}
+
+func mustTx(t *testing.T, key *cryptoutil.KeyPair, nonce uint64, addr cryptoutil.Address, method string) *chain.Tx {
+	t.Helper()
+	tx, err := chain.NewTx(key, nonce, addr, method, nil, 500_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tx
+}
+
+// TestPooledEnvCarriesNothingOver: an environment goes back to the pool
+// zeroed, so a call after one that emitted, charged gas and reverted sees
+// its own sender, key and block, no events, gas counted from zero and the
+// bare namespace in its key buffer; and what the earlier calls handed out
+// stays as it was.
+func TestPooledEnvCarriesNothingOver(t *testing.T) {
+	rt := NewRuntime()
+	addr := rt.Deploy("probe", probeContract{})
+	st := chain.NewOverlay(chain.NewState())
+	alice, bob := cryptoutil.MustGenerateKey(), cryptoutil.MustGenerateKey()
+	b1 := chain.BlockContext{Number: 1, Time: testGenesis}
+	b2 := chain.BlockContext{Number: 2, Time: testGenesis.Add(time.Minute)}
+
+	first := rt.ExecuteTx(st, mustTx(t, alice, 0, addr, "emit"), b1)
+	if !first.Succeeded() || len(first.Events) != 1 {
+		t.Fatalf("emit: %+v", first)
+	}
+	handedOut := fmt.Sprintf("%+v %q", first.Events, first.Return)
+	if r := rt.ExecuteTx(st, mustTx(t, alice, 1, addr, "dirty"), b1); r.Succeeded() || r.GasUsed <= chain.GasTxBase {
+		t.Fatalf("dirty: %+v", r)
+	}
+
+	tx := mustTx(t, bob, 0, addr, "probe")
+	second := rt.ExecuteTx(st, tx, b2)
+	if !second.Succeeded() || second.Events != nil {
+		t.Fatalf("probe: %+v", second)
+	}
+	var seen envSeen
+	if err := json.Unmarshal(second.Return, &seen); err != nil {
+		t.Fatal(err)
+	}
+	want := envSeen{
+		Sender: bob.Address(), SenderKey: tx.SenderKey, Number: b2.Number, Time: b2.Time,
+		GasUsed: chain.GasTxBase + uint64(len(tx.Args))*chain.GasPerArgByte, Key: addr.String() + "/",
+	}
+	if !reflect.DeepEqual(seen, want) {
+		t.Errorf("second call saw %+v, want %+v", seen, want)
+	}
+	if second.GasUsed != want.GasUsed {
+		t.Errorf("second call used %d gas, want %d", second.GasUsed, want.GasUsed)
+	}
+	if got := fmt.Sprintf("%+v %q", first.Events, first.Return); got != handedOut {
+		t.Errorf("first receipt changed under later calls:\n got %s\nwant %s", got, handedOut)
+	}
+
+	if _, err := rt.Query(st, addr, "dirty", nil, b1); err != nil {
+		t.Fatal(err)
+	}
+	out, err := rt.Query(st, addr, "probe", nil, b2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var read envSeen
+	if err := json.Unmarshal(out, &read); err != nil {
+		t.Fatal(err)
+	}
+	if wantRead := (envSeen{Number: b2.Number, Time: b2.Time, Key: addr.String() + "/"}); !reflect.DeepEqual(read, wantRead) {
+		t.Errorf("query saw %+v, want %+v", read, wantRead)
+	}
+}
+
+// TestPooledEnvConcurrentMatchesSerial: goroutines calling through one
+// Runtime at once each get an environment of their own, so every receipt
+// is the one the same call gets when the calls run one after another.
+func TestPooledEnvConcurrentMatchesSerial(t *testing.T) {
+	const workers, calls = 8, 200
+	rt := NewRuntime()
+	addr := rt.Deploy("probe", probeContract{})
+	methods := []string{"emit", "dirty", "probe"}
+	txs := make([][]*chain.Tx, workers)
+	for w := range txs {
+		key := cryptoutil.MustGenerateKey()
+		for i := range calls {
+			txs[w] = append(txs[w], mustTx(t, key, uint64(i), addr, methods[(w+i)%len(methods)]))
+		}
+	}
+	run := func(w int) []*chain.Receipt {
+		st := chain.NewOverlay(chain.NewState())
+		out := make([]*chain.Receipt, calls)
+		for i, tx := range txs[w] {
+			out[i] = rt.ExecuteTx(st, tx, chain.BlockContext{Number: uint64(w*calls + i), Time: testGenesis.Add(time.Duration(i) * time.Second)})
+		}
+		return out
+	}
+	serial := make([][]*chain.Receipt, workers)
+	for w := range workers {
+		serial[w] = run(w)
+	}
+	concurrent := make([][]*chain.Receipt, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			concurrent[w] = run(w)
+		}()
+	}
+	wg.Wait()
+	for w := range workers {
+		for i := range calls {
+			if !reflect.DeepEqual(concurrent[w][i], serial[w][i]) {
+				t.Fatalf("worker %d call %d (%s): concurrent receipt %+v, serial %+v", w, i, txs[w][i].Method, concurrent[w][i], serial[w][i])
+			}
+		}
+	}
 }
