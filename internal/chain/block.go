@@ -46,11 +46,11 @@ func (h *Header) Hash() cryptoutil.Hash {
 // goes through cryptoutil.VerifyCached (doc.go: "Signatures a block
 // carries"); the key/address binding is cheap and checked every time.
 func (h *Header) verifySeal(proposerKey []byte) error {
-	pub, err := cryptoutil.ParsePublicKey(proposerKey)
+	pub, proposer, err := cryptoutil.ParsePublicKey(proposerKey)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrBadHeaderSig, err)
 	}
-	if cryptoutil.AddressOf(pub) != h.Proposer {
+	if proposer != h.Proposer {
 		return fmt.Errorf("%w: key does not belong to proposer %s", ErrBadHeaderSig, h.Proposer)
 	}
 	if !cryptoutil.VerifyCached(pub, h.SigningBytes(), h.Signature) {

@@ -185,6 +185,15 @@
 // verification however many followers check it
 // (TestSealOnceAcrossFollowers).
 //
+// Before the seal, verifySeal looks up the proposer's key: the authority
+// set holds it as 65 bytes, and cryptoutil.ParsePublicKey answers a key
+// this process has parsed before from its table of parsed keys, key and
+// address together, with one whole-encoding compare. The lookup replaces
+// the parse, not the check: the address it returns is compared with
+// h.Proposer on every call, and a validator's key is the same 65 bytes at
+// every height, so a follower's seal check allocates nothing beyond the
+// signing bytes (TestVerifySealAllocations).
+//
 // The argument is the fast path's, one level down. There, a hit on
 // Tx.Hash stands for "this node verified these signing bytes under this
 // key with this signature". Here, a hit on SHA-256(public key ‖ message

@@ -149,3 +149,25 @@ func TestSealOnceAcrossFollowers(t *testing.T) {
 		t.Fatalf("%d blocks, two followers each: hits=%d misses=%d, want %d and %d", blocks, h, m, blocks, blocks)
 	}
 }
+
+// TestVerifySealAllocations pins what a second follower's seal check
+// allocates: by then the proposer's seal is in the verified-signature table
+// and its key in the parsed-key table, and the header's signing bytes are
+// built on the stack, so the check allocates nothing. At 1c22d60, which
+// parsed the key and re-encoded it for its address on every check, it
+// made 7.
+func TestVerifySealAllocations(t *testing.T) {
+	const want = 0
+	sigTableCounts(t)
+	_, net, keys, clk := newTestCluster(t, 3)
+	b := sealEmpty(t, net, clk)
+	key := keyFor(t, keys, b.Header.Proposer).PublicBytes()
+	var err error
+	got := testing.AllocsPerRun(100, func() { err = b.Header.verifySeal(key) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("seal check on a follower: %.0f allocations, want %d", got, want)
+	}
+}

@@ -68,14 +68,15 @@ func TestPaperSecurityVerdicts(t *testing.T) {
 		}, reverted("updatePolicy", "does not own")},
 		{"unattested device registration", func() error {
 			// Well formed and naming the pinned manufacturer, but unsigned.
-			ca := must(cryptoutil.ParsePublicKey(d.Manufacturer.CAPublicBytes()))
+			_, ca, err := cryptoutil.ParsePublicKey(d.Manufacturer.CAPublicBytes())
+			must0(err)
 			dev, m, now := consumer.Device.Key(), tee.MeasurementOf(TrustedAppIdentity), d.Clock.Now()
 			unsigned := &cryptoutil.Certificate{
 				Serial: 1, Subject: dev.Address(), SubjectKey: dev.PublicBytes(),
 				Claims:    map[string]string{"measurement": hex.EncodeToString(m[:])},
-				NotBefore: now.Add(-time.Hour), NotAfter: now.Add(time.Hour), Issuer: cryptoutil.AddressOf(ca),
+				NotBefore: now.Add(-time.Hour), NotAfter: now.Add(time.Hour), Issuer: ca,
 			}
-			_, err := consumer.DE.RegisterDevice(ctx, unsigned.Encode())
+			_, err = consumer.DE.RegisterDevice(ctx, unsigned.Encode())
 			return err
 		}, reverted("registerDevice", "certificate rejected")},
 		{"malformed device certificate", func() error {

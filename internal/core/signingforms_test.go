@@ -73,7 +73,7 @@ func TestSigningFormsAreDomainSeparated(t *testing.T) {
 func solidRequestFirstBytes(t *testing.T) []byte {
 	t.Helper()
 	key := cryptoutil.MustGenerateKey()
-	pub, err := cryptoutil.ParsePublicKey(key.PublicBytes())
+	pub, _, err := cryptoutil.ParsePublicKey(key.PublicBytes())
 	if err != nil {
 		t.Fatal(err)
 	}

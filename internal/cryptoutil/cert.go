@@ -131,14 +131,14 @@ func (c *Certificate) Verify(issuerPubBytes []byte, now time.Time) error {
 	if want := addressOfKeyBytes(issuerPubBytes); c.Issuer != want {
 		return fmt.Errorf("%w: got %s, want %s", ErrCertWrongIssuer, c.Issuer, want)
 	}
-	subjPub, err := ParsePublicKey(c.SubjectKey)
+	_, subject, err := ParsePublicKey(c.SubjectKey)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrCertSubjectKey, err)
 	}
-	if AddressOf(subjPub) != c.Subject {
+	if subject != c.Subject {
 		return ErrCertSubjectKey
 	}
-	issuerPub, err := ParsePublicKey(issuerPubBytes)
+	issuerPub, _, err := ParsePublicKey(issuerPubBytes)
 	if err != nil {
 		return fmt.Errorf("cryptoutil: issuer key: %w", err)
 	}

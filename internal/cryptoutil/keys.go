@@ -76,6 +76,34 @@
 // rebroadcasts, catch-up, certificates), not its peers' first sightings.
 // There is no option: the size is a constant, and nothing turns the table
 // off.
+//
+// # Parsed keys
+//
+// Every check above starts from key bytes: a transaction's sender key, a
+// validator's key from the authority set, a certificate's subject and
+// issuer keys, a Solid agent's registered key, a device key in a quote or
+// on the ledger. The identities of a deployment are few and long-lived,
+// so the same 65 bytes are parsed again and again. ParsePublicKey is the
+// one parse function, and it keeps one fixed-size, process-wide table of
+// parsed keys (keytable.go): a key it has parsed before is answered with
+// the stored key and address, without allocating.
+//
+// Why a hit is sound. Parsing is a pure function of the 65 bytes, and an
+// uncompressed encoding is canonical (elliptic.Unmarshal refuses a
+// coordinate ≥ p), so its address — SHA-256 of those same bytes — is
+// AddressOf of the parsed key. The table stores the whole encoding,
+// compares the whole encoding, and is written only after
+// elliptic.Unmarshal has accepted the point; a refused encoding is never
+// remembered and is refused again on every call. A hit therefore returns
+// exactly what a parse of these bytes returns, and eviction (direct-mapped,
+// a new entry overwrites its slot) can only cause a parse.
+//
+// The returned *ecdsa.PublicKey is shared by every caller that presents
+// the same bytes, so it is read-only: callers verify with it and nothing
+// else. The slot count is a constant, 4 096, sized from the distinct keys
+// the benchmark's workloads present to one process — 6 to 406 — so that
+// a long-lived key rarely shares its slot (keytable.go has the counts).
+// ForgetVerified empties this table with the verified-signature table.
 package cryptoutil
 
 import (
@@ -98,7 +126,8 @@ import (
 const AddressLen = 20
 
 // Address identifies a key holder: the trailing 20 bytes of the SHA-256
-// hash of the DER-encoded public key (mirroring Ethereum's construction).
+// hash of the public key's uncompressed point encoding (mirroring
+// Ethereum's construction).
 type Address [AddressLen]byte
 
 // ZeroAddress is the all-zero address, used as "no address".
@@ -216,16 +245,6 @@ func MarshalPublicKey(pub *ecdsa.PublicKey) []byte {
 	return out
 }
 
-// ParsePublicKey decodes an uncompressed P-256 curve point.
-func ParsePublicKey(data []byte) (*ecdsa.PublicKey, error) {
-	curve := elliptic.P256()
-	x, y := elliptic.Unmarshal(curve, data)
-	if x == nil {
-		return nil, errors.New("cryptoutil: invalid public key encoding")
-	}
-	return &ecdsa.PublicKey{Curve: curve, X: x, Y: y}, nil
-}
-
 // AddressOf derives the address of a public key.
 func AddressOf(pub *ecdsa.PublicKey) Address { return addressOfKeyBytes(MarshalPublicKey(pub)) }
 
@@ -260,11 +279,10 @@ func Verify(pub *ecdsa.PublicKey, msg, sig []byte) bool {
 // verification path used for blockchain transactions, where the sender
 // includes its key material alongside the signature.
 func VerifyWithAddress(addr Address, pubBytes, msg, sig []byte) error {
-	pub, err := ParsePublicKey(pubBytes)
+	pub, derived, err := ParsePublicKey(pubBytes)
 	if err != nil {
 		return err
 	}
-	derived := AddressOf(pub)
 	if subtle.ConstantTimeCompare(derived[:], addr[:]) != 1 {
 		return fmt.Errorf("cryptoutil: public key address %s does not match claimed %s",
 			derived, addr)

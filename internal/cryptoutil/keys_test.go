@@ -2,6 +2,8 @@ package cryptoutil
 
 import (
 	"bytes"
+	"crypto/elliptic"
+	"math/big"
 	"testing"
 	"testing/quick"
 )
@@ -34,7 +36,7 @@ func TestPublicKeyRoundTrip(t *testing.T) {
 	if len(enc) != 65 || enc[0] != 4 {
 		t.Fatalf("unexpected public key encoding: len=%d first=%d", len(enc), enc[0])
 	}
-	pub, err := ParsePublicKey(enc)
+	pub, _, err := ParsePublicKey(enc)
 	if err != nil {
 		t.Fatalf("ParsePublicKey: %v", err)
 	}
@@ -43,10 +45,56 @@ func TestPublicKeyRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParsePublicKeyRejectsGarbage: an encoding elliptic.Unmarshal refuses
+// is refused on every call and never enters the parsed-key table.
 func TestParsePublicKeyRejectsGarbage(t *testing.T) {
-	for _, in := range [][]byte{nil, {}, {4, 1, 2}, bytes.Repeat([]byte{0xff}, 65)} {
-		if _, err := ParsePublicKey(in); err == nil {
-			t.Errorf("ParsePublicKey(%d bytes) succeeded, want error", len(in))
+	curve := elliptic.P256()
+	k := MustGenerateKey()
+	enc := k.PublicBytes()
+	with := func(f func(b []byte)) []byte {
+		b := bytes.Clone(enc)
+		f(b)
+		return b
+	}
+	// (0, √b) is on P-256 (b is a square mod p); x = p encodes the same 0
+	// in a non-canonical form.
+	p := curve.Params().P
+	y0 := new(big.Int).ModSqrt(curve.Params().B, p)
+	zeroX := make([]byte, p256KeyLen)
+	zeroX[0] = 4
+	y0.FillBytes(zeroX[33:])
+	if _, _, err := ParsePublicKey(zeroX); err != nil {
+		t.Fatalf("canonical (0, √b) refused: %v", err)
+	}
+	cases := []struct {
+		name string
+		data []byte
+	}{
+		{"nil", nil},
+		{"empty", []byte{}},
+		{"3 bytes", []byte{4, 1, 2}},
+		{"65 bytes of 0xff", bytes.Repeat([]byte{0xff}, 65)},
+		{"64 bytes", enc[:64]},
+		{"66 bytes", append(bytes.Clone(enc), 0)},
+		{"compressed 33 bytes", elliptic.MarshalCompressed(curve, k.priv.X, k.priv.Y)},
+		{"prefix 0x02", with(func(b []byte) { b[0] = 2 })},
+		{"prefix 0x03", with(func(b []byte) { b[0] = 3 })},
+		{"off the curve", with(func(b []byte) { b[64] ^= 1 })},
+		{"x = p", with(func(b []byte) { copy(b, zeroX); p.FillBytes(b[1:33]) })},
+		{"x = 2^256 - 1", with(func(b []byte) { copy(b[1:33], bytes.Repeat([]byte{0xff}, 32)) })},
+		{"y = 2^256 - 1", with(func(b []byte) { copy(b[33:], bytes.Repeat([]byte{0xff}, 32)) })},
+		{"infinity", []byte{0}},
+		{"infinity as (0, 0)", with(func(b []byte) { clear(b[1:]) })},
+	}
+	for _, c := range cases {
+		ForgetVerified()
+		for call := range 3 {
+			if pub, _, err := ParsePublicKey(c.data); err == nil {
+				t.Errorf("%s: call %d accepted %v", c.name, call, pub)
+			}
+		}
+		if n := tableEntries(); n != 0 {
+			t.Errorf("%s: refused, yet the table holds %d entries", c.name, n)
 		}
 	}
 }

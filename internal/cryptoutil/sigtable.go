@@ -143,13 +143,17 @@ func VerifyCached(pub *ecdsa.PublicKey, msg, sig []byte) bool {
 	return valid
 }
 
-// ForgetVerified empties the table. Tests use it to compare a cold table
-// with a warm one; nothing else has a reason to.
+// ForgetVerified empties the verified-signature table and the parsed-key
+// table (keytable.go). Tests use it to compare cold tables with warm ones;
+// nothing else has a reason to.
 func ForgetVerified() {
 	for i := range sigTable {
 		sh := &sigTable[i]
 		sh.mu.Lock()
 		sh.slots = [sigSlotsPerShard]Hash{}
 		sh.mu.Unlock()
+	}
+	for i := range keyTable {
+		keyTable[i].Store(nil)
 	}
 }

@@ -336,7 +336,7 @@ func FuzzVerifyCachedAgrees(f *testing.F) {
 	msg := []byte("seed")
 	f.Add(k.PublicBytes(), msg, signed(f, k, msg))
 	f.Fuzz(func(t *testing.T, pubBytes, msg, sig []byte) {
-		pub, err := ParsePublicKey(pubBytes)
+		pub, _, err := ParsePublicKey(pubBytes)
 		if err != nil {
 			return
 		}

@@ -719,7 +719,7 @@ func (c *Contract) checkEvidence(env *contract.Env, ev *Evidence, it *checkedEvi
 		it.refused = contract.Revertf("submitEvidence: no grant for device %s on %q", ev.Device, ev.ResourceIRI)
 		return nil
 	}
-	if it.key, err = cryptoutil.ParsePublicKey(dev.DeviceKey); err != nil {
+	if it.key, _, err = cryptoutil.ParsePublicKey(dev.DeviceKey); err != nil {
 		it.refused = contract.Revertf("submitEvidence: stored device key corrupt: %v", err)
 		return nil
 	}

@@ -20,7 +20,7 @@ import (
 var reachKeep = map[string]string{
 	"repro/internal/chain.Receipt.Digest": "a receipt's identity in the chain, distexchange and core tests that compare receipts; the receipt root hashes the same encoding through receiptDigest in the node's scratch",
 
-	"repro/internal/cryptoutil.ForgetVerified": "documented cross-package test seam: the cold/warm differentials empty the verified-signature table with it",
+	"repro/internal/cryptoutil.ForgetVerified": "documented cross-package test seam: the cold/warm differentials empty the verified-signature and parsed-key tables with it",
 
 	"repro/internal/solid.Client.Post":   "client half of the POST route solid-server serves",
 	"repro/internal/solid.Client.Delete": "client half of the DELETE route solid-server serves",

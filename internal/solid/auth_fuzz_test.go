@@ -79,7 +79,7 @@ func FuzzAuthenticate(f *testing.F) {
 			t.Fatalf("accepted date %q outside ±%v of %v (%v)", date, MaxClockSkew, clk.Now(), perr)
 		}
 		raw, derr := base64.StdEncoding.DecodeString(sig)
-		pub, kerr := cryptoutil.ParsePublicKey(key.PublicBytes())
+		pub, _, kerr := cryptoutil.ParsePublicKey(key.PublicBytes())
 		if derr != nil || kerr != nil || !cryptoutil.Verify(pub, signingString(method, path, date, nonce), raw) {
 			t.Fatalf("accepted a signature that does not verify under the registered key over %q %q %q %q",
 				method, path, date, nonce)

@@ -227,7 +227,7 @@ func (s *Server) authenticate(r *http.Request) (WebID, error) {
 	if string(registered) != string(keyBytes) {
 		return "", fmt.Errorf("solid: presented key does not match the profile of %s", agent)
 	}
-	pub, err := cryptoutil.ParsePublicKey(keyBytes)
+	pub, _, err := cryptoutil.ParsePublicKey(keyBytes)
 	if err != nil {
 		return "", fmt.Errorf("solid: bad agent key: %w", err)
 	}

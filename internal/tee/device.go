@@ -190,12 +190,12 @@ func VerifyQuote(q *Quote, caPub []byte, nonce []byte, expectMeasurement *Measur
 	if !ok || certMeasurement != hex.EncodeToString(q.Measurement[:]) {
 		return cryptoutil.Address{}, fmt.Errorf("tee: certificate measurement does not match quote")
 	}
-	pub, err := cryptoutil.ParsePublicKey(q.DeviceKey)
+	pub, device, err := cryptoutil.ParsePublicKey(q.DeviceKey)
 	if err != nil {
 		return cryptoutil.Address{}, err
 	}
 	if !cryptoutil.Verify(pub, q.SigningBytes(), q.Signature) {
 		return cryptoutil.Address{}, fmt.Errorf("tee: quote signature invalid")
 	}
-	return cryptoutil.AddressOf(pub), nil
+	return device, nil
 }
