@@ -101,9 +101,11 @@
 // mpMu, and while it still holds sealMu, it calls every matching handler
 // on each of the block's events, in commit order — handlers of one event
 // in registration order — under the feed's lock, and returns only when
-// they have. Nothing is buffered, so nothing is dropped, and sealMu keeps
-// the order across blocks. The feed's lock joins the order as
-// sealMu → feed.mu → handler locks, which fixes what a handler may do:
+// they have. The feed reads the events off the block's receipts: nothing
+// is copied or buffered, so nothing is dropped and delivery allocates
+// nothing. sealMu keeps the order across blocks. The feed's lock joins
+// the order as sealMu → feed.mu → handler locks, which fixes what a
+// handler may do:
 //
 //   - it returns promptly: the commit, and every seal behind it, waits
 //     for it;

@@ -19,7 +19,7 @@ type Event struct {
 	// Key is an optional secondary filter (e.g. the resource IRI).
 	Key string
 	// Data is the payload, in the emitting contract's encoding (the DE
-	// App's is its record codec, distexchange/codec.go).
+	// App's godoc, "Events", lists what each of its topics carries).
 	Data []byte
 	// BlockNumber and TxHash locate the event on the ledger.
 	BlockNumber uint64
@@ -89,14 +89,17 @@ func (f *eventFeed) subscribe(filter EventFilter, handle func(Event)) (cancel fu
 	}
 }
 
-// publish calls every matching handler on each event, in event order.
-func (f *eventFeed) publish(events []Event) {
+// publish calls every matching handler on each event of a committed
+// block, read from its receipts in commit order.
+func (f *eventFeed) publish(receipts []*Receipt) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for i := range events {
-		for _, sub := range f.subs {
-			if sub.filter.Matches(&events[i]) {
-				sub.handle(events[i])
+	for _, r := range receipts {
+		for i := range r.Events {
+			for _, sub := range f.subs {
+				if sub.filter.Matches(&r.Events[i]) {
+					sub.handle(r.Events[i])
+				}
 			}
 		}
 	}

@@ -573,7 +573,6 @@ func (n *Node) commitBlock(block *Block, deltas []Delta, scratch *blockScratch) 
 			return fmt.Errorf("chain: persist block %d: %w", block.Header.Number, err)
 		}
 	}
-	var events []Event
 	tr := n.metrics.Tracer
 	n.mpMu.Lock()
 	n.settleLocked(block.Txs)
@@ -589,7 +588,6 @@ func (n *Node) commitBlock(block *Block, deltas []Delta, scratch *blockScratch) 
 	n.costs.Record(block.GasUsed())
 	for _, r := range block.Receipts {
 		n.receipts[r.TxHash] = r
-		events = append(events, r.Events...)
 		if chans, ok := n.waiters[r.TxHash]; ok {
 			for _, ch := range chans {
 				// Waiter channels are buffered (capacity 1) at
@@ -615,11 +613,9 @@ func (n *Node) commitBlock(block *Block, deltas []Delta, scratch *blockScratch) 
 	}
 	n.mu.Unlock()
 	n.mpMu.Unlock()
-	if len(events) > 0 {
-		// Handed to the handlers outside mu; sealMu keeps cross-block
-		// event order.
-		n.feed.publish(events)
-	}
+	// Handed to the handlers outside mu, straight from the receipts;
+	// sealMu keeps cross-block event order.
+	n.feed.publish(block.Receipts)
 	if n.snap != nil {
 		n.tailBytes += diffBytes(deltas)
 		if store.SnapshotDue(n.tailBytes, st.Bytes(), n.snapFloor) {

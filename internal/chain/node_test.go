@@ -440,6 +440,45 @@ func TestEventDeliveryInCommitOrder(t *testing.T) {
 	}
 }
 
+// TestEventDeliveryAllocations pins what handing a committed block's
+// events to a subscriber allocates: nothing. The feed reads them off the
+// block's receipts, so committing the block again — with nothing to fold
+// and no log — allocates nothing at all. At c850a0a, which first copied
+// every receipt's events into a fresh slice, it made 1.
+func TestEventDeliveryAllocations(t *testing.T) {
+	const want = 0
+	node, key, clk := newTestNode(t)
+	delivered := 0
+	defer node.SubscribeEvents(EventFilter{Topic: "Set"}, func(Event) { delivered++ })()
+	if _, err := submit1(node, mustTx(t, key, 0, testContractAddr(), "k", "v")); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(time.Second)
+	block, err := node.Seal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if delivered != 1 {
+		t.Fatalf("%d events delivered by the seal, want 1", delivered)
+	}
+	node.sealMu.Lock()
+	defer node.sealMu.Unlock()
+	got := testing.AllocsPerRun(100, func() {
+		if err := node.commitBlock(block, nil, &node.scratch); err != nil {
+			t.Fatal(err)
+		}
+		node.mu.Lock()
+		node.blocks = node.blocks[:len(node.blocks)-1]
+		node.mu.Unlock()
+	})
+	if delivered != 1+101 {
+		t.Fatalf("%d events delivered, want one per commit", delivered)
+	}
+	if got != want {
+		t.Fatalf("committing a block of one event to one subscriber: %.0f allocations, want %d", got, want)
+	}
+}
+
 func TestCostLedgerRecordsGas(t *testing.T) {
 	node, key, clk := newTestNode(t)
 	contract := testContractAddr()

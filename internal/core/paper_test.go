@@ -121,14 +121,14 @@ func TestPaperSecurityVerdicts(t *testing.T) {
 // less the signature.
 func TestPaperGasTable(t *testing.T) {
 	golden := map[string]struct{ exec, argBytes uint64 }{
-		"registerPod":       {29_963, 84},
-		"registerResource":  {44_402, 344},
-		"registerDevice":    {30_155, 221}, // less the signature
-		"recordGrant":       {30_499, 99},
-		"confirmRetrieval":  {30_299, 45},
+		"registerPod":       {28_995, 84},
+		"registerResource":  {39_810, 344},
+		"registerDevice":    {28_700, 221}, // less the signature
+		"recordGrant":       {29_060, 99},
+		"confirmRetrieval":  {28_860, 45},
 		"updatePolicy":      {35_751, 238},
 		"requestMonitoring": {44_703, 45},
-		"submitEvidence":    {43_547, 155}, // less the signature
+		"submitEvidence":    {42_171, 155}, // less the signature
 	}
 	d := newDeployment(t, Config{})
 	ctx := context.Background()
@@ -196,10 +196,10 @@ func trailingSignatureLen(t *testing.T, args []byte) int {
 
 // TestPaperGasPerEvidence prices the table's submitEvidence row by the round:
 // the pull-in oracle answers a round with one transaction, whose first
-// evidence costs the row (43 547 to execute, the 21 000 base charge in it) and
+// evidence costs the row (42 171 to execute, the 21 000 base charge in it) and
 // every further one the row less the base charge, exactly.
 func TestPaperGasPerEvidence(t *testing.T) {
-	const first, marginal = 43_547, 22_547
+	const first, marginal = 42_171, 21_171
 	d := newDeployment(t, Config{OracleFanout: true})
 	ctx := context.Background()
 	owner, iri := ownerWithResource(d, "alice", 4096, nil)

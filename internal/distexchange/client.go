@@ -150,16 +150,19 @@ func (c *Client) RequestMonitoring(ctx context.Context, resourceIRI string) (Mon
 	return round, nil
 }
 
-// SubmitEvidence delivers signed compliance evidence: a list of one.
-func (c *Client) SubmitEvidence(ctx context.Context, signed SignedEvidence) (EvidenceRecord, error) {
+// SubmitEvidence delivers signed compliance evidence, a list of one, and
+// returns the seq its record is stored under.
+func (c *Client) SubmitEvidence(ctx context.Context, signed SignedEvidence) (uint64, error) {
 	out := c.SubmitEvidenceBatch(ctx, []SignedEvidence{signed})[0]
-	return out.Record, out.Err
+	return out.Seq, out.Err
 }
 
 // EvidenceOutcome is the fate of one evidence of a submitEvidence list.
 type EvidenceOutcome struct {
-	// Record is the stored record of an accepted evidence.
-	Record EvidenceRecord
+	// Seq is the per-resource sequence number of an accepted evidence's
+	// record: with its resource and round, it names the record's ledger
+	// key, and GetRoundEvidence lists the record.
+	Seq uint64
 	// Err is a *RevertError when the contract refused this evidence: with
 	// its own reason when the transaction accepted another, with the
 	// transaction's — the first refusal's — when it accepted none. Any other
@@ -234,9 +237,10 @@ func evidenceGasBound(s *SignedEvidence) uint64 {
 		// kind and the widest numbers.
 		violationText = len(ViolationStalePolicy) + len("evidence # round ") + 2*20
 	)
-	// A record is stored and emitted: one Set and one Emit of the same bytes.
+	// A record is stored once, and an event names it by its round and seq.
 	record := func(size int) uint64 {
-		return chain.GasStorageSet + chain.GasEventBase + uint64(size)*(chain.GasStoragePerByte+chain.GasEventPerByte)
+		return chain.GasStorageSet + uint64(size)*chain.GasStoragePerByte +
+			chain.GasEventBase + ledgerRefSize*chain.GasEventPerByte
 	}
 	e := &s.Evidence
 	return uint64(signedEvidenceSize(s))*chain.GasPerArgByte +

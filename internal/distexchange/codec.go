@@ -1,6 +1,8 @@
 package distexchange
 
 import (
+	"encoding/binary"
+
 	"repro/internal/cryptoutil"
 	"repro/internal/policy"
 	"repro/internal/store"
@@ -8,8 +10,8 @@ import (
 
 // The record codec: the one encoding of every DE App record, described in
 // the package comment ("Record format"). What the contract stores under a
-// key is what it emits, returns and answers queries with; the Decode
-// functions read those bytes off-chain.
+// key is what it answers queries with; the Decode functions read those
+// bytes off-chain.
 const (
 	// tagPod opens a PodRecord.
 	tagPod byte = 0x21
@@ -110,10 +112,9 @@ func decodePodRecord(d *store.Dec, r *PodRecord) {
 	r.DefaultPolicy = decodeOptPolicy(d)
 }
 
-// appendResourceRecord also returns where the policy's own encoding starts
-// (len(record) when there is none): the record ends with it, so the events
-// that carry the policy alone carry a tail of the stored bytes.
-func appendResourceRecord(dst []byte, r *ResourceRecord) (record []byte, policyAt int) {
+// appendResourceRecord ends the record with its policy, so PolicyUpdated
+// carries a tail of the stored bytes (spliceResourcePolicy).
+func appendResourceRecord(dst []byte, r *ResourceRecord) []byte {
 	dst = grow(dst, fixedSize+len(r.ResourceIRI)+len(r.PodWebID)+len(r.Location)+len(r.Description)+optPolicySize(r.Policy))
 	dst = append(dst, tagResource)
 	dst = store.AppendBool(dst, r.Withdrawn)
@@ -123,8 +124,7 @@ func appendResourceRecord(dst []byte, r *ResourceRecord) (record []byte, policyA
 	dst = store.AppendString(dst, r.Description)
 	dst = append(dst, r.Owner[:]...)
 	dst = store.AppendUTC(dst, r.RegisteredAt)
-	policyAt = len(dst) + 1
-	return appendOptPolicy(dst, r.Policy), policyAt
+	return appendOptPolicy(dst, r.Policy)
 }
 
 func decodeResourceRecord(d *store.Dec, r *ResourceRecord) {
@@ -425,15 +425,17 @@ func decodeViolation(d *store.Dec, v *Violation) {
 
 // appendEvidenceOutcomes opens what submitEvidence returns for a list of n
 // evidence: the tag and n, followed — in list order, one per item — by
-// appendAcceptedEvidence or appendRefusedEvidence.
+// appendAcceptedEvidence or appendRefusedEvidence. It makes room for n
+// accepted items.
 func appendEvidenceOutcomes(dst []byte, n int) []byte {
+	dst = grow(dst, (1+n)*(1+binary.MaxVarintLen64))
 	return store.AppendUvarint(append(dst, tagEvidenceOutcomes), uint64(n))
 }
 
-// appendAcceptedEvidence appends the outcome of an accepted evidence: its
-// stored record, as it is.
-func appendAcceptedEvidence(dst, record []byte) []byte {
-	return append(store.AppendBool(dst, true), record...)
+// appendAcceptedEvidence appends the outcome of an accepted evidence: the
+// seq its record is stored under.
+func appendAcceptedEvidence(dst []byte, seq uint64) []byte {
+	return store.AppendUvarint(store.AppendBool(dst, true), seq)
 }
 
 // appendRefusedEvidence appends the outcome of a refused evidence: the
@@ -452,7 +454,7 @@ func decodeEvidenceOutcomes(d *store.Dec, out *[]EvidenceOutcome) {
 	for range n {
 		var o EvidenceOutcome
 		if d.Bool() {
-			decodeEvidenceRecord(d, &o.Record)
+			o.Seq = d.Uvarint()
 		} else {
 			o.Err = &RevertError{Method: methodSubmitEvidence, Reason: d.String()}
 		}
@@ -461,6 +463,22 @@ func decodeEvidenceOutcomes(d *store.Dec, out *[]EvidenceOutcome) {
 		}
 		*out = append(*out, o)
 	}
+}
+
+// ledgerRefSize bounds the data of an EvidenceRecorded or ViolationDetected
+// event.
+const ledgerRefSize = 2 * binary.MaxVarintLen64
+
+// withLedgerRef returns the record an append… function just built and the
+// data of the event that names it: the record's round and seq, two
+// uvarints, which with the event's key, the resource IRI, name its ledger
+// key (evKey, violKey). The reference goes behind the record, in the room
+// the append's size bound leaves there, so the two share one allocation
+// unless that room is short; the record comes back capped at its length,
+// so nothing appended to it reaches the reference.
+func withLedgerRef(record []byte, round, seq uint64) (stored, ref []byte) {
+	n := len(record)
+	return record[:n:n], store.AppendUvarint(store.AppendUvarint(record[n:], round), seq)
 }
 
 // appendListing appends a query's listing reply: a count, then the stored
@@ -510,15 +528,14 @@ func decodeListing[T any](b []byte, decode func(*store.Dec, *T)) ([]T, error) {
 	return out, nil
 }
 
-// The Decode functions read what the DE App stores, emits, returns and
-// answers queries with. Each takes exactly one record (or one listing) and
-// reports anything else as store.ErrCodec.
+// The Decode functions read what the DE App answers queries with, returns
+// and puts in the two events that carry a payload. Each takes exactly one
+// record (or one listing) and reports anything else as store.ErrCodec.
 
-// DecodePodRecord decodes a getPod reply or a PodRegistered payload.
+// DecodePodRecord decodes a getPod reply.
 func DecodePodRecord(b []byte) (PodRecord, error) { return decodeRecord(b, decodePodRecord) }
 
-// DecodeResourceRecord decodes a getResource reply or a ResourceRegistered
-// or ResourceWithdrawn payload.
+// DecodeResourceRecord decodes a getResource reply.
 func DecodeResourceRecord(b []byte) (ResourceRecord, error) {
 	return decodeRecord(b, decodeResourceRecord)
 }
@@ -528,15 +545,11 @@ func DecodeResourceRecords(b []byte) ([]ResourceRecord, error) {
 	return decodeListing(b, decodeResourceRecord)
 }
 
-// DecodePolicy decodes a PolicyPublished or PolicyUpdated payload.
+// DecodePolicy decodes a PolicyUpdated payload.
 func DecodePolicy(b []byte) (policy.Policy, error) { return decodeRecord(b, policy.DecodeRecord) }
 
-// DecodeDeviceRecord decodes a getDevice reply or a DeviceRegistered payload.
+// DecodeDeviceRecord decodes a getDevice reply.
 func DecodeDeviceRecord(b []byte) (DeviceRecord, error) { return decodeRecord(b, decodeDeviceRecord) }
-
-// DecodeGrant decodes a GrantRecorded, RetrievalConfirmed or GrantRevoked
-// payload.
-func DecodeGrant(b []byte) (Grant, error) { return decodeRecord(b, decodeGrant) }
 
 // DecodeGrants decodes a getGrants reply.
 func DecodeGrants(b []byte) ([]Grant, error) { return decodeListing(b, decodeGrant) }
@@ -546,11 +559,6 @@ func DecodeGrants(b []byte) ([]Grant, error) { return decodeListing(b, decodeGra
 // payload.
 func DecodeMonitoringRound(b []byte) (MonitoringRound, error) {
 	return decodeRecord(b, decodeMonitoringRound)
-}
-
-// DecodeEvidenceRecord decodes an EvidenceRecorded payload.
-func DecodeEvidenceRecord(b []byte) (EvidenceRecord, error) {
-	return decodeRecord(b, decodeEvidenceRecord)
 }
 
 // DecodeEvidenceOutcomes decodes what submitEvidence returns: one outcome
@@ -563,9 +571,6 @@ func DecodeEvidenceOutcomes(b []byte) ([]EvidenceOutcome, error) {
 func DecodeEvidenceRecords(b []byte) ([]EvidenceRecord, error) {
 	return decodeListing(b, decodeEvidenceRecord)
 }
-
-// DecodeViolation decodes a ViolationDetected payload.
-func DecodeViolation(b []byte) (Violation, error) { return decodeRecord(b, decodeViolation) }
 
 // DecodeViolations decodes a getViolations reply.
 func DecodeViolations(b []byte) ([]Violation, error) { return decodeListing(b, decodeViolation) }

@@ -273,7 +273,7 @@ func (c *Contract) registerPod(env *contract.Env, args *RegisterPodArgs) ([]byte
 	if err := env.Set(podKey(env.Key(), args.OwnerWebID), record); err != nil {
 		return nil, err
 	}
-	if err := env.Emit(TopicPodRegistered, args.OwnerWebID, record); err != nil {
+	if err := env.Emit(TopicPodRegistered, args.OwnerWebID, nil); err != nil {
 		return nil, err
 	}
 	return nil, nil
@@ -335,17 +335,17 @@ func (c *Contract) registerResource(env *contract.Env, args *RegisterResourceArg
 		Policy:       pol,
 		RegisteredAt: env.Block.Time,
 	}
-	record, policyAt := appendResourceRecord(nil, &rec)
+	record := appendResourceRecord(nil, &rec)
 	if err := env.Set(resKey(env.Key(), args.ResourceIRI), record); err != nil {
 		return nil, err
 	}
 	if err := env.Set(resByPodKey(env.Key(), args.PodWebID, args.ResourceIRI), []byte{1}); err != nil {
 		return nil, err
 	}
-	if err := env.Emit(TopicResourceRegistered, args.ResourceIRI, record); err != nil {
+	if err := env.Emit(TopicResourceRegistered, args.ResourceIRI, nil); err != nil {
 		return nil, err
 	}
-	if err := env.Emit(TopicPolicyPublished, args.ResourceIRI, record[policyAt:]); err != nil {
+	if err := env.Emit(TopicPolicyPublished, args.ResourceIRI, nil); err != nil {
 		return nil, err
 	}
 	return nil, nil
@@ -401,14 +401,10 @@ func (c *Contract) withdrawResource(env *contract.Env, args *WithdrawResourceArg
 	if head.withdrawn {
 		return nil, contract.Revertf("withdrawResource: already withdrawn")
 	}
-	record := withdrawnResource(raw)
-	if err := env.Set(resKey(env.Key(), args.ResourceIRI), record); err != nil {
+	if err := env.Set(resKey(env.Key(), args.ResourceIRI), withdrawnResource(raw)); err != nil {
 		return nil, err
 	}
 	if err := env.Delete(resByPodKey(env.Key(), string(head.pod), args.ResourceIRI)); err != nil {
-		return nil, err
-	}
-	if err := env.Emit(TopicResourceWithdrawn, args.ResourceIRI, record); err != nil {
 		return nil, err
 	}
 	return nil, nil
@@ -445,11 +441,7 @@ func (c *Contract) registerDevice(env *contract.Env, args *RegisterDeviceArgs) (
 		Measurement:  measurement,
 		RegisteredAt: env.Block.Time,
 	}
-	record := appendDeviceRecord(nil, &rec)
-	if err := env.Set(devKey(env.Key(), env.Sender), record); err != nil {
-		return nil, err
-	}
-	if err := env.Emit(TopicDeviceRegistered, env.Sender.String(), record); err != nil {
+	if err := env.Set(devKey(env.Key(), env.Sender), appendDeviceRecord(nil, &rec)); err != nil {
 		return nil, err
 	}
 	return nil, nil
@@ -492,11 +484,7 @@ func (c *Contract) recordGrant(env *contract.Env, args *RecordGrantArgs) ([]byte
 		Purpose:     args.Purpose,
 		GrantedAt:   env.Block.Time,
 	}
-	record := appendGrant(nil, &g)
-	if err := env.Set(grantKey(env.Key(), args.ResourceIRI, args.Device), record); err != nil {
-		return nil, err
-	}
-	if err := env.Emit(TopicGrantRecorded, args.ResourceIRI, record); err != nil {
+	if err := env.Set(grantKey(env.Key(), args.ResourceIRI, args.Device), appendGrant(nil, &g)); err != nil {
 		return nil, err
 	}
 	return nil, nil
@@ -518,11 +506,7 @@ func (c *Contract) confirmRetrieval(env *contract.Env, args *ConfirmRetrievalArg
 		return nil, contract.Revertf("confirmRetrieval: already confirmed")
 	}
 	g.RetrievedAt = env.Block.Time
-	record := appendGrant(nil, &g)
-	if err := env.Set(grantKey(env.Key(), args.ResourceIRI, env.Sender), record); err != nil {
-		return nil, err
-	}
-	if err := env.Emit(TopicRetrievalConfirmed, args.ResourceIRI, record); err != nil {
+	if err := env.Set(grantKey(env.Key(), args.ResourceIRI, env.Sender), appendGrant(nil, &g)); err != nil {
 		return nil, err
 	}
 	return nil, nil
@@ -549,11 +533,7 @@ func (c *Contract) revokeGrant(env *contract.Env, args *RevokeGrantArgs) ([]byte
 		return nil, contract.Revertf("revokeGrant: already revoked")
 	}
 	g.Revoked = true
-	record := appendGrant(nil, &g)
-	if err := env.Set(grantKey(env.Key(), args.ResourceIRI, args.Device), record); err != nil {
-		return nil, err
-	}
-	if err := env.Emit(TopicGrantRevoked, args.ResourceIRI, record); err != nil {
+	if err := env.Set(grantKey(env.Key(), args.ResourceIRI, args.Device), appendGrant(nil, &g)); err != nil {
 		return nil, err
 	}
 	return nil, nil
@@ -677,12 +657,12 @@ func (c *Contract) submitEvidence(env *contract.Env, args *SubmitEvidenceArgs) (
 			outcomes = appendRefusedEvidence(outcomes, refused.Error())
 			continue
 		}
-		record, err := c.recordEvidence(env, &args.Signed[i].Evidence, &items[i])
+		seq, err := c.recordEvidence(env, &args.Signed[i].Evidence, &items[i])
 		if err != nil {
 			return nil, err
 		}
 		accepted = true
-		outcomes = appendAcceptedEvidence(outcomes, record)
+		outcomes = appendAcceptedEvidence(outcomes, seq)
 	}
 	if !accepted {
 		return nil, firstRefusal
@@ -729,15 +709,14 @@ func (c *Contract) checkEvidence(env *contract.Env, ev *Evidence, it *checkedEvi
 
 // recordEvidence records one evidence that the check and verify passes
 // accepted — its ev/ record, event, violations and round bookkeeping — and
-// returns the stored record. Nothing here refuses: what fails reverts.
-func (c *Contract) recordEvidence(env *contract.Env, ev *Evidence, it *checkedEvidence) ([]byte, error) {
+// returns the record's seq. Nothing here refuses: what fails reverts.
+func (c *Contract) recordEvidence(env *contract.Env, ev *Evidence, it *checkedEvidence) (uint64, error) {
 	findings := c.checkCompliance(&it.rec, &it.grant, ev)
 
 	seq, err := bumpCounter(env, evSeqKey(env.Key(), ev.ResourceIRI))
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	// One encoding serves storage, the event payload and the return value.
 	record := appendEvidenceRecord(nil, &EvidenceRecord{
 		Seq:      seq,
 		Evidence: *ev,
@@ -746,26 +725,27 @@ func (c *Contract) recordEvidence(env *contract.Env, ev *Evidence, it *checkedEv
 		Round:    ev.Round,
 		Findings: findings,
 	})
+	record, ref := withLedgerRef(record, ev.Round, seq)
 	if err := env.Set(evKey(env.Key(), ev.ResourceIRI, ev.Round, seq), record); err != nil {
-		return nil, err
+		return 0, err
 	}
-	if err := env.Emit(TopicEvidenceRecorded, ev.ResourceIRI, record); err != nil {
-		return nil, err
+	if err := env.Emit(TopicEvidenceRecorded, ev.ResourceIRI, ref); err != nil {
+		return 0, err
 	}
 
 	for _, kind := range findings {
 		if err := c.recordViolation(env, ev.ResourceIRI, ev.Device, kind,
 			fmt.Sprintf("evidence #%d round %d", seq, ev.Round), ev.Round); err != nil {
-			return nil, err
+			return 0, err
 		}
 	}
 
 	if ev.Round > 0 {
 		if err := c.noteResponse(env, ev.ResourceIRI, ev.Round, ev.Device); err != nil {
-			return nil, err
+			return 0, err
 		}
 	}
-	return record, nil
+	return seq, nil
 }
 
 // noteResponse advances a monitoring round by one responding device. Only
@@ -844,11 +824,11 @@ func (c *Contract) recordViolation(env *contract.Env, iri string, device cryptou
 		DetectedAt:  env.Block.Time,
 		Round:       round,
 	}
-	record := appendViolation(nil, &v)
+	record, ref := withLedgerRef(appendViolation(nil, &v), round, seq)
 	if err := env.Set(violKey(env.Key(), iri, round, seq), record); err != nil {
 		return err
 	}
-	return env.Emit(TopicViolationDetected, iri, record)
+	return env.Emit(TopicViolationDetected, iri, ref)
 }
 
 func (c *Contract) reportUnresponsive(env *contract.Env, args *ReportUnresponsiveArgs) ([]byte, error) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -224,6 +225,25 @@ func (f *fixture) signedEvidence(ev Evidence) SignedEvidence {
 		f.t.Fatal(err)
 	}
 	return SignedEvidence{Evidence: ev, Signature: sig}
+}
+
+// submitEvidence has the fixture's device submit ev and returns the record
+// stored for it, read back under the seq the contract returned.
+func (f *fixture) submitEvidence(ev Evidence) (EvidenceRecord, error) {
+	seq, err := f.device.SubmitEvidence(context.Background(), f.signedEvidence(ev))
+	if err != nil {
+		return EvidenceRecord{}, err
+	}
+	recs, err := f.alice.GetRoundEvidence(ev.ResourceIRI, ev.Round)
+	if err != nil {
+		return EvidenceRecord{}, err
+	}
+	for _, rec := range recs {
+		if rec.Seq == seq {
+			return rec, nil
+		}
+	}
+	return EvidenceRecord{}, fmt.Errorf("no record with seq %d in round %d", seq, ev.Round)
 }
 
 func alicePolicy() *policy.Policy {
@@ -607,7 +627,7 @@ func TestMonitoringRoundAndEvidence(t *testing.T) {
 		},
 		GeneratedAt: now,
 	}
-	rec, err := f.device.SubmitEvidence(ctx, f.signedEvidence(ev))
+	rec, err := f.submitEvidence(ev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -643,7 +663,6 @@ func TestMonitoringRoundAndEvidence(t *testing.T) {
 
 func TestEvidenceDetectsRetentionViolation(t *testing.T) {
 	f := newFixture(t)
-	ctx := context.Background()
 	pol := alicePolicy()
 	pol.MaxRetention = 24 * time.Hour
 	iri := f.registerAlicePodAndResource(pol)
@@ -657,7 +676,7 @@ func TestEvidenceDetectsRetentionViolation(t *testing.T) {
 		ResourceIRI: iri, Device: f.device.Address(), PolicyVersion: 1,
 		StillStored: true, RetrievedAt: retrievedAt, GeneratedAt: f.clk.Now(),
 	}
-	rec, err := f.device.SubmitEvidence(ctx, f.signedEvidence(ev))
+	rec, err := f.submitEvidence(ev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -678,7 +697,6 @@ func TestEvidenceDetectsRetentionViolation(t *testing.T) {
 
 func TestEvidenceDetectsLateDeletion(t *testing.T) {
 	f := newFixture(t)
-	ctx := context.Background()
 	pol := alicePolicy()
 	pol.MaxRetention = 24 * time.Hour
 	iri := f.registerAlicePodAndResource(pol)
@@ -692,7 +710,7 @@ func TestEvidenceDetectsLateDeletion(t *testing.T) {
 		StillStored: false, DeletedAt: retrievedAt.Add(48 * time.Hour),
 		RetrievedAt: retrievedAt, GeneratedAt: f.clk.Now(),
 	}
-	rec, err := f.device.SubmitEvidence(ctx, f.signedEvidence(ev))
+	rec, err := f.submitEvidence(ev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -703,7 +721,6 @@ func TestEvidenceDetectsLateDeletion(t *testing.T) {
 
 func TestEvidenceDetectsPurposeAndMaxUseViolations(t *testing.T) {
 	f := newFixture(t)
-	ctx := context.Background()
 	pol := alicePolicy()
 	pol.AllowedPurposes = []policy.Purpose{policy.PurposeWebAnalytics}
 	pol.MaxUses = 1
@@ -720,7 +737,7 @@ func TestEvidenceDetectsPurposeAndMaxUseViolations(t *testing.T) {
 		},
 		GeneratedAt: now,
 	}
-	rec, err := f.device.SubmitEvidence(ctx, f.signedEvidence(ev))
+	rec, err := f.submitEvidence(ev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -749,7 +766,7 @@ func TestEvidenceDetectsStalePolicy(t *testing.T) {
 		ResourceIRI: iri, Device: f.device.Address(), PolicyVersion: 1, // lagging
 		StillStored: true, RetrievedAt: now, GeneratedAt: now,
 	}
-	rec, err := f.device.SubmitEvidence(ctx, f.signedEvidence(ev))
+	rec, err := f.submitEvidence(ev)
 	if err != nil {
 		t.Fatal(err)
 	}

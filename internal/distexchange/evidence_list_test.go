@@ -1,6 +1,7 @@
 package distexchange
 
 import (
+	"bytes"
 	"context"
 	"encoding/hex"
 	"errors"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/contract"
 	"repro/internal/cryptoutil"
 	"repro/internal/policy"
+	"repro/internal/store"
 )
 
 // listWorld is a DE App over a bare state with one monitored resource, set
@@ -158,6 +160,13 @@ func (w *listWorld) draw(rng *rand.Rand) SignedEvidence {
 	return SignedEvidence{Evidence: ev, Signature: sig}
 }
 
+// record reads the evidence record stored for the world's resource under
+// round and seq.
+func (w *listWorld) record(round, seq uint64) (EvidenceRecord, error) {
+	raw, _ := w.st.Get(evKey([]byte(w.deAddr.String()+"/"), w.iri, round, seq))
+	return decodeRecord(raw, decodeEvidenceRecord)
+}
+
 // snapshot is the DE App's whole state and every event payload emitted so
 // far, in order.
 type snapshot struct {
@@ -184,7 +193,8 @@ func (w *listWorld) snapshot(receipts []*chain.Receipt) snapshot {
 // N transactions of one and as one transaction of N, leave byte-identical
 // contract state — ev/, viol/, the three round keys, every counter — and
 // the same event payloads in the same order. Item by item the list reports
-// what the single transaction did: the stored record, or the revert text.
+// what the single transaction did: the stored record's seq, or the revert
+// text.
 func TestEvidenceListMatchesSingleSubmissions(t *testing.T) {
 	base := newListWorld(t)
 	at := t0.Add(48 * time.Hour)
@@ -270,10 +280,14 @@ func TestEvidenceListMatchesSingleSubmissions(t *testing.T) {
 			if err != nil || len(alone) != 1 {
 				t.Fatal(err)
 			}
-			if o.Err != nil || !reflect.DeepEqual(o.Record, alone[0].Record) {
-				t.Errorf("seed %d item %d: outcome %+v (%v), alone %+v", seed, i, o.Record, o.Err, alone[0].Record)
+			if o.Err != nil || o.Seq != alone[0].Seq {
+				t.Errorf("seed %d item %d: outcome seq %d (%v), alone %d", seed, i, o.Seq, o.Err, alone[0].Seq)
 			}
-			for _, kind := range o.Record.Findings {
+			rec, err := list.record(signed[i].Evidence.Round, o.Seq)
+			if err != nil || rec.Seq != o.Seq || rec.Evidence.Device != signed[i].Evidence.Device {
+				t.Fatalf("seed %d item %d: record under seq %d: %+v (%v)", seed, i, o.Seq, rec, err)
+			}
+			for _, kind := range rec.Findings {
 				met[string(kind)]++
 			}
 		}
@@ -330,8 +344,9 @@ func TestEvidenceListRefusals(t *testing.T) {
 	for i, want := range []string{"evidence signature invalid", "", "device " + w.nobody.Address().String() + " not registered", ""} {
 		o := outcomes[i]
 		if want == "" {
-			if o.Err != nil || o.Record.Evidence.Device != w.holders[i/2].Address() || o.Record.Seq != uint64(1+i/2) {
-				t.Errorf("item %d: %+v (%v), want holder %d's record", i, o.Record, o.Err, i/2)
+			rec, err := w.record(2, o.Seq)
+			if o.Err != nil || o.Seq != uint64(1+i/2) || err != nil || rec.Evidence.Device != w.holders[i/2].Address() {
+				t.Errorf("item %d: seq %d (%v), record %+v (%v), want holder %d's record", i, o.Seq, o.Err, rec, err, i/2)
 			}
 			continue
 		}
@@ -431,8 +446,17 @@ func TestEvidenceListSplitsAtTheGasLimit(t *testing.T) {
 	var txs []*chain.Tx
 	relay := NewClient(recordingBackend{sealingBackend{f.node}, &txs}, cryptoutil.MustGenerateKey(), f.deAddr)
 	for i, o := range relay.SubmitEvidenceBatch(ctx, signed) {
-		if o.Err != nil || o.Record.Evidence.Device != round.Targets[i] || o.Record.Seq != uint64(i+1) {
-			t.Fatalf("evidence %d: device %s seq %d (%v)", i, o.Record.Evidence.Device.Short(), o.Record.Seq, o.Err)
+		if o.Err != nil || o.Seq != uint64(i+1) {
+			t.Fatalf("evidence %d: seq %d (%v)", i, o.Seq, o.Err)
+		}
+	}
+	recs, err := f.alice.GetRoundEvidence(iri, round.Round)
+	if err != nil || len(recs) != devices {
+		t.Fatalf("%d records (%v), want %d", len(recs), err, devices)
+	}
+	for i, rec := range recs {
+		if rec.Evidence.Device != round.Targets[i] || rec.Seq != uint64(i+1) {
+			t.Fatalf("record %d: device %s seq %d", i, rec.Evidence.Device.Short(), rec.Seq)
 		}
 	}
 	if len(txs) != wantTxs {
@@ -490,9 +514,13 @@ func TestEvidenceGasBoundCoversTheWorstCase(t *testing.T) {
 			var txs []*chain.Tx
 			device := NewClient(recordingBackend{sealingBackend{f.node}, &txs}, f.devKey, f.deAddr)
 			signed := f.signedEvidence(ev)
-			rec, err := device.SubmitEvidence(ctx, signed)
-			if err != nil || len(rec.Findings) != 4 {
-				t.Fatalf("findings %v (%v), want all four", rec.Findings, err)
+			seq, err := device.SubmitEvidence(ctx, signed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs, err := f.alice.GetRoundEvidence(iri, round.Round)
+			if err != nil || len(recs) != 1 || recs[0].Seq != seq || len(recs[0].Findings) != 4 {
+				t.Fatalf("records %+v (%v), want seq %d with all four findings", recs, err, seq)
 			}
 			used := f.node.Receipt(txs[0].Hash()).GasUsed
 			bound := evidenceTxGas + evidenceGasBound(&signed)
@@ -500,5 +528,114 @@ func TestEvidenceGasBoundCoversTheWorstCase(t *testing.T) {
 				t.Fatalf("%d gas used, bound %d: want the bound to hold, and by less than half", used, bound)
 			}
 		})
+	}
+}
+
+// TestEvidenceListWritesRecordsOnce: a 16-device round answered in one
+// transaction leaves each evidence record in one place, under its ledger
+// key. The receipt returns 16 seqs and no record bytes; every event the
+// chain has carried names its record instead of copying it — nothing for
+// a registration, round and seq for evidence and violations — except the
+// two whose subscriber decodes the payload; and the round's listing holds
+// 16 records under the returned seqs.
+func TestEvidenceListWritesRecordsOnce(t *testing.T) {
+	const devices = 16
+	f := newFixture(t)
+	ctx := context.Background()
+	iri := f.registerAlicePodAndResource(alicePolicy())
+	holders := make([]holder, devices)
+	for i := range holders {
+		holders[i] = f.addHolder(iri)
+	}
+	if _, err := f.alice.UpdatePolicy(ctx, UpdatePolicyArgs{ResourceIRI: iri, Policy: alicePolicy().NextVersion(t0)}); err != nil {
+		t.Fatal(err)
+	}
+	round, err := f.alice.RequestMonitoring(ctx, iri)
+	if err != nil || len(round.Targets) != devices {
+		t.Fatalf("%d targets: %v", len(round.Targets), err)
+	}
+	now := f.clk.Now()
+	signed := make([]SignedEvidence, devices)
+	for i, h := range holders {
+		// Policy version 1 of 2: one stale-policy violation each.
+		ev := Evidence{ResourceIRI: iri, Device: h.key.Address(), Round: round.Round, PolicyVersion: 1,
+			StillStored: true, RetrievedAt: now, GeneratedAt: now}
+		sig, err := h.key.Sign(ev.SigningBytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		signed[i] = SignedEvidence{Evidence: ev, Signature: sig}
+	}
+	var txs []*chain.Tx
+	relay := NewClient(recordingBackend{sealingBackend{f.node}, &txs}, cryptoutil.MustGenerateKey(), f.deAddr)
+	outcomes := relay.SubmitEvidenceBatch(ctx, signed)
+	if len(txs) != 1 {
+		t.Fatalf("%d transactions, want 1", len(txs))
+	}
+	r := f.node.Receipt(txs[0].Hash())
+
+	want := appendEvidenceOutcomes(nil, devices)
+	for i, o := range outcomes {
+		if o.Err != nil || o.Seq != uint64(i+1) {
+			t.Fatalf("evidence %d: seq %d (%v)", i, o.Seq, o.Err)
+		}
+		want = appendAcceptedEvidence(want, o.Seq)
+	}
+	if !bytes.Equal(r.Return, want) {
+		t.Fatalf("return value\n%x\nwant 16 seqs\n%x", r.Return, want)
+	}
+
+	recs, err := f.alice.GetRoundEvidence(iri, round.Round)
+	if err != nil || len(recs) != devices {
+		t.Fatalf("%d records in the round (%v), want %d", len(recs), err, devices)
+	}
+	for i := range recs {
+		if recs[i].Seq != outcomes[i].Seq || recs[i].Evidence.Device != holders[i].key.Address() {
+			t.Errorf("record %d: seq %d of %s, want seq %d of %s", i, recs[i].Seq, recs[i].Evidence.Device.Short(), outcomes[i].Seq, holders[i].key.Address().Short())
+		}
+		if enc := appendEvidenceRecord(nil, &recs[i]); bytes.Contains(r.Return, enc) {
+			t.Errorf("record %d is in the return value", i)
+		}
+	}
+
+	var evidenceRefs, violationRefs int
+	for _, ev := range f.emitted(chain.EventFilter{}) {
+		switch ev.Topic {
+		case TopicPolicyUpdated, TopicMonitoringRequested:
+			continue
+		case TopicEvidenceRecorded, TopicViolationDetected:
+			d := store.NewDec(ev.Data)
+			refRound, seq := d.Uvarint(), d.Uvarint()
+			if err := d.Finish(); err != nil || ev.Key != iri {
+				t.Fatalf("%s event keyed %q carries %x: want round and seq, two uvarints (%v)", ev.Topic, ev.Key, ev.Data, err)
+			}
+			if ev.TxHash != txs[0].Hash() {
+				continue
+			}
+			if refRound != round.Round {
+				t.Errorf("%s event names round %d, want %d", ev.Topic, refRound, round.Round)
+			}
+			if ev.Topic == TopicEvidenceRecorded {
+				if seq != outcomes[evidenceRefs].Seq {
+					t.Errorf("EvidenceRecorded event %d names seq %d, want %d", evidenceRefs, seq, outcomes[evidenceRefs].Seq)
+				}
+				evidenceRefs++
+			} else {
+				violationRefs++
+				if seq != uint64(violationRefs) {
+					t.Errorf("ViolationDetected event %d names seq %d", violationRefs, seq)
+				}
+			}
+		default:
+			if len(ev.Data) != 0 {
+				t.Errorf("%s event keyed %q carries %d bytes, want none", ev.Topic, ev.Key, len(ev.Data))
+			}
+		}
+	}
+	if evidenceRefs != devices || violationRefs != devices {
+		t.Fatalf("%d EvidenceRecorded and %d ViolationDetected events, want %d each", evidenceRefs, violationRefs, devices)
+	}
+	if viols, err := f.alice.GetRoundViolations(iri, round.Round); err != nil || len(viols) != devices {
+		t.Fatalf("%d violations in the round (%v), want %d", len(viols), err, devices)
 	}
 }

@@ -184,8 +184,8 @@ func checkListReceipt(t *testing.T, got listRun, want []string, revert string, g
 	for i, o := range outcomes {
 		if want[i] == "" {
 			seq++
-			if o.Err != nil || o.Record.Seq != seq {
-				t.Fatalf("item %d: seq %d (%v), want the record with seq %d", i, o.Record.Seq, o.Err, seq)
+			if o.Err != nil || o.Seq != seq {
+				t.Fatalf("item %d: seq %d (%v), want the record with seq %d", i, o.Seq, o.Err, seq)
 			}
 			recorded++
 			continue

@@ -50,15 +50,19 @@
 // ev/ record, event, violations and round bookkeeping, the same gas. An item
 // it refuses (unregistered device, no grant, a signature that does not
 // verify under the key the ledger holds) writes nothing and leaves the other
-// items alone; the return value says, per item, what was stored or why not.
+// items alone; the return value says, per item, the seq its record is
+// stored under or why not.
 // The transaction reverts only when no item was accepted, with the first
 // refusal's text — which is all a list of one can do.
 //
 // # Record format
 //
-// A record has one encoding wherever it travels: the bytes under its key
-// are the bytes in the event payload, in Receipt.Return and in a query's
-// reply, and the Decode functions read them off-chain. The encoding
+// A record's bytes live under its key, and only there: a query's reply
+// carries them as they are stored, and the Decode functions read them
+// off-chain. Events and return values name a record instead of copying it
+// ("Events" below), except where their reader decodes the copy: the policy
+// PolicyUpdated carries, and the MonitoringRound requestMonitoring emits and
+// returns. The encoding
 // (codec.go) is store's framing — shortest-form uvarints, length-prefixed
 // strings, one-byte booleans, raw 20-byte addresses and 32-byte hashes,
 // 16-byte UTC timestamps (store.AppendUTC; the zero time round-trips) —
@@ -82,14 +86,14 @@
 //	                      n × finding
 //	0x28 Violation        seq, resource, device, kind, detail, detectedAt,
 //	                      round
-//	0x29 evidence outcomes n × (accepted, EvidenceRecord | refusal text);
-//	                      what submitEvidence returns, never stored
+//	0x29 evidence outcomes n × (accepted, seq | refusal text); what
+//	                      submitEvidence returns, never stored
 //	0x20 policy           policy.AppendRecord; alone, the payload of
-//	                      PolicyPublished and PolicyUpdated
+//	                      PolicyUpdated
 //
 // The three sequence counters are a bare uvarint and the index and pending
-// markers the byte 1. A ResourceRecord ends with its policy, so the policy
-// events carry a tail of the stored bytes, and opens with Withdrawn, which
+// markers the byte 1. A ResourceRecord ends with its policy, so
+// PolicyUpdated carries a tail of the stored bytes, and opens with Withdrawn, which
 // is all the market listing reads of a record. The methods that read only
 // a resource's owner, withdrawn flag or policy version (registerResource's
 // duplicate check, updatePolicy, withdrawResource, revokeGrant,
@@ -102,6 +106,31 @@
 // workload alone. There is no second decoder: a value that opens with
 // another byte, the '{' of a record written before this format included,
 // reverts the transaction that reads it with "corrupt record at <key>".
+//
+// # Events
+//
+// Seven topics. Each event's key is the identifier below, and only the two
+// whose subscriber decodes the payload carry one; the others say what
+// changed and where, and a reader that wants the record queries its key.
+//
+//	topic               key         data              subscriber
+//	PodRegistered       ownerWebID  none              tests
+//	ResourceRegistered  resource    none              tests
+//	PolicyPublished     resource    none              tests
+//	PolicyUpdated       resource    the new policy    each holder's TEE,
+//	                                                  through core's push-out
+//	MonitoringRequested resource    MonitoringRound   the pull-in oracle
+//	EvidenceRecorded    resource    round, seq        the pod manager's
+//	                                                  WaitForRoundClosure, as
+//	                                                  a wake-up
+//	ViolationDetected   resource    round, seq        tests
+//
+// Round and seq are two uvarints; with the resource they name the
+// record's ledger key, ev/<iri>|<round>|<seq> or viol/<iri>|<round>|<seq>.
+// Registering a device, recording, confirming or revoking a grant and
+// withdrawing a resource emit nothing: no subscriber would read it. A
+// guard test in internal/lint (TestEveryTopicIsSubscribed) fails on a
+// topic that no event filter names.
 //
 // # Argument format
 //
@@ -183,20 +212,16 @@ import (
 // ContractName is the runtime deployment name of the DE App.
 const ContractName = "distexchange"
 
-// Event topics emitted by the DE App.
+// Event topics emitted by the DE App; the package comment ("Events") gives
+// each one's key, data and subscriber.
 const (
 	TopicPodRegistered       = "PodRegistered"
 	TopicResourceRegistered  = "ResourceRegistered"
 	TopicPolicyPublished     = "PolicyPublished"
 	TopicPolicyUpdated       = "PolicyUpdated"
-	TopicDeviceRegistered    = "DeviceRegistered"
-	TopicGrantRecorded       = "GrantRecorded"
-	TopicGrantRevoked        = "GrantRevoked"
-	TopicRetrievalConfirmed  = "RetrievalConfirmed"
 	TopicMonitoringRequested = "MonitoringRequested"
 	TopicEvidenceRecorded    = "EvidenceRecorded"
 	TopicViolationDetected   = "ViolationDetected"
-	TopicResourceWithdrawn   = "ResourceWithdrawn"
 )
 
 // PodRecord is the on-chain registration of a Solid pod.

@@ -111,9 +111,9 @@ func recordVectors() vectors {
 		},
 		outcomes: [][]EvidenceOutcome{
 			{
-				{Record: records[0]},
+				{Seq: records[0].Seq},
 				{Err: &RevertError{Method: methodSubmitEvidence, Reason: "contract: reverted: submitEvidence: evidence signature invalid"}},
-				{Record: records[1]},
+				{Seq: records[1].Seq},
 			},
 			nil,
 		},
@@ -131,7 +131,7 @@ func (v vectors) encodings() [][]byte {
 		out = append(out, appendPodRecord(nil, &v.pods[i]))
 	}
 	for i := range v.resources {
-		out = append(out, appendResource(nil, &v.resources[i]))
+		out = append(out, appendResourceRecord(nil, &v.resources[i]))
 	}
 	for i := range v.devices {
 		out = append(out, appendDeviceRecord(nil, &v.devices[i]))
@@ -182,7 +182,7 @@ func TestFrozenRecordEncodings(t *testing.T) {
 		"27ffffffffffffffffff010775726e3a787c790000000000000000000000000000000000000000ffffffffffffffffff01ffffffffffffffffff01000f01000000000000000000000000ffff0f01000000000000000000000000ffffffffffffffffffffff01010f01000000000000000000000000ffff0000000f01000000000000000000000000ffff000f01000000000000000000000000ffffffffffffffffffffff0100",
 		"28022168747470733a2f2f616c6963652e6578616d706c652f646174612f68722e74746cd0d1d2d3d4d5d6d7d8d9dadbdcdddedfe0e1e2e30c756e726573706f6e73697665176e6f2065766964656e636520666f7220726f756e6420330f010000000edcb5398000000005ffff03",
 		"28ffffffffffffffffff0100000000000000000000000000000000000000000000000f01000000000000000000000000ffffffffffffffffffffff01",
-		"29030127072168747470733a2f2f616c6963652e6578616d706c652f646174612f68722e74746cd0d1d2d3d4d5d6d7d8d9dadbdcdddedfe0e1e2e30302010f01000000000000000000000000ffff0f010000000edcb5398000000005ffff02020f010000000edcb539bc00000005ffff03757365106d65646963616c2d7265736561726368010f010000000edcb539f800000005ffff05736861726507617c622c633b64000f010000000edcb5479000000005ffff010f010000000edcb555a000000005ffff030209726574656e74696f6e086d61782d75736573003e636f6e74726163743a2072657665727465643a207375626d697445766964656e63653a2065766964656e6365207369676e617475726520696e76616c69640127ffffffffffffffffff010775726e3a787c790000000000000000000000000000000000000000ffffffffffffffffff01ffffffffffffffffff01000f01000000000000000000000000ffff0f01000000000000000000000000ffffffffffffffffffffff01010f01000000000000000000000000ffff0000000f01000000000000000000000000ffff000f01000000000000000000000000ffffffffffffffffffffff0100",
+		"29030107003e636f6e74726163743a2072657665727465643a207375626d697445766964656e63653a2065766964656e6365207369676e617475726520696e76616c696401ffffffffffffffffff01",
 		"2900",
 	}
 	got := recordVectors().encodings()

@@ -33,12 +33,9 @@ var reachKeep = map[string]string{
 	"repro/internal/rdf.Graph.Len":       "the triple count the graph tests check deduplication and removal against",
 	"repro/internal/tee.SealedStore.Len": "the blob count the sealed-storage tests check deletion against",
 
-	"repro/internal/distexchange.DecodeDeviceRecord":   "exported decoder of the record format (getDevice's reply), fuzzed by FuzzRecordDecode",
-	"repro/internal/distexchange.DecodeEvidenceRecord": "exported decoder of the record format (an EvidenceRecorded event's payload), fuzzed by FuzzRecordDecode",
-	"repro/internal/distexchange.DecodeGrant":          "exported decoder of the record format (a GrantRecorded event's payload), fuzzed by FuzzRecordDecode",
-	"repro/internal/distexchange.DecodeGrants":         "exported decoder of the record format (getGrants' reply), fuzzed by FuzzRecordDecode",
-	"repro/internal/distexchange.DecodePodRecord":      "exported decoder of the record format (getPod's reply), fuzzed by FuzzRecordDecode",
-	"repro/internal/distexchange.DecodeViolation":      "exported decoder of the record format (a ViolationDetected event's payload), fuzzed by FuzzRecordDecode",
+	"repro/internal/distexchange.DecodeDeviceRecord": "exported decoder of the record format (getDevice's reply), fuzzed by FuzzRecordDecode",
+	"repro/internal/distexchange.DecodeGrants":       "exported decoder of the record format (getGrants' reply), fuzzed by FuzzRecordDecode",
+	"repro/internal/distexchange.DecodePodRecord":    "exported decoder of the record format (getPod's reply), fuzzed by FuzzRecordDecode",
 
 	// One three-line method per query the contract's Read serves. The tests
 	// of four packages read the ledger through them; deleting them would
@@ -48,7 +45,7 @@ var reachKeep = map[string]string{
 	"repro/internal/distexchange.Client.GetGrants":      "typed getter over the contract's getGrants query",
 	"repro/internal/distexchange.Client.GetPod":         "typed getter over the contract's getPod query",
 	"repro/internal/distexchange.Client.ListResources":  "typed getter over the contract's listResources query",
-	"repro/internal/distexchange.Client.SubmitEvidence": "SubmitEvidenceBatch for a list of one: a device answering for itself, which is how the contract, pod-manager and core tests submit evidence the oracle does not relay",
+	"repro/internal/distexchange.Client.SubmitEvidence": "SubmitEvidenceBatch for a list of one, answering with its record's seq: a device answering for itself, which is how the contract, pod-manager and core tests submit evidence the oracle does not relay",
 
 	"repro/internal/oracle.PullIn.Wait":      "the quiescence point the oracle and core monitoring tests wait on before they read the relay's counters; without it they would sleep",
 	"repro/internal/policy.PurposeMarketing": "the disallowed purpose in the evaluation, TEE and contract tests, named beside the purposes it is refused against",

@@ -12,7 +12,7 @@ const tagPolicy byte = 0x20
 
 // AppendRecord appends p's record encoding: the form in which the DE App
 // holds a policy inside its pod and resource records and carries it in
-// PolicyPublished and PolicyUpdated events. Fields follow the tag in
+// PolicyUpdated events. Fields follow the tag in
 // declaration order — ID, ResourceIRI, OwnerWebID, Version, IssuedAt, the
 // purposes and the actions (a count, then the strings), MaxRetention (its
 // int64 bits), ExpiresAt, MaxUses, ProhibitSharing, NotifyOnUse — in
