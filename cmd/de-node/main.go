@@ -294,7 +294,7 @@ func newAPIMux(cluster *core.Cluster, interval time.Duration) *http.ServeMux {
 		})
 	})
 	mux.HandleFunc("GET /resources", func(w http.ResponseWriter, r *http.Request) {
-		reply, err := nodes[0].Query(deAddr, "listResources", distexchange.ListResourcesArgs{}.AppendArgs(nil))
+		reply, err := nodes[0].Query(deAddr, "listResources", nil)
 		writeListing(w, reply, err, distexchange.DecodeResourceRecords)
 	})
 	mux.HandleFunc("POST /txs/stream", func(w http.ResponseWriter, r *http.Request) {

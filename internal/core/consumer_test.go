@@ -36,7 +36,7 @@ func TestConsumerCatalogAndIndexErrors(t *testing.T) {
 	if _, err := s.aliceAsCon.Index("https://nonexistent/resource"); err == nil {
 		t.Fatal("index of unknown resource succeeded")
 	}
-	catalog, err := s.aliceAsCon.DE.ListResources("")
+	catalog, err := s.aliceAsCon.DE.ListResources()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestUnpublishLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Catalog shrinks to Bob's resource only.
-	catalog, err := s.aliceAsCon.DE.ListResources("")
+	catalog, err := s.aliceAsCon.DE.ListResources()
 	if err != nil {
 		t.Fatal(err)
 	}

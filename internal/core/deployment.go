@@ -594,6 +594,13 @@ func (c *Consumer) Access(ctx context.Context, resourceIRI string) error {
 		return err
 	}
 	if _, err := c.DE.ConfirmRetrieval(ctx, resourceIRI); err != nil {
+		// A refused confirmation leaves the device off the DE App's
+		// holders, so no monitoring round would ever audit the copy: the
+		// app erases it.
+		var refused *distexchange.RevertError
+		if errors.As(err, &refused) {
+			return errors.Join(err, c.App.Delete(resourceIRI))
+		}
 		return err
 	}
 	return nil

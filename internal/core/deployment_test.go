@@ -158,7 +158,7 @@ func TestProcess2And3ResourceInitiationAndIndexing(t *testing.T) {
 		t.Fatalf("policy = %+v", rec.Policy)
 	}
 	// The catalog lists both resources.
-	catalog, err := s.aliceAsCon.DE.ListResources("")
+	catalog, err := s.aliceAsCon.DE.ListResources()
 	if err != nil {
 		t.Fatal(err)
 	}

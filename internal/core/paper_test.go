@@ -122,7 +122,7 @@ func TestPaperSecurityVerdicts(t *testing.T) {
 func TestPaperGasTable(t *testing.T) {
 	golden := map[string]struct{ exec, argBytes uint64 }{
 		"registerPod":       {28_995, 84},
-		"registerResource":  {39_810, 344},
+		"registerResource":  {34_415, 344},
 		"registerDevice":    {28_700, 221}, // less the signature
 		"recordGrant":       {29_060, 99},
 		"confirmRetrieval":  {28_860, 45},

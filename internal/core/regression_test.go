@@ -2,12 +2,15 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/distexchange"
 	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/solid"
@@ -283,4 +286,70 @@ func TestMountedPodCountsReplays(t *testing.T) {
 	if got := replays.Value(); got != 1 {
 		t.Fatalf("solid_nonce_replays_total = %d after one replay, want 1", got)
 	}
+}
+
+// TestRefusedGrantLeavesNoUnmonitoredCopy: a copy a consumer's TEE holds
+// must be one the DE App monitors. GrantAccess used to write the ACL read
+// grant before the DE App judged the grant, so when recordGrant refused
+// it (a purpose the policy forbids) the consumer could still fetch the
+// resource; the TEE stored it, confirmRetrieval was refused ("no grant"),
+// the app kept the copy, and every monitoring round had no target for it.
+// Now the ACL grant follows the on-chain one, and a copy whose retrieval
+// the DE App refuses to confirm is erased.
+func TestRefusedGrantLeavesNoUnmonitoredCopy(t *testing.T) {
+	const path = "/data/r.bin"
+	ctx := context.Background()
+	boot := func(t *testing.T) (*Owner, string, *Consumer) {
+		d := newDeployment(t, Config{})
+		owner, iri := ownerWithResource(d, "owner", 512, func(p *policy.Policy) {
+			p.AllowedPurposes = []policy.Purpose{policy.PurposeMedicalResearch}
+		})
+		return owner, iri, must(d.NewConsumer("marketer", policy.PurposeMarketing))
+	}
+	held := func(t *testing.T, owner *Owner, iri string, c *Consumer) {
+		t.Helper()
+		if c.App.Holds(iri) {
+			t.Error("the TEE holds a copy the DE App does not know of")
+		}
+		round, err := owner.Manager.StartMonitoring(ctx, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(round.Targets) != 0 {
+			t.Errorf("round targets %v, want none", round.Targets)
+		}
+	}
+
+	t.Run("refused grant opens no pod access", func(t *testing.T) {
+		owner, iri, c := boot(t)
+		err := owner.Grant(ctx, c, path, policy.PurposeMarketing)
+		var revert *distexchange.RevertError
+		if !errors.As(err, &revert) || !strings.Contains(revert.Reason, "not permitted") {
+			t.Fatalf("grant for marketing: %v, want the recordGrant refusal", err)
+		}
+		if err := owner.Manager.Pod().Authorize(c.WebID, path, solid.ModeRead); err == nil {
+			t.Error("the refused grant left the consumer read access to the pod resource")
+		}
+		if err := c.Access(ctx, iri); err == nil {
+			t.Error("access after a refused grant succeeded")
+		}
+		held(t, owner, iri, c)
+	})
+
+	t.Run("refused confirmation erases the copy", func(t *testing.T) {
+		// Read access with no on-chain grant: the owner edits the ACL
+		// directly, as any Solid client of the pod may.
+		owner, iri, c := boot(t)
+		acl := solid.NewACL(owner.WebID, path)
+		acl.Grant("direct", []solid.WebID{c.WebID}, path, false, solid.ModeRead)
+		if err := owner.Manager.Pod().SetACL(owner.WebID, path, acl); err != nil {
+			t.Fatal(err)
+		}
+		err := c.Access(ctx, iri)
+		var revert *distexchange.RevertError
+		if !errors.As(err, &revert) || !strings.Contains(revert.Reason, "no grant") {
+			t.Fatalf("access without an on-chain grant: %v, want the confirmRetrieval refusal", err)
+		}
+		held(t, owner, iri, c)
+	})
 }

@@ -182,11 +182,6 @@ func (a GetResourceArgs) AppendArgs(dst []byte) []byte { return store.AppendStri
 func decodeGetResourceArgs(d *store.Dec, a *GetResourceArgs) { a.ResourceIRI = d.String() }
 
 // AppendArgs appends the arguments' encoding.
-func (a ListResourcesArgs) AppendArgs(dst []byte) []byte { return store.AppendString(dst, a.PodWebID) }
-
-func decodeListResourcesArgs(d *store.Dec, a *ListResourcesArgs) { a.PodWebID = d.String() }
-
-// AppendArgs appends the arguments' encoding.
 func (a GetGrantsArgs) AppendArgs(dst []byte) []byte { return store.AppendString(dst, a.ResourceIRI) }
 
 func decodeGetGrantsArgs(d *store.Dec, a *GetGrantsArgs) { a.ResourceIRI = d.String() }

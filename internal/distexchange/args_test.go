@@ -125,9 +125,6 @@ func argCodecs() []argCodec {
 		codecOf("getResource", decodeGetResourceArgs, func(g gen) GetResourceArgs {
 			return GetResourceArgs{ResourceIRI: g.text()}
 		}, GetResourceArgs{ResourceIRI: iri}, GetResourceArgs{}),
-		codecOf("listResources", decodeListResourcesArgs, func(g gen) ListResourcesArgs {
-			return ListResourcesArgs{PodWebID: g.text()}
-		}, ListResourcesArgs{PodWebID: webID}, ListResourcesArgs{}),
 		codecOf("getGrants", decodeGetGrantsArgs, func(g gen) GetGrantsArgs {
 			return GetGrantsArgs{ResourceIRI: g.text()}
 		}, GetGrantsArgs{ResourceIRI: iri}, GetGrantsArgs{}),
@@ -259,8 +256,6 @@ func TestFrozenArgsEncodings(t *testing.T) {
 		"00",
 		"2168747470733a2f2f616c6963652e6578616d706c652f646174612f68722e74746c",
 		"00",
-		"2068747470733a2f2f616c6963652e6578616d706c652f70726f66696c65236d65",
-		"00",
 		"2168747470733a2f2f616c6963652e6578616d706c652f646174612f68722e74746c",
 		"00",
 		"d0d1d2d3d4d5d6d7d8d9dadbdcdddedfe0e1e2e3",
@@ -304,7 +299,9 @@ func FuzzArgsDecode(f *testing.F) {
 	}
 	f.Add([]byte(`{"signed":[]}`))
 	f.Add([]byte{0x80, 0x00})
-	f.Add(store.AppendUvarint(nil, 1<<40)) // a list that claims more items than bytes
+	f.Add(store.AppendUvarint(nil, 1<<40))                                         // a list that claims more items than bytes
+	f.Add(append([]byte{0x81, 0x00}, "r"...))                                      // a string length with a padding byte
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02, 'r'}) // a length past 2⁶⁴
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, c := range codecs {
@@ -330,7 +327,8 @@ func FuzzArgsDecode(f *testing.F) {
 
 // TestMalformedArgsRevert: arguments the method's decoder refuses, JSON
 // among them, revert the transaction with "bad args", charge the base and
-// the calldata, and write nothing; a query fails with the same error.
+// the calldata, and write nothing; a query fails with the same error, and
+// so does listResources given any argument bytes at all.
 func TestMalformedArgsRevert(t *testing.T) {
 	f := newFixture(t)
 	key := cryptoutil.MustGenerateKey()
@@ -362,5 +360,12 @@ func TestMalformedArgsRevert(t *testing.T) {
 	}
 	if _, err := f.node.Query(f.deAddr, "getPod", []byte(`{"ownerWebID":"x"}`)); !isBadArgs(err) {
 		t.Errorf("getPod over JSON arguments: %v, want bad args", err)
+	}
+	// listResources takes no arguments; a pod filter's bytes fail.
+	if _, err := f.node.Query(f.deAddr, "listResources", store.AppendString(nil, "https://alice.pod/profile#me")); !isBadArgs(err) {
+		t.Errorf("listResources over a pod filter: %v, want bad args", err)
+	}
+	if _, err := f.node.Query(f.deAddr, "listResources", nil); err != nil {
+		t.Errorf("listResources without arguments: %v", err)
 	}
 }

@@ -268,9 +268,13 @@ func (c *Client) GetResource(resourceIRI string) (ResourceRecord, error) {
 	return query(c, "getResource", GetResourceArgs{ResourceIRI: resourceIRI}, DecodeResourceRecord)
 }
 
-// ListResources lists the resource index, optionally for one pod.
-func (c *Client) ListResources(podWebID string) ([]ResourceRecord, error) {
-	return query(c, "listResources", ListResourcesArgs{PodWebID: podWebID}, DecodeResourceRecords)
+// ListResources lists every resource not withdrawn.
+func (c *Client) ListResources() ([]ResourceRecord, error) {
+	reply, err := c.backend.Query(c.contract, "listResources", nil)
+	if err != nil {
+		return nil, err
+	}
+	return DecodeResourceRecords(reply)
 }
 
 // GetGrants lists grants for a resource.

@@ -155,8 +155,6 @@ func decodeResourceWithdrawn(raw []byte) (withdrawn, ok bool) {
 type resourceHead struct {
 	withdrawn bool
 	owner     cryptoutil.Address
-	// pod is the PodWebID: a view of the stored bytes, not a copy.
-	pod []byte
 	// version is the policy's Version, 0 when the record has no policy.
 	version uint64
 	// flagAt is the offset of the optional-policy flag: the record's bytes
@@ -177,7 +175,7 @@ func decodeResourceHead(raw []byte) (h resourceHead, err error) {
 	d.Tag(tagResource)
 	h.withdrawn = d.Bool()
 	d.View() // ResourceIRI
-	h.pod = d.View()
+	d.View() // PodWebID
 	d.View() // Location
 	d.View() // Description
 	d.Raw(h.owner[:])

@@ -3,12 +3,14 @@ package distexchange
 import (
 	"bytes"
 	"context"
+	"crypto/ecdsa"
 	"encoding/hex"
 	"errors"
 	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -311,7 +313,7 @@ func checkResourceHead(t *testing.T, data []byte, policies []*policy.Policy) {
 		version = rec.Policy.Version
 	}
 	flagAt := len(appendResourceRecord(nil, &rec)) - len(appendOptPolicy(nil, rec.Policy))
-	if head.withdrawn != rec.Withdrawn || head.owner != rec.Owner || string(head.pod) != rec.PodWebID ||
+	if head.withdrawn != rec.Withdrawn || head.owner != rec.Owner ||
 		head.version != version || head.flagAt != flagAt {
 		t.Fatalf("head of\n%x\nreads %+v, the record %+v", data, head, rec)
 	}
@@ -559,7 +561,7 @@ func TestJSONRecordRevertsNamingItsKey(t *testing.T) {
 	if events := f.emitted(chain.EventFilter{Topic: TopicPolicyUpdated}); len(events) != 0 {
 		t.Fatalf("the reverted transaction emitted %d PolicyUpdated events", len(events))
 	}
-	if _, err := f.alice.ListResources(""); err == nil || !strings.Contains(err.Error(), "corrupt record at "+key) {
+	if _, err := f.alice.ListResources(); err == nil || !strings.Contains(err.Error(), "corrupt record at "+key) {
 		t.Fatalf("listResources over a JSON record: %v, want an error naming %s", err, key)
 	}
 	if _, err := f.alice.GetResource(iri); !errors.Is(err, store.ErrCodec) {
@@ -686,6 +688,44 @@ func (w *execWorld) must(key *cryptoutil.KeyPair, method string, args any) {
 	w.exec(w.tx(key, method, args))
 }
 
+// execWrites executes tx, which must succeed, and returns its receipt and
+// the keys whose value it set, changed or deleted, without the DE App's
+// namespace, in key order.
+func (w *execWorld) execWrites(tx *chain.Tx) (*chain.Receipt, []string) {
+	w.t.Helper()
+	snapshot := func() map[string]string {
+		m := map[string]string{}
+		for _, k := range w.ov.Keys("") {
+			v, _ := w.ov.Get([]byte(k))
+			m[k] = string(v)
+		}
+		return m
+	}
+	before := snapshot()
+	r := w.rt.ExecuteTx(w.ov, tx, execBlock)
+	if !r.Succeeded() {
+		w.t.Fatalf("%s: %s", tx.Method, r.Err)
+	}
+	after := snapshot()
+	var written []string
+	for k, v := range after {
+		if old, ok := before[k]; !ok || old != v {
+			written = append(written, k)
+		}
+	}
+	for k := range before {
+		if _, ok := after[k]; !ok {
+			written = append(written, k)
+		}
+	}
+	namespace := w.deAddr.String() + "/"
+	for i, k := range written {
+		written[i] = strings.TrimPrefix(k, namespace)
+	}
+	sort.Strings(written)
+	return r, written
+}
+
 // allocs reports what executing tx allocates, the overlay reverted after
 // each run.
 func (w *execWorld) allocs(tx *chain.Tx) float64 {
@@ -792,6 +832,48 @@ func keysApart(n int) []*cryptoutil.KeyPair {
 	return keys
 }
 
+// signedApart signs evs[i] with keys[i] so that the verified-signature
+// table holds every signature at once: verifying them all again allocates
+// nothing, so no two share a slot. The table is direct-mapped, and sixteen
+// fresh signatures share one of its 8 192 slots about once in seventy
+// draws (120 pairs); an execution would then verify both of them again,
+// 20 allocations more, which is what made TestSubmitEvidenceAllocations
+// fail now and then. ECDSA signatures are randomized, so signing again
+// draws new slots.
+func signedApart(t *testing.T, keys []*cryptoutil.KeyPair, evs []Evidence) []SignedEvidence {
+	t.Helper()
+	pubs := make([]*ecdsa.PublicKey, len(keys))
+	msgs := make([][]byte, len(evs))
+	for i := range evs {
+		pub, _, err := cryptoutil.ParsePublicKey(keys[i].PublicBytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		pubs[i], msgs[i] = pub, evs[i].SigningBytes()
+	}
+	signed := make([]SignedEvidence, len(evs))
+	verifyAll := func() {
+		for i, s := range signed {
+			if !cryptoutil.VerifyCached(pubs[i], msgs[i], s.Signature) {
+				t.Fatalf("evidence %d: signature does not verify", i)
+			}
+		}
+	}
+	for {
+		for i, key := range keys {
+			sig, err := key.Sign(msgs[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			signed[i] = SignedEvidence{Evidence: evs[i], Signature: sig}
+		}
+		verifyAll()
+		if testing.AllocsPerRun(1, verifyAll) == 0 {
+			return signed
+		}
+	}
+}
+
 // TestSubmitEvidenceAllocations pins what one submitEvidence of a
 // 16-device monitoring round allocates once the round's signatures and
 // device keys have been seen: the check pass reads each device's key from
@@ -810,16 +892,12 @@ func TestSubmitEvidenceAllocations(t *testing.T) {
 		w.withRetrievedGrant(owner, device)
 	}
 	w.must(owner, "requestMonitoring", RequestMonitoringArgs{ResourceIRI: allocsIRI})
-	signed := make([]SignedEvidence, devices)
+	evs := make([]Evidence, devices)
 	for i, device := range keys {
-		ev := Evidence{ResourceIRI: allocsIRI, Device: device.Address(), Round: 1, PolicyVersion: 1,
+		evs[i] = Evidence{ResourceIRI: allocsIRI, Device: device.Address(), Round: 1, PolicyVersion: 1,
 			StillStored: true, RetrievedAt: t0, GeneratedAt: t0.Add(time.Minute)}
-		sig, err := device.Sign(ev.SigningBytes())
-		if err != nil {
-			t.Fatal(err)
-		}
-		signed[i] = SignedEvidence{Evidence: ev, Signature: sig}
 	}
+	signed := signedApart(t, keys, evs)
 	submit := w.tx(cryptoutil.MustGenerateKey(), "submitEvidence", SubmitEvidenceArgs{Signed: signed})
 
 	cp := w.ov.Checkpoint()

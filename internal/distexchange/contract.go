@@ -35,16 +35,12 @@ func New(cfg Config) *Contract { return &Contract{cfg: cfg} }
 // ReadEnv.Key, which hold the contract's namespace — and returns it, so a
 // key is built in one buffer and never passes through a string. Composite
 // keys join their parts with '|'. A hex address or a zero-padded number
-// never holds one, and registerPod and registerResource refuse a WebID or
-// resource IRI that does (checkKeyPart): such an IRI would name another
-// resource's keys, its grant and ledger listings included.
+// never holds one, and registerResource refuses a resource IRI that does
+// (checkKeyPart): such an IRI would name another resource's keys, its
+// grant and ledger listings included. A WebID is only ever a whole key,
+// pod/<webID>, so it may hold one.
 func podKey(b []byte, webID string) []byte { return append(append(b, "pod/"...), webID...) }
 func resKey(b []byte, iri string) []byte   { return append(append(b, "res/"...), iri...) }
-
-// resByPodKey with iri "" is the prefix of a pod's index entries.
-func resByPodKey(b []byte, pod, iri string) []byte {
-	return append(append(append(append(b, "resbypod/"...), pod...), '|'), iri...)
-}
 func devKey(b []byte, a cryptoutil.Address) []byte {
 	return appendAddress(append(b, "dev/"...), a)
 }
@@ -248,9 +244,6 @@ func (c *Contract) registerPod(env *contract.Env, args *RegisterPodArgs) ([]byte
 	if args.OwnerWebID == "" || args.Location == "" {
 		return nil, contract.Revertf("registerPod: ownerWebID and location are required")
 	}
-	if err := checkKeyPart("registerPod", "ownerWebID", args.OwnerWebID); err != nil {
-		return nil, err
-	}
 	var existing PodRecord
 	if ok, err := load(env, podKey(env.Key(), args.OwnerWebID), &existing, decodePodRecord); err != nil {
 		return nil, err
@@ -286,9 +279,6 @@ func (c *Contract) registerResource(env *contract.Env, args *RegisterResourceArg
 		return nil, contract.Revertf("registerResource: resource, podWebID and location are required")
 	}
 	if err := checkKeyPart("registerResource", "resource", args.ResourceIRI); err != nil {
-		return nil, err
-	}
-	if err := checkKeyPart("registerResource", "podWebID", args.PodWebID); err != nil {
 		return nil, err
 	}
 	var pod PodRecord
@@ -339,13 +329,7 @@ func (c *Contract) registerResource(env *contract.Env, args *RegisterResourceArg
 	if err := env.Set(resKey(env.Key(), args.ResourceIRI), record); err != nil {
 		return nil, err
 	}
-	if err := env.Set(resByPodKey(env.Key(), args.PodWebID, args.ResourceIRI), []byte{1}); err != nil {
-		return nil, err
-	}
 	if err := env.Emit(TopicResourceRegistered, args.ResourceIRI, nil); err != nil {
-		return nil, err
-	}
-	if err := env.Emit(TopicPolicyPublished, args.ResourceIRI, nil); err != nil {
 		return nil, err
 	}
 	return nil, nil
@@ -402,9 +386,6 @@ func (c *Contract) withdrawResource(env *contract.Env, args *WithdrawResourceArg
 		return nil, contract.Revertf("withdrawResource: already withdrawn")
 	}
 	if err := env.Set(resKey(env.Key(), args.ResourceIRI), withdrawnResource(raw)); err != nil {
-		return nil, err
-	}
-	if err := env.Delete(resByPodKey(env.Key(), string(head.pod), args.ResourceIRI)); err != nil {
 		return nil, err
 	}
 	return nil, nil
@@ -1031,23 +1012,11 @@ func readListing(env *contract.ReadEnv, keys []string, tag byte) ([]byte, error)
 	return appendListing(nil, records), nil
 }
 
+// listResources answers with every resource not withdrawn. It takes no
+// arguments.
 func (c *Contract) listResources(env *contract.ReadEnv, args []byte) ([]byte, error) {
-	var a ListResourcesArgs
-	if err := decodeArgs(args, &a, decodeListResourcesArgs); err != nil {
-		return nil, err
-	}
-	if a.PodWebID != "" {
-		// The per-pod index holds no withdrawn resource.
-		prefix := resByPodKey(env.Key(), a.PodWebID, "")
-		n := len(localKey(env, prefix))
-		keys, err := env.Keys(prefix)
-		if err != nil {
-			return nil, err
-		}
-		for i, k := range keys {
-			keys[i] = string(resKey(nil, k[n:]))
-		}
-		return readListing(env, keys, tagResource)
+	if len(args) != 0 {
+		return nil, contract.Revertf("bad args: listResources takes none, got %d bytes", len(args))
 	}
 	keys, err := env.Keys(resKey(env.Key(), ""))
 	if err != nil {

@@ -309,12 +309,9 @@ func TestResourceInitiation(t *testing.T) {
 		t.Fatalf("owner = %s", rec.Owner)
 	}
 
-	// Both registration events fired.
+	// The registration event fired.
 	if n := len(f.emitted(chain.EventFilter{Topic: TopicResourceRegistered})); n != 1 {
 		t.Fatalf("ResourceRegistered events = %d", n)
-	}
-	if n := len(f.emitted(chain.EventFilter{Topic: TopicPolicyPublished})); n != 1 {
-		t.Fatalf("PolicyPublished events = %d", n)
 	}
 
 	// Only the pod owner may publish into the pod.
@@ -379,30 +376,42 @@ func TestResourceIndexing(t *testing.T) {
 	f := newFixture(t)
 	f.registerAlicePodAndResource(alicePolicy())
 
-	all, err := f.device.ListResources("")
+	all, err := f.device.ListResources()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(all) != 1 {
-		t.Fatalf("ListResources = %d entries", len(all))
-	}
-	byPod, err := f.device.ListResources("https://alice.pod/profile#me")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(byPod) != 1 || byPod[0].Location != "https://alice.pod/web/browsing.csv" {
-		t.Fatalf("byPod = %+v", byPod)
-	}
-	none, err := f.device.ListResources("https://nobody.pod/profile#me")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(none) != 0 {
-		t.Fatalf("unknown pod listed %d resources", len(none))
+	if len(all) != 1 || all[0].Location != "https://alice.pod/web/browsing.csv" {
+		t.Fatalf("ListResources = %+v", all)
 	}
 	// Missing single resource lookups error.
 	if _, err := f.device.GetResource("https://missing"); err == nil {
 		t.Fatal("missing resource lookup succeeded")
+	}
+}
+
+// TestResourceTransactionsWriteOnlyTheRecord: registering a resource
+// writes its record, res/<iri>, and nothing else, and emits one event,
+// ResourceRegistered; withdrawing it rewrites that record and nothing
+// else. No per-pod index or second event rides along: no reader asks for
+// either, and each cost a Set or an event's gas.
+func TestResourceTransactionsWriteOnlyTheRecord(t *testing.T) {
+	w := newExecWorld(t)
+	owner := cryptoutil.MustGenerateKey()
+	w.must(owner, "registerPod", RegisterPodArgs{OwnerWebID: allocsWebID, Location: "https://alice.pod/"})
+	resource := "res/" + allocsIRI
+	register := w.tx(owner, "registerResource", RegisterResourceArgs{
+		ResourceIRI: allocsIRI, PodWebID: allocsWebID, Location: allocsIRI, Policy: policy.New(allocsIRI, allocsWebID, t0),
+	})
+	r, written := w.execWrites(register)
+	if len(written) != 1 || written[0] != resource {
+		t.Errorf("registerResource wrote %q, want only %q", written, resource)
+	}
+	if len(r.Events) != 1 || r.Events[0].Topic != TopicResourceRegistered || r.Events[0].Key != allocsIRI || len(r.Events[0].Data) != 0 {
+		t.Errorf("registerResource emitted %+v, want one empty ResourceRegistered for %s", r.Events, allocsIRI)
+	}
+	_, written = w.execWrites(w.tx(owner, "withdrawResource", WithdrawResourceArgs{ResourceIRI: allocsIRI}))
+	if len(written) != 1 || written[0] != resource {
+		t.Errorf("withdrawResource wrote %q, want only %q", written, resource)
 	}
 }
 
@@ -994,8 +1003,10 @@ func TestMonitoringOnlyOwner(t *testing.T) {
 // "grant/<alice's IRI>|x|<device>", inside Alice's grant prefix. Alice's
 // getGrants then listed Bob's grant, and her monitoring round targeted his
 // device, waited on it and, when it stayed silent, charged it to her
-// resource. registerPod and registerResource now refuse a '|' in the pod
-// WebID and the resource IRI.
+// resource. registerResource now refuses a '|' in the resource IRI. A pod
+// WebID is only ever a whole key (pod/<webID>), so a '|' in one names no
+// other pod's keys: registerPod takes it, and registerResource refuses a
+// WebID no pod is registered under, as it refuses any.
 func TestSeparatorInIdentifierRefused(t *testing.T) {
 	f := newFixture(t)
 	ctx := context.Background()
@@ -1037,10 +1048,17 @@ func TestSeparatorInIdentifierRefused(t *testing.T) {
 		t.Errorf("Alice's round: %d targets, closed=%v (%v); want none, closed", len(round.Targets), round.Closed, err)
 	}
 
-	_, err = f.bob.RegisterPod(ctx, RegisterPodArgs{OwnerWebID: bobPod + "|y", Location: "https://bob.pod/y"})
-	refused("a pod WebID with '|'", err)
 	_, err = f.bob.RegisterResource(ctx, RegisterResourceArgs{
 		ResourceIRI: "https://bob.pod/z", PodWebID: bobPod + "|y", Location: "https://bob.pod/z", Policy: policy.New("https://bob.pod/z", bobPod, t0),
 	})
-	refused("a pod WebID with '|' in registerResource", err)
+	var revert *RevertError
+	if !errors.As(err, &revert) || !strings.Contains(revert.Reason, "not registered") {
+		t.Errorf("a resource in pod %q: %v, want a revert for the unregistered pod", bobPod+"|y", err)
+	}
+	if _, err := f.bob.RegisterPod(ctx, RegisterPodArgs{OwnerWebID: bobPod + "|y", Location: "https://bob.pod/y"}); err != nil {
+		t.Fatalf("a pod WebID with '|': %v", err)
+	}
+	if pod, err := f.alice.GetPod(bobPod); err != nil || pod.Location != "https://bob.pod/" {
+		t.Errorf("Bob's first pod after registering %q: %+v (%v)", bobPod+"|y", pod, err)
+	}
 }

@@ -24,7 +24,6 @@ func builtKeys(b []byte, cs keyCase) map[string][]byte {
 	return map[string][]byte{
 		"podKey":           clone(podKey(b, cs.pod)),
 		"resKey":           clone(resKey(b, cs.iri)),
-		"resByPodKey":      clone(resByPodKey(b, cs.pod, cs.iri)),
 		"devKey":           clone(devKey(b, cs.a)),
 		"grantKey":         clone(grantKey(b, cs.iri, cs.a)),
 		"grantPrefix":      clone(grantPrefix(b, cs.iri)),
@@ -49,7 +48,6 @@ func fmtKeys(cs keyCase) map[string]string {
 	return map[string]string{
 		"podKey":           "pod/" + cs.pod,
 		"resKey":           "res/" + cs.iri,
-		"resByPodKey":      "resbypod/" + cs.pod + "|" + cs.iri,
 		"devKey":           "dev/" + cs.a.String(),
 		"grantKey":         "grant/" + cs.iri + "|" + cs.a.String(),
 		"grantPrefix":      "grant/" + cs.iri + "|",

@@ -91,10 +91,10 @@
 //	0x20 policy           policy.AppendRecord; alone, the payload of
 //	                      PolicyUpdated
 //
-// The three sequence counters are a bare uvarint and the index and pending
-// markers the byte 1. A ResourceRecord ends with its policy, so
-// PolicyUpdated carries a tail of the stored bytes, and opens with Withdrawn, which
-// is all the market listing reads of a record. The methods that read only
+// The three sequence counters are a bare uvarint and a pending marker the
+// byte 1. A ResourceRecord ends with its policy, so PolicyUpdated carries
+// a tail of the stored bytes, and opens with Withdrawn, which is all the
+// market listing reads of a record. The methods that read only
 // a resource's owner, withdrawn flag or policy version (registerResource's
 // duplicate check, updatePolicy, withdrawResource, revokeGrant,
 // requestMonitoring, reportUnresponsive) read its record in place and
@@ -109,14 +109,13 @@
 //
 // # Events
 //
-// Seven topics. Each event's key is the identifier below, and only the two
+// Six topics. Each event's key is the identifier below, and only the two
 // whose subscriber decodes the payload carry one; the others say what
 // changed and where, and a reader that wants the record queries its key.
 //
 //	topic               key         data              subscriber
 //	PodRegistered       ownerWebID  none              tests
 //	ResourceRegistered  resource    none              tests
-//	PolicyPublished     resource    none              tests
 //	PolicyUpdated       resource    the new policy    each holder's TEE,
 //	                                                  through core's push-out
 //	MonitoringRequested resource    MonitoringRound   the pull-in oracle
@@ -158,7 +157,8 @@
 //	getEvidence
 //	getDevice            device
 //	getPod               ownerWebID
-//	listResources        podWebID ("" for every pod)
+//	listResources        none: the reply lists every resource not
+//	                     withdrawn
 //	every other method   resource
 //
 // A policy is policy.AppendRecord's encoding. As with records, every value
@@ -217,7 +217,6 @@ const ContractName = "distexchange"
 const (
 	TopicPodRegistered       = "PodRegistered"
 	TopicResourceRegistered  = "ResourceRegistered"
-	TopicPolicyPublished     = "PolicyPublished"
 	TopicPolicyUpdated       = "PolicyUpdated"
 	TopicMonitoringRequested = "MonitoringRequested"
 	TopicEvidenceRecorded    = "EvidenceRecorded"
@@ -483,11 +482,6 @@ type (
 	// Fig. 2(3)).
 	GetResourceArgs struct {
 		ResourceIRI string
-	}
-	// ListResourcesArgs lists the resource index.
-	ListResourcesArgs struct {
-		// PodWebID optionally restricts to one pod's resources.
-		PodWebID string
 	}
 	// GetGrantsArgs lists grants for a resource.
 	GetGrantsArgs struct {

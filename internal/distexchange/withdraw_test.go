@@ -47,20 +47,13 @@ func TestWithdrawResourceLifecycle(t *testing.T) {
 		t.Fatalf("existing holder lost from monitoring: %+v", round)
 	}
 
-	// Index no longer lists it (full listing and by-pod).
-	all, err := f.device.ListResources("")
+	// The listing no longer holds it.
+	all, err := f.device.ListResources()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(all) != 0 {
 		t.Fatalf("withdrawn resource still listed: %+v", all)
-	}
-	byPod, err := f.device.ListResources("https://alice.pod/profile#me")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(byPod) != 0 {
-		t.Fatalf("withdrawn resource still in pod index: %+v", byPod)
 	}
 
 	// New grants are refused.

@@ -26,7 +26,6 @@ var reachKeep = map[string]string{
 	"repro/internal/solid.Client.Delete": "client half of the DELETE route solid-server serves",
 
 	"repro/internal/distexchange.Client.Address": "the sender a contract-test fixture's clients sign as, which its assertions name",
-	"repro/internal/tee.App.Delete":              "on-demand erasure of a copy: the TEE tests reach deleteLocked through it without waiting for a retention timer",
 
 	// Counts the tests assert on; the product never asks how many.
 	"repro/internal/obs.Registry.Len":    "the series count the obs and solid metric tests check registration against",

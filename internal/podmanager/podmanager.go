@@ -252,9 +252,13 @@ func (m *Manager) Unpublish(ctx context.Context, agent solid.WebID, path string)
 	return nil
 }
 
-// GrantAccess authorizes a consumer: it adds an ACL read grant on the pod
-// resource and records the grant (consumer, device, purpose) on-chain so
-// the DE App can monitor the copy.
+// GrantAccess authorizes a consumer: it records the grant (consumer,
+// device, purpose) on-chain so the DE App can monitor the copy, and only
+// then adds an ACL read grant on the pod resource. A grant the DE App
+// refuses — a purpose the policy forbids, say — thus opens no pod access,
+// so no copy can be fetched that no monitoring round would ever audit. The
+// other way round is harmless: a device is a round's target only once it
+// has confirmed a retrieval.
 func (m *Manager) GrantAccess(ctx context.Context, consumer solid.WebID, consumerAddr, deviceAddr cryptoutil.Address, path string, purpose policy.Purpose) error {
 	iri := m.ResourceIRI(path)
 	m.mu.Lock()
@@ -263,38 +267,35 @@ func (m *Manager) GrantAccess(ctx context.Context, consumer solid.WebID, consume
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotPublished, iri)
 	}
+	if _, err := m.de.RecordGrant(ctx, distexchange.RecordGrantArgs{
+		ResourceIRI: iri,
+		Consumer:    consumerAddr,
+		Device:      deviceAddr,
+		Purpose:     purpose,
+	}); err != nil {
+		return err
+	}
 	// Merge with the ACL already governing the resource: a new grant adds
 	// the consumer, it must never clobber earlier consumers' access (two
 	// buyers of the same resource hold read access simultaneously). The
 	// read-modify-write runs under m.mu so concurrent grants serialize —
 	// the pod's own locks only cover the individual GetACL/SetACL calls.
-	if err := func() error {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		acl := solid.NewACL(m.owner, path)
-		if existing, err := m.pod.GetACL(m.owner, path); err == nil {
-			acl = &solid.ACL{Authorizations: append([]solid.Authorization(nil), existing.Authorizations...)}
-		} else if !errors.Is(err, solid.ErrNoACL) {
-			return err
-		}
-		grantID := "consumer-" + string(consumer)
-		for _, auth := range acl.Authorizations {
-			if auth.ID == grantID {
-				return nil // grant already present; idempotent
-			}
-		}
-		acl.Grant(grantID, []solid.WebID{consumer}, path, false, solid.ModeRead)
-		return m.pod.SetACL(m.owner, path, acl)
-	}(); err != nil {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	acl := solid.NewACL(m.owner, path)
+	if existing, err := m.pod.GetACL(m.owner, path); err == nil {
+		acl = &solid.ACL{Authorizations: append([]solid.Authorization(nil), existing.Authorizations...)}
+	} else if !errors.Is(err, solid.ErrNoACL) {
 		return err
 	}
-	_, err := m.de.RecordGrant(ctx, distexchange.RecordGrantArgs{
-		ResourceIRI: iri,
-		Consumer:    consumerAddr,
-		Device:      deviceAddr,
-		Purpose:     purpose,
-	})
-	return err
+	grantID := "consumer-" + string(consumer)
+	for _, auth := range acl.Authorizations {
+		if auth.ID == grantID {
+			return nil // grant already present; idempotent
+		}
+	}
+	acl.Grant(grantID, []solid.WebID{consumer}, path, false, solid.ModeRead)
+	return m.pod.SetACL(m.owner, path, acl)
 }
 
 // ModifyPolicy performs policy modification (Fig. 2(5)): permission check,

@@ -2,7 +2,6 @@ package solid
 
 import (
 	"encoding/base64"
-	"encoding/hex"
 	"errors"
 	"net/http"
 	"net/url"
@@ -20,10 +19,10 @@ import (
 // under the registered key over (method, signing path, date, nonce) and
 // a date inside MaxClockSkew, and the same request sent again is refused
 // as a replay. The corpus is seeded with a request the agent signed and
-// with variants that each break one header.
+// with variants that each break one header, one of them signed under
+// another key.
 func FuzzAuthenticate(f *testing.F) {
 	key := cryptoutil.MustGenerateKey()
-	keyHex := hex.EncodeToString(key.PublicBytes())
 	sign := func(method, path, date, nonce string) string {
 		sig, err := key.Sign(signingString(method, path, date, nonce))
 		if err != nil {
@@ -35,28 +34,33 @@ func FuzzAuthenticate(f *testing.F) {
 	early := podEpoch.Add(-MaxClockSkew).Format(time.RFC3339Nano)
 	stale := podEpoch.Add(-MaxClockSkew - time.Nanosecond).Format(time.RFC3339Nano)
 	good := sign("GET", "/data/a.txt", date, "n1")
-	for _, seed := range []struct{ agent, key, sig, date, nonce, method, path string }{
-		{string(aliceID), keyHex, good, date, "n1", "GET", "/data/a.txt"},
-		{string(aliceID), keyHex, sign("PUT", "/", early, "n2"), early, "n2", "PUT", "/"},
-		{string(aliceID), keyHex, sign("GET", "/", stale, "n3"), stale, "n3", "GET", "/"},
-		{string(aliceID), keyHex, good, date, "n1", "GET", "/data/b.txt"},
-		{string(aliceID), keyHex, good, date, "n2", "GET", "/data/a.txt"},
-		{string(aliceID), keyHex[:len(keyHex)-2] + "00", good, date, "n1", "GET", "/data/a.txt"},
-		{string(bobID), keyHex, good, date, "n1", "GET", "/data/a.txt"},
-		{string(aliceID), keyHex, "", date, "n1", "GET", "/data/a.txt"},
-		{string(aliceID), keyHex, "%%%", "yesterday", "n1", "GET", "/data/a.txt"},
-		{"", "", "", "", "", "GET", "/"},
-	} {
-		f.Add(seed.agent, seed.key, seed.sig, seed.date, seed.nonce, seed.method, seed.path)
+	// The same request signed under a key the directory does not hold.
+	otherSig, err := cryptoutil.MustGenerateKey().Sign(signingString("GET", "/data/a.txt", date, "n1"))
+	if err != nil {
+		f.Fatal(err)
 	}
-	f.Fuzz(func(t *testing.T, agent, keyHex, sig, date, nonce, method, path string) {
+	other := base64.StdEncoding.EncodeToString(otherSig)
+	for _, seed := range []struct{ agent, sig, date, nonce, method, path string }{
+		{string(aliceID), good, date, "n1", "GET", "/data/a.txt"},
+		{string(aliceID), sign("PUT", "/", early, "n2"), early, "n2", "PUT", "/"},
+		{string(aliceID), sign("GET", "/", stale, "n3"), stale, "n3", "GET", "/"},
+		{string(aliceID), good, date, "n1", "GET", "/data/b.txt"},
+		{string(aliceID), good, date, "n2", "GET", "/data/a.txt"},
+		{string(bobID), good, date, "n1", "GET", "/data/a.txt"},
+		{string(aliceID), other, date, "n1", "GET", "/data/a.txt"},
+		{string(aliceID), "", date, "n1", "GET", "/data/a.txt"},
+		{string(aliceID), "%%%", "yesterday", "n1", "GET", "/data/a.txt"},
+		{"", "", "", "", "GET", "/"},
+	} {
+		f.Add(seed.agent, seed.sig, seed.date, seed.nonce, seed.method, seed.path)
+	}
+	f.Fuzz(func(t *testing.T, agent, sig, date, nonce, method, path string) {
 		dir := NewMapDirectory()
 		dir.Register(aliceID, key.PublicBytes())
 		clk := simclock.NewSim(podEpoch)
 		s := NewServer(NewPod(aliceID, "https://alice.pod"), dir, clk, nil)
 		r := &http.Request{Method: method, URL: &url.URL{Path: path}, Header: http.Header{
 			HeaderAgent:     {agent},
-			HeaderAgentKey:  {keyHex},
 			HeaderSignature: {sig},
 			HeaderDate:      {date},
 			HeaderNonce:     {nonce},

@@ -86,7 +86,6 @@ func (c *Client) newRequest(method, resourceURL string, body []byte) (*http.Requ
 			return nil, err
 		}
 		req.Header.Set(HeaderAgent, string(c.Agent))
-		req.Header.Set(HeaderAgentKey, hex.EncodeToString(c.Key.PublicBytes()))
 		req.Header.Set(HeaderDate, date)
 		req.Header.Set(HeaderNonce, nonce)
 		req.Header.Set(HeaderSignature, base64.StdEncoding.EncodeToString(sig))

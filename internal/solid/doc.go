@@ -53,7 +53,9 @@
 //
 // # Authentication and replay protection
 //
-// Requests are signed over "method|path|date|nonce". The server rejects
+// Requests are signed over "method|path|date|nonce" and carry no key:
+// the server verifies under the key its AgentDirectory holds for the X-Agent
+// WebID, the one source of an agent's key. The server rejects
 // timestamps outside MaxClockSkew and remembers each agent's verified
 // nonces within the window, so a captured request cannot be replayed
 // verbatim; only successfully verified requests consume their nonce.

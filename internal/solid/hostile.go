@@ -2,7 +2,6 @@ package solid
 
 import (
 	"encoding/base64"
-	"encoding/hex"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -57,7 +56,6 @@ func Capture(agent WebID, key *cryptoutil.KeyPair, clock simclock.Clock, method,
 	}
 	h := make(http.Header)
 	h.Set(HeaderAgent, string(agent))
-	h.Set(HeaderAgentKey, hex.EncodeToString(key.PublicBytes()))
 	h.Set(HeaderDate, date)
 	h.Set(HeaderNonce, nonce)
 	h.Set(HeaderSignature, base64.StdEncoding.EncodeToString(sig))

@@ -2,7 +2,6 @@ package solid
 
 import (
 	"encoding/base64"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -17,15 +16,14 @@ import (
 )
 
 // Authentication headers of the simulated Solid-OIDC scheme: the agent
-// presents its WebID, its public key, a timestamp, a single-use nonce,
-// and an ECDSA signature over "method|path|date|nonce". The server
-// verifies the signature, checks the key against the agent directory (the
+// presents its WebID, a timestamp, a single-use nonce, and an ECDSA
+// signature over "method|path|date|nonce". The server verifies the
+// signature under the key the agent directory holds for the WebID (the
 // stand-in for dereferencing the WebID profile document), and rejects any
 // (agent, nonce) pair it has already seen within the skew window — so a
 // captured request cannot be replayed verbatim.
 const (
 	HeaderAgent     = "X-Agent"
-	HeaderAgentKey  = "X-Agent-Key"
 	HeaderDate      = "X-Date"
 	HeaderNonce     = "X-Nonce"
 	HeaderSignature = "X-Signature"
@@ -201,11 +199,10 @@ func (s *Server) authenticate(r *http.Request) (WebID, error) {
 	if agent == "" {
 		return "", nil
 	}
-	keyHex := r.Header.Get(HeaderAgentKey)
 	sigB64 := r.Header.Get(HeaderSignature)
 	date := r.Header.Get(HeaderDate)
 	nonce := r.Header.Get(HeaderNonce)
-	if keyHex == "" || sigB64 == "" || date == "" || nonce == "" {
+	if sigB64 == "" || date == "" || nonce == "" {
 		return "", errors.New("solid: incomplete authentication headers")
 	}
 	ts, err := time.Parse(time.RFC3339Nano, date)
@@ -216,20 +213,13 @@ func (s *Server) authenticate(r *http.Request) (WebID, error) {
 	if ts.Before(now.Add(-MaxClockSkew)) || ts.After(now.Add(MaxClockSkew)) {
 		return "", fmt.Errorf("solid: request timestamp %s outside allowed skew", date)
 	}
-	keyBytes, err := hex.DecodeString(keyHex)
-	if err != nil {
-		return "", fmt.Errorf("solid: bad %s: %w", HeaderAgentKey, err)
-	}
 	registered, ok := s.dir.KeyFor(agent)
 	if !ok {
 		return "", fmt.Errorf("solid: unknown agent %s", agent)
 	}
-	if string(registered) != string(keyBytes) {
-		return "", fmt.Errorf("solid: presented key does not match the profile of %s", agent)
-	}
-	pub, _, err := cryptoutil.ParsePublicKey(keyBytes)
+	pub, _, err := cryptoutil.ParsePublicKey(registered)
 	if err != nil {
-		return "", fmt.Errorf("solid: bad agent key: %w", err)
+		return "", fmt.Errorf("solid: bad key registered for %s: %w", agent, err)
 	}
 	sig, err := base64.StdEncoding.DecodeString(sigB64)
 	if err != nil {
