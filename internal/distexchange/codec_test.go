@@ -881,18 +881,51 @@ func signedApart(t *testing.T, keys []*cryptoutil.KeyPair, evs []Evidence) []Sig
 // verified-signature table. At 1c22d60, which parsed every device key on
 // every execution, the same execution made 561: 6 more per device. At
 // c850a0a, which returned every record whole in a buffer grown item by
-// item, it made 465.
+// item, it made 465. At 59e9311, which decoded the round's resource
+// record once per item, it made 459.
 func TestSubmitEvidenceAllocations(t *testing.T) {
-	const devices, want = 16, 459
+	const devices, want = 16, 340
+	w, submit := roundSubmission(t, devices)
+	if got := w.allocs(submit); got > want {
+		t.Errorf("submitEvidence of %d devices: %.0f allocations, want at most %d", devices, got, want)
+	}
+}
+
+// TestSubmitEvidenceMarginalAllocations pins what one more item of a
+// round costs: 16 items on one resource may allocate at most 8 × 21 more
+// than 8 items. The measured difference is 161, 20.1 per item; at
+// 59e9311, which decoded the resource record for every item, it was 225.
+// An item that decodes its resource record again costs 8 more, which this
+// catches where a bound on the whole round might not.
+func TestSubmitEvidenceMarginalAllocations(t *testing.T) {
+	const perItem = 21
+	// Each round is measured as soon as it is built: its keys and
+	// signatures are then all in the process's tables (roundSubmission).
+	w8, submit8 := roundSubmission(t, 8)
+	allocs8 := w8.allocs(submit8)
+	w16, submit16 := roundSubmission(t, 16)
+	allocs16 := w16.allocs(submit16)
+	if got := allocs16 - allocs8; got > 8*perItem {
+		t.Errorf("16 items: %.0f allocations, 8 items: %.0f; the 8 more items made %.0f, want at most %d",
+			allocs16, allocs8, got, 8*perItem)
+	}
+}
+
+// roundSubmission registers a resource with n retrieved grants, opens a
+// monitoring round on it and returns the submitEvidence transaction of the
+// round's n answers, checked to be accepted item by item. Its signatures
+// and device keys are in the process's tables (keysApart, signedApart).
+func roundSubmission(t *testing.T, n int) (*execWorld, *chain.Tx) {
+	t.Helper()
 	w := newExecWorld(t)
 	owner := cryptoutil.MustGenerateKey()
 	w.withResource(owner)
-	keys := keysApart(devices)
+	keys := keysApart(n)
 	for _, device := range keys {
 		w.withRetrievedGrant(owner, device)
 	}
 	w.must(owner, "requestMonitoring", RequestMonitoringArgs{ResourceIRI: allocsIRI})
-	evs := make([]Evidence, devices)
+	evs := make([]Evidence, n)
 	for i, device := range keys {
 		evs[i] = Evidence{ResourceIRI: allocsIRI, Device: device.Address(), Round: 1, PolicyVersion: 1,
 			StillStored: true, RetrievedAt: t0, GeneratedAt: t0.Add(time.Minute)}
@@ -904,7 +937,7 @@ func TestSubmitEvidenceAllocations(t *testing.T) {
 	r := w.rt.ExecuteTx(w.ov, submit, execBlock)
 	w.ov.RevertTo(cp)
 	outcomes, err := DecodeEvidenceOutcomes(r.Return)
-	if !r.Succeeded() || err != nil || len(outcomes) != devices {
+	if !r.Succeeded() || err != nil || len(outcomes) != n {
 		t.Fatalf("submitEvidence: %s, %v, %d outcomes", r.Err, err, len(outcomes))
 	}
 	for i, o := range outcomes {
@@ -912,7 +945,5 @@ func TestSubmitEvidenceAllocations(t *testing.T) {
 			t.Fatalf("evidence %d refused: %v", i, o.Err)
 		}
 	}
-	if got := w.allocs(submit); got > want {
-		t.Errorf("submitEvidence of %d devices: %.0f allocations, want at most %d", devices, got, want)
-	}
+	return w, submit
 }

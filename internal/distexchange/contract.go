@@ -1,6 +1,7 @@
 package distexchange
 
 import (
+	"bytes"
 	"crypto/ecdsa"
 	"encoding/hex"
 	"errors"
@@ -177,12 +178,48 @@ func load[T any](env *contract.Env, key []byte, out *T, decode func(*store.Dec, 
 	if err != nil || !ok {
 		return false, err
 	}
+	return true, decodeStored(env, key, raw, out, decode)
+}
+
+// decodeStored decodes raw, the value stored under key, into out, reverting
+// as load does on what decode refuses.
+func decodeStored[T any](env *contract.Env, key, raw []byte, out *T, decode func(*store.Dec, *T)) error {
 	d := store.NewDec(raw)
 	decode(d, out)
 	if err := d.Finish(); err != nil {
-		return false, contract.Revertf("corrupt record at %s: %v", localKey(env, key), err)
+		return contract.Revertf("corrupt record at %s: %v", localKey(env, key), err)
 	}
-	return true, nil
+	return nil
+}
+
+// lastDecoded is a record one call decoded, kept with the stored bytes it
+// was decoded from, so that the call's next read of the same bytes does not
+// decode them again. It lives as long as the call that declares it: never
+// in a map or on the Contract, so parallel executions share nothing.
+type lastDecoded[T any] struct {
+	raw []byte
+	val *T
+}
+
+// load reads the record under key as the package-level load does — the
+// same Get, gas and refusal text — and returns it, or nil when there is
+// none. It decodes only when the stored bytes differ from those it decoded
+// last; otherwise it returns that same value, which its callers therefore
+// only read. Equal bytes decode to equal records, so which of the two a
+// caller gets changes nothing.
+func (m *lastDecoded[T]) load(env *contract.Env, key []byte, decode func(*store.Dec, *T)) (*T, error) {
+	raw, ok, err := env.Get(key)
+	if err != nil || !ok {
+		return nil, err
+	}
+	if m.val == nil || !bytes.Equal(raw, m.raw) {
+		v := new(T)
+		if err := decodeStored(env, key, raw, v, decode); err != nil {
+			return nil, err
+		}
+		m.raw, m.val = raw, v
+	}
+	return m.val, nil
 }
 
 // loadResourceHead reads the head of the ResourceRecord under key in place
@@ -586,9 +623,10 @@ func (c *Contract) requestMonitoring(env *contract.Env, args *RequestMonitoringA
 
 // checkedEvidence is one item of a submitEvidence list between its passes:
 // what checkEvidence read for it, and the refusal if the contract declines
-// it.
+// it. Items whose resources are stored as the same bytes share one decoded
+// rec (checkEvidence), which the record pass only reads.
 type checkedEvidence struct {
-	rec     ResourceRecord
+	rec     *ResourceRecord
 	grant   Grant
 	key     *ecdsa.PublicKey // the device key the ledger holds
 	signing []byte           // the bytes the device signature covers
@@ -615,8 +653,9 @@ func (c *Contract) submitEvidence(env *contract.Env, args *SubmitEvidenceArgs) (
 		return nil, contract.Revertf("submitEvidence: no evidence")
 	}
 	items := make([]checkedEvidence, len(args.Signed))
+	var res lastDecoded[ResourceRecord]
 	for i := range items {
-		if err := c.checkEvidence(env, &args.Signed[i].Evidence, &items[i]); err != nil {
+		if err := c.checkEvidence(env, &args.Signed[i].Evidence, &items[i], &res); err != nil {
 			return nil, err
 		}
 	}
@@ -652,18 +691,23 @@ func (c *Contract) submitEvidence(env *contract.Env, args *SubmitEvidenceArgs) (
 }
 
 // checkEvidence reads what one evidence is judged by — its resource, its
-// device's key and its grant — into it, or sets it.refused. The signature
-// is checked against the key the ledger holds for the device NOW, later,
-// by the verify pass. Every validator executes that check on the same
-// bytes, and an optimistic pass the scheduler discards executes it again,
-// so it goes through VerifyCached (see the package comment). A returned
-// error reverts the transaction.
-func (c *Contract) checkEvidence(env *contract.Env, ev *Evidence, it *checkedEvidence) error {
-	ok, err := load(env, resKey(env.Key(), ev.ResourceIRI), &it.rec, decodeResourceRecord)
-	if err != nil {
+// device's key and its grant — into it, or sets it.refused. Every item
+// reads its resource record and pays that read's gas, but res decodes it
+// only when its bytes differ from those of the record decoded last: once
+// for a list of one resource's evidence, once per run of items of one
+// resource if a list interleaves them. Decoding costs no gas, so the
+// receipt is what decoding every item's record gave. The signature is
+// checked against the key the ledger holds for the device NOW, later, by
+// the verify pass. Every validator executes that check on the same bytes,
+// and an optimistic pass the scheduler discards executes it again, so it
+// goes through VerifyCached (see the package comment). A returned error
+// reverts the transaction.
+func (c *Contract) checkEvidence(env *contract.Env, ev *Evidence, it *checkedEvidence, res *lastDecoded[ResourceRecord]) error {
+	var err error
+	if it.rec, err = res.load(env, resKey(env.Key(), ev.ResourceIRI), decodeResourceRecord); err != nil {
 		return err
 	}
-	if !ok {
+	if it.rec == nil {
 		it.refused = contract.Revertf("submitEvidence: resource %q not registered", ev.ResourceIRI)
 		return nil
 	}
@@ -692,7 +736,7 @@ func (c *Contract) checkEvidence(env *contract.Env, ev *Evidence, it *checkedEvi
 // accepted — its ev/ record, event, violations and round bookkeeping — and
 // returns the record's seq. Nothing here refuses: what fails reverts.
 func (c *Contract) recordEvidence(env *contract.Env, ev *Evidence, it *checkedEvidence) (uint64, error) {
-	findings := c.checkCompliance(&it.rec, &it.grant, ev)
+	findings := c.checkCompliance(it.rec, &it.grant, ev)
 
 	seq, err := bumpCounter(env, evSeqKey(env.Key(), ev.ResourceIRI))
 	if err != nil {

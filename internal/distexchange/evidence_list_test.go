@@ -639,3 +639,58 @@ func TestEvidenceListWritesRecordsOnce(t *testing.T) {
 		t.Fatalf("%d violations in the round (%v), want %d", len(viols), err, devices)
 	}
 }
+
+// TestEvidenceListInterleavedResources: a list whose items name resources
+// A, B, A, where B's policy is narrower, judges each item by its own
+// resource's record. The check pass decodes a resource record only when
+// its bytes differ from those of the record it decoded last, so the third
+// item decodes A's again: reusing the last record without comparing would
+// judge it by B's policy, and keeping the first would judge B's item by A's.
+func TestEvidenceListInterleavedResources(t *testing.T) {
+	w := newExecWorld(t)
+	owner := cryptoutil.MustGenerateKey()
+	w.withResource(owner) // A: any purpose, no cap on uses
+	const narrowIRI = "https://alice.pod/narrow.csv"
+	narrow := policy.New(narrowIRI, allocsWebID, t0)
+	narrow.AllowedPurposes = []policy.Purpose{policy.PurposeAcademic}
+	narrow.MaxUses = 1
+	w.must(owner, "registerResource", RegisterResourceArgs{ResourceIRI: narrowIRI, PodWebID: allocsWebID, Location: narrowIRI, Policy: narrow})
+	device := w.withRetrievedGrant(owner, cryptoutil.MustGenerateKey())
+	w.must(owner, "recordGrant", RecordGrantArgs{ResourceIRI: narrowIRI, Consumer: device.Address(), Device: device.Address(), Purpose: policy.PurposeAcademic})
+	w.must(device, "confirmRetrieval", ConfirmRetrievalArgs{ResourceIRI: narrowIRI})
+
+	iris := []string{allocsIRI, narrowIRI, allocsIRI}
+	signed := make([]SignedEvidence, len(iris))
+	for i, iri := range iris {
+		ev := Evidence{
+			ResourceIRI: iri, Device: device.Address(), PolicyVersion: 1, StillStored: true,
+			RetrievedAt: t0, UseCount: 2, GeneratedAt: t0.Add(time.Minute),
+			Entries: []UsageEntry{{At: t0, Action: policy.ActionUse, Purpose: policy.PurposeMedicalResearch, Allowed: true}},
+		}
+		sig, err := device.Sign(ev.SigningBytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		signed[i] = SignedEvidence{Evidence: ev, Signature: sig}
+	}
+	r := w.rt.ExecuteTx(w.ov, w.tx(cryptoutil.MustGenerateKey(), "submitEvidence", SubmitEvidenceArgs{Signed: signed}), execBlock)
+	outcomes, err := DecodeEvidenceOutcomes(r.Return)
+	if !r.Succeeded() || err != nil || len(outcomes) != len(iris) {
+		t.Fatalf("submitEvidence: %s, %v, %d outcomes", r.Err, err, len(outcomes))
+	}
+	want := [][]ViolationKind{nil, {ViolationPurpose, ViolationMaxUses}, nil}
+	namespace := []byte(w.deAddr.String() + "/")
+	for i, o := range outcomes {
+		if o.Err != nil {
+			t.Fatalf("item %d (%s) refused: %v", i, iris[i], o.Err)
+		}
+		raw, _ := w.ov.Get(evKey(namespace, iris[i], 0, o.Seq))
+		rec, err := decodeRecord(raw, decodeEvidenceRecord)
+		if err != nil {
+			t.Fatalf("item %d (%s): %v", i, iris[i], err)
+		}
+		if !reflect.DeepEqual(rec.Findings, want[i]) {
+			t.Errorf("item %d (%s): findings %v, want %v", i, iris[i], rec.Findings, want[i])
+		}
+	}
+}

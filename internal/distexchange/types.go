@@ -99,11 +99,12 @@
 // duplicate check, updatePolicy, withdrawResource, revokeGrant,
 // requestMonitoring, reportUnresponsive) read its record in place and
 // splice the stored bytes to rewrite it; recordGrant and submitEvidence
-// evaluate the policy, so they decode it. A listing (listResources,
-// getGrants, getEvidence, getViolations) is a count followed by the stored
-// encodings as they are; records delimit themselves. Every value has
-// exactly one encoding, so sizes — and with them gas — follow from the
-// workload alone. There is no second decoder: a value that opens with
+// evaluate the policy, so they decode it — submitEvidence once for a run of
+// items whose records are the same bytes ("Signature checks"). A listing
+// (listResources, getGrants, getEvidence, getViolations) is a count
+// followed by the stored encodings as they are; records delimit
+// themselves. Every value has exactly one encoding, so sizes — and with
+// them gas — follow from the workload alone. There is no second decoder: a value that opens with
 // another byte, the '{' of a record written before this format included,
 // reverts the transaction that reads it with "corrupt record at <key>".
 //
@@ -200,6 +201,14 @@
 // and the receipt — status, gas, revert text, return value, events — the
 // state root and the net diff are the same at every pool width
 // (TestEvidencePassesReceiptIdentity).
+//
+// The check pass reads every item's resource record, but decodes it only
+// when its bytes differ from those of the record it decoded last: once for
+// a round's list, which names one resource throughout, and once per run of
+// items if a list interleaves resources. Items with equal bytes share the
+// decoded record, which nothing writes. Gas is charged for the read, per
+// item as before, and never for decoding, so receipts do not change
+// (TestEvidenceListInterleavedResources, TestSubmitEvidenceMarginalAllocations).
 package distexchange
 
 import (

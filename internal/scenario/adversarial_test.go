@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -165,38 +166,42 @@ func TestScenarioAdversarialGenerated(t *testing.T) {
 }
 
 // TestScenarioAdversarialThroughput guards the cost of the four
-// adversarial invariants: running the full fourteen-invariant suite must
-// keep the steps/s of a mixed plan within 25% of the ten-invariant
-// honest suite (duration at most 4/3 of the honest run). Both suites
-// replay the identical plan. The runs alternate — honest, full, three
-// times — and each suite keeps its best, so a change in what else the
-// host runs falls on both sides instead of on one suite's three runs.
+// adversarial invariants: in a run of the full fourteen-invariant suite,
+// their Check calls may take at most a third of the rest of the run, so the
+// suite keeps the steps/s of a mixed plan within 25% of what the same run
+// reaches without them (duration at most 4/3). Both sides are measured
+// within one run, so whatever else the host runs meanwhile falls on both;
+// of three runs, the one where the adversarial checks' share is smallest
+// counts.
 func TestScenarioAdversarialThroughput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive")
 	}
-	const seed, steps = 7, 40
-	suites := [2][]Invariant{DefaultInvariants()[:10], DefaultInvariants()}
-	var best [2]time.Duration
-	for range 3 {
-		for i, inv := range suites {
+	const seed, steps, honest = 7, 40, 10
+	var adversarial time.Duration
+	suite := DefaultInvariants()
+	for i := honest; i < len(suite); i++ {
+		check := suite[i].Check
+		suite[i].Check = func(w *World) error {
 			start := time.Now()
-			res := New(Config{Seed: seed, Steps: steps, Invariants: inv}).Run()
-			elapsed := time.Since(start)
-			if res.Failure != nil {
-				t.Fatalf("run with %d invariants failed: %s\ntrace:\n%s", len(inv), res.Failure, res.Trace())
-			}
-			if best[i] == 0 || elapsed < best[i] {
-				best[i] = elapsed
-			}
+			defer func() { adversarial += time.Since(start) }()
+			return check(w)
 		}
 	}
-
-	honestBest, fullBest := best[0], best[1]
-	limit := honestBest + honestBest/3
-	t.Logf("honest suite: %v, full suite: %v (limit %v)", honestBest, fullBest, limit)
-	if fullBest > limit {
-		t.Fatalf("adversarial invariants cost too much: full suite %v vs honest %v (steps/s dropped below 75%%)",
-			fullBest, honestBest)
+	best := math.Inf(1)
+	for range 3 {
+		adversarial = 0
+		start := time.Now()
+		res := New(Config{Seed: seed, Steps: steps, Invariants: suite}).Run()
+		rest := time.Since(start) - adversarial
+		if res.Failure != nil {
+			t.Fatalf("run failed: %s\ntrace:\n%s", res.Failure, res.Trace())
+		}
+		t.Logf("adversarial checks: %v, rest of the run: %v", adversarial, rest)
+		best = min(best, float64(adversarial)/float64(rest))
+	}
+	if best > 1.0/3 {
+		t.Fatalf("adversarial invariants cost too much: their checks took %.0f%% of the rest of the run at best, limit 33%% (steps/s dropped below 75%%)",
+			100*best)
 	}
 }

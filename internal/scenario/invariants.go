@@ -34,7 +34,7 @@ func DefaultInvariants() []Invariant {
 		// The adversarial invariants stay last, and state-integrity
 		// stays between them and the ten above, so DefaultInvariants()[:10]
 		// remains an honest-path suite (the adversarial-throughput guard
-		// compares against exactly that prefix).
+		// times exactly the invariants after that prefix).
 		{"state-integrity", checkStateIntegrity},
 		{"no-equivocation-accepted", checkNoEquivocationAccepted},
 		{"partition-convergence", checkPartitionConvergence},
