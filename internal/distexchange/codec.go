@@ -2,6 +2,7 @@ package distexchange
 
 import (
 	"encoding/binary"
+	"time"
 
 	"repro/internal/cryptoutil"
 	"repro/internal/policy"
@@ -252,6 +253,22 @@ func decodeDeviceRecord(d *store.Dec, r *DeviceRecord) {
 	r.RegisteredAt = d.UTC()
 }
 
+// decodeDeviceKey reads the DeviceKey of a stored DeviceRecord in place: it
+// walks the whole record and refuses exactly what decodeDeviceRecord
+// refuses, with the same error, and returns a view of raw, never to be
+// written through or kept (cryptoutil.ParsePublicKey copies what it keeps).
+func decodeDeviceKey(raw []byte) ([]byte, error) {
+	d := store.NewDec(raw)
+	d.Tag(tagDevice)
+	var device cryptoutil.Address
+	d.Raw(device[:])
+	key := d.View()
+	var measurement cryptoutil.Hash
+	d.Raw(measurement[:])
+	d.UTC() // RegisteredAt
+	return key, d.Finish()
+}
+
 func appendGrant(dst []byte, g *Grant) []byte {
 	dst = grow(dst, fixedSize+len(g.ResourceIRI)+len(g.Purpose))
 	dst = append(dst, tagGrant)
@@ -269,10 +286,35 @@ func decodeGrant(d *store.Dec, g *Grant) {
 	g.ResourceIRI = d.String()
 	d.Raw(g.Consumer[:])
 	d.Raw(g.Device[:])
-	g.Purpose = policy.Purpose(d.String())
+	g.Purpose = policy.PurposeOf(d.View())
 	g.GrantedAt = d.UTC()
 	g.RetrievedAt = d.UTC()
 	g.Revoked = d.Bool()
+}
+
+// grantHead is what monitoring reads of a Grant (decodeGrantHead).
+type grantHead struct {
+	device      cryptoutil.Address
+	retrievedAt time.Time
+	revoked     bool
+}
+
+// decodeGrantHead reads a stored Grant in place, as decodeResourceHead
+// reads a resource: it walks the whole record and refuses exactly what
+// decodeGrant refuses, with the same error, but copies none of its
+// strings, so reading a grant it accepts allocates nothing.
+func decodeGrantHead(raw []byte) (h grantHead, err error) {
+	d := store.NewDec(raw)
+	d.Tag(tagGrant)
+	d.View() // ResourceIRI
+	var consumer cryptoutil.Address
+	d.Raw(consumer[:])
+	d.Raw(h.device[:])
+	d.View() // Purpose
+	d.UTC()  // GrantedAt
+	h.retrievedAt = d.UTC()
+	h.revoked = d.Bool()
+	return h, d.Finish()
 }
 
 func appendMonitoringRound(dst []byte, r *MonitoringRound) []byte {
@@ -355,7 +397,7 @@ func decodeUsageEntries(d *store.Dec) []UsageEntry {
 	out := make([]UsageEntry, 0, min(n, store.DecodeCapHint))
 	for range n {
 		out = append(out, UsageEntry{
-			At: d.UTC(), Action: policy.Action(d.String()), Purpose: policy.Purpose(d.String()), Allowed: d.Bool(),
+			At: d.UTC(), Action: policy.ActionOf(d.View()), Purpose: policy.PurposeOf(d.View()), Allowed: d.Bool(),
 		})
 		if d.Err() != nil {
 			return nil

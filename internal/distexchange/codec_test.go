@@ -336,6 +336,77 @@ func checkResourceHead(t *testing.T, data []byte, policies []*policy.Policy) {
 	}
 }
 
+// checkGrantHead holds decodeGrantHead to decodeGrant on data: it accepts
+// exactly what decodeGrant accepts, refuses with the same error, and reads
+// the same device, RetrievedAt and Revoked.
+func checkGrantHead(t *testing.T, data []byte) {
+	t.Helper()
+	g, recErr := decodeRecord(data, decodeGrant)
+	head, err := decodeGrantHead(data)
+	switch {
+	case recErr == nil && err != nil:
+		t.Fatalf("decodeGrantHead refuses\n%x\nwhich decodeGrant accepts: %v", data, err)
+	case recErr != nil && err == nil:
+		t.Fatalf("decodeGrantHead accepts\n%x\nwhich decodeGrant refuses: %v", data, recErr)
+	case recErr != nil:
+		if err.Error() != recErr.Error() {
+			t.Fatalf("refusals of\n%x\ndiffer: head %q, grant %q", data, err, recErr)
+		}
+		return
+	}
+	if head.device != g.Device || head.retrievedAt != g.RetrievedAt || head.revoked != g.Revoked {
+		t.Fatalf("head of\n%x\nreads %+v, the grant %+v", data, head, g)
+	}
+}
+
+// checkDeviceKey holds decodeDeviceKey to decodeDeviceRecord on data: it
+// accepts exactly what decodeDeviceRecord accepts, refuses with the same
+// error, and returns the same DeviceKey, as a view of data.
+func checkDeviceKey(t *testing.T, data []byte) {
+	t.Helper()
+	rec, recErr := DecodeDeviceRecord(data)
+	key, err := decodeDeviceKey(data)
+	switch {
+	case recErr == nil && err != nil:
+		t.Fatalf("decodeDeviceKey refuses\n%x\nwhich decodeDeviceRecord accepts: %v", data, err)
+	case recErr != nil && err == nil:
+		t.Fatalf("decodeDeviceKey accepts\n%x\nwhich decodeDeviceRecord refuses: %v", data, recErr)
+	case recErr != nil:
+		if err.Error() != recErr.Error() {
+			t.Fatalf("refusals of\n%x\ndiffer: key reader %q, record %q", data, err, recErr)
+		}
+		return
+	}
+	if !bytes.Equal(key, rec.DeviceKey) {
+		t.Fatalf("device key of\n%x\nreads %x, the record %x", data, key, rec.DeviceKey)
+	}
+	if len(key) > 0 && !bytes.Contains(data, key) {
+		t.Fatalf("device key %x is not a view of\n%x", key, data)
+	}
+}
+
+// TestGrantHeadAndDeviceKeyMatchRecords runs checkGrantHead and
+// checkDeviceKey over generated grants and device records, whole, cut
+// short, with a byte more and with one byte changed, and each over the
+// other's records.
+func TestGrantHeadAndDeviceKeyMatchRecords(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	g := gen{rng}
+	var records [][]byte
+	for range 300 {
+		gr, dev := g.grant(), g.device()
+		records = append(records, appendGrant(nil, &gr), appendDeviceRecord(nil, &dev))
+	}
+	for _, record := range records {
+		changed := bytes.Clone(record)
+		changed[rng.Intn(len(changed))] ^= byte(1 + rng.Intn(255))
+		for _, data := range [][]byte{record, record[:rng.Intn(len(record))], append(bytes.Clone(record), 0), changed} {
+			checkGrantHead(t, data)
+			checkDeviceKey(t, data)
+		}
+	}
+}
+
 // splicePolicies are the policies checkResourceHead splices in.
 func splicePolicies() []*policy.Policy {
 	v := recordVectors()
@@ -368,15 +439,33 @@ func TestResourceHeadMatchesRecord(t *testing.T) {
 	}
 }
 
-// TestResourceHeadAllocatesNothing pins the in-place read at no allocation.
+// TestResourceHeadAllocatesNothing pins the in-place reads at no
+// allocation: the resource head, the grant head and the device key.
 func TestResourceHeadAllocatesNothing(t *testing.T) {
-	record := appendResourceRecord(nil, &recordVectors().resources[0])
+	v := recordVectors()
+	record := appendResourceRecord(nil, &v.resources[0])
 	if got := testing.AllocsPerRun(100, func() {
 		if _, err := decodeResourceHead(record); err != nil {
 			t.Fatal(err)
 		}
 	}); got != 0 {
 		t.Errorf("decodeResourceHead: %.0f allocations, want 0", got)
+	}
+	grant := appendGrant(nil, &v.grants[0])
+	if got := testing.AllocsPerRun(100, func() {
+		if _, err := decodeGrantHead(grant); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("decodeGrantHead: %.0f allocations, want 0", got)
+	}
+	device := appendDeviceRecord(nil, &v.devices[0])
+	if got := testing.AllocsPerRun(100, func() {
+		if _, err := decodeDeviceKey(device); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("decodeDeviceKey: %.0f allocations, want 0", got)
 	}
 }
 
@@ -385,14 +474,16 @@ func TestResourceHeadAllocatesNothing(t *testing.T) {
 func TestRecordCodecAllocations(t *testing.T) {
 	v := recordVectors()
 	// The record's four strings, the policy, its three strings and its two
-	// lists of two strings each.
+	// lists. The lists' two purposes and two actions are vocabulary words,
+	// which decode as the policy package's constants (policy.PurposeOf,
+	// policy.ActionOf); at 32b20b0, which copied them, this made 14.
 	record := appendResourceRecord(nil, &v.resources[0])
 	var rec ResourceRecord
 	if got := testing.AllocsPerRun(100, func() {
 		d := store.NewDec(record)
 		decodeResourceRecord(d, &rec)
-	}); got != 14 {
-		t.Errorf("decodeResourceRecord: %.0f allocations, want 14", got)
+	}); got != 10 {
+		t.Errorf("decodeResourceRecord: %.0f allocations, want 10", got)
 	}
 	// The buffer, sized up front.
 	ev := v.evidence[0]
@@ -428,8 +519,8 @@ func relist[T any](vs []T, appendTo func([]byte, *T) []byte) []byte {
 // FuzzRecordDecode feeds every decoder arbitrary bytes. None may panic or
 // allocate out of proportion to its input, and whatever one accepts must
 // re-encode to exactly the input: a record has one encoding. The in-place
-// resource reader and its splices must agree with the full codec
-// (checkResourceHead).
+// readers and the resource splices must agree with the full codec
+// (checkResourceHead, checkGrantHead, checkDeviceKey).
 //
 // CI smoke-runs this with -fuzz=FuzzRecordDecode -fuzztime=30s.
 func FuzzRecordDecode(f *testing.F) {
@@ -437,12 +528,25 @@ func FuzzRecordDecode(f *testing.F) {
 		f.Add(enc)
 		f.Add(appendListing(nil, [][]byte{enc, enc}))
 	}
+	// Words outside the action and purpose vocabularies, which decode as
+	// copies rather than as the package constants.
+	unknown := recordVectors()
+	unknown.policies[0].AllowedActions = []policy.Action{"exfiltrate", policy.ActionUse}
+	unknown.policies[0].AllowedPurposes = []policy.Purpose{"resale"}
+	unknown.grants[0].Purpose = "resale"
+	unknown.evidence[0].Evidence.Entries[0].Action = "exfiltrate"
+	unknown.evidence[0].Evidence.Entries[0].Purpose = "resale"
+	f.Add(policy.AppendRecord(nil, &unknown.policies[0]))
+	f.Add(appendGrant(nil, &unknown.grants[0]))
+	f.Add(appendEvidenceRecord(nil, &unknown.evidence[0]))
 	f.Add([]byte(`{"resource":"https://alice.pod/web/browsing.csv"}`))
 	f.Add(store.AppendUvarint(nil, 1<<40)) // a listing that claims more records than bytes
 	policies := splicePolicies()
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkResourceHead(t, data, policies)
+		checkGrantHead(t, data)
+		checkDeviceKey(t, data)
 		try := func(name string, roundTrip func() ([]byte, error)) {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
@@ -504,8 +608,10 @@ func FuzzRecordDecode(f *testing.F) {
 			return policy.AppendRecord(nil, &v), err
 		})
 		try("counter", func() ([]byte, error) {
-			v, err := decodeRecord(data, decodeCounter)
-			return store.AppendUvarint(nil, v), err
+			// What bumpCounter reads: a bare uvarint.
+			d := store.NewDec(data)
+			v := d.Uvarint()
+			return store.AppendUvarint(nil, v), d.Finish()
 		})
 		try("listing of ResourceRecord", func() ([]byte, error) {
 			vs, err := DecodeResourceRecords(data)
@@ -644,7 +750,7 @@ func TestGasIndependentOfBlockTime(t *testing.T) {
 // for the pins of what one method's execution allocates, from the
 // runtime's entry to the receipt.
 type execWorld struct {
-	t      *testing.T
+	t      testing.TB
 	ca     *cryptoutil.Authority // the TEE manufacturer the contract trusts
 	rt     *contract.Runtime
 	deAddr cryptoutil.Address
@@ -654,7 +760,7 @@ type execWorld struct {
 
 var execBlock = chain.BlockContext{Number: 1, Time: t0}
 
-func newExecWorld(t *testing.T) *execWorld {
+func newExecWorld(t testing.TB) *execWorld {
 	ca, err := cryptoutil.NewAuthority()
 	if err != nil {
 		t.Fatal(err)
@@ -785,7 +891,9 @@ func (w *execWorld) withRetrievedGrant(owner, device *cryptoutil.KeyPair) *crypt
 // owner-only methods that read nothing of the resource record but its
 // owner, and so read it in place. At 9a84427, which decoded it, each made
 // 9 more allocations: 22 and 31. At 805d97e, whose runtime allocated each
-// call's Env and gas meter, each made 2 more: 13 and 22.
+// call's Env and gas meter, each made 2 more: 13 and 22. requestMonitoring
+// also reads each grant and its round counter in place; at 32b20b0, which
+// decoded whole grants through load, it made 20.
 func TestRevokeGrantAllocations(t *testing.T) {
 	const want = 11
 	w := newExecWorld(t)
@@ -799,15 +907,46 @@ func TestRevokeGrantAllocations(t *testing.T) {
 }
 
 func TestRequestMonitoringAllocations(t *testing.T) {
-	const want = 20
+	const want = 15
+	if got := requestMonitoringAllocs(t, 1); got > want {
+		t.Errorf("requestMonitoring: %.0f allocations, want at most %d", got, want)
+	}
+}
+
+// TestRequestMonitoringMarginalAllocations pins what one more retrieved
+// grant costs a monitoring request: 16 grants may allocate at most 15 × 2
+// more than 1. The measured difference is 19: mostly each target's
+// pending-marker key, which the state keeps as a string, and the growth
+// of the listed keys and of the target list. At 32b20b0, which decoded
+// each whole grant and its two strings through load's heap decoder, it
+// was 79.
+func TestRequestMonitoringMarginalAllocations(t *testing.T) {
+	const perGrant = 2
+	allocs1 := requestMonitoringAllocs(t, 1)
+	allocs16 := requestMonitoringAllocs(t, 16)
+	if got := allocs16 - allocs1; got > 15*perGrant {
+		t.Errorf("16 grants: %.0f allocations, 1 grant: %.0f; the 15 more grants made %.0f, want at most %d",
+			allocs16, allocs1, got, 15*perGrant)
+	}
+}
+
+// requestMonitoringAllocs reports what one requestMonitoring of a resource
+// with n retrieved grants allocates.
+func requestMonitoringAllocs(t *testing.T, n int) float64 {
+	w, request := monitoringRequest(t, n)
+	return w.allocs(request)
+}
+
+// monitoringRequest registers a resource with n retrieved grants and
+// returns its owner's requestMonitoring transaction.
+func monitoringRequest(t testing.TB, n int) (*execWorld, *chain.Tx) {
 	w := newExecWorld(t)
 	owner := cryptoutil.MustGenerateKey()
 	w.withResource(owner)
-	w.withRetrievedGrant(owner, cryptoutil.MustGenerateKey())
-	request := w.tx(owner, "requestMonitoring", RequestMonitoringArgs{ResourceIRI: allocsIRI})
-	if got := w.allocs(request); got > want {
-		t.Errorf("requestMonitoring: %.0f allocations, want at most %d", got, want)
+	for range n {
+		w.withRetrievedGrant(owner, cryptoutil.MustGenerateKey())
 	}
+	return w, w.tx(owner, "requestMonitoring", RequestMonitoringArgs{ResourceIRI: allocsIRI})
 }
 
 // keysApart returns n fresh keys that the parsed-key table holds at once:
@@ -840,7 +979,7 @@ func keysApart(n int) []*cryptoutil.KeyPair {
 // 20 allocations more, which is what made TestSubmitEvidenceAllocations
 // fail now and then. ECDSA signatures are randomized, so signing again
 // draws new slots.
-func signedApart(t *testing.T, keys []*cryptoutil.KeyPair, evs []Evidence) []SignedEvidence {
+func signedApart(t testing.TB, keys []*cryptoutil.KeyPair, evs []Evidence) []SignedEvidence {
 	t.Helper()
 	pubs := make([]*ecdsa.PublicKey, len(keys))
 	msgs := make([][]byte, len(evs))
@@ -882,9 +1021,12 @@ func signedApart(t *testing.T, keys []*cryptoutil.KeyPair, evs []Evidence) []Sig
 // every execution, the same execution made 561: 6 more per device. At
 // c850a0a, which returned every record whole in a buffer grown item by
 // item, it made 465. At 59e9311, which decoded the round's resource
-// record once per item, it made 459.
+// record once per item, it made 459. At 32b20b0, which decoded each
+// item's device record, grant, counter and round progress through load's
+// heap decoder and copied the device key and the grant's strings, it made
+// 340.
 func TestSubmitEvidenceAllocations(t *testing.T) {
-	const devices, want = 16, 340
+	const devices, want = 16, 181
 	w, submit := roundSubmission(t, devices)
 	if got := w.allocs(submit); got > want {
 		t.Errorf("submitEvidence of %d devices: %.0f allocations, want at most %d", devices, got, want)
@@ -892,13 +1034,15 @@ func TestSubmitEvidenceAllocations(t *testing.T) {
 }
 
 // TestSubmitEvidenceMarginalAllocations pins what one more item of a
-// round costs: 16 items on one resource may allocate at most 8 × 21 more
-// than 8 items. The measured difference is 161, 20.1 per item; at
-// 59e9311, which decoded the resource record for every item, it was 225.
-// An item that decodes its resource record again costs 8 more, which this
-// catches where a bound on the whole round might not.
+// round costs: 16 items on one resource may allocate at most 8 × 11 more
+// than 8 items. The measured difference is 81, 10.1 per item; at 59e9311,
+// which decoded the resource record for every item, it was 225, and at
+// 32b20b0, whose per-item reads went through load's heap decoder, 161. An
+// item that decodes its resource record again costs 8 more, and one read
+// through load 1 more, which this catches where a bound on the whole round
+// might not.
 func TestSubmitEvidenceMarginalAllocations(t *testing.T) {
-	const perItem = 21
+	const perItem = 11
 	// Each round is measured as soon as it is built: its keys and
 	// signatures are then all in the process's tables (roundSubmission).
 	w8, submit8 := roundSubmission(t, 8)
@@ -915,7 +1059,7 @@ func TestSubmitEvidenceMarginalAllocations(t *testing.T) {
 // monitoring round on it and returns the submitEvidence transaction of the
 // round's n answers, checked to be accepted item by item. Its signatures
 // and device keys are in the process's tables (keysApart, signedApart).
-func roundSubmission(t *testing.T, n int) (*execWorld, *chain.Tx) {
+func roundSubmission(t testing.TB, n int) (*execWorld, *chain.Tx) {
 	t.Helper()
 	w := newExecWorld(t)
 	owner := cryptoutil.MustGenerateKey()
@@ -946,4 +1090,31 @@ func roundSubmission(t *testing.T, n int) (*execWorld, *chain.Tx) {
 		}
 	}
 	return w, submit
+}
+
+// benchmarkExec runs tx once per iteration, the overlay reverted after
+// each, reporting allocations: per-call counts of a contract method
+// without the repo benchmark.
+func benchmarkExec(b *testing.B, w *execWorld, tx *chain.Tx) {
+	cp := w.ov.Checkpoint()
+	b.ReportAllocs()
+	for b.Loop() {
+		w.exec(tx)
+		w.ov.RevertTo(cp)
+	}
+}
+
+// BenchmarkSubmitEvidenceRound executes one submitEvidence of a 16-device
+// monitoring round, its signatures and device keys in the process's
+// tables (roundSubmission), as each validator does once per round.
+func BenchmarkSubmitEvidenceRound(b *testing.B) {
+	w, submit := roundSubmission(b, 16)
+	benchmarkExec(b, w, submit)
+}
+
+// BenchmarkRequestMonitoring16 executes one requestMonitoring of a
+// resource with 16 retrieved grants.
+func BenchmarkRequestMonitoring16(b *testing.B) {
+	w, request := monitoringRequest(b, 16)
+	benchmarkExec(b, w, request)
 }

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	"repro/internal/contract"
 	"repro/internal/cryptoutil"
@@ -172,7 +173,12 @@ func localKey(l ledger, key []byte) []byte { return key[len(l.Key()):] }
 
 // load reads the record under key into out, reporting whether there is one.
 // A value that decode refuses — a JSON record of a data directory written
-// before the record codec, for one — reverts the transaction naming the key.
+// before the record codec, for one — reverts the transaction naming the key
+// (corruptRecord). It hands its decoder to decode, a func value, so the
+// decoder escapes to the heap: one allocation a call. The reads monitoring
+// makes per item call an in-place reader directly instead, which keeps its
+// decoder on the stack (decodeResourceHead, decodeGrantHead,
+// decodeDeviceKey, and bumpCounter's and noteResponse's own).
 func load[T any](env *contract.Env, key []byte, out *T, decode func(*store.Dec, *T)) (bool, error) {
 	raw, ok, err := env.Get(key)
 	if err != nil || !ok {
@@ -187,9 +193,15 @@ func decodeStored[T any](env *contract.Env, key, raw []byte, out *T, decode func
 	d := store.NewDec(raw)
 	decode(d, out)
 	if err := d.Finish(); err != nil {
-		return contract.Revertf("corrupt record at %s: %v", localKey(env, key), err)
+		return corruptRecord(env, key, err)
 	}
 	return nil
+}
+
+// corruptRecord is the revert of a transaction that read a value under key
+// which its decoder refused with err.
+func corruptRecord(env *contract.Env, key []byte, err error) error {
+	return contract.Revertf("corrupt record at %s: %v", localKey(env, key), err)
 }
 
 // lastDecoded is a record one call decoded, kept with the stored bytes it
@@ -232,7 +244,7 @@ func loadResourceHead(env *contract.Env, key []byte) (h resourceHead, raw []byte
 		return h, nil, false, err
 	}
 	if h, err = decodeResourceHead(raw); err != nil {
-		return h, nil, false, contract.Revertf("corrupt record at %s: %v", localKey(env, key), err)
+		return h, nil, false, corruptRecord(env, key, err)
 	}
 	return h, raw, true, nil
 }
@@ -258,15 +270,21 @@ func decodeArgs[A any](raw []byte, args *A, decode func(*store.Dec, *A)) error {
 	return nil
 }
 
-// decodeCounter reads a sequence counter: a bare uvarint, no tag.
-func decodeCounter(d *store.Dec, n *uint64) { *n = d.Uvarint() }
-
-// bumpCounter increments the counter under key, built on env.Key, and
-// returns its new value.
+// bumpCounter increments the sequence counter under key, built on env.Key,
+// and returns its new value. A counter is a bare uvarint, no tag; a missing
+// one reads as 0.
 func bumpCounter(env *contract.Env, key []byte) (uint64, error) {
-	var n uint64
-	if _, err := load(env, key, &n, decodeCounter); err != nil {
+	raw, ok, err := env.Get(key)
+	if err != nil {
 		return 0, err
+	}
+	var n uint64
+	if ok {
+		d := store.NewDec(raw)
+		n = d.Uvarint()
+		if err := d.Finish(); err != nil {
+			return 0, corruptRecord(env, key, err)
+		}
 	}
 	n++
 	if err := env.Set(key, store.AppendUvarint(nil, n)); err != nil {
@@ -577,14 +595,19 @@ func (c *Contract) requestMonitoring(env *contract.Env, args *RequestMonitoringA
 	}
 	var targets []cryptoutil.Address
 	for _, k := range keys {
-		var g Grant
-		if ok, err := load(env, append(env.Key(), k...), &g, decodeGrant); err != nil {
+		key := append(env.Key(), k...)
+		raw, ok, err := env.Get(key)
+		if err != nil {
 			return nil, err
 		} else if !ok {
 			continue
 		}
-		if !g.Revoked && !g.RetrievedAt.IsZero() {
-			targets = append(targets, g.Device)
+		g, err := decodeGrantHead(raw)
+		if err != nil {
+			return nil, corruptRecord(env, key, err)
+		}
+		if !g.revoked && !g.retrievedAt.IsZero() {
+			targets = append(targets, g.device)
 		}
 	}
 
@@ -626,11 +649,11 @@ func (c *Contract) requestMonitoring(env *contract.Env, args *RequestMonitoringA
 // it. Items whose resources are stored as the same bytes share one decoded
 // rec (checkEvidence), which the record pass only reads.
 type checkedEvidence struct {
-	rec     *ResourceRecord
-	grant   Grant
-	key     *ecdsa.PublicKey // the device key the ledger holds
-	signing []byte           // the bytes the device signature covers
-	refused error
+	rec         *ResourceRecord
+	retrievedAt time.Time        // the grant's RetrievedAt
+	key         *ecdsa.PublicKey // the device key the ledger holds
+	signing     []byte           // the bytes the device signature covers
+	refused     error
 }
 
 // submitEvidence records a list of signed evidence — one monitoring round's,
@@ -695,8 +718,9 @@ func (c *Contract) submitEvidence(env *contract.Env, args *SubmitEvidenceArgs) (
 // reads its resource record and pays that read's gas, but res decodes it
 // only when its bytes differ from those of the record decoded last: once
 // for a list of one resource's evidence, once per run of items of one
-// resource if a list interleaves them. Decoding costs no gas, so the
-// receipt is what decoding every item's record gave. The signature is
+// resource if a list interleaves them. The device key and the grant are
+// read in place (decodeDeviceKey, decodeGrantHead). Decoding costs no gas,
+// so the receipt is what decoding every item's records gave. The signature is
 // checked against the key the ledger holds for the device NOW, later, by
 // the verify pass. Every validator executes that check on the same bytes,
 // and an optimistic pass the scheduler discards executes it again, so it
@@ -711,20 +735,31 @@ func (c *Contract) checkEvidence(env *contract.Env, ev *Evidence, it *checkedEvi
 		it.refused = contract.Revertf("submitEvidence: resource %q not registered", ev.ResourceIRI)
 		return nil
 	}
-	var dev DeviceRecord
-	if ok, err := load(env, devKey(env.Key(), ev.Device), &dev, decodeDeviceRecord); err != nil {
+	key := devKey(env.Key(), ev.Device)
+	raw, ok, err := env.Get(key)
+	if err != nil {
 		return err
 	} else if !ok {
 		it.refused = contract.Revertf("submitEvidence: device %s not registered", ev.Device)
 		return nil
 	}
-	if ok, err := load(env, grantKey(env.Key(), ev.ResourceIRI, ev.Device), &it.grant, decodeGrant); err != nil {
+	deviceKey, err := decodeDeviceKey(raw)
+	if err != nil {
+		return corruptRecord(env, key, err)
+	}
+	key = grantKey(env.Key(), ev.ResourceIRI, ev.Device)
+	if raw, ok, err = env.Get(key); err != nil {
 		return err
 	} else if !ok {
 		it.refused = contract.Revertf("submitEvidence: no grant for device %s on %q", ev.Device, ev.ResourceIRI)
 		return nil
 	}
-	if it.key, _, err = cryptoutil.ParsePublicKey(dev.DeviceKey); err != nil {
+	g, err := decodeGrantHead(raw)
+	if err != nil {
+		return corruptRecord(env, key, err)
+	}
+	it.retrievedAt = g.retrievedAt
+	if it.key, _, err = cryptoutil.ParsePublicKey(deviceKey); err != nil {
 		it.refused = contract.Revertf("submitEvidence: stored device key corrupt: %v", err)
 		return nil
 	}
@@ -736,7 +771,7 @@ func (c *Contract) checkEvidence(env *contract.Env, ev *Evidence, it *checkedEvi
 // accepted — its ev/ record, event, violations and round bookkeeping — and
 // returns the record's seq. Nothing here refuses: what fails reverts.
 func (c *Contract) recordEvidence(env *contract.Env, ev *Evidence, it *checkedEvidence) (uint64, error) {
-	findings := c.checkCompliance(it.rec, &it.grant, ev)
+	findings := c.checkCompliance(it.rec, it.retrievedAt, ev)
 
 	seq, err := bumpCounter(env, evSeqKey(env.Key(), ev.ResourceIRI))
 	if err != nil {
@@ -782,10 +817,18 @@ func (c *Contract) noteResponse(env *contract.Env, iri string, round uint64, dev
 	if _, pending, err := env.Get(pendingKey(env.Key(), iri, round, device)); err != nil || !pending {
 		return err
 	}
-	var prog roundProgress
-	if ok, err := load(env, progressKey(env.Key(), iri, round), &prog, decodeRoundProgress); err != nil {
+	key := progressKey(env.Key(), iri, round)
+	raw, ok, err := env.Get(key)
+	if err != nil || !ok {
 		return err
-	} else if !ok || prog.Closed {
+	}
+	var prog roundProgress
+	d := store.NewDec(raw)
+	decodeRoundProgress(d, &prog)
+	if err := d.Finish(); err != nil {
+		return corruptRecord(env, key, err)
+	}
+	if prog.Closed {
 		return nil
 	}
 	if err := env.Delete(pendingKey(env.Key(), iri, round, device)); err != nil {
@@ -796,8 +839,9 @@ func (c *Contract) noteResponse(env *contract.Env, iri string, round uint64, dev
 	return env.Set(progressKey(env.Key(), iri, round), appendRoundProgress(nil, &prog))
 }
 
-// checkCompliance evaluates evidence against the current policy and grant.
-func (c *Contract) checkCompliance(rec *ResourceRecord, g *Grant, ev *Evidence) []ViolationKind {
+// checkCompliance evaluates evidence against the current policy and the
+// RetrievedAt of its grant.
+func (c *Contract) checkCompliance(rec *ResourceRecord, retrievedAt time.Time, ev *Evidence) []ViolationKind {
 	var findings []ViolationKind
 	pol := rec.Policy
 
@@ -807,7 +851,6 @@ func (c *Contract) checkCompliance(rec *ResourceRecord, g *Grant, ev *Evidence) 
 	}
 
 	// Retention: the copy must be gone by its deadline.
-	retrievedAt := g.RetrievedAt
 	if retrievedAt.IsZero() {
 		retrievedAt = ev.RetrievedAt
 	}

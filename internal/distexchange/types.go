@@ -100,7 +100,24 @@
 // requestMonitoring, reportUnresponsive) read its record in place and
 // splice the stored bytes to rewrite it; recordGrant and submitEvidence
 // evaluate the policy, so they decode it — submitEvidence once for a run of
-// items whose records are the same bytes ("Signature checks"). A listing
+// items whose records are the same bytes ("Signature checks").
+//
+// Monitoring reads the rest of what it needs in place too. Three readers
+// walk a whole stored record, refuse exactly what its full decoder
+// refuses, with the same error, and copy nothing:
+//
+//	decodeResourceHead  ResourceRecord: withdrawn, owner, policy version
+//	decodeGrantHead     Grant: device, retrievedAt, revoked
+//	                    (requestMonitoring, submitEvidence)
+//	decodeDeviceKey     DeviceRecord: a view of deviceKey, which
+//	                    cryptoutil.ParsePublicKey copies if it keeps it
+//	                    (submitEvidence)
+//
+// They, and the counter and round-progress reads, are called directly, so
+// their decoder stays on the stack; load, which decodes through a func
+// value, puts one on the heap per call. A decoded policy's purposes and
+// actions, and an evidence's usage entries, are the policy package's
+// constants when they name one (policy.PurposeOf, policy.ActionOf). A listing
 // (listResources, getGrants, getEvidence, getViolations) is a count
 // followed by the stored encodings as they are; records delimit
 // themselves. Every value has exactly one encoding, so sizes — and with

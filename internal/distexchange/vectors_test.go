@@ -194,4 +194,14 @@ func TestFrozenRecordEncodings(t *testing.T) {
 			t.Errorf("vector %d:\n got %x\nwant %s", i, enc, want[i])
 		}
 	}
+	// Monitoring reads grants and device records in place: each frozen one
+	// goes through both readers, which must agree with the full decoders.
+	v := recordVectors()
+	for i := range v.grants {
+		grant, device := appendGrant(nil, &v.grants[i]), appendDeviceRecord(nil, &v.devices[i])
+		for _, enc := range [][]byte{grant, device} {
+			checkGrantHead(t, enc)
+			checkDeviceKey(t, enc)
+		}
+	}
 }

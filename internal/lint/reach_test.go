@@ -46,10 +46,9 @@ var reachKeep = map[string]string{
 	"repro/internal/distexchange.Client.ListResources":  "typed getter over the contract's listResources query",
 	"repro/internal/distexchange.Client.SubmitEvidence": "SubmitEvidenceBatch for a list of one, answering with its record's seq: a device answering for itself, which is how the contract, pod-manager and core tests submit evidence the oracle does not relay",
 
-	"repro/internal/oracle.PullIn.Wait":      "the quiescence point the oracle and core monitoring tests wait on before they read the relay's counters; without it they would sleep",
-	"repro/internal/policy.PurposeMarketing": "the disallowed purpose in the evaluation, TEE and contract tests, named beside the purposes it is refused against",
-	"repro/internal/lint.ExportsFor":         "export data for the fixture and pinning tests, which type-check synthetic sources",
-	"repro/internal/lint.LockGuards":         "the guard-annotation view TestGuardAnnotationsPinned checks",
+	"repro/internal/oracle.PullIn.Wait": "the quiescence point the oracle and core monitoring tests wait on before they read the relay's counters; without it they would sleep",
+	"repro/internal/lint.ExportsFor":    "export data for the fixture and pinning tests, which type-check synthetic sources",
+	"repro/internal/lint.LockGuards":    "the guard-annotation view TestGuardAnnotationsPinned checks",
 }
 
 // declKey names a package-level object, or a method as pkg.Type.Method,

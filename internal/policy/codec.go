@@ -50,7 +50,8 @@ func RecordSize(p *Policy) int {
 }
 
 // DecodeRecord reads into p a policy appended by AppendRecord. A malformed
-// encoding is d's error; the policy is not validated.
+// encoding is d's error; the policy is not validated. Its purposes and
+// actions are read through PurposeOf and ActionOf.
 func DecodeRecord(d *store.Dec, p *Policy) {
 	d.Tag(tagPolicy)
 	p.ID = d.String()
@@ -58,8 +59,8 @@ func DecodeRecord(d *store.Dec, p *Policy) {
 	p.OwnerWebID = d.String()
 	p.Version = d.Uvarint()
 	p.IssuedAt = d.UTC()
-	p.AllowedPurposes = store.Strings[Purpose](d, "purposes")
-	p.AllowedActions = store.Strings[Action](d, "actions")
+	p.AllowedPurposes = decodeWords(d, "purposes", purposeWords)
+	p.AllowedActions = decodeWords(d, "actions", actionWords)
 	p.MaxRetention = time.Duration(d.Uvarint())
 	p.ExpiresAt = d.UTC()
 	p.MaxUses = d.Uvarint()
@@ -118,4 +119,41 @@ func (p *Policy) ToGraph() *rdf.Graph {
 		g.Add(rdf.T(id, ucNotifyOnUse, rdf.Boolean(true)))
 	}
 	return g
+}
+
+// decodeWords reads a list written by store.AppendStrings as store.Strings
+// does, but each word through wordOf(words, …); an empty list is nil.
+func decodeWords[S ~string](d *store.Dec, what string, words []S) []S {
+	n := d.Count(what, uint64(d.Remaining()))
+	if n == 0 {
+		return nil
+	}
+	out := make([]S, 0, min(n, store.DecodeCapHint))
+	for range n {
+		w := d.View()
+		if d.Err() != nil {
+			return nil
+		}
+		out = append(out, wordOf(words, w))
+	}
+	return out
+}
+
+// ActionOf returns the action b spells: the package constant when b names
+// one, so that decoding a vocabulary word allocates nothing, and a copy of b
+// otherwise. It never keeps b.
+func ActionOf(b []byte) Action { return wordOf(actionWords, b) }
+
+// PurposeOf returns the purpose b spells as ActionOf does: the package
+// constant when b names one, a copy of b otherwise.
+func PurposeOf(b []byte) Purpose { return wordOf(purposeWords, b) }
+
+// wordOf returns the word of words that b spells, or a copy of b.
+func wordOf[S ~string](words []S, b []byte) S {
+	for _, w := range words {
+		if string(w) == string(b) {
+			return w
+		}
+	}
+	return S(b)
 }

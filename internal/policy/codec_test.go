@@ -81,3 +81,50 @@ func TestCodecRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestVocabularyWordsAreConstants: every action and purpose constant comes
+// back from ActionOf and PurposeOf as itself, without allocating.
+func TestVocabularyWordsAreConstants(t *testing.T) {
+	for _, a := range []Action{ActionRead, ActionUse, ActionStore, ActionShare, ActionModify} {
+		b := []byte(a)
+		var got Action
+		if allocs := testing.AllocsPerRun(100, func() { got = ActionOf(b) }); allocs != 0 || got != a {
+			t.Errorf("ActionOf(%q) = %q with %.0f allocations, want the constant and 0", b, got, allocs)
+		}
+	}
+	for _, p := range []Purpose{PurposeMedicalResearch, PurposeAcademic, PurposeWebAnalytics, PurposeMarketing, PurposeAny} {
+		b := []byte(p)
+		var got Purpose
+		if allocs := testing.AllocsPerRun(100, func() { got = PurposeOf(b) }); allocs != 0 || got != p {
+			t.Errorf("PurposeOf(%q) = %q with %.0f allocations, want the constant and 0", b, got, allocs)
+		}
+	}
+}
+
+// TestUnknownWordsAreCopies: a word outside the vocabulary decodes as a
+// copy of its bytes, directly and inside a policy record, so overwriting
+// the input afterwards leaves the decoded words as they were.
+func TestUnknownWordsAreCopies(t *testing.T) {
+	const word = "exfiltrate"
+	b := []byte(word)
+	a, p := ActionOf(b), PurposeOf(b)
+	clear(b)
+	if a != word || p != word {
+		t.Errorf("after overwriting the input, ActionOf read %q and PurposeOf %q, want %q", a, p, word)
+	}
+
+	pol := fullPolicy()
+	pol.AllowedActions = []Action{word, ActionRead}
+	pol.AllowedPurposes = []Purpose{word, PurposeAcademic}
+	record := AppendRecord(nil, pol)
+	var got Policy
+	d := store.NewDec(record)
+	DecodeRecord(d, &got)
+	if err := d.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	clear(record)
+	if got.AllowedActions[0] != word || got.AllowedPurposes[0] != word {
+		t.Errorf("after overwriting the record, its words read %q and %q, want %q", got.AllowedActions[0], got.AllowedPurposes[0], word)
+	}
+}

@@ -3,6 +3,7 @@ package policy
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -94,10 +95,12 @@ var (
 	ErrUnknownAction = errors.New("policy: unknown action")
 )
 
-// knownActions is the closed action vocabulary.
-var knownActions = map[Action]struct{}{
-	ActionRead: {}, ActionUse: {}, ActionStore: {}, ActionShare: {}, ActionModify: {},
-}
+// actionWords is the closed action vocabulary.
+var actionWords = []Action{ActionRead, ActionUse, ActionStore, ActionShare, ActionModify}
+
+// purposeWords are the purpose constants. The vocabulary stays open: they
+// only spare PurposeOf a copy.
+var purposeWords = []Purpose{PurposeMedicalResearch, PurposeAcademic, PurposeWebAnalytics, PurposeMarketing, PurposeAny}
 
 // Validate checks structural well-formedness.
 func (p *Policy) Validate() error {
@@ -119,7 +122,7 @@ func (p *Policy) Validate() error {
 		}
 	}
 	for _, a := range p.AllowedActions {
-		if _, ok := knownActions[a]; !ok {
+		if !slices.Contains(actionWords, a) {
 			return fmt.Errorf("%w: %q", ErrUnknownAction, a)
 		}
 	}
