@@ -248,6 +248,48 @@ func TestProcess5PolicyModificationAliceScenario(t *testing.T) {
 	}
 }
 
+// TestPolicyModificationAfterUnpublish: withdrawing a resource from the
+// market leaves its holders' copies governed by its policy, so the owner
+// may still change that policy. Alice unpublishes her browsing data, then
+// shortens retention to a week; Bob's TEE reaches the new version and
+// erases his copy at the new deadline.
+func TestPolicyModificationAfterUnpublish(t *testing.T) {
+	s := newScenario(t, Config{})
+	ctx := context.Background()
+	if err := s.alice.Grant(ctx, s.bobAsCon, "/web/browsing.csv", policy.PurposeWebAnalytics); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.bobAsCon.Access(ctx, s.browsingIRI); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.alice.Unpublish(ctx, "/web/browsing.csv"); err != nil {
+		t.Fatal(err)
+	}
+
+	s.d.Clock.Advance(2 * 24 * time.Hour)
+	v2 := s.alice.NewPolicy("/web/browsing.csv")
+	v2.Version = 2
+	v2.MaxRetention = 7 * 24 * time.Hour
+	if err := s.alice.ModifyPolicy(ctx, "/web/browsing.csv", v2); err != nil {
+		t.Fatalf("modify after unpublish: %v", err)
+	}
+	if err := s.bobAsCon.WaitPolicyVersion(s.browsingIRI, 2, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	s.d.Clock.Advance(5*24*time.Hour - time.Minute)
+	if !s.bobAsCon.App.Holds(s.browsingIRI) {
+		t.Fatal("copy erased before the new deadline")
+	}
+	s.d.Clock.Advance(2 * time.Minute)
+	if s.bobAsCon.App.Holds(s.browsingIRI) {
+		t.Fatal("copy survived the new deadline")
+	}
+	if _, err := s.bobAsCon.Use(s.browsingIRI, policy.ActionUse); !errors.Is(err, tee.ErrDeleted) {
+		t.Fatalf("use after erasure: %v", err)
+	}
+}
+
 func TestProcess5PolicyModificationBobScenario(t *testing.T) {
 	s := newScenario(t, Config{})
 	ctx := context.Background()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -352,4 +353,81 @@ func TestRefusedGrantLeavesNoUnmonitoredCopy(t *testing.T) {
 		}
 		held(t, owner, iri, c)
 	})
+}
+
+// TestRefusedPolicyUpdateLeavesPodUnchanged: ModifyPolicy used to Put the
+// new policy document into the pod before the DE App judged the update,
+// so a v2 that updatePolicy refused (an action outside the vocabulary)
+// still replaced the pod's v1 document while the ledger stayed at v1. The
+// ledger is written first now.
+func TestRefusedPolicyUpdateLeavesPodUnchanged(t *testing.T) {
+	const path = "/data/r.bin"
+	ctx := context.Background()
+	d := newDeployment(t, Config{})
+	owner, iri := ownerWithResource(d, "owner", 64, nil)
+	v1, err := owner.Manager.Pod().Get(owner.WebID, path+".policy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1Doc := append([]byte(nil), v1.Data...)
+
+	v2 := owner.NewPolicy(path)
+	v2.Version = 2
+	v2.AllowedActions = []policy.Action{"exfiltrate"}
+	err = owner.ModifyPolicy(ctx, path, v2)
+	var revert *distexchange.RevertError
+	if !errors.As(err, &revert) || !strings.Contains(revert.Reason, "unknown action") {
+		t.Fatalf("modify to an unknown action: %v, want the updatePolicy refusal", err)
+	}
+	doc, err := owner.Manager.Pod().Get(owner.WebID, path+".policy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(doc.Data, v1Doc) {
+		t.Errorf("the refused v2 changed the pod's policy document:\n%s", doc.Data)
+	}
+	rec, err := owner.Manager.DE().GetResource(iri)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Policy.Version != 1 {
+		t.Errorf("ledger policy v%d, want v1", rec.Policy.Version)
+	}
+}
+
+// TestRefusedPublishLeavesPodUnchanged: Publish used to store the policy
+// document before registerResource was judged, so a registration the DE
+// App refused left a policy document for a resource that is not on the
+// market. Now the pod gains neither the document nor a listing: a
+// consumer the owner let read the resource through its ACL reads it
+// without a payment certificate, under plain WAC.
+func TestRefusedPublishLeavesPodUnchanged(t *testing.T) {
+	const path = "/data/fresh.bin"
+	ctx := context.Background()
+	d := newDeployment(t, Config{})
+	owner := must(d.NewOwner("owner"))
+	must0(owner.InitializePod(ctx, nil))
+	must0(owner.AddResource(path, "application/octet-stream", []byte("fresh")))
+	c := must(d.NewConsumer("reader", policy.PurposeAny))
+	acl := solid.NewACL(owner.WebID, path)
+	acl.Grant("direct", []solid.WebID{c.WebID}, path, false, solid.ModeRead)
+	must0(owner.Manager.Pod().SetACL(owner.WebID, path, acl))
+
+	pol := owner.NewPolicy(path)
+	pol.AllowedActions = []policy.Action{"exfiltrate"}
+	_, err := owner.Publish(ctx, path, "refused resource", pol)
+	var revert *distexchange.RevertError
+	if !errors.As(err, &revert) || !strings.Contains(revert.Reason, "invalid policy") {
+		t.Fatalf("publish with an unknown action: %v, want the registerResource refusal", err)
+	}
+	if _, err := owner.Manager.Pod().Get(owner.WebID, path+".policy"); !errors.Is(err, solid.ErrNotFound) {
+		t.Errorf("policy document after the refused registration: %v, want not found", err)
+	}
+	data, _, err := solid.NewClient(c.WebID, c.Key, d.Clock).Get(owner.Manager.ResourceIRI(path))
+	if err != nil {
+		t.Fatalf("plain WAC read of an unlisted resource: %v", err)
+	}
+	if string(data) != "fresh" {
+		t.Fatalf("read %q", data)
+	}
 }

@@ -100,14 +100,16 @@ type Manager struct {
 	// collectLatency times CollectMonitoring; nil (a no-op) until Instrument.
 	collectLatency *obs.Histogram
 
-	mu        sync.Mutex
-	published map[string]*policy.Policy // resource IRI -> current policy
-	withdrawn map[string]bool           // resources pulled from the market but still monitored
+	// listed holds the IRIs whose registration this manager saw the DE App
+	// accept and whose withdrawal it has not seen: the access hook's one
+	// question, answered without a ledger read on every GET. The DE App
+	// judges every owner request itself.
+	mu     sync.Mutex
+	listed map[string]bool
 }
 
 // Manager errors.
 var (
-	ErrNotPublished = errors.New("podmanager: resource not published")
 	ErrCertificate  = errors.New("podmanager: payment certificate rejected")
 	ErrOwnerOnly    = errors.New("podmanager: owner-only operation")
 	ErrMissingInPod = errors.New("podmanager: resource not present in pod")
@@ -123,18 +125,17 @@ func New(cfg Config) (*Manager, error) {
 		clk = simclock.Real{}
 	}
 	m := &Manager{
-		owner:     cfg.OwnerWebID,
-		baseURL:   cfg.BaseURL,
-		pod:       solid.NewPod(cfg.OwnerWebID, cfg.BaseURL),
-		de:        distexchange.NewClient(cfg.Backend, cfg.Key, cfg.DEAddr),
-		deAddr:    cfg.DEAddr,
-		pushOut:   cfg.PushOut,
-		market:    cfg.Market,
-		dir:       cfg.Directory,
-		clock:     clk,
-		tee:       cfg.TEE,
-		published: make(map[string]*policy.Policy),
-		withdrawn: make(map[string]bool),
+		owner:   cfg.OwnerWebID,
+		baseURL: cfg.BaseURL,
+		pod:     solid.NewPod(cfg.OwnerWebID, cfg.BaseURL),
+		de:      distexchange.NewClient(cfg.Backend, cfg.Key, cfg.DEAddr),
+		deAddr:  cfg.DEAddr,
+		pushOut: cfg.PushOut,
+		market:  cfg.Market,
+		dir:     cfg.Directory,
+		clock:   clk,
+		tee:     cfg.TEE,
+		listed:  make(map[string]bool),
 	}
 	m.server = solid.NewServer(m.pod, cfg.Directory, clk, m.accessHook)
 	return m, nil
@@ -159,9 +160,12 @@ func (m *Manager) Server() *solid.Server { return m.server }
 // ResourceIRI maps a pod path to its public IRI.
 func (m *Manager) ResourceIRI(path string) string { return m.baseURL + path }
 
-// policyPath is where the Turtle form of a resource policy lives in the
-// pod (next to the resource, as linked data).
-func policyPath(resourcePath string) string { return resourcePath + ".policy" }
+// putPolicy stores the Turtle form of a policy the DE App has accepted
+// next to its resource, as owner-readable linked data.
+func (m *Manager) putPolicy(path string, pol *policy.Policy) error {
+	doc := rdf.SerializeTurtle(pol.ToGraph(), map[string]string{"uc": policy.UC})
+	return m.pod.Put(m.owner, path+".policy", "text/turtle", []byte(doc), m.clock.Now())
+}
 
 // RegisterPod performs the on-chain half of pod initiation (Fig. 2(1)):
 // the pod is set up with a default policy and its web reference is pushed
@@ -182,8 +186,10 @@ func (m *Manager) Upload(path, contentType string, data []byte) error {
 }
 
 // Publish performs resource initiation (Fig. 2(2)): after checking the
-// owner's permission on the local ACL, it stores the policy next to the
-// resource as Turtle and forwards the metadata to the DE App.
+// owner's permission on the local ACL, it forwards the metadata to the DE
+// App, and only once the DE App has registered the resource does it store
+// the policy next to it as Turtle. A refused registration leaves the pod
+// as it was.
 func (m *Manager) Publish(ctx context.Context, agent solid.WebID, path, description string, pol *policy.Policy) error {
 	// The Pod Manager "first checks that Alice is permitted to perform
 	// this action" — publication requires Control on the resource — and
@@ -196,20 +202,11 @@ func (m *Manager) Publish(ctx context.Context, agent solid.WebID, path, descript
 	}
 	iri := m.ResourceIRI(path)
 	if pol == nil {
-		// An unconstrained resource policy. (Pod-wide defaults live on the
-		// chain side, applied by the DE App at registration.)
+		// An unconstrained resource policy. The manager always sends one,
+		// so the pod's default policy never reaches a resource published
+		// through it.
 		pol = policy.New(iri, string(m.owner), m.clock.Now())
 	}
-	if pol.ResourceIRI != iri {
-		return fmt.Errorf("podmanager: policy bound to %q, want %q", pol.ResourceIRI, iri)
-	}
-
-	// Store the policy document in the pod (owner-readable linked data).
-	doc := rdf.SerializeTurtle(pol.ToGraph(), map[string]string{"uc": policy.UC})
-	if err := m.pod.Put(m.owner, policyPath(path), "text/turtle", []byte(doc), m.clock.Now()); err != nil {
-		return err
-	}
-
 	if _, err := m.de.RegisterResource(ctx, distexchange.RegisterResourceArgs{
 		ResourceIRI: iri,
 		PodWebID:    string(m.owner),
@@ -220,9 +217,9 @@ func (m *Manager) Publish(ctx context.Context, agent solid.WebID, path, descript
 		return err
 	}
 	m.mu.Lock()
-	m.published[iri] = pol.Clone()
+	m.listed[iri] = true
 	m.mu.Unlock()
-	return nil
+	return m.putPolicy(path, pol)
 }
 
 // Unpublish withdraws a resource from the market: the DE App stops
@@ -236,18 +233,11 @@ func (m *Manager) Unpublish(ctx context.Context, agent solid.WebID, path string)
 		}
 	}
 	iri := m.ResourceIRI(path)
-	m.mu.Lock()
-	_, ok := m.published[iri]
-	m.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotPublished, iri)
-	}
 	if _, err := m.de.WithdrawResource(ctx, iri); err != nil {
 		return err
 	}
 	m.mu.Lock()
-	delete(m.published, iri)
-	m.withdrawn[iri] = true
+	delete(m.listed, iri)
 	m.mu.Unlock()
 	return nil
 }
@@ -261,12 +251,6 @@ func (m *Manager) Unpublish(ctx context.Context, agent solid.WebID, path string)
 // has confirmed a retrieval.
 func (m *Manager) GrantAccess(ctx context.Context, consumer solid.WebID, consumerAddr, deviceAddr cryptoutil.Address, path string, purpose policy.Purpose) error {
 	iri := m.ResourceIRI(path)
-	m.mu.Lock()
-	_, ok := m.published[iri]
-	m.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotPublished, iri)
-	}
 	if _, err := m.de.RecordGrant(ctx, distexchange.RecordGrantArgs{
 		ResourceIRI: iri,
 		Consumer:    consumerAddr,
@@ -299,56 +283,26 @@ func (m *Manager) GrantAccess(ctx context.Context, consumer solid.WebID, consume
 }
 
 // ModifyPolicy performs policy modification (Fig. 2(5)): permission check,
-// local update (pod policy document), then push-in to the DE App, which
-// notifies copy holders via the push-out oracle.
+// then push-in to the DE App, which judges the new version and notifies
+// copy holders via the push-out oracle. The ledger is written first: only
+// an update the DE App accepted reaches the pod's policy document.
 func (m *Manager) ModifyPolicy(ctx context.Context, agent solid.WebID, path string, newPol *policy.Policy) error {
 	if agent != m.owner {
 		if err := m.pod.Authorize(agent, path, solid.ModeControl); err != nil {
 			return fmt.Errorf("%w: %v", ErrOwnerOnly, err)
 		}
 	}
-	iri := m.ResourceIRI(path)
-	m.mu.Lock()
-	current, ok := m.published[iri]
-	m.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotPublished, iri)
-	}
-	if newPol.ResourceIRI != iri {
-		return fmt.Errorf("podmanager: policy bound to %q, want %q", newPol.ResourceIRI, iri)
-	}
-	if newPol.Version <= current.Version {
-		return fmt.Errorf("podmanager: version %d not newer than %d", newPol.Version, current.Version)
-	}
-
-	// Local update first, then propagate (the Fig. 2(5) order).
-	doc := rdf.SerializeTurtle(newPol.ToGraph(), map[string]string{"uc": policy.UC})
-	if err := m.pod.Put(m.owner, policyPath(path), "text/turtle", []byte(doc), m.clock.Now()); err != nil {
+	if _, err := m.de.UpdatePolicy(ctx, distexchange.UpdatePolicyArgs{ResourceIRI: m.ResourceIRI(path), Policy: newPol}); err != nil {
 		return err
 	}
-	if _, err := m.de.UpdatePolicy(ctx, distexchange.UpdatePolicyArgs{ResourceIRI: iri, Policy: newPol}); err != nil {
-		return err
-	}
-	m.mu.Lock()
-	m.published[iri] = newPol.Clone()
-	m.mu.Unlock()
-	return nil
+	return m.putPolicy(path, newPol)
 }
 
-// StartMonitoring triggers a monitoring round for a published resource
-// (Fig. 2(6)) and returns the on-chain round record.
+// StartMonitoring triggers a monitoring round for a registered resource
+// (Fig. 2(6)) and returns the on-chain round record. Withdrawn resources
+// stay monitorable: existing holders still carry policy-governed copies.
 func (m *Manager) StartMonitoring(ctx context.Context, path string) (distexchange.MonitoringRound, error) {
-	iri := m.ResourceIRI(path)
-	m.mu.Lock()
-	_, isPublished := m.published[iri]
-	isWithdrawn := m.withdrawn[iri]
-	m.mu.Unlock()
-	// Withdrawn resources stay monitorable: existing holders still carry
-	// copies under the last published policy.
-	if !isPublished && !isWithdrawn {
-		return distexchange.MonitoringRound{}, fmt.Errorf("%w: %s", ErrNotPublished, iri)
-	}
-	return m.de.RequestMonitoring(ctx, iri)
+	return m.de.RequestMonitoring(ctx, m.ResourceIRI(path))
 }
 
 // CollectMonitoring returns the evidence and violations recorded for a
@@ -378,18 +332,6 @@ func (m *Manager) CollectMonitoring(ctx context.Context, path string, round uint
 	return evidence, violations, nil
 }
 
-// PublishedPolicy returns the manager's view of a resource's policy.
-func (m *Manager) PublishedPolicy(path string) (*policy.Policy, error) {
-	iri := m.ResourceIRI(path)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	pol, ok := m.published[iri]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotPublished, iri)
-	}
-	return pol.Clone(), nil
-}
-
 // ErrPublishedImmutable refuses non-owner mutations of resources that are
 // on the market: the copy the DE App indexed must stay byte-identical to
 // the copy consumers fetch.
@@ -406,9 +348,9 @@ func (m *Manager) accessHook(r *http.Request, agent solid.WebID, path string, mo
 	}
 	iri := m.ResourceIRI(path)
 	m.mu.Lock()
-	_, isPublished := m.published[iri]
+	listed := m.listed[iri]
 	m.mu.Unlock()
-	if !isPublished {
+	if !listed {
 		return nil
 	}
 	if mode != solid.ModeRead {

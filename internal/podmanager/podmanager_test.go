@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -205,11 +206,13 @@ func TestRegisterPodAndPublish(t *testing.T) {
 	if res.ContentType != "text/turtle" {
 		t.Fatalf("policy doc content type = %s", res.ContentType)
 	}
-	// The manager's view matches.
-	pol, err := e.mgr.PublishedPolicy("/web/browsing.csv")
-	if err != nil || pol.Version != 1 {
-		t.Fatalf("published policy = %+v, %v", pol, err)
-	}
+}
+
+// refusedUnregistered reports whether err is the DE App's refusal of a
+// resource it has not registered.
+func refusedUnregistered(err error) bool {
+	var revert *distexchange.RevertError
+	return errors.As(err, &revert) && strings.Contains(revert.Reason, "not registered")
 }
 
 func TestPublishRequiresResourceAndOwner(t *testing.T) {
@@ -384,7 +387,7 @@ func TestModifyPolicy(t *testing.T) {
 		t.Fatalf("non-owner modify: %v", err)
 	}
 	// Unpublished path.
-	if err := e.mgr.ModifyPolicy(ctx, aliceWebID, "/other.csv", v3); !errors.Is(err, ErrNotPublished) {
+	if err := e.mgr.ModifyPolicy(ctx, aliceWebID, "/other.csv", v3); !refusedUnregistered(err) {
 		t.Fatalf("unpublished modify: %v", err)
 	}
 }
@@ -441,8 +444,8 @@ func TestMonitoringViaManager(t *testing.T) {
 	if listings != 2 {
 		t.Errorf("%d ledger listings, want one of evidence and one of violations", listings)
 	}
-	// Monitoring an unpublished resource fails fast.
-	if _, err := e.mgr.StartMonitoring(ctx, "/other"); !errors.Is(err, ErrNotPublished) {
+	// The DE App refuses to monitor an unpublished resource.
+	if _, err := e.mgr.StartMonitoring(ctx, "/other"); !refusedUnregistered(err) {
 		t.Fatalf("unpublished monitoring: %v", err)
 	}
 }
@@ -454,8 +457,54 @@ func TestGrantAccessRequiresPublication(t *testing.T) {
 		t.Fatal(err)
 	}
 	err := e.mgr.GrantAccess(ctx, bobWebID, e.bobKey.Address(), e.devKey.Address(), "/x", policy.PurposeAny)
-	if !errors.Is(err, ErrNotPublished) {
+	if !refusedUnregistered(err) {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestFreshManagerActsOnExistingLedger: what is published is the DE App's
+// record, not the memory of the manager that published it. A second
+// manager built with the owner's key over the same ledger modifies,
+// unpublishes and monitors a resource the first one published.
+func TestFreshManagerActsOnExistingLedger(t *testing.T) {
+	e := newEnv(t)
+	iri := e.publish(browsingPolicy())
+	ctx := context.Background()
+	fresh, err := New(Config{
+		OwnerWebID: aliceWebID,
+		BaseURL:    "https://alice.pod",
+		Key:        e.mgrKey,
+		Backend:    oracle.NewPushIn(autoSeal{node: e.node}, nil),
+		DEAddr:     e.deAddr,
+		Market:     market.VerifierFor(e.mkt),
+		Directory:  e.dir,
+		Clock:      e.clk,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	v2 := browsingPolicy().NextVersion(e.clk.Now())
+	v2.MaxRetention = 7 * 24 * time.Hour
+	if err := fresh.ModifyPolicy(ctx, aliceWebID, "/web/browsing.csv", v2); err != nil {
+		t.Fatalf("modify: %v", err)
+	}
+	if err := fresh.Unpublish(ctx, aliceWebID, "/web/browsing.csv"); err != nil {
+		t.Fatalf("unpublish: %v", err)
+	}
+	if _, err := fresh.StartMonitoring(ctx, "/web/browsing.csv"); err != nil {
+		t.Fatalf("monitor: %v", err)
+	}
+	rec, err := fresh.DE().GetResource(iri)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Policy.Version != 2 || !rec.Withdrawn {
+		t.Fatalf("ledger record: policy v%d, withdrawn=%v; want v2, withdrawn", rec.Policy.Version, rec.Withdrawn)
+	}
+	doc, err := fresh.Pod().Get(aliceWebID, "/web/browsing.csv.policy")
+	if err != nil || !strings.Contains(string(doc.Data), `uc:version "2"`) {
+		t.Fatalf("the accepted v2 did not reach the fresh manager's pod: %v", err)
 	}
 }
 

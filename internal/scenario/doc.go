@@ -28,7 +28,8 @@
 //   - acl-isolation: an agent reads a resource iff some generation of
 //     the ACL granted it (and grants, once given, stay effective)
 //   - published-immutability: published bytes never change
-//   - policy-consistency: chain, pod manager, and TEE copies agree on
+//   - policy-consistency: chain, the pod's policy document (the Turtle
+//     of the chain's policy, byte for byte), and TEE copies agree on
 //     the current policy version
 //   - retention-enforcement: copies are held iff their deadline allows
 //   - honest-compliance: no violations are recorded against holders

@@ -8,6 +8,8 @@ import (
 	"slices"
 
 	"repro/internal/cryptoutil"
+	"repro/internal/policy"
+	"repro/internal/rdf"
 	"repro/internal/solid"
 )
 
@@ -338,9 +340,10 @@ func checkPublishedImmutability(w *World) error {
 	return nil
 }
 
-// checkPolicyConsistency: the chain's resource record, the pod manager's
-// local view, and every TEE-held copy agree on the current policy
-// version and withdrawal status.
+// checkPolicyConsistency: the chain's resource record, the policy
+// document in the owner's pod (byte for byte the Turtle of the chain's
+// policy), and every TEE-held copy agree on the current policy version
+// and withdrawal status.
 func checkPolicyConsistency(w *World) error {
 	for ri, res := range w.resources {
 		owner := w.owners[res.ownerIdx]
@@ -354,14 +357,12 @@ func checkPolicyConsistency(w *World) error {
 		if rec.Withdrawn != res.withdrawn {
 			return fmt.Errorf("resource %d: chain withdrawn=%v, model %v", ri, rec.Withdrawn, res.withdrawn)
 		}
-		if res.published {
-			local, err := owner.o.Manager.PublishedPolicy(res.path)
-			if err != nil {
-				return fmt.Errorf("resource %d: pod manager lost the policy: %v", ri, err)
-			}
-			if local.Version != res.version {
-				return fmt.Errorf("resource %d: pod manager policy v%d, chain v%d", ri, local.Version, res.version)
-			}
+		doc, err := owner.o.Manager.Pod().Get(owner.o.WebID, res.path+".policy")
+		if err != nil {
+			return fmt.Errorf("resource %d: policy document unreadable: %v", ri, err)
+		}
+		if want := rdf.SerializeTurtle(rec.Policy.ToGraph(), map[string]string{"uc": policy.UC}); string(doc.Data) != want {
+			return fmt.Errorf("resource %d: the pod's policy document is not the chain's policy v%d", ri, rec.Policy.Version)
 		}
 		for _, ci := range res.granted {
 			cp := res.copies[ci]
