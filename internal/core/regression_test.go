@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/distexchange"
 	"repro/internal/obs"
+	"repro/internal/podmanager"
 	"repro/internal/policy"
 	"repro/internal/solid"
 )
@@ -365,7 +366,7 @@ func TestRefusedPolicyUpdateLeavesPodUnchanged(t *testing.T) {
 	ctx := context.Background()
 	d := newDeployment(t, Config{})
 	owner, iri := ownerWithResource(d, "owner", 64, nil)
-	v1, err := owner.Manager.Pod().Get(owner.WebID, path+".policy")
+	v1, err := owner.Manager.Pod().Get(owner.WebID, podmanager.PolicyPath(path))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +380,7 @@ func TestRefusedPolicyUpdateLeavesPodUnchanged(t *testing.T) {
 	if !errors.As(err, &revert) || !strings.Contains(revert.Reason, "unknown action") {
 		t.Fatalf("modify to an unknown action: %v, want the updatePolicy refusal", err)
 	}
-	doc, err := owner.Manager.Pod().Get(owner.WebID, path+".policy")
+	doc, err := owner.Manager.Pod().Get(owner.WebID, podmanager.PolicyPath(path))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +421,7 @@ func TestRefusedPublishLeavesPodUnchanged(t *testing.T) {
 	if !errors.As(err, &revert) || !strings.Contains(revert.Reason, "invalid policy") {
 		t.Fatalf("publish with an unknown action: %v, want the registerResource refusal", err)
 	}
-	if _, err := owner.Manager.Pod().Get(owner.WebID, path+".policy"); !errors.Is(err, solid.ErrNotFound) {
+	if _, err := owner.Manager.Pod().Get(owner.WebID, podmanager.PolicyPath(path)); !errors.Is(err, solid.ErrNotFound) {
 		t.Errorf("policy document after the refused registration: %v, want not found", err)
 	}
 	data, _, err := solid.NewClient(c.WebID, c.Key, d.Clock).Get(owner.Manager.ResourceIRI(path))

@@ -101,9 +101,10 @@ type Manager struct {
 	collectLatency *obs.Histogram
 
 	// listed holds the IRIs whose registration this manager saw the DE App
-	// accept and whose withdrawal it has not seen: the access hook's one
-	// question, answered without a ledger read on every GET. The DE App
-	// judges every owner request itself.
+	// accept and whose withdrawal it has not seen: the resources its access
+	// hook guards, known without a ledger read on every GET. GrantAccess
+	// opens an ACL only on these. The DE App judges every owner request
+	// itself.
 	mu     sync.Mutex
 	listed map[string]bool
 }
@@ -113,6 +114,9 @@ var (
 	ErrCertificate  = errors.New("podmanager: payment certificate rejected")
 	ErrOwnerOnly    = errors.New("podmanager: owner-only operation")
 	ErrMissingInPod = errors.New("podmanager: resource not present in pod")
+	// ErrUnguarded refuses a grant on a resource whose registration this
+	// manager has not seen accepted, or has seen withdrawn.
+	ErrUnguarded = errors.New("podmanager: access hook does not guard the resource")
 )
 
 // New creates a Manager with a fresh pod.
@@ -160,11 +164,18 @@ func (m *Manager) Server() *solid.Server { return m.server }
 // ResourceIRI maps a pod path to its public IRI.
 func (m *Manager) ResourceIRI(path string) string { return m.baseURL + path }
 
-// putPolicy stores the Turtle form of a policy the DE App has accepted
+// PolicyPath is the pod path of the policy document of the resource at path.
+func PolicyPath(path string) string { return path + ".policy" }
+
+// PolicyDocument is the Turtle form of pol that a pod stores at PolicyPath.
+func PolicyDocument(pol *policy.Policy) []byte {
+	return []byte(rdf.SerializeTurtle(pol.ToGraph(), map[string]string{"uc": policy.UC}))
+}
+
+// putPolicy stores the policy document of a policy the DE App has accepted
 // next to its resource, as owner-readable linked data.
 func (m *Manager) putPolicy(path string, pol *policy.Policy) error {
-	doc := rdf.SerializeTurtle(pol.ToGraph(), map[string]string{"uc": policy.UC})
-	return m.pod.Put(m.owner, path+".policy", "text/turtle", []byte(doc), m.clock.Now())
+	return m.pod.Put(m.owner, PolicyPath(path), "text/turtle", PolicyDocument(pol), m.clock.Now())
 }
 
 // RegisterPod performs the on-chain half of pod initiation (Fig. 2(1)):
@@ -244,13 +255,22 @@ func (m *Manager) Unpublish(ctx context.Context, agent solid.WebID, path string)
 
 // GrantAccess authorizes a consumer: it records the grant (consumer,
 // device, purpose) on-chain so the DE App can monitor the copy, and only
-// then adds an ACL read grant on the pod resource. A grant the DE App
-// refuses — a purpose the policy forbids, say — thus opens no pod access,
-// so no copy can be fetched that no monitoring round would ever audit. The
-// other way round is harmless: a device is a round's target only once it
-// has confirmed a retrieval.
+// then adds an ACL read grant on the pod resource. It first refuses a
+// resource its access hook does not guard: the ACL grant would let the
+// consumer read it under plain WAC, with no certificate or attestation
+// asked. Whether the hook guards a resource is a fact of this pod, not of
+// the ledger. A grant the DE App refuses — a purpose the policy forbids,
+// say — opens no pod access either, so no copy can be fetched that no
+// monitoring round would ever audit. The other way round is harmless: a
+// device is a round's target only once it has confirmed a retrieval.
 func (m *Manager) GrantAccess(ctx context.Context, consumer solid.WebID, consumerAddr, deviceAddr cryptoutil.Address, path string, purpose policy.Purpose) error {
 	iri := m.ResourceIRI(path)
+	m.mu.Lock()
+	listed := m.listed[iri]
+	m.mu.Unlock()
+	if !listed {
+		return fmt.Errorf("%w: %s", ErrUnguarded, iri)
+	}
 	if _, err := m.de.RecordGrant(ctx, distexchange.RecordGrantArgs{
 		ResourceIRI: iri,
 		Consumer:    consumerAddr,

@@ -199,7 +199,7 @@ func TestRegisterPodAndPublish(t *testing.T) {
 		t.Fatalf("record = %+v", rec)
 	}
 	// Policy document stored in the pod as Turtle.
-	res, err := e.mgr.Pod().Get(aliceWebID, "/web/browsing.csv.policy")
+	res, err := e.mgr.Pod().Get(aliceWebID, PolicyPath("/web/browsing.csv"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,20 +457,16 @@ func TestGrantAccessRequiresPublication(t *testing.T) {
 		t.Fatal(err)
 	}
 	err := e.mgr.GrantAccess(ctx, bobWebID, e.bobKey.Address(), e.devKey.Address(), "/x", policy.PurposeAny)
-	if !refusedUnregistered(err) {
+	if !errors.Is(err, ErrUnguarded) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
-// TestFreshManagerActsOnExistingLedger: what is published is the DE App's
-// record, not the memory of the manager that published it. A second
-// manager built with the owner's key over the same ledger modifies,
-// unpublishes and monitors a resource the first one published.
-func TestFreshManagerActsOnExistingLedger(t *testing.T) {
-	e := newEnv(t)
-	iri := e.publish(browsingPolicy())
-	ctx := context.Background()
-	fresh, err := New(Config{
+// freshManager builds a second manager with the owner's key over e's
+// ledger, with a pod of its own.
+func (e *env) freshManager() *Manager {
+	e.t.Helper()
+	m, err := New(Config{
 		OwnerWebID: aliceWebID,
 		BaseURL:    "https://alice.pod",
 		Key:        e.mgrKey,
@@ -481,8 +477,20 @@ func TestFreshManagerActsOnExistingLedger(t *testing.T) {
 		Clock:      e.clk,
 	})
 	if err != nil {
-		t.Fatal(err)
+		e.t.Fatal(err)
 	}
+	return m
+}
+
+// TestFreshManagerActsOnExistingLedger: what is published is the DE App's
+// record, not the memory of the manager that published it. A second
+// manager built with the owner's key over the same ledger modifies,
+// unpublishes and monitors a resource the first one published.
+func TestFreshManagerActsOnExistingLedger(t *testing.T) {
+	e := newEnv(t)
+	iri := e.publish(browsingPolicy())
+	ctx := context.Background()
+	fresh := e.freshManager()
 
 	v2 := browsingPolicy().NextVersion(e.clk.Now())
 	v2.MaxRetention = 7 * 24 * time.Hour
@@ -502,9 +510,36 @@ func TestFreshManagerActsOnExistingLedger(t *testing.T) {
 	if rec.Policy.Version != 2 || !rec.Withdrawn {
 		t.Fatalf("ledger record: policy v%d, withdrawn=%v; want v2, withdrawn", rec.Policy.Version, rec.Withdrawn)
 	}
-	doc, err := fresh.Pod().Get(aliceWebID, "/web/browsing.csv.policy")
+	doc, err := fresh.Pod().Get(aliceWebID, PolicyPath("/web/browsing.csv"))
 	if err != nil || !strings.Contains(string(doc.Data), `uc:version "2"`) {
 		t.Fatalf("the accepted v2 did not reach the fresh manager's pod: %v", err)
+	}
+}
+
+// TestFreshManagerGrantsNothingItsHookDoesNotGuard: a manager over an
+// existing ledger has not seen the registration of a resource the first
+// manager published, so its access hook does not ask for a certificate on
+// it. Its GrantAccess refuses the resource rather than open the ACL: the
+// consumer cannot read the pod copy under plain WAC.
+func TestFreshManagerGrantsNothingItsHookDoesNotGuard(t *testing.T) {
+	e := newEnv(t)
+	e.publish(browsingPolicy())
+	e.registerDevice()
+	fresh := e.freshManager()
+	if err := fresh.Upload("/web/browsing.csv", "text/csv", []byte("r1,r2,r3")); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(fresh.Server())
+	defer srv.Close()
+
+	err := fresh.GrantAccess(context.Background(), bobWebID, e.bobKey.Address(), e.devKey.Address(),
+		"/web/browsing.csv", policy.PurposeWebAnalytics)
+	if !errors.Is(err, ErrUnguarded) {
+		t.Fatalf("grant on a resource the hook does not guard: %v, want ErrUnguarded", err)
+	}
+	bob := solid.NewClient(bobWebID, e.bobKey, e.clk)
+	if data, _, err := bob.Get(srv.URL + "/web/browsing.csv"); err == nil {
+		t.Fatalf("consumer read %q without a certificate", data)
 	}
 }
 

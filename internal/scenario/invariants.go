@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -8,8 +9,7 @@ import (
 	"slices"
 
 	"repro/internal/cryptoutil"
-	"repro/internal/policy"
-	"repro/internal/rdf"
+	"repro/internal/podmanager"
 	"repro/internal/solid"
 )
 
@@ -357,11 +357,11 @@ func checkPolicyConsistency(w *World) error {
 		if rec.Withdrawn != res.withdrawn {
 			return fmt.Errorf("resource %d: chain withdrawn=%v, model %v", ri, rec.Withdrawn, res.withdrawn)
 		}
-		doc, err := owner.o.Manager.Pod().Get(owner.o.WebID, res.path+".policy")
+		doc, err := owner.o.Manager.Pod().Get(owner.o.WebID, podmanager.PolicyPath(res.path))
 		if err != nil {
 			return fmt.Errorf("resource %d: policy document unreadable: %v", ri, err)
 		}
-		if want := rdf.SerializeTurtle(rec.Policy.ToGraph(), map[string]string{"uc": policy.UC}); string(doc.Data) != want {
+		if !bytes.Equal(doc.Data, podmanager.PolicyDocument(rec.Policy)) {
 			return fmt.Errorf("resource %d: the pod's policy document is not the chain's policy v%d", ri, rec.Policy.Version)
 		}
 		for _, ci := range res.granted {
