@@ -127,8 +127,8 @@ func TestPaperGasTable(t *testing.T) {
 		"recordGrant":       {29_060, 99},
 		"confirmRetrieval":  {28_860, 45},
 		"updatePolicy":      {35_751, 238},
-		"requestMonitoring": {44_703, 45},
-		"submitEvidence":    {42_171, 155}, // less the signature
+		"requestMonitoring": {39_623, 45},
+		"submitEvidence":    {37_091, 155}, // less the signature
 	}
 	d := newDeployment(t, Config{})
 	ctx := context.Background()
@@ -196,10 +196,10 @@ func trailingSignatureLen(t *testing.T, args []byte) int {
 
 // TestPaperGasPerEvidence prices the table's submitEvidence row by the round:
 // the pull-in oracle answers a round with one transaction, whose first
-// evidence costs the row (42 171 to execute, the 21 000 base charge in it) and
+// evidence costs the row (37 091 to execute, the 21 000 base charge in it) and
 // every further one the row less the base charge, exactly.
 func TestPaperGasPerEvidence(t *testing.T) {
-	const first, marginal = 42_171, 21_171
+	const first, marginal = 37_091, 16_091
 	d := newDeployment(t, Config{OracleFanout: true})
 	ctx := context.Background()
 	owner, iri := ownerWithResource(d, "alice", 4096, nil)

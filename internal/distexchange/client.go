@@ -247,9 +247,9 @@ func evidenceGasBound(s *SignedEvidence) uint64 {
 		3*chain.GasStorageGet + // resource, device, grant
 		counter + record(evidenceRecordSize(e, findings)) +
 		findings*(counter+record(fixedSize+len(e.ResourceIRI)+violationText)) +
-		// noteResponse: the pending marker read and deleted, the progress
-		// record read and rewritten.
-		2*chain.GasStorageGet + chain.GasStorageDelete + chain.GasStorageSet + fixedSize*chain.GasStoragePerByte
+		// noteResponse: the pending marker read and deleted, the closure
+		// marker read.
+		2*chain.GasStorageGet + chain.GasStorageDelete
 }
 
 // ReportUnresponsive closes a round, flagging silent holders.

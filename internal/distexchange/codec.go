@@ -24,8 +24,8 @@ const (
 	tagGrant byte = 0x24
 	// tagRound opens a MonitoringRound.
 	tagRound byte = 0x25
-	// tagRoundProgress opens a roundProgress.
-	tagRoundProgress byte = 0x26
+	// 0x26 opened a round-progress record, which the ledger no longer
+	// keeps; it stays unassigned.
 	// tagEvidence opens an EvidenceRecord.
 	tagEvidence byte = 0x27
 	// tagViolation opens a Violation.
@@ -336,20 +336,6 @@ func decodeMonitoringRound(d *store.Dec, r *MonitoringRound) {
 	r.Closed = d.Bool()
 	r.Targets = decodeAddresses(d, "targets")
 	r.Responded = decodeAddresses(d, "responded")
-}
-
-func appendRoundProgress(dst []byte, p *roundProgress) []byte {
-	dst = append(dst, tagRoundProgress)
-	dst = store.AppendUvarint(dst, uint64(p.Targets))
-	dst = store.AppendUvarint(dst, uint64(p.Responded))
-	return store.AppendBool(dst, p.Closed)
-}
-
-func decodeRoundProgress(d *store.Dec, p *roundProgress) {
-	d.Tag(tagRoundProgress)
-	p.Targets = int(d.Uvarint())
-	p.Responded = int(d.Uvarint())
-	p.Closed = d.Bool()
 }
 
 // appendEvidence and decodeEvidence are the Evidence inside an

@@ -60,8 +60,8 @@ func violSeqKey(b []byte, iri string) []byte  { return append(append(b, "violseq
 func roundKey(b []byte, iri string, n uint64) []byte {
 	return appendNum(append(append(b, "round/"...), iri...), n)
 }
-func progressKey(b []byte, iri string, n uint64) []byte {
-	return appendNum(append(append(b, "roundprog/"...), iri...), n)
+func closedKey(b []byte, iri string, n uint64) []byte {
+	return appendNum(append(append(b, "roundclosed/"...), iri...), n)
 }
 func pendingKey(b []byte, iri string, n uint64, d cryptoutil.Address) []byte {
 	b = appendNum(append(append(b, "roundpend/"...), iri...), n)
@@ -108,14 +108,6 @@ func appendAddress(b []byte, a cryptoutil.Address) []byte {
 	return hex.AppendEncode(append(b, "0x"...), a[:])
 }
 
-// roundProgress is the mutable part of a monitoring round: the only record
-// submitEvidence rewrites, so its cost does not grow with the target list.
-type roundProgress struct {
-	Targets   int
-	Responded int
-	Closed    bool
-}
-
 // checkKeyPart refuses an identifier that holds the key separator.
 func checkKeyPart(method, field, id string) error {
 	if strings.Contains(id, "|") {
@@ -124,9 +116,10 @@ func checkKeyPart(method, field, id string) error {
 	return nil
 }
 
-// pendingMarker is the value under pendingKey: requestMonitoring writes one
-// marker per target, the target's first evidence for the round deletes it.
-var pendingMarker = []byte{1}
+// marker is the value under pendingKey and closedKey: requestMonitoring
+// writes one pending marker per target, the target's first evidence for the
+// open round deletes it, and reportUnresponsive writes the closure marker.
+var marker = []byte{1}
 
 // Call implements contract.Contract.
 func (c *Contract) Call(env *contract.Env, method string, args []byte) ([]byte, error) {
@@ -624,17 +617,12 @@ func (c *Contract) requestMonitoring(env *contract.Env, args *RequestMonitoringA
 	}
 	record := appendMonitoringRound(nil, &round)
 	// The round record is written here and never again; what changes as
-	// evidence arrives lives in the progress record and the pending markers.
+	// evidence arrives is which pending markers remain.
 	if err := env.Set(roundKey(env.Key(), args.ResourceIRI, n), record); err != nil {
 		return nil, err
 	}
-	if err := env.Set(progressKey(env.Key(), args.ResourceIRI, n), appendRoundProgress(nil, &roundProgress{
-		Targets: len(targets), Closed: round.Closed,
-	})); err != nil {
-		return nil, err
-	}
 	for _, target := range targets {
-		if err := env.Set(pendingKey(env.Key(), args.ResourceIRI, n, target), pendingMarker); err != nil {
+		if err := env.Set(pendingKey(env.Key(), args.ResourceIRI, n, target), marker); err != nil {
 			return nil, err
 		}
 	}
@@ -808,35 +796,20 @@ func (c *Contract) recordEvidence(env *contract.Env, ev *Evidence, it *checkedEv
 	return seq, nil
 }
 
-// noteResponse advances a monitoring round by one responding device. Only
-// a target's first evidence for a still-open round counts: evidence from a
-// device the round did not target, a repeat (neither has a pending marker)
-// and evidence arriving after closure are all recorded by the caller but
-// leave the round as it is.
+// noteResponse advances a monitoring round by one responding device: it
+// deletes the device's pending marker, and the round closes with the last
+// one. Only a target's first evidence for a still-open round counts:
+// evidence from a device the round did not target, a repeat (neither has a
+// pending marker) and evidence arriving after reportUnresponsive closed the
+// round are all recorded by the caller but leave the round as it is.
 func (c *Contract) noteResponse(env *contract.Env, iri string, round uint64, device cryptoutil.Address) error {
 	if _, pending, err := env.Get(pendingKey(env.Key(), iri, round, device)); err != nil || !pending {
 		return err
 	}
-	key := progressKey(env.Key(), iri, round)
-	raw, ok, err := env.Get(key)
-	if err != nil || !ok {
+	if _, closed, err := env.Get(closedKey(env.Key(), iri, round)); err != nil || closed {
 		return err
 	}
-	var prog roundProgress
-	d := store.NewDec(raw)
-	decodeRoundProgress(d, &prog)
-	if err := d.Finish(); err != nil {
-		return corruptRecord(env, key, err)
-	}
-	if prog.Closed {
-		return nil
-	}
-	if err := env.Delete(pendingKey(env.Key(), iri, round, device)); err != nil {
-		return err
-	}
-	prog.Responded++
-	prog.Closed = prog.Responded >= prog.Targets
-	return env.Set(progressKey(env.Key(), iri, round), appendRoundProgress(nil, &prog))
+	return env.Delete(pendingKey(env.Key(), iri, round, device))
 }
 
 // checkCompliance evaluates evidence against the current policy and the
@@ -927,9 +900,7 @@ func (c *Contract) reportUnresponsive(env *contract.Env, args *ReportUnresponsiv
 		}
 	}
 	round.Closed = true
-	if err := env.Set(progressKey(env.Key(), args.ResourceIRI, args.Round), appendRoundProgress(nil, &roundProgress{
-		Targets: len(round.Targets), Responded: len(round.Responded), Closed: true,
-	})); err != nil {
+	if err := env.Set(closedKey(env.Key(), args.ResourceIRI, args.Round), marker); err != nil {
 		return nil, err
 	}
 	return appendMonitoringRound(nil, &round), nil
@@ -954,19 +925,19 @@ func fetch[T any](l ledger, key []byte, out *T, decode func(*store.Dec, *T)) err
 }
 
 // loadRound assembles a MonitoringRound from its three kinds of keys: the
-// write-once round record (targets), the progress record (closed) and the
-// pending markers (a target without one has responded; Responded is in
-// target order). It also returns the targets that have not responded. A
-// missing round wraps ErrNotFound.
+// write-once round record (targets), the pending markers (a target without
+// one has responded; Responded is in target order) and the closure marker.
+// The round is closed when no pending marker remains or reportUnresponsive
+// wrote the closure marker. It also returns the targets that have not
+// responded. A missing round wraps ErrNotFound.
 func loadRound(l ledger, iri string, n uint64) (round MonitoringRound, silent []cryptoutil.Address, err error) {
 	if err := fetch(l, roundKey(l.Key(), iri, n), &round, decodeMonitoringRound); err != nil {
 		return round, nil, err
 	}
-	var prog roundProgress
-	if err := fetch(l, progressKey(l.Key(), iri, n), &prog, decodeRoundProgress); err != nil {
+	_, reported, err := l.Get(closedKey(l.Key(), iri, n))
+	if err != nil {
 		return round, nil, err
 	}
-	round.Closed = prog.Closed
 	for _, target := range round.Targets {
 		_, pending, err := l.Get(pendingKey(l.Key(), iri, n, target))
 		if err != nil {
@@ -978,6 +949,7 @@ func loadRound(l ledger, iri string, n uint64) (round MonitoringRound, silent []
 			round.Responded = append(round.Responded, target)
 		}
 	}
+	round.Closed = reported || len(silent) == 0
 	return round, silent, nil
 }
 

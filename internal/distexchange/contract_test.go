@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -413,6 +414,71 @@ func TestResourceTransactionsWriteOnlyTheRecord(t *testing.T) {
 	if len(written) != 1 || written[0] != resource {
 		t.Errorf("withdrawResource wrote %q, want only %q", written, resource)
 	}
+}
+
+// TestMonitoringWritesOnlyItsMarkers pins the keys each monitoring
+// transaction writes: a round is its write-once record, one pending marker
+// per target and, once reportUnresponsive closes it, a closure marker. An
+// answer deletes its target's marker and writes no round-level key, and a
+// late answer to a closed round writes only its evidence.
+func TestMonitoringWritesOnlyItsMarkers(t *testing.T) {
+	w := newExecWorld(t)
+	owner := cryptoutil.MustGenerateKey()
+	w.withResource(owner)
+	devices := []*cryptoutil.KeyPair{cryptoutil.MustGenerateKey(), cryptoutil.MustGenerateKey(), cryptoutil.MustGenerateKey()}
+	for _, d := range devices {
+		w.withRetrievedGrant(owner, d)
+	}
+	const round = 1
+	keys := func(built ...[]byte) []string {
+		var out []string
+		for _, k := range built {
+			out = append(out, string(k))
+		}
+		slices.Sort(out)
+		return out
+	}
+	pending := func(d *cryptoutil.KeyPair) []byte { return pendingKey(nil, allocsIRI, round, d.Address()) }
+	check := func(method string, got, want []string) {
+		t.Helper()
+		if !slices.Equal(got, want) {
+			t.Errorf("%s wrote\n%q\nwant\n%q", method, got, want)
+		}
+	}
+
+	_, written := w.execWrites(w.tx(owner, "requestMonitoring", RequestMonitoringArgs{ResourceIRI: allocsIRI}))
+	check("requestMonitoring", written, keys(roundSeqKey(nil, allocsIRI), roundKey(nil, allocsIRI, round),
+		pending(devices[0]), pending(devices[1]), pending(devices[2])))
+
+	// answer has d submit compliant evidence for the round and returns the
+	// keys it wrote and its record's key.
+	answer := func(d *cryptoutil.KeyPair) (written []string, record []byte) {
+		t.Helper()
+		ev := Evidence{ResourceIRI: allocsIRI, Device: d.Address(), Round: round, PolicyVersion: 1,
+			StillStored: true, RetrievedAt: t0, GeneratedAt: t0.Add(time.Minute)}
+		sig, err := d.Sign(ev.SigningBytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, written := w.execWrites(w.tx(d, "submitEvidence", SubmitEvidenceArgs{Signed: []SignedEvidence{{Evidence: ev, Signature: sig}}}))
+		outcomes, err := DecodeEvidenceOutcomes(r.Return)
+		if err != nil || len(outcomes) != 1 || outcomes[0].Err != nil {
+			t.Fatalf("submitEvidence: %+v, %v", outcomes, err)
+		}
+		return written, evKey(nil, allocsIRI, round, outcomes[0].Seq)
+	}
+	written, record := answer(devices[0])
+	check("an answering submitEvidence", written, keys(evSeqKey(nil, allocsIRI), record, pending(devices[0])))
+	if _, ok := w.ov.Get(append([]byte(w.deAddr.String()+"/"), pending(devices[0])...)); ok {
+		t.Error("the answering target's pending marker is still stored")
+	}
+
+	_, written = w.execWrites(w.tx(owner, "reportUnresponsive", ReportUnresponsiveArgs{ResourceIRI: allocsIRI, Round: round}))
+	check("reportUnresponsive", written, keys(violSeqKey(nil, allocsIRI),
+		violKey(nil, allocsIRI, round, 1), violKey(nil, allocsIRI, round, 2), closedKey(nil, allocsIRI, round)))
+
+	written, record = answer(devices[1])
+	check("a late submitEvidence", written, keys(evSeqKey(nil, allocsIRI), record))
 }
 
 func TestDeviceRegistration(t *testing.T) {

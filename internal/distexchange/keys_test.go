@@ -31,7 +31,7 @@ func builtKeys(b []byte, cs keyCase) map[string][]byte {
 		"evSeqKey":         clone(evSeqKey(b, cs.iri)),
 		"violSeqKey":       clone(violSeqKey(b, cs.iri)),
 		"roundKey":         clone(roundKey(b, cs.iri, cs.n)),
-		"progressKey":      clone(progressKey(b, cs.iri, cs.n)),
+		"closedKey":        clone(closedKey(b, cs.iri, cs.n)),
 		"pendingKey":       clone(pendingKey(b, cs.iri, cs.n, cs.a)),
 		"evKey":            clone(evKey(b, cs.iri, cs.n, cs.m)),
 		"violKey":          clone(violKey(b, cs.iri, cs.n, cs.m)),
@@ -55,7 +55,7 @@ func fmtKeys(cs keyCase) map[string]string {
 		"evSeqKey":         "evseq/" + cs.iri,
 		"violSeqKey":       "violseq/" + cs.iri,
 		"roundKey":         fmt.Sprintf("round/%s|%012d", cs.iri, cs.n),
-		"progressKey":      fmt.Sprintf("roundprog/%s|%012d", cs.iri, cs.n),
+		"closedKey":        fmt.Sprintf("roundclosed/%s|%012d", cs.iri, cs.n),
 		"pendingKey":       fmt.Sprintf("roundpend/%s|%012d|%s", cs.iri, cs.n, cs.a),
 		"evKey":            fmt.Sprintf("ev/%s|%012d|%012d", cs.iri, cs.n, cs.m),
 		"violKey":          fmt.Sprintf("viol/%s|%012d|%012d", cs.iri, cs.n, cs.m),

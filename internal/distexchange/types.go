@@ -17,23 +17,25 @@
 //
 //	round/<iri>|<round>              MonitoringRound with Targets; written once
 //	                                 by requestMonitoring, never rewritten
-//	roundprog/<iri>|<round>          {targets, responded, closed}; the only
-//	                                 record submitEvidence rewrites, once
-//	                                 per answering target of its list
 //	roundpend/<iri>|<round>|<device> one marker per target that has not
 //	                                 answered yet; deleted by the target's
-//	                                 first evidence for the round
+//	                                 first evidence for the open round
+//	roundclosed/<iri>|<round>        the closure marker; written only by
+//	                                 reportUnresponsive
 //	ev/<iri>|<round>|<seq>           EvidenceRecord (round 0: unsolicited)
 //	viol/<iri>|<round>|<seq>         Violation (round 0: unsolicited evidence)
 //
-// The pending marker makes target membership an O(1) lookup: evidence from
-// a device without one — not a target of the round, or a target that has
-// answered already — is verified and recorded, but neither advances nor
-// closes the round, and nothing reopens a closed round. getMonitoringRound
-// and reportUnresponsive assemble the MonitoringRound shape from the three
-// round keys. Seq stays one counter per resource, so getEvidence and
-// getViolations list a whole history in Seq order, or — given a round —
-// only that round's key prefix.
+// A round is closed when no pending marker remains or its closure marker
+// exists; nothing else records its progress, so an answer writes no
+// round-level key. The pending marker makes target membership an O(1)
+// lookup: evidence from a device without one — not a target of the round,
+// or a target that has answered already — is verified and recorded, but
+// neither advances nor closes the round, and evidence after the closure
+// marker deletes nothing, so nothing reopens a closed round.
+// getMonitoringRound and reportUnresponsive assemble the MonitoringRound
+// shape from these keys. Seq stays one counter per resource, so
+// getEvidence and getViolations list a whole history in Seq order, or —
+// given a round — only that round's key prefix.
 //
 // Every key is built for the access that uses it, by appending into the
 // buffer Env.Key (ReadEnv.Key) hands out, which already holds the
@@ -78,7 +80,6 @@
 //	                      retrievedAt, revoked
 //	0x25 MonitoringRound  round, resource, requestedAt, closed,
 //	                      n × target, n × responded
-//	0x26 roundProgress    targets, responded, closed
 //	0x27 EvidenceRecord   seq, evidence (resource, device, round,
 //	                      policyVersion, stillStored, deletedAt,
 //	                      retrievedAt, useCount, n × (at, action, purpose,
@@ -91,8 +92,9 @@
 //	0x20 policy           policy.AppendRecord; alone, the payload of
 //	                      PolicyUpdated
 //
-// The three sequence counters are a bare uvarint and a pending marker the
-// byte 1. A ResourceRecord ends with its policy, so PolicyUpdated carries
+// The three sequence counters are a bare uvarint, and a pending or closure
+// marker the byte 1. Tag 0x26 is retired: it opened a round-progress
+// record, and is not assigned again. A ResourceRecord ends with its policy, so PolicyUpdated carries
 // a tail of the stored bytes, and opens with Withdrawn, which is all the
 // market listing reads of a record. The methods that read only
 // a resource's owner, withdrawn flag or policy version (registerResource's
@@ -113,7 +115,7 @@
 //	                    cryptoutil.ParsePublicKey copies if it keeps it
 //	                    (submitEvidence)
 //
-// They, and the counter and round-progress reads, are called directly, so
+// They, and the counter reads, are called directly, so
 // their decoder stays on the stack; load, which decodes through a func
 // value, puts one on the heap per call. A decoded policy's purposes and
 // actions, and an evidence's usage entries, are the policy package's

@@ -54,7 +54,6 @@ type vectors struct {
 	devices    []DeviceRecord
 	grants     []Grant
 	rounds     []MonitoringRound
-	progress   []roundProgress
 	evidence   []EvidenceRecord
 	violations []Violation
 	outcomes   [][]EvidenceOutcome
@@ -103,7 +102,6 @@ func recordVectors() vectors {
 			{Round: 3, ResourceIRI: iri, RequestedAt: at, Targets: []cryptoutil.Address{dev, owner}, Responded: []cryptoutil.Address{dev}, Closed: true},
 			{Round: math.MaxUint64},
 		},
-		progress: []roundProgress{{Targets: 16, Responded: 300, Closed: true}, {}},
 		evidence: records,
 		violations: []Violation{
 			{Seq: 2, ResourceIRI: iri, Device: dev, Kind: ViolationUnresponsive, Detail: "no evidence for round 3", DetectedAt: at, Round: 3},
@@ -142,9 +140,6 @@ func (v vectors) encodings() [][]byte {
 	for i := range v.rounds {
 		out = append(out, appendMonitoringRound(nil, &v.rounds[i]))
 	}
-	for i := range v.progress {
-		out = append(out, appendRoundProgress(nil, &v.progress[i]))
-	}
 	for i := range v.evidence {
 		out = append(out, appendEvidenceRecord(nil, &v.evidence[i]))
 	}
@@ -176,8 +171,6 @@ func TestFrozenRecordEncodings(t *testing.T) {
 		"240000000000000000000000000000000000000000000000000000000000000000000000000000000000000f01000000000000000000000000ffff0f01000000000000000000000000ffff00",
 		"25032168747470733a2f2f616c6963652e6578616d706c652f646174612f68722e74746c0f010000000edcb5398000000005ffff0102d0d1d2d3d4d5d6d7d8d9dadbdcdddedfe0e1e2e3a0a1a2a3a4a5a6a7a8a9aaabacadaeafb0b1b2b301d0d1d2d3d4d5d6d7d8d9dadbdcdddedfe0e1e2e3",
 		"25ffffffffffffffffff01000f01000000000000000000000000ffff000000",
-		"2610ac0201",
-		"26000000",
 		"27072168747470733a2f2f616c6963652e6578616d706c652f646174612f68722e74746cd0d1d2d3d4d5d6d7d8d9dadbdcdddedfe0e1e2e30302010f01000000000000000000000000ffff0f010000000edcb5398000000005ffff02020f010000000edcb539bc00000005ffff03757365106d65646963616c2d7265736561726368010f010000000edcb539f800000005ffff05736861726507617c622c633b64000f010000000edcb5479000000005ffff010f010000000edcb555a000000005ffff030209726574656e74696f6e086d61782d75736573",
 		"27ffffffffffffffffff010775726e3a787c790000000000000000000000000000000000000000ffffffffffffffffff01ffffffffffffffffff01000f01000000000000000000000000ffff0f01000000000000000000000000ffffffffffffffffffffff01010f01000000000000000000000000ffff0000000f01000000000000000000000000ffff000f01000000000000000000000000ffffffffffffffffffffff0100",
 		"28022168747470733a2f2f616c6963652e6578616d706c652f646174612f68722e74746cd0d1d2d3d4d5d6d7d8d9dadbdcdddedfe0e1e2e30c756e726573706f6e73697665176e6f2065766964656e636520666f7220726f756e6420330f010000000edcb5398000000005ffff03",

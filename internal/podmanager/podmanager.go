@@ -338,7 +338,19 @@ func (m *Manager) CollectMonitoring(ctx context.Context, path string, round uint
 	}
 	if !state.Closed {
 		if _, err := m.de.ReportUnresponsive(ctx, iri, round); err != nil {
-			return nil, nil, err
+			// The last answer may have committed between the read and the
+			// report, closing the round: the report then reverts.
+			var reverted *distexchange.RevertError
+			if !errors.As(err, &reverted) {
+				return nil, nil, err
+			}
+			again, rerr := m.de.GetMonitoringRound(iri, round)
+			if rerr != nil {
+				return nil, nil, rerr
+			}
+			if !again.Closed {
+				return nil, nil, err
+			}
 		}
 	}
 	evidence, err := m.de.GetRoundEvidence(iri, round)

@@ -450,6 +450,72 @@ func TestMonitoringViaManager(t *testing.T) {
 	}
 }
 
+// answerBeforeReport holds back a target's answer and delivers it just
+// before the first reportUnresponsive it submits: the answer commits
+// between CollectMonitoring's read of the round and its report.
+type answerBeforeReport struct {
+	autoSeal
+	held *chain.Tx
+}
+
+func (b *answerBeforeReport) Submit(txs []*chain.Tx) []chain.TxVerdict {
+	if b.held != nil && txs[0].Method == "reportUnresponsive" {
+		if v := b.autoSeal.Submit([]*chain.Tx{b.held})[0]; v.Err != nil {
+			panic(v.Err)
+		}
+		b.held = nil
+	}
+	return b.autoSeal.Submit(txs)
+}
+
+// TestCollectMonitoringAfterTheLastAnswerCloses: the round is open when
+// CollectMonitoring reads it, and its last target's evidence commits
+// before the report, which then reverts on a closed round. Collection
+// still returns the round's evidence: the round closed normally.
+func TestCollectMonitoringAfterTheLastAnswerCloses(t *testing.T) {
+	e := newEnv(t)
+	iri := e.publish(browsingPolicy())
+	e.registerDevice()
+	ctx := context.Background()
+	if err := e.mgr.GrantAccess(ctx, bobWebID, e.bobKey.Address(), e.devKey.Address(),
+		"/web/browsing.csv", policy.PurposeWebAnalytics); err != nil {
+		t.Fatal(err)
+	}
+	devClient := distexchange.NewClient(autoSeal{node: e.node}, e.devKey, e.deAddr)
+	if _, err := devClient.ConfirmRetrieval(ctx, iri); err != nil {
+		t.Fatal(err)
+	}
+	round, err := e.mgr.StartMonitoring(ctx, "/web/browsing.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	now := e.clk.Now()
+	ev := distexchange.Evidence{ResourceIRI: iri, Device: e.devKey.Address(), Round: round.Round,
+		PolicyVersion: 1, StillStored: true, RetrievedAt: now, GeneratedAt: now}
+	sig, err := e.devKey.Sign(ev.SigningBytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	answer, err := chain.NewTx(e.devKey, e.node.NonceFor(e.devKey.Address()), e.deAddr, "submitEvidence",
+		distexchange.SubmitEvidenceArgs{Signed: []distexchange.SignedEvidence{{Evidence: ev, Signature: sig}}},
+		distexchange.DefaultGasLimit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backend := &answerBeforeReport{autoSeal: autoSeal{node: e.node}, held: answer}
+	evidence, violations, err := e.managerOn(backend).CollectMonitoring(ctx, "/web/browsing.csv", round.Round)
+	if backend.held != nil {
+		t.Fatal("no report was submitted: the round read as closed")
+	}
+	if err != nil {
+		t.Fatalf("collect: %v", err)
+	}
+	if len(evidence) != 1 || evidence[0].Evidence.Device != e.devKey.Address() || len(violations) != 0 {
+		t.Fatalf("evidence %+v, violations %+v; want the target's evidence and no violation", evidence, violations)
+	}
+}
+
 func TestGrantAccessRequiresPublication(t *testing.T) {
 	e := newEnv(t)
 	ctx := context.Background()
@@ -466,11 +532,18 @@ func TestGrantAccessRequiresPublication(t *testing.T) {
 // ledger, with a pod of its own.
 func (e *env) freshManager() *Manager {
 	e.t.Helper()
+	return e.managerOn(autoSeal{node: e.node})
+}
+
+// managerOn builds, like freshManager, a second manager of the owner's
+// pod over the same ledger, reaching the chain through backend.
+func (e *env) managerOn(backend distexchange.Backend) *Manager {
+	e.t.Helper()
 	m, err := New(Config{
 		OwnerWebID: aliceWebID,
 		BaseURL:    "https://alice.pod",
 		Key:        e.mgrKey,
-		Backend:    oracle.NewPushIn(autoSeal{node: e.node}, nil),
+		Backend:    oracle.NewPushIn(backend, nil),
 		DEAddr:     e.deAddr,
 		Market:     market.VerifierFor(e.mkt),
 		Directory:  e.dir,
