@@ -144,18 +144,37 @@ func (a SubmitEvidenceArgs) AppendArgs(dst []byte) []byte {
 	return dst
 }
 
+// decodeSubmitEvidenceArgs decodes a list without copying what the
+// arguments already hold: each Signature is a view of them, and items that
+// follow one of the same resource share its IRI string (decodeEvidence).
+// Each item's signing slice is tagEvidence and its evidence as the
+// arguments carry it. Arguments have one encoding, so that is
+// Evidence.SigningBytes; all items' slices share one buffer. Views live as
+// long as the call the arguments came with (contract.Env), and nothing
+// stored keeps one.
 func decodeSubmitEvidenceArgs(d *store.Dec, a *SubmitEvidenceArgs) {
 	n := d.Count("evidence", uint64(d.Remaining()))
 	if n == 0 {
 		return
 	}
 	a.Signed = make([]SignedEvidence, 0, min(n, store.DecodeCapHint))
+	// Every item's evidence is in the remaining bytes. Were a list past the
+	// hint to grow the buffer, the slices taken before keep their bytes.
+	rest := d.Remaining()
+	signing := make([]byte, 0, min(rest+int(n), rest+store.DecodeCapHint))
+	var iri string
 	for range n {
 		// Decoded in place, as decodeListing does.
-		a.Signed = append(a.Signed, SignedEvidence{})
+		a.Signed = append(a.Signed, SignedEvidence{Evidence: Evidence{ResourceIRI: iri}})
 		s := &a.Signed[len(a.Signed)-1]
+		start, at := len(d.Consumed()), len(signing)
 		decodeEvidence(d, &s.Evidence)
-		if s.Signature = d.Bytes(); d.Err() != nil {
+		signing = append(append(signing, tagEvidence), d.Consumed()[start:]...)
+		iri, s.signing = s.Evidence.ResourceIRI, signing[at:]
+		if s.Signature = d.View(); len(s.Signature) == 0 {
+			s.Signature = nil // as Dec.Bytes reads an empty one
+		}
+		if d.Err() != nil {
 			return
 		}
 	}

@@ -148,7 +148,8 @@ func argCodecs() []argCodec {
 // identity on values and encode∘decode on encodings, and neither a proper
 // prefix of an encoding nor one with a trailing byte decodes. A
 // submitEvidence item also carries, before its signature, exactly the
-// bytes that signature covers, less their tag.
+// bytes that signature covers, less their tag, and the decoded item's
+// signing slice is those bytes.
 func TestArgsCodecRoundTrip(t *testing.T) {
 	for i, c := range argCodecs() {
 		t.Run(c.method, func(t *testing.T) {
@@ -162,6 +163,15 @@ func TestArgsCodecRoundTrip(t *testing.T) {
 				back, err := c.decode(enc)
 				if err != nil {
 					t.Fatalf("case %d: %v", j, err)
+				}
+				if a, ok := back.(SubmitEvidenceArgs); ok {
+					if i := signingMismatch(a); i >= 0 {
+						t.Fatalf("case %d item %d: signing slice\n %x\nis not the signing bytes\n %x", j, i, a.Signed[i].signing, a.Signed[i].Evidence.SigningBytes())
+					}
+					// The value encoded was built, not decoded: it has none.
+					for k := range a.Signed {
+						a.Signed[k].signing = nil
+					}
 				}
 				if !reflect.DeepEqual(back, v) {
 					t.Fatalf("case %d:\n got %+v\nwant %+v", j, back, v)
@@ -198,6 +208,17 @@ func TestArgsCodecRoundTrip(t *testing.T) {
 			}
 		})
 	}
+}
+
+// signingMismatch returns the first item of a decoded list whose signing
+// slice is not what its device signed, or -1.
+func signingMismatch(a SubmitEvidenceArgs) int {
+	for i := range a.Signed {
+		if s := &a.Signed[i]; !bytes.Equal(s.signing, s.Evidence.SigningBytes()) {
+			return i
+		}
+	}
+	return -1
 }
 
 // TestArgsRefusePaddedUvarints: a count, a length or a round spelled with a
@@ -287,7 +308,9 @@ func TestFrozenArgsEncodings(t *testing.T) {
 // may panic, refuse other than with "bad args", or allocate out of
 // proportion to its input, and whatever one accepts must re-encode to
 // exactly the input: arguments have one encoding, so a padded uvarint is
-// refused.
+// refused. Each item of an accepted submitEvidence list carries a slice of
+// the input as what its device signed, which the contract verifies; it
+// must be Evidence.SigningBytes of the decoded item.
 //
 // CI smoke-runs this with -fuzz=FuzzArgsDecode -fuzztime=30s.
 func FuzzArgsDecode(f *testing.F) {
@@ -297,6 +320,20 @@ func FuzzArgsDecode(f *testing.F) {
 			f.Add(v.AppendArgs(nil))
 		}
 	}
+	// A 16-device round, and a list interleaving two resources: items whose
+	// IRIs the decoder shares, and items whose IRIs differ from the last.
+	evidence := vecEvidence()
+	var round, interleaved SubmitEvidenceArgs
+	for i := range 16 {
+		ev := *evidence[0]
+		ev.Device[0] = byte(i)
+		round.Signed = append(round.Signed, SignedEvidence{Evidence: ev, Signature: []byte{0x30, 0x06, 0x02, 0x01, byte(i), 0x02, 0x01, 0x09}})
+	}
+	for i := range 3 {
+		interleaved.Signed = append(interleaved.Signed, SignedEvidence{Evidence: *evidence[i%2], Signature: []byte{byte(i)}})
+	}
+	f.Add(round.AppendArgs(nil))
+	f.Add(interleaved.AppendArgs(nil))
 	f.Add([]byte(`{"signed":[]}`))
 	f.Add([]byte{0x80, 0x00})
 	f.Add(store.AppendUvarint(nil, 1<<40))                                         // a list that claims more items than bytes
@@ -320,6 +357,11 @@ func FuzzArgsDecode(f *testing.F) {
 			}
 			if again := v.AppendArgs(nil); !bytes.Equal(again, data) {
 				t.Fatalf("%s accepted\n%x\nand re-encodes it as\n%x", c.method, data, again)
+			}
+			if a, ok := v.(SubmitEvidenceArgs); ok {
+				if i := signingMismatch(a); i >= 0 {
+					t.Fatalf("%s accepted\n%x\nwhose item %d signs\n%x\nnot\n%x", c.method, data, i, a.Signed[i].signing, a.Signed[i].Evidence.SigningBytes())
+				}
 			}
 		}
 	})

@@ -229,7 +229,9 @@ const evidenceTxGas = chain.GasTxBase + binary.MaxVarintLen64*chain.GasPerArgByt
 // and answers an open round.
 func evidenceGasBound(s *SignedEvidence) uint64 {
 	const (
-		// bumpCounter: a read, and a write of a uvarint.
+		// A counter's read and its write of a uvarint. A list reads and
+		// writes each counter once, so charging every item and finding
+		// for one keeps the bound above what an item costs.
 		counter = chain.GasStorageGet + chain.GasStorageSet + 10*chain.GasStoragePerByte
 		// Stale policy, retention, purpose and usage cap.
 		findings = 4

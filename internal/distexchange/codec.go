@@ -362,8 +362,12 @@ func appendEvidence(dst []byte, e *Evidence) []byte {
 	return store.AppendUTC(dst, e.GeneratedAt)
 }
 
+// decodeEvidence keeps the IRI e holds when the encoded one spells it, so
+// a list's items on one resource share one string.
 func decodeEvidence(d *store.Dec, e *Evidence) {
-	e.ResourceIRI = d.String()
+	if iri := d.View(); string(iri) != e.ResourceIRI {
+		e.ResourceIRI = string(iri)
+	}
 	d.Raw(e.Device[:])
 	e.Round = d.Uvarint()
 	e.PolicyVersion = d.Uvarint()

@@ -604,7 +604,7 @@ func FuzzRecordDecode(f *testing.F) {
 			return policy.AppendRecord(nil, &v), err
 		})
 		try("counter", func() ([]byte, error) {
-			// What bumpCounter reads: a bare uvarint.
+			// What readCounter reads: a bare uvarint.
 			d := store.NewDec(data)
 			v := d.Uvarint()
 			return store.AppendUvarint(nil, v), d.Finish()
@@ -1022,9 +1022,11 @@ func signedApart(t testing.TB, keys []*cryptoutil.KeyPair, evs []Evidence) []Sig
 // item's device record, grant, counter and round progress through load's
 // heap decoder and copied the device key and the grant's strings, it made
 // 340. At e7eaaf7, which read and rewrote the round's progress record for
-// every answering device, it made 181.
+// every answering device, it made 181. At f0f4e83, which read and wrote the
+// evseq/ counter for every item and copied each item's signature, IRI and
+// signing bytes out of the arguments, it made 149.
 func TestSubmitEvidenceAllocations(t *testing.T) {
-	const devices, want = 16, 149
+	const devices, want = 16, 74
 	w, submit := roundSubmission(t, devices)
 	if got := w.allocs(submit); got > want {
 		t.Errorf("submitEvidence of %d devices: %.0f allocations, want at most %d", devices, got, want)
@@ -1032,16 +1034,17 @@ func TestSubmitEvidenceAllocations(t *testing.T) {
 }
 
 // TestSubmitEvidenceMarginalAllocations pins what one more item of a
-// round costs: 16 items on one resource may allocate at most 8 × 9 more
-// than 8 items. The measured difference is 65, 8.1 per item; at 59e9311,
+// round costs: 16 items on one resource may allocate at most 8 × 4 more
+// than 8 items. The measured difference is 25, 3.1 per item; at 59e9311,
 // which decoded the resource record for every item, it was 225, at
-// 32b20b0, whose per-item reads went through load's heap decoder, 161, and
-// at e7eaaf7, which rewrote the round's progress record per item, 81. An
-// item that decodes its resource record again costs 8 more, and one read
-// through load 1 more, which this catches where a bound on the whole round
-// might not.
+// 32b20b0, whose per-item reads went through load's heap decoder, 161, at
+// e7eaaf7, which rewrote the round's progress record per item, 81, and at
+// f0f4e83, which wrote the evseq/ counter and copied the signature, IRI and
+// signing bytes per item, 65. An item that decodes its resource record
+// again costs 8 more, and one read through load 1 more, which this catches
+// where a bound on the whole round might not.
 func TestSubmitEvidenceMarginalAllocations(t *testing.T) {
-	const perItem = 9
+	const perItem = 4
 	// Each round is measured as soon as it is built: its keys and
 	// signatures are then all in the process's tables (roundSubmission).
 	w8, submit8 := roundSubmission(t, 8)

@@ -171,7 +171,7 @@ func localKey(l ledger, key []byte) []byte { return key[len(l.Key()):] }
 // decoder escapes to the heap: one allocation a call. The reads monitoring
 // makes per item call an in-place reader directly instead, which keeps its
 // decoder on the stack (decodeResourceHead, decodeGrantHead,
-// decodeDeviceKey, and bumpCounter's and noteResponse's own).
+// decodeDeviceKey, and readCounter's and noteResponse's own).
 func load[T any](env *contract.Env, key []byte, out *T, decode func(*store.Dec, *T)) (bool, error) {
 	raw, ok, err := env.Get(key)
 	if err != nil || !ok {
@@ -263,27 +263,75 @@ func decodeArgs[A any](raw []byte, args *A, decode func(*store.Dec, *A)) error {
 	return nil
 }
 
-// bumpCounter increments the sequence counter under key, built on env.Key,
-// and returns its new value. A counter is a bare uvarint, no tag; a missing
-// one reads as 0.
-func bumpCounter(env *contract.Env, key []byte) (uint64, error) {
+// readCounter reads the sequence counter under key, built on env.Key. A
+// counter is a bare uvarint, no tag; a missing one reads as 0.
+func readCounter(env *contract.Env, key []byte) (uint64, error) {
 	raw, ok, err := env.Get(key)
+	if err != nil || !ok {
+		return 0, err
+	}
+	d := store.NewDec(raw)
+	n := d.Uvarint()
+	if err := d.Finish(); err != nil {
+		return 0, corruptRecord(env, key, err)
+	}
+	return n, nil
+}
+
+// bumpCounter increments the sequence counter under key, built on env.Key,
+// and returns its new value.
+func bumpCounter(env *contract.Env, key []byte) (uint64, error) {
+	n, err := readCounter(env, key)
 	if err != nil {
 		return 0, err
 	}
-	var n uint64
-	if ok {
-		d := store.NewDec(raw)
-		n = d.Uvarint()
-		if err := d.Finish(); err != nil {
-			return 0, corruptRecord(env, key, err)
+	n++
+	return n, env.Set(key, store.AppendUvarint(nil, n))
+}
+
+// seqs are one kind of sequence counter — evseq/ or violseq/, as key
+// builds it — that one call advances, one per resource. Each is read on
+// its first advance and written once, by flush, after the last: a list of
+// n items on one resource costs one counter read and one write, not n of
+// each. Nothing else the call does reads a counter, so every seq is the one
+// a write per advance gives; only the gas differs (as EIP-2200 meters a
+// slot written more than once by net change).
+type seqs struct {
+	key  func(b []byte, iri string) []byte
+	last []counter
+}
+
+// counter is one resource's counter as seqs holds it: its latest value.
+type counter struct {
+	iri string
+	n   uint64
+}
+
+// next advances iri's counter and returns its new value.
+func (s *seqs) next(env *contract.Env, iri string) (uint64, error) {
+	i := 0
+	for i < len(s.last) && s.last[i].iri != iri {
+		i++
+	}
+	if i == len(s.last) {
+		n, err := readCounter(env, s.key(env.Key(), iri))
+		if err != nil {
+			return 0, err
+		}
+		s.last = append(s.last, counter{iri, n})
+	}
+	s.last[i].n++
+	return s.last[i].n, nil
+}
+
+// flush writes every counter next advanced, with its last value.
+func (s *seqs) flush(env *contract.Env) error {
+	for _, c := range s.last {
+		if err := env.Set(s.key(env.Key(), c.iri), store.AppendUvarint(nil, c.n)); err != nil {
+			return err
 		}
 	}
-	n++
-	if err := env.Set(key, store.AppendUvarint(nil, n)); err != nil {
-		return 0, err
-	}
-	return n, nil
+	return nil
 }
 
 // --- pod initiation (Fig. 2(1)) ---
@@ -640,7 +688,6 @@ type checkedEvidence struct {
 	rec         *ResourceRecord
 	retrievedAt time.Time        // the grant's RetrievedAt
 	key         *ecdsa.PublicKey // the device key the ledger holds
-	signing     []byte           // the bytes the device signature covers
 	refused     error
 }
 
@@ -655,10 +702,12 @@ type checkedEvidence struct {
 //
 // The record pass writes no key the check pass reads (res/, dev/, grant/),
 // so every item is judged on what it would have been judged on had the
-// items run one after another, and the reads, writes, events and gas are
-// theirs. Only a hard error — in a valid ledger, running out of gas — can
-// surface earlier than it would have, and the meter then pins at the limit
-// either way, so the receipt is the same.
+// items run one after another, and the final state, events and seqs are
+// theirs. The gas is theirs less the counter traffic a list saves: the
+// record pass reads each evseq/ and violseq/ counter it advances once and
+// writes it once, after the last item (seqs). Only a hard error — in a
+// valid ledger, running out of gas — can surface earlier than it would
+// have, and the meter then pins at the limit either way.
 func (c *Contract) submitEvidence(env *contract.Env, args *SubmitEvidenceArgs) ([]byte, error) {
 	if len(args.Signed) == 0 {
 		return nil, contract.Revertf("submitEvidence: no evidence")
@@ -672,7 +721,7 @@ func (c *Contract) submitEvidence(env *contract.Env, args *SubmitEvidenceArgs) (
 	}
 	cryptoutil.VerifyAll(len(items), func(i int) {
 		it := &items[i]
-		if it.refused == nil && !cryptoutil.VerifyCached(it.key, it.signing, args.Signed[i].Signature) {
+		if s := &args.Signed[i]; it.refused == nil && !cryptoutil.VerifyCached(it.key, s.signing, s.Signature) {
 			it.refused = contract.Revertf("submitEvidence: evidence signature invalid")
 		}
 	})
@@ -680,6 +729,7 @@ func (c *Contract) submitEvidence(env *contract.Env, args *SubmitEvidenceArgs) (
 	var firstRefusal error
 	accepted := false
 	outcomes := appendEvidenceOutcomes(nil, len(items))
+	evSeqs, violSeqs := seqs{key: evSeqKey}, seqs{key: violSeqKey}
 	for i := range items {
 		if refused := items[i].refused; refused != nil {
 			if firstRefusal == nil {
@@ -688,7 +738,7 @@ func (c *Contract) submitEvidence(env *contract.Env, args *SubmitEvidenceArgs) (
 			outcomes = appendRefusedEvidence(outcomes, refused.Error())
 			continue
 		}
-		seq, err := c.recordEvidence(env, &args.Signed[i].Evidence, &items[i])
+		seq, err := c.recordEvidence(env, &args.Signed[i].Evidence, &items[i], &evSeqs, &violSeqs)
 		if err != nil {
 			return nil, err
 		}
@@ -698,7 +748,10 @@ func (c *Contract) submitEvidence(env *contract.Env, args *SubmitEvidenceArgs) (
 	if !accepted {
 		return nil, firstRefusal
 	}
-	return outcomes, nil
+	if err := evSeqs.flush(env); err != nil {
+		return nil, err
+	}
+	return outcomes, violSeqs.flush(env)
 }
 
 // checkEvidence reads what one evidence is judged by — its resource, its
@@ -749,19 +802,18 @@ func (c *Contract) checkEvidence(env *contract.Env, ev *Evidence, it *checkedEvi
 	it.retrievedAt = g.retrievedAt
 	if it.key, _, err = cryptoutil.ParsePublicKey(deviceKey); err != nil {
 		it.refused = contract.Revertf("submitEvidence: stored device key corrupt: %v", err)
-		return nil
 	}
-	it.signing = ev.SigningBytes()
 	return nil
 }
 
 // recordEvidence records one evidence that the check and verify passes
 // accepted — its ev/ record, event, violations and round bookkeeping — and
-// returns the record's seq. Nothing here refuses: what fails reverts.
-func (c *Contract) recordEvidence(env *contract.Env, ev *Evidence, it *checkedEvidence) (uint64, error) {
+// returns the record's seq, which evSeqs advances, as violSeqs does the
+// violations'. Nothing here refuses: what fails reverts.
+func (c *Contract) recordEvidence(env *contract.Env, ev *Evidence, it *checkedEvidence, evSeqs, violSeqs *seqs) (uint64, error) {
 	findings := c.checkCompliance(it.rec, it.retrievedAt, ev)
 
-	seq, err := bumpCounter(env, evSeqKey(env.Key(), ev.ResourceIRI))
+	seq, err := evSeqs.next(env, ev.ResourceIRI)
 	if err != nil {
 		return 0, err
 	}
@@ -782,7 +834,7 @@ func (c *Contract) recordEvidence(env *contract.Env, ev *Evidence, it *checkedEv
 	}
 
 	for _, kind := range findings {
-		if err := c.recordViolation(env, ev.ResourceIRI, ev.Device, kind,
+		if err := c.recordViolation(env, violSeqs, ev.ResourceIRI, ev.Device, kind,
 			fmt.Sprintf("evidence #%d round %d", seq, ev.Round), ev.Round); err != nil {
 			return 0, err
 		}
@@ -851,8 +903,10 @@ func (c *Contract) checkCompliance(rec *ResourceRecord, retrievedAt time.Time, e
 	return findings
 }
 
-func (c *Contract) recordViolation(env *contract.Env, iri string, device cryptoutil.Address, kind ViolationKind, detail string, round uint64) error {
-	seq, err := bumpCounter(env, violSeqKey(env.Key(), iri))
+// recordViolation stores one violation under the seq violSeqs advances,
+// and emits it.
+func (c *Contract) recordViolation(env *contract.Env, violSeqs *seqs, iri string, device cryptoutil.Address, kind ViolationKind, detail string, round uint64) error {
+	seq, err := violSeqs.next(env, iri)
 	if err != nil {
 		return err
 	}
@@ -893,11 +947,15 @@ func (c *Contract) reportUnresponsive(env *contract.Env, args *ReportUnresponsiv
 	if round.Closed {
 		return nil, contract.Revertf("reportUnresponsive: round %d already closed", args.Round)
 	}
+	violSeqs := seqs{key: violSeqKey}
 	for _, target := range silent {
-		if err := c.recordViolation(env, args.ResourceIRI, target, ViolationUnresponsive,
+		if err := c.recordViolation(env, &violSeqs, args.ResourceIRI, target, ViolationUnresponsive,
 			fmt.Sprintf("no evidence for round %d", args.Round), args.Round); err != nil {
 			return nil, err
 		}
+	}
+	if err := violSeqs.flush(env); err != nil {
+		return nil, err
 	}
 	round.Closed = true
 	if err := env.Set(closedKey(env.Key(), args.ResourceIRI, args.Round), marker); err != nil {

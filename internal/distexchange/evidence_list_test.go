@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -647,32 +648,7 @@ func TestEvidenceListWritesRecordsOnce(t *testing.T) {
 // item decodes A's again: reusing the last record without comparing would
 // judge it by B's policy, and keeping the first would judge B's item by A's.
 func TestEvidenceListInterleavedResources(t *testing.T) {
-	w := newExecWorld(t)
-	owner := cryptoutil.MustGenerateKey()
-	w.withResource(owner) // A: any purpose, no cap on uses
-	const narrowIRI = "https://alice.pod/narrow.csv"
-	narrow := policy.New(narrowIRI, allocsWebID, t0)
-	narrow.AllowedPurposes = []policy.Purpose{policy.PurposeAcademic}
-	narrow.MaxUses = 1
-	w.must(owner, "registerResource", RegisterResourceArgs{ResourceIRI: narrowIRI, PodWebID: allocsWebID, Location: narrowIRI, Policy: narrow})
-	device := w.withRetrievedGrant(owner, cryptoutil.MustGenerateKey())
-	w.must(owner, "recordGrant", RecordGrantArgs{ResourceIRI: narrowIRI, Consumer: device.Address(), Device: device.Address(), Purpose: policy.PurposeAcademic})
-	w.must(device, "confirmRetrieval", ConfirmRetrievalArgs{ResourceIRI: narrowIRI})
-
-	iris := []string{allocsIRI, narrowIRI, allocsIRI}
-	signed := make([]SignedEvidence, len(iris))
-	for i, iri := range iris {
-		ev := Evidence{
-			ResourceIRI: iri, Device: device.Address(), PolicyVersion: 1, StillStored: true,
-			RetrievedAt: t0, UseCount: 2, GeneratedAt: t0.Add(time.Minute),
-			Entries: []UsageEntry{{At: t0, Action: policy.ActionUse, Purpose: policy.PurposeMedicalResearch, Allowed: true}},
-		}
-		sig, err := device.Sign(ev.SigningBytes())
-		if err != nil {
-			t.Fatal(err)
-		}
-		signed[i] = SignedEvidence{Evidence: ev, Signature: sig}
-	}
+	w, iris, signed := interleavedList(t)
 	r := w.rt.ExecuteTx(w.ov, w.tx(cryptoutil.MustGenerateKey(), "submitEvidence", SubmitEvidenceArgs{Signed: signed}), execBlock)
 	outcomes, err := DecodeEvidenceOutcomes(r.Return)
 	if !r.Succeeded() || err != nil || len(outcomes) != len(iris) {
@@ -692,5 +668,133 @@ func TestEvidenceListInterleavedResources(t *testing.T) {
 		if !reflect.DeepEqual(rec.Findings, want[i]) {
 			t.Errorf("item %d (%s): findings %v, want %v", i, iris[i], rec.Findings, want[i])
 		}
+	}
+}
+
+// interleavedList registers resource A (any purpose, no cap on uses) and a
+// narrower B (academic use only, one use), has one device retrieve both,
+// and returns its evidence on A, B and A again, each reporting two
+// medical-research uses: B's breaks its policy twice, A's do not.
+func interleavedList(t *testing.T) (w *execWorld, iris []string, signed []SignedEvidence) {
+	t.Helper()
+	w = newExecWorld(t)
+	owner := cryptoutil.MustGenerateKey()
+	w.withResource(owner) // A: any purpose, no cap on uses
+	const narrowIRI = "https://alice.pod/narrow.csv"
+	narrow := policy.New(narrowIRI, allocsWebID, t0)
+	narrow.AllowedPurposes = []policy.Purpose{policy.PurposeAcademic}
+	narrow.MaxUses = 1
+	w.must(owner, "registerResource", RegisterResourceArgs{ResourceIRI: narrowIRI, PodWebID: allocsWebID, Location: narrowIRI, Policy: narrow})
+	device := w.withRetrievedGrant(owner, cryptoutil.MustGenerateKey())
+	w.must(owner, "recordGrant", RecordGrantArgs{ResourceIRI: narrowIRI, Consumer: device.Address(), Device: device.Address(), Purpose: policy.PurposeAcademic})
+	w.must(device, "confirmRetrieval", ConfirmRetrievalArgs{ResourceIRI: narrowIRI})
+
+	iris = []string{allocsIRI, narrowIRI, allocsIRI}
+	signed = make([]SignedEvidence, len(iris))
+	for i, iri := range iris {
+		ev := Evidence{
+			ResourceIRI: iri, Device: device.Address(), PolicyVersion: 1, StillStored: true,
+			RetrievedAt: t0, UseCount: 2, GeneratedAt: t0.Add(time.Minute),
+			Entries: []UsageEntry{{At: t0, Action: policy.ActionUse, Purpose: policy.PurposeMedicalResearch, Allowed: true}},
+		}
+		sig, err := device.Sign(ev.SigningBytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		signed[i] = SignedEvidence{Evidence: ev, Signature: sig}
+	}
+	return w, iris, signed
+}
+
+// countingState is a transaction's state that counts the writes made to
+// each key.
+type countingState struct {
+	chain.StateRW
+	sets map[string]int
+}
+
+func (s countingState) Set(key string, value []byte) {
+	s.sets[key]++
+	s.StateRW.Set(key, value)
+}
+
+// TestEvidenceCountersWrittenOnce: a call writes each sequence counter it
+// advances once, however often it advances it — a 16-item round's evseq/,
+// each resource's evseq/ of an interleaved A, B, A list and the violseq/ of
+// its two findings, and the violseq/ of a reportUnresponsive that flags
+// three silent targets. The keys a call writes are the same either way
+// (TestMonitoringWritesOnlyItsMarkers); what a rewrite costs is gas.
+func TestEvidenceCountersWrittenOnce(t *testing.T) {
+	// check executes tx on w, which must succeed, and wants every one of
+	// counters, built without the namespace, written exactly once.
+	check := func(what string, w *execWorld, tx *chain.Tx, counters ...[]byte) {
+		t.Helper()
+		st := countingState{w.ov, map[string]int{}}
+		if r := w.rt.ExecuteTx(st, tx, execBlock); !r.Succeeded() {
+			t.Fatalf("%s: %s", what, r.Err)
+		}
+		for _, k := range counters {
+			if n := st.sets[w.deAddr.String()+"/"+string(k)]; n != 1 {
+				t.Errorf("%s: %s written %d times, want once", what, k, n)
+			}
+		}
+	}
+
+	w, submit := roundSubmission(t, 16)
+	check("a 16-item round", w, submit, evSeqKey(nil, allocsIRI))
+
+	w, iris, signed := interleavedList(t)
+	check("an A, B, A list", w, w.tx(cryptoutil.MustGenerateKey(), "submitEvidence", SubmitEvidenceArgs{Signed: signed}),
+		evSeqKey(nil, iris[0]), evSeqKey(nil, iris[1]), violSeqKey(nil, iris[1]))
+
+	w = newExecWorld(t)
+	owner := cryptoutil.MustGenerateKey()
+	w.withResource(owner)
+	for range 3 {
+		w.withRetrievedGrant(owner, cryptoutil.MustGenerateKey())
+	}
+	w.must(owner, "requestMonitoring", RequestMonitoringArgs{ResourceIRI: allocsIRI})
+	check("reportUnresponsive of three silent targets", w, w.tx(owner, "reportUnresponsive", ReportUnresponsiveArgs{ResourceIRI: allocsIRI, Round: 1}),
+		violSeqKey(nil, allocsIRI))
+}
+
+// TestEvidenceArgViewsConcurrentExecutions: a decoded list's signatures
+// and signing slices are views of the transaction's arguments, which the
+// verify pass's workers read while every validator executes the same *Tx.
+// Executions of one list on copies of one state, all at once, give one
+// receipt and leave the arguments as they were.
+func TestEvidenceArgViewsConcurrentExecutions(t *testing.T) {
+	base := newListWorld(t)
+	rng := rand.New(rand.NewSource(1))
+	signed := make([]SignedEvidence, 12)
+	for i := range signed {
+		signed[i] = base.draw(rng)
+	}
+	tx, err := chain.NewTx(base.relay, 0, base.deAddr, methodSubmitEvidence, SubmitEvidenceArgs{Signed: signed}, DefaultGasLimit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := bytes.Clone(tx.Args)
+	receipts := make([]*chain.Receipt, 4)
+	var wg sync.WaitGroup
+	for i := range receipts {
+		w := base.fork()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			receipts[i] = w.rt.ExecuteTx(w.st, tx, chain.BlockContext{Number: 1, Time: t0.Add(48 * time.Hour)})
+		}()
+	}
+	wg.Wait()
+	if !receipts[0].Succeeded() {
+		t.Fatalf("submitEvidence: %s", receipts[0].Err)
+	}
+	for i, r := range receipts[1:] {
+		if !reflect.DeepEqual(r, receipts[0]) {
+			t.Errorf("execution %d: receipt %+v, execution 0: %+v", i+1, r, receipts[0])
+		}
+	}
+	if !bytes.Equal(tx.Args, args) {
+		t.Error("executing the list changed its arguments")
 	}
 }

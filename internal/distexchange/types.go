@@ -49,7 +49,10 @@
 // submitEvidence takes a list of signed evidence — the pull-in oracle sends
 // a round's as one transaction — and treats every item as a transaction of
 // one evidence would be treated, in list order: the same checks, the same
-// ev/ record, event, violations and round bookkeeping, the same gas. An item
+// ev/ record, event, violations and round bookkeeping. It costs less gas:
+// the list reads and writes each sequence counter it advances once, so
+// every accepted item after its resource's first, and every violation
+// after its resource's first, saves a counter read and write. An item
 // it refuses (unregistered device, no grant, a signature that does not
 // verify under the key the ledger holds) writes nothing and leaves the other
 // items alone; the return value says, per item, the seq its record is
@@ -366,6 +369,10 @@ type SignedEvidence struct {
 	Evidence Evidence `json:"evidence"`
 	// Signature is the device's ECDSA signature over Evidence.SigningBytes.
 	Signature []byte `json:"signature"`
+
+	// signing is Evidence.SigningBytes as decodeSubmitEvidenceArgs read it
+	// from the arguments; nil on evidence built otherwise.
+	signing []byte
 }
 
 // ViolationKind classifies a detected policy violation.

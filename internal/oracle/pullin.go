@@ -111,8 +111,10 @@ func (o *PullIn) Start(deAddr cryptoutil.Address) {
 func (o *PullIn) handleRound(round distexchange.MonitoringRound) {
 	defer o.metrics.PullInRound.Start().Stop()
 
-	// gathered[i] answers round.Targets[i]; each gather writes its own slot.
-	gathered := make([]*distexchange.SignedEvidence, len(round.Targets))
+	// gathered[i] answers round.Targets[i] when found[i]; each gather writes
+	// its own slot.
+	gathered := make([]distexchange.SignedEvidence, len(round.Targets))
+	found := make([]bool, len(round.Targets))
 	gather := func(i int) {
 		target := round.Targets[i]
 		o.mu.Lock()
@@ -127,7 +129,7 @@ func (o *PullIn) handleRound(round distexchange.MonitoringRound) {
 			log.Printf("oracle: pull-in: source %s: %v", target.Short(), err)
 			return
 		}
-		gathered[i] = &signed
+		gathered[i], found[i] = signed, true
 	}
 	if o.Fanout {
 		var wg sync.WaitGroup
@@ -145,10 +147,10 @@ func (o *PullIn) handleRound(round distexchange.MonitoringRound) {
 		}
 	}
 
-	var batch []distexchange.SignedEvidence
-	for _, signed := range gathered {
-		if signed != nil {
-			batch = append(batch, *signed)
+	batch := make([]distexchange.SignedEvidence, 0, len(round.Targets))
+	for i := range gathered {
+		if found[i] {
+			batch = append(batch, gathered[i])
 		}
 	}
 	if len(batch) == 0 {

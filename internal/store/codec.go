@@ -138,6 +138,11 @@ func (d *Dec) Count(what string, bound uint64) uint64 {
 // wants from a decoder whose every element costs at least one byte.
 func (d *Dec) Remaining() int { return len(d.b) - d.off }
 
+// Consumed returns the input read so far, uncopied, as View does: the
+// bytes a run of reads decoded are Consumed()[start:], where start is the
+// length of Consumed before them.
+func (d *Dec) Consumed() []byte { return d.b[:d.off] }
+
 // Byte reads one raw byte.
 func (d *Dec) Byte() byte {
 	if d.err != nil {
