@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cryptoutil"
 	"repro/internal/distexchange"
 	"repro/internal/obs"
 	"repro/internal/podmanager"
@@ -430,5 +431,28 @@ func TestRefusedPublishLeavesPodUnchanged(t *testing.T) {
 	}
 	if string(data) != "fresh" {
 		t.Fatalf("read %q", data)
+	}
+}
+
+// TestHookLedgerReadAllocations pins what a pod manager's access hook pays
+// to ask the ledger on every consumer request, on a real deployment: the
+// query's arguments and the node's copy of the stored record. The query
+// reads its argument in place, and the reply's policy is walked, not
+// decoded.
+func TestHookLedgerReadAllocations(t *testing.T) {
+	d := newDeployment(t, Config{})
+	owner, iri := ownerWithResource(d, "owner", 64, nil)
+	de := owner.Manager.DE()
+	var (
+		who    cryptoutil.Address
+		listed bool
+		err    error
+	)
+	allocs := testing.AllocsPerRun(100, func() { who, listed, err = de.ResourceListing(iri) })
+	if err != nil || !listed || who != owner.Key.Address() {
+		t.Fatalf("listing: owner %s, listed %v, %v; want the owner's live record", who, listed, err)
+	}
+	if allocs > 2 {
+		t.Errorf("hook ledger read: %.1f allocations, want ≤ 2", allocs)
 	}
 }

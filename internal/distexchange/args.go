@@ -1,6 +1,8 @@
 package distexchange
 
 import (
+	"math/bits"
+
 	"repro/internal/cryptoutil"
 	"repro/internal/policy"
 	"repro/internal/store"
@@ -195,10 +197,21 @@ func (a GetPodArgs) AppendArgs(dst []byte) []byte { return store.AppendString(ds
 
 func decodeGetPodArgs(d *store.Dec, a *GetPodArgs) { a.OwnerWebID = d.String() }
 
-// AppendArgs appends the arguments' encoding.
-func (a GetResourceArgs) AppendArgs(dst []byte) []byte { return store.AppendString(dst, a.ResourceIRI) }
+// AppendArgs appends the arguments' encoding, in a buffer of its exact size
+// when dst has no room: the IRI's length as a uvarint, then the IRI.
+func (a GetResourceArgs) AppendArgs(dst []byte) []byte {
+	n := len(a.ResourceIRI)
+	return store.AppendString(grow(dst, (bits.Len64(uint64(n)|1)+6)/7+n), a.ResourceIRI)
+}
 
-func decodeGetResourceArgs(d *store.Dec, a *GetResourceArgs) { a.ResourceIRI = d.String() }
+// getResourceIRI reads getResource's arguments, the IRI alone, as a view of
+// args, refusing what decodeArgs refuses: the query builds its key from the
+// view and keeps nothing, so reading the arguments allocates nothing.
+func getResourceIRI(args []byte) ([]byte, error) {
+	d := store.NewDec(args)
+	iri := d.View()
+	return iri, finishArgs(d)
+}
 
 // AppendArgs appends the arguments' encoding.
 func (a GetGrantsArgs) AppendArgs(dst []byte) []byte { return store.AppendString(dst, a.ResourceIRI) }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -122,9 +123,15 @@ func argCodecs() []argCodec {
 		codecOf("getPod", decodeGetPodArgs, func(g gen) GetPodArgs {
 			return GetPodArgs{OwnerWebID: g.text()}
 		}, GetPodArgs{OwnerWebID: webID}, GetPodArgs{}),
-		codecOf("getResource", decodeGetResourceArgs, func(g gen) GetResourceArgs {
-			return GetResourceArgs{ResourceIRI: g.text()}
-		}, GetResourceArgs{ResourceIRI: iri}, GetResourceArgs{}),
+		{
+			method:  "getResource",
+			vectors: []appender{GetResourceArgs{ResourceIRI: iri}, GetResourceArgs{}},
+			draw:    func(g gen) appender { return GetResourceArgs{ResourceIRI: g.text()} },
+			decode: func(raw []byte) (appender, error) {
+				iri, err := getResourceIRI(raw)
+				return GetResourceArgs{ResourceIRI: string(iri)}, err
+			},
+		},
 		codecOf("getGrants", decodeGetGrantsArgs, func(g gen) GetGrantsArgs {
 			return GetGrantsArgs{ResourceIRI: g.text()}
 		}, GetGrantsArgs{ResourceIRI: iri}, GetGrantsArgs{}),
@@ -310,7 +317,9 @@ func TestFrozenArgsEncodings(t *testing.T) {
 // exactly the input: arguments have one encoding, so a padded uvarint is
 // refused. Each item of an accepted submitEvidence list carries a slice of
 // the input as what its device signed, which the contract verifies; it
-// must be Evidence.SigningBytes of the decoded item.
+// must be Evidence.SigningBytes of the decoded item. getResource reads its
+// IRI in place (getResourceIRI); it must accept and refuse exactly what
+// decodeArgs with a copying decoder does, with the same error.
 //
 // CI smoke-runs this with -fuzz=FuzzArgsDecode -fuzztime=30s.
 func FuzzArgsDecode(f *testing.F) {
@@ -341,6 +350,12 @@ func FuzzArgsDecode(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02, 'r'}) // a length past 2⁶⁴
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var copied GetResourceArgs
+		copyErr := decodeArgs(data, &copied, func(d *store.Dec, a *GetResourceArgs) { a.ResourceIRI = d.String() })
+		view, viewErr := getResourceIRI(data)
+		if fmt.Sprint(viewErr) != fmt.Sprint(copyErr) || (viewErr == nil && string(view) != copied.ResourceIRI) {
+			t.Fatalf("getResource arguments\n%x\nread in place: %q, %v\ncopied: %q, %v", data, view, viewErr, copied.ResourceIRI, copyErr)
+		}
 		for _, c := range codecs {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)

@@ -270,6 +270,17 @@ func (c *Client) GetResource(resourceIRI string) (ResourceRecord, error) {
 	return query(c, "getResource", GetResourceArgs{ResourceIRI: resourceIRI}, DecodeResourceRecord)
 }
 
+// ResourceListing reads who registered a resource and whether the DE App
+// lists it, that is, has not withdrawn it. A missing record wraps
+// ErrNotFound, as GetResource's does. The reply is read in place
+// (decodeResourceHead) and its policy is not decoded, so a read allocates
+// the arguments and the reply alone: a pod manager's access hook asks on
+// every consumer request.
+func (c *Client) ResourceListing(resourceIRI string) (owner cryptoutil.Address, listed bool, err error) {
+	h, err := query(c, "getResource", GetResourceArgs{ResourceIRI: resourceIRI}, decodeResourceHead)
+	return h.owner, err == nil && !h.withdrawn, err
+}
+
 // ListResources lists every resource not withdrawn.
 func (c *Client) ListResources() ([]ResourceRecord, error) {
 	reply, err := c.backend.Query(c.contract, "listResources", nil)

@@ -257,6 +257,12 @@ func call[A any](env *contract.Env, raw []byte, decode func(*store.Dec, *A), met
 func decodeArgs[A any](raw []byte, args *A, decode func(*store.Dec, *A)) error {
 	d := store.NewDec(raw)
 	decode(d, args)
+	return finishArgs(d)
+}
+
+// finishArgs ends the reading of arguments: what d has not read whole and
+// exactly reverts, or fails the query, with "bad args: …".
+func finishArgs(d *store.Dec) error {
 	if err := d.Finish(); err != nil {
 		return contract.Revertf("bad args: %v", err)
 	}
@@ -1025,11 +1031,11 @@ func (c *Contract) Read(env *contract.ReadEnv, method string, args []byte) ([]by
 		}
 		return readRecord(env, podKey(env.Key(), a.OwnerWebID))
 	case "getResource":
-		var a GetResourceArgs
-		if err := decodeArgs(args, &a, decodeGetResourceArgs); err != nil {
+		iri, err := getResourceIRI(args)
+		if err != nil {
 			return nil, err
 		}
-		return readRecord(env, resKey(env.Key(), a.ResourceIRI))
+		return readRecord(env, append(resKey(env.Key(), ""), iri...))
 	case "getDevice":
 		var a GetDeviceArgs
 		if err := decodeArgs(args, &a, decodeGetDeviceArgs); err != nil {

@@ -103,7 +103,8 @@
 // a resource's owner, withdrawn flag or policy version (registerResource's
 // duplicate check, updatePolicy, withdrawResource, revokeGrant,
 // requestMonitoring, reportUnresponsive) read its record in place and
-// splice the stored bytes to rewrite it; recordGrant and submitEvidence
+// splice the stored bytes to rewrite it, and Client.ResourceListing reads a
+// getResource reply in place; recordGrant and submitEvidence
 // evaluate the policy, so they decode it — submitEvidence once for a run of
 // items whose records are the same bytes ("Signature checks").
 //

@@ -25,8 +25,6 @@ var reachKeep = map[string]string{
 	"repro/internal/solid.Client.Post":   "client half of the POST route solid-server serves",
 	"repro/internal/solid.Client.Delete": "client half of the DELETE route solid-server serves",
 
-	"repro/internal/distexchange.Client.Address": "the sender a contract-test fixture's clients sign as, which its assertions name",
-
 	// Counts the tests assert on; the product never asks how many.
 	"repro/internal/obs.Registry.Len":    "the series count the obs and solid metric tests check registration against",
 	"repro/internal/rdf.Graph.Len":       "the triple count the graph tests check deduplication and removal against",

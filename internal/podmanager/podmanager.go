@@ -83,7 +83,10 @@ type Config struct {
 	PushOut *oracle.PushOut
 }
 
-// Manager is a running pod manager.
+// Manager is a running pod manager. It keeps no copy of ledger state: the
+// DE App judges every owner request, and the access hook reads what is
+// published from it, so a manager started over an existing ledger acts as
+// the one that published there would.
 type Manager struct {
 	owner   solid.WebID
 	baseURL string
@@ -100,13 +103,8 @@ type Manager struct {
 	// collectLatency times CollectMonitoring; nil (a no-op) until Instrument.
 	collectLatency *obs.Histogram
 
-	// listed holds the IRIs whose registration this manager saw the DE App
-	// accept and whose withdrawal it has not seen: the resources its access
-	// hook guards, known without a ledger read on every GET. GrantAccess
-	// opens an ACL only on these. The DE App judges every owner request
-	// itself.
-	mu     sync.Mutex
-	listed map[string]bool
+	// mu serializes GrantAccess's read-modify-write of a resource's ACL.
+	mu sync.Mutex
 }
 
 // Manager errors.
@@ -114,9 +112,6 @@ var (
 	ErrCertificate  = errors.New("podmanager: payment certificate rejected")
 	ErrOwnerOnly    = errors.New("podmanager: owner-only operation")
 	ErrMissingInPod = errors.New("podmanager: resource not present in pod")
-	// ErrUnguarded refuses a grant on a resource whose registration this
-	// manager has not seen accepted, or has seen withdrawn.
-	ErrUnguarded = errors.New("podmanager: access hook does not guard the resource")
 )
 
 // New creates a Manager with a fresh pod.
@@ -139,7 +134,6 @@ func New(cfg Config) (*Manager, error) {
 		dir:     cfg.Directory,
 		clock:   clk,
 		tee:     cfg.TEE,
-		listed:  make(map[string]bool),
 	}
 	m.server = solid.NewServer(m.pod, cfg.Directory, clk, m.accessHook)
 	return m, nil
@@ -227,52 +221,38 @@ func (m *Manager) Publish(ctx context.Context, agent solid.WebID, path, descript
 	}); err != nil {
 		return err
 	}
-	m.mu.Lock()
-	m.listed[iri] = true
-	m.mu.Unlock()
 	return m.putPolicy(path, pol)
 }
 
 // Unpublish withdraws a resource from the market: the DE App stops
 // indexing it and refuses new grants; the pod copy and existing holders'
-// copies (still policy-governed) are untouched. The market hook stops
-// demanding certificates, so plain WAC applies again to pod access.
+// copies (still policy-governed) are untouched. Once the withdrawal
+// commits, the access hook of every manager of the pod stops demanding
+// certificates, so plain WAC applies again to pod access.
 func (m *Manager) Unpublish(ctx context.Context, agent solid.WebID, path string) error {
 	if agent != m.owner {
 		if err := m.pod.Authorize(agent, path, solid.ModeControl); err != nil {
 			return fmt.Errorf("%w: %v", ErrOwnerOnly, err)
 		}
 	}
-	iri := m.ResourceIRI(path)
-	if _, err := m.de.WithdrawResource(ctx, iri); err != nil {
-		return err
-	}
-	m.mu.Lock()
-	delete(m.listed, iri)
-	m.mu.Unlock()
-	return nil
+	_, err := m.de.WithdrawResource(ctx, m.ResourceIRI(path))
+	return err
 }
 
 // GrantAccess authorizes a consumer: it records the grant (consumer,
 // device, purpose) on-chain so the DE App can monitor the copy, and only
-// then adds an ACL read grant on the pod resource. It first refuses a
-// resource its access hook does not guard: the ACL grant would let the
-// consumer read it under plain WAC, with no certificate or attestation
-// asked. Whether the hook guards a resource is a fact of this pod, not of
-// the ledger. A grant the DE App refuses — a purpose the policy forbids,
-// say — opens no pod access either, so no copy can be fetched that no
-// monitoring round would ever audit. The other way round is harmless: a
-// device is a round's target only once it has confirmed a retrieval.
+// then adds an ACL read grant on the pod resource. The DE App refuses a
+// grant on what the access hook does not guard — a resource it does not
+// hold, has withdrawn, or that another key registered — so no ACL grant
+// lets a consumer read a resource under plain WAC, with no certificate or
+// attestation asked. A grant it refuses for any other reason — a purpose
+// the policy forbids, say — opens no pod access either, so no copy can be
+// fetched that no monitoring round would ever audit. The other way round
+// is harmless: a device is a round's target only once it has confirmed a
+// retrieval.
 func (m *Manager) GrantAccess(ctx context.Context, consumer solid.WebID, consumerAddr, deviceAddr cryptoutil.Address, path string, purpose policy.Purpose) error {
-	iri := m.ResourceIRI(path)
-	m.mu.Lock()
-	listed := m.listed[iri]
-	m.mu.Unlock()
-	if !listed {
-		return fmt.Errorf("%w: %s", ErrUnguarded, iri)
-	}
 	if _, err := m.de.RecordGrant(ctx, distexchange.RecordGrantArgs{
-		ResourceIRI: iri,
+		ResourceIRI: m.ResourceIRI(path),
 		Consumer:    consumerAddr,
 		Device:      deviceAddr,
 		Purpose:     purpose,
@@ -373,16 +353,23 @@ var ErrPublishedImmutable = errors.New("podmanager: published resource is immuta
 // (anyone but the owner) must present a valid payment certificate for the
 // exact resource on reads (Fig. 2(4)), and may not mutate the published
 // bytes at all — append and write fall to ErrPublishedImmutable before
-// WAC even runs. Unpublished resources fall through to plain WAC.
+// WAC even runs. A resource is published when the ledger says so: the DE
+// App lists it, registered by this manager's key, so a manager started
+// over an existing ledger guards what was published before it, and a
+// withdrawal guards nothing from the moment it commits. Only the owner's
+// registrations change the pod's rules: a record another key registered
+// under the pod's URL is not guarded. Unpublished resources fall through
+// to plain WAC; a ledger that cannot be read refuses the request.
 func (m *Manager) accessHook(r *http.Request, agent solid.WebID, path string, mode solid.AccessMode) error {
 	if agent == m.owner {
 		return nil
 	}
 	iri := m.ResourceIRI(path)
-	m.mu.Lock()
-	listed := m.listed[iri]
-	m.mu.Unlock()
-	if !listed {
+	owner, listed, err := m.de.ResourceListing(iri)
+	if err != nil && !errors.Is(err, distexchange.ErrNotFound) {
+		return fmt.Errorf("podmanager: reading the listing of %s: %w", iri, err)
+	}
+	if !listed || owner != m.de.Address() {
 		return nil
 	}
 	if mode != solid.ModeRead {

@@ -523,8 +523,8 @@ func TestGrantAccessRequiresPublication(t *testing.T) {
 		t.Fatal(err)
 	}
 	err := e.mgr.GrantAccess(ctx, bobWebID, e.bobKey.Address(), e.devKey.Address(), "/x", policy.PurposeAny)
-	if !errors.Is(err, ErrUnguarded) {
-		t.Fatalf("err = %v", err)
+	if !refusedUnregistered(err) {
+		t.Fatalf("err = %v, want the recordGrant refusal", err)
 	}
 }
 
@@ -589,14 +589,47 @@ func TestFreshManagerActsOnExistingLedger(t *testing.T) {
 	}
 }
 
-// TestFreshManagerGrantsNothingItsHookDoesNotGuard: a manager over an
-// existing ledger has not seen the registration of a resource the first
-// manager published, so its access hook does not ask for a certificate on
-// it. Its GrantAccess refuses the resource rather than open the ACL: the
-// consumer cannot read the pod copy under plain WAC.
-func TestFreshManagerGrantsNothingItsHookDoesNotGuard(t *testing.T) {
+// letBobRead opens the resource at path of m's pod to Bob through its ACL
+// alone: under plain WAC, Bob reads it with no certificate.
+func (e *env) letBobRead(m *Manager, path string, data []byte) {
+	e.t.Helper()
+	if err := m.Upload(path, "text/plain", data); err != nil {
+		e.t.Fatal(err)
+	}
+	acl := solid.NewACL(aliceWebID, path)
+	acl.Grant("bob", []solid.WebID{bobWebID}, path, false, solid.ModeRead)
+	if err := m.Pod().SetACL(aliceWebID, path, acl); err != nil {
+		e.t.Fatal(err)
+	}
+}
+
+// paidClient is Bob's client presenting a payment certificate for iri.
+func (e *env) paidClient(iri string) *solid.Client {
+	e.t.Helper()
+	if err := e.mkt.Register(string(bobWebID), "bob@example.org", e.bobKey.Address(), e.bobKey.PublicBytes()); err != nil {
+		e.t.Fatal(err)
+	}
+	if err := e.mkt.Subscribe(string(bobWebID), market.PlanBasic); err != nil {
+		e.t.Fatal(err)
+	}
+	cert, err := e.mkt.PayFee(string(bobWebID), iri)
+	if err != nil {
+		e.t.Fatal(err)
+	}
+	bob := solid.NewClient(bobWebID, e.bobKey, e.clk)
+	if bob.Decorate, err = AttachCertificate(cert); err != nil {
+		e.t.Fatal(err)
+	}
+	return bob
+}
+
+// TestFreshManagerGuardsResourcesPublishedBeforeIt: a manager started over
+// an existing ledger guards the resources published before it, because
+// what is published is read from the DE App. It grants access to them,
+// and the consumer reads with a payment certificate only.
+func TestFreshManagerGuardsResourcesPublishedBeforeIt(t *testing.T) {
 	e := newEnv(t)
-	e.publish(browsingPolicy())
+	iri := e.publish(browsingPolicy())
 	e.registerDevice()
 	fresh := e.freshManager()
 	if err := fresh.Upload("/web/browsing.csv", "text/csv", []byte("r1,r2,r3")); err != nil {
@@ -605,14 +638,135 @@ func TestFreshManagerGrantsNothingItsHookDoesNotGuard(t *testing.T) {
 	srv := httptest.NewServer(fresh.Server())
 	defer srv.Close()
 
-	err := fresh.GrantAccess(context.Background(), bobWebID, e.bobKey.Address(), e.devKey.Address(),
-		"/web/browsing.csv", policy.PurposeWebAnalytics)
-	if !errors.Is(err, ErrUnguarded) {
-		t.Fatalf("grant on a resource the hook does not guard: %v, want ErrUnguarded", err)
+	if err := fresh.GrantAccess(context.Background(), bobWebID, e.bobKey.Address(), e.devKey.Address(),
+		"/web/browsing.csv", policy.PurposeWebAnalytics); err != nil {
+		t.Fatalf("grant on a resource published before the manager started: %v", err)
 	}
 	bob := solid.NewClient(bobWebID, e.bobKey, e.clk)
 	if data, _, err := bob.Get(srv.URL + "/web/browsing.csv"); err == nil {
 		t.Fatalf("consumer read %q without a certificate", data)
+	}
+	data, _, err := e.paidClient(iri).Get(srv.URL + "/web/browsing.csv")
+	if err != nil || string(data) != "r1,r2,r3" {
+		t.Fatalf("paid read: %q, %v", data, err)
+	}
+}
+
+// TestWithdrawalElsewhereUnguardsAtOnce: a withdrawal that another manager
+// of the pod makes unguards the resource for this one from the block it
+// commits in: the consumer its ACL lets read reads under plain WAC. Hook
+// checks run on other goroutines while the withdrawal commits; each finds
+// the resource guarded or not, and nothing else.
+func TestWithdrawalElsewhereUnguardsAtOnce(t *testing.T) {
+	e := newEnv(t)
+	e.publish(browsingPolicy())
+	e.registerDevice()
+	ctx := context.Background()
+	const path = "/web/browsing.csv"
+	if err := e.mgr.GrantAccess(ctx, bobWebID, e.bobKey.Address(), e.devKey.Address(), path, policy.PurposeWebAnalytics); err != nil {
+		t.Fatal(err)
+	}
+	bob := solid.NewClient(bobWebID, e.bobKey, e.clk)
+	if data, _, err := bob.Get(e.srv.URL + path); err == nil {
+		t.Fatalf("consumer read %q of a published resource without a certificate", data)
+	}
+
+	req := httptest.NewRequest(http.MethodGet, e.srv.URL+path, nil)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := e.mgr.accessHook(req, bobWebID, path, solid.ModeRead); err != nil && !errors.Is(err, ErrCertificate) {
+					t.Errorf("hook during the withdrawal: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	err := e.freshManager().Unpublish(ctx, aliceWebID, path)
+	close(stop)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _, err := bob.Get(e.srv.URL + path)
+	if err != nil || string(data) != "r1,r2,r3" {
+		t.Fatalf("plain WAC read after the withdrawal: %q, %v", data, err)
+	}
+}
+
+// TestForeignRegistrationIsNotGuarded: only the owner's registrations
+// change the pod's access rules. A record another key registered at an
+// IRI under the pod's URL leaves the resource under plain WAC, and the
+// DE App refuses the owner's grant on it.
+func TestForeignRegistrationIsNotGuarded(t *testing.T) {
+	e := newEnv(t)
+	e.publish(browsingPolicy())
+	e.registerDevice()
+	ctx := context.Background()
+	const path = "/notes.txt"
+	e.letBobRead(e.mgr, path, []byte("private-ish"))
+
+	iri := e.mgr.ResourceIRI(path)
+	mallory := cryptoutil.MustGenerateKey()
+	malloryDE := distexchange.NewClient(autoSeal{node: e.node}, mallory, e.deAddr)
+	const malloryWebID = "https://mallory.example/profile#me"
+	if _, err := malloryDE.RegisterPod(ctx, distexchange.RegisterPodArgs{OwnerWebID: malloryWebID, Location: "https://mallory.example/"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := malloryDE.RegisterResource(ctx, distexchange.RegisterResourceArgs{
+		ResourceIRI: iri, PodWebID: malloryWebID, Location: iri, Policy: policy.New(iri, malloryWebID, t0),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if owner, listed, err := e.mgr.DE().ResourceListing(iri); err != nil || !listed || owner != mallory.Address() {
+		t.Fatalf("listing: owner %s, listed %v, %v; want Mallory's live record", owner, listed, err)
+	}
+
+	data, _, err := solid.NewClient(bobWebID, e.bobKey, e.clk).Get(e.srv.URL + path)
+	if err != nil || string(data) != "private-ish" {
+		t.Fatalf("plain WAC read of a resource another key registered: %q, %v", data, err)
+	}
+	var revert *distexchange.RevertError
+	err = e.mgr.GrantAccess(ctx, bobWebID, e.bobKey.Address(), e.devKey.Address(), path, policy.PurposeAny)
+	if !errors.As(err, &revert) || !strings.Contains(revert.Reason, "does not own") {
+		t.Fatalf("grant on a resource another key registered: %v, want the recordGrant refusal", err)
+	}
+}
+
+// failingQueries reaches the chain for transactions, but every query fails.
+type failingQueries struct{ autoSeal }
+
+func (failingQueries) Query(cryptoutil.Address, string, []byte) ([]byte, error) {
+	return nil, errors.New("ledger unreachable")
+}
+
+// TestLedgerReadFailureRefusesConsumer: a hook that cannot read the ledger
+// does not know whether the resource is published, so it refuses the
+// consumer (403) and serves none of the bytes. The owner still reads.
+func TestLedgerReadFailureRefusesConsumer(t *testing.T) {
+	e := newEnv(t)
+	m := e.managerOn(failingQueries{autoSeal{node: e.node}})
+	const path = "/notes.txt"
+	e.letBobRead(m, path, []byte("private-ish"))
+	srv := httptest.NewServer(m.Server())
+	defer srv.Close()
+
+	data, _, err := solid.NewClient(bobWebID, e.bobKey, e.clk).Get(srv.URL + path)
+	var status *solid.StatusError
+	if !errors.As(err, &status) || status.Code != http.StatusForbidden || strings.Contains(status.Body, "private-ish") || data != nil {
+		t.Fatalf("consumer read with the ledger unreachable: %q, %v; want 403 and no resource bytes", data, err)
+	}
+	if data, _, err := solid.NewClient(aliceWebID, e.mgrKey, e.clk).Get(srv.URL + path); err != nil || string(data) != "private-ish" {
+		t.Fatalf("owner read with the ledger unreachable: %q, %v", data, err)
 	}
 }
 
