@@ -11,8 +11,12 @@ import (
 // The argument codec: the one encoding of every method's and query's
 // arguments, described in the package comment ("Argument format"). Each
 // …Args type appends its own encoding with a value-receiver AppendArgs,
-// which chain.NewTx calls; the contract decodes it with the decoder that
-// the method name selects.
+// which chain.NewTx calls; the contract reads it with the reader that the
+// method name selects. A reader takes the argument bytes and returns what
+// it read by value, so its decoder stays on its stack; what it refuses
+// reverts with "bad args: …" (finishArgs). The market methods' readers, and
+// the readers of an IRI, read views of the bytes: they live as long as the
+// call (contract.Env), and nothing the call stores keeps one.
 
 func appendOptRound(dst []byte, round *uint64) []byte {
 	if round == nil {
@@ -37,10 +41,18 @@ func (a RegisterPodArgs) AppendArgs(dst []byte) []byte {
 	return appendOptPolicy(dst, a.DefaultPolicy)
 }
 
-func decodeRegisterPodArgs(d *store.Dec, a *RegisterPodArgs) {
-	a.OwnerWebID = d.String()
-	a.Location = d.String()
-	a.DefaultPolicy = decodeOptPolicy(d)
+// registerPodView is RegisterPodArgs read in place (readRegisterPodArgs).
+type registerPodView struct {
+	ownerWebID, location []byte
+	defaultPolicy        policy.Record // zero when none
+}
+
+func readRegisterPodArgs(raw []byte) (a registerPodView, err error) {
+	d := store.NewDec(raw)
+	a.ownerWebID = d.View()
+	a.location = d.View()
+	a.defaultPolicy = readOptPolicy(d)
+	return a, finishArgs(d)
 }
 
 // AppendArgs appends the arguments' encoding.
@@ -53,12 +65,21 @@ func (a RegisterResourceArgs) AppendArgs(dst []byte) []byte {
 	return appendOptPolicy(dst, a.Policy)
 }
 
-func decodeRegisterResourceArgs(d *store.Dec, a *RegisterResourceArgs) {
-	a.ResourceIRI = d.String()
-	a.PodWebID = d.String()
-	a.Location = d.String()
-	a.Description = d.String()
-	a.Policy = decodeOptPolicy(d)
+// registerResourceView is RegisterResourceArgs read in place
+// (readRegisterResourceArgs).
+type registerResourceView struct {
+	iri, podWebID, location, description []byte
+	policy                               policy.Record // zero when none
+}
+
+func readRegisterResourceArgs(raw []byte) (a registerResourceView, err error) {
+	d := store.NewDec(raw)
+	a.iri = d.View()
+	a.podWebID = d.View()
+	a.location = d.View()
+	a.description = d.View()
+	a.policy = readOptPolicy(d)
+	return a, finishArgs(d)
 }
 
 // AppendArgs appends the arguments' encoding.
@@ -66,17 +87,24 @@ func (a WithdrawResourceArgs) AppendArgs(dst []byte) []byte {
 	return store.AppendString(dst, a.ResourceIRI)
 }
 
-func decodeWithdrawResourceArgs(d *store.Dec, a *WithdrawResourceArgs) { a.ResourceIRI = d.String() }
-
 // AppendArgs appends the arguments' encoding.
 func (a UpdatePolicyArgs) AppendArgs(dst []byte) []byte {
 	dst = grow(dst, 10+len(a.ResourceIRI)+optPolicySize(a.Policy))
 	return appendOptPolicy(store.AppendString(dst, a.ResourceIRI), a.Policy)
 }
 
-func decodeUpdatePolicyArgs(d *store.Dec, a *UpdatePolicyArgs) {
-	a.ResourceIRI = d.String()
-	a.Policy = decodeOptPolicy(d)
+// updatePolicyView is UpdatePolicyArgs read in place
+// (readUpdatePolicyArgs).
+type updatePolicyView struct {
+	iri    []byte
+	policy policy.Record // zero when none
+}
+
+func readUpdatePolicyArgs(raw []byte) (a updatePolicyView, err error) {
+	d := store.NewDec(raw)
+	a.iri = d.View()
+	a.policy = readOptPolicy(d)
+	return a, finishArgs(d)
 }
 
 // AppendArgs appends the arguments' encoding.
@@ -84,7 +112,11 @@ func (a RegisterDeviceArgs) AppendArgs(dst []byte) []byte {
 	return store.AppendBytes(dst, a.Certificate)
 }
 
-func decodeRegisterDeviceArgs(d *store.Dec, a *RegisterDeviceArgs) { a.Certificate = d.Bytes() }
+func decodeRegisterDeviceArgs(raw []byte) (a RegisterDeviceArgs, err error) {
+	d := store.NewDec(raw)
+	a.Certificate = d.Bytes()
+	return a, finishArgs(d)
+}
 
 // AppendArgs appends the arguments' encoding.
 func (a RecordGrantArgs) AppendArgs(dst []byte) []byte {
@@ -95,11 +127,20 @@ func (a RecordGrantArgs) AppendArgs(dst []byte) []byte {
 	return store.AppendString(dst, string(a.Purpose))
 }
 
-func decodeRecordGrantArgs(d *store.Dec, a *RecordGrantArgs) {
-	a.ResourceIRI = d.String()
-	d.Raw(a.Consumer[:])
-	d.Raw(a.Device[:])
-	a.Purpose = policy.Purpose(d.String())
+// recordGrantView is RecordGrantArgs read in place (readRecordGrantArgs).
+type recordGrantView struct {
+	iri              []byte
+	consumer, device cryptoutil.Address
+	purpose          []byte
+}
+
+func readRecordGrantArgs(raw []byte) (a recordGrantView, err error) {
+	d := store.NewDec(raw)
+	a.iri = d.View()
+	d.Raw(a.consumer[:])
+	d.Raw(a.device[:])
+	a.purpose = d.View()
+	return a, finishArgs(d)
 }
 
 // AppendArgs appends the arguments' encoding.
@@ -107,24 +148,28 @@ func (a ConfirmRetrievalArgs) AppendArgs(dst []byte) []byte {
 	return store.AppendString(dst, a.ResourceIRI)
 }
 
-func decodeConfirmRetrievalArgs(d *store.Dec, a *ConfirmRetrievalArgs) { a.ResourceIRI = d.String() }
-
 // AppendArgs appends the arguments' encoding.
 func (a RevokeGrantArgs) AppendArgs(dst []byte) []byte {
 	return append(store.AppendString(dst, a.ResourceIRI), a.Device[:]...)
 }
 
-func decodeRevokeGrantArgs(d *store.Dec, a *RevokeGrantArgs) {
-	a.ResourceIRI = d.String()
-	d.Raw(a.Device[:])
+// revokeGrantView is RevokeGrantArgs read in place (readRevokeGrantArgs).
+type revokeGrantView struct {
+	iri    []byte
+	device cryptoutil.Address
+}
+
+func readRevokeGrantArgs(raw []byte) (a revokeGrantView, err error) {
+	d := store.NewDec(raw)
+	a.iri = d.View()
+	d.Raw(a.device[:])
+	return a, finishArgs(d)
 }
 
 // AppendArgs appends the arguments' encoding.
 func (a RequestMonitoringArgs) AppendArgs(dst []byte) []byte {
 	return store.AppendString(dst, a.ResourceIRI)
 }
-
-func decodeRequestMonitoringArgs(d *store.Dec, a *RequestMonitoringArgs) { a.ResourceIRI = d.String() }
 
 // signedEvidenceSize bounds from above the encoding of one item of a
 // submitEvidence list.
@@ -154,10 +199,11 @@ func (a SubmitEvidenceArgs) AppendArgs(dst []byte) []byte {
 // Evidence.SigningBytes; all items' slices share one buffer. Views live as
 // long as the call the arguments came with (contract.Env), and nothing
 // stored keeps one.
-func decodeSubmitEvidenceArgs(d *store.Dec, a *SubmitEvidenceArgs) {
+func decodeSubmitEvidenceArgs(raw []byte) (a SubmitEvidenceArgs, err error) {
+	d := store.NewDec(raw)
 	n := d.Count("evidence", uint64(d.Remaining()))
 	if n == 0 {
-		return
+		return a, finishArgs(d)
 	}
 	a.Signed = make([]SignedEvidence, 0, min(n, store.DecodeCapHint))
 	// Every item's evidence is in the remaining bytes. Were a list past the
@@ -177,9 +223,10 @@ func decodeSubmitEvidenceArgs(d *store.Dec, a *SubmitEvidenceArgs) {
 			s.Signature = nil // as Dec.Bytes reads an empty one
 		}
 		if d.Err() != nil {
-			return
+			break
 		}
 	}
+	return a, finishArgs(d)
 }
 
 // AppendArgs appends the arguments' encoding.
@@ -187,15 +234,17 @@ func (a ReportUnresponsiveArgs) AppendArgs(dst []byte) []byte {
 	return store.AppendUvarint(store.AppendString(dst, a.ResourceIRI), a.Round)
 }
 
-func decodeReportUnresponsiveArgs(d *store.Dec, a *ReportUnresponsiveArgs) {
-	a.ResourceIRI = d.String()
-	a.Round = d.Uvarint()
+// readIRIRoundArgs reads arguments that are an IRI and a round number:
+// reportUnresponsive's and getMonitoringRound's. The IRI is a view.
+func readIRIRoundArgs(raw []byte) (iri []byte, round uint64, err error) {
+	d := store.NewDec(raw)
+	iri = d.View()
+	round = d.Uvarint()
+	return iri, round, finishArgs(d)
 }
 
 // AppendArgs appends the arguments' encoding.
 func (a GetPodArgs) AppendArgs(dst []byte) []byte { return store.AppendString(dst, a.OwnerWebID) }
-
-func decodeGetPodArgs(d *store.Dec, a *GetPodArgs) { a.OwnerWebID = d.String() }
 
 // AppendArgs appends the arguments' encoding, in a buffer of its exact size
 // when dst has no room: the IRI's length as a uvarint, then the IRI.
@@ -204,11 +253,12 @@ func (a GetResourceArgs) AppendArgs(dst []byte) []byte {
 	return store.AppendString(grow(dst, (bits.Len64(uint64(n)|1)+6)/7+n), a.ResourceIRI)
 }
 
-// getResourceIRI reads getResource's arguments, the IRI alone, as a view of
-// args, refusing what decodeArgs refuses: the query builds its key from the
-// view and keeps nothing, so reading the arguments allocates nothing.
-func getResourceIRI(args []byte) ([]byte, error) {
-	d := store.NewDec(args)
+// readIRIArgs reads arguments that are one IRI — or, for getPod, a WebID —
+// as a view: those of every method and query the package comment's
+// argument table lists as "resource" alone. A caller that builds its keys
+// from the view and keeps nothing reads its arguments without allocating.
+func readIRIArgs(raw []byte) ([]byte, error) {
+	d := store.NewDec(raw)
 	iri := d.View()
 	return iri, finishArgs(d)
 }
@@ -216,21 +266,27 @@ func getResourceIRI(args []byte) ([]byte, error) {
 // AppendArgs appends the arguments' encoding.
 func (a GetGrantsArgs) AppendArgs(dst []byte) []byte { return store.AppendString(dst, a.ResourceIRI) }
 
-func decodeGetGrantsArgs(d *store.Dec, a *GetGrantsArgs) { a.ResourceIRI = d.String() }
-
 // AppendArgs appends the arguments' encoding.
 func (a GetDeviceArgs) AppendArgs(dst []byte) []byte { return append(dst, a.Device[:]...) }
 
-func decodeGetDeviceArgs(d *store.Dec, a *GetDeviceArgs) { d.Raw(a.Device[:]) }
+func decodeGetDeviceArgs(raw []byte) (a GetDeviceArgs, err error) {
+	d := store.NewDec(raw)
+	d.Raw(a.Device[:])
+	return a, finishArgs(d)
+}
 
 // AppendArgs appends the arguments' encoding.
 func (a GetViolationsArgs) AppendArgs(dst []byte) []byte {
 	return appendOptRound(store.AppendString(dst, a.ResourceIRI), a.Round)
 }
 
-func decodeGetViolationsArgs(d *store.Dec, a *GetViolationsArgs) {
-	a.ResourceIRI = d.String()
-	a.Round = decodeOptRound(d)
+// readLedgerArgs reads getViolations' and getEvidence's arguments, an IRI
+// and an optional round. The IRI is a view.
+func readLedgerArgs(raw []byte) (iri []byte, round *uint64, err error) {
+	d := store.NewDec(raw)
+	iri = d.View()
+	round = decodeOptRound(d)
+	return iri, round, finishArgs(d)
 }
 
 // AppendArgs appends the arguments' encoding.
@@ -238,17 +294,7 @@ func (a GetEvidenceArgs) AppendArgs(dst []byte) []byte {
 	return appendOptRound(store.AppendString(dst, a.ResourceIRI), a.Round)
 }
 
-func decodeGetEvidenceArgs(d *store.Dec, a *GetEvidenceArgs) {
-	a.ResourceIRI = d.String()
-	a.Round = decodeOptRound(d)
-}
-
 // AppendArgs appends the arguments' encoding.
 func (a GetMonitoringRoundArgs) AppendArgs(dst []byte) []byte {
 	return store.AppendUvarint(store.AppendString(dst, a.ResourceIRI), a.Round)
-}
-
-func decodeGetMonitoringRoundArgs(d *store.Dec, a *GetMonitoringRoundArgs) {
-	a.ResourceIRI = d.String()
-	a.Round = d.Uvarint()
 }

@@ -23,28 +23,92 @@ import (
 type appender interface{ AppendArgs([]byte) []byte }
 
 // argCodec is one method's argument codec as the tests see it: vectors, a
-// generator, and the decoder the contract selects by the method's name.
+// generator, the reader the contract selects by the method's name, its
+// result as the …Args value it reads, and the copying decoder of the
+// reference (reference_test.go) that the reader is held to: nil for the
+// three readers that always decoded their …Args value whole.
 type argCodec struct {
 	method  string
 	vectors []appender
 	draw    func(gen) appender
 	decode  func([]byte) (appender, error)
+	ref     func([]byte) (appender, error)
 }
 
-func codecOf[A appender](method string, decode func(*store.Dec, *A), draw func(gen) A, vectors ...A) argCodec {
+func codecOf[A appender](method string, read func([]byte) (A, error), ref func(*store.Dec, *A), draw func(gen) A, vectors ...A) argCodec {
 	c := argCodec{
 		method: method,
 		draw:   func(g gen) appender { return draw(g) },
-		decode: func(raw []byte) (appender, error) {
+		decode: func(raw []byte) (appender, error) { return read(raw) },
+	}
+	if ref != nil {
+		c.ref = func(raw []byte) (appender, error) {
 			var args A
-			err := decodeArgs(raw, &args, decode)
+			err := decodeArgs(raw, &args, ref)
 			return args, err
-		},
+		}
 	}
 	for _, v := range vectors {
 		c.vectors = append(c.vectors, v)
 	}
 	return c
+}
+
+// readAs returns read with what it reads as an …Args value.
+func readAs[V any, A appender](read func([]byte) (V, error), args func(V) A) func([]byte) (A, error) {
+	return func(raw []byte) (A, error) {
+		v, err := read(raw)
+		return args(v), err
+	}
+}
+
+// iriAs returns readIRIArgs with the IRI it reads as an …Args value.
+func iriAs[A appender](args func(string) A) func([]byte) (A, error) {
+	return readAs(readIRIArgs, func(iri []byte) A { return args(string(iri)) })
+}
+
+// recordPolicy decodes a policy read in place; nil for the zero Record.
+func recordPolicy(r policy.Record) *policy.Policy {
+	if len(r.Bytes()) == 0 {
+		return nil
+	}
+	p := new(policy.Policy)
+	policy.DecodeRecord(store.NewDec(r.Bytes()), p)
+	return p
+}
+
+// The arguments a market method reads in place, as …Args values.
+func (a registerPodView) args() RegisterPodArgs {
+	return RegisterPodArgs{OwnerWebID: string(a.ownerWebID), Location: string(a.location), DefaultPolicy: recordPolicy(a.defaultPolicy)}
+}
+func (a registerResourceView) args() RegisterResourceArgs {
+	return RegisterResourceArgs{ResourceIRI: string(a.iri), PodWebID: string(a.podWebID), Location: string(a.location),
+		Description: string(a.description), Policy: recordPolicy(a.policy)}
+}
+func (a updatePolicyView) args() UpdatePolicyArgs {
+	return UpdatePolicyArgs{ResourceIRI: string(a.iri), Policy: recordPolicy(a.policy)}
+}
+func (a recordGrantView) args() RecordGrantArgs {
+	return RecordGrantArgs{ResourceIRI: string(a.iri), Consumer: a.consumer, Device: a.device, Purpose: policy.Purpose(a.purpose)}
+}
+func (a revokeGrantView) args() RevokeGrantArgs {
+	return RevokeGrantArgs{ResourceIRI: string(a.iri), Device: a.device}
+}
+
+// iriRoundAs returns readIRIRoundArgs with what it reads as an …Args value.
+func iriRoundAs[A appender](args func(string, uint64) A) func([]byte) (A, error) {
+	return func(raw []byte) (A, error) {
+		iri, round, err := readIRIRoundArgs(raw)
+		return args(string(iri), round), err
+	}
+}
+
+// ledgerAs returns readLedgerArgs with what it reads as an …Args value.
+func ledgerAs[A appender](args func(string, *uint64) A) func([]byte) (A, error) {
+	return func(raw []byte) (A, error) {
+		iri, round, err := readLedgerArgs(raw)
+		return args(string(iri), round), err
+	}
 }
 
 func (g gen) optRound() *uint64 {
@@ -64,7 +128,7 @@ func (g gen) bytes() []byte {
 	return b
 }
 
-// isBadArgs reports whether err is decodeArgs' refusal.
+// isBadArgs reports whether err is the "bad args" refusal (finishArgs).
 func isBadArgs(err error) bool {
 	return errors.Is(err, contract.ErrRevert) && strings.Contains(err.Error(), "bad args: ")
 }
@@ -83,68 +147,62 @@ func argCodecs() []argCodec {
 		{Evidence: *evidence[1]},
 	}
 	return []argCodec{
-		codecOf("registerPod", decodeRegisterPodArgs, func(g gen) RegisterPodArgs {
+		codecOf("registerPod", readAs(readRegisterPodArgs, registerPodView.args), decodeRegisterPodArgs, func(g gen) RegisterPodArgs {
 			return RegisterPodArgs{OwnerWebID: g.text(), Location: g.text(), DefaultPolicy: g.policy()}
 		}, RegisterPodArgs{OwnerWebID: webID, Location: "https://alice.example/", DefaultPolicy: pol}, RegisterPodArgs{}),
-		codecOf("registerResource", decodeRegisterResourceArgs, func(g gen) RegisterResourceArgs {
+		codecOf("registerResource", readAs(readRegisterResourceArgs, registerResourceView.args), decodeRegisterResourceArgs, func(g gen) RegisterResourceArgs {
 			return RegisterResourceArgs{ResourceIRI: g.text(), PodWebID: g.text(), Location: g.text(), Description: g.text(), Policy: g.policy()}
 		}, RegisterResourceArgs{ResourceIRI: iri, PodWebID: webID, Location: iri, Description: "heart rate, 2023", Policy: pol}, RegisterResourceArgs{}),
-		codecOf("withdrawResource", decodeWithdrawResourceArgs, func(g gen) WithdrawResourceArgs {
+		codecOf("withdrawResource", iriAs(func(iri string) WithdrawResourceArgs { return WithdrawResourceArgs{iri} }), decodeWithdrawResourceArgs, func(g gen) WithdrawResourceArgs {
 			return WithdrawResourceArgs{ResourceIRI: g.text()}
 		}, WithdrawResourceArgs{ResourceIRI: iri}, WithdrawResourceArgs{}),
-		codecOf("updatePolicy", decodeUpdatePolicyArgs, func(g gen) UpdatePolicyArgs {
+		codecOf("updatePolicy", readAs(readUpdatePolicyArgs, updatePolicyView.args), decodeUpdatePolicyArgs, func(g gen) UpdatePolicyArgs {
 			return UpdatePolicyArgs{ResourceIRI: g.text(), Policy: g.policy()}
 		}, UpdatePolicyArgs{ResourceIRI: iri, Policy: pol}, UpdatePolicyArgs{}),
-		codecOf("registerDevice", decodeRegisterDeviceArgs, func(g gen) RegisterDeviceArgs {
+		codecOf("registerDevice", decodeRegisterDeviceArgs, nil, func(g gen) RegisterDeviceArgs {
 			return RegisterDeviceArgs{Certificate: g.bytes()}
 		}, RegisterDeviceArgs{Certificate: []byte(`{"subject":"0xd0"}`)}, RegisterDeviceArgs{}),
-		codecOf("recordGrant", decodeRecordGrantArgs, func(g gen) RecordGrantArgs {
+		codecOf("recordGrant", readAs(readRecordGrantArgs, recordGrantView.args), decodeRecordGrantArgs, func(g gen) RecordGrantArgs {
 			return RecordGrantArgs{ResourceIRI: g.text(), Consumer: g.address(), Device: g.address(), Purpose: policy.Purpose(g.text())}
 		}, RecordGrantArgs{ResourceIRI: iri, Consumer: owner, Device: dev, Purpose: policy.PurposeAcademic}, RecordGrantArgs{}),
-		codecOf("confirmRetrieval", decodeConfirmRetrievalArgs, func(g gen) ConfirmRetrievalArgs {
+		codecOf("confirmRetrieval", iriAs(func(iri string) ConfirmRetrievalArgs { return ConfirmRetrievalArgs{iri} }), decodeConfirmRetrievalArgs, func(g gen) ConfirmRetrievalArgs {
 			return ConfirmRetrievalArgs{ResourceIRI: g.text()}
 		}, ConfirmRetrievalArgs{ResourceIRI: iri}, ConfirmRetrievalArgs{}),
-		codecOf("revokeGrant", decodeRevokeGrantArgs, func(g gen) RevokeGrantArgs {
+		codecOf("revokeGrant", readAs(readRevokeGrantArgs, revokeGrantView.args), decodeRevokeGrantArgs, func(g gen) RevokeGrantArgs {
 			return RevokeGrantArgs{ResourceIRI: g.text(), Device: g.address()}
 		}, RevokeGrantArgs{ResourceIRI: iri, Device: dev}, RevokeGrantArgs{}),
-		codecOf("requestMonitoring", decodeRequestMonitoringArgs, func(g gen) RequestMonitoringArgs {
+		codecOf("requestMonitoring", iriAs(func(iri string) RequestMonitoringArgs { return RequestMonitoringArgs{iri} }), decodeRequestMonitoringArgs, func(g gen) RequestMonitoringArgs {
 			return RequestMonitoringArgs{ResourceIRI: g.text()}
 		}, RequestMonitoringArgs{ResourceIRI: iri}, RequestMonitoringArgs{}),
-		codecOf(methodSubmitEvidence, decodeSubmitEvidenceArgs, func(g gen) SubmitEvidenceArgs {
+		codecOf(methodSubmitEvidence, decodeSubmitEvidenceArgs, nil, func(g gen) SubmitEvidenceArgs {
 			var a SubmitEvidenceArgs
 			for range g.count() {
 				a.Signed = append(a.Signed, SignedEvidence{Evidence: g.evidence().Evidence, Signature: g.bytes()})
 			}
 			return a
 		}, SubmitEvidenceArgs{Signed: signed}, SubmitEvidenceArgs{}),
-		codecOf("reportUnresponsive", decodeReportUnresponsiveArgs, func(g gen) ReportUnresponsiveArgs {
+		codecOf("reportUnresponsive", iriRoundAs(func(iri string, n uint64) ReportUnresponsiveArgs { return ReportUnresponsiveArgs{iri, n} }), decodeReportUnresponsiveArgs, func(g gen) ReportUnresponsiveArgs {
 			return ReportUnresponsiveArgs{ResourceIRI: g.text(), Round: g.uint()}
 		}, ReportUnresponsiveArgs{ResourceIRI: iri, Round: math.MaxUint64}, ReportUnresponsiveArgs{}),
-		codecOf("getPod", decodeGetPodArgs, func(g gen) GetPodArgs {
+		codecOf("getPod", iriAs(func(webID string) GetPodArgs { return GetPodArgs{webID} }), decodeGetPodArgs, func(g gen) GetPodArgs {
 			return GetPodArgs{OwnerWebID: g.text()}
 		}, GetPodArgs{OwnerWebID: webID}, GetPodArgs{}),
-		{
-			method:  "getResource",
-			vectors: []appender{GetResourceArgs{ResourceIRI: iri}, GetResourceArgs{}},
-			draw:    func(g gen) appender { return GetResourceArgs{ResourceIRI: g.text()} },
-			decode: func(raw []byte) (appender, error) {
-				iri, err := getResourceIRI(raw)
-				return GetResourceArgs{ResourceIRI: string(iri)}, err
-			},
-		},
-		codecOf("getGrants", decodeGetGrantsArgs, func(g gen) GetGrantsArgs {
+		codecOf("getResource", iriAs(func(iri string) GetResourceArgs { return GetResourceArgs{iri} }), decodeGetResourceArgs, func(g gen) GetResourceArgs {
+			return GetResourceArgs{ResourceIRI: g.text()}
+		}, GetResourceArgs{ResourceIRI: iri}, GetResourceArgs{}),
+		codecOf("getGrants", iriAs(func(iri string) GetGrantsArgs { return GetGrantsArgs{iri} }), decodeGetGrantsArgs, func(g gen) GetGrantsArgs {
 			return GetGrantsArgs{ResourceIRI: g.text()}
 		}, GetGrantsArgs{ResourceIRI: iri}, GetGrantsArgs{}),
-		codecOf("getDevice", decodeGetDeviceArgs, func(g gen) GetDeviceArgs {
+		codecOf("getDevice", decodeGetDeviceArgs, nil, func(g gen) GetDeviceArgs {
 			return GetDeviceArgs{Device: g.address()}
 		}, GetDeviceArgs{Device: dev}, GetDeviceArgs{}),
-		codecOf("getViolations", decodeGetViolationsArgs, func(g gen) GetViolationsArgs {
+		codecOf("getViolations", ledgerAs(func(iri string, round *uint64) GetViolationsArgs { return GetViolationsArgs{iri, round} }), decodeGetViolationsArgs, func(g gen) GetViolationsArgs {
 			return GetViolationsArgs{ResourceIRI: g.text(), Round: g.optRound()}
 		}, GetViolationsArgs{ResourceIRI: iri, Round: &round}, GetViolationsArgs{}),
-		codecOf("getEvidence", decodeGetEvidenceArgs, func(g gen) GetEvidenceArgs {
+		codecOf("getEvidence", ledgerAs(func(iri string, round *uint64) GetEvidenceArgs { return GetEvidenceArgs{iri, round} }), decodeGetEvidenceArgs, func(g gen) GetEvidenceArgs {
 			return GetEvidenceArgs{ResourceIRI: g.text(), Round: g.optRound()}
 		}, GetEvidenceArgs{ResourceIRI: iri, Round: new(uint64)}, GetEvidenceArgs{}),
-		codecOf("getMonitoringRound", decodeGetMonitoringRoundArgs, func(g gen) GetMonitoringRoundArgs {
+		codecOf("getMonitoringRound", iriRoundAs(func(iri string, n uint64) GetMonitoringRoundArgs { return GetMonitoringRoundArgs{iri, n} }), decodeGetMonitoringRoundArgs, func(g gen) GetMonitoringRoundArgs {
 			return GetMonitoringRoundArgs{ResourceIRI: g.text(), Round: g.uint()}
 		}, GetMonitoringRoundArgs{ResourceIRI: iri, Round: round}, GetMonitoringRoundArgs{}),
 	}
@@ -317,9 +375,10 @@ func TestFrozenArgsEncodings(t *testing.T) {
 // exactly the input: arguments have one encoding, so a padded uvarint is
 // refused. Each item of an accepted submitEvidence list carries a slice of
 // the input as what its device signed, which the contract verifies; it
-// must be Evidence.SigningBytes of the decoded item. getResource reads its
-// IRI in place (getResourceIRI); it must accept and refuse exactly what
-// decodeArgs with a copying decoder does, with the same error.
+// must be Evidence.SigningBytes of the decoded item. Every reader that
+// reads views (the market methods', and those of an IRI) must accept and
+// refuse exactly what the copying decoder of the reference does, with the
+// same error, and read the same value.
 //
 // CI smoke-runs this with -fuzz=FuzzArgsDecode -fuzztime=30s.
 func FuzzArgsDecode(f *testing.F) {
@@ -350,12 +409,6 @@ func FuzzArgsDecode(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02, 'r'}) // a length past 2⁶⁴
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var copied GetResourceArgs
-		copyErr := decodeArgs(data, &copied, func(d *store.Dec, a *GetResourceArgs) { a.ResourceIRI = d.String() })
-		view, viewErr := getResourceIRI(data)
-		if fmt.Sprint(viewErr) != fmt.Sprint(copyErr) || (viewErr == nil && string(view) != copied.ResourceIRI) {
-			t.Fatalf("getResource arguments\n%x\nread in place: %q, %v\ncopied: %q, %v", data, view, viewErr, copied.ResourceIRI, copyErr)
-		}
 		for _, c := range codecs {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
@@ -363,6 +416,12 @@ func FuzzArgsDecode(f *testing.F) {
 			runtime.ReadMemStats(&after)
 			if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<16+1024*uint64(len(data)) {
 				t.Fatalf("%s: %d bytes allocated over %d bytes of input", c.method, grew, len(data))
+			}
+			if c.ref != nil {
+				want, refErr := c.ref(data)
+				if fmt.Sprint(err) != fmt.Sprint(refErr) || (err == nil && !reflect.DeepEqual(v, want)) {
+					t.Fatalf("%s arguments\n%x\nread in place: %+v, %v\ncopied: %+v, %v", c.method, data, v, err, want, refErr)
+				}
 			}
 			if err != nil {
 				if !isBadArgs(err) {

@@ -94,14 +94,33 @@ func decodeAddresses(d *store.Dec, what string) []cryptoutil.Address {
 	return out
 }
 
-func appendPodRecord(dst []byte, r *PodRecord) []byte {
-	dst = grow(dst, fixedSize+len(r.OwnerWebID)+len(r.Location)+optPolicySize(r.DefaultPolicy))
+// appendNewPod appends the encoding of the PodRecord registerPod stores,
+// from its fields' bytes: decodePodRecord reads it back. defaultPolicy is a
+// policy's record encoding, empty for none. The record keeps none of its
+// arguments.
+func appendNewPod(dst, ownerWebID, location []byte, owner cryptoutil.Address, at time.Time, defaultPolicy []byte) []byte {
+	dst = grow(dst, fixedSize+len(ownerWebID)+len(location)+len(defaultPolicy))
 	dst = append(dst, tagPod)
-	dst = store.AppendString(dst, r.OwnerWebID)
-	dst = store.AppendString(dst, r.Location)
-	dst = append(dst, r.Owner[:]...)
-	dst = store.AppendUTC(dst, r.RegisteredAt)
-	return appendOptPolicy(dst, r.DefaultPolicy)
+	dst = store.AppendBytes(dst, ownerWebID)
+	dst = store.AppendBytes(dst, location)
+	dst = append(dst, owner[:]...)
+	dst = store.AppendUTC(dst, at)
+	return appendOptRecord(dst, defaultPolicy)
+}
+
+// appendOptRecord appends an optional policy as appendOptPolicy does, from
+// its record encoding: empty for none.
+func appendOptRecord(dst, enc []byte) []byte {
+	return append(store.AppendBool(dst, len(enc) > 0), enc...)
+}
+
+// readOptPolicy reads an optional policy in place (policy.ReadRecord): the
+// zero Record when there is none.
+func readOptPolicy(d *store.Dec) policy.Record {
+	if !d.Bool() {
+		return policy.Record{}
+	}
+	return policy.ReadRecord(d)
 }
 
 func decodePodRecord(d *store.Dec, r *PodRecord) {
@@ -113,19 +132,43 @@ func decodePodRecord(d *store.Dec, r *PodRecord) {
 	r.DefaultPolicy = decodeOptPolicy(d)
 }
 
-// appendResourceRecord ends the record with its policy, so PolicyUpdated
-// carries a tail of the stored bytes (spliceResourcePolicy).
-func appendResourceRecord(dst []byte, r *ResourceRecord) []byte {
-	dst = grow(dst, fixedSize+len(r.ResourceIRI)+len(r.PodWebID)+len(r.Location)+len(r.Description)+optPolicySize(r.Policy))
+// podHead is what registerPod and registerResource read of a PodRecord
+// (decodePodHead).
+type podHead struct {
+	owner         cryptoutil.Address
+	defaultPolicy policy.Record // zero when none
+}
+
+// decodePodHead reads a stored PodRecord in place, as decodeResourceHead
+// reads a resource: it refuses exactly what decodePodRecord refuses, with
+// the same error, and copies nothing.
+func decodePodHead(raw []byte) (h podHead, err error) {
+	d := store.NewDec(raw)
+	d.Tag(tagPod)
+	d.View() // OwnerWebID
+	d.View() // Location
+	d.Raw(h.owner[:])
+	d.UTC() // RegisteredAt
+	h.defaultPolicy = readOptPolicy(d)
+	return h, d.Finish()
+}
+
+// appendNewResource appends the encoding of the ResourceRecord that
+// registerResource stores for a, owned by owner from at on, under the
+// policy whose record encoding is pol: decodeResourceRecord reads it back.
+// It ends with its policy, so PolicyUpdated carries a tail of the stored
+// bytes (spliceResourcePolicy). The record keeps none of its arguments.
+func appendNewResource(dst []byte, a *registerResourceView, owner cryptoutil.Address, at time.Time, pol []byte) []byte {
+	dst = grow(dst, fixedSize+len(a.iri)+len(a.podWebID)+len(a.location)+len(a.description)+len(pol))
 	dst = append(dst, tagResource)
-	dst = store.AppendBool(dst, r.Withdrawn)
-	dst = store.AppendString(dst, r.ResourceIRI)
-	dst = store.AppendString(dst, r.PodWebID)
-	dst = store.AppendString(dst, r.Location)
-	dst = store.AppendString(dst, r.Description)
-	dst = append(dst, r.Owner[:]...)
-	dst = store.AppendUTC(dst, r.RegisteredAt)
-	return appendOptPolicy(dst, r.Policy)
+	dst = store.AppendBool(dst, false) // Withdrawn
+	dst = store.AppendBytes(dst, a.iri)
+	dst = store.AppendBytes(dst, a.podWebID)
+	dst = store.AppendBytes(dst, a.location)
+	dst = store.AppendBytes(dst, a.description)
+	dst = append(dst, owner[:]...)
+	dst = store.AppendUTC(dst, at)
+	return appendOptRecord(dst, pol)
 }
 
 func decodeResourceRecord(d *store.Dec, r *ResourceRecord) {
@@ -151,21 +194,16 @@ func decodeResourceWithdrawn(raw []byte) (withdrawn, ok bool) {
 	return raw[1] == 1, true
 }
 
-// resourceHead is what a ResourceRecord's owner checks and rewrites read of
-// it (decodeResourceHead).
+// resourceHead is what a ResourceRecord's owner checks, grants and
+// rewrites read of it (decodeResourceHead).
 type resourceHead struct {
 	withdrawn bool
 	owner     cryptoutil.Address
-	// version is the policy's Version, 0 when the record has no policy.
-	version uint64
+	policy    policy.Record // zero when the record has none
 	// flagAt is the offset of the optional-policy flag: the record's bytes
 	// before it are the same whatever its policy.
 	flagAt int
 }
-
-// policyTag opens a policy's record encoding; it is read off
-// policy.AppendRecord, which owns it.
-var policyTag = policy.AppendRecord(nil, new(policy.Policy))[0]
 
 // decodeResourceHead reads a stored ResourceRecord in place: it walks the
 // whole record and refuses exactly what decodeResourceRecord refuses, with
@@ -182,57 +220,29 @@ func decodeResourceHead(raw []byte) (h resourceHead, err error) {
 	d.Raw(h.owner[:])
 	d.UTC() // RegisteredAt
 	h.flagAt = len(raw) - d.Remaining()
-	if d.Bool() {
-		h.version = decodePolicyVersion(d)
-	}
+	h.policy = readOptPolicy(d)
 	return h, d.Finish()
 }
 
-// decodePolicyVersion walks a policy's record encoding as policy.DecodeRecord
-// reads it, refusing what that refuses, and returns only its Version.
-func decodePolicyVersion(d *store.Dec) uint64 {
-	d.Tag(policyTag)
-	d.View() // ID
-	d.View() // ResourceIRI
-	d.View() // OwnerWebID
-	version := d.Uvarint()
-	d.UTC() // IssuedAt
-	decodeStringsInPlace(d, "purposes")
-	decodeStringsInPlace(d, "actions")
-	d.Uvarint() // MaxRetention
-	d.UTC()     // ExpiresAt
-	d.Uvarint() // MaxUses
-	d.Bool()    // ProhibitSharing
-	d.Bool()    // NotifyOnUse
-	return version
-}
-
-// decodeStringsInPlace walks a list store.Strings would read, as it reads it.
-func decodeStringsInPlace(d *store.Dec, what string) {
-	for range d.Count(what, uint64(d.Remaining())) {
-		if d.View(); d.Err() != nil {
-			return
-		}
-	}
-}
-
 // spliceResourcePolicy returns the stored ResourceRecord raw, whose policy
-// flag sits at flagAt, with p as its policy, and where p's encoding starts.
-// The bytes before the flag are what appendResourceRecord writes for them —
-// the encoding is canonical — so the result is appendResourceRecord's for
-// the record with p, in one buffer sized for both parts.
-func spliceResourcePolicy(raw []byte, flagAt int, p *policy.Policy) (record []byte, policyAt int) {
-	record = append(grow(nil, flagAt+1+optPolicySize(p)), raw[:flagAt]...)
-	return appendOptPolicy(record, p), flagAt + 1
+// flag sits at flagAt, with the policy whose record encoding is pol, and
+// where pol starts. The bytes before the flag are what appendNewResource
+// writes for them — the encoding is canonical — so the result is the
+// record's encoding with that policy, in one fresh buffer sized for both
+// parts.
+func spliceResourcePolicy(raw []byte, flagAt int, pol []byte) (record []byte, policyAt int) {
+	record = append(grow(nil, flagAt+1+len(pol)), raw[:flagAt]...)
+	return appendOptRecord(record, pol), flagAt + 1
 }
 
-// withdrawnResource returns a copy of the stored ResourceRecord raw with its
-// Withdrawn flag — the byte behind the tag, where decodeResourceWithdrawn
-// reads it — set: appendResourceRecord's bytes for the withdrawn record. A
-// stored value is never written in place, hence the copy.
-func withdrawnResource(raw []byte) []byte {
+// withFlag returns a copy of the stored record raw with the boolean at
+// offset at set: a ResourceRecord's Withdrawn, the byte behind the tag,
+// where decodeResourceWithdrawn reads it, or a Grant's Revoked, its last
+// byte. That is the encoding of the record with the flag set. A stored
+// value is never written in place, hence the copy.
+func withFlag(raw []byte, at int) []byte {
 	record := append(grow(nil, len(raw)), raw...)
-	record[1] = 1
+	record[at] = 1
 	return record
 }
 
@@ -269,16 +279,19 @@ func decodeDeviceKey(raw []byte) ([]byte, error) {
 	return key, d.Finish()
 }
 
-func appendGrant(dst []byte, g *Grant) []byte {
-	dst = grow(dst, fixedSize+len(g.ResourceIRI)+len(g.Purpose))
+// appendNewGrant appends the encoding of the Grant recordGrant stores:
+// granted at, neither retrieved nor revoked. decodeGrant reads it back. The
+// record keeps none of its arguments.
+func appendNewGrant(dst, iri []byte, consumer, device cryptoutil.Address, purpose []byte, at time.Time) []byte {
+	dst = grow(dst, fixedSize+len(iri)+len(purpose))
 	dst = append(dst, tagGrant)
-	dst = store.AppendString(dst, g.ResourceIRI)
-	dst = append(dst, g.Consumer[:]...)
-	dst = append(dst, g.Device[:]...)
-	dst = store.AppendString(dst, string(g.Purpose))
-	dst = store.AppendUTC(dst, g.GrantedAt)
-	dst = store.AppendUTC(dst, g.RetrievedAt)
-	return store.AppendBool(dst, g.Revoked)
+	dst = store.AppendBytes(dst, iri)
+	dst = append(dst, consumer[:]...)
+	dst = append(dst, device[:]...)
+	dst = store.AppendBytes(dst, purpose)
+	dst = store.AppendUTC(dst, at)
+	dst = store.AppendUTC(dst, time.Time{}) // RetrievedAt
+	return store.AppendBool(dst, false)     // Revoked
 }
 
 func decodeGrant(d *store.Dec, g *Grant) {
@@ -292,11 +305,15 @@ func decodeGrant(d *store.Dec, g *Grant) {
 	g.Revoked = d.Bool()
 }
 
-// grantHead is what monitoring reads of a Grant (decodeGrantHead).
+// grantHead is what monitoring and the grant methods read of a Grant
+// (decodeGrantHead).
 type grantHead struct {
 	device      cryptoutil.Address
 	retrievedAt time.Time
 	revoked     bool
+	// retrievedAtAt is the offset of RetrievedAt, whose encoding is
+	// store.AppendUTC's, always the same length.
+	retrievedAtAt int
 }
 
 // decodeGrantHead reads a stored Grant in place, as decodeResourceHead
@@ -312,9 +329,19 @@ func decodeGrantHead(raw []byte) (h grantHead, err error) {
 	d.Raw(h.device[:])
 	d.View() // Purpose
 	d.UTC()  // GrantedAt
+	h.retrievedAtAt = len(raw) - d.Remaining()
 	h.retrievedAt = d.UTC()
 	h.revoked = d.Bool()
 	return h, d.Finish()
+}
+
+// retrievedGrant returns a copy of the stored Grant raw, whose head is h,
+// with RetrievedAt overwritten by at: the grant's encoding with that field
+// set, since every timestamp's encoding has the same length.
+func retrievedGrant(raw []byte, h *grantHead, at time.Time) []byte {
+	record := append(grow(nil, len(raw)), raw...)
+	store.AppendUTC(record[:h.retrievedAtAt], at)
+	return record
 }
 
 func appendMonitoringRound(dst []byte, r *MonitoringRound) []byte {

@@ -307,8 +307,8 @@ func checkResourceHead(t *testing.T, data []byte, policies []*policy.Policy) {
 		version = rec.Policy.Version
 	}
 	flagAt := len(appendResourceRecord(nil, &rec)) - len(appendOptPolicy(nil, rec.Policy))
-	if head.withdrawn != rec.Withdrawn || head.owner != rec.Owner ||
-		head.version != version || head.flagAt != flagAt {
+	if head.withdrawn != rec.Withdrawn || head.owner != rec.Owner || head.policy.Version() != version ||
+		!bytes.Equal(head.policy.Bytes(), policyBytes(rec.Policy)) || head.flagAt != flagAt {
 		t.Fatalf("head of\n%x\nreads %+v, the record %+v", data, head, rec)
 	}
 	for _, p := range policies {
@@ -316,13 +316,13 @@ func checkResourceHead(t *testing.T, data []byte, policies []*policy.Policy) {
 		updated.Policy = p
 		want := appendResourceRecord(nil, &updated)
 		wantAt := flagAt + 1
-		if got, gotAt := spliceResourcePolicy(data, head.flagAt, p); !bytes.Equal(got, want) || gotAt != wantAt {
+		if got, gotAt := spliceResourcePolicy(data, head.flagAt, policyBytes(p)); !bytes.Equal(got, want) || gotAt != wantAt {
 			t.Fatalf("policy splice of\n%x\nis\n%x (policy at %d), want\n%x (at %d)", data, got, gotAt, want, wantAt)
 		}
 	}
 	withdrawn := rec
 	withdrawn.Withdrawn = true
-	if got, want := withdrawnResource(data), appendResourceRecord(nil, &withdrawn); !bytes.Equal(got, want) {
+	if got, want := withFlag(data, 1), appendResourceRecord(nil, &withdrawn); !bytes.Equal(got, want) {
 		t.Fatalf("withdraw splice of\n%x\nis\n%x, want\n%x", data, got, want)
 	}
 	if !bytes.Equal(data, stored) {
@@ -856,9 +856,13 @@ func (w *execWorld) withResource(owner *cryptoutil.KeyPair) *policy.Policy {
 // record is read in place and spliced, not decoded and re-encoded. At
 // d74da50, which copied at each of those three points, the same execution
 // made 25 allocations; at 9a84427, which decoded the record, 22; at
-// 805d97e, whose runtime allocated each call's Env and gas meter, 13.
+// 805d97e, whose runtime allocated each call's Env and gas meter, 13; at
+// ed69877, which decoded its arguments — the IRI, and the policy with its
+// three strings — through a decoder on the heap, 11. What remains is the
+// new record, the state's key, the event and its key, and the runtime's
+// one.
 func TestUpdatePolicyAllocations(t *testing.T) {
-	const want = 11
+	const want = 5
 	w := newExecWorld(t)
 	owner := cryptoutil.MustGenerateKey()
 	pol := w.withResource(owner)
@@ -868,19 +872,58 @@ func TestUpdatePolicyAllocations(t *testing.T) {
 	}
 }
 
+// TestMarketMethodAllocations pins what the other market methods of
+// Fig. 2(1), (2) and (4) allocate. Each reads its arguments as views and
+// the records it checks in place, and writes a record built in one fresh
+// buffer, so what remains is that record, the state's key, an event and
+// its key where the method emits one, and the runtime's one. At ed69877,
+// which decoded arguments and records whole, through decoders on the heap,
+// registerPod (with a default policy) made 13, registerResource (whose
+// pod has one, which it decoded too) 21, recordGrant 19 and
+// confirmRetrieval 9.
+func TestMarketMethodAllocations(t *testing.T) {
+	w := newExecWorld(t)
+	owner, device := cryptoutil.MustGenerateKey(), cryptoutil.MustGenerateKey()
+	pol := policy.New(allocsIRI, allocsWebID, t0)
+	pod := w.tx(owner, "registerPod", RegisterPodArgs{OwnerWebID: allocsWebID, Location: "https://alice.pod/", DefaultPolicy: pol})
+	checkAllocs(t, w, "registerPod", pod, 5)
+	w.exec(pod)
+	resource := w.tx(owner, "registerResource", RegisterResourceArgs{ResourceIRI: allocsIRI, PodWebID: allocsWebID, Location: allocsIRI, Policy: pol})
+	checkAllocs(t, w, "registerResource", resource, 5)
+	w.exec(resource)
+	w.registerDevice(device)
+	grant := w.tx(owner, "recordGrant", RecordGrantArgs{ResourceIRI: allocsIRI, Consumer: device.Address(), Device: device.Address(), Purpose: policy.PurposeAcademic})
+	checkAllocs(t, w, "recordGrant", grant, 3)
+	w.exec(grant)
+	checkAllocs(t, w, "confirmRetrieval", w.tx(device, "confirmRetrieval", ConfirmRetrievalArgs{ResourceIRI: allocsIRI}), 3)
+}
+
+func checkAllocs(t *testing.T, w *execWorld, method string, tx *chain.Tx, want int) {
+	t.Helper()
+	if got := w.allocs(tx); got > float64(want) {
+		t.Errorf("%s: %.0f allocations, want at most %d", method, got, want)
+	}
+}
+
 // withRetrievedGrant registers device, grants it owner's resource and
 // confirms its retrieval: the device is then a target of a monitoring
 // round.
 func (w *execWorld) withRetrievedGrant(owner, device *cryptoutil.KeyPair) *cryptoutil.KeyPair {
+	w.registerDevice(device)
+	w.must(owner, "recordGrant", RecordGrantArgs{ResourceIRI: allocsIRI, Consumer: device.Address(), Device: device.Address(), Purpose: policy.PurposeAcademic})
+	w.must(device, "confirmRetrieval", ConfirmRetrievalArgs{ResourceIRI: allocsIRI})
+	return device
+}
+
+// registerDevice registers device under a certificate of the world's
+// manufacturer.
+func (w *execWorld) registerDevice(device *cryptoutil.KeyPair) {
 	var m cryptoutil.Hash
 	cert, err := w.ca.Issue(device, map[string]string{"measurement": hex.EncodeToString(m[:])}, t0, t0.Add(time.Hour))
 	if err != nil {
 		w.t.Fatal(err)
 	}
 	w.must(device, "registerDevice", RegisterDeviceArgs{Certificate: cert.Encode()})
-	w.must(owner, "recordGrant", RecordGrantArgs{ResourceIRI: allocsIRI, Consumer: device.Address(), Device: device.Address(), Purpose: policy.PurposeAcademic})
-	w.must(device, "confirmRetrieval", ConfirmRetrievalArgs{ResourceIRI: allocsIRI})
-	return device
 }
 
 // TestRevokeGrantAllocations and TestRequestMonitoringAllocations pin two
@@ -890,9 +933,12 @@ func (w *execWorld) withRetrievedGrant(owner, device *cryptoutil.KeyPair) *crypt
 // call's Env and gas meter, each made 2 more: 13 and 22. requestMonitoring
 // also reads each grant and its round counter in place; at 32b20b0, which
 // decoded whole grants through load, it made 20, and at e7eaaf7, which
-// also wrote a round-progress record, 15.
+// also wrote a round-progress record, 15. At ed69877, which decoded their
+// arguments through a decoder on the heap, revokeGrant made 9 (it decoded
+// the grant whole, too) and requestMonitoring 13; revokeGrant now sets the
+// stored grant's Revoked byte in a copy (withFlag).
 func TestRevokeGrantAllocations(t *testing.T) {
-	const want = 11
+	const want = 3
 	w := newExecWorld(t)
 	owner := cryptoutil.MustGenerateKey()
 	w.withResource(owner)
@@ -904,7 +950,7 @@ func TestRevokeGrantAllocations(t *testing.T) {
 }
 
 func TestRequestMonitoringAllocations(t *testing.T) {
-	const want = 13
+	const want = 11
 	if got := requestMonitoringAllocs(t, 1); got > want {
 		t.Errorf("requestMonitoring: %.0f allocations, want at most %d", got, want)
 	}
@@ -1024,9 +1070,11 @@ func signedApart(t testing.TB, keys []*cryptoutil.KeyPair, evs []Evidence) []Sig
 // 340. At e7eaaf7, which read and rewrote the round's progress record for
 // every answering device, it made 181. At f0f4e83, which read and wrote the
 // evseq/ counter for every item and copied each item's signature, IRI and
-// signing bytes out of the arguments, it made 149.
+// signing bytes out of the arguments, it made 149. At ed69877, whose
+// argument decoder, arguments and resource record decoder escaped to the
+// heap, it made 74.
 func TestSubmitEvidenceAllocations(t *testing.T) {
-	const devices, want = 16, 74
+	const devices, want = 16, 71
 	w, submit := roundSubmission(t, devices)
 	if got := w.allocs(submit); got > want {
 		t.Errorf("submitEvidence of %d devices: %.0f allocations, want at most %d", devices, got, want)

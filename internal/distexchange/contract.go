@@ -8,11 +8,11 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/contract"
 	"repro/internal/cryptoutil"
+	"repro/internal/policy"
 	"repro/internal/store"
 )
 
@@ -33,6 +33,10 @@ var _ contract.Contract = (*Contract)(nil)
 // New returns a DE App contract instance.
 func New(cfg Config) *Contract { return &Contract{cfg: cfg} }
 
+// keyPart is an identifier a key is built of: a string, or a view of a
+// method's arguments.
+type keyPart interface{ ~string | ~[]byte }
+
 // Storage key builders. Each appends its key to b — Env.Key or
 // ReadEnv.Key, which hold the contract's namespace — and returns it, so a
 // key is built in one buffer and never passes through a string. Composite
@@ -41,15 +45,15 @@ func New(cfg Config) *Contract { return &Contract{cfg: cfg} }
 // (checkKeyPart): such an IRI would name another resource's keys, its
 // grant and ledger listings included. A WebID is only ever a whole key,
 // pod/<webID>, so it may hold one.
-func podKey(b []byte, webID string) []byte { return append(append(b, "pod/"...), webID...) }
-func resKey(b []byte, iri string) []byte   { return append(append(b, "res/"...), iri...) }
+func podKey[S keyPart](b []byte, webID S) []byte { return append(append(b, "pod/"...), webID...) }
+func resKey[S keyPart](b []byte, iri S) []byte   { return append(append(b, "res/"...), iri...) }
 func devKey(b []byte, a cryptoutil.Address) []byte {
 	return appendAddress(append(b, "dev/"...), a)
 }
-func grantKey(b []byte, iri string, d cryptoutil.Address) []byte {
+func grantKey[S keyPart](b []byte, iri S, d cryptoutil.Address) []byte {
 	return appendAddress(grantPrefix(b, iri), d)
 }
-func grantPrefix(b []byte, iri string) []byte {
+func grantPrefix[S keyPart](b []byte, iri S) []byte {
 	return append(append(append(b, "grant/"...), iri...), '|')
 }
 func roundSeqKey(b []byte, iri string) []byte { return append(append(b, "roundseq/"...), iri...) }
@@ -77,7 +81,7 @@ func violKey(b []byte, iri string, round, seq uint64) []byte {
 // ledgerPrefix is the listing prefix of a resource's evidence ("ev") or
 // violation ("viol") records: one round's when round is non-nil, the whole
 // history otherwise.
-func ledgerPrefix(b []byte, kind, iri string, round *uint64) []byte {
+func ledgerPrefix[S keyPart](b []byte, kind string, iri S, round *uint64) []byte {
 	b = append(append(append(b, kind...), '/'), iri...)
 	if round != nil {
 		b = appendNum(b, *round)
@@ -109,8 +113,8 @@ func appendAddress(b []byte, a cryptoutil.Address) []byte {
 }
 
 // checkKeyPart refuses an identifier that holds the key separator.
-func checkKeyPart(method, field, id string) error {
-	if strings.Contains(id, "|") {
+func checkKeyPart(method, field string, id []byte) error {
+	if bytes.IndexByte(id, '|') >= 0 {
 		return contract.Revertf("%s: %s %q contains '|'", method, field, id)
 	}
 	return nil
@@ -125,27 +129,31 @@ var marker = []byte{1}
 func (c *Contract) Call(env *contract.Env, method string, args []byte) ([]byte, error) {
 	switch method {
 	case "registerPod":
-		return call(env, args, decodeRegisterPodArgs, c.registerPod)
+		return call(env, args, readRegisterPodArgs, c.registerPod)
 	case "registerResource":
-		return call(env, args, decodeRegisterResourceArgs, c.registerResource)
+		return call(env, args, readRegisterResourceArgs, c.registerResource)
 	case "updatePolicy":
-		return call(env, args, decodeUpdatePolicyArgs, c.updatePolicy)
+		return call(env, args, readUpdatePolicyArgs, c.updatePolicy)
 	case "withdrawResource":
-		return call(env, args, decodeWithdrawResourceArgs, c.withdrawResource)
+		return call(env, args, readIRIArgs, c.withdrawResource)
 	case "registerDevice":
 		return call(env, args, decodeRegisterDeviceArgs, c.registerDevice)
 	case "recordGrant":
-		return call(env, args, decodeRecordGrantArgs, c.recordGrant)
+		return call(env, args, readRecordGrantArgs, c.recordGrant)
 	case "confirmRetrieval":
-		return call(env, args, decodeConfirmRetrievalArgs, c.confirmRetrieval)
+		return call(env, args, readIRIArgs, c.confirmRetrieval)
 	case "revokeGrant":
-		return call(env, args, decodeRevokeGrantArgs, c.revokeGrant)
+		return call(env, args, readRevokeGrantArgs, c.revokeGrant)
 	case "requestMonitoring":
-		return call(env, args, decodeRequestMonitoringArgs, c.requestMonitoring)
+		return call(env, args, readIRIArgs, c.requestMonitoring)
 	case "submitEvidence":
 		return call(env, args, decodeSubmitEvidenceArgs, c.submitEvidence)
 	case "reportUnresponsive":
-		return call(env, args, decodeReportUnresponsiveArgs, c.reportUnresponsive)
+		iri, round, err := readIRIRoundArgs(args)
+		if err != nil {
+			return nil, err
+		}
+		return c.reportUnresponsive(env, string(iri), round)
 	default:
 		return nil, contract.Revertf("unknown method %q", method)
 	}
@@ -164,31 +172,23 @@ type ledger interface {
 // texts name it.
 func localKey(l ledger, key []byte) []byte { return key[len(l.Key()):] }
 
-// load reads the record under key into out, reporting whether there is one.
-// A value that decode refuses — a JSON record of a data directory written
-// before the record codec, for one — reverts the transaction naming the key
-// (corruptRecord). It hands its decoder to decode, a func value, so the
-// decoder escapes to the heap: one allocation a call. The reads monitoring
-// makes per item call an in-place reader directly instead, which keeps its
-// decoder on the stack (decodeResourceHead, decodeGrantHead,
-// decodeDeviceKey, and readCounter's and noteResponse's own).
-func load[T any](env *contract.Env, key []byte, out *T, decode func(*store.Dec, *T)) (bool, error) {
-	raw, ok, err := env.Get(key)
+// load reads the record under key in place with read, and returns it and
+// the stored bytes, reporting whether there is one. A value that read
+// refuses — a JSON record of a data directory written before the record
+// codec, for one — reverts the transaction naming the key (corruptRecord).
+// read takes the stored bytes and returns what it read by value, so its
+// decoder stays on its stack: decodeResourceHead, decodePodHead,
+// decodeGrantHead and decodeDeviceKey read what the market and monitoring
+// methods check without allocating.
+func load[H any](env *contract.Env, key []byte, read func([]byte) (H, error)) (h H, raw []byte, ok bool, err error) {
+	raw, ok, err = env.Get(key)
 	if err != nil || !ok {
-		return false, err
+		return h, nil, false, err
 	}
-	return true, decodeStored(env, key, raw, out, decode)
-}
-
-// decodeStored decodes raw, the value stored under key, into out, reverting
-// as load does on what decode refuses.
-func decodeStored[T any](env *contract.Env, key, raw []byte, out *T, decode func(*store.Dec, *T)) error {
-	d := store.NewDec(raw)
-	decode(d, out)
-	if err := d.Finish(); err != nil {
-		return corruptRecord(env, key, err)
+	if h, err = read(raw); err != nil {
+		return h, nil, false, corruptRecord(env, key, err)
 	}
-	return nil
+	return h, raw, true, nil
 }
 
 // corruptRecord is the revert of a transaction that read a value under key
@@ -197,67 +197,46 @@ func corruptRecord(env *contract.Env, key []byte, err error) error {
 	return contract.Revertf("corrupt record at %s: %v", localKey(env, key), err)
 }
 
-// lastDecoded is a record one call decoded, kept with the stored bytes it
-// was decoded from, so that the call's next read of the same bytes does not
-// decode them again. It lives as long as the call that declares it: never
-// in a map or on the Contract, so parallel executions share nothing.
-type lastDecoded[T any] struct {
+// lastResource is a resource record one call decoded, kept with the stored
+// bytes it was decoded from, so that the call's next read of the same bytes
+// does not decode them again. It lives as long as the call that declares
+// it: never in a map or on the Contract, so parallel executions share
+// nothing.
+type lastResource struct {
 	raw []byte
-	val *T
+	val *ResourceRecord
 }
 
-// load reads the record under key as the package-level load does — the
-// same Get, gas and refusal text — and returns it, or nil when there is
-// none. It decodes only when the stored bytes differ from those it decoded
-// last; otherwise it returns that same value, which its callers therefore
-// only read. Equal bytes decode to equal records, so which of the two a
-// caller gets changes nothing.
-func (m *lastDecoded[T]) load(env *contract.Env, key []byte, decode func(*store.Dec, *T)) (*T, error) {
+// load reads the resource record under key with load's Get, gas and
+// refusal text, and returns it decoded, or nil when there is none. It
+// decodes only when the stored bytes differ from those it decoded last;
+// otherwise it returns that same value, which its callers therefore only
+// read. Equal bytes decode to equal records, so which of the two a caller
+// gets changes nothing. Its decoder is on its stack.
+func (m *lastResource) load(env *contract.Env, key []byte) (*ResourceRecord, error) {
 	raw, ok, err := env.Get(key)
 	if err != nil || !ok {
 		return nil, err
 	}
 	if m.val == nil || !bytes.Equal(raw, m.raw) {
-		v := new(T)
-		if err := decodeStored(env, key, raw, v, decode); err != nil {
-			return nil, err
+		v := new(ResourceRecord)
+		d := store.NewDec(raw)
+		decodeResourceRecord(d, v)
+		if err := d.Finish(); err != nil {
+			return nil, corruptRecord(env, key, err)
 		}
 		m.raw, m.val = raw, v
 	}
 	return m.val, nil
 }
 
-// loadResourceHead reads the head of the ResourceRecord under key in place
-// (decodeResourceHead) and returns it with the stored bytes, reporting
-// whether there is one. It reverts on what load with decodeResourceRecord
-// reverts on, with the same text.
-func loadResourceHead(env *contract.Env, key []byte) (h resourceHead, raw []byte, ok bool, err error) {
-	raw, ok, err = env.Get(key)
-	if err != nil || !ok {
-		return h, nil, false, err
-	}
-	if h, err = decodeResourceHead(raw); err != nil {
-		return h, nil, false, corruptRecord(env, key, err)
-	}
-	return h, raw, true, nil
-}
-
-// call decodes a method's arguments and runs the method on them.
-func call[A any](env *contract.Env, raw []byte, decode func(*store.Dec, *A), method func(*contract.Env, *A) ([]byte, error)) ([]byte, error) {
-	var args A
-	if err := decodeArgs(raw, &args, decode); err != nil {
+// call reads a method's arguments and runs the method on them.
+func call[A any](env *contract.Env, raw []byte, read func([]byte) (A, error), method func(*contract.Env, A) ([]byte, error)) ([]byte, error) {
+	args, err := read(raw)
+	if err != nil {
 		return nil, err
 	}
-	return method(env, &args)
-}
-
-// decodeArgs decodes a method's or a query's arguments: exactly raw, in the
-// encoding of its …Args type, which the method name selects. Anything else
-// reverts the transaction, or fails the query, with "bad args: …".
-func decodeArgs[A any](raw []byte, args *A, decode func(*store.Dec, *A)) error {
-	d := store.NewDec(raw)
-	decode(d, args)
-	return finishArgs(d)
+	return method(env, args)
 }
 
 // finishArgs ends the reading of arguments: what d has not read whole and
@@ -342,33 +321,29 @@ func (s *seqs) flush(env *contract.Env) error {
 
 // --- pod initiation (Fig. 2(1)) ---
 
-func (c *Contract) registerPod(env *contract.Env, args *RegisterPodArgs) ([]byte, error) {
-	if args.OwnerWebID == "" || args.Location == "" {
+// The market methods decode nothing: they read their arguments and the
+// records they check in place, and write what decoding and re-encoding
+// would (the package comment, "Record format").
+
+func (c *Contract) registerPod(env *contract.Env, a registerPodView) ([]byte, error) {
+	if len(a.ownerWebID) == 0 || len(a.location) == 0 {
 		return nil, contract.Revertf("registerPod: ownerWebID and location are required")
 	}
-	var existing PodRecord
-	if ok, err := load(env, podKey(env.Key(), args.OwnerWebID), &existing, decodePodRecord); err != nil {
+	if _, _, ok, err := load(env, podKey(env.Key(), a.ownerWebID), decodePodHead); err != nil {
 		return nil, err
 	} else if ok {
-		return nil, contract.Revertf("registerPod: pod %q already registered", args.OwnerWebID)
+		return nil, contract.Revertf("registerPod: pod %q already registered", a.ownerWebID)
 	}
-	if args.DefaultPolicy != nil {
-		if err := args.DefaultPolicy.Validate(); err != nil {
+	if pol := &a.defaultPolicy; len(pol.Bytes()) > 0 {
+		if err := pol.Validate(); err != nil {
 			return nil, contract.Revertf("registerPod: invalid default policy: %v", err)
 		}
 	}
-	rec := PodRecord{
-		OwnerWebID:    args.OwnerWebID,
-		Location:      args.Location,
-		Owner:         env.Sender,
-		DefaultPolicy: args.DefaultPolicy,
-		RegisteredAt:  env.Block.Time,
-	}
-	record := appendPodRecord(nil, &rec)
-	if err := env.Set(podKey(env.Key(), args.OwnerWebID), record); err != nil {
+	record := appendNewPod(nil, a.ownerWebID, a.location, env.Sender, env.Block.Time, a.defaultPolicy.Bytes())
+	if err := env.Set(podKey(env.Key(), a.ownerWebID), record); err != nil {
 		return nil, err
 	}
-	if err := env.Emit(TopicPodRegistered, args.OwnerWebID, nil); err != nil {
+	if err := env.Emit(TopicPodRegistered, string(a.ownerWebID), nil); err != nil {
 		return nil, err
 	}
 	return nil, nil
@@ -376,118 +351,115 @@ func (c *Contract) registerPod(env *contract.Env, args *RegisterPodArgs) ([]byte
 
 // --- resource initiation (Fig. 2(2)) ---
 
-func (c *Contract) registerResource(env *contract.Env, args *RegisterResourceArgs) ([]byte, error) {
-	if args.ResourceIRI == "" || args.PodWebID == "" || args.Location == "" {
+func (c *Contract) registerResource(env *contract.Env, a registerResourceView) ([]byte, error) {
+	if len(a.iri) == 0 || len(a.podWebID) == 0 || len(a.location) == 0 {
 		return nil, contract.Revertf("registerResource: resource, podWebID and location are required")
 	}
-	if err := checkKeyPart("registerResource", "resource", args.ResourceIRI); err != nil {
+	if err := checkKeyPart("registerResource", "resource", a.iri); err != nil {
 		return nil, err
 	}
-	var pod PodRecord
-	ok, err := load(env, podKey(env.Key(), args.PodWebID), &pod, decodePodRecord)
+	pod, _, ok, err := load(env, podKey(env.Key(), a.podWebID), decodePodHead)
 	if err != nil {
 		return nil, err
 	}
 	if !ok {
-		return nil, contract.Revertf("registerResource: pod %q not registered", args.PodWebID)
+		return nil, contract.Revertf("registerResource: pod %q not registered", a.podWebID)
 	}
-	if pod.Owner != env.Sender {
-		return nil, contract.Revertf("registerResource: sender %s does not own pod %q", env.Sender, args.PodWebID)
+	if pod.owner != env.Sender {
+		return nil, contract.Revertf("registerResource: sender %s does not own pod %q", env.Sender, a.podWebID)
 	}
-	if _, _, ok, err := loadResourceHead(env, resKey(env.Key(), args.ResourceIRI)); err != nil {
+	if _, _, ok, err := load(env, resKey(env.Key(), a.iri), decodeResourceHead); err != nil {
 		return nil, err
 	} else if ok {
-		return nil, contract.Revertf("registerResource: resource %q already registered", args.ResourceIRI)
+		return nil, contract.Revertf("registerResource: resource %q already registered", a.iri)
 	}
 
-	pol := args.Policy
-	if pol == nil {
+	pol := a.policy
+	if len(pol.Bytes()) == 0 {
 		// Fall back to the pod's default policy, re-bound to the resource.
-		if pod.DefaultPolicy == nil {
+		if len(pod.defaultPolicy.Bytes()) == 0 {
 			return nil, contract.Revertf("registerResource: no policy given and pod has no default")
 		}
-		clone := pod.DefaultPolicy.Clone()
-		clone.ID = args.ResourceIRI + "#policy"
-		clone.ResourceIRI = args.ResourceIRI
-		pol = clone
+		pol = reboundPolicy(pod.defaultPolicy.Bytes(), string(a.iri))
 	}
 	if err := pol.Validate(); err != nil {
 		return nil, contract.Revertf("registerResource: invalid policy: %v", err)
 	}
-	if pol.ResourceIRI != args.ResourceIRI {
-		return nil, contract.Revertf("registerResource: policy is bound to %q, not %q", pol.ResourceIRI, args.ResourceIRI)
+	if !bytes.Equal(pol.ResourceIRI(), a.iri) {
+		return nil, contract.Revertf("registerResource: policy is bound to %q, not %q", pol.ResourceIRI(), a.iri)
 	}
-
-	rec := ResourceRecord{
-		ResourceIRI:  args.ResourceIRI,
-		PodWebID:     args.PodWebID,
-		Location:     args.Location,
-		Description:  args.Description,
-		Owner:        env.Sender,
-		Policy:       pol,
-		RegisteredAt: env.Block.Time,
-	}
-	record := appendResourceRecord(nil, &rec)
-	if err := env.Set(resKey(env.Key(), args.ResourceIRI), record); err != nil {
+	record := appendNewResource(nil, &a, env.Sender, env.Block.Time, pol.Bytes())
+	if err := env.Set(resKey(env.Key(), a.iri), record); err != nil {
 		return nil, err
 	}
-	if err := env.Emit(TopicResourceRegistered, args.ResourceIRI, nil); err != nil {
+	if err := env.Emit(TopicResourceRegistered, string(a.iri), nil); err != nil {
 		return nil, err
 	}
 	return nil, nil
+}
+
+// reboundPolicy returns the policy whose record encoding is enc — a pod's
+// default, which decodePodHead accepted — bound to the resource iri, read
+// from a fresh encoding.
+func reboundPolicy(enc []byte, iri string) policy.Record {
+	var p policy.Policy
+	policy.DecodeRecord(store.NewDec(enc), &p)
+	p.ID = iri + "#policy"
+	p.ResourceIRI = iri
+	return policy.ReadRecord(store.NewDec(policy.AppendRecord(nil, &p)))
 }
 
 // --- policy modification (Fig. 2(5)) ---
 
-func (c *Contract) updatePolicy(env *contract.Env, args *UpdatePolicyArgs) ([]byte, error) {
-	if args.Policy == nil {
+func (c *Contract) updatePolicy(env *contract.Env, a updatePolicyView) ([]byte, error) {
+	if len(a.policy.Bytes()) == 0 {
 		return nil, contract.Revertf("updatePolicy: missing policy")
 	}
-	head, raw, ok, err := loadResourceHead(env, resKey(env.Key(), args.ResourceIRI))
+	head, raw, ok, err := load(env, resKey(env.Key(), a.iri), decodeResourceHead)
 	if err != nil {
 		return nil, err
 	}
 	if !ok {
-		return nil, contract.Revertf("updatePolicy: resource %q not registered", args.ResourceIRI)
+		return nil, contract.Revertf("updatePolicy: resource %q not registered", a.iri)
 	}
 	if head.owner != env.Sender {
-		return nil, contract.Revertf("updatePolicy: sender %s does not own %q", env.Sender, args.ResourceIRI)
+		return nil, contract.Revertf("updatePolicy: sender %s does not own %q", env.Sender, a.iri)
 	}
-	if err := args.Policy.Validate(); err != nil {
+	if err := a.policy.Validate(); err != nil {
 		return nil, contract.Revertf("updatePolicy: invalid policy: %v", err)
 	}
-	if args.Policy.ResourceIRI != args.ResourceIRI {
-		return nil, contract.Revertf("updatePolicy: policy bound to %q, not %q", args.Policy.ResourceIRI, args.ResourceIRI)
+	if !bytes.Equal(a.policy.ResourceIRI(), a.iri) {
+		return nil, contract.Revertf("updatePolicy: policy bound to %q, not %q", a.policy.ResourceIRI(), a.iri)
 	}
-	if args.Policy.Version <= head.version {
+	if a.policy.Version() <= head.policy.Version() {
 		return nil, contract.Revertf("updatePolicy: version %d not greater than current %d",
-			args.Policy.Version, head.version)
+			a.policy.Version(), head.policy.Version())
 	}
-	record, policyAt := spliceResourcePolicy(raw, head.flagAt, args.Policy)
-	if err := env.Set(resKey(env.Key(), args.ResourceIRI), record); err != nil {
+	record, policyAt := spliceResourcePolicy(raw, head.flagAt, a.policy.Bytes())
+	if err := env.Set(resKey(env.Key(), a.iri), record); err != nil {
 		return nil, err
 	}
-	if err := env.Emit(TopicPolicyUpdated, args.ResourceIRI, record[policyAt:]); err != nil {
+	if err := env.Emit(TopicPolicyUpdated, string(a.iri), record[policyAt:]); err != nil {
 		return nil, err
 	}
 	return nil, nil
 }
 
-func (c *Contract) withdrawResource(env *contract.Env, args *WithdrawResourceArgs) ([]byte, error) {
-	head, raw, ok, err := loadResourceHead(env, resKey(env.Key(), args.ResourceIRI))
+func (c *Contract) withdrawResource(env *contract.Env, iri []byte) ([]byte, error) {
+	head, raw, ok, err := load(env, resKey(env.Key(), iri), decodeResourceHead)
 	if err != nil {
 		return nil, err
 	}
 	if !ok {
-		return nil, contract.Revertf("withdrawResource: resource %q not registered", args.ResourceIRI)
+		return nil, contract.Revertf("withdrawResource: resource %q not registered", iri)
 	}
 	if head.owner != env.Sender {
-		return nil, contract.Revertf("withdrawResource: sender %s does not own %q", env.Sender, args.ResourceIRI)
+		return nil, contract.Revertf("withdrawResource: sender %s does not own %q", env.Sender, iri)
 	}
 	if head.withdrawn {
 		return nil, contract.Revertf("withdrawResource: already withdrawn")
 	}
-	if err := env.Set(resKey(env.Key(), args.ResourceIRI), withdrawnResource(raw)); err != nil {
+	if err := env.Set(resKey(env.Key(), iri), withFlag(raw, 1)); err != nil {
 		return nil, err
 	}
 	return nil, nil
@@ -495,7 +467,7 @@ func (c *Contract) withdrawResource(env *contract.Env, args *WithdrawResourceArg
 
 // --- device registration (TEE attestation) ---
 
-func (c *Contract) registerDevice(env *contract.Env, args *RegisterDeviceArgs) ([]byte, error) {
+func (c *Contract) registerDevice(env *contract.Env, args RegisterDeviceArgs) ([]byte, error) {
 	cert, err := cryptoutil.DecodeCertificate(args.Certificate)
 	if err != nil {
 		return nil, contract.Revertf("registerDevice: %v", err)
@@ -532,91 +504,80 @@ func (c *Contract) registerDevice(env *contract.Env, args *RegisterDeviceArgs) (
 
 // --- grants (resource access bookkeeping, Fig. 2(4)) ---
 
-func (c *Contract) recordGrant(env *contract.Env, args *RecordGrantArgs) ([]byte, error) {
-	var rec ResourceRecord
-	ok, err := load(env, resKey(env.Key(), args.ResourceIRI), &rec, decodeResourceRecord)
+func (c *Contract) recordGrant(env *contract.Env, a recordGrantView) ([]byte, error) {
+	res, _, ok, err := load(env, resKey(env.Key(), a.iri), decodeResourceHead)
 	if err != nil {
 		return nil, err
 	}
 	if !ok {
-		return nil, contract.Revertf("recordGrant: resource %q not registered", args.ResourceIRI)
+		return nil, contract.Revertf("recordGrant: resource %q not registered", a.iri)
 	}
-	if rec.Withdrawn {
-		return nil, contract.Revertf("recordGrant: resource %q is withdrawn from the market", args.ResourceIRI)
+	if res.withdrawn {
+		return nil, contract.Revertf("recordGrant: resource %q is withdrawn from the market", a.iri)
 	}
-	if rec.Owner != env.Sender {
-		return nil, contract.Revertf("recordGrant: sender %s does not own %q", env.Sender, args.ResourceIRI)
+	if res.owner != env.Sender {
+		return nil, contract.Revertf("recordGrant: sender %s does not own %q", env.Sender, a.iri)
 	}
-	var dev DeviceRecord
-	if ok, err := load(env, devKey(env.Key(), args.Device), &dev, decodeDeviceRecord); err != nil {
+	if _, _, ok, err := load(env, devKey(env.Key(), a.device), decodeDeviceKey); err != nil {
 		return nil, err
 	} else if !ok {
-		return nil, contract.Revertf("recordGrant: device %s not registered", args.Device)
+		return nil, contract.Revertf("recordGrant: device %s not registered", a.device)
 	}
-	if args.Purpose == "" {
+	if len(a.purpose) == 0 {
 		return nil, contract.Revertf("recordGrant: purpose is required")
 	}
-	if !rec.Policy.PermitsPurpose(args.Purpose) {
+	if !res.policy.PermitsPurpose(policy.PurposeOf(a.purpose)) {
 		return nil, contract.Revertf("recordGrant: purpose %q not permitted by policy v%d",
-			args.Purpose, rec.Policy.Version)
+			a.purpose, res.policy.Version())
 	}
-	g := Grant{
-		ResourceIRI: args.ResourceIRI,
-		Consumer:    args.Consumer,
-		Device:      args.Device,
-		Purpose:     args.Purpose,
-		GrantedAt:   env.Block.Time,
-	}
-	if err := env.Set(grantKey(env.Key(), args.ResourceIRI, args.Device), appendGrant(nil, &g)); err != nil {
+	record := appendNewGrant(nil, a.iri, a.consumer, a.device, a.purpose, env.Block.Time)
+	if err := env.Set(grantKey(env.Key(), a.iri, a.device), record); err != nil {
 		return nil, err
 	}
 	return nil, nil
 }
 
-func (c *Contract) confirmRetrieval(env *contract.Env, args *ConfirmRetrievalArgs) ([]byte, error) {
-	var g Grant
-	ok, err := load(env, grantKey(env.Key(), args.ResourceIRI, env.Sender), &g, decodeGrant)
+func (c *Contract) confirmRetrieval(env *contract.Env, iri []byte) ([]byte, error) {
+	g, raw, ok, err := load(env, grantKey(env.Key(), iri, env.Sender), decodeGrantHead)
 	if err != nil {
 		return nil, err
 	}
 	if !ok {
-		return nil, contract.Revertf("confirmRetrieval: no grant for device %s on %q", env.Sender, args.ResourceIRI)
+		return nil, contract.Revertf("confirmRetrieval: no grant for device %s on %q", env.Sender, iri)
 	}
-	if g.Revoked {
+	if g.revoked {
 		return nil, contract.Revertf("confirmRetrieval: grant revoked")
 	}
-	if !g.RetrievedAt.IsZero() {
+	if !g.retrievedAt.IsZero() {
 		return nil, contract.Revertf("confirmRetrieval: already confirmed")
 	}
-	g.RetrievedAt = env.Block.Time
-	if err := env.Set(grantKey(env.Key(), args.ResourceIRI, env.Sender), appendGrant(nil, &g)); err != nil {
+	if err := env.Set(grantKey(env.Key(), iri, env.Sender), retrievedGrant(raw, &g, env.Block.Time)); err != nil {
 		return nil, err
 	}
 	return nil, nil
 }
 
-func (c *Contract) revokeGrant(env *contract.Env, args *RevokeGrantArgs) ([]byte, error) {
-	head, _, ok, err := loadResourceHead(env, resKey(env.Key(), args.ResourceIRI))
+func (c *Contract) revokeGrant(env *contract.Env, a revokeGrantView) ([]byte, error) {
+	head, _, ok, err := load(env, resKey(env.Key(), a.iri), decodeResourceHead)
 	if err != nil {
 		return nil, err
 	}
 	if !ok {
-		return nil, contract.Revertf("revokeGrant: resource %q not registered", args.ResourceIRI)
+		return nil, contract.Revertf("revokeGrant: resource %q not registered", a.iri)
 	}
 	if head.owner != env.Sender {
-		return nil, contract.Revertf("revokeGrant: sender %s does not own %q", env.Sender, args.ResourceIRI)
+		return nil, contract.Revertf("revokeGrant: sender %s does not own %q", env.Sender, a.iri)
 	}
-	var g Grant
-	if ok, err := load(env, grantKey(env.Key(), args.ResourceIRI, args.Device), &g, decodeGrant); err != nil {
+	g, raw, ok, err := load(env, grantKey(env.Key(), a.iri, a.device), decodeGrantHead)
+	if err != nil {
 		return nil, err
 	} else if !ok {
-		return nil, contract.Revertf("revokeGrant: no grant for device %s", args.Device)
+		return nil, contract.Revertf("revokeGrant: no grant for device %s", a.device)
 	}
-	if g.Revoked {
+	if g.revoked {
 		return nil, contract.Revertf("revokeGrant: already revoked")
 	}
-	g.Revoked = true
-	if err := env.Set(grantKey(env.Key(), args.ResourceIRI, args.Device), appendGrant(nil, &g)); err != nil {
+	if err := env.Set(grantKey(env.Key(), a.iri, a.device), withFlag(raw, len(raw)-1)); err != nil {
 		return nil, err
 	}
 	return nil, nil
@@ -624,19 +585,20 @@ func (c *Contract) revokeGrant(env *contract.Env, args *RevokeGrantArgs) ([]byte
 
 // --- policy monitoring (Fig. 2(6)) ---
 
-func (c *Contract) requestMonitoring(env *contract.Env, args *RequestMonitoringArgs) ([]byte, error) {
-	head, _, ok, err := loadResourceHead(env, resKey(env.Key(), args.ResourceIRI))
+func (c *Contract) requestMonitoring(env *contract.Env, view []byte) ([]byte, error) {
+	iri := string(view)
+	head, _, ok, err := load(env, resKey(env.Key(), iri), decodeResourceHead)
 	if err != nil {
 		return nil, err
 	}
 	if !ok {
-		return nil, contract.Revertf("requestMonitoring: resource %q not registered", args.ResourceIRI)
+		return nil, contract.Revertf("requestMonitoring: resource %q not registered", iri)
 	}
 	if head.owner != env.Sender {
-		return nil, contract.Revertf("requestMonitoring: sender %s does not own %q", env.Sender, args.ResourceIRI)
+		return nil, contract.Revertf("requestMonitoring: sender %s does not own %q", env.Sender, iri)
 	}
 
-	keys, err := env.Keys(grantPrefix(env.Key(), args.ResourceIRI))
+	keys, err := env.Keys(grantPrefix(env.Key(), iri))
 	if err != nil {
 		return nil, err
 	}
@@ -658,13 +620,13 @@ func (c *Contract) requestMonitoring(env *contract.Env, args *RequestMonitoringA
 		}
 	}
 
-	n, err := bumpCounter(env, roundSeqKey(env.Key(), args.ResourceIRI))
+	n, err := bumpCounter(env, roundSeqKey(env.Key(), iri))
 	if err != nil {
 		return nil, err
 	}
 	round := MonitoringRound{
 		Round:       n,
-		ResourceIRI: args.ResourceIRI,
+		ResourceIRI: iri,
 		RequestedAt: env.Block.Time,
 		Targets:     targets,
 		Closed:      len(targets) == 0,
@@ -672,15 +634,15 @@ func (c *Contract) requestMonitoring(env *contract.Env, args *RequestMonitoringA
 	record := appendMonitoringRound(nil, &round)
 	// The round record is written here and never again; what changes as
 	// evidence arrives is which pending markers remain.
-	if err := env.Set(roundKey(env.Key(), args.ResourceIRI, n), record); err != nil {
+	if err := env.Set(roundKey(env.Key(), iri, n), record); err != nil {
 		return nil, err
 	}
 	for _, target := range targets {
-		if err := env.Set(pendingKey(env.Key(), args.ResourceIRI, n, target), marker); err != nil {
+		if err := env.Set(pendingKey(env.Key(), iri, n, target), marker); err != nil {
 			return nil, err
 		}
 	}
-	if err := env.Emit(TopicMonitoringRequested, args.ResourceIRI, record); err != nil {
+	if err := env.Emit(TopicMonitoringRequested, iri, record); err != nil {
 		return nil, err
 	}
 	return record, nil
@@ -714,12 +676,12 @@ type checkedEvidence struct {
 // writes it once, after the last item (seqs). Only a hard error — in a
 // valid ledger, running out of gas — can surface earlier than it would
 // have, and the meter then pins at the limit either way.
-func (c *Contract) submitEvidence(env *contract.Env, args *SubmitEvidenceArgs) ([]byte, error) {
+func (c *Contract) submitEvidence(env *contract.Env, args SubmitEvidenceArgs) ([]byte, error) {
 	if len(args.Signed) == 0 {
 		return nil, contract.Revertf("submitEvidence: no evidence")
 	}
 	items := make([]checkedEvidence, len(args.Signed))
-	var res lastDecoded[ResourceRecord]
+	var res lastResource
 	for i := range items {
 		if err := c.checkEvidence(env, &args.Signed[i].Evidence, &items[i], &res); err != nil {
 			return nil, err
@@ -773,9 +735,9 @@ func (c *Contract) submitEvidence(env *contract.Env, args *SubmitEvidenceArgs) (
 // and an optimistic pass the scheduler discards executes it again, so it
 // goes through VerifyCached (see the package comment). A returned error
 // reverts the transaction.
-func (c *Contract) checkEvidence(env *contract.Env, ev *Evidence, it *checkedEvidence, res *lastDecoded[ResourceRecord]) error {
+func (c *Contract) checkEvidence(env *contract.Env, ev *Evidence, it *checkedEvidence, res *lastResource) error {
 	var err error
-	if it.rec, err = res.load(env, resKey(env.Key(), ev.ResourceIRI), decodeResourceRecord); err != nil {
+	if it.rec, err = res.load(env, resKey(env.Key(), ev.ResourceIRI)); err != nil {
 		return err
 	}
 	if it.rec == nil {
@@ -932,31 +894,31 @@ func (c *Contract) recordViolation(env *contract.Env, violSeqs *seqs, iri string
 	return env.Emit(TopicViolationDetected, iri, ref)
 }
 
-func (c *Contract) reportUnresponsive(env *contract.Env, args *ReportUnresponsiveArgs) ([]byte, error) {
-	head, _, ok, err := loadResourceHead(env, resKey(env.Key(), args.ResourceIRI))
+func (c *Contract) reportUnresponsive(env *contract.Env, iri string, n uint64) ([]byte, error) {
+	head, _, ok, err := load(env, resKey(env.Key(), iri), decodeResourceHead)
 	if err != nil {
 		return nil, err
 	}
 	if !ok {
-		return nil, contract.Revertf("reportUnresponsive: resource %q not registered", args.ResourceIRI)
+		return nil, contract.Revertf("reportUnresponsive: resource %q not registered", iri)
 	}
 	if head.owner != env.Sender {
-		return nil, contract.Revertf("reportUnresponsive: sender %s does not own %q", env.Sender, args.ResourceIRI)
+		return nil, contract.Revertf("reportUnresponsive: sender %s does not own %q", env.Sender, iri)
 	}
-	round, silent, err := loadRound(env, args.ResourceIRI, args.Round)
+	round, silent, err := loadRound(env, iri, n)
 	if errors.Is(err, ErrNotFound) {
-		return nil, contract.Revertf("reportUnresponsive: round %d not found", args.Round)
+		return nil, contract.Revertf("reportUnresponsive: round %d not found", n)
 	}
 	if err != nil {
 		return nil, err
 	}
 	if round.Closed {
-		return nil, contract.Revertf("reportUnresponsive: round %d already closed", args.Round)
+		return nil, contract.Revertf("reportUnresponsive: round %d already closed", n)
 	}
 	violSeqs := seqs{key: violSeqKey}
 	for _, target := range silent {
-		if err := c.recordViolation(env, &violSeqs, args.ResourceIRI, target, ViolationUnresponsive,
-			fmt.Sprintf("no evidence for round %d", args.Round), args.Round); err != nil {
+		if err := c.recordViolation(env, &violSeqs, iri, target, ViolationUnresponsive,
+			fmt.Sprintf("no evidence for round %d", n), n); err != nil {
 			return nil, err
 		}
 	}
@@ -964,7 +926,7 @@ func (c *Contract) reportUnresponsive(env *contract.Env, args *ReportUnresponsiv
 		return nil, err
 	}
 	round.Closed = true
-	if err := env.Set(closedKey(env.Key(), args.ResourceIRI, args.Round), marker); err != nil {
+	if err := env.Set(closedKey(env.Key(), iri, n), marker); err != nil {
 		return nil, err
 	}
 	return appendMonitoringRound(nil, &round), nil
@@ -1025,53 +987,50 @@ func loadRound(l ledger, iri string, n uint64) (round MonitoringRound, silent []
 func (c *Contract) Read(env *contract.ReadEnv, method string, args []byte) ([]byte, error) {
 	switch method {
 	case "getPod":
-		var a GetPodArgs
-		if err := decodeArgs(args, &a, decodeGetPodArgs); err != nil {
-			return nil, err
-		}
-		return readRecord(env, podKey(env.Key(), a.OwnerWebID))
-	case "getResource":
-		iri, err := getResourceIRI(args)
+		webID, err := readIRIArgs(args)
 		if err != nil {
 			return nil, err
 		}
-		return readRecord(env, append(resKey(env.Key(), ""), iri...))
+		return readRecord(env, podKey(env.Key(), webID))
+	case "getResource":
+		iri, err := readIRIArgs(args)
+		if err != nil {
+			return nil, err
+		}
+		return readRecord(env, resKey(env.Key(), iri))
 	case "getDevice":
-		var a GetDeviceArgs
-		if err := decodeArgs(args, &a, decodeGetDeviceArgs); err != nil {
+		a, err := decodeGetDeviceArgs(args)
+		if err != nil {
 			return nil, err
 		}
 		return readRecord(env, devKey(env.Key(), a.Device))
 	case "listResources":
 		return c.listResources(env, args)
 	case "getGrants":
-		var a GetGrantsArgs
-		if err := decodeArgs(args, &a, decodeGetGrantsArgs); err != nil {
+		iri, err := readIRIArgs(args)
+		if err != nil {
 			return nil, err
 		}
-		keys, err := env.Keys(grantPrefix(env.Key(), a.ResourceIRI))
+		keys, err := env.Keys(grantPrefix(env.Key(), iri))
 		if err != nil {
 			return nil, err
 		}
 		return readListing(env, keys, tagGrant)
-	case "getViolations":
-		var a GetViolationsArgs
-		if err := decodeArgs(args, &a, decodeGetViolationsArgs); err != nil {
+	case "getViolations", "getEvidence":
+		iri, round, err := readLedgerArgs(args)
+		if err != nil {
 			return nil, err
 		}
-		return readLedger(env, "viol", tagViolation, a.ResourceIRI, a.Round)
-	case "getEvidence":
-		var a GetEvidenceArgs
-		if err := decodeArgs(args, &a, decodeGetEvidenceArgs); err != nil {
-			return nil, err
+		if method == "getEvidence" {
+			return readLedger(env, "ev", tagEvidence, iri, round)
 		}
-		return readLedger(env, "ev", tagEvidence, a.ResourceIRI, a.Round)
+		return readLedger(env, "viol", tagViolation, iri, round)
 	case "getMonitoringRound":
-		var a GetMonitoringRoundArgs
-		if err := decodeArgs(args, &a, decodeGetMonitoringRoundArgs); err != nil {
+		iri, n, err := readIRIRoundArgs(args)
+		if err != nil {
 			return nil, err
 		}
-		round, _, err := loadRound(env, a.ResourceIRI, a.Round)
+		round, _, err := loadRound(env, string(iri), n)
 		if err != nil {
 			return nil, err
 		}
@@ -1099,7 +1058,7 @@ func readRecord(env *contract.ReadEnv, key []byte) ([]byte, error) {
 // readLedger lists a resource's evidence ("ev") or violation ("viol")
 // records in Seq order: one round's when round is non-nil, the whole
 // history otherwise.
-func readLedger(env *contract.ReadEnv, kind string, tag byte, iri string, round *uint64) ([]byte, error) {
+func readLedger(env *contract.ReadEnv, kind string, tag byte, iri []byte, round *uint64) ([]byte, error) {
 	keys, err := env.Keys(ledgerPrefix(env.Key(), kind, iri, round))
 	if err != nil {
 		return nil, err

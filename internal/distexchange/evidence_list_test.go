@@ -464,8 +464,8 @@ func TestEvidenceListSplitsAtTheGasLimit(t *testing.T) {
 		t.Errorf("%d transactions, want %d of at most %d evidence", len(txs), wantTxs, perTx)
 	}
 	for i, tx := range txs {
-		var args SubmitEvidenceArgs
-		if err := decodeArgs(tx.Args, &args, decodeSubmitEvidenceArgs); err != nil {
+		args, err := decodeSubmitEvidenceArgs(tx.Args)
+		if err != nil {
 			t.Fatal(err)
 		}
 		r := f.node.Receipt(tx.Hash())

@@ -97,32 +97,42 @@
 //
 // The three sequence counters are a bare uvarint, and a pending or closure
 // marker the byte 1. Tag 0x26 is retired: it opened a round-progress
-// record, and is not assigned again. A ResourceRecord ends with its policy, so PolicyUpdated carries
-// a tail of the stored bytes, and opens with Withdrawn, which is all the
-// market listing reads of a record. The methods that read only
-// a resource's owner, withdrawn flag or policy version (registerResource's
-// duplicate check, updatePolicy, withdrawResource, revokeGrant,
-// requestMonitoring, reportUnresponsive) read its record in place and
-// splice the stored bytes to rewrite it, and Client.ResourceListing reads a
-// getResource reply in place; recordGrant and submitEvidence
-// evaluate the policy, so they decode it — submitEvidence once for a run of
-// items whose records are the same bytes ("Signature checks").
+// record, and is not assigned again. A ResourceRecord ends with its
+// policy, so PolicyUpdated carries a tail of the stored bytes, and opens
+// with Withdrawn, which is all the market listing reads of a record.
 //
-// Monitoring reads the rest of what it needs in place too. Three readers
-// walk a whole stored record, refuse exactly what its full decoder
-// refuses, with the same error, and copy nothing:
+// The market methods (registerPod, registerResource, updatePolicy,
+// withdrawResource, recordGrant, confirmRetrieval, revokeGrant) decode
+// nothing. They read their arguments as views of the transaction's bytes
+// (args.go) and the records they check in place, and they check a policy
+// argument in its encoded form (policy.Record, whose Validate and
+// PermitsPurpose are the policy's own rules). A record they write is built
+// in a fresh buffer from those views, or spliced from the stored bytes: a
+// new policy after the stored record's head (updatePolicy), a flag set
+// (withdrawResource, revokeGrant), a RetrievedAt overwritten
+// (confirmRetrieval). The policy they store and emit is the bytes it
+// arrived in. The codec is canonical, so all of these are the bytes that
+// decoding and re-encoding would give. Only registerResource's fallback to
+// the pod's default policy decodes one, to bind it to the resource.
+// submitEvidence evaluates the policy, so it decodes the resource record —
+// once for a run of items whose records are the same bytes ("Signature
+// checks"); Client.ResourceListing reads a getResource reply in place.
 //
-//	decodeResourceHead  ResourceRecord: withdrawn, owner, policy version
-//	decodeGrantHead     Grant: device, retrievedAt, revoked
-//	                    (requestMonitoring, submitEvidence)
+// Four readers walk a whole stored record, refuse exactly what its full
+// decoder refuses, with the same error, and copy nothing:
+//
+//	decodeResourceHead  ResourceRecord: withdrawn, owner, policy in place
+//	decodePodHead       PodRecord: owner, default policy in place
+//	decodeGrantHead     Grant: device, retrievedAt (and where it sits),
+//	                    revoked
 //	decodeDeviceKey     DeviceRecord: a view of deviceKey, which
 //	                    cryptoutil.ParsePublicKey copies if it keeps it
-//	                    (submitEvidence)
 //
-// They, and the counter reads, are called directly, so
-// their decoder stays on the stack; load, which decodes through a func
-// value, puts one on the heap per call. A decoded policy's purposes and
-// actions, and an evidence's usage entries, are the policy package's
+// policy.ReadRecord reads a policy inside a head or an argument the same
+// way. Each of the four takes the stored bytes and returns by value, so its
+// decoder stays on its stack whether it is called directly or through load.
+// A decoded policy's purposes and actions, and an evidence's usage entries,
+// are the policy package's
 // constants when they name one (policy.PurposeOf, policy.ActionOf). A listing
 // (listResources, getGrants, getEvidence, getViolations) is a count
 // followed by the stored encodings as they are; records delimit

@@ -34,6 +34,18 @@ var reachKeep = map[string]string{
 	"repro/internal/distexchange.DecodeGrants":       "exported decoder of the record format (getGrants' reply), fuzzed by FuzzRecordDecode",
 	"repro/internal/distexchange.DecodePodRecord":    "exported decoder of the record format (getPod's reply), fuzzed by FuzzRecordDecode",
 
+	// What the kept decoders and getters above read and return. The
+	// contract reads these records in place and builds the methods'
+	// records from views of their arguments, so no root reaches them
+	// otherwise; the in-place readers are held to the full decoders.
+	"repro/internal/distexchange.decodePodRecord":    "the decoder behind DecodePodRecord, which decodePodHead is held to",
+	"repro/internal/distexchange.decodeGrant":        "the decoder behind DecodeGrants, which decodeGrantHead is held to",
+	"repro/internal/distexchange.decodeDeviceRecord": "the decoder behind DecodeDeviceRecord, which decodeDeviceKey is held to",
+	"repro/internal/distexchange.PodRecord":          "what DecodePodRecord returns",
+	"repro/internal/distexchange.Grant":              "what DecodeGrants returns",
+	"repro/internal/distexchange.GetPodArgs":         "the arguments Client.GetPod encodes",
+	"repro/internal/distexchange.GetGrantsArgs":      "the arguments Client.GetGrants encodes",
+
 	// One three-line method per query the contract's Read serves. The tests
 	// of four packages read the ledger through them; deleting them would
 	// re-grow the same lines in four _test.go files.

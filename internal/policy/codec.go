@@ -68,6 +68,93 @@ func DecodeRecord(d *store.Dec, p *Policy) {
 	p.NotifyOnUse = d.Bool()
 }
 
+// Record is a policy's record encoding read in place (ReadRecord): views of
+// the bytes it was read from, valid as long as they are and never written
+// through, so reading one allocates nothing. Its Validate and
+// PermitsPurpose apply Policy's rules, through the same code.
+type Record struct {
+	enc                         []byte // the whole encoding
+	id, resourceIRI, ownerWebID []byte
+	version                     uint64
+	maxRetention                time.Duration
+	purposes, actions           []byte // each list's encoding: its count, then its words
+}
+
+// ReadRecord reads the policy encoded at d's position in place. It refuses
+// exactly what DecodeRecord refuses, with the same error, which d holds;
+// the Record is then not to be used. The zero Record is none: its Bytes
+// are empty.
+func ReadRecord(d *store.Dec) (r Record) {
+	start := len(d.Consumed())
+	d.Tag(tagPolicy)
+	r.id = d.View()
+	r.resourceIRI = d.View()
+	r.ownerWebID = d.View()
+	r.version = d.Uvarint()
+	d.UTC() // IssuedAt
+	r.purposes = readWords(d, "purposes")
+	r.actions = readWords(d, "actions")
+	r.maxRetention = time.Duration(d.Uvarint())
+	d.UTC()     // ExpiresAt
+	d.Uvarint() // MaxUses
+	d.Bool()    // ProhibitSharing
+	d.Bool()    // NotifyOnUse
+	if d.Err() == nil {
+		r.enc = d.Consumed()[start:]
+	}
+	return r
+}
+
+// readWords walks a list as decodeWords reads it and returns its encoding.
+func readWords(d *store.Dec, what string) []byte {
+	start := len(d.Consumed())
+	for range d.Count(what, uint64(d.Remaining())) {
+		if d.View(); d.Err() != nil {
+			return nil
+		}
+	}
+	return d.Consumed()[start:]
+}
+
+// eachWord calls f on each word of a list readWords returned, until f
+// reports true, and reports whether it did.
+func eachWord(list []byte, f func(w []byte) bool) bool {
+	d := store.NewDec(list)
+	for range d.Count("words", uint64(d.Remaining())) {
+		if f(d.View()) {
+			return true
+		}
+	}
+	return false
+}
+
+// Bytes returns the policy's record encoding: a view of what r was read from.
+func (r *Record) Bytes() []byte { return r.enc }
+
+// ResourceIRI returns the policy's ResourceIRI, a view.
+func (r *Record) ResourceIRI() []byte { return r.resourceIRI }
+
+// Version returns the policy's Version.
+func (r *Record) Version() uint64 { return r.version }
+
+// Validate is Policy.Validate of the policy r encodes.
+func (r *Record) Validate() error {
+	err := checkScalars(len(r.id), len(r.resourceIRI), len(r.ownerWebID), r.version, r.maxRetention)
+	if err == nil {
+		eachWord(r.purposes, func(w []byte) bool { err = checkPurpose(w); return err != nil })
+	}
+	if err == nil {
+		eachWord(r.actions, func(w []byte) bool { err = checkAction(w); return err != nil })
+	}
+	return err
+}
+
+// PermitsPurpose is Policy.PermitsPurpose of the policy r encodes.
+func (r *Record) PermitsPurpose(purpose Purpose) bool {
+	return len(r.purposes) <= 1 || // a count of 0
+		eachWord(r.purposes, func(w []byte) bool { return permits(w, purpose) })
+}
+
 // UC is the RDF vocabulary namespace for usage-control policy documents.
 const UC = "https://w3id.org/usagecontrol#"
 

@@ -3,7 +3,6 @@ package policy
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -104,29 +103,66 @@ var purposeWords = []Purpose{PurposeMedicalResearch, PurposeAcademic, PurposeWeb
 
 // Validate checks structural well-formedness.
 func (p *Policy) Validate() error {
-	switch {
-	case p.ID == "":
-		return ErrNoID
-	case p.ResourceIRI == "":
-		return ErrNoResource
-	case p.OwnerWebID == "":
-		return ErrNoOwner
-	case p.Version == 0:
-		return ErrZeroVersion
-	case p.MaxRetention < 0:
-		return ErrBadRetention
+	if err := checkScalars(len(p.ID), len(p.ResourceIRI), len(p.OwnerWebID), p.Version, p.MaxRetention); err != nil {
+		return err
 	}
 	for _, pu := range p.AllowedPurposes {
-		if pu == "" {
-			return ErrEmptyPurpose
+		if err := checkPurpose(pu); err != nil {
+			return err
 		}
 	}
 	for _, a := range p.AllowedActions {
-		if !slices.Contains(actionWords, a) {
-			return fmt.Errorf("%w: %q", ErrUnknownAction, a)
+		if err := checkAction(a); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// The rules of Validate and PermitsPurpose, field by field, which a Policy
+// and a Record apply alike.
+
+// checkScalars is Validate's rule for the fields that are not lists, given
+// the lengths of the three strings.
+func checkScalars(id, resourceIRI, ownerWebID int, version uint64, maxRetention time.Duration) error {
+	switch {
+	case id == 0:
+		return ErrNoID
+	case resourceIRI == 0:
+		return ErrNoResource
+	case ownerWebID == 0:
+		return ErrNoOwner
+	case version == 0:
+		return ErrZeroVersion
+	case maxRetention < 0:
+		return ErrBadRetention
+	}
+	return nil
+}
+
+// checkPurpose is Validate's rule for one allowed purpose.
+func checkPurpose[S ~string | ~[]byte](pu S) error {
+	if len(pu) == 0 {
+		return ErrEmptyPurpose
+	}
+	return nil
+}
+
+// checkAction is Validate's rule for one allowed action: the vocabulary is
+// closed.
+func checkAction[S ~string | ~[]byte](a S) error {
+	for _, w := range actionWords {
+		if string(w) == string(a) {
+			return nil
+		}
+	}
+	return fmt.Errorf("%w: %q", ErrUnknownAction, a)
+}
+
+// permits is PermitsPurpose's rule for one allowed purpose of a non-empty
+// list.
+func permits[S ~string | ~[]byte](allowed S, purpose Purpose) bool {
+	return string(allowed) == string(PurposeAny) || string(allowed) == string(purpose)
 }
 
 // Clone returns a deep copy.
@@ -153,7 +189,7 @@ func (p *Policy) PermitsPurpose(purpose Purpose) bool {
 		return true
 	}
 	for _, allowed := range p.AllowedPurposes {
-		if allowed == PurposeAny || allowed == purpose {
+		if permits(allowed, purpose) {
 			return true
 		}
 	}
